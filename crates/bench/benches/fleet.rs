@@ -44,11 +44,7 @@ fn main() {
     let mut cells = Vec::new();
     for scenario in &scenarios {
         for scale in &scales {
-            // The no-reuse columns re-run a whole engine each; skip them
-            // on the biggest cells where the reference run already
-            // dominates the sweep's wall time.
-            let measure_noreuse = scale.runtimes < 5000;
-            let cell = fleet::run_cell(*scenario, scale, measure_noreuse, repeats, sim_threads_cap);
+            let cell = fleet::run_cell(*scenario, scale, repeats, sim_threads_cap);
             let par = |ms: Option<f64>, speedup: Option<f64>| match (ms, speedup) {
                 (Some(ms), Some(s)) => format!("{ms:>8.2} ms ({s:>4.2}x)"),
                 _ => "skipped".to_string(),

@@ -119,16 +119,10 @@ pub struct FleetCell {
     pub nodes: usize,
     /// Simulated duration, seconds.
     pub duration_s: f64,
-    /// Slice-engine wall time, milliseconds (scratch reuse on).
+    /// Slice-engine wall time, milliseconds.
     pub slice_ms: f64,
-    /// Slice-engine wall time with per-quantum scratch reallocation (the
-    /// pre-hoisting behaviour); `None` where it was not measured.
-    pub slice_noreuse_ms: Option<f64>,
     /// Event-engine wall time, milliseconds.
     pub event_ms: f64,
-    /// Event-engine wall time with per-segment scratch reallocation (the
-    /// pre-hoisting behaviour); `None` where it was not measured.
-    pub event_noreuse_ms: Option<f64>,
     /// `slice_ms / event_ms`.
     pub speedup: f64,
     /// Parallel event engine at 2 worker shards, milliseconds; `None` when
@@ -265,16 +259,14 @@ fn rel_err(a: f64, b: f64) -> f64 {
 /// The parallel shard counts a cell measures (subject to the cap).
 pub const PAR_THREADS: [usize; 2] = [2, 8];
 
-/// Runs one cell: times the slice engine (optionally also without scratch
-/// reuse), the event engine (sequential, no-reuse, and parallel at the
-/// [`PAR_THREADS`] shard counts up to `sim_threads_cap`), and cross-checks
-/// the banked work. Pass `sim_threads_cap = 1` to skip the parallel runs
-/// entirely (e.g. on single-core runners, where the extra wall time buys
-/// no information).
+/// Runs one cell: times the slice engine and the event engine (sequential,
+/// and parallel at the [`PAR_THREADS`] shard counts up to
+/// `sim_threads_cap`), and cross-checks the banked work. Pass
+/// `sim_threads_cap = 1` to skip the parallel runs entirely (e.g. on
+/// single-core runners, where the extra wall time buys no information).
 pub fn run_cell(
     scenario: FleetScenario,
     scale: &FleetScale,
-    measure_noreuse: bool,
     repeats: usize,
     sim_threads_cap: usize,
 ) -> FleetCell {
@@ -283,17 +275,16 @@ pub fn run_cell(
     let apps = tenants(scenario, scale.runtimes, scale.duration_s);
     let matrix = fleet_matrix(scale.runtimes, scale.nodes);
 
-    let config = |engine: EngineKind, reuse: bool| {
+    let config = |engine: EngineKind| {
         SimConfig::new(machine.clone())
             .with_effects(EffectModel::ideal())
             .with_seed(42)
             .with_engine(engine)
-            .with_scratch_reuse(reuse)
     };
 
     type ParRuns = [Option<(f64, f64)>; 2];
     #[allow(clippy::type_complexity)]
-    let (slice_s, slice_noreuse_s, event_s, event_noreuse_s, par, events, segments, slice_gflops, event_gflops): (f64, Option<f64>, f64, Option<f64>, ParRuns, usize, u64, f64, f64) =
+    let (slice_s, event_s, par, events, segments, slice_gflops, event_gflops): (f64, f64, ParRuns, usize, u64, f64, f64) =
         if scenario == FleetScenario::Outages {
             let scn = Scenario {
                 name: format!("fleet-outages-{}x{}", scale.runtimes, scale.nodes),
@@ -328,9 +319,7 @@ pub fn run_cell(
             let edges = slice_r.segments.len();
             (
                 slice_s,
-                None,
                 event_s,
-                None,
                 par,
                 edges,
                 edges as u64,
@@ -340,35 +329,19 @@ pub fn run_cell(
         } else {
             let schedule = [(0.0, ThreadAssignment::from_matrix(matrix.clone()))];
             let (slice_s, slice_r) = time_best(repeats, || {
-                Simulation::new(config(EngineKind::Slice, true))
+                Simulation::new(config(EngineKind::Slice))
                     .run_dynamic(&apps, &schedule, scale.duration_s)
                     .expect("fleet scenario runs on the slice engine")
             });
-            let slice_noreuse_s = measure_noreuse.then(|| {
-                time_best(repeats, || {
-                    Simulation::new(config(EngineKind::Slice, false))
-                        .run_dynamic(&apps, &schedule, scale.duration_s)
-                        .expect("fleet scenario runs without scratch reuse")
-                })
-                .0
-            });
             let (event_s, (event_r, log)) = time_best(repeats, || {
-                Simulation::new(config(EngineKind::Event, true))
+                Simulation::new(config(EngineKind::Event))
                     .run_logged(&apps, &schedule, scale.duration_s)
                     .expect("fleet scenario runs on the event engine")
-            });
-            let event_noreuse_s = measure_noreuse.then(|| {
-                time_best(repeats, || {
-                    Simulation::new(config(EngineKind::Event, false))
-                        .run_logged(&apps, &schedule, scale.duration_s)
-                        .expect("fleet scenario runs without event scratch reuse")
-                })
-                .0
             });
             let par = PAR_THREADS.map(|threads| {
                 (threads <= sim_threads_cap).then(|| {
                     let (s, (r, _log)) = time_best(repeats, || {
-                        Simulation::new(config(EngineKind::Event, true).with_sim_threads(threads))
+                        Simulation::new(config(EngineKind::Event).with_sim_threads(threads))
                             .run_logged(&apps, &schedule, scale.duration_s)
                             .expect("fleet scenario runs on the parallel event engine")
                     });
@@ -377,9 +350,7 @@ pub fn run_cell(
             });
             (
                 slice_s,
-                slice_noreuse_s,
                 event_s,
-                event_noreuse_s,
                 par,
                 log.len(),
                 log.segments,
@@ -399,9 +370,7 @@ pub fn run_cell(
         nodes: scale.nodes,
         duration_s: scale.duration_s,
         slice_ms: slice_s * 1e3,
-        slice_noreuse_ms: slice_noreuse_s.map(|s| s * 1e3),
         event_ms: event_s * 1e3,
-        event_noreuse_ms: event_noreuse_s.map(|s| s * 1e3),
         speedup: slice_s / event_s,
         par2_ms: par[0].map(|(s, _)| s * 1e3),
         par8_ms: par[1].map(|(s, _)| s * 1e3),
@@ -475,7 +444,7 @@ mod tests {
     #[test]
     fn engines_agree_on_every_scenario_family() {
         for scenario in FleetScenario::all() {
-            let cell = run_cell(scenario, &tiny_scale(), true, 1, 1);
+            let cell = run_cell(scenario, &tiny_scale(), 1, 1);
             assert!(
                 cell.gflops_rel_err < 1e-6,
                 "{}: engines disagree by {}",
@@ -491,8 +460,6 @@ mod tests {
                 cell.scenario,
                 cell.segments
             );
-            assert!(cell.slice_noreuse_ms.is_some() || scenario == FleetScenario::Outages);
-            assert!(cell.event_noreuse_ms.is_some() || scenario == FleetScenario::Outages);
             // Cap 1: no parallel cells measured, and the cell says so.
             assert!(cell.par2_ms.is_none() && cell.par8_ms.is_none());
             assert!(cell.par_gflops_rel_err.is_none());
@@ -502,7 +469,7 @@ mod tests {
     #[test]
     fn parallel_event_runs_bank_bit_identical_work() {
         for scenario in FleetScenario::all() {
-            let cell = run_cell(scenario, &tiny_scale(), false, 1, 8);
+            let cell = run_cell(scenario, &tiny_scale(), 1, 8);
             assert!(
                 cell.par2_ms.is_some() && cell.par8_ms.is_some(),
                 "{}: parallel cells must be measured under cap 8",
@@ -523,7 +490,7 @@ mod tests {
     fn churn_edges_stay_cohort_bounded() {
         // Distinct churn edges must not grow with fleet size: cohorts cap
         // them at 2 × (COHORT_SLOTS - 4).
-        let small = run_cell(FleetScenario::Churn, &tiny_scale(), false, 1, 1);
+        let small = run_cell(FleetScenario::Churn, &tiny_scale(), 1, 1);
         let bigger = run_cell(
             FleetScenario::Churn,
             &FleetScale {
@@ -531,7 +498,6 @@ mod tests {
                 nodes: 8,
                 duration_s: 1.0,
             },
-            false,
             1,
             1,
         );

@@ -1,5 +1,6 @@
 //! Simulated application descriptions.
 
+use crate::event::s_to_tick;
 use numa_topology::NodeId;
 use roofline_numa::{AppSpec, DataPlacement};
 use serde::{Deserialize, Serialize};
@@ -33,6 +34,55 @@ pub enum ActivityPattern {
 }
 
 impl ActivityPattern {
+    /// Rejects patterns whose edges do not advance time. A zero, negative
+    /// or NaN period makes [`next_edge`] return its argument (or NaN), and
+    /// a burst or gap shorter than one [`Tick`](crate::event::Tick) advances
+    /// by less than the engines can resolve; either way the event engine
+    /// would fire one event per nanosecond tick — an effective hang from a
+    /// scenario file.
+    ///
+    /// [`next_edge`]: ActivityPattern::next_edge
+    pub fn validate(&self) -> crate::Result<()> {
+        let bad = |reason| Err(crate::SimError::BadTime { reason });
+        match *self {
+            ActivityPattern::AlwaysOn => {}
+            ActivityPattern::Bursts {
+                period_s,
+                duty,
+                phase_s,
+            } => {
+                if !(period_s > 0.0 && period_s.is_finite()) {
+                    return bad("burst period must be positive and finite");
+                }
+                if !(0.0..=1.0).contains(&duty) {
+                    return bad("burst duty must lie in [0, 1]");
+                }
+                if !phase_s.is_finite() {
+                    return bad("burst phase must be finite");
+                }
+                // With a degenerate duty the state never changes and only
+                // the period itself has to be resolvable.
+                let shortest = if duty > 0.0 && duty < 1.0 {
+                    period_s * duty.min(1.0 - duty)
+                } else {
+                    period_s
+                };
+                if s_to_tick(shortest) < 1 {
+                    return bad("burst on and off lengths must each be at least 1 ns");
+                }
+            }
+            ActivityPattern::Window { start_s, end_s } => {
+                if !(start_s.is_finite() && end_s.is_finite()) {
+                    return bad("activity window bounds must be finite");
+                }
+                if start_s > end_s {
+                    return bad("activity window must not end before it starts");
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// `true` if the application computes during the quantum starting at
     /// `t` seconds.
     pub fn is_active(&self, t: f64) -> bool {

@@ -239,11 +239,6 @@ pub struct SimConfig {
     /// result is bit-identical at any thread count; only wall-clock time
     /// changes. Ignored by [`EngineKind::Slice`].
     pub sim_threads: usize,
-    /// Whether per-step arbitration buffers are allocated once per run and
-    /// reused (default) or reallocated every step. The `false` setting
-    /// exists only so the fleet bench can report an honest before/after
-    /// column for the allocation-hoisting work; results are identical.
-    pub scratch_reuse: bool,
 }
 
 impl SimConfig {
@@ -257,7 +252,6 @@ impl SimConfig {
             seed: 0,
             engine: EngineKind::default(),
             sim_threads: 1,
-            scratch_reuse: true,
         }
     }
 
@@ -289,13 +283,6 @@ impl SimConfig {
     /// [`SimConfig::sim_threads`]. Zero is clamped to 1.
     pub fn with_sim_threads(mut self, sim_threads: usize) -> Self {
         self.sim_threads = sim_threads.max(1);
-        self
-    }
-
-    /// Disables (or re-enables) arbitration-scratch reuse; see
-    /// [`SimConfig::scratch_reuse`].
-    pub fn with_scratch_reuse(mut self, reuse: bool) -> Self {
-        self.scratch_reuse = reuse;
         self
     }
 }
@@ -331,13 +318,11 @@ mod tests {
             .with_quantum(5e-4)
             .with_seed(9)
             .with_effects(EffectModel::ideal())
-            .with_engine(EngineKind::Event)
-            .with_scratch_reuse(false);
+            .with_engine(EngineKind::Event);
         assert_eq!(c.quantum_s, 5e-4);
         assert_eq!(c.seed, 9);
         assert_eq!(c.effects, EffectModel::ideal());
         assert_eq!(c.engine, EngineKind::Event);
-        assert!(!c.scratch_reuse);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use coop_telemetry::{
 use numa_topology::{Machine, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use roofline_numa::ThreadAssignment;
+use roofline_numa::{DataPlacement, ThreadAssignment};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -412,6 +412,7 @@ impl Simulation {
         }
         for app in apps {
             app.spec.validate(machine)?;
+            app.activity.validate()?;
         }
         for (_, a) in schedule {
             self.validate_assignment(apps.len(), a)?;
@@ -484,17 +485,11 @@ impl Simulation {
                 applied_idx = sched_idx;
             }
 
-            // Arbitrate this quantum. Scratch buffers are hoisted out of
-            // the loop and reused; `scratch_reuse = false` restores the
-            // old allocate-per-step behavior for A/B benchmarking.
-            if !self.config.scratch_reuse {
-                *scratch = RateScratch::default();
-            }
-            // Activity is classified at the quantum *midpoint* — the same
-            // rule the event engine applies to its segments: a quantum is
-            // active iff its interior is, so edges that land exactly on a
-            // quantum boundary never hinge on float residue, and
-            // off-boundary edges round to the nearest quantum.
+            // Arbitrate this quantum. Activity is classified at the quantum
+            // *midpoint* — the same rule the event engine applies to its
+            // segments: a quantum is active iff its interior is, so edges
+            // that land exactly on a quantum boundary never hinge on float
+            // residue, and off-boundary edges round to the nearest quantum.
             compute_rates(
                 machine,
                 effects,
@@ -647,8 +642,8 @@ pub(crate) struct RateScratch {
     on_core: Vec<bool>,
     /// Per-thread: compute capacity, GFLOPS.
     pub(crate) cap: Vec<f64>,
-    /// Per-thread × node, row-major: memory demand toward each node.
-    demand_to: Vec<f64>,
+    /// The non-zero memory demands, one column per target node.
+    demand: DemandCols,
     /// Per-thread: granted bandwidth, GB/s.
     pub(crate) granted: Vec<f64>,
     /// Per-node: total bandwidth served by that controller, GB/s.
@@ -657,7 +652,7 @@ pub(crate) struct RateScratch {
     /// (inbound inter-node link traffic, used by the event engine's link
     /// components).
     pub(crate) node_remote_in: Vec<f64>,
-    /// Per-thread: one node's grant contributions (reused across targets).
+    /// One target's grants, one per column entry (reused across targets).
     col: Vec<f64>,
     /// Per-target-node temporaries.
     node_tmp: NodeScratch,
@@ -676,17 +671,13 @@ impl RateScratch {
         self.on_core.resize(num_threads, true);
         self.cap.clear();
         self.cap.resize(num_threads, 0.0);
-        self.demand_to.clear();
-        self.demand_to.resize(num_threads * num_nodes, 0.0);
         self.granted.clear();
         self.granted.resize(num_threads, 0.0);
         self.node_served.clear();
         self.node_served.resize(num_nodes, 0.0);
         self.node_remote_in.clear();
         self.node_remote_in.resize(num_nodes, 0.0);
-        self.col.clear();
-        self.col.resize(num_threads, 0.0);
-        self.node_tmp.reset(num_apps, num_threads, num_nodes);
+        self.node_tmp.reset(num_apps, num_nodes);
     }
 }
 
@@ -695,50 +686,134 @@ impl RateScratch {
 /// engine) owns one instance and reuses it across targets and segments.
 #[derive(Debug, Default)]
 pub(crate) struct NodeScratch {
-    apps_here: Vec<bool>,
+    /// Per-app: the last arbitration (by `stamp`) that saw the app demand
+    /// the target — a set that empties by bumping `stamp`, not by a fill.
+    app_seen: Vec<u64>,
+    stamp: u64,
     remote_demand_from: Vec<f64>,
     served_from: Vec<f64>,
+    /// Per column entry: the baseline-stage local grant.
     prov: Vec<f64>,
 }
 
 impl NodeScratch {
-    pub(crate) fn reset(&mut self, num_apps: usize, num_threads: usize, num_nodes: usize) {
-        self.apps_here.clear();
-        self.apps_here.resize(num_apps, false);
-        self.remote_demand_from.clear();
+    pub(crate) fn reset(&mut self, num_apps: usize, num_nodes: usize) {
+        // Sizing only: every arbitration overwrites the per-node buffers,
+        // and stamps already in `app_seen` are all below the next `stamp`.
+        self.app_seen.resize(num_apps, 0);
         self.remote_demand_from.resize(num_nodes, 0.0);
-        self.served_from.clear();
         self.served_from.resize(num_nodes, 0.0);
-        self.prov.clear();
-        self.prov.resize(num_threads, 0.0);
     }
 }
 
-/// A read-only view of the per-thread × node demand matrix, possibly split
-/// into contiguous per-shard parts (the parallel engine keeps each shard's
-/// rows in its own buffer). Part `p` holds the rows of global threads
-/// `starts[p]..starts[p] + parts[p].len() / num_nodes`, row-major.
+/// The positive memory demands of one contiguous range of threads,
+/// compressed by target node: column `t` lists `(global thread, demand)`
+/// for every thread of the range with `demand > 0` toward node `t`, in
+/// ascending thread order. A NUMA-local thread costs one entry, not a row
+/// of `num_nodes` slots.
+#[derive(Debug, Default)]
+pub(crate) struct DemandCols {
+    /// Column `t` is entries `start[t]..start[t + 1]`.
+    start: Vec<usize>,
+    thread: Vec<usize>,
+    d: Vec<f64>,
+    /// Per-target write position of the scatter pass.
+    cursor: Vec<usize>,
+}
+
+impl DemandCols {
+    /// Rebuilds the columns for threads `range` by a two-pass counting
+    /// sort: count each target's entries, prefix-sum, scatter in ascending
+    /// thread order.
+    pub(crate) fn build(
+        &mut self,
+        apps: &[SimApp],
+        threads: &[Thread],
+        cap: &[f64],
+        range: std::ops::Range<usize>,
+        num_nodes: usize,
+    ) {
+        self.start.clear();
+        self.start.resize(num_nodes + 1, 0);
+        for i in range.clone() {
+            let th = threads[i];
+            for_each_demand(&apps[th.app], th.home, cap[i], |target, _| {
+                self.start[target + 1] += 1;
+            });
+        }
+        for t in 0..num_nodes {
+            self.start[t + 1] += self.start[t];
+        }
+        let entries = self.start[num_nodes];
+        self.thread.resize(entries, 0);
+        self.d.resize(entries, 0.0);
+        self.cursor.clear();
+        self.cursor.extend_from_slice(&self.start[..num_nodes]);
+        for i in range {
+            let th = threads[i];
+            for_each_demand(&apps[th.app], th.home, cap[i], |target, d| {
+                let k = self.cursor[target];
+                self.thread[k] = i;
+                self.d[k] = d;
+                self.cursor[target] = k + 1;
+            });
+        }
+    }
+
+    /// Number of entries in `target`'s column.
+    pub(crate) fn column_len(&self, target: usize) -> usize {
+        self.start[target + 1] - self.start[target]
+    }
+
+    /// `target`'s column: `(global_thread_index, demand)`, ascending.
+    #[inline]
+    pub(crate) fn column(&self, target: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let entries = self.start[target]..self.start[target + 1];
+        self.thread[entries.clone()]
+            .iter()
+            .copied()
+            .zip(self.d[entries].iter().copied())
+    }
+}
+
+/// Calls `emit(target, demand)` for each node one thread demands memory
+/// from, in ascending node order: total demand `cap / AI`, split by the
+/// app's placement fractions, zero shares dropped.
+fn for_each_demand(app: &SimApp, home: NodeId, cap: f64, mut emit: impl FnMut(usize, f64)) {
+    // An idle thread (`cap == 0`) demands nothing.
+    let total = cap / app.spec.ai;
+    if total > 0.0 {
+        match &app.spec.placement {
+            DataPlacement::Local => emit(home.0, total),
+            DataPlacement::SingleNode(node) => emit(node.0, total),
+            DataPlacement::Spread(fractions) => {
+                for (node, &fraction) in fractions.iter().enumerate() {
+                    let d = total * fraction;
+                    if d > 0.0 {
+                        emit(node, d);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A read-only view of the demand columns, possibly split into contiguous
+/// per-shard parts (the parallel engine keeps each shard's threads in its
+/// own [`DemandCols`]); parts are in ascending thread order.
 pub(crate) struct DemandView<'a> {
-    pub(crate) parts: &'a [&'a [f64]],
-    pub(crate) num_nodes: usize,
+    pub(crate) parts: &'a [&'a DemandCols],
 }
 
 impl DemandView<'_> {
     /// Iterates `(global_thread_index, demand_toward_target)` over every
-    /// thread in ascending global order — the iteration order every
-    /// arbitration pass must share so floating-point accumulation is
-    /// identical no matter how the matrix is sharded.
+    /// thread with a positive demand toward `target`, in ascending global
+    /// order — the iteration order every arbitration pass must share so
+    /// floating-point accumulation is identical no matter how the threads
+    /// are sharded.
     #[inline]
     pub(crate) fn toward(&self, target: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
-        let nn = self.num_nodes;
-        let mut base = 0usize;
-        self.parts.iter().flat_map(move |part| {
-            let start = base;
-            base += part.len() / nn;
-            part.chunks_exact(nn)
-                .enumerate()
-                .map(move |(local, row)| (start + local, row[target]))
-        })
+        self.parts.iter().flat_map(move |part| part.column(target))
     }
 }
 
@@ -774,32 +849,20 @@ pub(crate) fn compute_rates(
         machine, effects, peak, apps, threads, t, discrete, rng, rr_offset, tel, s,
     );
 
-    // Per-thread demand toward each node.
-    for (i, th) in threads.iter().enumerate() {
-        fill_demand_row(
-            &apps[th.app],
-            th.home,
-            s.cap[i],
-            &mut s.demand_to[i * num_nodes..(i + 1) * num_nodes],
-        );
-    }
+    s.demand
+        .build(apps, threads, &s.cap, 0..threads.len(), num_nodes);
 
     // Arbitrate each node, then fold its grant column into the per-thread
     // totals — the same column-then-reduce structure the parallel engine
     // uses, so both paths perform the identical sequence of float adds.
-    let parts = [s.demand_to.as_slice()];
-    let view = DemandView {
-        parts: &parts,
-        num_nodes,
-    };
+    let parts = [&s.demand];
+    let view = DemandView { parts: &parts };
     for target in 0..num_nodes {
+        s.col.clear();
         let (served, remote_in) =
             arbitrate_node(machine, effects, target, threads, &view, &mut s.node_tmp, &mut s.col);
-        for (i, d) in view.toward(target) {
-            if d <= 0.0 {
-                continue;
-            }
-            s.granted[i] += s.col[i];
+        for ((i, _), &grant) in view.toward(target).zip(&s.col) {
+            s.granted[i] += grant;
         }
         s.node_served[target] = served;
         s.node_remote_in[target] = remote_in;
@@ -904,33 +967,21 @@ pub(crate) fn rates_prologue(
     }
 }
 
-/// Fills one thread's demand row (`num_nodes` wide): total demand
-/// `cap / AI`, split by the app's placement fractions. Pure per-thread
-/// work — the parallel engine fans these rows out across shards.
-pub(crate) fn fill_demand_row(app: &SimApp, home: NodeId, cap: f64, row: &mut [f64]) {
-    let num_nodes = row.len();
-    row.fill(0.0);
-    if cap == 0.0 {
-        return;
-    }
-    let total = cap / app.spec.ai;
-    for (node, d) in row.iter_mut().enumerate() {
-        *d = total * app.spec.placement.fraction(home, NodeId(node), num_nodes);
-    }
-}
-
 /// Arbitrates one target node: the two-phase remote-first / baseline +
 /// proportional-remainder rule, with interference and saturation applied.
-/// Writes each demanding thread's grant into `col[i]` (slots with zero
-/// demand are left untouched — readers must gate on `d > 0`) and returns
-/// `(node_served, node_remote_in)`.
+/// Appends one grant to `col` per entry of the target's demand column, in
+/// column order, and returns `(node_served, node_remote_in)`. The cost is
+/// the column's length plus one pass over the inbound links — never the
+/// fleet's thread or app count.
 ///
 /// Per-target arbitration has **no cross-target dataflow** — only the
 /// caller's fold of `col` into per-thread totals couples targets — which
 /// is exactly why the parallel engine can arbitrate disjoint node ranges
 /// concurrently and still reproduce the sequential engine bit for bit:
 /// every loop here visits threads in ascending global order via
-/// [`DemandView::toward`], whatever the sharding.
+/// [`DemandView::toward`], whatever the sharding. A thread with no demand
+/// toward the target is not in the column; to every sum below it would
+/// have contributed an exact `+ 0.0`.
 pub(crate) fn arbitrate_node(
     machine: &Machine,
     effects: &crate::EffectModel,
@@ -938,19 +989,32 @@ pub(crate) fn arbitrate_node(
     threads: &[Thread],
     demand: &DemandView<'_>,
     tmp: &mut NodeScratch,
-    col: &mut [f64],
+    col: &mut Vec<f64>,
 ) -> (f64, f64) {
-    let num_nodes = demand.num_nodes;
+    let num_nodes = machine.num_nodes();
     let node = machine.node(NodeId(target));
 
-    // Interference: distinct apps with demand toward this node.
-    tmp.apps_here.fill(false);
+    // One census pass over the column: distinct demanding apps
+    // (interference), remote demand per source node, local demanders, and
+    // total demand. The accumulators are independent of each other.
+    tmp.stamp += 1;
+    let mut distinct = 0usize;
+    let mut local_demanders = 0usize;
+    let mut total_demand = 0.0f64;
+    tmp.remote_demand_from.fill(0.0);
     for (i, d) in demand.toward(target) {
-        if d > 0.0 {
-            tmp.apps_here[threads[i].app] = true;
+        let th = threads[i];
+        if tmp.app_seen[th.app] != tmp.stamp {
+            tmp.app_seen[th.app] = tmp.stamp;
+            distinct += 1;
         }
+        if th.home.0 == target {
+            local_demanders += 1;
+        } else {
+            tmp.remote_demand_from[th.home.0] += d;
+        }
+        total_demand += d;
     }
-    let distinct = tmp.apps_here.iter().filter(|&&b| b).count();
     let interference = if distinct > 1 {
         (1.0 - effects.multi_app_interference * (distinct - 1) as f64).max(0.0)
     } else {
@@ -959,13 +1023,6 @@ pub(crate) fn arbitrate_node(
     let capacity = node.bandwidth_gbs * interference;
 
     // Remote-first stage.
-    tmp.remote_demand_from.fill(0.0);
-    for (i, d) in demand.toward(target) {
-        let src = threads[i].home.0;
-        if src != target {
-            tmp.remote_demand_from[src] += d;
-        }
-    }
     for src in 0..num_nodes {
         tmp.served_from[src] = if src == target {
             0.0
@@ -987,28 +1044,27 @@ pub(crate) fn arbitrate_node(
     }
 
     // Local stage: baseline + proportional remainder. Local grants are
-    // tracked per-target in `prov` so threads whose traffic spreads
+    // tracked per column entry in `prov` so threads whose traffic spreads
     // over several nodes accumulate correctly.
     let remaining = (capacity - tmp.served_from.iter().sum::<f64>() * remote_cost).max(0.0);
     // The per-thread guaranteed share. The model's rule is per-core;
     // under over-subscription (more demanding local threads than
     // cores) the share divides among the threads, keeping the baseline
     // stage within capacity.
-    let local_demanders = demand
-        .toward(target)
-        .filter(|&(i, d)| threads[i].home.0 == target && d > 0.0)
-        .count();
     let baseline = remaining / node.num_cores().max(local_demanders) as f64;
-    tmp.prov.fill(0.0);
+    tmp.prov.clear();
     let mut used = 0.0f64;
     let mut local_need = 0.0f64;
     for (i, d) in demand.toward(target) {
-        if threads[i].home.0 == target && d > 0.0 {
+        let g = if threads[i].home.0 == target {
             let g = d.min(baseline);
-            tmp.prov[i] = g;
             used += g;
             local_need += d - g;
-        }
+            g
+        } else {
+            0.0
+        };
+        tmp.prov.push(g);
     }
     let rest = (remaining - used).max(0.0);
     let ratio = if local_need > 1e-15 {
@@ -1022,7 +1078,6 @@ pub(crate) fn arbitrate_node(
     // baseline share) — a compute-bound thread issuing few requests
     // rides out the queues, which is what the paper's compute
     // benchmark did on the real machine.
-    let total_demand: f64 = demand.toward(target).map(|(_, d)| d).sum();
     let u = (total_demand / capacity).min(1.0);
     let sat = if u > effects.saturation_knee && effects.saturation_loss > 0.0 {
         1.0 - effects.saturation_loss * (u - effects.saturation_knee)
@@ -1034,28 +1089,24 @@ pub(crate) fn arbitrate_node(
 
     let mut served_total = 0.0f64;
     let mut remote_in = 0.0f64;
-    for (i, d) in demand.toward(target) {
-        if d <= 0.0 {
-            continue;
-        }
+    for ((i, d), &prov) in demand.toward(target).zip(&tmp.prov) {
         let thread_sat = if d > streamer_threshold { sat } else { 1.0 };
-        if threads[i].home.0 == target {
+        let src = threads[i].home.0;
+        if src == target {
             // Add the proportional remainder, then apply the
             // saturation efficiency to the final local grant.
-            let need = d - tmp.prov[i];
-            let final_local = (tmp.prov[i] + ratio * need) * thread_sat;
-            col[i] = final_local;
+            let final_local = (prov + ratio * (d - prov)) * thread_sat;
+            col.push(final_local);
             served_total += final_local;
         } else {
             // Remote grant: share of this source's served BW.
-            let src = threads[i].home.0;
             let share = if tmp.remote_demand_from[src] > 1e-15 {
                 tmp.served_from[src] * d / tmp.remote_demand_from[src]
             } else {
                 0.0
             };
             let final_remote = share * thread_sat;
-            col[i] = final_remote;
+            col.push(final_remote);
             served_total += final_remote;
             remote_in += final_remote;
         }
@@ -1350,6 +1401,67 @@ mod tests {
         ));
     }
 
+    /// Patterns whose edges would not advance time (a per-nanosecond event
+    /// storm on the event engines) are refused up front by every engine.
+    #[test]
+    fn hostile_activity_patterns_rejected_on_every_engine() {
+        let bursts = |period_s: f64, duty: f64, phase_s: f64| ActivityPattern::Bursts {
+            period_s,
+            duty,
+            phase_s,
+        };
+        let window = |start_s: f64, end_s: f64| ActivityPattern::Window { start_s, end_s };
+        let hostile = [
+            bursts(0.0, 0.5, 0.0),
+            bursts(-1.0, 0.5, 0.0),
+            bursts(f64::NAN, 0.5, 0.0),
+            bursts(f64::INFINITY, 0.5, 0.0),
+            bursts(1.0, f64::NAN, 0.0),
+            bursts(1.0, 1.5, 0.0),
+            bursts(1.0, 0.5, f64::NAN),
+            // Shorter than one tick: the period, the burst, the gap.
+            bursts(1e-12, 0.5, 0.0),
+            bursts(1.0, 1e-10, 0.0),
+            bursts(1.0, 1.0 - 1e-10, 0.0),
+            window(f64::NAN, 1.0),
+            window(0.0, f64::NAN),
+            window(2.0, 1.0),
+            window(0.0, f64::INFINITY),
+        ];
+        let assignment = ThreadAssignment::uniform_per_node(&tiny(), &[1]);
+        for pattern in hostile {
+            let apps = vec![SimApp::numa_local("a", 1.0).with_activity(pattern.clone())];
+            for (engine, sim_threads) in [
+                (EngineKind::Slice, 1),
+                (EngineKind::Event, 1),
+                (EngineKind::Event, 2),
+            ] {
+                let sim = Simulation::new(
+                    SimConfig::new(tiny())
+                        .with_effects(EffectModel::ideal())
+                        .with_engine(engine)
+                        .with_sim_threads(sim_threads),
+                );
+                assert!(
+                    matches!(
+                        sim.run(&apps, &assignment, 1.0),
+                        Err(SimError::BadTime { .. })
+                    ),
+                    "{pattern:?} on {engine} x{sim_threads}"
+                );
+            }
+        }
+        // The degenerate-but-harmless cases stay legal.
+        for pattern in [
+            bursts(1.0, 0.0, 0.0),
+            bursts(1.0, 1.0, -0.25),
+            bursts(2e-9, 0.5, 0.0),
+            window(1.0, 1.0),
+        ] {
+            assert!(pattern.validate().is_ok(), "{pattern:?}");
+        }
+    }
+
     #[test]
     fn node_utilization_reported() {
         let machine = paper_model_machine();
@@ -1629,5 +1741,341 @@ mod timeslice_tests {
             let cap = machine.node(NodeId(n)).bandwidth_gbs;
             assert!(gbs <= cap * (1.0 + 1e-9), "node {n}: {gbs} > {cap}");
         }
+    }
+}
+
+/// The dense arbitration this crate ran before demand columns: a
+/// `threads × nodes` demand matrix, each target walking one
+/// stride-`num_nodes` column of it seven times. Kept as the oracle for
+/// [`DemandCols`]: everything [`compute_rates`] produces must equal it bit
+/// for bit, because every term the columns skip is an exact `+ 0.0` or was
+/// already gated on `d > 0` here.
+#[cfg(test)]
+mod dense_reference {
+    use super::*;
+    use crate::{ActivityPattern, EffectModel};
+    use numa_topology::{LinkMatrix, MachineBuilder};
+
+    fn dense_demand_row(app: &SimApp, home: NodeId, cap: f64, row: &mut [f64]) {
+        let num_nodes = row.len();
+        row.fill(0.0);
+        if cap == 0.0 {
+            return;
+        }
+        let total = cap / app.spec.ai;
+        for (node, d) in row.iter_mut().enumerate() {
+            *d = total * app.spec.placement.fraction(home, NodeId(node), num_nodes);
+        }
+    }
+
+    /// One target over the dense matrix; grants land in `col[thread]`
+    /// (slots with zero demand are left untouched).
+    fn dense_arbitrate_node(
+        machine: &Machine,
+        effects: &EffectModel,
+        target: usize,
+        threads: &[Thread],
+        demand_to: &[f64],
+        num_apps: usize,
+        col: &mut [f64],
+    ) -> (f64, f64) {
+        let num_nodes = machine.num_nodes();
+        let node = machine.node(NodeId(target));
+        let toward = || {
+            demand_to
+                .chunks_exact(num_nodes)
+                .enumerate()
+                .map(|(i, row)| (i, row[target]))
+        };
+
+        let mut apps_here = vec![false; num_apps];
+        for (i, d) in toward() {
+            if d > 0.0 {
+                apps_here[threads[i].app] = true;
+            }
+        }
+        let distinct = apps_here.iter().filter(|&&b| b).count();
+        let interference = if distinct > 1 {
+            (1.0 - effects.multi_app_interference * (distinct - 1) as f64).max(0.0)
+        } else {
+            1.0
+        };
+        let capacity = node.bandwidth_gbs * interference;
+
+        let mut remote_demand_from = vec![0.0f64; num_nodes];
+        for (i, d) in toward() {
+            let src = threads[i].home.0;
+            if src != target {
+                remote_demand_from[src] += d;
+            }
+        }
+        let mut served_from = vec![0.0f64; num_nodes];
+        for src in 0..num_nodes {
+            served_from[src] = if src == target {
+                0.0
+            } else {
+                let link =
+                    machine.links().link(NodeId(src), NodeId(target)) * effects.remote_efficiency;
+                remote_demand_from[src].min(link)
+            };
+        }
+        let remote_cost = 1.0 + effects.remote_service_overhead;
+        let total_remote: f64 = served_from.iter().sum();
+        if total_remote * remote_cost > capacity {
+            let scale = capacity / (total_remote * remote_cost);
+            for sf in served_from.iter_mut() {
+                *sf *= scale;
+            }
+        }
+
+        let remaining = (capacity - served_from.iter().sum::<f64>() * remote_cost).max(0.0);
+        let local_demanders = toward()
+            .filter(|&(i, d)| threads[i].home.0 == target && d > 0.0)
+            .count();
+        let baseline = remaining / node.num_cores().max(local_demanders) as f64;
+        let mut prov = vec![0.0f64; threads.len()];
+        let mut used = 0.0f64;
+        let mut local_need = 0.0f64;
+        for (i, d) in toward() {
+            if threads[i].home.0 == target && d > 0.0 {
+                let g = d.min(baseline);
+                prov[i] = g;
+                used += g;
+                local_need += d - g;
+            }
+        }
+        let rest = (remaining - used).max(0.0);
+        let ratio = if local_need > 1e-15 {
+            (rest / local_need).min(1.0)
+        } else {
+            0.0
+        };
+
+        let total_demand: f64 = toward().map(|(_, d)| d).sum();
+        let u = (total_demand / capacity).min(1.0);
+        let sat = if u > effects.saturation_knee && effects.saturation_loss > 0.0 {
+            1.0 - effects.saturation_loss * (u - effects.saturation_knee)
+                / (1.0 - effects.saturation_knee)
+        } else {
+            1.0
+        };
+        let streamer_threshold = 0.5 * baseline;
+
+        let mut served_total = 0.0f64;
+        let mut remote_in = 0.0f64;
+        for (i, d) in toward() {
+            if d <= 0.0 {
+                continue;
+            }
+            let thread_sat = if d > streamer_threshold { sat } else { 1.0 };
+            if threads[i].home.0 == target {
+                let need = d - prov[i];
+                let final_local = (prov[i] + ratio * need) * thread_sat;
+                col[i] = final_local;
+                served_total += final_local;
+            } else {
+                let src = threads[i].home.0;
+                let share = if remote_demand_from[src] > 1e-15 {
+                    served_from[src] * d / remote_demand_from[src]
+                } else {
+                    0.0
+                };
+                let final_remote = share * thread_sat;
+                col[i] = final_remote;
+                served_total += final_remote;
+                remote_in += final_remote;
+            }
+        }
+        (served_total, remote_in)
+    }
+
+    /// `(cap, granted, node_served, node_remote_in)` the dense way.
+    fn dense_rates(
+        machine: &Machine,
+        effects: &EffectModel,
+        apps: &[SimApp],
+        threads: &[Thread],
+        t: f64,
+        rng: &mut StdRng,
+    ) -> [Vec<f64>; 4] {
+        let num_nodes = machine.num_nodes();
+        let mut s = RateScratch::default();
+        let mut rr_offset = vec![0usize; num_nodes];
+        rates_prologue(
+            machine,
+            effects,
+            machine.core_peak_gflops(),
+            apps,
+            threads,
+            t,
+            false,
+            rng,
+            &mut rr_offset,
+            None,
+            &mut s,
+        );
+        let mut demand_to = vec![0.0f64; threads.len() * num_nodes];
+        for (i, th) in threads.iter().enumerate() {
+            dense_demand_row(
+                &apps[th.app],
+                th.home,
+                s.cap[i],
+                &mut demand_to[i * num_nodes..(i + 1) * num_nodes],
+            );
+        }
+        let mut granted = vec![0.0f64; threads.len()];
+        let mut served = vec![0.0f64; num_nodes];
+        let mut remote_in = vec![0.0f64; num_nodes];
+        let mut col = vec![0.0f64; threads.len()];
+        for target in 0..num_nodes {
+            (served[target], remote_in[target]) = dense_arbitrate_node(
+                machine,
+                effects,
+                target,
+                threads,
+                &demand_to,
+                apps.len(),
+                &mut col,
+            );
+            for (i, row) in demand_to.chunks_exact(num_nodes).enumerate() {
+                if row[target] > 0.0 {
+                    granted[i] += col[i];
+                }
+            }
+        }
+        [s.cap, granted, served, remote_in]
+    }
+
+    /// A random fleet the benchmark's all-`Local`, fully subscribed shapes
+    /// do not reach: mixed placements (spreads with zero fractions),
+    /// inactive apps, apps with no threads, over-subscribed nodes, uneven
+    /// node bandwidths and links.
+    fn random_fleet(rng: &mut StdRng) -> (Machine, Vec<SimApp>, Vec<Thread>) {
+        let num_nodes = rng.gen_range(1..7usize);
+        let mut links = LinkMatrix::uniform(num_nodes, 8.0);
+        let mut builder = MachineBuilder::new().core_peak_gflops(10.0);
+        for from in 0..num_nodes {
+            builder = builder.add_node(rng.gen_range(1..5usize), rng.gen_range(4.0..40.0), 16.0);
+            for to in 0..num_nodes {
+                if from != to {
+                    links.set_link(NodeId(from), NodeId(to), rng.gen_range(0.5..12.0));
+                }
+            }
+        }
+        let machine = builder.link_matrix(links).build().unwrap();
+
+        let num_apps = rng.gen_range(1..9usize);
+        let mut matrix = Vec::with_capacity(num_apps);
+        let apps: Vec<SimApp> = (0..num_apps)
+            .map(|a| {
+                let ai = rng.gen_range(0.02..16.0);
+                let name = format!("a{a}");
+                let app = match rng.gen_range(0..3usize) {
+                    0 => SimApp::numa_local(&name, ai),
+                    1 => SimApp::numa_bad(&name, ai, NodeId(rng.gen_range(0..num_nodes))),
+                    _ => {
+                        let mut fractions: Vec<f64> = (0..num_nodes)
+                            .map(|_| {
+                                if rng.gen_bool(0.4) {
+                                    0.0
+                                } else {
+                                    rng.gen_range(0.1..1.0)
+                                }
+                            })
+                            .collect();
+                        let sum: f64 = fractions.iter().sum();
+                        if sum == 0.0 {
+                            fractions[0] = 1.0;
+                        } else {
+                            fractions.iter_mut().for_each(|f| *f /= sum);
+                        }
+                        SimApp::spread(&name, ai, fractions)
+                    }
+                };
+                // Evaluated at t = 0.5: a quarter of the apps are idle.
+                let app = if rng.gen_bool(0.25) {
+                    app.with_activity(ActivityPattern::Window {
+                        start_s: 1.0,
+                        end_s: 2.0,
+                    })
+                } else {
+                    app
+                };
+                // One app in five has no threads at all; the others place up
+                // to 3 per node, which over-subscribes small nodes.
+                let idle = rng.gen_bool(0.2);
+                matrix.push(
+                    (0..num_nodes)
+                        .map(|_| if idle { 0 } else { rng.gen_range(0..4usize) })
+                        .collect::<Vec<_>>(),
+                );
+                app.with_sync_overhead(if rng.gen_bool(0.5) { 0.0 } else { 0.03 })
+            })
+            .collect();
+        let threads = expand_threads(&ThreadAssignment::from_matrix(matrix), num_nodes);
+        (machine, apps, threads)
+    }
+
+    #[test]
+    fn demand_columns_match_the_dense_matrix_bit_for_bit() {
+        let mut gen = StdRng::seed_from_u64(0x5eed_c015);
+        let mut remote_fleets = 0;
+        for case in 0..400u64 {
+            let (machine, apps, threads) = random_fleet(&mut gen);
+            for app in &apps {
+                app.spec.validate(&machine).unwrap();
+            }
+            // Jitter draws are part of what must match.
+            let effects = if case % 2 == 0 {
+                EffectModel::skylake_like()
+            } else {
+                EffectModel::ideal()
+            };
+            let [cap, granted, served, remote_in] = dense_rates(
+                &machine,
+                &effects,
+                &apps,
+                &threads,
+                0.5,
+                &mut StdRng::seed_from_u64(case),
+            );
+
+            let mut s = RateScratch::default();
+            // Twice through one scratch: the second call must not see the
+            // first one's columns, stamps or grants.
+            for _ in 0..2 {
+                compute_rates(
+                    &machine,
+                    &effects,
+                    machine.core_peak_gflops(),
+                    &apps,
+                    &threads,
+                    0.5,
+                    false,
+                    &mut StdRng::seed_from_u64(case),
+                    &mut vec![0usize; machine.num_nodes()],
+                    None,
+                    &mut s,
+                );
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&s.cap), bits(&cap), "case {case}: cap");
+                assert_eq!(bits(&s.granted), bits(&granted), "case {case}: granted");
+                assert_eq!(
+                    bits(&s.node_served),
+                    bits(&served),
+                    "case {case}: node_served"
+                );
+                assert_eq!(
+                    bits(&s.node_remote_in),
+                    bits(&remote_in),
+                    "case {case}: node_remote_in"
+                );
+            }
+            remote_fleets += usize::from(remote_in.iter().any(|&r| r > 0.0));
+        }
+        assert!(
+            remote_fleets > 100,
+            "the generator must exercise remote traffic"
+        );
     }
 }

@@ -434,12 +434,6 @@ pub(crate) fn run_dynamic_event(
         let dt_s = tick_to_s(horizon - now);
         let mid_s = tick_to_s(now) + dt_s / 2.0;
 
-        // Scratch buffers are hoisted out of the loop and reused;
-        // `scratch_reuse = false` restores the allocate-per-segment
-        // behavior for the fleet bench's `event_noreuse_ms` A/B column.
-        if !sim.config.scratch_reuse {
-            *scratch = RateScratch::default();
-        }
         // Arbitrate once for the segment `[now, horizon)`. Every activity
         // edge is a heap event, so the active set is constant strictly
         // inside the segment and any interior instant is representative.

@@ -19,22 +19,24 @@
 //! pending tick and the coordinator-owned agent's next schedule edge.
 //! Between two horizons every rate in the system is constant, so the
 //! segment is integrated analytically, exactly as the single-threaded
-//! engine does — except the per-thread demand rows and the per-node
-//! bandwidth arbitrations are fanned out across the shards.
+//! engine does — except the demand columns and the per-node bandwidth
+//! arbitrations are fanned out across the shards.
 //!
 //! Each segment runs a fixed four-barrier protocol:
 //!
 //! 1. **publish** — the coordinator computes the horizon and the globally
 //!    coupled prologue (active set, census, capacities — the jitter RNG
 //!    stays sequential), then releases the workers;
-//! 2. **demand** — each shard fills its own threads' demand rows;
+//! 2. **demand** — each shard builds the demand columns of its own threads
+//!    (only the non-zero demands, see [`DemandCols`]);
 //! 3. **arbitrate** — each shard arbitrates its own target nodes against
-//!    the *whole* demand matrix (reads cross shards, writes stay home),
-//!    writing per-thread grant columns;
-//! 4. **integrate** — each shard folds the grant columns back over its own
-//!    threads (ascending, gated on `d > 0` — the identical float-add
-//!    sequence the sequential engine performs), banks gflops, advances its
-//!    controllers/links, and drains its heap events at the horizon.
+//!    every shard's columns (reads cross shards, writes stay home), writing
+//!    one grant per column entry;
+//! 4. **integrate** — each shard folds the grants of its own column
+//!    entries back over its own threads, target-ascending (the identical
+//!    float-add sequence the sequential engine performs), banks gflops,
+//!    advances its controllers/links, and drains its heap events at the
+//!    horizon.
 //!
 //! The coordinator then merges the shard-drained events with any agent
 //! edge by the global heap key `(tie, component)` — reproducing the
@@ -44,7 +46,7 @@
 //! after the barrier that orders its write.
 
 use crate::engine::{
-    arbitrate_node, expand_threads, fill_demand_row, rates_prologue, DemandView, EpochTracer,
+    arbitrate_node, expand_threads, rates_prologue, DemandCols, DemandView, EpochTracer,
     NodeScratch, RateScratch, SimTelemetry, Thread,
 };
 use crate::event::{
@@ -111,17 +113,26 @@ struct SegmentHeader {
 /// the write — the `RwLock`s are never contended, they exist to keep the
 /// crate `forbid(unsafe_code)`-clean.
 struct ShardBuf {
-    /// Own threads' demand rows, row-major `num_nodes` wide.
-    demand: RwLock<Vec<f64>>,
-    /// Own nodes × all threads: per-target grant columns. Only slots whose
-    /// current demand is positive are written; readers gate identically.
-    cols: RwLock<Vec<f64>>,
+    /// Own threads' demand columns.
+    demand: RwLock<DemandCols>,
+    /// Own nodes' grant columns.
+    grants: RwLock<GrantCols>,
     /// Per own node: `(served_gbs, remote_in_gbs)` for this segment.
     node_out: RwLock<Vec<(f64, f64)>>,
     /// Component ids drained at the last horizon, in shard pop order.
     staged: RwLock<Vec<u32>>,
     /// Earliest pending tick in this shard's heap ([`NO_TICK`] = none).
     next_tick: AtomicU64,
+}
+
+/// The grants of one shard's target nodes. A target's grants follow the
+/// order of its demand column across all shards' parts, so the entries of
+/// shard `p`'s part sit after those of shards `0..p`.
+#[derive(Default)]
+struct GrantCols {
+    /// Own node `ln`'s grants are `g[start[ln]..start[ln + 1]]`.
+    start: Vec<usize>,
+    g: Vec<f64>,
 }
 
 /// State shared between the coordinator and all workers.
@@ -157,6 +168,8 @@ struct WorkerState {
     controllers: Vec<ControllerComponent>,
     links: Vec<LinkComponent>,
     node_tmp: NodeScratch,
+    /// Per own thread: bandwidth granted this segment.
+    granted: Vec<f64>,
 }
 
 /// Thread-range boundaries matching `app_bounds` (threads are app-major,
@@ -193,52 +206,46 @@ fn worker_run(
             return;
         }
 
-        // Phase 2: fill own threads' demand rows.
+        // Phase 2: build own threads' demand columns.
         {
             let cap = shared.cap.read().expect("cap lock");
             let threads = shared.threads.read().expect("threads lock");
             let bounds = shared.thread_bounds.read().expect("bounds lock");
-            let (lo, hi) = (bounds[s], bounds[s + 1]);
             let mut demand = shared.shards[s].demand.write().expect("demand lock");
-            demand.resize((hi - lo) * nn, 0.0);
-            for i in lo..hi {
-                let row = &mut demand[(i - lo) * nn..(i - lo + 1) * nn];
-                fill_demand_row(&apps[threads[i].app], threads[i].home, cap[i], row);
-            }
+            demand.build(apps, &threads, &cap, bounds[s]..bounds[s + 1], nn);
         }
-        shared.barrier.wait(); // 2: demand matrix complete
+        shared.barrier.wait(); // 2: demand columns complete
 
-        // Phase 3: arbitrate own target nodes against the whole matrix.
+        // Phase 3: arbitrate own target nodes against every shard's columns.
         {
             let threads = shared.threads.read().expect("threads lock");
-            let num_threads = threads.len();
             let guards: Vec<_> = shared
                 .shards
                 .iter()
                 .map(|b| b.demand.read().expect("demand lock"))
                 .collect();
-            let parts: Vec<&[f64]> = guards.iter().map(|g| g.as_slice()).collect();
-            let view = DemandView {
-                parts: &parts,
-                num_nodes: nn,
-            };
-            st.node_tmp.reset(apps.len(), num_threads, nn);
-            let mut cols = shared.shards[s].cols.write().expect("cols lock");
-            cols.resize(own_nodes * num_threads, 0.0);
+            let parts: Vec<&DemandCols> = guards.iter().map(|g| &**g).collect();
+            let view = DemandView { parts: &parts };
+            st.node_tmp.reset(apps.len(), nn);
+            let mut grants = shared.shards[s].grants.write().expect("grants lock");
+            let GrantCols { start, g } = &mut *grants;
+            start.clear();
+            g.clear();
             let mut out = shared.shards[s].node_out.write().expect("node_out lock");
-            out.resize(own_nodes, (0.0, 0.0));
-            for ln in 0..own_nodes {
-                let col = &mut cols[ln * num_threads..(ln + 1) * num_threads];
-                out[ln] = arbitrate_node(
+            out.clear();
+            for target in st.nodes_lo..st.nodes_hi {
+                start.push(g.len());
+                out.push(arbitrate_node(
                     machine,
                     effects,
-                    st.nodes_lo + ln,
+                    target,
                     &threads,
                     &view,
                     &mut st.node_tmp,
-                    col,
-                );
+                    g,
+                ));
             }
+            start.push(g.len());
         }
         shared.barrier.wait(); // 3: grant columns complete
 
@@ -248,33 +255,38 @@ fn worker_run(
             let cap = shared.cap.read().expect("cap lock");
             let threads = shared.threads.read().expect("threads lock");
             let bounds = shared.thread_bounds.read().expect("bounds lock");
-            let num_threads = threads.len();
             let (lo, hi) = (bounds[s], bounds[s + 1]);
-            let demand = shared.shards[s].demand.read().expect("demand lock");
-            let col_guards: Vec<_> = shared
+            // Own columns last; the lower shards' say where own grants start.
+            let demand_guards: Vec<_> = shared.shards[..=s]
+                .iter()
+                .map(|b| b.demand.read().expect("demand lock"))
+                .collect();
+            let (own_demand, lower) = demand_guards.split_last().expect("own shard");
+            let grant_guards: Vec<_> = shared
                 .shards
                 .iter()
-                .map(|b| b.cols.read().expect("cols lock"))
+                .map(|b| b.grants.read().expect("grants lock"))
                 .collect();
+            // The same per-thread, ascending-target accumulation as the
+            // sequential engine's per-target fold.
+            st.granted.clear();
+            st.granted.resize(hi - lo, 0.0);
+            for target in 0..nn {
+                let owner = shared.plan.node_owner(target);
+                let grants = &grant_guards[owner];
+                let before: usize = lower.iter().map(|p| p.column_len(target)).sum();
+                let first = grants.start[target - shared.plan.node_bounds[owner]] + before;
+                for ((i, _), &grant) in own_demand.column(target).zip(&grants.g[first..]) {
+                    st.granted[i - lo] += grant;
+                }
+            }
             st.app_rate.fill(0.0);
             for i in lo..hi {
-                let row = &demand[(i - lo) * nn..(i - lo + 1) * nn];
-                // The same ascending-target, `d > 0`-gated accumulation as
-                // the sequential engine's per-target fold.
-                let mut granted = 0.0f64;
-                for (target, &d) in row.iter().enumerate() {
-                    if d <= 0.0 {
-                        continue;
-                    }
-                    let owner = shared.plan.node_owner(target);
-                    let local_node = target - shared.plan.node_bounds[owner];
-                    granted += col_guards[owner][local_node * num_threads + i];
-                }
                 if cap[i] == 0.0 {
                     continue;
                 }
                 let app = threads[i].app;
-                let gflops = (apps[app].spec.ai * granted).min(cap[i]);
+                let gflops = (apps[app].spec.ai * st.granted[i - lo]).min(cap[i]);
                 st.gflop_done[app - st.apps_lo] += gflops * hdr.dt_s;
                 st.app_rate[app - st.apps_lo] += gflops;
             }
@@ -388,6 +400,7 @@ pub(crate) fn run_dynamic_event_par(
                     })
                     .collect(),
                 node_tmp: NodeScratch::default(),
+                granted: Vec::new(),
             }
         })
         .collect();
@@ -400,8 +413,8 @@ pub(crate) fn run_dynamic_event_par(
         shards: states
             .iter()
             .map(|st| ShardBuf {
-                demand: RwLock::new(Vec::new()),
-                cols: RwLock::new(Vec::new()),
+                demand: RwLock::new(DemandCols::default()),
+                grants: RwLock::new(GrantCols::default()),
                 node_out: RwLock::new(Vec::new()),
                 staged: RwLock::new(Vec::new()),
                 next_tick: AtomicU64::new(st.heap.peek_tick().unwrap_or(NO_TICK)),

@@ -81,6 +81,7 @@ impl Scenario {
     pub fn validate(&self) -> Result<()> {
         for app in &self.apps {
             app.spec.validate(&self.machine)?;
+            app.activity.validate()?;
         }
         if self.assignments.is_empty() {
             return Err(SimError::BadTime {
@@ -265,6 +266,16 @@ mod tests {
                 roofline_numa::ModelError::AppCountMismatch { .. }
             ))
         ));
+
+        // An activity pattern that cannot advance time (see
+        // `ActivityPattern::validate`).
+        let mut s = template();
+        s.apps[0].activity = crate::ActivityPattern::Bursts {
+            period_s: 0.0,
+            duty: 0.5,
+            phase_s: 0.0,
+        };
+        assert!(matches!(s.validate(), Err(SimError::BadTime { .. })));
 
         assert!(Scenario::from_json("not json").is_err());
     }

@@ -14,7 +14,7 @@
 use memsim::{
     run_chaos_scenario_on, run_chaos_scenario_threaded, run_supervised, ActivityPattern,
     ChaosPlan, EffectModel, EngineKind, NamedAssignment, Perturbation, Scenario, ShardPlan,
-    SimApp, SimConfig, Simulation, SupervisorConfig, TelemetryHub,
+    SimApp, SimConfig, SimResult, Simulation, SupervisorConfig, TelemetryHub,
 };
 use numa_topology::MachineBuilder;
 use proptest::prelude::*;
@@ -347,6 +347,137 @@ mod parallel_determinism {
                 seq.total_gflops().to_bits(),
                 par.total_gflops().to_bits(),
                 "{plan:?}"
+            );
+        }
+    }
+
+    /// Every float a run reports, as bits.
+    fn result_bits(r: &SimResult) -> Vec<u64> {
+        let mut floats = vec![r.duration_s];
+        for app in &r.apps {
+            floats.push(app.gflop_done);
+            floats.extend(&app.times_s);
+            floats.extend(&app.gflops_series);
+        }
+        floats.extend(&r.node_avg_gbs);
+        floats.extend(&r.node_utilization);
+        floats.iter().map(|f| f.to_bits()).collect()
+    }
+
+    /// Remote traffic crosses shards: a thread's grant toward a node is
+    /// computed by the shard owning the node and folded by the shard owning
+    /// the thread. Eight apps on four nodes — each half holding a
+    /// NUMA-bad app, a spread app (one with zero fractions), local apps,
+    /// and an activity pattern — with two assignment switches that change
+    /// the thread count (so the demand columns change shape under the
+    /// workers) and leave one app with no threads.
+    #[test]
+    fn mixed_placements_are_bit_identical_at_any_sharding() {
+        use numa_topology::NodeId;
+        let m = machine(4, 4, 32.0, 8.0);
+        let half = |tag: &str, bad_on: usize, fractions: Vec<f64>, activity: ActivityPattern| {
+            vec![
+                SimApp::numa_local(&format!("local{tag}"), 0.5),
+                SimApp::numa_bad(&format!("bad{tag}"), 1.0 / 16.0, NodeId(bad_on)),
+                SimApp::spread(&format!("spread{tag}"), 0.25, fractions),
+                SimApp::numa_local(&format!("bursty{tag}"), 1.0 / 32.0).with_activity(activity),
+            ]
+        };
+        let mut apps = half(
+            "A",
+            0,
+            vec![0.25; 4],
+            ActivityPattern::Window {
+                start_s: 2.0 * QUANTUM_S,
+                end_s: 10.0 * QUANTUM_S,
+            },
+        );
+        apps.extend(half(
+            "B",
+            3,
+            vec![0.5, 0.0, 0.0, 0.5],
+            ActivityPattern::Bursts {
+                period_s: 4.0 * QUANTUM_S,
+                duty: 0.5,
+                phase_s: QUANTUM_S,
+            },
+        ));
+        let schedule = vec![
+            // 16 threads, every node full.
+            (
+                0.0,
+                ThreadAssignment::uniform_per_node(&m, &[1, 0, 1, 0, 0, 1, 0, 1]),
+            ),
+            // 32 threads: over-subscribed, every app present.
+            (
+                6.0 * QUANTUM_S,
+                ThreadAssignment::uniform_per_node(&m, &[1; 8]),
+            ),
+            // 13 threads, unevenly placed; "spreadA" has none.
+            (
+                12.0 * QUANTUM_S,
+                ThreadAssignment::from_matrix(vec![
+                    vec![2, 0, 0, 0],
+                    vec![0, 1, 1, 0],
+                    vec![0, 0, 0, 0],
+                    vec![0, 0, 1, 1],
+                    vec![0, 1, 0, 0],
+                    vec![1, 1, 0, 0],
+                    vec![0, 0, 1, 1],
+                    vec![1, 0, 0, 1],
+                ]),
+            ),
+        ];
+        let duration = 16.0 * QUANTUM_S;
+
+        let (seq, seq_log) = Simulation::new(event_config(&m, 1))
+            .run_logged(&apps, &schedule, duration)
+            .unwrap();
+        assert_eq!(seq_log.count_of("assignment"), 2);
+        assert!(
+            seq.node_avg_gbs.iter().all(|&g| g > 0.0) && seq.apps[1].gflop_done > 0.0,
+            "every controller serves traffic and the NUMA-bad app makes progress"
+        );
+        let check = |what: &str, (par, par_log): (SimResult, memsim::EventLog)| {
+            assert_eq!(seq_log, par_log, "{what}: event log diverged");
+            assert_eq!(seq_log.to_bytes(), par_log.to_bytes(), "{what}");
+            assert_eq!(
+                result_bits(&seq),
+                result_bits(&par),
+                "{what}: floats diverged"
+            );
+        };
+        for threads in [2usize, 8] {
+            check(
+                &format!("{threads} threads"),
+                Simulation::new(event_config(&m, threads))
+                    .run_logged(&apps, &schedule, duration)
+                    .unwrap(),
+            );
+        }
+        let plans = [
+            // All threads on one shard, all nodes on the other.
+            ShardPlan {
+                app_bounds: vec![0, 8, 8],
+                node_bounds: vec![0, 0, 4],
+            },
+            // Lopsided both ways, with an empty middle shard.
+            ShardPlan {
+                app_bounds: vec![0, 1, 1, 8],
+                node_bounds: vec![0, 3, 3, 4],
+            },
+            // Shard boundaries that split each half's remote pairs.
+            ShardPlan {
+                app_bounds: vec![0, 2, 5, 8],
+                node_bounds: vec![0, 1, 2, 4],
+            },
+        ];
+        for plan in &plans {
+            check(
+                &format!("{plan:?}"),
+                Simulation::new(event_config(&m, plan.num_shards()))
+                    .run_logged_with_plan(&apps, &schedule, duration, plan)
+                    .unwrap(),
             );
         }
     }
