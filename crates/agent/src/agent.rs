@@ -1,7 +1,9 @@
 //! The agent control loop.
 
 use crate::policies::per_node_command;
-use crate::supervise::{Health, SupervisedHandle, SupervisionConfig, HEALTH_LANE};
+use crate::supervise::{
+    command_all, stats_all, Health, SupervisedHandle, SupervisionConfig, HEALTH_LANE,
+};
 use crate::{Policy, Result, RuntimeHandle, RuntimeStats, ThreadCommand};
 use coop_telemetry::{
     scheduler_locality, ArgValue, Counter, Histogram, ModelObservatory, Prediction, SeriesValue,
@@ -63,9 +65,30 @@ struct AgentTelemetry {
     regressions: Arc<Counter>,
     containments: Arc<Counter>,
     decision_latency_us: Arc<Histogram>,
+    /// `coop_agent_tick_stage_us{stage=..}`, indexed by [`Stage`].
+    stage_us: [Arc<Histogram>; STAGES.len()],
     decisions: Mutex<Vec<Decision>>,
     errors: Mutex<Vec<String>>,
 }
+
+/// The stages one tick is split into for `coop_agent_tick_stage_us`, in
+/// the order they run.
+#[derive(Clone, Copy)]
+enum Stage {
+    /// Probing evicted runtimes and re-admitting the recovered.
+    Probe,
+    /// Stats poll of the live set, evictions, provenance back-fill.
+    Poll,
+    /// `Policy::tick`.
+    Policy,
+    /// Policy commands, fair-share reclamation, containment ladder.
+    Command,
+    /// Provenance record, tenant ledger, SLO engine, decision records.
+    Book,
+}
+
+/// The `stage` label of each [`Stage`], in declaration order.
+const STAGES: [&str; 5] = ["probe", "poll", "policy", "command", "book"];
 
 impl AgentTelemetry {
     fn new(hub: Arc<TelemetryHub>) -> Self {
@@ -76,6 +99,10 @@ impl AgentTelemetry {
         reg.set_help(
             "coop_agent_decision_latency_us",
             "Latency of one policy tick (stats already collected) (us)",
+        );
+        reg.set_help(
+            "coop_agent_tick_stage_us",
+            "Wall time of one stage of one agent tick: probe, poll, policy, command, book (us)",
         );
         reg.set_help(
             "coop_agent_decisions_total",
@@ -121,10 +148,22 @@ impl AgentTelemetry {
             regressions: reg.counter("coop_agent_counter_regressions_total", &[]),
             containments: reg.counter("coop_agent_containments_total", &[]),
             decision_latency_us: reg.histogram("coop_agent_decision_latency_us", &[]),
+            stage_us: STAGES
+                .map(|stage| reg.histogram("coop_agent_tick_stage_us", &[("stage", stage)])),
             decisions: Mutex::new(Vec::new()),
             errors: Mutex::new(Vec::new()),
             hub,
         }
+    }
+
+    /// Books the stage that ran from `*since` to now and moves `*since`
+    /// to now (one clock read per stage boundary); returns its length.
+    fn stage_done(&self, stage: Stage, since: &mut Instant) -> u64 {
+        let now = Instant::now();
+        let us = now.duration_since(*since).as_micros() as u64;
+        self.stage_us[stage as usize].observe(us);
+        *since = now;
+        us
     }
 
     fn record_decision(&self, decision: Decision) {
@@ -464,10 +503,17 @@ impl Agent {
     /// fair-share fallback when the live set changed but the policy
     /// issued nothing.
     ///
+    /// Probes, polls, policy commands and reclamation commands are each
+    /// one scatter–gather phase (see [`crate::supervise`]): every runtime
+    /// of the phase is asked at once and answers are taken in registry
+    /// order, so a phase costs its slowest round trip — one call deadline
+    /// when runtimes hang, however many do.
+    ///
     /// A failing runtime never makes the tick fail: poll errors are
     /// recorded in the log/telemetry and the tick continues with the
     /// runtimes that answered.
     pub fn tick(&mut self) -> Result<()> {
+        let mut stage_start = Instant::now();
         let tick = self.telemetry.ticks.get();
         self.telemetry.ticks.inc();
 
@@ -475,14 +521,17 @@ impl Agent {
 
         // Re-admission: probe evicted runtimes; a runtime whose health
         // has climbed back to Healthy rejoins the live set.
-        for i in 0..self.handles.len() {
-            if !self.evicted[i]
-                || self.probe_period_ticks == 0
-                || !tick.is_multiple_of(self.probe_period_ticks)
-            {
-                continue;
-            }
-            if self.handles[i].probe() == Health::Healthy {
+        if self.probe_period_ticks != 0 && tick.is_multiple_of(self.probe_period_ticks) {
+            let probed: Vec<usize> = (0..self.handles.len())
+                .filter(|&i| self.evicted[i])
+                .collect();
+            let handles: Vec<&SupervisedHandle> =
+                probed.iter().map(|&i| &self.handles[i]).collect();
+            let _ = stats_all(&handles, false);
+            for i in probed {
+                if self.handles[i].health() != Health::Healthy {
+                    continue;
+                }
                 self.evicted[i] = false;
                 live_set_changed = true;
                 self.telemetry.recoveries.inc();
@@ -499,17 +548,19 @@ impl Agent {
                 }
             }
         }
+        self.telemetry.stage_done(Stage::Probe, &mut stage_start);
 
         // Poll everyone still in the live set. Failures are recorded and
         // the poll moves on; `live_idx` maps positions in `stats` back to
         // handle indices for the command phase.
-        let mut live_idx: Vec<usize> = Vec::with_capacity(self.handles.len());
-        let mut stats: Vec<RuntimeStats> = Vec::with_capacity(self.handles.len());
-        for i in 0..self.handles.len() {
-            if self.evicted[i] {
-                continue;
-            }
-            match self.handles[i].stats() {
+        let polled: Vec<usize> = (0..self.handles.len())
+            .filter(|&i| !self.evicted[i])
+            .collect();
+        let handles: Vec<&SupervisedHandle> = polled.iter().map(|&i| &self.handles[i]).collect();
+        let mut live_idx: Vec<usize> = Vec::with_capacity(polled.len());
+        let mut stats: Vec<RuntimeStats> = Vec::with_capacity(polled.len());
+        for (&i, polled) in polled.iter().zip(stats_all(&handles, true)) {
+            match polled {
                 Ok(s) => {
                     if self.handles[i].is_quarantined() {
                         // Answered, but still under suspicion (recovery
@@ -562,23 +613,19 @@ impl Agent {
             }
             self.telemetry.observatory.close_decision(open.id, measured);
         }
+        self.telemetry.stage_done(Stage::Poll, &mut stage_start);
 
-        let decided_at = Instant::now();
         let commands = self.policy.tick(&stats, tick);
-        self.telemetry
-            .decision_latency_us
-            .observe(decided_at.elapsed().as_micros() as u64);
+        let policy_us = self.telemetry.stage_done(Stage::Policy, &mut stage_start);
+        self.telemetry.decision_latency_us.observe(policy_us);
+
+        let wanted: Vec<(usize, ThreadCommand)> = commands
+            .into_iter()
+            .enumerate()
+            .filter_map(|(pos, cmd)| Some((*live_idx.get(pos)?, cmd?)))
+            .collect();
         let mut applied: Vec<(usize, ThreadCommand)> = Vec::new();
-        for (pos, cmd) in commands.into_iter().enumerate() {
-            let Some(cmd) = cmd else { continue };
-            let Some(&i) = live_idx.get(pos) else {
-                continue;
-            };
-            match self.handles[i].command(cmd.clone()) {
-                Ok(()) => applied.push((i, cmd)),
-                Err(e) => self.telemetry.record_error(e.to_string()),
-            }
-        }
+        self.send_commands(wanted, &mut applied);
         let policy_applied = applied.len();
 
         // Core reclamation fallback: the live set changed but the policy
@@ -586,16 +633,15 @@ impl Agent {
         // that already fired). Survivors split the whole machine fairly
         // rather than leaving the dead runtime's cores idle.
         if live_set_changed && policy_applied == 0 && !live_idx.is_empty() {
-            if let Some(machine) = self.reclaim_machine.clone() {
-                match coop_alloc::strategies::fair_share(&machine, live_idx.len()) {
+            if let Some(machine) = &self.reclaim_machine {
+                match coop_alloc::strategies::fair_share(machine, live_idx.len()) {
                     Ok(assignment) => {
-                        for (pos, &i) in live_idx.iter().enumerate() {
-                            let cmd = per_node_command(&assignment, pos, &machine);
-                            match self.handles[i].command(cmd.clone()) {
-                                Ok(()) => applied.push((i, cmd)),
-                                Err(e) => self.telemetry.record_error(e.to_string()),
-                            }
-                        }
+                        let wanted = live_idx
+                            .iter()
+                            .enumerate()
+                            .map(|(pos, &i)| (i, per_node_command(&assignment, pos, machine)))
+                            .collect();
+                        self.send_commands(wanted, &mut applied);
                     }
                     Err(e) => self
                         .telemetry
@@ -612,12 +658,9 @@ impl Agent {
         // per handle so an offender's rung survives tenure changes in the
         // live set; a tick with no new runaways resets it (the task
         // returned, the tenant may grow back via normal policy).
-        if let Some(machine) = self.reclaim_machine.clone() {
-            let fair = if live_idx.is_empty() {
-                None
-            } else {
-                coop_alloc::strategies::fair_share(&machine, live_idx.len()).ok()
-            };
+        if let Some(machine) = &self.reclaim_machine {
+            // Solved for the first offender of the tick, if there is one.
+            let mut fair = None;
             for (pos, &i) in live_idx.iter().enumerate() {
                 let s = &stats[pos];
                 let state = &mut self.runaway[i];
@@ -634,9 +677,11 @@ impl Agent {
                 if state.sustained < SUSTAINED_RUNAWAY_TICKS {
                     continue;
                 }
-                let Some(assignment) = &fair else { continue };
-                let ThreadCommand::PerNode(fair_row) =
-                    per_node_command(assignment, pos, &machine)
+                let fair = fair.get_or_insert_with(|| {
+                    coop_alloc::strategies::fair_share(machine, live_idx.len()).ok()
+                });
+                let Some(assignment) = fair else { continue };
+                let ThreadCommand::PerNode(fair_row) = per_node_command(assignment, pos, machine)
                 else {
                     continue;
                 };
@@ -663,6 +708,7 @@ impl Agent {
                 }
             }
         }
+        self.telemetry.stage_done(Stage::Command, &mut stage_start);
 
         let mut provenance = None;
         // Only policy-issued commands carry the policy's prediction;
@@ -742,7 +788,30 @@ impl Agent {
                 },
             });
         }
+        self.telemetry.stage_done(Stage::Book, &mut stage_start);
         Ok(())
+    }
+
+    /// One command phase: sends `wanted[k].1` to handle `wanted[k].0`,
+    /// all at once; the commands that went through are appended to
+    /// `applied` and the failures recorded, both in `wanted` order.
+    fn send_commands(
+        &self,
+        wanted: Vec<(usize, ThreadCommand)>,
+        applied: &mut Vec<(usize, ThreadCommand)>,
+    ) {
+        let sent = command_all(
+            wanted
+                .iter()
+                .map(|(i, cmd)| (&self.handles[*i], cmd.clone()))
+                .collect(),
+        );
+        for ((i, cmd), sent) in wanted.into_iter().zip(sent) {
+            match sent {
+                Ok(()) => applied.push((i, cmd)),
+                Err(e) => self.telemetry.record_error(e.to_string()),
+            }
+        }
     }
 
     /// Runs the loop inline for `duration`, ticking every `interval`.
@@ -1449,5 +1518,382 @@ mod tests {
         assert!(log.ticks >= 3);
         assert_eq!(log.decisions.len(), 1);
         rt.shutdown();
+    }
+
+    /// The tick's scatter–gather phases (see [`crate::supervise`]): one
+    /// deadline however many runtimes hang, registry order whatever the
+    /// reply order, retry rounds, and the same log on every run.
+    mod scatter_gather {
+        use super::*;
+
+        /// Commands one thread to every runtime it is shown and keeps the
+        /// names it was shown, tick by tick.
+        struct Recording {
+            seen: Arc<Mutex<Vec<Vec<String>>>>,
+        }
+
+        impl Policy for Recording {
+            fn tick(&mut self, stats: &[RuntimeStats], _t: u64) -> Vec<Option<ThreadCommand>> {
+                self.seen
+                    .lock()
+                    .push(stats.iter().map(|s| s.name.clone()).collect());
+                vec![Some(ThreadCommand::TotalThreads(1)); stats.len()]
+            }
+        }
+
+        /// A [`Fake`] whose `stats()` first waits for a message on `wait_for`
+        /// (or for its sender to be dropped) and, once it has its answer,
+        /// sends one on `notify`: tests use it to hang a runtime until they
+        /// release it, or to make one runtime answer only after another has.
+        struct Gated {
+            inner: Fake,
+            wait_for: Option<Mutex<std::sync::mpsc::Receiver<()>>>,
+            notify: Option<std::sync::mpsc::Sender<()>>,
+        }
+
+        impl RuntimeHandle for Gated {
+            fn name(&self) -> String {
+                self.inner.name()
+            }
+            fn stats(&self) -> crate::Result<RuntimeStats> {
+                if let Some(gate) = &self.wait_for {
+                    let _ = gate.lock().recv_timeout(Duration::from_secs(10));
+                }
+                let stats = self.inner.stats();
+                if let Some(notify) = &self.notify {
+                    let _ = notify.send(());
+                }
+                stats
+            }
+            fn command(&self, cmd: ThreadCommand) -> crate::Result<()> {
+                self.inner.command(cmd)
+            }
+        }
+
+        #[test]
+        fn tick_with_three_hung_runtimes_costs_one_deadline() {
+            let deadline = fast_supervision().detector.call_deadline;
+            let seen = Arc::new(Mutex::new(Vec::new()));
+            let mut agent = Agent::new(Box::new(Recording {
+                seen: Arc::clone(&seen),
+            }));
+            agent.set_supervision(fast_supervision());
+            // Three runtimes hang inside stats() until `release` is dropped;
+            // the healthy one sits between them in the registry.
+            let mut release = Vec::new();
+            let mut ok_commands = None;
+            for name in ["hung0", "ok", "hung1", "hung2"] {
+                let (fake, _, _, commands) = Fake::new(name);
+                if name == "ok" {
+                    ok_commands = Some(commands);
+                    agent.manage(Box::new(fake));
+                } else {
+                    let (tx, rx) = std::sync::mpsc::channel();
+                    release.push(tx);
+                    agent.manage(Box::new(Gated {
+                        inner: fake,
+                        wait_for: Some(Mutex::new(rx)),
+                        notify: None,
+                    }));
+                }
+            }
+            let ok_commands = ok_commands.expect("the healthy runtime was registered");
+
+            // The three deadlines run side by side: the tick waits for one.
+            let started = Instant::now();
+            agent.tick().unwrap();
+            let first = started.elapsed();
+            assert!(first >= deadline, "the hung polls ran into their deadline");
+            assert!(
+                first < 2 * deadline,
+                "three hung runtimes must cost one deadline, not three: {first:?}"
+            );
+            // The healthy runtime was polled, shown to the policy and
+            // commanded in that same tick.
+            assert_eq!(seen.lock().as_slice(), &[vec!["ok".to_string()]]);
+            assert_eq!(
+                ok_commands.lock().as_slice(),
+                &[ThreadCommand::TotalThreads(1)]
+            );
+            assert_eq!(agent.log().errors.len(), 3);
+
+            // The couriers are still inside the hung calls: the next tick
+            // fails those three at once instead of waiting again.
+            let started = Instant::now();
+            agent.tick().unwrap();
+            let second = started.elapsed();
+            assert!(
+                second < deadline / 2,
+                "calls behind a hung one must fail fast: {second:?}"
+            );
+            let log = agent.log();
+            assert_eq!(log.errors.len(), 6);
+            assert!(log.errors.iter().all(|e| e.contains("call deadline")));
+            assert_eq!(ok_commands.lock().len(), 2);
+
+            // Released, the runtimes answer again: the stale replies are
+            // dropped and everyone works their way back to Healthy.
+            drop(release);
+            let recovered = (0..400).any(|_| {
+                std::thread::sleep(Duration::from_millis(5));
+                agent.tick().unwrap();
+                agent.evicted().is_empty()
+                    && agent.health().iter().all(|(_, h)| *h == Health::Healthy)
+            });
+            assert!(recovered, "health after release: {:?}", agent.health());
+        }
+
+        #[test]
+        fn gather_is_registry_order_whatever_the_reply_order() {
+            // "late" (registry index 0) answers a poll only after "early"
+            // (index 1) has answered its own — which can only happen when
+            // both were asked before either was waited for.
+            let (tx, rx) = std::sync::mpsc::channel();
+            let (late, late_dead, _, _) = Fake::new("late");
+            let (early, early_dead, _, _) = Fake::new("early");
+            let hub = Arc::new(TelemetryHub::new());
+            let seen = Arc::new(Mutex::new(Vec::new()));
+            let mut agent = Agent::with_telemetry(
+                Box::new(Recording {
+                    seen: Arc::clone(&seen),
+                }),
+                Arc::clone(&hub),
+            );
+            agent.set_supervision(fast_supervision());
+            agent.manage(Box::new(Gated {
+                inner: late,
+                wait_for: Some(Mutex::new(rx)),
+                notify: None,
+            }));
+            agent.manage(Box::new(Gated {
+                inner: early,
+                wait_for: None,
+                notify: Some(tx),
+            }));
+
+            agent.tick().unwrap();
+            let order = vec!["late".to_string(), "early".to_string()];
+            assert!(agent.log().errors.is_empty(), "{:?}", agent.log().errors);
+            assert_eq!(seen.lock().as_slice(), std::slice::from_ref(&order));
+            let decided: Vec<String> = agent
+                .log()
+                .decisions
+                .iter()
+                .map(|d| d.runtime.clone())
+                .collect();
+            assert_eq!(decided, order);
+
+            // Both fail the next poll, "early" first again: the health
+            // transitions and the errors still come out in registry order.
+            late_dead.store(true, Ordering::SeqCst);
+            early_dead.store(true, Ordering::SeqCst);
+            agent.tick().unwrap();
+            let runtime_of = |e: &coop_telemetry::TimelineEvent| {
+                e.args.iter().find_map(|(k, v)| match v {
+                    ArgValue::Str(name) if k == "runtime" => Some(name.clone()),
+                    _ => None,
+                })
+            };
+            let events = hub.events();
+            let degraded: Vec<String> = events
+                .iter()
+                .filter(|e| e.cat == "health" && e.name == "degraded")
+                .filter_map(runtime_of)
+                .collect();
+            assert_eq!(degraded, order);
+            let commanded: Vec<String> = events
+                .iter()
+                .filter(|e| e.cat == "agent" && e.name != "error")
+                .filter_map(runtime_of)
+                .collect();
+            assert_eq!(commanded, order);
+            let errors = agent.log().errors;
+            assert_eq!(errors.len(), 2);
+            assert!(errors[0].contains("late") && errors[1].contains("early"));
+        }
+
+        #[test]
+        fn retry_round_recovers_every_transient_failure_together() {
+            /// Fails its first `stats()` in transport, then behaves.
+            struct Flaky {
+                inner: Fake,
+                failed: AtomicBool,
+            }
+            impl RuntimeHandle for Flaky {
+                fn name(&self) -> String {
+                    self.inner.name()
+                }
+                fn stats(&self) -> crate::Result<RuntimeStats> {
+                    if !self.failed.swap(true, Ordering::SeqCst) {
+                        return Err(AgentError::Disconnected {
+                            runtime: self.inner.name(),
+                        });
+                    }
+                    self.inner.stats()
+                }
+                fn command(&self, cmd: ThreadCommand) -> crate::Result<()> {
+                    self.inner.command(cmd)
+                }
+            }
+
+            let backoff = Duration::from_millis(100);
+            let mut supervision = fast_supervision();
+            supervision.backoff.max_retries = 1;
+            supervision.backoff.base_delay = backoff;
+            supervision.backoff.max_delay = backoff;
+            supervision.backoff.jitter = 0.0;
+            let seen = Arc::new(Mutex::new(Vec::new()));
+            let mut agent = Agent::new(Box::new(Recording {
+                seen: Arc::clone(&seen),
+            }));
+            agent.set_supervision(supervision);
+            for name in ["a", "b"] {
+                agent.manage(Box::new(Flaky {
+                    inner: Fake::new(name).0,
+                    failed: AtomicBool::new(false),
+                }));
+            }
+
+            let started = Instant::now();
+            agent.tick().unwrap();
+            let elapsed = started.elapsed();
+            // Both recovered in round 2 of the same poll, in time to be
+            // shown to the policy.
+            assert!(agent.log().errors.is_empty(), "{:?}", agent.log().errors);
+            assert_eq!(
+                seen.lock().as_slice(),
+                &[vec!["a".to_string(), "b".to_string()]]
+            );
+            let hub = agent.hub();
+            for name in ["a", "b"] {
+                assert_eq!(
+                    hub.registry()
+                        .counter("coop_agent_retries_total", &[("runtime", name)])
+                        .get(),
+                    1
+                );
+            }
+            assert!(elapsed >= backoff, "the retry round waited its backoff");
+            assert!(
+                elapsed < 2 * backoff,
+                "two runtimes retrying together sleep one backoff, not two: {elapsed:?}"
+            );
+        }
+
+        #[test]
+        fn scattered_episode_is_deterministic() {
+            /// Commands every runtime shown to as many threads as it is
+            /// shown runtimes, so the decisions follow the live set.
+            struct Census;
+            impl Policy for Census {
+                fn tick(&mut self, stats: &[RuntimeStats], _t: u64) -> Vec<Option<ThreadCommand>> {
+                    vec![Some(ThreadCommand::TotalThreads(stats.len())); stats.len()]
+                }
+            }
+
+            fn episode() -> (AgentLog, u64, u64) {
+                let mut agent = Agent::new(Box::new(Census));
+                agent.set_supervision(fast_supervision());
+                agent.set_reclaim_machine(tiny());
+                let switches: Vec<Arc<AtomicBool>> = (0..8)
+                    .map(|i| {
+                        let (fake, dead, _, _) = Fake::new(&format!("rt{i}"));
+                        agent.manage(Box::new(fake));
+                        dead
+                    })
+                    .collect();
+                // The script: every third tick one seeded runtime flips
+                // between dead and alive.
+                let mut rng = 0x2545f4914f6cdd1du64;
+                for tick in 0..200 {
+                    if tick % 3 == 0 {
+                        rng ^= rng << 13;
+                        rng ^= rng >> 7;
+                        rng ^= rng << 17;
+                        switches[(rng % 8) as usize].fetch_xor(true, Ordering::SeqCst);
+                    }
+                    agent.tick().unwrap();
+                }
+                let registry_total = |name| agent.hub().registry().counter_total(name);
+                (
+                    agent.log(),
+                    registry_total("coop_agent_evictions_total"),
+                    registry_total("coop_agent_recoveries_total"),
+                )
+            }
+
+            let (log, evictions, readmissions) = episode();
+            assert_eq!(log.ticks, 200);
+            assert!(evictions > 0 && readmissions > 0, "the script must bite");
+            let (again, evictions_again, readmissions_again) = episode();
+            assert_eq!(log.decisions, again.decisions);
+            assert_eq!(log.errors, again.errors);
+            assert_eq!(log.ticks, again.ticks);
+            assert_eq!(
+                (evictions, readmissions),
+                (evictions_again, readmissions_again)
+            );
+        }
+
+        #[test]
+        fn rejected_command_in_the_scatter_is_alive_and_not_retried() {
+            /// Answers polls, refuses every command, counts the refusals.
+            struct Refusing {
+                inner: Fake,
+                refused: Arc<AtomicU64>,
+            }
+            impl RuntimeHandle for Refusing {
+                fn name(&self) -> String {
+                    self.inner.name()
+                }
+                fn stats(&self) -> crate::Result<RuntimeStats> {
+                    self.inner.stats()
+                }
+                fn command(&self, _cmd: ThreadCommand) -> crate::Result<()> {
+                    self.refused.fetch_add(1, Ordering::SeqCst);
+                    Err(AgentError::Command {
+                        runtime: self.inner.name(),
+                        reason: "no".into(),
+                    })
+                }
+            }
+
+            let mut supervision = fast_supervision();
+            supervision.backoff.max_retries = 2;
+            let mut agent = Agent::new(Box::new(Recording {
+                seen: Arc::new(Mutex::new(Vec::new())),
+            }));
+            agent.set_supervision(supervision);
+            let refused = Arc::new(AtomicU64::new(0));
+            agent.manage(Box::new(Refusing {
+                inner: Fake::new("stubborn").0,
+                refused: Arc::clone(&refused),
+            }));
+            let (willing, _, _, willing_commands) = Fake::new("willing");
+            agent.manage(Box::new(willing));
+
+            agent.tick().unwrap();
+            assert_eq!(
+                refused.load(Ordering::SeqCst),
+                1,
+                "a rejection is an answer: retrying it cannot help"
+            );
+            let log = agent.log();
+            assert_eq!(log.errors.len(), 1);
+            assert!(log.errors[0].contains("stubborn"), "{:?}", log.errors);
+            // The rejection proved liveness, and did not hold up the other
+            // command of the same scatter.
+            assert!(agent.health().iter().all(|(_, h)| *h == Health::Healthy));
+            assert_eq!(
+                agent
+                    .hub()
+                    .registry()
+                    .counter_total("coop_agent_retries_total"),
+                0
+            );
+            assert_eq!(willing_commands.lock().len(), 1);
+            assert_eq!(log.decisions.len(), 1);
+            assert_eq!(log.decisions[0].runtime, "willing");
+        }
     }
 }

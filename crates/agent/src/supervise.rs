@@ -17,19 +17,52 @@
 //! liveness success even though the call still returns an error, and it
 //! is not retried (retrying a rejected command cannot help).
 //!
-//! Deadlines are enforced even when the underlying handle *hangs*: each
-//! supervised handle lazily spawns a courier thread that owns the inner
-//! handle; calls travel over a bounded channel and responses are awaited
-//! with `recv_timeout`. A hung call leaves the courier busy — subsequent
-//! calls fail fast ("previous call still in flight") instead of blocking
-//! the whole agent tick, and stale late replies are discarded by sequence
-//! number. If the inner handle *panics*, the courier dies and every later
-//! call reports `Disconnected` — a panic in one runtime's glue code
-//! cannot unwind into the agent loop.
+//! # One call path: scatter, then gather
+//!
+//! Each supervised handle lazily spawns a courier thread that owns the
+//! inner handle, and a supervised call has two halves: `post` hands the
+//! request to the courier and returns at once with the call's deadline
+//! (post time + [`DetectorConfig::call_deadline`]); `await_reply` waits
+//! for the answer until that deadline. `call_all` is the only caller of
+//! either: it posts one request to every handle of a phase, then gathers
+//! the replies **in the order the handles were given** (the agent's
+//! registry order) and feeds each attempt to that handle's health state
+//! machine in that order. `stats()`, `command()` and `probe()` are its
+//! one-handle case, so there is no second, blocking path to keep in step.
+//!
+//! What that buys, and what it does not change:
+//!
+//! * The runtimes of one phase work *concurrently*: a phase costs the
+//!   slowest round trip, not the sum, and K runtimes hanging in the same
+//!   phase cost **one** `call_deadline`, not K of them — their deadlines
+//!   all started at the scatter.
+//! * Retries run in *rounds*: the handles that failed in transport and
+//!   still have retries left are re-posted together after one sleep of
+//!   the longest jittered backoff among them, so a phase waits at most
+//!   one `call_deadline` per attempt plus one backoff sequence, whatever
+//!   the number of sick runtimes.
+//! * Per runtime nothing is reordered: a handle is posted to at most once
+//!   per round (its request channel holds one call), attempts, health
+//!   transitions and retries of one runtime happen in the same sequence
+//!   as in a blocking loop, and results come back in registry order
+//!   whatever order the replies arrived in. Only the effects of one phase
+//!   on *different* runtimes are concurrent.
+//!
+//! Deadlines are enforced even when the underlying handle *hangs*: the
+//! courier stays inside the inner call, the agent's wait ends at the
+//! deadline, and the handle remembers the call as in flight. Until its
+//! (stale) reply arrives every later call fails at once ("previous call
+//! still in flight") without being handed to the courier — nothing queues
+//! up behind a hang to be executed late, and a hung runtime costs later
+//! ticks nothing. If the inner handle *panics*, the courier dies and
+//! every later call reports `Disconnected` — a panic in one runtime's
+//! glue code cannot unwind into the agent loop.
 
 use crate::{AgentError, Result, RuntimeHandle, RuntimeStats, ThreadCommand};
 use coop_telemetry::{ArgValue, Counter, Gauge, TelemetryHub, TrackId};
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TrySendError};
+use crossbeam::channel::{
+    bounded, unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError, TrySendError,
+};
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -294,6 +327,7 @@ impl HealthState {
 }
 
 /// A call shipped to the courier thread.
+#[derive(Clone)]
 enum CallRequest {
     Stats,
     Command(ThreadCommand),
@@ -311,6 +345,10 @@ struct Courier {
     req: Sender<(u64, CallRequest)>,
     resp: Receiver<(u64, Result<CallOutcome>)>,
     next_seq: u64,
+    /// Sequence number of a posted call whose reply has not been
+    /// received: the courier is (as far as the agent knows) still inside
+    /// it, and nothing more is posted until its reply turns up.
+    in_flight: Option<u64>,
 }
 
 enum CourierState {
@@ -416,18 +454,7 @@ impl SupervisedHandle {
     /// the probe the agent sends to quarantined/evicted runtimes. Returns
     /// the health after the probe.
     pub fn probe(&self) -> Health {
-        match self.call_once(CallRequest::Stats) {
-            Ok(_) => self.record_success(),
-            Err(e) => {
-                if e.is_transport() {
-                    self.record_failure();
-                } else {
-                    // The runtime answered (with an application-level
-                    // error): alive.
-                    self.record_success();
-                }
-            }
-        }
+        let _ = stats_all(&[self], false);
         self.health()
     }
 
@@ -493,11 +520,13 @@ impl SupervisedHandle {
         }
     }
 
-    /// Ships one call to the courier and awaits the reply within the
-    /// configured deadline. Does not touch the health state machine.
-    fn call_once(&self, request: CallRequest) -> Result<CallOutcome> {
+    /// First half of a supervised call: hands `request` to the courier
+    /// (spawned on first use) and returns at once with the call's
+    /// sequence number and deadline. Fails without posting when the
+    /// courier could not be spawned, has died, or is still inside an
+    /// earlier call. Does not touch the health state machine.
+    fn post(&self, request: CallRequest) -> Result<(u64, Instant)> {
         let mut guard = self.courier.lock();
-        // Lazily spawn the courier on first use.
         if let CourierState::Idle(inner) = &mut *guard {
             let inner = inner.take().expect("idle courier holds the handle");
             *guard = match spawn_courier(&self.name, inner) {
@@ -515,77 +544,163 @@ impl SupervisedHandle {
             }
             CourierState::Idle(_) => unreachable!("courier spawned above"),
         };
-        let seq = courier.next_seq;
-        courier.next_seq += 1;
-        match courier.req.try_send((seq, request)) {
-            Ok(()) => {}
-            Err(TrySendError::Full(_)) => {
-                // A previous call is still hung inside the runtime; do
-                // not pile up behind it.
-                return Err(AgentError::Timeout {
-                    runtime: self.name.clone(),
-                    deadline: self.config.detector.call_deadline,
-                });
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                return Err(AgentError::Disconnected {
-                    runtime: self.name.clone(),
-                })
+        // A call that timed out may have been answered since: its stale
+        // reply is dropped here and frees the handle.
+        while let Some(pending) = courier.in_flight {
+            match courier.resp.try_recv() {
+                Ok((got, _)) if got >= pending => courier.in_flight = None,
+                Ok(_) => {}
+                // Still hung inside the runtime; do not pile up behind it.
+                Err(TryRecvError::Empty) => return Err(self.timed_out()),
+                Err(TryRecvError::Disconnected) => return Err(self.disconnected()),
             }
         }
-        let deadline = Instant::now() + self.config.detector.call_deadline;
+        let seq = courier.next_seq;
+        match courier.req.try_send((seq, request)) {
+            Ok(()) => {}
+            Err(TrySendError::Full(_)) => return Err(self.timed_out()),
+            Err(TrySendError::Disconnected(_)) => return Err(self.disconnected()),
+        }
+        courier.next_seq += 1;
+        courier.in_flight = Some(seq);
+        Ok((seq, Instant::now() + self.config.detector.call_deadline))
+    }
+
+    /// Second half: waits until `deadline` for the reply to call `seq`.
+    /// A call that misses it stays in flight (see [`post`](Self::post)).
+    fn await_reply(&self, seq: u64, deadline: Instant) -> Result<CallOutcome> {
+        let mut guard = self.courier.lock();
+        let CourierState::Running(courier) = &mut *guard else {
+            unreachable!("a call was posted, so the courier runs")
+        };
         loop {
             let remaining = deadline.saturating_duration_since(Instant::now());
             match courier.resp.recv_timeout(remaining) {
                 // Stale reply from a call that already timed out: discard.
                 Ok((got, _)) if got < seq => continue,
-                Ok((_, outcome)) => return outcome,
-                Err(RecvTimeoutError::Timeout) => {
-                    return Err(AgentError::Timeout {
-                        runtime: self.name.clone(),
-                        deadline: self.config.detector.call_deadline,
-                    })
+                Ok((_, outcome)) => {
+                    courier.in_flight = None;
+                    return outcome;
                 }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(AgentError::Disconnected {
-                        runtime: self.name.clone(),
-                    })
-                }
+                Err(RecvTimeoutError::Timeout) => return Err(self.timed_out()),
+                Err(RecvTimeoutError::Disconnected) => return Err(self.disconnected()),
             }
         }
     }
 
-    /// One logical call: deadline-enforced attempts with bounded retry
-    /// and backoff on transport failures, feeding the health state
-    /// machine per attempt.
-    fn call_with_retry(&self, make: impl Fn() -> CallRequest) -> Result<CallOutcome> {
-        let mut last_err;
-        let mut retry = 0u32;
-        loop {
-            match self.call_once(make()) {
-                Ok(outcome) => {
-                    self.record_success();
-                    return Ok(outcome);
-                }
-                Err(e) if e.is_transport() => {
-                    self.record_failure();
-                    last_err = e;
-                }
-                Err(e) => {
-                    // Application-level rejection: the runtime is alive.
-                    self.record_success();
-                    return Err(e);
-                }
-            }
-            if retry >= self.config.backoff.max_retries || self.health() == Health::Dead {
-                return Err(last_err);
-            }
-            let u = (xorshift(&mut self.rng.lock()) >> 11) as f64 / (1u64 << 53) as f64;
-            std::thread::sleep(self.config.backoff.delay(retry, u));
-            self.record_retry();
-            retry += 1;
+    fn timed_out(&self) -> AgentError {
+        AgentError::Timeout {
+            runtime: self.name.clone(),
+            deadline: self.config.detector.call_deadline,
         }
     }
+
+    fn disconnected(&self) -> AgentError {
+        AgentError::Disconnected {
+            runtime: self.name.clone(),
+        }
+    }
+
+    /// The jittered delay before retry number `retry` (0-based).
+    fn next_backoff(&self, retry: u32) -> Duration {
+        let u = (xorshift(&mut self.rng.lock()) >> 11) as f64 / (1u64 << 53) as f64;
+        self.config.backoff.delay(retry, u)
+    }
+}
+
+/// The one supervised call path: posts `calls[k].1` to `calls[k].0` for
+/// every `k` (scatter), then awaits the replies in slice order (gather),
+/// feeding each attempt to its handle's health state machine in that
+/// order. With `retry`, the handles that failed in transport, have
+/// retries left and are not Dead are re-posted together in retry rounds,
+/// after one sleep of the longest jittered backoff among them. Returns
+/// one final outcome per call, in slice order.
+///
+/// A handle must appear at most once in `calls`: its request channel
+/// holds one call.
+fn call_all(calls: &[(&SupervisedHandle, CallRequest)], retry: bool) -> Vec<Result<CallOutcome>> {
+    let mut outcomes: Vec<Option<Result<CallOutcome>>> = calls.iter().map(|_| None).collect();
+    let mut round: Vec<usize> = (0..calls.len()).collect();
+    let mut retries = 0u32;
+    loop {
+        let posted: Vec<Result<(u64, Instant)>> = round
+            .iter()
+            .map(|&k| calls[k].0.post(calls[k].1.clone()))
+            .collect();
+        let mut again = Vec::new();
+        let mut backoff = Duration::ZERO;
+        for (&k, posted) in round.iter().zip(posted) {
+            let handle = calls[k].0;
+            let outcome = posted.and_then(|(seq, deadline)| handle.await_reply(seq, deadline));
+            match &outcome {
+                Err(e) if e.is_transport() => {
+                    handle.record_failure();
+                    if retry
+                        && retries < handle.config.backoff.max_retries
+                        && handle.health() != Health::Dead
+                    {
+                        backoff = backoff.max(handle.next_backoff(retries));
+                        again.push(k);
+                    }
+                }
+                // An answer — even an application-level rejection —
+                // proves the runtime is alive.
+                _ => handle.record_success(),
+            }
+            outcomes[k] = Some(outcome);
+        }
+        if again.is_empty() {
+            break;
+        }
+        std::thread::sleep(backoff);
+        for &k in &again {
+            calls[k].0.record_retry();
+        }
+        round = again;
+        retries += 1;
+    }
+    outcomes
+        .into_iter()
+        .map(|o| o.expect("every call was attempted in the first round"))
+        .collect()
+}
+
+/// Polls every handle's statistics concurrently (see [`call_all`]);
+/// results are in `handles` order. `retry` off is the probe the agent
+/// sends to evicted runtimes.
+pub(crate) fn stats_all(handles: &[&SupervisedHandle], retry: bool) -> Vec<Result<RuntimeStats>> {
+    let calls: Vec<_> = handles.iter().map(|&h| (h, CallRequest::Stats)).collect();
+    call_all(&calls, retry)
+        .into_iter()
+        .zip(handles)
+        .map(|(outcome, h)| match outcome? {
+            CallOutcome::Stats(s) => Ok(s),
+            CallOutcome::Done => Err(AgentError::Command {
+                runtime: h.name.clone(),
+                reason: "courier returned the wrong outcome for stats".into(),
+            }),
+        })
+        .collect()
+}
+
+/// Sends each handle its command concurrently (see [`call_all`]);
+/// results are in `commands` order.
+pub(crate) fn command_all(commands: Vec<(&SupervisedHandle, ThreadCommand)>) -> Vec<Result<()>> {
+    let calls: Vec<_> = commands
+        .into_iter()
+        .map(|(h, cmd)| (h, CallRequest::Command(cmd)))
+        .collect();
+    call_all(&calls, true)
+        .into_iter()
+        .zip(&calls)
+        .map(|(outcome, (h, _))| match outcome? {
+            CallOutcome::Done => Ok(()),
+            CallOutcome::Stats(_) => Err(AgentError::Command {
+                runtime: h.name.clone(),
+                reason: "courier returned the wrong outcome for command".into(),
+            }),
+        })
+        .collect()
 }
 
 impl RuntimeHandle for SupervisedHandle {
@@ -594,23 +709,15 @@ impl RuntimeHandle for SupervisedHandle {
     }
 
     fn stats(&self) -> Result<RuntimeStats> {
-        match self.call_with_retry(|| CallRequest::Stats)? {
-            CallOutcome::Stats(s) => Ok(s),
-            CallOutcome::Done => Err(AgentError::Command {
-                runtime: self.name.clone(),
-                reason: "courier returned the wrong outcome for stats".into(),
-            }),
-        }
+        stats_all(&[self], true)
+            .pop()
+            .expect("one outcome per handle")
     }
 
     fn command(&self, cmd: ThreadCommand) -> Result<()> {
-        match self.call_with_retry(|| CallRequest::Command(cmd.clone()))? {
-            CallOutcome::Done => Ok(()),
-            CallOutcome::Stats(_) => Err(AgentError::Command {
-                runtime: self.name.clone(),
-                reason: "courier returned the wrong outcome for command".into(),
-            }),
-        }
+        command_all(vec![(self, cmd)])
+            .pop()
+            .expect("one outcome per command")
     }
 }
 
@@ -652,6 +759,7 @@ fn spawn_courier(
         req: req_tx,
         resp: resp_rx,
         next_seq: 0,
+        in_flight: None,
     })
 }
 

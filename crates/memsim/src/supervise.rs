@@ -26,8 +26,8 @@ use crate::{EngineKind, Result, Scenario, SimConfig, SimError, SimResult, Simula
 use coop_alloc::search::{HillClimb, ModelOracle};
 use coop_alloc::{Objective, ScoreCache};
 use coop_telemetry::{
-    ArgValue, DriftConfig, DriftReport, ModelObservatory, ProvenanceRecord, Residual, SeriesValue,
-    TelemetryHub, TenantSample,
+    ArgValue, Counter, DriftConfig, DriftReport, ModelObservatory, ProvenanceRecord, Residual,
+    SeriesValue, TelemetryHub, TenantSample,
 };
 use numa_topology::{Machine, NodeId};
 use roofline_numa::{solve, AppSpec, ThreadAssignment};
@@ -563,6 +563,11 @@ struct TenantBook {
     remote: u64,
     preemptions: u64,
     overbudget_cpu_us: u64,
+    /// The app's `coop_sched_local_pops_total` and remote
+    /// `coop_sched_steals_total` series, each resolved the first time
+    /// this life books to it.
+    local_series: Option<Arc<Counter>>,
+    remote_series: Option<Arc<Counter>>,
 }
 
 impl TenantBook {
@@ -575,6 +580,8 @@ impl TenantBook {
             remote: 0,
             preemptions: 0,
             overbudget_cpu_us: 0,
+            local_series: None,
+            remote_series: None,
         }
     }
 }
@@ -658,16 +665,20 @@ fn book_tenant_tick(
         book.local += local_delta;
         book.remote += remote_delta;
         if local_delta > 0 {
-            registry
-                .counter("coop_sched_local_pops_total", &[("runtime", name)])
+            book.local_series
+                .get_or_insert_with(|| {
+                    registry.counter("coop_sched_local_pops_total", &[("runtime", name)])
+                })
                 .add(local_delta);
         }
         if remote_delta > 0 {
-            registry
-                .counter(
-                    "coop_sched_steals_total",
-                    &[("runtime", name), ("tier", "normal"), ("source", "remote")],
-                )
+            book.remote_series
+                .get_or_insert_with(|| {
+                    registry.counter(
+                        "coop_sched_steals_total",
+                        &[("runtime", name), ("tier", "normal"), ("source", "remote")],
+                    )
+                })
                 .add(remote_delta);
         }
         if total_cores > 0 {

@@ -37,9 +37,9 @@
 //! the interval it was actually admitted.
 
 use crate::json::{push_f64, push_str_literal};
-use crate::metrics::MetricsRegistry;
+use crate::metrics::{Counter, Gauge, MetricsRegistry};
 use crate::timeline::{ArgValue, TelemetryHub};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Timeline category used for tenant epoch events.
 pub const TENANT_CAT: &str = "tenant";
@@ -237,6 +237,25 @@ struct TenantState {
     windows_discarded: u64,
     epochs: Vec<Epoch>,
     share_history: Vec<(u64, f64)>,
+    series: TenantSeries,
+}
+
+/// One tenant's `coop_tenant_*` series, each resolved against the
+/// registry the first time the ledger has a value for it — the series
+/// that exist are the ones a lookup per tick would have created — and
+/// kept, so a steady-state tick looks nothing up.
+#[derive(Debug, Default)]
+struct TenantSeries {
+    tasks: Option<Arc<Counter>>,
+    windows_discarded: Option<Arc<Counter>>,
+    preemptions: Option<Arc<Counter>>,
+    overbudget_cpu_us: Option<Arc<Counter>>,
+    /// Indexed by node; grows with the tenant's node count.
+    cpu_us: Vec<Option<Arc<Counter>>>,
+    delivered_share: Option<Arc<Gauge>>,
+    locality_ratio: Option<Arc<Gauge>>,
+    preemption_rate: Option<Arc<Gauge>>,
+    entitled_share: Option<Arc<Gauge>>,
 }
 
 impl TenantState {
@@ -258,6 +277,7 @@ impl TenantState {
             windows_discarded: 0,
             epochs: Vec::new(),
             share_history: Vec::new(),
+            series: TenantSeries::default(),
         }
     }
 
@@ -276,6 +296,10 @@ struct LedgerInner {
     tenants: Vec<TenantState>,
     updated_us: u64,
     jain: f64,
+    /// [`MetricsRegistry::id`] of the registry the cached series handles
+    /// (`TenantState::series`, `jain_gauge`) were resolved against.
+    registry_id: Option<u64>,
+    jain_gauge: Option<Arc<Gauge>>,
 }
 
 /// The per-tenant resource accounting ledger (see the module docs).
@@ -401,6 +425,15 @@ impl TenantLedger {
         let registry = hub.registry();
         let mut inner = lock(self);
         inner.updated_us = now_us;
+        if inner.registry_id != Some(registry.id()) {
+            // A different hub than last time: the cached handles publish
+            // into the old one's registry.
+            inner.registry_id = Some(registry.id());
+            inner.jain_gauge = None;
+            for state in inner.tenants.iter_mut() {
+                state.series = TenantSeries::default();
+            }
+        }
 
         // Window weights (delta tasks) per sampled tenant, in sample
         // order; `None` marks a discarded window.
@@ -416,11 +449,15 @@ impl TenantLedger {
             if sample.regressed_from(&baseline) {
                 state.windows_discarded += 1;
                 state.baseline = Some(sample.clone());
-                registry
-                    .counter(
-                        "coop_tenant_windows_discarded_total",
-                        &[("tenant", &sample.tenant)],
-                    )
+                state
+                    .series
+                    .windows_discarded
+                    .get_or_insert_with(|| {
+                        registry.counter(
+                            "coop_tenant_windows_discarded_total",
+                            &[("tenant", &sample.tenant)],
+                        )
+                    })
                     .inc();
                 weights.push((sample.tenant.clone(), None));
                 continue;
@@ -443,19 +480,27 @@ impl TenantLedger {
                 0.0
             };
             if preempt_delta > 0 {
-                registry
-                    .counter(
-                        "coop_tenant_preemptions_total",
-                        &[("tenant", &sample.tenant)],
-                    )
+                state
+                    .series
+                    .preemptions
+                    .get_or_insert_with(|| {
+                        registry.counter(
+                            "coop_tenant_preemptions_total",
+                            &[("tenant", &sample.tenant)],
+                        )
+                    })
                     .add(preempt_delta);
             }
             if overbudget_delta > 0 {
-                registry
-                    .counter(
-                        "coop_tenant_overbudget_cpu_us_total",
-                        &[("tenant", &sample.tenant)],
-                    )
+                state
+                    .series
+                    .overbudget_cpu_us
+                    .get_or_insert_with(|| {
+                        registry.counter(
+                            "coop_tenant_overbudget_cpu_us_total",
+                            &[("tenant", &sample.tenant)],
+                        )
+                    })
                     .add(overbudget_delta);
             }
             let nodes = sample
@@ -465,24 +510,33 @@ impl TenantLedger {
             if state.cpu_us_per_node.len() < nodes {
                 state.cpu_us_per_node.resize(nodes, 0);
             }
+            if state.series.cpu_us.len() < nodes {
+                state.series.cpu_us.resize(nodes, None);
+            }
             for node in 0..nodes {
                 let running = sample.running_per_node.get(node).copied().unwrap_or(0);
                 let cpu_us = window_us * running;
                 state.cpu_us_per_node[node] += cpu_us;
                 if cpu_us > 0 {
-                    registry
-                        .counter(
-                            "coop_tenant_cpu_us_total",
-                            &[("tenant", &sample.tenant), ("node", &node.to_string())],
-                        )
+                    state.series.cpu_us[node]
+                        .get_or_insert_with(|| {
+                            registry.counter(
+                                "coop_tenant_cpu_us_total",
+                                &[("tenant", &sample.tenant), ("node", &node.to_string())],
+                            )
+                        })
                         .add(cpu_us);
                 }
             }
             state.windows_accepted += 1;
             state.baseline = Some(sample.clone());
 
-            registry
-                .counter("coop_tenant_tasks_total", &[("tenant", &sample.tenant)])
+            state
+                .series
+                .tasks
+                .get_or_insert_with(|| {
+                    registry.counter("coop_tenant_tasks_total", &[("tenant", &sample.tenant)])
+                })
                 .add(tasks_delta);
             weights.push((sample.tenant.clone(), Some(tasks_delta)));
         }
@@ -519,24 +573,34 @@ impl TenantLedger {
             .collect();
         inner.jain = jain_index(&live_shares);
 
-        for state in &inner.tenants {
+        for state in inner.tenants.iter_mut() {
+            let locality_ratio = state.locality_ratio();
             let labels = [("tenant", state.name.as_str())];
-            registry
-                .gauge("coop_tenant_delivered_share", &labels)
+            let series = &mut state.series;
+            series
+                .delivered_share
+                .get_or_insert_with(|| registry.gauge("coop_tenant_delivered_share", &labels))
                 .set(state.delivered_share);
-            registry
-                .gauge("coop_tenant_locality_ratio", &labels)
-                .set(state.locality_ratio());
-            registry
-                .gauge("coop_tenant_preemption_rate", &labels)
+            series
+                .locality_ratio
+                .get_or_insert_with(|| registry.gauge("coop_tenant_locality_ratio", &labels))
+                .set(locality_ratio);
+            series
+                .preemption_rate
+                .get_or_insert_with(|| registry.gauge("coop_tenant_preemption_rate", &labels))
                 .set(state.preemption_rate);
             if let Some(entitled) = state.entitled_share {
-                registry
-                    .gauge("coop_tenant_entitled_share", &labels)
+                series
+                    .entitled_share
+                    .get_or_insert_with(|| registry.gauge("coop_tenant_entitled_share", &labels))
                     .set(entitled);
             }
         }
-        registry.gauge("coop_tenant_jain_index", &[]).set(inner.jain);
+        let jain = inner.jain;
+        inner
+            .jain_gauge
+            .get_or_insert_with(|| registry.gauge("coop_tenant_jain_index", &[]))
+            .set(jain);
     }
 
     /// A point-in-time copy of every account.

@@ -227,9 +227,22 @@ struct RegistryInner {
 ///
 /// The registry mutex is only held while resolving or exporting metrics,
 /// never on the update path.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct MetricsRegistry {
+    /// Unique per registry in this process, never reused (an address
+    /// would be): what a cache of resolved handles is keyed by.
+    id: u64,
     inner: Mutex<RegistryInner>,
+}
+
+impl Default for MetricsRegistry {
+    fn default() -> Self {
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+        MetricsRegistry {
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+            inner: Mutex::default(),
+        }
+    }
 }
 
 fn lock_inner(registry: &MetricsRegistry) -> MutexGuard<'_, RegistryInner> {
@@ -240,6 +253,12 @@ impl MetricsRegistry {
     /// Create an empty registry.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Identity of this registry: holders of resolved handles compare it
+    /// to notice that they are being asked to publish somewhere else.
+    pub(crate) fn id(&self) -> u64 {
+        self.id
     }
 
     /// Get or create the counter `name{labels}`.
