@@ -139,10 +139,13 @@ impl Policy for ProducerConsumerThrottle {
 /// the live set (and thus the solving-context fingerprint) is unchanged,
 /// and re-solves over an unchanged live set **warm-start** a hill climb
 /// from the previous assignment instead of rebuilding greedily from
-/// nothing. The solver-work counters of the latest search are surfaced in
-/// the policy's [`Prediction`](coop_telemetry::Prediction) inputs
-/// (`search/full_solves`, `search/delta_solves`, `search/cache_hits`), so
-/// the provenance ledger records how much work each decision cost.
+/// nothing — and when that assignment is a strict local optimum the climb
+/// certifies it (one probe per neighbour) and proposes nothing
+/// (`search/evaluations` = 1). The solver-work counters of the latest
+/// search are surfaced in the policy's
+/// [`Prediction`](coop_telemetry::Prediction) inputs (`search/full_solves`,
+/// `search/delta_solves`, `search/cache_hits`), so the provenance ledger
+/// records how much work each decision cost.
 pub struct ModelGuided {
     machine: Machine,
     apps: Vec<AppSpec>,
@@ -151,7 +154,8 @@ pub struct ModelGuided {
     /// Require every application to keep at least this many threads
     /// machine-wide (0 allows starving an application entirely).
     pub min_threads_per_app: usize,
-    /// Hill-climb proposals per warm-started re-solve.
+    /// Hill-climb proposals per warm-started re-solve whose start is not a
+    /// certified strict local optimum.
     pub warm_iterations: usize,
     last: Option<Solved>,
     cache: Option<Arc<ScoreCache>>,

@@ -28,12 +28,15 @@
 //! best result (earliest seed wins ties, so the outcome is independent of
 //! thread count).
 //!
-//! Scoring cost is attacked on three fronts (see `docs/performance.md`):
+//! Scoring cost is attacked on four fronts (see `docs/performance.md`):
 //! [`ModelOracle`] reuses solver scratch space so the hot loop allocates
 //! nothing, re-scores local moves incrementally via
-//! [`roofline_numa::DeltaSolver`], and can memoize full scores in a shared
-//! [`ScoreCache`]. [`SearchCounters`] reports how much real solver work a
-//! search performed versus how many candidates it evaluated.
+//! [`roofline_numa::DeltaSolver`], can memoize full scores in a shared
+//! [`ScoreCache`], and certifies a warm start that is a strict local
+//! optimum ([`ModelOracle::certify_base`]) so that a re-search from an
+//! unchanged incumbent proposes nothing. [`SearchCounters`] reports how
+//! much real solver work a search performed versus how many candidates it
+//! evaluated.
 //!
 //! The `alloc_search` Criterion bench compares cost and quality.
 
@@ -54,7 +57,9 @@ use std::sync::Arc;
 /// `evaluations` in [`SearchResult`] counts *candidates scored*; these
 /// counters say how each score was produced. Their sum can be below the
 /// evaluation count when some candidates were answered without any solve at
-/// all (e.g. the starvation penalty in [`ModelOracle::with_min_threads`]).
+/// all (e.g. the starvation penalty in [`ModelOracle::with_min_threads`]),
+/// and above it by the probes that certified, or failed to certify, a warm
+/// start ([`ModelOracle::certify_base`]): those are not proposals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SearchCounters {
     /// Candidates scored by a full model solve.
@@ -83,7 +88,8 @@ pub struct SearchResult {
     pub score: f64,
     /// How many candidate assignments were scored. For exhaustive searches
     /// this is the enumerated space size regardless of thread count or cache
-    /// hits; for local searches it counts proposals that reached the oracle.
+    /// hits; for local searches it counts the start plus the proposals that
+    /// reached the oracle — 1 when a hill climb's warm start was certified.
     pub evaluations: usize,
     /// How the scores were produced (zeroed for opaque custom oracles).
     pub counters: SearchCounters,
@@ -136,6 +142,19 @@ pub struct ModelOracle<'a> {
     scratch: SolveScratch,
     key_buf: Vec<u32>,
     counters: SearchCounters,
+    /// What is known about the delta solver's committed base; `None` until
+    /// [`set_base`](ModelOracle::set_base) has run, and whenever the base
+    /// or the thread floor may have changed since.
+    known_base: Option<KnownBase>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct KnownBase {
+    /// The base's score, penalty included.
+    score: f64,
+    /// The remembered answer of
+    /// [`certify_base`](ModelOracle::certify_base), once asked.
+    strict: Option<bool>,
 }
 
 impl<'a> ModelOracle<'a> {
@@ -157,6 +176,7 @@ impl<'a> ModelOracle<'a> {
             scratch: SolveScratch::new(),
             key_buf: Vec::new(),
             counters: SearchCounters::default(),
+            known_base: None,
         })
     }
 
@@ -170,6 +190,9 @@ impl<'a> ModelOracle<'a> {
     /// [`with_cache`](ModelOracle::with_cache).
     pub fn with_min_threads(mut self, min_threads: usize) -> Self {
         self.min_threads = min_threads;
+        // The floor is part of every score: what was known about the base
+        // under the old floor no longer holds.
+        self.known_base = None;
         self
     }
 
@@ -262,14 +285,65 @@ impl<'a> ModelOracle<'a> {
     /// Full-solves `base` and makes it the incumbent for subsequent
     /// [`score_move`](ModelOracle::score_move) probes. Returns its score
     /// (penalty included, matching [`score`](ModelOracle::score)).
+    ///
+    /// Handed the assignment that already is the committed base, it solves
+    /// nothing and returns the score it has: a supervisor that re-searches
+    /// from an unchanged incumbent every tick pays for the base once.
     pub fn set_base(&mut self, base: &ThreadAssignment) -> Result<f64> {
+        if let Some(known) = self.known_base {
+            if self.delta.is_base(base) {
+                return Ok(known.score);
+            }
+        }
+        self.known_base = None;
         let penalty = self.penalty(base);
         let totals = self.delta.rebase(base)?;
         self.counters.full_solves += 1;
-        match penalty {
-            Some(p) => Ok(p),
-            None => self.objective.evaluate_gflops(totals),
+        let score = match penalty {
+            Some(p) => p,
+            None => self.objective.evaluate_gflops(totals)?,
+        };
+        self.known_base = Some(KnownBase {
+            score,
+            strict: None,
+        });
+        Ok(score)
+    }
+
+    /// `true` if the committed base is a **strict local optimum**: no
+    /// feasible move/add/remove neighbour scores `>=` the base, which is
+    /// [`HillClimb`]'s own acceptance test — so a climb from the base can
+    /// accept nothing and returns it, whatever its seed and iteration
+    /// count. The neighbourhood (at most `apps × (nodes² + nodes)`
+    /// candidates) is probed through
+    /// [`score_move`](ModelOracle::score_move) up to the first neighbour
+    /// the climb would accept, and the answer is remembered until the base
+    /// changes.
+    ///
+    /// Never certifies a base that scores the starvation penalty. Nor a
+    /// context with a non-local application: a probe there is a full solve
+    /// or a lookup in the shared score cache, and the attempt would change
+    /// what that cache is asked and holds (`docs/performance.md`,
+    /// "Certified optima", has the numbers).
+    pub fn certify_base(&mut self) -> bool {
+        let Some(KnownBase { score, strict }) = self.known_base else {
+            return false;
+        };
+        if let Some(known) = strict {
+            return known;
         }
+        let verdict = self.delta.is_separable() && self.penalty(self.delta.base()).is_none() && {
+            let machine = self.machine;
+            let mut candidate = self.delta.base().clone();
+            strict_local_optimum(machine, &mut candidate, score, &mut |c, touched| {
+                self.score_move(c, touched)
+            })
+        };
+        self.known_base = Some(KnownBase {
+            score,
+            strict: Some(verdict),
+        });
+        verdict
     }
 
     /// Scores a local move: `candidate` must differ from the incumbent base
@@ -314,12 +388,130 @@ impl<'a> ModelOracle<'a> {
     /// full-solves anyway).
     pub fn accept(&mut self, candidate: &ThreadAssignment, touched: &[NodeId]) -> Result<()> {
         if self.delta.is_separable() {
-            self.delta.probe(candidate, touched)?;
+            // The committed base is about to change: forget what was known
+            // first, so a failed probe leaves nothing stale behind.
+            self.known_base = None;
+            let penalty = self.penalty(candidate);
+            let totals = self.delta.probe(candidate, touched)?;
             self.counters.delta_solves += 1;
+            let score = match penalty {
+                Some(p) => p,
+                None => self.objective.evaluate_gflops(totals)?,
+            };
             self.delta.commit(candidate);
+            self.known_base = Some(KnownBase {
+                score,
+                strict: None,
+            });
         }
         Ok(())
     }
+}
+
+/// One step of the local-search neighbourhood: a thread of `app` leaves
+/// `from` and/or arrives on `to`. Both set is a move between nodes, `to`
+/// alone an added thread, `from` alone a removed one. [`HillClimb`] and
+/// [`SimulatedAnnealing`] draw their proposals from it and
+/// [`ModelOracle::certify_base`] enumerates it, so "neighbour" has one
+/// definition.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Move {
+    app: usize,
+    from: Option<NodeId>,
+    to: Option<NodeId>,
+}
+
+impl Move {
+    /// Draws a proposal: the application, then the kind, then the kind's
+    /// nodes — both nodes of a move before either is looked at. Seeded
+    /// searches depend on this order.
+    fn draw(rng: &mut StdRng, num_apps: usize, nodes: usize) -> Move {
+        let app = rng.gen_range(0..num_apps);
+        let kind = rng.gen_range(0..3u8);
+        let mut node = || Some(NodeId(rng.gen_range(0..nodes)));
+        let (from, to) = match kind {
+            0 => {
+                let from = node();
+                (from, node())
+            }
+            1 => (None, node()),
+            _ => (node(), None),
+        };
+        Move { app, from, to }
+    }
+
+    /// Every move of the neighbourhood, feasible or not, in a fixed order.
+    fn all(num_apps: usize, nodes: usize) -> impl Iterator<Item = Move> {
+        let ends = move || std::iter::once(None).chain((0..nodes).map(|n| Some(NodeId(n))));
+        (0..num_apps).flat_map(move |app| {
+            ends().flat_map(move |from| ends().map(move |to| Move { app, from, to }))
+        })
+    }
+
+    /// `true` if applying the move to `a` takes a thread that exists and
+    /// puts it on a node with a free core.
+    fn feasible(&self, a: &ThreadAssignment, machine: &Machine) -> bool {
+        self.from != self.to
+            && self.from.is_none_or(|n| a.get(self.app, n) > 0)
+            && self
+                .to
+                .is_none_or(|n| a.node_total(n) < machine.node(n).num_cores())
+    }
+
+    fn apply(&self, a: &mut ThreadAssignment) {
+        if let Some(n) = self.from {
+            a.set(self.app, n, a.get(self.app, n) - 1);
+        }
+        if let Some(n) = self.to {
+            a.set(self.app, n, a.get(self.app, n) + 1);
+        }
+    }
+
+    /// Restores what [`apply`](Move::apply) changed.
+    fn undo(&self, a: &mut ThreadAssignment) {
+        Move {
+            app: self.app,
+            from: self.to,
+            to: self.from,
+        }
+        .apply(a);
+    }
+
+    /// The nodes whose thread counts the move changes, `from` first.
+    fn touched(&self) -> ([NodeId; 2], usize) {
+        match (self.from, self.to) {
+            (Some(from), Some(to)) => ([from, to], 2),
+            (Some(n), None) | (None, Some(n)) => ([n; 2], 1),
+            (None, None) => ([NodeId(0); 2], 0),
+        }
+    }
+}
+
+/// The test behind [`ModelOracle::certify_base`], over any move scorer:
+/// `true` if no feasible neighbour of `base` passes the hill climb's
+/// acceptance test `s >= base_score` (a NaN score, or a NaN base, accepts
+/// nothing — as in the climb). A neighbour whose probe fails counts as
+/// acceptable: the certificate is then withheld and the climb runs, and
+/// fails, exactly as it would have. `base` is restored before returning.
+fn strict_local_optimum(
+    machine: &Machine,
+    base: &mut ThreadAssignment,
+    base_score: f64,
+    probe: &mut dyn FnMut(&ThreadAssignment, &[NodeId]) -> Result<f64>,
+) -> bool {
+    for mv in Move::all(base.num_apps(), machine.num_nodes()) {
+        if !mv.feasible(base, machine) {
+            continue;
+        }
+        let (touched, len) = mv.touched();
+        mv.apply(base);
+        let scored = probe(base, &touched[..len]);
+        mv.undo(base);
+        if scored.map_or(true, |s| s >= base_score) {
+            return false;
+        }
+    }
+    true
 }
 
 /// The enumerated candidate space in indexable form, so workers can jump to
@@ -933,6 +1125,11 @@ where
 /// proposes a random mutation (move one thread of a random application to a
 /// different node, add a thread on a node with spare capacity, or remove
 /// one) and keeps it if the objective does not decrease.
+///
+/// Against a [`ModelOracle`], a climb given a start
+/// ([`with_start`](HillClimb::with_start)) first asks whether that start is
+/// a strict local optimum ([`ModelOracle::certify_base`]); if so it is the
+/// answer, and no proposal is drawn.
 #[derive(Debug, Clone)]
 pub struct HillClimb {
     /// Number of proposals.
@@ -1033,57 +1230,29 @@ impl HillClimb {
         };
         let mut current_score = oracle.set_base(&current)?;
         let mut evals = 1usize;
+        // A warm start that is a certified strict local optimum is also the
+        // result: no proposal below could be accepted.
+        let iterations = if self.start.is_some() && oracle.certify_base() {
+            0
+        } else {
+            self.iterations
+        };
         let nodes = machine.num_nodes();
-        let mut candidate = current.clone();
 
-        for _ in 0..self.iterations {
-            candidate.copy_from(&current);
-            let app = rng.gen_range(0..num_apps);
-            let mut touched = [NodeId(0); 2];
-            let touched_len: usize;
-            match rng.gen_range(0..3u8) {
-                // Move a thread of `app` from one node to another.
-                0 => {
-                    let from = NodeId(rng.gen_range(0..nodes));
-                    let to = NodeId(rng.gen_range(0..nodes));
-                    if from == to
-                        || candidate.get(app, from) == 0
-                        || candidate.node_total(to) >= machine.node(to).num_cores()
-                    {
-                        continue;
-                    }
-                    candidate.set(app, from, candidate.get(app, from) - 1);
-                    candidate.set(app, to, candidate.get(app, to) + 1);
-                    touched = [from, to];
-                    touched_len = 2;
-                }
-                // Add a thread on a node with spare capacity.
-                1 => {
-                    let node = NodeId(rng.gen_range(0..nodes));
-                    if candidate.node_total(node) >= machine.node(node).num_cores() {
-                        continue;
-                    }
-                    candidate.set(app, node, candidate.get(app, node) + 1);
-                    touched[0] = node;
-                    touched_len = 1;
-                }
-                // Remove a thread.
-                _ => {
-                    let node = NodeId(rng.gen_range(0..nodes));
-                    if candidate.get(app, node) == 0 {
-                        continue;
-                    }
-                    candidate.set(app, node, candidate.get(app, node) - 1);
-                    touched[0] = node;
-                    touched_len = 1;
-                }
+        for _ in 0..iterations {
+            let mv = Move::draw(&mut rng, num_apps, nodes);
+            if !mv.feasible(&current, machine) {
+                continue;
             }
-            let s = oracle.score_move(&candidate, &touched[..touched_len])?;
+            let (touched, len) = mv.touched();
+            mv.apply(&mut current);
+            let s = oracle.score_move(&current, &touched[..len])?;
             evals += 1;
             if s >= current_score {
-                oracle.accept(&candidate, &touched[..touched_len])?;
-                current.copy_from(&candidate);
+                oracle.accept(&current, &touched[..len])?;
                 current_score = s;
+            } else {
+                mv.undo(&mut current);
             }
         }
         Ok(SearchResult {
@@ -1116,47 +1285,19 @@ impl HillClimb {
         let mut current_score = oracle(&current)?;
         let mut evals = 1usize;
         let nodes = machine.num_nodes();
-        let mut candidate = current.clone();
 
         for _ in 0..self.iterations {
-            candidate.copy_from(&current);
-            let app = rng.gen_range(0..num_apps);
-            match rng.gen_range(0..3u8) {
-                // Move a thread of `app` from one node to another.
-                0 => {
-                    let from = NodeId(rng.gen_range(0..nodes));
-                    let to = NodeId(rng.gen_range(0..nodes));
-                    if from == to
-                        || candidate.get(app, from) == 0
-                        || candidate.node_total(to) >= machine.node(to).num_cores()
-                    {
-                        continue;
-                    }
-                    candidate.set(app, from, candidate.get(app, from) - 1);
-                    candidate.set(app, to, candidate.get(app, to) + 1);
-                }
-                // Add a thread on a node with spare capacity.
-                1 => {
-                    let node = NodeId(rng.gen_range(0..nodes));
-                    if candidate.node_total(node) >= machine.node(node).num_cores() {
-                        continue;
-                    }
-                    candidate.set(app, node, candidate.get(app, node) + 1);
-                }
-                // Remove a thread.
-                _ => {
-                    let node = NodeId(rng.gen_range(0..nodes));
-                    if candidate.get(app, node) == 0 {
-                        continue;
-                    }
-                    candidate.set(app, node, candidate.get(app, node) - 1);
-                }
+            let mv = Move::draw(&mut rng, num_apps, nodes);
+            if !mv.feasible(&current, machine) {
+                continue;
             }
-            let s = oracle(&candidate)?;
+            mv.apply(&mut current);
+            let s = oracle(&current)?;
             evals += 1;
             if s >= current_score {
-                current.copy_from(&candidate);
                 current_score = s;
+            } else {
+                mv.undo(&mut current);
             }
         }
         Ok(SearchResult {
@@ -1559,6 +1700,351 @@ mod tests {
     }
 }
 
+/// The certificate must never change what a climb returns. The oracle here
+/// is `HillClimb::run_model` as it was before certification existed: a
+/// fresh oracle per search (a full solve of the start, no remembered base,
+/// no certificate) and the proposal loop spelled out, not drawn from
+/// [`Move`].
+#[cfg(test)]
+mod certified_tests {
+    use super::*;
+    use numa_topology::presets::paper_skylake_machine;
+    use numa_topology::MachineBuilder;
+
+    fn reference_climb(
+        machine: &Machine,
+        apps: &[AppSpec],
+        objective: &Objective,
+        min_threads: usize,
+        climb: &HillClimb,
+    ) -> Result<SearchResult> {
+        let mut oracle = ModelOracle::new(machine, apps, objective)?.with_min_threads(min_threads);
+        let num_apps = apps.len();
+        let mut rng = StdRng::seed_from_u64(climb.seed);
+        let mut current = match &climb.start {
+            Some(s) => {
+                s.validate(machine)?;
+                s.clone()
+            }
+            None => strategies::fair_share(machine, num_apps)?,
+        };
+        let mut current_score = oracle.set_base(&current)?;
+        let mut evals = 1usize;
+        let nodes = machine.num_nodes();
+        let mut candidate = current.clone();
+
+        for _ in 0..climb.iterations {
+            candidate.copy_from(&current);
+            let app = rng.gen_range(0..num_apps);
+            let mut touched = [NodeId(0); 2];
+            let touched_len: usize;
+            match rng.gen_range(0..3u8) {
+                0 => {
+                    let from = NodeId(rng.gen_range(0..nodes));
+                    let to = NodeId(rng.gen_range(0..nodes));
+                    if from == to
+                        || candidate.get(app, from) == 0
+                        || candidate.node_total(to) >= machine.node(to).num_cores()
+                    {
+                        continue;
+                    }
+                    candidate.set(app, from, candidate.get(app, from) - 1);
+                    candidate.set(app, to, candidate.get(app, to) + 1);
+                    touched = [from, to];
+                    touched_len = 2;
+                }
+                1 => {
+                    let node = NodeId(rng.gen_range(0..nodes));
+                    if candidate.node_total(node) >= machine.node(node).num_cores() {
+                        continue;
+                    }
+                    candidate.set(app, node, candidate.get(app, node) + 1);
+                    touched[0] = node;
+                    touched_len = 1;
+                }
+                _ => {
+                    let node = NodeId(rng.gen_range(0..nodes));
+                    if candidate.get(app, node) == 0 {
+                        continue;
+                    }
+                    candidate.set(app, node, candidate.get(app, node) - 1);
+                    touched[0] = node;
+                    touched_len = 1;
+                }
+            }
+            let s = oracle.score_move(&candidate, &touched[..touched_len])?;
+            evals += 1;
+            if s >= current_score {
+                oracle.accept(&candidate, &touched[..touched_len])?;
+                current.copy_from(&candidate);
+                current_score = s;
+            }
+        }
+        Ok(SearchResult {
+            assignment: current,
+            score: current_score,
+            evaluations: evals,
+            counters: oracle.take_counters(),
+            truncated: false,
+        })
+    }
+
+    fn machine(nodes: usize, cores: usize) -> Machine {
+        MachineBuilder::new()
+            .name("certified")
+            .symmetric_nodes(nodes, cores)
+            .core_peak_gflops(1.0)
+            .node_bandwidth_gbs(8.0)
+            .uniform_link_gbs(2.0)
+            .build()
+            .expect("a small symmetric machine is valid")
+    }
+
+    /// The Table III mix, uneven (1,1,1,17) per node: the machine is full.
+    fn table_3() -> (Machine, Vec<AppSpec>, ThreadAssignment) {
+        let m = paper_skylake_machine();
+        let apps = vec![
+            AppSpec::numa_local("mem1", 1.0 / 32.0),
+            AppSpec::numa_local("mem2", 1.0 / 32.0),
+            AppSpec::numa_local("mem3", 1.0 / 32.0),
+            AppSpec::numa_local("comp", 1.0),
+        ];
+        let start = ThreadAssignment::uniform_per_node(&m, &[1, 1, 1, 17]);
+        (m, apps, start)
+    }
+
+    fn assert_same(got: &SearchResult, want: &SearchResult, what: &str) {
+        assert_eq!(got.assignment, want.assignment, "{what}: assignment");
+        assert_eq!(
+            got.score.to_bits(),
+            want.score.to_bits(),
+            "{what}: score {} vs {}",
+            got.score,
+            want.score
+        );
+    }
+
+    #[test]
+    fn certified_climb_equals_the_uncertified_climb_on_random_contexts() {
+        let objective = Objective::TotalGflops;
+        let mut rng = StdRng::seed_from_u64(0xce27_1f1e);
+        let (mut certified, mut climbed) = (0usize, 0usize);
+        for case in 0..400 {
+            let m = machine(rng.gen_range(1..5usize), rng.gen_range(2..9usize));
+            let min_threads = rng.gen_range(0..2usize);
+            let apps: Vec<AppSpec> = (0..rng.gen_range(1..5usize))
+                .map(|i| {
+                    // AI in {1/32, 1/16, ..., 32}: memory- and compute-bound.
+                    let ai = 2f64.powi(i32::from(rng.gen_range(0..11u8)) - 5);
+                    if rng.gen_range(0..4u8) == 0 {
+                        let node = NodeId(rng.gen_range(0..m.num_nodes()));
+                        AppSpec::numa_bad(&format!("bad{i}"), ai, node)
+                    } else {
+                        AppSpec::numa_local(&format!("app{i}"), ai)
+                    }
+                })
+                .collect();
+            // One oracle (and score cache) for the whole case, as the
+            // supervised loop keeps it; the reference starts afresh.
+            let oracle = ModelOracle::new(&m, &apps, &objective)
+                .unwrap()
+                .with_min_threads(min_threads);
+            let cache = Arc::new(ScoreCache::new(oracle.fingerprint()));
+            let mut oracle = oracle.with_cache(cache).unwrap();
+
+            let mut climb = HillClimb::new()
+                .with_iterations(150)
+                .with_seed(rng.gen_range(0..usize::MAX) as u64);
+            let mut incumbent = climb.run_model(&m, &mut oracle).unwrap();
+            let cold = reference_climb(&m, &apps, &objective, min_threads, &climb).unwrap();
+            assert_same(&incumbent, &cold, &format!("case {case} cold"));
+            assert_eq!(incumbent.evaluations, cold.evaluations, "case {case} cold");
+
+            for warm in 0..6u64 {
+                climb = HillClimb::new()
+                    .with_iterations(100)
+                    .with_seed(0xc0de ^ warm)
+                    .with_start(incumbent.assignment.clone());
+                let want = reference_climb(&m, &apps, &objective, min_threads, &climb).unwrap();
+                let got = climb.run_model(&m, &mut oracle).unwrap();
+                assert_same(&got, &want, &format!("case {case} warm {warm}"));
+                if got.evaluations == 1 && want.evaluations > 1 {
+                    certified += 1;
+                } else {
+                    assert_eq!(got.evaluations, want.evaluations, "case {case} warm {warm}");
+                    climbed += 1;
+                }
+                incumbent = got;
+            }
+        }
+        // Both outcomes must be exercised: strict optima that exit early,
+        // and plateaus or improvable starts that go on to climb.
+        assert!(certified > 200 && climbed > 200, "{certified} / {climbed}");
+    }
+
+    #[test]
+    fn table_3_is_certified_with_16_probes_and_then_costs_nothing() {
+        let (m, apps, start) = table_3();
+        let objective = Objective::TotalGflops;
+        let mut oracle = ModelOracle::new(&m, &apps, &objective)
+            .unwrap()
+            .with_min_threads(1);
+        let climb = HillClimb::new()
+            .with_iterations(600)
+            .with_start(start.clone());
+        // Every node is full, so the neighbourhood is the 4 x 4 removals.
+        let first = climb.run_model(&m, &mut oracle).unwrap();
+        assert_eq!(first.assignment, start);
+        assert_eq!(first.evaluations, 1);
+        assert_eq!(
+            first.counters,
+            SearchCounters {
+                full_solves: 1,
+                delta_solves: 16,
+                cache_hits: 0
+            }
+        );
+        let second = climb
+            .clone()
+            .with_seed(7)
+            .run_model(&m, &mut oracle)
+            .unwrap();
+        assert_eq!(second.counters, SearchCounters::default());
+        assert_eq!(second.evaluations, 1);
+        let want = reference_climb(&m, &apps, &objective, 1, &climb).unwrap();
+        assert_same(&first, &want, "first");
+        assert_same(&second, &want, "second");
+    }
+
+    #[test]
+    fn certified_never_on_a_plateau() {
+        // A compute-bound thread delivers the core's peak on either node:
+        // moving one is an equal score, which `>=` accepts.
+        let m = machine(2, 4);
+        let apps = vec![AppSpec::numa_local("comp", 32.0)];
+        let start = ThreadAssignment::from_matrix(vec![vec![3, 1]]);
+        let objective = Objective::TotalGflops;
+        let mut oracle = ModelOracle::new(&m, &apps, &objective).unwrap();
+        let base = oracle.set_base(&start).unwrap();
+        let mut shifted = start.clone();
+        shifted.set(0, NodeId(0), 2);
+        shifted.set(0, NodeId(1), 2);
+        let tie = oracle
+            .score_move(&shifted, &[NodeId(0), NodeId(1)])
+            .unwrap();
+        assert_eq!(tie.to_bits(), base.to_bits(), "the shift is an exact tie");
+        assert!(!oracle.certify_base());
+
+        let climb = HillClimb::new().with_iterations(300).with_start(start);
+        let got = climb.run_model(&m, &mut oracle).unwrap();
+        let want = reference_climb(&m, &apps, &objective, 0, &climb).unwrap();
+        assert_same(&got, &want, "plateau");
+        assert_eq!(got.evaluations, want.evaluations);
+        assert_ne!(got.assignment, *climb.start.as_ref().unwrap());
+    }
+
+    #[test]
+    fn certified_verdict_is_dropped_when_the_base_changes() {
+        let (m, apps, start) = table_3();
+        let objective = Objective::TotalGflops;
+        let mut oracle = ModelOracle::new(&m, &apps, &objective)
+            .unwrap()
+            .with_min_threads(1);
+        oracle.set_base(&start).unwrap();
+        assert!(oracle.certify_base());
+        assert_eq!(oracle.take_counters().delta_solves, 16);
+        // Remembered: asking again, or re-basing on the same matrix, is free.
+        assert!(oracle.certify_base());
+        oracle.set_base(&start.clone()).unwrap();
+        assert!(oracle.certify_base());
+        assert_eq!(oracle.take_counters(), SearchCounters::default());
+
+        // `accept` moves the base: one comp thread fewer on node 2, and
+        // putting it back is an improvement.
+        let mut fewer = start.clone();
+        fewer.set(3, NodeId(2), 16);
+        oracle.accept(&fewer, &[NodeId(2)]).unwrap();
+        assert!(!oracle.certify_base());
+        assert!(oracle.take_counters().delta_solves > 1);
+
+        // `set_base` with another matrix solves it and certifies anew.
+        oracle.set_base(&start).unwrap();
+        assert!(oracle.certify_base());
+        assert_eq!(
+            oracle.take_counters(),
+            SearchCounters {
+                full_solves: 1,
+                delta_solves: 16,
+                cache_hits: 0
+            }
+        );
+
+        // A new thread floor re-scores everything: the same matrix is
+        // solved again, and under a floor of 5 the base is penalized.
+        let mut oracle = oracle.with_min_threads(5);
+        assert!(oracle.set_base(&start).unwrap() < 0.0);
+        assert_eq!(oracle.take_counters().full_solves, 1);
+        assert!(!oracle.certify_base());
+    }
+
+    #[test]
+    fn certified_never_when_the_base_is_penalized() {
+        // One node, full; `a` is below the floor of 2 and can never reach
+        // it. Every neighbour (remove one of `b`'s) starves two apps and is
+        // strictly worse, yet a penalized base is not an optimum to stop at.
+        let m = machine(1, 2);
+        let apps = vec![AppSpec::numa_local("a", 1.0), AppSpec::numa_local("b", 1.0)];
+        let start = ThreadAssignment::from_matrix(vec![vec![0], vec![2]]);
+        let objective = Objective::TotalGflops;
+        let mut oracle = ModelOracle::new(&m, &apps, &objective)
+            .unwrap()
+            .with_min_threads(2);
+        assert_eq!(oracle.set_base(&start).unwrap(), -1e12);
+        assert!(!oracle.certify_base());
+        assert_eq!(oracle.take_counters().delta_solves, 0, "no probe is spent");
+
+        let climb = HillClimb::new().with_iterations(50).with_start(start);
+        let got = climb.run_model(&m, &mut oracle).unwrap();
+        let want = reference_climb(&m, &apps, &objective, 2, &climb).unwrap();
+        assert_same(&got, &want, "penalized");
+        assert_eq!(got.evaluations, want.evaluations);
+    }
+
+    #[test]
+    fn certified_treats_nan_and_failed_probes_as_the_climb_does() {
+        let m = machine(2, 2);
+        let mut base = ThreadAssignment::from_matrix(vec![vec![1, 1]]);
+        let start = base.clone();
+        let mut strict = |base_score: f64, neighbour: &dyn Fn() -> Result<f64>| {
+            let verdict = strict_local_optimum(&m, &mut base, base_score, &mut |_, _| neighbour());
+            assert_eq!(base, start, "the base is restored");
+            verdict
+        };
+        // `s >= base` is false for a NaN `s` and for a NaN base: neither is
+        // ever accepted, so neither stands in the certificate's way.
+        assert!(strict(1.0, &|| Ok(f64::NAN)));
+        assert!(strict(f64::NAN, &|| Ok(2.0)));
+        assert!(strict(1.0, &|| Ok(0.5)));
+        // A tie is accepted; a probe that fails is left for the climb.
+        assert!(!strict(1.0, &|| Ok(1.0)));
+        assert!(!strict(1.0, &|| Err(AllocError::NoApps)));
+
+        // The climb itself, over the same scorers.
+        let climb = HillClimb::new()
+            .with_iterations(40)
+            .with_start(start.clone());
+        let mut nan_neighbours =
+            |a: &ThreadAssignment| -> Result<f64> { Ok(if *a == start { 1.0 } else { f64::NAN }) };
+        let r = climb.run_with_oracle(&m, 1, &mut nan_neighbours).unwrap();
+        assert_eq!(r.assignment, start);
+        let mut nan_base =
+            |a: &ThreadAssignment| -> Result<f64> { Ok(if *a == start { f64::NAN } else { 2.0 }) };
+        let r = climb.run_with_oracle(&m, 1, &mut nan_base).unwrap();
+        assert_eq!(r.assignment, start);
+        assert!(r.score.is_nan());
+    }
+}
+
 /// Seeded simulated annealing over the same mutation neighbourhood as
 /// [`HillClimb`], accepting worsening moves with probability
 /// `exp(delta / temperature)` under a geometric cooling schedule.
@@ -1675,61 +2161,29 @@ impl SimulatedAnnealing {
         let mut evals = 1usize;
         let nodes = machine.num_nodes();
         let mut temperature = self.initial_temperature;
-        let mut candidate = current.clone();
 
         for _ in 0..self.iterations {
             temperature *= self.cooling;
-            candidate.copy_from(&current);
-            let app = rng.gen_range(0..num_apps);
-            let mut touched = [NodeId(0); 2];
-            let touched_len: usize;
-            match rng.gen_range(0..3u8) {
-                0 => {
-                    let from = NodeId(rng.gen_range(0..nodes));
-                    let to = NodeId(rng.gen_range(0..nodes));
-                    if from == to
-                        || candidate.get(app, from) == 0
-                        || candidate.node_total(to) >= machine.node(to).num_cores()
-                    {
-                        continue;
-                    }
-                    candidate.set(app, from, candidate.get(app, from) - 1);
-                    candidate.set(app, to, candidate.get(app, to) + 1);
-                    touched = [from, to];
-                    touched_len = 2;
-                }
-                1 => {
-                    let node = NodeId(rng.gen_range(0..nodes));
-                    if candidate.node_total(node) >= machine.node(node).num_cores() {
-                        continue;
-                    }
-                    candidate.set(app, node, candidate.get(app, node) + 1);
-                    touched[0] = node;
-                    touched_len = 1;
-                }
-                _ => {
-                    let node = NodeId(rng.gen_range(0..nodes));
-                    if candidate.get(app, node) == 0 {
-                        continue;
-                    }
-                    candidate.set(app, node, candidate.get(app, node) - 1);
-                    touched[0] = node;
-                    touched_len = 1;
-                }
+            let mv = Move::draw(&mut rng, num_apps, nodes);
+            if !mv.feasible(&current, machine) {
+                continue;
             }
-            let s = oracle.score_move(&candidate, &touched[..touched_len])?;
+            let (touched, len) = mv.touched();
+            mv.apply(&mut current);
+            let s = oracle.score_move(&current, &touched[..len])?;
             evals += 1;
             let delta = s - current_score;
             let accept = delta >= 0.0
                 || (temperature > 1e-12 && rng.gen::<f64>() < (delta / temperature).exp());
             if accept {
-                oracle.accept(&candidate, &touched[..touched_len])?;
-                current.copy_from(&candidate);
+                oracle.accept(&current, &touched[..len])?;
                 current_score = s;
                 if s > best_score {
-                    best.copy_from(&candidate);
+                    best.copy_from(&current);
                     best_score = s;
                 }
+            } else {
+                mv.undo(&mut current);
             }
         }
         Ok(SearchResult {
@@ -1765,52 +2219,27 @@ impl SimulatedAnnealing {
         let mut evals = 1usize;
         let nodes = machine.num_nodes();
         let mut temperature = self.initial_temperature;
-        let mut candidate = current.clone();
 
         for _ in 0..self.iterations {
             temperature *= self.cooling;
-            candidate.copy_from(&current);
-            let app = rng.gen_range(0..num_apps);
-            match rng.gen_range(0..3u8) {
-                0 => {
-                    let from = NodeId(rng.gen_range(0..nodes));
-                    let to = NodeId(rng.gen_range(0..nodes));
-                    if from == to
-                        || candidate.get(app, from) == 0
-                        || candidate.node_total(to) >= machine.node(to).num_cores()
-                    {
-                        continue;
-                    }
-                    candidate.set(app, from, candidate.get(app, from) - 1);
-                    candidate.set(app, to, candidate.get(app, to) + 1);
-                }
-                1 => {
-                    let node = NodeId(rng.gen_range(0..nodes));
-                    if candidate.node_total(node) >= machine.node(node).num_cores() {
-                        continue;
-                    }
-                    candidate.set(app, node, candidate.get(app, node) + 1);
-                }
-                _ => {
-                    let node = NodeId(rng.gen_range(0..nodes));
-                    if candidate.get(app, node) == 0 {
-                        continue;
-                    }
-                    candidate.set(app, node, candidate.get(app, node) - 1);
-                }
+            let mv = Move::draw(&mut rng, num_apps, nodes);
+            if !mv.feasible(&current, machine) {
+                continue;
             }
-            let s = oracle(&candidate)?;
+            mv.apply(&mut current);
+            let s = oracle(&current)?;
             evals += 1;
             let delta = s - current_score;
             let accept = delta >= 0.0
                 || (temperature > 1e-12 && rng.gen::<f64>() < (delta / temperature).exp());
             if accept {
-                current.copy_from(&candidate);
                 current_score = s;
                 if s > best_score {
-                    best.copy_from(&candidate);
+                    best.copy_from(&current);
                     best_score = s;
                 }
+            } else {
+                mv.undo(&mut current);
             }
         }
         Ok(SearchResult {

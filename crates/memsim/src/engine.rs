@@ -11,15 +11,15 @@
 use crate::result::AppSeries;
 use crate::{EngineKind, EventLog, SimApp, SimConfig, SimError, SimResult};
 use coop_telemetry::{
-    hop, hop_args, ArgValue, Counter, EventKind, Histogram, TelemetryHub, TimelineEvent, TrackId,
-    TRACE_CAT,
+    hop, hop_args, ArgValue, Counter, EventKind, Gauge, Histogram, TelemetryHub, TimelineEvent,
+    TrackId, TRACE_CAT,
 };
 use numa_topology::{Machine, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use roofline_numa::{DataPlacement, ThreadAssignment};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// How many quanta are aggregated into one timeline sample.
 const SAMPLE_EVERY: usize = 10;
@@ -37,6 +37,9 @@ pub struct Simulation {
     pub(crate) telemetry: Option<Arc<TelemetryHub>>,
     pub(crate) tracing: bool,
     pub(crate) time_base_us: Option<u64>,
+    /// The hub series of this simulator's machine, resolved by its first
+    /// run and shared by every later one (and by clones).
+    series: OnceLock<Arc<SimSeries>>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -45,30 +48,26 @@ pub(crate) struct Thread {
     pub(crate) home: NodeId,
 }
 
-/// Telemetry handles resolved once per `run_dynamic` call. Simulated time
-/// is mapped onto the hub clock as `base_us + t * 1e6`, where `base_us` is
-/// the hub time when the run started (or an explicit anchor supplied via
-/// [`Simulation::with_time_base`]) — so memsim samples interleave correctly
-/// with runtime/agent events recorded during the same wall-clock window,
-/// and multi-run callers like the supervisor can keep every run on one
-/// consistent simulated clock instead of re-anchoring to the wall per run.
-pub(crate) struct SimTelemetry {
-    hub: Arc<TelemetryHub>,
+/// The hub track and series a simulator of one machine publishes to,
+/// resolved once per [`Simulation`]: a caller that runs the same simulator
+/// many times (the supervisor's decision ticks) registers, names and looks
+/// up nothing after its first run.
+#[derive(Debug)]
+pub(crate) struct SimSeries {
     track: TrackId,
-    base_us: u64,
     assignment_switches: Arc<Counter>,
     shard_barriers: Arc<Counter>,
     horizon_stalls: Arc<Counter>,
-    pub(crate) rotations: Vec<Arc<Counter>>,
+    rotations: Vec<Arc<Counter>>,
     util_pct: Vec<Arc<Histogram>>,
+    /// Per node, the end-of-run `memsim_node_bandwidth_gbs` and
+    /// `memsim_node_utilization` gauges; they come to exist when the first
+    /// run ends, as they did when every run looked them up.
+    summary: OnceLock<Vec<(Arc<Gauge>, Arc<Gauge>)>>,
 }
 
-impl SimTelemetry {
-    pub(crate) fn new(
-        hub: &Arc<TelemetryHub>,
-        machine: &numa_topology::Machine,
-        base_us: Option<u64>,
-    ) -> Self {
+impl SimSeries {
+    fn new(hub: &TelemetryHub, machine: &numa_topology::Machine) -> Self {
         let track = hub.register_track("memsim");
         hub.set_lane_name(track, 0, "scheduler");
         let reg = hub.registry();
@@ -109,33 +108,53 @@ impl SimTelemetry {
             rotations.push(reg.counter("memsim_sched_switches_total", &[("node", &node)]));
             util_pct.push(reg.histogram("memsim_node_utilization_pct", &[("node", &node)]));
         }
-        SimTelemetry {
+        SimSeries {
             track,
-            base_us: base_us.unwrap_or_else(|| hub.now_us()),
             assignment_switches: reg.counter("memsim_assignment_switches_total", &[]),
             shard_barriers: reg.counter("memsim_shard_barriers_total", &[]),
             horizon_stalls: reg.counter("memsim_horizon_stalls_total", &[]),
             rotations,
             util_pct,
-            hub: Arc::clone(hub),
+            summary: OnceLock::new(),
         }
     }
+}
 
+/// One run's view of the hub: the simulator's [`SimSeries`] plus the run's
+/// time anchor. Simulated time is mapped onto the hub clock as
+/// `base_us + t * 1e6`, where `base_us` is the hub time when the run
+/// started (or an explicit anchor supplied via
+/// [`Simulation::with_time_base`]) — so memsim samples interleave correctly
+/// with runtime/agent events recorded during the same wall-clock window,
+/// and multi-run callers like the supervisor can keep every run on one
+/// consistent simulated clock instead of re-anchoring to the wall per run.
+pub(crate) struct SimTelemetry {
+    hub: Arc<TelemetryHub>,
+    series: Arc<SimSeries>,
+    base_us: u64,
+}
+
+impl SimTelemetry {
     /// Simulated seconds → microseconds on the shared hub clock.
     pub(crate) fn ts_us(&self, t_s: f64) -> u64 {
         self.base_us + (t_s * 1e6) as u64
     }
 
     fn shard(&self) -> usize {
-        self.track.0 as usize
+        self.series.track.0 as usize
+    }
+
+    /// Books one round-robin rotation of `node`'s over-subscribed cores.
+    pub(crate) fn record_rotation(&self, node: usize) {
+        self.series.rotations[node].inc();
     }
 
     pub(crate) fn record_assignment_switch(&self, t_s: f64, sched_idx: usize) {
-        self.assignment_switches.inc();
+        self.series.assignment_switches.inc();
         self.hub.record(
             self.shard(),
             TimelineEvent {
-                track: self.track,
+                track: self.series.track,
                 lane: 0,
                 cat: "scheduler".to_string(),
                 name: format!("assignment #{sched_idx}"),
@@ -150,15 +169,15 @@ impl SimTelemetry {
     /// barrier crossings it cost, and how many shards crossed it without an
     /// event of their own (pure LBTS stalls).
     pub(crate) fn record_shard_sync(&self, barriers: u64, stalls: u64) {
-        self.shard_barriers.add(barriers);
-        self.horizon_stalls.add(stalls);
+        self.series.shard_barriers.add(barriers);
+        self.series.horizon_stalls.add(stalls);
     }
 
     pub(crate) fn record_bandwidth_sample(&self, node: usize, mid_s: f64, gbs: f64, utilization: f64) {
-        self.util_pct[node].observe((utilization * 100.0).round() as u64);
+        self.series.util_pct[node].observe((utilization * 100.0).round() as u64);
         self.hub.record_counter(
             self.shard(),
-            self.track,
+            self.series.track,
             node as u32 + 1,
             "bandwidth",
             &format!("node{node}_bw_gbs"),
@@ -185,7 +204,7 @@ impl SimTelemetry {
         self.hub.record(
             self.shard(),
             TimelineEvent {
-                track: self.track,
+                track: self.series.track,
                 lane: 0,
                 cat: TRACE_CAT.to_string(),
                 name: name.to_string(),
@@ -239,13 +258,23 @@ impl SimTelemetry {
     }
 
     pub(crate) fn record_run_summary(&self, node_avg_gbs: &[f64], node_utilization: &[f64]) {
-        let reg = self.hub.registry();
-        for (n, (&gbs, &util)) in node_avg_gbs.iter().zip(node_utilization).enumerate() {
-            let node = n.to_string();
-            reg.gauge("memsim_node_bandwidth_gbs", &[("node", &node)])
-                .set(gbs);
-            reg.gauge("memsim_node_utilization", &[("node", &node)])
-                .set(util);
+        let gauges = self.series.summary.get_or_init(|| {
+            let reg = self.hub.registry();
+            (0..node_avg_gbs.len())
+                .map(|n| {
+                    let node = n.to_string();
+                    (
+                        reg.gauge("memsim_node_bandwidth_gbs", &[("node", &node)]),
+                        reg.gauge("memsim_node_utilization", &[("node", &node)]),
+                    )
+                })
+                .collect()
+        });
+        for ((bandwidth, utilization), (&gbs, &util)) in
+            gauges.iter().zip(node_avg_gbs.iter().zip(node_utilization))
+        {
+            bandwidth.set(gbs);
+            utilization.set(util);
         }
     }
 }
@@ -258,6 +287,7 @@ impl Simulation {
             telemetry: None,
             tracing: false,
             time_base_us: None,
+            series: OnceLock::new(),
         }
     }
 
@@ -266,7 +296,22 @@ impl Simulation {
     /// counters, and end-of-run utilization gauges.
     pub fn with_telemetry(mut self, hub: Arc<TelemetryHub>) -> Self {
         self.telemetry = Some(hub);
+        self.series = OnceLock::new();
         self
+    }
+
+    /// This run's telemetry view, if a hub is attached: the series handles
+    /// (resolved on the first call) and the run's time anchor.
+    pub(crate) fn run_telemetry(&self) -> Option<SimTelemetry> {
+        let hub = self.telemetry.as_ref()?;
+        let series = self
+            .series
+            .get_or_init(|| Arc::new(SimSeries::new(hub, &self.config.machine)));
+        Some(SimTelemetry {
+            hub: Arc::clone(hub),
+            series: Arc::clone(series),
+            base_us: self.time_base_us.unwrap_or_else(|| hub.now_us()),
+        })
     }
 
     /// Enables synthetic causal spans: each app's time under one
@@ -450,10 +495,7 @@ impl Simulation {
             .collect();
         let mut node_gbs_acc = vec![0.0f64; num_nodes];
         let mut node_window_acc = vec![0.0f64; num_nodes];
-        let tel = self
-            .telemetry
-            .as_ref()
-            .map(|hub| SimTelemetry::new(hub, machine, self.time_base_us));
+        let tel = self.run_telemetry();
 
         let mut sched_idx = 0usize;
         let mut applied_idx = usize::MAX;
@@ -929,7 +971,7 @@ pub(crate) fn rates_prologue(
                 // One rotated quantum = one OS-scheduler context switch on
                 // this node's cores.
                 if let Some(tel) = tel {
-                    tel.rotations[node].inc();
+                    tel.record_rotation(node);
                 }
             }
         }

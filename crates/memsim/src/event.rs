@@ -21,9 +21,7 @@
 //! byte-identical [`EventLog`]. Event times are integer nanoseconds so
 //! ordering never depends on float rounding.
 
-use crate::engine::{
-    compute_rates, expand_threads, EpochTracer, RateScratch, SimTelemetry, Thread,
-};
+use crate::engine::{compute_rates, expand_threads, EpochTracer, RateScratch, Thread};
 use crate::result::AppSeries;
 use crate::{SimApp, SimResult, Simulation};
 use numa_topology::NodeId;
@@ -360,10 +358,7 @@ pub(crate) fn run_dynamic_event(
     let end = s_to_tick(duration_s).max(1);
     let mut rng = StdRng::seed_from_u64(sim.config.seed);
 
-    let tel = sim
-        .telemetry
-        .as_ref()
-        .map(|hub| SimTelemetry::new(hub, machine, sim.time_base_us));
+    let tel = sim.run_telemetry();
 
     // Components: agent (id 0), apps (ids 1..=n), then the passive
     // per-node controllers and links.

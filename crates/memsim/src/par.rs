@@ -47,7 +47,7 @@
 
 use crate::engine::{
     arbitrate_node, expand_threads, rates_prologue, DemandCols, DemandView, EpochTracer,
-    NodeScratch, RateScratch, SimTelemetry, Thread,
+    NodeScratch, RateScratch, Thread,
 };
 use crate::event::{
     s_to_tick, splitmix64, tick_to_s, AgentComponent, AppComponent, Component,
@@ -343,10 +343,7 @@ pub(crate) fn run_dynamic_event_par(
     let seed = sim.config.seed;
     let mut rng = StdRng::seed_from_u64(seed);
 
-    let tel = sim
-        .telemetry
-        .as_ref()
-        .map(|hub| SimTelemetry::new(hub, machine, sim.time_base_us));
+    let tel = sim.run_telemetry();
 
     // The agent lives on the coordinator; apply the initial assignment
     // (entries at or before t = 0) exactly as the sequential engine does.

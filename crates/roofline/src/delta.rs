@@ -120,9 +120,26 @@ impl<'a> DeltaSolver<'a> {
         &self.totals
     }
 
+    /// The committed base assignment (all zeros before the first
+    /// [`rebase`](DeltaSolver::rebase)).
+    pub fn base(&self) -> &ThreadAssignment {
+        &self.base
+    }
+
+    /// `true` if `assignment` is the committed base, i.e. a
+    /// [`rebase`](DeltaSolver::rebase) onto it would change nothing.
+    pub fn is_base(&self, assignment: &ThreadAssignment) -> bool {
+        self.has_base && self.base == *assignment
+    }
+
     /// Full-solves `assignment` and makes it the new base. Returns the
-    /// per-app GFLOPS totals.
+    /// per-app GFLOPS totals. Rebasing onto the assignment that already is
+    /// the committed base solves nothing: the cached columns and totals
+    /// describe it, bit for bit (see the module docs on determinism).
     pub fn rebase(&mut self, assignment: &ThreadAssignment) -> Result<&[f64]> {
+        if self.is_base(assignment) {
+            return Ok(&self.totals);
+        }
         arbitrate(
             self.machine,
             self.apps,
@@ -416,6 +433,31 @@ mod tests {
         let mut scratch = SolveScratch::new();
         let full = solve_gflops(&m, &apps, &cand2, SolveOptions::default(), &mut scratch).unwrap();
         assert_eq!(probed, full);
+    }
+
+    #[test]
+    fn rebase_onto_the_committed_base_keeps_its_totals() {
+        let m = paper_model_machine();
+        let apps = paper_apps();
+        let mut delta = DeltaSolver::new(&m, &apps).unwrap();
+        let base = ThreadAssignment::uniform_per_node(&m, &[1, 1, 1, 5]);
+        assert!(!delta.is_base(&base), "no base before the first rebase");
+        let solved = delta.rebase(&base).unwrap().to_vec();
+        assert!(delta.is_base(&base));
+        assert_eq!(delta.rebase(&base).unwrap(), solved);
+
+        // A committed probe is the base too, and what the columns sum to
+        // is what a full solve of it returns.
+        let mut cand = base.clone();
+        cand.set(3, NodeId(1), 4);
+        delta.probe(&cand, &[NodeId(1)]).unwrap();
+        delta.commit(&cand);
+        assert!(delta.is_base(&cand) && !delta.is_base(&base));
+        assert_eq!(delta.base(), &cand);
+        let kept = delta.rebase(&cand).unwrap().to_vec();
+        let mut scratch = SolveScratch::new();
+        let full = solve_gflops(&m, &apps, &cand, SolveOptions::default(), &mut scratch).unwrap();
+        assert_eq!(kept, full);
     }
 
     #[test]

@@ -17,8 +17,10 @@
 //! Everything here is std-only so the detector can live in the
 //! dependency-free telemetry layer underneath every other crate.
 
+use crate::metrics::{Counter, Gauge, MetricsRegistry};
+use crate::observatory::{ALARMS_METRIC, RESIDUAL_METRIC};
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Maximum number of alarms retained in the in-memory alarm log.
 const ALARM_LOG_CAPACITY: usize = 256;
@@ -119,6 +121,14 @@ struct SeriesState {
     s_hi: f64,
     s_lo: f64,
     alarms: u64,
+    /// The series' `coop_model_residual` gauge and
+    /// `coop_model_drift_alarms` counter, kept for
+    /// [`DriftDetector::observe_exporting`]: each is resolved the first
+    /// time it has a value to take — the gauge on the first residual, the
+    /// counter on the first alarm — so the registry holds what a lookup per
+    /// residual would have created.
+    residual_gauge: Option<Arc<Gauge>>,
+    alarm_counter: Option<Arc<Counter>>,
 }
 
 #[derive(Debug, Default)]
@@ -161,8 +171,33 @@ impl DriftDetector {
     /// Feed one residual into `series`; returns an alarm if the CUSUM
     /// threshold was crossed on this sample.
     pub fn observe(&self, series: &str, residual: f64) -> Option<DriftAlarm> {
+        self.observe_exporting(series, residual, None)
+    }
+
+    /// [`observe`](DriftDetector::observe), also publishing to `registry`
+    /// when one is given: the residual to the series' gauge, an alarm to
+    /// its counter, through handles kept with the series' state.
+    pub(crate) fn observe_exporting(
+        &self,
+        series: &str,
+        residual: f64,
+        registry: Option<&MetricsRegistry>,
+    ) -> Option<DriftAlarm> {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let state = inner.series.entry(series.to_string()).or_default();
+        let DetectorInner {
+            series: states,
+            alarm_log,
+        } = &mut *inner;
+        if !states.contains_key(series) {
+            states.insert(series.to_string(), SeriesState::default());
+        }
+        let state = states.get_mut(series).expect("present or just inserted");
+        if let Some(registry) = registry {
+            state
+                .residual_gauge
+                .get_or_insert_with(|| registry.gauge(RESIDUAL_METRIC, &[("series", series)]))
+                .set(residual);
+        }
         state.samples += 1;
         state.last = residual;
         state.abs_sum += residual.abs();
@@ -193,6 +228,12 @@ impl DriftDetector {
         state.s_hi = 0.0;
         state.s_lo = 0.0;
         state.alarms += 1;
+        if let Some(registry) = registry {
+            state
+                .alarm_counter
+                .get_or_insert_with(|| registry.counter(ALARMS_METRIC, &[("series", series)]))
+                .inc();
+        }
         let alarm = DriftAlarm {
             series: series.to_string(),
             sample: state.samples,
@@ -201,8 +242,8 @@ impl DriftDetector {
             cusum,
             direction,
         };
-        if inner.alarm_log.len() < ALARM_LOG_CAPACITY {
-            inner.alarm_log.push(alarm.clone());
+        if alarm_log.len() < ALARM_LOG_CAPACITY {
+            alarm_log.push(alarm.clone());
         }
         Some(alarm)
     }

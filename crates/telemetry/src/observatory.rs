@@ -16,9 +16,10 @@
 
 use crate::drift::{DriftAlarm, DriftConfig, DriftDetector, SeriesSnapshot};
 use crate::json::{push_f64, push_str_literal};
+use crate::metrics::Histogram;
 use crate::provenance::{Prediction, ProvenanceLedger, ProvenanceRecord, Residual, SeriesValue};
 use crate::timeline::{ArgValue, TelemetryHub, TrackId};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Gauge holding the latest relative residual per series.
 pub const RESIDUAL_METRIC: &str = "coop_model_residual";
@@ -34,6 +35,10 @@ pub struct ModelObservatory {
     track: TrackId,
     ledger: ProvenanceLedger,
     detector: DriftDetector,
+    /// The label-less `coop_model_residual_abs_pct` histogram, resolved by
+    /// the first residual (the per-series gauges and alarm counters are
+    /// kept by the detector, next to each series' state).
+    residual_pct: OnceLock<Arc<Histogram>>,
 }
 
 impl ModelObservatory {
@@ -63,6 +68,7 @@ impl ModelObservatory {
             track,
             ledger: ProvenanceLedger::new(capacity),
             detector: DriftDetector::new(config),
+            residual_pct: OnceLock::new(),
         }
     }
 
@@ -143,16 +149,13 @@ impl ModelObservatory {
         };
         let registry = self.hub.registry();
         for residual in &record.residuals {
-            registry
-                .gauge(RESIDUAL_METRIC, &[("series", &residual.series)])
-                .set(residual.relative);
-            registry
-                .histogram(RESIDUAL_PCT_METRIC, &[])
+            self.residual_pct
+                .get_or_init(|| registry.histogram(RESIDUAL_PCT_METRIC, &[]))
                 .observe((residual.relative.abs() * 100.0).round() as u64);
-            if let Some(alarm) = self.detector.observe(&residual.series, residual.relative) {
-                registry
-                    .counter(ALARMS_METRIC, &[("series", &residual.series)])
-                    .inc();
+            if let Some(alarm) =
+                self.detector
+                    .observe_exporting(&residual.series, residual.relative, Some(registry))
+            {
                 self.hub.record_instant_at(
                     0,
                     self.track,

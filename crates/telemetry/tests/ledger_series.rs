@@ -1,10 +1,14 @@
-//! The tenant ledger keeps the handles of the series it publishes instead
-//! of looking them up every tick. These tests pin what it exports: the
-//! same series, created on the same occasions, holding the same values as
-//! a lookup per tick. Public API and std only, so they also run where the
-//! crate's unit tests (which parse JSON) cannot be built.
+//! The tenant ledger and the model observatory keep the handles of the
+//! series they publish instead of looking them up every tick. These tests
+//! pin what they export: the same series, created on the same occasions,
+//! holding the same values as a lookup per tick. Public API and std only,
+//! so they also run where the crate's unit tests (which parse JSON) cannot
+//! be built.
 
-use coop_telemetry::{TelemetryHub, TenantLedger, TenantSample};
+use coop_telemetry::{
+    ModelObservatory, Prediction, SeriesValue, TelemetryHub, TenantLedger, TenantSample,
+};
+use std::sync::Arc;
 
 fn tenant(
     name: &str,
@@ -123,4 +127,60 @@ fn ledger_handed_another_hub_publishes_there() {
             .gauge_value("coop_tenant_delivered_share", &[("tenant", "a")]),
         Some(1.0)
     );
+}
+
+#[test]
+fn observatory_exports_what_a_lookup_per_residual_exported() {
+    // What this sequence exported when every residual looked its gauge, the
+    // histogram and (on an alarm) its counter up by name. "node/0" runs 40 %
+    // low and alarms three times; "app/a" is exact and must get a gauge but no
+    // alarm counter; "app/late" is first predicted in the last two ticks.
+    const EXPORTED: &str = concat!(
+        "# HELP coop_model_drift_alarms CUSUM drift alarms raised per series\n",
+        "# TYPE coop_model_drift_alarms counter\n",
+        "coop_model_drift_alarms{series=\"node/0/bandwidth_gbs\"} 3\n",
+        "# HELP coop_model_residual Latest relative prediction residual (measured-predicted)/|predicted| per series\n",
+        "# TYPE coop_model_residual gauge\n",
+        "coop_model_residual{series=\"app/a/gflops\"} 0.0\n",
+        "coop_model_residual{series=\"app/late/gflops\"} 0.25\n",
+        "coop_model_residual{series=\"node/0/bandwidth_gbs\"} -0.4\n",
+        "# HELP coop_model_residual_abs_pct Absolute relative prediction residual in percent\n",
+        "# TYPE coop_model_residual_abs_pct histogram\n",
+        "coop_model_residual_abs_pct_bucket{le=\"1\"} 8\n",
+        "coop_model_residual_abs_pct_bucket{le=\"32\"} 10\n",
+        "coop_model_residual_abs_pct_bucket{le=\"64\"} 18\n",
+        "coop_model_residual_abs_pct_bucket{le=\"+Inf\"} 18\n",
+        "coop_model_residual_abs_pct_sum 370\n",
+        "coop_model_residual_abs_pct_count 18\n",
+        "# TYPE coop_model_residual_abs_pct_quantile gauge\n",
+        "coop_model_residual_abs_pct_quantile{quantile=\"0.5\"} 24.0\n",
+        "coop_model_residual_abs_pct_quantile{quantile=\"0.9\"} 56.8\n",
+        "coop_model_residual_abs_pct_quantile{quantile=\"0.99\"} 63.28\n",
+    );
+    let hub = Arc::new(TelemetryHub::new());
+    let observatory = ModelObservatory::new(Arc::clone(&hub));
+    for tick in 0..8u64 {
+        let mut prediction = Prediction {
+            inputs: Vec::new(),
+            assignment: "a:[2,0]".into(),
+            series: vec![
+                SeriesValue::new("app/a/gflops", 10.0),
+                SeriesValue::new("node/0/bandwidth_gbs", 20.0),
+            ],
+        };
+        let mut measured = vec![
+            SeriesValue::new("app/a/gflops", 10.0),
+            SeriesValue::new("node/0/bandwidth_gbs", 12.0),
+        ];
+        if tick >= 6 {
+            prediction
+                .series
+                .push(SeriesValue::new("app/late/gflops", 4.0));
+            measured.push(SeriesValue::new("app/late/gflops", 5.0));
+        }
+        let id = observatory.open_decision_at(tick, "test", "assign", prediction, tick * 10);
+        observatory.close_decision_at(id, measured, tick * 10 + 5);
+    }
+    assert_eq!(observatory.detector().total_alarms(), 3);
+    assert_eq!(hub.registry().to_prometheus(), EXPORTED);
 }
