@@ -1,22 +1,21 @@
-//! Scheduler A/B: the work-stealing overhaul (per-worker deques,
-//! event-counted parking, sharded task graph) against the legacy shared
-//! injector + 1 ms condvar poll, which is still available as
-//! [`SchedulerKind::SharedInjector`].
+//! Scheduler throughput: the work-stealing scheduler (per-worker deques,
+//! event-counted parking, sharded task graph) on three graph shapes. The
+//! shared-injector scheduler it was once measured against is gone; its
+//! final A/B is the "Shared injector: final A/B" table in
+//! docs/performance.md.
 //!
 //! Three graph shapes stress different scheduler paths:
 //!
 //! * **fan-out/fan-in** — rounds of `W` independent tasks joined by a
-//!   latch; contention on the ready queues, the shape where a single
-//!   shared injector serializes everyone.
+//!   latch; contention on the ready queues.
 //! * **chain** — a linear dependency chain; pure wakeup latency, one
 //!   ready task at a time.
 //! * **random DAG** — tasks depending on up to two of the last 64 finish
 //!   events (deterministic LCG); mixed subscription/fast-path traffic on
 //!   the sharded graph.
 //!
-//! Each shape runs on 1, 4 and 16 workers under both schedulers; the
-//! manual harness reports tasks/sec and the new/old speedup per cell to
-//! `BENCH_runtime_sched.json` (override the path via the
+//! Each shape runs on 1, 4 and 16 workers; the manual harness reports
+//! tasks/sec per cell to `BENCH_runtime_sched.json` (override the path via the
 //! `BENCH_RUNTIME_SCHED_JSON` environment variable). The JSON is also
 //! produced under `cargo bench -- --test` with shrunk sizes so CI can
 //! archive it from a smoke run.
@@ -31,7 +30,7 @@
 //! tracing feature when disabled is the flag check and nothing else; all
 //! per-hop event recording shows up only in the `tracing_on` column.
 
-use coop_runtime::{Runtime, RuntimeConfig, SchedulerKind, TelemetryHub};
+use coop_runtime::{Runtime, RuntimeConfig, TelemetryHub};
 use criterion::Criterion;
 use numa_topology::{Machine, MachineBuilder};
 use std::sync::Arc;
@@ -57,9 +56,8 @@ fn sweep_machines() -> Vec<(&'static str, Machine)> {
     ]
 }
 
-fn start(name: &str, m: &Machine, kind: SchedulerKind) -> Runtime {
-    Runtime::start(RuntimeConfig::new(name, m.clone()).with_scheduler(kind))
-        .expect("runtime starts")
+fn start(name: &str, m: &Machine) -> Runtime {
+    Runtime::start(RuntimeConfig::new(name, m.clone())).expect("runtime starts")
 }
 
 /// Telemetry attachment modes for the tracing overhead gate.
@@ -83,8 +81,8 @@ impl Tracing {
     }
 }
 
-fn start_mode(name: &str, m: &Machine, kind: SchedulerKind, mode: Tracing) -> Runtime {
-    let mut cfg = RuntimeConfig::new(name, m.clone()).with_scheduler(kind);
+fn start_mode(name: &str, m: &Machine, mode: Tracing) -> Runtime {
+    let mut cfg = RuntimeConfig::new(name, m.clone());
     match mode {
         Tracing::Baseline => {}
         Tracing::Off => cfg = cfg.with_telemetry(Arc::new(TelemetryHub::new())),
@@ -181,16 +179,10 @@ fn run_random_dag(rt: &Runtime, count: usize, nodes: usize) -> u64 {
 
 /// Wall-clock one workload (spawn + drain) on a fresh runtime; best of
 /// `repeats`. Returns tasks/sec.
-fn measure(
-    label: &str,
-    m: &Machine,
-    kind: SchedulerKind,
-    repeats: usize,
-    run: impl Fn(&Runtime) -> u64,
-) -> f64 {
+fn measure(label: &str, m: &Machine, repeats: usize, run: impl Fn(&Runtime) -> u64) -> f64 {
     let mut best = 0.0f64;
     for rep in 0..repeats.max(1) {
-        let rt = start(&format!("{label}-{rep}"), m, kind);
+        let rt = start(&format!("{label}-{rep}"), m);
         let t0 = Instant::now();
         let tasks = run(&rt);
         let rate = tasks as f64 / t0.elapsed().as_secs_f64();
@@ -204,14 +196,13 @@ fn measure(
 fn measure_mode(
     label: &str,
     m: &Machine,
-    kind: SchedulerKind,
     mode: Tracing,
     repeats: usize,
     run: impl Fn(&Runtime) -> u64,
 ) -> f64 {
     let mut best = 0.0f64;
     for rep in 0..repeats.max(1) {
-        let rt = start_mode(&format!("{label}-{rep}"), m, kind, mode);
+        let rt = start_mode(&format!("{label}-{rep}"), m, mode);
         let t0 = Instant::now();
         let tasks = run(&rt);
         let rate = tasks as f64 / t0.elapsed().as_secs_f64();
@@ -237,7 +228,6 @@ fn tracing_overhead_report(smoke: bool) -> serde_json::Value {
             measure_mode(
                 &format!("trace-{}-{workers}w", mode.label()),
                 &m,
-                SchedulerKind::WorkStealing,
                 mode,
                 repeats,
                 |rt| run_fanout(rt, rounds, width),
@@ -284,8 +274,7 @@ fn budget_overhead_report(smoke: bool) -> serde_json::Value {
         let rate = |fuel: Option<u64>| {
             let mut best = 0.0f64;
             for rep in 0..repeats.max(1) {
-                let mut cfg = RuntimeConfig::new(&format!("budget-{workers}w-{rep}"), m.clone())
-                    .with_scheduler(SchedulerKind::WorkStealing);
+                let mut cfg = RuntimeConfig::new(&format!("budget-{workers}w-{rep}"), m.clone());
                 if let Some(units) = fuel {
                     cfg = cfg.with_task_fuel(units);
                 }
@@ -345,31 +334,12 @@ fn scheduler_report(smoke: bool) -> serde_json::Value {
             ),
         ];
         for (shape, run) in shapes {
-            let new_rate = measure(
-                &format!("ws-{shape}-{workers}w"),
-                &m,
-                SchedulerKind::WorkStealing,
-                repeats,
-                &run,
-            );
-            let old_rate = measure(
-                &format!("legacy-{shape}-{workers}w"),
-                &m,
-                SchedulerKind::SharedInjector,
-                repeats,
-                &run,
-            );
-            let speedup = new_rate / old_rate.max(1e-9);
-            println!(
-                "{shape:>13} @ {workers:>2} workers: work-stealing {new_rate:>12.0} t/s, \
-                 shared-injector {old_rate:>12.0} t/s, speedup {speedup:.2}x"
-            );
+            let rate = measure(&format!("ws-{shape}-{workers}w"), &m, repeats, &run);
+            println!("{shape:>13} @ {workers:>2} workers: {rate:>12.0} t/s");
             cells.push(serde_json::json!({
                 "shape": shape,
                 "workers": workers.parse::<u64>().expect("numeric label"),
-                "work_stealing_tasks_per_sec": new_rate,
-                "shared_injector_tasks_per_sec": old_rate,
-                "speedup": speedup,
+                "work_stealing_tasks_per_sec": rate,
             }));
         }
     }
@@ -392,19 +362,14 @@ fn bench_schedulers(c: &mut Criterion, smoke: bool) {
     let (rounds, width) = if smoke { (5, 20) } else { (20, 100) };
     let mut g = c.benchmark_group("runtime_sched");
     g.sample_size(10);
-    for (name, kind) in [
-        ("fanout_work_stealing", SchedulerKind::WorkStealing),
-        ("fanout_shared_injector", SchedulerKind::SharedInjector),
-    ] {
-        g.bench_function(name, |b| {
-            b.iter_with_large_drop(|| {
-                let rt = start(name, &m, kind);
-                run_fanout(&rt, rounds, width);
-                rt.shutdown();
-                rt
-            })
-        });
-    }
+    g.bench_function("fanout_work_stealing", |b| {
+        b.iter_with_large_drop(|| {
+            let rt = start("fanout_work_stealing", &m);
+            run_fanout(&rt, rounds, width);
+            rt.shutdown();
+            rt
+        })
+    });
     g.finish();
 }
 

@@ -281,7 +281,13 @@ mod tests {
 
     #[test]
     fn reclamation_lets_the_survivor_absorb_the_freed_cores() {
-        let scenario = two_app_scenario();
+        // Compute-bound apps: at the shared fixture's AI of 1/32 one
+        // thread already saturates a `tiny()` node's 4 GB/s, so a second
+        // thread on the node adds no throughput for reclamation to show.
+        let scenario = Scenario {
+            apps: vec![SimApp::numa_local("a", 1.0), SimApp::numa_local("b", 1.0)],
+            ..two_app_scenario()
+        };
         let kill_b = ChaosPlan {
             outages: vec![AppOutage {
                 app: 1,

@@ -91,11 +91,11 @@ pub(crate) struct ControlShared {
     /// Per-worker bound core, if per-core binding is in use.
     pub worker_core: Vec<Option<CoreId>>,
     pub num_nodes: usize,
-    /// The scheduler's idle-worker registry, when the runtime uses
-    /// event-counted parking. Mode changes and shutdown must unpark
-    /// every worker: a parked worker is "running" in the census and has
-    /// to reach its gate checkpoint for a new blocking mode to converge.
-    pub parking: Option<Arc<crate::sched::ParkRegistry>>,
+    /// The scheduler's idle-worker registry. Mode changes and shutdown
+    /// must unpark every worker: a parked worker is "running" in the
+    /// census and has to reach its gate checkpoint for a new blocking
+    /// mode to converge.
+    pub parking: Arc<crate::sched::ParkRegistry>,
 }
 
 impl ControlHandle {
@@ -105,7 +105,7 @@ impl ControlHandle {
         num_nodes: usize,
         tracer: Arc<crate::trace::Tracer>,
         telemetry: Option<crate::telemetry::RuntimeTelemetry>,
-        parking: Option<Arc<crate::sched::ParkRegistry>>,
+        parking: Arc<crate::sched::ParkRegistry>,
     ) -> Self {
         let workers = worker_node.len();
         let mut running_per_node = vec![0usize; num_nodes];
@@ -152,9 +152,7 @@ impl ControlHandle {
         // Parked idle workers are not waiting on the gate condvar; wake
         // them so a tightening mode converges at unpark speed rather
         // than at the parking backstop timeout.
-        if let Some(parking) = &self.inner.parking {
-            parking.unpark_all();
-        }
+        self.inner.parking.unpark_all();
         Ok(())
     }
 
@@ -233,6 +231,7 @@ impl ControlHandle {
     /// Worker-side: checks the gate for `worker`, blocking inside if the
     /// current mode says this worker should not run. Returns when the
     /// worker may run again (or shutdown began).
+    #[cfg(test)]
     pub(crate) fn checkpoint(&self, worker: usize) {
         self.checkpoint_with(worker, || {});
     }
@@ -317,9 +316,7 @@ impl ControlHandle {
         st.shutdown = true;
         drop(st);
         self.inner.gate.notify_all();
-        if let Some(parking) = &self.inner.parking {
-            parking.unpark_all();
-        }
+        self.inner.parking.unpark_all();
     }
 
     pub(crate) fn snapshot(&self) -> (usize, Vec<usize>, usize) {
@@ -344,9 +341,23 @@ fn mode_label(mode: &ControlMode) -> &'static str {
 mod tests {
     use super::*;
 
+    /// A handle over workers nobody runs: no tracer events, no telemetry,
+    /// and a park registry whose parkers are dropped at once.
+    fn handle(worker_node: Vec<NodeId>, worker_core: Vec<Option<CoreId>>) -> ControlHandle {
+        let (registry, _parkers) = crate::sched::ParkRegistry::new(worker_node.clone());
+        ControlHandle::new(
+            worker_node,
+            worker_core,
+            2,
+            Arc::new(crate::trace::Tracer::new()),
+            None,
+            Arc::new(registry),
+        )
+    }
+
     fn handle_2x2() -> ControlHandle {
         // 4 workers: two per node, per-core bound.
-        ControlHandle::new(
+        handle(
             vec![NodeId(0), NodeId(0), NodeId(1), NodeId(1)],
             vec![
                 Some(CoreId(0)),
@@ -354,10 +365,6 @@ mod tests {
                 Some(CoreId(2)),
                 Some(CoreId(3)),
             ],
-            2,
-            Arc::new(crate::trace::Tracer::new()),
-            None,
-            None,
         )
     }
 
@@ -389,14 +396,7 @@ mod tests {
             .is_ok());
 
         // Node-bound workers reject BlockCores.
-        let nb = ControlHandle::new(
-            vec![NodeId(0), NodeId(1)],
-            vec![None, None],
-            2,
-            Arc::new(crate::trace::Tracer::new()),
-            None,
-            None,
-        );
+        let nb = handle(vec![NodeId(0), NodeId(1)], vec![None, None]);
         assert!(nb
             .apply(ThreadCommand::BlockCores(CpuSet::single(CoreId(0))))
             .is_err());

@@ -79,7 +79,7 @@ pub use error::RuntimeError;
 pub use event::{Event, EventId, EventKind};
 pub use external::{ExternalRole, ExternalThread, ExternalThreadInfo};
 pub use runtime::{Runtime, RuntimeConfig, TaskContext};
-pub use sched::{set_strict_parking, SchedulerKind};
+pub use sched::set_strict_parking;
 pub use stats::{NodeOccupancy, RuntimeStats};
 pub use task::{TaskBuilder, TaskId, TaskPriority, TaskStep};
 pub use trace::{Trace, TraceEvent};

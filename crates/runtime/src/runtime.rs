@@ -3,13 +3,12 @@
 use crate::control::ControlHandle;
 use crate::datablock::{DataBlock, DbId};
 use crate::event::{Event, EventId, EventKind};
-use crate::sched::{self, LocalQueues, ParkRegistry, SchedState, SchedulerKind, StealGrid};
+use crate::sched::{self, LocalQueues, ParkRegistry, SchedState, StealGrid};
 use crate::stats::{NodeOccupancy, RuntimeStats, StatsCollector};
 use crate::task::{Task, TaskBody, TaskBuilder, TaskId, TaskPriority};
 use crate::worker;
 use crate::{Result, RuntimeError};
 use crossbeam::deque::{Injector, Steal};
-use crossbeam::sync::Parker;
 use numa_topology::{Binding, BindingKind, CoreId, Machine, NodeId};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
@@ -34,11 +33,6 @@ pub struct RuntimeConfig {
     /// Shared telemetry hub to publish metrics and timeline events to.
     /// `None` (default) keeps the hot path free of telemetry work.
     pub telemetry: Option<Arc<coop_telemetry::TelemetryHub>>,
-    /// Which scheduling core to use. [`SchedulerKind::WorkStealing`]
-    /// (default) is the per-worker-deque scheduler described in
-    /// docs/performance.md; [`SchedulerKind::SharedInjector`] is the
-    /// original shared-queue scheduler, kept for benchmarking.
-    pub scheduler: SchedulerKind,
     /// Causal task tracing: record `spawned`/`deps_released`/`enqueued`/
     /// `stolen`/`started`/`finished` hop events for every task into the
     /// telemetry hub (assembled by `coop_telemetry::TraceAssembler`).
@@ -50,8 +44,8 @@ pub struct RuntimeConfig {
     /// tasks override via [`TaskBuilder::fuel`](crate::TaskBuilder::fuel).
     pub task_fuel: Option<u64>,
     /// Wall-clock runaway deadline: a worker stuck in a single task body
-    /// longer than this is marked runaway and contained (work-stealing
-    /// scheduler only). `None` (default) disables the watchdog.
+    /// longer than this is marked runaway and contained. `None`
+    /// (default) disables the watchdog.
     pub watchdog: Option<Duration>,
 }
 
@@ -63,7 +57,6 @@ impl RuntimeConfig {
             machine,
             binding: BindingKind::Core,
             telemetry: None,
-            scheduler: SchedulerKind::default(),
             tracing: false,
             task_fuel: None,
             watchdog: None,
@@ -81,12 +74,6 @@ impl RuntimeConfig {
     /// metrics into the hub's registry.
     pub fn with_telemetry(mut self, hub: Arc<coop_telemetry::TelemetryHub>) -> Self {
         self.telemetry = Some(hub);
-        self
-    }
-
-    /// Overrides the scheduling core (see [`SchedulerKind`]).
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
         self
     }
 
@@ -112,8 +99,7 @@ impl RuntimeConfig {
     /// that holds a worker longer than `deadline` as *runaway*, dumps
     /// the flight recorder, migrates the wedged worker's queued tasks to
     /// siblings, and excludes that worker from the scheduler until the
-    /// task returns. Only effective with the default
-    /// [`SchedulerKind::WorkStealing`] scheduler.
+    /// task returns.
     pub fn with_watchdog(mut self, deadline: Duration) -> Self {
         self.watchdog = Some(deadline);
         self
@@ -151,8 +137,7 @@ struct PendingTask {
     remaining: AtomicUsize,
 }
 
-/// Per-worker watchdog slots (work-stealing mode with
-/// [`RuntimeConfig::with_watchdog`] only).
+/// Per-worker watchdog slots ([`RuntimeConfig::with_watchdog`] only).
 ///
 /// Protocol: before running a task body the worker stores the start time
 /// into `started_us` (Relaxed) and then the task id + 1 into `current`
@@ -204,8 +189,8 @@ pub(crate) struct Shared {
     pub machine: Machine,
     pub control: ControlHandle,
     pub stats: StatsCollector,
-    /// Queue for tasks without a placement hint (overflow/fallback path
-    /// in work-stealing mode; the primary path in legacy mode).
+    /// Queue for tasks without a placement hint (spawns from non-worker
+    /// threads; workers spawn onto their own deques).
     pub global: Injector<Task>,
     /// One queue per NUMA node for tasks with an affinity hint.
     pub node_queues: Vec<Injector<Task>>,
@@ -217,10 +202,8 @@ pub(crate) struct Shared {
     pub sched: SchedState,
     /// Lock-striped dependency graph (power-of-two stripe count).
     shards: Box<[Mutex<GraphShard>]>,
-    /// Legacy mode: idle workers poll this pair on a 1 ms timeout.
-    pub work_mutex: Mutex<()>,
-    pub work_cv: Condvar,
-    /// Quiescence waiters.
+    /// Quiescence waiters sleep on this pair; see
+    /// [`notify_quiesce`](Shared::notify_quiesce) for who wakes them.
     quiesce_mutex: Mutex<()>,
     quiesce_cv: Condvar,
     pub shutdown: AtomicBool,
@@ -248,11 +231,8 @@ pub(crate) struct Shared {
 /// 8 so small machines still spread main-thread and worker traffic, and
 /// capped at 64 — past that the HashMaps are so sparse that striping
 /// further only wastes cache.
-fn shard_count(workers: usize, kind: SchedulerKind) -> usize {
-    match kind {
-        SchedulerKind::WorkStealing => workers.next_power_of_two().clamp(8, 64),
-        SchedulerKind::SharedInjector => 1, // the seed's single graph lock
-    }
+fn shard_count(workers: usize) -> usize {
+    workers.next_power_of_two().clamp(8, 64)
 }
 
 impl Shared {
@@ -271,13 +251,13 @@ impl Shared {
 
     /// Pushes a ready task onto the right queue and wakes one worker.
     ///
-    /// Work-stealing mode: if the calling thread is one of this runtime's
-    /// workers and the task has no conflicting affinity, the task goes
-    /// onto the caller's own LIFO deque (no shared-queue traffic at all);
-    /// otherwise it goes to the hinted node's injector or the global
-    /// injector. Either way the parking registry publishes the enqueue
-    /// (sequence number + targeted unpark) — see the no-lost-wakeup
-    /// protocol on [`ParkRegistry`].
+    /// If the calling thread is one of this runtime's workers and the
+    /// task has no conflicting affinity, the task goes onto the caller's
+    /// own LIFO deque (no shared-queue traffic at all); otherwise it goes
+    /// to the hinted node's injector or the global injector. Either way
+    /// the parking registry publishes the enqueue (sequence number +
+    /// targeted unpark) — see the no-lost-wakeup protocol on
+    /// [`ParkRegistry`].
     pub(crate) fn enqueue_ready(&self, mut task: Task) {
         if self.telemetry.is_some() {
             task.enqueued_at = Some(Instant::now());
@@ -286,49 +266,28 @@ impl Shared {
         // another thread can never observe (and trace) the task with an
         // earlier timestamp than its enqueue.
         if let Some(tel) = self.telemetry.as_ref().filter(|t| t.tracing) {
-            let dest = match self.sched.kind {
-                SchedulerKind::WorkStealing => {
-                    sched::local_target(self, task.affinity).or(task.affinity)
-                }
-                SchedulerKind::SharedInjector => task.affinity,
-            };
+            let dest = sched::local_target(self, task.affinity).or(task.affinity);
             tel.trace_enqueued(task.id.0, task.trace_id, dest.map(|n| n.0 as u64));
         }
         self.sched.ready.fetch_add(1, Ordering::Relaxed);
-        match self.sched.kind {
-            SchedulerKind::WorkStealing => {
-                if task.priority == TaskPriority::High {
-                    // Raise the gate before the task is visible, so no
-                    // pop can see the task while the gate reads zero.
-                    self.sched.high_pending.fetch_add(1, Ordering::Release);
-                }
-                let affinity = task.affinity;
-                let hint = match sched::try_push_local(self, task) {
-                    Ok(node) => Some(node),
-                    Err(task) => {
-                        let (global, per_node) = self.injectors(task.priority);
-                        match task.affinity {
-                            Some(node) if node.0 < per_node.len() => per_node[node.0].push(task),
-                            _ => global.push(task),
-                        }
-                        affinity
-                    }
-                };
-                self.sched
-                    .parking
-                    .as_ref()
-                    .expect("work-stealing mode always has a park registry")
-                    .notify_one(hint);
-            }
-            SchedulerKind::SharedInjector => {
+        if task.priority == TaskPriority::High {
+            // Raise the gate before the task is visible, so no pop can
+            // see the task while the gate reads zero.
+            self.sched.high_pending.fetch_add(1, Ordering::Release);
+        }
+        let affinity = task.affinity;
+        let hint = match sched::try_push_local(self, task) {
+            Ok(node) => Some(node),
+            Err(task) => {
                 let (global, per_node) = self.injectors(task.priority);
                 match task.affinity {
                     Some(node) if node.0 < per_node.len() => per_node[node.0].push(task),
                     _ => global.push(task),
                 }
-                self.work_cv.notify_one();
+                affinity
             }
-        }
+        };
+        self.sched.parking.notify_one(hint);
     }
 
     /// Pushes a fuel-exhausted task onto the over-budget queue: scanned
@@ -344,18 +303,7 @@ impl Shared {
         // task while the gate still reads zero.
         self.sched.overbudget_pending.fetch_add(1, Ordering::Release);
         self.sched.overbudget.push(task);
-        match self.sched.kind {
-            SchedulerKind::WorkStealing => {
-                self.sched
-                    .parking
-                    .as_ref()
-                    .expect("work-stealing mode always has a park registry")
-                    .notify_one(None);
-            }
-            SchedulerKind::SharedInjector => {
-                self.work_cv.notify_one();
-            }
-        }
+        self.sched.parking.notify_one(None);
     }
 
     /// Called by workers after each finished (or panicked) task body.
@@ -364,12 +312,16 @@ impl Shared {
             // A finish event is satisfied exactly once, by us.
             let _ = self.satisfy_event(finish);
         }
-        self.quiesce_cv.notify_all();
     }
 
-    /// Wakes quiescence waiters (used by the batched stats flush, which
-    /// is what actually publishes progress in work-stealing mode).
+    /// Wakes quiescence waiters. Called at the publish points — wherever
+    /// a finish counter [`pending_tasks`](Self::pending_tasks) reads has
+    /// just changed (a worker's batched flush, a helper thread's direct
+    /// count, a contained panic) — and never per task. The notify happens
+    /// under `quiesce_mutex`, which a waiter holds from its check of the
+    /// counters until it sleeps, so the wake cannot fall in between.
     pub(crate) fn notify_quiesce(&self) {
+        let _held = self.quiesce_mutex.lock();
         self.quiesce_cv.notify_all();
     }
 
@@ -584,11 +536,9 @@ fn contain_runaway(shared: &Shared, wd: &WatchdogState, worker: usize, task_id: 
     if let Some(tel) = &shared.telemetry {
         tel.record_runaway(worker, task_id);
     }
-    if let Some(parking) = &shared.sched.parking {
-        // Bumps the registry sequence (keeping the lost-wakeup backstop
-        // detection sound) and wakes everyone to drain the migration.
-        parking.unpark_all();
-    }
+    // Bumps the registry sequence (keeping the lost-wakeup backstop
+    // detection sound) and wakes everyone to drain the migration.
+    shared.sched.parking.unpark_all();
 }
 
 /// A task-based runtime instance (one "application" in the paper's
@@ -604,7 +554,6 @@ impl Runtime {
     pub fn start(config: RuntimeConfig) -> Result<Runtime> {
         let machine = config.machine;
         let num_nodes = machine.num_nodes();
-        let scheduler = config.scheduler;
 
         // One worker per core; binding per config.
         let mut worker_node = Vec::with_capacity(machine.total_cores());
@@ -635,34 +584,14 @@ impl Runtime {
         // worker threads below, stealers registered here), the parking
         // registry, and one parker per worker.
         let runtime_id = sched::next_runtime_id();
-        let (mut locals, mut parkers, grid, parking): (
-            Vec<Option<LocalQueues>>,
-            Vec<Option<Parker>>,
-            StealGrid,
-            Option<Arc<ParkRegistry>>,
-        ) = match scheduler {
-            SchedulerKind::WorkStealing => {
-                let locals: Vec<LocalQueues> = worker_node
-                    .iter()
-                    .enumerate()
-                    .map(|(w, &n)| LocalQueues::new(runtime_id, w, n))
-                    .collect();
-                let grid = StealGrid::new(locals.iter().map(|l| l.stealers()).collect(), num_nodes);
-                let (registry, parkers) = ParkRegistry::new(worker_node.clone());
-                (
-                    locals.into_iter().map(Some).collect(),
-                    parkers.into_iter().map(Some).collect(),
-                    grid,
-                    Some(Arc::new(registry)),
-                )
-            }
-            SchedulerKind::SharedInjector => (
-                (0..workers).map(|_| None).collect(),
-                (0..workers).map(|_| None).collect(),
-                StealGrid::default(),
-                None,
-            ),
-        };
+        let locals: Vec<LocalQueues> = worker_node
+            .iter()
+            .enumerate()
+            .map(|(w, &n)| LocalQueues::new(runtime_id, w, n))
+            .collect();
+        let grid = StealGrid::new(locals.iter().map(|l| l.stealers()).collect(), num_nodes);
+        let (registry, parkers) = ParkRegistry::new(worker_node.clone());
+        let parking = Arc::new(registry);
 
         let tracer = Arc::new(crate::trace::Tracer::new());
         let telemetry = config.telemetry.map(|hub| {
@@ -674,7 +603,7 @@ impl Runtime {
             num_nodes,
             Arc::clone(&tracer),
             telemetry.clone(),
-            parking.clone(),
+            Arc::clone(&parking),
         );
         let shared = Arc::new(Shared {
             name: config.name,
@@ -685,7 +614,6 @@ impl Runtime {
             high_global: Injector::new(),
             high_node_queues: (0..num_nodes).map(|_| Injector::new()).collect(),
             sched: SchedState {
-                kind: scheduler,
                 runtime_id,
                 grid,
                 parking,
@@ -694,15 +622,13 @@ impl Runtime {
                 overbudget: Injector::new(),
                 overbudget_pending: AtomicUsize::new(0),
             },
-            shards: (0..shard_count(workers, scheduler))
+            shards: (0..shard_count(workers))
                 .map(|_| {
                     Mutex::new(GraphShard {
                         events: HashMap::new(),
                     })
                 })
                 .collect(),
-            work_mutex: Mutex::new(()),
-            work_cv: Condvar::new(),
             quiesce_mutex: Mutex::new(()),
             quiesce_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -717,16 +643,14 @@ impl Runtime {
             task_fuel: config.task_fuel,
             watchdog: config
                 .watchdog
-                .filter(|_| scheduler == SchedulerKind::WorkStealing)
                 .map(|deadline| WatchdogState::new(deadline, worker_node.clone())),
         });
 
         let mut handles = Vec::with_capacity(workers);
-        for (id, &node) in worker_node.iter().enumerate() {
+        for (id, (local, parker)) in locals.into_iter().zip(parkers).enumerate() {
             let shared = Arc::clone(&shared);
+            let node = worker_node[id];
             let core = worker_core[id];
-            let local = locals[id].take();
-            let parker = parkers[id].take();
             let _binding = bindings[id]; // bookkeeping only; see DESIGN.md
             handles.push(
                 std::thread::Builder::new()
@@ -849,7 +773,8 @@ impl Runtime {
                             pending: pending as usize,
                         });
                     }
-                    // Cap the wait so a lost wakeup cannot stall us.
+                    // Every publish point notifies under the mutex held
+                    // here, so the cap is a backstop, not the mechanism.
                     let dur = (d - now).min(Duration::from_millis(20));
                     self.shared.quiesce_cv.wait_for(&mut guard, dur);
                 }
@@ -928,8 +853,7 @@ impl Runtime {
         // parked one (the registry unpark covers workers mid-park; the
         // parker token covers workers about to park).
         self.shared.control.begin_shutdown();
-        self.shared.work_cv.notify_all();
-        self.shared.quiesce_cv.notify_all();
+        self.shared.notify_quiesce();
         let mut workers = self.workers.lock();
         for h in workers.drain(..) {
             let _ = h.join();

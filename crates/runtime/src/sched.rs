@@ -21,11 +21,6 @@
 //!   [`Parker`] registered in a [`ParkRegistry`]; producers publish a
 //!   sequence number and unpark one (preferably node-local) idle worker.
 //!   The no-lost-wakeup protocol is documented on [`ParkRegistry`].
-//!
-//! The legacy shared-injector scheduler of the seed
-//! ([`SchedulerKind::SharedInjector`]) is kept selectable so the
-//! `runtime_sched` bench can measure the overhaul against the exact path
-//! it replaced.
 
 use crate::runtime::Shared;
 use crate::task::{Task, TaskPriority};
@@ -33,7 +28,7 @@ use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use crossbeam::sync::{Parker, Unparker};
 use numa_topology::NodeId;
 use parking_lot::Mutex;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -58,21 +53,6 @@ pub(crate) fn strict_parking() -> bool {
     STRICT_PARKING.load(Ordering::SeqCst)
 }
 
-/// Which scheduling core a [`Runtime`](crate::Runtime) uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerKind {
-    /// Per-worker LIFO deques with NUMA-grouped stealing and
-    /// event-counted parking (the default).
-    #[default]
-    WorkStealing,
-    /// The seed's scheduler: every pop goes to shared [`Injector`]
-    /// queues, idle workers poll a condition variable on a 1 ms timeout,
-    /// and all dependency bookkeeping funnels through a single graph
-    /// lock. Kept for A/B benchmarking (`benches/runtime_sched.rs`);
-    /// measurably slower — do not use outside comparisons.
-    SharedInjector,
-}
-
 /// How long a parked worker sleeps before re-checking the queues even
 /// without an unpark. This is a liveness backstop against protocol bugs,
 /// not a scheduling mechanism: the wakeup-latency regression test
@@ -87,17 +67,15 @@ pub(crate) const STATS_FLUSH_EVERY: u64 = 64;
 /// Scheduler state embedded in [`Shared`]: everything the pop paths,
 /// the parking protocol, and `enqueue_ready` share.
 pub(crate) struct SchedState {
-    pub kind: SchedulerKind,
     /// Process-unique id of the owning runtime, so [`try_push_local`]
     /// never pushes onto a deque belonging to a different runtime's
     /// worker (one thread is only ever a worker of one runtime, but task
     /// bodies of runtime A may spawn into runtime B through its API).
     pub runtime_id: u64,
-    /// Stealer handles for every worker deque (empty in legacy mode).
+    /// Stealer handles for every worker deque.
     pub grid: StealGrid,
-    /// Idle-worker registry (`None` in legacy mode, which polls a
-    /// condvar instead).
-    pub parking: Option<Arc<ParkRegistry>>,
+    /// Idle-worker registry.
+    pub parking: Arc<ParkRegistry>,
     /// Census of enqueued-but-not-popped tasks across every deque and
     /// injector. Maintained here because `crossbeam`'s deques have no
     /// cheap aggregate length; feeds `RuntimeStats::tasks_ready`.
@@ -137,6 +115,11 @@ pub(crate) struct LocalQueues {
     pub high: Worker<Task>,
     /// Normal tier.
     pub normal: Worker<Task>,
+    /// Local pops this worker has made since its last stats flush: the
+    /// `coop_sched_local_pops_total` half of the worker's batch (see
+    /// `LocalStats` in [`crate::worker`]), kept here because the pop
+    /// paths below are what count it.
+    pub local_pops: Cell<u64>,
 }
 
 impl LocalQueues {
@@ -147,6 +130,7 @@ impl LocalQueues {
             node,
             high: Worker::new_lifo(),
             normal: Worker::new_lifo(),
+            local_pops: Cell::new(0),
         }
     }
 
@@ -255,7 +239,6 @@ impl WorkerStealers {
 
 /// All stealer handles, plus the worker-ids-per-node grouping that makes
 /// same-node victims cheap to enumerate.
-#[derive(Default)]
 pub(crate) struct StealGrid {
     /// Index = worker id.
     pub stealers: Vec<WorkerStealers>,
@@ -429,7 +412,7 @@ pub(crate) fn find_task(
                 source,
                 TaskPriority::High,
                 node,
-                local.map(|lq| lq.worker),
+                local,
             ));
         }
     }
@@ -440,7 +423,7 @@ pub(crate) fn find_task(
             source,
             TaskPriority::Normal,
             node,
-            local.map(|lq| lq.worker),
+            local,
         ));
     }
     // Over-budget tasks go last — only a worker that found nothing else
@@ -453,7 +436,7 @@ pub(crate) fn find_task(
             PopSource::Local,
             TaskPriority::Normal,
             node,
-            local.map(|lq| lq.worker),
+            local,
         )
     })
 }
@@ -480,21 +463,26 @@ fn pop_overbudget(shared: &Shared) -> Option<Task> {
 }
 
 /// Maintains the ready census, the pop/steal counters, and — when task
-/// tracing is on — the `stolen` hop. `thief_node`/`worker` identify the
-/// popping thread (worker `None` = helping external thread).
+/// tracing is on — the `stolen` hop. `thief_node`/`local` identify the
+/// popping thread (`local = None`: a helping external thread).
 fn note_pop(
     shared: &Shared,
     task: Task,
     source: PopSource,
     tier: TaskPriority,
     thief_node: NodeId,
-    worker: Option<usize>,
+    local: Option<&LocalQueues>,
 ) -> Task {
     shared.sched.ready.fetch_sub(1, Ordering::Relaxed);
     if let Some(tel) = &shared.telemetry {
         let stolen_from = match source {
             PopSource::Local => {
-                tel.local_pops_total.inc();
+                // A worker's local pops ride its stats batch; a helper
+                // has no batch and counts at once.
+                match local {
+                    Some(lq) => lq.local_pops.set(lq.local_pops.get() + 1),
+                    None => tel.local_pops_total.inc(),
+                }
                 None
             }
             PopSource::SiblingSteal => {
@@ -513,7 +501,7 @@ fn note_pop(
         if tel.tracing {
             if let Some(from) = stolen_from {
                 tel.trace_stolen(
-                    worker,
+                    local.map(|lq| lq.worker),
                     task.id.0,
                     task.trace_id,
                     from.0 as u64,
@@ -624,37 +612,4 @@ fn steal_one(s: &Stealer<Task>, local: Option<&LocalQueues>, tier: TaskPriority)
             Steal::Retry => continue,
         }
     }
-}
-
-/// Legacy shared-injector pop (the seed's `find_task`), used by
-/// [`SchedulerKind::SharedInjector`]: tier by tier — own node's
-/// injector, the global injector, then other nodes' injectors.
-pub(crate) fn find_task_legacy(shared: &Shared, node: NodeId) -> Option<Task> {
-    for tier in [TaskPriority::High, TaskPriority::Normal] {
-        let (global, per_node) = shared.injectors(tier);
-        let n = per_node.len();
-        if let Some(t) = take_injector(&per_node[node.0], None, tier) {
-            return Some(note_pop(shared, t, PopSource::Local, tier, node, None));
-        }
-        if let Some(t) = take_injector(global, None, tier) {
-            return Some(note_pop(shared, t, PopSource::Local, tier, node, None));
-        }
-        for off in 1..n {
-            let victim = (node.0 + off) % n;
-            if let Some(t) = take_injector(&per_node[victim], None, tier) {
-                return Some(note_pop(
-                    shared,
-                    t,
-                    PopSource::RemoteSteal {
-                        from: NodeId(victim),
-                    },
-                    tier,
-                    node,
-                    None,
-                ));
-            }
-        }
-    }
-    pop_overbudget(shared)
-        .map(|t| note_pop(shared, t, PopSource::Local, TaskPriority::Normal, node, None))
 }

@@ -9,11 +9,28 @@
 
 use crate::task::TaskPriority;
 use coop_telemetry::{
-    hop, hop_args, ArgValue, Counter, Histogram, TelemetryHub, TrackId, TRACE_CAT,
+    hop, hop_args, ArgValue, Counter, Gauge, Histogram, TelemetryHub, TrackId, TRACE_CAT,
 };
 use numa_topology::NodeId;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
+
+/// Handles to the series that come into being on first use, not at
+/// startup: each is resolved (label formatting + registry lock) on the
+/// occasion that creates the series, and reused from then on.
+#[derive(Default)]
+pub(crate) struct LazySeries {
+    /// `coop_block_latency_us{runtime,option}`, first observed when a
+    /// worker first unblocks under that option; indexed by
+    /// [`BLOCK_OPTIONS`].
+    block_latency_us: [OnceLock<Arc<Histogram>>; BLOCK_OPTIONS.len()],
+    /// `coop_running_workers` / `coop_blocked_workers`, first set by the
+    /// first `Runtime::stats()` poll.
+    occupancy: OnceLock<(Arc<Gauge>, Arc<Gauge>)>,
+}
+
+/// The blocking options a worker can block under (the `option` label).
+const BLOCK_OPTIONS: [&str; 3] = ["total_threads", "block_cores", "per_node"];
 
 /// Pre-resolved metric handles plus the runtime's timeline track.
 #[derive(Clone)]
@@ -45,7 +62,9 @@ pub(crate) struct RuntimeTelemetry {
     /// Time spent in one park, microseconds (unpark latency when work
     /// arrives; clipped at the backstop timeout otherwise).
     pub park_latency_us: Arc<Histogram>,
-    /// Successfully executed task bodies.
+    /// Successfully executed task bodies. Rides the worker's stats batch
+    /// like `local_pops_total`: both lag a busy worker by at most
+    /// `STATS_FLUSH_EVERY` tasks and are exact at every quiescent point.
     pub tasks_completed_total: Arc<Counter>,
     /// Contained task panics.
     pub tasks_panicked_total: Arc<Counter>,
@@ -62,6 +81,8 @@ pub(crate) struct RuntimeTelemetry {
     pub backstop_wakeups_total: Arc<Counter>,
     /// Runtime name, used as the metric label and for lazy lookups.
     pub name: Arc<str>,
+    /// Series created on first use (shared by every clone).
+    lazy: Arc<LazySeries>,
     /// Causal task tracing enabled
     /// ([`RuntimeConfig::with_task_tracing`](crate::RuntimeConfig::with_task_tracing)).
     /// Every trace hop site checks this plain bool first, so tracing-off
@@ -157,6 +178,7 @@ impl RuntimeTelemetry {
             runaway_total: reg.counter("coop_runaway_tasks_total", &labels),
             backstop_wakeups_total: reg.counter("coop_sched_backstop_wakeups_total", &labels),
             name: Arc::from(name),
+            lazy: Arc::default(),
             tracing,
             hub,
         }
@@ -291,7 +313,8 @@ impl RuntimeTelemetry {
         worker.map(|w| w as u32 + 1).unwrap_or(0)
     }
 
-    /// Record one executed task: histograms, counters, and a timeline span.
+    /// Record one executed task: histograms, the panic counter, and a
+    /// timeline span (the completed-task counter rides the stats batch).
     pub fn record_task(
         &self,
         name: &str,
@@ -309,23 +332,17 @@ impl RuntimeTelemetry {
         }
         if panicked {
             self.tasks_panicked_total.inc();
-        } else {
-            self.tasks_completed_total.inc();
         }
         let shard = worker.map(|w| w + 1).unwrap_or(0);
-        let mut args = vec![("node".to_string(), ArgValue::U64(node.0 as u64))];
-        if panicked {
-            args.push(("panicked".to_string(), ArgValue::Bool(true)));
-        }
-        self.hub.record_span(
+        self.hub.record_task_span(
             shard,
             self.track,
             Self::lane(worker),
-            "task",
             name,
             self.hub.timestamp_us(started_at),
             dur_us.max(1),
-            args,
+            node.0 as u64,
+            panicked,
         );
     }
 
@@ -405,13 +422,18 @@ impl RuntimeTelemetry {
     /// option `option` ("total_threads" | "block_cores" | "per_node").
     pub fn record_block_span(&self, worker: usize, option: &'static str, blocked_at: Instant) {
         let dur_us = blocked_at.elapsed().as_micros() as u64;
-        self.hub
-            .registry()
-            .histogram(
+        let resolve = || {
+            self.hub.registry().histogram(
                 "coop_block_latency_us",
                 &[("runtime", self.name.as_ref()), ("option", option)],
             )
-            .observe(dur_us);
+        };
+        match BLOCK_OPTIONS.iter().position(|&o| o == option) {
+            Some(i) => self.lazy.block_latency_us[i]
+                .get_or_init(resolve)
+                .observe(dur_us),
+            None => resolve().observe(dur_us),
+        }
         self.hub.record_span(
             worker + 1,
             self.track,
@@ -426,11 +448,15 @@ impl RuntimeTelemetry {
 
     /// Refresh occupancy gauges (called from `Runtime::stats`).
     pub fn set_occupancy(&self, running: usize, blocked: usize) {
-        let reg = self.hub.registry();
-        let labels = [("runtime", self.name.as_ref())];
-        reg.gauge("coop_running_workers", &labels)
-            .set(running as f64);
-        reg.gauge("coop_blocked_workers", &labels)
-            .set(blocked as f64);
+        let (running_workers, blocked_workers) = self.lazy.occupancy.get_or_init(|| {
+            let reg = self.hub.registry();
+            let labels = [("runtime", self.name.as_ref())];
+            (
+                reg.gauge("coop_running_workers", &labels),
+                reg.gauge("coop_blocked_workers", &labels),
+            )
+        });
+        running_workers.set(running as f64);
+        blocked_workers.set(blocked as f64);
     }
 }

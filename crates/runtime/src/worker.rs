@@ -10,10 +10,6 @@
 //! re-checks every queue, and only then parks — `enqueue_ready` unparks
 //! it the moment work arrives (no polling; see
 //! [`crate::sched::ParkRegistry`] for the no-lost-wakeup argument).
-//!
-//! The legacy scheduler ([`crate::SchedulerKind::SharedInjector`]) keeps
-//! the seed's loop byte-for-byte in behaviour: shared-injector pops and
-//! a 1 ms condvar poll when idle, with per-task stats updates.
 
 use crate::runtime::{Shared, TaskContext};
 use crate::sched::{self, LocalQueues, PARK_BACKSTOP, STATS_FLUSH_EVERY};
@@ -24,49 +20,44 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// Per-worker batch of completed-task counts. Flushed into the shared
-/// [`StatsCollector`](crate::stats::StatsCollector) when the worker goes
-/// idle, blocks at the control gate, exits, or crosses
-/// [`STATS_FLUSH_EVERY`] — so the per-task hot path touches no shared
-/// cache lines for accounting.
+/// Per-worker batch of completed-task and local-pop counts. Flushed when
+/// the worker goes idle, blocks at the control gate, contains a panic,
+/// exits, or crosses [`STATS_FLUSH_EVERY`] — these are the worker's
+/// *publish points*, and between them the per-task path touches no shared
+/// cache line for accounting.
 struct LocalStats {
     node: NodeId,
     executed: u64,
+    /// The worker's deques, whose `local_pops` cell is the other half of
+    /// the batch (the pop paths in [`crate::sched`] count into it).
+    local: Rc<LocalQueues>,
 }
 
 impl LocalStats {
-    fn new(node: NodeId) -> Self {
-        LocalStats { node, executed: 0 }
-    }
-
+    /// Publishes the batch. The telemetry counters go first and the
+    /// Release add on the finish counter last, so a quiescence waiter
+    /// that sees these tasks finished also sees them counted.
     fn flush(&mut self, shared: &Shared) {
+        let pops = self.local.local_pops.take();
+        if pops == 0 && self.executed == 0 {
+            return;
+        }
+        if let Some(tel) = &shared.telemetry {
+            tel.local_pops_total.add(pops);
+            tel.tasks_completed_total.add(self.executed);
+        }
         if self.executed > 0 {
             shared.stats.record_executed_batch(self.node, self.executed);
             self.executed = 0;
-            // Quiescence waiters poll the flushed counters.
             shared.notify_quiesce();
         }
     }
 }
 
+/// The worker loop (per-worker deques + parking).
 pub(crate) fn worker_loop(
-    shared: Arc<Shared>,
-    id: usize,
-    node: NodeId,
-    core: Option<CoreId>,
-    local: Option<LocalQueues>,
-    parker: Option<Parker>,
-) {
-    match (local, parker) {
-        (Some(local), Some(parker)) => stealing_loop(shared, id, node, core, local, parker),
-        _ => legacy_loop(shared, id, node, core),
-    }
-}
-
-/// The work-stealing worker loop (per-worker deques + parking).
-fn stealing_loop(
     shared: Arc<Shared>,
     id: usize,
     node: NodeId,
@@ -78,14 +69,12 @@ fn stealing_loop(
     // Install the deques in TLS so task bodies running on this thread
     // spawn straight onto them (dropped on exit).
     let _tls = sched::install_local(Rc::clone(&local));
-    let registry = Arc::clone(
-        shared
-            .sched
-            .parking
-            .as_ref()
-            .expect("work-stealing mode always has a park registry"),
-    );
-    let mut stats = LocalStats::new(node);
+    let registry = Arc::clone(&shared.sched.parking);
+    let mut stats = LocalStats {
+        node,
+        executed: 0,
+        local: Rc::clone(&local),
+    };
     let mut woke_from_park = false;
     // Set when the last park ran the full backstop timeout without any
     // publish (sequence number unchanged): if the next search then finds
@@ -176,43 +165,15 @@ fn stealing_loop(
     stats.flush(&shared);
 }
 
-/// The seed's loop: shared-injector pops, 1 ms condvar poll when idle,
-/// per-task stats. Kept as the benchmark baseline.
-fn legacy_loop(shared: Arc<Shared>, id: usize, node: NodeId, core: Option<CoreId>) {
-    loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        shared.control.checkpoint(id);
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        match sched::find_task_legacy(&shared, node) {
-            Some(task) => execute(&shared, task, node, core, Some(id), None),
-            None => {
-                // Nothing to do: park briefly; enqueue_ready will wake us.
-                let mut guard = shared.work_mutex.lock();
-                shared
-                    .work_cv
-                    .wait_for(&mut guard, Duration::from_millis(1));
-            }
-        }
-    }
-}
-
 /// Pops a ready task for a helping external thread (see
-/// `Runtime::help_until`). External threads own no deque, so the
-/// work-stealing path runs with `local = None`: single-task steals,
-/// no batching.
+/// `Runtime::help_until`). External threads own no deque, so the pop
+/// runs with `local = None`: single-task steals, no batching.
 pub(crate) fn find_task_public(shared: &Shared, node: NodeId) -> Option<Task> {
-    match shared.sched.kind {
-        sched::SchedulerKind::WorkStealing => sched::find_task(shared, node, None),
-        sched::SchedulerKind::SharedInjector => sched::find_task_legacy(shared, node),
-    }
+    sched::find_task(shared, node, None)
 }
 
-/// Executes a task on a helping external thread (stats recorded
-/// per-task; helpers have no batch to flush).
+/// Executes a task on a helping external thread (helpers have no batch:
+/// every task they finish is counted, and waiters woken, at once).
 pub(crate) fn execute_public(shared: &Shared, task: Task, node: NodeId, core: Option<CoreId>) {
     execute(shared, task, node, core, None, None)
 }
@@ -232,7 +193,7 @@ fn execute(
     node: NodeId,
     core: Option<CoreId>,
     worker: Option<usize>,
-    mut batch: Option<&mut LocalStats>,
+    batch: Option<&mut LocalStats>,
 ) {
     let ctx = TaskContext {
         shared,
@@ -355,9 +316,15 @@ fn execute(
         );
     }
     match result {
-        Ok(_) => match batch.as_deref_mut() {
+        Ok(_) => match batch {
             Some(batch) => batch.executed += 1,
-            None => shared.stats.record_executed(node),
+            None => {
+                if let Some(tel) = &shared.telemetry {
+                    tel.tasks_completed_total.inc();
+                }
+                shared.stats.record_executed(node);
+                shared.notify_quiesce();
+            }
         },
         Err(payload) => {
             let message = if let Some(s) = payload.downcast_ref::<&str>() {
@@ -368,7 +335,14 @@ fn execute(
                 "non-string panic payload".to_string()
             };
             shared.panics.lock().push((task.name.clone(), message));
+            // A panic is counted at once, so it is a publish point: the
+            // batch goes out first, or a waiter could see the last task
+            // finished while this worker still holds counts for it.
+            if let Some(batch) = batch {
+                batch.flush(shared);
+            }
             shared.stats.record_panicked();
+            shared.notify_quiesce();
         }
     }
     shared.task_finished(task.finish.as_ref());
@@ -376,7 +350,7 @@ fn execute(
 
 #[cfg(test)]
 mod tests {
-    use crate::{Runtime, RuntimeConfig, RuntimeError, SchedulerKind, TaskStep, ThreadCommand};
+    use crate::{Runtime, RuntimeConfig, RuntimeError, TaskStep, ThreadCommand};
     use numa_topology::presets::{paper_model_machine, tiny};
     use numa_topology::{BindingKind, CpuSet, NodeId};
     use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -892,38 +866,129 @@ mod tests {
         drop(r); // must not hang or panic
     }
 
-    /// The legacy shared-injector scheduler must keep working — it is the
-    /// baseline half of the `runtime_sched` benchmark.
+    fn spawn_noops(r: &Runtime, k: u64) {
+        for _ in 0..k {
+            r.task("noop").body(|_| {}).spawn().unwrap();
+        }
+    }
+
+    /// Batch sizes on every side of [`STATS_FLUSH_EVERY`](crate::sched).
+    const ROUND_SIZES: [u64; 5] = [1, 63, 64, 65, 200];
+
+    /// A waiter is woken by the publish that completes the count — a
+    /// worker's flush, a helper's direct count, a contained panic — and
+    /// never left to the 20 ms poll cap: 200 spawn-then-wait rounds (plus
+    /// a helper round and a panic round) finish in a fraction of the time
+    /// a single capped wait per round would take.
     #[test]
-    fn legacy_scheduler_still_executes_graphs() {
-        let r = Runtime::start(
-            RuntimeConfig::new("legacy", tiny()).with_scheduler(SchedulerKind::SharedInjector),
-        )
-        .unwrap();
-        let count = Arc::new(AtomicU64::new(0));
-        let latch = r.new_latch_event(16);
-        let c = count.clone();
-        r.task("join")
-            .depends_on(&latch)
-            .body(move |_| {
-                c.fetch_add(1, Ordering::SeqCst);
-            })
-            .spawn()
-            .unwrap();
-        for i in 0..16 {
-            let latch = latch.clone();
-            let c = count.clone();
-            r.task(&format!("leg{i}"))
-                .body(move |ctx| {
-                    c.fetch_add(1, Ordering::SeqCst);
-                    ctx.satisfy(&latch);
-                })
+    fn quiescence_is_seen_without_the_poll_cap() {
+        const ROUNDS: u32 = 200;
+        let r = rt("quiesce");
+        let started = Instant::now();
+        let mut spawned = 0;
+        for round in 0..ROUNDS as usize {
+            let k = ROUND_SIZES[round % ROUND_SIZES.len()];
+            spawn_noops(&r, k);
+            r.wait_quiescent().unwrap();
+            spawned += k;
+            assert_eq!(r.stats().tasks_executed, spawned);
+        }
+
+        // Every worker blocked: the helping caller executes the round and
+        // is the one to publish it.
+        r.control().apply(ThreadCommand::TotalThreads(0)).unwrap();
+        assert!(r
+            .control()
+            .wait_converged(Duration::from_secs(5), |run, _| run == 0));
+        let done = r.new_latch_event(10);
+        for _ in 0..10 {
+            let done = done.clone();
+            r.task("helped")
+                .body(move |ctx| ctx.satisfy(&done))
                 .spawn()
                 .unwrap();
         }
+        r.help_until(&done, NodeId(0));
         r.wait_quiescent().unwrap();
-        assert_eq!(count.load(Ordering::SeqCst), 17);
-        assert_eq!(r.stats().tasks_executed, 17);
+        assert_eq!(r.stats().tasks_executed, spawned + 10);
+        r.control().apply(ThreadCommand::Unrestricted).unwrap();
+
+        // A panic is the last completion of its round.
+        spawn_noops(&r, 65);
+        r.task("bad").body(|_| panic!("boom")).spawn().unwrap();
+        assert!(matches!(
+            r.wait_quiescent(),
+            Err(RuntimeError::TaskPanicked { .. })
+        ));
+        assert_eq!(r.stats().tasks_pending, 0);
+
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < Duration::from_millis(20) * ROUNDS / 4,
+            "{ROUNDS} rounds took {elapsed:?}: waiters are being left to the poll cap"
+        );
+        r.shutdown();
+    }
+
+    /// `coop_tasks_completed_total` and `coop_sched_local_pops_total`
+    /// ride the workers' stats batches; wherever the batches are out —
+    /// at quiescence, and with every worker blocked mid-graph — they read
+    /// what counting per task would.
+    #[test]
+    fn batched_series_equal_stats_at_quiescence() {
+        let hub = Arc::new(crate::TelemetryHub::new());
+        let r = Runtime::start(RuntimeConfig::new("batched", tiny()).with_telemetry(hub.clone()))
+            .unwrap();
+        let check = |when: &str| {
+            let executed = r.stats().tasks_executed;
+            let reg = hub.registry();
+            assert_eq!(
+                reg.counter_total("coop_tasks_completed_total"),
+                executed,
+                "{when}: completed"
+            );
+            assert_eq!(
+                reg.counter_total("coop_sched_local_pops_total")
+                    + reg.counter_total("coop_steals_total"),
+                executed,
+                "{when}: pops + steals"
+            );
+            executed
+        };
+        let mut spawned = 0;
+        for k in ROUND_SIZES {
+            spawn_noops(&r, k);
+            r.wait_quiescent().unwrap();
+            spawned += k;
+            assert_eq!(check(&format!("after a round of {k}")), spawned);
+        }
+
+        // A squeeze to zero threads issued from inside the graph: the
+        // 300 tasks behind the squeezing task are released only once the
+        // command is in force, so the workers block with work pending.
+        spawn_noops(&r, 100);
+        let ctl = r.control();
+        let (_, squeezed) = r
+            .task("squeezer")
+            .body(move |_| ctl.apply(ThreadCommand::TotalThreads(0)).unwrap())
+            .spawn_with_finish()
+            .unwrap();
+        for _ in 0..300 {
+            r.task("behind")
+                .depends_on(&squeezed)
+                .body(|_| {})
+                .spawn()
+                .unwrap();
+        }
+        assert!(r
+            .control()
+            .wait_converged(Duration::from_secs(5), |run, _| run == 0));
+        assert!(squeezed.is_satisfied());
+        assert!(r.stats().tasks_pending > 0, "squeezed mid-graph");
+        check("every worker blocked mid-graph");
+        r.control().apply(ThreadCommand::Unrestricted).unwrap();
+        r.wait_quiescent().unwrap();
+        assert_eq!(check("after the release"), spawned + 401);
         r.shutdown();
     }
 

@@ -81,5 +81,7 @@ pub use serve::{recent_events_json, serve, serve_with_limit, TelemetryServer, RE
 pub use slo::{
     SloEngine, SloObjective, SloSpec, SloStatus, WindowBurn, SLO_CAT,
 };
-pub use timeline::{ArgValue, EventKind, TelemetryHub, TimelineEvent, TrackId};
+pub use timeline::{
+    ArgValue, EventKind, TelemetryHub, TimelineEvent, TrackId, TASK_NAME_INLINE,
+};
 pub use trace::{hop, hop_args, TaskTrace, TraceAssembler, TraceHop, TRACE_CAT};

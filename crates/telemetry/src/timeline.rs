@@ -7,6 +7,16 @@
 //! replaces the single global `Mutex` the legacy runtime tracer took on
 //! every `record_task`. Each shard is a true ring: when full, the oldest
 //! event is evicted so the newest data always survives.
+//!
+//! The event a runtime emits per task — a `task` span carrying its node —
+//! is kept packed, 64 bytes and no heap pieces, in a ring of its own
+//! ([`TelemetryHub::record_task_span`]); every other event, and a task
+//! span whose name is longer than [`TASK_NAME_INLINE`] bytes, is kept as
+//! the [`TimelineEvent`] it is. The two rings of a shard share one
+//! capacity and one recording order, so readers cannot tell them apart:
+//! a packed span expands to exactly the event
+//! [`TelemetryHub::record_span`] would have stored, and is evicted when
+//! that event would have been.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -77,14 +87,174 @@ pub struct TimelineEvent {
     pub args: Vec<(String, ArgValue)>,
 }
 
+/// Longest task name, in bytes of UTF-8, that a packed task span holds
+/// inline; a longer name spills the span to a full [`TimelineEvent`].
+pub const TASK_NAME_INLINE: usize = 34;
+
+/// A task span packed into 64 bytes: no heap pieces.
+struct TaskSpan {
+    ts_us: u64,
+    dur_us: u64,
+    track: TrackId,
+    lane: u32,
+    node: u32,
+    panicked: bool,
+    name_len: u8,
+    name: [u8; TASK_NAME_INLINE],
+}
+
+const _: () = assert!(std::mem::size_of::<TaskSpan>() <= 64);
+
+impl TaskSpan {
+    /// `None` when the span does not fit (name too long, or a node index
+    /// beyond `u32`): the caller spills it.
+    fn pack(
+        track: TrackId,
+        lane: u32,
+        name: &str,
+        ts_us: u64,
+        dur_us: u64,
+        node: u64,
+        panicked: bool,
+    ) -> Option<Self> {
+        let node = u32::try_from(node).ok()?;
+        let mut inline = [0u8; TASK_NAME_INLINE];
+        inline
+            .get_mut(..name.len())?
+            .copy_from_slice(name.as_bytes());
+        Some(TaskSpan {
+            ts_us,
+            dur_us,
+            track,
+            lane,
+            node,
+            panicked,
+            name_len: name.len() as u8,
+            name: inline,
+        })
+    }
+
+    fn to_event(&self) -> TimelineEvent {
+        let name = std::str::from_utf8(&self.name[..self.name_len as usize])
+            .expect("packed from a whole &str");
+        task_span_event(
+            self.track,
+            self.lane,
+            name,
+            self.ts_us,
+            self.dur_us,
+            self.node as u64,
+            self.panicked,
+        )
+    }
+}
+
+/// The one definition of what a task span looks like as a full event.
+fn task_span_event(
+    track: TrackId,
+    lane: u32,
+    name: &str,
+    ts_us: u64,
+    dur_us: u64,
+    node: u64,
+    panicked: bool,
+) -> TimelineEvent {
+    let mut args = vec![("node".to_string(), ArgValue::U64(node))];
+    if panicked {
+        args.push(("panicked".to_string(), ArgValue::Bool(true)));
+    }
+    TimelineEvent {
+        track,
+        lane,
+        cat: "task".to_string(),
+        name: name.to_string(),
+        ts_us,
+        kind: EventKind::Span { dur_us },
+        args,
+    }
+}
+
+/// Which of a shard's two rings an entry went into.
+#[derive(Clone, Copy, PartialEq)]
+enum Ring {
+    Tasks,
+    Events,
+}
+
+/// One shard: packed task spans and full events in a ring each, holding
+/// `capacity` entries between them. `runs` is the recording order across
+/// the two, run-length encoded — "n entries of this ring, then m of that
+/// one" — which is all eviction (oldest entry first, whichever ring it is
+/// in) and the ordered read-out need.
 struct ShardBuf {
+    tasks: VecDeque<TaskSpan>,
     events: VecDeque<TimelineEvent>,
+    runs: VecDeque<(Ring, usize)>,
     capacity: usize,
+}
+
+impl ShardBuf {
+    fn len(&self) -> usize {
+        self.tasks.len() + self.events.len()
+    }
+
+    /// Makes room for one entry of `ring` and notes it in the recording
+    /// order; the caller pushes the entry. Returns whether the oldest
+    /// entry was evicted to make the room.
+    fn admit(&mut self, ring: Ring) -> bool {
+        let evict = self.len() >= self.capacity;
+        if evict {
+            let (oldest, left) = self
+                .runs
+                .front_mut()
+                .expect("a full shard has a recording order");
+            match oldest {
+                Ring::Tasks => {
+                    self.tasks.pop_front();
+                }
+                Ring::Events => {
+                    self.events.pop_front();
+                }
+            }
+            *left -= 1;
+            if *left == 0 {
+                self.runs.pop_front();
+            }
+        }
+        match self.runs.back_mut() {
+            Some((newest, n)) if *newest == ring => *n += 1,
+            _ => self.runs.push_back((ring, 1)),
+        }
+        evict
+    }
+
+    /// Appends every entry as a full event, in recording order.
+    fn append_to(&self, out: &mut Vec<TimelineEvent>) {
+        let (mut tasks, mut events) = (self.tasks.iter(), self.events.iter());
+        for &(ring, n) in &self.runs {
+            match ring {
+                Ring::Tasks => out.extend(tasks.by_ref().take(n).map(TaskSpan::to_event)),
+                Ring::Events => out.extend(events.by_ref().take(n).cloned()),
+            }
+        }
+    }
 }
 
 struct Shard {
     buf: Mutex<ShardBuf>,
     dropped: AtomicU64,
+}
+
+impl Shard {
+    /// Locks the shard with room made, and the order noted, for one more
+    /// entry of `ring`, which the caller pushes.
+    fn admit(&self, ring: Ring) -> MutexGuard<'_, ShardBuf> {
+        let mut buf = lock(&self.buf);
+        if buf.admit(ring) {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+        }
+        buf
+    }
 }
 
 struct Track {
@@ -141,7 +311,9 @@ impl TelemetryHub {
             shards: (0..shards)
                 .map(|_| Shard {
                     buf: Mutex::new(ShardBuf {
+                        tasks: VecDeque::new(),
                         events: VecDeque::with_capacity(capacity.min(1024)),
+                        runs: VecDeque::new(),
                         capacity,
                     }),
                     dropped: AtomicU64::new(0),
@@ -248,12 +420,40 @@ impl TelemetryHub {
             rec.log(&event);
         }
         let shard = &self.shards[shard_hint % self.shards.len()];
-        let mut buf = lock(&shard.buf);
-        if buf.events.len() >= buf.capacity {
-            buf.events.pop_front();
-            shard.dropped.fetch_add(1, Ordering::Relaxed);
+        shard.admit(Ring::Events).events.push_back(event);
+    }
+
+    /// Record the span of one executed task: exactly
+    /// `record_span(shard_hint, track, lane, "task", name, ts_us, dur_us,
+    /// [("node", U64(node)), ("panicked", Bool(true)) if panicked])`,
+    /// but kept packed — no allocation — when the name is at most
+    /// [`TASK_NAME_INLINE`] bytes. An installed flight recorder is handed
+    /// the expanded event, as for any other record.
+    #[allow(clippy::too_many_arguments)]
+    pub fn record_task_span(
+        &self,
+        shard_hint: usize,
+        track: TrackId,
+        lane: u32,
+        name: &str,
+        ts_us: u64,
+        dur_us: u64,
+        node: u64,
+        panicked: bool,
+    ) {
+        match TaskSpan::pack(track, lane, name, ts_us, dur_us, node, panicked) {
+            Some(span) => {
+                if let Some(rec) = self.recorder.get() {
+                    rec.log(&span.to_event());
+                }
+                let shard = &self.shards[shard_hint % self.shards.len()];
+                shard.admit(Ring::Tasks).tasks.push_back(span);
+            }
+            None => self.record(
+                shard_hint,
+                task_span_event(track, lane, name, ts_us, dur_us, node, panicked),
+            ),
         }
-        buf.events.push_back(event);
     }
 
     /// Convenience: record a completed span.
@@ -367,7 +567,7 @@ impl TelemetryHub {
     pub fn events(&self) -> Vec<TimelineEvent> {
         let mut all: Vec<TimelineEvent> = Vec::with_capacity(self.event_count());
         for shard in &self.shards {
-            all.extend(lock(&shard.buf).events.iter().cloned());
+            lock(&shard.buf).append_to(&mut all);
         }
         all.sort_by_key(|e| e.ts_us);
         all
@@ -375,7 +575,7 @@ impl TelemetryHub {
 
     /// Current number of buffered events across all shards.
     pub fn event_count(&self) -> usize {
-        self.shards.iter().map(|s| lock(&s.buf).events.len()).sum()
+        self.shards.iter().map(|s| lock(&s.buf).len()).sum()
     }
 
     /// Total events evicted because a shard overflowed.

@@ -1,0 +1,266 @@
+//! A task span is kept packed, 64 bytes in a ring of its own; everything
+//! else stays a full `TimelineEvent`. These tests pin that no reader can
+//! tell: the event read back, the ring's eviction order and counts, the
+//! flight recorder's log and the Chrome-trace export are what
+//! `record_span` gives. Public API and std only, so they also run where
+//! the crate's unit tests (which parse JSON) cannot be built.
+
+use coop_telemetry::{
+    ArgValue, EventKind, FlightRecorder, TelemetryHub, TimelineEvent, TrackId, TASK_NAME_INLINE,
+};
+use std::sync::Arc;
+
+/// One task span, as the runtime describes it.
+#[derive(Debug, Clone)]
+struct Span {
+    lane: u32,
+    name: String,
+    ts_us: u64,
+    dur_us: u64,
+    node: u64,
+    panicked: bool,
+}
+
+impl Span {
+    fn packed(&self, hub: &TelemetryHub, shard: usize, track: TrackId) {
+        hub.record_task_span(
+            shard,
+            track,
+            self.lane,
+            &self.name,
+            self.ts_us,
+            self.dur_us,
+            self.node,
+            self.panicked,
+        );
+    }
+
+    /// The span the way the runtime recorded it before the packed slot.
+    fn full(&self, hub: &TelemetryHub, shard: usize, track: TrackId) {
+        let mut args = vec![("node".to_string(), ArgValue::U64(self.node))];
+        if self.panicked {
+            args.push(("panicked".to_string(), ArgValue::Bool(true)));
+        }
+        hub.record_span(
+            shard,
+            track,
+            self.lane,
+            "task",
+            &self.name,
+            self.ts_us,
+            self.dur_us,
+            args,
+        );
+    }
+}
+
+fn assert_same(a: &TimelineEvent, b: &TimelineEvent, what: &str) {
+    assert_eq!(a.track, b.track, "{what}: track");
+    assert_eq!(a.lane, b.lane, "{what}: lane");
+    assert_eq!(a.cat, b.cat, "{what}: cat");
+    assert_eq!(a.name, b.name, "{what}: name");
+    assert_eq!(a.ts_us, b.ts_us, "{what}: ts_us");
+    assert_eq!(a.kind, b.kind, "{what}: kind");
+    assert_eq!(a.args, b.args, "{what}: args");
+}
+
+/// splitmix64: the cases below repeat exactly for a seed.
+fn next(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Names around every edge of the inline buffer: empty, short, exactly
+/// the limit, one past it, far past it, and multi-byte UTF-8 that ends
+/// at, straddles and exceeds the limit.
+fn edge_names() -> Vec<String> {
+    let two_byte = "é"; // 2 bytes
+    let three_byte = "核"; // 3 bytes
+    vec![
+        String::new(),
+        "fan".to_string(),
+        "a".repeat(TASK_NAME_INLINE - 1),
+        "b".repeat(TASK_NAME_INLINE),
+        "c".repeat(TASK_NAME_INLINE + 1),
+        "d".repeat(4 * TASK_NAME_INLINE),
+        two_byte.repeat(TASK_NAME_INLINE / 2),
+        format!("x{}", two_byte.repeat(TASK_NAME_INLINE / 2)),
+        three_byte.repeat(TASK_NAME_INLINE / 3),
+        three_byte.repeat(TASK_NAME_INLINE / 3 + 1),
+        "stage \"核\"\n\\tab".to_string(),
+    ]
+}
+
+fn seeded_spans(seed: u64) -> Vec<Span> {
+    let mut state = seed;
+    let names = edge_names();
+    let nodes = [0, 1, 7, u32::MAX as u64, u32::MAX as u64 + 1, u64::MAX];
+    let mut spans = Vec::new();
+    for (i, name) in names.iter().enumerate() {
+        for &node in &nodes {
+            let r = next(&mut state);
+            spans.push(Span {
+                lane: (r >> 40) as u32,
+                name: name.clone(),
+                // Distinct, increasing timestamps keep `events()` (sorted
+                // by time) in recording order on both hubs.
+                ts_us: spans.len() as u64 * 1000 + (r & 0xFF),
+                dur_us: match i % 3 {
+                    0 => 1,
+                    1 => r >> 20,
+                    _ => u64::MAX,
+                },
+                node,
+                panicked: r & 1 == 1,
+            });
+        }
+    }
+    spans
+}
+
+#[test]
+fn a_packed_span_reads_back_as_the_event_record_span_stores() {
+    for seed in [20200518u64, 77003] {
+        let spans = seeded_spans(seed);
+        assert!(spans.iter().any(|s| s.panicked) && spans.iter().any(|s| !s.panicked));
+        let (packed, full) = (TelemetryHub::new(), TelemetryHub::new());
+        let track_p = packed.register_track("runtime:t");
+        let track_f = full.register_track("runtime:t");
+        for (i, span) in spans.iter().enumerate() {
+            span.packed(&packed, i, track_p);
+            span.full(&full, i, track_f);
+        }
+        let (got, want) = (packed.events(), full.events());
+        assert_eq!(got.len(), spans.len());
+        assert_eq!(want.len(), spans.len());
+        for ((g, w), span) in got.iter().zip(&want).zip(&spans) {
+            assert_same(g, w, &format!("seed {seed}, {span:?}"));
+            assert_eq!(g.name, span.name);
+            assert_eq!(
+                g.kind,
+                EventKind::Span {
+                    dur_us: span.dur_us
+                }
+            );
+        }
+        assert_eq!(packed.event_count(), full.event_count());
+        assert_eq!(packed.dropped(), 0);
+    }
+}
+
+#[test]
+fn a_mixed_ring_keeps_the_newest_five_in_order() {
+    const RECORDED: u64 = 23;
+    let long = "n".repeat(TASK_NAME_INLINE + 5);
+    // Once with increasing timestamps, once with every timestamp equal:
+    // `events()` sorts by time and keeps recording order among equals, so
+    // the second pass reads the shard's own order across both rings.
+    for ts_of in [|i: u64| i, |_| 7] {
+        let hub = TelemetryHub::with_config(1, 5);
+        let track = hub.register_track("runtime:mixed");
+        for i in 0..RECORDED {
+            let ts = ts_of(i);
+            match i % 4 {
+                // Packed task spans.
+                0 | 1 => hub.record_task_span(0, track, 1, &format!("t{i}"), ts, 1, 0, i % 8 == 0),
+                // A task span too long to pack.
+                2 => hub.record_task_span(0, track, 1, &format!("{long}{i}"), ts, 1, 0, false),
+                // A full event.
+                _ => hub.record_instant_at(
+                    0,
+                    track,
+                    0,
+                    "control",
+                    &format!("c{i}"),
+                    ts,
+                    vec![("k".to_string(), ArgValue::U64(i))],
+                ),
+            }
+            assert_eq!(hub.event_count() as u64 + hub.dropped(), i + 1);
+            assert_eq!(hub.event_count() as u64, (i + 1).min(5));
+        }
+        let events = hub.events();
+        let names: Vec<&str> = events.iter().map(|e| e.name.as_str()).collect();
+        let (n18, n22) = (format!("{long}18"), format!("{long}22"));
+        assert_eq!(
+            names,
+            [&n18[..], "c19", "t20", "t21", &n22[..]],
+            "the newest five, oldest first"
+        );
+        assert_eq!(events[1].kind, EventKind::Instant);
+        assert_eq!(events[2].cat, "task");
+        assert_eq!(hub.dropped(), RECORDED - 5);
+    }
+}
+
+#[test]
+fn an_installed_flight_recorder_logs_every_task_span() {
+    let spans = seeded_spans(7);
+    let (packed, full) = (
+        TelemetryHub::with_config(2, 4),
+        TelemetryHub::with_config(2, 4),
+    );
+    let (rec_p, rec_f) = (
+        Arc::new(FlightRecorder::new(4096)),
+        Arc::new(FlightRecorder::new(4096)),
+    );
+    assert!(packed.install_flight_recorder(Arc::clone(&rec_p)));
+    assert!(full.install_flight_recorder(Arc::clone(&rec_f)));
+    let track_p = packed.register_track("runtime:r");
+    let track_f = full.register_track("runtime:r");
+    for (i, span) in spans.iter().enumerate() {
+        span.packed(&packed, i, track_p);
+        span.full(&full, i, track_f);
+    }
+    // The hub rings evicted most of them; the recorders saw them all, and
+    // encoded the same bytes whichever way the span went in.
+    assert_eq!(packed.event_count(), 8);
+    assert_eq!(rec_p.recorded(), spans.len() as u64);
+    assert_eq!(rec_f.recorded(), spans.len() as u64);
+    assert_eq!(rec_p.len(), rec_f.len());
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let (path_p, path_f) = (dir.join("packed.flight"), dir.join("full.flight"));
+    rec_p.dump_to(&path_p).unwrap();
+    rec_f.dump_to(&path_f).unwrap();
+    let (bytes_p, bytes_f) = (
+        std::fs::read(&path_p).unwrap(),
+        std::fs::read(&path_f).unwrap(),
+    );
+    assert_eq!(bytes_p, bytes_f);
+    let decoded = FlightRecorder::decode(&bytes_p).unwrap();
+    assert_eq!(decoded.len(), spans.len());
+    for (event, span) in decoded.iter().zip(&spans) {
+        assert_eq!(event.name, span.name);
+        assert_eq!(event.cat, "task");
+    }
+}
+
+#[test]
+fn the_chrome_trace_is_byte_equal_whichever_way_the_spans_went_in() {
+    let spans = seeded_spans(20200518);
+    let (packed, full) = (
+        TelemetryHub::with_config(4, 16),
+        TelemetryHub::with_config(4, 16),
+    );
+    for hub in [&packed, &full] {
+        let track = hub.register_track("runtime:x");
+        hub.set_lane_name(track, 0, "control");
+        hub.set_lane_name(track, 1, "worker-0 (node 0)");
+    }
+    let track = TrackId(0);
+    for (i, span) in spans.iter().enumerate() {
+        span.packed(&packed, i, track);
+        span.full(&full, i, track);
+        if i % 5 == 0 {
+            for hub in [&packed, &full] {
+                hub.record_counter(i, track, 0, "bandwidth", "node0", span.ts_us, 1.5, vec![]);
+            }
+        }
+    }
+    assert!(packed.dropped() > 0, "the export covers an overflowed ring");
+    assert_eq!(packed.to_perfetto_json(), full.to_perfetto_json());
+    assert_eq!(packed.summary_json(), full.summary_json());
+}
