@@ -5,12 +5,12 @@ use crate::supervise::{
     command_all, stats_all, Health, SupervisedHandle, SupervisionConfig, HEALTH_LANE,
 };
 use crate::{Policy, Result, RuntimeHandle, RuntimeStats, ThreadCommand};
+use coop_telemetry::sync::Mutex;
 use coop_telemetry::{
     scheduler_locality, ArgValue, Counter, Histogram, ModelObservatory, Prediction, SeriesValue,
     TelemetryHub, TenantSample, TrackId,
 };
 use numa_topology::Machine;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};

@@ -23,8 +23,8 @@
 
 use crate::{AgentError, Result};
 use coop_runtime::{ControlHandle, ThreadCommand};
+use coop_telemetry::sync::{Condvar, Mutex};
 use numa_topology::Machine;
-use parking_lot::{Condvar, Mutex};
 use roofline_numa::{AppSpec, DataPlacement, ThreadAssignment};
 use std::sync::Arc;
 use std::time::Duration;

@@ -12,7 +12,7 @@
 //! run replays bit-identically: a failure found in CI reproduces locally.
 
 use crate::{AgentError, Result, RuntimeHandle, RuntimeStats, ThreadCommand};
-use parking_lot::Mutex;
+use coop_telemetry::sync::Mutex;
 use std::ops::{Bound, RangeBounds};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;

@@ -484,10 +484,9 @@ mod tests {
             AppSpec::numa_local("mem3", 0.5),
             AppSpec::numa_local("comp", 10.0),
         ];
+        // Specs are matched to polled runtimes by name.
+        let stats: Vec<RuntimeStats> = apps.iter().map(|a| fake_stats(&a.name, &[], 0)).collect();
         let mut p = ModelGuided::new(m.clone(), apps);
-        let stats: Vec<RuntimeStats> = (0..4)
-            .map(|i| fake_stats(&format!("r{i}"), &[], 0))
-            .collect();
         let cmds = p.tick(&stats, 0);
         assert!(cmds.iter().all(|c| c.is_some()));
         let assignment = p.last_assignment().unwrap();

@@ -2,7 +2,7 @@
 //!
 //! The paper's agent is a *separate process* talking to the runtimes over
 //! IPC. In this reproduction the same message protocol runs over
-//! `crossbeam` channels (see the substitution notes in `DESIGN.md`):
+//! `std::sync::mpsc` channels (see the substitution notes in `DESIGN.md`):
 //! the agent owns an [`AgentSideEndpoint`] (a [`RuntimeHandle`]), the
 //! runtime side runs a [`RuntimeSideEndpoint`] pump on its own thread.
 //! Structurally this is Figure 1; only the transport differs.
@@ -22,7 +22,7 @@
 use crate::fault::{Fault, FaultPlan};
 use crate::{AgentError, Result, RuntimeHandle};
 use coop_runtime::{Runtime, RuntimeStats, ThreadCommand};
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -54,14 +54,14 @@ pub enum Response {
 /// Agent-side endpoint; implements [`RuntimeHandle`] over the channel.
 pub struct AgentSideEndpoint {
     name: String,
-    req: Sender<Request>,
+    req: SyncSender<Request>,
     resp: Receiver<Response>,
     timeout: Duration,
 }
 
 /// Runtime-side endpoint pump handle; joins on drop.
 pub struct RuntimeSideEndpoint {
-    req: Sender<Request>,
+    req: SyncSender<Request>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -99,8 +99,8 @@ fn connect_with(
     timeout: Duration,
     plan: Option<FaultPlan>,
 ) -> Result<(AgentSideEndpoint, RuntimeSideEndpoint)> {
-    let (req_tx, req_rx) = bounded::<Request>(16);
-    let (resp_tx, resp_rx) = bounded::<Response>(16);
+    let (req_tx, req_rx) = sync_channel::<Request>(16);
+    let (resp_tx, resp_rx) = sync_channel::<Response>(16);
     let name = runtime.name().to_string();
 
     let pump_runtime = Arc::clone(&runtime);

@@ -59,11 +59,11 @@
 //! glue code cannot unwind into the agent loop.
 
 use crate::{AgentError, Result, RuntimeHandle, RuntimeStats, ThreadCommand};
+use coop_telemetry::sync::Mutex;
 use coop_telemetry::{ArgValue, Counter, Gauge, TelemetryHub, TrackId};
-use crossbeam::channel::{
-    bounded, unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError, TrySendError,
+use std::sync::mpsc::{
+    channel, sync_channel, Receiver, RecvTimeoutError, SyncSender, TryRecvError, TrySendError,
 };
-use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -342,7 +342,7 @@ enum CallOutcome {
 }
 
 struct Courier {
-    req: Sender<(u64, CallRequest)>,
+    req: SyncSender<(u64, CallRequest)>,
     resp: Receiver<(u64, Result<CallOutcome>)>,
     next_seq: u64,
     /// Sequence number of a posted call whose reply has not been
@@ -738,8 +738,8 @@ fn spawn_courier(
     name: &str,
     inner: Box<dyn RuntimeHandle>,
 ) -> std::result::Result<Courier, String> {
-    let (req_tx, req_rx) = bounded::<(u64, CallRequest)>(1);
-    let (resp_tx, resp_rx) = unbounded::<(u64, Result<CallOutcome>)>();
+    let (req_tx, req_rx) = sync_channel::<(u64, CallRequest)>(1);
+    let (resp_tx, resp_rx) = channel::<(u64, Result<CallOutcome>)>();
     std::thread::Builder::new()
         .name(format!("{name}-courier"))
         .spawn(move || {

@@ -1,9 +1,12 @@
-//! Property-based tests for the consensus resolution rule.
+//! Property tests for the consensus resolution rule, on the seeded case
+//! runner.
 
 use coop_agent::consensus::{resolve, DemandProfile};
+use coop_alloc::cases::{check, Gen};
 use numa_topology::{MachineBuilder, NodeId};
-use proptest::prelude::*;
 use roofline_numa::AppSpec;
+
+const CASES: usize = 256;
 
 fn machine(nodes: usize, cores: usize) -> numa_topology::Machine {
     MachineBuilder::new()
@@ -15,34 +18,27 @@ fn machine(nodes: usize, cores: usize) -> numa_topology::Machine {
         .unwrap()
 }
 
-fn arb_profiles(nodes: usize) -> impl Strategy<Value = Vec<DemandProfile>> {
-    proptest::collection::vec((0.1f64..10.0, 0.05f64..8.0, 0usize..3), 1..5).prop_map(
-        move |specs| {
-            specs
-                .into_iter()
-                .enumerate()
-                .map(|(i, (weight, ai, kind))| {
-                    let spec = match kind {
-                        0 => AppSpec::numa_local(&format!("a{i}"), ai),
-                        1 => AppSpec::numa_bad(&format!("b{i}"), ai, NodeId(i % nodes)),
-                        _ => AppSpec::spread(&format!("s{i}"), ai, vec![1.0 / nodes as f64; nodes]),
-                    };
-                    DemandProfile::new(spec, weight)
-                })
-                .collect()
-        },
-    )
+fn arb_profiles(g: &mut Gen, nodes: usize) -> Vec<DemandProfile> {
+    (0..g.size(1..5))
+        .map(|i| {
+            let (weight, ai) = (g.range(0.1..10.0), g.range(0.05..8.0));
+            let spec = match g.range(0..3usize) {
+                0 => AppSpec::numa_local(&format!("a{i}"), ai),
+                1 => AppSpec::numa_bad(&format!("b{i}"), ai, NodeId(i % nodes)),
+                _ => AppSpec::spread(&format!("s{i}"), ai, vec![1.0 / nodes as f64; nodes]),
+            };
+            DemandProfile::new(spec, weight)
+        })
+        .collect()
 }
 
-proptest! {
-    /// The resolved allocation is always valid (no over-subscription) and
-    /// deterministic.
-    #[test]
-    fn resolution_is_valid_and_deterministic(
-        nodes in 2usize..5,
-        cores in 2usize..9,
-        profiles in arb_profiles(4),
-    ) {
+/// The resolved allocation is always valid (no over-subscription) and
+/// deterministic.
+#[test]
+fn resolution_is_valid_and_deterministic() {
+    check(1, CASES, |g| {
+        let (nodes, cores) = (g.range(2..5usize), g.range(2..9usize));
+        let profiles = arb_profiles(g, 4);
         // Clamp pinned nodes into range for this machine size.
         let profiles: Vec<DemandProfile> = profiles
             .into_iter()
@@ -60,29 +56,29 @@ proptest! {
             .collect();
         let m = machine(nodes, cores);
         let a = resolve(&m, &profiles);
-        prop_assert!(a.validate(&m).is_ok());
-        prop_assert_eq!(resolve(&m, &profiles), a.clone());
+        assert!(a.validate(&m).is_ok());
+        assert_eq!(resolve(&m, &profiles), a.clone());
 
         // Pinned apps never get threads off their node.
         for (i, p) in profiles.iter().enumerate() {
             if let roofline_numa::DataPlacement::SingleNode(pin) = p.spec.placement {
                 for node in m.node_ids() {
                     if node != pin {
-                        prop_assert_eq!(a.get(i, node), 0);
+                        assert_eq!(a.get(i, node), 0);
                     }
                 }
             }
         }
-    }
+    });
+}
 
-    /// Every core is allocated when at least one unpinned application
-    /// exists (no capacity silently wasted).
-    #[test]
-    fn no_cores_wasted_with_unpinned_apps(
-        nodes in 2usize..4,
-        cores in 2usize..9,
-        weights in proptest::collection::vec(0.1f64..5.0, 1..4),
-    ) {
+/// Every core is allocated when at least one unpinned application
+/// exists (no capacity silently wasted).
+#[test]
+fn no_cores_wasted_with_unpinned_apps() {
+    check(2, CASES, |g| {
+        let (nodes, cores) = (g.range(2..4usize), g.range(2..9usize));
+        let weights = g.vec(1..4, |g| g.range(0.1..5.0));
         let m = machine(nodes, cores);
         let profiles: Vec<DemandProfile> = weights
             .iter()
@@ -91,19 +87,18 @@ proptest! {
             .collect();
         let a = resolve(&m, &profiles);
         for node in m.node_ids() {
-            prop_assert_eq!(a.node_total(node), cores, "node {:?} wasted cores", node);
+            assert_eq!(a.node_total(node), cores, "node {:?} wasted cores", node);
         }
-    }
+    });
+}
 
-    /// Raising one participant's weight never lowers its machine-wide
-    /// total (weight monotonicity, all else equal).
-    #[test]
-    fn weight_monotonicity(
-        cores in 2usize..9,
-        w_base in 0.2f64..3.0,
-        bump in 0.1f64..3.0,
-        other in 0.2f64..3.0,
-    ) {
+/// Raising one participant's weight never lowers its machine-wide
+/// total (weight monotonicity, all else equal).
+#[test]
+fn weight_monotonicity() {
+    check(3, CASES, |g| {
+        let cores = g.range(2..9usize);
+        let (w_base, bump, other) = (g.range(0.2..3.0), g.range(0.1..3.0), g.range(0.2..3.0));
         let m = machine(2, cores);
         let mk = |w: f64| {
             vec![
@@ -113,10 +108,13 @@ proptest! {
         };
         let before = resolve(&m, &mk(w_base));
         let after = resolve(&m, &mk(w_base + bump));
-        prop_assert!(
+        assert!(
             after.app_total(0) >= before.app_total(0),
             "weight {} -> {} lowered threads {} -> {}",
-            w_base, w_base + bump, before.app_total(0), after.app_total(0)
+            w_base,
+            w_base + bump,
+            before.app_total(0),
+            after.app_total(0)
         );
-    }
+    });
 }

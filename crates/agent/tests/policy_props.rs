@@ -1,10 +1,12 @@
-//! Property-based tests for agent policies, driven by synthetic stat
+//! Property tests (seeded case runner) for agent policies, driven by synthetic stat
 //! streams (no live runtimes — policies are pure over their inputs).
 
 use coop_agent::policies::ProducerConsumerThrottle;
 use coop_agent::{Policy, RuntimeStats, ThreadCommand};
-use proptest::prelude::*;
+use coop_alloc::cases::check;
 use std::collections::HashMap;
+
+const CASES: usize = 256;
 
 fn stats_pair(produced: u64, consumed: u64) -> Vec<RuntimeStats> {
     let mk = |name: &str, key: &str, v: u64| RuntimeStats {
@@ -30,61 +32,63 @@ fn stats_pair(produced: u64, consumed: u64) -> Vec<RuntimeStats> {
     ]
 }
 
-proptest! {
-    /// The throttle's target always stays within its configured bounds,
-    /// moves by at most one per tick, and issues a command exactly when
-    /// the target changes.
-    #[test]
-    fn throttle_is_bounded_and_incremental(
-        lead_seq in proptest::collection::vec((0u64..40, 0u64..40), 1..60),
-        low in 1u64..4,
-        span in 1u64..6,
-        min_threads in 1usize..3,
-        extra in 1usize..14,
-    ) {
+/// The throttle's target always stays within its configured bounds,
+/// moves by at most one per tick, and issues a command exactly when
+/// the target changes.
+#[test]
+fn throttle_is_bounded_and_incremental() {
+    check(1, CASES, |g| {
+        let lead_seq = g.vec(1..60, |g| (g.range(0..40u64), g.range(0..40u64)));
+        let (low, span) = (g.range(1..4u64), g.range(1..6u64));
+        let (min_threads, extra) = (g.range(1..3usize), g.range(1..14usize));
         let high = low + span;
         let max_threads = min_threads + extra;
         let mut p = ProducerConsumerThrottle::new(0, 1, low, high, min_threads, max_threads);
         let mut prev = p.current_target();
-        prop_assert!(prev <= max_threads);
+        assert!(prev <= max_threads);
         for (produced_raw, consumed_raw) in lead_seq {
             // Counters are monotone in reality, but the policy must be
             // robust to arbitrary snapshots too.
             let cmds = p.tick(&stats_pair(produced_raw.max(consumed_raw), consumed_raw), 0);
             let cur = p.current_target();
-            prop_assert!(cur >= min_threads && cur <= max_threads,
-                "target {cur} outside [{min_threads}, {max_threads}]");
-            prop_assert!(cur.abs_diff(prev) <= 1, "moved by more than one: {prev} -> {cur}");
+            assert!(
+                cur >= min_threads && cur <= max_threads,
+                "target {cur} outside [{min_threads}, {max_threads}]"
+            );
+            assert!(
+                cur.abs_diff(prev) <= 1,
+                "moved by more than one: {prev} -> {cur}"
+            );
             match &cmds[0] {
                 Some(ThreadCommand::TotalThreads(n)) => {
-                    prop_assert_eq!(*n, cur);
-                    prop_assert!(cur != prev, "command issued without a change");
+                    assert_eq!(*n, cur);
+                    assert!(cur != prev, "command issued without a change");
                 }
-                Some(other) => prop_assert!(false, "unexpected command {other:?}"),
-                None => prop_assert_eq!(cur, prev, "change without a command"),
+                Some(other) => panic!("unexpected command {other:?}"),
+                None => assert_eq!(cur, prev, "change without a command"),
             }
-            prop_assert!(cmds[1].is_none(), "consumer must never be commanded");
+            assert!(cmds[1].is_none(), "consumer must never be commanded");
             prev = cur;
         }
-    }
+    });
+}
 
-    /// Sustained high lead drives the target to the floor; sustained low
-    /// lead drives it to the ceiling (convergence, not oscillation).
-    #[test]
-    fn throttle_converges_under_steady_pressure(
-        low in 1u64..4,
-        span in 1u64..6,
-        max_threads in 4usize..16,
-    ) {
+/// Sustained high lead drives the target to the floor; sustained low
+/// lead drives it to the ceiling (convergence, not oscillation).
+#[test]
+fn throttle_converges_under_steady_pressure() {
+    check(2, CASES, |g| {
+        let (low, span) = (g.range(1..4u64), g.range(1..6u64));
+        let max_threads = g.range(4..16usize);
         let high = low + span;
         let mut p = ProducerConsumerThrottle::new(0, 1, low, high, 1, max_threads);
         for _ in 0..max_threads + 2 {
             p.tick(&stats_pair(1000 + high + 10, 1000), 0); // lead far above high
         }
-        prop_assert_eq!(p.current_target(), 1);
+        assert_eq!(p.current_target(), 1);
         for _ in 0..max_threads + 2 {
             p.tick(&stats_pair(1000, 1000), 0); // lead 0 < low
         }
-        prop_assert_eq!(p.current_target(), max_threads);
-    }
+        assert_eq!(p.current_target(), max_threads);
+    });
 }

@@ -1,22 +1,22 @@
 //! A-search: the allocation-search ablation from DESIGN.md — exhaustive
 //! vs greedy vs hill-climbing on the paper's machine, now with the
-//! parallel/memoized machinery of docs/performance.md. Criterion measures
-//! per-strategy cost; a manual harness times the parallel fan-out and the
-//! delta+cache oracle against their sequential/full-solve baselines and
-//! writes the figures to `BENCH_alloc_search.json` (override the path via
-//! the `BENCH_ALLOC_SEARCH_JSON` environment variable). The JSON is also
-//! produced under `cargo bench -- --test`, with shrunk problem sizes, so
-//! CI can archive it from a smoke run.
+//! parallel/memoized machinery of docs/performance.md. Everything is timed
+//! with `Instant`, median of N: per-strategy cost, the parallel fan-out and
+//! the delta+cache oracle against their sequential/full-solve baselines.
+//! The figures go to `BENCH_alloc_search.json` (override the path via the
+//! `BENCH_ALLOC_SEARCH_JSON` environment variable), also under
+//! `cargo bench -- --test`, with shrunk problem sizes, so CI can archive it
+//! from a smoke run.
 
 use coop_alloc::{search, Objective, ScoreCache};
+use coop_bench::report::{time_median, write_bench_json};
+use coop_telemetry::json::Value;
+use coop_telemetry::json_object;
 use coop_workloads::apps::model_mix;
-use criterion::Criterion;
 use numa_topology::presets::paper_model_machine;
 use numa_topology::Machine;
 use roofline_numa::AppSpec;
-use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Twelve apps spanning memory-bound to compute-bound: the uniform space
 /// on the paper machine is C(8+12, 12) = 125 970 candidates, big enough
@@ -32,100 +32,71 @@ fn wide_mix() -> Vec<AppSpec> {
     apps
 }
 
-fn bench_searches(c: &mut Criterion, smoke: bool) {
-    let machine = paper_model_machine();
-    let apps = model_mix();
+/// Median wall time per strategy on the paper machine and mix, plus the
+/// quality each one reaches.
+fn strategy_report(machine: &Machine, apps: &[AppSpec], smoke: bool) -> Value {
     let objective = Objective::TotalGflops;
-
-    let mut g = c.benchmark_group("alloc_search");
-    g.sample_size(if smoke { 10 } else { 20 });
-    g.bench_function("exhaustive_uniform", |b| {
-        b.iter(|| {
-            search::ExhaustiveSearch::new()
-                .run(black_box(&machine), black_box(&apps), black_box(&objective))
-                .unwrap()
-        })
+    let samples = if smoke { 3 } else { 20 };
+    let mut rows = Vec::new();
+    let mut time = |name: &str, run: &mut dyn FnMut() -> search::SearchResult| {
+        let (seconds, result) = time_median(samples, run);
+        println!(
+            "{name:<32} {:>10.3} ms  {:>7.1} GFLOPS  {:>7} evaluations",
+            seconds * 1e3,
+            result.score,
+            result.evaluations
+        );
+        rows.push(json_object! {
+            "strategy": name,
+            "median_ms": seconds * 1e3,
+            "gflops": result.score,
+            "evaluations": result.evaluations,
+        });
+    };
+    time("exhaustive_uniform", &mut || {
+        search::ExhaustiveSearch::new()
+            .run(machine, apps, &objective)
+            .expect("exhaustive search")
     });
     if !smoke {
+        let wide = wide_mix();
         for threads in [2usize, 8] {
-            g.bench_function(format!("exhaustive_wide_{threads}t"), |b| {
-                let wide = wide_mix();
-                b.iter(|| {
-                    search::ExhaustiveSearch::new()
-                        .with_threads(threads)
-                        .run(black_box(&machine), black_box(&wide), black_box(&objective))
-                        .unwrap()
-                })
+            time(&format!("exhaustive_wide_{threads}t"), &mut || {
+                search::ExhaustiveSearch::new()
+                    .with_threads(threads)
+                    .run(machine, &wide, &objective)
+                    .expect("wide exhaustive search")
             });
         }
     }
-    g.bench_function("greedy", |b| {
-        b.iter(|| {
-            search::GreedySearch::new()
-                .run(black_box(&machine), black_box(&apps), black_box(&objective))
-                .unwrap()
-        })
+    time("greedy", &mut || {
+        search::GreedySearch::new()
+            .run(machine, apps, &objective)
+            .expect("greedy search")
     });
-    g.bench_function("hill_climb_1000", |b| {
-        b.iter(|| {
-            search::HillClimb::new()
-                .with_iterations(1000)
-                .run(black_box(&machine), black_box(&apps), black_box(&objective))
-                .unwrap()
-        })
+    time("hill_climb_1000", &mut || {
+        search::HillClimb::new()
+            .with_iterations(1000)
+            .run(machine, apps, &objective)
+            .expect("hill climb")
     });
-    g.bench_function("hill_climb_1000_legacy_oracle", |b| {
-        // The pre-delta baseline: every proposal pays a full solve through
-        // the boxed-closure oracle.
-        b.iter(|| {
-            let mut oracle = |a: &roofline_numa::ThreadAssignment| {
-                coop_alloc::score(&machine, &apps, a, &objective)
-            };
-            search::HillClimb::new()
-                .with_iterations(1000)
-                .run_with_oracle(black_box(&machine), apps.len(), &mut oracle)
-                .unwrap()
-        })
+    // The pre-delta baseline: every proposal pays a full solve through
+    // the boxed-closure oracle.
+    time("hill_climb_1000_legacy_oracle", &mut || {
+        let mut oracle =
+            |a: &roofline_numa::ThreadAssignment| coop_alloc::score(machine, apps, a, &objective);
+        search::HillClimb::new()
+            .with_iterations(1000)
+            .run_with_oracle(machine, apps.len(), &mut oracle)
+            .expect("legacy-oracle hill climb")
     });
-    g.finish();
-
-    // Quality anchor, printed once.
-    let ex = search::ExhaustiveSearch::new()
-        .run(&machine, &apps, &objective)
-        .unwrap();
-    let gr = search::GreedySearch::new()
-        .run(&machine, &apps, &objective)
-        .unwrap();
-    let hc = search::HillClimb::new()
-        .with_iterations(1000)
-        .run(&machine, &apps, &objective)
-        .unwrap();
-    println!(
-        "quality (GFLOPS / evaluations): exhaustive {:.1}/{}  greedy {:.1}/{}  hill-climb {:.1}/{}",
-        ex.score, ex.evaluations, gr.score, gr.evaluations, hc.score, hc.evaluations
-    );
-}
-
-/// Best-of-`repeats` wall time for one closure, in seconds.
-fn time_best<F: FnMut() -> search::SearchResult>(
-    repeats: usize,
-    mut f: F,
-) -> (f64, search::SearchResult) {
-    let mut best = f64::INFINITY;
-    let mut last = None;
-    for _ in 0..repeats.max(1) {
-        let t = Instant::now();
-        let r = f();
-        best = best.min(t.elapsed().as_secs_f64());
-        last = Some(r);
-    }
-    (best, last.expect("at least one repeat"))
+    Value::Array(rows)
 }
 
 /// Times the parallel exhaustive fan-out against the sequential scan of
 /// the same candidate space and checks bit-identical results across
 /// thread counts; also times a warm-cache rescan.
-fn exhaustive_report(machine: &Machine, smoke: bool) -> serde_json::Value {
+fn exhaustive_report(machine: &Machine, smoke: bool) -> Value {
     let apps = wide_mix();
     let objective = Objective::TotalGflops;
     let repeats = if smoke { 1 } else { 3 };
@@ -135,9 +106,9 @@ fn exhaustive_report(machine: &Machine, smoke: bool) -> serde_json::Value {
             .run(machine, &apps, &objective)
             .expect("exhaustive search over the wide mix")
     };
-    let (seq_s, seq) = time_best(repeats, || run(1));
-    let (par2_s, par2) = time_best(repeats, || run(2));
-    let (par8_s, par8) = time_best(repeats, || run(8));
+    let (seq_s, seq) = time_median(repeats, || run(1));
+    let (par2_s, par2) = time_median(repeats, || run(2));
+    let (par8_s, par8) = time_median(repeats, || run(8));
     let deterministic = seq.score == par2.score
         && seq.score == par8.score
         && seq.assignment == par2.assignment
@@ -157,10 +128,10 @@ fn exhaustive_report(machine: &Machine, smoke: bool) -> serde_json::Value {
             .run_cached(machine, &apps, &objective, Some(&cache))
             .expect("cached exhaustive search")
     };
-    let (_, cold) = time_best(1, || rescan(1));
-    let (cached_s, warm) = time_best(repeats, || rescan(1));
+    let (_, cold) = time_median(1, || rescan(1));
+    let (cached_s, warm) = time_median(repeats, || rescan(1));
     assert_eq!(cold.assignment, warm.assignment);
-    serde_json::json!({
+    json_object! {
         "candidates": seq.evaluations,
         "seq_ms": seq_s * 1e3,
         "par2_ms": par2_s * 1e3,
@@ -172,7 +143,7 @@ fn exhaustive_report(machine: &Machine, smoke: bool) -> serde_json::Value {
         "cache_hits_on_rescan": warm.counters.cache_hits,
         "deterministic_across_thread_counts": deterministic,
         "best_gflops": seq.score,
-    })
+    }
 }
 
 /// Measures the full-solve reduction that the delta+cache oracle buys a
@@ -183,7 +154,7 @@ fn local_search_report(
     apps: &[AppSpec],
     iterations: usize,
     anneal: bool,
-) -> serde_json::Value {
+) -> Value {
     let objective = Objective::TotalGflops;
     let legacy = {
         let mut oracle =
@@ -201,7 +172,7 @@ fn local_search_report(
         }
         .expect("legacy-oracle local search")
     };
-    let (model_s, model) = time_best(1, || {
+    let (model_s, model) = time_median(1, || {
         let base = search::ModelOracle::new(machine, apps, &objective).expect("model oracle");
         let cache = Arc::new(ScoreCache::new(base.fingerprint()));
         let mut oracle = base
@@ -224,7 +195,7 @@ fn local_search_report(
     // model oracle answers them with deltas and cache hits.
     let baseline_full = legacy.evaluations as u64;
     let reduction = baseline_full as f64 / model.counters.full_solves.max(1) as f64;
-    serde_json::json!({
+    json_object! {
         "iterations": iterations,
         "seconds": model_s,
         "baseline_full_solves": baseline_full,
@@ -234,11 +205,11 @@ fn local_search_report(
         "full_solve_reduction": reduction,
         "legacy_gflops": legacy.score,
         "model_gflops": model.score,
-    })
+    }
 }
 
 /// Races a multi-seed portfolio across threads as a cost/quality anchor.
-fn portfolio_report(machine: &Machine, apps: &[AppSpec], iterations: usize) -> serde_json::Value {
+fn portfolio_report(machine: &Machine, apps: &[AppSpec], iterations: usize) -> Value {
     let objective = Objective::TotalGflops;
     let portfolio = search::Portfolio::new()
         .with_seeds((0..8u64).collect())
@@ -248,14 +219,14 @@ fn portfolio_report(machine: &Machine, apps: &[AppSpec], iterations: usize) -> s
             .expect("model oracle")
             .fingerprint(),
     ));
-    let (secs, result) = time_best(1, || {
+    let (secs, result) = time_median(1, || {
         search::HillClimb::new()
             .with_iterations(iterations)
             .run_portfolio(machine, apps, &objective, &portfolio, Some(&cache))
             .expect("portfolio hill climb")
     });
     let stats = cache.stats();
-    serde_json::json!({
+    json_object! {
         "seeds": 8,
         "threads": 8,
         "iterations_per_seed": iterations,
@@ -264,35 +235,25 @@ fn portfolio_report(machine: &Machine, apps: &[AppSpec], iterations: usize) -> s
         "evaluations": result.evaluations,
         "cache_hits": stats.hits,
         "cache_inserts": stats.inserts,
-    })
+    }
 }
 
 fn write_report(smoke: bool) {
     let machine = paper_model_machine();
     let apps = model_mix();
     let iterations = if smoke { 300 } else { 3000 };
-    let report = serde_json::json!({
+    let report = json_object! {
         "bench": "alloc_search",
         "smoke": smoke,
+        "strategies": strategy_report(&machine, &apps, smoke),
         "exhaustive": exhaustive_report(&machine, smoke),
         "hill_climb": local_search_report(&machine, &apps, iterations, false),
         "annealing": local_search_report(&machine, &apps, iterations, true),
         "portfolio": portfolio_report(&machine, &apps, iterations),
-    });
-    let path = std::env::var("BENCH_ALLOC_SEARCH_JSON")
-        .unwrap_or_else(|_| "BENCH_alloc_search.json".to_string());
-    let body = serde_json::to_string_pretty(&report).expect("report serializes") + "\n";
-    match std::fs::write(&path, &body) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("cannot write {path}: {e}"),
-    }
-    println!("{body}");
+    };
+    write_bench_json("BENCH_ALLOC_SEARCH_JSON", "BENCH_alloc_search.json", report);
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--test");
-    let mut criterion = Criterion::default().configure_from_args();
-    bench_searches(&mut criterion, smoke);
-    criterion.final_summary();
-    write_report(smoke);
+    write_report(std::env::args().any(|a| a == "--test"));
 }

@@ -13,6 +13,8 @@
 //! complete one.
 
 use coop_bench::experiments::fleet;
+use coop_bench::report::write_bench_json;
+use coop_telemetry::json_object;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -71,21 +73,13 @@ fn main() {
         }
     }
 
-    let report = serde_json::json!({
+    let report = json_object! {
         "bench": "fleet",
         "smoke": smoke,
         "quantum_s": 1e-3,
-        "host_parallelism": host_parallelism,
         "sim_threads_cap": sim_threads_cap,
         "skipped_par_threads": skipped,
         "cells": cells,
-    });
-    let path =
-        std::env::var("BENCH_FLEET_JSON").unwrap_or_else(|_| "BENCH_fleet.json".to_string());
-    let body = serde_json::to_string_pretty(&report).expect("report serializes") + "\n";
-    match std::fs::write(&path, &body) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("cannot write {path}: {e}"),
-    }
-    println!("{body}");
+    };
+    write_bench_json("BENCH_FLEET_JSON", "BENCH_fleet.json", report);
 }

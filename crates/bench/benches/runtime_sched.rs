@@ -11,11 +11,12 @@
 //! * **chain** — a linear dependency chain; pure wakeup latency, one
 //!   ready task at a time.
 //! * **random DAG** — tasks depending on up to two of the last 64 finish
-//!   events (deterministic LCG); mixed subscription/fast-path traffic on
+//!   events (seeded); mixed subscription/fast-path traffic on
 //!   the sharded graph.
 //!
-//! Each shape runs on 1, 4 and 16 workers; the manual harness reports
-//! tasks/sec per cell to `BENCH_runtime_sched.json` (override the path via the
+//! Each shape runs on 1, 4 and 16 workers, each cell on a fresh runtime,
+//! timed with `Instant`; the median tasks/sec of the repeats goes to
+//! `BENCH_runtime_sched.json` (override the path via the
 //! `BENCH_RUNTIME_SCHED_JSON` environment variable). The JSON is also
 //! produced under `cargo bench -- --test` with shrunk sizes so CI can
 //! archive it from a smoke run.
@@ -30,8 +31,11 @@
 //! tracing feature when disabled is the flag check and nothing else; all
 //! per-hop event recording shows up only in the `tracing_on` column.
 
+use coop_alloc::rng::StdRng;
+use coop_bench::report::{median, write_bench_json};
 use coop_runtime::{Runtime, RuntimeConfig, TelemetryHub};
-use criterion::Criterion;
+use coop_telemetry::json::Value;
+use coop_telemetry::json_object;
 use numa_topology::{Machine, MachineBuilder};
 use std::sync::Arc;
 use std::time::Instant;
@@ -56,10 +60,6 @@ fn sweep_machines() -> Vec<(&'static str, Machine)> {
     ]
 }
 
-fn start(name: &str, m: &Machine) -> Runtime {
-    Runtime::start(RuntimeConfig::new(name, m.clone())).expect("runtime starts")
-}
-
 /// Telemetry attachment modes for the tracing overhead gate.
 #[derive(Clone, Copy)]
 enum Tracing {
@@ -79,32 +79,15 @@ impl Tracing {
             Tracing::On => "tracing_on",
         }
     }
-}
 
-fn start_mode(name: &str, m: &Machine, mode: Tracing) -> Runtime {
-    let mut cfg = RuntimeConfig::new(name, m.clone());
-    match mode {
-        Tracing::Baseline => {}
-        Tracing::Off => cfg = cfg.with_telemetry(Arc::new(TelemetryHub::new())),
-        Tracing::On => {
-            cfg = cfg
+    fn configure(self, cfg: RuntimeConfig) -> RuntimeConfig {
+        match self {
+            Tracing::Baseline => cfg,
+            Tracing::Off => cfg.with_telemetry(Arc::new(TelemetryHub::new())),
+            Tracing::On => cfg
                 .with_telemetry(Arc::new(TelemetryHub::new()))
-                .with_task_tracing();
+                .with_task_tracing(),
         }
-    }
-    Runtime::start(cfg).expect("runtime starts")
-}
-
-/// Deterministic LCG (MMIX constants) for the random-DAG shape.
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 11
     }
 }
 
@@ -149,10 +132,10 @@ fn run_chain(rt: &Runtime, len: usize) -> u64 {
 /// events, with occasional affinity hints and high priorities.
 fn run_random_dag(rt: &Runtime, count: usize, nodes: usize) -> u64 {
     const RING: usize = 64;
-    let mut rng = Lcg(0x0da6_0da6_0da6_0da6_u64);
+    let mut rng = StdRng::seed_from_u64(0x0da6_0da6_0da6_0da6);
     let mut recent: Vec<coop_runtime::Event> = Vec::with_capacity(RING);
     for i in 0..count {
-        let r = rng.next();
+        let r = rng.next_u64() >> 11;
         let mut b = rt.task(&format!("d{i}")).body(|_| {});
         if r % 3 == 0 {
             b = b.affinity(numa_topology::NodeId((r as usize >> 3) % nodes));
@@ -177,39 +160,24 @@ fn run_random_dag(rt: &Runtime, count: usize, nodes: usize) -> u64 {
     count as u64
 }
 
-/// Wall-clock one workload (spawn + drain) on a fresh runtime; best of
-/// `repeats`. Returns tasks/sec.
-fn measure(label: &str, m: &Machine, repeats: usize, run: impl Fn(&Runtime) -> u64) -> f64 {
-    let mut best = 0.0f64;
-    for rep in 0..repeats.max(1) {
-        let rt = start(&format!("{label}-{rep}"), m);
-        let t0 = Instant::now();
-        let tasks = run(&rt);
-        let rate = tasks as f64 / t0.elapsed().as_secs_f64();
-        rt.shutdown();
-        best = best.max(rate);
-    }
-    best
-}
-
-/// Like [`measure`], but under an explicit telemetry mode.
-fn measure_mode(
-    label: &str,
-    m: &Machine,
-    mode: Tracing,
+/// Wall-clocks one workload (spawn + drain) on a fresh runtime built by
+/// `config(repeat)`; the median tasks/sec of `repeats` runs.
+fn measure(
     repeats: usize,
+    config: impl Fn(usize) -> RuntimeConfig,
     run: impl Fn(&Runtime) -> u64,
 ) -> f64 {
-    let mut best = 0.0f64;
-    for rep in 0..repeats.max(1) {
-        let rt = start_mode(&format!("{label}-{rep}"), m, mode);
-        let t0 = Instant::now();
-        let tasks = run(&rt);
-        let rate = tasks as f64 / t0.elapsed().as_secs_f64();
-        rt.shutdown();
-        best = best.max(rate);
-    }
-    best
+    let mut rates: Vec<f64> = (0..repeats.max(1))
+        .map(|rep| {
+            let rt = Runtime::start(config(rep)).expect("runtime starts");
+            let t0 = Instant::now();
+            let tasks = run(&rt);
+            let rate = tasks as f64 / t0.elapsed().as_secs_f64();
+            rt.shutdown();
+            rate
+        })
+        .collect();
+    median(&mut rates)
 }
 
 /// The tracing overhead gate: fan-out/fan-in (densest per-task event
@@ -220,16 +188,17 @@ fn measure_mode(
 /// overhead-pct columns attribute the remaining deltas: off-vs-baseline
 /// is the hub's own (pre-existing) per-task accounting, on-vs-baseline
 /// is what causal tracing actually buys into.
-fn tracing_overhead_report(smoke: bool) -> serde_json::Value {
+fn tracing_overhead_report(smoke: bool) -> Value {
     let (rounds, width, repeats) = if smoke { (10, 50, 1) } else { (50, 400, 3) };
     let mut cells = Vec::new();
     for (workers, m) in sweep_machines() {
         let rate = |mode: Tracing| {
-            measure_mode(
-                &format!("trace-{}-{workers}w", mode.label()),
-                &m,
-                mode,
+            measure(
                 repeats,
+                |rep| {
+                    let name = format!("trace-{}-{workers}w-{rep}", mode.label());
+                    mode.configure(RuntimeConfig::new(&name, m.clone()))
+                },
                 |rt| run_fanout(rt, rounds, width),
             )
         };
@@ -243,21 +212,21 @@ fn tracing_overhead_report(smoke: bool) -> serde_json::Value {
              off {off:>12.0} t/s ({off_overhead_pct:+.1}%), \
              on {on:>12.0} t/s ({on_overhead_pct:+.1}%)"
         );
-        cells.push(serde_json::json!({
+        cells.push(json_object! {
             "workers": workers.parse::<u64>().expect("numeric label"),
             "baseline_tasks_per_sec": baseline,
             "tracing_off_tasks_per_sec": off,
             "tracing_on_tasks_per_sec": on,
             "tracing_off_overhead_pct": off_overhead_pct,
             "tracing_on_overhead_pct": on_overhead_pct,
-        }));
+        });
     }
-    serde_json::json!({
+    json_object! {
         "shape": "fanout_fanin",
         "scheduler": "work_stealing",
-        "workloads": { "rounds": rounds, "width": width },
+        "workloads": json_object! {"rounds": rounds, "width": width},
         "cells": cells,
-    })
+    }
 }
 
 /// The fuel-budget overhead gate: fan-out/fan-in on the work-stealing
@@ -267,25 +236,22 @@ fn tracing_overhead_report(smoke: bool) -> serde_json::Value {
 /// `budget_overhead_pct` column is the whole price of the preemption
 /// machinery for compliant tenants — the acceptance gate keeps it under
 /// a couple of percent.
-fn budget_overhead_report(smoke: bool) -> serde_json::Value {
+fn budget_overhead_report(smoke: bool) -> Value {
     let (rounds, width, repeats) = if smoke { (10, 50, 1) } else { (50, 400, 3) };
     let mut cells = Vec::new();
     for (workers, m) in sweep_machines() {
         let rate = |fuel: Option<u64>| {
-            let mut best = 0.0f64;
-            for rep in 0..repeats.max(1) {
-                let mut cfg = RuntimeConfig::new(&format!("budget-{workers}w-{rep}"), m.clone());
-                if let Some(units) = fuel {
-                    cfg = cfg.with_task_fuel(units);
-                }
-                let rt = Runtime::start(cfg).expect("runtime starts");
-                let t0 = Instant::now();
-                let tasks = run_fanout(&rt, rounds, width);
-                let r = tasks as f64 / t0.elapsed().as_secs_f64();
-                rt.shutdown();
-                best = best.max(r);
-            }
-            best
+            measure(
+                repeats,
+                |rep| {
+                    let cfg = RuntimeConfig::new(&format!("budget-{workers}w-{rep}"), m.clone());
+                    match fuel {
+                        Some(units) => cfg.with_task_fuel(units),
+                        None => cfg,
+                    }
+                },
+                |rt| run_fanout(rt, rounds, width),
+            )
         };
         let off = rate(None);
         let on = rate(Some(128));
@@ -294,23 +260,23 @@ fn budget_overhead_report(smoke: bool) -> serde_json::Value {
             "   budget gate @ {workers:>2} workers: off {off:>12.0} t/s, \
              on {on:>12.0} t/s ({budget_overhead_pct:+.1}%)"
         );
-        cells.push(serde_json::json!({
+        cells.push(json_object! {
             "workers": workers.parse::<u64>().expect("numeric label"),
             "budgets_off_tasks_per_sec": off,
             "budgets_on_tasks_per_sec": on,
             "budget_overhead_pct": budget_overhead_pct,
-        }));
+        });
     }
-    serde_json::json!({
+    json_object! {
         "shape": "fanout_fanin",
         "scheduler": "work_stealing",
         "task_fuel": 128,
-        "workloads": { "rounds": rounds, "width": width },
+        "workloads": json_object! {"rounds": rounds, "width": width},
         "cells": cells,
-    })
+    }
 }
 
-fn scheduler_report(smoke: bool) -> serde_json::Value {
+fn scheduler_report(smoke: bool) -> Value {
     let (rounds, width, chain_len, dag_tasks, repeats) = if smoke {
         (10, 50, 500, 2_000, 1)
     } else {
@@ -334,57 +300,38 @@ fn scheduler_report(smoke: bool) -> serde_json::Value {
             ),
         ];
         for (shape, run) in shapes {
-            let rate = measure(&format!("ws-{shape}-{workers}w"), &m, repeats, &run);
+            let rate = measure(
+                repeats,
+                |rep| RuntimeConfig::new(&format!("ws-{shape}-{workers}w-{rep}"), m.clone()),
+                &run,
+            );
             println!("{shape:>13} @ {workers:>2} workers: {rate:>12.0} t/s");
-            cells.push(serde_json::json!({
+            cells.push(json_object! {
                 "shape": shape,
                 "workers": workers.parse::<u64>().expect("numeric label"),
                 "work_stealing_tasks_per_sec": rate,
-            }));
+            });
         }
     }
-    serde_json::json!({
+    json_object! {
         "bench": "runtime_sched",
         "smoke": smoke,
-        "workloads": {
-            "fanout_fanin": { "rounds": rounds, "width": width },
-            "chain": { "len": chain_len },
-            "random_dag": { "tasks": dag_tasks },
+        "workloads": json_object! {
+            "fanout_fanin": json_object! {"rounds": rounds, "width": width},
+            "chain": json_object! {"len": chain_len},
+            "random_dag": json_object! {"tasks": dag_tasks},
         },
         "cells": cells,
         "tracing": tracing_overhead_report(smoke),
         "budget": budget_overhead_report(smoke),
-    })
-}
-
-fn bench_schedulers(c: &mut Criterion, smoke: bool) {
-    let m = machine(2, 2);
-    let (rounds, width) = if smoke { (5, 20) } else { (20, 100) };
-    let mut g = c.benchmark_group("runtime_sched");
-    g.sample_size(10);
-    g.bench_function("fanout_work_stealing", |b| {
-        b.iter_with_large_drop(|| {
-            let rt = start("fanout_work_stealing", &m);
-            run_fanout(&rt, rounds, width);
-            rt.shutdown();
-            rt
-        })
-    });
-    g.finish();
+    }
 }
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--test");
-    let mut criterion = Criterion::default().configure_from_args();
-    bench_schedulers(&mut criterion, smoke);
-    criterion.final_summary();
-    let report = scheduler_report(smoke);
-    let path = std::env::var("BENCH_RUNTIME_SCHED_JSON")
-        .unwrap_or_else(|_| "BENCH_runtime_sched.json".to_string());
-    let body = serde_json::to_string_pretty(&report).expect("report serializes") + "\n";
-    match std::fs::write(&path, &body) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("cannot write {path}: {e}"),
-    }
-    println!("{body}");
+    write_bench_json(
+        "BENCH_RUNTIME_SCHED_JSON",
+        "BENCH_runtime_sched.json",
+        scheduler_report(smoke),
+    );
 }

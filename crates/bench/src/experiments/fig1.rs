@@ -149,8 +149,10 @@ mod tests {
 
     fn fast_config() -> Fig1Config {
         let mut c = Fig1Config::new(tiny());
+        // Half the iterations, full-weight tasks: with lighter tasks the
+        // producer is done before a 500 us agent tick can land on a busy
+        // 2-CPU host, and about one run in twenty misses the bound below.
         c.pipeline.iterations = 30;
-        c.pipeline.work_per_task = 60_000;
         c
     }
 

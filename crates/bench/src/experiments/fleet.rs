@@ -19,13 +19,13 @@
 //! and events/sec, and cross-checks that both engines bank the same work
 //! (ideal effects, so the comparison is exact up to float accumulation).
 
+use coop_telemetry::json_write;
 use memsim::{
     run_chaos_scenario_on, run_chaos_scenario_threaded, ActivityPattern, AppOutage, ChaosPlan,
     EffectModel, EngineKind, Scenario, SimApp, SimConfig, Simulation,
 };
 use numa_topology::{Machine, MachineBuilder};
 use roofline_numa::ThreadAssignment;
-use serde::Serialize;
 use std::time::Instant;
 
 /// The slice engine's quantum; every scenario edge below is snapped onto
@@ -44,7 +44,7 @@ fn snap(t_s: f64) -> f64 {
 
 /// One point of the sweep: how many tenant runtimes over how many nodes,
 /// simulated for how long.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetScale {
     /// Number of tenant runtimes (one simulated thread each).
     pub runtimes: usize,
@@ -109,7 +109,7 @@ impl FleetScenario {
 }
 
 /// One measured cell of the sweep (a row of `BENCH_fleet.json`).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FleetCell {
     /// Scenario family name.
     pub scenario: String,
@@ -155,6 +155,10 @@ pub struct FleetCell {
     /// Relative difference in total banked GFLOP between the engines.
     pub gflops_rel_err: f64,
 }
+
+json_write!(FleetCell: scenario, runtimes, nodes, duration_s, slice_ms, event_ms, speedup,
+    par2_ms, par8_ms, par2_speedup, par8_speedup, par2_events_per_sec, par8_events_per_sec,
+    par_gflops_rel_err, events, segments, events_per_sec, gflops_rel_err);
 
 /// The symmetric fleet machine for a sweep point: enough cores per node to
 /// host the tenant population without over-subscription.

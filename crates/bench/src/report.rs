@@ -1,10 +1,12 @@
 //! Formatting and recording helpers shared by the experiment binaries.
 
-use serde::Serialize;
+use coop_telemetry::json::{ToJson, Value};
+use coop_telemetry::json_write;
 use std::fmt::Write as _;
+use std::time::Instant;
 
 /// One paper-vs-measured comparison row.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Row {
     /// Scenario label.
     pub label: String,
@@ -40,7 +42,7 @@ impl Row {
 }
 
 /// A titled block of comparison rows, printable and serializable.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     /// Experiment title (e.g. "Table III").
     pub title: String,
@@ -76,8 +78,44 @@ impl Table {
 
     /// Serializes to pretty JSON (for `EXPERIMENTS.md` regeneration).
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("table serialization cannot fail")
+        self.to_value().write_pretty()
     }
+}
+
+json_write!(Row: label, paper, measured);
+json_write!(Table: title, unit, rows);
+
+/// The median of `samples` (NaN when empty).
+pub fn median(samples: &mut [f64]) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples.get(samples.len() / 2).copied().unwrap_or(f64::NAN)
+}
+
+/// Runs `f` `samples` times (at least once); returns the median wall time
+/// in seconds and the last result.
+pub fn time_median<T>(samples: usize, mut f: impl FnMut() -> T) -> (f64, T) {
+    let mut seconds = Vec::with_capacity(samples.max(1));
+    let mut last = None;
+    for _ in 0..samples.max(1) {
+        let start = Instant::now();
+        last = Some(std::hint::black_box(f()));
+        seconds.push(start.elapsed().as_secs_f64());
+    }
+    (median(&mut seconds), last.expect("at least one sample ran"))
+}
+
+/// Writes a bench report, with the host's parallelism recorded, to the
+/// path in `$env_var` (default `default_path`) and prints it.
+pub fn write_bench_json(env_var: &str, default_path: &str, mut report: Value) {
+    let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
+    report.insert("host_parallelism", parallelism.to_value());
+    let path = std::env::var(env_var).unwrap_or_else(|_| default_path.to_string());
+    let body = report.write_pretty() + "\n";
+    match std::fs::write(&path, &body) {
+        Ok(()) => println!("wrote {path}"),
+        Err(e) => eprintln!("cannot write {path}: {e}"),
+    }
+    println!("{body}");
 }
 
 impl std::fmt::Display for Table {

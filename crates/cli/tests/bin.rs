@@ -65,6 +65,6 @@ fn binary_json_output_parses() {
         .output()
         .expect("binary runs");
     assert!(out.status.success());
-    let v: serde_json::Value = serde_json::from_slice(&out.stdout).unwrap();
+    let v = coop_telemetry::json::parse_bytes(&out.stdout).unwrap();
     assert!(v["score_gflops"].as_f64().unwrap() > 0.0);
 }

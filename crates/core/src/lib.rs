@@ -25,6 +25,10 @@
 //! * [`cache`] — a memoized score store shared across strategies and agent
 //!   ticks, keyed by the canonical assignment matrix and fingerprinted to
 //!   one solving context. See `docs/performance.md` for the cost model.
+//! * [`rng`] and [`cases`] — the workspace's one seeded random stream and
+//!   the seeded case runner its property tests run on (std only; this is
+//!   the lowest crate the search, both simulators and the workload
+//!   generator share).
 //!
 //! ## Example: search beats the naive fair share
 //!
@@ -50,10 +54,12 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+pub mod cases;
 pub mod enumerate;
 mod error;
 mod objective;
 pub mod pareto;
+pub mod rng;
 pub mod search;
 pub mod stability;
 pub mod strategies;

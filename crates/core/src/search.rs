@@ -38,13 +38,12 @@
 //! much real solver work a search performed versus how many candidates it
 //! evaluated.
 //!
-//! The `alloc_search` Criterion bench compares cost and quality.
+//! The `alloc_search` bench compares cost and quality.
 
 use crate::cache::ScoreCache;
+use crate::rng::StdRng;
 use crate::{enumerate, strategies, AllocError, Objective, Result};
 use numa_topology::{Machine, NodeId};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use roofline_numa::{
     solve_gflops, AppSpec, DeltaSolver, SolveOptions, SolveScratch, ThreadAssignment,
 };

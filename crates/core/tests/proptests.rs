@@ -1,9 +1,12 @@
-//! Property-based tests for allocation strategies and searches.
+//! Property tests for allocation strategies and searches, on the seeded
+//! case runner.
 
+use coop_alloc::cases::check;
 use coop_alloc::{enumerate, score, search, strategies, Objective};
 use numa_topology::MachineBuilder;
-use proptest::prelude::*;
 use roofline_numa::AppSpec;
+
+const CASES: usize = 256;
 
 fn machine(nodes: usize, cores: usize) -> numa_topology::Machine {
     MachineBuilder::new()
@@ -15,45 +18,46 @@ fn machine(nodes: usize, cores: usize) -> numa_topology::Machine {
         .unwrap()
 }
 
-proptest! {
-    /// Fair share always allocates every core of every node exactly once
-    /// when apps <= cores, and never over-subscribes.
-    #[test]
-    fn fair_share_uses_all_cores(nodes in 1usize..5, cores in 1usize..17, apps in 1usize..6) {
+/// Fair share always allocates every core of every node exactly once
+/// when apps <= cores, and never over-subscribes.
+#[test]
+fn fair_share_uses_all_cores() {
+    check(1, CASES, |g| {
+        let (nodes, cores, apps) = (g.range(1..5usize), g.range(1..17usize), g.range(1..6usize));
         let m = machine(nodes, cores);
         let a = strategies::fair_share(&m, apps).unwrap();
-        prop_assert!(a.validate(&m).is_ok());
+        assert!(a.validate(&m).is_ok());
         for node in m.node_ids() {
-            prop_assert_eq!(a.node_total(node), cores);
+            assert_eq!(a.node_total(node), cores);
         }
         // No app is more than one remainder-round ahead of another per node.
         for node in m.node_ids() {
             let counts: Vec<usize> = (0..apps).map(|x| a.get(x, node)).collect();
             let spread = counts.iter().max().unwrap() - counts.iter().min().unwrap();
-            prop_assert!(spread <= 1);
+            assert!(spread <= 1);
         }
-    }
+    });
+}
 
-    /// Proportional apportionment hands out every core and respects
-    /// monotonicity in weights per node.
-    #[test]
-    fn proportional_is_complete_and_ordered(
-        nodes in 1usize..4,
-        cores in 1usize..17,
-        w in proptest::collection::vec(0.01f64..10.0, 2..5),
-    ) {
+/// Proportional apportionment hands out every core and respects
+/// monotonicity in weights per node.
+#[test]
+fn proportional_is_complete_and_ordered() {
+    check(2, CASES, |g| {
+        let (nodes, cores) = (g.range(1..4usize), g.range(1..17usize));
+        let w = g.vec(2..5, |g| g.range(0.01..10.0));
         let m = machine(nodes, cores);
         let a = strategies::proportional(&m, &w).unwrap();
-        prop_assert!(a.validate(&m).is_ok());
+        assert!(a.validate(&m).is_ok());
         for node in m.node_ids() {
-            prop_assert_eq!(a.node_total(node), cores);
+            assert_eq!(a.node_total(node), cores);
         }
         // If weight[i] >= weight[j], app i's machine-wide total is at least
         // app j's minus the rounding slack (one core per node).
         for i in 0..w.len() {
             for j in 0..w.len() {
                 if w[i] >= w[j] {
-                    prop_assert!(
+                    assert!(
                         a.app_total(i) + nodes >= a.app_total(j),
                         "weights {:?} totals {:?}",
                         &w,
@@ -62,16 +66,16 @@ proptest! {
                 }
             }
         }
-    }
+    });
+}
 
-    /// Greedy never produces an invalid assignment and never scores below
-    /// the empty assignment.
-    #[test]
-    fn greedy_is_sound(
-        nodes in 1usize..4,
-        cores in 1usize..7,
-        ais in proptest::collection::vec(0.05f64..32.0, 1..4),
-    ) {
+/// Greedy never produces an invalid assignment and never scores below
+/// the empty assignment.
+#[test]
+fn greedy_is_sound() {
+    check(3, CASES, |g| {
+        let (nodes, cores) = (g.range(1..4usize), g.range(1..7usize));
+        let ais = g.vec(1..4, |g| g.range(0.05..32.0));
         let m = machine(nodes, cores);
         let apps: Vec<AppSpec> = ais
             .iter()
@@ -81,23 +85,20 @@ proptest! {
         let g = search::GreedySearch::new()
             .run(&m, &apps, &Objective::TotalGflops)
             .unwrap();
-        prop_assert!(g.assignment.validate(&m).is_ok());
-        prop_assert!(g.score >= 0.0);
-    }
+        assert!(g.assignment.validate(&m).is_ok());
+        assert!(g.score >= 0.0);
+    });
+}
 
-    /// Exhaustive uniform search is at least as good as any named strategy
-    /// that produces a uniform allocation.
-    #[test]
-    fn exhaustive_uniform_dominates_named_uniform_strategies(
-        cores in 1usize..9,
-        ai1 in 0.05f64..32.0,
-        ai2 in 0.05f64..32.0,
-    ) {
+/// Exhaustive uniform search is at least as good as any named strategy
+/// that produces a uniform allocation.
+#[test]
+fn exhaustive_uniform_dominates_named_uniform_strategies() {
+    check(4, CASES, |g| {
+        let cores = g.range(1..9usize);
+        let (ai1, ai2) = (g.range(0.05..32.0), g.range(0.05..32.0));
         let m = machine(2, cores);
-        let apps = vec![
-            AppSpec::numa_local("a", ai1),
-            AppSpec::numa_local("b", ai2),
-        ];
+        let apps = vec![AppSpec::numa_local("a", ai1), AppSpec::numa_local("b", ai2)];
         let best = search::ExhaustiveSearch::new()
             .run(&m, &apps, &Objective::TotalGflops)
             .unwrap();
@@ -105,23 +106,20 @@ proptest! {
         if k > 0 {
             let even = strategies::uniform_per_node(&m, &[k, k]).unwrap();
             let s = score(&m, &apps, &even, &Objective::TotalGflops).unwrap();
-            prop_assert!(best.score >= s - 1e-9);
+            assert!(best.score >= s - 1e-9);
         }
-    }
+    });
+}
 
-    /// Hill climbing never returns something worse than its fair-share
-    /// starting point.
-    #[test]
-    fn hill_climb_never_regresses(
-        seed in 0u64..1000,
-        ai1 in 0.05f64..32.0,
-        ai2 in 0.05f64..32.0,
-    ) {
+/// Hill climbing never returns something worse than its fair-share
+/// starting point.
+#[test]
+fn hill_climb_never_regresses() {
+    check(5, CASES, |g| {
+        let seed = g.range(0..1000u64);
+        let (ai1, ai2) = (g.range(0.05..32.0), g.range(0.05..32.0));
         let m = machine(2, 4);
-        let apps = vec![
-            AppSpec::numa_local("a", ai1),
-            AppSpec::numa_local("b", ai2),
-        ];
+        let apps = vec![AppSpec::numa_local("a", ai1), AppSpec::numa_local("b", ai2)];
         let start = strategies::fair_share(&m, 2).unwrap();
         let s0 = score(&m, &apps, &start, &Objective::TotalGflops).unwrap();
         let h = search::HillClimb::new()
@@ -129,18 +127,19 @@ proptest! {
             .with_seed(seed)
             .run(&m, &apps, &Objective::TotalGflops)
             .unwrap();
-        prop_assert!(h.score >= s0 - 1e-9);
-        prop_assert!(h.assignment.validate(&m).is_ok());
-    }
+        assert!(h.score >= s0 - 1e-9);
+        assert!(h.assignment.validate(&m).is_ok());
+    });
+}
 
-    /// A delta-scored local move agrees with a from-scratch solve of the
-    /// moved-to assignment, for random separable (all-local) contexts.
-    #[test]
-    fn delta_move_scores_match_full_solves(
-        cores in 2usize..7,
-        ais in proptest::collection::vec(0.05f64..32.0, 2..4),
-        seed in 0u64..1000,
-    ) {
+/// A delta-scored local move agrees with a from-scratch solve of the
+/// moved-to assignment, for random separable (all-local) contexts.
+#[test]
+fn delta_move_scores_match_full_solves() {
+    check(6, CASES, |g| {
+        let cores = g.range(2..7usize);
+        let ais = g.vec(2..4, |g| g.range(0.05..32.0));
+        let seed = g.range(0..1000u64);
         let m = machine(2, cores);
         let apps: Vec<AppSpec> = ais
             .iter()
@@ -164,11 +163,11 @@ proptest! {
 
         let delta = oracle.score_move(&candidate, &[node]).unwrap();
         let full = score(&m, &apps, &candidate, &objective).unwrap();
-        prop_assert!(
+        assert!(
             (delta - full).abs() <= 1e-9 * full.abs().max(1.0),
             "delta {delta} vs full {full}"
         );
-        prop_assert!(oracle.counters().delta_solves >= 1);
+        assert!(oracle.counters().delta_solves >= 1);
 
         // After accepting, a move touching two node columns at once must
         // also match a from-scratch solve.
@@ -185,21 +184,24 @@ proptest! {
         oracle.accept(&candidate, &[node]).unwrap();
         let delta2 = oracle.score_move(&second, &[node, other]).unwrap();
         let full2 = score(&m, &apps, &second, &objective).unwrap();
-        prop_assert!(
+        assert!(
             (delta2 - full2).abs() <= 1e-9 * full2.abs().max(1.0),
             "two-column delta {delta2} vs full {full2}"
         );
-    }
+    });
+}
 
-    /// Enumeration counts match the actual number of yielded items.
-    #[test]
-    fn enumeration_counts_are_exact(cores in 1usize..5, apps in 1usize..4) {
+/// Enumeration counts match the actual number of yielded items.
+#[test]
+fn enumeration_counts_are_exact() {
+    check(7, CASES, |g| {
+        let (cores, apps) = (g.range(1..5usize), g.range(1..4usize));
         let m = machine(2, cores);
         let n_full = enumerate::count_assignments(&m, apps);
         let actual = enumerate::assignments(&m, apps).count();
-        prop_assert_eq!(n_full, actual as u128);
+        assert_eq!(n_full, actual as u128);
         let n_uni = enumerate::count_uniform_assignments(&m, apps);
         let actual_uni = enumerate::uniform_assignments(&m, apps).count();
-        prop_assert_eq!(n_uni, actual_uni as u128);
-    }
+        assert_eq!(n_uni, actual_uni as u128);
+    });
 }

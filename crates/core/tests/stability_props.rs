@@ -1,14 +1,12 @@
-//! Property-based tests for the stability planner and switching cost.
+//! Property tests for the stability planner and switching cost, on the
+//! seeded case runner.
 
+use coop_alloc::cases::{check, Gen};
 use coop_alloc::{switching_cost, Objective, ReallocPlanner, ThreadAssignment};
-use numa_coop_test_support::*;
-use proptest::prelude::*;
+use numa_topology::MachineBuilder;
+use roofline_numa::AppSpec;
 
-// Minimal local support shims (this test file is self-contained).
-mod numa_coop_test_support {
-    pub use numa_topology::MachineBuilder;
-    pub use roofline_numa::AppSpec;
-}
+const CASES: usize = 48;
 
 fn machine(nodes: usize, cores: usize) -> numa_topology::Machine {
     MachineBuilder::new()
@@ -20,83 +18,76 @@ fn machine(nodes: usize, cores: usize) -> numa_topology::Machine {
         .unwrap()
 }
 
-fn arb_assignment(
-    nodes: usize,
-    cores: usize,
-    apps: usize,
-) -> impl Strategy<Value = Vec<Vec<usize>>> {
-    proptest::collection::vec(
-        proptest::collection::vec(0usize..=cores, nodes..=nodes),
-        apps..=apps,
-    )
-    .prop_map(move |mut m| {
-        // Clamp per-node totals to capacity.
-        for node in 0..nodes {
-            loop {
-                let total: usize = m.iter().map(|r| r[node]).sum();
-                if total <= cores {
-                    break;
-                }
-                let idx = (0..m.len()).max_by_key(|&a| m[a][node]).unwrap();
-                m[idx][node] -= 1;
+fn arb_assignment(g: &mut Gen, nodes: usize, cores: usize, apps: usize) -> Vec<Vec<usize>> {
+    let mut m: Vec<Vec<usize>> = (0..apps)
+        .map(|_| (0..nodes).map(|_| g.range(0..=cores)).collect())
+        .collect();
+    // Clamp per-node totals to capacity.
+    for node in 0..nodes {
+        loop {
+            let total: usize = m.iter().map(|r| r[node]).sum();
+            if total <= cores {
+                break;
             }
+            let idx = (0..m.len()).max_by_key(|&a| m[a][node]).unwrap();
+            m[idx][node] -= 1;
         }
-        m
-    })
+    }
+    m
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Switching cost is a quasi-metric: zero iff equal shape+counts,
-    /// symmetric for equal-total assignments, and satisfies the triangle
-    /// inequality.
-    #[test]
-    fn switching_cost_is_sane(
-        a in arb_assignment(3, 4, 2),
-        b in arb_assignment(3, 4, 2),
-        c in arb_assignment(3, 4, 2),
-    ) {
+/// Switching cost is a quasi-metric: zero iff equal shape+counts,
+/// symmetric for equal-total assignments, and satisfies the triangle
+/// inequality.
+#[test]
+fn switching_cost_is_sane() {
+    check(1, CASES, |g| {
+        let a = arb_assignment(g, 3, 4, 2);
+        let b = arb_assignment(g, 3, 4, 2);
+        let c = arb_assignment(g, 3, 4, 2);
         let ta = ThreadAssignment::from_matrix(a);
         let tb = ThreadAssignment::from_matrix(b);
         let tc = ThreadAssignment::from_matrix(c);
-        prop_assert_eq!(switching_cost(&ta, &ta), 0);
+        assert_eq!(switching_cost(&ta, &ta), 0);
         // Triangle inequality: going a->c directly never costs more than
         // a->b->c (arrivals compose).
-        prop_assert!(
-            switching_cost(&ta, &tc)
-                <= switching_cost(&ta, &tb) + switching_cost(&tb, &tc),
+        assert!(
+            switching_cost(&ta, &tc) <= switching_cost(&ta, &tb) + switching_cost(&tb, &tc),
             "triangle violated"
         );
         // Cost counts arrivals only: bounded by the target's total.
-        prop_assert!(switching_cost(&ta, &tb) <= tb.total());
-    }
+        assert!(switching_cost(&ta, &tb) <= tb.total());
+    });
+}
 
-    /// The planner never proposes a raw-objective regression, and its
-    /// penalized gain is always non-negative (staying put is a candidate).
-    #[test]
-    fn planner_never_regresses(
-        start in arb_assignment(2, 4, 2),
-        ai1 in 0.05f64..16.0,
-        ai2 in 0.05f64..16.0,
-        penalty in 0.0f64..5.0,
-    ) {
+/// The planner never proposes a raw-objective regression, and its
+/// penalized gain is always non-negative (staying put is a candidate).
+#[test]
+fn planner_never_regresses() {
+    check(2, CASES, |g| {
+        let start = arb_assignment(g, 2, 4, 2);
+        let (ai1, ai2) = (g.range(0.05..16.0), g.range(0.05..16.0));
+        let penalty = g.range(0.0..5.0);
         let m = machine(2, 4);
-        let apps = vec![
-            AppSpec::numa_local("a", ai1),
-            AppSpec::numa_local("b", ai2),
-        ];
+        let apps = vec![AppSpec::numa_local("a", ai1), AppSpec::numa_local("b", ai2)];
         let current = ThreadAssignment::from_matrix(start);
-        prop_assume!(current.validate(&m).is_ok());
+        assert!(
+            current.validate(&m).is_ok(),
+            "arb_assignment clamps to capacity"
+        );
         let plan = ReallocPlanner::new(Objective::TotalGflops, penalty)
             .plan(&m, &apps, &current)
             .unwrap();
-        prop_assert!(plan.objective_value >= plan.current_value - 1e-9,
-            "raw objective regressed: {} -> {}", plan.current_value, plan.objective_value);
+        assert!(
+            plan.objective_value >= plan.current_value - 1e-9,
+            "raw objective regressed: {} -> {}",
+            plan.current_value,
+            plan.objective_value
+        );
         // Penalized improvement is what the planner maximized; the chosen
         // plan must beat (or tie) staying put under the penalty.
         let penalized_gain = plan.gain() - penalty * plan.moved_threads as f64;
-        prop_assert!(penalized_gain >= -1e-9, "penalized gain {penalized_gain}");
-        prop_assert!(plan.assignment.validate(&m).is_ok());
-    }
+        assert!(penalized_gain >= -1e-9, "penalized gain {penalized_gain}");
+        assert!(plan.assignment.validate(&m).is_ok());
+    });
 }

@@ -43,13 +43,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use coop_alloc::rng::StdRng;
+use coop_telemetry::json_struct;
 use memsim::Component as _;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A cluster of compute nodes (MPI ranks, one per node).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cluster {
     /// Base execution rate of each rank, work units per second, before any
     /// local speedup.
@@ -95,7 +94,7 @@ impl Cluster {
 }
 
 /// How work units are assigned to ranks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Distribution {
     /// Pre-partitioned evenly by unit index (the usual static MPI
     /// decomposition).
@@ -106,7 +105,7 @@ pub enum Distribution {
 }
 
 /// How ranks synchronize.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Synchronization {
     /// A barrier after every iteration; each iteration contains
     /// `units / iterations` units.
@@ -116,7 +115,7 @@ pub enum Synchronization {
 }
 
 /// A distributed workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     /// Total number of work units.
     pub units: usize,
@@ -183,7 +182,7 @@ impl Workload {
 }
 
 /// Result of a distributed simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DistReport {
     /// Wall-clock makespan, seconds.
     pub makespan_s: f64,
@@ -201,6 +200,9 @@ pub struct DistReport {
     /// Per-rank busy time, seconds (for load-balance inspection).
     pub rank_busy_s: Vec<f64>,
 }
+
+json_struct!(DistReport: makespan_s, baseline_s, speedup_vs_uniform, mean_local_speedup,
+    translation_efficiency, rank_busy_s);
 
 /// Simulates the workload on the cluster. Deterministic per `seed` (the
 /// seed only matters when `unit_cv > 0`).
@@ -289,6 +291,7 @@ impl memsim::Component for RankComponent {
 }
 
 /// Returns (makespan, per-rank busy time).
+#[cfg(test)]
 fn run(cluster: &Cluster, workload: &Workload, seed: u64, force_uniform: bool) -> (f64, Vec<f64>) {
     run_on(
         cluster,
@@ -399,7 +402,10 @@ fn run_on(
                             .map(|r| RankComponent {
                                 rate: rate(r),
                                 clock_s: 0.0,
-                                busy_s: 0.0,
+                                // Carried across iterations, so busy time
+                                // sums unit by unit as the slice path does
+                                // (a per-iteration subtotal rounds apart).
+                                busy_s: busy[r],
                             })
                             .collect();
                         let mut heaps: Vec<memsim::EventHeap> = (0..shard_count)
@@ -423,7 +429,7 @@ fn run_on(
                             heaps[s].schedule_component(id, &*c);
                         }
                         for (r, c) in comps.iter().enumerate() {
-                            busy[r] += c.busy_s;
+                            busy[r] = c.busy_s;
                         }
                         comps.iter().fold(0.0f64, |m, c| m.max(c.clock_s))
                     }
@@ -627,12 +633,13 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip() {
+    fn json_roundtrip() {
+        use coop_telemetry::json::{self, FromJson, ToJson};
         let c = one_fast_cluster(2, 1.2);
         let w = Workload::new(10, 1.0);
         let r = simulate(&c, &w, 0);
-        let json = serde_json::to_string(&r).unwrap();
-        let back: DistReport = serde_json::from_str(&json).unwrap();
+        let json = r.to_value().write();
+        let back = DistReport::from_value(&json::parse(&json).unwrap()).unwrap();
         assert_eq!(back, r);
     }
 }

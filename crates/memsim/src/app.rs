@@ -1,16 +1,17 @@
 //! Simulated application descriptions.
 
 use crate::event::s_to_tick;
+use coop_telemetry::json::{self, FromJson, ToJson, Value};
+use coop_telemetry::{json_object, json_struct};
 use numa_topology::NodeId;
 use roofline_numa::{AppSpec, DataPlacement};
-use serde::{Deserialize, Serialize};
 
 /// When an application is actively computing.
 ///
 /// The paper's tighter-integration scenarios (§II) involve applications
 /// whose demand varies over time — a "library" application that only works
 /// when called, or a producer that stalls when it runs too far ahead.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ActivityPattern {
     /// Computing for the whole simulation.
     AlwaysOn,
@@ -31,6 +32,46 @@ pub enum ActivityPattern {
         /// Activity end, seconds.
         end_s: f64,
     },
+}
+
+/// `"AlwaysOn"`, `{"Bursts": {period_s, duty, phase_s}}` or
+/// `{"Window": {start_s, end_s}}`.
+impl ToJson for ActivityPattern {
+    fn to_value(&self) -> Value {
+        match *self {
+            ActivityPattern::AlwaysOn => "AlwaysOn".to_value(),
+            ActivityPattern::Bursts {
+                period_s,
+                duty,
+                phase_s,
+            } => json_object! {
+                "Bursts": json_object! {"period_s": period_s, "duty": duty, "phase_s": phase_s},
+            },
+            ActivityPattern::Window { start_s, end_s } => json_object! {
+                "Window": json_object! {"start_s": start_s, "end_s": end_s},
+            },
+        }
+    }
+}
+
+impl FromJson for ActivityPattern {
+    fn from_value(v: &Value) -> json::Result<Self> {
+        match (v.as_str(), v.as_object()) {
+            (Some("AlwaysOn"), _) => Ok(ActivityPattern::AlwaysOn),
+            (_, Some([(tag, body)])) if tag == "Bursts" => Ok(ActivityPattern::Bursts {
+                period_s: body.field("period_s")?,
+                duty: body.field("duty")?,
+                phase_s: body.field("phase_s")?,
+            }),
+            (_, Some([(tag, body)])) if tag == "Window" => Ok(ActivityPattern::Window {
+                start_s: body.field("start_s")?,
+                end_s: body.field("end_s")?,
+            }),
+            _ => Err(json::Error::new(
+                "expected \"AlwaysOn\", {\"Bursts\": {..}} or {\"Window\": {..}}",
+            )),
+        }
+    }
 }
 
 impl ActivityPattern {
@@ -144,7 +185,7 @@ impl ActivityPattern {
 
 /// An application as the simulator sees it: the model-level spec plus
 /// simulator-only behaviour (activity pattern, synchronization scaling).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimApp {
     /// Arithmetic intensity and data placement (shared with the model).
     pub spec: AppSpec,
@@ -157,6 +198,8 @@ pub struct SimApp {
     /// of §II without making more threads outright harmful.
     pub sync_overhead: f64,
 }
+
+json_struct!(SimApp: spec, activity, sync_overhead);
 
 impl SimApp {
     /// A NUMA-perfect application (threads touch only local memory).

@@ -1,12 +1,12 @@
 //! Simulator configuration and the second-order effect model.
 
+use coop_telemetry::json_struct;
 use numa_topology::Machine;
-use serde::{Deserialize, Serialize};
 
 /// The knobs that make `memsim` behave like hardware instead of like the
 /// analytic model. All effects are multiplicative on bandwidth or compute
 /// throughput; see the crate docs for what each one represents.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EffectModel {
     /// Coefficient of variation of per-thread, per-quantum multiplicative
     /// noise (0 = deterministic). Mean-preserving uniform noise.
@@ -43,6 +43,10 @@ pub struct EffectModel {
     /// the discrete mode exposes per-quantum burstiness.
     pub discrete_timeslice: bool,
 }
+
+json_struct!(EffectModel: jitter, remote_efficiency, saturation_knee, saturation_loss,
+    multi_app_interference, remote_service_overhead, oversub_switch_loss, allow_oversubscription,
+    discrete_timeslice);
 
 impl EffectModel {
     /// No second-order effects: the simulator converges to the analytic
@@ -96,8 +100,7 @@ impl Default for EffectModel {
 /// segment and integrated analytically, so cost scales with the number of
 /// events. The two agree on scenarios without slice-coupled effects (see
 /// `docs/performance.md`, "Fleet simulation").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineKind {
     /// Fixed-quantum time-stepped execution (the original engine).
     #[default]
@@ -146,7 +149,7 @@ impl std::fmt::Display for EngineKind {
 /// bit-identical to the single-threaded event engine for *any* valid plan
 /// (see `docs/performance.md`, "Parallel fleet simulation") — it only
 /// changes how the per-segment arbitration work is spread across cores.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardPlan {
     /// Per-shard application-range boundaries (`shards + 1` entries).
     pub app_bounds: Vec<usize>,

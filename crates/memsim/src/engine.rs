@@ -10,13 +10,12 @@
 
 use crate::result::AppSeries;
 use crate::{EngineKind, EventLog, SimApp, SimConfig, SimError, SimResult};
+use coop_alloc::rng::StdRng;
 use coop_telemetry::{
     hop, hop_args, ArgValue, Counter, EventKind, Gauge, Histogram, TelemetryHub, TimelineEvent,
     TrackId, TRACE_CAT,
 };
 use numa_topology::{Machine, NodeId};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use roofline_numa::{DataPlacement, ThreadAssignment};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};

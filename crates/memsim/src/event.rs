@@ -24,11 +24,11 @@
 use crate::engine::{compute_rates, expand_threads, EpochTracer, RateScratch, Thread};
 use crate::result::AppSeries;
 use crate::{SimApp, SimResult, Simulation};
+use coop_alloc::rng::{splitmix64, StdRng};
+use coop_telemetry::json::{self, FromJson, ToJson, Value};
+use coop_telemetry::{json_struct, json_write};
 use numa_topology::NodeId;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use roofline_numa::ThreadAssignment;
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -71,14 +71,6 @@ pub enum TieBreak {
     /// Seeded hash of the component id: deterministic per seed, but
     /// different seeds interleave equal-time components differently.
     Seeded(u64),
-}
-
-/// SplitMix64: cheap, well-distributed 64-bit mixer for tie-break keys.
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// The deterministic global event heap: a min-heap keyed by
@@ -154,14 +146,32 @@ impl EventHeap {
 /// strings the log always used (`"assignment"` / `"activity"`), but as an
 /// enum it costs nothing per event — the old `String` field was one of the
 /// last per-event heap allocations in the hot loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventEdge {
     /// The supervising agent applied a dynamic-schedule entry.
     Assignment,
     /// An application crossed an activity-pattern edge.
     Activity,
 }
+
+/// The historic wire strings: `"assignment"` / `"activity"`.
+impl ToJson for EventEdge {
+    fn to_value(&self) -> Value {
+        self.as_str().to_value()
+    }
+}
+
+impl FromJson for EventEdge {
+    fn from_value(v: &Value) -> json::Result<Self> {
+        [EventEdge::Assignment, EventEdge::Activity]
+            .into_iter()
+            .find(|edge| v.as_str() == Some(edge.as_str()))
+            .ok_or_else(|| json::Error::new("expected \"assignment\" or \"activity\""))
+    }
+}
+
+json_struct!(SimEvent: t_ns, component, kind);
+json_write!(EventLog: seed, events, segments);
 
 impl EventEdge {
     /// The stable lowercase name (`"assignment"` / `"activity"`).
@@ -174,7 +184,7 @@ impl EventEdge {
 }
 
 /// One processed event: when, which component, and what kind of edge.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimEvent {
     /// Simulated time, nanoseconds.
     pub t_ns: Tick,
@@ -187,7 +197,7 @@ pub struct SimEvent {
 /// The ordered log of every event the engine processed. Serializes
 /// canonically, so same-seed runs are byte-identical
 /// ([`EventLog::to_bytes`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct EventLog {
     /// The simulation seed (also seeds heap tie-breaking).
     pub seed: u64,
@@ -217,7 +227,7 @@ impl EventLog {
 
     /// Canonical byte serialization (JSON) for determinism checks.
     pub fn to_bytes(&self) -> Vec<u8> {
-        serde_json::to_vec(self).expect("event log serializes")
+        self.to_value().write().into_bytes()
     }
 }
 
@@ -590,10 +600,10 @@ mod tests {
             component: 1,
             kind: EventEdge::Activity,
         };
-        let json = serde_json::to_string(&e).unwrap();
+        let json = e.to_value().write();
         assert!(json.contains("\"kind\":\"activity\""), "{json}");
         assert_eq!(EventEdge::Assignment.as_str(), "assignment");
-        let back: SimEvent = serde_json::from_str(&json).unwrap();
+        let back = SimEvent::from_value(&json::parse(&json).unwrap()).unwrap();
         assert_eq!(back, e);
     }
 

@@ -50,15 +50,13 @@ use crate::engine::{
     NodeScratch, RateScratch, Thread,
 };
 use crate::event::{
-    s_to_tick, splitmix64, tick_to_s, AgentComponent, AppComponent, Component,
-    ControllerComponent, EventEdge, EventHeap, LinkComponent, SimEvent, Tick, TieBreak, AGENT_ID,
-    APP_ID0,
+    s_to_tick, tick_to_s, AgentComponent, AppComponent, Component, ControllerComponent, EventEdge,
+    EventHeap, LinkComponent, SimEvent, Tick, TieBreak, AGENT_ID, APP_ID0,
 };
 use crate::result::AppSeries;
 use crate::{EventLog, ShardPlan, SimApp, SimConfig, SimError, SimResult, Simulation};
+use coop_alloc::rng::{splitmix64, StdRng};
 use numa_topology::NodeId;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use roofline_numa::ThreadAssignment;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Barrier, RwLock};

@@ -1,10 +1,10 @@
 //! Simulation results.
 
-use serde::{Deserialize, Serialize};
+use coop_telemetry::json_write;
 
 /// Per-application outcome of a simulation, including a sampled GFLOPS
 /// timeline (for burst/dynamic experiments and plots).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppSeries {
     /// Application name.
     pub name: String,
@@ -24,7 +24,7 @@ impl AppSeries {
 }
 
 /// Complete result of a simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimResult {
     /// Machine name.
     pub machine: String,
@@ -37,6 +37,9 @@ pub struct SimResult {
     /// Average fraction of each node's nominal bandwidth in use (0..=1).
     pub node_utilization: Vec<f64>,
 }
+
+json_write!(AppSeries: name, gflop_done, times_s, gflops_series);
+json_write!(SimResult: machine, duration_s, apps, node_avg_gbs, node_utilization);
 
 impl SimResult {
     /// Sustained machine-wide GFLOPS (total work / duration).

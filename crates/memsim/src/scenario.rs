@@ -8,12 +8,13 @@
 //! and, for comparison, also scores each with the analytic model.
 
 use crate::{EffectModel, EngineKind, Result, SimApp, SimConfig, SimError, Simulation};
+use coop_telemetry::json::{self, FromJson, ToJson};
+use coop_telemetry::{json_struct, json_write};
 use numa_topology::Machine;
 use roofline_numa::{solve, AppSpec, ThreadAssignment};
-use serde::{Deserialize, Serialize};
 
 /// One named thread assignment inside a scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NamedAssignment {
     /// Label used in results (e.g. `"even (5,5,5,5)"`).
     pub name: String,
@@ -22,7 +23,7 @@ pub struct NamedAssignment {
 }
 
 /// A complete, self-contained experiment description.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Scenario name.
     pub name: String,
@@ -41,7 +42,7 @@ pub struct Scenario {
 }
 
 /// Result for one assignment of a scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioRow {
     /// Assignment label.
     pub name: String,
@@ -54,7 +55,7 @@ pub struct ScenarioRow {
 }
 
 /// Result of a whole scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioResult {
     /// Scenario name.
     pub name: String,
@@ -62,17 +63,24 @@ pub struct ScenarioResult {
     pub rows: Vec<ScenarioRow>,
 }
 
+json_struct!(NamedAssignment: name, threads);
+json_struct!(Scenario: name, machine, apps, assignments, duration_s, effects, seed);
+json_write!(ScenarioRow: name, simulated_gflops, model_gflops, per_app_gflops);
+json_write!(ScenarioResult: name, rows);
+
 impl Scenario {
     /// Serializes to pretty JSON.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("scenario serialization cannot fail")
+        self.to_value().write_pretty()
     }
 
     /// Deserializes and validates a scenario from JSON.
     pub fn from_json(json: &str) -> Result<Scenario> {
-        let s: Scenario = serde_json::from_str(json).map_err(|e| SimError::Calibration {
-            reason: format!("scenario JSON: {e}"),
-        })?;
+        let s = json::parse(json)
+            .and_then(|doc| Scenario::from_value(&doc))
+            .map_err(|e| SimError::Calibration {
+                reason: format!("scenario JSON: {e}"),
+            })?;
         s.validate()?;
         Ok(s)
     }

@@ -571,7 +571,9 @@ pub fn run_supervised(
             tick,
             start_s,
             provenance: id,
-            perturbed,
+            // A contained runaway is as much a departure from the model's
+            // view as a degraded node: its threads left the assignment.
+            perturbed: perturbed || contained.contains(&true),
             residuals,
             alarms,
         });
@@ -812,10 +814,11 @@ mod tests {
     #[test]
     fn unperturbed_run_raises_no_alarm() {
         let hub = Arc::new(TelemetryHub::new());
-        let result = run_supervised(&base_scenario(), &quiet_config(), hub).unwrap();
+        let result = run_supervised(&base_scenario(), &quiet_config(), Arc::clone(&hub)).unwrap();
         assert_eq!(result.ticks.len(), 10);
         assert_eq!(result.total_alarms(), 0);
         assert!(result.ticks.iter().all(|t| !t.perturbed));
+        assert!(!hub.events().iter().any(|e| e.cat == "drift"));
         // Every record is closed with real residuals.
         for record in result.records() {
             assert!(record.is_closed());
@@ -832,8 +835,7 @@ mod tests {
     #[test]
     fn supervised_timeline_carries_simulated_time() {
         let hub = Arc::new(TelemetryHub::new());
-        let result =
-            run_supervised(&base_scenario(), &quiet_config(), Arc::clone(&hub)).unwrap();
+        let result = run_supervised(&base_scenario(), &quiet_config(), Arc::clone(&hub)).unwrap();
         assert_eq!(result.ticks.len(), 10);
         // 10ms ticks at a 1ms quantum emit one bandwidth sample per node
         // per tick, at the tick's 5ms midpoint.
@@ -901,10 +903,12 @@ mod tests {
     fn step_change_is_detected_within_a_few_ticks() {
         let mut config = quiet_config();
         config.duration_s = 0.2;
+        // The (1,1,1,17) allocation draws 32.77 of node 0's 100 GB/s, so
+        // the step has to leave less than that to be felt at all.
         config.perturbations.push(Perturbation::NodeBandwidth {
             at_s: 0.1,
             node: 0,
-            bandwidth_factor: 0.4,
+            bandwidth_factor: 0.2,
         });
         let hub = Arc::new(TelemetryHub::new());
         let result = run_supervised(&base_scenario(), &config, hub).unwrap();
@@ -930,13 +934,36 @@ mod tests {
         config.perturbations.push(Perturbation::NodeBandwidth {
             at_s: 0.05,
             node: 1,
-            bandwidth_factor: 0.5,
+            bandwidth_factor: 0.2,
         });
         let hub = Arc::new(TelemetryHub::new());
         let scenario = base_scenario();
-        let result = run_supervised(&scenario, &config, hub).unwrap();
+        let result = run_supervised(&scenario, &config, Arc::clone(&hub)).unwrap();
         assert!(result.ticks[..5].iter().all(|t| !t.perturbed));
         assert!(result.ticks[5..].iter().all(|t| t.perturbed));
+
+        // The provenance record of a perturbed tick carries the prediction
+        // and the back-filled measurement: the node under-delivers.
+        let series = "node/1/bandwidth_gbs";
+        let records = result.records();
+        let record = records.last().unwrap();
+        let residual = record.residual_for(series).unwrap();
+        assert!(record.is_closed() && residual.predicted > 0.0 && residual.measured > 0.0);
+        assert!(residual.relative < -0.05, "{residual:?}");
+        assert_eq!(record.prediction.value(series), Some(residual.predicted));
+        // The alarm reaches the shared timeline and the Prometheus scrape.
+        assert!(hub.events().iter().any(|e| e.cat == "drift"));
+        assert!(hub.events().iter().any(|e| e.cat == "provenance"));
+        let prom = hub.registry().to_prometheus();
+        let scraped: u64 = prom
+            .lines()
+            .filter(|l| l.starts_with("coop_model_drift_alarms{"))
+            .filter_map(|l| l.rsplit(' ').next()?.parse::<u64>().ok())
+            .sum();
+        assert!(
+            scraped > 0 && prom.contains("coop_model_residual{"),
+            "{prom}"
+        );
     }
 
     #[test]
@@ -1208,10 +1235,7 @@ mod tests {
         assert_eq!(result.ticks.len(), 10);
 
         // Detected exactly once, on the shared timeline and the counter.
-        assert_eq!(
-            hub.registry().counter_total("coop_runaway_tasks_total"),
-            1
-        );
+        assert_eq!(hub.registry().counter_total("coop_runaway_tasks_total"), 1);
         assert_eq!(
             hub.events()
                 .iter()
@@ -1239,10 +1263,7 @@ mod tests {
         let snap = ledger.snapshot();
         let offender = snap.tenant("b").unwrap();
         let survivor = snap.tenant("a").unwrap();
-        assert!(
-            (7..=8).contains(&offender.preemptions),
-            "{offender:?}"
-        );
+        assert!((7..=8).contains(&offender.preemptions), "{offender:?}");
         assert!(offender.overbudget_cpu_us >= 7 * 9_000, "{offender:?}");
         assert!(offender.preemption_rate > 0.0);
         assert_eq!(survivor.preemptions, 0);
@@ -1252,7 +1273,10 @@ mod tests {
         // (entitlement 1.0) and its delivered share sits within 5% of
         // that entitlement — the offender could not starve it.
         let entitled = survivor.entitled_share.unwrap();
-        assert!((entitled - 1.0).abs() < 1e-9, "survivor entitled {entitled}");
+        assert!(
+            (entitled - 1.0).abs() < 1e-9,
+            "survivor entitled {entitled}"
+        );
         assert!(
             survivor.delivered_share + 0.05 >= entitled,
             "survivor delivered {} vs entitled {entitled}",

@@ -1,12 +1,14 @@
-//! Property-based tests of the §III.B calibration procedure: on an ideal
+//! Property tests (seeded case runner) of the §III.B calibration procedure: on an ideal
 //! (effect-free) machine, the fit recovers the true parameters exactly;
 //! with effects, it recovers the *effective* machine the measurements
 //! actually exhibit.
 
+use coop_alloc::cases::check;
 use memsim::{calibrate_even_scenario, EffectModel, SimApp, SimConfig, Simulation};
 use numa_topology::MachineBuilder;
-use proptest::prelude::*;
 use roofline_numa::ThreadAssignment;
+
+const CASES: usize = 24;
 
 fn run_even_scenario(machine: &numa_topology::Machine, effects: EffectModel) -> (f64, f64) {
     let sim = Simulation::new(SimConfig::new(machine.clone()).with_effects(effects));
@@ -24,19 +26,26 @@ fn run_even_scenario(machine: &numa_topology::Machine, effects: EffectModel) -> 
     (mem_total, r.app_gflops(3))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Ideal effects: the fit recovers the true peak exactly and the true
-    /// bandwidth whenever the memory-bound apps saturate the node.
-    #[test]
-    fn ideal_calibration_recovers_truth(
-        nodes in 2usize..5,
-        cores_q in 1usize..6, // cores = 4*q so the even split is exact
-        peak in 0.1f64..2.0,
-        bw in 20.0f64..200.0,
-    ) {
-        let cores = 4 * cores_q;
+/// Ideal effects: the fit recovers the true peak exactly and the true
+/// bandwidth whenever the memory-bound apps saturate the node.
+#[test]
+fn ideal_calibration_recovers_truth() {
+    check(1, CASES, |g| {
+        // Preconditions of the paper's fit: the memory-bound apps must
+        // saturate the node (or the bandwidth fit is meaningless), and the
+        // compute-bound app must be fully satisfiable at the baseline (or
+        // the peak fit is polluted) — both hold by construction in the
+        // paper's scenario. Draws that miss them are redrawn, not counted.
+        let (nodes, cores, peak, bw) = loop {
+            let nodes = g.range(2..5usize);
+            let cores = 4 * g.range(1..6usize); // so the even split is exact
+            let (peak, bw) = (g.range(0.1..2.0), g.range(20.0..200.0));
+            let mem_demand = (3 * cores / 4) as f64 * peak * 32.0;
+            let comp_demand = (cores / 4) as f64 * peak;
+            if mem_demand + comp_demand > bw * 1.05 && peak < bw / cores as f64 * 0.99 {
+                break (nodes, cores, peak, bw);
+            }
+        };
         let machine = MachineBuilder::new()
             .symmetric_nodes(nodes, cores)
             .core_peak_gflops(peak)
@@ -44,41 +53,37 @@ proptest! {
             .uniform_link_gbs(10.0)
             .build()
             .unwrap();
-        // Preconditions of the paper's fit: the memory-bound apps must
-        // saturate the node (or the bandwidth fit is meaningless), and the
-        // compute-bound app must be fully satisfiable at the baseline (or
-        // the peak fit is polluted) — both hold by construction in the
-        // paper's scenario.
-        let mem_demand = (3 * cores / 4) as f64 * peak * 32.0;
-        let comp_demand = (cores / 4) as f64 * peak;
-        prop_assume!(mem_demand + comp_demand > bw * 1.05);
-        prop_assume!(peak < bw / cores as f64 * 0.99);
-
         let (mem_total, comp) = run_even_scenario(&machine, EffectModel::ideal());
         let comp_threads = nodes * cores / 4;
-        let cal = calibrate_even_scenario(&machine, mem_total, 1.0 / 32.0, comp, comp_threads)
-            .unwrap();
-        prop_assert!(
+        let cal =
+            calibrate_even_scenario(&machine, mem_total, 1.0 / 32.0, comp, comp_threads).unwrap();
+        assert!(
             (cal.core_peak_gflops - peak).abs() < 1e-9,
             "peak: fit {} vs true {peak}",
             cal.core_peak_gflops
         );
-        prop_assert!(
+        assert!(
             (cal.node_bandwidth_gbs - bw).abs() < 1e-6 * bw.max(1.0),
             "bandwidth: fit {} vs true {bw}",
             cal.node_bandwidth_gbs
         );
-    }
+    });
+}
 
-    /// With lossy effects (jitter off for determinism), the fitted
-    /// bandwidth is never above the true hardware value, and the fitted
-    /// peak never above the true per-core peak: calibration sees only
-    /// what the machine actually delivers.
-    #[test]
-    fn lossy_calibration_is_conservative(
-        peak in 0.2f64..1.0,
-        bw in 60.0f64..160.0,
-    ) {
+/// With lossy effects (jitter off for determinism), the fitted
+/// bandwidth is never above the true hardware value, and the fitted
+/// peak never above the true per-core peak: calibration sees only
+/// what the machine actually delivers.
+#[test]
+fn lossy_calibration_is_conservative() {
+    check(2, CASES, |g| {
+        // The memory-bound apps must saturate the node; redraw until they do.
+        let (peak, bw) = loop {
+            let (peak, bw) = (g.range(0.2..1.0), g.range(60.0..160.0));
+            if 15.0 * peak * 32.0 > bw * 1.1 {
+                break (peak, bw);
+            }
+        };
         let machine = MachineBuilder::new()
             .symmetric_nodes(4, 20)
             .core_peak_gflops(peak)
@@ -86,17 +91,14 @@ proptest! {
             .uniform_link_gbs(10.0)
             .build()
             .unwrap();
-        let mem_demand = 15.0 * peak * 32.0;
-        prop_assume!(mem_demand > bw * 1.1);
-
         let mut effects = EffectModel::skylake_like();
         effects.jitter = 0.0;
         let (mem_total, comp) = run_even_scenario(&machine, effects);
         let cal = calibrate_even_scenario(&machine, mem_total, 1.0 / 32.0, comp, 20).unwrap();
-        prop_assert!(cal.core_peak_gflops <= peak * (1.0 + 1e-9));
-        prop_assert!(cal.node_bandwidth_gbs <= bw * (1.0 + 1e-9));
+        assert!(cal.core_peak_gflops <= peak * (1.0 + 1e-9));
+        assert!(cal.node_bandwidth_gbs <= bw * (1.0 + 1e-9));
         // And not absurdly low either: the effects are mild.
-        prop_assert!(cal.node_bandwidth_gbs >= bw * 0.7);
-        prop_assert!(cal.core_peak_gflops >= peak * 0.9);
-    }
+        assert!(cal.node_bandwidth_gbs >= bw * 0.7);
+        assert!(cal.core_peak_gflops >= peak * 0.9);
+    });
 }

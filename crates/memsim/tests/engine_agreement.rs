@@ -11,15 +11,17 @@
 //! the event engine's float↔tick round-trip is exact and cannot schedule
 //! a spurious one-nanosecond repeat edge.
 
+use coop_alloc::cases::check;
 use memsim::{
-    run_chaos_scenario_on, run_chaos_scenario_threaded, run_supervised, ActivityPattern,
-    ChaosPlan, EffectModel, EngineKind, NamedAssignment, Perturbation, Scenario, ShardPlan,
-    SimApp, SimConfig, SimResult, Simulation, SupervisorConfig, TelemetryHub,
+    run_chaos_scenario_on, run_chaos_scenario_threaded, run_supervised, ActivityPattern, ChaosPlan,
+    EffectModel, EngineKind, NamedAssignment, Perturbation, Scenario, ShardPlan, SimApp, SimConfig,
+    SimResult, Simulation, SupervisorConfig, TelemetryHub,
 };
 use numa_topology::MachineBuilder;
-use proptest::prelude::*;
 use roofline_numa::ThreadAssignment;
 use std::sync::Arc;
+
+const CASES: usize = 24;
 
 /// The default slice quantum; all edge times are multiples of this.
 const QUANTUM_S: f64 = 1e-3;
@@ -42,7 +44,11 @@ fn close(a: f64, b: f64) -> bool {
 /// Two apps (one always-on, one windowed), one mid-run assignment switch:
 /// the shared fixture for the exact-count and determinism tests. Window
 /// and switch edges sit at power-of-two quantum multiples.
-fn window_fixture() -> (numa_topology::Machine, Vec<SimApp>, Vec<(f64, ThreadAssignment)>) {
+fn window_fixture() -> (
+    numa_topology::Machine,
+    Vec<SimApp>,
+    Vec<(f64, ThreadAssignment)>,
+) {
     let m = machine(2, 4, 32.0, 8.0);
     let apps = vec![
         SimApp::numa_local("steady", 0.5),
@@ -116,10 +122,7 @@ fn chaos_plan_agrees_across_engines() {
     let scenario = Scenario {
         name: "chaos-agreement".into(),
         machine: machine(2, 4, 32.0, 8.0),
-        apps: vec![
-            SimApp::numa_local("a", 0.5),
-            SimApp::numa_local("b", 0.25),
-        ],
+        apps: vec![SimApp::numa_local("a", 0.5), SimApp::numa_local("b", 0.25)],
         assignments: vec![NamedAssignment {
             name: "even".into(),
             threads: vec![vec![1, 1], vec![1, 1]],
@@ -276,10 +279,7 @@ mod parallel_determinism {
         let scenario = Scenario {
             name: "chaos-parallel".into(),
             machine: machine(2, 4, 32.0, 8.0),
-            apps: vec![
-                SimApp::numa_local("a", 0.5),
-                SimApp::numa_local("b", 0.25),
-            ],
+            apps: vec![SimApp::numa_local("a", 0.5), SimApp::numa_local("b", 0.25)],
             assignments: vec![NamedAssignment {
                 name: "even".into(),
                 threads: vec![vec![1, 1], vec![1, 1]],
@@ -496,23 +496,18 @@ mod parallel_determinism {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Random machines, arithmetic intensities, thread counts, one
-    /// quantum-aligned assignment switch and one quantum-aligned activity
-    /// window: slice and event totals and per-app shares agree.
-    #[test]
-    fn engines_agree_on_random_dynamic_schedules(
-        nodes in 2usize..4,
-        cores in 2usize..7,
-        ais in proptest::collection::vec(0.05f64..32.0, 2..4),
-        counts_a in proptest::collection::vec(0usize..3, 2..4),
-        counts_b in proptest::collection::vec(0usize..3, 2..4),
-        switch_ms in 1usize..19,
-        win_start_ms in 0usize..10,
-        win_len_ms in 1usize..10,
-    ) {
+/// Random machines, arithmetic intensities, thread counts, one
+/// quantum-aligned assignment switch and one quantum-aligned activity
+/// window: slice and event totals and per-app shares agree.
+#[test]
+fn engines_agree_on_random_dynamic_schedules() {
+    check(1, CASES, |g| {
+        let (nodes, cores) = (g.range(2..4usize), g.range(2..7usize));
+        let ais = g.vec(2..4, |g| g.range(0.05..32.0));
+        let counts_a = g.vec(2..4, |g| g.range(0..3usize));
+        let counts_b = g.vec(2..4, |g| g.range(0..3usize));
+        let switch_ms = g.range(1..19usize);
+        let (win_start_ms, win_len_ms) = (g.range(0..10usize), g.range(1..10usize));
         let n_apps = ais.len().min(counts_a.len()).min(counts_b.len());
         let m = machine(nodes, cores, 32.0, 8.0);
         let apps: Vec<SimApp> = ais[..n_apps]
@@ -547,11 +542,9 @@ proptest! {
         let schedule = vec![(0.0, a), (switch_ms as f64 * QUANTUM_S, b)];
         let duration = 0.02;
 
-        let slice = Simulation::new(
-            SimConfig::new(m.clone()).with_effects(EffectModel::ideal()),
-        )
-        .run_dynamic(&apps, &schedule, duration)
-        .unwrap();
+        let slice = Simulation::new(SimConfig::new(m.clone()).with_effects(EffectModel::ideal()))
+            .run_dynamic(&apps, &schedule, duration)
+            .unwrap();
         let event = Simulation::new(
             SimConfig::new(m.clone())
                 .with_effects(EffectModel::ideal())
@@ -560,38 +553,37 @@ proptest! {
         .run_dynamic(&apps, &schedule, duration)
         .unwrap();
 
-        prop_assert!(
+        assert!(
             close(slice.total_gflops(), event.total_gflops()),
             "total: slice {} vs event {}",
             slice.total_gflops(),
             event.total_gflops()
         );
         for i in 0..n_apps {
-            prop_assert!(
+            assert!(
                 close(slice.app_gflops(i), event.app_gflops(i)),
                 "app {i}: slice {} vs event {}",
                 slice.app_gflops(i),
                 event.app_gflops(i)
             );
         }
-    }
+    });
+}
 
-    /// Random schedules through the *parallel* event engine: at any thread
-    /// count the event log is byte-identical and the banked floats are
-    /// bit-identical to the single-threaded run (default effects, so the
-    /// jitter RNG order is exercised too).
-    #[test]
-    fn parallel_event_engine_replays_random_schedules_bit_identically(
-        nodes in 2usize..4,
-        cores in 2usize..7,
-        ais in proptest::collection::vec(0.05f64..32.0, 2..4),
-        counts_a in proptest::collection::vec(0usize..3, 2..4),
-        counts_b in proptest::collection::vec(0usize..3, 2..4),
-        switch_ms in 1usize..19,
-        win_start_ms in 0usize..10,
-        win_len_ms in 1usize..10,
-        threads in 2usize..9,
-    ) {
+/// Random schedules through the *parallel* event engine: at any thread
+/// count the event log is byte-identical and the banked floats are
+/// bit-identical to the single-threaded run (default effects, so the
+/// jitter RNG order is exercised too).
+#[test]
+fn parallel_event_engine_replays_random_schedules_bit_identically() {
+    check(2, CASES, |g| {
+        let (nodes, cores) = (g.range(2..4usize), g.range(2..7usize));
+        let ais = g.vec(2..4, |g| g.range(0.05..32.0));
+        let counts_a = g.vec(2..4, |g| g.range(0..3usize));
+        let counts_b = g.vec(2..4, |g| g.range(0..3usize));
+        let switch_ms = g.range(1..19usize);
+        let (win_start_ms, win_len_ms) = (g.range(0..10usize), g.range(1..10usize));
+        let threads = g.range(2..9usize);
         let n_apps = ais.len().min(counts_a.len()).min(counts_b.len());
         let m = machine(nodes, cores, 32.0, 8.0);
         let apps: Vec<SimApp> = ais[..n_apps]
@@ -647,7 +639,7 @@ proptest! {
 
         let seq = run(1);
         let par = run(threads);
-        prop_assert_eq!(
+        assert_eq!(
             seq.total_gflops().to_bits(),
             par.total_gflops().to_bits(),
             "{} threads: totals diverged ({} vs {})",
@@ -656,7 +648,7 @@ proptest! {
             par.total_gflops()
         );
         for i in 0..n_apps {
-            prop_assert_eq!(
+            assert_eq!(
                 seq.app_gflops(i).to_bits(),
                 par.app_gflops(i).to_bits(),
                 "{} threads: app {} diverged",
@@ -666,6 +658,6 @@ proptest! {
         }
         let (_, seq_log) = run_logged(1);
         let (_, par_log) = run_logged(threads);
-        prop_assert_eq!(seq_log.to_bytes(), par_log.to_bytes());
-    }
+        assert_eq!(seq_log.to_bytes(), par_log.to_bytes());
+    });
 }

@@ -1,10 +1,12 @@
-//! Property-based tests: the simulator agrees with the analytic model when
+//! Property tests on the seeded case runner: the simulator agrees with the analytic model when
 //! effects are off, and effects only ever reduce throughput.
 
+use coop_alloc::cases::check;
 use memsim::{EffectModel, SimApp, SimConfig, Simulation};
 use numa_topology::MachineBuilder;
-use proptest::prelude::*;
 use roofline_numa::{solve, AppSpec, ThreadAssignment};
+
+const CASES: usize = 32;
 
 fn machine(nodes: usize, cores: usize, bw: f64, link: f64) -> numa_topology::Machine {
     MachineBuilder::new()
@@ -16,17 +18,13 @@ fn machine(nodes: usize, cores: usize, bw: f64, link: f64) -> numa_topology::Mac
         .unwrap()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Ideal simulator == analytic model, for random NUMA-local scenarios.
-    #[test]
-    fn ideal_sim_matches_model_local(
-        nodes in 2usize..4,
-        cores in 1usize..7,
-        ais in proptest::collection::vec(0.05f64..32.0, 1..4),
-        counts in proptest::collection::vec(0usize..3, 1..4),
-    ) {
+/// Ideal simulator == analytic model, for random NUMA-local scenarios.
+#[test]
+fn ideal_sim_matches_model_local() {
+    check(1, CASES, |g| {
+        let (nodes, cores) = (g.range(2..4usize), g.range(1..7usize));
+        let ais = g.vec(1..4, |g| g.range(0.05..32.0));
+        let counts = g.vec(1..4, |g| g.range(0..3usize));
         let n_apps = ais.len().min(counts.len());
         let m = machine(nodes, cores, 32.0, 8.0);
         let sim_apps: Vec<SimApp> = ais[..n_apps]
@@ -42,33 +40,30 @@ proptest! {
             per_app[i] -= 1;
         }
         let assignment = ThreadAssignment::uniform_per_node(&m, &per_app);
-        let sim = Simulation::new(
-            SimConfig::new(m.clone()).with_effects(EffectModel::ideal()),
-        );
+        let sim = Simulation::new(SimConfig::new(m.clone()).with_effects(EffectModel::ideal()));
         let r = sim.run(&sim_apps, &assignment, 0.01).unwrap();
         let model = solve(&m, &model_apps, &assignment).unwrap();
-        prop_assert!(
+        assert!(
             (r.total_gflops() - model.total_gflops()).abs() < 1e-6,
             "sim {} vs model {}",
             r.total_gflops(),
             model.total_gflops()
         );
         for a in 0..n_apps {
-            prop_assert!((r.app_gflops(a) - model.app_gflops(a)).abs() < 1e-6);
+            assert!((r.app_gflops(a) - model.app_gflops(a)).abs() < 1e-6);
         }
-    }
+    });
+}
 
-    /// Ideal simulator == analytic model with a NUMA-bad application in the
-    /// mix (exercises the remote path).
-    #[test]
-    fn ideal_sim_matches_model_cross_node(
-        cores in 1usize..7,
-        ai_local in 0.05f64..8.0,
-        ai_bad in 0.05f64..8.0,
-        bad_node in 0usize..3,
-        c1 in 0usize..3,
-        c2 in 0usize..3,
-    ) {
+/// Ideal simulator == analytic model with a NUMA-bad application in the
+/// mix (exercises the remote path).
+#[test]
+fn ideal_sim_matches_model_cross_node() {
+    check(2, CASES, |g| {
+        let cores = g.range(1..7usize);
+        let (ai_local, ai_bad) = (g.range(0.05..8.0), g.range(0.05..8.0));
+        let bad_node = g.range(0..3usize);
+        let (c1, c2) = (g.range(0..3usize), g.range(0..3usize));
         let m = machine(3, cores, 32.0, 6.0);
         let sim_apps = vec![
             SimApp::numa_local("loc", ai_local),
@@ -81,58 +76,56 @@ proptest! {
             per_app[i] -= 1;
         }
         let assignment = ThreadAssignment::uniform_per_node(&m, &per_app);
-        let sim = Simulation::new(
-            SimConfig::new(m.clone()).with_effects(EffectModel::ideal()),
-        );
+        let sim = Simulation::new(SimConfig::new(m.clone()).with_effects(EffectModel::ideal()));
         let r = sim.run(&sim_apps, &assignment, 0.01).unwrap();
         let model = solve(&m, &model_apps, &assignment).unwrap();
-        prop_assert!(
+        assert!(
             (r.total_gflops() - model.total_gflops()).abs() < 1e-6,
             "sim {} vs model {}",
             r.total_gflops(),
             model.total_gflops()
         );
-    }
+    });
+}
 
-    /// With effects enabled, throughput never exceeds the ideal run
-    /// (effects are pure losses, up to jitter which we disable here).
-    #[test]
-    fn effects_never_gain(
-        cores in 1usize..7,
-        ai in 0.05f64..8.0,
-        count in 1usize..4,
-    ) {
+/// With effects enabled, throughput never exceeds the ideal run
+/// (effects are pure losses, up to jitter which we disable here).
+#[test]
+fn effects_never_gain() {
+    check(3, CASES, |g| {
+        let cores = g.range(1..7usize);
+        let ai = g.range(0.05..8.0);
+        let count = g.range(1..4usize);
         let count = count.min(cores);
         let m = machine(2, cores, 32.0, 6.0);
         let apps = vec![SimApp::numa_bad("b", ai, numa_topology::NodeId(0))];
         let assignment = ThreadAssignment::uniform_per_node(&m, &[count]);
-        let ideal = Simulation::new(
-            SimConfig::new(m.clone()).with_effects(EffectModel::ideal()),
-        )
-        .run(&apps, &assignment, 0.01)
-        .unwrap();
+        let ideal = Simulation::new(SimConfig::new(m.clone()).with_effects(EffectModel::ideal()))
+            .run(&apps, &assignment, 0.01)
+            .unwrap();
         let mut lossy_effects = EffectModel::skylake_like();
         lossy_effects.jitter = 0.0; // keep the comparison deterministic
         let lossy = Simulation::new(SimConfig::new(m.clone()).with_effects(lossy_effects))
             .run(&apps, &assignment, 0.01)
             .unwrap();
-        prop_assert!(
+        assert!(
             lossy.total_gflops() <= ideal.total_gflops() + 1e-9,
             "lossy {} > ideal {}",
             lossy.total_gflops(),
             ideal.total_gflops()
         );
-    }
+    });
+}
 
-    /// Node bandwidth conservation holds in the simulator for any scenario:
-    /// average served GB/s never exceeds nominal capacity.
-    #[test]
-    fn served_bandwidth_conserved(
-        cores in 1usize..7,
-        ai in 0.02f64..8.0,
-        count in 1usize..4,
-        seed in 0u64..100,
-    ) {
+/// Node bandwidth conservation holds in the simulator for any scenario:
+/// average served GB/s never exceeds nominal capacity.
+#[test]
+fn served_bandwidth_conserved() {
+    check(4, CASES, |g| {
+        let cores = g.range(1..7usize);
+        let ai = g.range(0.02..8.0);
+        let count = g.range(1..4usize);
+        let seed = g.range(0..100u64);
         let count = count.min(cores);
         let m = machine(2, cores, 20.0, 5.0);
         let apps = vec![
@@ -141,7 +134,7 @@ proptest! {
         ];
         let per = count.min(cores / 2).max(if cores >= 2 { 1 } else { 0 });
         if per == 0 || 2 * per > cores {
-            return Ok(());
+            return;
         }
         let assignment = ThreadAssignment::uniform_per_node(&m, &[per, per]);
         let r = Simulation::new(SimConfig::new(m.clone()).with_seed(seed))
@@ -150,7 +143,7 @@ proptest! {
         for (n, &gbs) in r.node_avg_gbs.iter().enumerate() {
             let cap = m.node(numa_topology::NodeId(n)).bandwidth_gbs;
             // Jitter can push instantaneous demand slightly over; allow 2%.
-            prop_assert!(gbs <= cap * 1.02, "node {n}: {gbs} > {cap}");
+            assert!(gbs <= cap * 1.02, "node {n}: {gbs} > {cap}");
         }
-    }
+    });
 }

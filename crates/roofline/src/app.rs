@@ -1,8 +1,9 @@
 //! Application characterisation: arithmetic intensity and data placement.
 
 use crate::{ModelError, Result};
+use coop_telemetry::json::{self, FromJson, ToJson, Value};
+use coop_telemetry::{json_object, json_struct};
 use numa_topology::{Machine, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// Where an application keeps the data its threads stream through.
 ///
@@ -11,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// a single NUMA node". [`DataPlacement::Spread`] generalises both: a thread
 /// directs a fixed fraction of its memory traffic at each node. The two
 /// paper cases are [`DataPlacement::Local`] and [`DataPlacement::SingleNode`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum DataPlacement {
     /// NUMA-perfect: every thread reads only memory of the node it runs on.
     Local,
@@ -23,6 +24,34 @@ pub enum DataPlacement {
     /// `i`, regardless of where the thread runs. `Spread(vec![1.0, 0.0])` on
     /// a two-node machine is equivalent to `SingleNode(node0)`.
     Spread(Vec<f64>),
+}
+
+/// `"Local"`, `{"SingleNode": 2}` or `{"Spread": [0.5, 0.5]}`.
+impl ToJson for DataPlacement {
+    fn to_value(&self) -> Value {
+        match self {
+            DataPlacement::Local => "Local".to_value(),
+            DataPlacement::SingleNode(node) => json_object! {"SingleNode": node},
+            DataPlacement::Spread(fractions) => json_object! {"Spread": fractions},
+        }
+    }
+}
+
+impl FromJson for DataPlacement {
+    fn from_value(v: &Value) -> json::Result<Self> {
+        match (v.as_str(), v.as_object()) {
+            (Some("Local"), _) => Ok(DataPlacement::Local),
+            (_, Some([(tag, _)])) if tag == "SingleNode" => {
+                v.field("SingleNode").map(DataPlacement::SingleNode)
+            }
+            (_, Some([(tag, _)])) if tag == "Spread" => {
+                v.field("Spread").map(DataPlacement::Spread)
+            }
+            _ => Err(json::Error::new(
+                "expected \"Local\", {\"SingleNode\": n} or {\"Spread\": [..]}",
+            )),
+        }
+    }
 }
 
 impl DataPlacement {
@@ -87,7 +116,7 @@ impl DataPlacement {
 /// Arithmetic intensity (AI) is FLOP per byte moved to/from memory. Per the
 /// model's assumption 3, a thread of this application on a core with peak
 /// `P` GFLOPS attempts `P / AI` GB/s of memory traffic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppSpec {
     /// Human-readable name used in reports and traces.
     pub name: String,
@@ -96,6 +125,8 @@ pub struct AppSpec {
     /// Where the application's data lives.
     pub placement: DataPlacement,
 }
+
+json_struct!(AppSpec: name, ai, placement);
 
 impl AppSpec {
     /// A NUMA-perfect application: threads only touch local memory.

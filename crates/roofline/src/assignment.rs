@@ -1,8 +1,8 @@
 //! Thread-to-node assignments (the paper's blocking option 3 vocabulary).
 
 use crate::{ModelError, Result};
+use coop_telemetry::json_struct;
 use numa_topology::{Machine, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// How many worker threads each application runs on each NUMA node.
 ///
@@ -14,10 +14,12 @@ use serde::{Deserialize, Serialize};
 /// there is no over-subscription, so
 /// `sum over apps of threads[app][node] <= cores(node)` must hold —
 /// [`ThreadAssignment::validate`] enforces it.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ThreadAssignment {
     threads: Vec<Vec<usize>>,
 }
+
+json_struct!(ThreadAssignment: threads);
 
 impl ThreadAssignment {
     /// Builds an assignment from an explicit `[app][node]` matrix.

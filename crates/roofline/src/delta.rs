@@ -394,7 +394,8 @@ mod tests {
         let mut delta = DeltaSolver::new(&m, &apps).unwrap();
         assert!(delta.is_separable());
 
-        let base = ThreadAssignment::uniform_per_node(&m, &[2, 2, 2, 2]);
+        // One core per node left free, so the move below fits on node 1.
+        let base = ThreadAssignment::uniform_per_node(&m, &[2, 2, 2, 1]);
         let base_totals = delta.rebase(&base).unwrap().to_vec();
         let mut scratch = SolveScratch::new();
         let full = solve_gflops(&m, &apps, &base, SolveOptions::default(), &mut scratch).unwrap();
@@ -402,8 +403,8 @@ mod tests {
 
         // Move one comp thread from node 0 to node 1.
         let mut cand = base.clone();
-        cand.set(3, NodeId(0), 1);
-        cand.set(3, NodeId(1), 3);
+        cand.set(3, NodeId(0), 0);
+        cand.set(3, NodeId(1), 2);
         let probed = delta
             .probe(&cand, &[NodeId(0), NodeId(1)])
             .unwrap()

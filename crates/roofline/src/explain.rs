@@ -18,11 +18,10 @@
 
 use crate::{SolveReport, ThreadGrant};
 use numa_topology::{Machine, NodeId};
-use serde::Serialize;
 use std::fmt;
 
 /// What limits one thread group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Limiter {
     /// Achieves core peak: more bandwidth would not help.
     ComputeBound,
@@ -35,7 +34,7 @@ pub enum Limiter {
 }
 
 /// Analysis of one thread group.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct GroupFinding {
     /// Application index.
     pub app: usize,
@@ -50,7 +49,7 @@ pub struct GroupFinding {
 }
 
 /// Analysis of one node.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct NodeFinding {
     /// The node.
     pub node: NodeId,
@@ -63,7 +62,7 @@ pub struct NodeFinding {
 }
 
 /// Complete explanation of a solve.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Explanation {
     /// Per-group findings (same order as the report's groups).
     pub groups: Vec<GroupFinding>,

@@ -1,13 +1,12 @@
 //! Structured output of a model solve.
 
-use coop_telemetry::{Prediction, SeriesValue};
+use coop_telemetry::{json_write, Prediction, SeriesValue};
 use numa_topology::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Bandwidth grant and performance for one *thread group* — the threads of
 /// one application homed on one NUMA node, which are all identical under the
 /// model's assumptions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThreadGrant {
     /// Index of the application in the spec list.
     pub app: usize,
@@ -44,7 +43,7 @@ impl ThreadGrant {
 }
 
 /// Per-application rollup.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppReport {
     /// Application name from the spec.
     pub name: String,
@@ -59,7 +58,7 @@ pub struct AppReport {
 }
 
 /// Per-node rollup.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeReport {
     /// The node.
     pub node: NodeId,
@@ -84,7 +83,7 @@ impl NodeReport {
 }
 
 /// Complete result of a model solve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SolveReport {
     /// Name of the machine that was solved.
     pub machine: String,
@@ -95,6 +94,12 @@ pub struct SolveReport {
     /// Per-(app, home-node) thread groups with non-zero thread counts.
     pub groups: Vec<ThreadGrant>,
 }
+
+json_write!(ThreadGrant: app, home, count, demand_gbs, granted_gbs, granted_by_target, gflops);
+json_write!(AppReport: name, ai, threads, gflops, bandwidth_gbs);
+json_write!(NodeReport: node, capacity_gbs, served_remote_gbs, served_local_gbs, baseline_gbs,
+    gflops);
+json_write!(SolveReport: machine, apps, nodes, groups);
 
 impl SolveReport {
     /// Machine-wide achieved GFLOPS.

@@ -13,11 +13,11 @@
 //!   chosen allocation stops being the right one)?
 
 use crate::{solve, AppSpec, Result, ThreadAssignment};
+use coop_telemetry::json_write;
 use numa_topology::{Machine, MachineBuilder, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// One point of a sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepPoint {
     /// The swept parameter's value at this point.
     pub x: f64,
@@ -26,6 +26,8 @@ pub struct SweepPoint {
     /// Machine-wide GFLOPS.
     pub total_gflops: f64,
 }
+
+json_write!(SweepPoint: x, app_gflops, total_gflops);
 
 /// Sweeps application `app`'s uniform per-node thread count from 0 up to
 /// the spare capacity, holding the other applications at `others`

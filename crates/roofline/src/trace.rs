@@ -16,11 +16,10 @@
 
 use crate::{solve, AppSpec, DataPlacement, ModelError, Result, SolveReport, ThreadAssignment};
 use numa_topology::{Machine, NodeId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The per-class column of a Table I/II-style trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClassTrace {
     /// Names of the applications aggregated into this class.
     pub apps: Vec<String>,
@@ -52,7 +51,7 @@ pub struct ClassTrace {
 
 /// A complete Table I/II-style trace for one NUMA node of a symmetric
 /// machine, plus the machine-wide total.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableTrace {
     /// Machine name.
     pub machine: String,

@@ -1,8 +1,11 @@
-//! Property-based tests for the bandwidth-arbitration solver.
+//! Property tests for the bandwidth-arbitration solver, on the seeded case
+//! runner.
 
+use coop_alloc::cases::{check, Gen};
 use numa_topology::{MachineBuilder, NodeId};
-use proptest::prelude::*;
 use roofline_numa::{solve, AppSpec, DataPlacement, ThreadAssignment};
+
+const CASES: usize = 256;
 
 #[derive(Debug, Clone)]
 struct Scenario {
@@ -15,32 +18,21 @@ struct Scenario {
     counts: Vec<Vec<usize>>, // [app][node]
 }
 
-fn arb_scenario() -> impl Strategy<Value = Scenario> {
-    (2usize..5, 1usize..9, 1usize..5).prop_flat_map(|(nodes, cores, num_apps)| {
-        let apps = proptest::collection::vec((0.01f64..64.0, 0usize..3usize), num_apps..=num_apps);
-        let counts = proptest::collection::vec(
-            proptest::collection::vec(0usize..=cores, nodes..=nodes),
-            num_apps..=num_apps,
-        );
-        (
-            Just(nodes),
-            Just(cores),
-            0.1f64..50.0,
-            1.0f64..200.0,
-            0.0f64..50.0,
-            apps,
-            counts,
-        )
-            .prop_map(|(nodes, cores, gflops, bw, link, apps, counts)| Scenario {
-                nodes,
-                cores,
-                gflops,
-                bw,
-                link,
-                apps,
-                counts,
-            })
-    })
+fn arb_scenario(g: &mut Gen) -> Scenario {
+    let (nodes, cores, num_apps) = (g.range(2..5usize), g.range(1..9usize), g.range(1..5usize));
+    Scenario {
+        nodes,
+        cores,
+        gflops: g.range(0.1..50.0),
+        bw: g.range(1.0..200.0),
+        link: g.range(0.0..50.0),
+        apps: (0..num_apps)
+            .map(|_| (g.range(0.01..64.0), g.range(0..3usize)))
+            .collect(),
+        counts: (0..num_apps)
+            .map(|_| (0..nodes).map(|_| g.range(0..=cores)).collect())
+            .collect(),
+    }
 }
 
 fn build(s: &Scenario) -> Option<(numa_topology::Machine, Vec<AppSpec>, ThreadAssignment)> {
@@ -94,54 +86,67 @@ fn build(s: &Scenario) -> Option<(numa_topology::Machine, Vec<AppSpec>, ThreadAs
     Some((machine, apps, assignment))
 }
 
-proptest! {
-    /// No node's memory ever serves more bandwidth than its capacity, no
-    /// thread is granted more than it asked for, and every thread gets at
-    /// least `min(demand, baseline)`.
-    #[test]
-    fn conservation_and_baseline_guarantee(s in arb_scenario()) {
+/// No node's memory ever serves more bandwidth than its capacity, no
+/// thread is granted more than it asked for, and every thread gets at
+/// least `min(demand, baseline)`.
+#[test]
+fn conservation_and_baseline_guarantee() {
+    check(1, CASES, |g| {
+        let s = arb_scenario(g);
         let Some((machine, apps, assignment)) = build(&s) else {
-            return Ok(());
+            return;
         };
         let r = solve(&machine, &apps, &assignment).unwrap();
 
         for n in &r.nodes {
-            prop_assert!(
+            assert!(
                 n.served_remote_gbs + n.served_local_gbs <= n.capacity_gbs * (1.0 + 1e-9),
                 "node {:?}: {} + {} > {}",
-                n.node, n.served_remote_gbs, n.served_local_gbs, n.capacity_gbs
+                n.node,
+                n.served_remote_gbs,
+                n.served_local_gbs,
+                n.capacity_gbs
             );
-            prop_assert!(n.served_remote_gbs >= -1e-12);
-            prop_assert!(n.served_local_gbs >= -1e-12);
+            assert!(n.served_remote_gbs >= -1e-12);
+            assert!(n.served_local_gbs >= -1e-12);
         }
         for g in &r.groups {
-            prop_assert!(g.granted_gbs <= g.demand_gbs * (1.0 + 1e-9) + 1e-9);
-            prop_assert!(g.granted_gbs >= -1e-12);
-            prop_assert!(g.gflops <= machine.core_peak_gflops() * (1.0 + 1e-9));
+            assert!(g.granted_gbs <= g.demand_gbs * (1.0 + 1e-9) + 1e-9);
+            assert!(g.granted_gbs >= -1e-12);
+            assert!(g.gflops <= machine.core_peak_gflops() * (1.0 + 1e-9));
             // Baseline guarantee applies to the *local* component.
             let local_demand = g.demand_gbs
                 * match &apps[g.app].placement {
                     DataPlacement::Local => 1.0,
-                    DataPlacement::SingleNode(n) => if *n == g.home { 1.0 } else { 0.0 },
+                    DataPlacement::SingleNode(n) => {
+                        if *n == g.home {
+                            1.0
+                        } else {
+                            0.0
+                        }
+                    }
                     DataPlacement::Spread(fr) => fr[g.home.0],
                 };
             let baseline = r.nodes[g.home.0].baseline_gbs;
             let guaranteed = local_demand.min(baseline);
-            prop_assert!(
+            assert!(
                 g.granted_by_target[g.home.0] >= guaranteed - 1e-9,
                 "local grant {} below guarantee {}",
                 g.granted_by_target[g.home.0],
                 guaranteed
             );
         }
-    }
+    });
+}
 
-    /// The sum of per-group grants equals the per-node served totals, and
-    /// the app rollups equal the group rollups (internal consistency).
-    #[test]
-    fn rollups_are_consistent(s in arb_scenario()) {
+/// The sum of per-group grants equals the per-node served totals, and
+/// the app rollups equal the group rollups (internal consistency).
+#[test]
+fn rollups_are_consistent() {
+    check(2, CASES, |g| {
+        let s = arb_scenario(g);
         let Some((machine, apps, assignment)) = build(&s) else {
-            return Ok(());
+            return;
         };
         let r = solve(&machine, &apps, &assignment).unwrap();
 
@@ -152,8 +157,10 @@ proptest! {
                 .map(|g| g.count as f64 * g.granted_by_target[node.0])
                 .sum();
             let reported = r.nodes[node.0].served_remote_gbs + r.nodes[node.0].served_local_gbs;
-            prop_assert!((served - reported).abs() < 1e-6,
-                "node {node:?}: groups sum {served} vs report {reported}");
+            assert!(
+                (served - reported).abs() < 1e-6,
+                "node {node:?}: groups sum {served} vs report {reported}"
+            );
         }
         for (a, app) in r.apps.iter().enumerate() {
             let from_groups: f64 = r
@@ -162,18 +169,22 @@ proptest! {
                 .filter(|g| g.app == a)
                 .map(|g| g.group_gflops())
                 .sum();
-            prop_assert!((from_groups - app.gflops).abs() < 1e-6);
+            assert!((from_groups - app.gflops).abs() < 1e-6);
         }
         let node_total: f64 = r.nodes.iter().map(|n| n.gflops).sum();
-        prop_assert!((node_total - r.total_gflops()).abs() < 1e-6);
-    }
+        assert!((node_total - r.total_gflops()).abs() < 1e-6);
+    });
+}
 
-    /// Scaling the machine's bandwidths and the per-core peak by a common
-    /// factor scales every achieved GFLOPS by the same factor.
-    #[test]
-    fn scale_invariance(s in arb_scenario(), k in 0.5f64..4.0) {
+/// Scaling the machine's bandwidths and the per-core peak by a common
+/// factor scales every achieved GFLOPS by the same factor.
+#[test]
+fn scale_invariance() {
+    check(3, CASES, |g| {
+        let s = arb_scenario(g);
+        let k = g.range(0.5..4.0);
         let Some((machine, apps, assignment)) = build(&s) else {
-            return Ok(());
+            return;
         };
         let r1 = solve(&machine, &apps, &assignment).unwrap();
 
@@ -185,19 +196,25 @@ proptest! {
             .build()
             .unwrap();
         let r2 = solve(&scaled, &apps, &assignment).unwrap();
-        prop_assert!(
+        assert!(
             (r2.total_gflops() - k * r1.total_gflops()).abs()
                 <= 1e-6 * (1.0 + r1.total_gflops().abs() * k),
-            "{} vs {}", r2.total_gflops(), k * r1.total_gflops()
+            "{} vs {}",
+            r2.total_gflops(),
+            k * r1.total_gflops()
         );
-    }
+    });
+}
 
-    /// Raising a node's bandwidth never lowers total performance
-    /// (capacity monotonicity).
-    #[test]
-    fn capacity_monotonicity(s in arb_scenario(), extra in 1.0f64..100.0) {
+/// Raising a node's bandwidth never lowers total performance
+/// (capacity monotonicity).
+#[test]
+fn capacity_monotonicity() {
+    check(4, CASES, |g| {
+        let s = arb_scenario(g);
+        let extra = g.range(1.0..100.0);
         let Some((machine, apps, assignment)) = build(&s) else {
-            return Ok(());
+            return;
         };
         let r1 = solve(&machine, &apps, &assignment).unwrap();
 
@@ -209,24 +226,23 @@ proptest! {
             .build()
             .unwrap();
         let r2 = solve(&bigger, &apps, &assignment).unwrap();
-        prop_assert!(
+        assert!(
             r2.total_gflops() >= r1.total_gflops() - 1e-6,
             "raising capacity lowered GFLOPS: {} -> {}",
             r1.total_gflops(),
             r2.total_gflops()
         );
-    }
+    });
+}
 
-    /// With purely NUMA-local applications, links are irrelevant.
-    #[test]
-    fn local_apps_ignore_links(
-        nodes in 2usize..5,
-        cores in 1usize..9,
-        ai in 0.01f64..64.0,
-        count in 1usize..4,
-        link_a in 0.0f64..50.0,
-        link_b in 0.0f64..50.0,
-    ) {
+/// With purely NUMA-local applications, links are irrelevant.
+#[test]
+fn local_apps_ignore_links() {
+    check(5, CASES, |g| {
+        let (nodes, cores) = (g.range(2..5usize), g.range(1..9usize));
+        let ai = g.range(0.01..64.0);
+        let count = g.range(1..4usize);
+        let (link_a, link_b) = (g.range(0.0..50.0), g.range(0.0..50.0));
         let count = count.min(cores);
         let mk = |link: f64| {
             MachineBuilder::new()
@@ -243,6 +259,6 @@ proptest! {
         let r1 = solve(&m1, &apps, &a1).unwrap();
         let m2 = mk(link_b);
         let r2 = solve(&m2, &apps, &a1).unwrap();
-        prop_assert!((r1.total_gflops() - r2.total_gflops()).abs() < 1e-9);
-    }
+        assert!((r1.total_gflops() - r2.total_gflops()).abs() < 1e-9);
+    });
 }

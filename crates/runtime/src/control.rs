@@ -20,8 +20,8 @@
 //! lack of task preemption.
 
 use crate::{Result, RuntimeError};
+use coop_telemetry::sync::{Condvar, Mutex};
 use numa_topology::{CoreId, CpuSet, NodeId};
-use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 

@@ -12,8 +12,8 @@
 //! drives scheduling affinity and the simulators' traffic accounting (see
 //! the substitution notes in `DESIGN.md`).
 
+use coop_telemetry::sync::RwLock;
 use numa_topology::NodeId;
-use parking_lot::RwLock;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;

@@ -24,8 +24,8 @@
 use crate::event::Event;
 use crate::runtime::{Runtime, Shared};
 use crate::worker;
+use coop_telemetry::sync::Mutex;
 use numa_topology::{Binding, NodeId};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

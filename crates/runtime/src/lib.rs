@@ -62,9 +62,11 @@
 
 mod control;
 mod datablock;
+mod deque;
 mod error;
 mod event;
 mod external;
+mod park;
 mod runtime;
 mod sched;
 mod stats;

@@ -2,15 +2,15 @@
 
 use crate::control::ControlHandle;
 use crate::datablock::{DataBlock, DbId};
+use crate::deque::Injector;
 use crate::event::{Event, EventId, EventKind};
 use crate::sched::{self, LocalQueues, ParkRegistry, SchedState, StealGrid};
 use crate::stats::{NodeOccupancy, RuntimeStats, StatsCollector};
 use crate::task::{Task, TaskBody, TaskBuilder, TaskId, TaskPriority};
 use crate::worker;
 use crate::{Result, RuntimeError};
-use crossbeam::deque::{Injector, Steal};
+use coop_telemetry::sync::{Condvar, Mutex};
 use numa_topology::{Binding, BindingKind, CoreId, Machine, NodeId};
-use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -301,7 +301,9 @@ impl Shared {
         self.sched.ready.fetch_add(1, Ordering::Relaxed);
         // Raise the gate before the push so no pop path can observe the
         // task while the gate still reads zero.
-        self.sched.overbudget_pending.fetch_add(1, Ordering::Release);
+        self.sched
+            .overbudget_pending
+            .fetch_add(1, Ordering::Release);
         self.sched.overbudget.push(task);
         self.sched.parking.notify_one(None);
     }
@@ -525,12 +527,8 @@ fn contain_runaway(shared: &Shared, wd: &WatchdogState, worker: usize, task_id: 
     for tier in [TaskPriority::High, TaskPriority::Normal] {
         let stealer = shared.sched.grid.stealers[worker].tier(tier);
         let (_, per_node) = shared.injectors(tier);
-        loop {
-            match stealer.steal() {
-                Steal::Success(t) => per_node[node.0].push(t),
-                Steal::Retry => continue,
-                Steal::Empty => break,
-            }
+        while let Some(task) = stealer.steal() {
+            per_node[node.0].push(task);
         }
     }
     if let Some(tel) = &shared.telemetry {

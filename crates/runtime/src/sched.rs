@@ -5,7 +5,7 @@
 //! threads:
 //!
 //! * **Per-worker deques.** Every worker owns two LIFO
-//!   [`crossbeam::deque::Worker`] deques (one per [`TaskPriority`] tier).
+//!   [`Worker`] deques (one per [`TaskPriority`] tier).
 //!   Tasks spawned *from a task body* are pushed onto the spawning
 //!   worker's own deque — the common fan-out case never touches a shared
 //!   queue. All other workers hold [`Stealer`] handles, grouped by NUMA
@@ -22,12 +22,12 @@
 //!   sequence number and unpark one (preferably node-local) idle worker.
 //!   The no-lost-wakeup protocol is documented on [`ParkRegistry`].
 
+use crate::deque::{Injector, Stealer, Worker};
+use crate::park::{Parker, Unparker};
 use crate::runtime::Shared;
 use crate::task::{Task, TaskPriority};
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
-use crossbeam::sync::{Parker, Unparker};
+use coop_telemetry::sync::Mutex;
 use numa_topology::NodeId;
-use parking_lot::Mutex;
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -77,7 +77,7 @@ pub(crate) struct SchedState {
     /// Idle-worker registry.
     pub parking: Arc<ParkRegistry>,
     /// Census of enqueued-but-not-popped tasks across every deque and
-    /// injector. Maintained here because `crossbeam`'s deques have no
+    /// injector. Maintained here because the deques have no
     /// cheap aggregate length; feeds `RuntimeStats::tasks_ready`.
     pub ready: AtomicUsize,
     /// Number of high-priority tasks enqueued and not yet popped. Gates
@@ -307,7 +307,7 @@ impl ParkRegistry {
     /// the worker threads; index = worker id).
     pub fn new(worker_node: Vec<NodeId>) -> (Self, Vec<Parker>) {
         let parkers: Vec<Parker> = worker_node.iter().map(|_| Parker::new()).collect();
-        let unparkers = parkers.iter().map(|p| p.unparker().clone()).collect();
+        let unparkers = parkers.iter().map(|p| p.unparker()).collect();
         (
             ParkRegistry {
                 unparkers,
@@ -450,16 +450,12 @@ fn pop_overbudget(shared: &Shared) -> Option<Task> {
     if shared.sched.overbudget_pending.load(Ordering::Acquire) == 0 {
         return None;
     }
-    loop {
-        match shared.sched.overbudget.steal() {
-            Steal::Success(t) => {
-                shared.sched.overbudget_pending.fetch_sub(1, Ordering::AcqRel);
-                return Some(t);
-            }
-            Steal::Empty => return None,
-            Steal::Retry => continue,
-        }
-    }
+    let task = shared.sched.overbudget.steal()?;
+    shared
+        .sched
+        .overbudget_pending
+        .fetch_sub(1, Ordering::AcqRel);
+    Some(task)
 }
 
 /// Maintains the ready census, the pop/steal counters, and — when task
@@ -585,31 +581,17 @@ fn take_injector(
     local: Option<&LocalQueues>,
     tier: TaskPriority,
 ) -> Option<Task> {
-    loop {
-        let steal = match local {
-            Some(lq) => q.steal_batch_and_pop(lq.deque(tier)),
-            None => q.steal(),
-        };
-        match steal {
-            Steal::Success(t) => return Some(t),
-            Steal::Empty => return None,
-            Steal::Retry => continue,
-        }
+    match local {
+        Some(lq) => q.steal_batch_and_pop(lq.deque(tier)),
+        None => q.steal(),
     }
 }
 
 /// Steals from another worker's deque (single task into hand; batching
 /// across deques is left to the injector path).
 fn steal_one(s: &Stealer<Task>, local: Option<&LocalQueues>, tier: TaskPriority) -> Option<Task> {
-    loop {
-        let steal = match local {
-            Some(lq) => s.steal_batch_and_pop(lq.deque(tier)),
-            None => s.steal(),
-        };
-        match steal {
-            Steal::Success(t) => return Some(t),
-            Steal::Empty => return None,
-            Steal::Retry => continue,
-        }
+    match local {
+        Some(lq) => s.steal_batch_and_pop(lq.deque(tier)),
+        None => s.steal(),
     }
 }

@@ -7,8 +7,8 @@
 //! decisions (the paper's agent polls, it does not need a linearizable
 //! view).
 
+use coop_telemetry::sync::Mutex;
 use numa_topology::NodeId;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -95,7 +95,12 @@ impl RuntimeStats {
     /// by node id (nodes the runtime has no workers on read 0). This is
     /// the shape the telemetry tenant ledger books.
     pub fn per_node_tasks(&self) -> Vec<u64> {
-        let len = self.per_node.iter().map(|o| o.node.0 + 1).max().unwrap_or(0);
+        let len = self
+            .per_node
+            .iter()
+            .map(|o| o.node.0 + 1)
+            .max()
+            .unwrap_or(0);
         let mut out = vec![0u64; len];
         for occ in &self.per_node {
             out[occ.node.0] = occ.tasks_executed;
@@ -107,7 +112,12 @@ impl RuntimeStats {
     /// by node id. Paired with [`per_node_tasks`](Self::per_node_tasks)
     /// when feeding accounting samples.
     pub fn running_per_node(&self) -> Vec<u64> {
-        let len = self.per_node.iter().map(|o| o.node.0 + 1).max().unwrap_or(0);
+        let len = self
+            .per_node
+            .iter()
+            .map(|o| o.node.0 + 1)
+            .max()
+            .unwrap_or(0);
         let mut out = vec![0u64; len];
         for occ in &self.per_node {
             out[occ.node.0] = occ.running_workers as u64;

@@ -150,7 +150,10 @@ impl<'rt> TaskBuilder<'rt> {
     /// exhausted there, the runtime parks it into the over-budget queue
     /// and reschedules it at low priority with refilled fuel — compliant
     /// tenants are never starved by a long-running neighbour.
-    pub fn body_step(mut self, f: impl FnMut(&TaskContext<'_>) -> TaskStep + Send + 'static) -> Self {
+    pub fn body_step(
+        mut self,
+        f: impl FnMut(&TaskContext<'_>) -> TaskStep + Send + 'static,
+    ) -> Self {
         self.body = Some(TaskBody::Step(Box::new(f)));
         self
     }

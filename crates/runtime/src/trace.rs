@@ -25,9 +25,10 @@
 //! rt.shutdown();
 //! ```
 
+use coop_telemetry::json::Value;
+use coop_telemetry::json_object;
+use coop_telemetry::sync::Mutex;
 use numa_topology::NodeId;
-use parking_lot::Mutex;
-use serde::Serialize;
 use std::collections::VecDeque;
 use std::time::Instant;
 
@@ -93,22 +94,10 @@ impl Trace {
     /// Workers appear as `tid`s; NUMA nodes as `pid`s, so the viewer
     /// groups lanes by node.
     pub fn to_chrome_json(&self) -> String {
-        #[derive(Serialize)]
-        struct ChromeEvent<'a> {
-            name: &'a str,
-            cat: &'a str,
-            ph: &'a str,
-            ts: u64,
-            #[serde(skip_serializing_if = "Option::is_none")]
-            dur: Option<u64>,
-            pid: usize,
-            tid: usize,
-            #[serde(skip_serializing_if = "Option::is_none")]
-            args: Option<serde_json::Value>,
-        }
-        let mut out: Vec<ChromeEvent<'_>> = Vec::with_capacity(self.events.len());
-        for e in &self.events {
-            match e {
+        let events: Vec<Value> = self
+            .events
+            .iter()
+            .map(|e| match e {
                 TraceEvent::Task {
                     name,
                     worker,
@@ -116,34 +105,37 @@ impl Trace {
                     start_us,
                     duration_us,
                     panicked,
-                } => out.push(ChromeEvent {
-                    name,
-                    cat: "task",
-                    ph: "X", // complete event
-                    ts: *start_us,
-                    dur: Some((*duration_us).max(1)),
-                    pid: node.0,
-                    tid: worker.map(|w| w + 1).unwrap_or(0), // 0 = helper
-                    args: panicked.then(|| serde_json::json!({"panicked": true})),
-                }),
-                TraceEvent::Control { command, at_us } => out.push(ChromeEvent {
-                    name: command,
-                    cat: "control",
-                    ph: "i", // instant event
-                    ts: *at_us,
-                    dur: None,
-                    pid: 0,
-                    tid: 0,
-                    args: None,
-                }),
-            }
-        }
-        serde_json::to_string(&serde_json::json!({
-            "traceEvents": out,
+                } => {
+                    let mut event = json_object! {
+                        "name": name,
+                        "cat": "task",
+                        "ph": "X", // complete event
+                        "ts": start_us,
+                        "dur": (*duration_us).max(1),
+                        "pid": node.0,
+                        "tid": worker.map_or(0, |w| w + 1), // 0 = helper
+                    };
+                    if *panicked {
+                        event.insert("args", json_object! {"panicked": true});
+                    }
+                    event
+                }
+                TraceEvent::Control { command, at_us } => json_object! {
+                    "name": command,
+                    "cat": "control",
+                    "ph": "i", // instant event
+                    "ts": at_us,
+                    "pid": 0usize,
+                    "tid": 0usize,
+                },
+            })
+            .collect();
+        json_object! {
+            "traceEvents": events,
             "displayTimeUnit": "ms",
-            "metadata": { "dropped": self.dropped, "events": self.events.len() },
-        }))
-        .expect("trace serialization cannot fail")
+            "metadata": json_object! {"dropped": self.dropped, "events": self.events.len()},
+        }
+        .write()
     }
 }
 
@@ -324,7 +316,7 @@ mod tests {
             tracer.record_task(&format!("e{i}"), Some(0), NodeId(0), t0, false);
         }
         let trace = tracer.stop();
-        let v: serde_json::Value = serde_json::from_str(&trace.to_chrome_json()).unwrap();
+        let v = coop_telemetry::json::parse(&trace.to_chrome_json()).unwrap();
         assert_eq!(v["metadata"]["dropped"], 3);
         assert_eq!(v["metadata"]["events"], 2);
         assert_eq!(v["traceEvents"].as_array().unwrap().len(), 2);
@@ -339,7 +331,7 @@ mod tests {
         let _ = rt.wait_quiescent_timeout(std::time::Duration::from_secs(10));
         let trace = rt.trace_stop();
         let json = trace.to_chrome_json();
-        let v: serde_json::Value = serde_json::from_str(&json).unwrap();
+        let v = coop_telemetry::json::parse(&json).unwrap();
         let arr = v["traceEvents"].as_array().unwrap();
         assert_eq!(arr.len(), 2);
         assert_eq!(v["metadata"]["dropped"], 0);

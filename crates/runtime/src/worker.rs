@@ -11,10 +11,10 @@
 //! it the moment work arrives (no polling; see
 //! [`crate::sched::ParkRegistry`] for the no-lost-wakeup argument).
 
+use crate::park::Parker;
 use crate::runtime::{Shared, TaskContext};
 use crate::sched::{self, LocalQueues, PARK_BACKSTOP, STATS_FLUSH_EVERY};
 use crate::task::{Task, TaskBody, TaskStep};
-use crossbeam::sync::Parker;
 use numa_topology::{CoreId, NodeId};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
@@ -129,8 +129,7 @@ pub(crate) fn worker_loop(
                     }
                     registry.deregister(id);
                     woke_from_park = true;
-                    backstop_seq = (parked_at.elapsed() >= PARK_BACKSTOP
-                        && registry.seq() == s0)
+                    backstop_seq = (parked_at.elapsed() >= PARK_BACKSTOP && registry.seq() == s0)
                         .then_some(s0);
                 }
                 recheck
@@ -381,7 +380,7 @@ mod tests {
     #[test]
     fn dependencies_order_execution() {
         let r = rt("deps");
-        let order = Arc::new(parking_lot::Mutex::new(Vec::<u32>::new()));
+        let order = Arc::new(coop_telemetry::sync::Mutex::new(Vec::<u32>::new()));
         let ev = r.new_once_event();
 
         // Spawn the dependent first so ordering cannot be incidental.

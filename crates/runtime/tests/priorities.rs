@@ -1,9 +1,9 @@
 //! Tests for two-tier task priorities.
 
 use coop_runtime::{Runtime, RuntimeConfig, ThreadCommand};
+use coop_telemetry::sync::Mutex;
 use numa_topology::presets::tiny;
 use numa_topology::NodeId;
-use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Duration;
 

@@ -119,7 +119,7 @@ fn dependent_dag_with_cross_node_steal_yields_full_causal_chain() {
 
     // Perfetto export round-trips as JSON and contains the hop spans.
     let json = asm.to_perfetto_json();
-    let v: serde_json::Value = serde_json::from_str(&json).unwrap();
+    let v = coop_telemetry::json::parse(&json).unwrap();
     assert!(!v["traceEvents"].as_array().unwrap().is_empty());
 
     rt.shutdown();

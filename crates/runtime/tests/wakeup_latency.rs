@@ -14,8 +14,8 @@
 //! failure modes while tolerating CI scheduling jitter.
 
 use coop_runtime::{Runtime, RuntimeConfig};
+use coop_telemetry::sync::Mutex;
 use numa_topology::presets::tiny;
-use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 

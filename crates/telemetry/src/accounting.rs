@@ -36,7 +36,8 @@
 //! `tenant` instants, so a tenant's accounting can always be scoped to
 //! the interval it was actually admitted.
 
-use crate::json::{push_f64, push_str_literal};
+use crate::json::ToJson;
+use crate::json_write;
 use crate::metrics::{Counter, Gauge, MetricsRegistry};
 use crate::timeline::{ArgValue, TelemetryHub};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -211,6 +212,12 @@ pub struct LedgerSnapshot {
     /// Per-tenant accounts, sorted by tenant name.
     pub tenants: Vec<TenantAccount>,
 }
+
+json_write!(Epoch: opened_us, closed_us, reason);
+json_write!(TenantAccount: tenant, live, entitled_share, delivered_share, locality_ratio, tasks_total,
+    cpu_us_per_node, local_pops, remote_steals, preemptions, overbudget_cpu_us, preemption_rate,
+    windows_accepted, windows_discarded, epochs);
+json_write!(LedgerSnapshot: updated_us, jain, tenants);
 
 impl LedgerSnapshot {
     /// The account of `tenant`, if it was ever seen.
@@ -640,65 +647,7 @@ impl TenantLedger {
     /// Tenants are sorted by name; no wall-clock field changes between a
     /// render and a later scrape of an idle ledger.
     pub fn to_json(&self) -> String {
-        let snap = self.snapshot();
-        let mut out = String::with_capacity(256 + snap.tenants.len() * 256);
-        out.push_str(&format!("{{\"updated_us\":{},\"jain\":", snap.updated_us));
-        push_f64(&mut out, snap.jain);
-        out.push_str(",\"tenants\":[");
-        for (i, t) in snap.tenants.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"tenant\":");
-            push_str_literal(&mut out, &t.tenant);
-            out.push_str(&format!(
-                ",\"live\":{},\"entitled_share\":",
-                if t.live { "true" } else { "false" }
-            ));
-            match t.entitled_share {
-                Some(v) => push_f64(&mut out, v),
-                None => out.push_str("null"),
-            }
-            out.push_str(",\"delivered_share\":");
-            push_f64(&mut out, t.delivered_share);
-            out.push_str(",\"locality_ratio\":");
-            push_f64(&mut out, t.locality_ratio);
-            out.push_str(&format!(",\"tasks_total\":{}", t.tasks_total));
-            out.push_str(",\"cpu_us_per_node\":[");
-            for (n, us) in t.cpu_us_per_node.iter().enumerate() {
-                if n > 0 {
-                    out.push(',');
-                }
-                out.push_str(&us.to_string());
-            }
-            out.push_str(&format!(
-                "],\"local_pops\":{},\"remote_steals\":{},\"preemptions\":{},\"overbudget_cpu_us\":{}",
-                t.local_pops, t.remote_steals, t.preemptions, t.overbudget_cpu_us
-            ));
-            out.push_str(",\"preemption_rate\":");
-            push_f64(&mut out, t.preemption_rate);
-            out.push_str(&format!(
-                ",\"windows_accepted\":{},\"windows_discarded\":{}",
-                t.windows_accepted, t.windows_discarded
-            ));
-            out.push_str(",\"epochs\":[");
-            for (e, epoch) in t.epochs.iter().enumerate() {
-                if e > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("{{\"opened_us\":{},\"closed_us\":", epoch.opened_us));
-                match epoch.closed_us {
-                    Some(ts) => out.push_str(&ts.to_string()),
-                    None => out.push_str("null"),
-                }
-                out.push_str(",\"reason\":");
-                push_str_literal(&mut out, &epoch.reason);
-                out.push('}');
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-        out
+        self.snapshot().to_value().write()
     }
 
     /// A fixed-width text table of the ledger (for `coop top`).
@@ -958,7 +907,7 @@ mod tests {
 
         // JSON carries the new fields.
         let json = ledger.to_json();
-        let parsed: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
+        let parsed = crate::json::parse(&json).expect("valid JSON");
         assert_eq!(parsed["tenants"][0]["preemptions"], 8);
         assert_eq!(parsed["tenants"][0]["overbudget_cpu_us"], 40_000);
         assert!(json.contains("\"preemption_rate\":"), "{json}");
@@ -1032,10 +981,10 @@ mod tests {
         let alpha = json.find("\"alpha\"").unwrap();
         let zeta = json.find("\"zeta\"").unwrap();
         assert!(alpha < zeta, "tenants sorted by name");
-        let parsed: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
+        let parsed = crate::json::parse(&json).expect("valid JSON");
         assert_eq!(parsed["tenants"][0]["tenant"], "alpha");
         assert_eq!(parsed["tenants"][0]["entitled_share"], 0.5);
-        assert_eq!(parsed["tenants"][1]["entitled_share"], serde_json::Value::Null);
+        assert!(parsed["tenants"][1]["entitled_share"].is_null());
     }
 
     #[test]

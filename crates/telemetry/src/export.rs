@@ -1,10 +1,11 @@
 //! Exporters: merged Perfetto/Chrome trace JSON and the JSON summary.
 //!
 //! Both are hand-rolled (see [`crate::json`]) so this crate stays
-//! dependency-free; integration tests parse the output with `serde_json`
+//! dependency-free; integration tests parse the output with [`crate::json::parse`]
 //! to keep the writers honest.
 
-use crate::json::{push_f64, push_str_literal};
+use crate::json::{push_f64, push_str_literal, Value};
+use crate::json_object;
 use crate::timeline::{ArgValue, EventKind, TelemetryHub, TimelineEvent};
 
 fn push_arg_value(out: &mut String, v: &ArgValue) {
@@ -137,35 +138,21 @@ impl TelemetryHub {
     /// Export a compact JSON summary: event/drop totals plus every metric
     /// flattened to `{name, labels, value}` rows.
     pub fn summary_json(&self) -> String {
-        let rows = self.registry().summary_rows();
-        let mut out = String::with_capacity(rows.len() * 64 + 256);
-        out.push_str(&format!(
-            "{{\"events\":{},\"dropped\":{},\"tracks\":{},\"metrics\":[",
-            self.event_count(),
-            self.dropped(),
-            self.track_table().len()
-        ));
-        for (i, (name, labels, value)) in rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":");
-            push_str_literal(&mut out, name);
-            out.push_str(",\"labels\":{");
-            for (j, (k, v)) in labels.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                push_str_literal(&mut out, k);
-                out.push(':');
-                push_str_literal(&mut out, v);
-            }
-            out.push_str("},\"value\":");
-            push_f64(&mut out, *value);
-            out.push('}');
+        let metrics: Vec<Value> = self
+            .registry()
+            .summary_rows()
+            .iter()
+            .map(|(name, labels, value)| {
+                json_object! {"name": name, "labels": Value::object(labels), "value": value}
+            })
+            .collect();
+        json_object! {
+            "events": self.event_count(),
+            "dropped": self.dropped(),
+            "tracks": self.track_table().len(),
+            "metrics": metrics,
         }
-        out.push_str("]}");
-        out
+        .write()
     }
 }
 

@@ -32,8 +32,10 @@
 //! worker index, so concurrent workers never contend on a global lock the
 //! way the legacy `coop_runtime::trace` buffer did).
 //!
-//! This crate is intentionally dependency-free (std only) so it can sit
-//! below every other crate in the workspace.
+//! This crate is dependency-free (std only) and sits below every other
+//! crate in the workspace, so it also carries the two std-only pieces all
+//! of them share: [`json`], the one JSON reader and writer, and [`sync`],
+//! the poison-ignoring locks.
 //!
 //! ```
 //! use coop_telemetry::{TelemetryHub, TrackId};
@@ -54,13 +56,14 @@
 mod accounting;
 mod drift;
 mod export;
-mod json;
+pub mod json;
 mod metrics;
 mod observatory;
 mod provenance;
 mod recorder;
 mod serve;
 mod slo;
+pub mod sync;
 mod timeline;
 mod trace;
 

@@ -15,10 +15,11 @@
 //!   task spans and bandwidth counters that caused it.
 
 use crate::drift::{DriftAlarm, DriftConfig, DriftDetector, SeriesSnapshot};
-use crate::json::{push_f64, push_str_literal};
+use crate::json::Value;
 use crate::metrics::Histogram;
 use crate::provenance::{Prediction, ProvenanceLedger, ProvenanceRecord, Residual, SeriesValue};
 use crate::timeline::{ArgValue, TelemetryHub, TrackId};
+use crate::{json_object, json_write};
 use std::sync::{Arc, OnceLock};
 
 /// Gauge holding the latest relative residual per series.
@@ -302,66 +303,36 @@ impl DriftReport {
 
     /// Render as a JSON object.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"records\":");
-        out.push_str(&self.records.to_string());
-        out.push_str(",\"open_records\":");
-        out.push_str(&self.open_records.to_string());
-        out.push_str(",\"total_alarms\":");
-        out.push_str(&self.total_alarms().to_string());
-        out.push_str(",\"worst_series\":");
-        match self.worst_series() {
-            Some(w) => push_str_literal(&mut out, &w.series),
-            None => out.push_str("null"),
+        let alarms: Vec<Value> = self
+            .alarms
+            .iter()
+            .map(|a| {
+                json_object! {
+                    "series": a.series,
+                    "sample": a.sample,
+                    "residual": a.residual,
+                    "ewma": a.ewma,
+                    "cusum": a.cusum,
+                    "direction": a.direction.as_str(),
+                }
+            })
+            .collect();
+        json_object! {
+            "records": self.records,
+            "open_records": self.open_records,
+            "total_alarms": self.total_alarms(),
+            "worst_series": self.worst_series().map(|w| &w.series),
+            "worst_node": self.worst_node().map(|w| &w.series),
+            "series": self.series,
+            "alarms": alarms,
         }
-        out.push_str(",\"worst_node\":");
-        match self.worst_node() {
-            Some(w) => push_str_literal(&mut out, &w.series),
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"series\":[");
-        for (i, s) in self.series.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"series\":");
-            push_str_literal(&mut out, &s.series);
-            out.push_str(",\"samples\":");
-            out.push_str(&s.samples.to_string());
-            out.push_str(",\"last_residual\":");
-            push_f64(&mut out, s.last_residual);
-            out.push_str(",\"ewma\":");
-            push_f64(&mut out, s.ewma);
-            out.push_str(",\"mean_abs_residual\":");
-            push_f64(&mut out, s.mean_abs_residual);
-            out.push_str(",\"max_abs_residual\":");
-            push_f64(&mut out, s.max_abs_residual);
-            out.push_str(",\"alarms\":");
-            out.push_str(&s.alarms.to_string());
-            out.push('}');
-        }
-        out.push_str("],\"alarms\":[");
-        for (i, a) in self.alarms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"series\":");
-            push_str_literal(&mut out, &a.series);
-            out.push_str(",\"sample\":");
-            out.push_str(&a.sample.to_string());
-            out.push_str(",\"residual\":");
-            push_f64(&mut out, a.residual);
-            out.push_str(",\"ewma\":");
-            push_f64(&mut out, a.ewma);
-            out.push_str(",\"cusum\":");
-            push_f64(&mut out, a.cusum);
-            out.push_str(",\"direction\":");
-            push_str_literal(&mut out, a.direction.as_str());
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
+        .write()
     }
 }
+
+// The report's view of a series: the CUSUM sums stay internal.
+json_write!(SeriesSnapshot: series, samples, last_residual, ewma, mean_abs_residual,
+    max_abs_residual, alarms);
 
 #[cfg(test)]
 mod tests {
@@ -484,8 +455,7 @@ mod tests {
         assert!(text.contains("model-drift report"));
         assert!(text.contains("app/a/bandwidth_gbs"));
         assert!(text.contains("worst series"));
-        let v: serde_json::Value =
-            serde_json::from_str(&report.to_json()).expect("report JSON must parse");
+        let v = crate::json::parse(&report.to_json()).expect("report JSON must parse");
         assert_eq!(v["worst_series"], "app/a/bandwidth_gbs");
         assert!(v["total_alarms"].as_u64().unwrap() > 0);
         assert!(v["series"][0]["mean_abs_residual"].as_f64().unwrap() > 0.0);

@@ -11,7 +11,8 @@
 //! reallocation the system made, in terms of what was expected and what
 //! was measured.
 
-use crate::json::{push_f64, push_str_literal};
+use crate::json::{ToJson, Value};
+use crate::{json_object, json_write};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -230,81 +231,29 @@ impl ProvenanceLedger {
 
     /// Render the ledger as a JSON array of records.
     pub fn to_json(&self) -> String {
-        let records = self.records();
-        let mut out = String::from("[");
-        for (i, r) in records.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_record(&mut out, r);
-        }
-        out.push(']');
-        out
+        self.records().to_value().write()
     }
 }
 
-fn push_series(out: &mut String, series: &[SeriesValue]) {
-    out.push('[');
-    for (i, s) in series.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"series\":");
-        push_str_literal(out, &s.series);
-        out.push_str(",\"value\":");
-        push_f64(out, s.value);
-        out.push('}');
-    }
-    out.push(']');
-}
+json_write!(SeriesValue: series, value);
+json_write!(Residual: series, predicted, measured, relative);
 
-fn push_record(out: &mut String, r: &ProvenanceRecord) {
-    out.push_str("{\"id\":");
-    out.push_str(&r.id.to_string());
-    out.push_str(",\"tick\":");
-    out.push_str(&r.tick.to_string());
-    out.push_str(",\"source\":");
-    push_str_literal(out, &r.source);
-    out.push_str(",\"command\":");
-    push_str_literal(out, &r.command);
-    out.push_str(",\"opened_us\":");
-    out.push_str(&r.opened_us.to_string());
-    out.push_str(",\"assignment\":");
-    push_str_literal(out, &r.prediction.assignment);
-    out.push_str(",\"inputs\":{");
-    for (i, (k, v)) in r.prediction.inputs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+impl ToJson for ProvenanceRecord {
+    fn to_value(&self) -> Value {
+        json_object! {
+            "id": self.id,
+            "tick": self.tick,
+            "source": self.source,
+            "command": self.command,
+            "opened_us": self.opened_us,
+            "assignment": self.prediction.assignment,
+            "inputs": Value::object(&self.prediction.inputs),
+            "predicted": self.prediction.series,
+            "measured": self.measured,
+            "residuals": self.residuals,
+            "closed_us": self.closed_us,
         }
-        push_str_literal(out, k);
-        out.push(':');
-        push_f64(out, *v);
     }
-    out.push_str("},\"predicted\":");
-    push_series(out, &r.prediction.series);
-    out.push_str(",\"measured\":");
-    push_series(out, &r.measured);
-    out.push_str(",\"residuals\":[");
-    for (i, res) in r.residuals.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"series\":");
-        push_str_literal(out, &res.series);
-        out.push_str(",\"predicted\":");
-        push_f64(out, res.predicted);
-        out.push_str(",\"measured\":");
-        push_f64(out, res.measured);
-        out.push_str(",\"relative\":");
-        push_f64(out, res.relative);
-        out.push('}');
-    }
-    out.push_str("],\"closed_us\":");
-    match r.closed_us {
-        Some(us) => out.push_str(&us.to_string()),
-        None => out.push_str("null"),
-    }
-    out.push('}');
 }
 
 #[cfg(test)]
@@ -374,7 +323,7 @@ mod tests {
         let id = ledger.open(0, "src\"quoted\"", "cmd\nline", prediction(), 7);
         ledger.close(id, vec![SeriesValue::new("app/a/bandwidth_gbs", 9.0)], 9);
         let json = ledger.to_json();
-        let v: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
+        let v = crate::json::parse(&json).expect("valid JSON");
         assert_eq!(v[0]["source"], "src\"quoted\"");
         assert_eq!(v[0]["residuals"][0]["series"], "app/a/bandwidth_gbs");
         assert_eq!(v[0]["closed_us"], 9);

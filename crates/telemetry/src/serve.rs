@@ -19,7 +19,8 @@
 //! itself after answering a fixed number of requests, so `coop observe
 //! --serve addr --serve-max-requests N` terminates deterministically.
 
-use crate::json::{push_f64, push_str_literal};
+use crate::json::{ToJson, Value};
+use crate::json_object;
 use crate::timeline::{ArgValue, EventKind, TelemetryHub, TimelineEvent};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -89,65 +90,59 @@ impl Drop for TelemetryServer {
 pub fn recent_events_json(hub: &TelemetryHub, limit: usize) -> String {
     let events = hub.events();
     let skip = events.len().saturating_sub(limit);
-    let mut out = String::with_capacity(256 + (events.len() - skip) * 128);
-    out.push_str("{\"events\":[");
-    for (i, ev) in events[skip..].iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_event_json(&mut out, ev);
+    json_object! {
+        "events": events[skip..],
+        "total": events.len(),
+        "dropped": hub.dropped(),
     }
-    out.push_str(&format!(
-        "],\"total\":{},\"dropped\":{}}}",
-        events.len(),
-        hub.dropped()
-    ));
-    out
+    .write()
 }
 
-fn push_event_json(out: &mut String, ev: &TimelineEvent) {
-    out.push_str(&format!(
-        "{{\"track\":{},\"lane\":{},\"ts_us\":{},\"cat\":",
-        ev.track.0, ev.lane, ev.ts_us
-    ));
-    push_str_literal(out, &ev.cat);
-    out.push_str(",\"name\":");
-    push_str_literal(out, &ev.name);
-    match &ev.kind {
-        EventKind::Span { dur_us } => {
-            out.push_str(&format!(",\"kind\":\"span\",\"dur_us\":{dur_us}"))
+impl ToJson for TimelineEvent {
+    fn to_value(&self) -> Value {
+        let mut doc = json_object! {
+            "track": self.track.0,
+            "lane": self.lane,
+            "ts_us": self.ts_us,
+            "cat": self.cat,
+            "name": self.name,
+        };
+        match &self.kind {
+            EventKind::Span { dur_us } => {
+                doc.insert("kind", "span".to_value());
+                doc.insert("dur_us", dur_us.to_value());
+            }
+            EventKind::Instant => doc.insert("kind", "instant".to_value()),
+            EventKind::Counter { value } => {
+                doc.insert("kind", "counter".to_value());
+                doc.insert("value", value.to_value());
+            }
         }
-        EventKind::Instant => out.push_str(",\"kind\":\"instant\""),
-        EventKind::Counter { value } => {
-            out.push_str(",\"kind\":\"counter\",\"value\":");
-            push_f64(out, *value);
+        doc.insert("args", Value::object(&self.args));
+        doc
+    }
+}
+
+impl ToJson for ArgValue {
+    fn to_value(&self) -> Value {
+        match self {
+            ArgValue::U64(n) => n.to_value(),
+            ArgValue::I64(n) => Value::Int(i128::from(*n)),
+            ArgValue::F64(x) => x.to_value(),
+            ArgValue::Bool(b) => b.to_value(),
+            ArgValue::Str(s) => s.to_value(),
         }
     }
-    out.push_str(",\"args\":{");
-    for (i, (k, v)) in ev.args.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_str_literal(out, k);
-        out.push(':');
-        match v {
-            ArgValue::U64(n) => out.push_str(&n.to_string()),
-            ArgValue::I64(n) => out.push_str(&n.to_string()),
-            ArgValue::F64(x) => push_f64(out, *x),
-            ArgValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            ArgValue::Str(s) => push_str_literal(out, s),
-        }
-    }
-    out.push_str("}}");
 }
 
 fn healthz_json(hub: &TelemetryHub) -> String {
-    format!(
-        "{{\"status\":\"ok\",\"uptime_us\":{},\"events\":{},\"dropped\":{}}}",
-        hub.now_us(),
-        hub.event_count(),
-        hub.dropped()
-    )
+    json_object! {
+        "status": "ok",
+        "uptime_us": hub.now_us(),
+        "events": hub.event_count(),
+        "dropped": hub.dropped(),
+    }
+    .write()
 }
 
 fn respond(stream: &mut TcpStream, status: &str, content_type: &str, body: &str) {
@@ -356,13 +351,13 @@ mod tests {
 
         let (head, body) = get(addr, "/healthz");
         assert!(head.starts_with("HTTP/1.1 200 OK"));
-        let parsed: serde_json::Value = serde_json::from_str(&body).expect("healthz JSON");
+        let parsed = crate::json::parse(&body).expect("healthz JSON");
         assert_eq!(parsed["status"], "ok");
         assert_eq!(parsed["events"], 2);
 
         let (head, body) = get(addr, "/trace/recent");
         assert!(head.starts_with("HTTP/1.1 200 OK"));
-        let parsed: serde_json::Value = serde_json::from_str(&body).expect("trace JSON");
+        let parsed = crate::json::parse(&body).expect("trace JSON");
         let events = parsed["events"].as_array().unwrap();
         assert_eq!(events.len(), 2);
         assert!(events
@@ -491,7 +486,7 @@ mod tests {
             hub.record_instant_at(0, track, 0, "trace", &format!("e{i}"), i, Vec::new());
         }
         let out = recent_events_json(&hub, 3);
-        let parsed: serde_json::Value = serde_json::from_str(&out).unwrap();
+        let parsed = crate::json::parse(&out).unwrap();
         let names: Vec<&str> = parsed["events"]
             .as_array()
             .unwrap()

@@ -26,8 +26,9 @@
 //! histogram) are skipped entirely — they neither violate nor heal.
 
 use crate::accounting::LedgerSnapshot;
-use crate::json::{push_f64, push_str_literal};
+use crate::json::Value;
 use crate::timeline::{ArgValue, TelemetryHub};
+use crate::{json_object, json_write};
 use std::collections::VecDeque;
 use std::sync::{Mutex, MutexGuard};
 
@@ -157,6 +158,8 @@ pub struct WindowBurn {
     /// `violating fraction / budget` for this window.
     pub burn_rate: f64,
 }
+
+json_write!(WindowBurn: ticks, violations, burn_rate);
 
 /// The current standing of one spec.
 #[derive(Debug, Clone)]
@@ -387,52 +390,29 @@ impl SloEngine {
     /// `/slo` route serves. Deterministic: specs render in construction
     /// order with no wall-clock fields.
     pub fn to_json(&self) -> String {
-        let report = self.report();
-        let mut out = String::with_capacity(128 + report.len() * 256);
-        out.push_str("{\"slos\":[");
-        for (i, s) in report.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"tenant\":");
-            push_str_literal(&mut out, &s.spec.tenant);
-            out.push_str(",\"objective\":");
-            push_str_literal(&mut out, s.spec.objective.slug());
-            out.push_str(",\"target\":");
-            push_f64(&mut out, s.spec.target);
-            out.push_str(",\"budget\":");
-            push_f64(&mut out, s.spec.budget);
-            out.push_str(&format!(
-                ",\"ticks\":{},\"violations\":{},\"last_value\":",
-                s.ticks, s.violations_total
-            ));
-            push_f64(&mut out, s.last_value);
-            out.push_str(",\"burn_rate\":");
-            push_f64(&mut out, s.burn_rate);
-            out.push_str(",\"burn_rate_peak\":");
-            push_f64(&mut out, s.burn_rate_peak);
-            out.push_str(",\"budget_remaining\":");
-            push_f64(&mut out, s.budget_remaining);
-            out.push_str(&format!(
-                ",\"exhausted\":{},\"was_exhausted\":{},\"dumps\":{}",
-                s.exhausted, s.was_exhausted, s.dumps
-            ));
-            out.push_str(",\"windows\":[");
-            for (w, burn) in s.windows.iter().enumerate() {
-                if w > 0 {
-                    out.push(',');
+        let slos: Vec<Value> = self
+            .report()
+            .iter()
+            .map(|s| {
+                json_object! {
+                    "tenant": s.spec.tenant,
+                    "objective": s.spec.objective.slug(),
+                    "target": s.spec.target,
+                    "budget": s.spec.budget,
+                    "ticks": s.ticks,
+                    "violations": s.violations_total,
+                    "last_value": s.last_value,
+                    "burn_rate": s.burn_rate,
+                    "burn_rate_peak": s.burn_rate_peak,
+                    "budget_remaining": s.budget_remaining,
+                    "exhausted": s.exhausted,
+                    "was_exhausted": s.was_exhausted,
+                    "dumps": s.dumps,
+                    "windows": s.windows,
                 }
-                out.push_str(&format!(
-                    "{{\"ticks\":{},\"violations\":{},\"burn_rate\":",
-                    burn.ticks, burn.violations
-                ));
-                push_f64(&mut out, burn.burn_rate);
-                out.push_str("}");
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-        out
+            })
+            .collect();
+        json_object! {"slos": slos}.write()
     }
 
     /// A fixed-width text table (for `coop top`).
@@ -681,7 +661,7 @@ mod tests {
         engine.evaluate(&hub, 1);
         let json = engine.to_json();
         assert_eq!(json, engine.to_json());
-        let parsed: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
+        let parsed = crate::json::parse(&json).expect("valid JSON");
         assert_eq!(parsed["slos"][0]["tenant"], "a");
         assert_eq!(parsed["slos"][0]["objective"], "delivered_share");
         // An engine with no specs serves the same shape as the

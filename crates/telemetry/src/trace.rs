@@ -612,7 +612,7 @@ mod tests {
     fn perfetto_export_is_valid_json_with_hop_spans() {
         let asm = TraceAssembler::from_events(&full_chain());
         let out = asm.to_perfetto_json();
-        let parsed: serde_json::Value = serde_json::from_str(&out).expect("valid JSON");
+        let parsed = crate::json::parse(&out).expect("valid JSON");
         let events = parsed["traceEvents"].as_array().unwrap();
         // 1 process_name + 1 thread_name + 6 hop spans.
         assert_eq!(events.len(), 8);

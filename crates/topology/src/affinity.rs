@@ -12,10 +12,9 @@
 //! 3. **Core** — the thread is pinned to a single core (blocking option 2).
 
 use crate::{CoreId, CpuSet, Machine, NodeId, Result};
-use serde::{Deserialize, Serialize};
 
 /// Where a worker thread is allowed to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Binding {
     /// No affinity: any core of the machine.
     Unbound,
@@ -26,7 +25,7 @@ pub enum Binding {
 }
 
 /// Discriminant-only view of [`Binding`], useful for configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BindingKind {
     /// See [`Binding::Unbound`].
     Unbound,

@@ -7,7 +7,6 @@
 //! [`Machine`](crate::Machine).
 
 use crate::ids::CoreId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 const BITS: usize = 64;
@@ -27,7 +26,7 @@ const BITS: usize = 64;
 /// assert_eq!(a.intersection(&b).count(), 1);
 /// assert!(a.union(&b).contains(CoreId(7)));
 /// ```
-#[derive(Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
 pub struct CpuSet {
     words: Vec<u64>,
 }
@@ -335,13 +334,5 @@ mod tests {
         let a = CpuSet::from_range(0, 3);
         let b = CpuSet::from_cores([CoreId(0), CoreId(1), CoreId(2)]);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let s = CpuSet::from_cores([CoreId(1), CoreId(64), CoreId(65)]);
-        let json = serde_json::to_string(&s).unwrap();
-        let back: CpuSet = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, s);
     }
 }

@@ -4,13 +4,13 @@
 //! per-node / per-core vectors without arithmetic noise, while still keeping
 //! "node 3" and "core 3" from being confused for one another at compile time.
 
-use serde::{Deserialize, Serialize};
+use coop_telemetry::json::{self, FromJson, ToJson, Value};
 use std::fmt;
 
 /// Identifier of a NUMA node within a [`Machine`](crate::Machine).
 ///
 /// Node ids are dense: a machine with `n` nodes uses ids `0..n`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub usize);
 
 /// Identifier of a CPU core within a [`Machine`](crate::Machine).
@@ -19,7 +19,7 @@ pub struct NodeId(pub usize);
 /// node in node-id order — the same convention Linux uses on socket-ordered
 /// systems. Core 0 is the first core of node 0; on a 4x8 machine, core 8 is
 /// the first core of node 1.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CoreId(pub usize);
 
 impl NodeId {
@@ -37,6 +37,23 @@ impl CoreId {
         self.0
     }
 }
+
+/// Both ids are written as their bare index.
+macro_rules! id_json {
+    ($($id:ident),*) => {$(
+        impl ToJson for $id {
+            fn to_value(&self) -> Value {
+                self.0.to_value()
+            }
+        }
+        impl FromJson for $id {
+            fn from_value(v: &Value) -> json::Result<Self> {
+                usize::from_value(v).map($id)
+            }
+        }
+    )*};
+}
+id_json!(NodeId, CoreId);
 
 impl fmt::Debug for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -114,11 +131,12 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip() {
+    fn json_roundtrip() {
         let n = NodeId(5);
-        let s = serde_json::to_string(&n).unwrap();
+        let s = n.to_value().write();
         assert_eq!(s, "5");
-        let back: NodeId = serde_json::from_str(&s).unwrap();
+        let back = NodeId::from_value(&json::parse(&s).unwrap()).unwrap();
         assert_eq!(back, n);
+        assert!(CoreId::from_value(&json::parse("-1").unwrap()).is_err());
     }
 }

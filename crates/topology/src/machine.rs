@@ -1,7 +1,8 @@
 //! The validated machine description: nodes, cores, bandwidths, links.
 
 use crate::{CoreId, CpuSet, NodeId, Result, TopologyError};
-use serde::{Deserialize, Serialize};
+use coop_telemetry::json::{self, FromJson, ToJson, Value};
+use coop_telemetry::json_write;
 
 /// One NUMA node of a [`Machine`].
 ///
@@ -9,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// with a peak bandwidth. Core homogeneity is machine-wide (assumption 1 of
 /// the paper's model: "a single CPU core has the same peak GFLOPS for each
 /// application").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// This node's id.
     pub id: NodeId,
@@ -54,7 +55,7 @@ impl Node {
 /// through the node's own memory controller and are limited by
 /// [`Node::bandwidth_gbs`]). A value of `0.0` means the pair cannot exchange
 /// traffic at all.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkMatrix {
     dim: usize,
     /// Row-major `dim x dim` bandwidths.
@@ -129,7 +130,7 @@ impl LinkMatrix {
 /// downstream code can rely on: at least one node, at least one core per
 /// node, positive bandwidths and GFLOPS, and a link matrix whose dimension
 /// matches the node count.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Machine {
     name: String,
     nodes: Vec<Node>,
@@ -259,27 +260,54 @@ impl Machine {
 
     /// Serializes the machine description to pretty JSON.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("machine serialization cannot fail")
+        self.to_value().write_pretty()
     }
 
     /// Deserializes and re-validates a machine description from JSON.
     pub fn from_json(json: &str) -> Result<Machine> {
-        let m: Machine =
-            serde_json::from_str(json).map_err(|e| TopologyError::Serde(e.to_string()))?;
-        // Re-run the builder validation so hand-edited JSON cannot smuggle
-        // in inconsistent descriptions.
+        let doc = json::parse(json).map_err(|e| TopologyError::Serde(e.to_string()))?;
+        Machine::from_value(&doc).map_err(|e| TopologyError::Serde(e.to_string()))
+    }
+}
+
+json_write!(Node: id, first_core, num_cores, bandwidth_gbs, memory_gib);
+json_write!(LinkMatrix: dim, gbs);
+json_write!(Machine: name, nodes, core_peak_gflops, links, total_cores);
+
+/// Most cores a machine read from JSON may describe.
+const MAX_CORES_FROM_JSON: usize = 1 << 20;
+
+/// Reads what [`MachineBuilder`] takes (name, peak, per-node cores /
+/// bandwidth / memory, the link rows) and re-runs its validation, so
+/// hand-edited JSON cannot smuggle in an inconsistent description; the
+/// derived members (`id`, `first_core`, `total_cores`, `links.dim`) are
+/// recomputed, not trusted.
+impl FromJson for Machine {
+    fn from_value(v: &Value) -> json::Result<Self> {
         let mut b = MachineBuilder::new()
-            .name(&m.name)
-            .core_peak_gflops(m.core_peak_gflops);
-        for n in &m.nodes {
-            b = b.add_node(n.num_cores, n.bandwidth_gbs, n.memory_gib);
+            .name(&v.field::<String>("name")?)
+            .core_peak_gflops(v.field("core_peak_gflops")?);
+        let nodes: Vec<Value> = v.field("nodes")?;
+        let mut total_cores = 0usize;
+        for n in &nodes {
+            let cores: usize = n.field("num_cores")?;
+            // Core sets are bitmaps sized by the highest core id: bound
+            // what a file can make them allocate.
+            total_cores = total_cores
+                .checked_add(cores)
+                .filter(|total| *total <= MAX_CORES_FROM_JSON)
+                .ok_or_else(|| json::Error::new("machine describes more than 2^20 cores"))?;
+            b = b.add_node(cores, n.field("bandwidth_gbs")?, n.field("memory_gib")?);
         }
-        let rows: Vec<f64> = (0..m.nodes.len())
-            .flat_map(|i| (0..m.nodes.len()).map(move |j| (i, j)))
-            .map(|(i, j)| m.links.link(NodeId(i), NodeId(j)))
-            .collect();
-        b.link_matrix(LinkMatrix::from_rows(m.nodes.len(), &rows)?)
+        let mut rows: Vec<f64> = v.field::<Value>("links")?.field("gbs")?;
+        // The diagonal carries no link: whatever the file says, it is zero.
+        for diagonal in rows.iter_mut().step_by(nodes.len() + 1) {
+            *diagonal = 0.0;
+        }
+        let invalid = |e: TopologyError| json::Error::new(e.to_string());
+        b.link_matrix(LinkMatrix::from_rows(nodes.len(), &rows).map_err(invalid)?)
             .build()
+            .map_err(invalid)
     }
 }
 
@@ -651,6 +679,18 @@ mod tests {
         let json = m.to_json().replace("32.0", "-32.0");
         assert!(Machine::from_json(&json).is_err());
         assert!(Machine::from_json("not json").is_err());
+        // Derived members are recomputed, not trusted: a claimed dimension
+        // of 2^30 allocates nothing and changes nothing...
+        let claimed = m.to_json().replace("\"dim\": 4", "\"dim\": 1073741824");
+        assert_eq!(Machine::from_json(&claimed).unwrap(), m);
+        // ...while link rows that do not match the node count, or core
+        // counts no machine has, are errors rather than panics.
+        let short = m.to_json().replace("\"gbs\": [", "\"gbs\": [1.0,");
+        assert!(Machine::from_json(&short).is_err());
+        let huge = m
+            .to_json()
+            .replace("\"num_cores\": 8", "\"num_cores\": 18446744073709551615");
+        assert!(Machine::from_json(&huge).is_err());
     }
 
     #[test]

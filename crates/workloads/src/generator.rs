@@ -3,9 +3,8 @@
 //! The ablation benches and stress tests need scenario diversity beyond
 //! the paper's fixed mixes; these generators produce it reproducibly.
 
+use coop_alloc::rng::StdRng;
 use numa_topology::{Machine, MachineBuilder, NodeId};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use roofline_numa::{AppSpec, ThreadAssignment};
 
 /// Parameters for random machine generation.

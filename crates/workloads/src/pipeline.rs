@@ -22,7 +22,7 @@
 
 use crate::kernels::spin_work;
 use coop_runtime::Runtime;
-use parking_lot::{Condvar, Mutex};
+use coop_telemetry::sync::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};

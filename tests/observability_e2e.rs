@@ -77,7 +77,7 @@ fn figure1_pipeline_exports_one_merged_timeline() {
 
     // --- The merged Perfetto/Chrome JSON ---
     let json = hub.to_perfetto_json();
-    let v: serde_json::Value = serde_json::from_str(&json).expect("trace must be valid JSON");
+    let v = coop_telemetry::json::parse(&json).expect("trace must be valid JSON");
     let events = v["traceEvents"].as_array().unwrap();
 
     // Runtime task events: complete spans, category "task".
@@ -102,15 +102,16 @@ fn figure1_pipeline_exports_one_merged_timeline() {
     assert!(!counters.is_empty(), "memsim counter tracks missing");
 
     // Distinct tracks (Perfetto processes) per source…
-    let pid = |e: &&serde_json::Value| e["pid"].as_u64().unwrap();
+    let pid = |e: &&coop_telemetry::json::Value| e["pid"].as_u64().unwrap();
     assert_ne!(pid(&task_spans[0]), pid(&decisions[0]));
     assert_ne!(pid(&task_spans[0]), pid(&counters[0]));
 
     // …but one clock: memsim ran after the pipeline, so its samples must
     // carry later timestamps than the first task span — all microseconds
     // since the same hub epoch.
-    let min_ts =
-        |evs: &[&serde_json::Value]| evs.iter().map(|e| e["ts"].as_u64().unwrap()).min().unwrap();
+    let min_ts = |evs: &[&coop_telemetry::json::Value]| {
+        evs.iter().map(|e| e["ts"].as_u64().unwrap()).min().unwrap()
+    };
     assert!(
         min_ts(&counters) >= min_ts(&task_spans),
         "memsim samples must sort after the pipeline start on the shared clock"
