@@ -5,7 +5,6 @@ pub mod dist;
 pub mod e2e;
 pub mod fig1;
 pub mod fig3;
-pub mod fleet;
 pub mod library;
 pub mod oversub;
 pub mod sublinear;

@@ -1,34 +1,46 @@
-//! Command execution.
+//! Command execution: one function per subcommand, each over the checked
+//! arguments its parser produced.
 
-use crate::{
-    AppArg, Cli, CliError, Command, OutputFormat, PerturbArg, PlacementArg, Result, SearchMethod,
+use crate::args::{
+    field, parts, ChaosArgs, DriftArgs, ObserveArgs, ParetoArgs, SearchArgs, SearchMethod,
+    SimulateArgs, SolveArgs, SweepArgs, TopArgs, TraceArgs,
 };
+use crate::session::{write_metrics_file, Session};
+use crate::{AppArg, Cli, CliError, Command, OutputFormat, PlacementArg, Result};
 use coop_alloc::{search, Objective, ThreadAssignment};
 use coop_telemetry::json::{self, ToJson, Value};
-use coop_telemetry::json_object;
+use coop_telemetry::{json_object, SloSpec};
 use numa_topology::{presets, Machine, NodeId};
 use roofline_numa::{solve, sweep, AppSpec, DataPlacement};
+use std::sync::Arc;
+
+/// A preset machine: its `--machine` name and constructor.
+type Preset = (&'static str, fn() -> Machine);
+
+const PRESETS: [Preset; 6] = [
+    ("paper-model", presets::paper_model_machine),
+    ("paper-crossnode", presets::paper_crossnode_machine),
+    ("paper-skylake", presets::paper_skylake_machine),
+    ("dual-socket", presets::dual_socket),
+    ("knl", presets::knl_snc4),
+    ("tiny", presets::tiny),
+];
 
 /// Resolves a `--machine` argument: preset name, `host`, or a JSON path.
 pub fn resolve_machine(name: &str) -> Result<Machine> {
-    match name {
-        "paper-model" => Ok(presets::paper_model_machine()),
-        "paper-crossnode" => Ok(presets::paper_crossnode_machine()),
-        "paper-skylake" => Ok(presets::paper_skylake_machine()),
-        "dual-socket" => Ok(presets::dual_socket()),
-        "knl" => Ok(presets::knl_snc4()),
-        "tiny" => Ok(presets::tiny()),
-        "host" => Ok(numa_topology::host::detect_host()),
-        path => {
-            let json = std::fs::read_to_string(path).map_err(|e| {
-                CliError::usage(format!(
-                    "'{path}' is not a preset machine and could not be read as a file: {e}"
-                ))
-            })?;
-            Machine::from_json(&json)
-                .map_err(|e| CliError::failure(format!("invalid machine JSON in '{path}': {e}")))
-        }
+    if let Some((_, preset)) = PRESETS.iter().find(|(n, _)| *n == name) {
+        return Ok(preset());
     }
+    if name == "host" {
+        return Ok(numa_topology::host::detect_host());
+    }
+    let json = std::fs::read_to_string(name).map_err(|e| {
+        CliError::usage(format!(
+            "'{name}' is not a preset machine and could not be read as a file: {e}"
+        ))
+    })?;
+    Machine::from_json(&json)
+        .map_err(|e| CliError::failure(format!("invalid machine JSON in '{name}': {e}")))
 }
 
 /// Converts CLI app specs to model specs, validating against the machine.
@@ -60,6 +72,11 @@ fn json_doc(doc: &Value) -> String {
     doc.write_pretty() + "\n"
 }
 
+/// A component's own JSON text as a [`Value`], to embed in a larger document.
+fn reparse(what: &str, text: &str) -> Result<Value> {
+    json::parse(text).map_err(|e| CliError::failure(format!("{what} JSON: {e}")))
+}
+
 /// [`json_doc`] of a simulator document stamped with the engine choice.
 fn engine_doc(mut doc: Value, engine: memsim::EngineKind, sim_threads: usize) -> String {
     doc.insert("engine", engine.as_str().to_value());
@@ -77,346 +94,139 @@ fn health_doc(health: &[(String, coop_agent::Health)]) -> Value {
 
 /// Executes a parsed command; returns stdout text.
 pub fn execute(cli: &Cli) -> Result<String> {
+    let format = cli.format;
     match &cli.command {
         Command::Help => Ok(crate::args::USAGE.to_string()),
         Command::Machines => Ok(machines_text()),
-        Command::Detect => detect(cli.json),
-        Command::Show { machine } => {
-            let m = resolve_machine(machine)?;
-            Ok(m.to_json() + "\n")
-        }
-        Command::Solve {
-            machine,
-            apps,
-            counts,
-            explain,
-        } => solve_cmd(machine, apps, counts, *explain, cli.json),
-        Command::Search {
-            machine,
-            apps,
-            method,
-            keep_alive,
-            seed,
-            threads,
-            metrics,
-        } => search_cmd(
-            machine,
-            apps,
-            *method,
-            *keep_alive,
-            *seed,
-            *threads,
-            metrics.as_deref(),
-            cli.json,
-        ),
-        Command::Sweep { machine, app } => sweep_cmd(machine, app, cli.json),
-        Command::Pareto { machine, apps } => pareto_cmd(machine, apps, cli.json),
-        Command::Simulate {
-            scenario,
-            write_template,
-            metrics,
-            faults,
-            no_reclaim,
-            engine,
-            sim_threads,
-        } => simulate_cmd(
-            scenario.as_deref(),
-            *write_template,
-            metrics.as_deref(),
-            faults,
-            *no_reclaim,
-            (*engine, *sim_threads),
-            cli.format,
-        ),
-        Command::Chaos {
-            machine,
-            runtimes,
-            ticks,
-            tick_interval_ms,
-            kill_at,
-            revive_at,
-            deadline_ms,
-            faults,
-            runaway,
-            trace_out,
-            metrics,
-            flight_dir,
-            slo_report,
-            engine,
-            sim_threads,
-        } => chaos_cmd(
-            machine,
-            *runtimes,
-            (*ticks, *tick_interval_ms, *kill_at, *revive_at),
-            *deadline_ms,
-            faults,
-            *runaway,
-            trace_out.as_deref(),
-            metrics.as_deref(),
-            (flight_dir.as_deref(), slo_report.as_deref()),
-            (*engine, *sim_threads),
-            cli.format,
-        ),
-        Command::Top {
-            machine,
-            duration_s,
-            decision_period_s,
-            outages,
-            serve,
-            serve_max_requests,
-        } => top_cmd(
-            machine,
-            *duration_s,
-            *decision_period_s,
-            outages,
-            (serve.as_deref(), *serve_max_requests),
-            cli.format,
-        ),
-        Command::Observe {
-            machine,
-            iterations,
-            trace_out,
-            metrics,
-            serve,
-            serve_max_requests,
-            dump,
-        } => observe_cmd(
-            machine,
-            *iterations,
-            trace_out.as_deref(),
-            metrics.as_deref(),
-            (serve.as_deref(), *serve_max_requests, dump.as_deref()),
-            cli.format,
-        ),
-        Command::Trace {
-            query,
-            from,
-            machine,
-            iterations,
-        } => trace_cmd(query, from.as_deref(), machine, *iterations, cli.format),
-        Command::Drift {
-            scenario,
-            perturbations,
-            decision_period_s,
-            duration_s,
-            ewma_alpha,
-            cusum_k,
-            cusum_h,
-            reoptimize,
-            trace_out,
-            metrics,
-            engine,
-            sim_threads,
-        } => drift_cmd(
-            scenario.as_deref(),
-            perturbations,
-            *decision_period_s,
-            *duration_s,
-            (*ewma_alpha, *cusum_k, *cusum_h),
-            *reoptimize,
-            trace_out.as_deref(),
-            metrics.as_deref(),
-            (*engine, *sim_threads),
-            cli.format,
-        ),
+        Command::Detect => detect(format),
+        Command::Show(x) => Ok(resolve_machine(&x.machine)?.to_json() + "\n"),
+        Command::Solve(x) => solve_cmd(x, format),
+        Command::Search(x) => search_cmd(x, format),
+        Command::Sweep(x) => sweep_cmd(x, format),
+        Command::Pareto(x) => pareto_cmd(x, format),
+        Command::Simulate(x) => simulate_cmd(x, format),
+        Command::Chaos(x) => chaos_cmd(x, format),
+        Command::Top(x) => top_cmd(x, format),
+        Command::Observe(x) => observe_cmd(x, format),
+        Command::Trace(x) => trace_cmd(x, format),
+        Command::Drift(x) => drift_cmd(x, format),
     }
 }
 
-/// Writes a hub's metrics to `path`: `.json` gets the structured summary,
-/// anything else the Prometheus text exposition.
-fn write_metrics_file(path: &str, hub: &coop_telemetry::TelemetryHub) -> Result<()> {
-    let body = if path.ends_with(".json") {
-        hub.summary_json()
-    } else {
-        hub.registry().to_prometheus()
-    };
-    std::fs::write(path, body)
-        .map_err(|e| CliError::failure(format!("cannot write metrics '{path}': {e}")))
-}
-
-/// Parses an `app:down_at_s[:up_at_s]` outage spec; `flag` names the
-/// CLI flag it came from (`--fault` on simulate, `--outage` on top) so
-/// errors point at what the user actually typed.
-fn parse_outage(flag: &str, spec: &str) -> Result<memsim::AppOutage> {
-    let parts: Vec<&str> = spec.split(':').collect();
-    if parts.len() != 2 && parts.len() != 3 {
-        return Err(CliError::usage(format!(
-            "bad {flag} '{spec}': expected app:down_at_s[:up_at_s]"
-        )));
-    }
-    let app: usize = parts[0].parse().map_err(|_| {
-        CliError::usage(format!("bad app index '{}' in {flag} '{spec}'", parts[0]))
-    })?;
-    let down_at_s: f64 = parts[1].parse().map_err(|_| {
-        CliError::usage(format!("bad down time '{}' in {flag} '{spec}'", parts[1]))
-    })?;
-    let up_at_s: Option<f64> = match parts.get(2) {
-        Some(t) => Some(t.parse().map_err(|_| {
-            CliError::usage(format!("bad up time '{t}' in {flag} '{spec}'"))
-        })?),
-        None => None,
-    };
-    Ok(memsim::AppOutage {
-        app,
-        down_at_s,
-        up_at_s,
-    })
-}
-
-fn simulate_cmd(
-    scenario: Option<&str>,
-    write_template: bool,
-    metrics: Option<&str>,
-    faults: &[String],
-    no_reclaim: bool,
-    engine: (memsim::EngineKind, usize),
-    format: OutputFormat,
-) -> Result<String> {
-    let (engine, sim_threads) = engine;
-    if write_template {
-        return Ok(memsim::scenario::template().to_json() + "\n");
-    }
-    let path = scenario.expect("checked by the parser");
+fn read_scenario(path: &str) -> Result<memsim::Scenario> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| CliError::usage(format!("cannot read scenario '{path}': {e}")))?;
-    let scenario = memsim::Scenario::from_json(&text)
-        .map_err(|e| CliError::failure(format!("invalid scenario: {e}")))?;
+    memsim::Scenario::from_json(&text)
+        .map_err(|e| CliError::failure(format!("invalid scenario: {e}")))
+}
 
+/// `app:down_at_s[:up_at_s]` outages: `--fault` on simulate, `--outage` on
+/// top (errors name the flag the user typed).
+fn parse_outages(flag: &str, specs: &[String]) -> Result<Vec<memsim::AppOutage>> {
+    let outage = |spec: &String| {
+        let parts = parts(flag, spec, "app:down_at_s[:up_at_s]", 2..=3)?;
+        Ok(memsim::AppOutage {
+            app: field(flag, spec, "app index", parts[0])?,
+            down_at_s: field(flag, spec, "down time", parts[1])?,
+            up_at_s: match parts.get(2) {
+                Some(t) => Some(field(flag, spec, "up time", t)?),
+                None => None,
+            },
+        })
+    };
+    specs.iter().map(outage).collect()
+}
+
+fn simulate_cmd(x: &SimulateArgs, format: OutputFormat) -> Result<String> {
+    if x.write_template {
+        return Ok(memsim::scenario::template().to_json() + "\n");
+    }
+    let (engine, sim_threads) = (x.engine, x.sim_threads);
+    let scenario = read_scenario(x.scenario.as_deref().expect("checked by the parser"))?;
     // `--fault` switches simulate into the chaos path: the first
     // assignment runs with the requested outages injected.
-    if !faults.is_empty() {
-        let plan = memsim::ChaosPlan {
-            outages: faults
-                .iter()
-                .map(|f| parse_outage("--fault", f))
-                .collect::<Result<Vec<_>>>()?,
-            reclaim: !no_reclaim,
-        };
-        let want_hub = metrics.is_some() || format == OutputFormat::Prom;
-        let (chaos, hub) = if want_hub {
-            let hub = std::sync::Arc::new(coop_telemetry::TelemetryHub::new());
-            let r = memsim::run_chaos_scenario_threaded(
-                &scenario,
-                &plan,
-                Some(std::sync::Arc::clone(&hub)),
-                engine,
-                sim_threads,
-            )
-            .map_err(|e| CliError::failure(format!("chaos simulation failed: {e}")))?;
-            if let Some(metrics_path) = metrics {
-                write_metrics_file(metrics_path, &hub)?;
-            }
-            (r, Some(hub))
-        } else {
-            let r = memsim::run_chaos_scenario_threaded(&scenario, &plan, None, engine, sim_threads)
-                .map_err(|e| CliError::failure(format!("chaos simulation failed: {e}")))?;
-            (r, None)
-        };
-        return match format {
-            OutputFormat::Json => Ok(engine_doc(chaos.result.to_value(), engine, sim_threads)),
-            OutputFormat::Prom => Ok(hub
-                .expect("hub exists for prom format")
-                .registry()
-                .to_prometheus()),
-            OutputFormat::Text => {
-                let mut out = format!(
-                    "chaos scenario: {} ({} segments, reclaim {}, engine {engine}, \
-                     sim-threads {sim_threads})\n",
-                    scenario.name,
-                    chaos.segments.len(),
-                    if plan.reclaim { "on" } else { "off" }
-                );
-                for (start, live) in &chaos.segments {
-                    let live_names: Vec<&str> = scenario
-                        .apps
-                        .iter()
-                        .zip(live)
-                        .filter(|(_, &l)| l)
-                        .map(|(a, _)| a.name())
-                        .collect();
-                    out.push_str(&format!(
-                        "  from {start:.3}s: live = [{}]\n",
-                        live_names.join(", ")
-                    ));
-                }
-                for (i, app) in scenario.apps.iter().enumerate() {
-                    out.push_str(&format!(
-                        "  {:<12} {:>10.2} GFLOPS\n",
-                        app.name(),
-                        chaos.result.app_gflops(i)
-                    ));
-                }
-                out.push_str(&format!(
-                    "  total        {:>10.2} GFLOPS\n",
-                    chaos.result.total_gflops()
-                ));
-                Ok(out)
-            }
-        };
-    }
-
-    // `--format prom` needs the hub even without a `--metrics` file.
-    let want_hub = metrics.is_some() || format == OutputFormat::Prom;
-    let (result, hub) = if want_hub {
-        let hub = std::sync::Arc::new(coop_telemetry::TelemetryHub::new());
-        let r = memsim::run_scenario_threaded(
-            &scenario,
-            Some(std::sync::Arc::clone(&hub)),
-            engine,
-            sim_threads,
-        )
-        .map_err(|e| CliError::failure(format!("simulation failed: {e}")))?;
-        if let Some(metrics_path) = metrics {
-            write_metrics_file(metrics_path, &hub)?;
-        }
-        (r, Some(hub))
+    let plan = (!x.faults.is_empty()).then_some(memsim::ChaosPlan {
+        outages: parse_outages("--fault", &x.faults)?,
+        reclaim: !x.no_reclaim,
+    });
+    // The simulator gets a hub only when something will read it: an
+    // attached hub costs a label format, a shard push and a histogram
+    // observe per node per segment.
+    let session = if x.export.metrics.is_some() || format == OutputFormat::Prom {
+        Some(Session::new(&x.export, Vec::new())?)
     } else {
-        let r = memsim::run_scenario_threaded(&scenario, None, engine, sim_threads)
-            .map_err(|e| CliError::failure(format!("simulation failed: {e}")))?;
-        (r, None)
+        None
     };
-    match format {
-        OutputFormat::Json => Ok(engine_doc(result.to_value(), engine, sim_threads)),
-        OutputFormat::Prom => Ok(hub
-            .expect("hub exists for prom format")
-            .registry()
-            .to_prometheus()),
-        OutputFormat::Text => {
-            let mut out = result.to_string();
-            out.push_str(&format!("engine: {engine}\n"));
-            out.push_str(&format!("sim-threads: {sim_threads}\n"));
-            Ok(out)
+    let hub = session.as_ref().map(Session::hub);
+
+    let out = match &plan {
+        Some(plan) => {
+            let chaos =
+                memsim::run_chaos_scenario_threaded(&scenario, plan, hub, engine, sim_threads)
+                    .map_err(|e| CliError::failure(format!("chaos simulation failed: {e}")))?;
+            match format {
+                OutputFormat::Json => engine_doc(chaos.result.to_value(), engine, sim_threads),
+                OutputFormat::Prom => String::new(), // `finish` prints the hub instead
+                OutputFormat::Text => {
+                    let mut out = format!(
+                        "chaos scenario: {} ({} segments, reclaim {}, engine {engine}, \
+                         sim-threads {sim_threads})\n",
+                        scenario.name,
+                        chaos.segments.len(),
+                        if plan.reclaim { "on" } else { "off" }
+                    );
+                    for (start, live) in &chaos.segments {
+                        let live_names: Vec<&str> = scenario
+                            .apps
+                            .iter()
+                            .zip(live)
+                            .filter(|(_, &l)| l)
+                            .map(|(a, _)| a.name())
+                            .collect();
+                        out.push_str(&format!(
+                            "  from {start:.3}s: live = [{}]\n",
+                            live_names.join(", ")
+                        ));
+                    }
+                    for (i, app) in scenario.apps.iter().enumerate() {
+                        out.push_str(&format!(
+                            "  {:<12} {:>10.2} GFLOPS\n",
+                            app.name(),
+                            chaos.result.app_gflops(i)
+                        ));
+                    }
+                    out.push_str(&format!(
+                        "  total        {:>10.2} GFLOPS\n",
+                        chaos.result.total_gflops()
+                    ));
+                    out
+                }
+            }
         }
+        None => {
+            let result = memsim::run_scenario_threaded(&scenario, hub, engine, sim_threads)
+                .map_err(|e| CliError::failure(format!("simulation failed: {e}")))?;
+            match format {
+                OutputFormat::Json => engine_doc(result.to_value(), engine, sim_threads),
+                OutputFormat::Prom => String::new(),
+                OutputFormat::Text => {
+                    format!("{result}engine: {engine}\nsim-threads: {sim_threads}\n")
+                }
+            }
+        }
+    };
+    match &session {
+        Some(session) => session.finish(&x.export, format, |_| Ok(out)),
+        None => Ok(out),
     }
 }
 
 /// `drift`: run a scenario under model supervision (predict each decision
 /// tick with the analytic model, simulate it — optionally on a perturbed
 /// machine — and back-fill the residuals) and print the drift report.
-#[allow(clippy::too_many_arguments)]
-fn drift_cmd(
-    scenario: Option<&str>,
-    perturbations: &[PerturbArg],
-    decision_period_s: f64,
-    duration_s: f64,
-    (ewma_alpha, cusum_k, cusum_h): (f64, f64, f64),
-    reoptimize: bool,
-    trace_out: Option<&str>,
-    metrics: Option<&str>,
-    engine: (memsim::EngineKind, usize),
-    format: OutputFormat,
-) -> Result<String> {
-    use std::sync::Arc;
-
-    let (engine, sim_threads) = engine;
-
-    let scenario = match scenario {
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| CliError::usage(format!("cannot read scenario '{path}': {e}")))?;
-            memsim::Scenario::from_json(&text)
-                .map_err(|e| CliError::failure(format!("invalid scenario: {e}")))?
-        }
+fn drift_cmd(x: &DriftArgs, format: OutputFormat) -> Result<String> {
+    let scenario = match &x.scenario {
+        Some(path) => read_scenario(path)?,
         None => {
             // Template with only the first assignment: one supervised run.
             let mut s = memsim::scenario::template();
@@ -425,9 +235,10 @@ fn drift_cmd(
         }
     };
     let config = memsim::SupervisorConfig {
-        decision_period_s,
-        duration_s,
-        perturbations: perturbations
+        decision_period_s: x.decision_period_s,
+        duration_s: x.duration_s,
+        perturbations: x
+            .perturbations
             .iter()
             .map(|p| memsim::Perturbation::NodeBandwidth {
                 at_s: p.at_s,
@@ -436,60 +247,44 @@ fn drift_cmd(
             })
             .collect(),
         drift: coop_telemetry::DriftConfig {
-            ewma_alpha,
-            cusum_k,
-            cusum_h,
+            ewma_alpha: x.ewma_alpha,
+            cusum_k: x.cusum_k,
+            cusum_h: x.cusum_h,
             ..coop_telemetry::DriftConfig::default()
         },
-        reoptimize,
+        reoptimize: x.reoptimize,
         // A requested trace export implies the causal spans that make it
         // assemble like a real runtime's.
-        tracing: trace_out.is_some(),
+        tracing: x.export.trace_out.is_some(),
         chaos: None,
-        engine,
-        sim_threads,
+        engine: x.engine,
+        sim_threads: x.sim_threads,
     };
-    let hub = Arc::new(coop_telemetry::TelemetryHub::new());
-    let result = memsim::run_supervised(&scenario, &config, Arc::clone(&hub))
+    let session = Session::new(&x.export, Vec::new())?;
+    let result = memsim::run_supervised(&scenario, &config, session.hub())
         .map_err(|e| CliError::failure(format!("supervised run failed: {e}")))?;
 
-    if let Some(path) = trace_out {
-        std::fs::write(path, hub.to_perfetto_json())
-            .map_err(|e| CliError::failure(format!("cannot write trace '{path}': {e}")))?;
-    }
-    if let Some(path) = metrics {
-        write_metrics_file(path, &hub)?;
-    }
-
-    let report = result.report();
-    match format {
-        OutputFormat::Json => {
-            let doc = json::parse(&report.to_json())
-                .map_err(|e| CliError::failure(format!("drift report JSON: {e}")))?;
-            Ok(engine_doc(doc, engine, sim_threads))
+    session.finish(&x.export, format, |done| {
+        let report = result.report();
+        if format == OutputFormat::Json {
+            let doc = reparse("drift report", &report.to_json())?;
+            return Ok(engine_doc(doc, x.engine, x.sim_threads));
         }
-        OutputFormat::Prom => Ok(hub.registry().to_prometheus()),
-        OutputFormat::Text => {
-            let mut out = report.to_text();
-            out.push_str(&format!(
-                "{} decision ticks ({} perturbed), first alarm at tick {}, engine {engine}, \
-                 sim-threads {sim_threads}\n",
-                result.ticks.len(),
-                result.ticks.iter().filter(|t| t.perturbed).count(),
-                result
-                    .first_alarm_tick()
-                    .map(|t| t.to_string())
-                    .unwrap_or_else(|| "-".to_string()),
-            ));
-            if let Some(p) = trace_out {
-                out.push_str(&format!("trace written to {p}\n"));
-            }
-            if let Some(p) = metrics {
-                out.push_str(&format!("metrics written to {p}\n"));
-            }
-            Ok(out)
-        }
-    }
+        Ok(format!(
+            "{}{} decision ticks ({} perturbed), first alarm at tick {}, engine {}, \
+             sim-threads {}\n{}",
+            report.to_text(),
+            result.ticks.len(),
+            result.ticks.iter().filter(|t| t.perturbed).count(),
+            result
+                .first_alarm_tick()
+                .map(|t| t.to_string())
+                .unwrap_or_else(|| "-".to_string()),
+            x.engine,
+            x.sim_threads,
+            done.footer
+        ))
+    })
 }
 
 /// `chaos`: live runtimes under a supervised agent. `app0` is wrapped in a
@@ -504,66 +299,31 @@ fn drift_cmd(
 /// marks the spinners runaway, the agent's containment ladder walks the
 /// offender back toward its fair share, and the ledger books the
 /// over-budget CPU against it.
-#[allow(clippy::too_many_arguments)]
-fn chaos_cmd(
-    machine: &str,
-    runtimes: usize,
-    (ticks, tick_interval_ms, kill_at, revive_at): (u64, u64, u64, Option<u64>),
-    deadline_ms: u64,
-    faults: &[String],
-    runaway: Option<(usize, u64)>,
-    trace_out: Option<&str>,
-    metrics: Option<&str>,
-    (flight_dir, slo_report): (Option<&str>, Option<&str>),
-    engine: (memsim::EngineKind, usize),
-    format: OutputFormat,
-) -> Result<String> {
+fn chaos_cmd(x: &ChaosArgs, format: OutputFormat) -> Result<String> {
     use coop_agent::{policies, Agent, ChaosHandle, FaultPlan, KillSwitch, SupervisionConfig};
     use coop_runtime::{Runtime, RuntimeConfig};
-    use std::sync::Arc;
     use std::time::Duration;
 
-    let (engine, sim_threads) = engine;
-
-    if runtimes < 2 {
-        return Err(CliError::usage("chaos needs --runtimes >= 2"));
-    }
-    let m = resolve_machine(machine)?;
+    let (runtimes, kill_at, revive_at, runaway) = (x.runtimes, x.kill_at, x.revive_at, x.runaway);
+    let m = resolve_machine(&x.machine)?;
     let mut plan = FaultPlan::new();
-    for spec in faults {
+    for spec in &x.faults {
         plan = plan
             .parse_rule(spec)
             .map_err(|e| CliError::usage(format!("bad --fault '{spec}': {e}")))?;
     }
 
-    let hub = Arc::new(coop_telemetry::TelemetryHub::new());
-    // `--flight-dir`: black-box recorder on the shared hub. The agent's
-    // supervision machine dumps it automatically on every transition to
-    // Suspected or Dead, so the kill below leaves a post-mortem on disk.
-    let recorder = match flight_dir {
-        Some(dir) => {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| CliError::failure(format!("cannot create flight dir '{dir}': {e}")))?;
-            let rec = Arc::new(coop_telemetry::FlightRecorder::new(
-                coop_telemetry::DEFAULT_FLIGHT_CAPACITY,
-            ));
-            rec.set_dump_dir(dir);
-            hub.install_flight_recorder(Arc::clone(&rec));
-            Some(rec)
-        }
-        None => None,
-    };
-    // Tenant observatory: the ledger books every runtime's delivered work
+    // `--flight-dir`: the agent's supervision machine dumps the recorder on
+    // every transition to Suspected or Dead, so the kill below leaves a
+    // post-mortem on disk. The ledger books every runtime's delivered work
     // as the agent ticks, and the SLO engine burns app0's error budget
     // while the kill keeps it below its fair share. Short windows so the
     // handful of ticks a CLI run makes is enough to register a spike.
-    let ledger = Arc::new(coop_telemetry::TenantLedger::new());
-    hub.install_tenant_ledger(Arc::clone(&ledger));
-    let slo_engine = Arc::new(coop_telemetry::SloEngine::new(vec![
-        coop_telemetry::SloSpec::min_share("app0", 0.5 / runtimes as f64)
-            .with_windows(vec![2, 8]),
-    ]));
-    hub.install_slo_engine(Arc::clone(&slo_engine));
+    let session = Session::new(
+        &x.export,
+        vec![SloSpec::min_share("app0", 0.5 / runtimes as f64).with_windows(vec![2, 8])],
+    )?;
+    let hub = session.hub();
     let rts: Vec<Arc<Runtime>> = (0..runtimes)
         .map(|i| {
             let name = format!("app{i}");
@@ -575,7 +335,7 @@ fn chaos_cmd(
                 // one agent tick.
                 cfg = cfg
                     .with_task_fuel(64)
-                    .with_watchdog(Duration::from_millis((tick_interval_ms / 2).clamp(1, 20)));
+                    .with_watchdog(Duration::from_millis((x.tick_interval_ms / 2).clamp(1, 20)));
             }
             Runtime::start(cfg)
                 .map(Arc::new)
@@ -589,7 +349,7 @@ fn chaos_cmd(
         Arc::clone(&hub),
     );
     agent.set_supervision(SupervisionConfig::aggressive(Duration::from_millis(
-        deadline_ms,
+        x.deadline_ms,
     )));
     agent.set_reclaim_machine(m.clone());
     for (i, rt) in rts.iter().enumerate() {
@@ -603,13 +363,28 @@ fn chaos_cmd(
         }
     }
 
+    let health_line = |health: &[(String, coop_agent::Health)], evicted: &[String]| {
+        format!(
+            "{}{}",
+            health
+                .iter()
+                .map(|(n, h)| format!("{n}={}", h.name()))
+                .collect::<Vec<_>>()
+                .join(" "),
+            if evicted.is_empty() {
+                String::new()
+            } else {
+                format!("  evicted: [{}]", evicted.join(", "))
+            }
+        )
+    };
     let mut lines = Vec::new();
     let mut tick_records = Vec::new();
     // `--runaway`: spinners hold their workers until this flag flips, so
     // the watchdog sees a genuine wedge but shutdown still drains clean.
     let spin_stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let mut spins_left: u32 = if runaway.is_some() { 3 } else { 0 };
-    for tick in 0..ticks {
+    for tick in 0..x.ticks {
         if tick == kill_at {
             kill.kill();
             lines.push(format!("tick {tick:>3}: >>> killed app0"));
@@ -651,7 +426,9 @@ fn chaos_cmd(
                         })
                         .spawn()
                         .map_err(|e| CliError::failure(format!("cannot inject fuel hog: {e}")))?;
-                    lines.push(format!("tick {tick:>3}: >>> runaway injected into app{app}"));
+                    lines.push(format!(
+                        "tick {tick:>3}: >>> runaway injected into app{app}"
+                    ));
                 }
             }
         }
@@ -661,24 +438,15 @@ fn chaos_cmd(
         let health = agent.health();
         let evicted = agent.evicted();
         lines.push(format!(
-            "tick {tick:>3}: {}{}",
-            health
-                .iter()
-                .map(|(n, h)| format!("{n}={}", h.name()))
-                .collect::<Vec<_>>()
-                .join(" "),
-            if evicted.is_empty() {
-                String::new()
-            } else {
-                format!("  evicted: [{}]", evicted.join(", "))
-            }
+            "tick {tick:>3}: {}",
+            health_line(&health, &evicted)
         ));
         tick_records.push(json_object! {
             "tick": tick,
             "health": health_doc(&health),
             "evicted": evicted,
         });
-        std::thread::sleep(Duration::from_millis(tick_interval_ms));
+        std::thread::sleep(Duration::from_millis(x.tick_interval_ms));
     }
 
     let final_health = agent.health();
@@ -698,40 +466,20 @@ fn chaos_cmd(
         .registry()
         .counter_total("coop_agent_containments_total");
 
-    if let Some(path) = trace_out {
-        std::fs::write(path, hub.to_perfetto_json())
-            .map_err(|e| CliError::failure(format!("cannot write trace '{path}': {e}")))?;
-    }
-    if let Some(path) = metrics {
-        write_metrics_file(path, &hub)?;
-    }
-    if let Some(path) = slo_report {
-        std::fs::write(path, slo_engine.to_json())
-            .map_err(|e| CliError::failure(format!("cannot write SLO report '{path}': {e}")))?;
-    }
-
-    let flight_dumps = recorder.as_ref().map(|r| r.dumps());
-    let ledger_snap = ledger.snapshot();
-
-    match format {
-        OutputFormat::Json => {
-            let tenants_doc = json::parse(&ledger.to_json())
-                .map_err(|e| CliError::failure(format!("ledger JSON: {e}")))?;
-            let slo_doc = json::parse(&slo_engine.to_json())
-                .map_err(|e| CliError::failure(format!("SLO JSON: {e}")))?;
+    session.finish(&x.export, format, |done| {
+        let (ledger, slo_engine) = session.tenants();
+        if format == OutputFormat::Json {
             let doc = json_object! {
                 "machine": m.name(),
-                "engine": engine.as_str(),
-                "sim_threads": sim_threads,
                 "runtimes": runtimes,
                 "kill_at": kill_at,
                 "revive_at": revive_at,
                 "ticks": tick_records,
                 "final_health": health_doc(&final_health),
                 "final_evicted": final_evicted,
-                "flight_dumps": flight_dumps,
-                "tenants": tenants_doc,
-                "slo": slo_doc,
+                "flight_dumps": done.flight_dumps,
+                "tenants": reparse("ledger", &ledger.to_json())?,
+                "slo": reparse("SLO", &slo_engine.to_json())?,
                 "runaway": runaway.map(|(app, at)| json_object! {
                     "app": app,
                     "at": at,
@@ -746,114 +494,66 @@ fn chaos_cmd(
                     }).collect::<Vec<_>>(),
                 }),
             };
-            Ok(json_doc(&doc))
+            return Ok(json_doc(&doc));
         }
-        OutputFormat::Prom => Ok(hub.registry().to_prometheus()),
-        OutputFormat::Text => {
-            let mut out = format!(
-                "chaos: {runtimes} runtimes on {}, kill app0 at tick {kill_at}{}, \
-                 engine {engine}, sim-threads {sim_threads}\n",
-                m.name(),
-                revive_at
-                    .map(|r| format!(", revive at tick {r}"))
-                    .unwrap_or_default()
-            );
-            for l in &lines {
-                out.push_str(l);
-                out.push('\n');
-            }
+        let mut out = format!(
+            "chaos: {runtimes} runtimes on {}, kill app0 at tick {kill_at}{}\n",
+            m.name(),
+            revive_at
+                .map(|r| format!(", revive at tick {r}"))
+                .unwrap_or_default()
+        );
+        for l in &lines {
+            out.push_str(l);
+            out.push('\n');
+        }
+        out.push_str(&format!(
+            "final: {}\n{}",
+            health_line(&final_health, &final_evicted),
+            done.footer
+        ));
+        out.push_str(&session.tenants_line());
+        if let Some((app, at)) = runaway {
             out.push_str(&format!(
-                "final: {}{}\n",
-                final_health
-                    .iter()
-                    .map(|(n, h)| format!("{n}={}", h.name()))
-                    .collect::<Vec<_>>()
-                    .join(" "),
-                if final_evicted.is_empty() {
-                    String::new()
-                } else {
-                    format!("  evicted: [{}]", final_evicted.join(", "))
-                }
+                "runaway: injected into app{app} at tick {at}; {containments} containment(s)\n",
             ));
-            if let Some(p) = trace_out {
-                out.push_str(&format!("trace written to {p}\n"));
-            }
-            if let Some(p) = metrics {
-                out.push_str(&format!("metrics written to {p}\n"));
-            }
-            if let (Some(dir), Some(n)) = (flight_dir, flight_dumps) {
-                out.push_str(&format!("flight recorder: {n} dump(s) in {dir}\n"));
-            }
-            out.push_str(&format!(
-                "tenants: {} accounted, jain {:.3}\n",
-                ledger_snap.tenants.len(),
-                ledger_snap.jain
-            ));
-            if let Some((app, at)) = runaway {
+            for (i, s) in final_stats.iter().enumerate() {
                 out.push_str(&format!(
-                    "runaway: injected into app{app} at tick {at}; {containments} containment(s)\n",
+                    "  app{i}: {} preempted, {} runaway, {}us over budget\n",
+                    s.tasks_preempted, s.tasks_runaway, s.overbudget_cpu_us
                 ));
-                for (i, s) in final_stats.iter().enumerate() {
-                    out.push_str(&format!(
-                        "  app{i}: {} preempted, {} runaway, {}us over budget\n",
-                        s.tasks_preempted, s.tasks_runaway, s.overbudget_cpu_us
-                    ));
-                }
             }
-            if let Some(p) = slo_report {
-                out.push_str(&format!("slo report written to {p}\n"));
-            }
-            Ok(out)
         }
-    }
+        if let Some(p) = &x.export.slo_report {
+            out.push_str(&format!("slo report written to {p}\n"));
+        }
+        Ok(out)
+    })
 }
 
 /// `observe`: the Figure-1 setup end to end on one telemetry hub — two
 /// runtimes driving the producer-consumer pipeline, the agent throttling
 /// the producer, and a memsim reallocation run — then export the merged
 /// trace and metrics.
-fn observe_cmd(
-    machine: &str,
-    iterations: usize,
-    trace_out: Option<&str>,
-    metrics: Option<&str>,
-    (serve, serve_max_requests, dump): (Option<&str>, u64, Option<&str>),
-    format: OutputFormat,
-) -> Result<String> {
+fn observe_cmd(x: &ObserveArgs, format: OutputFormat) -> Result<String> {
     use coop_agent::{policies, Agent};
     use coop_runtime::{Runtime, RuntimeConfig};
     use coop_workloads::pipeline::{run_pipeline, PipelineConfig};
-    use std::sync::Arc;
     use std::time::Duration;
 
-    let m = resolve_machine(machine)?;
-    let hub = Arc::new(coop_telemetry::TelemetryHub::new());
+    let m = resolve_machine(&x.machine)?;
     // `--dump`: flight recorder on the hub from the start, snapshotted at
-    // the end of the run (`coop observe --dump` in the docs).
-    let recorder = match dump {
-        Some(dir) => {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| CliError::failure(format!("cannot create dump dir '{dir}': {e}")))?;
-            let rec = Arc::new(coop_telemetry::FlightRecorder::new(
-                coop_telemetry::DEFAULT_FLIGHT_CAPACITY,
-            ));
-            rec.set_dump_dir(dir);
-            hub.install_flight_recorder(Arc::clone(&rec));
-            Some(rec)
-        }
-        None => None,
-    };
-    // Tenant observatory on the same hub: the agent books producer and
-    // consumer into the ledger each tick and the SLO engine tracks a
-    // (deliberately loose) minimum-share objective for each, so the
-    // `/tenants` and `/slo` routes serve real data under `--serve`.
-    let ledger = Arc::new(coop_telemetry::TenantLedger::new());
-    hub.install_tenant_ledger(Arc::clone(&ledger));
-    let slo_engine = Arc::new(coop_telemetry::SloEngine::new(vec![
-        coop_telemetry::SloSpec::min_share("producer", 0.05).with_windows(vec![4, 16]),
-        coop_telemetry::SloSpec::min_share("consumer", 0.05).with_windows(vec![4, 16]),
-    ]));
-    hub.install_slo_engine(Arc::clone(&slo_engine));
+    // the end of the run. The agent books producer and consumer into the
+    // ledger each tick and the SLO engine tracks a (deliberately loose)
+    // minimum-share objective for each, so the `/tenants` and `/slo`
+    // routes serve real data under `--serve`.
+    let session = Session::new(
+        &x.export,
+        ["producer", "consumer"]
+            .map(|t| SloSpec::min_share(t, 0.05).with_windows(vec![4, 16]))
+            .into(),
+    )?;
+    let hub = session.hub();
     let start_rt = |name: &str| -> Result<Arc<Runtime>> {
         Runtime::start(
             RuntimeConfig::new(name, m.clone())
@@ -887,7 +587,7 @@ fn observe_cmd(
         .map_err(|e| CliError::failure(format!("cannot start agent: {e}")))?;
 
     let config = PipelineConfig {
-        iterations,
+        iterations: x.iterations,
         ..PipelineConfig::default()
     };
     let report = run_pipeline(&producer, &consumer, &config);
@@ -940,146 +640,72 @@ fn observe_cmd(
         let result = search::GreedySearch::new()
             .run_model(&m, &mut oracle)
             .map_err(|e| CliError::failure(format!("allocation search failed: {e}")))?;
-        let reg = hub.registry();
-        reg.set_help(
-            "coop_search_full_solves_total",
-            "Full model solves performed by the allocation search",
-        );
-        reg.set_help(
-            "coop_search_delta_solves_total",
-            "Incremental (delta) model solves performed by the allocation search",
-        );
-        let labels = &[("method", "greedy")];
-        reg.counter("coop_search_full_solves_total", labels)
-            .add(result.counters.full_solves);
-        reg.counter("coop_search_delta_solves_total", labels)
-            .add(result.counters.delta_solves);
+        publish_solve_counters(hub.registry(), "greedy", &result.counters);
         result.counters
     };
 
-    if let Some(path) = trace_out {
-        std::fs::write(path, hub.to_perfetto_json())
-            .map_err(|e| CliError::failure(format!("cannot write trace '{path}': {e}")))?;
-    }
-    if let Some(path) = metrics {
-        write_metrics_file(path, &hub)?;
-    }
+    session.finish(&x.export, format, |done| {
+        if format == OutputFormat::Json {
+            let out = json_object! {
+                "pipeline": json_object! {
+                    "produced": report.produced,
+                    "consumed": report.consumed,
+                    "throughput_items_per_s": report.throughput,
+                    "max_lead": report.max_lead,
+                },
+                "agent": json_object! {
+                    "ticks": log.ticks,
+                    "decisions": log.decisions.len(),
+                },
+                "memsim": json_object! {
+                    "node_utilization": sim_result.node_utilization,
+                },
+                "search": json_object! {
+                    "full_solves": search_counters.full_solves,
+                    "delta_solves": search_counters.delta_solves,
+                    "cache_hits": search_counters.cache_hits,
+                },
+                "flight_dump": done.dump_path.as_ref().map(|p| p.display().to_string()),
+                "served": done.served,
+                "tenants": reparse("ledger", &session.tenants().0.to_json())?,
+                "telemetry": reparse("summary", &hub.summary_json())?,
+            };
+            return Ok(json_doc(&out));
+        }
 
-    // `--dump`: snapshot the flight recorder now that the run is over.
-    let dump_path = recorder
-        .as_ref()
-        .and_then(|r| r.trigger_dump("observe-cli"));
-
-    // `--serve`: expose the hub over HTTP once the run has finished. With
-    // `--serve-max-requests N` the server exits by itself after N requests
-    // (deterministic for CI smoke tests); without it, serve until killed.
-    let served_addr = match serve {
-        Some(addr) => {
-            let limit = (serve_max_requests > 0).then_some(serve_max_requests);
-            let server = coop_telemetry::serve_with_limit(Arc::clone(&hub), addr, limit)
-                .map_err(|e| CliError::failure(format!("cannot serve on '{addr}': {e}")))?;
-            let bound = server.addr();
-            eprintln!(
-                "serving telemetry on http://{bound} \
-                 (/metrics /healthz /trace/recent /summary /tenants /slo){}",
-                match limit {
-                    Some(n) => format!(", exiting after {n} request(s)"),
-                    None => ", ctrl-c to stop".to_string(),
-                }
+        let mut out = format!(
+            "pipeline: {} produced, {} consumed, {:.1} items/s (max lead {})\n",
+            report.produced, report.consumed, report.throughput, report.max_lead
+        );
+        out.push_str(&format!(
+            "agent: {} ticks, {} decisions\n",
+            log.ticks,
+            log.decisions.len()
+        ));
+        for (n, u) in sim_result.node_utilization.iter().enumerate() {
+            out.push_str(&format!(
+                "memsim node {n}: {:.0}% bandwidth utilization\n",
+                u * 100.0
+            ));
+        }
+        out.push_str(&format!(
+            "search: {} full / {} delta solves, {} cache hits (counters in metrics output)\n",
+            search_counters.full_solves, search_counters.delta_solves, search_counters.cache_hits
+        ));
+        out.push_str(&format!(
+            "telemetry: {} timeline events ({} dropped)\n",
+            hub.event_count(),
+            hub.dropped()
+        ));
+        out.push_str(&session.tenants_line());
+        if x.export.trace_out.is_none() && x.export.metrics.is_none() {
+            out.push_str(
+                "hint: use --trace-out <path> for a Perfetto/Chrome trace and\n\
+                 --metrics <path> for Prometheus or JSON metrics\n",
             );
-            server.join();
-            Some(bound.to_string())
         }
-        None => None,
-    };
-
-    if format == OutputFormat::Prom {
-        return Ok(hub.registry().to_prometheus());
-    }
-    if format == OutputFormat::Json {
-        let summary = json::parse(&hub.summary_json())
-            .map_err(|e| CliError::failure(format!("summary JSON: {e}")))?;
-        let out = json_object! {
-            "pipeline": json_object! {
-                "produced": report.produced,
-                "consumed": report.consumed,
-                "throughput_items_per_s": report.throughput,
-                "max_lead": report.max_lead,
-            },
-            "agent": json_object! {
-                "ticks": log.ticks,
-                "decisions": log.decisions.len(),
-            },
-            "memsim": json_object! {
-                "node_utilization": sim_result.node_utilization,
-            },
-            "search": json_object! {
-                "full_solves": search_counters.full_solves,
-                "delta_solves": search_counters.delta_solves,
-                "cache_hits": search_counters.cache_hits,
-            },
-            "flight_dump": dump_path.as_ref().map(|p| p.display().to_string()),
-            "served": served_addr,
-            "tenants": json::parse(&ledger.to_json())
-                .map_err(|e| CliError::failure(format!("ledger JSON: {e}")))?,
-            "telemetry": summary,
-        };
-        return Ok(json_doc(&out));
-    }
-
-    let mut out = format!(
-        "pipeline: {} produced, {} consumed, {:.1} items/s (max lead {})\n",
-        report.produced, report.consumed, report.throughput, report.max_lead
-    );
-    out.push_str(&format!(
-        "agent: {} ticks, {} decisions\n",
-        log.ticks,
-        log.decisions.len()
-    ));
-    for (n, u) in sim_result.node_utilization.iter().enumerate() {
-        out.push_str(&format!(
-            "memsim node {n}: {:.0}% bandwidth utilization\n",
-            u * 100.0
-        ));
-    }
-    out.push_str(&format!(
-        "search: {} full / {} delta solves, {} cache hits (counters in metrics output)\n",
-        search_counters.full_solves, search_counters.delta_solves, search_counters.cache_hits
-    ));
-    out.push_str(&format!(
-        "telemetry: {} timeline events ({} dropped)\n",
-        hub.event_count(),
-        hub.dropped()
-    ));
-    {
-        let snap = ledger.snapshot();
-        out.push_str(&format!(
-            "tenants: {} accounted, jain {:.3}\n",
-            snap.tenants.len(),
-            snap.jain
-        ));
-    }
-    match (trace_out, metrics) {
-        (None, None) => out.push_str(
-            "hint: use --trace-out <path> for a Perfetto/Chrome trace and\n\
-             --metrics <path> for Prometheus or JSON metrics\n",
-        ),
-        _ => {
-            if let Some(p) = trace_out {
-                out.push_str(&format!("trace written to {p}\n"));
-            }
-            if let Some(p) = metrics {
-                out.push_str(&format!("metrics written to {p}\n"));
-            }
-        }
-    }
-    if let Some(p) = &dump_path {
-        out.push_str(&format!("flight recorder dumped to {}\n", p.display()));
-    }
-    if let Some(a) = &served_addr {
-        out.push_str(&format!("served telemetry on http://{a}\n"));
-    }
-    Ok(out)
+        Ok(out + &done.footer)
+    })
 }
 
 /// `top`: per-tenant accounting at a glance. Runs a short supervised
@@ -1089,22 +715,8 @@ fn observe_cmd(
 /// engine, then prints the ledger. `--format json` emits exactly the
 /// `/tenants` document; `--serve` exposes the hub over HTTP afterwards
 /// so the same bytes can be fetched from the endpoint.
-fn top_cmd(
-    machine: &str,
-    duration_s: f64,
-    decision_period_s: f64,
-    outages: &[String],
-    (serve, serve_max_requests): (Option<&str>, u64),
-    format: OutputFormat,
-) -> Result<String> {
-    use std::sync::Arc;
-
-    let m = resolve_machine(machine)?;
-    if !(duration_s > 0.0 && decision_period_s > 0.0) {
-        return Err(CliError::usage(
-            "top needs positive --duration and --decision-period",
-        ));
-    }
+fn top_cmd(x: &TopArgs, format: OutputFormat) -> Result<String> {
+    let m = resolve_machine(&x.machine)?;
     // Two identical memory-bound tenants fair-sharing the machine (one
     // thread per node each): deterministic, and an outage frees exactly
     // half the machine for the survivor to absorb.
@@ -1120,94 +732,53 @@ fn top_cmd(
             name: "even".into(),
             threads: vec![vec![1; num_nodes]; 2],
         }],
-        duration_s,
+        duration_s: x.duration_s,
         effects: memsim::EffectModel::ideal(),
         seed: 7,
     };
-    let mut parsed = Vec::new();
-    for spec in outages {
-        parsed.push(parse_outage("--outage", spec)?);
-    }
-    let chaos = (!parsed.is_empty()).then(|| memsim::ChaosPlan {
-        outages: parsed,
+    let chaos = (!x.outages.is_empty()).then_some(memsim::ChaosPlan {
+        outages: parse_outages("--outage", &x.outages)?,
         reclaim: true,
     });
     let config = memsim::SupervisorConfig {
-        decision_period_s,
-        duration_s,
+        decision_period_s: x.decision_period_s,
+        duration_s: x.duration_s,
         chaos,
         ..memsim::SupervisorConfig::default()
     };
 
-    let hub = Arc::new(coop_telemetry::TelemetryHub::new());
-    let ledger = Arc::new(coop_telemetry::TenantLedger::new());
-    hub.install_tenant_ledger(Arc::clone(&ledger));
     // Each tenant is entitled to half the machine; a minimum-share floor
     // at half of that catches outages without tripping on jitter. Short
     // windows match the handful of decision ticks a CLI run makes.
-    let slo_engine = Arc::new(coop_telemetry::SloEngine::new(
-        scenario
-            .apps
-            .iter()
-            .map(|a| coop_telemetry::SloSpec::min_share(a.name(), 0.25).with_windows(vec![2, 6]))
-            .collect(),
-    ));
-    hub.install_slo_engine(Arc::clone(&slo_engine));
-
-    memsim::run_supervised(&scenario, &config, Arc::clone(&hub))
+    let slos = scenario
+        .apps
+        .iter()
+        .map(|a| SloSpec::min_share(a.name(), 0.25).with_windows(vec![2, 6]))
+        .collect();
+    let session = Session::new(&x.export, slos)?;
+    memsim::run_supervised(&scenario, &config, session.hub())
         .map_err(|e| CliError::failure(format!("supervised run failed: {e}")))?;
 
-    let served_addr = match serve {
-        Some(addr) => {
-            let limit = (serve_max_requests > 0).then_some(serve_max_requests);
-            let server = coop_telemetry::serve_with_limit(Arc::clone(&hub), addr, limit)
-                .map_err(|e| CliError::failure(format!("cannot serve on '{addr}': {e}")))?;
-            let bound = server.addr();
-            eprintln!(
-                "serving telemetry on http://{bound} \
-                 (/metrics /healthz /trace/recent /summary /tenants /slo){}",
-                match limit {
-                    Some(n) => format!(", exiting after {n} request(s)"),
-                    None => ", ctrl-c to stop".to_string(),
-                }
-            );
-            server.join();
-            Some(bound.to_string())
-        }
-        None => None,
-    };
-
-    match format {
-        // Byte-for-byte the `/tenants` document, so scripts can use the
-        // CLI and the HTTP endpoint interchangeably.
-        OutputFormat::Json => Ok(ledger.to_json()),
-        OutputFormat::Prom => Ok(hub.registry().to_prometheus()),
-        OutputFormat::Text => {
-            let mut out = ledger.to_text();
-            out.push_str(&slo_engine.to_text());
-            if let Some(a) = &served_addr {
-                out.push_str(&format!("served telemetry on http://{a}\n"));
-            }
-            Ok(out)
-        }
-    }
+    session.finish(&x.export, format, |done| {
+        let (ledger, slo_engine) = session.tenants();
+        Ok(match format {
+            // Byte-for-byte the `/tenants` document, so scripts can use the
+            // CLI and the HTTP endpoint interchangeably.
+            OutputFormat::Json => ledger.to_json(),
+            _ => ledger.to_text() + &slo_engine.to_text() + &done.footer,
+        })
+    })
 }
 
 /// `trace`: reconstruct the causal span chain for a task — either from a
 /// flight-recorder dump (`--from`) or from a fresh traced dependency-chain
 /// run — and print each matching task's hop timeline, per-hop wall time,
 /// cross-node attribution, and critical path.
-fn trace_cmd(
-    query: &str,
-    from: Option<&str>,
-    machine: &str,
-    iterations: usize,
-    format: OutputFormat,
-) -> Result<String> {
+fn trace_cmd(x: &TraceArgs, format: OutputFormat) -> Result<String> {
     use coop_telemetry::TraceAssembler;
-    use std::sync::Arc;
 
-    let asm = match from {
+    let query = x.query.as_str();
+    let asm = match &x.from {
         Some(path) => {
             let bytes = std::fs::read(path)
                 .map_err(|e| CliError::usage(format!("cannot read dump '{path}': {e}")))?;
@@ -1221,7 +792,7 @@ fn trace_cmd(
             // round-robin across nodes, so released/enqueued/stolen hops
             // and cross-node attribution all show up in the assembly.
             use coop_runtime::{Runtime, RuntimeConfig};
-            let m = resolve_machine(machine)?;
+            let m = resolve_machine(&x.machine)?;
             let nodes = m.num_nodes();
             let hub = Arc::new(coop_telemetry::TelemetryHub::new());
             let rt = Runtime::start(
@@ -1230,7 +801,7 @@ fn trace_cmd(
                     .with_task_tracing(),
             )
             .map_err(|e| CliError::failure(format!("cannot start runtime: {e}")))?;
-            let n = iterations.max(1);
+            let n = x.iterations.max(1);
             let chain: Vec<_> = (0..n).map(|_| rt.new_once_event()).collect();
             {
                 let chain = chain.clone();
@@ -1326,12 +897,12 @@ fn trace_cmd(
     Ok(out)
 }
 
-fn pareto_cmd(machine: &str, apps: &[AppArg], json: bool) -> Result<String> {
-    let m = resolve_machine(machine)?;
-    let specs = resolve_apps(&m, apps)?;
+fn pareto_cmd(x: &ParetoArgs, format: OutputFormat) -> Result<String> {
+    let m = resolve_machine(&x.machine)?;
+    let specs = resolve_apps(&m, &x.apps)?;
     let frontier = coop_alloc::pareto_frontier(&m, &specs, 2_000_000)
         .map_err(|e| CliError::failure(format!("pareto enumeration failed: {e}")))?;
-    if json {
+    if format == OutputFormat::Json {
         let points: Vec<Value> = frontier
             .iter()
             .map(|p| {
@@ -1364,14 +935,8 @@ fn pareto_cmd(machine: &str, apps: &[AppArg], json: bool) -> Result<String> {
 
 fn machines_text() -> String {
     let mut out = String::new();
-    for (name, m) in [
-        ("paper-model", presets::paper_model_machine()),
-        ("paper-crossnode", presets::paper_crossnode_machine()),
-        ("paper-skylake", presets::paper_skylake_machine()),
-        ("dual-socket", presets::dual_socket()),
-        ("knl", presets::knl_snc4()),
-        ("tiny", presets::tiny()),
-    ] {
+    for (name, preset) in PRESETS {
+        let m = preset();
         out.push_str(&format!(
             "{name:<16} {} nodes x {} cores, {:.2} GFLOPS/core, {:.0} GB/s/node\n",
             m.num_nodes(),
@@ -1384,9 +949,9 @@ fn machines_text() -> String {
     out
 }
 
-fn detect(json: bool) -> Result<String> {
+fn detect(format: OutputFormat) -> Result<String> {
     let m = numa_topology::host::detect_host();
-    if json {
+    if format == OutputFormat::Json {
         return Ok(m.to_json() + "\n");
     }
     let mut out = format!(
@@ -1409,19 +974,13 @@ fn detect(json: bool) -> Result<String> {
     Ok(out)
 }
 
-fn solve_cmd(
-    machine: &str,
-    apps: &[AppArg],
-    counts: &[usize],
-    explain: bool,
-    json: bool,
-) -> Result<String> {
-    let m = resolve_machine(machine)?;
-    let specs = resolve_apps(&m, apps)?;
-    let assignment = ThreadAssignment::uniform_per_node(&m, counts);
+fn solve_cmd(x: &SolveArgs, format: OutputFormat) -> Result<String> {
+    let m = resolve_machine(&x.machine)?;
+    let specs = resolve_apps(&m, &x.apps)?;
+    let assignment = ThreadAssignment::uniform_per_node(&m, &x.counts);
     let report = solve(&m, &specs, &assignment)
         .map_err(|e| CliError::failure(format!("solve failed: {e}")))?;
-    if json {
+    if format == OutputFormat::Json {
         return Ok(json_doc(&report.to_value()));
     }
     let mut out = format!(
@@ -1440,36 +999,48 @@ fn solve_cmd(
             a.name, a.threads, a.bandwidth_gbs, a.gflops
         ));
     }
-    if explain {
+    if x.explain {
         out.push('\n');
         out.push_str(&roofline_numa::explain::explain(&m, &report).to_string());
     }
     Ok(out)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn search_cmd(
-    machine: &str,
-    apps: &[AppArg],
-    method: SearchMethod,
-    keep_alive: bool,
-    seed: u64,
-    threads: usize,
-    metrics: Option<&str>,
-    json: bool,
-) -> Result<String> {
-    let m = resolve_machine(machine)?;
-    let specs = resolve_apps(&m, apps)?;
+/// The search's full/delta solve counts as `coop_search_*_solves_total{method}`.
+fn publish_solve_counters(
+    reg: &coop_telemetry::MetricsRegistry,
+    method: &str,
+    counters: &search::SearchCounters,
+) {
+    reg.set_help(
+        "coop_search_full_solves_total",
+        "Full model solves performed by the allocation search",
+    );
+    reg.set_help(
+        "coop_search_delta_solves_total",
+        "Incremental (delta) model solves performed by the allocation search",
+    );
+    let labels = &[("method", method)];
+    reg.counter("coop_search_full_solves_total", labels)
+        .add(counters.full_solves);
+    reg.counter("coop_search_delta_solves_total", labels)
+        .add(counters.delta_solves);
+}
+
+fn search_cmd(x: &SearchArgs, format: OutputFormat) -> Result<String> {
+    let (seed, threads) = (x.seed, x.threads);
+    let m = resolve_machine(&x.machine)?;
+    let specs = resolve_apps(&m, &x.apps)?;
     let objective = Objective::TotalGflops;
-    let min_threads = usize::from(keep_alive);
+    let min_threads = usize::from(x.keep_alive);
     let fail = |e: coop_alloc::AllocError| CliError::failure(format!("search failed: {e}"));
 
     let oracle = search::ModelOracle::new(&m, &specs, &objective)
         .map_err(fail)?
         .with_min_threads(min_threads);
-    let cache = std::sync::Arc::new(coop_alloc::ScoreCache::new(oracle.fingerprint()));
+    let cache = Arc::new(coop_alloc::ScoreCache::new(oracle.fingerprint()));
     let mut oracle = oracle
-        .with_cache(std::sync::Arc::clone(&cache))
+        .with_cache(Arc::clone(&cache))
         .expect("a freshly keyed cache always matches its oracle");
 
     // `--threads N` races N derived seeds for the stochastic methods; the
@@ -1479,7 +1050,7 @@ fn search_cmd(
         .with_threads(threads)
         .with_min_threads(min_threads);
 
-    let result = match method {
+    let result = match x.method {
         SearchMethod::Greedy => search::GreedySearch::new().run_model(&m, &mut oracle),
         SearchMethod::Exhaustive if min_threads == 0 => search::ExhaustiveSearch::new()
             .with_threads(threads)
@@ -1524,13 +1095,8 @@ fn search_cmd(
     let report = solve(&m, &specs, &result.assignment)
         .map_err(|e| CliError::failure(format!("re-solve failed: {e}")))?;
     let cache_stats = cache.stats();
-    if let Some(path) = metrics {
-        let method_label = match method {
-            SearchMethod::Greedy => "greedy",
-            SearchMethod::Exhaustive => "exhaustive",
-            SearchMethod::Hill => "hill",
-            SearchMethod::Anneal => "anneal",
-        };
+    if let Some(path) = &x.metrics {
+        let method = x.method.as_str();
         let hub = coop_telemetry::TelemetryHub::new();
         let reg = hub.registry();
         reg.set_help(
@@ -1538,29 +1104,18 @@ fn search_cmd(
             "Model evaluations performed by the allocation search",
         );
         reg.set_help("coop_search_best_gflops", "Best machine-wide GFLOPS found");
-        reg.set_help(
-            "coop_search_full_solves_total",
-            "Full model solves performed by the allocation search",
-        );
-        reg.set_help(
-            "coop_search_delta_solves_total",
-            "Incremental (delta) model solves performed by the allocation search",
-        );
-        let labels = &[("method", method_label)];
+        let labels = &[("method", method)];
         reg.counter("coop_search_evaluations_total", labels)
             .add(result.evaluations as u64);
         reg.gauge("coop_search_best_gflops", labels)
             .set(report.total_gflops());
-        reg.counter("coop_search_full_solves_total", labels)
-            .add(result.counters.full_solves);
-        reg.counter("coop_search_delta_solves_total", labels)
-            .add(result.counters.delta_solves);
+        publish_solve_counters(reg, method, &result.counters);
         // Replays the cache's hit/miss/insert history onto the registry as
         // coop_score_cache_*_total{context=...} counters.
-        cache.attach_metrics(reg, method_label);
+        cache.attach_metrics(reg, method);
         write_metrics_file(path, &hub)?;
     }
-    if json {
+    if format == OutputFormat::Json {
         return Ok(json_doc(&json_object! {
             "score_gflops": report.total_gflops(),
             "evaluations": result.evaluations,
@@ -1599,12 +1154,12 @@ fn search_cmd(
     Ok(out)
 }
 
-fn sweep_cmd(machine: &str, app: &AppArg, json: bool) -> Result<String> {
-    let m = resolve_machine(machine)?;
+fn sweep_cmd(x: &SweepArgs, format: OutputFormat) -> Result<String> {
+    let (m, app) = (resolve_machine(&x.machine)?, &x.app);
     let specs = resolve_apps(&m, std::slice::from_ref(app))?;
     let curve = sweep::thread_sweep(&m, &specs, 0, &[0])
         .map_err(|e| CliError::failure(format!("sweep failed: {e}")))?;
-    if json {
+    if format == OutputFormat::Json {
         return Ok(json_doc(&curve.to_value()));
     }
     let mut out = format!(
@@ -1629,7 +1184,6 @@ fn sweep_cmd(machine: &str, app: &AppArg, json: bool) -> Result<String> {
     }
     Ok(out)
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1779,7 +1333,7 @@ mod tests {
                 .collect::<Vec<_>>(),
         )
         .unwrap();
-        assert!(cli.json);
+        assert_eq!(cli.format, OutputFormat::Json);
         let out = execute(&cli).unwrap();
         assert!(json::parse(&out).is_ok());
     }

@@ -27,6 +27,7 @@
 
 pub mod args;
 pub mod commands;
+mod session;
 
 pub use args::{
     parse_args, AppArg, Cli, Command, OutputFormat, PerturbArg, PlacementArg, SearchMethod,

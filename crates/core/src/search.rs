@@ -596,30 +596,66 @@ where
     Ok(best)
 }
 
-/// A per-worker scorer for the parallel exhaustive engine. Workers build
+/// What a search asks of whatever scores its candidates. Only `score` is
+/// required; the defaults describe an opaque oracle, which scores every
+/// candidate from scratch, keeps no base and counts nothing. Each search
+/// loop is written once over this trait and monomorphised per scorer: the
+/// [`ModelOracle`] path has no dynamic dispatch. Parallel workers build
 /// their own instance inside the spawned thread, so implementations need
 /// neither `Send` nor `Sync`.
-trait ParScorer {
-    fn score_candidate(&mut self, assignment: &ThreadAssignment) -> Result<f64>;
+trait Scorer {
+    fn score(&mut self, assignment: &ThreadAssignment) -> Result<f64>;
+    /// Scores `base` and makes it the incumbent of later `score_move`s.
+    fn set_base(&mut self, base: &ThreadAssignment) -> Result<f64> {
+        self.score(base)
+    }
+    /// Scores a candidate differing from the incumbent on `touched` only.
+    fn score_move(&mut self, candidate: &ThreadAssignment, _touched: &[NodeId]) -> Result<f64> {
+        self.score(candidate)
+    }
+    /// Adopts a candidate just scored by `score_move` as the incumbent.
+    fn accept(&mut self, _candidate: &ThreadAssignment, _touched: &[NodeId]) -> Result<()> {
+        Ok(())
+    }
+    /// `true` only if no neighbour of the incumbent can be accepted.
+    fn certify_base(&mut self) -> bool {
+        false
+    }
     fn take_counters(&mut self) -> SearchCounters {
         SearchCounters::default()
     }
 }
 
-impl ParScorer for ModelOracle<'_> {
-    fn score_candidate(&mut self, assignment: &ThreadAssignment) -> Result<f64> {
-        self.score(assignment)
+impl Scorer for ModelOracle<'_> {
+    fn score(&mut self, assignment: &ThreadAssignment) -> Result<f64> {
+        ModelOracle::score(self, assignment)
+    }
+    fn set_base(&mut self, base: &ThreadAssignment) -> Result<f64> {
+        ModelOracle::set_base(self, base)
+    }
+    fn score_move(&mut self, candidate: &ThreadAssignment, touched: &[NodeId]) -> Result<f64> {
+        ModelOracle::score_move(self, candidate, touched)
+    }
+    fn accept(&mut self, candidate: &ThreadAssignment, touched: &[NodeId]) -> Result<()> {
+        ModelOracle::accept(self, candidate, touched)
+    }
+    fn certify_base(&mut self) -> bool {
+        ModelOracle::certify_base(self)
     }
     fn take_counters(&mut self) -> SearchCounters {
         ModelOracle::take_counters(self)
     }
 }
 
-struct SyncAdapter<'o>(&'o dyn SyncOracle);
+impl Scorer for Oracle<'_> {
+    fn score(&mut self, assignment: &ThreadAssignment) -> Result<f64> {
+        self(assignment)
+    }
+}
 
-impl ParScorer for SyncAdapter<'_> {
-    fn score_candidate(&mut self, assignment: &ThreadAssignment) -> Result<f64> {
-        self.0.score(assignment)
+impl Scorer for &dyn SyncOracle {
+    fn score(&mut self, assignment: &ThreadAssignment) -> Result<f64> {
+        SyncOracle::score(*self, assignment)
     }
 }
 
@@ -642,7 +678,7 @@ fn run_par<S, F>(
     make: &F,
 ) -> Result<(Option<(ThreadAssignment, f64)>, SearchCounters)>
 where
-    S: ParScorer,
+    S: Scorer,
     F: Fn() -> Result<S> + Sync,
 {
     type WorkerOut = Result<(Option<(ThreadAssignment, f64)>, SearchCounters)>;
@@ -654,7 +690,7 @@ where
                 sc.spawn(move || -> WorkerOut {
                     let mut scorer = make()?;
                     let best = scan_range(space, machine, num_apps, start, end, &mut |a| {
-                        scorer.score_candidate(a)
+                        scorer.score(a)
                     })?;
                     Ok((best, scorer.take_counters()))
                 })
@@ -852,7 +888,7 @@ impl ExhaustiveSearch {
         let (n, truncated) = self.plan(machine, num_apps)?;
         let space = self.space(machine, num_apps);
         let workers = worker_count(self.threads, n);
-        let make = || Ok(SyncAdapter(oracle));
+        let make = || Ok(oracle);
         let (best, _) = run_par(&space, machine, num_apps, n, workers, &make)?;
         let (assignment, score) = best.expect("space contains at least the empty assignment");
         Ok(SearchResult {
@@ -906,47 +942,7 @@ impl GreedySearch {
         machine: &Machine,
         oracle: &mut ModelOracle<'_>,
     ) -> Result<SearchResult> {
-        let num_apps = oracle.num_apps();
-        if num_apps == 0 {
-            return Err(AllocError::NoApps);
-        }
-        let mut current = ThreadAssignment::zero(machine, num_apps);
-        let mut current_score = oracle.set_base(&current)?;
-        let mut evals = 1usize;
-        let mut candidate = current.clone();
-
-        loop {
-            let mut best_move: Option<(usize, NodeId, f64)> = None;
-            for node in machine.node_ids() {
-                if current.node_total(node) >= machine.node(node).num_cores() {
-                    continue;
-                }
-                for app in 0..num_apps {
-                    candidate.copy_from(&current);
-                    candidate.set(app, node, candidate.get(app, node) + 1);
-                    let s = oracle.score_move(&candidate, &[node])?;
-                    evals += 1;
-                    if best_move.is_none_or(|(_, _, bs)| s > bs) {
-                        best_move = Some((app, node, s));
-                    }
-                }
-            }
-            match best_move {
-                Some((app, node, s)) if s > current_score || self.fill_machine => {
-                    current.set(app, node, current.get(app, node) + 1);
-                    oracle.accept(&current, &[node])?;
-                    current_score = s;
-                }
-                _ => break,
-            }
-        }
-        Ok(SearchResult {
-            assignment: current,
-            score: current_score,
-            evaluations: evals,
-            counters: oracle.take_counters(),
-            truncated: false,
-        })
+        self.construct(machine, oracle.num_apps(), oracle)
     }
 
     /// Runs the search with a caller-supplied oracle.
@@ -956,11 +952,20 @@ impl GreedySearch {
         num_apps: usize,
         oracle: &mut Oracle<'_>,
     ) -> Result<SearchResult> {
+        self.construct(machine, num_apps, oracle)
+    }
+
+    fn construct<S: Scorer + ?Sized>(
+        &self,
+        machine: &Machine,
+        num_apps: usize,
+        scorer: &mut S,
+    ) -> Result<SearchResult> {
         if num_apps == 0 {
             return Err(AllocError::NoApps);
         }
         let mut current = ThreadAssignment::zero(machine, num_apps);
-        let mut current_score = oracle(&current)?;
+        let mut current_score = scorer.set_base(&current)?;
         let mut evals = 1usize;
         let mut candidate = current.clone();
 
@@ -973,7 +978,7 @@ impl GreedySearch {
                 for app in 0..num_apps {
                     candidate.copy_from(&current);
                     candidate.set(app, node, candidate.get(app, node) + 1);
-                    let s = oracle(&candidate)?;
+                    let s = scorer.score_move(&candidate, &[node])?;
                     evals += 1;
                     if best_move.is_none_or(|(_, _, bs)| s > bs) {
                         best_move = Some((app, node, s));
@@ -983,6 +988,7 @@ impl GreedySearch {
             match best_move {
                 Some((app, node, s)) if s > current_score || self.fill_machine => {
                     current.set(app, node, current.get(app, node) + 1);
+                    scorer.accept(&current, &[node])?;
                     current_score = s;
                 }
                 _ => break,
@@ -992,7 +998,7 @@ impl GreedySearch {
             assignment: current,
             score: current_score,
             evaluations: evals,
-            counters: SearchCounters::default(),
+            counters: scorer.take_counters(),
             truncated: false,
         })
     }
@@ -1118,6 +1124,22 @@ where
     Ok(best)
 }
 
+/// Where a local search starts: the given assignment, checked against the
+/// machine, or else the fair share.
+fn start_from(
+    start: &Option<ThreadAssignment>,
+    machine: &Machine,
+    num_apps: usize,
+) -> Result<ThreadAssignment> {
+    match start {
+        Some(s) => {
+            s.validate(machine)?;
+            Ok(s.clone())
+        }
+        None => strategies::fair_share(machine, num_apps),
+    }
+}
+
 /// Seeded stochastic hill-climbing over move/add/remove neighbourhoods.
 ///
 /// Starts from [`strategies::fair_share`] and, for `iterations` rounds,
@@ -1215,23 +1237,35 @@ impl HillClimb {
         machine: &Machine,
         oracle: &mut ModelOracle<'_>,
     ) -> Result<SearchResult> {
-        let num_apps = oracle.num_apps();
+        self.climb(machine, oracle.num_apps(), oracle)
+    }
+
+    /// Runs the search with a caller-supplied oracle.
+    pub fn run_with_oracle(
+        &self,
+        machine: &Machine,
+        num_apps: usize,
+        oracle: &mut Oracle<'_>,
+    ) -> Result<SearchResult> {
+        self.climb(machine, num_apps, oracle)
+    }
+
+    fn climb<S: Scorer + ?Sized>(
+        &self,
+        machine: &Machine,
+        num_apps: usize,
+        scorer: &mut S,
+    ) -> Result<SearchResult> {
         if num_apps == 0 {
             return Err(AllocError::NoApps);
         }
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut current = match &self.start {
-            Some(s) => {
-                s.validate(machine)?;
-                s.clone()
-            }
-            None => strategies::fair_share(machine, num_apps)?,
-        };
-        let mut current_score = oracle.set_base(&current)?;
+        let mut current = start_from(&self.start, machine, num_apps)?;
+        let mut current_score = scorer.set_base(&current)?;
         let mut evals = 1usize;
         // A warm start that is a certified strict local optimum is also the
         // result: no proposal below could be accepted.
-        let iterations = if self.start.is_some() && oracle.certify_base() {
+        let iterations = if self.start.is_some() && scorer.certify_base() {
             0
         } else {
             self.iterations
@@ -1245,10 +1279,10 @@ impl HillClimb {
             }
             let (touched, len) = mv.touched();
             mv.apply(&mut current);
-            let s = oracle.score_move(&current, &touched[..len])?;
+            let s = scorer.score_move(&current, &touched[..len])?;
             evals += 1;
             if s >= current_score {
-                oracle.accept(&current, &touched[..len])?;
+                scorer.accept(&current, &touched[..len])?;
                 current_score = s;
             } else {
                 mv.undo(&mut current);
@@ -1258,52 +1292,7 @@ impl HillClimb {
             assignment: current,
             score: current_score,
             evaluations: evals,
-            counters: oracle.take_counters(),
-            truncated: false,
-        })
-    }
-
-    /// Runs the search with a caller-supplied oracle.
-    pub fn run_with_oracle(
-        &self,
-        machine: &Machine,
-        num_apps: usize,
-        oracle: &mut Oracle<'_>,
-    ) -> Result<SearchResult> {
-        if num_apps == 0 {
-            return Err(AllocError::NoApps);
-        }
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut current = match &self.start {
-            Some(s) => {
-                s.validate(machine)?;
-                s.clone()
-            }
-            None => strategies::fair_share(machine, num_apps)?,
-        };
-        let mut current_score = oracle(&current)?;
-        let mut evals = 1usize;
-        let nodes = machine.num_nodes();
-
-        for _ in 0..self.iterations {
-            let mv = Move::draw(&mut rng, num_apps, nodes);
-            if !mv.feasible(&current, machine) {
-                continue;
-            }
-            mv.apply(&mut current);
-            let s = oracle(&current)?;
-            evals += 1;
-            if s >= current_score {
-                current_score = s;
-            } else {
-                mv.undo(&mut current);
-            }
-        }
-        Ok(SearchResult {
-            assignment: current,
-            score: current_score,
-            evaluations: evals,
-            counters: SearchCounters::default(),
+            counters: scorer.take_counters(),
             truncated: false,
         })
     }
@@ -2142,19 +2131,31 @@ impl SimulatedAnnealing {
         machine: &Machine,
         oracle: &mut ModelOracle<'_>,
     ) -> Result<SearchResult> {
-        let num_apps = oracle.num_apps();
+        self.anneal(machine, oracle.num_apps(), oracle)
+    }
+
+    /// Runs the search with a caller-supplied oracle.
+    pub fn run_with_oracle(
+        &self,
+        machine: &Machine,
+        num_apps: usize,
+        oracle: &mut Oracle<'_>,
+    ) -> Result<SearchResult> {
+        self.anneal(machine, num_apps, oracle)
+    }
+
+    fn anneal<S: Scorer + ?Sized>(
+        &self,
+        machine: &Machine,
+        num_apps: usize,
+        scorer: &mut S,
+    ) -> Result<SearchResult> {
         if num_apps == 0 {
             return Err(AllocError::NoApps);
         }
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut current = match &self.start {
-            Some(s) => {
-                s.validate(machine)?;
-                s.clone()
-            }
-            None => strategies::fair_share(machine, num_apps)?,
-        };
-        let mut current_score = oracle.set_base(&current)?;
+        let mut current = start_from(&self.start, machine, num_apps)?;
+        let mut current_score = scorer.set_base(&current)?;
         let mut best = current.clone();
         let mut best_score = current_score;
         let mut evals = 1usize;
@@ -2169,13 +2170,13 @@ impl SimulatedAnnealing {
             }
             let (touched, len) = mv.touched();
             mv.apply(&mut current);
-            let s = oracle.score_move(&current, &touched[..len])?;
+            let s = scorer.score_move(&current, &touched[..len])?;
             evals += 1;
             let delta = s - current_score;
             let accept = delta >= 0.0
                 || (temperature > 1e-12 && rng.gen::<f64>() < (delta / temperature).exp());
             if accept {
-                oracle.accept(&current, &touched[..len])?;
+                scorer.accept(&current, &touched[..len])?;
                 current_score = s;
                 if s > best_score {
                     best.copy_from(&current);
@@ -2189,63 +2190,7 @@ impl SimulatedAnnealing {
             assignment: best,
             score: best_score,
             evaluations: evals,
-            counters: oracle.take_counters(),
-            truncated: false,
-        })
-    }
-
-    /// Runs the search with a caller-supplied oracle.
-    pub fn run_with_oracle(
-        &self,
-        machine: &Machine,
-        num_apps: usize,
-        oracle: &mut Oracle<'_>,
-    ) -> Result<SearchResult> {
-        if num_apps == 0 {
-            return Err(AllocError::NoApps);
-        }
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut current = match &self.start {
-            Some(s) => {
-                s.validate(machine)?;
-                s.clone()
-            }
-            None => strategies::fair_share(machine, num_apps)?,
-        };
-        let mut current_score = oracle(&current)?;
-        let mut best = current.clone();
-        let mut best_score = current_score;
-        let mut evals = 1usize;
-        let nodes = machine.num_nodes();
-        let mut temperature = self.initial_temperature;
-
-        for _ in 0..self.iterations {
-            temperature *= self.cooling;
-            let mv = Move::draw(&mut rng, num_apps, nodes);
-            if !mv.feasible(&current, machine) {
-                continue;
-            }
-            mv.apply(&mut current);
-            let s = oracle(&current)?;
-            evals += 1;
-            let delta = s - current_score;
-            let accept = delta >= 0.0
-                || (temperature > 1e-12 && rng.gen::<f64>() < (delta / temperature).exp());
-            if accept {
-                current_score = s;
-                if s > best_score {
-                    best.copy_from(&current);
-                    best_score = s;
-                }
-            } else {
-                mv.undo(&mut current);
-            }
-        }
-        Ok(SearchResult {
-            assignment: best,
-            score: best_score,
-            evaluations: evals,
-            counters: SearchCounters::default(),
+            counters: scorer.take_counters(),
             truncated: false,
         })
     }

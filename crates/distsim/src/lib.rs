@@ -45,7 +45,6 @@
 
 use coop_alloc::rng::StdRng;
 use coop_telemetry::json_struct;
-use memsim::Component as _;
 
 /// A cluster of compute nodes (MPI ranks, one per node).
 #[derive(Debug, Clone, PartialEq)]
@@ -207,49 +206,8 @@ json_struct!(DistReport: makespan_s, baseline_s, speedup_vs_uniform, mean_local_
 /// Simulates the workload on the cluster. Deterministic per `seed` (the
 /// seed only matters when `unit_cv > 0`).
 pub fn simulate(cluster: &Cluster, workload: &Workload, seed: u64) -> DistReport {
-    simulate_with_engine(cluster, workload, seed, memsim::EngineKind::Slice)
-}
-
-/// Like [`simulate`], selecting which execution core drives the dynamic
-/// distribution stage.
-///
-/// Under [`memsim::EngineKind::Event`] every rank becomes a
-/// [`memsim::Component`] on memsim's deterministic event heap
-/// ([`memsim::EventHeap`] with [`memsim::TieBreak::ById`]): a rank's
-/// completion of its current unit is a heap event, and the pool hands the
-/// next unit to whichever rank pops first. `ById` tie-breaking reproduces
-/// the reference greedy scheduler exactly — `min_by` over per-rank clocks
-/// returns the *first* (lowest-index) minimum, and the heap orders equal
-/// times by component id. Static distribution has no events (one closed-
-/// form partition per iteration), so both engines share that path.
-pub fn simulate_with_engine(
-    cluster: &Cluster,
-    workload: &Workload,
-    seed: u64,
-    engine: memsim::EngineKind,
-) -> DistReport {
-    simulate_with_engine_sharded(cluster, workload, seed, engine, 1)
-}
-
-/// Like [`simulate_with_engine`], splitting the rank components across
-/// `shards` per-shard event heaps (the fleet engine's decomposition).
-///
-/// Ranks are partitioned contiguously; each shard keeps its own
-/// [`memsim::EventHeap`], and the pool pops the global minimum by comparing
-/// shard heads with [`memsim::EventHeap::peek`] — the lexicographic
-/// `(tick, tie, id)` order a single combined heap would use. Under
-/// [`memsim::TieBreak::ById`] the tie key *is* the rank id, so the merge is
-/// bit-identical to the unsharded engine at any shard count. `shards` is
-/// clamped to `1..=ranks`.
-pub fn simulate_with_engine_sharded(
-    cluster: &Cluster,
-    workload: &Workload,
-    seed: u64,
-    engine: memsim::EngineKind,
-    shards: usize,
-) -> DistReport {
-    let makespan = run_on(cluster, workload, seed, false, engine, shards);
-    let baseline = run_on(cluster, workload, seed, true, engine, shards);
+    let makespan = run(cluster, workload, seed, false);
+    let baseline = run(cluster, workload, seed, true);
     let mean_local = cluster.mean_speedup();
     let overall = baseline.0 / makespan.0;
     DistReport {
@@ -262,56 +220,8 @@ pub fn simulate_with_engine_sharded(
     }
 }
 
-/// One MPI rank as a component on memsim's shared event heap: its next
-/// wake-up is the completion time of the unit it is executing.
-struct RankComponent {
-    rate: f64,
-    clock_s: f64,
-    busy_s: f64,
-}
-
-impl RankComponent {
-    /// Executes one unit of `cost_s` seconds-at-rate-1 work.
-    fn pull(&mut self, cost_s: f64) {
-        let t = cost_s / self.rate;
-        self.clock_s += t;
-        self.busy_s += t;
-    }
-}
-
-impl memsim::Component for RankComponent {
-    fn next_tick(&self) -> Option<memsim::event::Tick> {
-        Some(memsim::event::s_to_tick(self.clock_s))
-    }
-
-    fn advance(&mut self, _now: memsim::event::Tick) {
-        // A rank's state only changes when the pool hands it a unit
-        // (`pull`); popping its completion event carries no other effect.
-    }
-}
-
 /// Returns (makespan, per-rank busy time).
-#[cfg(test)]
 fn run(cluster: &Cluster, workload: &Workload, seed: u64, force_uniform: bool) -> (f64, Vec<f64>) {
-    run_on(
-        cluster,
-        workload,
-        seed,
-        force_uniform,
-        memsim::EngineKind::Slice,
-        1,
-    )
-}
-
-/// Returns (makespan, per-rank busy time), on the selected engine.
-fn run_on(
-    cluster: &Cluster,
-    workload: &Workload,
-    seed: u64,
-    force_uniform: bool,
-    engine: memsim::EngineKind,
-    shards: usize,
-) -> (f64, Vec<f64>) {
     let ranks = cluster.ranks();
     let rate = |i: usize| {
         if force_uniform {
@@ -370,70 +280,19 @@ fn run_on(
             }
             Distribution::Dynamic => {
                 let overhead = 1.0 + workload.dynamic_overhead;
-                match engine {
-                    memsim::EngineKind::Slice => {
-                        // Greedy list scheduling: each rank pulls the next
-                        // unit when free. Simulated with per-rank clocks.
-                        let mut clock = vec![0.0f64; ranks];
-                        for &cost in slice {
-                            // Next free rank.
-                            let r = (0..ranks)
-                                .min_by(|&a, &b| clock[a].partial_cmp(&clock[b]).unwrap())
-                                .unwrap();
-                            let t = cost * overhead / rate(r);
-                            clock[r] += t;
-                            busy[r] += t;
-                        }
-                        clock.iter().fold(0.0f64, |m, &c| m.max(c))
-                    }
-                    memsim::EngineKind::Event => {
-                        // The same greedy pool on memsim's event heaps: the
-                        // barrier resets every rank's clock, so each
-                        // iteration seeds fresh heaps with all ranks free
-                        // at t = 0. Ranks are split contiguously over
-                        // `shards` heaps; the pool pops the lexicographic
-                        // minimum `(tick, tie, id)` across shard heads,
-                        // which under `ById` is exactly the order one
-                        // combined heap would pop in.
-                        let shard_count = shards.clamp(1, ranks.max(1));
-                        let bounds: Vec<usize> =
-                            (0..=shard_count).map(|s| ranks * s / shard_count).collect();
-                        let mut comps: Vec<RankComponent> = (0..ranks)
-                            .map(|r| RankComponent {
-                                rate: rate(r),
-                                clock_s: 0.0,
-                                // Carried across iterations, so busy time
-                                // sums unit by unit as the slice path does
-                                // (a per-iteration subtotal rounds apart).
-                                busy_s: busy[r],
-                            })
-                            .collect();
-                        let mut heaps: Vec<memsim::EventHeap> = (0..shard_count)
-                            .map(|_| memsim::EventHeap::new(memsim::TieBreak::ById))
-                            .collect();
-                        for (r, c) in comps.iter().enumerate() {
-                            let owner = bounds.partition_point(|&b| b <= r) - 1;
-                            heaps[owner].schedule_component(r as u32, c);
-                        }
-                        for &cost in slice {
-                            let (s, _) = heaps
-                                .iter()
-                                .enumerate()
-                                .filter_map(|(s, h)| h.peek().map(|head| (s, head)))
-                                .min_by_key(|&(_, head)| head)
-                                .expect("every rank stays scheduled");
-                            let (now, id) = heaps[s].pop().expect("peeked shard is non-empty");
-                            let c = &mut comps[id as usize];
-                            c.advance(now);
-                            c.pull(cost * overhead);
-                            heaps[s].schedule_component(id, &*c);
-                        }
-                        for (r, c) in comps.iter().enumerate() {
-                            busy[r] = c.busy_s;
-                        }
-                        comps.iter().fold(0.0f64, |m, c| m.max(c.clock_s))
-                    }
+                // Greedy list scheduling: each rank pulls the next unit
+                // when free. Simulated with per-rank clocks.
+                let mut clock = vec![0.0f64; ranks];
+                for &cost in slice {
+                    // Next free rank.
+                    let r = (0..ranks)
+                        .min_by(|&a, &b| clock[a].partial_cmp(&clock[b]).unwrap())
+                        .unwrap();
+                    let t = cost * overhead / rate(r);
+                    clock[r] += t;
+                    busy[r] += t;
                 }
+                clock.iter().fold(0.0f64, |m, &c| m.max(c))
             }
         };
         makespan += iter_time;
@@ -564,72 +423,6 @@ mod tests {
             .distribution(Distribution::Dynamic);
         assert_eq!(simulate(&c, &w, 9), simulate(&c, &w, 9));
         assert!(simulate(&c, &w, 9) != simulate(&c, &w, 10));
-    }
-
-    #[test]
-    fn event_engine_matches_slice_on_uniform_units() {
-        // Uniform costs on a uniform cluster: every pool hand-off is an
-        // exact tie, and `ById` tie-breaking reproduces `min_by`'s
-        // first-minimum rule, so the unit→rank mapping — and therefore
-        // every report field — is bitwise identical.
-        let c = Cluster::uniform(4, 1.0).with_speedups(&[1.25; 4]);
-        for sync in [Synchronization::Tight, Synchronization::Loose] {
-            let w = Workload::new(400, 1.0)
-                .iterations(10)
-                .sync(sync)
-                .distribution(Distribution::Dynamic)
-                .with_dynamic_overhead(0.05);
-            let slice = simulate_with_engine(&c, &w, 1, memsim::EngineKind::Slice);
-            let event = simulate_with_engine(&c, &w, 1, memsim::EngineKind::Event);
-            assert_eq!(slice, event, "{sync:?}");
-        }
-    }
-
-    #[test]
-    fn event_engine_agrees_on_variable_units() {
-        // Variable costs break ties by far more than the heap's 1 ns
-        // resolution, so the greedy mapping agrees; busy times and
-        // makespan must match to float precision.
-        let c = one_fast_cluster(6, 1.4);
-        let w = Workload::new(600, 1.0)
-            .unit_variability(0.7)
-            .iterations(5)
-            .sync(Synchronization::Tight)
-            .distribution(Distribution::Dynamic);
-        let slice = simulate_with_engine(&c, &w, 11, memsim::EngineKind::Slice);
-        let event = simulate_with_engine(&c, &w, 11, memsim::EngineKind::Event);
-        assert!(
-            (slice.makespan_s - event.makespan_s).abs() <= 1e-9 * slice.makespan_s,
-            "makespan: slice {} vs event {}",
-            slice.makespan_s,
-            event.makespan_s
-        );
-        for (r, (s, e)) in slice.rank_busy_s.iter().zip(&event.rank_busy_s).enumerate() {
-            assert!(
-                (s - e).abs() <= 1e-9 * s.max(1.0),
-                "rank {r} busy: slice {s} vs event {e}"
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_heaps_are_bit_identical_at_any_shard_count() {
-        // The sharded merge pops by the same `(tick, tie, id)` key a single
-        // heap would, so every report field is bitwise identical at 1, 2,
-        // and 8 shards — including shard counts above the rank count.
-        let c = one_fast_cluster(6, 1.4);
-        let w = Workload::new(600, 1.0)
-            .unit_variability(0.7)
-            .iterations(5)
-            .sync(Synchronization::Tight)
-            .distribution(Distribution::Dynamic)
-            .with_dynamic_overhead(0.03);
-        let reference = simulate_with_engine(&c, &w, 11, memsim::EngineKind::Event);
-        for shards in [1usize, 2, 8, 64] {
-            let sharded =
-                simulate_with_engine_sharded(&c, &w, 11, memsim::EngineKind::Event, shards);
-            assert_eq!(reference, sharded, "{shards} shards");
-        }
     }
 
     #[test]

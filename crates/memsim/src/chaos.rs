@@ -146,18 +146,9 @@ pub fn run_chaos_scenario(scenario: &Scenario, plan: &ChaosPlan) -> Result<Chaos
     run_chaos_scenario_on(scenario, plan, None, EngineKind::Slice)
 }
 
-/// Like [`run_chaos_scenario`], with the simulator publishing bandwidth
-/// tracks and reallocation events into `hub` (each outage edge appears as
-/// an assignment-switch event on the shared timeline).
-pub fn run_chaos_scenario_with_telemetry(
-    scenario: &Scenario,
-    plan: &ChaosPlan,
-    hub: Arc<TelemetryHub>,
-) -> Result<ChaosResult> {
-    run_chaos_scenario_on(scenario, plan, Some(hub), EngineKind::Slice)
-}
-
-/// The fully general chaos runner: optional telemetry hub plus an explicit
+/// The general chaos runner: optional telemetry hub (the simulator
+/// publishes bandwidth tracks into it, and each outage edge appears as an
+/// assignment-switch event on the shared timeline) plus an explicit
 /// [`EngineKind`]. Outage edges compile to the same time-varying schedule
 /// either way; the event engine turns each edge into one heap event instead
 /// of being rediscovered by the per-quantum schedule scan.
@@ -333,7 +324,7 @@ mod tests {
         let hub = Arc::new(TelemetryHub::new());
         let scenario = two_app_scenario();
         let plan = ChaosPlan::kill_revive(0, 0.03, 0.06);
-        run_chaos_scenario_with_telemetry(&scenario, &plan, Arc::clone(&hub)).unwrap();
+        run_chaos_scenario_on(&scenario, &plan, Some(Arc::clone(&hub)), EngineKind::Slice).unwrap();
         let switches = hub
             .events()
             .iter()

@@ -73,16 +73,15 @@ pub mod supervise;
 pub use app::{ActivityPattern, SimApp};
 pub use calibrate::{calibrate_even_scenario, CalibratedMachine};
 pub use chaos::{
-    run_chaos_scenario, run_chaos_scenario_on, run_chaos_scenario_threaded,
-    run_chaos_scenario_with_telemetry, AppOutage, ChaosPlan, ChaosResult,
+    run_chaos_scenario, run_chaos_scenario_on, run_chaos_scenario_threaded, AppOutage, ChaosPlan,
+    ChaosResult,
 };
 pub use config::{EffectModel, EngineKind, ShardPlan, SimConfig};
 pub use engine::Simulation;
 pub use event::{Component, EventEdge, EventHeap, EventLog, SimEvent, TieBreak};
 pub use result::{AppSeries, SimResult};
 pub use scenario::{
-    run_scenario, run_scenario_on, run_scenario_threaded, run_scenario_with_telemetry,
-    NamedAssignment, Scenario, ScenarioResult, ScenarioRow,
+    run_scenario, run_scenario_threaded, NamedAssignment, Scenario, ScenarioResult, ScenarioRow,
 };
 pub use supervise::{
     run_supervised, DecisionTick, Perturbation, SupervisedResult, SupervisorConfig,

@@ -117,33 +117,15 @@ impl Scenario {
 /// that over-subscribe get `model_gflops = NaN`-free `0.0` with the
 /// simulated value still reported.
 pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioResult> {
-    run_scenario_on(scenario, None, EngineKind::Slice)
+    run_scenario_threaded(scenario, None, EngineKind::Slice, 1)
 }
 
-/// Like [`run_scenario`], but attaches `hub` to the simulator so every
+/// The fully general scenario runner: an optional telemetry hub (every
 /// assignment's run publishes per-node bandwidth counter tracks, scheduler
-/// switch counters, and utilization gauges into the shared telemetry hub.
-pub fn run_scenario_with_telemetry(
-    scenario: &Scenario,
-    hub: std::sync::Arc<coop_telemetry::TelemetryHub>,
-) -> Result<ScenarioResult> {
-    run_scenario_on(scenario, Some(hub), EngineKind::Slice)
-}
-
-/// The fully general scenario runner: optional telemetry hub plus an
-/// explicit [`EngineKind`] (what `coop simulate --engine` calls).
-pub fn run_scenario_on(
-    scenario: &Scenario,
-    hub: Option<std::sync::Arc<coop_telemetry::TelemetryHub>>,
-    engine: EngineKind,
-) -> Result<ScenarioResult> {
-    run_scenario_threaded(scenario, hub, engine, 1)
-}
-
-/// Like [`run_scenario_on`], running the event engine on `sim_threads`
-/// worker shards (what `coop simulate --sim-threads` calls). Results are
-/// bit-identical at any thread count; the slice engine ignores the
-/// parameter.
+/// switch counters and utilization gauges into it), an explicit
+/// [`EngineKind`] (what `coop simulate --engine` calls) and the event
+/// engine's worker-shard count (`--sim-threads`). Results are bit-identical
+/// at any thread count; the slice engine ignores the parameter.
 pub fn run_scenario_threaded(
     scenario: &Scenario,
     hub: Option<std::sync::Arc<coop_telemetry::TelemetryHub>>,
@@ -299,7 +281,13 @@ mod tests {
     #[test]
     fn scenario_with_telemetry_records_bandwidth() {
         let hub = std::sync::Arc::new(coop_telemetry::TelemetryHub::new());
-        let result = run_scenario_with_telemetry(&template(), std::sync::Arc::clone(&hub)).unwrap();
+        let result = run_scenario_threaded(
+            &template(),
+            Some(std::sync::Arc::clone(&hub)),
+            EngineKind::Slice,
+            1,
+        )
+        .unwrap();
         assert_eq!(result.rows.len(), 2);
         assert!(hub.events().iter().any(|e| e.cat == "bandwidth"));
         assert!(hub
@@ -311,7 +299,7 @@ mod tests {
     #[test]
     fn event_engine_runs_the_template_scenario() {
         let slice = run_scenario(&template()).unwrap();
-        let event = run_scenario_on(&template(), None, EngineKind::Event).unwrap();
+        let event = run_scenario_threaded(&template(), None, EngineKind::Event, 1).unwrap();
         assert_eq!(slice.rows.len(), event.rows.len());
         for (s, e) in slice.rows.iter().zip(&event.rows) {
             assert_eq!(s.name, e.name);

@@ -80,8 +80,6 @@ pub struct ControlHandle {
 
 pub(crate) struct ControlShared {
     pub state: Mutex<ControlState>,
-    /// Tracer shared with the runtime (control commands are trace events).
-    pub tracer: Arc<crate::trace::Tracer>,
     /// Telemetry handles shared with the runtime, when a hub is attached.
     pub telemetry: Option<crate::telemetry::RuntimeTelemetry>,
     /// Signalled when the mode changes or shutdown begins.
@@ -103,7 +101,6 @@ impl ControlHandle {
         worker_node: Vec<NodeId>,
         worker_core: Vec<Option<CoreId>>,
         num_nodes: usize,
-        tracer: Arc<crate::trace::Tracer>,
         telemetry: Option<crate::telemetry::RuntimeTelemetry>,
         parking: Arc<crate::sched::ParkRegistry>,
     ) -> Self {
@@ -114,7 +111,6 @@ impl ControlHandle {
         }
         ControlHandle {
             inner: Arc::new(ControlShared {
-                tracer,
                 telemetry,
                 state: Mutex::new(ControlState {
                     mode: ControlMode::Unrestricted,
@@ -137,9 +133,6 @@ impl ControlHandle {
     /// Applies a thread-control command. Takes effect at each worker's next
     /// task boundary (blocking) or almost immediately (unblocking).
     pub fn apply(&self, cmd: ThreadCommand) -> Result<()> {
-        if self.inner.tracer.is_active() {
-            self.inner.tracer.record_control(format!("{cmd:?}"));
-        }
         if let Some(tel) = &self.inner.telemetry {
             tel.record_command(&format!("{cmd:?}"));
         }
@@ -341,18 +334,11 @@ fn mode_label(mode: &ControlMode) -> &'static str {
 mod tests {
     use super::*;
 
-    /// A handle over workers nobody runs: no tracer events, no telemetry,
-    /// and a park registry whose parkers are dropped at once.
+    /// A handle over workers nobody runs: no telemetry, and a park
+    /// registry whose parkers are dropped at once.
     fn handle(worker_node: Vec<NodeId>, worker_core: Vec<Option<CoreId>>) -> ControlHandle {
         let (registry, _parkers) = crate::sched::ParkRegistry::new(worker_node.clone());
-        ControlHandle::new(
-            worker_node,
-            worker_core,
-            2,
-            Arc::new(crate::trace::Tracer::new()),
-            None,
-            Arc::new(registry),
-        )
+        ControlHandle::new(worker_node, worker_core, 2, None, Arc::new(registry))
     }
 
     fn handle_2x2() -> ControlHandle {

@@ -72,7 +72,6 @@ mod sched;
 mod stats;
 mod task;
 mod telemetry;
-pub mod trace;
 mod worker;
 
 pub use control::{ControlHandle, ControlMode, ThreadCommand};
@@ -84,7 +83,6 @@ pub use runtime::{Runtime, RuntimeConfig, TaskContext};
 pub use sched::set_strict_parking;
 pub use stats::{NodeOccupancy, RuntimeStats};
 pub use task::{TaskBuilder, TaskId, TaskPriority, TaskStep};
-pub use trace::{Trace, TraceEvent};
 
 // Re-exported so callers can attach a hub without naming the telemetry
 // crate themselves (see `RuntimeConfig::with_telemetry`).

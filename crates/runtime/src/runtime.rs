@@ -214,8 +214,6 @@ pub(crate) struct Shared {
     pub panics: Mutex<Vec<(String, String)>>,
     /// Registered non-worker threads (§IV).
     pub external: crate::external::ExternalRegistry,
-    /// Execution tracer (off unless started).
-    pub tracer: Arc<crate::trace::Tracer>,
     /// Telemetry handles, when a hub is attached (see
     /// [`RuntimeConfig::with_telemetry`]).
     pub telemetry: Option<crate::telemetry::RuntimeTelemetry>,
@@ -591,7 +589,6 @@ impl Runtime {
         let (registry, parkers) = ParkRegistry::new(worker_node.clone());
         let parking = Arc::new(registry);
 
-        let tracer = Arc::new(crate::trace::Tracer::new());
         let telemetry = config.telemetry.map(|hub| {
             crate::telemetry::RuntimeTelemetry::new(hub, &config.name, &worker_node, config.tracing)
         });
@@ -599,7 +596,6 @@ impl Runtime {
             worker_node.clone(),
             worker_core.clone(),
             num_nodes,
-            Arc::clone(&tracer),
             telemetry.clone(),
             Arc::clone(&parking),
         );
@@ -635,7 +631,6 @@ impl Runtime {
             next_db: AtomicU64::new(0),
             panics: Mutex::new(Vec::new()),
             external: crate::external::ExternalRegistry::new(),
-            tracer,
             telemetry,
             machine,
             task_fuel: config.task_fuel,
@@ -728,18 +723,6 @@ impl Runtime {
     /// Increments a user counter visible in [`RuntimeStats`].
     pub fn inc_counter(&self, name: &str, delta: u64) {
         self.shared.stats.add_user(name, delta);
-    }
-
-    /// Starts execution tracing with an event-buffer capacity. Restarting
-    /// discards any previous recording.
-    pub fn trace_start(&self, capacity: usize) {
-        self.shared.tracer.start(capacity);
-    }
-
-    /// Stops tracing and returns the recording (empty if tracing was never
-    /// started).
-    pub fn trace_stop(&self) -> crate::trace::Trace {
-        self.shared.tracer.stop()
     }
 
     /// Blocks until all spawned tasks have finished. Returns the first

@@ -203,10 +203,9 @@ fn execute(
         fueled: task.fuel_budget.is_some(),
         fuel: std::cell::Cell::new(task.fuel),
     };
-    let tracing = shared.tracer.is_active();
     // Reading the clock twice per task is measurable on tiny tasks; only
     // pay for it when some consumer will see the timing.
-    let timed = tracing || shared.telemetry.is_some();
+    let timed = shared.telemetry.is_some();
     let started_at = timed.then(Instant::now);
     // Causal-trace hops: gated on a plain bool inside the existing
     // telemetry Option, so tracing-off runs branch once and do nothing.
@@ -292,15 +291,6 @@ fn execute(
             task.id.0,
             task.trace_id,
             node.0 as u64,
-            result.is_err(),
-        );
-    }
-    if tracing {
-        shared.tracer.record_task(
-            &task.name,
-            worker,
-            node,
-            started_at.expect("timed while tracing"),
             result.is_err(),
         );
     }

@@ -29,8 +29,7 @@
 //! The hot path is deliberately cheap: metric updates are single atomic
 //! RMW operations on pre-registered handles, and timeline recording takes
 //! one **per-shard** mutex (writers pick their own shard, normally their
-//! worker index, so concurrent workers never contend on a global lock the
-//! way the legacy `coop_runtime::trace` buffer did).
+//! worker index, so concurrent workers never contend on a global lock).
 //!
 //! This crate is dependency-free (std only) and sits below every other
 //! crate in the workspace, so it also carries the two std-only pieces all

@@ -7,13 +7,18 @@
 
 use numa_coop::model::explain::explain;
 use numa_coop::prelude::*;
+use numa_coop::telemetry::ArgValue;
 use numa_coop::topology::presets::paper_model_machine;
 use numa_coop::workloads::graphs::{GraphPlacement, IterativeGraph};
+use std::sync::Arc;
 
 fn main() {
     let machine = paper_model_machine();
-    let rt = Runtime::start(RuntimeConfig::new("traced", machine.clone())).unwrap();
-    rt.trace_start(100_000);
+    let hub = Arc::new(TelemetryHub::new());
+    let rt = Runtime::start(
+        RuntimeConfig::new("traced", machine.clone()).with_telemetry(Arc::clone(&hub)),
+    )
+    .unwrap();
 
     // Phase 1: full machine, rotating placement.
     IterativeGraph::new(8, 16, 40_000)
@@ -28,17 +33,23 @@ fn main() {
         .unwrap();
     IterativeGraph::new(8, 16, 40_000).run(&rt).unwrap();
 
-    let trace = rt.trace_stop();
-    let per_node = trace.tasks_per_node(machine.num_nodes());
+    // Every executed task is one `task` span carrying the node it ran on.
+    let events = hub.events();
+    let mut per_node = vec![0usize; machine.num_nodes()];
+    for e in events.iter().filter(|e| e.cat == "task") {
+        if let Some((_, ArgValue::U64(node))) = e.args.iter().find(|(k, _)| k == "node") {
+            per_node[*node as usize] += 1;
+        }
+    }
     println!(
         "traced {} task events ({} dropped); tasks per node: {:?}",
-        trace.task_events().count(),
-        trace.dropped,
+        per_node.iter().sum::<usize>(),
+        hub.dropped(),
         per_node
     );
 
     let path = "target/trace.json";
-    std::fs::write(path, trace.to_chrome_json()).expect("write trace");
+    std::fs::write(path, hub.to_perfetto_json()).expect("write trace");
     println!("wrote {path} — open it at https://ui.perfetto.dev");
 
     // The model's view of the two phases.

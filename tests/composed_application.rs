@@ -7,13 +7,14 @@
 //! This test composes three components, each on its own runtime, each
 //! running an iterative BSP-style graph, coordinated first by consensus
 //! (startup partition) and then by a chained agent policy (fair baseline +
-//! library-burst override), with execution tracing verifying where work
-//! actually ran.
+//! library-burst override), with the solver's telemetry hub verifying where
+//! work actually ran.
 
 use numa_coop::agent::consensus::{ConsensusGroup, DemandProfile};
 use numa_coop::agent::policies::{Chain, FairShare, LibraryBurst};
 use numa_coop::agent::Agent;
 use numa_coop::prelude::*;
+use numa_coop::telemetry::ArgValue;
 use numa_coop::topology::presets::paper_model_machine;
 use numa_coop::workloads::graphs::{GraphPlacement, IterativeGraph};
 use std::sync::Arc;
@@ -23,9 +24,17 @@ use std::time::Duration;
 fn three_component_composition_end_to_end() {
     let machine = paper_model_machine();
     let names = ["solver", "analytics", "io"];
+    // The solver runs on a hub: task spans and command instants land there.
+    let hub = Arc::new(TelemetryHub::new());
     let runtimes: Vec<Arc<Runtime>> = names
         .iter()
-        .map(|n| Arc::new(Runtime::start(RuntimeConfig::new(n, machine.clone())).unwrap()))
+        .map(|n| {
+            let mut cfg = RuntimeConfig::new(n, machine.clone());
+            if *n == "solver" {
+                cfg = cfg.with_telemetry(Arc::clone(&hub));
+            }
+            Arc::new(Runtime::start(cfg).unwrap())
+        })
         .collect();
 
     // --- Phase 1: startup partition by consensus (no agent). -------------
@@ -74,7 +83,6 @@ fn three_component_composition_end_to_end() {
     }
     let agent = agent.spawn(Duration::from_millis(1)).unwrap();
 
-    runtimes[0].trace_start(50_000);
     // Solver: the big steady component.
     let solver_graph = IterativeGraph::new(6, 12, 20_000);
     // Analytics: a rotating-wavefront component.
@@ -96,14 +104,25 @@ fn three_component_composition_end_to_end() {
     });
 
     let log = agent.stop();
-    let trace = runtimes[0].trace_stop();
+    let events = hub.events();
 
     // Everything ran to completion.
     assert_eq!(Runtime::stats(&runtimes[0]).tasks_executed, 6 * 12 + 6);
     assert_eq!(Runtime::stats(&runtimes[1]).tasks_executed, 4 * 8 + 4);
     assert_eq!(Runtime::stats(&runtimes[2]).tasks_executed, 2 * 4 + 2);
-    // The solver's trace captured its tasks.
-    assert_eq!(trace.task_events().count(), (6 * 12 + 6) as usize);
+    // The solver's hub captured its tasks, one lane per worker grouped by
+    // node, and the thread commands that moved them.
+    let tasks: Vec<_> = events.iter().filter(|e| e.cat == "task").collect();
+    assert_eq!(tasks.len(), (6 * 12 + 6) as usize);
+    assert!(tasks.iter().all(|e| e.lane >= 1
+        && e.args.iter().any(|(k, v)| k == "node"
+            && matches!(v, ArgValue::U64(n) if (*n as usize) < machine.num_nodes()))));
+    assert!(events.iter().any(|e| e.cat == "control"));
+    let perfetto = hub.to_perfetto_json();
+    assert!(
+        perfetto.contains("worker-0 (node 0)"),
+        "lanes are named per node"
+    );
     // The agent issued at least the fair-share round.
     assert!(
         log.decisions.len() >= 3,
