@@ -686,8 +686,7 @@ impl Agent {
                     continue;
                 };
                 let rung = state.rung;
-                let target =
-                    crate::contain::ladder_step(rung, &s.running_per_node(), &fair_row);
+                let target = crate::contain::ladder_step(rung, &s.running_per_node(), &fair_row);
                 self.handles[i].force_degraded();
                 let cmd = ThreadCommand::PerNode(target);
                 match self.handles[i].command(cmd.clone()) {
@@ -1318,7 +1317,8 @@ mod tests {
 
         let hub = agent.hub();
         assert_eq!(
-            hub.registry().counter_total("coop_agent_containments_total"),
+            hub.registry()
+                .counter_total("coop_agent_containments_total"),
             1
         );
         assert!(hub

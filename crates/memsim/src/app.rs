@@ -332,7 +332,10 @@ mod tests {
             t = e;
             state = new_state;
         }
-        assert!((t - 4.0).abs() < 1e-9, "8 edges of a 1s/0.25 cycle end at 4s, got {t}");
+        assert!(
+            (t - 4.0).abs() < 1e-9,
+            "8 edges of a 1s/0.25 cycle end at 4s, got {t}"
+        );
 
         // Degenerate duties never produce edges.
         for duty in [0.0, 1.0, 1.5] {

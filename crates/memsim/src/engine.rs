@@ -172,7 +172,13 @@ impl SimTelemetry {
         self.series.horizon_stalls.add(stalls);
     }
 
-    pub(crate) fn record_bandwidth_sample(&self, node: usize, mid_s: f64, gbs: f64, utilization: f64) {
+    pub(crate) fn record_bandwidth_sample(
+        &self,
+        node: usize,
+        mid_s: f64,
+        gbs: f64,
+        utilization: f64,
+    ) {
         self.series.util_pct[node].observe((utilization * 100.0).round() as u64);
         self.hub.record_counter(
             self.shard(),
@@ -900,8 +906,15 @@ pub(crate) fn compute_rates(
     let view = DemandView { parts: &parts };
     for target in 0..num_nodes {
         s.col.clear();
-        let (served, remote_in) =
-            arbitrate_node(machine, effects, target, threads, &view, &mut s.node_tmp, &mut s.col);
+        let (served, remote_in) = arbitrate_node(
+            machine,
+            effects,
+            target,
+            threads,
+            &view,
+            &mut s.node_tmp,
+            &mut s.col,
+        );
         for ((i, _), &grant) in view.toward(target).zip(&s.col) {
             s.granted[i] += grant;
         }

@@ -222,7 +222,10 @@ impl EventLog {
 
     /// Number of processed events of `kind` (`"assignment"` / `"activity"`).
     pub fn count_of(&self, kind: &str) -> usize {
-        self.events.iter().filter(|e| e.kind.as_str() == kind).count()
+        self.events
+            .iter()
+            .filter(|e| e.kind.as_str() == kind)
+            .count()
     }
 
     /// Canonical byte serialization (JSON) for determinism checks.
@@ -373,8 +376,7 @@ pub(crate) fn run_dynamic_event(
     // Components: agent (id 0), apps (ids 1..=n), then the passive
     // per-node controllers and links.
     let mut agent = AgentComponent::new(schedule);
-    let mut app_comps: Vec<AppComponent> =
-        apps.iter().map(|a| AppComponent::new(a, end)).collect();
+    let mut app_comps: Vec<AppComponent> = apps.iter().map(|a| AppComponent::new(a, end)).collect();
     let mut controllers: Vec<ControllerComponent> = (0..num_nodes)
         .map(|_| ControllerComponent {
             now: 0,
@@ -519,7 +521,13 @@ pub(crate) fn run_dynamic_event(
             }
             if sim.tracing {
                 if let Some(tel) = &tel {
-                    tracer.on_assignment(tel, tick_to_s(now), agent.idx, &schedule[agent.idx].1, apps);
+                    tracer.on_assignment(
+                        tel,
+                        tick_to_s(now),
+                        agent.idx,
+                        &schedule[agent.idx].1,
+                        apps,
+                    );
                 }
             }
             applied_idx = agent.idx;
@@ -590,7 +598,11 @@ mod tests {
             order
         };
         assert_eq!(pops(1), pops(1), "same seed, same order");
-        assert_ne!(pops(1), pops(2), "different seeds interleave ties differently");
+        assert_ne!(
+            pops(1),
+            pops(2),
+            "different seeds interleave ties differently"
+        );
     }
 
     #[test]

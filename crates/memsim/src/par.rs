@@ -82,9 +82,7 @@ pub(crate) fn default_plan(
             if app >= assignment.num_apps() {
                 continue;
             }
-            let count: usize = (0..num_nodes)
-                .map(|n| assignment.get(app, NodeId(n)))
-                .sum();
+            let count: usize = (0..num_nodes).map(|n| assignment.get(app, NodeId(n))).sum();
             *w = (*w).max(count);
         }
     }

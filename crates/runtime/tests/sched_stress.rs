@@ -215,7 +215,10 @@ fn budgeted_runaway_squeeze_recovers_and_conserves() {
         }
         std::thread::sleep(Duration::from_millis(10));
     }
-    assert!(rt.stats().tasks_runaway >= 1, "watchdog never flagged the spinner");
+    assert!(
+        rt.stats().tasks_runaway >= 1,
+        "watchdog never flagged the spinner"
+    );
 
     // Let the spinner return, then everything must drain: preemption
     // parks and requeues but never loses a task.

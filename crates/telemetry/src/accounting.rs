@@ -333,9 +333,7 @@ fn state_mut<'a>(inner: &'a mut LedgerInner, tenant: &str) -> &'a mut TenantStat
         return &mut inner.tenants[idx];
     }
     // Keep the vector sorted by name so every export is deterministic.
-    let idx = inner
-        .tenants
-        .partition_point(|t| t.name.as_str() < tenant);
+    let idx = inner.tenants.partition_point(|t| t.name.as_str() < tenant);
     inner.tenants.insert(idx, TenantState::new(tenant));
     &mut inner.tenants[idx]
 }
@@ -975,7 +973,11 @@ mod tests {
         ledger.open_epoch(&hub, "zeta", "managed", 1);
         ledger.open_epoch(&hub, "alpha", "managed", 2);
         ledger.set_entitlement("alpha", 0.5);
-        ledger.tick(&hub, 10, &[sample("zeta", 10, 100), sample("alpha", 10, 100)]);
+        ledger.tick(
+            &hub,
+            10,
+            &[sample("zeta", 10, 100), sample("alpha", 10, 100)],
+        );
         let json = ledger.to_json();
         assert_eq!(json, ledger.to_json(), "idle ledger renders stably");
         let alpha = json.find("\"alpha\"").unwrap();

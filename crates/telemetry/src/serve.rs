@@ -371,7 +371,14 @@ mod tests {
         let (head, body) = get(addr, "/nope");
         assert!(head.starts_with("HTTP/1.1 404"));
         // Satellite: the 404 body lists every known route.
-        for route in ["/metrics", "/healthz", "/trace/recent", "/summary", "/tenants", "/slo"] {
+        for route in [
+            "/metrics",
+            "/healthz",
+            "/trace/recent",
+            "/summary",
+            "/tenants",
+            "/slo",
+        ] {
             assert!(body.contains(route), "404 body must list {route}: {body}");
         }
         assert!(server.served() >= 5);

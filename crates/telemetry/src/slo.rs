@@ -137,12 +137,8 @@ impl SloSpec {
     /// `true` if `value` violates the target.
     fn violated_by(&self, value: f64) -> bool {
         match self.objective {
-            SloObjective::MinDeliveredShare | SloObjective::MinLocalityRatio => {
-                value < self.target
-            }
-            SloObjective::MaxWakeupP99Us | SloObjective::MaxPreemptionRate => {
-                value > self.target
-            }
+            SloObjective::MinDeliveredShare | SloObjective::MinLocalityRatio => value < self.target,
+            SloObjective::MaxWakeupP99Us | SloObjective::MaxPreemptionRate => value > self.target,
         }
     }
 }
@@ -226,13 +222,7 @@ impl SpecState {
             .iter()
             .map(|&w| {
                 let observed = w.min(self.ring.len()).max(1);
-                let violations = self
-                    .ring
-                    .iter()
-                    .rev()
-                    .take(w)
-                    .filter(|&&v| v)
-                    .count() as u64;
+                let violations = self.ring.iter().rev().take(w).filter(|&&v| v).count() as u64;
                 WindowBurn {
                     ticks: w,
                     violations,
@@ -532,10 +522,7 @@ mod tests {
                 ledger.tick(
                     &hub,
                     now,
-                    &[
-                        sample("a", cum.0, now * 100),
-                        sample("b", cum.1, now * 100),
-                    ],
+                    &[sample("a", cum.0, now * 100), sample("b", cum.1, now * 100)],
                 );
                 engine.evaluate(&hub, now);
             }

@@ -232,7 +232,9 @@ fn runaway_is_contained_booked_and_forgiven() {
     // Two climbing ticks is sustained: the ladder's first rung fired,
     // the offender is Degraded — contained, not evicted.
     assert!(
-        hub.registry().counter_total("coop_agent_containments_total") >= 1,
+        hub.registry()
+            .counter_total("coop_agent_containments_total")
+            >= 1,
         "sustained runaways must trigger containment"
     );
     assert_eq!(health_of(&agent, "app1"), Health::Degraded);
@@ -249,9 +251,18 @@ fn runaway_is_contained_booked_and_forgiven() {
     stop.store(true, Ordering::Release);
     runtimes[1].wait_quiescent().unwrap();
     let stats = runtimes[1].stats().unwrap();
-    assert!(stats.tasks_runaway >= 2, "watchdog missed a spinner: {stats:?}");
-    assert!(stats.tasks_preempted > 0, "fuel hog was never preempted: {stats:?}");
-    assert!(stats.overbudget_cpu_us > 0, "returned runaways book CPU: {stats:?}");
+    assert!(
+        stats.tasks_runaway >= 2,
+        "watchdog missed a spinner: {stats:?}"
+    );
+    assert!(
+        stats.tasks_preempted > 0,
+        "fuel hog was never preempted: {stats:?}"
+    );
+    assert!(
+        stats.overbudget_cpu_us > 0,
+        "returned runaways book CPU: {stats:?}"
+    );
 
     // Quiet ticks: the ledger books the damage against the offender
     // alone, and the forced health floor lifts — the offender recovers.
@@ -270,8 +281,14 @@ fn runaway_is_contained_booked_and_forgiven() {
             .clone()
     };
     let offender = account("app1");
-    assert!(offender.preemptions > 0, "ledger books preemptions: {offender:?}");
-    assert!(offender.overbudget_cpu_us > 0, "ledger books over-budget CPU: {offender:?}");
+    assert!(
+        offender.preemptions > 0,
+        "ledger books preemptions: {offender:?}"
+    );
+    assert!(
+        offender.overbudget_cpu_us > 0,
+        "ledger books over-budget CPU: {offender:?}"
+    );
     for survivor in ["app0", "app2"] {
         let t = account(survivor);
         assert_eq!(t.preemptions, 0, "{survivor} wrongly charged: {t:?}");
