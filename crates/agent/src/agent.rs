@@ -923,18 +923,13 @@ mod tests {
         name: String,
         dead: Arc<AtomicBool>,
         executed: Arc<AtomicU64>,
-        commands: Arc<Mutex<Vec<ThreadCommand>>>,
+        commands: CommandLog,
     }
 
+    type CommandLog = Arc<Mutex<Vec<ThreadCommand>>>;
+
     impl Fake {
-        fn new(
-            name: &str,
-        ) -> (
-            Self,
-            Arc<AtomicBool>,
-            Arc<AtomicU64>,
-            Arc<Mutex<Vec<ThreadCommand>>>,
-        ) {
+        fn new(name: &str) -> (Self, Arc<AtomicBool>, Arc<AtomicU64>, CommandLog) {
             let dead = Arc::new(AtomicBool::new(false));
             let executed = Arc::new(AtomicU64::new(100));
             let commands = Arc::new(Mutex::new(Vec::new()));
@@ -1372,7 +1367,7 @@ mod tests {
             fn prediction(&self) -> Option<Prediction> {
                 Some(Prediction {
                     inputs: vec![],
-                    assignment: "r:[1]".to_string(),
+                    assignment: "r:[1]".into(),
                     series: vec![SeriesValue::new("app/r/gflops", 2.0)],
                 })
             }
@@ -1449,8 +1444,8 @@ mod tests {
             }
             fn prediction(&self) -> Option<Prediction> {
                 Some(Prediction {
-                    inputs: vec![("ai/prov".to_string(), 0.5)],
-                    assignment: "prov:[1]".to_string(),
+                    inputs: vec![("ai/prov".into(), 0.5)],
+                    assignment: "prov:[1]".into(),
                     series: vec![SeriesValue::new("app/prov/gflops", 2.0)],
                 })
             }

@@ -272,28 +272,21 @@ impl Policy for ModelGuided {
         let last = self.last.as_ref()?;
         let report = roofline_numa::solve(&self.machine, &last.apps, &last.assignment).ok()?;
         let mut prediction = report.to_prediction();
-        prediction.assignment = format!("{:?}", last.assignment.matrix());
+        prediction.assignment = format!("{:?}", last.assignment.matrix()).into();
         // Provenance: how much solver work the deciding search cost, so
         // the ledger can attribute cheap (warm, cached) re-solves vs
         // expensive cold ones.
         let c = self.last_counters;
-        prediction
-            .inputs
-            .push(("search/full_solves".to_string(), c.full_solves as f64));
-        prediction
-            .inputs
-            .push(("search/delta_solves".to_string(), c.delta_solves as f64));
-        prediction
-            .inputs
-            .push(("search/cache_hits".to_string(), c.cache_hits as f64));
-        prediction.inputs.push((
-            "search/evaluations".to_string(),
-            self.last_evaluations as f64,
-        ));
-        prediction.inputs.push((
-            "search/warm_start".to_string(),
-            if self.last_warm { 1.0 } else { 0.0 },
-        ));
+        prediction.inputs.extend([
+            ("search/full_solves".into(), c.full_solves as f64),
+            ("search/delta_solves".into(), c.delta_solves as f64),
+            ("search/cache_hits".into(), c.cache_hits as f64),
+            ("search/evaluations".into(), self.last_evaluations as f64),
+            (
+                "search/warm_start".into(),
+                if self.last_warm { 1.0 } else { 0.0 },
+            ),
+        ]);
         Some(prediction)
     }
 
@@ -554,9 +547,14 @@ mod tests {
         assert!(pred.value("app/comp/bandwidth_gbs").is_some());
         assert!(pred.value("node/0/bandwidth_gbs").is_some());
         assert!(!pred.assignment.is_empty());
-        assert!(pred.inputs.iter().any(|(k, v)| k == "ai/mem1" && *v == 0.5));
+        assert!(pred
+            .inputs
+            .iter()
+            .any(|(k, v)| &**k == "ai/mem1" && *v == 0.5));
         assert!(
-            pred.inputs.iter().any(|(k, _)| k == "search/full_solves"),
+            pred.inputs
+                .iter()
+                .any(|(k, _)| &**k == "search/full_solves"),
             "search cost counters belong to the provenance record"
         );
     }
@@ -588,7 +586,7 @@ mod tests {
         assert!(pred
             .inputs
             .iter()
-            .any(|(k, v)| k == "search/warm_start" && *v == 1.0));
+            .any(|(k, v)| &**k == "search/warm_start" && *v == 1.0));
         let warm = p.last_search_counters();
         assert!(
             warm.full_solves + warm.delta_solves + warm.cache_hits > 0,
@@ -613,7 +611,7 @@ mod tests {
         assert!(pred
             .inputs
             .iter()
-            .any(|(k, v)| k == "search/warm_start" && *v == 0.0));
+            .any(|(k, v)| &**k == "search/warm_start" && *v == 0.0));
     }
 
     #[test]
@@ -750,7 +748,7 @@ mod chain_tests {
             fn prediction(&self) -> Option<coop_telemetry::Prediction> {
                 Some(coop_telemetry::Prediction {
                     inputs: Vec::new(),
-                    assignment: String::new(),
+                    assignment: Default::default(),
                     series: vec![coop_telemetry::SeriesValue::new("x", self.0)],
                 })
             }

@@ -137,10 +137,10 @@ fn run_random_dag(rt: &Runtime, count: usize, nodes: usize) -> u64 {
     for i in 0..count {
         let r = rng.next_u64() >> 11;
         let mut b = rt.task(&format!("d{i}")).body(|_| {});
-        if r % 3 == 0 {
+        if r.is_multiple_of(3) {
             b = b.affinity(numa_topology::NodeId((r as usize >> 3) % nodes));
         }
-        if r % 13 == 0 {
+        if r.is_multiple_of(13) {
             b = b.high_priority();
         }
         for pick in 0..(r % 3) {
@@ -285,7 +285,8 @@ fn scheduler_report(smoke: bool) -> Value {
     let mut cells = Vec::new();
     for (workers, m) in sweep_machines() {
         let nodes = m.num_nodes();
-        let shapes: Vec<(&str, Box<dyn Fn(&Runtime) -> u64>)> = vec![
+        type Shape = Box<dyn Fn(&Runtime) -> u64>;
+        let shapes: Vec<(&str, Shape)> = vec![
             (
                 "fanout_fanin",
                 Box::new(move |rt: &Runtime| run_fanout(rt, rounds, width)),

@@ -90,10 +90,10 @@ fn main() {
         })
         .collect();
     let segment_at = |t: f64| -> usize {
-        match schedule.iter().rposition(|(start, _)| *start <= t) {
-            Some(i) => i,
-            None => 0,
-        }
+        schedule
+            .iter()
+            .rposition(|(start, _)| *start <= t)
+            .unwrap_or_default()
     };
     let detector = DriftDetector::default();
 

@@ -267,7 +267,7 @@ pub fn run_residuals(duration_s: f64, decision_period_s: f64) -> Table3Residuals
     // per tick from the true machine (fresh jitter seed each segment).
     let report = solve(&model_machine, &local, &even).expect("even scenario solves");
     let mut prediction = report.to_prediction();
-    prediction.assignment = "even (5,5,5,5)".to_string();
+    prediction.assignment = "even (5,5,5,5)".into();
     let predicted_gflops = report.total_gflops();
 
     let hub = Arc::new(TelemetryHub::new());

@@ -77,12 +77,19 @@ impl ChaosPlan {
     /// Which applications are live at time `t_s`.
     pub fn live_at(&self, num_apps: usize, t_s: f64) -> Vec<bool> {
         let mut live = vec![true; num_apps];
+        self.mark_live(t_s, &mut live);
+        live
+    }
+
+    /// [`live_at`](ChaosPlan::live_at) into a caller's buffer, one slot
+    /// per application.
+    pub(crate) fn mark_live(&self, t_s: f64, live: &mut [bool]) {
+        live.fill(true);
         for o in &self.outages {
             if o.is_down(t_s) {
                 live[o.app] = false;
             }
         }
-        live
     }
 
     /// Validates outage targets and times against the scenario.

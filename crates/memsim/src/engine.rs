@@ -8,6 +8,7 @@
 //! but per-thread and with the effect model applied), and bank the
 //! resulting floating-point work.
 
+use crate::event::{run_dynamic_event, EventRun};
 use crate::result::AppSeries;
 use crate::{EngineKind, EventLog, SimApp, SimConfig, SimError, SimResult};
 use coop_alloc::rng::StdRng;
@@ -59,6 +60,8 @@ pub(crate) struct SimSeries {
     horizon_stalls: Arc<Counter>,
     rotations: Vec<Arc<Counter>>,
     util_pct: Vec<Arc<Histogram>>,
+    /// Per node, the name of its bandwidth counter track (`node<n>_bw_gbs`).
+    bandwidth_names: Vec<String>,
     /// Per node, the end-of-run `memsim_node_bandwidth_gbs` and
     /// `memsim_node_utilization` gauges; they come to exist when the first
     /// run ends, as they did when every run looked them up.
@@ -101,6 +104,7 @@ impl SimSeries {
         let num_nodes = machine.num_nodes();
         let mut rotations = Vec::with_capacity(num_nodes);
         let mut util_pct = Vec::with_capacity(num_nodes);
+        let bandwidth_names = (0..num_nodes).map(|n| format!("node{n}_bw_gbs")).collect();
         for n in 0..num_nodes {
             hub.set_lane_name(track, n as u32 + 1, &format!("node {n} bandwidth"));
             let node = n.to_string();
@@ -114,6 +118,7 @@ impl SimSeries {
             horizon_stalls: reg.counter("memsim_horizon_stalls_total", &[]),
             rotations,
             util_pct,
+            bandwidth_names,
             summary: OnceLock::new(),
         }
     }
@@ -185,7 +190,7 @@ impl SimTelemetry {
             self.series.track,
             node as u32 + 1,
             "bandwidth",
-            &format!("node{node}_bw_gbs"),
+            &self.series.bandwidth_names[node],
             self.ts_us(mid_s),
             gbs,
             vec![
@@ -373,33 +378,43 @@ impl Simulation {
         schedule: &[(f64, ThreadAssignment)],
         duration_s: f64,
     ) -> crate::Result<SimResult> {
-        let mut scratch = RateScratch::default();
-        self.run_dynamic_with_scratch(apps, schedule, duration_s, &mut scratch)
+        match self.config.engine {
+            EngineKind::Slice => {
+                self.run_dynamic_slice(apps, schedule, duration_s, &mut RateScratch::default())
+            }
+            EngineKind::Event => self
+                .run_logged(apps, schedule, duration_s)
+                .map(|(result, _log)| result),
+        }
     }
 
-    /// `run_dynamic` with caller-owned arbitration buffers: callers that
-    /// perform many back-to-back runs (the supervisor's decision ticks)
-    /// keep one [`RateScratch`] alive across all of them, so steady-state
-    /// ticks do not allocate in the arbitration loop at all.
-    pub(crate) fn run_dynamic_with_scratch(
+    /// [`run_dynamic`](Simulation::run_dynamic) for a caller that performs
+    /// many back-to-back runs and reads only each one's totals (the
+    /// supervisor's decision ticks): they are left in `run`. The
+    /// single-threaded event engine fills them in the caller's buffers and
+    /// allocates nothing once those have their size; the other engines
+    /// build their [`SimResult`], and the totals are read off it.
+    pub(crate) fn run_totals(
         &self,
         apps: &[SimApp],
         schedule: &[(f64, ThreadAssignment)],
         duration_s: f64,
-        scratch: &mut RateScratch,
-    ) -> crate::Result<SimResult> {
-        match self.config.engine {
-            EngineKind::Slice => self.run_dynamic_slice(apps, schedule, duration_s, scratch),
-            EngineKind::Event if self.config.sim_threads > 1 => {
-                let plan = crate::par::default_plan(&self.config, apps.len(), schedule);
-                crate::par::run_dynamic_event_par(self, apps, schedule, duration_s, &plan)
-                    .map(|(result, _log)| result)
+        run: &mut EventRun,
+    ) -> crate::Result<()> {
+        let result = match self.config.engine {
+            EngineKind::Event if self.config.sim_threads <= 1 => {
+                return run_dynamic_event(self, apps, schedule, duration_s, run, None);
             }
-            EngineKind::Event => {
-                crate::event::run_dynamic_event(self, apps, schedule, duration_s, scratch)
-                    .map(|(result, _log)| result)
+            EngineKind::Event => self.run_logged(apps, schedule, duration_s)?.0,
+            EngineKind::Slice => {
+                self.run_dynamic_slice(apps, schedule, duration_s, &mut run.rates)?
             }
-        }
+        };
+        run.duration_s = result.duration_s;
+        run.gflop_done = result.apps.iter().map(|a| a.gflop_done).collect();
+        run.node_avg_gbs = result.node_avg_gbs;
+        run.node_utilization = result.node_utilization;
+        Ok(())
     }
 
     /// Runs on the discrete-event engine regardless of the configured
@@ -418,8 +433,27 @@ impl Simulation {
             let plan = crate::par::default_plan(&self.config, apps.len(), schedule);
             return crate::par::run_dynamic_event_par(self, apps, schedule, duration_s, &plan);
         }
-        let mut scratch = RateScratch::default();
-        crate::event::run_dynamic_event(self, apps, schedule, duration_s, &mut scratch)
+        let mut run = EventRun::default();
+        let mut series: Vec<AppSeries> = apps.iter().map(|a| AppSeries::empty(a.name())).collect();
+        let mut log = EventLog {
+            seed: self.config.seed,
+            ..EventLog::default()
+        };
+        let detail = Some((&mut series, &mut log));
+        run_dynamic_event(self, apps, schedule, duration_s, &mut run, detail)?;
+        for (s, &done) in series.iter_mut().zip(&run.gflop_done) {
+            s.gflop_done = done;
+        }
+        Ok((
+            SimResult {
+                machine: self.config.machine.name().to_string(),
+                duration_s: run.duration_s,
+                apps: series,
+                node_avg_gbs: run.node_avg_gbs,
+                node_utilization: run.node_utilization,
+            },
+            log,
+        ))
     }
 
     /// Runs the parallel event engine under an explicit [`ShardPlan`]
@@ -489,15 +523,7 @@ impl Simulation {
         let steps = (duration_s / dt).ceil() as usize;
         let mut gflop_done = vec![0.0f64; apps.len()];
         let mut sample_acc = vec![0.0f64; apps.len()];
-        let mut series: Vec<AppSeries> = apps
-            .iter()
-            .map(|a| AppSeries {
-                name: a.name().to_string(),
-                gflop_done: 0.0,
-                times_s: Vec::new(),
-                gflops_series: Vec::new(),
-            })
-            .collect();
+        let mut series: Vec<AppSeries> = apps.iter().map(|a| AppSeries::empty(a.name())).collect();
         let mut node_gbs_acc = vec![0.0f64; num_nodes];
         let mut node_window_acc = vec![0.0f64; num_nodes];
         let tel = self.run_telemetry();
@@ -505,7 +531,8 @@ impl Simulation {
         let mut sched_idx = 0usize;
         let mut applied_idx = usize::MAX;
         let mut threads: Vec<Thread> = Vec::new();
-        let mut tracer = EpochTracer::new(apps.len());
+        let mut tracer = EpochTracer::default();
+        tracer.reset(apps.len());
         // Rotating round-robin offsets for discrete time-slicing.
         let mut rr_offset = vec![0usize; num_nodes];
 
@@ -516,7 +543,7 @@ impl Simulation {
                 sched_idx += 1;
             }
             if sched_idx != applied_idx {
-                threads = expand_threads(&schedule[sched_idx].1, num_nodes);
+                expand_threads(&schedule[sched_idx].1, num_nodes, &mut threads);
                 // The first application is the initial assignment, not a
                 // switch; every later change is a reallocation event.
                 if applied_idx != usize::MAX {
@@ -658,8 +685,13 @@ pub(crate) fn dominant_node(assignment: &ThreadAssignment, app: usize) -> Option
     (best > 0).then_some(node as u64)
 }
 
-pub(crate) fn expand_threads(assignment: &ThreadAssignment, num_nodes: usize) -> Vec<Thread> {
-    let mut threads = Vec::new();
+/// One [`Thread`] per assigned thread, app-major, replacing `threads`.
+pub(crate) fn expand_threads(
+    assignment: &ThreadAssignment,
+    num_nodes: usize,
+    threads: &mut Vec<Thread>,
+) {
+    threads.clear();
     for app in 0..assignment.num_apps() {
         for node in 0..num_nodes {
             for _ in 0..assignment.get(app, NodeId(node)) {
@@ -670,7 +702,6 @@ pub(crate) fn expand_threads(assignment: &ThreadAssignment, num_nodes: usize) ->
             }
         }
     }
-    threads
 }
 
 /// Reusable arbitration buffers. One instance lives for a whole run (or a
@@ -868,7 +899,7 @@ impl DemandView<'_> {
 /// per-thread compute capacity (peak × duty × switch loss × sync overhead ×
 /// jitter), per-thread demand, then the two-phase per-node arbitration
 /// (remote-first with link caps and coherence overhead, then local baseline
-/// + proportional remainder, with the saturation efficiency on streaming
+/// plus proportional remainder, with the saturation efficiency on streaming
 /// threads). Results land in `s.cap`, `s.granted` and `s.node_served`.
 ///
 /// This is the one copy of the physics: the slice engine calls it once per
@@ -1172,17 +1203,19 @@ pub(crate) fn arbitrate_node(
 /// open epoch's (task id, dominant node) and the causal-tree root (first
 /// epoch's id). Each assignment epoch becomes a traced task in the shared
 /// hop schema, spawned by the app's previous epoch.
+#[derive(Default)]
 pub(crate) struct EpochTracer {
     tasks: Vec<Option<(u64, Option<u64>)>>,
     roots: Vec<Option<u64>>,
 }
 
 impl EpochTracer {
-    pub(crate) fn new(num_apps: usize) -> Self {
-        EpochTracer {
-            tasks: vec![None; num_apps],
-            roots: vec![None; num_apps],
-        }
+    /// No epoch open for any of `num_apps` apps, keeping the allocations.
+    pub(crate) fn reset(&mut self, num_apps: usize) {
+        self.tasks.clear();
+        self.tasks.resize(num_apps, None);
+        self.roots.clear();
+        self.roots.resize(num_apps, None);
     }
 
     /// Closes every app's previous epoch and opens the next one at `t`.
@@ -1194,7 +1227,7 @@ impl EpochTracer {
         assignment: &ThreadAssignment,
         apps: &[SimApp],
     ) {
-        for app in 0..apps.len() {
+        for (app, sim_app) in apps.iter().enumerate() {
             let task = NEXT_TRACE_TASK.fetch_add(1, Ordering::Relaxed);
             let trace = *self.roots[app].get_or_insert(task);
             let prev = self.tasks[app].take();
@@ -1207,7 +1240,7 @@ impl EpochTracer {
                 task,
                 trace,
                 prev.map(|(p, _)| p),
-                &format!("{}#epoch{}", apps[app].name(), sched_idx),
+                &format!("{}#epoch{}", sim_app.name(), sched_idx),
                 node,
             );
             self.tasks[app] = Some((task, node));
@@ -1571,6 +1604,17 @@ mod tests {
             machine.num_nodes() * r.apps[0].times_s.len()
         );
         assert!(counters.windows(2).all(|w| w[0].ts_us <= w[1].ts_us));
+        // Each sample carries its node's counter name — the bytes a
+        // `format!` per sample used to produce — and the exposition is what
+        // it was at commit 4aec231 (FNV-1a of the text, captured there).
+        assert!(counters
+            .iter()
+            .all(|e| e.name == format!("node{}_bw_gbs", e.lane - 1)));
+        let exposition = reg.to_prometheus();
+        let digest = exposition.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(digest, 0x3a49_e70a_de09_1c3e, "{exposition}");
 
         // End-of-run gauges match the result's utilization report.
         for (n, &util) in r.node_utilization.iter().enumerate() {
@@ -2066,7 +2110,12 @@ mod dense_reference {
                 app.with_sync_overhead(if rng.gen_bool(0.5) { 0.0 } else { 0.03 })
             })
             .collect();
-        let threads = expand_threads(&ThreadAssignment::from_matrix(matrix), num_nodes);
+        let mut threads = Vec::new();
+        expand_threads(
+            &ThreadAssignment::from_matrix(matrix),
+            num_nodes,
+            &mut threads,
+        );
         (machine, apps, threads)
     }
 

@@ -23,7 +23,7 @@
 
 use crate::engine::{compute_rates, expand_threads, EpochTracer, RateScratch, Thread};
 use crate::result::AppSeries;
-use crate::{SimApp, SimResult, Simulation};
+use crate::{SimApp, Simulation};
 use coop_alloc::rng::{splitmix64, StdRng};
 use coop_telemetry::json::{self, FromJson, ToJson, Value};
 use coop_telemetry::{json_struct, json_write};
@@ -63,10 +63,11 @@ pub trait Component {
 }
 
 /// How equal-time heap entries are ordered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TieBreak {
     /// Lowest component id pops first (matches greedy list-scheduling
     /// tie-breaks, used by the distsim bridge).
+    #[default]
     ById,
     /// Seeded hash of the component id: deterministic per seed, but
     /// different seeds interleave equal-time components differently.
@@ -75,7 +76,7 @@ pub enum TieBreak {
 
 /// The deterministic global event heap: a min-heap keyed by
 /// `(time, tie, component_id)`.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct EventHeap {
     heap: BinaryHeap<Reverse<(Tick, u64, u32)>>,
     tie: TieBreak,
@@ -88,6 +89,12 @@ impl EventHeap {
             heap: BinaryHeap::new(),
             tie,
         }
+    }
+
+    /// Empties the heap for a new run under `tie`, keeping its allocation.
+    pub(crate) fn reset(&mut self, tie: TieBreak) {
+        self.heap.clear();
+        self.tie = tie;
     }
 
     fn tie_key(&self, component: u32) -> u64 {
@@ -283,6 +290,7 @@ impl Component for AppComponent {
 /// The supervising agent: wakes at every dynamic-schedule entry and moves
 /// the applied-assignment index forward (the same semantics as the slice
 /// engine's per-quantum schedule scan).
+#[derive(Default)]
 pub(crate) struct AgentComponent {
     times: Vec<Tick>,
     pub(crate) idx: usize,
@@ -290,12 +298,13 @@ pub(crate) struct AgentComponent {
 }
 
 impl AgentComponent {
-    pub(crate) fn new(schedule: &[(f64, ThreadAssignment)]) -> Self {
-        AgentComponent {
-            times: schedule.iter().map(|(t, _)| s_to_tick(*t)).collect(),
-            idx: 0,
-            fired: 0,
-        }
+    /// Back to the start of `schedule`, keeping the allocation.
+    pub(crate) fn reset(&mut self, schedule: &[(f64, ThreadAssignment)]) {
+        self.times.clear();
+        self.times
+            .extend(schedule.iter().map(|(t, _)| s_to_tick(*t)));
+        self.idx = 0;
+        self.fired = 0;
     }
 }
 
@@ -314,6 +323,7 @@ impl Component for AgentComponent {
 
 /// A per-node memory controller: passively integrates delivered bandwidth
 /// across each segment.
+#[derive(Default)]
 pub(crate) struct ControllerComponent {
     pub(crate) now: Tick,
     pub(crate) delivered_gb: f64,
@@ -338,6 +348,7 @@ impl Component for ControllerComponent {
 
 /// A node's inbound inter-node links, aggregated: passively integrates the
 /// remote share of the traffic its controller served.
+#[derive(Default)]
 pub(crate) struct LinkComponent {
     pub(crate) now: Tick,
     pub(crate) remote_gb: f64,
@@ -354,15 +365,52 @@ impl Component for LinkComponent {
     }
 }
 
-/// Discrete-event `run_dynamic`: same inputs and result shape as the
-/// slice engine, plus the processed [`EventLog`].
+/// The event engine's per-run state, kept by the caller: a supervised
+/// session hands the same value to every decision tick, so a steady-state
+/// tick re-seeds the components and vectors of the previous one and
+/// allocates nothing. What the last run delivered in total stays behind.
+#[derive(Default)]
+pub(crate) struct EventRun {
+    agent: AgentComponent,
+    apps: Vec<AppComponent>,
+    controllers: Vec<ControllerComponent>,
+    links: Vec<LinkComponent>,
+    heap: EventHeap,
+    threads: Vec<Thread>,
+    tracer: EpochTracer,
+    rr_offset: Vec<usize>,
+    app_rate: Vec<f64>,
+    /// The arbitration buffers (also of a session on the slice engine).
+    pub(crate) rates: RateScratch,
+    /// Simulated duration of the last run, seconds.
+    pub(crate) duration_s: f64,
+    /// Per app: floating-point work the last run completed, GFLOP.
+    pub(crate) gflop_done: Vec<f64>,
+    /// Per node: average bandwidth served over the last run, GB/s.
+    pub(crate) node_avg_gbs: Vec<f64>,
+    /// Per node: that average as a fraction of the node's bandwidth.
+    pub(crate) node_utilization: Vec<f64>,
+}
+
+impl EventRun {
+    /// Sustained GFLOPS of one application ([`crate::SimResult::app_gflops`]).
+    pub(crate) fn app_gflops(&self, app: usize) -> f64 {
+        self.gflop_done[app] / self.duration_s
+    }
+}
+
+/// The discrete-event time-advance loop: same inputs as the slice engine.
+/// The run's totals land in `run`; the sampled per-app series and the
+/// processed [`EventLog`] are recorded only for a caller that passes them
+/// (one empty series per app) as `detail`.
 pub(crate) fn run_dynamic_event(
     sim: &Simulation,
     apps: &[SimApp],
     schedule: &[(f64, ThreadAssignment)],
     duration_s: f64,
-    scratch: &mut RateScratch,
-) -> crate::Result<(SimResult, EventLog)> {
+    run: &mut EventRun,
+    mut detail: Option<(&mut Vec<AppSeries>, &mut EventLog)>,
+) -> crate::Result<()> {
     sim.validate_run(apps, schedule, duration_s)?;
     let machine = &sim.config.machine;
     let effects = &sim.config.effects;
@@ -375,58 +423,43 @@ pub(crate) fn run_dynamic_event(
 
     // Components: agent (id 0), apps (ids 1..=n), then the passive
     // per-node controllers and links.
-    let mut agent = AgentComponent::new(schedule);
-    let mut app_comps: Vec<AppComponent> = apps.iter().map(|a| AppComponent::new(a, end)).collect();
-    let mut controllers: Vec<ControllerComponent> = (0..num_nodes)
-        .map(|_| ControllerComponent {
-            now: 0,
-            delivered_gb: 0.0,
-        })
-        .collect();
-    let mut links: Vec<LinkComponent> = (0..num_nodes)
-        .map(|_| LinkComponent {
-            now: 0,
-            remote_gb: 0.0,
-        })
-        .collect();
-
-    let mut log = EventLog {
-        seed: sim.config.seed,
-        events: Vec::new(),
-        segments: 0,
-    };
+    run.agent.reset(schedule);
+    run.apps.clear();
+    run.apps
+        .extend(apps.iter().map(|a| AppComponent::new(a, end)));
+    run.controllers.clear();
+    run.controllers
+        .resize_with(num_nodes, ControllerComponent::default);
+    run.links.clear();
+    run.links.resize_with(num_nodes, LinkComponent::default);
 
     // Apply the initial assignment (entries at or before t = 0) *before*
     // seeding the heap, so schedule entries that all land at t = 0 do not
     // leave a stale zero-tick wake-up behind.
-    agent.advance(0);
-    let mut applied_idx = agent.idx;
+    run.agent.advance(0);
+    let mut applied_idx = run.agent.idx;
 
-    let mut heap = EventHeap::new(TieBreak::Seeded(sim.config.seed));
-    heap.schedule_component(AGENT_ID, &agent);
-    for (a, comp) in app_comps.iter().enumerate() {
-        heap.schedule_component(APP_ID0 + a as u32, comp);
+    run.heap.reset(TieBreak::Seeded(sim.config.seed));
+    run.heap.schedule_component(AGENT_ID, &run.agent);
+    for (a, comp) in run.apps.iter().enumerate() {
+        run.heap.schedule_component(APP_ID0 + a as u32, comp);
     }
-    let mut threads: Vec<Thread> = expand_threads(&schedule[applied_idx].1, num_nodes);
-    let mut tracer = EpochTracer::new(apps.len());
+    expand_threads(&schedule[applied_idx].1, num_nodes, &mut run.threads);
+    run.tracer.reset(apps.len());
     if sim.tracing {
         if let Some(tel) = &tel {
-            tracer.on_assignment(tel, 0.0, applied_idx, &schedule[applied_idx].1, apps);
+            run.tracer
+                .on_assignment(tel, 0.0, applied_idx, &schedule[applied_idx].1, apps);
         }
     }
 
-    let mut rr_offset = vec![0usize; num_nodes];
-    let mut gflop_done = vec![0.0f64; apps.len()];
-    let mut app_rate = vec![0.0f64; apps.len()];
-    let mut series: Vec<AppSeries> = apps
-        .iter()
-        .map(|a| AppSeries {
-            name: a.name().to_string(),
-            gflop_done: 0.0,
-            times_s: Vec::new(),
-            gflops_series: Vec::new(),
-        })
-        .collect();
+    run.rr_offset.clear();
+    run.rr_offset.resize(num_nodes, 0);
+    run.app_rate.clear();
+    run.app_rate.resize(apps.len(), 0.0);
+    run.gflop_done.clear();
+    run.gflop_done.resize(apps.len(), 0.0);
+    let gflop_done = &mut run.gflop_done[..];
 
     let mut now: Tick = 0;
     // The event engine models over-subscription as continuous fair shares
@@ -436,7 +469,7 @@ pub(crate) fn run_dynamic_event(
 
     while now < end {
         // The event horizon: the next pending event, or the end of the run.
-        let horizon = heap.peek_tick().map_or(end, |t| t.min(end));
+        let horizon = run.heap.peek_tick().map_or(end, |t| t.min(end));
         debug_assert!(horizon > now, "event heap must advance time");
         let dt_s = tick_to_s(horizon - now);
         let mid_s = tick_to_s(now) + dt_s / 2.0;
@@ -453,119 +486,107 @@ pub(crate) fn run_dynamic_event(
             effects,
             peak,
             apps,
-            &threads,
+            &run.threads,
             mid_s,
             discrete,
             &mut rng,
-            &mut rr_offset,
+            &mut run.rr_offset,
             tel.as_ref(),
-            scratch,
+            &mut run.rates,
         );
 
-        // Integrate the constant-rate segment analytically.
+        // Integrate the constant-rate segment analytically. Slices, so the
+        // stores below cannot be taken to rewrite a vector's pointer or
+        // length inside `run` (one per cent of `fleet_diurnal`).
+        let (cap, granted) = (&run.rates.cap[..], &run.rates.granted[..]);
+        let app_rate = &mut run.app_rate[..];
         app_rate.fill(0.0);
-        for (i, th) in threads.iter().enumerate() {
-            if scratch.cap[i] == 0.0 {
+        for (i, th) in run.threads.iter().enumerate() {
+            if cap[i] == 0.0 {
                 continue;
             }
-            let gflops = (apps[th.app].spec.ai * scratch.granted[i]).min(scratch.cap[i]);
+            let gflops = (apps[th.app].spec.ai * granted[i]).min(cap[i]);
             gflop_done[th.app] += gflops * dt_s;
             app_rate[th.app] += gflops;
         }
-        for (a, s) in series.iter_mut().enumerate() {
-            s.times_s.push(mid_s);
-            s.gflops_series.push(app_rate[a]);
+        if let Some((series, log)) = &mut detail {
+            for (s, &rate) in series.iter_mut().zip(run.app_rate.iter()) {
+                s.times_s.push(mid_s);
+                s.gflops_series.push(rate);
+            }
+            log.segments += 1;
         }
         for node in 0..num_nodes {
-            controllers[node].integrate(scratch.node_served[node], dt_s);
-            controllers[node].advance(horizon);
-            links[node].remote_gb += scratch.node_remote_in[node] * dt_s;
-            links[node].advance(horizon);
+            run.controllers[node].integrate(run.rates.node_served[node], dt_s);
+            run.controllers[node].advance(horizon);
+            run.links[node].remote_gb += run.rates.node_remote_in[node] * dt_s;
+            run.links[node].advance(horizon);
             if let Some(tel) = &tel {
-                let util = scratch.node_served[node] / machine.node(NodeId(node)).bandwidth_gbs;
-                tel.record_bandwidth_sample(node, mid_s, scratch.node_served[node], util);
+                let util = run.rates.node_served[node] / machine.node(NodeId(node)).bandwidth_gbs;
+                tel.record_bandwidth_sample(node, mid_s, run.rates.node_served[node], util);
             }
         }
-        log.segments += 1;
         now = horizon;
         if now >= end {
             break;
         }
 
         // Drain and apply every event at `now` before re-arbitrating.
-        while heap.peek_tick() == Some(now) {
-            let (_, id) = heap.pop().expect("peeked");
-            if id == AGENT_ID {
-                agent.advance(now);
-                heap.schedule_component(AGENT_ID, &agent);
-                log.events.push(SimEvent {
-                    t_ns: now,
-                    component: id,
-                    kind: EventEdge::Assignment,
-                });
+        while run.heap.peek_tick() == Some(now) {
+            let (_, id) = run.heap.pop().expect("peeked");
+            let kind = if id == AGENT_ID {
+                run.agent.advance(now);
+                run.heap.schedule_component(AGENT_ID, &run.agent);
+                EventEdge::Assignment
             } else {
                 let a = (id - APP_ID0) as usize;
-                app_comps[a].advance(now);
-                heap.schedule_component(id, &app_comps[a]);
+                run.apps[a].advance(now);
+                run.heap.schedule_component(id, &run.apps[a]);
+                EventEdge::Activity
+            };
+            if let Some((_, log)) = &mut detail {
                 log.events.push(SimEvent {
                     t_ns: now,
                     component: id,
-                    kind: EventEdge::Activity,
+                    kind,
                 });
             }
         }
-        if agent.idx != applied_idx {
-            threads = expand_threads(&schedule[agent.idx].1, num_nodes);
+        if run.agent.idx != applied_idx {
+            expand_threads(&schedule[run.agent.idx].1, num_nodes, &mut run.threads);
             if let Some(tel) = &tel {
-                tel.record_assignment_switch(tick_to_s(now), agent.idx);
+                tel.record_assignment_switch(tick_to_s(now), run.agent.idx);
             }
             if sim.tracing {
                 if let Some(tel) = &tel {
-                    tracer.on_assignment(
+                    run.tracer.on_assignment(
                         tel,
                         tick_to_s(now),
-                        agent.idx,
-                        &schedule[agent.idx].1,
+                        run.agent.idx,
+                        &schedule[run.agent.idx].1,
                         apps,
                     );
                 }
             }
-            applied_idx = agent.idx;
+            applied_idx = run.agent.idx;
         }
     }
 
     let sim_time = tick_to_s(end);
-    for (a, s) in series.iter_mut().enumerate() {
-        s.gflop_done = gflop_done[a];
+    run.duration_s = sim_time;
+    run.node_avg_gbs.clear();
+    run.node_utilization.clear();
+    for (n, controller) in run.controllers.iter().enumerate() {
+        let gbs = controller.delivered_gb / sim_time;
+        run.node_avg_gbs.push(gbs);
+        run.node_utilization
+            .push(gbs / machine.node(NodeId(n)).bandwidth_gbs);
     }
-    let node_avg_gbs: Vec<f64> = controllers
-        .iter()
-        .map(|c| c.delivered_gb / sim_time)
-        .collect();
-    let node_utilization: Vec<f64> = node_avg_gbs
-        .iter()
-        .enumerate()
-        .map(|(n, &g)| g / machine.node(NodeId(n)).bandwidth_gbs)
-        .collect();
     if let Some(tel) = &tel {
-        tracer.finish(tel, sim_time);
-        tel.record_run_summary(&node_avg_gbs, &node_utilization);
+        run.tracer.finish(tel, sim_time);
+        tel.record_run_summary(&run.node_avg_gbs, &run.node_utilization);
     }
-
-    // `_remote` is currently only observable through the link components'
-    // integrals; keep the name bound for future per-link telemetry.
-    let _remote: f64 = links.iter().map(|l| l.remote_gb).sum();
-
-    Ok((
-        SimResult {
-            machine: machine.name().to_string(),
-            duration_s: sim_time,
-            apps: series,
-            node_avg_gbs,
-            node_utilization,
-        },
-        log,
-    ))
+    Ok(())
 }
 
 #[cfg(test)]

@@ -343,10 +343,12 @@ pub(crate) fn run_dynamic_event_par(
 
     // The agent lives on the coordinator; apply the initial assignment
     // (entries at or before t = 0) exactly as the sequential engine does.
-    let mut agent = AgentComponent::new(schedule);
+    let mut agent = AgentComponent::default();
+    agent.reset(schedule);
     agent.advance(0);
     let mut applied_idx = agent.idx;
-    let threads = expand_threads(&schedule[applied_idx].1, num_nodes);
+    let mut threads = Vec::new();
+    expand_threads(&schedule[applied_idx].1, num_nodes, &mut threads);
     let thread_bounds = thread_bounds_for(&threads, &plan.app_bounds);
 
     // Build each shard's private world: components, heap, partials.
@@ -373,12 +375,7 @@ pub(crate) fn run_dynamic_event_par(
                 app_rate: vec![0.0; apps_hi - apps_lo],
                 series: apps[apps_lo..apps_hi]
                     .iter()
-                    .map(|a| AppSeries {
-                        name: a.name().to_string(),
-                        gflop_done: 0.0,
-                        times_s: Vec::new(),
-                        gflops_series: Vec::new(),
-                    })
+                    .map(|a| AppSeries::empty(a.name()))
                     .collect(),
                 controllers: (nodes_lo..nodes_hi)
                     .map(|_| ControllerComponent {
@@ -423,7 +420,8 @@ pub(crate) fn run_dynamic_event_par(
         events: Vec::new(),
         segments: 0,
     };
-    let mut tracer = EpochTracer::new(apps.len());
+    let mut tracer = EpochTracer::default();
+    tracer.reset(apps.len());
     if sim.tracing {
         if let Some(tel) = &tel {
             tracer.on_assignment(tel, 0.0, applied_idx, &schedule[applied_idx].1, apps);
@@ -550,7 +548,8 @@ pub(crate) fn run_dynamic_event_par(
             }
 
             if agent.idx != applied_idx {
-                let new_threads = expand_threads(&schedule[agent.idx].1, num_nodes);
+                let mut new_threads = Vec::new();
+                expand_threads(&schedule[agent.idx].1, num_nodes, &mut new_threads);
                 *shared.thread_bounds.write().expect("bounds lock") =
                     thread_bounds_for(&new_threads, &plan.app_bounds);
                 *shared.threads.write().expect("threads lock") = new_threads;

@@ -21,13 +21,13 @@
 //! Table III model-vs-measurement comparison.
 
 use crate::chaos::{segment_assignment, ChaosPlan};
-use crate::engine::RateScratch;
-use crate::{EngineKind, Result, Scenario, SimConfig, SimError, SimResult, Simulation};
+use crate::event::EventRun;
+use crate::{EngineKind, Result, Scenario, SimConfig, SimError, Simulation};
 use coop_alloc::search::{HillClimb, ModelOracle};
 use coop_alloc::{Objective, ScoreCache};
 use coop_telemetry::{
-    ArgValue, Counter, DriftConfig, DriftReport, ModelObservatory, ProvenanceRecord, Residual,
-    SeriesValue, TelemetryHub, TenantSample,
+    ArgValue, Counter, DriftConfig, DriftReport, ModelObservatory, Prediction, ProvenanceRecord,
+    Residual, SeriesKey, SeriesValue, TelemetryHub, TenantSample,
 };
 use numa_topology::{Machine, NodeId};
 use roofline_numa::{solve, AppSpec, ThreadAssignment};
@@ -299,6 +299,15 @@ impl SupervisedResult {
     }
 }
 
+/// The solver-work inputs a re-optimizing run records on every provenance
+/// record, in this order, after the model's own inputs.
+const SEARCH_INPUTS: [&str; 4] = [
+    "search/full_solves",
+    "search/delta_solves",
+    "search/cache_hits",
+    "search/warm_start",
+];
+
 /// Runs the first assignment of `scenario` under model supervision,
 /// publishing provenance and drift events into `hub` (see the module docs
 /// for the per-tick loop).
@@ -323,10 +332,19 @@ pub fn run_supervised(
 
     // The model predicts from the nominal machine: the prediction only
     // changes if the assignment does (under `reoptimize`) — the whole
-    // point is that the model does not know about perturbations.
-    let report = solve(&scenario.machine, &specs, &assignment)?;
-    let mut prediction_template = report.to_prediction();
-    prediction_template.assignment = format!("{} {:?}", named.name, named.threads);
+    // point is that the model does not know about perturbations. A tick's
+    // prediction is a clone of this template (the keys are shared); under
+    // `reoptimize` its last inputs are the tick's `search/*` counters.
+    let template_for = |assignment: &ThreadAssignment| -> Result<Prediction> {
+        let mut template = solve(&scenario.machine, &specs, assignment)?.to_prediction();
+        template.assignment = format!("{} {:?}", named.name, assignment.matrix()).into();
+        if config.reoptimize {
+            let zeroed = SEARCH_INPUTS.map(|key| (key.into(), 0.0));
+            template.inputs.extend(zeroed);
+        }
+        Ok(template)
+    };
+    let mut prediction_template = template_for(&assignment)?;
 
     // Under `reoptimize`, one oracle (and thus one score cache, one
     // delta-solver base and its certificate) persists across every tick
@@ -365,18 +383,32 @@ pub fn run_supervised(
     // (one "task" = one MFLOP delivered), so supervised runs feed any
     // installed ledger the exact sample shape a live runtime produces.
     let mut books: Vec<TenantBook> = (0..num_apps).map(|_| TenantBook::new(num_nodes)).collect();
+    let mut live = vec![true; num_apps];
     let mut prev_live = vec![false; num_apps];
     // Runaway modeling: the onset tick runs wedged but undetected; the
     // watchdog "fires" at its end (detection events below), and every
     // later tick the offender is contained.
     let runaway_onsets = config.runaway_onsets(num_apps)?;
     let mut runaway_detected = vec![false; num_apps];
-    // Hot-loop buffers hoisted out of the per-tick path: one set of
-    // arbitration scratch vectors and one tenant-sample buffer serve every
-    // tick, so steady-state ticks allocate nothing in the simulate/book
-    // stages once the high-water mark is reached.
-    let mut scratch = RateScratch::default();
+    // Hot-loop buffers hoisted out of the per-tick path: the simulator's
+    // run state, the liveness masks, the one-entry schedule and the sample
+    // buffer serve every tick, which allocates only what it leaves behind
+    // (its provenance record, its residuals, its timeline events).
+    let mut run = EventRun::default();
     let mut samples: Vec<TenantSample> = Vec::with_capacity(num_apps);
+    // The effective assignment, as the one-entry schedule the simulator
+    // takes: built again when the assignment changes (`reassigned`) or the
+    // `alloc_live` mask differs from the one it was `built_for`.
+    let mut alloc_live = vec![true; num_apps];
+    let mut built_for = alloc_live.clone();
+    let mut schedule = [(0.0, assignment.clone())];
+    let mut reassigned = false;
+    // Containment without a chaos plan reclaims by default — that is the
+    // whole point of preempting the offender.
+    let reclaiming = ChaosPlan {
+        outages: Vec::new(),
+        reclaim: true,
+    };
     let watchdog_track = runaway_onsets
         .iter()
         .any(Option::is_some)
@@ -401,6 +433,10 @@ pub fn run_supervised(
     };
     let mut active = config.active_bandwidth_perturbations(0.0);
     let (mut perturbed, mut sim) = simulator_at(0.0)?;
+    // The command names the period (the last tick may be short) and the
+    // machine: written again when either changes (NaN equals nothing).
+    let mut command = String::new();
+    let mut command_period = f64::NAN;
     for tick in 0..ticks_total {
         let start_s = tick as f64 * config.decision_period_s;
         let period = config.decision_period_s.min(config.duration_s - start_s);
@@ -411,14 +447,18 @@ pub fn run_supervised(
         if now_active != active {
             (perturbed, sim) = simulator_at(start_s)?;
             active = now_active;
+            command_period = f64::NAN;
+        }
+        if period != command_period {
+            command = format!("simulate {period:.4}s on {}", sim.machine().name());
+            command_period = period;
         }
 
         // Outage edges: down apps leave the effective assignment for the
         // whole tick; ledger epochs close/open on the transitions.
-        let live = match &config.chaos {
-            Some(plan) => plan.live_at(num_apps, start_s),
-            None => vec![true; num_apps],
-        };
+        if let Some(plan) = &config.chaos {
+            plan.mark_live(start_s, &mut live);
+        }
         if let Some(ledger) = hub.tenant_ledger() {
             for (i, app) in scenario.apps.iter().enumerate() {
                 let name = app.spec.name.as_str();
@@ -452,32 +492,26 @@ pub fn run_supervised(
             let counters = found.counters;
             if found.assignment != assignment {
                 assignment = found.assignment;
-                let report = solve(&scenario.machine, &specs, &assignment)?;
-                prediction_template = report.to_prediction();
-                prediction_template.assignment =
-                    format!("{} {:?}", named.name, assignment.matrix());
+                reassigned = true;
+                prediction_template = template_for(&assignment)?;
                 prediction = prediction_template.clone();
             }
-            prediction.inputs.push((
-                "search/full_solves".to_string(),
+            let search_cost: [f64; SEARCH_INPUTS.len()] = [
                 counters.full_solves as f64,
-            ));
-            prediction.inputs.push((
-                "search/delta_solves".to_string(),
                 counters.delta_solves as f64,
-            ));
-            prediction
-                .inputs
-                .push(("search/cache_hits".to_string(), counters.cache_hits as f64));
-            prediction
-                .inputs
-                .push(("search/warm_start".to_string(), 1.0));
+                counters.cache_hits as f64,
+                1.0,
+            ];
+            let first = prediction.inputs.len() - search_cost.len();
+            for (input, cost) in prediction.inputs[first..].iter_mut().zip(search_cost) {
+                input.1 = cost;
+            }
         }
 
         let id = observatory.open_decision_at(
             tick,
             "memsim-supervisor",
-            &format!("simulate {period:.4}s on {}", sim.machine().name()),
+            &command,
             prediction,
             ts(start_s),
         );
@@ -485,32 +519,24 @@ pub fn run_supervised(
         // Contained runaways leave the effective assignment just like
         // dead apps do: the watchdog excluded their workers and the
         // survivors absorb the cores.
-        let contained: Vec<bool> = runaway_detected.clone();
-        let alloc_live: Vec<bool> = live
-            .iter()
-            .zip(&contained)
-            .map(|(l, c)| *l && !*c)
-            .collect();
-        let effective = if alloc_live.iter().any(|l| !l) {
-            let plan = match &config.chaos {
-                Some(plan) => plan.clone(),
-                // Containment without a chaos plan reclaims by default —
-                // that is the whole point of preempting the offender.
-                None => ChaosPlan {
-                    outages: Vec::new(),
-                    reclaim: true,
-                },
+        let contained = runaway_detected.contains(&true);
+        for (i, slot) in alloc_live.iter_mut().enumerate() {
+            *slot = live[i] && !runaway_detected[i];
+        }
+        if reassigned || built_for != alloc_live {
+            schedule[0].1 = if alloc_live.contains(&false) {
+                let plan = config.chaos.as_ref().unwrap_or(&reclaiming);
+                segment_assignment(scenario, plan, &assignment, &alloc_live)?
+            } else {
+                assignment.clone()
             };
-            segment_assignment(scenario, &plan, &assignment, &alloc_live)?
-        } else {
-            assignment.clone()
-        };
+            built_for.clone_from(&alloc_live);
+            reassigned = false;
+        }
 
         sim.config.seed = scenario.seed.wrapping_add(tick);
         sim.time_base_us = Some(ts(start_s));
-        let schedule = [(0.0, effective)];
-        let result =
-            sim.run_dynamic_with_scratch(&scenario.apps, &schedule, period, &mut scratch)?;
+        sim.run_totals(&scenario.apps, &schedule, period, &mut run)?;
         let effective = &schedule[0].1;
 
         // Watchdog detection: a wedge whose onset falls inside this tick
@@ -548,7 +574,7 @@ pub fn run_supervised(
         let alarms_before = observatory.detector().total_alarms();
         let residuals = observatory.close_decision_at(
             id,
-            series_names.measured(scenario, &result),
+            series_names.measured(scenario, &run),
             ts(start_s + period),
         );
         let alarms = (observatory.detector().total_alarms() - alarms_before) as usize;
@@ -560,12 +586,12 @@ pub fn run_supervised(
             effective,
             &live,
             &runaway_detected,
-            &result,
+            &run,
             period,
             ts(start_s + period),
             &mut samples,
         );
-        prev_live = live;
+        prev_live.copy_from_slice(&live);
 
         ticks.push(DecisionTick {
             tick,
@@ -573,7 +599,7 @@ pub fn run_supervised(
             provenance: id,
             // A contained runaway is as much a departure from the model's
             // view as a degraded node: its threads left the assignment.
-            perturbed: perturbed || contained.contains(&true),
+            perturbed: perturbed || contained,
             residuals,
             alarms,
         });
@@ -632,7 +658,7 @@ fn book_tenant_tick(
     effective: &ThreadAssignment,
     live: &[bool],
     runaway: &[bool],
-    result: &SimResult,
+    run: &EventRun,
     period_s: f64,
     now_us: u64,
     samples: &mut Vec<TenantSample>,
@@ -652,7 +678,7 @@ fn book_tenant_tick(
             continue;
         }
         let name = app.spec.name.as_str();
-        let mflops = (result.app_gflops(i) * period_s * 1000.0).round() as u64;
+        let mflops = (run.app_gflops(i) * period_s * 1000.0).round() as u64;
         let row: Vec<u64> = (0..num_nodes)
             .map(|n| effective.get(i, NodeId(n)) as u64)
             .collect();
@@ -735,9 +761,9 @@ fn book_tenant_tick(
 /// bandwidth plus per-node served bandwidth — formatted once per run.
 struct SeriesNames {
     /// Per app: `app/<name>/gflops`, `app/<name>/bandwidth_gbs`.
-    apps: Vec<(String, String)>,
+    apps: Vec<(SeriesKey, SeriesKey)>,
     /// Per node: `node/<n>/bandwidth_gbs`.
-    nodes: Vec<String>,
+    nodes: Vec<SeriesKey>,
 }
 
 impl SeriesNames {
@@ -749,24 +775,24 @@ impl SeriesNames {
                 .map(|app| {
                     let name = &app.spec.name;
                     (
-                        format!("app/{name}/gflops"),
-                        format!("app/{name}/bandwidth_gbs"),
+                        format!("app/{name}/gflops").into(),
+                        format!("app/{name}/bandwidth_gbs").into(),
                     )
                 })
                 .collect(),
             nodes: (0..scenario.machine.num_nodes())
-                .map(|n| format!("node/{n}/bandwidth_gbs"))
+                .map(|n| format!("node/{n}/bandwidth_gbs").into())
                 .collect(),
         }
     }
 
-    /// One tick's measured series, from the simulator's counters.
-    fn measured(&self, scenario: &Scenario, result: &SimResult) -> Vec<SeriesValue> {
+    /// One tick's measured series (keys shared), from the simulator's counters.
+    fn measured(&self, scenario: &Scenario, run: &EventRun) -> Vec<SeriesValue> {
         let mut series = Vec::with_capacity(self.apps.len() * 2 + self.nodes.len());
         for (i, (app, (gflops_name, bandwidth_name))) in
             scenario.apps.iter().zip(&self.apps).enumerate()
         {
-            let gflops = result.app_gflops(i);
+            let gflops = run.app_gflops(i);
             series.push(SeriesValue::new(gflops_name.clone(), gflops));
             // bandwidth = throughput / arithmetic intensity (GFLOPS over
             // FLOP/byte gives GB/s) — the same identity the model uses.
@@ -775,7 +801,7 @@ impl SeriesNames {
                 gflops / app.spec.ai,
             ));
         }
-        for (name, &gbs) in self.nodes.iter().zip(&result.node_avg_gbs) {
+        for (name, &gbs) in self.nodes.iter().zip(&run.node_avg_gbs) {
             series.push(SeriesValue::new(name.clone(), gbs));
         }
         series
@@ -979,7 +1005,7 @@ mod tests {
             r.prediction
                 .inputs
                 .iter()
-                .find(|(k, _)| k == key)
+                .find(|(k, _)| &**k == key)
                 .map(|&(_, v)| v)
                 .expect("search counters recorded")
         };
@@ -1009,11 +1035,11 @@ mod tests {
         // Determinism: the same config and scenario replays identically.
         let hub2 = Arc::new(TelemetryHub::new());
         let again = run_supervised(&base_scenario(), &config, hub2).unwrap();
-        let a: Vec<String> = records
+        let a: Vec<SeriesKey> = records
             .iter()
             .map(|r| r.prediction.assignment.clone())
             .collect();
-        let b: Vec<String> = again
+        let b: Vec<SeriesKey> = again
             .records()
             .iter()
             .map(|r| r.prediction.assignment.clone())
@@ -1093,7 +1119,7 @@ mod tests {
         );
         let records = result.records();
         assert_eq!(records.len(), 500);
-        assert!(records.iter().all(|r| r.prediction.assignment
+        assert!(records.iter().all(|r| &*r.prediction.assignment
             == "uneven (1,1,1,17) [[1, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 1], [17, 17, 17, 17]]"));
         // The perturbation lands at tick 200; node 2 then alarms every
         // second tick to the end of the run.

@@ -151,8 +151,8 @@ impl SolveReport {
         let mut inputs = Vec::with_capacity(self.apps.len() * 2);
         let mut series = Vec::with_capacity(self.apps.len() * 2 + self.nodes.len());
         for app in &self.apps {
-            inputs.push((format!("ai/{}", app.name), app.ai));
-            inputs.push((format!("threads/{}", app.name), app.threads as f64));
+            inputs.push((format!("ai/{}", app.name).into(), app.ai));
+            inputs.push((format!("threads/{}", app.name).into(), app.threads as f64));
             series.push(SeriesValue::new(
                 format!("app/{}/gflops", app.name),
                 app.gflops,
@@ -170,7 +170,7 @@ impl SolveReport {
         }
         Prediction {
             inputs,
-            assignment: String::new(),
+            assignment: Default::default(),
             series,
         }
     }
@@ -247,7 +247,7 @@ mod tests {
         assert_eq!(p.value("app/memA/bandwidth_gbs"), Some(24.0));
         assert_eq!(p.value("node/0/bandwidth_gbs"), Some(24.0));
         assert_eq!(p.value("node/1/bandwidth_gbs"), Some(0.0));
-        assert!(p.inputs.contains(&("ai/memA".to_string(), 0.25)));
-        assert!(p.inputs.contains(&("threads/memA".to_string(), 4.0)));
+        assert!(p.inputs.contains(&("ai/memA".into(), 0.25)));
+        assert!(p.inputs.contains(&("threads/memA".into(), 4.0)));
     }
 }

@@ -193,6 +193,9 @@ pub(crate) fn local_target(shared: &Shared, affinity: Option<NodeId>) -> Option<
     })
 }
 
+// `Err` hands the task back by value: boxing it would put an allocation on
+// the spawn path.
+#[allow(clippy::result_large_err)]
 pub(crate) fn try_push_local(shared: &Shared, task: Task) -> Result<NodeId, Task> {
     CURRENT.with(|c| match &*c.borrow() {
         Some(lq)

@@ -96,10 +96,10 @@ fn churn_with_control_squeeze_loses_nothing() {
                     .unwrap();
             }
         });
-        if r % 3 == 0 {
+        if r.is_multiple_of(3) {
             b = b.affinity(NodeId((r as usize >> 3) % 2));
         }
-        if r % 7 == 0 {
+        if r.is_multiple_of(7) {
             b = b.high_priority();
         }
         // Up to two dependencies on recent finish events.

@@ -19,6 +19,7 @@
 
 use crate::metrics::{Counter, Gauge, MetricsRegistry};
 use crate::observatory::{ALARMS_METRIC, RESIDUAL_METRIC};
+use crate::provenance::{Residual, SeriesKey};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
@@ -133,14 +134,87 @@ struct SeriesState {
 
 #[derive(Debug, Default)]
 struct DetectorInner {
-    series: BTreeMap<String, SeriesState>,
+    series: BTreeMap<SeriesKey, SeriesState>,
     alarm_log: Vec<DriftAlarm>,
+    total_alarms: u64,
+}
+
+impl DetectorInner {
+    /// Feeds one residual into `series` — one map lookup; the state is
+    /// created under `key()` on first sight — publishing to `registry` when
+    /// one is given; returns an alarm if the CUSUM threshold was crossed on
+    /// this sample.
+    fn update(
+        &mut self,
+        config: &DriftConfig,
+        series: &str,
+        key: impl FnOnce() -> SeriesKey,
+        residual: f64,
+        registry: Option<&MetricsRegistry>,
+    ) -> Option<DriftAlarm> {
+        let state = match self.series.get_mut(series) {
+            Some(state) => state,
+            None => self.series.entry(key()).or_default(),
+        };
+        if let Some(registry) = registry {
+            state
+                .residual_gauge
+                .get_or_insert_with(|| registry.gauge(RESIDUAL_METRIC, &[("series", series)]))
+                .set(residual);
+        }
+        state.samples += 1;
+        state.last = residual;
+        state.abs_sum += residual.abs();
+        state.abs_max = state.abs_max.max(residual.abs());
+        state.ewma = if state.samples == 1 {
+            residual
+        } else {
+            config.ewma_alpha * residual + (1.0 - config.ewma_alpha) * state.ewma
+        };
+        state.s_hi = (state.s_hi + residual - config.cusum_k).max(0.0);
+        state.s_lo = (state.s_lo - residual - config.cusum_k).max(0.0);
+
+        if state.samples < config.min_samples {
+            return None;
+        }
+        let (cusum, direction) = if state.s_hi > config.cusum_h {
+            (state.s_hi, DriftDirection::Above)
+        } else if state.s_lo > config.cusum_h {
+            (state.s_lo, DriftDirection::Below)
+        } else {
+            return None;
+        };
+        // Reset both sums so one sustained shift yields periodic alarms
+        // rather than one alarm per subsequent sample.
+        state.s_hi = 0.0;
+        state.s_lo = 0.0;
+        state.alarms += 1;
+        self.total_alarms += 1;
+        if let Some(registry) = registry {
+            state
+                .alarm_counter
+                .get_or_insert_with(|| registry.counter(ALARMS_METRIC, &[("series", series)]))
+                .inc();
+        }
+        let alarm = DriftAlarm {
+            series: series.to_string(),
+            sample: state.samples,
+            residual,
+            ewma: state.ewma,
+            cusum,
+            direction,
+        };
+        if self.alarm_log.len() < ALARM_LOG_CAPACITY {
+            self.alarm_log.push(alarm.clone());
+        }
+        Some(alarm)
+    }
 }
 
 /// Per-series EWMA + CUSUM drift detector.
 ///
-/// Thread-safe; `observe` takes one short mutex (the decision path runs
-/// at agent-tick frequency, not the task hot path).
+/// Thread-safe; a residual, or a decision's residuals, takes one short mutex
+/// (the decision path runs at agent-tick frequency, not the task hot path).
 #[derive(Debug, Default)]
 pub struct DriftDetector {
     config: DriftConfig,
@@ -177,75 +251,32 @@ impl DriftDetector {
     /// [`observe`](DriftDetector::observe), also publishing to `registry`
     /// when one is given: the residual to the series' gauge, an alarm to
     /// its counter, through handles kept with the series' state.
-    pub(crate) fn observe_exporting(
+    pub fn observe_exporting(
         &self,
         series: &str,
         residual: f64,
         registry: Option<&MetricsRegistry>,
     ) -> Option<DriftAlarm> {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let DetectorInner {
-            series: states,
-            alarm_log,
-        } = &mut *inner;
-        if !states.contains_key(series) {
-            states.insert(series.to_string(), SeriesState::default());
-        }
-        let state = states.get_mut(series).expect("present or just inserted");
-        if let Some(registry) = registry {
-            state
-                .residual_gauge
-                .get_or_insert_with(|| registry.gauge(RESIDUAL_METRIC, &[("series", series)]))
-                .set(residual);
-        }
-        state.samples += 1;
-        state.last = residual;
-        state.abs_sum += residual.abs();
-        state.abs_max = state.abs_max.max(residual.abs());
-        state.ewma = if state.samples == 1 {
-            residual
-        } else {
-            self.config.ewma_alpha * residual + (1.0 - self.config.ewma_alpha) * state.ewma
-        };
-        state.s_hi = (state.s_hi + residual - self.config.cusum_k).max(0.0);
-        state.s_lo = (state.s_lo - residual - self.config.cusum_k).max(0.0);
+        inner.update(&self.config, series, || series.into(), residual, registry)
+    }
 
-        if state.samples < self.config.min_samples {
-            return None;
+    /// Feed every residual of one closed decision, in order, under one
+    /// lock — the same states, alarms and exports as one
+    /// [`observe_exporting`](DriftDetector::observe_exporting) per residual.
+    /// Returns the alarms raised, in residual order.
+    pub fn observe_decision(
+        &self,
+        residuals: &[Residual],
+        registry: Option<&MetricsRegistry>,
+    ) -> Vec<DriftAlarm> {
+        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let mut alarms = Vec::new();
+        for r in residuals {
+            let key = || r.series.clone();
+            alarms.extend(inner.update(&self.config, &r.series, key, r.relative, registry));
         }
-        let (tripped, cusum, direction) = if state.s_hi > self.config.cusum_h {
-            (true, state.s_hi, DriftDirection::Above)
-        } else if state.s_lo > self.config.cusum_h {
-            (true, state.s_lo, DriftDirection::Below)
-        } else {
-            (false, 0.0, DriftDirection::Above)
-        };
-        if !tripped {
-            return None;
-        }
-        // Reset both sums so one sustained shift yields periodic alarms
-        // rather than one alarm per subsequent sample.
-        state.s_hi = 0.0;
-        state.s_lo = 0.0;
-        state.alarms += 1;
-        if let Some(registry) = registry {
-            state
-                .alarm_counter
-                .get_or_insert_with(|| registry.counter(ALARMS_METRIC, &[("series", series)]))
-                .inc();
-        }
-        let alarm = DriftAlarm {
-            series: series.to_string(),
-            sample: state.samples,
-            residual,
-            ewma: state.ewma,
-            cusum,
-            direction,
-        };
-        if alarm_log.len() < ALARM_LOG_CAPACITY {
-            alarm_log.push(alarm.clone());
-        }
-        Some(alarm)
+        alarms
     }
 
     /// Compute the relative residual for a predicted/measured pair, feed
@@ -267,7 +298,7 @@ impl DriftDetector {
             .series
             .iter()
             .map(|(k, s)| SeriesSnapshot {
-                series: k.clone(),
+                series: k.to_string(),
                 samples: s.samples,
                 last_residual: s.last,
                 ewma: s.ewma,
@@ -295,8 +326,10 @@ impl DriftDetector {
 
     /// Total alarms across all series.
     pub fn total_alarms(&self) -> u64 {
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.series.values().map(|s| s.alarms).sum()
+        self.inner
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .total_alarms
     }
 }
 

@@ -65,8 +65,8 @@ static NULL: Value = Value::Null;
 
 impl Value {
     /// The object with one member per `(key, value)` pair, in order.
-    pub fn object<T: ToJson>(members: &[(String, T)]) -> Value {
-        let member = |(k, v): &(String, T)| (k.clone(), v.to_value());
+    pub fn object<K: std::ops::Deref<Target = str>, T: ToJson>(members: &[(K, T)]) -> Value {
+        let member = |(k, v): &(K, T)| (k.to_string(), v.to_value());
         Value::Object(members.iter().map(member).collect())
     }
 
@@ -679,6 +679,12 @@ impl FromJson for String {
 }
 
 impl<T: ToJson + ?Sized> ToJson for &T {
+    fn to_value(&self) -> Value {
+        (**self).to_value()
+    }
+}
+
+impl<T: ToJson + ?Sized> ToJson for std::sync::Arc<T> {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }

@@ -77,7 +77,9 @@ pub use metrics::{
 pub use observatory::{
     DriftReport, ModelObservatory, ALARMS_METRIC, RESIDUAL_METRIC, RESIDUAL_PCT_METRIC,
 };
-pub use provenance::{Prediction, ProvenanceLedger, ProvenanceRecord, Residual, SeriesValue};
+pub use provenance::{
+    Prediction, ProvenanceLedger, ProvenanceRecord, Residual, SeriesKey, SeriesValue,
+};
 pub use recorder::{FlightRecorder, DEFAULT_FLIGHT_CAPACITY, FLIGHT_MAGIC, FLIGHT_VERSION};
 pub use serve::{recent_events_json, serve, serve_with_limit, TelemetryServer, RECENT_TRACE_LIMIT};
 pub use slo::{SloEngine, SloObjective, SloSpec, SloStatus, WindowBurn, SLO_CAT};

@@ -194,16 +194,19 @@ impl HistogramSnapshot {
     }
 }
 
+/// A label set: `(name, value)` pairs.
+type Labels = Vec<(String, String)>;
+
 /// A metric identity: name plus a sorted label set.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct MetricKey {
     name: String,
-    labels: Vec<(String, String)>,
+    labels: Labels,
 }
 
 impl MetricKey {
     fn new(name: &str, labels: &[(&str, &str)]) -> Self {
-        let mut labels: Vec<(String, String)> = labels
+        let mut labels: Labels = labels
             .iter()
             .map(|(k, v)| (k.to_string(), v.to_string()))
             .collect();
@@ -338,7 +341,7 @@ impl MetricsRegistry {
         // Quantile gauges are derived per histogram key but emitted after
         // all `<name>_bucket` families so each `# TYPE` header appears
         // exactly once per family.
-        let mut quantile_rows: Vec<(String, Vec<(String, String)>, &'static str, f64)> = Vec::new();
+        let mut quantile_rows: Vec<(String, Labels, &'static str, f64)> = Vec::new();
         for (key, histogram) in &inner.histograms {
             header(&mut out, &mut last_name, &key.name, "histogram");
             let snap = histogram.snapshot();
@@ -388,7 +391,7 @@ impl MetricsRegistry {
     /// All metrics flattened into `(name, labels, value)` rows for the
     /// JSON summary. Histograms contribute `<name>_count`, `<name>_sum`
     /// and `<name>_mean` rows.
-    pub(crate) fn summary_rows(&self) -> Vec<(String, Vec<(String, String)>, f64)> {
+    pub(crate) fn summary_rows(&self) -> Vec<(String, Labels, f64)> {
         let inner = lock_inner(self);
         let mut rows = Vec::new();
         for (key, counter) in &inner.counters {

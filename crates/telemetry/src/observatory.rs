@@ -145,45 +145,42 @@ impl ModelObservatory {
         measured: Vec<SeriesValue>,
         ts_us: u64,
     ) -> Vec<Residual> {
-        let Some(record) = self.ledger.close(id, measured, ts_us) else {
+        let Some(residuals) = self.ledger.close(id, measured, ts_us) else {
             return Vec::new();
         };
         let registry = self.hub.registry();
-        for residual in &record.residuals {
+        for residual in &residuals {
             self.residual_pct
                 .get_or_init(|| registry.histogram(RESIDUAL_PCT_METRIC, &[]))
                 .observe((residual.relative.abs() * 100.0).round() as u64);
-            if let Some(alarm) =
-                self.detector
-                    .observe_exporting(&residual.series, residual.relative, Some(registry))
-            {
-                self.hub.record_instant_at(
-                    0,
-                    self.track,
-                    1,
-                    "drift",
-                    "drift_alarm",
-                    ts_us,
-                    vec![
-                        ("series".to_string(), ArgValue::Str(alarm.series.clone())),
-                        ("residual".to_string(), ArgValue::F64(alarm.residual)),
-                        ("ewma".to_string(), ArgValue::F64(alarm.ewma)),
-                        ("cusum".to_string(), ArgValue::F64(alarm.cusum)),
-                        (
-                            "direction".to_string(),
-                            ArgValue::Str(alarm.direction.as_str().to_string()),
-                        ),
-                        ("decision".to_string(), ArgValue::U64(record.id)),
-                    ],
-                );
-                // Drift alarms auto-dump the flight recorder: the events
-                // leading up to a model mismatch are the evidence.
-                if let Some(rec) = self.hub.flight_recorder() {
-                    rec.trigger_dump(&format!("drift-{}", alarm.series));
-                }
+        }
+        for alarm in self.detector.observe_decision(&residuals, Some(registry)) {
+            self.hub.record_instant_at(
+                0,
+                self.track,
+                1,
+                "drift",
+                "drift_alarm",
+                ts_us,
+                vec![
+                    ("series".to_string(), ArgValue::Str(alarm.series.clone())),
+                    ("residual".to_string(), ArgValue::F64(alarm.residual)),
+                    ("ewma".to_string(), ArgValue::F64(alarm.ewma)),
+                    ("cusum".to_string(), ArgValue::F64(alarm.cusum)),
+                    (
+                        "direction".to_string(),
+                        ArgValue::Str(alarm.direction.as_str().to_string()),
+                    ),
+                    ("decision".to_string(), ArgValue::U64(id)),
+                ],
+            );
+            // Drift alarms auto-dump the flight recorder: the events
+            // leading up to a model mismatch are the evidence.
+            if let Some(rec) = self.hub.flight_recorder() {
+                rec.trigger_dump(&format!("drift-{}", alarm.series));
             }
         }
-        record.residuals
+        residuals
     }
 
     /// Build the residual report from the current detector and ledger

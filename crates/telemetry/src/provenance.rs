@@ -14,8 +14,13 @@
 use crate::json::{ToJson, Value};
 use crate::{json_object, json_write};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
+
+/// A series key — or another label a decision carries from tick to tick —
+/// as a shared string: a clone is a reference-count increment, so a caller
+/// formats a key once and hands clones to every prediction, measurement and
+/// residual of a run. Compared by content.
+pub type SeriesKey = Arc<str>;
 
 /// One named scalar in a prediction or a measured outcome.
 ///
@@ -26,14 +31,14 @@ use std::sync::Mutex;
 #[derive(Debug, Clone, PartialEq)]
 pub struct SeriesValue {
     /// Hierarchical series key.
-    pub series: String,
+    pub series: SeriesKey,
     /// The value.
     pub value: f64,
 }
 
 impl SeriesValue {
     /// Convenience constructor.
-    pub fn new(series: impl Into<String>, value: f64) -> Self {
+    pub fn new(series: impl Into<SeriesKey>, value: f64) -> Self {
         SeriesValue {
             series: series.into(),
             value,
@@ -46,9 +51,9 @@ impl SeriesValue {
 pub struct Prediction {
     /// Model inputs the prediction was computed from (app arithmetic
     /// intensities, thread counts, …), as labelled scalars.
-    pub inputs: Vec<(String, f64)>,
+    pub inputs: Vec<(SeriesKey, f64)>,
     /// Human-readable core/node assignment the model evaluated.
-    pub assignment: String,
+    pub assignment: SeriesKey,
     /// Predicted per-app / per-node series values.
     pub series: Vec<SeriesValue>,
 }
@@ -58,7 +63,7 @@ impl Prediction {
     pub fn value(&self, series: &str) -> Option<f64> {
         self.series
             .iter()
-            .find(|s| s.series == series)
+            .find(|s| &*s.series == series)
             .map(|s| s.value)
     }
 }
@@ -67,7 +72,7 @@ impl Prediction {
 #[derive(Debug, Clone)]
 pub struct Residual {
     /// Series key the pair joined on.
-    pub series: String,
+    pub series: SeriesKey,
     /// Predicted value.
     pub predicted: f64,
     /// Measured value.
@@ -107,20 +112,23 @@ impl ProvenanceRecord {
 
     /// The residual for `series`, if present.
     pub fn residual_for(&self, series: &str) -> Option<&Residual> {
-        self.residuals.iter().find(|r| r.series == series)
+        self.residuals.iter().find(|r| &*r.series == series)
     }
 }
 
 #[derive(Debug, Default)]
 struct LedgerInner {
+    /// Retained records, ids ascending and consecutive: ids are drawn under
+    /// the lock that appends, so record `id` sits at `id − front.id`.
     records: VecDeque<ProvenanceRecord>,
+    /// The id drawn last (the first is 1).
+    last_id: u64,
 }
 
 /// Bounded ledger of [`ProvenanceRecord`]s with open → back-fill
 /// lifecycle. Oldest records are evicted once `capacity` is exceeded.
 #[derive(Debug)]
 pub struct ProvenanceLedger {
-    next_id: AtomicU64,
     capacity: usize,
     inner: Mutex<LedgerInner>,
 }
@@ -135,7 +143,6 @@ impl ProvenanceLedger {
     /// Create a ledger retaining at most `capacity` records.
     pub fn new(capacity: usize) -> Self {
         ProvenanceLedger {
-            next_id: AtomicU64::new(1),
             capacity: capacity.max(1),
             inner: Mutex::new(LedgerInner::default()),
         }
@@ -150,8 +157,9 @@ impl ProvenanceLedger {
         prediction: Prediction,
         opened_us: u64,
     ) -> u64 {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        inner.last_id += 1;
+        let id = inner.last_id;
         if inner.records.len() >= self.capacity {
             inner.records.pop_front();
         }
@@ -170,21 +178,23 @@ impl ProvenanceLedger {
     }
 
     /// Back-fill record `id` with the realized outcome, computing one
-    /// residual per predicted series that has a matching measured key.
-    /// Returns the closed record, or `None` if the id is unknown (e.g.
-    /// already evicted) or already closed.
+    /// residual per predicted series that has a matching measured key (the
+    /// first one, when `measured` names a key twice). Returns the
+    /// residuals, which the record keeps too, or `None` if the id is
+    /// unknown (e.g. already evicted) or already closed.
     pub fn close(
         &self,
         id: u64,
         measured: Vec<SeriesValue>,
         closed_us: u64,
-    ) -> Option<ProvenanceRecord> {
+    ) -> Option<Vec<Residual>> {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let record = inner
-            .records
-            .iter_mut()
-            .find(|r| r.id == id && !r.is_closed())?;
-        record.residuals = record
+        let records = &mut inner.records;
+        let at = usize::try_from(id.checked_sub(records.front()?.id)?).ok()?;
+        let record = records
+            .get_mut(at)
+            .filter(|r| r.id == id && !r.is_closed())?;
+        let residuals: Vec<Residual> = record
             .prediction
             .series
             .iter()
@@ -198,9 +208,10 @@ impl ProvenanceLedger {
                 })
             })
             .collect();
+        record.residuals = residuals.clone();
         record.measured = measured;
         record.closed_us = Some(closed_us);
-        Some(record.clone())
+        Some(residuals)
     }
 
     /// Copies of all retained records, oldest first.
@@ -277,7 +288,7 @@ mod tests {
         let id = ledger.open(3, "scenario", "assign a:[2,0]", prediction(), 100);
         assert_eq!(ledger.open_count(), 1);
 
-        let closed = ledger
+        let residuals = ledger
             .close(
                 id,
                 vec![
@@ -288,8 +299,10 @@ mod tests {
                 200,
             )
             .expect("close must succeed");
+        let closed = ledger.records().pop().unwrap();
         assert!(closed.is_closed());
         assert_eq!(ledger.open_count(), 0);
+        assert_eq!(residuals.len(), 2);
         assert_eq!(closed.residuals.len(), 2);
         let r = closed.residual_for("app/a/bandwidth_gbs").unwrap();
         assert!((r.relative - (-0.2)).abs() < 1e-12);
@@ -315,6 +328,35 @@ mod tests {
         assert_eq!(ledger.len(), 2);
         assert!(ledger.close(a, Vec::new(), 3).is_none(), "evicted id");
         assert_eq!(ledger.records()[0].tick, 1);
+    }
+
+    /// Ids are drawn under the lock that appends: however opens interleave,
+    /// the ring stays id-ascending and every id finds its own record.
+    #[test]
+    fn concurrent_opens_keep_records_in_id_order() {
+        let ledger = ProvenanceLedger::new(8192);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let (ledger, start) = (&ledger, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..1000 {
+                        let id = ledger.open(t * 1000 + i, "s", "c", prediction(), 0);
+                        let tick = SeriesValue::new("tick", (t * 1000 + i) as f64);
+                        assert!(ledger.close(id, vec![tick], 1).is_some(), "id {id}");
+                    }
+                });
+            }
+        });
+        let records = ledger.records();
+        assert_eq!(records.len(), 4000);
+        assert!(records.windows(2).all(|w| w[0].id < w[1].id));
+        // Each close reached the record its own open made.
+        assert!(records
+            .iter()
+            .all(|r| r.is_closed() && r.measured[0].value == r.tick as f64));
+        assert!(ledger.close(records[17].id, Vec::new(), 2).is_none());
     }
 
     #[test]
