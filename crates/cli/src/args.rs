@@ -265,7 +265,6 @@ subcommand! {
         faults: Vec<String> = f.strings("--fault"),
         no_reclaim: bool = f.switch("--no-reclaim"),
         engine: EngineKind = f.engine(),
-        sim_threads: usize = f.workers("--sim-threads"),
         export: Exports = Exports {
             metrics: f.string("--metrics"),
             ..Exports::default()
@@ -317,7 +316,6 @@ subcommand! {
         cusum_h: f64 = f.float("--cusum-h", "f64").unwrap_or(0.5),
         reoptimize: bool = f.switch("--reoptimize"),
         engine: EngineKind = f.engine(),
-        sim_threads: usize = f.workers("--sim-threads"),
         export: Exports = Exports {
             trace_out: f.string("--trace-out"),
             metrics: f.string("--metrics"),
@@ -412,16 +410,14 @@ COMMANDS:
                                throughput/fairness Pareto frontier
   simulate --scenario <FILE> | --write-template  [--metrics <PATH>]
           [--fault <app:down_at_s[:up_at_s]>...] [--no-reclaim]
-          [--engine slice|event] [--sim-threads N] [--format text|json|prom]
+          [--engine slice|event] [--format text|json|prom]
                                run (or emit a template for) a declarative
                                memsim scenario; --fault kills an app
                                mid-run (and optionally revives it), with
                                its cores fair-shared among the survivors
                                unless --no-reclaim; --engine picks the
                                time-sliced or discrete-event simulator
-                               core (default slice; see docs/performance.md);
-                               --sim-threads shards the event engine over N
-                               workers (bit-identical at any count)
+                               core (default slice; see docs/performance.md)
   observe [--machine <M>] [--iterations N] [--trace-out <PATH>] [--metrics <PATH>]
           [--serve <ADDR> [--serve-max-requests N]] [--dump <DIR>]
           [--format text|json|prom]
@@ -447,7 +443,7 @@ COMMANDS:
           [--decision-period S] [--duration S] [--reoptimize]
           [--ewma A] [--cusum-k K] [--cusum-h H]
           [--trace-out <PATH>] [--metrics <PATH>] [--engine slice|event]
-          [--sim-threads N] [--format text|json|prom]
+          [--format text|json|prom]
                                run a scenario under model supervision: the
                                analytic model predicts each decision tick,
                                the simulator measures it (optionally on a
@@ -455,8 +451,7 @@ COMMANDS:
                                reports residuals and alarms; --reoptimize
                                re-searches the allocation each tick (warm
                                start + persistent score cache); --engine
-                               picks the simulator core for each tick and
-                               --sim-threads its event-engine worker count
+                               picks the simulator core for each tick
   chaos   [--machine <M>] [--runtimes N] [--ticks N] [--tick-interval MS]
           [--kill-at T] [--revive-at T] [--deadline MS]
           [--fault <kind[=millis][@from[..until]][~prob]>...]
@@ -1357,36 +1352,6 @@ mod tests {
     }
 
     #[test]
-    fn sim_threads_flag_parses_and_defaults_to_one() {
-        let cli = parse_args(&argv("simulate --write-template")).unwrap();
-        match cli.command {
-            Command::Simulate(SimulateArgs { sim_threads, .. }) => assert_eq!(sim_threads, 1),
-            other => panic!("wrong command {other:?}"),
-        }
-        let cli = parse_args(&argv(
-            "simulate --write-template --engine event --sim-threads 8",
-        ))
-        .unwrap();
-        match cli.command {
-            Command::Simulate(SimulateArgs { sim_threads, .. }) => assert_eq!(sim_threads, 8),
-            other => panic!("wrong command {other:?}"),
-        }
-        // Shared by drift, not by chaos, and distinct from search's --threads.
-        let cli = parse_args(&argv("drift --sim-threads 2")).unwrap();
-        match cli.command {
-            Command::Drift(DriftArgs { sim_threads, .. }) => assert_eq!(sim_threads, 2),
-            other => panic!("wrong command {other:?}"),
-        }
-        assert!(parse_args(&argv("chaos --sim-threads 4")).is_err());
-        assert!(parse_args(&argv(
-            "search --machine tiny --app a:local:1 --sim-threads 2"
-        ))
-        .is_err());
-        assert!(parse_args(&argv("simulate --write-template --sim-threads 0")).is_err());
-        assert!(parse_args(&argv("drift --sim-threads")).is_err());
-    }
-
-    #[test]
     fn node_placement_parses_index() {
         let app = parse_app("x:node12:0.5").unwrap();
         assert_eq!(app.placement, PlacementArg::Node(12));
@@ -1449,7 +1414,6 @@ mod scope_tests {
             "--deadline" => "25",
             "--seed"
             | "--threads"
-            | "--sim-threads"
             | "--iterations"
             | "--runtimes"
             | "--tick-interval"
@@ -1481,7 +1445,7 @@ mod scope_tests {
     #[test]
     fn a_flag_parses_only_under_the_subcommands_that_own_it() {
         let all = all_flags();
-        assert_eq!(all.len(), 40, "{all:?}");
+        assert_eq!(all.len(), 39, "{all:?}");
         for (name, minimal) in MINIMAL {
             let owned = owned(minimal);
             for flag in all.iter().filter(|f| !GLOBAL.contains(f)) {
@@ -1603,7 +1567,7 @@ mod scope_tests {
              --threads 4 --metrics m.json --json",
             "sweep --machine paper-model --app mem:local:0.5 --format json",
             "simulate --scenario s.json --fault 1:0.05 --no-reclaim --engine event \
-             --sim-threads 2 --metrics m.prom --format prom",
+             --metrics m.prom --format prom",
             "observe --machine dual-socket --iterations 5 --trace-out t.json \
              --serve 127.0.0.1:0 --serve-max-requests 3 --dump d",
             "trace stage --from flight.bin --machine tiny --iterations 4",

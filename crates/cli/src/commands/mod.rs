@@ -78,9 +78,8 @@ fn reparse(what: &str, text: &str) -> Result<Value> {
 }
 
 /// [`json_doc`] of a simulator document stamped with the engine choice.
-fn engine_doc(mut doc: Value, engine: memsim::EngineKind, sim_threads: usize) -> String {
+fn engine_doc(mut doc: Value, engine: memsim::EngineKind) -> String {
     doc.insert("engine", engine.as_str().to_value());
-    doc.insert("sim_threads", sim_threads.to_value());
     json_doc(&doc)
 }
 
@@ -141,7 +140,7 @@ fn simulate_cmd(x: &SimulateArgs, format: OutputFormat) -> Result<String> {
     if x.write_template {
         return Ok(memsim::scenario::template().to_json() + "\n");
     }
-    let (engine, sim_threads) = (x.engine, x.sim_threads);
+    let engine = x.engine;
     let scenario = read_scenario(x.scenario.as_deref().expect("checked by the parser"))?;
     // `--fault` switches simulate into the chaos path: the first
     // assignment runs with the requested outages injected.
@@ -161,16 +160,14 @@ fn simulate_cmd(x: &SimulateArgs, format: OutputFormat) -> Result<String> {
 
     let out = match &plan {
         Some(plan) => {
-            let chaos =
-                memsim::run_chaos_scenario_threaded(&scenario, plan, hub, engine, sim_threads)
-                    .map_err(|e| CliError::failure(format!("chaos simulation failed: {e}")))?;
+            let chaos = memsim::run_chaos_scenario_on(&scenario, plan, hub, engine)
+                .map_err(|e| CliError::failure(format!("chaos simulation failed: {e}")))?;
             match format {
-                OutputFormat::Json => engine_doc(chaos.result.to_value(), engine, sim_threads),
+                OutputFormat::Json => engine_doc(chaos.result.to_value(), engine),
                 OutputFormat::Prom => String::new(), // `finish` prints the hub instead
                 OutputFormat::Text => {
                     let mut out = format!(
-                        "chaos scenario: {} ({} segments, reclaim {}, engine {engine}, \
-                         sim-threads {sim_threads})\n",
+                        "chaos scenario: {} ({} segments, reclaim {}, engine {engine})\n",
                         scenario.name,
                         chaos.segments.len(),
                         if plan.reclaim { "on" } else { "off" }
@@ -204,14 +201,12 @@ fn simulate_cmd(x: &SimulateArgs, format: OutputFormat) -> Result<String> {
             }
         }
         None => {
-            let result = memsim::run_scenario_threaded(&scenario, hub, engine, sim_threads)
+            let result = memsim::run_scenario_on(&scenario, hub, engine)
                 .map_err(|e| CliError::failure(format!("simulation failed: {e}")))?;
             match format {
-                OutputFormat::Json => engine_doc(result.to_value(), engine, sim_threads),
+                OutputFormat::Json => engine_doc(result.to_value(), engine),
                 OutputFormat::Prom => String::new(),
-                OutputFormat::Text => {
-                    format!("{result}engine: {engine}\nsim-threads: {sim_threads}\n")
-                }
+                OutputFormat::Text => format!("{result}engine: {engine}\n"),
             }
         }
     };
@@ -258,7 +253,6 @@ fn drift_cmd(x: &DriftArgs, format: OutputFormat) -> Result<String> {
         tracing: x.export.trace_out.is_some(),
         chaos: None,
         engine: x.engine,
-        sim_threads: x.sim_threads,
     };
     let session = Session::new(&x.export, Vec::new())?;
     let result = memsim::run_supervised(&scenario, &config, session.hub())
@@ -268,11 +262,10 @@ fn drift_cmd(x: &DriftArgs, format: OutputFormat) -> Result<String> {
         let report = result.report();
         if format == OutputFormat::Json {
             let doc = reparse("drift report", &report.to_json())?;
-            return Ok(engine_doc(doc, x.engine, x.sim_threads));
+            return Ok(engine_doc(doc, x.engine));
         }
         Ok(format!(
-            "{}{} decision ticks ({} perturbed), first alarm at tick {}, engine {}, \
-             sim-threads {}\n{}",
+            "{}{} decision ticks ({} perturbed), first alarm at tick {}, engine {}\n{}",
             report.to_text(),
             result.ticks.len(),
             result.ticks.iter().filter(|t| t.perturbed).count(),
@@ -281,7 +274,6 @@ fn drift_cmd(x: &DriftArgs, format: OutputFormat) -> Result<String> {
                 .map(|t| t.to_string())
                 .unwrap_or_else(|| "-".to_string()),
             x.engine,
-            x.sim_threads,
             done.footer
         ))
     })
@@ -2014,69 +2006,6 @@ mod simulate_tests {
         .unwrap();
         let v = coop_telemetry::json::parse(&json_out).unwrap();
         assert_eq!(v["engine"], "event", "json:\n{json_out}");
-    }
-
-    #[test]
-    fn simulate_sim_threads_flag_is_echoed_and_matches_single_threaded() {
-        let template = crate::run(&["simulate".into(), "--write-template".into()]).unwrap();
-        let dir = std::env::temp_dir().join(format!("coop-cli-simthr-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("scenario.json");
-        std::fs::write(&path, &template).unwrap();
-
-        let out = crate::run(&[
-            "simulate".into(),
-            "--scenario".into(),
-            path.to_str().unwrap().to_string(),
-            "--engine".into(),
-            "event".into(),
-            "--sim-threads".into(),
-            "2".into(),
-        ])
-        .unwrap();
-        assert!(out.contains("sim-threads: 2"), "output:\n{out}");
-
-        // The parallel run's JSON is identical to the single-threaded one
-        // apart from the echoed thread count.
-        let run_json = |threads: &str| {
-            crate::run(&[
-                "simulate".into(),
-                "--scenario".into(),
-                path.to_str().unwrap().to_string(),
-                "--engine".into(),
-                "event".into(),
-                "--sim-threads".into(),
-                threads.into(),
-                "--json".into(),
-            ])
-            .unwrap()
-        };
-        let mut v1 = coop_telemetry::json::parse(&run_json("1")).unwrap();
-        let mut v2 = coop_telemetry::json::parse(&run_json("2")).unwrap();
-        assert_eq!(v1["sim_threads"], 1);
-        assert_eq!(v2["sim_threads"], 2);
-        v1.insert("sim_threads", coop_telemetry::json::Value::Null);
-        v2.insert("sim_threads", coop_telemetry::json::Value::Null);
-        assert_eq!(v1, v2, "parallel event engine must be bit-identical");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn drift_sim_threads_flag_reaches_the_supervisor() {
-        let json_out = crate::run(&[
-            "drift".into(),
-            "--duration".into(),
-            "0.1".into(),
-            "--engine".into(),
-            "event".into(),
-            "--sim-threads".into(),
-            "2".into(),
-            "--json".into(),
-        ])
-        .unwrap();
-        let v = coop_telemetry::json::parse(&json_out).unwrap();
-        assert_eq!(v["engine"], "event", "json:\n{json_out}");
-        assert_eq!(v["sim_threads"], 2, "json:\n{json_out}");
     }
 
     #[test]

@@ -78,7 +78,11 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// Every deterministic invocation beside the digest of the stdout it
 /// printed at 3d2ee90, before `args.rs` and `commands/` were rewritten (two
-/// runs each, byte-identical, debug and release alike). `scenario.json` is
+/// runs each, byte-identical, debug and release alike). The `simulate`,
+/// `drift` and `top --format prom` rows were taken again at the commit that
+/// deleted `--sim-threads`: each is its 685ff2c stdout less the thread-count
+/// echo (text and JSON member) and the two sharded-engine series, shown byte
+/// for byte before the digest was replaced. `scenario.json` is
 /// `simulate --write-template`'s output in the working directory.
 /// `hill`/`anneal` stay single-threaded here: two seeds racing one score
 /// cache move the printed hit counts by one under load. `help`, `chaos`,
@@ -106,51 +110,45 @@ const GOLDEN: &[(&str, u64)] = &[
     ("pareto --machine paper-model --app mem:local:0.5 --app comp:local:10", 0x8fdff9ca3ef09e08),
     ("pareto --machine tiny --app a:local:0.5 --app b:local:4 --json", 0xf4e988d625318038),
     ("simulate --write-template", 0x7af9043d61fd0e2c),
-    ("simulate --scenario scenario.json", 0x9bb1fb808763c1dc),
-    ("simulate --scenario scenario.json --fault 3:0.02", 0x04fec168478f058d),
-    ("simulate --scenario scenario.json --format json", 0x07371c3ed198462a),
-    ("simulate --scenario scenario.json --fault 3:0.02 --format json", 0x6110dbd642a213a8),
-    ("simulate --scenario scenario.json --format prom", 0x7a1785ff361c1fcc),
-    ("simulate --scenario scenario.json --fault 3:0.02 --format prom", 0x76bee8426703621b),
-    ("simulate --scenario scenario.json --engine slice", 0x9bb1fb808763c1dc),
-    ("simulate --scenario scenario.json --fault 3:0.02 --engine slice", 0x04fec168478f058d),
-    ("simulate --scenario scenario.json --engine slice --format json", 0x07371c3ed198462a),
-    ("simulate --scenario scenario.json --fault 3:0.02 --engine slice --format json", 0x6110dbd642a213a8),
-    ("simulate --scenario scenario.json --engine slice --format prom", 0x7a1785ff361c1fcc),
-    ("simulate --scenario scenario.json --fault 3:0.02 --engine slice --format prom", 0x76bee8426703621b),
-    ("simulate --scenario scenario.json --engine event", 0x8f29b242eae6e472),
-    ("simulate --scenario scenario.json --fault 3:0.02 --engine event", 0xf569c619473e2243),
-    ("simulate --scenario scenario.json --engine event --format json", 0x637b5109e0783b73),
-    ("simulate --scenario scenario.json --fault 3:0.02 --engine event --format json", 0x9baf08f1764f4be7),
-    ("simulate --scenario scenario.json --engine event --format prom", 0x49a55815c11c1dc0),
-    ("simulate --scenario scenario.json --fault 3:0.02 --engine event --format prom", 0x0829adf02683f8af),
-    ("simulate --scenario scenario.json --engine event --sim-threads 2", 0x8f33f442eaefa91d),
-    ("simulate --scenario scenario.json --fault 3:0.02 --engine event --sim-threads 2", 0x50e6d5d0795085e0),
-    ("simulate --scenario scenario.json --engine event --sim-threads 2 --format json", 0xc4a4f9018b3ae9d8),
-    ("simulate --scenario scenario.json --fault 3:0.02 --engine event --sim-threads 2 --format json", 0x862a00e96e7c7f3c),
-    ("simulate --scenario scenario.json --engine event --sim-threads 2 --format prom", 0x0735803aed800bd4),
-    ("simulate --scenario scenario.json --fault 3:0.02 --engine event --sim-threads 2 --format prom", 0x7d91ee7a86cd390b),
-    ("simulate --scenario scenario.json --fault 3:0.02:0.06 --fault 0:0.01 --no-reclaim", 0x975b199baabc7edb),
-    ("simulate --scenario scenario.json --json", 0x07371c3ed198462a),
-    ("drift", 0x26f3b881bbdae836),
-    ("drift --reoptimize", 0x26f3b881bbdae836),
-    ("drift --perturb 0:0.2:0.1", 0x7399c4c2b4185e4c),
-    ("drift --perturb 0:0.2:0.1 --reoptimize", 0x7399c4c2b4185e4c),
-    ("drift --format json", 0xacdec3c797252c39),
-    ("drift --reoptimize --format json", 0xacdec3c797252c39),
-    ("drift --perturb 0:0.2:0.1 --format json", 0x21a7e3d90598e51a),
-    ("drift --perturb 0:0.2:0.1 --reoptimize --format json", 0x21a7e3d90598e51a),
-    ("drift --format prom", 0x96008ecc64150ce9),
-    ("drift --reoptimize --format prom", 0x96008ecc64150ce9),
-    ("drift --perturb 0:0.2:0.1 --format prom", 0xbd51b7a4ae13b486),
-    ("drift --perturb 0:0.2:0.1 --reoptimize --format prom", 0xbd51b7a4ae13b486),
-    ("drift --scenario scenario.json --duration 0.1 --engine event", 0x8d4a07598ecfc762),
-    ("drift --duration 0.1 --engine event --sim-threads 2 --json", 0xc67584cba892df11),
-    ("drift --perturb 0:0.5:0.05 --perturb 1:0.8 --decision-period 0.02 --duration 0.3 --ewma 0.4 --cusum-k 0.1 --cusum-h 0.8", 0x94cb715ca2b60408),
+    ("simulate --scenario scenario.json", 0x16d768a9efff4346),
+    ("simulate --scenario scenario.json --fault 3:0.02", 0xee3430a60cb7f3f9),
+    ("simulate --scenario scenario.json --format json", 0x2c9342db2d39fe70),
+    ("simulate --scenario scenario.json --fault 3:0.02 --format json", 0xaf1a3ccd73d1a3d6),
+    ("simulate --scenario scenario.json --format prom", 0x0ff1d10491fa1fbf),
+    ("simulate --scenario scenario.json --fault 3:0.02 --format prom", 0xa3fc182f9346c7a6),
+    ("simulate --scenario scenario.json --engine slice", 0x16d768a9efff4346),
+    ("simulate --scenario scenario.json --fault 3:0.02 --engine slice", 0xee3430a60cb7f3f9),
+    ("simulate --scenario scenario.json --engine slice --format json", 0x2c9342db2d39fe70),
+    ("simulate --scenario scenario.json --fault 3:0.02 --engine slice --format json", 0xaf1a3ccd73d1a3d6),
+    ("simulate --scenario scenario.json --engine slice --format prom", 0x0ff1d10491fa1fbf),
+    ("simulate --scenario scenario.json --fault 3:0.02 --engine slice --format prom", 0xa3fc182f9346c7a6),
+    ("simulate --scenario scenario.json --engine event", 0x53fd783e3d102c0c),
+    ("simulate --scenario scenario.json --fault 3:0.02 --engine event", 0xf3dd92a57cc0548f),
+    ("simulate --scenario scenario.json --engine event --format json", 0x1d8139f5373df9e9),
+    ("simulate --scenario scenario.json --fault 3:0.02 --engine event --format json", 0x1ba934757b8a442d),
+    ("simulate --scenario scenario.json --engine event --format prom", 0xada7d27af1d5d217),
+    ("simulate --scenario scenario.json --fault 3:0.02 --engine event --format prom", 0x8e3b4491ab1d333e),
+    ("simulate --scenario scenario.json --fault 3:0.02:0.06 --fault 0:0.01 --no-reclaim", 0x9a31311af49e726d),
+    ("simulate --scenario scenario.json --json", 0x2c9342db2d39fe70),
+    ("drift", 0x2ba3724b333946aa),
+    ("drift --reoptimize", 0x2ba3724b333946aa),
+    ("drift --perturb 0:0.2:0.1", 0xc6f33f4d25eef480),
+    ("drift --perturb 0:0.2:0.1 --reoptimize", 0xc6f33f4d25eef480),
+    ("drift --format json", 0x7b3bfc59ac6b550f),
+    ("drift --reoptimize --format json", 0x7b3bfc59ac6b550f),
+    ("drift --perturb 0:0.2:0.1 --format json", 0x4674639c26f60a00),
+    ("drift --perturb 0:0.2:0.1 --reoptimize --format json", 0x4674639c26f60a00),
+    ("drift --format prom", 0xf464177453b3de68),
+    ("drift --reoptimize --format prom", 0xf464177453b3de68),
+    ("drift --perturb 0:0.2:0.1 --format prom", 0x50a1021320c2ba8f),
+    ("drift --perturb 0:0.2:0.1 --reoptimize --format prom", 0x50a1021320c2ba8f),
+    ("drift --scenario scenario.json --duration 0.1 --engine event", 0x48594d59d9d93aee),
+    ("drift --duration 0.1 --engine event --json", 0x5518a25fde5d5c50),
+    ("drift --perturb 0:0.5:0.05 --perturb 1:0.8 --decision-period 0.02 --duration 0.3 --ewma 0.4 --cusum-k 0.1 --cusum-h 0.8", 0x2ca031fcda515d84),
     ("top", 0xb8882ccabf771c32),
     ("top --outage 1:0.03:0.07", 0x4f474599a93c0f2e),
-    ("top --format prom", 0xb720ac9736986914),
-    ("top --outage 1:0.03:0.07 --format prom", 0x29d374eb3cf5aa4b),
+    ("top --format prom", 0x4886e45f0ae6b1d7),
+    ("top --outage 1:0.03:0.07 --format prom", 0xf697582fb72a57aa),
     ("top --machine dual-socket --duration 0.1 --decision-period 0.02", 0xaff72fc37e4e374a),
 ];
 
@@ -204,6 +202,11 @@ fn misplaced_flags_and_formats_exit_2_naming_both() {
             "--verbos",
             "solve",
         ),
+        (
+            "simulate --scenario s.json --sim-threads 2".to_string(),
+            "--sim-threads",
+            "simulate",
+        ),
     ] {
         let out = cli()
             .args(args.split_whitespace())
@@ -216,6 +219,29 @@ fn misplaced_flags_and_formats_exit_2_naming_both() {
         assert!(
             first.contains(flag) && first.contains(&format!("'{command}'")),
             "`{args}`: {first}"
+        );
+    }
+}
+
+/// One `DecisionTick` is kept per decision tick, so a duration over period
+/// ratio that cannot be held is refused like any other failed run — not a
+/// `capacity overflow` panic (101) or a failed allocation's abort (134).
+#[test]
+fn too_many_decision_ticks_exit_1_not_a_panic_or_an_abort() {
+    for args in [
+        "drift --duration 1e9 --decision-period 1e-9",
+        "drift --duration 1e6 --decision-period 1e-6",
+        "top --duration 1e9 --decision-period 1e-9",
+    ] {
+        let out = cli()
+            .args(args.split_whitespace())
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(1), "`{args}`: {out:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            stderr.contains("too many decision ticks"),
+            "`{args}`: {stderr}"
         );
     }
 }

@@ -134,93 +134,6 @@ impl std::fmt::Display for EngineKind {
     }
 }
 
-/// A contiguous partition of simulated components across simulator worker
-/// threads (the parallel event engine's shards).
-///
-/// Shard `s` owns applications `app_bounds[s]..app_bounds[s + 1]` — and,
-/// because [`crate::Simulation`] expands assignments app-major, the
-/// matching contiguous range of simulated threads — plus NUMA nodes
-/// `node_bounds[s]..node_bounds[s + 1]` (their memory controllers and
-/// inbound links). Both bound vectors have `shards + 1` entries, start at
-/// 0, end at the respective totals, and are non-decreasing; empty ranges
-/// are allowed (more shards than apps just idles the surplus workers).
-///
-/// The partition never changes the answer — the parallel engine is
-/// bit-identical to the single-threaded event engine for *any* valid plan
-/// (see `docs/performance.md`, "Parallel fleet simulation") — it only
-/// changes how the per-segment arbitration work is spread across cores.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardPlan {
-    /// Per-shard application-range boundaries (`shards + 1` entries).
-    pub app_bounds: Vec<usize>,
-    /// Per-shard NUMA-node-range boundaries (`shards + 1` entries).
-    pub node_bounds: Vec<usize>,
-}
-
-impl ShardPlan {
-    /// Plans `shards` contiguous shards over `num_apps` applications and
-    /// `num_nodes` NUMA nodes, balancing by `weights` (one weight per app,
-    /// typically its worst-case thread count across the schedule; missing
-    /// or zero weights count as 1). Deterministic: same inputs, same plan.
-    pub fn balanced(num_apps: usize, num_nodes: usize, shards: usize, weights: &[usize]) -> Self {
-        let shards = shards.max(1);
-        let w: Vec<u64> = (0..num_apps)
-            .map(|a| weights.get(a).copied().unwrap_or(1).max(1) as u64)
-            .collect();
-        let total: u64 = w.iter().sum();
-        let mut app_bounds = Vec::with_capacity(shards + 1);
-        app_bounds.push(0usize);
-        let mut acc = 0u64;
-        let mut next = 0usize;
-        for s in 1..shards {
-            // Advance to the first app whose cumulative weight reaches this
-            // shard's proportional target.
-            let target = total * s as u64 / shards as u64;
-            while next < num_apps && acc < target {
-                acc += w[next];
-                next += 1;
-            }
-            app_bounds.push(next);
-        }
-        app_bounds.push(num_apps);
-        let node_bounds = (0..=shards).map(|s| num_nodes * s / shards).collect();
-        ShardPlan {
-            app_bounds,
-            node_bounds,
-        }
-    }
-
-    /// Number of shards in the plan.
-    pub fn num_shards(&self) -> usize {
-        self.app_bounds.len().saturating_sub(1)
-    }
-
-    /// Checks the plan's shape against a simulation's app and node counts.
-    pub(crate) fn check(&self, num_apps: usize, num_nodes: usize) -> Result<(), &'static str> {
-        let shards = self.num_shards();
-        if shards == 0 || self.node_bounds.len() != shards + 1 {
-            return Err("shard plan must have matching, non-empty bound vectors");
-        }
-        for (bounds, total) in [(&self.app_bounds, num_apps), (&self.node_bounds, num_nodes)] {
-            if bounds[0] != 0 || bounds[shards] != total {
-                return Err("shard plan bounds must span 0..=total");
-            }
-            if bounds.windows(2).any(|w| w[0] > w[1]) {
-                return Err("shard plan bounds must be non-decreasing");
-            }
-        }
-        Ok(())
-    }
-
-    /// The shard owning NUMA node `node`.
-    pub(crate) fn node_owner(&self, node: usize) -> usize {
-        // `partition_point` finds the first bound beyond `node`; bounds
-        // are non-decreasing so every node belongs to exactly one
-        // non-empty range.
-        self.node_bounds.partition_point(|&b| b <= node) - 1
-    }
-}
-
 /// Full simulator configuration.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
@@ -235,13 +148,6 @@ pub struct SimConfig {
     pub seed: u64,
     /// Which execution engine to use (default [`EngineKind::Slice`]).
     pub engine: EngineKind,
-    /// Simulator worker threads for the event engine (default 1: the
-    /// single-threaded engine). With more than one, [`EngineKind::Event`]
-    /// runs the conservative parallel engine: components are sharded with
-    /// [`ShardPlan::balanced`] and synchronized at every safe horizon. The
-    /// result is bit-identical at any thread count; only wall-clock time
-    /// changes. Ignored by [`EngineKind::Slice`].
-    pub sim_threads: usize,
 }
 
 impl SimConfig {
@@ -254,7 +160,6 @@ impl SimConfig {
             effects: EffectModel::default(),
             seed: 0,
             engine: EngineKind::default(),
-            sim_threads: 1,
         }
     }
 
@@ -282,10 +187,10 @@ impl SimConfig {
         self
     }
 
-    /// Sets the event engine's worker-thread count; see
-    /// [`SimConfig::sim_threads`]. Zero is clamped to 1.
-    pub fn with_sim_threads(mut self, sim_threads: usize) -> Self {
-        self.sim_threads = sim_threads.max(1);
+    // Ignores its argument: kept only for coopbench's `memsim.par2_*` probe
+    // (`benchmarks/src/workloads/fleet.rs`); goes with it in the next `benchmark` PR.
+    #[doc(hidden)]
+    pub fn with_sim_threads(self, _sim_threads: usize) -> Self {
         self
     }
 }
@@ -326,55 +231,6 @@ mod tests {
         assert_eq!(c.seed, 9);
         assert_eq!(c.effects, EffectModel::ideal());
         assert_eq!(c.engine, EngineKind::Event);
-    }
-
-    #[test]
-    fn sim_threads_builder_clamps_zero() {
-        let c = SimConfig::new(tiny()).with_sim_threads(0);
-        assert_eq!(c.sim_threads, 1);
-        assert_eq!(SimConfig::new(tiny()).sim_threads, 1, "default is 1");
-        assert_eq!(SimConfig::new(tiny()).with_sim_threads(8).sim_threads, 8);
-    }
-
-    #[test]
-    fn balanced_plan_partitions_apps_and_nodes() {
-        let plan = ShardPlan::balanced(10, 8, 4, &[1; 10]);
-        assert_eq!(plan.num_shards(), 4);
-        assert_eq!(plan.app_bounds.first(), Some(&0));
-        assert_eq!(plan.app_bounds.last(), Some(&10));
-        assert_eq!(plan.node_bounds, vec![0, 2, 4, 6, 8]);
-        assert!(plan.check(10, 8).is_ok());
-        for node in 0..8 {
-            let s = plan.node_owner(node);
-            assert!(plan.node_bounds[s] <= node && node < plan.node_bounds[s + 1]);
-        }
-    }
-
-    #[test]
-    fn balanced_plan_follows_weights() {
-        // One heavy app (weight 8) and seven light ones across two shards:
-        // the heavy app should sit alone (or nearly so) in its shard.
-        let plan = ShardPlan::balanced(8, 4, 2, &[8, 1, 1, 1, 1, 1, 1, 1]);
-        let first = plan.app_bounds[1];
-        assert!(first <= 2, "heavy first shard stays small, got {plan:?}");
-        // More shards than apps: surplus shards are empty but valid.
-        let wide = ShardPlan::balanced(2, 2, 8, &[1, 1]);
-        assert_eq!(wide.num_shards(), 8);
-        assert!(wide.check(2, 2).is_ok());
-    }
-
-    #[test]
-    fn plan_check_rejects_malformed_bounds() {
-        let plan = ShardPlan {
-            app_bounds: vec![0, 3, 2],
-            node_bounds: vec![0, 1, 2],
-        };
-        assert!(plan.check(2, 2).is_err(), "decreasing bounds");
-        let plan = ShardPlan {
-            app_bounds: vec![0, 2],
-            node_bounds: vec![0, 1],
-        };
-        assert!(plan.check(2, 2).is_err(), "node bounds fall short");
     }
 
     #[test]

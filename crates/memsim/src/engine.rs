@@ -56,8 +56,6 @@ pub(crate) struct Thread {
 pub(crate) struct SimSeries {
     track: TrackId,
     assignment_switches: Arc<Counter>,
-    shard_barriers: Arc<Counter>,
-    horizon_stalls: Arc<Counter>,
     rotations: Vec<Arc<Counter>>,
     util_pct: Vec<Arc<Histogram>>,
     /// Per node, the name of its bandwidth counter track (`node<n>_bw_gbs`).
@@ -93,14 +91,6 @@ impl SimSeries {
             "memsim_assignment_switches_total",
             "Dynamic-schedule assignment changes applied during the run",
         );
-        reg.set_help(
-            "memsim_shard_barriers_total",
-            "Safe-horizon barrier crossings performed by the parallel event engine",
-        );
-        reg.set_help(
-            "memsim_horizon_stalls_total",
-            "Shard-segments advanced purely by the safe horizon (the shard had no event of its own at the horizon tick)",
-        );
         let num_nodes = machine.num_nodes();
         let mut rotations = Vec::with_capacity(num_nodes);
         let mut util_pct = Vec::with_capacity(num_nodes);
@@ -114,8 +104,6 @@ impl SimSeries {
         SimSeries {
             track,
             assignment_switches: reg.counter("memsim_assignment_switches_total", &[]),
-            shard_barriers: reg.counter("memsim_shard_barriers_total", &[]),
-            horizon_stalls: reg.counter("memsim_horizon_stalls_total", &[]),
             rotations,
             util_pct,
             bandwidth_names,
@@ -167,14 +155,6 @@ impl SimTelemetry {
                 args: vec![("t_s".to_string(), ArgValue::F64(t_s))],
             },
         );
-    }
-
-    /// Books one safe-horizon segment of the parallel engine: how many
-    /// barrier crossings it cost, and how many shards crossed it without an
-    /// event of their own (pure LBTS stalls).
-    pub(crate) fn record_shard_sync(&self, barriers: u64, stalls: u64) {
-        self.series.shard_barriers.add(barriers);
-        self.series.horizon_stalls.add(stalls);
     }
 
     pub(crate) fn record_bandwidth_sample(
@@ -390,10 +370,10 @@ impl Simulation {
 
     /// [`run_dynamic`](Simulation::run_dynamic) for a caller that performs
     /// many back-to-back runs and reads only each one's totals (the
-    /// supervisor's decision ticks): they are left in `run`. The
-    /// single-threaded event engine fills them in the caller's buffers and
-    /// allocates nothing once those have their size; the other engines
-    /// build their [`SimResult`], and the totals are read off it.
+    /// supervisor's decision ticks): they are left in `run`. The event
+    /// engine fills them in the caller's buffers and allocates nothing once
+    /// those have their size; the slice engine builds its [`SimResult`],
+    /// and the totals are read off it.
     pub(crate) fn run_totals(
         &self,
         apps: &[SimApp],
@@ -402,10 +382,9 @@ impl Simulation {
         run: &mut EventRun,
     ) -> crate::Result<()> {
         let result = match self.config.engine {
-            EngineKind::Event if self.config.sim_threads <= 1 => {
+            EngineKind::Event => {
                 return run_dynamic_event(self, apps, schedule, duration_s, run, None);
             }
-            EngineKind::Event => self.run_logged(apps, schedule, duration_s)?.0,
             EngineKind::Slice => {
                 self.run_dynamic_slice(apps, schedule, duration_s, &mut run.rates)?
             }
@@ -420,19 +399,12 @@ impl Simulation {
     /// Runs on the discrete-event engine regardless of the configured
     /// [`EngineKind`], returning the result together with the processed
     /// event log (for determinism checks and events/sec accounting).
-    /// Honors [`SimConfig::sim_threads`]: more than one worker routes to
-    /// the parallel engine, whose log is bit-identical to the
-    /// single-threaded one.
     pub fn run_logged(
         &self,
         apps: &[SimApp],
         schedule: &[(f64, ThreadAssignment)],
         duration_s: f64,
     ) -> crate::Result<(SimResult, EventLog)> {
-        if self.config.sim_threads > 1 {
-            let plan = crate::par::default_plan(&self.config, apps.len(), schedule);
-            return crate::par::run_dynamic_event_par(self, apps, schedule, duration_s, &plan);
-        }
         let mut run = EventRun::default();
         let mut series: Vec<AppSeries> = apps.iter().map(|a| AppSeries::empty(a.name())).collect();
         let mut log = EventLog {
@@ -454,20 +426,6 @@ impl Simulation {
             },
             log,
         ))
-    }
-
-    /// Runs the parallel event engine under an explicit [`ShardPlan`]
-    /// instead of the balanced default — the hook the partition-invariance
-    /// tests use to assert that *any* valid partition of components
-    /// reproduces the single-threaded log byte for byte.
-    pub fn run_logged_with_plan(
-        &self,
-        apps: &[SimApp],
-        schedule: &[(f64, ThreadAssignment)],
-        duration_s: f64,
-        plan: &crate::ShardPlan,
-    ) -> crate::Result<(SimResult, EventLog)> {
-        crate::par::run_dynamic_event_par(self, apps, schedule, duration_s, plan)
     }
 
     /// Shared input validation for both engines.
@@ -726,10 +684,6 @@ pub(crate) struct RateScratch {
     pub(crate) granted: Vec<f64>,
     /// Per-node: total bandwidth served by that controller, GB/s.
     pub(crate) node_served: Vec<f64>,
-    /// Per-node: the share of `node_served` delivered to remote threads
-    /// (inbound inter-node link traffic, used by the event engine's link
-    /// components).
-    pub(crate) node_remote_in: Vec<f64>,
     /// One target's grants, one per column entry (reused across targets).
     col: Vec<f64>,
     /// Per-target-node temporaries.
@@ -753,17 +707,14 @@ impl RateScratch {
         self.granted.resize(num_threads, 0.0);
         self.node_served.clear();
         self.node_served.resize(num_nodes, 0.0);
-        self.node_remote_in.clear();
-        self.node_remote_in.resize(num_nodes, 0.0);
         self.node_tmp.reset(num_apps, num_nodes);
     }
 }
 
-/// The per-target-node arbitration temporaries. Each arbitration worker
-/// (the slice engine's single thread, or one shard of the parallel event
-/// engine) owns one instance and reuses it across targets and segments.
+/// The per-target-node arbitration temporaries, reused across targets and
+/// segments.
 #[derive(Debug, Default)]
-pub(crate) struct NodeScratch {
+struct NodeScratch {
     /// Per-app: the last arbitration (by `stamp`) that saw the app demand
     /// the target — a set that empties by bumping `stamp`, not by a fill.
     app_seen: Vec<u64>,
@@ -775,7 +726,7 @@ pub(crate) struct NodeScratch {
 }
 
 impl NodeScratch {
-    pub(crate) fn reset(&mut self, num_apps: usize, num_nodes: usize) {
+    fn reset(&mut self, num_apps: usize, num_nodes: usize) {
         // Sizing only: every arbitration overwrites the per-node buffers,
         // and stamps already in `app_seen` are all below the next `stamp`.
         self.app_seen.resize(num_apps, 0);
@@ -784,13 +735,12 @@ impl NodeScratch {
     }
 }
 
-/// The positive memory demands of one contiguous range of threads,
-/// compressed by target node: column `t` lists `(global thread, demand)`
-/// for every thread of the range with `demand > 0` toward node `t`, in
-/// ascending thread order. A NUMA-local thread costs one entry, not a row
-/// of `num_nodes` slots.
+/// The positive memory demands, compressed by target node: column `t`
+/// lists `(thread, demand)` for every thread with `demand > 0` toward node
+/// `t`, in ascending thread order. A NUMA-local thread costs one entry, not
+/// a row of `num_nodes` slots.
 #[derive(Debug, Default)]
-pub(crate) struct DemandCols {
+struct DemandCols {
     /// Column `t` is entries `start[t]..start[t + 1]`.
     start: Vec<usize>,
     thread: Vec<usize>,
@@ -800,22 +750,13 @@ pub(crate) struct DemandCols {
 }
 
 impl DemandCols {
-    /// Rebuilds the columns for threads `range` by a two-pass counting
-    /// sort: count each target's entries, prefix-sum, scatter in ascending
-    /// thread order.
-    pub(crate) fn build(
-        &mut self,
-        apps: &[SimApp],
-        threads: &[Thread],
-        cap: &[f64],
-        range: std::ops::Range<usize>,
-        num_nodes: usize,
-    ) {
+    /// Rebuilds the columns by a two-pass counting sort: count each
+    /// target's entries, prefix-sum, scatter in ascending thread order.
+    fn build(&mut self, apps: &[SimApp], threads: &[Thread], cap: &[f64], num_nodes: usize) {
         self.start.clear();
         self.start.resize(num_nodes + 1, 0);
-        for i in range.clone() {
-            let th = threads[i];
-            for_each_demand(&apps[th.app], th.home, cap[i], |target, _| {
+        for (th, &cap) in threads.iter().zip(cap) {
+            for_each_demand(&apps[th.app], th.home, cap, |target, _| {
                 self.start[target + 1] += 1;
             });
         }
@@ -827,9 +768,8 @@ impl DemandCols {
         self.d.resize(entries, 0.0);
         self.cursor.clear();
         self.cursor.extend_from_slice(&self.start[..num_nodes]);
-        for i in range {
-            let th = threads[i];
-            for_each_demand(&apps[th.app], th.home, cap[i], |target, d| {
+        for (i, (th, &cap)) in threads.iter().zip(cap).enumerate() {
+            for_each_demand(&apps[th.app], th.home, cap, |target, d| {
                 let k = self.cursor[target];
                 self.thread[k] = i;
                 self.d[k] = d;
@@ -838,14 +778,10 @@ impl DemandCols {
         }
     }
 
-    /// Number of entries in `target`'s column.
-    pub(crate) fn column_len(&self, target: usize) -> usize {
-        self.start[target + 1] - self.start[target]
-    }
-
-    /// `target`'s column: `(global_thread_index, demand)`, ascending.
+    /// `target`'s column: `(thread_index, demand)`, in ascending thread
+    /// order — the order every arbitration pass and the caller's fold share.
     #[inline]
-    pub(crate) fn column(&self, target: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+    fn column(&self, target: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
         let entries = self.start[target]..self.start[target + 1];
         self.thread[entries.clone()]
             .iter()
@@ -873,25 +809,6 @@ fn for_each_demand(app: &SimApp, home: NodeId, cap: f64, mut emit: impl FnMut(us
                 }
             }
         }
-    }
-}
-
-/// A read-only view of the demand columns, possibly split into contiguous
-/// per-shard parts (the parallel engine keeps each shard's threads in its
-/// own [`DemandCols`]); parts are in ascending thread order.
-pub(crate) struct DemandView<'a> {
-    pub(crate) parts: &'a [&'a DemandCols],
-}
-
-impl DemandView<'_> {
-    /// Iterates `(global_thread_index, demand_toward_target)` over every
-    /// thread with a positive demand toward `target`, in ascending global
-    /// order — the iteration order every arbitration pass must share so
-    /// floating-point accumulation is identical no matter how the threads
-    /// are sharded.
-    #[inline]
-    pub(crate) fn toward(&self, target: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
-        self.parts.iter().flat_map(move |part| part.column(target))
     }
 }
 
@@ -927,40 +844,34 @@ pub(crate) fn compute_rates(
         machine, effects, peak, apps, threads, t, discrete, rng, rr_offset, tel, s,
     );
 
-    s.demand
-        .build(apps, threads, &s.cap, 0..threads.len(), num_nodes);
+    s.demand.build(apps, threads, &s.cap, num_nodes);
 
     // Arbitrate each node, then fold its grant column into the per-thread
-    // totals — the same column-then-reduce structure the parallel engine
-    // uses, so both paths perform the identical sequence of float adds.
-    let parts = [&s.demand];
-    let view = DemandView { parts: &parts };
+    // totals.
     for target in 0..num_nodes {
         s.col.clear();
-        let (served, remote_in) = arbitrate_node(
+        s.node_served[target] = arbitrate_node(
             machine,
             effects,
             target,
             threads,
-            &view,
+            &s.demand,
             &mut s.node_tmp,
             &mut s.col,
         );
-        for ((i, _), &grant) in view.toward(target).zip(&s.col) {
+        for ((i, _), &grant) in s.demand.column(target).zip(&s.col) {
             s.granted[i] += grant;
         }
-        s.node_served[target] = served;
-        s.node_remote_in[target] = remote_in;
     }
 }
 
-/// The globally-coupled prefix of [`compute_rates`]: the active set, the
-/// per-node runnable census, discrete time-slicing, and every thread's
-/// compute capacity. This stage consumes the jitter RNG, so the parallel
-/// engine runs it once, sequentially, on the coordinator — keeping the
-/// random stream identical to the single-threaded engines.
+/// The prefix of [`compute_rates`] that couples the whole fleet: the
+/// active set, the per-node runnable census, discrete time-slicing, and
+/// every thread's compute capacity (the stage that draws from the jitter
+/// RNG). A function of its own because the dense oracle in the tests
+/// shares it.
 #[allow(clippy::too_many_arguments)] // same bundle as compute_rates
-pub(crate) fn rates_prologue(
+fn rates_prologue(
     machine: &Machine,
     effects: &crate::EffectModel,
     peak: f64,
@@ -1055,27 +966,23 @@ pub(crate) fn rates_prologue(
 /// Arbitrates one target node: the two-phase remote-first / baseline +
 /// proportional-remainder rule, with interference and saturation applied.
 /// Appends one grant to `col` per entry of the target's demand column, in
-/// column order, and returns `(node_served, node_remote_in)`. The cost is
+/// column order, and returns the bandwidth the node served. The cost is
 /// the column's length plus one pass over the inbound links — never the
 /// fleet's thread or app count.
 ///
 /// Per-target arbitration has **no cross-target dataflow** — only the
-/// caller's fold of `col` into per-thread totals couples targets — which
-/// is exactly why the parallel engine can arbitrate disjoint node ranges
-/// concurrently and still reproduce the sequential engine bit for bit:
-/// every loop here visits threads in ascending global order via
-/// [`DemandView::toward`], whatever the sharding. A thread with no demand
-/// toward the target is not in the column; to every sum below it would
-/// have contributed an exact `+ 0.0`.
-pub(crate) fn arbitrate_node(
+/// caller's fold of `col` into per-thread totals couples targets. A thread
+/// with no demand toward the target is not in the column; to every sum
+/// below it would have contributed an exact `+ 0.0`.
+fn arbitrate_node(
     machine: &Machine,
     effects: &crate::EffectModel,
     target: usize,
     threads: &[Thread],
-    demand: &DemandView<'_>,
+    demand: &DemandCols,
     tmp: &mut NodeScratch,
     col: &mut Vec<f64>,
-) -> (f64, f64) {
+) -> f64 {
     let num_nodes = machine.num_nodes();
     let node = machine.node(NodeId(target));
 
@@ -1087,7 +994,7 @@ pub(crate) fn arbitrate_node(
     let mut local_demanders = 0usize;
     let mut total_demand = 0.0f64;
     tmp.remote_demand_from.fill(0.0);
-    for (i, d) in demand.toward(target) {
+    for (i, d) in demand.column(target) {
         let th = threads[i];
         if tmp.app_seen[th.app] != tmp.stamp {
             tmp.app_seen[th.app] = tmp.stamp;
@@ -1140,7 +1047,7 @@ pub(crate) fn arbitrate_node(
     tmp.prov.clear();
     let mut used = 0.0f64;
     let mut local_need = 0.0f64;
-    for (i, d) in demand.toward(target) {
+    for (i, d) in demand.column(target) {
         let g = if threads[i].home.0 == target {
             let g = d.min(baseline);
             used += g;
@@ -1173,8 +1080,7 @@ pub(crate) fn arbitrate_node(
     let streamer_threshold = 0.5 * baseline;
 
     let mut served_total = 0.0f64;
-    let mut remote_in = 0.0f64;
-    for ((i, d), &prov) in demand.toward(target).zip(&tmp.prov) {
+    for ((i, d), &prov) in demand.column(target).zip(&tmp.prov) {
         let thread_sat = if d > streamer_threshold { sat } else { 1.0 };
         let src = threads[i].home.0;
         if src == target {
@@ -1193,10 +1099,9 @@ pub(crate) fn arbitrate_node(
             let final_remote = share * thread_sat;
             col.push(final_remote);
             served_total += final_remote;
-            remote_in += final_remote;
         }
     }
-    (served_total, remote_in)
+    served_total
 }
 
 /// Synthetic causal-span bookkeeping shared by both engines: per app, the
@@ -1518,23 +1423,18 @@ mod tests {
         let assignment = ThreadAssignment::uniform_per_node(&tiny(), &[1]);
         for pattern in hostile {
             let apps = vec![SimApp::numa_local("a", 1.0).with_activity(pattern.clone())];
-            for (engine, sim_threads) in [
-                (EngineKind::Slice, 1),
-                (EngineKind::Event, 1),
-                (EngineKind::Event, 2),
-            ] {
+            for engine in [EngineKind::Slice, EngineKind::Event] {
                 let sim = Simulation::new(
                     SimConfig::new(tiny())
                         .with_effects(EffectModel::ideal())
-                        .with_engine(engine)
-                        .with_sim_threads(sim_threads),
+                        .with_engine(engine),
                 );
                 assert!(
                     matches!(
                         sim.run(&apps, &assignment, 1.0),
                         Err(SimError::BadTime { .. })
                     ),
-                    "{pattern:?} on {engine} x{sim_threads}"
+                    "{pattern:?} on {engine}"
                 );
             }
         }
@@ -1606,7 +1506,8 @@ mod tests {
         assert!(counters.windows(2).all(|w| w[0].ts_us <= w[1].ts_us));
         // Each sample carries its node's counter name — the bytes a
         // `format!` per sample used to produce — and the exposition is what
-        // it was at commit 4aec231 (FNV-1a of the text, captured there).
+        // it was at commit 4aec231 less the two series of the sharded engine
+        // deleted since (FNV-1a of the text).
         assert!(counters
             .iter()
             .all(|e| e.name == format!("node{}_bw_gbs", e.lane - 1)));
@@ -1614,7 +1515,7 @@ mod tests {
         let digest = exposition.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
             (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
         });
-        assert_eq!(digest, 0x3a49_e70a_de09_1c3e, "{exposition}");
+        assert_eq!(digest, 0x6d90_2e6b_b2a0_7d83, "{exposition}");
 
         // End-of-run gauges match the result's utilization report.
         for (n, &util) in r.node_utilization.iter().enumerate() {
@@ -1987,7 +1888,9 @@ mod dense_reference {
         (served_total, remote_in)
     }
 
-    /// `(cap, granted, node_served, node_remote_in)` the dense way.
+    /// `(cap, granted, node_served, remote_in)` the dense way; `remote_in`
+    /// is the remote share of each node's served bandwidth, which only
+    /// this oracle still computes (the test wants fleets that have some).
     fn dense_rates(
         machine: &Machine,
         effects: &EffectModel,
@@ -2167,11 +2070,6 @@ mod dense_reference {
                     bits(&s.node_served),
                     bits(&served),
                     "case {case}: node_served"
-                );
-                assert_eq!(
-                    bits(&s.node_remote_in),
-                    bits(&remote_in),
-                    "case {case}: node_remote_in"
                 );
             }
             remote_fleets += usize::from(remote_in.iter().any(|&r| r > 0.0));

@@ -3,8 +3,7 @@
 //! Where the slice engine re-arbitrates every node every quantum, this
 //! engine only recomputes state when something *happens*: the simulated
 //! fleet is decomposed into [`Component`]s — applications (activity
-//! edges), the supervising agent (assignment edges), per-node memory
-//! controllers and inter-node links (passive integrators) — and a global
+//! edges) and the supervising agent (assignment edges) — and a global
 //! min-heap orders their wake-ups. Between consecutive events every rate
 //! in the system is constant, so bandwidth contention is arbitrated once
 //! per segment (with the exact same two-phase physics as the slice
@@ -16,10 +15,9 @@
 //! # Determinism
 //!
 //! The heap is keyed by `(time, tie, component)` where `tie` is a
-//! seeded hash of the component id ([`TieBreak::Seeded`]) or the id
-//! itself ([`TieBreak::ById`]). Same seed ⇒ same pop order ⇒ the same
-//! byte-identical [`EventLog`]. Event times are integer nanoseconds so
-//! ordering never depends on float rounding.
+//! seeded hash of the component id. Same seed ⇒ same pop order ⇒ the
+//! same byte-identical [`EventLog`]. Event times are integer nanoseconds
+//! so ordering never depends on float rounding.
 
 use crate::engine::{compute_rates, expand_threads, EpochTracer, RateScratch, Thread};
 use crate::result::AppSeries;
@@ -50,9 +48,6 @@ pub fn tick_to_s(t: Tick) -> f64 {
 /// A component declares when it next has intrinsic activity
 /// ([`next_tick`](Component::next_tick)) and mutates its internal state
 /// when the engine reaches that instant ([`advance`](Component::advance)).
-/// Passive components (memory controllers, links) return `None` — they
-/// never wake the engine, they are advanced across each segment by the
-/// driver that owns them.
 pub trait Component {
     /// The next simulated instant at which this component changes state,
     /// or `None` if it never does (again).
@@ -62,51 +57,34 @@ pub trait Component {
     fn advance(&mut self, now: Tick);
 }
 
-/// How equal-time heap entries are ordered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TieBreak {
-    /// Lowest component id pops first (matches greedy list-scheduling
-    /// tie-breaks, used by the distsim bridge).
-    #[default]
-    ById,
-    /// Seeded hash of the component id: deterministic per seed, but
-    /// different seeds interleave equal-time components differently.
-    Seeded(u64),
-}
-
 /// The deterministic global event heap: a min-heap keyed by
-/// `(time, tie, component_id)`.
+/// `(time, tie, component_id)`, where `tie` is a hash of the component id
+/// under the heap's seed: deterministic per seed, but different seeds
+/// interleave equal-time components differently.
 #[derive(Debug, Default)]
 pub struct EventHeap {
     heap: BinaryHeap<Reverse<(Tick, u64, u32)>>,
-    tie: TieBreak,
+    seed: u64,
 }
 
 impl EventHeap {
-    /// An empty heap with the given tie-break rule.
-    pub fn new(tie: TieBreak) -> Self {
+    /// An empty heap breaking equal-time ties under `seed`.
+    pub fn new(seed: u64) -> Self {
         EventHeap {
             heap: BinaryHeap::new(),
-            tie,
+            seed,
         }
     }
 
-    /// Empties the heap for a new run under `tie`, keeping its allocation.
-    pub(crate) fn reset(&mut self, tie: TieBreak) {
+    /// Empties the heap for a new run under `seed`, keeping its allocation.
+    pub(crate) fn reset(&mut self, seed: u64) {
         self.heap.clear();
-        self.tie = tie;
-    }
-
-    fn tie_key(&self, component: u32) -> u64 {
-        match self.tie {
-            TieBreak::ById => component as u64,
-            TieBreak::Seeded(seed) => splitmix64(seed ^ component as u64),
-        }
+        self.seed = seed;
     }
 
     /// Schedules `component` to wake at `tick`.
     pub fn schedule(&mut self, tick: Tick, component: u32) {
-        let tie = self.tie_key(component);
+        let tie = splitmix64(self.seed ^ component as u64);
         self.heap.push(Reverse((tick, tie, component)));
     }
 
@@ -120,17 +98,6 @@ impl EventHeap {
     /// The earliest pending tick.
     pub fn peek_tick(&self) -> Option<Tick> {
         self.heap.peek().map(|Reverse((t, _, _))| *t)
-    }
-
-    /// The earliest pending `(tick, tie, component)` triple without popping.
-    ///
-    /// The middle element is the resolved tie-break key, so two heaps built
-    /// with the same [`TieBreak`] rule can be merged by comparing heads
-    /// lexicographically — exactly the order a single combined heap would
-    /// pop in. This is what the sharded fleet engine uses to pick the next
-    /// global event across per-shard heaps.
-    pub fn peek(&self) -> Option<(Tick, u64, u32)> {
-        self.heap.peek().map(|Reverse(k)| *k)
     }
 
     /// Pops the earliest `(tick, component)` pair.
@@ -321,50 +288,6 @@ impl Component for AgentComponent {
     }
 }
 
-/// A per-node memory controller: passively integrates delivered bandwidth
-/// across each segment.
-#[derive(Default)]
-pub(crate) struct ControllerComponent {
-    pub(crate) now: Tick,
-    pub(crate) delivered_gb: f64,
-}
-
-impl ControllerComponent {
-    pub(crate) fn integrate(&mut self, gbs: f64, dt_s: f64) {
-        self.delivered_gb += gbs * dt_s;
-    }
-}
-
-impl Component for ControllerComponent {
-    fn next_tick(&self) -> Option<Tick> {
-        None
-    }
-
-    fn advance(&mut self, now: Tick) {
-        debug_assert!(now >= self.now, "controllers only advance forward");
-        self.now = now;
-    }
-}
-
-/// A node's inbound inter-node links, aggregated: passively integrates the
-/// remote share of the traffic its controller served.
-#[derive(Default)]
-pub(crate) struct LinkComponent {
-    pub(crate) now: Tick,
-    pub(crate) remote_gb: f64,
-}
-
-impl Component for LinkComponent {
-    fn next_tick(&self) -> Option<Tick> {
-        None
-    }
-
-    fn advance(&mut self, now: Tick) {
-        debug_assert!(now >= self.now, "links only advance forward");
-        self.now = now;
-    }
-}
-
 /// The event engine's per-run state, kept by the caller: a supervised
 /// session hands the same value to every decision tick, so a steady-state
 /// tick re-seeds the components and vectors of the previous one and
@@ -373,8 +296,8 @@ impl Component for LinkComponent {
 pub(crate) struct EventRun {
     agent: AgentComponent,
     apps: Vec<AppComponent>,
-    controllers: Vec<ControllerComponent>,
-    links: Vec<LinkComponent>,
+    /// Per node: bandwidth its memory controller delivered so far, GB.
+    delivered_gb: Vec<f64>,
     heap: EventHeap,
     threads: Vec<Thread>,
     tracer: EpochTracer,
@@ -421,17 +344,13 @@ pub(crate) fn run_dynamic_event(
 
     let tel = sim.run_telemetry();
 
-    // Components: agent (id 0), apps (ids 1..=n), then the passive
-    // per-node controllers and links.
+    // Components: agent (id 0), apps (ids 1..=n).
     run.agent.reset(schedule);
     run.apps.clear();
     run.apps
         .extend(apps.iter().map(|a| AppComponent::new(a, end)));
-    run.controllers.clear();
-    run.controllers
-        .resize_with(num_nodes, ControllerComponent::default);
-    run.links.clear();
-    run.links.resize_with(num_nodes, LinkComponent::default);
+    run.delivered_gb.clear();
+    run.delivered_gb.resize(num_nodes, 0.0);
 
     // Apply the initial assignment (entries at or before t = 0) *before*
     // seeding the heap, so schedule entries that all land at t = 0 do not
@@ -439,7 +358,7 @@ pub(crate) fn run_dynamic_event(
     run.agent.advance(0);
     let mut applied_idx = run.agent.idx;
 
-    run.heap.reset(TieBreak::Seeded(sim.config.seed));
+    run.heap.reset(sim.config.seed);
     run.heap.schedule_component(AGENT_ID, &run.agent);
     for (a, comp) in run.apps.iter().enumerate() {
         run.heap.schedule_component(APP_ID0 + a as u32, comp);
@@ -517,10 +436,7 @@ pub(crate) fn run_dynamic_event(
             log.segments += 1;
         }
         for node in 0..num_nodes {
-            run.controllers[node].integrate(run.rates.node_served[node], dt_s);
-            run.controllers[node].advance(horizon);
-            run.links[node].remote_gb += run.rates.node_remote_in[node] * dt_s;
-            run.links[node].advance(horizon);
+            run.delivered_gb[node] += run.rates.node_served[node] * dt_s;
             if let Some(tel) = &tel {
                 let util = run.rates.node_served[node] / machine.node(NodeId(node)).bandwidth_gbs;
                 tel.record_bandwidth_sample(node, mid_s, run.rates.node_served[node], util);
@@ -576,8 +492,8 @@ pub(crate) fn run_dynamic_event(
     run.duration_s = sim_time;
     run.node_avg_gbs.clear();
     run.node_utilization.clear();
-    for (n, controller) in run.controllers.iter().enumerate() {
-        let gbs = controller.delivered_gb / sim_time;
+    for (n, &delivered_gb) in run.delivered_gb.iter().enumerate() {
+        let gbs = delivered_gb / sim_time;
         run.node_avg_gbs.push(gbs);
         run.node_utilization
             .push(gbs / machine.node(NodeId(n)).bandwidth_gbs);
@@ -595,20 +511,23 @@ mod tests {
 
     #[test]
     fn heap_orders_by_time_then_tie() {
-        let mut h = EventHeap::new(TieBreak::ById);
+        let seed = 9;
+        let mut h = EventHeap::new(seed);
         h.schedule(30, 2);
         h.schedule(10, 7);
         h.schedule(30, 1);
         h.schedule(20, 5);
         let order: Vec<(Tick, u32)> = std::iter::from_fn(|| h.pop()).collect();
-        assert_eq!(order, vec![(10, 7), (20, 5), (30, 1), (30, 2)]);
+        let mut tied = [(30, 1), (30, 2)];
+        tied.sort_by_key(|&(_, id)| splitmix64(seed ^ u64::from(id)));
+        assert_eq!(order, [vec![(10, 7), (20, 5)], tied.to_vec()].concat());
         assert!(h.is_empty());
     }
 
     #[test]
     fn seeded_tie_break_is_deterministic_per_seed() {
         let pops = |seed: u64| {
-            let mut h = EventHeap::new(TieBreak::Seeded(seed));
+            let mut h = EventHeap::new(seed);
             for id in 0..16u32 {
                 h.schedule(5, id);
             }

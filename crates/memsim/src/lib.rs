@@ -65,7 +65,6 @@ pub mod chaos;
 mod config;
 mod engine;
 pub mod event;
-mod par;
 mod result;
 pub mod scenario;
 pub mod supervise;
@@ -76,12 +75,12 @@ pub use chaos::{
     run_chaos_scenario, run_chaos_scenario_on, run_chaos_scenario_threaded, AppOutage, ChaosPlan,
     ChaosResult,
 };
-pub use config::{EffectModel, EngineKind, ShardPlan, SimConfig};
+pub use config::{EffectModel, EngineKind, SimConfig};
 pub use engine::Simulation;
-pub use event::{Component, EventEdge, EventHeap, EventLog, SimEvent, TieBreak};
+pub use event::{Component, EventEdge, EventHeap, EventLog, SimEvent};
 pub use result::{AppSeries, SimResult};
 pub use scenario::{
-    run_scenario, run_scenario_threaded, NamedAssignment, Scenario, ScenarioResult, ScenarioRow,
+    run_scenario, run_scenario_on, NamedAssignment, Scenario, ScenarioResult, ScenarioRow,
 };
 pub use supervise::{
     run_supervised, DecisionTick, Perturbation, SupervisedResult, SupervisorConfig,
@@ -111,11 +110,6 @@ pub enum SimError {
         /// Explanation.
         reason: String,
     },
-    /// A [`ShardPlan`] does not cover the simulation's apps and nodes.
-    BadPlan {
-        /// Explanation.
-        reason: &'static str,
-    },
 }
 
 impl std::fmt::Display for SimError {
@@ -130,7 +124,6 @@ impl std::fmt::Display for SimError {
                 )
             }
             SimError::Calibration { reason } => write!(f, "calibration failed: {reason}"),
-            SimError::BadPlan { reason } => write!(f, "bad shard plan: {reason}"),
         }
     }
 }

@@ -117,28 +117,24 @@ impl Scenario {
 /// that over-subscribe get `model_gflops = NaN`-free `0.0` with the
 /// simulated value still reported.
 pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioResult> {
-    run_scenario_threaded(scenario, None, EngineKind::Slice, 1)
+    run_scenario_on(scenario, None, EngineKind::Slice)
 }
 
-/// The fully general scenario runner: an optional telemetry hub (every
+/// The general scenario runner: an optional telemetry hub (every
 /// assignment's run publishes per-node bandwidth counter tracks, scheduler
-/// switch counters and utilization gauges into it), an explicit
-/// [`EngineKind`] (what `coop simulate --engine` calls) and the event
-/// engine's worker-shard count (`--sim-threads`). Results are bit-identical
-/// at any thread count; the slice engine ignores the parameter.
-pub fn run_scenario_threaded(
+/// switch counters and utilization gauges into it) and an explicit
+/// [`EngineKind`] (what `coop simulate --engine` calls).
+pub fn run_scenario_on(
     scenario: &Scenario,
     hub: Option<std::sync::Arc<coop_telemetry::TelemetryHub>>,
     engine: EngineKind,
-    sim_threads: usize,
 ) -> Result<ScenarioResult> {
     scenario.validate()?;
     let mut sim = Simulation::new(
         SimConfig::new(scenario.machine.clone())
             .with_effects(scenario.effects.clone())
             .with_seed(scenario.seed)
-            .with_engine(engine)
-            .with_sim_threads(sim_threads),
+            .with_engine(engine),
     );
     if let Some(hub) = hub {
         sim = sim.with_telemetry(hub);
@@ -281,11 +277,10 @@ mod tests {
     #[test]
     fn scenario_with_telemetry_records_bandwidth() {
         let hub = std::sync::Arc::new(coop_telemetry::TelemetryHub::new());
-        let result = run_scenario_threaded(
+        let result = run_scenario_on(
             &template(),
             Some(std::sync::Arc::clone(&hub)),
             EngineKind::Slice,
-            1,
         )
         .unwrap();
         assert_eq!(result.rows.len(), 2);
@@ -299,7 +294,7 @@ mod tests {
     #[test]
     fn event_engine_runs_the_template_scenario() {
         let slice = run_scenario(&template()).unwrap();
-        let event = run_scenario_threaded(&template(), None, EngineKind::Event, 1).unwrap();
+        let event = run_scenario_on(&template(), None, EngineKind::Event).unwrap();
         assert_eq!(slice.rows.len(), event.rows.len());
         for (s, e) in slice.rows.iter().zip(&event.rows) {
             assert_eq!(s.name, e.name);

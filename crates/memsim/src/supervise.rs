@@ -114,10 +114,6 @@ pub struct SupervisorConfig {
     /// [`EngineKind::Slice`]). The event engine makes long fleet-scale
     /// supervised runs tractable; see `docs/performance.md`.
     pub engine: EngineKind,
-    /// Worker threads for the parallel event engine (default 1 =
-    /// single-threaded). Only consulted when [`Self::engine`] is
-    /// [`EngineKind::Event`]; results are bit-identical at any value.
-    pub sim_threads: usize,
 }
 
 impl Default for SupervisorConfig {
@@ -131,13 +127,17 @@ impl Default for SupervisorConfig {
             tracing: false,
             chaos: None,
             engine: EngineKind::Slice,
-            sim_threads: 1,
         }
     }
 }
 
+/// The most decision ticks one supervised run may have: a run keeps one
+/// [`DecisionTick`] with its residual vector per tick.
+const MAX_DECISION_TICKS: f64 = 1e6;
+
 impl SupervisorConfig {
-    /// Validates periods and perturbation targets against `machine`.
+    /// Validates periods, the tick count and perturbation targets against
+    /// `machine`.
     pub fn validate(&self, machine: &Machine) -> Result<()> {
         if !(self.decision_period_s > 0.0 && self.decision_period_s.is_finite()) {
             return Err(SimError::BadTime {
@@ -147,6 +147,11 @@ impl SupervisorConfig {
         if !(self.duration_s > 0.0 && self.duration_s.is_finite()) {
             return Err(SimError::BadTime {
                 reason: "supervised duration must be positive and finite",
+            });
+        }
+        if self.duration_s / self.decision_period_s > MAX_DECISION_TICKS {
+            return Err(SimError::BadTime {
+                reason: "too many decision ticks (duration / decision period exceeds 1000000)",
             });
         }
         for p in &self.perturbations {
@@ -422,8 +427,7 @@ pub fn run_supervised(
         let mut sim = Simulation::new(
             SimConfig::new(machine)
                 .with_effects(scenario.effects.clone())
-                .with_engine(config.engine)
-                .with_sim_threads(config.sim_threads),
+                .with_engine(config.engine),
         )
         .with_telemetry(Arc::clone(&hub));
         if config.tracing {
@@ -833,7 +837,6 @@ mod tests {
             tracing: false,
             chaos: None,
             engine: EngineKind::Slice,
-            sim_threads: 1,
         }
     }
 
@@ -1335,6 +1338,29 @@ mod tests {
         let mut config = quiet_config();
         config.decision_period_s = 0.0;
         assert!(config.validate(&scenario.machine).is_err());
+
+        // One `DecisionTick` is kept per tick: a ratio that would not fit
+        // in memory (or in a `Vec`'s capacity) is refused, not attempted.
+        for (duration_s, decision_period_s) in [(1e9, 1e-9), (1e6, 1e-6), (f64::MAX, 1e-300)] {
+            let config = SupervisorConfig {
+                duration_s,
+                decision_period_s,
+                ..quiet_config()
+            };
+            assert!(
+                matches!(
+                    config.validate(&scenario.machine),
+                    Err(SimError::BadTime { reason }) if reason.contains("too many decision ticks")
+                ),
+                "{duration_s} / {decision_period_s}"
+            );
+        }
+        let config = SupervisorConfig {
+            duration_s: 1.0,
+            decision_period_s: 1e-6,
+            ..quiet_config()
+        };
+        assert!(config.validate(&scenario.machine).is_ok(), "1e6 ticks");
 
         let mut config = quiet_config();
         config.perturbations.push(Perturbation::NodeBandwidth {
