@@ -7,7 +7,7 @@ use crate::supervise::{
 use crate::{Policy, Result, RuntimeHandle, RuntimeStats, ThreadCommand};
 use coop_telemetry::sync::Mutex;
 use coop_telemetry::{
-    scheduler_locality, ArgValue, Counter, Histogram, ModelObservatory, Prediction, SeriesValue,
+    ArgValue, Counter, Histogram, MetricsRegistry, ModelObservatory, Prediction, SeriesValue,
     TelemetryHub, TenantSample, TrackId,
 };
 use numa_topology::Machine;
@@ -242,6 +242,46 @@ struct RunawayState {
     rung: usize,
 }
 
+/// One runtime's scheduler locality counters — the five `coop_sched_*`
+/// series [`coop_telemetry::scheduler_locality`] looks up by name — kept
+/// per managed handle so that a tick reads five atomics per tenant
+/// instead of building five registry keys.
+struct SchedCounters {
+    local_pops: Arc<Counter>,
+    /// `coop_sched_steals_total{source=sibling|remote}`, each for the
+    /// `high` and the `normal` tier.
+    sibling: [Arc<Counter>; 2],
+    remote: [Arc<Counter>; 2],
+}
+
+impl SchedCounters {
+    fn resolve(registry: &MetricsRegistry, runtime: &str) -> Self {
+        let steals = |source| {
+            ["high", "normal"].map(|tier| {
+                registry.counter(
+                    "coop_sched_steals_total",
+                    &[("runtime", runtime), ("tier", tier), ("source", source)],
+                )
+            })
+        };
+        SchedCounters {
+            local_pops: registry.counter("coop_sched_local_pops_total", &[("runtime", runtime)]),
+            sibling: steals("sibling"),
+            remote: steals("remote"),
+        }
+    }
+
+    /// `(local, remote)` as [`coop_telemetry::scheduler_locality`] sums
+    /// them: same-node sibling steals count as local.
+    fn locality(&self) -> (u64, u64) {
+        let sum = |tiers: &[Arc<Counter>; 2]| tiers.iter().map(|c| c.get()).sum::<u64>();
+        (
+            self.local_pops.get() + sum(&self.sibling),
+            sum(&self.remote),
+        )
+    }
+}
+
 /// The periodic arbitration loop of Figure 1, hardened against partial
 /// failure: every managed handle is wrapped in a [`SupervisedHandle`]
 /// (deadline, retry, health state machine), a tick polls *all* runtimes
@@ -276,6 +316,10 @@ pub struct Agent {
     evicted: Vec<bool>,
     /// Parallel to `handles`: sustained-runaway detection state.
     runaway: Vec<RunawayState>,
+    /// Parallel to `handles`: the runtime's scheduler counters, resolved
+    /// on the first tick that samples it for the tenant ledger — the
+    /// occasion a lookup by name would have created the series.
+    sched: Vec<Option<SchedCounters>>,
     supervision: SupervisionConfig,
     /// Probe evicted runtimes every this many ticks (0 disables
     /// re-admission probing).
@@ -395,6 +439,7 @@ impl Agent {
             handles: Vec::new(),
             evicted: Vec::new(),
             runaway: Vec::new(),
+            sched: Vec::new(),
             supervision: SupervisionConfig::default(),
             probe_period_ticks: 1,
             reclaim_machine: None,
@@ -440,11 +485,12 @@ impl Agent {
         if let Some(ledger) = self.telemetry.hub.tenant_ledger() {
             // A managed runtime is a tenant: open its accounting epoch.
             let now = self.telemetry.hub.now_us();
-            ledger.open_epoch(&self.telemetry.hub, &handle.name(), "managed", now);
+            ledger.open_epoch(&self.telemetry.hub, handle.runtime_name(), "managed", now);
         }
         self.handles.push(handle);
         self.evicted.push(false);
         self.runaway.push(RunawayState::default());
+        self.sched.push(None);
     }
 
     /// Number of managed runtimes (evicted ones included — eviction is
@@ -503,11 +549,12 @@ impl Agent {
     /// fair-share fallback when the live set changed but the policy
     /// issued nothing.
     ///
-    /// Probes, polls, policy commands and reclamation commands are each
-    /// one scatter–gather phase (see [`crate::supervise`]): every runtime
-    /// of the phase is asked at once and answers are taken in registry
-    /// order, so a phase costs its slowest round trip — one call deadline
-    /// when runtimes hang, however many do.
+    /// Probes, polls, policy commands, reclamation commands and the
+    /// containment ladder's commands are each one scatter–gather phase
+    /// (see [`crate::supervise`]): every runtime of the phase is asked at
+    /// once and answers are taken in registry order, so a phase costs its
+    /// slowest round trip — one call deadline when runtimes hang, however
+    /// many do.
     ///
     /// A failing runtime never makes the tick fail: poll errors are
     /// recorded in the log/telemetry and the tick continues with the
@@ -535,16 +582,11 @@ impl Agent {
                 self.evicted[i] = false;
                 live_set_changed = true;
                 self.telemetry.recoveries.inc();
-                self.telemetry
-                    .record_health_event(tick, &self.handles[i].name(), "readmitted");
+                let name = self.handles[i].runtime_name();
+                self.telemetry.record_health_event(tick, name, "readmitted");
                 if let Some(ledger) = self.telemetry.hub.tenant_ledger() {
                     let now = self.telemetry.hub.now_us();
-                    ledger.open_epoch(
-                        &self.telemetry.hub,
-                        &self.handles[i].name(),
-                        "readmitted",
-                        now,
-                    );
+                    ledger.open_epoch(&self.telemetry.hub, name, "readmitted", now);
                 }
             }
         }
@@ -578,19 +620,11 @@ impl Agent {
                         self.evicted[i] = true;
                         live_set_changed = true;
                         self.telemetry.evictions.inc();
-                        self.telemetry.record_health_event(
-                            tick,
-                            &self.handles[i].name(),
-                            "evicted",
-                        );
+                        let name = self.handles[i].runtime_name();
+                        self.telemetry.record_health_event(tick, name, "evicted");
                         if let Some(ledger) = self.telemetry.hub.tenant_ledger() {
                             let now = self.telemetry.hub.now_us();
-                            ledger.close_epoch(
-                                &self.telemetry.hub,
-                                &self.handles[i].name(),
-                                "evicted",
-                                now,
-                            );
+                            ledger.close_epoch(&self.telemetry.hub, name, "evicted", now);
                         }
                     }
                 }
@@ -661,6 +695,8 @@ impl Agent {
         if let Some(machine) = &self.reclaim_machine {
             // Solved for the first offender of the tick, if there is one.
             let mut fair = None;
+            // This tick's ladder commands, in registry order.
+            let mut ladder: Vec<(usize, ThreadCommand)> = Vec::new();
             for (pos, &i) in live_idx.iter().enumerate() {
                 let s = &stats[pos];
                 let state = &mut self.runaway[i];
@@ -685,26 +721,26 @@ impl Agent {
                 else {
                     continue;
                 };
-                let rung = state.rung;
-                let target = crate::contain::ladder_step(rung, &s.running_per_node(), &fair_row);
+                let target =
+                    crate::contain::ladder_step(state.rung, &s.running_per_node(), &fair_row);
                 self.handles[i].force_degraded();
-                let cmd = ThreadCommand::PerNode(target);
-                match self.handles[i].command(cmd.clone()) {
-                    Ok(()) => {
-                        applied.push((i, cmd));
-                        self.telemetry.containments.inc();
-                        self.telemetry.record_health_event(
-                            tick,
-                            &self.handles[i].name(),
-                            &format!("contained:{}", crate::contain::rung_name(rung)),
-                        );
-                        let state = &mut self.runaway[i];
-                        state.rung = (rung + 1).min(crate::contain::CONTAINMENT_RUNGS - 1);
-                        // Fresh evidence is required before the next rung.
-                        state.sustained = 0;
-                    }
-                    Err(e) => self.telemetry.record_error(e.to_string()),
-                }
+                ladder.push((i, ThreadCommand::PerNode(target)));
+            }
+            // One more scatter: offenders that hang in the same tick cost
+            // one call deadline between them. A rung is climbed, and fresh
+            // evidence asked for, only where the command went through.
+            let sent = applied.len();
+            self.send_commands(ladder, &mut applied);
+            for (i, _) in &applied[sent..] {
+                let state = &mut self.runaway[*i];
+                self.telemetry.containments.inc();
+                self.telemetry.record_health_event(
+                    tick,
+                    self.handles[*i].runtime_name(),
+                    &format!("contained:{}", crate::contain::rung_name(state.rung)),
+                );
+                state.rung = (state.rung + 1).min(crate::contain::CONTAINMENT_RUNGS - 1);
+                state.sustained = 0;
             }
         }
         self.telemetry.stage_done(Stage::Command, &mut stage_start);
@@ -717,7 +753,7 @@ impl Agent {
                 let prediction = with_share_series(prediction, &stats);
                 let command_text = applied
                     .iter()
-                    .map(|(i, cmd)| format!("{}:{:?}", self.handles[*i].name(), cmd))
+                    .map(|(i, cmd)| format!("{}:{:?}", self.handles[*i].runtime_name(), cmd))
                     .collect::<Vec<_>>()
                     .join("; ");
                 let id = self.telemetry.observatory.open_decision(
@@ -745,20 +781,28 @@ impl Agent {
             if let Some(machine) = &self.reclaim_machine {
                 let cores = machine.total_cores();
                 for (i, cmd) in &applied {
-                    ledger.set_entitlement(&self.handles[*i].name(), entitled_share(cmd, cores));
+                    ledger.set_entitlement(
+                        self.handles[*i].runtime_name(),
+                        entitled_share(cmd, cores),
+                    );
                 }
             }
+            // The last use of this tick's stats: the samples take the names.
             let samples: Vec<TenantSample> = stats
-                .iter()
-                .map(|s| {
-                    let (local_pops, remote_steals) =
-                        scheduler_locality(self.telemetry.hub.registry(), &s.name);
+                .into_iter()
+                .zip(&live_idx)
+                .map(|(s, &i)| {
+                    let (local_pops, remote_steals) = self.sched[i]
+                        .get_or_insert_with(|| {
+                            SchedCounters::resolve(self.telemetry.hub.registry(), &s.name)
+                        })
+                        .locality();
                     TenantSample {
-                        tenant: s.name.clone(),
-                        tasks_executed: s.tasks_executed,
-                        uptime_us: s.uptime_us,
                         per_node_tasks: s.per_node_tasks(),
                         running_per_node: s.running_per_node(),
+                        tenant: s.name,
+                        tasks_executed: s.tasks_executed,
+                        uptime_us: s.uptime_us,
                         local_pops,
                         remote_steals,
                         preemptions: s.tasks_preempted,
@@ -1211,64 +1255,67 @@ mod tests {
         assert_eq!(b_acct.epochs.last().unwrap().reason, "readmitted");
     }
 
+    /// A runtime whose watchdog counter is test-controlled and which
+    /// reports 2 busy workers on each of tiny()'s 2 nodes. With a
+    /// `command_gate`, `command()` hangs until the gate's sender is dropped.
+    struct RunawayFake {
+        name: String,
+        runaway: Arc<AtomicU64>,
+        commands: CommandLog,
+        command_gate: Option<Mutex<std::sync::mpsc::Receiver<()>>>,
+    }
+    impl RuntimeHandle for RunawayFake {
+        fn name(&self) -> String {
+            self.name.clone()
+        }
+        fn stats(&self) -> crate::Result<RuntimeStats> {
+            Ok(RuntimeStats {
+                name: self.name.clone(),
+                tasks_executed: 10,
+                tasks_panicked: 0,
+                tasks_spawned: 10,
+                tasks_ready: 0,
+                tasks_pending: 0,
+                running_workers: 4,
+                blocked_workers: 0,
+                external_threads: 0,
+                per_node: vec![
+                    coop_runtime::NodeOccupancy {
+                        node: numa_topology::NodeId(0),
+                        running_workers: 2,
+                        tasks_executed: 5,
+                    },
+                    coop_runtime::NodeOccupancy {
+                        node: numa_topology::NodeId(1),
+                        running_workers: 2,
+                        tasks_executed: 5,
+                    },
+                ],
+                user_counters: HashMap::new(),
+                uptime_us: 1_000,
+                tasks_preempted: 0,
+                tasks_runaway: self.runaway.load(Ordering::SeqCst),
+                overbudget_cpu_us: 0,
+            })
+        }
+        fn command(&self, cmd: ThreadCommand) -> crate::Result<()> {
+            if let Some(gate) = &self.command_gate {
+                let _ = gate.lock().recv_timeout(Duration::from_secs(10));
+            }
+            self.commands.lock().push(cmd);
+            Ok(())
+        }
+    }
+
     #[test]
     fn sustained_runaways_degrade_and_contain_toward_fair_share() {
-        use coop_runtime::NodeOccupancy;
-        use numa_topology::NodeId;
-
-        /// A runtime whose watchdog counter is test-controlled and which
-        /// reports 2 busy workers on each of tiny()'s 2 nodes.
-        struct RunawayFake {
-            name: String,
-            runaway: Arc<AtomicU64>,
-            commands: Arc<Mutex<Vec<ThreadCommand>>>,
-        }
-        impl RuntimeHandle for RunawayFake {
-            fn name(&self) -> String {
-                self.name.clone()
-            }
-            fn stats(&self) -> crate::Result<RuntimeStats> {
-                Ok(RuntimeStats {
-                    name: self.name.clone(),
-                    tasks_executed: 10,
-                    tasks_panicked: 0,
-                    tasks_spawned: 10,
-                    tasks_ready: 0,
-                    tasks_pending: 0,
-                    running_workers: 4,
-                    blocked_workers: 0,
-                    external_threads: 0,
-                    per_node: vec![
-                        NodeOccupancy {
-                            node: NodeId(0),
-                            running_workers: 2,
-                            tasks_executed: 5,
-                        },
-                        NodeOccupancy {
-                            node: NodeId(1),
-                            running_workers: 2,
-                            tasks_executed: 5,
-                        },
-                    ],
-                    user_counters: HashMap::new(),
-                    uptime_us: 1_000,
-                    tasks_preempted: 0,
-                    tasks_runaway: self.runaway.load(Ordering::SeqCst),
-                    overbudget_cpu_us: 0,
-                })
-            }
-            fn command(&self, cmd: ThreadCommand) -> crate::Result<()> {
-                self.commands.lock().push(cmd);
-                Ok(())
-            }
-        }
-
         let runaway = Arc::new(AtomicU64::new(0));
         let cmds = Arc::new(Mutex::new(Vec::new()));
         let offender = RunawayFake {
             name: "hog".to_string(),
             runaway: Arc::clone(&runaway),
             commands: Arc::clone(&cmds),
+            command_gate: None,
         };
         let (peer, _, _, peer_cmds) = Fake::new("peer");
         let mut agent = Agent::new(Box::new(Silent));
@@ -1340,6 +1387,112 @@ mod tests {
                 .any(|(n, h)| n == "hog" && *h == Health::Healthy),
             "recovered after the runaways stopped: {:?}",
             agent.health()
+        );
+    }
+
+    #[test]
+    fn two_contained_runtimes_that_hang_cost_one_deadline() {
+        // Never quarantined: the calls that fail fast behind the hung
+        // commands must not evict anybody before the release is noticed.
+        let mut supervision = fast_supervision();
+        supervision.detector.suspected_after = u32::MAX - 1;
+        supervision.detector.dead_after = u32::MAX;
+        let deadline = supervision.detector.call_deadline;
+        let mut agent = Agent::new(Box::new(Silent));
+        agent.set_supervision(supervision);
+        agent.set_reclaim_machine(tiny());
+        // Two offenders whose command() hangs until `release` is dropped.
+        let runaway = Arc::new(AtomicU64::new(0));
+        let mut release = Vec::new();
+        let logs: Vec<CommandLog> = ["hog0", "hog1"]
+            .iter()
+            .map(|name| {
+                let (tx, rx) = std::sync::mpsc::channel();
+                release.push(tx);
+                let commands = CommandLog::default();
+                agent.manage(Box::new(RunawayFake {
+                    name: name.to_string(),
+                    runaway: Arc::clone(&runaway),
+                    commands: Arc::clone(&commands),
+                    command_gate: Some(Mutex::new(rx)),
+                }));
+                commands
+            })
+            .collect();
+
+        // Two climbing ticks are the evidence; the second sends the ladder's
+        // first rung to both, and both hang in it.
+        agent.tick().unwrap();
+        runaway.fetch_add(1, Ordering::SeqCst);
+        agent.tick().unwrap();
+        runaway.fetch_add(1, Ordering::SeqCst);
+        let started = Instant::now();
+        agent.tick().unwrap();
+        let elapsed = started.elapsed();
+        assert!(elapsed >= deadline, "the commands ran into their deadline");
+        assert!(
+            elapsed < 2 * deadline,
+            "two hung ladder commands must cost one deadline, not two: {elapsed:?}"
+        );
+        // Neither went through: two errors in registry order, no decision,
+        // no containment counted — and so no rung climbed.
+        let log = agent.log();
+        assert_eq!(log.errors.len(), 2, "{:?}", log.errors);
+        assert!(log.errors[0].contains("hog0") && log.errors[1].contains("hog1"));
+        assert!(log.decisions.is_empty());
+        let hub = agent.hub();
+        let containments = || {
+            hub.registry()
+                .counter_total("coop_agent_containments_total")
+        };
+        assert_eq!(containments(), 0);
+
+        // Released, the hung commands land late and the runtimes work their
+        // way back; with fresh evidence each is sent the first rung again
+        // (it was never climbed), and this time it counts.
+        drop(release);
+        let contained = |name: &str| {
+            hub.events().iter().any(|e| {
+                e.cat == "health"
+                    && e.name == "contained:smt"
+                    && e.args
+                        .iter()
+                        .any(|(k, v)| k == "runtime" && *v == ArgValue::Str(name.into()))
+            })
+        };
+        let give_up = Instant::now() + Duration::from_secs(10);
+        while !(contained("hog0") && contained("hog1")) {
+            assert!(Instant::now() < give_up, "health: {:?}", agent.health());
+            runaway.fetch_add(1, Ordering::SeqCst);
+            agent.tick().unwrap();
+        }
+        assert!(containments() >= 2);
+        assert!(logs.iter().all(|commands| !commands.lock().is_empty()));
+    }
+
+    #[test]
+    fn kept_sched_counters_read_what_scheduler_locality_reads() {
+        let registry = MetricsRegistry::new();
+        let kept = SchedCounters::resolve(&registry, "rt");
+        assert_eq!(kept.locality(), (0, 0));
+        // A scheduler bumps the same series by name.
+        let steals = |tier, source| {
+            registry.counter(
+                "coop_sched_steals_total",
+                &[("runtime", "rt"), ("tier", tier), ("source", source)],
+            )
+        };
+        registry
+            .counter("coop_sched_local_pops_total", &[("runtime", "rt")])
+            .add(100);
+        steals("high", "sibling").add(7);
+        steals("normal", "sibling").add(3);
+        steals("high", "remote").add(2);
+        steals("normal", "remote").add(5);
+        assert_eq!(kept.locality(), (110, 7));
+        assert_eq!(
+            kept.locality(),
+            coop_telemetry::scheduler_locality(&registry, "rt")
         );
     }
 

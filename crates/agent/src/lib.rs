@@ -45,6 +45,7 @@
 #![warn(missing_docs)]
 
 mod agent;
+mod chan;
 pub mod consensus;
 pub mod contain;
 pub mod fault;

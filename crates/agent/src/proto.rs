@@ -2,27 +2,31 @@
 //!
 //! The paper's agent is a *separate process* talking to the runtimes over
 //! IPC. In this reproduction the same message protocol runs over
-//! `std::sync::mpsc` channels (see the substitution notes in `DESIGN.md`):
-//! the agent owns an [`AgentSideEndpoint`] (a [`RuntimeHandle`]), the
-//! runtime side runs a [`RuntimeSideEndpoint`] pump on its own thread.
-//! Structurally this is Figure 1; only the transport differs.
+//! in-process channels — the crate's own blocking channel (`chan.rs`, a
+//! bounded queue of 16 messages each way; the courier threads of
+//! [`crate::supervise`] use the same one), see the substitution notes in
+//! `DESIGN.md`: the agent owns an [`AgentSideEndpoint`] (a
+//! [`RuntimeHandle`]), the runtime side runs a [`RuntimeSideEndpoint`]
+//! pump on its own thread. Structurally this is Figure 1; only the
+//! transport differs. Either side waiting for the other parks at once
+//! and is woken by the message it waits for, so a round trip costs two
+//! wake-ups and no spinning on a CPU the other side may need.
 //!
 //! Failure semantics mirror a real IPC transport: a pump that does not
 //! answer within the endpoint's timeout surfaces as
 //! [`AgentError::Timeout`], a dead pump as [`AgentError::Disconnected`],
 //! and a reply that does not match the request as an application-level
 //! [`AgentError::Command`]. For fault-injection testing,
-//! [`connect_chaotic`] runs the pump under a
-//! [`FaultPlan`](crate::fault::FaultPlan) (delays, hangs, drops, error
-//! replies, wrong-variant replies, garbage stats); to add kill/revive
+//! [`connect_chaotic`] runs the pump under a [`FaultPlan`] (delays, hangs,
+//! drops, error replies, wrong-variant replies, garbage stats); to add kill/revive
 //! semantics, wrap the agent side in a
 //! [`ChaosHandle`](crate::fault::ChaosHandle) with a
 //! [`KillSwitch`](crate::fault::KillSwitch) — the wrappers compose.
 
+use crate::chan::{self, Receiver, RecvTimeoutError, Sender};
 use crate::fault::{Fault, FaultPlan};
 use crate::{AgentError, Result, RuntimeHandle};
 use coop_runtime::{Runtime, RuntimeStats, ThreadCommand};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -54,14 +58,14 @@ pub enum Response {
 /// Agent-side endpoint; implements [`RuntimeHandle`] over the channel.
 pub struct AgentSideEndpoint {
     name: String,
-    req: SyncSender<Request>,
+    req: Sender<Request>,
     resp: Receiver<Response>,
     timeout: Duration,
 }
 
 /// Runtime-side endpoint pump handle; joins on drop.
 pub struct RuntimeSideEndpoint {
-    req: SyncSender<Request>,
+    req: Sender<Request>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -99,8 +103,8 @@ fn connect_with(
     timeout: Duration,
     plan: Option<FaultPlan>,
 ) -> Result<(AgentSideEndpoint, RuntimeSideEndpoint)> {
-    let (req_tx, req_rx) = sync_channel::<Request>(16);
-    let (resp_tx, resp_rx) = sync_channel::<Response>(16);
+    let (req_tx, req_rx) = chan::bounded::<Request>(16);
+    let (resp_tx, resp_rx) = chan::bounded::<Response>(16);
     let name = runtime.name().to_string();
 
     let pump_runtime = Arc::clone(&runtime);

@@ -55,15 +55,29 @@
 //! still in flight") without being handed to the courier — nothing queues
 //! up behind a hang to be executed late, and a hung runtime costs later
 //! ticks nothing. If the inner handle *panics*, the courier dies and
-//! every later call reports `Disconnected` — a panic in one runtime's
-//! glue code cannot unwind into the agent loop.
+//! that call and every later one report `Disconnected` — a panic in one
+//! runtime's glue code cannot unwind into the agent loop.
+//!
+//! # The transport
+//!
+//! A handle and its courier exchange `(sequence number, request)` and
+//! `(sequence number, reply)` over two one-slot channels of the crate's
+//! own making (`chan.rs`: a bounded queue under a mutex and two condition
+//! variables). A supervised call is a hand-off to a thread that is asleep
+//! followed by a wait for that thread's answer, usually with both on one
+//! CPU, so what matters is how the waiting is done: a receiver with
+//! nothing to take parks at once (the thread holding its answer needs the
+//! CPU it would spin on), a sender unlocks before it wakes the receiver,
+//! and nobody is woken unless somebody waits. Dropping either end
+//! disconnects the other, also during a panic's unwinding: that is how a
+//! dead courier reads as `Disconnected` to a call already waiting, and
+//! how dropping the handle ends a parked courier (and, with it, the inner
+//! handle).
 
+use crate::chan::{self, Receiver, RecvTimeoutError, Sender, TryRecvError, TrySendError};
 use crate::{AgentError, Result, RuntimeHandle, RuntimeStats, ThreadCommand};
 use coop_telemetry::sync::Mutex;
 use coop_telemetry::{ArgValue, Counter, Gauge, TelemetryHub, TrackId};
-use std::sync::mpsc::{
-    channel, sync_channel, Receiver, RecvTimeoutError, SyncSender, TryRecvError, TrySendError,
-};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -331,8 +345,6 @@ impl HealthState {
 enum CallRequest {
     Stats,
     Command(ThreadCommand),
-    /// Stop the courier.
-    Close,
 }
 
 /// What the courier sends back.
@@ -342,7 +354,7 @@ enum CallOutcome {
 }
 
 struct Courier {
-    req: SyncSender<(u64, CallRequest)>,
+    req: Sender<(u64, CallRequest)>,
     resp: Receiver<(u64, Result<CallOutcome>)>,
     next_seq: u64,
     /// Sequence number of a posted call whose reply has not been
@@ -432,6 +444,12 @@ impl SupervisedHandle {
         };
         telemetry.health_gauge.set(self.health().as_gauge());
         *self.telemetry.lock() = Some(telemetry);
+    }
+
+    /// The managed runtime's name, borrowed ([`RuntimeHandle::name`]
+    /// clones it).
+    pub(crate) fn runtime_name(&self) -> &str {
+        &self.name
     }
 
     /// The runtime's current health.
@@ -558,8 +576,8 @@ impl SupervisedHandle {
         let seq = courier.next_seq;
         match courier.req.try_send((seq, request)) {
             Ok(()) => {}
-            Err(TrySendError::Full(_)) => return Err(self.timed_out()),
-            Err(TrySendError::Disconnected(_)) => return Err(self.disconnected()),
+            Err(TrySendError::Full) => return Err(self.timed_out()),
+            Err(TrySendError::Disconnected) => return Err(self.disconnected()),
         }
         courier.next_seq += 1;
         courier.in_flight = Some(seq);
@@ -574,8 +592,7 @@ impl SupervisedHandle {
             unreachable!("a call was posted, so the courier runs")
         };
         loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            match courier.resp.recv_timeout(remaining) {
+            match courier.resp.recv_deadline(Some(deadline)) {
                 // Stale reply from a call that already timed out: discard.
                 Ok((got, _)) if got < seq => continue,
                 Ok((_, outcome)) => {
@@ -721,25 +738,18 @@ impl RuntimeHandle for SupervisedHandle {
     }
 }
 
-impl Drop for SupervisedHandle {
-    fn drop(&mut self) {
-        if let CourierState::Running(c) = &*self.courier.lock() {
-            // Ask the courier to exit; never join (a hung inner call
-            // would block the drop forever). The thread exits on Close
-            // or when the request channel disconnects.
-            let _ = c.req.try_send((u64::MAX, CallRequest::Close));
-        }
-    }
-}
-
 /// Spawns the courier thread owning `inner`; returns an error string on
-/// spawn failure.
+/// spawn failure. The thread is never joined (a hung inner call would
+/// block the join forever): it ends, and drops `inner`, when the handle
+/// is dropped and the request channel disconnects with it — at once if
+/// the courier is parked, after the call it is inside otherwise.
 fn spawn_courier(
     name: &str,
     inner: Box<dyn RuntimeHandle>,
 ) -> std::result::Result<Courier, String> {
-    let (req_tx, req_rx) = sync_channel::<(u64, CallRequest)>(1);
-    let (resp_tx, resp_rx) = channel::<(u64, Result<CallOutcome>)>();
+    // One request at a time, and so never more than one unread reply.
+    let (req_tx, req_rx) = chan::bounded::<(u64, CallRequest)>(1);
+    let (resp_tx, resp_rx) = chan::bounded::<(u64, Result<CallOutcome>)>(1);
     std::thread::Builder::new()
         .name(format!("{name}-courier"))
         .spawn(move || {
@@ -747,7 +757,6 @@ fn spawn_courier(
                 let outcome = match request {
                     CallRequest::Stats => inner.stats().map(CallOutcome::Stats),
                     CallRequest::Command(cmd) => inner.command(cmd).map(|()| CallOutcome::Done),
-                    CallRequest::Close => break,
                 };
                 if resp_tx.send((seq, outcome)).is_err() {
                     break;
@@ -981,19 +990,122 @@ mod tests {
                 Ok(())
             }
         }
-        let mut config = SupervisionConfig::aggressive(Duration::from_millis(200));
+        // A deadline the test never gets near: the courier's unwinding
+        // drops its ends of both channels, which wakes the waiting call.
+        let mut config = SupervisionConfig::aggressive(Duration::from_secs(10));
         config.backoff.max_retries = 0;
         let h = SupervisedHandle::new(Box::new(Panicky), config);
+        let started = Instant::now();
         let err = h.stats().unwrap_err();
-        assert!(
-            matches!(
-                err,
-                AgentError::Disconnected { .. } | AgentError::Timeout { .. }
-            ),
-            "{err}"
+        assert!(matches!(err, AgentError::Disconnected { .. }), "{err}");
+        // Every later call reads the same, whatever it asks for.
+        let err = h.stats().unwrap_err();
+        assert!(matches!(err, AgentError::Disconnected { .. }), "{err}");
+        let err = h.command(ThreadCommand::TotalThreads(1)).unwrap_err();
+        assert!(matches!(err, AgentError::Disconnected { .. }), "{err}");
+        assert!(started.elapsed() < Duration::from_secs(5));
+    }
+
+    #[test]
+    fn dropping_the_handle_ends_a_parked_courier_and_drops_the_inner_handle() {
+        /// Reports its own drop.
+        struct Mourned {
+            dropped: std::sync::mpsc::Sender<()>,
+        }
+        impl RuntimeHandle for Mourned {
+            fn name(&self) -> String {
+                "mourned".into()
+            }
+            fn stats(&self) -> Result<RuntimeStats> {
+                Ok(Scripted::stats_value("mourned"))
+            }
+            fn command(&self, _cmd: ThreadCommand) -> Result<()> {
+                Ok(())
+            }
+        }
+        impl Drop for Mourned {
+            fn drop(&mut self) {
+                let _ = self.dropped.send(());
+            }
+        }
+        let (dropped, observed) = std::sync::mpsc::channel();
+        let h = SupervisedHandle::new(
+            Box::new(Mourned { dropped }),
+            SupervisionConfig::aggressive(Duration::from_secs(10)),
         );
-        // Subsequent calls fail cleanly too.
-        assert!(h.stats().is_err());
+        // One call spawns the courier, which then parks for the next.
+        assert!(h.stats().is_ok());
+        assert!(observed.try_recv().is_err(), "the courier owns the handle");
+        drop(h);
+        observed
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the courier ended and dropped the inner handle");
+    }
+
+    #[test]
+    fn stale_reply_of_a_hung_call_never_answers_a_later_call() {
+        /// Call `n` (from 1) reports `tasks_executed == n`; the first
+        /// hangs until `release` is sent or dropped.
+        struct Numbered {
+            calls: AtomicU64,
+            release: Mutex<std::sync::mpsc::Receiver<()>>,
+        }
+        impl RuntimeHandle for Numbered {
+            fn name(&self) -> String {
+                "numbered".into()
+            }
+            fn stats(&self) -> Result<RuntimeStats> {
+                let n = self.calls.fetch_add(1, Ordering::SeqCst) + 1;
+                if n == 1 {
+                    let _ = self.release.lock().recv_timeout(Duration::from_secs(10));
+                }
+                let mut stats = Scripted::stats_value("numbered");
+                stats.tasks_executed = n;
+                Ok(stats)
+            }
+            fn command(&self, _cmd: ThreadCommand) -> Result<()> {
+                Ok(())
+            }
+        }
+        let deadline = Duration::from_millis(100);
+        let (release, gate) = std::sync::mpsc::channel();
+        let mut config = SupervisionConfig::aggressive(deadline);
+        config.backoff.max_retries = 0;
+        let h = SupervisedHandle::new(
+            Box::new(Numbered {
+                calls: AtomicU64::new(0),
+                release: Mutex::new(gate),
+            }),
+            config,
+        );
+
+        let started = Instant::now();
+        let err = h.stats().unwrap_err();
+        assert!(matches!(err, AgentError::Timeout { .. }), "{err}");
+        assert!(started.elapsed() >= deadline, "the deadline was waited out");
+
+        // While the courier is inside call 1, later calls fail at once and
+        // are not handed to it.
+        for _ in 0..3 {
+            let started = Instant::now();
+            let err = h.stats().unwrap_err();
+            assert!(matches!(err, AgentError::Timeout { .. }), "{err}");
+            assert!(started.elapsed() < deadline / 2, "must not wait again");
+        }
+
+        // Released, call 1 answers late. Whichever call first succeeds after
+        // that must carry its own answer (call 2's), never the stale one.
+        drop(release);
+        let give_up = Instant::now() + Duration::from_secs(10);
+        let answered = loop {
+            if let Ok(stats) = h.stats() {
+                break stats;
+            }
+            assert!(Instant::now() < give_up, "the stale reply never freed it");
+            std::thread::yield_now();
+        };
+        assert_eq!(answered.tasks_executed, 2, "answered by the stale reply");
+        assert_eq!(h.stats().unwrap().tasks_executed, 3);
     }
 
     #[test]

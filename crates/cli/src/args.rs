@@ -1,6 +1,6 @@
 //! Argument parsing (plain `std`, no external parser).
 //!
-//! argv is lexed once ([`Flags::lex`]) into positionals and `(flag, value)`
+//! argv is lexed once (`Flags::lex`) into positionals and `(flag, value)`
 //! entries. Each subcommand is a plain struct whose `take` constructor
 //! removes the flags it owns from that bag, and whatever is left afterwards
 //! is a usage error naming the flag and the subcommand — so a flag's scope

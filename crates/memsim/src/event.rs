@@ -7,7 +7,7 @@
 //! min-heap orders their wake-ups. Between consecutive events every rate
 //! in the system is constant, so bandwidth contention is arbitrated once
 //! per segment (with the exact same two-phase physics as the slice
-//! engine, see [`crate::engine::compute_rates`]) and work is integrated
+//! engine, see `engine::compute_rates`) and work is integrated
 //! analytically as `rate × Δt`. Cost scales with the number of events,
 //! not with `duration / quantum` — which is what makes 5k-runtime ×
 //! 256-node fleet scenarios tractable (see `docs/performance.md`).

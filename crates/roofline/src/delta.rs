@@ -167,8 +167,8 @@ impl<'a> DeltaSolver<'a> {
     /// left unchanged; call [`commit`](DeltaSolver::commit) to adopt the
     /// probed candidate.
     ///
-    /// Non-separable contexts (or probes before any [`rebase`]
-    /// (DeltaSolver::rebase)) are answered by a full solve instead.
+    /// Non-separable contexts (or probes before any
+    /// [`rebase`](DeltaSolver::rebase)) are answered by a full solve instead.
     pub fn probe(&mut self, candidate: &ThreadAssignment, touched: &[NodeId]) -> Result<&[f64]> {
         if !(self.separable && self.has_base) {
             return self.probe_full(candidate);

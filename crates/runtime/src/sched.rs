@@ -38,7 +38,7 @@ use std::time::Duration;
 static STRICT_PARKING: AtomicBool = AtomicBool::new(false);
 
 /// Turns the parking backstop into a hard failure: when enabled, a worker
-/// whose [`PARK_BACKSTOP`] timeout fires *and then finds work that was
+/// whose `PARK_BACKSTOP` timeout fires *and then finds work that was
 /// never published through the parking registry* panics instead of
 /// silently recovering. The backstop exists as a liveness net for
 /// protocol bugs — but it also masks them; stress tests enable this so a
