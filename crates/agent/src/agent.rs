@@ -242,6 +242,16 @@ struct RunawayState {
     rung: usize,
 }
 
+impl RunawayState {
+    /// Takes the runtime off the ladder and lifts its Degraded floor, so
+    /// its health can recover through ordinary successful calls.
+    fn release(&mut self, handle: &SupervisedHandle) {
+        self.sustained = 0;
+        self.rung = 0;
+        handle.clear_forced_floor();
+    }
+}
+
 /// One runtime's scheduler locality counters — the five `coop_sched_*`
 /// series [`coop_telemetry::scheduler_locality`] looks up by name — kept
 /// per managed handle so that a tick reads five atomics per tenant
@@ -622,6 +632,11 @@ impl Agent {
                         self.telemetry.evictions.inc();
                         let name = self.handles[i].runtime_name();
                         self.telemetry.record_health_event(tick, name, "evicted");
+                        // Eviction ends containment: the floor is otherwise
+                        // lifted only for runtimes in the live set, and it
+                        // would hold a revived one at Degraded, short of
+                        // the Healthy that re-admits it.
+                        self.runaway[i].release(&self.handles[i]);
                         if let Some(ledger) = self.telemetry.hub.tenant_ledger() {
                             let now = self.telemetry.hub.now_us();
                             ledger.close_epoch(&self.telemetry.hub, name, "evicted", now);
@@ -703,11 +718,9 @@ impl Agent {
                 if s.tasks_runaway > state.last_runaway {
                     state.sustained += 1;
                 } else if state.sustained > 0 || state.rung > 0 {
-                    state.sustained = 0;
-                    state.rung = 0;
-                    // The wedged tasks returned: lift the Degraded floor
-                    // so the next successful poll recovers the tenant.
-                    self.handles[i].clear_forced_floor();
+                    // The wedged tasks returned: the next successful poll
+                    // recovers the tenant.
+                    state.release(&self.handles[i]);
                 }
                 state.last_runaway = s.tasks_runaway;
                 if state.sustained < SUSTAINED_RUNAWAY_TICKS {
@@ -1257,9 +1270,11 @@ mod tests {
 
     /// A runtime whose watchdog counter is test-controlled and which
     /// reports 2 busy workers on each of tiny()'s 2 nodes. With a
-    /// `command_gate`, `command()` hangs until the gate's sender is dropped.
+    /// `command_gate`, `command()` hangs until the gate's sender is dropped;
+    /// while `dead` is set, every call fails.
     struct RunawayFake {
         name: String,
+        dead: Arc<AtomicBool>,
         runaway: Arc<AtomicU64>,
         commands: CommandLog,
         command_gate: Option<Mutex<std::sync::mpsc::Receiver<()>>>,
@@ -1269,6 +1284,11 @@ mod tests {
             self.name.clone()
         }
         fn stats(&self) -> crate::Result<RuntimeStats> {
+            if self.dead.load(Ordering::SeqCst) {
+                return Err(AgentError::Disconnected {
+                    runtime: self.name.clone(),
+                });
+            }
             Ok(RuntimeStats {
                 name: self.name.clone(),
                 tasks_executed: 10,
@@ -1299,6 +1319,11 @@ mod tests {
             })
         }
         fn command(&self, cmd: ThreadCommand) -> crate::Result<()> {
+            if self.dead.load(Ordering::SeqCst) {
+                return Err(AgentError::Disconnected {
+                    runtime: self.name.clone(),
+                });
+            }
             if let Some(gate) = &self.command_gate {
                 let _ = gate.lock().recv_timeout(Duration::from_secs(10));
             }
@@ -1313,6 +1338,7 @@ mod tests {
         let cmds = Arc::new(Mutex::new(Vec::new()));
         let offender = RunawayFake {
             name: "hog".to_string(),
+            dead: Arc::default(),
             runaway: Arc::clone(&runaway),
             commands: Arc::clone(&cmds),
             command_gate: None,
@@ -1391,6 +1417,77 @@ mod tests {
     }
 
     #[test]
+    fn a_contained_runtime_that_is_evicted_comes_back() {
+        use coop_telemetry::TenantLedger;
+        let hub = Arc::new(TelemetryHub::new());
+        let ledger = Arc::new(TenantLedger::new());
+        assert!(hub.install_tenant_ledger(Arc::clone(&ledger)));
+        let runaway = Arc::new(AtomicU64::new(0));
+        let dead = Arc::new(AtomicBool::new(false));
+        let (peer, _, _, _) = Fake::new("peer");
+        let mut agent = Agent::with_telemetry(Box::new(Silent), Arc::clone(&hub));
+        agent.set_supervision(fast_supervision());
+        agent.set_reclaim_machine(tiny());
+        agent.manage(Box::new(RunawayFake {
+            name: "hog".to_string(),
+            dead: Arc::clone(&dead),
+            runaway: Arc::clone(&runaway),
+            commands: CommandLog::default(),
+            command_gate: None,
+        }));
+        agent.manage(Box::new(peer));
+        let health_of_hog = |agent: &Agent| agent.health()[0].1;
+        let containments = || {
+            hub.registry()
+                .counter_total("coop_agent_containments_total")
+        };
+
+        // Two climbing ticks put the hog on the ladder, Degraded by force.
+        agent.tick().unwrap();
+        for _ in 0..2 {
+            runaway.fetch_add(1, Ordering::SeqCst);
+            agent.tick().unwrap();
+        }
+        assert_eq!(containments(), 1);
+        assert_eq!(health_of_hog(&agent), Health::Degraded);
+        assert_eq!(agent.runaway[0].rung, 1);
+
+        // It dies while contained: three failing polls evict it, and the
+        // eviction takes it off the ladder.
+        dead.store(true, Ordering::SeqCst);
+        for _ in 0..4 {
+            agent.tick().unwrap();
+        }
+        assert_eq!(agent.evicted(), vec!["hog".to_string()]);
+        assert_eq!(health_of_hog(&agent), Health::Dead);
+        assert_eq!((agent.runaway[0].rung, agent.runaway[0].sustained), (0, 0));
+
+        // Revived: recovery_successes = 2 probes climb to Healthy — not
+        // held at Degraded by the floor — and the second re-admits it.
+        dead.store(false, Ordering::SeqCst);
+        agent.tick().unwrap();
+        assert_eq!(agent.evicted(), vec!["hog".to_string()], "one probe");
+        agent.tick().unwrap();
+        assert!(agent.evicted().is_empty(), "{:?}", agent.health());
+        assert_eq!(health_of_hog(&agent), Health::Healthy);
+        assert_eq!(
+            hub.registry().counter_total("coop_agent_recoveries_total"),
+            1
+        );
+        let snap = ledger.snapshot();
+        let epochs = &snap.tenant("hog").unwrap().epochs;
+        assert_eq!(epochs.len(), 2);
+        assert_eq!(epochs.last().unwrap().reason, "readmitted");
+
+        // Back in the live set with its watchdog counter where it was: no
+        // fresh evidence, so no rung and no further containment.
+        agent.tick().unwrap();
+        assert_eq!((agent.runaway[0].rung, agent.runaway[0].sustained), (0, 0));
+        assert_eq!(containments(), 1);
+        assert_eq!(health_of_hog(&agent), Health::Healthy);
+    }
+
+    #[test]
     fn two_contained_runtimes_that_hang_cost_one_deadline() {
         // Never quarantined: the calls that fail fast behind the hung
         // commands must not evict anybody before the release is noticed.
@@ -1412,6 +1509,7 @@ mod tests {
                 let commands = CommandLog::default();
                 agent.manage(Box::new(RunawayFake {
                     name: name.to_string(),
+                    dead: Arc::default(),
                     runaway: Arc::clone(&runaway),
                     commands: Arc::clone(&commands),
                     command_gate: Some(Mutex::new(rx)),

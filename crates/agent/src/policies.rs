@@ -272,7 +272,7 @@ impl Policy for ModelGuided {
         let last = self.last.as_ref()?;
         let report = roofline_numa::solve(&self.machine, &last.apps, &last.assignment).ok()?;
         let mut prediction = report.to_prediction();
-        prediction.assignment = format!("{:?}", last.assignment.matrix()).into();
+        prediction.assignment = format!("{:?}", last.assignment.to_matrix()).into();
         // Provenance: how much solver work the deciding search cost, so
         // the ledger can attribute cheap (warm, cached) re-solves vs
         // expensive cold ones.

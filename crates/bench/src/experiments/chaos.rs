@@ -59,7 +59,7 @@ fn scenario(label: &str, apps: Vec<SimApp>, duration_s: f64) -> Scenario {
         name: format!("chaos:{label}"),
         assignments: vec![NamedAssignment {
             name: "fair".into(),
-            threads: fair.matrix().to_vec(),
+            threads: fair.to_matrix(),
         }],
         duration_s,
         effects: EffectModel::skylake_like(),

@@ -231,7 +231,11 @@ subcommand! {
         method: SearchMethod = f.values("--method", SearchMethod::parse).pop().unwrap_or_default(),
         keep_alive: bool = f.switch("--keep-alive"),
         seed: u64 = f.parsed("--seed", "u64").unwrap_or(0),
-        threads: usize = f.workers("--threads"),
+        threads: usize = {
+            let n = f.parsed("--threads", "usize").unwrap_or(1);
+            f.check(n > 0, "--threads must be at least 1");
+            n
+        },
         metrics: Option<String> = f.string("--metrics"),
     }
 }
@@ -710,13 +714,6 @@ impl Flags {
         let bad = || CliError::usage(format!("bad {flag} (expected {expected})"));
         let finite = |v: &str| v.parse().ok().filter(|x: &f64| x.is_finite());
         self.values(flag, |v| finite(v).ok_or_else(bad)).pop()
-    }
-
-    /// A worker count: default 1, never 0.
-    fn workers(&mut self, flag: &'static str) -> usize {
-        let n = self.parsed(flag, "usize").unwrap_or(1);
-        self.check(n > 0, format!("{flag} must be at least 1"));
-        n
     }
 
     /// The last `flag` given, which must be given.

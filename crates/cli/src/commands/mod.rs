@@ -901,7 +901,7 @@ fn pareto_cmd(x: &ParetoArgs, format: OutputFormat) -> Result<String> {
                 json_object! {
                     "total_gflops": p.total_gflops,
                     "min_app_gflops": p.min_app_gflops,
-                    "assignment": p.assignment.matrix(),
+                    "assignment": p.assignment.to_matrix(),
                 }
             })
             .collect();
@@ -1115,7 +1115,7 @@ fn search_cmd(x: &SearchArgs, format: OutputFormat) -> Result<String> {
             "delta_solves": result.counters.delta_solves,
             "cache_hits": result.counters.cache_hits.max(cache_stats.hits),
             "truncated": result.truncated,
-            "assignment": result.assignment.matrix(),
+            "assignment": result.assignment.to_matrix(),
             "report": report,
         }));
     }

@@ -101,16 +101,12 @@ impl ScoreCache {
         self.fingerprint
     }
 
-    /// Fills `buf` with the canonical cache key of `assignment` (the
-    /// flattened `[app][node]` matrix). Reusing one buffer across lookups
+    /// Fills `buf` with the canonical cache key of `assignment` (its
+    /// row-major counts). Reusing one buffer across lookups
     /// keeps the hot path allocation-free: only an insert boxes the key.
     pub fn key_of(assignment: &ThreadAssignment, buf: &mut Vec<u32>) {
         buf.clear();
-        for row in assignment.matrix() {
-            for &c in row {
-                buf.push(c as u32);
-            }
-        }
+        buf.extend(assignment.as_slice().iter().map(|&c| c as u32));
     }
 
     /// Looks up a previously inserted score by key. Counts a hit or miss.

@@ -559,7 +559,7 @@ impl Space {
 fn replaces(best: &Option<(ThreadAssignment, f64)>, s: f64, cand: &ThreadAssignment) -> bool {
     match best {
         None => true,
-        Some((ba, bs)) => s > *bs || (s == *bs && cand.matrix() < ba.matrix()),
+        Some((ba, bs)) => s > *bs || (s == *bs && cand.as_slice() < ba.as_slice()),
     }
 }
 

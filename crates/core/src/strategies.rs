@@ -14,8 +14,12 @@ use roofline_numa::ThreadAssignment;
 
 /// Gives each application an equal share of every node's cores; any cores
 /// left over (when the core count is not divisible) are handed out one per
-/// application in index order, round-robin across nodes so no application is
-/// systematically favoured on every node.
+/// application, starting at application `node % num_apps` and wrapping, so
+/// no application is favoured on every node.
+///
+/// The split of a node is three numbers — the share everybody gets, how
+/// many applications get one more, and the first of those — worked out once
+/// per node; each application's row is then written in one pass.
 ///
 /// On the paper's 4x8 machine with 4 applications this is the (2,2,2,2)
 /// allocation of Table II.
@@ -23,15 +27,24 @@ pub fn fair_share(machine: &Machine, num_apps: usize) -> Result<ThreadAssignment
     if num_apps == 0 {
         return Err(AllocError::NoApps);
     }
+    // (base, extra, first) per node.
+    let splits: Vec<(usize, usize, usize)> = machine
+        .node_ids()
+        .map(|node| {
+            let cores = machine.node(node).num_cores();
+            (cores / num_apps, cores % num_apps, node.0 % num_apps)
+        })
+        .collect();
     let mut a = ThreadAssignment::zero(machine, num_apps);
-    for node in machine.node_ids() {
-        let cores = machine.node(node).num_cores();
-        let base = cores / num_apps;
-        let extra = cores % num_apps;
-        for app in 0..num_apps {
-            // Rotate which apps get the remainder by node index.
-            let gets_extra = ((app + num_apps - node.0 % num_apps) % num_apps) < extra;
-            a.set(app, node, base + usize::from(gets_extra));
+    for app in 0..num_apps {
+        for (slot, &(base, extra, first)) in a.row_mut(app).iter_mut().zip(&splits) {
+            // How far `app` sits after `first`, going round.
+            let dist = if app >= first {
+                app - first
+            } else {
+                app + num_apps - first
+            };
+            *slot = base + usize::from(dist < extra);
         }
     }
     a.validate(machine)?;

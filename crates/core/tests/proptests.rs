@@ -3,8 +3,9 @@
 
 use coop_alloc::cases::check;
 use coop_alloc::{enumerate, score, search, strategies, Objective};
-use numa_topology::MachineBuilder;
-use roofline_numa::AppSpec;
+use numa_topology::presets::paper_model_machine;
+use numa_topology::{MachineBuilder, NodeId};
+use roofline_numa::{AppSpec, ThreadAssignment};
 
 const CASES: usize = 256;
 
@@ -37,6 +38,57 @@ fn fair_share_uses_all_cores() {
             assert!(spread <= 1);
         }
     });
+}
+
+/// One cell of `fair_share` as it was computed before rows were filled in
+/// one pass: the remainder rotated by the node index, two `%` per cell.
+/// Kept here as the oracle; the strategy must return exactly this.
+fn fair_share_cell(cores: usize, num_apps: usize, node: usize, app: usize) -> usize {
+    let (base, extra) = (cores / num_apps, cores % num_apps);
+    base + usize::from((app + num_apps - node % num_apps) % num_apps < extra)
+}
+
+/// On machines with nodes of unequal size and up to 300 applications
+/// (more than any node has cores), `fair_share` is the per-cell formula,
+/// hands out every core of every node and validates.
+#[test]
+fn fair_share_is_the_per_cell_formula() {
+    check(8, CASES, |g| {
+        let sizes = g.vec(1..17, |g| g.range(1..65usize));
+        let apps = g.range(1..=300usize);
+        let m = sizes
+            .iter()
+            .fold(MachineBuilder::new(), |b, &cores| {
+                b.add_node(cores, 32.0, 16.0)
+            })
+            .core_peak_gflops(10.0)
+            .uniform_link_gbs(10.0)
+            .build()
+            .unwrap();
+        let a = strategies::fair_share(&m, apps).unwrap();
+        assert_eq!((a.num_apps(), a.num_nodes()), (apps, sizes.len()));
+        assert!(a.validate(&m).is_ok());
+        assert_eq!(a.node_totals(), sizes);
+        for (node, &cores) in sizes.iter().enumerate() {
+            for app in 0..apps {
+                assert_eq!(
+                    a.get(app, NodeId(node)),
+                    fair_share_cell(cores, apps, node, app),
+                    "app {app} of {apps} on node {node} ({cores} cores)"
+                );
+            }
+        }
+    });
+    // Table II's even allocation, and nothing to share between nobody.
+    let paper = paper_model_machine();
+    assert_eq!(
+        strategies::fair_share(&paper, 4).unwrap(),
+        ThreadAssignment::uniform_per_node(&paper, &[2, 2, 2, 2])
+    );
+    assert_eq!(
+        strategies::fair_share(&paper, 0),
+        Err(coop_alloc::AllocError::NoApps)
+    );
 }
 
 /// Proportional apportionment hands out every core and respects

@@ -213,14 +213,13 @@ pub(crate) fn segment_assignment(
     base: &ThreadAssignment,
     live: &[bool],
 ) -> Result<ThreadAssignment> {
-    let num_nodes = scenario.machine.num_nodes();
     let live_count = live.iter().filter(|&&l| l).count();
-    let mut matrix = vec![vec![0usize; num_nodes]; live.len()];
-
+    let mut segment = ThreadAssignment::zero(&scenario.machine, live.len());
     if live_count == 0 {
         // Everything is down: an empty machine is a valid (if sad) segment.
-        return Ok(ThreadAssignment::from_matrix(matrix));
+        return Ok(segment);
     }
+    let live_apps = (0..live.len()).filter(|&app| live[app]);
     if plan.reclaim {
         let shared =
             coop_alloc::strategies::fair_share(&scenario.machine, live_count).map_err(|e| {
@@ -228,25 +227,15 @@ pub(crate) fn segment_assignment(
                     reason: format!("fair-share reclamation failed: {e}"),
                 }
             })?;
-        let mut pos = 0usize;
-        for (app, row) in matrix.iter_mut().enumerate() {
-            if live[app] {
-                for (node, slot) in row.iter_mut().enumerate() {
-                    *slot = shared.get(pos, numa_topology::NodeId(node));
-                }
-                pos += 1;
-            }
+        for (pos, app) in live_apps.enumerate() {
+            segment.row_mut(app).copy_from_slice(shared.row(pos));
         }
     } else {
-        for (app, row) in matrix.iter_mut().enumerate() {
-            if live[app] {
-                for (node, slot) in row.iter_mut().enumerate() {
-                    *slot = base.get(app, numa_topology::NodeId(node));
-                }
-            }
+        for app in live_apps {
+            segment.row_mut(app).copy_from_slice(base.row(app));
         }
     }
-    Ok(ThreadAssignment::from_matrix(matrix))
+    Ok(segment)
 }
 
 #[cfg(test)]
@@ -356,6 +345,27 @@ mod tests {
                 (s - e).abs() <= 1e-9 * s.max(1.0),
                 "app {a}: slice {s} vs event {e}"
             );
+        }
+    }
+
+    /// A base assignment that does not span the machine is refused with
+    /// the scenario, before a segment is cut from it.
+    #[test]
+    fn a_misshapen_base_assignment_is_an_error() {
+        let plan = ChaosPlan::kill_revive(1, 0.03, 0.06).with_reclaim(false);
+        for threads in [
+            vec![vec![1], vec![1]],
+            vec![vec![1, 1, 1], vec![1, 1, 1]],
+            vec![vec![1, 1], vec![1]],
+        ] {
+            let mut scenario = two_app_scenario();
+            scenario.assignments[0].threads = threads;
+            assert!(matches!(
+                run_chaos_scenario(&scenario, &plan),
+                Err(SimError::Model(
+                    roofline_numa::ModelError::AssignmentShape { expected: 2, .. }
+                ))
+            ));
         }
     }
 

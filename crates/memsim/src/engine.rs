@@ -610,21 +610,11 @@ impl Simulation {
                 },
             ));
         }
-        for (app, row) in assignment.matrix().iter().enumerate() {
-            if row.len() != machine.num_nodes() {
-                return Err(SimError::Model(
-                    roofline_numa::ModelError::AssignmentShape {
-                        app,
-                        expected: machine.num_nodes(),
-                        actual: row.len(),
-                    },
-                ));
-            }
-        }
+        assignment.check_shape(machine.num_nodes())?;
         if !self.config.effects.allow_oversubscription {
-            for node in machine.node_ids() {
-                if assignment.node_total(node) > machine.node(node).num_cores() {
-                    return Err(SimError::OverSubscriptionDisabled { node: node.0 });
+            for (node, threads) in assignment.node_totals().into_iter().enumerate() {
+                if threads > machine.node(NodeId(node)).num_cores() {
+                    return Err(SimError::OverSubscriptionDisabled { node });
                 }
             }
         }
@@ -635,8 +625,8 @@ impl Simulation {
 /// The node holding the most of `app`'s threads under `assignment` (ties
 /// break to the lowest node id), or `None` when the app has none.
 pub(crate) fn dominant_node(assignment: &ThreadAssignment, app: usize) -> Option<u64> {
-    let row = &assignment.matrix()[app];
-    let (node, &best) = row
+    let (node, &best) = assignment
+        .row(app)
         .iter()
         .enumerate()
         .max_by_key(|&(i, &n)| (n, std::cmp::Reverse(i)))?;
@@ -1284,6 +1274,50 @@ mod tests {
             sim.run(&apps, &over, 0.01),
             Err(SimError::OverSubscriptionDisabled { .. })
         ));
+    }
+
+    /// A matrix of the wrong width, or a ragged one, is refused with the
+    /// first bad row and its length — by both engines, before anything is
+    /// read from it — and a wrong row count with the two counts.
+    #[test]
+    fn misshapen_assignments_are_refused_with_the_offending_row() {
+        use roofline_numa::ModelError;
+        let machine = tiny(); // 2 nodes
+        let apps = vec![SimApp::numa_local("a", 1.0), SimApp::numa_local("b", 1.0)];
+        let good = ThreadAssignment::uniform_per_node(&machine, &[1, 1]);
+        for (matrix, app, actual) in [
+            (vec![vec![1, 1, 1], vec![1, 1, 1]], 0, 3),
+            (vec![vec![1, 1], vec![1]], 1, 1),
+            (vec![vec![1], vec![1, 1]], 0, 1),
+            (vec![vec![1, 1], vec![1, 1, 1]], 1, 3),
+        ] {
+            let bad = ThreadAssignment::from_matrix(matrix);
+            let shape = SimError::Model(ModelError::AssignmentShape {
+                app,
+                expected: 2,
+                actual,
+            });
+            for engine in [crate::EngineKind::Slice, crate::EngineKind::Event] {
+                let sim = Simulation::new(
+                    SimConfig::new(machine.clone())
+                        .with_effects(EffectModel::ideal())
+                        .with_engine(engine),
+                );
+                let schedule = [(0.0, good.clone()), (0.005, bad.clone())];
+                assert_eq!(sim.run_dynamic(&apps, &schedule, 0.01).unwrap_err(), shape);
+                assert_eq!(sim.run(&apps, &bad, 0.01).unwrap_err(), shape);
+            }
+        }
+        let three_rows = ThreadAssignment::from_matrix(vec![vec![0, 0]; 3]);
+        assert_eq!(
+            ideal_sim(machine)
+                .run(&apps, &three_rows, 0.01)
+                .unwrap_err(),
+            SimError::Model(ModelError::AppCountMismatch {
+                specs: 2,
+                assignment: 3
+            })
+        );
     }
 
     #[test]

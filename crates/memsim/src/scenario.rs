@@ -106,6 +106,7 @@ impl Scenario {
                     },
                 ));
             }
+            t.check_shape(self.machine.num_nodes())?;
         }
         Ok(())
     }

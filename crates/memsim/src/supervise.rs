@@ -342,7 +342,7 @@ pub fn run_supervised(
     // `reoptimize` its last inputs are the tick's `search/*` counters.
     let template_for = |assignment: &ThreadAssignment| -> Result<Prediction> {
         let mut template = solve(&scenario.machine, &specs, assignment)?.to_prediction();
-        template.assignment = format!("{} {:?}", named.name, assignment.matrix()).into();
+        template.assignment = format!("{} {:?}", named.name, assignment.to_matrix()).into();
         if config.reoptimize {
             let zeroed = SEARCH_INPUTS.map(|key| (key.into(), 0.0));
             template.inputs.extend(zeroed);

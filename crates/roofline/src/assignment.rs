@@ -1,30 +1,65 @@
 //! Thread-to-node assignments (the paper's blocking option 3 vocabulary).
 
 use crate::{ModelError, Result};
-use coop_telemetry::json_struct;
+use coop_telemetry::json::{self, FromJson, ToJson, Value};
 use numa_topology::{Machine, NodeId};
+use std::fmt;
 
 /// How many worker threads each application runs on each NUMA node.
 ///
 /// This is exactly the quantity the paper's agent communicates to each
 /// runtime under blocking option 3 ("number of threads per NUMA node"), and
-/// the input the model scores. `threads[app][node]` is a count of threads.
+/// the input the model scores.
+///
+/// The counts are one row-major vector: application `app`'s count on `node`
+/// sits at `app * num_nodes + node`, so [`row`](ThreadAssignment::row) is a
+/// contiguous slice of `num_nodes` counts, [`as_slice`](ThreadAssignment::as_slice)
+/// is every row in application order (comparing two of them compares the
+/// assignments row by row, lexicographically), and a clone is one allocation.
+/// The JSON form is the nested `{"threads": [[…], …]}`.
 ///
 /// Under the paper's standing assumptions, threads are bound to nodes and
 /// there is no over-subscription, so
 /// `sum over apps of threads[app][node] <= cores(node)` must hold —
 /// [`ThreadAssignment::validate`] enforces it.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// [`from_matrix`](ThreadAssignment::from_matrix) accepts any nested vector.
+/// Rows that are not all as long as the first cannot be stored; the first
+/// such row and its length are remembered instead, the rows before it are
+/// kept, and [`validate`](ThreadAssignment::validate) /
+/// [`check_shape`](ThreadAssignment::check_shape) report it as
+/// [`ModelError::AssignmentShape`]. Check the shape before reading a
+/// matrix that came from outside the program.
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct ThreadAssignment {
-    threads: Vec<Vec<usize>>,
+    threads: Vec<usize>,
+    num_apps: usize,
+    num_nodes: usize,
+    /// `(row, its length)` of the first `from_matrix` row whose length
+    /// differed from the first row's; `threads` stops before that row.
+    ragged: Option<(usize, usize)>,
 }
-
-json_struct!(ThreadAssignment: threads);
 
 impl ThreadAssignment {
     /// Builds an assignment from an explicit `[app][node]` matrix.
-    pub fn from_matrix(threads: Vec<Vec<usize>>) -> Self {
-        ThreadAssignment { threads }
+    pub fn from_matrix(matrix: Vec<Vec<usize>>) -> Self {
+        let num_apps = matrix.len();
+        let num_nodes = matrix.first().map_or(0, Vec::len);
+        let mut threads = Vec::with_capacity(matrix.iter().map(Vec::len).sum());
+        let mut ragged = None;
+        for (app, row) in matrix.iter().enumerate() {
+            if row.len() != num_nodes {
+                ragged = Some((app, row.len()));
+                break;
+            }
+            threads.extend_from_slice(row);
+        }
+        ThreadAssignment {
+            threads,
+            num_apps,
+            num_nodes,
+            ragged,
+        }
     }
 
     /// Every application gets the same per-node thread count on *every*
@@ -33,12 +68,11 @@ impl ThreadAssignment {
     /// `uniform_per_node(&m, &[1, 1, 1, 5])` is the paper's uneven Table I
     /// allocation; `&[2, 2, 2, 2]` is the even Table II allocation.
     pub fn uniform_per_node(machine: &Machine, counts: &[usize]) -> Self {
-        ThreadAssignment {
-            threads: counts
-                .iter()
-                .map(|&c| vec![c; machine.num_nodes()])
-                .collect(),
+        let mut a = ThreadAssignment::zero(machine, counts.len());
+        for (app, &c) in counts.iter().enumerate() {
+            a.row_mut(app).fill(c);
         }
+        a
     }
 
     /// Application `a` gets every core of node `a` and nothing else — the
@@ -51,68 +85,111 @@ impl ThreadAssignment {
                 nodes: machine.num_nodes(),
             });
         }
-        let threads = (0..num_apps)
-            .map(|a| {
-                (0..machine.num_nodes())
-                    .map(|n| {
-                        if n == a {
-                            machine.node(NodeId(n)).num_cores()
-                        } else {
-                            0
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        Ok(ThreadAssignment { threads })
+        let mut a = ThreadAssignment::zero(machine, num_apps);
+        for app in 0..num_apps {
+            a.set(app, NodeId(app), machine.node(NodeId(app)).num_cores());
+        }
+        Ok(a)
     }
 
     /// An empty assignment for `num_apps` applications on `machine` (all
-    /// counts zero), to be filled with [`set`](ThreadAssignment::set).
+    /// counts zero), to be filled with [`set`](ThreadAssignment::set) or
+    /// [`row_mut`](ThreadAssignment::row_mut).
     pub fn zero(machine: &Machine, num_apps: usize) -> Self {
+        // No rows span no nodes, whatever the machine: `zero(m, 0)` equals
+        // `from_matrix(vec![])`.
+        let num_nodes = if num_apps == 0 {
+            0
+        } else {
+            machine.num_nodes()
+        };
         ThreadAssignment {
-            threads: vec![vec![0; machine.num_nodes()]; num_apps],
+            threads: vec![0; num_apps * num_nodes],
+            num_apps,
+            num_nodes,
+            ragged: None,
         }
     }
 
     /// Number of applications in this assignment.
     pub fn num_apps(&self) -> usize {
-        self.threads.len()
+        self.num_apps
     }
 
     /// Number of nodes this assignment spans.
     pub fn num_nodes(&self) -> usize {
-        self.threads.first().map_or(0, |row| row.len())
+        self.num_nodes
     }
 
     /// Threads of application `app` on `node`.
     pub fn get(&self, app: usize, node: NodeId) -> usize {
-        self.threads[app][node.0]
+        debug_assert!(node.0 < self.num_nodes, "node {} out of range", node.0);
+        self.threads[app * self.num_nodes + node.0]
     }
 
     /// Sets the thread count of application `app` on `node`.
     pub fn set(&mut self, app: usize, node: NodeId, count: usize) {
-        self.threads[app][node.0] = count;
+        debug_assert!(node.0 < self.num_nodes, "node {} out of range", node.0);
+        self.threads[app * self.num_nodes + node.0] = count;
+    }
+
+    /// Application `app`'s counts, one per node in node order.
+    pub fn row(&self, app: usize) -> &[usize] {
+        &self.threads[app * self.num_nodes..(app + 1) * self.num_nodes]
+    }
+
+    /// Application `app`'s counts, writable.
+    pub fn row_mut(&mut self, app: usize) -> &mut [usize] {
+        &mut self.threads[app * self.num_nodes..(app + 1) * self.num_nodes]
+    }
+
+    /// Every count, row-major: [`row`](ThreadAssignment::row)`(0)` then
+    /// `row(1)` and so on. Between two assignments of one shape, slice
+    /// ordering is the row-by-row lexicographic ordering of the matrices.
+    pub fn as_slice(&self) -> &[usize] {
+        &self.threads
+    }
+
+    /// The rows copied out as a nested `[app][node]` matrix (printing and
+    /// JSON; hot paths read [`row`](ThreadAssignment::row) instead).
+    pub fn to_matrix(&self) -> Vec<Vec<usize>> {
+        self.rows().map(<[usize]>::to_vec).collect()
+    }
+
+    /// The rows held, in application order (all of them unless
+    /// `from_matrix` was given a ragged matrix).
+    fn rows(&self) -> impl Iterator<Item = &[usize]> {
+        let held = self.ragged.map_or(self.num_apps, |(app, _)| app);
+        (0..held).map(|app| self.row(app))
     }
 
     /// Total threads of application `app` across all nodes.
     pub fn app_total(&self, app: usize) -> usize {
-        self.threads[app].iter().sum()
+        self.row(app).iter().sum()
     }
 
     /// Total threads of all applications on `node`.
     pub fn node_total(&self, node: NodeId) -> usize {
-        self.threads.iter().map(|row| row[node.0]).sum()
+        (0..self.num_apps).map(|app| self.get(app, node)).sum()
+    }
+
+    /// Total threads of all applications on every node, in node order: one
+    /// sequential pass over the counts.
+    pub fn node_totals(&self) -> Vec<usize> {
+        let mut totals = vec![0; self.num_nodes];
+        // `max(1)`: an assignment over no nodes holds no counts, and
+        // `chunks_exact(0)` panics.
+        for row in self.threads.chunks_exact(self.num_nodes.max(1)) {
+            for (total, &count) in totals.iter_mut().zip(row) {
+                *total += count;
+            }
+        }
+        totals
     }
 
     /// Total threads across the whole machine.
     pub fn total(&self) -> usize {
-        self.threads.iter().map(|r| r.iter().sum::<usize>()).sum()
-    }
-
-    /// The raw `[app][node]` matrix.
-    pub fn matrix(&self) -> &[Vec<usize>] {
-        &self.threads
+        self.threads.iter().sum()
     }
 
     /// Copies `other`'s counts into `self` without reallocating, provided
@@ -127,34 +204,40 @@ impl ThreadAssignment {
     /// Panics if the shapes differ.
     pub fn copy_from(&mut self, other: &ThreadAssignment) {
         assert_eq!(
-            self.threads.len(),
-            other.threads.len(),
-            "copy_from: app count mismatch"
+            (self.num_apps, self.num_nodes),
+            (other.num_apps, other.num_nodes),
+            "copy_from: shape mismatch"
         );
-        for (dst, src) in self.threads.iter_mut().zip(&other.threads) {
-            dst.copy_from_slice(src);
+        self.threads.copy_from_slice(&other.threads);
+    }
+
+    /// Checks that every row spans exactly `num_nodes` nodes.
+    pub fn check_shape(&self, num_nodes: usize) -> Result<()> {
+        let bad = if self.num_apps > 0 && self.num_nodes != num_nodes {
+            Some((0, self.num_nodes))
+        } else {
+            self.ragged
+        };
+        match bad {
+            Some((app, actual)) => Err(ModelError::AssignmentShape {
+                app,
+                expected: num_nodes,
+                actual,
+            }),
+            None => Ok(()),
         }
     }
 
     /// Checks shape (every row spans every node) and the no-over-subscription
     /// assumption (per-node totals do not exceed the node's core count).
     pub fn validate(&self, machine: &Machine) -> Result<()> {
-        for (app, row) in self.threads.iter().enumerate() {
-            if row.len() != machine.num_nodes() {
-                return Err(ModelError::AssignmentShape {
-                    app,
-                    expected: machine.num_nodes(),
-                    actual: row.len(),
-                });
-            }
-        }
-        for node in machine.node_ids() {
-            let used = self.node_total(node);
-            let cores = machine.node(node).num_cores();
-            if used > cores {
+        self.check_shape(machine.num_nodes())?;
+        for (node, threads) in self.node_totals().into_iter().enumerate() {
+            let cores = machine.node(NodeId(node)).num_cores();
+            if threads > cores {
                 return Err(ModelError::OverSubscribed {
-                    node: node.0,
-                    threads: used,
+                    node,
+                    threads,
                     cores,
                 });
             }
@@ -163,9 +246,34 @@ impl ThreadAssignment {
     }
 }
 
+/// Prints the counts as the nested matrix they stand for.
+impl fmt::Debug for ThreadAssignment {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let rows: Vec<&[usize]> = self.rows().collect();
+        f.debug_struct("ThreadAssignment")
+            .field("threads", &rows)
+            .finish()
+    }
+}
+
+/// `{"threads": [[…], …]}`, one inner array per application.
+impl ToJson for ThreadAssignment {
+    fn to_value(&self) -> Value {
+        let rows = self.rows().map(ToJson::to_value).collect();
+        Value::Object(vec![("threads".to_string(), Value::Array(rows))])
+    }
+}
+
+impl FromJson for ThreadAssignment {
+    fn from_value(v: &Value) -> json::Result<Self> {
+        Ok(ThreadAssignment::from_matrix(v.field("threads")?))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coop_alloc::cases::{check, Gen};
     use numa_topology::presets::{paper_model_machine, tiny};
 
     #[test]
@@ -224,6 +332,59 @@ mod tests {
         ));
     }
 
+    /// What the nested-vector `validate` reported: the first row whose
+    /// length is not the machine's node count, and that length.
+    fn first_bad_row(matrix: &[Vec<usize>], expected: usize) -> Option<(usize, usize)> {
+        matrix
+            .iter()
+            .enumerate()
+            .find(|(_, row)| row.len() != expected)
+            .map(|(app, row)| (app, row.len()))
+    }
+
+    #[test]
+    fn ragged_and_wrong_width_matrices_report_the_first_bad_row() {
+        let m = tiny(); // 2 nodes
+        for matrix in [
+            vec![vec![1, 1, 1], vec![1, 1, 1]],       // every row too wide
+            vec![vec![1], vec![1, 1]],                // first row short, second fits
+            vec![vec![1, 1], vec![1, 1, 1], vec![1]], // ragged after a good row
+            vec![vec![1, 1], vec![]],
+            vec![vec![], vec![1, 1]],
+        ] {
+            let (app, actual) = first_bad_row(&matrix, 2).unwrap();
+            let a = ThreadAssignment::from_matrix(matrix.clone());
+            assert_eq!(a.num_apps(), matrix.len());
+            for result in [a.validate(&m), a.check_shape(2)] {
+                assert_eq!(
+                    result,
+                    Err(ModelError::AssignmentShape {
+                        app,
+                        expected: 2,
+                        actual
+                    }),
+                    "{matrix:?}"
+                );
+            }
+            // Printing one never panics.
+            let _ = format!("{a:?} {}", a.to_value().write());
+        }
+    }
+
+    #[test]
+    fn an_empty_assignment_validates_on_any_machine() {
+        for m in [tiny(), paper_model_machine()] {
+            assert!(ThreadAssignment::from_matrix(vec![]).validate(&m).is_ok());
+            assert!(ThreadAssignment::zero(&m, 0).validate(&m).is_ok());
+            assert!(ThreadAssignment::zero(&tiny(), 0).validate(&m).is_ok());
+        }
+        assert_eq!(
+            ThreadAssignment::zero(&tiny(), 0),
+            ThreadAssignment::from_matrix(vec![])
+        );
+        assert_eq!(ThreadAssignment::zero(&tiny(), 0).num_nodes(), 0);
+    }
+
     #[test]
     fn zero_and_set() {
         let m = tiny();
@@ -239,7 +400,59 @@ mod tests {
     #[test]
     fn matrix_accessor_roundtrip() {
         let a = ThreadAssignment::from_matrix(vec![vec![1, 2], vec![3, 4]]);
-        assert_eq!(a.matrix(), &[vec![1, 2], vec![3, 4]]);
+        assert_eq!(a.to_matrix(), [vec![1, 2], vec![3, 4]]);
+        assert_eq!(a.as_slice(), [1, 2, 3, 4]);
+        assert_eq!(a.row(1), [3, 4]);
+        assert_eq!(a.node_totals(), [4, 6]);
         assert_eq!(a.num_nodes(), 2);
+
+        let mut b = ThreadAssignment::zero(&tiny(), 2);
+        b.row_mut(1).copy_from_slice(&[3, 4]);
+        assert_eq!(b.to_matrix(), [vec![0, 0], vec![3, 4]]);
+        b.copy_from(&a);
+        assert_eq!(b, a);
+    }
+
+    #[test]
+    fn json_and_debug_forms_are_the_nested_matrix() {
+        let a = ThreadAssignment::from_matrix(vec![vec![1, 2, 0], vec![3, 4, 5]]);
+        let text = a.to_value().write();
+        assert_eq!(text, r#"{"threads":[[1,2,0],[3,4,5]]}"#);
+        let back = ThreadAssignment::from_value(&json::parse(&text).unwrap()).unwrap();
+        assert_eq!(back, a);
+        assert_eq!(
+            format!("{a:?}"),
+            "ThreadAssignment { threads: [[1, 2, 0], [3, 4, 5]] }"
+        );
+
+        let no_nodes = ThreadAssignment::from_matrix(vec![vec![], vec![]]);
+        assert_eq!(no_nodes.to_value().write(), r#"{"threads":[[],[]]}"#);
+        assert!(ThreadAssignment::from_value(&json::parse(r#"{"rows":[]}"#).unwrap()).is_err());
+    }
+
+    fn arb_matrix(g: &mut Gen, apps: usize, nodes: usize) -> Vec<Vec<usize>> {
+        // Few distinct counts, so equal prefixes (and equal matrices) occur.
+        (0..apps)
+            .map(|_| (0..nodes).map(|_| g.range(0..3usize)).collect())
+            .collect()
+    }
+
+    /// The exhaustive search breaks score ties toward the smaller
+    /// assignment; that order must be the one the nested matrix had.
+    #[test]
+    fn as_slice_orders_like_the_nested_matrix() {
+        check(22, 512, |g| {
+            let (apps, nodes) = (g.range(1..5usize), g.range(1..5usize));
+            let (x, y) = (arb_matrix(g, apps, nodes), arb_matrix(g, apps, nodes));
+            let (a, b) = (
+                ThreadAssignment::from_matrix(x.clone()),
+                ThreadAssignment::from_matrix(y.clone()),
+            );
+            assert_eq!(a.as_slice().cmp(b.as_slice()), x.cmp(&y), "{x:?} vs {y:?}");
+            assert_eq!(a == b, x == y);
+            assert_eq!(a.to_matrix(), x);
+            let totals: Vec<usize> = (0..nodes).map(|n| a.node_total(NodeId(n))).collect();
+            assert_eq!(a.node_totals(), totals);
+        });
     }
 }
