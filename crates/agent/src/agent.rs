@@ -331,9 +331,6 @@ pub struct Agent {
     /// occasion a lookup by name would have created the series.
     sched: Vec<Option<SchedCounters>>,
     supervision: SupervisionConfig,
-    /// Probe evicted runtimes every this many ticks (0 disables
-    /// re-admission probing).
-    probe_period_ticks: u64,
     reclaim_machine: Option<Machine>,
     policy: Box<dyn Policy>,
     telemetry: AgentTelemetry,
@@ -451,7 +448,6 @@ impl Agent {
             runaway: Vec::new(),
             sched: Vec::new(),
             supervision: SupervisionConfig::default(),
-            probe_period_ticks: 1,
             reclaim_machine: None,
             policy,
             telemetry: AgentTelemetry::new(hub),
@@ -474,23 +470,11 @@ impl Agent {
         self.reclaim_machine = Some(machine);
     }
 
-    /// Probe evicted runtimes for recovery every `ticks` ticks
-    /// (default 1 = every tick; 0 disables re-admission).
-    pub fn set_probe_period(&mut self, ticks: u64) {
-        self.probe_period_ticks = ticks;
-    }
-
     /// Registers a runtime, wrapping it in a [`SupervisedHandle`] with
     /// the agent's current supervision configuration. Registry order
     /// defines the indices policies see.
     pub fn manage(&mut self, handle: Box<dyn RuntimeHandle>) {
-        let supervised = SupervisedHandle::new(handle, self.supervision.clone());
-        self.manage_supervised(supervised);
-    }
-
-    /// Registers an already-wrapped handle (use to tune supervision per
-    /// runtime).
-    pub fn manage_supervised(&mut self, handle: SupervisedHandle) {
+        let handle = SupervisedHandle::new(handle, self.supervision.clone());
         handle.attach_telemetry(Arc::clone(&self.telemetry.hub), self.telemetry.track);
         if let Some(ledger) = self.telemetry.hub.tenant_ledger() {
             // A managed runtime is a tenant: open its accounting epoch.
@@ -545,12 +529,6 @@ impl Agent {
         Arc::clone(&self.telemetry.observatory)
     }
 
-    /// The current residual report (see
-    /// [`ModelObservatory::report`]).
-    pub fn drift_report(&self) -> coop_telemetry::DriftReport {
-        self.telemetry.observatory.report()
-    }
-
     /// Executes a single tick: probe evicted runtimes for recovery, poll
     /// *all* live runtimes (recording failures without aborting the
     /// tick), evict runtimes the failure detector declared Dead,
@@ -576,28 +554,25 @@ impl Agent {
 
         let mut live_set_changed = false;
 
-        // Re-admission: probe evicted runtimes; a runtime whose health
-        // has climbed back to Healthy rejoins the live set.
-        if self.probe_period_ticks != 0 && tick.is_multiple_of(self.probe_period_ticks) {
-            let probed: Vec<usize> = (0..self.handles.len())
-                .filter(|&i| self.evicted[i])
-                .collect();
-            let handles: Vec<&SupervisedHandle> =
-                probed.iter().map(|&i| &self.handles[i]).collect();
-            let _ = stats_all(&handles, false);
-            for i in probed {
-                if self.handles[i].health() != Health::Healthy {
-                    continue;
-                }
-                self.evicted[i] = false;
-                live_set_changed = true;
-                self.telemetry.recoveries.inc();
-                let name = self.handles[i].runtime_name();
-                self.telemetry.record_health_event(tick, name, "readmitted");
-                if let Some(ledger) = self.telemetry.hub.tenant_ledger() {
-                    let now = self.telemetry.hub.now_us();
-                    ledger.open_epoch(&self.telemetry.hub, name, "readmitted", now);
-                }
+        // Re-admission: probe evicted runtimes, every tick; a runtime whose
+        // health has climbed back to Healthy rejoins the live set.
+        let probed: Vec<usize> = (0..self.handles.len())
+            .filter(|&i| self.evicted[i])
+            .collect();
+        let handles: Vec<&SupervisedHandle> = probed.iter().map(|&i| &self.handles[i]).collect();
+        let _ = stats_all(&handles, false);
+        for i in probed {
+            if self.handles[i].health() != Health::Healthy {
+                continue;
+            }
+            self.evicted[i] = false;
+            live_set_changed = true;
+            self.telemetry.recoveries.inc();
+            let name = self.handles[i].runtime_name();
+            self.telemetry.record_health_event(tick, name, "readmitted");
+            if let Some(ledger) = self.telemetry.hub.tenant_ledger() {
+                let now = self.telemetry.hub.now_us();
+                ledger.open_epoch(&self.telemetry.hub, name, "readmitted", now);
             }
         }
         self.telemetry.stage_done(Stage::Probe, &mut stage_start);

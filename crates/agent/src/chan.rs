@@ -1,7 +1,6 @@
 //! The agent's one blocking channel: a bounded queue under a mutex and two
-//! condition variables, carrying the courier's requests and replies
-//! ([`crate::supervise`]) and the in-process endpoint's messages
-//! ([`crate::proto`]).
+//! condition variables, carrying every runtime's requests and replies
+//! between its courier and its serving thread ([`crate::proto`]).
 //!
 //! It exists for how it waits. A supervised call hands its request to a
 //! thread that is parked and then waits for that thread's answer, usually
@@ -15,7 +14,7 @@
 use coop_telemetry::sync::{Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Why a [`Sender::try_send`] did not queue its message.
 #[derive(Debug, PartialEq, Eq)]
@@ -35,7 +34,7 @@ pub(crate) enum TryRecvError {
     Disconnected,
 }
 
-/// Why a [`Receiver::recv_timeout`] returned no message.
+/// Why a [`Receiver::recv_deadline`] returned no message.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) enum RecvTimeoutError {
     /// The timeout passed with nothing queued.
@@ -169,12 +168,6 @@ impl<T> Receiver<T> {
         self.recv_deadline(None).map_err(|_| Disconnected)
     }
 
-    /// [`recv`](Self::recv) that gives up `timeout` from now (a timeout past
-    /// the clock's range is none at all).
-    pub(crate) fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-        self.recv_deadline(Instant::now().checked_add(timeout))
-    }
-
     /// [`recv`](Self::recv) that gives up at `deadline`, if there is one.
     /// Never reports `Timeout` early: a wake-up that finds nothing goes
     /// back to waiting for what is left. A message already queued is
@@ -234,6 +227,15 @@ impl<T> Drop for Receiver<T> {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Duration;
+
+    impl<T> Receiver<T> {
+        /// [`recv`](Self::recv) that gives up `timeout` from now (a timeout
+        /// past the clock's range is none at all).
+        fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
+            self.recv_deadline(Instant::now().checked_add(timeout))
+        }
+    }
 
     /// Spins until `parked(state)` holds: the other thread has gone to sleep
     /// inside the channel, which is the moment the tests below wait for.

@@ -2,9 +2,9 @@
 //!
 //! A [`FaultPlan`] is a list of windowed, optionally probabilistic rules
 //! mapping call indices to [`Fault`]s. Wrap any [`RuntimeHandle`] in a
-//! [`ChaosHandle`] to apply the plan in-process, or pass the plan to
-//! [`proto::connect_chaotic`](crate::proto::connect_chaotic) to corrupt
-//! the channel protocol itself. A [`KillSwitch`] flips a runtime between
+//! [`ChaosHandle`] to apply the plan — the one injector:
+//! [`proto::connect_chaotic`](crate::proto::connect_chaotic) puts a
+//! `ChaosHandle` behind the endpoint. A [`KillSwitch`] flips a runtime between
 //! alive and (apparently) dead mid-run — the primitive behind the
 //! kill/revive e2e tests and the `coop chaos` subcommand.
 //!
@@ -23,9 +23,9 @@ use std::time::Duration;
 pub enum Fault {
     /// Sleep, then answer normally (slow runtime).
     Delay(Duration),
-    /// Sleep for the given duration and *do not* answer this call
-    /// (the caller's deadline must fire). At the proto layer the pump
-    /// stays busy for the duration, then drops the request.
+    /// Stay busy for the given duration and answer this call with a
+    /// timeout error afterwards: the caller's (shorter) deadline must
+    /// fire, and the late answer must never be taken for a later call's.
     Hang(Duration),
     /// Answer with an application-level error response.
     Error,
@@ -36,9 +36,9 @@ pub enum Fault {
     /// (`tasks_executed` and `uptime_us` collapse below previously
     /// reported values), exercising regression detection downstream.
     Garbage,
-    /// Answer with a semantically wrong response: at the proto layer the
-    /// pump returns the wrong variant (e.g. `Ok` to `GetStats`); on an
-    /// in-process handle this degenerates to [`Fault::Error`].
+    /// Answer with a semantically wrong response. A [`RuntimeHandle`]
+    /// call can only answer in kind, so this degenerates to
+    /// [`Fault::Error`], behind a [`proto`](crate::proto) endpoint too.
     WrongResponse,
 }
 
@@ -238,8 +238,8 @@ impl FaultPlan {
 }
 
 /// A shared flip-switch marking a runtime dead (every call through its
-/// [`ChaosHandle`] or chaotic proto pump reports `Disconnected`) until
-/// revived. Clone freely; all clones share the same state.
+/// [`ChaosHandle`] reports `Disconnected`) until revived. Clone freely;
+/// all clones share the same state.
 #[derive(Debug, Clone, Default)]
 pub struct KillSwitch {
     dead: Arc<AtomicBool>,
@@ -310,19 +310,38 @@ impl ChaosHandle {
         self.plan.fault_for(call).cloned()
     }
 
-    fn garbage_stats(&self, real: RuntimeStats) -> RuntimeStats {
-        let mut stats = real;
-        let mut last = self.last_reported.lock();
-        // Report counters *below* anything previously reported — the
-        // classic symptom of a restarted or corrupted runtime.
-        stats.tasks_executed = last.0 / 2;
-        stats.uptime_us = last.1 / 2;
-        *last = (stats.tasks_executed, stats.uptime_us);
-        stats
-    }
-
-    fn remember(&self, stats: &RuntimeStats) {
-        *self.last_reported.lock() = (stats.tasks_executed, stats.uptime_us);
+    /// Makes one call under the plan: `call` is the inner call, made
+    /// unless the fault replaces the answer. [`Fault::Garbage`] answers
+    /// normally here; only [`stats`](RuntimeHandle::stats) corrupts it.
+    fn faulted<T>(
+        &self,
+        fault: &Option<Fault>,
+        call: impl FnOnce(&dyn RuntimeHandle) -> Result<T>,
+    ) -> Result<T> {
+        match fault {
+            None | Some(Fault::Garbage) => call(&*self.inner),
+            Some(Fault::Delay(d)) => {
+                std::thread::sleep(*d);
+                call(&*self.inner)
+            }
+            Some(Fault::Hang(d)) => {
+                // A call cannot "not answer"; sleeping past the caller's
+                // deadline has the same observable effect, the late answer
+                // being dropped by its sequence number.
+                std::thread::sleep(*d);
+                Err(AgentError::Timeout {
+                    runtime: self.name(),
+                    deadline: *d,
+                })
+            }
+            Some(Fault::Error) | Some(Fault::WrongResponse) => Err(AgentError::Command {
+                runtime: self.name(),
+                reason: "injected fault: error response".into(),
+            }),
+            Some(Fault::Disconnect) => Err(AgentError::Disconnected {
+                runtime: self.name(),
+            }),
+        }
     }
 }
 
@@ -332,66 +351,22 @@ impl RuntimeHandle for ChaosHandle {
     }
 
     fn stats(&self) -> Result<RuntimeStats> {
-        match self.next_fault() {
-            None => {
-                let stats = self.inner.stats()?;
-                self.remember(&stats);
-                Ok(stats)
-            }
-            Some(Fault::Delay(d)) => {
-                std::thread::sleep(d);
-                let stats = self.inner.stats()?;
-                self.remember(&stats);
-                Ok(stats)
-            }
-            Some(Fault::Hang(d)) => {
-                // In-process we cannot "not answer"; sleeping past the
-                // caller's deadline has the same observable effect when
-                // the handle sits behind a SupervisedHandle courier.
-                std::thread::sleep(d);
-                Err(AgentError::Timeout {
-                    runtime: self.name(),
-                    deadline: d,
-                })
-            }
-            Some(Fault::Error) | Some(Fault::WrongResponse) => Err(AgentError::Command {
-                runtime: self.name(),
-                reason: "injected fault: error response".into(),
-            }),
-            Some(Fault::Disconnect) => Err(AgentError::Disconnected {
-                runtime: self.name(),
-            }),
-            Some(Fault::Garbage) => {
-                let stats = self.inner.stats()?;
-                Ok(self.garbage_stats(stats))
-            }
+        let fault = self.next_fault();
+        let mut stats = self.faulted(&fault, |inner| inner.stats())?;
+        let mut last = self.last_reported.lock();
+        if fault == Some(Fault::Garbage) {
+            // Report counters *below* anything previously reported — the
+            // classic symptom of a restarted or corrupted runtime.
+            stats.tasks_executed = last.0 / 2;
+            stats.uptime_us = last.1 / 2;
         }
+        *last = (stats.tasks_executed, stats.uptime_us);
+        Ok(stats)
     }
 
     fn command(&self, cmd: ThreadCommand) -> Result<()> {
-        match self.next_fault() {
-            None => self.inner.command(cmd),
-            Some(Fault::Delay(d)) => {
-                std::thread::sleep(d);
-                self.inner.command(cmd)
-            }
-            Some(Fault::Hang(d)) => {
-                std::thread::sleep(d);
-                Err(AgentError::Timeout {
-                    runtime: self.name(),
-                    deadline: d,
-                })
-            }
-            Some(Fault::Error) | Some(Fault::WrongResponse) => Err(AgentError::Command {
-                runtime: self.name(),
-                reason: "injected fault: error response".into(),
-            }),
-            Some(Fault::Disconnect) => Err(AgentError::Disconnected {
-                runtime: self.name(),
-            }),
-            // Garbage only corrupts stats; commands pass through.
-            Some(Fault::Garbage) => self.inner.command(cmd),
-        }
+        let fault = self.next_fault();
+        self.faulted(&fault, |inner| inner.command(cmd))
     }
 }
 

@@ -89,7 +89,7 @@ pub enum AgentError {
         /// The deadline that elapsed.
         deadline: std::time::Duration,
     },
-    /// A supporting thread (courier, endpoint pump) could not be spawned.
+    /// A runtime's serving thread (courier, endpoint) could not be spawned.
     Spawn {
         /// Managed runtime's name.
         runtime: String,
@@ -152,6 +152,13 @@ pub trait RuntimeHandle: Send {
     fn stats(&self) -> Result<RuntimeStats>;
     /// Issues a thread-control command.
     fn command(&self, cmd: ThreadCommand) -> Result<()>;
+    /// Gives up the channel this handle talks over, if it is one
+    /// ([`proto::AgentSideEndpoint`]): a [`SupervisedHandle`] then calls
+    /// over it instead of putting a thread of its own in front of the
+    /// handle. `None`, the default, for a handle that calls in place.
+    fn take_courier(&mut self) -> Option<proto::Courier> {
+        None
+    }
 }
 
 impl RuntimeHandle for Arc<coop_runtime::Runtime> {

@@ -211,12 +211,6 @@ impl ModelGuided {
         self.cache.as_ref().map(|c| c.stats())
     }
 
-    /// The persistent score cache itself (present after the first search),
-    /// e.g. for attaching telemetry counters to a metrics registry.
-    pub fn score_cache(&self) -> Option<&Arc<ScoreCache>> {
-        self.cache.as_ref()
-    }
-
     /// Matches polled stats to specs by name; `None` if any polled
     /// runtime has no spec (the policy cannot model it).
     fn live_apps(&self, stats: &[RuntimeStats]) -> Option<Vec<AppSpec>> {

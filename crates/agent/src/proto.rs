@@ -1,37 +1,43 @@
-//! Channel-based agent/runtime protocol.
+//! The agent/runtime message protocol and its one transport.
 //!
-//! The paper's agent is a *separate process* talking to the runtimes over
-//! IPC. In this reproduction the same message protocol runs over
-//! in-process channels — the crate's own blocking channel (`chan.rs`, a
-//! bounded queue of 16 messages each way; the courier threads of
-//! [`crate::supervise`] use the same one), see the substitution notes in
-//! `DESIGN.md`: the agent owns an [`AgentSideEndpoint`] (a
-//! [`RuntimeHandle`]), the runtime side runs a [`RuntimeSideEndpoint`]
-//! pump on its own thread. Structurally this is Figure 1; only the
-//! transport differs. Either side waiting for the other parks at once
-//! and is woken by the message it waits for, so a round trip costs two
-//! wake-ups and no spinning on a CPU the other side may need.
+//! The paper's agent is a *separate process* exchanging stats and command
+//! messages with each runtime (Figure 1). Here the same messages — a
+//! [`Request`] out, a [`Reply`] back, each under the call's sequence
+//! number — cross the crate's own blocking channel (`chan.rs`, one slot
+//! each way) between two parties, whoever the runtime is. The **serving
+//! thread** owns the runtime side (a [`RuntimeHandle`]) and runs the one
+//! serving loop, `serve`. The **[`Courier`]** is the agent's end: `post`
+//! hands over a request and returns at once with the call's deadline,
+//! `await_reply` waits for that call's answer until then; a call that
+//! misses its deadline stays *in flight*, and nothing more is posted until
+//! its late reply has turned up and been dropped by its number.
 //!
-//! Failure semantics mirror a real IPC transport: a pump that does not
-//! answer within the endpoint's timeout surfaces as
-//! [`AgentError::Timeout`], a dead pump as [`AgentError::Disconnected`],
-//! and a reply that does not match the request as an application-level
-//! [`AgentError::Command`]. For fault-injection testing,
-//! [`connect_chaotic`] runs the pump under a [`FaultPlan`] (delays, hangs,
-//! drops, error replies, wrong-variant replies, garbage stats); to add kill/revive
-//! semantics, wrap the agent side in a
-//! [`ChaosHandle`](crate::fault::ChaosHandle) with a
-//! [`KillSwitch`](crate::fault::KillSwitch) — the wrappers compose.
+//! Who owns the serving thread: [`connect`] spawns it (`<name>-endpoint`)
+//! over an `Arc<Runtime>` and its [`RuntimeSideEndpoint`] stops and joins
+//! it on drop — structurally the paper's setup, only the transport differs
+//! (see `DESIGN.md`). The [`AgentSideEndpoint`] holds the courier and
+//! gives it up when the agent manages it ([`RuntimeHandle::take_courier`]):
+//! a supervised call goes agent → `<name>-endpoint` → runtime, one thread
+//! and two wake-ups. Any other handle gets a detached `<name>-courier`
+//! thread from its [`SupervisedHandle`](crate::SupervisedHandle), running
+//! the same loop.
+//!
+//! Failure semantics mirror a real IPC transport: no answer by the
+//! deadline is [`AgentError::Timeout`], a serving thread that is gone (or
+//! whose handle panicked) [`AgentError::Disconnected`], a reply of the
+//! wrong kind an application-level [`AgentError::Command`]. Faults are
+//! injected behind the loop by the one injector: [`connect_chaotic`] is
+//! [`connect`] over a [`ChaosHandle`].
 
-use crate::chan::{self, Receiver, RecvTimeoutError, Sender};
-use crate::fault::{Fault, FaultPlan};
+use crate::chan::{self, Receiver, RecvTimeoutError, Sender, TryRecvError, TrySendError};
+use crate::fault::{ChaosHandle, FaultPlan};
+use crate::supervise::DetectorConfig;
 use crate::{AgentError, Result, RuntimeHandle};
 use coop_runtime::{Runtime, RuntimeStats, ThreadCommand};
+use coop_telemetry::sync::Mutex;
 use std::sync::Arc;
-use std::time::Duration;
-
-/// Default per-roundtrip timeout for [`connect`].
-pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(5);
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// Requests the agent sends to a runtime.
 #[derive(Debug, Clone)]
@@ -40,197 +46,226 @@ pub enum Request {
     GetStats,
     /// Apply a thread-control command.
     Apply(ThreadCommand),
-    /// Stop the endpoint pump (the runtime itself is not affected).
+    /// Stop the serving thread (the runtime itself is not affected).
     Close,
 }
 
-/// Responses a runtime sends back.
+/// What a runtime answers when the call went through.
 #[derive(Debug, Clone)]
-pub enum Response {
-    /// A statistics snapshot.
+pub enum Reply {
+    /// A statistics snapshot, to [`Request::GetStats`].
     Stats(RuntimeStats),
-    /// Command applied successfully.
-    Ok,
-    /// Command rejected.
-    Err(String),
+    /// Command applied, to [`Request::Apply`].
+    Done,
 }
 
-/// Agent-side endpoint; implements [`RuntimeHandle`] over the channel.
+impl Reply {
+    /// The snapshot, or an application-level error for the other reply.
+    pub(crate) fn into_stats(self, runtime: &str) -> Result<RuntimeStats> {
+        match self {
+            Reply::Stats(stats) => Ok(stats),
+            Reply::Done => Err(wrong_reply(runtime, "stats")),
+        }
+    }
+
+    /// `()`, or an application-level error for the other reply.
+    pub(crate) fn into_done(self, runtime: &str) -> Result<()> {
+        match self {
+            Reply::Done => Ok(()),
+            Reply::Stats(_) => Err(wrong_reply(runtime, "command")),
+        }
+    }
+}
+
+fn wrong_reply(runtime: &str, asked: &str) -> AgentError {
+    AgentError::Command {
+        runtime: runtime.to_string(),
+        reason: format!("the runtime side returned the wrong reply for {asked}"),
+    }
+}
+
+/// The one serving loop: answers each request with the call it names on
+/// `inner`, under the request's sequence number, until [`Request::Close`]
+/// or until either channel disconnects (dropping `inner`). A panic in
+/// `inner` drops both ends too, which the agent reads as `Disconnected`.
+fn serve(
+    inner: Box<dyn RuntimeHandle>,
+    requests: Receiver<(u64, Request)>,
+    replies: Sender<(u64, Result<Reply>)>,
+) {
+    while let Ok((seq, request)) = requests.recv() {
+        let reply = match request {
+            Request::GetStats => inner.stats().map(Reply::Stats),
+            Request::Apply(cmd) => inner.command(cmd).map(|()| Reply::Done),
+            Request::Close => break,
+        };
+        if replies.send((seq, reply)).is_err() {
+            break;
+        }
+    }
+}
+
+/// The agent's end of one runtime's channel pair (see the module docs).
+/// Opaque: made by [`connect`] or a [`SupervisedHandle`](crate::SupervisedHandle),
+/// it changes hands through [`RuntimeHandle::take_courier`].
+pub struct Courier {
+    name: String,
+    /// How long a call may take, from its post.
+    pub(crate) call_deadline: Duration,
+    req: Sender<(u64, Request)>,
+    resp: Receiver<(u64, Result<Reply>)>,
+    next_seq: u64,
+    /// Sequence number of a posted call whose reply has not been
+    /// received: the serving thread is (as far as the agent knows) still
+    /// inside it, and nothing more is posted until its reply turns up.
+    in_flight: Option<u64>,
+}
+
+impl Courier {
+    /// Spawns [`serve`] over `inner` on a thread called `<name>-<role>` and
+    /// returns the agent's end with that thread's handle, or
+    /// [`AgentError::Spawn`].
+    pub(crate) fn spawn(
+        role: &str,
+        inner: Box<dyn RuntimeHandle>,
+        call_deadline: Duration,
+    ) -> Result<(Courier, JoinHandle<()>)> {
+        let name = inner.name();
+        // One request at a time, and so never more than one unread reply.
+        let (req, requests) = chan::bounded(1);
+        let (replies, resp) = chan::bounded(1);
+        let thread = std::thread::Builder::new()
+            .name(format!("{name}-{role}"))
+            .spawn(move || serve(inner, requests, replies))
+            .map_err(|e| AgentError::Spawn {
+                runtime: name.clone(),
+                reason: e.to_string(),
+            })?;
+        let courier = Courier {
+            name,
+            call_deadline,
+            req,
+            resp,
+            next_seq: 0,
+            in_flight: None,
+        };
+        Ok((courier, thread))
+    }
+
+    /// First half of a call: hands `request` to the serving thread and
+    /// returns at once with the call's sequence number and deadline.
+    /// Fails without posting when that thread has died or is still inside
+    /// an earlier call.
+    pub(crate) fn post(&mut self, request: Request) -> Result<(u64, Instant)> {
+        // A call that timed out may have been answered since: its stale
+        // reply is dropped here and frees the courier.
+        while let Some(pending) = self.in_flight {
+            match self.resp.try_recv() {
+                Ok((got, _)) if got >= pending => self.in_flight = None,
+                Ok(_) => {}
+                // Still hung inside the runtime; do not pile up behind it.
+                Err(TryRecvError::Empty) => return Err(self.timed_out()),
+                Err(TryRecvError::Disconnected) => return Err(self.disconnected()),
+            }
+        }
+        let seq = self.next_seq;
+        match self.req.try_send((seq, request)) {
+            Ok(()) => {}
+            Err(TrySendError::Full) => return Err(self.timed_out()),
+            Err(TrySendError::Disconnected) => return Err(self.disconnected()),
+        }
+        self.next_seq += 1;
+        self.in_flight = Some(seq);
+        Ok((seq, Instant::now() + self.call_deadline))
+    }
+
+    /// Second half: waits until `deadline` for the reply to call `seq`.
+    /// A call that misses it stays in flight (see [`post`](Self::post)).
+    pub(crate) fn await_reply(&mut self, seq: u64, deadline: Instant) -> Result<Reply> {
+        loop {
+            match self.resp.recv_deadline(Some(deadline)) {
+                // Stale reply from a call that already timed out: discard.
+                Ok((got, _)) if got < seq => continue,
+                Ok((_, reply)) => {
+                    self.in_flight = None;
+                    return reply;
+                }
+                Err(RecvTimeoutError::Timeout) => return Err(self.timed_out()),
+                Err(RecvTimeoutError::Disconnected) => return Err(self.disconnected()),
+            }
+        }
+    }
+
+    fn timed_out(&self) -> AgentError {
+        AgentError::Timeout {
+            runtime: self.name.clone(),
+            deadline: self.call_deadline,
+        }
+    }
+
+    fn disconnected(&self) -> AgentError {
+        AgentError::Disconnected {
+            runtime: self.name.clone(),
+        }
+    }
+}
+
+/// Agent-side endpoint: a [`RuntimeHandle`] over the channel. Used bare, a
+/// call waits [`DetectorConfig::default`]'s `call_deadline`; managed by an
+/// agent, the supervised handle takes the courier and sets its own.
 pub struct AgentSideEndpoint {
     name: String,
-    req: Sender<Request>,
-    resp: Receiver<Response>,
-    timeout: Duration,
+    /// `None` once given up through [`RuntimeHandle::take_courier`].
+    courier: Mutex<Option<Courier>>,
 }
 
-/// Runtime-side endpoint pump handle; joins on drop.
+/// Runtime-side handle of the serving thread; stops and joins it on drop.
 pub struct RuntimeSideEndpoint {
-    req: Sender<Request>,
-    thread: Option<std::thread::JoinHandle<()>>,
+    req: Sender<(u64, Request)>,
+    thread: Option<JoinHandle<()>>,
 }
 
-/// Connects a runtime to a fresh channel pair and spawns the runtime-side
-/// pump thread, with the [`DEFAULT_TIMEOUT`] per roundtrip. Returns the
-/// agent-side handle and the pump handle (keep the latter alive for the
-/// duration of the session). Fails with [`AgentError::Spawn`] when the
-/// pump thread cannot be spawned.
+/// Connects a runtime to a fresh channel pair and spawns its serving
+/// thread. Returns the agent-side handle and the serving thread's handle
+/// (keep the latter alive for the duration of the session). Fails with
+/// [`AgentError::Spawn`] when the thread cannot be spawned.
 pub fn connect(runtime: Arc<Runtime>) -> Result<(AgentSideEndpoint, RuntimeSideEndpoint)> {
-    connect_with(runtime, DEFAULT_TIMEOUT, None)
+    connect_over(Box::new(runtime))
 }
 
-/// [`connect`] with a custom per-roundtrip timeout.
-pub fn connect_with_timeout(
-    runtime: Arc<Runtime>,
-    timeout: Duration,
-) -> Result<(AgentSideEndpoint, RuntimeSideEndpoint)> {
-    connect_with(runtime, timeout, None)
-}
-
-/// [`connect`] with a [`FaultPlan`] applied by the pump: each received
-/// request counts as one call; a faulting call is delayed, dropped
-/// (hang), answered wrongly, answered with an error, answered with
-/// corrupted stats, or kills the pump (disconnect), per the plan.
+/// [`connect`] with `plan` applied on the runtime side, by a
+/// [`ChaosHandle`]: each request served counts as one call.
+/// [`Request::Close`] is never faulted, so shutdown always works.
 pub fn connect_chaotic(
     runtime: Arc<Runtime>,
-    timeout: Duration,
     plan: FaultPlan,
 ) -> Result<(AgentSideEndpoint, RuntimeSideEndpoint)> {
-    connect_with(runtime, timeout, Some(plan))
+    connect_over(Box::new(ChaosHandle::new(Box::new(runtime), plan)))
 }
 
-fn connect_with(
-    runtime: Arc<Runtime>,
-    timeout: Duration,
-    plan: Option<FaultPlan>,
-) -> Result<(AgentSideEndpoint, RuntimeSideEndpoint)> {
-    let (req_tx, req_rx) = chan::bounded::<Request>(16);
-    let (resp_tx, resp_rx) = chan::bounded::<Response>(16);
-    let name = runtime.name().to_string();
-
-    let pump_runtime = Arc::clone(&runtime);
-    let thread = std::thread::Builder::new()
-        .name(format!("{name}-endpoint"))
-        .spawn(move || {
-            let mut call: u64 = 0;
-            // Last clean counters reported, for Garbage corruption.
-            let mut last_reported: (u64, u64) = (0, 0);
-            while let Ok(req) = req_rx.recv() {
-                let fault = match (&plan, &req) {
-                    // Close is control-plane: never faulted.
-                    (Some(p), Request::GetStats) | (Some(p), Request::Apply(_)) => {
-                        let f = p.fault_for(call).cloned();
-                        call += 1;
-                        f
-                    }
-                    _ => None,
-                };
-                match fault {
-                    Some(Fault::Delay(d)) => std::thread::sleep(d),
-                    Some(Fault::Hang(d)) => {
-                        // Swallow the request: the agent's deadline must
-                        // fire. The pump stays busy for the duration, as
-                        // a wedged runtime thread would.
-                        std::thread::sleep(d);
-                        continue;
-                    }
-                    Some(Fault::Disconnect) => break,
-                    _ => {}
-                }
-                let resp = match req {
-                    Request::GetStats => match fault {
-                        Some(Fault::Error) => {
-                            Response::Err("injected fault: error response".into())
-                        }
-                        Some(Fault::WrongResponse) => Response::Ok,
-                        Some(Fault::Garbage) => {
-                            let garbage_executed = last_reported.0 / 2;
-                            let garbage_uptime = last_reported.1 / 2;
-                            let mut stats = coop_runtime::Runtime::stats(&pump_runtime);
-                            stats.tasks_executed = garbage_executed;
-                            stats.uptime_us = garbage_uptime;
-                            last_reported = (garbage_executed, garbage_uptime);
-                            Response::Stats(stats)
-                        }
-                        _ => {
-                            let stats = coop_runtime::Runtime::stats(&pump_runtime);
-                            last_reported = (stats.tasks_executed, stats.uptime_us);
-                            Response::Stats(stats)
-                        }
-                    },
-                    Request::Apply(cmd) => match fault {
-                        Some(Fault::Error) => {
-                            Response::Err("injected fault: error response".into())
-                        }
-                        Some(Fault::WrongResponse) => {
-                            Response::Stats(coop_runtime::Runtime::stats(&pump_runtime))
-                        }
-                        // Garbage only corrupts stats; the command is applied.
-                        _ => match pump_runtime.control().apply(cmd) {
-                            Ok(()) => Response::Ok,
-                            Err(e) => Response::Err(e.to_string()),
-                        },
-                    },
-                    Request::Close => break,
-                };
-                if resp_tx.send(resp).is_err() {
-                    break;
-                }
-            }
-        })
-        .map_err(|e| AgentError::Spawn {
-            runtime: name.clone(),
-            reason: e.to_string(),
-        })?;
-
-    Ok((
-        AgentSideEndpoint {
-            name,
-            req: req_tx.clone(),
-            resp: resp_rx,
-            timeout,
-        },
-        RuntimeSideEndpoint {
-            req: req_tx,
-            thread: Some(thread),
-        },
-    ))
+fn connect_over(inner: Box<dyn RuntimeHandle>) -> Result<(AgentSideEndpoint, RuntimeSideEndpoint)> {
+    let name = inner.name();
+    let deadline = DetectorConfig::default().call_deadline;
+    let (courier, thread) = Courier::spawn("endpoint", inner, deadline)?;
+    let runtime_side = RuntimeSideEndpoint {
+        req: courier.req.clone(),
+        thread: Some(thread),
+    };
+    let agent_side = AgentSideEndpoint {
+        name,
+        courier: Mutex::new(Some(courier)),
+    };
+    Ok((agent_side, runtime_side))
 }
 
 impl AgentSideEndpoint {
-    /// The per-roundtrip timeout.
-    pub fn timeout(&self) -> Duration {
-        self.timeout
-    }
-
-    /// Changes the per-roundtrip timeout.
-    pub fn set_timeout(&mut self, timeout: Duration) {
-        self.timeout = timeout;
-    }
-
-    /// Builder-style [`AgentSideEndpoint::set_timeout`].
-    pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = timeout;
-        self
-    }
-
-    fn roundtrip(&self, req: Request) -> Result<Response> {
-        // A previous roundtrip may have timed out and its reply arrived
-        // late; drop any such stale responses so this request is not
-        // answered by the past.
-        while self.resp.try_recv().is_ok() {}
-        self.req.send(req).map_err(|_| AgentError::Disconnected {
+    fn call(&self, request: Request) -> Result<Reply> {
+        let mut guard = self.courier.lock();
+        let courier = guard.as_mut().ok_or_else(|| AgentError::Disconnected {
             runtime: self.name.clone(),
         })?;
-        match self.resp.recv_timeout(self.timeout) {
-            Ok(resp) => Ok(resp),
-            Err(RecvTimeoutError::Timeout) => Err(AgentError::Timeout {
-                runtime: self.name.clone(),
-                deadline: self.timeout,
-            }),
-            Err(RecvTimeoutError::Disconnected) => Err(AgentError::Disconnected {
-                runtime: self.name.clone(),
-            }),
-        }
+        let (seq, deadline) = courier.post(request)?;
+        courier.await_reply(seq, deadline)
     }
 }
 
@@ -240,33 +275,22 @@ impl RuntimeHandle for AgentSideEndpoint {
     }
 
     fn stats(&self) -> Result<RuntimeStats> {
-        match self.roundtrip(Request::GetStats)? {
-            Response::Stats(s) => Ok(s),
-            other => Err(AgentError::Command {
-                runtime: self.name.clone(),
-                reason: format!("unexpected response {other:?}"),
-            }),
-        }
+        self.call(Request::GetStats)?.into_stats(&self.name)
     }
 
     fn command(&self, cmd: ThreadCommand) -> Result<()> {
-        match self.roundtrip(Request::Apply(cmd))? {
-            Response::Ok => Ok(()),
-            Response::Err(e) => Err(AgentError::Command {
-                runtime: self.name.clone(),
-                reason: e,
-            }),
-            other => Err(AgentError::Command {
-                runtime: self.name.clone(),
-                reason: format!("unexpected response {other:?}"),
-            }),
-        }
+        self.call(Request::Apply(cmd))?.into_done(&self.name)
+    }
+
+    fn take_courier(&mut self) -> Option<Courier> {
+        self.courier.lock().take()
     }
 }
 
 impl Drop for RuntimeSideEndpoint {
     fn drop(&mut self) {
-        let _ = self.req.send(Request::Close);
+        // The number is never read: a `Close` gets no reply.
+        let _ = self.req.send((u64::MAX, Request::Close));
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -276,9 +300,18 @@ impl Drop for RuntimeSideEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::Fault;
+    use crate::supervise::{stats_all, SupervisedHandle, SupervisionConfig};
     use coop_runtime::RuntimeConfig;
     use numa_topology::presets::tiny;
-    use std::time::Instant;
+
+    /// `endpoint` the way an agent holds it: under a supervised handle
+    /// with `deadline` per call and no retries.
+    fn supervised(endpoint: AgentSideEndpoint, deadline: Duration) -> SupervisedHandle {
+        let mut config = SupervisionConfig::aggressive(deadline);
+        config.backoff.max_retries = 0;
+        SupervisedHandle::new(Box::new(endpoint), config)
+    }
 
     #[test]
     fn endpoint_round_trips_stats_and_commands() {
@@ -311,23 +344,11 @@ mod tests {
     }
 
     #[test]
-    fn timeout_is_configurable() {
-        let rt = Arc::new(Runtime::start(RuntimeConfig::new("cfg", tiny())).unwrap());
-        let (agent_side, _pump) =
-            connect_with_timeout(Arc::clone(&rt), Duration::from_millis(250)).unwrap();
-        assert_eq!(agent_side.timeout(), Duration::from_millis(250));
-        let agent_side = agent_side.with_timeout(Duration::from_millis(125));
-        assert_eq!(agent_side.timeout(), Duration::from_millis(125));
-        assert!(agent_side.stats().is_ok());
-        rt.shutdown();
-    }
-
-    #[test]
     fn hanging_pump_hits_deadline_not_deadlock() {
         let rt = Arc::new(Runtime::start(RuntimeConfig::new("hang", tiny())).unwrap());
         let plan = FaultPlan::new().inject(0..1, Fault::Hang(Duration::from_millis(150)));
-        let (agent_side, _pump) =
-            connect_chaotic(Arc::clone(&rt), Duration::from_millis(30), plan).unwrap();
+        let (agent_side, _pump) = connect_chaotic(Arc::clone(&rt), plan).unwrap();
+        let agent_side = supervised(agent_side, Duration::from_millis(30));
         let start = Instant::now();
         let err = agent_side.stats().unwrap_err();
         assert!(matches!(err, AgentError::Timeout { .. }), "{err}");
@@ -335,10 +356,44 @@ mod tests {
             start.elapsed() < Duration::from_millis(140),
             "the deadline must fire before the hang ends"
         );
-        // Once the pump drains the hang, fresh roundtrips work again (the
-        // hung request was swallowed, so no stale response can desync us).
+        // Once the pump is out of the hang, fresh roundtrips work again (the
+        // hung call's late answer is dropped by its number).
         std::thread::sleep(Duration::from_millis(200));
         assert!(agent_side.stats().is_ok());
+        rt.shutdown();
+    }
+
+    #[test]
+    fn a_late_reply_never_answers_a_later_call() {
+        let rt = Arc::new(Runtime::start(RuntimeConfig::new("late", tiny())).unwrap());
+        let plan = FaultPlan::new().inject(0..1, Fault::Delay(Duration::from_millis(100)));
+        let (agent_side, _pump) = connect_chaotic(Arc::clone(&rt), plan).unwrap();
+        let deadline = Duration::from_millis(30);
+        let agent_side = supervised(agent_side, deadline);
+        let err = agent_side.stats().unwrap_err();
+        assert!(matches!(err, AgentError::Timeout { .. }), "{err}");
+
+        // The delayed `Stats` reply lands inside the window a command sent
+        // now would wait in. Until it has, the command is not even posted
+        // (it fails at once); after, it gets its own answer, never that one.
+        std::thread::sleep(Duration::from_millis(55));
+        let give_up = Instant::now() + Duration::from_secs(10);
+        loop {
+            let started = Instant::now();
+            match agent_side.command(ThreadCommand::TotalThreads(2)) {
+                Ok(()) => break,
+                Err(AgentError::Timeout { .. }) => {
+                    assert!(started.elapsed() < deadline / 2, "must not wait again");
+                    assert!(Instant::now() < give_up, "the late reply never freed it");
+                    std::thread::yield_now();
+                }
+                Err(other) => panic!("answered by the late reply: {other}"),
+            }
+        }
+        assert!(rt
+            .control()
+            .wait_converged(Duration::from_secs(5), |run, _| run <= 2));
+        assert_eq!(agent_side.stats().unwrap().name, "late");
         rt.shutdown();
     }
 
@@ -362,8 +417,7 @@ mod tests {
     fn disconnect_fault_kills_the_pump() {
         let rt = Arc::new(Runtime::start(RuntimeConfig::new("dc", tiny())).unwrap());
         let plan = FaultPlan::new().inject(1.., Fault::Disconnect);
-        let (agent_side, _pump) =
-            connect_chaotic(Arc::clone(&rt), Duration::from_millis(500), plan).unwrap();
+        let (agent_side, _pump) = connect_chaotic(Arc::clone(&rt), plan).unwrap();
         assert!(agent_side.stats().is_ok(), "first call is clean");
         let err = agent_side.stats().unwrap_err();
         assert!(matches!(err, AgentError::Disconnected { .. }), "{err}");
@@ -371,24 +425,21 @@ mod tests {
     }
 
     #[test]
-    fn unexpected_response_variant_is_error_not_panic() {
+    fn wrong_response_fault_degenerates_to_error() {
         let rt = Arc::new(Runtime::start(RuntimeConfig::new("wrong", tiny())).unwrap());
         let plan = FaultPlan::new().inject(0..2, Fault::WrongResponse);
-        let (agent_side, _pump) =
-            connect_chaotic(Arc::clone(&rt), Duration::from_millis(500), plan).unwrap();
-        // GetStats answered with Ok: application-level error, not a panic.
-        let err = agent_side.stats().unwrap_err();
-        assert!(
-            matches!(err, AgentError::Command { ref reason, .. } if reason.contains("unexpected")),
-            "{err}"
-        );
-        // Apply answered with Stats: same.
-        let err = agent_side
-            .command(ThreadCommand::TotalThreads(2))
-            .unwrap_err();
-        assert!(
-            matches!(err, AgentError::Command { ref reason, .. } if reason.contains("unexpected")),
-            "{err}"
+        let (agent_side, _pump) = connect_chaotic(Arc::clone(&rt), plan).unwrap();
+        let injected = |err: AgentError| {
+            assert!(
+                matches!(err, AgentError::Command { ref reason, .. } if reason.contains("injected")),
+                "{err}"
+            );
+        };
+        injected(agent_side.stats().unwrap_err());
+        injected(
+            agent_side
+                .command(ThreadCommand::TotalThreads(2))
+                .unwrap_err(),
         );
         // The plan's window is over: clean calls again.
         assert!(agent_side.stats().is_ok());
@@ -396,11 +447,55 @@ mod tests {
     }
 
     #[test]
+    fn unexpected_response_variant_is_error_not_panic() {
+        // A runtime side that answers every request with the other reply.
+        let rt = Arc::new(Runtime::start(RuntimeConfig::new("contrary", tiny())).unwrap());
+        let stats = Runtime::stats(&rt);
+        let (req, requests) = chan::bounded::<(u64, Request)>(1);
+        let (replies, resp) = chan::bounded(1);
+        let contrary = std::thread::spawn(move || {
+            while let Ok((seq, request)) = requests.recv() {
+                let reply = match request {
+                    Request::GetStats => Reply::Done,
+                    _ => Reply::Stats(stats.clone()),
+                };
+                if replies.send((seq, Ok(reply))).is_err() {
+                    break;
+                }
+            }
+        });
+        let endpoint = AgentSideEndpoint {
+            name: "contrary".into(),
+            courier: Mutex::new(Some(Courier {
+                name: "contrary".into(),
+                call_deadline: Duration::from_secs(10),
+                req,
+                resp,
+                next_seq: 0,
+                in_flight: None,
+            })),
+        };
+        let handle = supervised(endpoint, Duration::from_secs(10));
+        let unexpected = |err: AgentError| {
+            assert!(
+                matches!(err, AgentError::Command { ref reason, .. } if reason.contains("wrong reply")),
+                "{err}"
+            );
+        };
+        unexpected(stats_all(&[&handle], false).pop().unwrap().unwrap_err());
+        unexpected(handle.command(ThreadCommand::TotalThreads(2)).unwrap_err());
+        // It answered, so it is alive: an application-level error.
+        assert_eq!(handle.health(), crate::Health::Healthy);
+        drop(handle);
+        contrary.join().expect("ends when the courier is dropped");
+        rt.shutdown();
+    }
+
+    #[test]
     fn error_fault_surfaces_as_command_error() {
         let rt = Arc::new(Runtime::start(RuntimeConfig::new("err", tiny())).unwrap());
         let plan = FaultPlan::new().inject(0..1, Fault::Error);
-        let (agent_side, _pump) =
-            connect_chaotic(Arc::clone(&rt), Duration::from_millis(500), plan).unwrap();
+        let (agent_side, _pump) = connect_chaotic(Arc::clone(&rt), plan).unwrap();
         let err = agent_side.stats().unwrap_err();
         assert!(matches!(err, AgentError::Command { .. }), "{err}");
         assert!(agent_side.stats().is_ok());
@@ -411,8 +506,7 @@ mod tests {
     fn garbage_fault_regresses_counters() {
         let rt = Arc::new(Runtime::start(RuntimeConfig::new("garb", tiny())).unwrap());
         let plan = FaultPlan::new().inject(1..2, Fault::Garbage);
-        let (agent_side, _pump) =
-            connect_chaotic(Arc::clone(&rt), Duration::from_millis(500), plan).unwrap();
+        let (agent_side, _pump) = connect_chaotic(Arc::clone(&rt), plan).unwrap();
         let clean = agent_side.stats().unwrap();
         let garbage = agent_side.stats().unwrap();
         assert!(

@@ -19,11 +19,18 @@
 //!
 //! # One call path: scatter, then gather
 //!
-//! Each supervised handle lazily spawns a courier thread that owns the
-//! inner handle, and a supervised call has two halves: `post` hands the
-//! request to the courier and returns at once with the call's deadline
-//! (post time + [`DetectorConfig::call_deadline`]); `await_reply` waits
-//! for the answer until that deadline. `call_all` is the only caller of
+//! Each supervised handle reaches its runtime through a [`Courier`] — the
+//! agent's end of [`proto`](crate::proto)'s one transport (messages,
+//! sequence numbers and the serving loop are described there, the waiting
+//! in `chan.rs`). Who owns the serving thread: a handle that is such a
+//! channel already (a [`proto::connect`](crate::proto::connect) endpoint)
+//! hands its courier over when it is wrapped, and the thread stays its
+//! `RuntimeSideEndpoint`'s; for any other handle the first call spawns a
+//! detached `<name>-courier` thread that owns the handle and serves it.
+//! A supervised call has two halves: `post` hands the request over and
+//! returns at once with the call's deadline (post time +
+//! [`DetectorConfig::call_deadline`]); `await_reply` waits for the answer
+//! until that deadline. `call_all` is the only caller of
 //! either: it posts one request to every handle of a phase, then gathers
 //! the replies **in the order the handles were given** (the agent's
 //! registry order) and feeds each attempt to that handle's health state
@@ -49,32 +56,16 @@
 //!   on *different* runtimes are concurrent.
 //!
 //! Deadlines are enforced even when the underlying handle *hangs*: the
-//! courier stays inside the inner call, the agent's wait ends at the
-//! deadline, and the handle remembers the call as in flight. Until its
-//! (stale) reply arrives every later call fails at once ("previous call
-//! still in flight") without being handed to the courier — nothing queues
-//! up behind a hang to be executed late, and a hung runtime costs later
-//! ticks nothing. If the inner handle *panics*, the courier dies and
+//! serving thread stays inside the inner call, the agent's wait ends at
+//! the deadline, and the courier remembers the call as in flight. Until
+//! its (stale) reply arrives every later call fails at once ("previous
+//! call still in flight") without being posted — nothing queues up behind
+//! a hang to be executed late, and a hung runtime costs later ticks
+//! nothing. If the inner handle *panics*, the serving thread dies and
 //! that call and every later one report `Disconnected` — a panic in one
 //! runtime's glue code cannot unwind into the agent loop.
-//!
-//! # The transport
-//!
-//! A handle and its courier exchange `(sequence number, request)` and
-//! `(sequence number, reply)` over two one-slot channels of the crate's
-//! own making (`chan.rs`: a bounded queue under a mutex and two condition
-//! variables). A supervised call is a hand-off to a thread that is asleep
-//! followed by a wait for that thread's answer, usually with both on one
-//! CPU, so what matters is how the waiting is done: a receiver with
-//! nothing to take parks at once (the thread holding its answer needs the
-//! CPU it would spin on), a sender unlocks before it wakes the receiver,
-//! and nobody is woken unless somebody waits. Dropping either end
-//! disconnects the other, also during a panic's unwinding: that is how a
-//! dead courier reads as `Disconnected` to a call already waiting, and
-//! how dropping the handle ends a parked courier (and, with it, the inner
-//! handle).
 
-use crate::chan::{self, Receiver, RecvTimeoutError, Sender, TryRecvError, TrySendError};
+use crate::proto::{Courier, Reply, Request};
 use crate::{AgentError, Result, RuntimeHandle, RuntimeStats, ThreadCommand};
 use coop_telemetry::sync::Mutex;
 use coop_telemetry::{ArgValue, Counter, Gauge, TelemetryHub, TrackId};
@@ -145,7 +136,8 @@ pub struct DetectorConfig {
     /// from `Suspected` or `Dead` (a single success recovers from
     /// `Degraded`).
     pub recovery_successes: u32,
-    /// Per-call deadline enforced by the courier thread.
+    /// Per-call deadline, counted from the post (a bare
+    /// [`proto`](crate::proto) endpoint waits the default's).
     pub call_deadline: Duration,
 }
 
@@ -340,35 +332,13 @@ impl HealthState {
     }
 }
 
-/// A call shipped to the courier thread.
-#[derive(Clone)]
-enum CallRequest {
-    Stats,
-    Command(ThreadCommand),
-}
-
-/// What the courier sends back.
-enum CallOutcome {
-    Stats(RuntimeStats),
-    Done,
-}
-
-struct Courier {
-    req: Sender<(u64, CallRequest)>,
-    resp: Receiver<(u64, Result<CallOutcome>)>,
-    next_seq: u64,
-    /// Sequence number of a posted call whose reply has not been
-    /// received: the courier is (as far as the agent knows) still inside
-    /// it, and nothing more is posted until its reply turns up.
-    in_flight: Option<u64>,
-}
-
 enum CourierState {
-    /// Not spawned yet; the inner handle waits here.
+    /// No serving thread yet; the inner handle waits here.
     Idle(Option<Box<dyn RuntimeHandle>>),
+    /// Adopted from the handle, or spawned over it by the first call.
     Running(Courier),
-    /// Spawning failed; the reason is replayed on every call.
-    Failed(String),
+    /// Spawning failed; the error is replayed on every call.
+    Failed(AgentError),
 }
 
 /// Telemetry handles resolved once per supervised runtime.
@@ -385,8 +355,8 @@ struct SupervisionTelemetry {
 /// state machine (see the module docs).
 ///
 /// [`Agent::manage`](crate::Agent::manage) wraps every handle in one of
-/// these automatically; construct one directly only to tune supervision
-/// per runtime via [`Agent::manage_supervised`](crate::Agent::manage_supervised).
+/// these automatically, with the configuration of
+/// [`Agent::set_supervision`](crate::Agent::set_supervision).
 pub struct SupervisedHandle {
     name: String,
     config: SupervisionConfig,
@@ -406,12 +376,21 @@ fn xorshift(state: &mut u64) -> u64 {
 }
 
 impl SupervisedHandle {
-    /// Wraps `inner` with the given supervision configuration. The
-    /// courier thread is spawned lazily on the first call, so
-    /// construction never fails; a failed spawn surfaces as
-    /// [`AgentError::Spawn`] from the call that needed it.
-    pub fn new(inner: Box<dyn RuntimeHandle>, config: SupervisionConfig) -> Self {
+    /// Wraps `inner` with the given supervision configuration. A handle
+    /// that is a channel already gives up its courier here
+    /// ([`RuntimeHandle::take_courier`]); for any other the courier thread
+    /// is spawned lazily on the first call, so construction never fails;
+    /// a failed spawn surfaces as [`AgentError::Spawn`] from the call that
+    /// needed it.
+    pub fn new(mut inner: Box<dyn RuntimeHandle>, config: SupervisionConfig) -> Self {
         let name = inner.name();
+        let courier = match inner.take_courier() {
+            Some(mut adopted) => {
+                adopted.call_deadline = config.detector.call_deadline;
+                CourierState::Running(adopted)
+            }
+            None => CourierState::Idle(Some(inner)),
+        };
         SupervisedHandle {
             // Derive a per-handle jitter seed from the name so two
             // handles retrying in lockstep de-synchronize.
@@ -422,7 +401,7 @@ impl SupervisedHandle {
             ),
             name,
             config,
-            courier: Mutex::new(CourierState::Idle(Some(inner))),
+            courier: Mutex::new(courier),
             state: Mutex::new(HealthState::default()),
             telemetry: Mutex::new(None),
         }
@@ -461,11 +440,6 @@ impl SupervisedHandle {
     /// ([`Health::Suspected`] or worse).
     pub fn is_quarantined(&self) -> bool {
         self.health() >= Health::Suspected
-    }
-
-    /// The supervision configuration this handle was built with.
-    pub fn config(&self) -> &SupervisionConfig {
-        &self.config
     }
 
     /// One un-retried stats round-trip feeding the health state machine —
@@ -538,84 +512,37 @@ impl SupervisedHandle {
         }
     }
 
-    /// First half of a supervised call: hands `request` to the courier
-    /// (spawned on first use) and returns at once with the call's
-    /// sequence number and deadline. Fails without posting when the
-    /// courier could not be spawned, has died, or is still inside an
-    /// earlier call. Does not touch the health state machine.
-    fn post(&self, request: CallRequest) -> Result<(u64, Instant)> {
+    /// First half of a supervised call ([`Courier::post`]), spawning the
+    /// courier thread on first use. Fails without posting when that thread
+    /// could not be spawned. Does not touch the health state machine.
+    fn post(&self, request: Request) -> Result<(u64, Instant)> {
         let mut guard = self.courier.lock();
         if let CourierState::Idle(inner) = &mut *guard {
             let inner = inner.take().expect("idle courier holds the handle");
-            *guard = match spawn_courier(&self.name, inner) {
-                Ok(courier) => CourierState::Running(courier),
-                Err(reason) => CourierState::Failed(reason),
+            // Never joined (a hung inner call would block the join forever):
+            // the thread ends, and drops `inner`, when this handle's drop
+            // disconnects the request channel — at once if it is parked,
+            // after the call it is inside otherwise.
+            let deadline = self.config.detector.call_deadline;
+            *guard = match Courier::spawn("courier", inner, deadline) {
+                Ok((courier, _detached)) => CourierState::Running(courier),
+                Err(e) => CourierState::Failed(e),
             };
         }
-        let courier = match &mut *guard {
-            CourierState::Running(c) => c,
-            CourierState::Failed(reason) => {
-                return Err(AgentError::Spawn {
-                    runtime: self.name.clone(),
-                    reason: reason.clone(),
-                })
-            }
+        match &mut *guard {
+            CourierState::Running(courier) => courier.post(request),
+            CourierState::Failed(e) => Err(e.clone()),
             CourierState::Idle(_) => unreachable!("courier spawned above"),
-        };
-        // A call that timed out may have been answered since: its stale
-        // reply is dropped here and frees the handle.
-        while let Some(pending) = courier.in_flight {
-            match courier.resp.try_recv() {
-                Ok((got, _)) if got >= pending => courier.in_flight = None,
-                Ok(_) => {}
-                // Still hung inside the runtime; do not pile up behind it.
-                Err(TryRecvError::Empty) => return Err(self.timed_out()),
-                Err(TryRecvError::Disconnected) => return Err(self.disconnected()),
-            }
         }
-        let seq = courier.next_seq;
-        match courier.req.try_send((seq, request)) {
-            Ok(()) => {}
-            Err(TrySendError::Full) => return Err(self.timed_out()),
-            Err(TrySendError::Disconnected) => return Err(self.disconnected()),
-        }
-        courier.next_seq += 1;
-        courier.in_flight = Some(seq);
-        Ok((seq, Instant::now() + self.config.detector.call_deadline))
     }
 
-    /// Second half: waits until `deadline` for the reply to call `seq`.
-    /// A call that misses it stays in flight (see [`post`](Self::post)).
-    fn await_reply(&self, seq: u64, deadline: Instant) -> Result<CallOutcome> {
+    /// Second half ([`Courier::await_reply`]).
+    fn await_reply(&self, seq: u64, deadline: Instant) -> Result<Reply> {
         let mut guard = self.courier.lock();
         let CourierState::Running(courier) = &mut *guard else {
             unreachable!("a call was posted, so the courier runs")
         };
-        loop {
-            match courier.resp.recv_deadline(Some(deadline)) {
-                // Stale reply from a call that already timed out: discard.
-                Ok((got, _)) if got < seq => continue,
-                Ok((_, outcome)) => {
-                    courier.in_flight = None;
-                    return outcome;
-                }
-                Err(RecvTimeoutError::Timeout) => return Err(self.timed_out()),
-                Err(RecvTimeoutError::Disconnected) => return Err(self.disconnected()),
-            }
-        }
-    }
-
-    fn timed_out(&self) -> AgentError {
-        AgentError::Timeout {
-            runtime: self.name.clone(),
-            deadline: self.config.detector.call_deadline,
-        }
-    }
-
-    fn disconnected(&self) -> AgentError {
-        AgentError::Disconnected {
-            runtime: self.name.clone(),
-        }
+        courier.await_reply(seq, deadline)
     }
 
     /// The jittered delay before retry number `retry` (0-based).
@@ -635,8 +562,8 @@ impl SupervisedHandle {
 ///
 /// A handle must appear at most once in `calls`: its request channel
 /// holds one call.
-fn call_all(calls: &[(&SupervisedHandle, CallRequest)], retry: bool) -> Vec<Result<CallOutcome>> {
-    let mut outcomes: Vec<Option<Result<CallOutcome>>> = calls.iter().map(|_| None).collect();
+fn call_all(calls: &[(&SupervisedHandle, Request)], retry: bool) -> Vec<Result<Reply>> {
+    let mut outcomes: Vec<Option<Result<Reply>>> = calls.iter().map(|_| None).collect();
     let mut round: Vec<usize> = (0..calls.len()).collect();
     let mut retries = 0u32;
     loop {
@@ -686,17 +613,11 @@ fn call_all(calls: &[(&SupervisedHandle, CallRequest)], retry: bool) -> Vec<Resu
 /// results are in `handles` order. `retry` off is the probe the agent
 /// sends to evicted runtimes.
 pub(crate) fn stats_all(handles: &[&SupervisedHandle], retry: bool) -> Vec<Result<RuntimeStats>> {
-    let calls: Vec<_> = handles.iter().map(|&h| (h, CallRequest::Stats)).collect();
+    let calls: Vec<_> = handles.iter().map(|&h| (h, Request::GetStats)).collect();
     call_all(&calls, retry)
         .into_iter()
         .zip(handles)
-        .map(|(outcome, h)| match outcome? {
-            CallOutcome::Stats(s) => Ok(s),
-            CallOutcome::Done => Err(AgentError::Command {
-                runtime: h.name.clone(),
-                reason: "courier returned the wrong outcome for stats".into(),
-            }),
-        })
+        .map(|(reply, h)| reply?.into_stats(&h.name))
         .collect()
 }
 
@@ -705,18 +626,12 @@ pub(crate) fn stats_all(handles: &[&SupervisedHandle], retry: bool) -> Vec<Resul
 pub(crate) fn command_all(commands: Vec<(&SupervisedHandle, ThreadCommand)>) -> Vec<Result<()>> {
     let calls: Vec<_> = commands
         .into_iter()
-        .map(|(h, cmd)| (h, CallRequest::Command(cmd)))
+        .map(|(h, cmd)| (h, Request::Apply(cmd)))
         .collect();
     call_all(&calls, true)
         .into_iter()
         .zip(&calls)
-        .map(|(outcome, (h, _))| match outcome? {
-            CallOutcome::Done => Ok(()),
-            CallOutcome::Stats(_) => Err(AgentError::Command {
-                runtime: h.name.clone(),
-                reason: "courier returned the wrong outcome for command".into(),
-            }),
-        })
+        .map(|(reply, (h, _))| reply?.into_done(&h.name))
         .collect()
 }
 
@@ -736,40 +651,6 @@ impl RuntimeHandle for SupervisedHandle {
             .pop()
             .expect("one outcome per command")
     }
-}
-
-/// Spawns the courier thread owning `inner`; returns an error string on
-/// spawn failure. The thread is never joined (a hung inner call would
-/// block the join forever): it ends, and drops `inner`, when the handle
-/// is dropped and the request channel disconnects with it — at once if
-/// the courier is parked, after the call it is inside otherwise.
-fn spawn_courier(
-    name: &str,
-    inner: Box<dyn RuntimeHandle>,
-) -> std::result::Result<Courier, String> {
-    // One request at a time, and so never more than one unread reply.
-    let (req_tx, req_rx) = chan::bounded::<(u64, CallRequest)>(1);
-    let (resp_tx, resp_rx) = chan::bounded::<(u64, Result<CallOutcome>)>(1);
-    std::thread::Builder::new()
-        .name(format!("{name}-courier"))
-        .spawn(move || {
-            while let Ok((seq, request)) = req_rx.recv() {
-                let outcome = match request {
-                    CallRequest::Stats => inner.stats().map(CallOutcome::Stats),
-                    CallRequest::Command(cmd) => inner.command(cmd).map(|()| CallOutcome::Done),
-                };
-                if resp_tx.send((seq, outcome)).is_err() {
-                    break;
-                }
-            }
-        })
-        .map_err(|e| e.to_string())?;
-    Ok(Courier {
-        req: req_tx,
-        resp: resp_rx,
-        next_seq: 0,
-        in_flight: None,
-    })
 }
 
 #[cfg(test)]
