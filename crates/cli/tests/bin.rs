@@ -82,7 +82,11 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// `drift` and `top --format prom` rows were taken again at the commit that
 /// deleted `--sim-threads`: each is its 685ff2c stdout less the thread-count
 /// echo (text and JSON member) and the two sharded-engine series, shown byte
-/// for byte before the digest was replaced. `scenario.json` is
+/// for byte before the digest was replaced. The two slice-engine `--fault …
+/// --format json` rows were taken again when sample midpoints came to be
+/// computed from ticks: their 6c06162 stdout with `times_s`' 0.005…02 →
+/// 0.005, 0.035 → 0.034…96 and 0.045…05 → 0.045 (last digit of a printed
+/// float, four apps each), shown byte-equal likewise. `scenario.json` is
 /// `simulate --write-template`'s output in the working directory.
 /// `hill`/`anneal` stay single-threaded here: two seeds racing one score
 /// cache move the printed hit counts by one under load. `help`, `chaos`,
@@ -113,13 +117,13 @@ const GOLDEN: &[(&str, u64)] = &[
     ("simulate --scenario scenario.json", 0x16d768a9efff4346),
     ("simulate --scenario scenario.json --fault 3:0.02", 0xee3430a60cb7f3f9),
     ("simulate --scenario scenario.json --format json", 0x2c9342db2d39fe70),
-    ("simulate --scenario scenario.json --fault 3:0.02 --format json", 0xaf1a3ccd73d1a3d6),
+    ("simulate --scenario scenario.json --fault 3:0.02 --format json", 0xec4c2b5334866522),
     ("simulate --scenario scenario.json --format prom", 0x0ff1d10491fa1fbf),
     ("simulate --scenario scenario.json --fault 3:0.02 --format prom", 0xa3fc182f9346c7a6),
     ("simulate --scenario scenario.json --engine slice", 0x16d768a9efff4346),
     ("simulate --scenario scenario.json --fault 3:0.02 --engine slice", 0xee3430a60cb7f3f9),
     ("simulate --scenario scenario.json --engine slice --format json", 0x2c9342db2d39fe70),
-    ("simulate --scenario scenario.json --fault 3:0.02 --engine slice --format json", 0xaf1a3ccd73d1a3d6),
+    ("simulate --scenario scenario.json --fault 3:0.02 --engine slice --format json", 0xec4c2b5334866522),
     ("simulate --scenario scenario.json --engine slice --format prom", 0x0ff1d10491fa1fbf),
     ("simulate --scenario scenario.json --fault 3:0.02 --engine slice --format prom", 0xa3fc182f9346c7a6),
     ("simulate --scenario scenario.json --engine event", 0x53fd783e3d102c0c),

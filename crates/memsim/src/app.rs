@@ -76,11 +76,10 @@ impl FromJson for ActivityPattern {
 
 impl ActivityPattern {
     /// Rejects patterns whose edges do not advance time. A zero, negative
-    /// or NaN period makes [`next_edge`] return its argument (or NaN), and
-    /// a burst or gap shorter than one [`Tick`](crate::event::Tick) advances
-    /// by less than the engines can resolve; either way the event engine
-    /// would fire one event per nanosecond tick — an effective hang from a
-    /// scenario file.
+    /// or NaN period has no cycle for [`next_edge`] to count, and a burst or
+    /// gap shorter than one [`Tick`](crate::event::Tick) advances by less
+    /// than the loop can resolve — one event per nanosecond tick, an
+    /// effective hang from a scenario file.
     ///
     /// [`next_edge`]: ActivityPattern::next_edge
     pub fn validate(&self) -> crate::Result<()> {
@@ -141,14 +140,20 @@ impl ActivityPattern {
         }
     }
 
-    /// The next instant strictly after `t` at which [`is_active`] changes
-    /// value, or `None` if the pattern never changes again. This is what
-    /// turns an activity pattern into discrete events: between consecutive
-    /// edges the active/idle state is constant, so the event engine only
-    /// re-arbitrates at edges.
+    /// The first instant at which [`is_active`] changes value whose
+    /// [`Tick`](crate::event::Tick) is after `t`'s, or `None` if the pattern
+    /// never changes again. This is what turns an activity pattern into
+    /// discrete events: between consecutive edges the active/idle state is
+    /// constant, so the simulator only re-arbitrates at edges. "After" is
+    /// decided in integer nanoseconds and a burst's edges are computed from
+    /// its cycle index, never from `t`'s float residue within the cycle: an
+    /// edge has one tick however it is reached, so walking a pattern edge by
+    /// edge skips none and repeats none a nanosecond later.
     ///
     /// [`is_active`]: ActivityPattern::is_active
     pub fn next_edge(&self, t: f64) -> Option<f64> {
+        let now = s_to_tick(t);
+        let later = |edge: &f64| s_to_tick(*edge) > now;
         match *self {
             ActivityPattern::AlwaysOn => None,
             ActivityPattern::Bursts {
@@ -160,25 +165,18 @@ impl ActivityPattern {
                 if !(0.0..1.0).contains(&duty) || duty == 0.0 {
                     return None;
                 }
-                let pos = (t - phase_s).rem_euclid(period_s);
-                let on_len = duty * period_s;
-                let next = if pos < on_len {
-                    t + (on_len - pos)
-                } else {
-                    t + (period_s - pos)
-                };
-                // Guard against `rem_euclid` landing exactly on the edge.
-                Some(if next > t { next } else { t + period_s })
+                // Rounding can put `cycle` one off in either direction, so
+                // the scan starts a cycle early.
+                let cycle = ((t - phase_s) / period_s).floor();
+                [cycle - 1.0, cycle, cycle + 1.0]
+                    .into_iter()
+                    .flat_map(|c| {
+                        let start = phase_s + c * period_s;
+                        [start, start + duty * period_s]
+                    })
+                    .find(later)
             }
-            ActivityPattern::Window { start_s, end_s } => {
-                if t < start_s {
-                    Some(start_s)
-                } else if t < end_s {
-                    Some(end_s)
-                } else {
-                    None
-                }
-            }
+            ActivityPattern::Window { start_s, end_s } => [start_s, end_s].into_iter().find(later),
         }
     }
 }
@@ -255,6 +253,7 @@ impl SimApp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::tick_to_s;
 
     #[test]
     fn always_on() {
@@ -336,6 +335,24 @@ mod tests {
             (t - 4.0).abs() < 1e-9,
             "8 edges of a 1s/0.25 cycle end at 4s, got {t}"
         );
+
+        // Walked the way the simulator walks it — each edge rounded to its
+        // tick and handed back — a burst whose residue lands on a period
+        // start loses no edge and gains no 1 ns twin: 4, 14, ... 94 ms.
+        let b = ActivityPattern::Bursts {
+            period_s: 0.02,
+            duty: 0.5,
+            phase_s: 0.004,
+        };
+        let mut ticks = Vec::new();
+        let mut now = 0;
+        while let Some(e) = b.next_edge(tick_to_s(now)).filter(|&e| e < 0.1) {
+            assert!(s_to_tick(e) > now, "edge {e} must advance past tick {now}");
+            now = s_to_tick(e);
+            ticks.push(now);
+        }
+        let expected: Vec<u64> = (0..10).map(|k| 4_000_000 + k * 10_000_000).collect();
+        assert_eq!(ticks, expected);
 
         // Degenerate duties never produce edges.
         for duty in [0.0, 1.0, 1.5] {

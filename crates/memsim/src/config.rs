@@ -90,22 +90,23 @@ impl Default for EffectModel {
     }
 }
 
-/// Which execution engine advances simulated time.
+/// Where the one time-advance loop ([`crate::event`]) cuts simulated time.
 ///
-/// `Slice` is the original fixed-quantum engine: every quantum re-arbitrates
-/// every node even when nothing changed, so cost scales with
-/// `duration / quantum` regardless of how eventful the scenario is. `Event`
-/// is the discrete-event engine: state changes (assignment edges, activity
-/// edges) become heap events, bandwidth is arbitrated once per inter-event
-/// segment and integrated analytically, so cost scales with the number of
-/// events. The two agree on scenarios without slice-coupled effects (see
+/// Every state change (assignment edge, activity edge) is a heap event and
+/// a cut; bandwidth is arbitrated once per segment between cuts and
+/// integrated analytically. `Event` cuts nowhere else, so cost scales with
+/// the number of events. `Slice` also cuts at every multiple of the
+/// quantum, so cost scales with `duration / quantum` however eventful the
+/// scenario is — for what only a grid provides: discrete round-robin
+/// time-slicing, a jitter draw per thread per quantum, windowed samples.
+/// The two agree to float rounding on scenarios without those effects (see
 /// `docs/performance.md`, "Fleet simulation").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineKind {
-    /// Fixed-quantum time-stepped execution (the original engine).
+    /// The event heap and the quantum grid.
     #[default]
     Slice,
-    /// Discrete-event execution over a deterministic global event heap.
+    /// The event heap alone (a deterministic global heap of wake-ups).
     Event,
 }
 
@@ -139,14 +140,15 @@ impl std::fmt::Display for EngineKind {
 pub struct SimConfig {
     /// The machine being simulated.
     pub machine: Machine,
-    /// Time quantum in seconds. Each quantum performs one bandwidth
-    /// arbitration. Default 1 ms.
+    /// Time quantum in seconds, at least 1 ns: the grid step of
+    /// [`EngineKind::Slice`], each quantum performing at least one
+    /// bandwidth arbitration. Default 1 ms.
     pub quantum_s: f64,
     /// Second-order effects.
     pub effects: EffectModel,
     /// Seed for the jitter stream (simulations are deterministic per seed).
     pub seed: u64,
-    /// Which execution engine to use (default [`EngineKind::Slice`]).
+    /// Where the loop cuts time (default [`EngineKind::Slice`]).
     pub engine: EngineKind,
 }
 

@@ -1,14 +1,15 @@
-//! The time-stepped execution engine.
+//! The simulator's front end and its physics.
 //!
-//! Each quantum: determine which threads are runnable (activity patterns +
-//! over-subscription time-slicing), compute each thread's compute capacity
-//! (peak x duty x switch loss x sync-overhead x jitter), derive its memory
-//! demand, arbitrate every node's bandwidth (remote-first, then baseline +
-//! proportional remainder — the same two-phase rule as the analytic model,
-//! but per-thread and with the effect model applied), and bank the
-//! resulting floating-point work.
+//! [`Simulation`] validates a run and hands it to the one time-advance loop
+//! in [`crate::event`]; [`compute_rates`] is what that loop evaluates once
+//! per segment: which threads are runnable (activity patterns +
+//! over-subscription time-slicing), each thread's compute capacity (peak x
+//! duty x switch loss x sync-overhead x jitter) and memory demand, and every
+//! node's bandwidth arbitration (remote-first, then baseline + proportional
+//! remainder — the same two-phase rule as the analytic model, but per-thread
+//! and with the effect model applied).
 
-use crate::event::{run_dynamic_event, EventRun};
+use crate::event::{advance_time, s_to_tick, EventRun};
 use crate::result::AppSeries;
 use crate::{EngineKind, EventLog, SimApp, SimConfig, SimError, SimResult};
 use coop_alloc::rng::StdRng;
@@ -20,9 +21,6 @@ use numa_topology::{Machine, NodeId};
 use roofline_numa::{DataPlacement, ThreadAssignment};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-
-/// How many quanta are aggregated into one timeline sample.
-const SAMPLE_EVERY: usize = 10;
 
 /// Synthetic epoch tasks draw ids from one process-wide counter: every
 /// simulation run on a hub shares the deduplicated "memsim" track, so ids
@@ -134,11 +132,6 @@ impl SimTelemetry {
 
     fn shard(&self) -> usize {
         self.series.track.0 as usize
-    }
-
-    /// Books one round-robin rotation of `node`'s over-subscribed cores.
-    pub(crate) fn record_rotation(&self, node: usize) {
-        self.series.rotations[node].inc();
     }
 
     pub(crate) fn record_assignment_switch(&self, t_s: f64, sched_idx: usize) {
@@ -350,30 +343,22 @@ impl Simulation {
     /// the mechanism for the paper's dynamic-reallocation scenarios
     /// (library bursts, agent repartitioning).
     ///
-    /// Dispatches on [`SimConfig::engine`]: the slice-stepped engine below,
-    /// or the discrete-event engine in [`crate::event`].
+    /// [`SimConfig::engine`] chooses where the one loop ([`crate::event`])
+    /// cuts time: at every quantum and every edge, or at edges only.
     pub fn run_dynamic(
         &self,
         apps: &[SimApp],
         schedule: &[(f64, ThreadAssignment)],
         duration_s: f64,
     ) -> crate::Result<SimResult> {
-        match self.config.engine {
-            EngineKind::Slice => {
-                self.run_dynamic_slice(apps, schedule, duration_s, &mut RateScratch::default())
-            }
-            EngineKind::Event => self
-                .run_logged(apps, schedule, duration_s)
-                .map(|(result, _log)| result),
-        }
+        self.run_detailed(apps, schedule, duration_s, self.config.engine)
+            .map(|(result, _log)| result)
     }
 
     /// [`run_dynamic`](Simulation::run_dynamic) for a caller that performs
     /// many back-to-back runs and reads only each one's totals (the
-    /// supervisor's decision ticks): they are left in `run`. The event
-    /// engine fills them in the caller's buffers and allocates nothing once
-    /// those have their size; the slice engine builds its [`SimResult`],
-    /// and the totals are read off it.
+    /// supervisor's decision ticks): they are left in `run`, whose buffers
+    /// every run reuses, so a steady-state run allocates nothing.
     pub(crate) fn run_totals(
         &self,
         apps: &[SimApp],
@@ -381,22 +366,11 @@ impl Simulation {
         duration_s: f64,
         run: &mut EventRun,
     ) -> crate::Result<()> {
-        let result = match self.config.engine {
-            EngineKind::Event => {
-                return run_dynamic_event(self, apps, schedule, duration_s, run, None);
-            }
-            EngineKind::Slice => {
-                self.run_dynamic_slice(apps, schedule, duration_s, &mut run.rates)?
-            }
-        };
-        run.duration_s = result.duration_s;
-        run.gflop_done = result.apps.iter().map(|a| a.gflop_done).collect();
-        run.node_avg_gbs = result.node_avg_gbs;
-        run.node_utilization = result.node_utilization;
-        Ok(())
+        let cuts = self.config.engine;
+        advance_time(self, apps, schedule, duration_s, cuts, run, None)
     }
 
-    /// Runs on the discrete-event engine regardless of the configured
+    /// Runs with [`EngineKind::Event`]'s cuts regardless of the configured
     /// [`EngineKind`], returning the result together with the processed
     /// event log (for determinism checks and events/sec accounting).
     pub fn run_logged(
@@ -405,6 +379,17 @@ impl Simulation {
         schedule: &[(f64, ThreadAssignment)],
         duration_s: f64,
     ) -> crate::Result<(SimResult, EventLog)> {
+        self.run_detailed(apps, schedule, duration_s, EngineKind::Event)
+    }
+
+    /// One run cut as `cuts` says, with its sampled series and event log.
+    fn run_detailed(
+        &self,
+        apps: &[SimApp],
+        schedule: &[(f64, ThreadAssignment)],
+        duration_s: f64,
+        cuts: EngineKind,
+    ) -> crate::Result<(SimResult, EventLog)> {
         let mut run = EventRun::default();
         let mut series: Vec<AppSeries> = apps.iter().map(|a| AppSeries::empty(a.name())).collect();
         let mut log = EventLog {
@@ -412,7 +397,7 @@ impl Simulation {
             ..EventLog::default()
         };
         let detail = Some((&mut series, &mut log));
-        run_dynamic_event(self, apps, schedule, duration_s, &mut run, detail)?;
+        advance_time(self, apps, schedule, duration_s, cuts, &mut run, detail)?;
         for (s, &done) in series.iter_mut().zip(&run.gflop_done) {
             s.gflop_done = done;
         }
@@ -428,7 +413,7 @@ impl Simulation {
         ))
     }
 
-    /// Shared input validation for both engines.
+    /// Input validation, the same whichever way the loop cuts time.
     pub(crate) fn validate_run(
         &self,
         apps: &[SimApp],
@@ -442,9 +427,10 @@ impl Simulation {
                 reason: "duration must be positive and finite",
             });
         }
-        if dt <= 0.0 || !dt.is_finite() {
+        // The quantum is a grid step in ticks: it may not round to zero.
+        if !dt.is_finite() || s_to_tick(dt) < 1 {
             return Err(SimError::BadTime {
-                reason: "quantum must be positive and finite",
+                reason: "quantum must be finite and at least 1 ns",
             });
         }
         if schedule.is_empty() {
@@ -460,140 +446,6 @@ impl Simulation {
             self.validate_assignment(apps.len(), a)?;
         }
         Ok(())
-    }
-
-    fn run_dynamic_slice(
-        &self,
-        apps: &[SimApp],
-        schedule: &[(f64, ThreadAssignment)],
-        duration_s: f64,
-        scratch: &mut RateScratch,
-    ) -> crate::Result<SimResult> {
-        self.validate_run(apps, schedule, duration_s)?;
-        let machine = &self.config.machine;
-        let effects = &self.config.effects;
-        let dt = self.config.quantum_s;
-
-        let num_nodes = machine.num_nodes();
-        let peak = machine.core_peak_gflops();
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
-
-        let steps = (duration_s / dt).ceil() as usize;
-        let mut gflop_done = vec![0.0f64; apps.len()];
-        let mut sample_acc = vec![0.0f64; apps.len()];
-        let mut series: Vec<AppSeries> = apps.iter().map(|a| AppSeries::empty(a.name())).collect();
-        let mut node_gbs_acc = vec![0.0f64; num_nodes];
-        let mut node_window_acc = vec![0.0f64; num_nodes];
-        let tel = self.run_telemetry();
-
-        let mut sched_idx = 0usize;
-        let mut applied_idx = usize::MAX;
-        let mut threads: Vec<Thread> = Vec::new();
-        let mut tracer = EpochTracer::default();
-        tracer.reset(apps.len());
-        // Rotating round-robin offsets for discrete time-slicing.
-        let mut rr_offset = vec![0usize; num_nodes];
-
-        for step in 0..steps {
-            let t = step as f64 * dt;
-            // Advance the schedule.
-            while sched_idx + 1 < schedule.len() && schedule[sched_idx + 1].0 <= t {
-                sched_idx += 1;
-            }
-            if sched_idx != applied_idx {
-                expand_threads(&schedule[sched_idx].1, num_nodes, &mut threads);
-                // The first application is the initial assignment, not a
-                // switch; every later change is a reallocation event.
-                if applied_idx != usize::MAX {
-                    if let Some(tel) = &tel {
-                        tel.record_assignment_switch(t, sched_idx);
-                    }
-                }
-                if self.tracing {
-                    if let Some(tel) = &tel {
-                        tracer.on_assignment(tel, t, sched_idx, &schedule[sched_idx].1, apps);
-                    }
-                }
-                applied_idx = sched_idx;
-            }
-
-            // Arbitrate this quantum. Activity is classified at the quantum
-            // *midpoint* — the same rule the event engine applies to its
-            // segments: a quantum is active iff its interior is, so edges
-            // that land exactly on a quantum boundary never hinge on float
-            // residue, and off-boundary edges round to the nearest quantum.
-            compute_rates(
-                machine,
-                effects,
-                peak,
-                apps,
-                &threads,
-                t + 0.5 * dt,
-                effects.discrete_timeslice,
-                &mut rng,
-                &mut rr_offset,
-                tel.as_ref(),
-                scratch,
-            );
-            #[allow(clippy::needless_range_loop)] // node is also a semantic id here
-            for target in 0..num_nodes {
-                node_gbs_acc[target] += scratch.node_served[target] * dt;
-                node_window_acc[target] += scratch.node_served[target] * dt;
-            }
-
-            // Bank the work.
-            for (i, th) in threads.iter().enumerate() {
-                if scratch.cap[i] == 0.0 {
-                    continue;
-                }
-                let gflops = (apps[th.app].spec.ai * scratch.granted[i]).min(scratch.cap[i]);
-                gflop_done[th.app] += gflops * dt;
-                sample_acc[th.app] += gflops * dt;
-            }
-
-            // Timeline sampling.
-            if (step + 1) % SAMPLE_EVERY == 0 || step + 1 == steps {
-                let window = ((step % SAMPLE_EVERY) + 1) as f64 * dt;
-                let mid = t + dt - window / 2.0;
-                for (a, s) in series.iter_mut().enumerate() {
-                    s.times_s.push(mid);
-                    s.gflops_series.push(sample_acc[a] / window);
-                    sample_acc[a] = 0.0;
-                }
-                #[allow(clippy::needless_range_loop)] // node is also a semantic id here
-                for node in 0..num_nodes {
-                    if let Some(tel) = &tel {
-                        let gbs = node_window_acc[node] / window;
-                        let util = gbs / machine.node(NodeId(node)).bandwidth_gbs;
-                        tel.record_bandwidth_sample(node, mid, gbs, util);
-                    }
-                    node_window_acc[node] = 0.0;
-                }
-            }
-        }
-
-        let sim_time = steps as f64 * dt;
-        for (a, s) in series.iter_mut().enumerate() {
-            s.gflop_done = gflop_done[a];
-        }
-        let node_avg_gbs: Vec<f64> = node_gbs_acc.iter().map(|&g| g / sim_time).collect();
-        let node_utilization: Vec<f64> = node_avg_gbs
-            .iter()
-            .enumerate()
-            .map(|(n, &g)| g / machine.node(NodeId(n)).bandwidth_gbs)
-            .collect();
-        if let Some(tel) = &tel {
-            tracer.finish(tel, sim_time);
-            tel.record_run_summary(&node_avg_gbs, &node_utilization);
-        }
-
-        Ok(SimResult {
-            machine: machine.name().to_string(),
-            duration_s: sim_time,
-            apps: series,
-            node_avg_gbs,
-            node_utilization,
-        })
     }
 
     fn validate_assignment(
@@ -698,6 +550,26 @@ impl RateScratch {
         self.node_served.clear();
         self.node_served.resize(num_nodes, 0.0);
         self.node_tmp.reset(num_apps, num_nodes);
+    }
+
+    /// Ends a quantum of discrete time-slicing: every node the last
+    /// arbitration found over-subscribed hands its cores to the next
+    /// `cores` runnable threads — one OS-scheduler context switch on them.
+    pub(crate) fn rotate(
+        &self,
+        machine: &Machine,
+        rr_offset: &mut [usize],
+        tel: Option<&SimTelemetry>,
+    ) {
+        for (node, &runnable) in self.runnable_per_node.iter().enumerate() {
+            let cores = machine.node(NodeId(node)).num_cores();
+            if runnable > cores {
+                rr_offset[node] = (rr_offset[node] + cores) % runnable;
+                if let Some(tel) = tel {
+                    tel.series.rotations[node].inc();
+                }
+            }
+        }
     }
 }
 
@@ -809,13 +681,14 @@ fn for_each_demand(app: &SimApp, home: NodeId, cap: f64, mut emit: impl FnMut(us
 /// plus proportional remainder, with the saturation efficiency on streaming
 /// threads). Results land in `s.cap`, `s.granted` and `s.node_served`.
 ///
-/// This is the one copy of the physics: the slice engine calls it once per
-/// quantum, the event engine once per inter-event segment. `discrete`
-/// selects round-robin time-slicing (the slice engine passes the effect
-/// model's flag; the event engine always passes `false` and models
-/// over-subscription as continuous fair shares, which the discrete mode
-/// matches in long-run throughput).
-#[allow(clippy::too_many_arguments)] // one bundle of parallel state, called from two engines
+/// This is the one copy of the physics, evaluated once per segment: a whole
+/// quantum, or a part of one when an off-grid edge splits it — which costs
+/// that one extra arbitration (and its jitter draws) and nothing else.
+/// `discrete` selects round-robin time-slicing under `rr_offset`, which
+/// only [`RateScratch::rotate`] moves (once per quantum); otherwise
+/// over-subscription is continuous fair shares, which the discrete mode
+/// matches in long-run throughput.
+#[allow(clippy::too_many_arguments)] // one bundle of parallel state
 pub(crate) fn compute_rates(
     machine: &Machine,
     effects: &crate::EffectModel,
@@ -825,13 +698,12 @@ pub(crate) fn compute_rates(
     t: f64,
     discrete: bool,
     rng: &mut StdRng,
-    rr_offset: &mut [usize],
-    tel: Option<&SimTelemetry>,
+    rr_offset: &[usize],
     s: &mut RateScratch,
 ) {
     let num_nodes = machine.num_nodes();
     rates_prologue(
-        machine, effects, peak, apps, threads, t, discrete, rng, rr_offset, tel, s,
+        machine, effects, peak, apps, threads, t, discrete, rng, rr_offset, s,
     );
 
     s.demand.build(apps, threads, &s.cap, num_nodes);
@@ -870,8 +742,7 @@ fn rates_prologue(
     t: f64,
     discrete: bool,
     rng: &mut StdRng,
-    rr_offset: &mut [usize],
-    tel: Option<&SimTelemetry>,
+    rr_offset: &[usize],
     s: &mut RateScratch,
 ) {
     let num_nodes = machine.num_nodes();
@@ -891,7 +762,7 @@ fn rates_prologue(
     }
 
     // Discrete time-slicing: pick which runnable threads hold a core this
-    // quantum (a rotating window per node).
+    // quantum (a window per node, rotated by `RateScratch::rotate`).
     if discrete {
         #[allow(clippy::needless_range_loop)] // indexes three parallel structures
         for node in 0..num_nodes {
@@ -910,12 +781,6 @@ fn rates_prologue(
                     let slot =
                         (pos + runnable.len() - rr_offset[node] % runnable.len()) % runnable.len();
                     s.on_core[i] = slot < cores;
-                }
-                rr_offset[node] = (rr_offset[node] + cores) % runnable.len();
-                // One rotated quantum = one OS-scheduler context switch on
-                // this node's cores.
-                if let Some(tel) = tel {
-                    tel.record_rotation(node);
                 }
             }
         }
@@ -1094,10 +959,10 @@ fn arbitrate_node(
     served_total
 }
 
-/// Synthetic causal-span bookkeeping shared by both engines: per app, the
-/// open epoch's (task id, dominant node) and the causal-tree root (first
-/// epoch's id). Each assignment epoch becomes a traced task in the shared
-/// hop schema, spawned by the app's previous epoch.
+/// Synthetic causal-span bookkeeping: per app, the open epoch's (task id,
+/// dominant node) and the causal-tree root (first epoch's id). Each
+/// assignment epoch becomes a traced task in the shared hop schema, spawned
+/// by the app's previous epoch.
 #[derive(Default)]
 pub(crate) struct EpochTracer {
     tasks: Vec<Option<(u64, Option<u64>)>>,
@@ -1425,6 +1290,22 @@ mod tests {
             bad_q.run(&apps, &assignment, 1.0),
             Err(SimError::BadTime { .. })
         ));
+        // A quantum that rounds to zero ticks would be a zero grid step.
+        for engine in [EngineKind::Slice, EngineKind::Event] {
+            let sub_tick = Simulation::new(
+                SimConfig::new(tiny())
+                    .with_effects(EffectModel::ideal())
+                    .with_quantum(4e-10)
+                    .with_engine(engine),
+            );
+            assert!(
+                matches!(
+                    sub_tick.run(&apps, &assignment, 1e-6),
+                    Err(SimError::BadTime { .. })
+                ),
+                "{engine}"
+            );
+        }
     }
 
     /// Patterns whose edges would not advance time (a per-nanosecond event
@@ -1635,13 +1516,23 @@ mod tests {
         effects.discrete_timeslice = true;
         let sim = Simulation::new(SimConfig::new(machine.clone()).with_effects(effects))
             .with_telemetry(Arc::clone(&hub));
-        let apps = vec![SimApp::numa_local("m", 0.25), SimApp::numa_local("n", 0.25)];
+        // A third app without threads, whose off-grid window splits two
+        // quanta in two segments each.
+        let apps = vec![
+            SimApp::numa_local("m", 0.25),
+            SimApp::numa_local("n", 0.25),
+            SimApp::numa_local("idle", 0.25).with_activity(ActivityPattern::Window {
+                start_s: 0.0105,
+                end_s: 0.0203,
+            }),
+        ];
         // 2x oversubscribed: every quantum rotates the run queue.
-        let oversub = ThreadAssignment::from_matrix(vec![vec![2, 2], vec![2, 2]]);
+        let oversub = ThreadAssignment::from_matrix(vec![vec![2, 2], vec![2, 2], vec![0, 0]]);
         sim.run(&apps, &oversub, 0.05).unwrap();
-        assert!(
-            hub.registry().counter_total("memsim_sched_switches_total") > 0,
-            "round-robin rotations must be counted"
+        assert_eq!(
+            hub.registry().counter_total("memsim_sched_switches_total"),
+            2 * 50,
+            "one rotation per node per quantum, however many segments it has"
         );
     }
 
@@ -1935,7 +1826,7 @@ mod dense_reference {
     ) -> [Vec<f64>; 4] {
         let num_nodes = machine.num_nodes();
         let mut s = RateScratch::default();
-        let mut rr_offset = vec![0usize; num_nodes];
+        let rr_offset = vec![0usize; num_nodes];
         rates_prologue(
             machine,
             effects,
@@ -1945,8 +1836,7 @@ mod dense_reference {
             t,
             false,
             rng,
-            &mut rr_offset,
-            None,
+            &rr_offset,
             &mut s,
         );
         let mut demand_to = vec![0.0f64; threads.len() * num_nodes];
@@ -2093,8 +1983,7 @@ mod dense_reference {
                     0.5,
                     false,
                     &mut StdRng::seed_from_u64(case),
-                    &mut vec![0usize; machine.num_nodes()],
-                    None,
+                    &vec![0usize; machine.num_nodes()],
                     &mut s,
                 );
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();

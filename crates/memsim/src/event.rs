@@ -1,16 +1,20 @@
-//! The discrete-event execution engine.
+//! The time-advance loop.
 //!
-//! Where the slice engine re-arbitrates every node every quantum, this
-//! engine only recomputes state when something *happens*: the simulated
-//! fleet is decomposed into [`Component`]s — applications (activity
-//! edges) and the supervising agent (assignment edges) — and a global
-//! min-heap orders their wake-ups. Between consecutive events every rate
-//! in the system is constant, so bandwidth contention is arbitrated once
-//! per segment (with the exact same two-phase physics as the slice
-//! engine, see `engine::compute_rates`) and work is integrated
-//! analytically as `rate × Δt`. Cost scales with the number of events,
-//! not with `duration / quantum` — which is what makes 5k-runtime ×
-//! 256-node fleet scenarios tractable (see `docs/performance.md`).
+//! The simulated fleet is decomposed into [`Component`]s — applications
+//! (activity edges) and the supervising agent (assignment edges) — and a
+//! global min-heap orders their wake-ups. Between consecutive events every
+//! rate in the system is constant, so bandwidth contention is arbitrated
+//! once per segment (`engine::compute_rates`) and work is integrated
+//! analytically as `rate × Δt`. The heap is one of two cut sources: under
+//! [`EngineKind::Slice`] a segment also ends at every multiple of the
+//! quantum (discrete round-robin time-slicing, a jitter draw per thread per
+//! quantum and windowed samples need that grid) and a run costs `duration /
+//! quantum` arbitrations; under [`EngineKind::Event`] cost scales with the
+//! number of events, which is what makes 5k-runtime × 256-node fleets
+//! tractable (see `docs/performance.md`). Either way a segment's activity
+//! is classified at its midpoint, never by component state, so an edge the
+//! heap missed costs the grid a quantum of rounding and the event cuts a
+//! whole segment: `tests/engine_agreement.rs` holds the two to 1e-9.
 //!
 //! # Determinism
 //!
@@ -21,7 +25,7 @@
 
 use crate::engine::{compute_rates, expand_threads, EpochTracer, RateScratch, Thread};
 use crate::result::AppSeries;
-use crate::{SimApp, Simulation};
+use crate::{EngineKind, SimApp, Simulation};
 use coop_alloc::rng::{splitmix64, StdRng};
 use coop_telemetry::json::{self, FromJson, ToJson, Value};
 use coop_telemetry::{json_struct, json_write};
@@ -178,8 +182,8 @@ pub struct EventLog {
     /// Processed events in pop order.
     pub events: Vec<SimEvent>,
     /// Number of constant-rate segments integrated (arbitrations
-    /// performed). The slice engine would have performed
-    /// `duration / quantum` of these.
+    /// performed): with the quantum grid as a cut source, at least
+    /// `duration / quantum` of them.
     pub segments: u64,
 }
 
@@ -255,8 +259,7 @@ impl Component for AppComponent {
 }
 
 /// The supervising agent: wakes at every dynamic-schedule entry and moves
-/// the applied-assignment index forward (the same semantics as the slice
-/// engine's per-quantum schedule scan).
+/// the applied-assignment index forward.
 #[derive(Default)]
 pub(crate) struct AgentComponent {
     times: Vec<Tick>,
@@ -288,7 +291,7 @@ impl Component for AgentComponent {
     }
 }
 
-/// The event engine's per-run state, kept by the caller: a supervised
+/// The loop's per-run state, kept by the caller: a supervised
 /// session hands the same value to every decision tick, so a steady-state
 /// tick re-seeds the components and vectors of the previous one and
 /// allocates nothing. What the last run delivered in total stays behind.
@@ -303,8 +306,10 @@ pub(crate) struct EventRun {
     tracer: EpochTracer,
     rr_offset: Vec<usize>,
     app_rate: Vec<f64>,
-    /// The arbitration buffers (also of a session on the slice engine).
-    pub(crate) rates: RateScratch,
+    /// Per app (GFLOP) and per node (GB): banked in the open sample window.
+    window_gflop: Vec<f64>,
+    window_gb: Vec<f64>,
+    rates: RateScratch,
     /// Simulated duration of the last run, seconds.
     pub(crate) duration_s: f64,
     /// Per app: floating-point work the last run completed, GFLOP.
@@ -322,15 +327,26 @@ impl EventRun {
     }
 }
 
-/// The discrete-event time-advance loop: same inputs as the slice engine.
-/// The run's totals land in `run`; the sampled per-app series and the
-/// processed [`EventLog`] are recorded only for a caller that passes them
-/// (one empty series per app) as `detail`.
-pub(crate) fn run_dynamic_event(
+/// Refills `v` with `len` zeros, keeping its allocation.
+fn zeroed<T: Clone + Default>(v: &mut Vec<T>, len: usize) {
+    v.clear();
+    v.resize(len, T::default());
+}
+
+/// How many quanta [`EngineKind::Slice`] aggregates into one timeline sample.
+const SAMPLE_EVERY: u64 = 10;
+
+/// The time-advance loop. `cuts` names its cut sources: the event heap
+/// alone, or the heap and the quantum grid (the run then lasts
+/// `⌈duration / quantum⌉` quanta). The run's totals land in `run`; the
+/// sampled per-app series and the processed [`EventLog`] are recorded only
+/// for a caller that passes them (one empty series per app) as `detail`.
+pub(crate) fn advance_time(
     sim: &Simulation,
     apps: &[SimApp],
     schedule: &[(f64, ThreadAssignment)],
     duration_s: f64,
+    cuts: EngineKind,
     run: &mut EventRun,
     mut detail: Option<(&mut Vec<AppSeries>, &mut EventLog)>,
 ) -> crate::Result<()> {
@@ -339,7 +355,17 @@ pub(crate) fn run_dynamic_event(
     let effects = &sim.config.effects;
     let num_nodes = machine.num_nodes();
     let peak = machine.core_peak_gflops();
-    let end = s_to_tick(duration_s).max(1);
+    let quantum = (cuts == EngineKind::Slice).then(|| s_to_tick(sim.config.quantum_s));
+    let window = quantum.map(|q| q.saturating_mul(SAMPLE_EVERY));
+    let end = match quantum {
+        Some(q) => ((duration_s / sim.config.quantum_s).ceil() as Tick).saturating_mul(q),
+        None => s_to_tick(duration_s),
+    }
+    .max(1);
+    // Round-robin rotation is a per-quantum notion: without the grid,
+    // over-subscription is continuous fair shares, which the discrete mode
+    // matches in long-run throughput.
+    let discrete = quantum.is_some() && effects.discrete_timeslice;
     let mut rng = StdRng::seed_from_u64(sim.config.seed);
 
     let tel = sim.run_telemetry();
@@ -349,8 +375,12 @@ pub(crate) fn run_dynamic_event(
     run.apps.clear();
     run.apps
         .extend(apps.iter().map(|a| AppComponent::new(a, end)));
-    run.delivered_gb.clear();
-    run.delivered_gb.resize(num_nodes, 0.0);
+    zeroed(&mut run.rr_offset, num_nodes);
+    zeroed(&mut run.delivered_gb, num_nodes);
+    zeroed(&mut run.window_gb, num_nodes);
+    zeroed(&mut run.app_rate, apps.len());
+    zeroed(&mut run.window_gflop, apps.len());
+    zeroed(&mut run.gflop_done, apps.len());
 
     // Apply the initial assignment (entries at or before t = 0) *before*
     // seeding the heap, so schedule entries that all land at t = 0 do not
@@ -372,26 +402,18 @@ pub(crate) fn run_dynamic_event(
         }
     }
 
-    run.rr_offset.clear();
-    run.rr_offset.resize(num_nodes, 0);
-    run.app_rate.clear();
-    run.app_rate.resize(apps.len(), 0.0);
-    run.gflop_done.clear();
-    run.gflop_done.resize(apps.len(), 0.0);
     let gflop_done = &mut run.gflop_done[..];
 
     let mut now: Tick = 0;
-    // The event engine models over-subscription as continuous fair shares
-    // (discrete round-robin rotation is a per-quantum notion); long-run
-    // throughput matches the slice engine's discrete mode within rounding.
-    let discrete = false;
+    let mut window_start: Tick = 0;
 
     while now < end {
-        // The event horizon: the next pending event, or the end of the run.
-        let horizon = run.heap.peek_tick().map_or(end, |t| t.min(end));
-        debug_assert!(horizon > now, "event heap must advance time");
+        // The horizon: the next pending event, the next grid point, or the
+        // end of the run.
+        let grid = quantum.map_or(end, |q| (now / q + 1).saturating_mul(q));
+        let horizon = run.heap.peek_tick().map_or(end, |t| t.min(end)).min(grid);
+        debug_assert!(horizon > now, "every cut source must advance time");
         let dt_s = tick_to_s(horizon - now);
-        let mid_s = tick_to_s(now) + dt_s / 2.0;
 
         // Arbitrate once for the segment `[now, horizon)`. Every activity
         // edge is a heap event, so the active set is constant strictly
@@ -406,11 +428,10 @@ pub(crate) fn run_dynamic_event(
             peak,
             apps,
             &run.threads,
-            mid_s,
+            tick_to_s(now) + dt_s / 2.0,
             discrete,
             &mut rng,
-            &mut run.rr_offset,
-            tel.as_ref(),
+            &run.rr_offset,
             &mut run.rates,
         );
 
@@ -418,31 +439,60 @@ pub(crate) fn run_dynamic_event(
         // stores below cannot be taken to rewrite a vector's pointer or
         // length inside `run` (one per cent of `fleet_diurnal`).
         let (cap, granted) = (&run.rates.cap[..], &run.rates.granted[..]);
-        let app_rate = &mut run.app_rate[..];
+        let (app_rate, window_gflop) = (&mut run.app_rate[..], &mut run.window_gflop[..]);
         app_rate.fill(0.0);
         for (i, th) in run.threads.iter().enumerate() {
             if cap[i] == 0.0 {
                 continue;
             }
             let gflops = (apps[th.app].spec.ai * granted[i]).min(cap[i]);
-            gflop_done[th.app] += gflops * dt_s;
+            let banked = gflops * dt_s;
+            gflop_done[th.app] += banked;
+            window_gflop[th.app] += banked;
             app_rate[th.app] += gflops;
         }
-        if let Some((series, log)) = &mut detail {
-            for (s, &rate) in series.iter_mut().zip(run.app_rate.iter()) {
-                s.times_s.push(mid_s);
-                s.gflops_series.push(rate);
-            }
+        for (node, &served) in run.rates.node_served.iter().enumerate() {
+            run.delivered_gb[node] += served * dt_s;
+            run.window_gb[node] += served * dt_s;
+        }
+        if let Some((_, log)) = &mut detail {
             log.segments += 1;
         }
-        for node in 0..num_nodes {
-            run.delivered_gb[node] += run.rates.node_served[node] * dt_s;
-            if let Some(tel) = &tel {
-                let util = run.rates.node_served[node] / machine.node(NodeId(node)).bandwidth_gbs;
-                tel.record_bandwidth_sample(node, mid_s, run.rates.node_served[node], util);
-            }
-        }
         now = horizon;
+
+        // A grid point ends a quantum, every `SAMPLE_EVERY`-th (and the end
+        // of the run) a sample window. With no grid the window is the one
+        // segment, and its mean rate is the segment's own, which the
+        // division would only round.
+        let on_grid = |step: Option<Tick>| step.is_none_or(|step| now.is_multiple_of(step));
+        if discrete && on_grid(quantum) {
+            run.rates.rotate(machine, &mut run.rr_offset, tel.as_ref());
+        }
+        if on_grid(window) || now == end {
+            let window_s = tick_to_s(now - window_start);
+            let mid_s = tick_to_s(window_start) + window_s / 2.0;
+            let mean = |banked: f64, rate: f64| match quantum {
+                Some(_) => banked / window_s,
+                None => rate,
+            };
+            if let Some((series, _)) = &mut detail {
+                for (a, s) in series.iter_mut().enumerate() {
+                    s.times_s.push(mid_s);
+                    s.gflops_series
+                        .push(mean(run.window_gflop[a], run.app_rate[a]));
+                }
+            }
+            if let Some(tel) = &tel {
+                for node in 0..num_nodes {
+                    let gbs = mean(run.window_gb[node], run.rates.node_served[node]);
+                    let util = gbs / machine.node(NodeId(node)).bandwidth_gbs;
+                    tel.record_bandwidth_sample(node, mid_s, gbs, util);
+                }
+            }
+            run.window_gflop.fill(0.0);
+            run.window_gb.fill(0.0);
+            window_start = now;
+        }
         if now >= end {
             break;
         }

@@ -7,8 +7,9 @@
 //!
 //! Where the analytic model (`roofline-numa`) computes a steady state from
 //! the paper's five arbitration assumptions, `memsim` *executes* workloads
-//! in discrete time quanta and layers on the second-order effects that make
-//! real hardware deviate from the model:
+//! segment by segment — one loop ([`event`]), cut at the workload's own edges
+//! and, by default, at a grid of time quanta ([`EngineKind`]) — and layers on
+//! the second-order effects that make real hardware deviate from the model:
 //!
 //! * per-quantum multiplicative **jitter** (seeded, deterministic),
 //! * **remote-access inefficiency** — latency-limited links do not reach

@@ -1,15 +1,15 @@
-//! Cross-engine agreement: the time-sliced and discrete-event simulator
-//! cores are two integrators over the same physics, so on scenarios whose
-//! schedule and activity edges land on quantum boundaries (and with the
-//! ideal effect model, which has no per-quantum jitter) they must agree on
-//! throughput to float rounding — and the event engine must produce an
-//! exactly predictable, byte-reproducible event log.
+//! Cross-engine agreement: the quantum grid and the event heap are two ways
+//! of cutting the same loop over the same physics, and activity is
+//! classified per segment at its midpoint, never from the heap's state. So
+//! with the ideal effect model (no per-quantum jitter) the two must agree on
+//! throughput to float rounding wherever the edges lie — an edge the heap
+//! skips costs the event cuts a whole segment and the grid at most a
+//! quantum, which is how the grid caught `next_edge` skipping burst ends —
+//! and the event cuts must produce an exactly predictable,
+//! byte-reproducible event log.
 //!
-//! Edge times are written as `k as f64 * QUANTUM_S` so they compare
-//! bitwise-equal to the slice engine's `step as f64 * dt` quantum starts;
-//! the exact-count test additionally restricts `k` to powers of two so
-//! the event engine's float↔tick round-trip is exact and cannot schedule
-//! a spurious one-nanosecond repeat edge.
+//! The exact-count test restricts its edges to power-of-two multiples of
+//! the quantum so the float↔tick round-trip is exact.
 
 use coop_alloc::cases::check;
 use memsim::{
@@ -226,6 +226,92 @@ fn runaway_task_supervised_agreement() {
     }
 }
 
+/// Relative agreement at 1e-9: float rounding and nothing else.
+fn tight(a: f64, b: f64) -> bool {
+    (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0)
+}
+
+/// Runs one fixture with both cut sources and holds every app to [`tight`].
+fn assert_engines_agree(
+    m: &numa_topology::Machine,
+    apps: &[SimApp],
+    schedule: &[(f64, ThreadAssignment)],
+    duration_s: f64,
+) {
+    let run = |engine: EngineKind| {
+        let config = SimConfig::new(m.clone())
+            .with_effects(EffectModel::ideal())
+            .with_engine(engine);
+        Simulation::new(config)
+            .run_dynamic(apps, schedule, duration_s)
+            .unwrap()
+    };
+    let (slice, event) = (run(EngineKind::Slice), run(EngineKind::Event));
+    assert!(
+        tight(slice.total_gflops(), event.total_gflops()),
+        "total over {duration_s} s: slice {} vs event {}",
+        slice.total_gflops(),
+        event.total_gflops()
+    );
+    for (i, app) in apps.iter().enumerate() {
+        assert!(
+            tight(slice.app_gflops(i), event.app_gflops(i)),
+            "app {i} ({:?}) over {duration_s} s: slice {} vs event {}",
+            app.activity,
+            slice.app_gflops(i),
+            event.app_gflops(i)
+        );
+    }
+}
+
+/// A burst pattern on its own — no neighbour whose edges cut the same
+/// ticks — whose residue lands on a period start: at 6c06162 `next_edge`
+/// jumped a whole period there, the event cuts never saw the burst end and
+/// banked 20 % more than the grid (0.696 vs 0.580 GFLOP on this shape).
+#[test]
+fn a_lone_burst_pattern_agrees_across_engines() {
+    let m = machine(2, 4, 32.0, 8.0);
+    let apps = vec![
+        SimApp::numa_local("steady", 0.5),
+        SimApp::numa_local("bursty", 0.5).with_activity(ActivityPattern::Bursts {
+            period_s: 0.02,
+            duty: 0.5,
+            phase_s: 0.004,
+        }),
+    ];
+    let schedule = [(0.0, ThreadAssignment::uniform_per_node(&m, &[2, 2]))];
+    assert_engines_agree(&m, &apps, &schedule, 0.1);
+}
+
+/// ROADMAP 4(a)'s receipt: the shape of coopbench's 100 × 8 oracle fleet,
+/// its 16 phase groups left at `period / 16` instead of snapped to the
+/// quantum, so every burst edge of the 1 s run (15.625 ms apart) and half
+/// those of the 4 s run (62.5 ms) fall inside a quantum.
+#[test]
+fn the_unsnapped_fleet_agrees_at_one_and_four_seconds() {
+    let (tenants, nodes) = (100, 8);
+    let m = machine(nodes, tenants / nodes + 3, 80.0, 12.0);
+    let mut striped = vec![vec![0usize; nodes]; tenants];
+    for (i, row) in striped.iter_mut().enumerate() {
+        row[i % nodes] = 1;
+    }
+    let schedule = [(0.0, ThreadAssignment::from_matrix(striped))];
+    for duration_s in [1.0, 4.0] {
+        let period_s = duration_s / 4.0;
+        let apps: Vec<SimApp> = (0..tenants)
+            .map(|i| {
+                let ai = if i % 3 == 0 { 1.0 } else { 1.0 / 32.0 };
+                SimApp::numa_local(&format!("t{i}"), ai).with_activity(ActivityPattern::Bursts {
+                    period_s,
+                    duty: 0.5,
+                    phase_s: period_s * (i * 7 % 16) as f64 / 16.0,
+                })
+            })
+            .collect();
+        assert_engines_agree(&m, &apps, &schedule, duration_s);
+    }
+}
+
 /// FNV-1a (64 bit).
 fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
     bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| {
@@ -240,9 +326,13 @@ fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
 /// thread count (so the demand columns change shape mid-run), one of
 /// them over-subscribed, the last leaving one app with no threads. The
 /// event log's bytes and every float of the result are pinned by FNV-1a
-/// digests taken at commit 685ff2c, where a second implementation of
-/// the loop (the since-deleted sharded engine) was held equal to this
-/// run at 2 and 8 threads and under three lopsided partitions.
+/// digests. They were taken at commit 685ff2c, where a second
+/// implementation of the loop (the since-deleted sharded engine) was held
+/// equal to this run at 2 and 8 threads and under three lopsided
+/// partitions, and taken again when `next_edge` stopped repeating an edge
+/// 1 ns later: the log is 685ff2c's less its two twins (11 000 001 and
+/// 15 000 001 ns; 15 segments then, 13 now), and the floats are what
+/// 6c06162's event loop gives with that fix alone (the twins drew jitter).
 #[test]
 fn mixed_placements_replay_the_pinned_log_and_floats() {
     use numa_topology::NodeId;
@@ -325,20 +415,22 @@ fn mixed_placements_replay_the_pinned_log_and_floats() {
     floats.extend(&result.node_utilization);
     assert_eq!(
         fnv1a(log.to_bytes().into_iter()),
-        0xf735_d0f5_bbf7_4968,
+        0x133c_11ed_ab52_beda,
         "event log: {log:?}"
     );
     assert_eq!(
         fnv1a(floats.iter().flat_map(|f| f.to_bits().to_le_bytes())),
-        0xe7aa_391c_61d5_88a4,
+        0x140a_b217_f027_35a2,
         "the {} floats of the result",
         floats.len()
     );
 }
 
-/// Random machines, arithmetic intensities, thread counts, one
-/// quantum-aligned assignment switch and one quantum-aligned activity
-/// window: slice and event totals and per-app shares agree.
+/// Random machines, arithmetic intensities and thread counts; every app
+/// always on, windowed or bursting with whole-millisecond lengths and
+/// phase; one assignment switch drawn in half milliseconds, so on the
+/// quantum grid or in the middle of a quantum: slice and event per-app
+/// throughput agree.
 #[test]
 fn engines_agree_on_random_dynamic_schedules() {
     check(1, CASES, |g| {
@@ -346,24 +438,32 @@ fn engines_agree_on_random_dynamic_schedules() {
         let ais = g.vec(2..4, |g| g.range(0.05..32.0));
         let counts_a = g.vec(2..4, |g| g.range(0..3usize));
         let counts_b = g.vec(2..4, |g| g.range(0..3usize));
-        let switch_ms = g.range(1..19usize);
-        let (win_start_ms, win_len_ms) = (g.range(0..10usize), g.range(1..10usize));
+        let switch_half_ms = g.range(2..38usize);
         let n_apps = ais.len().min(counts_a.len()).min(counts_b.len());
         let m = machine(nodes, cores, 32.0, 8.0);
+        let ms = |n: usize| n as f64 * QUANTUM_S;
         let apps: Vec<SimApp> = ais[..n_apps]
             .iter()
             .enumerate()
             .map(|(i, &ai)| {
-                let app = SimApp::numa_local(&format!("a{i}"), ai);
-                if i == 0 {
-                    // Exercise activity edges alongside the switch.
-                    app.with_activity(ActivityPattern::Window {
-                        start_s: win_start_ms as f64 * QUANTUM_S,
-                        end_s: (win_start_ms + win_len_ms) as f64 * QUANTUM_S,
-                    })
-                } else {
-                    app
-                }
+                let (a, b, c) = (
+                    g.range(0..10usize),
+                    g.range(1..10usize),
+                    g.range(1..10usize),
+                );
+                let activity = match g.range(0..3usize) {
+                    0 => ActivityPattern::AlwaysOn,
+                    1 => ActivityPattern::Window {
+                        start_s: ms(a),
+                        end_s: ms(a + b),
+                    },
+                    _ => ActivityPattern::Bursts {
+                        period_s: ms(b + c),
+                        duty: b as f64 / (b + c) as f64,
+                        phase_s: ms(a),
+                    },
+                };
+                SimApp::numa_local(&format!("a{i}"), ai).with_activity(activity)
             })
             .collect();
         // Clamp per-node thread counts to capacity, keeping >= 1 thread.
@@ -379,33 +479,7 @@ fn engines_agree_on_random_dynamic_schedules() {
         };
         let a = ThreadAssignment::uniform_per_node(&m, &clamp(counts_a[..n_apps].to_vec()));
         let b = ThreadAssignment::uniform_per_node(&m, &clamp(counts_b[..n_apps].to_vec()));
-        let schedule = vec![(0.0, a), (switch_ms as f64 * QUANTUM_S, b)];
-        let duration = 0.02;
-
-        let slice = Simulation::new(SimConfig::new(m.clone()).with_effects(EffectModel::ideal()))
-            .run_dynamic(&apps, &schedule, duration)
-            .unwrap();
-        let event = Simulation::new(
-            SimConfig::new(m.clone())
-                .with_effects(EffectModel::ideal())
-                .with_engine(EngineKind::Event),
-        )
-        .run_dynamic(&apps, &schedule, duration)
-        .unwrap();
-
-        assert!(
-            close(slice.total_gflops(), event.total_gflops()),
-            "total: slice {} vs event {}",
-            slice.total_gflops(),
-            event.total_gflops()
-        );
-        for i in 0..n_apps {
-            assert!(
-                close(slice.app_gflops(i), event.app_gflops(i)),
-                "app {i}: slice {} vs event {}",
-                slice.app_gflops(i),
-                event.app_gflops(i)
-            );
-        }
+        let schedule = [(0.0, a), (ms(switch_half_ms) / 2.0, b)];
+        assert_engines_agree(&m, &apps, &schedule, 0.02);
     });
 }
