@@ -747,7 +747,7 @@ impl Agent {
                 let id = self.telemetry.observatory.open_decision(
                     tick,
                     "agent",
-                    &command_text,
+                    command_text,
                     prediction,
                 );
                 self.open_decision = Some(OpenDecision {

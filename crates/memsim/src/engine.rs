@@ -14,8 +14,8 @@ use crate::result::AppSeries;
 use crate::{EngineKind, EventLog, SimApp, SimConfig, SimError, SimResult};
 use coop_alloc::rng::StdRng;
 use coop_telemetry::{
-    hop, hop_args, ArgValue, Counter, EventKind, Gauge, Histogram, TelemetryHub, TimelineEvent,
-    TrackId, TRACE_CAT,
+    hop, hop_args, ArgValue, Counter, EventKind, Gauge, Histogram, PackedArg, SeriesKey,
+    TelemetryHub, TimelineEvent, TrackId, TRACE_CAT,
 };
 use numa_topology::{Machine, NodeId};
 use roofline_numa::{DataPlacement, ThreadAssignment};
@@ -56,8 +56,9 @@ pub(crate) struct SimSeries {
     assignment_switches: Arc<Counter>,
     rotations: Vec<Arc<Counter>>,
     util_pct: Vec<Arc<Histogram>>,
-    /// Per node, the name of its bandwidth counter track (`node<n>_bw_gbs`).
-    bandwidth_names: Vec<String>,
+    /// Per node, the name of its bandwidth counter track (`node<n>_bw_gbs`),
+    /// shared by every sample.
+    bandwidth_names: Vec<SeriesKey>,
     /// Per node, the end-of-run `memsim_node_bandwidth_gbs` and
     /// `memsim_node_utilization` gauges; they come to exist when the first
     /// run ends, as they did when every run looked them up.
@@ -92,7 +93,9 @@ impl SimSeries {
         let num_nodes = machine.num_nodes();
         let mut rotations = Vec::with_capacity(num_nodes);
         let mut util_pct = Vec::with_capacity(num_nodes);
-        let bandwidth_names = (0..num_nodes).map(|n| format!("node{n}_bw_gbs")).collect();
+        let bandwidth_names = (0..num_nodes)
+            .map(|n| format!("node{n}_bw_gbs").into())
+            .collect();
         for n in 0..num_nodes {
             hub.set_lane_name(track, n as u32 + 1, &format!("node {n} bandwidth"));
             let node = n.to_string();
@@ -158,17 +161,17 @@ impl SimTelemetry {
         utilization: f64,
     ) {
         self.series.util_pct[node].observe((utilization * 100.0).round() as u64);
-        self.hub.record_counter(
+        self.hub.record_packed(
             self.shard(),
             self.series.track,
             node as u32 + 1,
             "bandwidth",
-            &self.series.bandwidth_names[node],
+            Arc::clone(&self.series.bandwidth_names[node]),
             self.ts_us(mid_s),
-            gbs,
-            vec![
-                ("t_s".to_string(), ArgValue::F64(mid_s)),
-                ("utilization".to_string(), ArgValue::F64(utilization)),
+            EventKind::Counter { value: gbs },
+            [
+                ("t_s".into(), PackedArg::F64(mid_s)),
+                ("utilization".into(), PackedArg::F64(utilization)),
             ],
         );
     }
@@ -462,15 +465,16 @@ impl Simulation {
                 },
             ));
         }
-        assignment.check_shape(machine.num_nodes())?;
-        if !self.config.effects.allow_oversubscription {
-            for (node, threads) in assignment.node_totals().into_iter().enumerate() {
-                if threads > machine.node(NodeId(node)).num_cores() {
-                    return Err(SimError::OverSubscriptionDisabled { node });
-                }
-            }
+        if self.config.effects.allow_oversubscription {
+            assignment.check_shape(machine.num_nodes())?;
+            return Ok(());
         }
-        Ok(())
+        assignment.validate(machine).map_err(|e| match e {
+            roofline_numa::ModelError::OverSubscribed { node, .. } => {
+                SimError::OverSubscriptionDisabled { node }
+            }
+            e => SimError::Model(e),
+        })
     }
 }
 
@@ -1426,6 +1430,11 @@ mod tests {
         assert!(counters
             .iter()
             .all(|e| e.name == format!("node{}_bw_gbs", e.lane - 1)));
+        // Each sample carries its simulated time and utilization, in order.
+        assert!(counters.iter().all(|e| matches!(
+            &e.args[..],
+            [(t, ArgValue::F64(_)), (u, ArgValue::F64(_))] if t == "t_s" && u == "utilization"
+        )));
         let exposition = reg.to_prometheus();
         let digest = exposition.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
             (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)

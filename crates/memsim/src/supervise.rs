@@ -398,7 +398,8 @@ pub fn run_supervised(
     // Hot-loop buffers hoisted out of the per-tick path: the simulator's
     // run state, the liveness masks, the one-entry schedule and the sample
     // buffer serve every tick, which allocates only what it leaves behind
-    // (its provenance record, its residuals, its timeline events).
+    // (its provenance record and its residuals; its timeline events are
+    // packed, their labels shared).
     let mut run = EventRun::default();
     let mut samples: Vec<TenantSample> = Vec::with_capacity(num_apps);
     // The effective assignment, as the one-entry schedule the simulator
@@ -439,7 +440,9 @@ pub fn run_supervised(
     let (mut perturbed, mut sim) = simulator_at(0.0)?;
     // The command names the period (the last tick may be short) and the
     // machine: written again when either changes (NaN equals nothing).
-    let mut command = String::new();
+    // Every record and provenance instant shares it and the source.
+    let source: SeriesKey = "memsim-supervisor".into();
+    let mut command: SeriesKey = "".into();
     let mut command_period = f64::NAN;
     for tick in 0..ticks_total {
         let start_s = tick as f64 * config.decision_period_s;
@@ -454,7 +457,7 @@ pub fn run_supervised(
             command_period = f64::NAN;
         }
         if period != command_period {
-            command = format!("simulate {period:.4}s on {}", sim.machine().name());
+            command = format!("simulate {period:.4}s on {}", sim.machine().name()).into();
             command_period = period;
         }
 
@@ -514,8 +517,8 @@ pub fn run_supervised(
 
         let id = observatory.open_decision_at(
             tick,
-            "memsim-supervisor",
-            &command,
+            Arc::clone(&source),
+            Arc::clone(&command),
             prediction,
             ts(start_s),
         );

@@ -1,19 +1,21 @@
 //! Allocation budget of the supervised decision tick.
 //!
 //! A counting `#[global_allocator]` (`counting/mod.rs`) over the public API: on the `ctl_paper`
-//! shape a steady-state tick may allocate for the records it keeps (the
-//! provenance record, the tick's residuals, the timeline events) and for
+//! shape a steady-state tick may allocate for the records it keeps and for
 //! nothing it rebuilds. The per-tick cost is the difference between a
 //! 500-tick and a 250-tick run divided by 250, so that everything a run sets
-//! up once cancels. A re-optimizing tick makes 41 allocations (48 while an
-//! assignment was one heap row per application: the warm re-search clones
-//! its incumbent), a fixed-assignment tick 38; the budgets leave room for a
-//! record to grow a field, not for a rebuilt structure. The resident run
-//! state serves both ways of cutting time; a tick on the quantum grid keeps
-//! one record more — its 20 quanta close two sample windows where the event
-//! tick's one segment is one, and a bandwidth sample is 5 allocations on
-//! each of the 4 nodes — so it makes 61 and 58 (91 and 88 while it built a
-//! `SimResult` per tick).
+//! up once cancels. A fixed-assignment tick makes 5 allocations: the tick's
+//! prediction (a clone of the run's template: its inputs and its series, the
+//! keys shared), the measured series, and the residuals — once returned,
+//! once kept by the provenance record. A re-optimizing tick makes 7: the
+//! warm re-search also clones its start and its result, one row-major
+//! assignment each. Its timeline events allocate nothing: the four
+//! bandwidth samples and the provenance instant are packed, their labels
+//! literals or keys the run formatted once (41 and 38 while they were
+//! `String`s, 29 allocations a tick). Both ways of cutting time serve the
+//! tick from one resident run state, so the quantum grid's second sample
+//! window costs nothing either, and one budget holds for both engines; it
+//! leaves room for a record to grow a field, not for a rebuilt structure.
 
 mod counting;
 
@@ -56,17 +58,13 @@ fn steady_state_tick_stays_within_its_allocation_budget() {
         println!(
             "{engine}: allocations per steady-state tick: reoptimize {reopt:.1}, fixed {fixed:.1}"
         );
-        let second_window = match engine {
-            EngineKind::Event => 0.0,
-            EngineKind::Slice => 4.0 * 5.0,
-        };
         assert!(
-            reopt <= 48.0 + second_window,
-            "{engine}: a re-optimizing tick made {reopt:.1} allocations (budget 48)"
+            reopt <= 12.0,
+            "{engine}: a re-optimizing tick made {reopt:.1} allocations (budget 12)"
         );
         assert!(
-            fixed <= 52.0 + second_window,
-            "{engine}: a fixed-assignment tick made {fixed:.1} allocations (budget 52)"
+            fixed <= 9.0,
+            "{engine}: a fixed-assignment tick made {fixed:.1} allocations (budget 9)"
         );
     }
 }

@@ -173,20 +173,6 @@ impl ThreadAssignment {
         (0..self.num_apps).map(|app| self.get(app, node)).sum()
     }
 
-    /// Total threads of all applications on every node, in node order: one
-    /// sequential pass over the counts.
-    pub fn node_totals(&self) -> Vec<usize> {
-        let mut totals = vec![0; self.num_nodes];
-        // `max(1)`: an assignment over no nodes holds no counts, and
-        // `chunks_exact(0)` panics.
-        for row in self.threads.chunks_exact(self.num_nodes.max(1)) {
-            for (total, &count) in totals.iter_mut().zip(row) {
-                *total += count;
-            }
-        }
-        totals
-    }
-
     /// Total threads across the whole machine.
     pub fn total(&self) -> usize {
         self.threads.iter().sum()
@@ -229,17 +215,32 @@ impl ThreadAssignment {
     }
 
     /// Checks shape (every row spans every node) and the no-over-subscription
-    /// assumption (per-node totals do not exceed the node's core count).
+    /// assumption (per-node totals do not exceed the node's core count),
+    /// reporting the first over-subscribed node.
+    ///
+    /// Allocates nothing: the per-node totals of up to 32 nodes at a time are
+    /// summed on the stack in one sequential pass over the rows (a walk down
+    /// each column instead costs a large fleet's simulation 7 % a segment).
     pub fn validate(&self, machine: &Machine) -> Result<()> {
+        const BLOCK: usize = 32;
         self.check_shape(machine.num_nodes())?;
-        for (node, threads) in self.node_totals().into_iter().enumerate() {
-            let cores = machine.node(NodeId(node)).num_cores();
-            if threads > cores {
-                return Err(ModelError::OverSubscribed {
-                    node,
-                    threads,
-                    cores,
-                });
+        for first in (0..self.num_nodes).step_by(BLOCK) {
+            let nodes = first..self.num_nodes.min(first + BLOCK);
+            let mut totals = [0; BLOCK];
+            for row in self.threads.chunks_exact(self.num_nodes) {
+                for (total, &count) in totals.iter_mut().zip(&row[nodes.clone()]) {
+                    *total += count;
+                }
+            }
+            for (node, &threads) in nodes.zip(&totals) {
+                let cores = machine.node(NodeId(node)).num_cores();
+                if threads > cores {
+                    return Err(ModelError::OverSubscribed {
+                        node,
+                        threads,
+                        cores,
+                    });
+                }
             }
         }
         Ok(())
@@ -316,6 +317,55 @@ mod tests {
                 cores: 2
             })
         ));
+    }
+
+    /// Past one block of nodes too, `validate` reports the first node whose
+    /// column total exceeds its cores, with that total and those cores.
+    #[test]
+    fn validate_reports_the_first_oversubscribed_node_of_any_width() {
+        check(23, 256, |g| {
+            let nodes = g.range(1..80usize);
+            let cores: Vec<usize> = (0..nodes).map(|_| g.range(1..5usize)).collect();
+            let m = cores
+                .iter()
+                .fold(numa_topology::MachineBuilder::new(), |b, &c| {
+                    b.add_node(c, 32.0, 16.0)
+                })
+                .core_peak_gflops(10.0)
+                .uniform_link_gbs(10.0)
+                .build()
+                .unwrap();
+            // Columns that fit, then up to two random nodes pushed over.
+            let apps = g.range(1..4usize);
+            let mut matrix: Vec<Vec<usize>> = (0..apps)
+                .map(|_| {
+                    (0..nodes)
+                        .map(|n| g.range(0..cores[n] / apps + 1))
+                        .collect()
+                })
+                .collect();
+            for _ in 0..g.range(0..3usize) {
+                let node = g.range(0..nodes);
+                matrix[g.range(0..apps)][node] += cores[node] + 1;
+            }
+            let a = ThreadAssignment::from_matrix(matrix);
+            let want = (0..nodes).find_map(|node| {
+                let threads = a.node_total(NodeId(node));
+                (threads > cores[node]).then_some((node, threads, cores[node]))
+            });
+            match (a.validate(&m), want) {
+                (Ok(()), None) => {}
+                (
+                    Err(ModelError::OverSubscribed {
+                        node,
+                        threads,
+                        cores,
+                    }),
+                    Some(want),
+                ) => assert_eq!((node, threads, cores), want),
+                (got, want) => panic!("validate {got:?}, expected {want:?}"),
+            }
+        });
     }
 
     #[test]
@@ -403,7 +453,7 @@ mod tests {
         assert_eq!(a.to_matrix(), [vec![1, 2], vec![3, 4]]);
         assert_eq!(a.as_slice(), [1, 2, 3, 4]);
         assert_eq!(a.row(1), [3, 4]);
-        assert_eq!(a.node_totals(), [4, 6]);
+        assert_eq!((a.node_total(NodeId(0)), a.node_total(NodeId(1))), (4, 6));
         assert_eq!(a.num_nodes(), 2);
 
         let mut b = ThreadAssignment::zero(&tiny(), 2);
@@ -451,8 +501,10 @@ mod tests {
             assert_eq!(a.as_slice().cmp(b.as_slice()), x.cmp(&y), "{x:?} vs {y:?}");
             assert_eq!(a == b, x == y);
             assert_eq!(a.to_matrix(), x);
-            let totals: Vec<usize> = (0..nodes).map(|n| a.node_total(NodeId(n))).collect();
-            assert_eq!(a.node_totals(), totals);
+            for n in 0..nodes {
+                let column: usize = x.iter().map(|row| row[n]).sum();
+                assert_eq!(a.node_total(NodeId(n)), column);
+            }
         });
     }
 }

@@ -187,7 +187,16 @@ mod tests {
                 args: vec![("tick".to_string(), ArgValue::U64(0))],
             },
         );
-        hub.record_counter(0, agent, 1, "bandwidth", "node0_gbs", 30, 12.5, Vec::new());
+        hub.record_packed(
+            0,
+            agent,
+            1,
+            "bandwidth",
+            "node0_gbs",
+            30,
+            EventKind::Counter { value: 12.5 },
+            [],
+        );
         hub
     }
 

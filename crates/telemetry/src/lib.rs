@@ -83,5 +83,7 @@ pub use provenance::{
 pub use recorder::{FlightRecorder, DEFAULT_FLIGHT_CAPACITY, FLIGHT_MAGIC, FLIGHT_VERSION};
 pub use serve::{recent_events_json, serve, serve_with_limit, TelemetryServer, RECENT_TRACE_LIMIT};
 pub use slo::{SloEngine, SloObjective, SloSpec, SloStatus, WindowBurn, SLO_CAT};
-pub use timeline::{ArgValue, EventKind, TelemetryHub, TimelineEvent, TrackId, TASK_NAME_INLINE};
+pub use timeline::{
+    ArgValue, EventKind, Label, PackedArg, TelemetryHub, TimelineEvent, TrackId, TASK_NAME_INLINE,
+};
 pub use trace::{hop, hop_args, TaskTrace, TraceAssembler, TraceHop, TRACE_CAT};

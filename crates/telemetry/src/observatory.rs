@@ -17,8 +17,10 @@
 use crate::drift::{DriftAlarm, DriftConfig, DriftDetector, SeriesSnapshot};
 use crate::json::Value;
 use crate::metrics::Histogram;
-use crate::provenance::{Prediction, ProvenanceLedger, ProvenanceRecord, Residual, SeriesValue};
-use crate::timeline::{ArgValue, TelemetryHub, TrackId};
+use crate::provenance::{
+    Prediction, ProvenanceLedger, ProvenanceRecord, Residual, SeriesKey, SeriesValue,
+};
+use crate::timeline::{ArgValue, EventKind, PackedArg, TelemetryHub, TrackId};
 use crate::{json_object, json_write};
 use std::sync::{Arc, OnceLock};
 
@@ -92,8 +94,8 @@ impl ModelObservatory {
     pub fn open_decision(
         &self,
         tick: u64,
-        source: &str,
-        command: &str,
+        source: impl Into<SeriesKey>,
+        command: impl Into<SeriesKey>,
         prediction: Prediction,
     ) -> u64 {
         let now = self.hub.now_us();
@@ -101,28 +103,34 @@ impl ModelObservatory {
     }
 
     /// Open a provenance record with an explicit hub-clock timestamp
-    /// (simulators map simulated seconds onto the hub clock).
+    /// (simulators map simulated seconds onto the hub clock). The record
+    /// and its `provenance/decision` instant share `source` and `command`:
+    /// a caller that keeps them as [`SeriesKey`]s copies neither.
     pub fn open_decision_at(
         &self,
         tick: u64,
-        source: &str,
-        command: &str,
+        source: impl Into<SeriesKey>,
+        command: impl Into<SeriesKey>,
         prediction: Prediction,
         ts_us: u64,
     ) -> u64 {
-        let id = self.ledger.open(tick, source, command, prediction, ts_us);
-        self.hub.record_instant_at(
+        let (source, command) = (source.into(), command.into());
+        let id = self
+            .ledger
+            .open(tick, source.clone(), command.clone(), prediction, ts_us);
+        self.hub.record_packed(
             0,
             self.track,
             0,
             "provenance",
             "decision",
             ts_us,
-            vec![
-                ("id".to_string(), ArgValue::U64(id)),
-                ("tick".to_string(), ArgValue::U64(tick)),
-                ("source".to_string(), ArgValue::Str(source.to_string())),
-                ("command".to_string(), ArgValue::Str(command.to_string())),
+            EventKind::Instant,
+            [
+                ("id".into(), PackedArg::U64(id)),
+                ("tick".into(), PackedArg::U64(tick)),
+                ("source".into(), PackedArg::Str(source.into())),
+                ("command".into(), PackedArg::Str(command.into())),
             ],
         );
         id
@@ -371,6 +379,34 @@ mod tests {
         let events = hub.events();
         assert!(events.iter().any(|e| e.cat == "provenance"));
         assert!(events.iter().any(|e| e.cat == "drift"));
+    }
+
+    /// The packed `provenance/decision` instant reads back as the event
+    /// `record_instant_at` stored, and shares its labels with the record.
+    #[test]
+    fn the_decision_instant_is_the_event_it_always_was() {
+        let hub = Arc::new(TelemetryHub::new());
+        let obs = ModelObservatory::new(Arc::clone(&hub));
+        let command: SeriesKey = "simulate 0.0200s on \"m\"".into();
+        let id = obs.open_decision_at(7, "sim", Arc::clone(&command), prediction(1.0), 42);
+        let events = hub.events();
+        let [event] = &events[..] else {
+            panic!("one event, got {events:?}")
+        };
+        assert_eq!(event.track, obs.track);
+        assert_eq!((event.lane, event.ts_us), (0, 42));
+        assert_eq!((&*event.cat, &*event.name), ("provenance", "decision"));
+        assert_eq!(event.kind, EventKind::Instant);
+        let want = vec![
+            ("id".to_string(), ArgValue::U64(id)),
+            ("tick".to_string(), ArgValue::U64(7)),
+            ("source".to_string(), ArgValue::Str("sim".to_string())),
+            ("command".to_string(), ArgValue::Str(command.to_string())),
+        ];
+        assert_eq!(event.args, want);
+        let record = obs.records().pop().unwrap();
+        assert!(Arc::ptr_eq(&record.command, &command), "shared, not copied");
+        assert_eq!(&*record.source, "sim");
     }
 
     #[test]

@@ -89,9 +89,9 @@ pub struct ProvenanceRecord {
     /// Agent tick (or simulated decision index) the decision fired on.
     pub tick: u64,
     /// Where the decision was applied (runtime name or scenario name).
-    pub source: String,
+    pub source: SeriesKey,
     /// The command that was applied, rendered as text.
-    pub command: String,
+    pub command: SeriesKey,
     /// Hub-clock microseconds at open.
     pub opened_us: u64,
     /// The model's prediction at open time.
@@ -148,15 +148,17 @@ impl ProvenanceLedger {
         }
     }
 
-    /// Open a record for a decision; returns its id.
+    /// Open a record for a decision; returns its id. A caller that keeps
+    /// `source` or `command` as a [`SeriesKey`] shares it with the record.
     pub fn open(
         &self,
         tick: u64,
-        source: &str,
-        command: &str,
+        source: impl Into<SeriesKey>,
+        command: impl Into<SeriesKey>,
         prediction: Prediction,
         opened_us: u64,
     ) -> u64 {
+        let (source, command) = (source.into(), command.into());
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner.last_id += 1;
         let id = inner.last_id;
@@ -166,8 +168,8 @@ impl ProvenanceLedger {
         inner.records.push_back(ProvenanceRecord {
             id,
             tick,
-            source: source.to_string(),
-            command: command.to_string(),
+            source,
+            command,
             opened_us,
             prediction,
             measured: Vec::new(),
@@ -194,20 +196,19 @@ impl ProvenanceLedger {
         let record = records
             .get_mut(at)
             .filter(|r| r.id == id && !r.is_closed())?;
-        let residuals: Vec<Residual> = record
-            .prediction
-            .series
-            .iter()
-            .filter_map(|p| {
-                let m = measured.iter().find(|m| m.series == p.series)?;
-                Some(Residual {
-                    series: p.series.clone(),
-                    predicted: p.value,
-                    measured: m.value,
-                    relative: crate::drift::DriftDetector::relative_residual(p.value, m.value),
-                })
+        // Sized for every predicted series: one allocation, not a doubling
+        // per few residuals.
+        let predicted = &record.prediction.series;
+        let mut residuals = Vec::with_capacity(predicted.len());
+        residuals.extend(predicted.iter().filter_map(|p| {
+            let m = measured.iter().find(|m| m.series == p.series)?;
+            Some(Residual {
+                series: p.series.clone(),
+                predicted: p.value,
+                measured: m.value,
+                relative: crate::drift::DriftDetector::relative_residual(p.value, m.value),
             })
-            .collect();
+        }));
         record.residuals = residuals.clone();
         record.measured = measured;
         record.closed_us = Some(closed_us);

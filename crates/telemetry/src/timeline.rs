@@ -8,14 +8,21 @@
 //! every `record_task`. Each shard is a true ring: when full, the oldest
 //! event is evicted so the newest data always survives.
 //!
-//! The event a runtime emits per task — a `task` span carrying its node —
-//! is kept packed, 64 bytes and no heap pieces, in a ring of its own
-//! ([`TelemetryHub::record_task_span`]); every other event, and a task
-//! span whose name is longer than [`TASK_NAME_INLINE`] bytes, is kept as
-//! the [`TimelineEvent`] it is. The two rings of a shard share one
-//! capacity and one recording order, so readers cannot tell them apart:
-//! a packed span expands to exactly the event
-//! [`TelemetryHub::record_span`] would have stored, and is evicted when
+//! Two kinds of event are kept packed, with no heap pieces of their own,
+//! each in a ring of its own:
+//!
+//! * the event a runtime emits per task — a `task` span carrying its node
+//!   — in 64 bytes ([`TelemetryHub::record_task_span`]);
+//! * an event whose labels are string literals or shared strings
+//!   ([`Label`]) and whose argument values are numbers, flags or such
+//!   labels ([`PackedArg`]) — a decision tick's bandwidth samples and its
+//!   provenance instant ([`TelemetryHub::record_packed`]).
+//!
+//! Every other event, and a task span whose name is longer than
+//! [`TASK_NAME_INLINE`] bytes, is kept as the [`TimelineEvent`] it is.
+//! The three rings of a shard share one capacity and one recording order,
+//! so readers cannot tell them apart: a packed entry expands to exactly the
+//! event [`TelemetryHub::record`] would have stored, and is evicted when
 //! that event would have been.
 
 use std::collections::VecDeque;
@@ -25,6 +32,7 @@ use std::time::Instant;
 
 use crate::accounting::TenantLedger;
 use crate::metrics::MetricsRegistry;
+use crate::provenance::SeriesKey;
 use crate::recorder::FlightRecorder;
 use crate::slo::SloEngine;
 
@@ -174,20 +182,114 @@ fn task_span_event(
     }
 }
 
-/// Which of a shard's two rings an entry went into.
+/// A label a packed event holds: a string literal, or a string shared with
+/// whoever else keeps it. A clone is at most a reference-count increment.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Label {
+    /// A string literal.
+    Static(&'static str),
+    /// A shared string.
+    Shared(SeriesKey),
+}
+
+impl Label {
+    /// The label's text.
+    pub fn as_str(&self) -> &str {
+        match self {
+            Label::Static(s) => s,
+            Label::Shared(s) => s,
+        }
+    }
+}
+
+impl From<&'static str> for Label {
+    fn from(s: &'static str) -> Self {
+        Label::Static(s)
+    }
+}
+
+impl From<SeriesKey> for Label {
+    fn from(s: SeriesKey) -> Self {
+        Label::Shared(s)
+    }
+}
+
+/// An argument value a packed event holds: each expands to the
+/// [`ArgValue`] of the same name.
+#[derive(Debug, Clone, PartialEq)]
+pub enum PackedArg {
+    /// Unsigned integer.
+    U64(u64),
+    /// Floating point.
+    F64(f64),
+    /// Boolean.
+    Bool(bool),
+    /// String.
+    Str(Label),
+}
+
+impl PackedArg {
+    fn expand(&self) -> ArgValue {
+        match self {
+            PackedArg::U64(n) => ArgValue::U64(*n),
+            PackedArg::F64(x) => ArgValue::F64(*x),
+            PackedArg::Bool(b) => ArgValue::Bool(*b),
+            PackedArg::Str(s) => ArgValue::Str(s.as_str().to_string()),
+        }
+    }
+}
+
+/// Most arguments a packed event holds inline.
+const PACKED_ARGS: usize = 4;
+
+/// An unused argument slot.
+const NO_ARG: (Label, PackedArg) = (Label::Static(""), PackedArg::Bool(false));
+
+/// An event with shared or literal labels: no heap pieces of its own.
+struct PackedEvent {
+    ts_us: u64,
+    track: TrackId,
+    lane: u32,
+    kind: EventKind,
+    cat: Label,
+    name: Label,
+    n_args: u8,
+    args: [(Label, PackedArg); PACKED_ARGS],
+}
+
+impl PackedEvent {
+    fn to_event(&self) -> TimelineEvent {
+        TimelineEvent {
+            track: self.track,
+            lane: self.lane,
+            cat: self.cat.as_str().to_string(),
+            name: self.name.as_str().to_string(),
+            ts_us: self.ts_us,
+            kind: self.kind.clone(),
+            args: self.args[..self.n_args as usize]
+                .iter()
+                .map(|(key, value)| (key.as_str().to_string(), value.expand()))
+                .collect(),
+        }
+    }
+}
+
+/// Which of a shard's three rings an entry went into.
 #[derive(Clone, Copy, PartialEq)]
 enum Ring {
     Tasks,
+    Packed,
     Events,
 }
 
-/// One shard: packed task spans and full events in a ring each, holding
-/// `capacity` entries between them. `runs` is the recording order across
-/// the two, run-length encoded — "n entries of this ring, then m of that
-/// one" — which is all eviction (oldest entry first, whichever ring it is
-/// in) and the ordered read-out need.
+/// One shard: packed task spans, packed events and full events in a ring
+/// each, holding `capacity` entries between them. `runs` is the recording
+/// order across the three, run-length encoded — "n entries of this ring,
+/// then m of that one" — which is all eviction (oldest entry first,
+/// whichever ring it is in) and the ordered read-out need.
 struct ShardBuf {
     tasks: VecDeque<TaskSpan>,
+    packed: VecDeque<PackedEvent>,
     events: VecDeque<TimelineEvent>,
     runs: VecDeque<(Ring, usize)>,
     capacity: usize,
@@ -195,7 +297,7 @@ struct ShardBuf {
 
 impl ShardBuf {
     fn len(&self) -> usize {
-        self.tasks.len() + self.events.len()
+        self.tasks.len() + self.packed.len() + self.events.len()
     }
 
     /// Makes room for one entry of `ring` and notes it in the recording
@@ -211,6 +313,9 @@ impl ShardBuf {
             match oldest {
                 Ring::Tasks => {
                     self.tasks.pop_front();
+                }
+                Ring::Packed => {
+                    self.packed.pop_front();
                 }
                 Ring::Events => {
                     self.events.pop_front();
@@ -230,10 +335,13 @@ impl ShardBuf {
 
     /// Appends every entry as a full event, in recording order.
     fn append_to(&self, out: &mut Vec<TimelineEvent>) {
-        let (mut tasks, mut events) = (self.tasks.iter(), self.events.iter());
+        let mut tasks = self.tasks.iter();
+        let mut packed = self.packed.iter();
+        let mut events = self.events.iter();
         for &(ring, n) in &self.runs {
             match ring {
                 Ring::Tasks => out.extend(tasks.by_ref().take(n).map(TaskSpan::to_event)),
+                Ring::Packed => out.extend(packed.by_ref().take(n).map(PackedEvent::to_event)),
                 Ring::Events => out.extend(events.by_ref().take(n).cloned()),
             }
         }
@@ -312,6 +420,7 @@ impl TelemetryHub {
                 .map(|_| Shard {
                     buf: Mutex::new(ShardBuf {
                         tasks: VecDeque::new(),
+                        packed: VecDeque::new(),
                         events: VecDeque::with_capacity(capacity.min(1024)),
                         runs: VecDeque::new(),
                         capacity,
@@ -536,31 +645,49 @@ impl TelemetryHub {
         );
     }
 
-    /// Convenience: record a counter sample.
+    /// Record an event whose labels are literals or shared strings, with at
+    /// most four arguments (checked at compile time): exactly
+    /// `record(shard_hint, event)` for the event with these fields, each
+    /// label copied into a `String` and each [`PackedArg`] expanded to its
+    /// [`ArgValue`], but kept packed — no allocation. An installed flight
+    /// recorder is handed the expanded event, as for any other record.
     #[allow(clippy::too_many_arguments)]
-    pub fn record_counter(
+    pub fn record_packed<const N: usize>(
         &self,
         shard_hint: usize,
         track: TrackId,
         lane: u32,
-        cat: &str,
-        name: &str,
+        cat: impl Into<Label>,
+        name: impl Into<Label>,
         ts_us: u64,
-        value: f64,
-        args: Vec<(String, ArgValue)>,
+        kind: EventKind,
+        args: [(Label, PackedArg); N],
     ) {
-        self.record(
-            shard_hint,
-            TimelineEvent {
-                track,
-                lane,
-                cat: cat.to_string(),
-                name: name.to_string(),
-                ts_us,
-                kind: EventKind::Counter { value },
-                args,
-            },
-        );
+        const {
+            assert!(
+                N <= PACKED_ARGS,
+                "a packed event holds at most four arguments"
+            )
+        };
+        let mut slots = [NO_ARG; PACKED_ARGS];
+        for (slot, arg) in slots.iter_mut().zip(args) {
+            *slot = arg;
+        }
+        let event = PackedEvent {
+            ts_us,
+            track,
+            lane,
+            kind,
+            cat: cat.into(),
+            name: name.into(),
+            n_args: N as u8,
+            args: slots,
+        };
+        if let Some(rec) = self.recorder.get() {
+            rec.log(&event.to_event());
+        }
+        let shard = &self.shards[shard_hint % self.shards.len()];
+        shard.admit(Ring::Packed).packed.push_back(event);
     }
 
     /// Merge every shard into one timeline sorted by timestamp.

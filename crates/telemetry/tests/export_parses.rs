@@ -1,7 +1,7 @@
 //! The exporters hand-roll their JSON; these tests keep them honest by
 //! parsing the output with the in-tree reader.
 
-use coop_telemetry::{ArgValue, TelemetryHub};
+use coop_telemetry::{ArgValue, EventKind, TelemetryHub, TimelineEvent};
 
 fn busy_hub() -> TelemetryHub {
     let hub = TelemetryHub::with_config(4, 8);
@@ -33,7 +33,18 @@ fn busy_hub() -> TelemetryHub {
         "decision",
         vec![("tick".to_string(), ArgValue::I64(-1))],
     );
-    hub.record_counter(1, agent, 1, "bandwidth", "node0", 55, f64::NAN, Vec::new());
+    hub.record(
+        1,
+        TimelineEvent {
+            track: agent,
+            lane: 1,
+            cat: "bandwidth".to_string(),
+            name: "node0".to_string(),
+            ts_us: 55,
+            kind: EventKind::Counter { value: f64::NAN },
+            args: Vec::new(),
+        },
+    );
     hub.registry().set_help("coop_task_latency_us", "latency");
     hub.registry()
         .histogram("coop_task_latency_us", &[("runtime", "p")])

@@ -1,12 +1,15 @@
-//! A task span is kept packed, 64 bytes in a ring of its own; everything
-//! else stays a full `TimelineEvent`. These tests pin that no reader can
-//! tell: the event read back, the ring's eviction order and counts, the
-//! flight recorder's log and the Chrome-trace export are what
-//! `record_span` gives. Public API and std only, so they also run where
-//! the crate's unit tests (which parse JSON) cannot be built.
+//! A task span is kept packed, 64 bytes in a ring of its own; an event
+//! with literal or shared labels (a bandwidth sample, a provenance instant)
+//! is kept packed in another; everything else stays a full `TimelineEvent`.
+//! These tests pin that no reader can tell: the event read back, the
+//! rings' eviction order and counts, the flight recorder's log and the
+//! Chrome-trace export are what `record` gives for the full event. Public
+//! API and std only, so they also run where the crate's unit tests (which
+//! parse JSON) cannot be built.
 
 use coop_telemetry::{
-    ArgValue, EventKind, FlightRecorder, TelemetryHub, TimelineEvent, TrackId, TASK_NAME_INLINE,
+    ArgValue, EventKind, FlightRecorder, Label, PackedArg, SeriesKey, TelemetryHub, TimelineEvent,
+    TrackId, TASK_NAME_INLINE,
 };
 use std::sync::Arc;
 
@@ -251,16 +254,319 @@ fn the_chrome_trace_is_byte_equal_whichever_way_the_spans_went_in() {
         hub.set_lane_name(track, 1, "worker-0 (node 0)");
     }
     let track = TrackId(0);
+    let name: SeriesKey = "node0".into();
     for (i, span) in spans.iter().enumerate() {
         span.packed(&packed, i, track);
         span.full(&full, i, track);
         if i % 5 == 0 {
-            for hub in [&packed, &full] {
-                hub.record_counter(i, track, 0, "bandwidth", "node0", span.ts_us, 1.5, vec![]);
-            }
+            let sample = Sample {
+                track,
+                lane: 0,
+                name: Arc::clone(&name),
+                ts_us: span.ts_us,
+                mid_s: 1.5,
+                gbs: 1.5,
+                utilization: 1.5,
+            };
+            Op::Bandwidth(sample).record(&packed, &full, i);
         }
     }
     assert!(packed.dropped() > 0, "the export covers an overflowed ring");
     assert_eq!(packed.to_perfetto_json(), full.to_perfetto_json());
     assert_eq!(packed.summary_json(), full.summary_json());
+}
+
+/// A bandwidth sample in the shape `memsim` records one.
+#[derive(Debug, Clone)]
+struct Sample {
+    track: TrackId,
+    lane: u32,
+    name: SeriesKey,
+    ts_us: u64,
+    mid_s: f64,
+    gbs: f64,
+    utilization: f64,
+}
+
+/// A provenance instant in the shape `ModelObservatory` records one.
+#[derive(Debug, Clone)]
+struct Decision {
+    track: TrackId,
+    id: u64,
+    tick: u64,
+    source: SeriesKey,
+    command: SeriesKey,
+    ts_us: u64,
+}
+
+/// One operation of a seeded sequence, as each hub takes it.
+#[derive(Debug, Clone)]
+enum Op {
+    Span(Span),
+    Bandwidth(Sample),
+    Decision(Decision),
+    /// A packed instant with a flag and a literal string argument.
+    Marker {
+        ts_us: u64,
+        ok: bool,
+    },
+    Full(TimelineEvent),
+}
+
+impl Op {
+    /// Records the operation packed into `packed` and as the full event
+    /// into `full`, both on `shard`.
+    fn record(&self, packed: &TelemetryHub, full: &TelemetryHub, shard: usize) {
+        match self {
+            Op::Span(span) => {
+                span.packed(packed, shard, TrackId(0));
+                span.full(full, shard, TrackId(0));
+            }
+            Op::Bandwidth(s) => {
+                packed.record_packed(
+                    shard,
+                    s.track,
+                    s.lane,
+                    "bandwidth",
+                    Arc::clone(&s.name),
+                    s.ts_us,
+                    EventKind::Counter { value: s.gbs },
+                    [
+                        ("t_s".into(), PackedArg::F64(s.mid_s)),
+                        ("utilization".into(), PackedArg::F64(s.utilization)),
+                    ],
+                );
+                // The reference: memsim's sample as the full event it was.
+                full.record(
+                    shard,
+                    TimelineEvent {
+                        track: s.track,
+                        lane: s.lane,
+                        cat: "bandwidth".to_string(),
+                        name: s.name.to_string(),
+                        ts_us: s.ts_us,
+                        kind: EventKind::Counter { value: s.gbs },
+                        args: vec![
+                            ("t_s".to_string(), ArgValue::F64(s.mid_s)),
+                            ("utilization".to_string(), ArgValue::F64(s.utilization)),
+                        ],
+                    },
+                );
+            }
+            Op::Decision(d) => {
+                packed.record_packed(
+                    shard,
+                    d.track,
+                    0,
+                    "provenance",
+                    "decision",
+                    d.ts_us,
+                    EventKind::Instant,
+                    [
+                        ("id".into(), PackedArg::U64(d.id)),
+                        ("tick".into(), PackedArg::U64(d.tick)),
+                        (
+                            "source".into(),
+                            PackedArg::Str(Arc::clone(&d.source).into()),
+                        ),
+                        (
+                            "command".into(),
+                            PackedArg::Str(Arc::clone(&d.command).into()),
+                        ),
+                    ],
+                );
+                // The reference: the observatory's instant as the full
+                // event `record_instant_at` stores.
+                full.record(
+                    shard,
+                    TimelineEvent {
+                        track: d.track,
+                        lane: 0,
+                        cat: "provenance".to_string(),
+                        name: "decision".to_string(),
+                        ts_us: d.ts_us,
+                        kind: EventKind::Instant,
+                        args: vec![
+                            ("id".to_string(), ArgValue::U64(d.id)),
+                            ("tick".to_string(), ArgValue::U64(d.tick)),
+                            ("source".to_string(), ArgValue::Str(d.source.to_string())),
+                            ("command".to_string(), ArgValue::Str(d.command.to_string())),
+                        ],
+                    },
+                );
+            }
+            Op::Marker { ts_us, ok } => {
+                packed.record_packed(
+                    shard,
+                    TrackId(1),
+                    2,
+                    "control",
+                    "marker",
+                    *ts_us,
+                    EventKind::Instant,
+                    [
+                        ("ok".into(), PackedArg::Bool(*ok)),
+                        ("note".into(), PackedArg::Str(Label::Static("a \"b\"\n"))),
+                    ],
+                );
+                full.record(
+                    shard,
+                    TimelineEvent {
+                        track: TrackId(1),
+                        lane: 2,
+                        cat: "control".to_string(),
+                        name: "marker".to_string(),
+                        ts_us: *ts_us,
+                        kind: EventKind::Instant,
+                        args: vec![
+                            ("ok".to_string(), ArgValue::Bool(*ok)),
+                            ("note".to_string(), ArgValue::Str("a \"b\"\n".to_string())),
+                        ],
+                    },
+                );
+            }
+            Op::Full(event) => {
+                packed.record(shard, event.clone());
+                full.record(shard, event.clone());
+            }
+        }
+    }
+}
+
+/// A seeded interleaving of every kind of record: task spans (packed and
+/// spilled), the supervised tick's bandwidth samples and provenance
+/// instants, packed instants with a flag and a literal, and full events.
+/// Timestamps repeat in runs of three, so `events()` reads each shard's own
+/// order among equal times.
+fn seeded_ops(seed: u64, len: usize) -> Vec<Op> {
+    let mut state = seed;
+    let spans = seeded_spans(seed);
+    let nodes: Vec<SeriesKey> = (0..4).map(|n| format!("node{n}_bw_gbs").into()).collect();
+    let source: SeriesKey = "memsim-supervisor".into();
+    let commands: [SeriesKey; 2] = [
+        "simulate 0.0200s on paper-skylake".into(),
+        "simulate 0.0100s on \"核\"\n".into(),
+    ];
+    (0..len)
+        .map(|i| {
+            let r = next(&mut state);
+            let ts_us = i as u64 / 3;
+            match r % 6 {
+                0 => Op::Span(Span {
+                    ts_us,
+                    ..spans[(r >> 8) as usize % spans.len()].clone()
+                }),
+                1 | 2 => {
+                    let node = (r >> 8) as usize % nodes.len();
+                    Op::Bandwidth(Sample {
+                        track: TrackId(2),
+                        lane: node as u32 + 1,
+                        name: Arc::clone(&nodes[node]),
+                        ts_us,
+                        mid_s: i as f64 * 0.01,
+                        gbs: (r >> 11) as f64 / (1u64 << 40) as f64,
+                        utilization: (r >> 40) as f64 / (1u64 << 24) as f64,
+                    })
+                }
+                3 => Op::Decision(Decision {
+                    track: TrackId(3),
+                    id: i as u64 + 1,
+                    tick: i as u64,
+                    source: Arc::clone(&source),
+                    command: Arc::clone(&commands[(r >> 8) as usize % 2]),
+                    ts_us,
+                }),
+                4 => Op::Marker {
+                    ts_us,
+                    ok: r & (1 << 8) != 0,
+                },
+                _ => Op::Full(TimelineEvent {
+                    track: TrackId(1),
+                    lane: 0,
+                    cat: "agent".to_string(),
+                    name: format!("full{i}"),
+                    ts_us,
+                    kind: EventKind::Instant,
+                    args: vec![("tick".to_string(), ArgValue::I64(-(i as i64)))],
+                }),
+            }
+        })
+        .collect()
+}
+
+/// Two hubs of `shards` x `capacity`, each with a flight recorder and the
+/// same four tracks.
+fn hub_pair(shards: usize, capacity: usize) -> [(TelemetryHub, Arc<FlightRecorder>); 2] {
+    [(); 2].map(|()| {
+        let hub = TelemetryHub::with_config(shards, capacity);
+        let rec = Arc::new(FlightRecorder::new(4096));
+        assert!(hub.install_flight_recorder(Arc::clone(&rec)));
+        for name in ["runtime:r", "agent", "memsim", "model-drift"] {
+            hub.register_track(name);
+        }
+        hub.set_lane_name(TrackId(2), 1, "node 0 bandwidth");
+        (hub, rec)
+    })
+}
+
+#[test]
+fn packed_events_read_back_as_the_events_record_stores() {
+    for seed in [20200518u64, 77003, 1, 2, 3, 4, 5, 6] {
+        let ops = seeded_ops(seed, 240);
+        let [(packed, rec_p), (full, rec_f)] = hub_pair(3, 7);
+        let mut state = seed ^ 0x5EED;
+        for (i, op) in ops.iter().enumerate() {
+            let shard = (next(&mut state) % 5) as usize;
+            op.record(&packed, &full, shard);
+            assert_eq!(
+                packed.event_count(),
+                full.event_count(),
+                "seed {seed}, op {i}"
+            );
+            assert_eq!(packed.dropped(), full.dropped(), "seed {seed}, op {i}");
+            if i % 40 == 39 {
+                // Eviction order: the survivors, in order, at every stage.
+                let (got, want) = (packed.events(), full.events());
+                assert_eq!(got.len(), want.len());
+                for (g, w) in got.iter().zip(&want) {
+                    assert_same(g, w, &format!("seed {seed}, after op {i}"));
+                }
+            }
+        }
+        assert!(packed.dropped() > 0, "seed {seed}: the rings overflowed");
+        assert_eq!(packed.event_count(), 3 * 7);
+        assert_eq!(packed.to_perfetto_json(), full.to_perfetto_json());
+        assert_eq!(packed.summary_json(), full.summary_json());
+
+        // The recorders saw every event, encoded to the same bytes.
+        assert_eq!(rec_p.recorded(), ops.len() as u64);
+        let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+        let (path_p, path_f) = (
+            dir.join(format!("ops-packed-{seed}.flight")),
+            dir.join(format!("ops-full-{seed}.flight")),
+        );
+        rec_p.dump_to(&path_p).unwrap();
+        rec_f.dump_to(&path_f).unwrap();
+        let bytes = std::fs::read(&path_p).unwrap();
+        assert_eq!(bytes, std::fs::read(&path_f).unwrap(), "seed {seed}");
+        let decoded = FlightRecorder::decode(&bytes).unwrap();
+        assert_eq!(decoded.len(), ops.len());
+    }
+}
+
+#[test]
+fn every_kind_of_op_appears_in_the_seeded_sequences() {
+    let ops = seeded_ops(20200518, 240);
+    let has = |f: fn(&Op) -> bool| ops.iter().any(f);
+    assert!(has(
+        |op| matches!(op, Op::Span(s) if s.name.len() <= TASK_NAME_INLINE)
+    ));
+    assert!(has(
+        |op| matches!(op, Op::Span(s) if s.name.len() > TASK_NAME_INLINE)
+    ));
+    assert!(has(|op| matches!(op, Op::Bandwidth(_))));
+    assert!(has(|op| matches!(op, Op::Decision(_))));
+    assert!(has(|op| matches!(op, Op::Marker { ok: true, .. })));
+    assert!(has(|op| matches!(op, Op::Marker { ok: false, .. })));
+    assert!(has(|op| matches!(op, Op::Full(_))));
 }
