@@ -9,7 +9,7 @@
 //! remainder — the same two-phase rule as the analytic model, but per-thread
 //! and with the effect model applied).
 
-use crate::event::{advance_time, s_to_tick, EventRun};
+use crate::event::{advance_time, s_to_tick, EventRun, Samples};
 use crate::result::AppSeries;
 use crate::{EngineKind, EventLog, SimApp, SimConfig, SimError, SimResult};
 use coop_alloc::rng::StdRng;
@@ -394,16 +394,30 @@ impl Simulation {
         cuts: EngineKind,
     ) -> crate::Result<(SimResult, EventLog)> {
         let mut run = EventRun::default();
-        let mut series: Vec<AppSeries> = apps.iter().map(|a| AppSeries::empty(a.name())).collect();
+        let mut samples = Samples::default();
         let mut log = EventLog {
             seed: self.config.seed,
             ..EventLog::default()
         };
-        let detail = Some((&mut series, &mut log));
+        let detail = Some((&mut samples, &mut log));
         advance_time(self, apps, schedule, duration_s, cuts, &mut run, detail)?;
-        for (s, &done) in series.iter_mut().zip(&run.gflop_done) {
-            s.gflop_done = done;
-        }
+        // Each series is built once, at its exact length, from its column
+        // of the sample rows.
+        let series = apps
+            .iter()
+            .zip(&run.gflop_done)
+            .enumerate()
+            .map(|(a, (app, &gflop_done))| AppSeries {
+                name: app.name().to_string(),
+                gflop_done,
+                times_s: samples.times_s.clone(),
+                gflops_series: samples
+                    .gflops
+                    .chunks_exact(apps.len())
+                    .map(|row| row[a])
+                    .collect(),
+            })
+            .collect();
         Ok((
             SimResult {
                 machine: self.config.machine.name().to_string(),
@@ -526,7 +540,8 @@ pub(crate) struct RateScratch {
     pub(crate) cap: Vec<f64>,
     /// The non-zero memory demands, one column per target node.
     demand: DemandCols,
-    /// Per-thread: granted bandwidth, GB/s.
+    /// Per-thread: granted bandwidth, GB/s. Zeros until the fold, and lent
+    /// to [`DemandCols::build`] before it.
     pub(crate) granted: Vec<f64>,
     /// Per-node: total bandwidth served by that controller, GB/s.
     pub(crate) node_served: Vec<f64>,
@@ -618,11 +633,27 @@ struct DemandCols {
 impl DemandCols {
     /// Rebuilds the columns by a two-pass counting sort: count each
     /// target's entries, prefix-sum, scatter in ascending thread order.
-    fn build(&mut self, apps: &[SimApp], threads: &[Thread], cap: &[f64], num_nodes: usize) {
+    ///
+    /// Each thread's total demand `cap / AI` is divided once, by the count
+    /// pass, and carried to the scatter pass in `totals`: a per-thread row
+    /// of zeros the caller lends (the grants it has yet to fold) and gets
+    /// back as zeros. Borrowing it allocates nothing: a buffer of its own,
+    /// 8 bytes a thread, raised a supervised session's peak RSS by 0.9 MiB
+    /// under glibc, through where the allocator then placed the rest.
+    fn build(
+        &mut self,
+        apps: &[SimApp],
+        threads: &[Thread],
+        cap: &[f64],
+        totals: &mut [f64],
+        num_nodes: usize,
+    ) {
         self.start.clear();
         self.start.resize(num_nodes + 1, 0);
-        for (th, &cap) in threads.iter().zip(cap) {
-            for_each_demand(&apps[th.app], th.home, cap, |target, _| {
+        for ((th, &cap), slot) in threads.iter().zip(cap).zip(totals.iter_mut()) {
+            let total = cap / apps[th.app].spec.ai;
+            *slot = total;
+            for_each_demand(&apps[th.app].spec.placement, th.home, total, |target, _| {
                 self.start[target + 1] += 1;
             });
         }
@@ -634,8 +665,9 @@ impl DemandCols {
         self.d.resize(entries, 0.0);
         self.cursor.clear();
         self.cursor.extend_from_slice(&self.start[..num_nodes]);
-        for (i, (th, &cap)) in threads.iter().zip(cap).enumerate() {
-            for_each_demand(&apps[th.app], th.home, cap, |target, d| {
+        for (i, (th, total)) in threads.iter().zip(totals.iter_mut()).enumerate() {
+            let total = std::mem::take(total);
+            for_each_demand(&apps[th.app].spec.placement, th.home, total, |target, d| {
                 let k = self.cursor[target];
                 self.thread[k] = i;
                 self.d[k] = d;
@@ -657,13 +689,17 @@ impl DemandCols {
 }
 
 /// Calls `emit(target, demand)` for each node one thread demands memory
-/// from, in ascending node order: total demand `cap / AI`, split by the
-/// app's placement fractions, zero shares dropped.
-fn for_each_demand(app: &SimApp, home: NodeId, cap: f64, mut emit: impl FnMut(usize, f64)) {
+/// from, in ascending node order: its `total` demand (`cap / AI`) split by
+/// the app's `placement` fractions, zero shares dropped.
+fn for_each_demand(
+    placement: &DataPlacement,
+    home: NodeId,
+    total: f64,
+    mut emit: impl FnMut(usize, f64),
+) {
     // An idle thread (`cap == 0`) demands nothing.
-    let total = cap / app.spec.ai;
     if total > 0.0 {
-        match &app.spec.placement {
+        match placement {
             DataPlacement::Local => emit(home.0, total),
             DataPlacement::SingleNode(node) => emit(node.0, total),
             DataPlacement::Spread(fractions) => {
@@ -710,7 +746,8 @@ pub(crate) fn compute_rates(
         machine, effects, peak, apps, threads, t, discrete, rng, rr_offset, s,
     );
 
-    s.demand.build(apps, threads, &s.cap, num_nodes);
+    s.demand
+        .build(apps, threads, &s.cap, &mut s.granted, num_nodes);
 
     // Arbitrate each node, then fold its grant column into the per-thread
     // totals.
@@ -826,8 +863,8 @@ fn rates_prologue(
 /// proportional-remainder rule, with interference and saturation applied.
 /// Appends one grant to `col` per entry of the target's demand column, in
 /// column order, and returns the bandwidth the node served. The cost is
-/// the column's length plus one pass over the inbound links — never the
-/// fleet's thread or app count.
+/// the column's length, plus one pass over the inbound links for a target
+/// with remote entries — never the fleet's thread or app count.
 ///
 /// Per-target arbitration has **no cross-target dataflow** — only the
 /// caller's fold of `col` into per-thread totals couples targets. A thread
@@ -846,13 +883,14 @@ fn arbitrate_node(
     let node = machine.node(NodeId(target));
 
     // One census pass over the column: distinct demanding apps
-    // (interference), remote demand per source node, local demanders, and
-    // total demand. The accumulators are independent of each other.
+    // (interference), remote entries and their demand per source node
+    // (cleared by the first of them), local demanders, and total demand.
+    // The accumulators are independent of each other.
     tmp.stamp += 1;
     let mut distinct = 0usize;
     let mut local_demanders = 0usize;
+    let mut remote_entries = 0usize;
     let mut total_demand = 0.0f64;
-    tmp.remote_demand_from.fill(0.0);
     for (i, d) in demand.column(target) {
         let th = threads[i];
         if tmp.app_seen[th.app] != tmp.stamp {
@@ -862,6 +900,10 @@ fn arbitrate_node(
         if th.home.0 == target {
             local_demanders += 1;
         } else {
+            if remote_entries == 0 {
+                tmp.remote_demand_from.fill(0.0);
+            }
+            remote_entries += 1;
             tmp.remote_demand_from[th.home.0] += d;
         }
         total_demand += d;
@@ -873,31 +915,38 @@ fn arbitrate_node(
     };
     let capacity = node.bandwidth_gbs * interference;
 
-    // Remote-first stage.
-    for src in 0..num_nodes {
-        tmp.served_from[src] = if src == target {
-            0.0
-        } else {
-            let link =
-                machine.links().link(NodeId(src), NodeId(target)) * effects.remote_efficiency;
-            tmp.remote_demand_from[src].min(link)
-        };
-    }
-    // Serving remote traffic costs extra capacity (coherence
-    // overhead): r GB/s delivered consumes r * (1 + o).
-    let remote_cost = 1.0 + effects.remote_service_overhead;
-    let total_remote: f64 = tmp.served_from.iter().sum();
-    if total_remote * remote_cost > capacity {
-        let scale = capacity / (total_remote * remote_cost);
-        for sf in tmp.served_from.iter_mut() {
-            *sf *= scale;
+    // Remote-first stage. Without remote entries every `served_from` would
+    // be an exact 0 and the capacity would remain whole, so only a target
+    // with some pays the pass over its inbound links. `served_from` and
+    // `remote_demand_from` are read below for remote entries alone.
+    let remaining = if remote_entries == 0 {
+        capacity.max(0.0)
+    } else {
+        for src in 0..num_nodes {
+            tmp.served_from[src] = if src == target {
+                0.0
+            } else {
+                let link =
+                    machine.links().link(NodeId(src), NodeId(target)) * effects.remote_efficiency;
+                tmp.remote_demand_from[src].min(link)
+            };
         }
-    }
+        // Serving remote traffic costs extra capacity (coherence
+        // overhead): r GB/s delivered consumes r * (1 + o).
+        let remote_cost = 1.0 + effects.remote_service_overhead;
+        let total_remote: f64 = tmp.served_from.iter().sum();
+        if total_remote * remote_cost > capacity {
+            let scale = capacity / (total_remote * remote_cost);
+            for sf in tmp.served_from.iter_mut() {
+                *sf *= scale;
+            }
+        }
+        (capacity - tmp.served_from.iter().sum::<f64>() * remote_cost).max(0.0)
+    };
 
     // Local stage: baseline + proportional remainder. Local grants are
     // tracked per column entry in `prov` so threads whose traffic spreads
     // over several nodes accumulate correctly.
-    let remaining = (capacity - tmp.served_from.iter().sum::<f64>() * remote_cost).max(0.0);
     // The per-thread guaranteed share. The model's rule is per-core;
     // under over-subscription (more demanding local threads than
     // cores) the share divides among the threads, keeping the baseline
@@ -1955,60 +2004,145 @@ mod dense_reference {
         (machine, apps, threads)
     }
 
+    /// A fully subscribed fleet of the benchmark's shape: `nodes` nodes of
+    /// `cores` cores, one NUMA-local tenant thread on every core, striped;
+    /// memory- and compute-bound tenants by a seeded draw, each bursting at
+    /// a 50 % duty in one of 16 phase groups of a 1 s period.
+    fn bursting_fleet(
+        nodes: usize,
+        cores: usize,
+        rng: &mut StdRng,
+    ) -> (Machine, Vec<SimApp>, Vec<Thread>) {
+        let machine = MachineBuilder::new()
+            .symmetric_nodes(nodes, cores)
+            .core_peak_gflops(12.8)
+            .node_bandwidth_gbs(80.0)
+            .uniform_link_gbs(12.0)
+            .build()
+            .unwrap();
+        let tenants = nodes * cores;
+        let apps = (0..tenants)
+            .map(|i| {
+                let ai = if rng.gen_bool(0.5) { 1.0 / 32.0 } else { 1.0 };
+                SimApp::numa_local(&format!("t{i}"), ai).with_activity(ActivityPattern::Bursts {
+                    period_s: 1.0,
+                    duty: 0.5,
+                    phase_s: rng.gen_range(0..16usize) as f64 / 16.0,
+                })
+            })
+            .collect();
+        let mut striped = vec![vec![0usize; nodes]; tenants];
+        for (i, row) in striped.iter_mut().enumerate() {
+            row[i % nodes] = 1;
+        }
+        let mut threads = Vec::new();
+        expand_threads(&ThreadAssignment::from_matrix(striped), nodes, &mut threads);
+        (machine, apps, threads)
+    }
+
+    /// Holds [`compute_rates`] at instant `t` to [`dense_rates`] bit for
+    /// bit, twice through one scratch (the second call must not see the
+    /// first one's columns, stamps or grants). Returns the dense remote
+    /// inflow per node, and how many targets were arbitrated with no
+    /// remote entry and how many with some.
+    fn assert_matches_dense(
+        machine: &Machine,
+        effects: &EffectModel,
+        apps: &[SimApp],
+        threads: &[Thread],
+        t: f64,
+        seed: u64,
+    ) -> (Vec<f64>, [usize; 2]) {
+        // Jitter draws are part of what must match.
+        let [cap, granted, served, remote_in] = dense_rates(
+            machine,
+            effects,
+            apps,
+            threads,
+            t,
+            &mut StdRng::seed_from_u64(seed),
+        );
+        let mut s = RateScratch::default();
+        for _ in 0..2 {
+            compute_rates(
+                machine,
+                effects,
+                machine.core_peak_gflops(),
+                apps,
+                threads,
+                t,
+                false,
+                &mut StdRng::seed_from_u64(seed),
+                &vec![0usize; machine.num_nodes()],
+                &mut s,
+            );
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&s.cap), bits(&cap), "seed {seed}, t {t}: cap");
+            assert_eq!(
+                bits(&s.granted),
+                bits(&granted),
+                "seed {seed}, t {t}: granted"
+            );
+            assert_eq!(
+                bits(&s.node_served),
+                bits(&served),
+                "seed {seed}, t {t}: node_served"
+            );
+        }
+        let mut targets = [0usize; 2];
+        for target in 0..machine.num_nodes() {
+            let remote = s
+                .demand
+                .column(target)
+                .any(|(i, _)| threads[i].home.0 != target);
+            targets[usize::from(remote)] += 1;
+        }
+        (remote_in, targets)
+    }
+
     #[test]
     fn demand_columns_match_the_dense_matrix_bit_for_bit() {
         let mut gen = StdRng::seed_from_u64(0x5eed_c015);
         let mut remote_fleets = 0;
+        // Arbitrated targets without and with remote entries: both
+        // branches of the remote-first stage.
+        let mut targets = [0usize; 2];
+        let effects = |case: u64| {
+            if case.is_multiple_of(2) {
+                EffectModel::skylake_like()
+            } else {
+                EffectModel::ideal()
+            }
+        };
         for case in 0..400u64 {
             let (machine, apps, threads) = random_fleet(&mut gen);
             for app in &apps {
                 app.spec.validate(&machine).unwrap();
             }
-            // Jitter draws are part of what must match.
-            let effects = if case % 2 == 0 {
-                EffectModel::skylake_like()
-            } else {
-                EffectModel::ideal()
-            };
-            let [cap, granted, served, remote_in] = dense_rates(
-                &machine,
-                &effects,
-                &apps,
-                &threads,
-                0.5,
-                &mut StdRng::seed_from_u64(case),
-            );
-
-            let mut s = RateScratch::default();
-            // Twice through one scratch: the second call must not see the
-            // first one's columns, stamps or grants.
-            for _ in 0..2 {
-                compute_rates(
-                    &machine,
-                    &effects,
-                    machine.core_peak_gflops(),
-                    &apps,
-                    &threads,
-                    0.5,
-                    false,
-                    &mut StdRng::seed_from_u64(case),
-                    &vec![0usize; machine.num_nodes()],
-                    &mut s,
-                );
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&s.cap), bits(&cap), "case {case}: cap");
-                assert_eq!(bits(&s.granted), bits(&granted), "case {case}: granted");
-                assert_eq!(
-                    bits(&s.node_served),
-                    bits(&served),
-                    "case {case}: node_served"
-                );
-            }
+            let (remote_in, seen) =
+                assert_matches_dense(&machine, &effects(case), &apps, &threads, 0.5, case);
             remote_fleets += usize::from(remote_in.iter().any(|&r| r > 0.0));
+            targets = [targets[0] + seen[0], targets[1] + seen[1]];
+        }
+        // The benchmark's all-local fleets, where no target has a remote
+        // entry, at instants that catch different phase groups bursting.
+        for (case, (nodes, cores)) in [(8, 12), (16, 16), (64, 16)].into_iter().enumerate() {
+            let (machine, apps, threads) = bursting_fleet(nodes, cores, &mut gen);
+            for (k, t) in [0.03, 0.27, 0.5, 0.74, 0.98].into_iter().enumerate() {
+                let seed = 1000 + 10 * case as u64 + k as u64;
+                let (_, seen) =
+                    assert_matches_dense(&machine, &effects(seed), &apps, &threads, t, seed);
+                assert_eq!(seen[1], 0, "{nodes} x {cores} at {t} s: all local");
+                targets[0] += seen[0];
+            }
         }
         assert!(
             remote_fleets > 100,
             "the generator must exercise remote traffic"
+        );
+        assert!(
+            targets.iter().all(|&n| n > 100),
+            "targets without / with remote entries: {targets:?}"
         );
     }
 }

@@ -24,7 +24,6 @@
 //! so ordering never depends on float rounding.
 
 use crate::engine::{compute_rates, expand_threads, EpochTracer, RateScratch, Thread};
-use crate::result::AppSeries;
 use crate::{EngineKind, SimApp, Simulation};
 use coop_alloc::rng::{splitmix64, StdRng};
 use coop_telemetry::json::{self, FromJson, ToJson, Value};
@@ -32,6 +31,7 @@ use coop_telemetry::{json_struct, json_write};
 use numa_topology::NodeId;
 use roofline_numa::ThreadAssignment;
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
 /// Simulated time in integer nanoseconds.
@@ -107,6 +107,31 @@ impl EventHeap {
     /// Pops the earliest `(tick, component)` pair.
     pub fn pop(&mut self) -> Option<(Tick, u32)> {
         self.heap.pop().map(|Reverse((t, _, c))| (t, c))
+    }
+
+    /// The component of the earliest pending wake-up, if that wake-up is
+    /// at `now`.
+    pub fn due(&self, now: Tick) -> Option<u32> {
+        match self.heap.peek() {
+            Some(&Reverse((t, _, c))) if t == now => Some(c),
+            _ => None,
+        }
+    }
+
+    /// Moves the earliest wake-up's component to `next` in place — one
+    /// sift where a pop and a push are two — or pops it when `next` is
+    /// `None`. A component has one pending key and keys are unique, so
+    /// every later pop is what [`pop`](EventHeap::pop) followed by
+    /// [`schedule`](EventHeap::schedule) would give.
+    pub fn reschedule_top(&mut self, next: Option<Tick>) {
+        if let Some(mut top) = self.heap.peek_mut() {
+            match next {
+                Some(t) => top.0 .0 = t,
+                None => {
+                    PeekMut::pop(top);
+                }
+            }
+        }
     }
 
     /// Number of pending events.
@@ -327,6 +352,16 @@ impl EventRun {
     }
 }
 
+/// A detailed run's sampled per-app GFLOPS, one flat row per sample
+/// window: `gflops[w * num_apps + a]` is app `a`'s mean rate over window
+/// `w`, whose midpoint is `times_s[w]`. A window appends to two vectors,
+/// not to two per app.
+#[derive(Default)]
+pub(crate) struct Samples {
+    pub(crate) times_s: Vec<f64>,
+    pub(crate) gflops: Vec<f64>,
+}
+
 /// Refills `v` with `len` zeros, keeping its allocation.
 fn zeroed<T: Clone + Default>(v: &mut Vec<T>, len: usize) {
     v.clear();
@@ -339,8 +374,8 @@ const SAMPLE_EVERY: u64 = 10;
 /// The time-advance loop. `cuts` names its cut sources: the event heap
 /// alone, or the heap and the quantum grid (the run then lasts
 /// `⌈duration / quantum⌉` quanta). The run's totals land in `run`; the
-/// sampled per-app series and the processed [`EventLog`] are recorded only
-/// for a caller that passes them (one empty series per app) as `detail`.
+/// per-app [`Samples`] and the processed [`EventLog`] are recorded only for
+/// a caller that passes them (both empty) as `detail`.
 pub(crate) fn advance_time(
     sim: &Simulation,
     apps: &[SimApp],
@@ -348,7 +383,7 @@ pub(crate) fn advance_time(
     duration_s: f64,
     cuts: EngineKind,
     run: &mut EventRun,
-    mut detail: Option<(&mut Vec<AppSeries>, &mut EventLog)>,
+    mut detail: Option<(&mut Samples, &mut EventLog)>,
 ) -> crate::Result<()> {
     sim.validate_run(apps, schedule, duration_s)?;
     let machine = &sim.config.machine;
@@ -475,12 +510,14 @@ pub(crate) fn advance_time(
                 Some(_) => banked / window_s,
                 None => rate,
             };
-            if let Some((series, _)) = &mut detail {
-                for (a, s) in series.iter_mut().enumerate() {
-                    s.times_s.push(mid_s);
-                    s.gflops_series
-                        .push(mean(run.window_gflop[a], run.app_rate[a]));
-                }
+            if let Some((samples, _)) = &mut detail {
+                samples.times_s.push(mid_s);
+                samples.gflops.extend(
+                    run.window_gflop
+                        .iter()
+                        .zip(&run.app_rate)
+                        .map(|(&banked, &rate)| mean(banked, rate)),
+                );
             }
             if let Some(tel) = &tel {
                 for node in 0..num_nodes {
@@ -497,17 +534,17 @@ pub(crate) fn advance_time(
             break;
         }
 
-        // Drain and apply every event at `now` before re-arbitrating.
-        while run.heap.peek_tick() == Some(now) {
-            let (_, id) = run.heap.pop().expect("peeked");
+        // Drain and apply every event at `now` before re-arbitrating. The
+        // due component's next wake-up replaces its key at the top.
+        while let Some(id) = run.heap.due(now) {
             let kind = if id == AGENT_ID {
                 run.agent.advance(now);
-                run.heap.schedule_component(AGENT_ID, &run.agent);
+                run.heap.reschedule_top(run.agent.next_tick());
                 EventEdge::Assignment
             } else {
                 let a = (id - APP_ID0) as usize;
                 run.apps[a].advance(now);
-                run.heap.schedule_component(id, &run.apps[a]);
+                run.heap.reschedule_top(run.apps[a].next_tick());
                 EventEdge::Activity
             };
             if let Some((_, log)) = &mut detail {
@@ -572,6 +609,30 @@ mod tests {
         tied.sort_by_key(|&(_, id)| splitmix64(seed ^ u64::from(id)));
         assert_eq!(order, [vec![(10, 7), (20, 5)], tied.to_vec()].concat());
         assert!(h.is_empty());
+    }
+
+    /// Re-keying the top in place pops in the order a pop and a push give:
+    /// components wake at staggered ticks, stop after tick 40, and tie.
+    #[test]
+    fn rescheduling_the_top_pops_as_pop_and_push_do() {
+        let seed = 3;
+        let next = |id: u32, t: Tick| (t < 40).then(|| t + 1 + u64::from(id * 7 % 5));
+        let (mut moved, mut popped) = (EventHeap::new(seed), EventHeap::new(seed));
+        for id in 0..12u32 {
+            moved.schedule(u64::from(id % 4), id);
+            popped.schedule(u64::from(id % 4), id);
+        }
+        let mut order = Vec::new();
+        while let Some((t, id)) = popped.pop() {
+            assert_eq!((moved.peek_tick(), moved.due(t)), (Some(t), Some(id)));
+            moved.reschedule_top(next(id, t));
+            if let Some(n) = next(id, t) {
+                popped.schedule(n, id);
+            }
+            order.push((t, id));
+        }
+        assert!(moved.is_empty());
+        assert!(order.len() > 100, "{} pops", order.len());
     }
 
     #[test]

@@ -17,16 +17,6 @@ pub struct AppSeries {
 }
 
 impl AppSeries {
-    /// No work and no samples yet, for the application `name`.
-    pub(crate) fn empty(name: &str) -> Self {
-        AppSeries {
-            name: name.to_string(),
-            gflop_done: 0.0,
-            times_s: Vec::new(),
-            gflops_series: Vec::new(),
-        }
-    }
-
     /// Average sustained GFLOPS over the whole run.
     pub fn avg_gflops(&self, duration_s: f64) -> f64 {
         self.gflop_done / duration_s

@@ -1,57 +1,87 @@
-//! Allocation budget of an outage run at fleet scale.
+//! Allocation budgets of the two fleet-scale runs.
 //!
 //! The counting `#[global_allocator]` of `supervised_alloc_budget.rs`
-//! (`counting/mod.rs`) over the public API: one `run_chaos_scenario_on` of the
-//! `fleet_outages` shape — 256 tenants striped over 16 nodes of 18 cores,
-//! 16 waves that each take a block of 20 tenants down and bring it back
-//! before the next, reclamation on, event engine — so 33 segments, each
-//! after a fair-share reclaim over the survivors and a schedule entry cut
-//! from it. The count does not depend on the host.
+//! (`counting/mod.rs`) over the public API, on two fleets of one shape (one
+//! thread per tenant striped over the nodes, memory- and compute-bound
+//! tenants alternating, ideal effects, event cuts). The counts do not
+//! depend on the host.
 //!
-//! While an assignment was one heap row per application the run made
-//! 20 080 allocator calls: every `fair_share` allocated (and freed) 236 or
-//! 256 rows and the segment matrix 257 more, 33 times over. With one
-//! allocation per assignment it makes about 3 600, nearly all of them the
-//! simulation's own (per-tenant series, the event heap, the result).
+//! - An outage run of the `fleet_outages` shape: one `run_chaos_scenario_on`
+//!   of 256 tenants on 16 nodes of 18 cores, 16 waves that each take a
+//!   block of 20 tenants down and bring it back before the next,
+//!   reclamation on — so 33 segments, each after a fair-share reclaim over
+//!   the survivors and a schedule entry cut from it.
+//! - A bursting run of the `fleet_diurnal` shape: one `run_logged` of 1 000
+//!   tenants on 64 nodes, each bursting at a 50 % duty in one of 16 phase
+//!   groups — about 7 900 events in 64 segments.
+//!
+//! Where the calls go. Since an assignment became one allocation, almost
+//! all of them are the result's: three per tenant, its name, its sample
+//! times and its sample rates, each built once at its exact length. The
+//! rest grows with the run, not the fleet: a sample window appends one
+//! time and one flat row of per-tenant rates, and those two vectors and
+//! the event log grow by doubling. The outage run adds 33 schedule entries
+//! and their fair shares. While each window pushed onto two vectors per
+//! tenant, all of them growing by doubling, the outage run made 3 541
+//! calls and the bursting run 11 074.
 
 mod counting;
 
 use memsim::{
-    run_chaos_scenario_on, AppOutage, ChaosPlan, EffectModel, EngineKind, NamedAssignment,
-    Scenario, SimApp,
+    run_chaos_scenario_on, ActivityPattern, AppOutage, ChaosPlan, EffectModel, EngineKind,
+    NamedAssignment, Scenario, SimApp, SimConfig, Simulation,
 };
-use numa_topology::MachineBuilder;
+use numa_topology::{Machine, MachineBuilder};
+use roofline_numa::ThreadAssignment;
 
+const DURATION_S: f64 = 4.0;
+
+/// The outage fleet: 256 tenants on 16 nodes.
 const TENANTS: usize = 256;
 const NODES: usize = 16;
 const WAVES: usize = 16;
 const BLOCK: usize = 20;
-const DURATION_S: f64 = 4.0;
 
-/// One thread per tenant striped over the nodes, memory- and compute-bound
-/// tenants alternating.
-fn fleet() -> Scenario {
-    let machine = MachineBuilder::new()
-        .symmetric_nodes(NODES, TENANTS / NODES + 2)
+/// The bursting fleet: 1 000 tenants on 64 nodes.
+const BURSTING_TENANTS: usize = 1000;
+const BURSTING_NODES: usize = 64;
+
+/// `nodes` nodes with two cores to spare over the striped tenants.
+fn machine(tenants: usize, nodes: usize) -> Machine {
+    MachineBuilder::new()
+        .symmetric_nodes(nodes, tenants.div_ceil(nodes) + 2)
         .core_peak_gflops(12.8)
         .node_bandwidth_gbs(80.0)
         .uniform_link_gbs(12.0)
         .build()
-        .expect("fleet machine parameters are well-formed");
-    let apps = (0..TENANTS)
-        .map(|i| SimApp::numa_local(&format!("t{i}"), if i % 2 == 0 { 1.0 / 32.0 } else { 1.0 }))
-        .collect();
-    let mut striped = vec![vec![0usize; NODES]; TENANTS];
+        .expect("fleet machine parameters are well-formed")
+}
+
+/// One thread per tenant striped over the nodes.
+fn striped(tenants: usize, nodes: usize) -> Vec<Vec<usize>> {
+    let mut striped = vec![vec![0usize; nodes]; tenants];
     for (i, row) in striped.iter_mut().enumerate() {
-        row[i % NODES] = 1;
+        row[i % nodes] = 1;
     }
+    striped
+}
+
+/// Memory- and compute-bound tenants alternating.
+fn tenant(i: usize) -> SimApp {
+    SimApp::numa_local(
+        &format!("t{i}"),
+        if i.is_multiple_of(2) { 1.0 / 32.0 } else { 1.0 },
+    )
+}
+
+fn outage_fleet() -> Scenario {
     Scenario {
         name: "fleet-outages-256x16".into(),
-        machine,
-        apps,
+        machine: machine(TENANTS, NODES),
+        apps: (0..TENANTS).map(tenant).collect(),
         assignments: vec![NamedAssignment {
             name: "striped".into(),
-            threads: striped,
+            threads: striped(TENANTS, NODES),
         }],
         duration_s: DURATION_S,
         effects: EffectModel::ideal(),
@@ -79,20 +109,57 @@ fn waves() -> ChaosPlan {
     }
 }
 
-/// One test, so that no other thread of this binary allocates while the run
-/// is counted.
+/// Tenants bursting at a 50 % duty over a quarter of the run, in 16 phase
+/// groups.
+fn bursting_tenants() -> Vec<SimApp> {
+    let period_s = DURATION_S / 4.0;
+    (0..BURSTING_TENANTS)
+        .map(|i| {
+            tenant(i).with_activity(ActivityPattern::Bursts {
+                period_s,
+                duty: 0.5,
+                phase_s: period_s * (i * 7 % 16) as f64 / 16.0,
+            })
+        })
+        .collect()
+}
+
+/// One test, so that no other thread of this binary allocates while a run
+/// is counted: the outage run, then the bursting run.
 #[test]
 fn an_outage_run_stays_within_its_allocation_budget() {
-    let (scenario, plan) = (fleet(), waves());
+    let (scenario, plan) = (outage_fleet(), waves());
     let (out, calls) = counting::allocator_calls(|| {
         run_chaos_scenario_on(&scenario, &plan, None, EngineKind::Event)
     });
-    let out = out.expect("the fleet run succeeds");
+    let out = out.expect("the outage run succeeds");
     assert_eq!(out.segments.len(), 2 * WAVES + 1);
     assert!(out.result.total_gflops() > 0.0);
     println!("allocator calls of one 256 x 16 outage run: {calls}");
     assert!(
-        calls <= 4096,
-        "an outage run of 33 segments made {calls} allocator calls (budget 4096)"
+        calls <= 2048,
+        "an outage run of 33 segments made {calls} allocator calls (budget 2048)"
+    );
+
+    let sim = Simulation::new(
+        SimConfig::new(machine(BURSTING_TENANTS, BURSTING_NODES))
+            .with_effects(EffectModel::ideal())
+            .with_seed(42),
+    );
+    let apps = bursting_tenants();
+    let striped = ThreadAssignment::from_matrix(striped(BURSTING_TENANTS, BURSTING_NODES));
+    let schedule = [(0.0, striped)];
+    let (out, calls) = counting::allocator_calls(|| sim.run_logged(&apps, &schedule, DURATION_S));
+    let (result, log) = out.expect("the bursting run succeeds");
+    assert!(log.len() > 4 * BURSTING_TENANTS && result.total_gflops() > 0.0);
+    println!(
+        "allocator calls of one 1000 x 64 bursting run ({} events, {} segments): {calls}",
+        log.len(),
+        log.segments
+    );
+    let budget = 4 * BURSTING_TENANTS as u64;
+    assert!(
+        calls <= budget,
+        "a 1000-tenant bursting run made {calls} allocator calls (budget {budget}, 4 per tenant)"
     );
 }

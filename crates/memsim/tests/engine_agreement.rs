@@ -14,8 +14,8 @@
 use coop_alloc::cases::check;
 use memsim::{
     run_chaos_scenario_on, run_supervised, ActivityPattern, ChaosPlan, EffectModel, EngineKind,
-    NamedAssignment, Perturbation, Scenario, SimApp, SimConfig, Simulation, SupervisorConfig,
-    TelemetryHub,
+    NamedAssignment, Perturbation, Scenario, SimApp, SimConfig, SimResult, Simulation,
+    SupervisorConfig, TelemetryHub,
 };
 use numa_topology::MachineBuilder;
 use roofline_numa::ThreadAssignment;
@@ -319,22 +319,17 @@ fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
     })
 }
 
-/// The exact test of the event loop on remote traffic: eight apps on four
-/// nodes — each half holding a NUMA-bad app, a spread app (one with zero
-/// fractions), local apps, and an activity pattern — under the default
-/// (jittered) effects, with two assignment switches that change the
-/// thread count (so the demand columns change shape mid-run), one of
-/// them over-subscribed, the last leaving one app with no threads. The
-/// event log's bytes and every float of the result are pinned by FNV-1a
-/// digests. They were taken at commit 685ff2c, where a second
-/// implementation of the loop (the since-deleted sharded engine) was held
-/// equal to this run at 2 and 8 threads and under three lopsided
-/// partitions, and taken again when `next_edge` stopped repeating an edge
-/// 1 ns later: the log is 685ff2c's less its two twins (11 000 001 and
-/// 15 000 001 ns; 15 segments then, 13 now), and the floats are what
-/// 6c06162's event loop gives with that fix alone (the twins drew jitter).
-#[test]
-fn mixed_placements_replay_the_pinned_log_and_floats() {
+/// Eight apps on four nodes — each half holding a NUMA-bad app, a spread
+/// app (one with zero fractions), local apps, and an activity pattern —
+/// with two assignment switches that change the thread count (so the
+/// demand columns change shape mid-run), one of them over-subscribed, the
+/// last leaving one app with no threads; and the run's duration.
+fn mixed_placements() -> (
+    numa_topology::Machine,
+    Vec<SimApp>,
+    Vec<(f64, ThreadAssignment)>,
+    f64,
+) {
     use numa_topology::NodeId;
     let m = machine(4, 4, 32.0, 8.0);
     let half = |tag: &str, bad_on: usize, fractions: Vec<f64>, activity: ActivityPattern| {
@@ -390,8 +385,38 @@ fn mixed_placements_replay_the_pinned_log_and_floats() {
             ]),
         ),
     ];
-    let duration = 16.0 * QUANTUM_S;
+    (m, apps, schedule, 16.0 * QUANTUM_S)
+}
 
+/// The FNV-1a digest of every float of `result` — duration, then per app
+/// its work, sample times and sample rates, then per node its average
+/// bandwidth and utilization — and how many floats that is.
+fn float_digest(result: &SimResult) -> (u64, usize) {
+    let mut floats = vec![result.duration_s];
+    for app in &result.apps {
+        floats.push(app.gflop_done);
+        floats.extend(&app.times_s);
+        floats.extend(&app.gflops_series);
+    }
+    floats.extend(&result.node_avg_gbs);
+    floats.extend(&result.node_utilization);
+    let digest = fnv1a(floats.iter().flat_map(|f| f.to_bits().to_le_bytes()));
+    (digest, floats.len())
+}
+
+/// The exact test of the event loop on remote traffic: [`mixed_placements`]
+/// under the default (jittered) effects. The event log's bytes and every
+/// float of the result are pinned by FNV-1a digests. They were taken at
+/// commit 685ff2c, where a second implementation of the loop (the
+/// since-deleted sharded engine) was held equal to this run at 2 and 8
+/// threads and under three lopsided partitions, and taken again when
+/// `next_edge` stopped repeating an edge 1 ns later: the log is 685ff2c's
+/// less its two twins (11 000 001 and 15 000 001 ns; 15 segments then, 13
+/// now), and the floats are what 6c06162's event loop gives with that fix
+/// alone (the twins drew jitter).
+#[test]
+fn mixed_placements_replay_the_pinned_log_and_floats() {
+    let (m, apps, schedule, duration) = mixed_placements();
     let (result, log) = Simulation::new(
         SimConfig::new(m)
             .with_seed(42)
@@ -404,25 +429,42 @@ fn mixed_placements_replay_the_pinned_log_and_floats() {
         result.node_avg_gbs.iter().all(|&g| g > 0.0) && result.apps[1].gflop_done > 0.0,
         "every controller serves traffic and the NUMA-bad app makes progress"
     );
-
-    let mut floats = vec![result.duration_s];
-    for app in &result.apps {
-        floats.push(app.gflop_done);
-        floats.extend(&app.times_s);
-        floats.extend(&app.gflops_series);
-    }
-    floats.extend(&result.node_avg_gbs);
-    floats.extend(&result.node_utilization);
     assert_eq!(
         fnv1a(log.to_bytes().into_iter()),
         0x133c_11ed_ab52_beda,
         "event log: {log:?}"
     );
+    let (digest, floats) = float_digest(&result);
     assert_eq!(
-        fnv1a(floats.iter().flat_map(|f| f.to_bits().to_le_bytes())),
-        0x140a_b217_f027_35a2,
-        "the {} floats of the result",
-        floats.len()
+        digest, 0x140a_b217_f027_35a2,
+        "the {floats} floats of the result"
+    );
+}
+
+/// The same run cut by the quantum grid as well: sixteen quanta of
+/// jittered arbitration, sampled every ten quanta and at the end, so each
+/// sample is a window's banked work over its length (`banked / window_s`)
+/// rather than one segment's rate. Every float of the result is pinned by
+/// an FNV-1a digest taken at commit cbda849, when each window still
+/// appended to two vectors per app.
+#[test]
+fn mixed_placements_replay_the_pinned_floats_on_the_grid() {
+    let (m, apps, schedule, duration) = mixed_placements();
+    let result = Simulation::new(
+        SimConfig::new(m)
+            .with_seed(42)
+            .with_engine(EngineKind::Slice),
+    )
+    .run_dynamic(&apps, &schedule, duration)
+    .unwrap();
+    assert!(
+        result.apps.iter().all(|a| a.times_s.len() == 2),
+        "two sample windows: ten quanta, then six"
+    );
+    let (digest, floats) = float_digest(&result);
+    assert_eq!(
+        digest, 0xddb6_5706_3a65_121b,
+        "the {floats} floats of the result"
     );
 }
 
