@@ -19,12 +19,41 @@ use roofline_numa::ThreadAssignment;
 ///
 /// The split of a node is three numbers — the share everybody gets, how
 /// many applications get one more, and the first of those — worked out once
-/// per node; each application's row is then written in one pass.
+/// per node. The rows are written only where they are non-zero: a base row
+/// is copied into every row when some node has a share to give everybody,
+/// then each node adds one to its `extra` rows starting at `first`. The
+/// writes cost O(nodes + Σ extra) over a zeroed matrix, so a fleet of more
+/// applications than a node has cores pays for its handed-out cores, not
+/// for its cells. (Carrying the start across nodes instead of restarting
+/// it at `node % num_apps` would change only where the increments begin.)
 ///
 /// On the paper's 4x8 machine with 4 applications this is the (2,2,2,2)
 /// allocation of Table II.
 pub fn fair_share(machine: &Machine, num_apps: usize) -> Result<ThreadAssignment> {
-    if num_apps == 0 {
+    fill_fair(machine, num_apps, num_apps, |pos| pos)
+}
+
+/// [`fair_share`] over the applications whose `live` flag is set, in an
+/// assignment with one row per flag: dead rows are zero, and the live rows
+/// are `fair_share(machine, live_count)`'s rows in application order. This
+/// is the reclaim after an outage — the survivors split the cores. No live
+/// application is [`AllocError::NoApps`].
+pub fn fair_share_among(machine: &Machine, live: &[bool]) -> Result<ThreadAssignment> {
+    let mut rows = Vec::with_capacity(live.len());
+    rows.extend((0..live.len()).filter(|&app| live[app]));
+    fill_fair(machine, live.len(), rows.len(), |pos| rows[pos])
+}
+
+/// The fair split of `machine` among `sharers` applications, written into
+/// a zeroed assignment of `num_rows` rows: the `pos`-th sharer's share goes
+/// to row `row(pos)`, every other row stays zero.
+fn fill_fair(
+    machine: &Machine,
+    num_rows: usize,
+    sharers: usize,
+    row: impl Fn(usize) -> usize,
+) -> Result<ThreadAssignment> {
+    if sharers == 0 {
         return Err(AllocError::NoApps);
     }
     // (base, extra, first) per node.
@@ -32,19 +61,22 @@ pub fn fair_share(machine: &Machine, num_apps: usize) -> Result<ThreadAssignment
         .node_ids()
         .map(|node| {
             let cores = machine.node(node).num_cores();
-            (cores / num_apps, cores % num_apps, node.0 % num_apps)
+            (cores / sharers, cores % sharers, node.0 % sharers)
         })
         .collect();
-    let mut a = ThreadAssignment::zero(machine, num_apps);
-    for app in 0..num_apps {
-        for (slot, &(base, extra, first)) in a.row_mut(app).iter_mut().zip(&splits) {
-            // How far `app` sits after `first`, going round.
-            let dist = if app >= first {
-                app - first
-            } else {
-                app + num_apps - first
-            };
-            *slot = base + usize::from(dist < extra);
+    let mut a = ThreadAssignment::zero(machine, num_rows);
+    if splits.iter().any(|&(base, _, _)| base > 0) {
+        for pos in 0..sharers {
+            for (slot, &(base, _, _)) in a.row_mut(row(pos)).iter_mut().zip(&splits) {
+                *slot = base;
+            }
+        }
+    }
+    for (node, &(base, extra, first)) in splits.iter().enumerate() {
+        // The `extra` sharers from `first` on, going round.
+        let wrapped = (first + extra).saturating_sub(sharers);
+        for pos in (first..first + extra - wrapped).chain(0..wrapped) {
+            a.set(row(pos), NodeId(node), base + 1);
         }
     }
     a.validate(machine)?;

@@ -19,6 +19,19 @@ fn machine(nodes: usize, cores: usize) -> numa_topology::Machine {
         .unwrap()
 }
 
+/// One node of `cores` cores per entry of `sizes`.
+fn unequal_machine(sizes: &[usize]) -> numa_topology::Machine {
+    sizes
+        .iter()
+        .fold(MachineBuilder::new(), |b, &cores| {
+            b.add_node(cores, 32.0, 16.0)
+        })
+        .core_peak_gflops(10.0)
+        .uniform_link_gbs(10.0)
+        .build()
+        .unwrap()
+}
+
 /// Fair share always allocates every core of every node exactly once
 /// when apps <= cores, and never over-subscribes.
 #[test]
@@ -40,9 +53,9 @@ fn fair_share_uses_all_cores() {
     });
 }
 
-/// One cell of `fair_share` as it was computed before rows were filled in
-/// one pass: the remainder rotated by the node index, two `%` per cell.
-/// Kept here as the oracle; the strategy must return exactly this.
+/// One cell of `fair_share` written as a formula: the remainder rotated by
+/// the node index, two `%` per cell. The strategy writes only the cells it
+/// fills; kept here as the oracle, it must return exactly this.
 fn fair_share_cell(cores: usize, num_apps: usize, node: usize, app: usize) -> usize {
     let (base, extra) = (cores / num_apps, cores % num_apps);
     base + usize::from((app + num_apps - node % num_apps) % num_apps < extra)
@@ -56,15 +69,7 @@ fn fair_share_is_the_per_cell_formula() {
     check(8, CASES, |g| {
         let sizes = g.vec(1..17, |g| g.range(1..65usize));
         let apps = g.range(1..=300usize);
-        let m = sizes
-            .iter()
-            .fold(MachineBuilder::new(), |b, &cores| {
-                b.add_node(cores, 32.0, 16.0)
-            })
-            .core_peak_gflops(10.0)
-            .uniform_link_gbs(10.0)
-            .build()
-            .unwrap();
+        let m = unequal_machine(&sizes);
         let a = strategies::fair_share(&m, apps).unwrap();
         assert_eq!((a.num_apps(), a.num_nodes()), (apps, sizes.len()));
         assert!(a.validate(&m).is_ok());
@@ -87,6 +92,46 @@ fn fair_share_is_the_per_cell_formula() {
     );
     assert_eq!(
         strategies::fair_share(&paper, 0),
+        Err(coop_alloc::AllocError::NoApps)
+    );
+}
+
+/// On random machines and random live masks, `fair_share_among` zeroes
+/// the dead rows and gives the live ones `fair_share`'s rows over the
+/// survivors, in application order; nobody alive is `NoApps`.
+#[test]
+fn fair_share_among_is_fair_share_over_the_survivors() {
+    check(9, CASES, |g| {
+        let sizes = g.vec(1..17, |g| g.range(1..65usize));
+        let m = unequal_machine(&sizes);
+        let live_odds = g.range(0.0..1.0);
+        let live = g.vec(1..300, |g| g.range(0.0..1.0) < live_odds);
+        let live_count = live.iter().filter(|&&l| l).count();
+        let got = strategies::fair_share_among(&m, &live);
+        if live_count == 0 {
+            assert_eq!(got, Err(coop_alloc::AllocError::NoApps));
+            return;
+        }
+        let got = got.unwrap();
+        let shared = strategies::fair_share(&m, live_count).unwrap();
+        assert_eq!((got.num_apps(), got.num_nodes()), (live.len(), sizes.len()));
+        let mut survivors = (0..live_count).map(|pos| shared.row(pos));
+        for (app, &alive) in live.iter().enumerate() {
+            if alive {
+                assert_eq!(got.row(app), survivors.next().unwrap(), "live app {app}");
+            } else {
+                assert!(got.row(app).iter().all(|&c| c == 0), "dead app {app}");
+            }
+        }
+        assert!(survivors.next().is_none());
+    });
+    let paper = paper_model_machine();
+    assert_eq!(
+        strategies::fair_share_among(&paper, &[false; 3]),
+        Err(coop_alloc::AllocError::NoApps)
+    );
+    assert_eq!(
+        strategies::fair_share_among(&paper, &[]),
         Err(coop_alloc::AllocError::NoApps)
     );
 }

@@ -145,6 +145,9 @@ pub struct ChaosResult {
     pub result: SimResult,
     /// `(start_s, live_flags)` per schedule segment, ascending.
     pub segments: Vec<(f64, Vec<bool>)>,
+    /// `(start_s, assignment)` per segment: the schedule the run executed,
+    /// one entry per entry of `segments`.
+    pub schedule: Vec<(f64, ThreadAssignment)>,
 }
 
 /// Runs the first assignment of `scenario` under `plan` on the default
@@ -167,14 +170,15 @@ pub fn run_chaos_scenario_on(
 ) -> Result<ChaosResult> {
     scenario.validate()?;
     plan.validate(scenario)?;
-    let base = ThreadAssignment::from_matrix(scenario.assignments[0].threads.clone());
+    let base = (!plan.reclaim)
+        .then(|| ThreadAssignment::from_matrix(scenario.assignments[0].threads.clone()));
     let num_apps = scenario.apps.len();
 
     let mut schedule = Vec::new();
     let mut segments = Vec::new();
     for t in plan.edges(scenario.duration_s) {
         let live = plan.live_at(num_apps, t);
-        schedule.push((t, segment_assignment(scenario, plan, &base, &live)?));
+        schedule.push((t, segment_assignment(scenario, base.as_ref(), &live)?));
         segments.push((t, live));
     }
 
@@ -188,7 +192,11 @@ pub fn run_chaos_scenario_on(
         sim = sim.with_telemetry(hub);
     }
     let result = sim.run_dynamic(&scenario.apps, &schedule, scenario.duration_s)?;
-    Ok(ChaosResult { result, segments })
+    Ok(ChaosResult {
+        result,
+        segments,
+        schedule,
+    })
 }
 
 // Ignores its last argument: kept only for coopbench's `memsim.par2_*` probe
@@ -205,35 +213,28 @@ pub fn run_chaos_scenario_threaded(
 }
 
 /// The assignment in force for one segment: dead rows zeroed; live rows
-/// either fair-shared over the survivors (reclaim) or kept as-is. Also
-/// used by the supervisor to inject outages into supervised runs.
+/// fair-shared over the survivors (`base` is `None`: reclaim) or kept as
+/// they are in `base`. Also used by the supervisor to inject outages into
+/// supervised runs.
 pub(crate) fn segment_assignment(
     scenario: &Scenario,
-    plan: &ChaosPlan,
-    base: &ThreadAssignment,
+    base: Option<&ThreadAssignment>,
     live: &[bool],
 ) -> Result<ThreadAssignment> {
-    let live_count = live.iter().filter(|&&l| l).count();
-    let mut segment = ThreadAssignment::zero(&scenario.machine, live.len());
-    if live_count == 0 {
+    if !live.contains(&true) {
         // Everything is down: an empty machine is a valid (if sad) segment.
-        return Ok(segment);
+        return Ok(ThreadAssignment::zero(&scenario.machine, live.len()));
     }
-    let live_apps = (0..live.len()).filter(|&app| live[app]);
-    if plan.reclaim {
-        let shared =
-            coop_alloc::strategies::fair_share(&scenario.machine, live_count).map_err(|e| {
-                SimError::Calibration {
-                    reason: format!("fair-share reclamation failed: {e}"),
-                }
-            })?;
-        for (pos, app) in live_apps.enumerate() {
-            segment.row_mut(app).copy_from_slice(shared.row(pos));
-        }
-    } else {
-        for app in live_apps {
-            segment.row_mut(app).copy_from_slice(base.row(app));
-        }
+    let Some(base) = base else {
+        return coop_alloc::strategies::fair_share_among(&scenario.machine, live).map_err(|e| {
+            SimError::Calibration {
+                reason: format!("fair-share reclamation failed: {e}"),
+            }
+        });
+    };
+    let mut segment = ThreadAssignment::zero(&scenario.machine, live.len());
+    for app in (0..live.len()).filter(|&app| live[app]) {
+        segment.row_mut(app).copy_from_slice(base.row(app));
     }
     Ok(segment)
 }

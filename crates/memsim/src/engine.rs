@@ -511,8 +511,8 @@ pub(crate) fn expand_threads(
 ) {
     threads.clear();
     for app in 0..assignment.num_apps() {
-        for node in 0..num_nodes {
-            for _ in 0..assignment.get(app, NodeId(node)) {
+        for (node, &count) in assignment.row(app)[..num_nodes].iter().enumerate() {
+            for _ in 0..count {
                 threads.push(Thread {
                     app,
                     home: NodeId(node),

@@ -96,17 +96,32 @@ impl Scenario {
                 reason: "scenario needs at least one assignment",
             });
         }
+        // The shape is checked on the matrix as it is: the first row that
+        // does not span the machine is the error `check_shape` would report.
+        let num_nodes = self.machine.num_nodes();
         for a in &self.assignments {
-            let t = ThreadAssignment::from_matrix(a.threads.clone());
-            if t.num_apps() != self.apps.len() {
+            if a.threads.len() != self.apps.len() {
                 return Err(SimError::Model(
                     roofline_numa::ModelError::AppCountMismatch {
                         specs: self.apps.len(),
-                        assignment: t.num_apps(),
+                        assignment: a.threads.len(),
                     },
                 ));
             }
-            t.check_shape(self.machine.num_nodes())?;
+            if let Some((app, row)) = a
+                .threads
+                .iter()
+                .enumerate()
+                .find(|(_, row)| row.len() != num_nodes)
+            {
+                return Err(SimError::Model(
+                    roofline_numa::ModelError::AssignmentShape {
+                        app,
+                        expected: num_nodes,
+                        actual: row.len(),
+                    },
+                ));
+            }
         }
         Ok(())
     }

@@ -533,7 +533,11 @@ pub fn run_supervised(
         if reassigned || built_for != alloc_live {
             schedule[0].1 = if alloc_live.contains(&false) {
                 let plan = config.chaos.as_ref().unwrap_or(&reclaiming);
-                segment_assignment(scenario, plan, &assignment, &alloc_live)?
+                segment_assignment(
+                    scenario,
+                    (!plan.reclaim).then_some(&assignment),
+                    &alloc_live,
+                )?
             } else {
                 assignment.clone()
             };
