@@ -81,7 +81,7 @@ enum Stage {
     Poll,
     /// `Policy::tick`.
     Policy,
-    /// Policy commands, fair-share reclamation, containment ladder.
+    /// Policy commands, fair-share reclamation, containment.
     Command,
     /// Provenance record, tenant ledger, SLO engine, decision records.
     Book,
@@ -230,24 +230,21 @@ impl AgentTelemetry {
 /// workers.
 const SUSTAINED_RUNAWAY_TICKS: u32 = 2;
 
-/// Per-handle runaway tracking backing the containment ladder (see
-/// [`crate::contain`]).
+/// Per-handle runaway tracking behind containment
+/// ([`coop_alloc::strategies::contain`]).
 #[derive(Default)]
 struct RunawayState {
     /// `tasks_runaway` observed on the previous tick.
     last_runaway: u64,
     /// Consecutive ticks the counter climbed.
     sustained: u32,
-    /// Next containment ladder rung to apply.
-    rung: usize,
 }
 
 impl RunawayState {
-    /// Takes the runtime off the ladder and lifts its Degraded floor, so
-    /// its health can recover through ordinary successful calls.
+    /// Ends containment and lifts the runtime's Degraded floor, so its
+    /// health can recover through ordinary successful calls.
     fn release(&mut self, handle: &SupervisedHandle) {
         self.sustained = 0;
-        self.rung = 0;
         handle.clear_forced_floor();
     }
 }
@@ -537,8 +534,8 @@ impl Agent {
     /// fair-share fallback when the live set changed but the policy
     /// issued nothing.
     ///
-    /// Probes, polls, policy commands, reclamation commands and the
-    /// containment ladder's commands are each one scatter–gather phase
+    /// Probes, polls, policy commands, reclamation commands and
+    /// containment commands are each one scatter–gather phase
     /// (see [`crate::supervise`]): every runtime of the phase is asked at
     /// once and answers are taken in registry order, so a phase costs its
     /// slowest round trip — one call deadline when runtimes hang, however
@@ -676,23 +673,23 @@ impl Agent {
 
         // Runaway containment: a runtime whose watchdog keeps marking
         // tasks runaway is degraded (so its health is visible and
-        // policies see a weaker tenant) and walked down the containment
-        // ladder — SMT siblings first, then shared-L3 cores, then whole
-        // nodes — until it sits at its fair share. The detection state is
-        // per handle so an offender's rung survives tenure changes in the
-        // live set; a tick with no new runaways resets it (the task
-        // returned, the tenant may grow back via normal policy).
+        // policies see a weaker tenant) and, on every tick its counter
+        // keeps climbing, clamped to its fair-share row. The detection
+        // state is per handle so an offender stays contained across
+        // tenure changes in the live set; a tick with no new runaways
+        // ends it (the task returned, the tenant may grow back via normal
+        // policy).
         if let Some(machine) = &self.reclaim_machine {
             // Solved for the first offender of the tick, if there is one.
             let mut fair = None;
-            // This tick's ladder commands, in registry order.
-            let mut ladder: Vec<(usize, ThreadCommand)> = Vec::new();
+            // This tick's containment commands, in registry order.
+            let mut clamps: Vec<(usize, ThreadCommand)> = Vec::new();
             for (pos, &i) in live_idx.iter().enumerate() {
                 let s = &stats[pos];
                 let state = &mut self.runaway[i];
                 if s.tasks_runaway > state.last_runaway {
-                    state.sustained += 1;
-                } else if state.sustained > 0 || state.rung > 0 {
+                    state.sustained = state.sustained.saturating_add(1);
+                } else if state.sustained > 0 {
                     // The wedged tasks returned: the next successful poll
                     // recovers the tenant.
                     state.release(&self.handles[i]);
@@ -705,30 +702,27 @@ impl Agent {
                     coop_alloc::strategies::fair_share(machine, live_idx.len()).ok()
                 });
                 let Some(assignment) = fair else { continue };
-                let ThreadCommand::PerNode(fair_row) = per_node_command(assignment, pos, machine)
-                else {
-                    continue;
-                };
-                let target =
-                    crate::contain::ladder_step(state.rung, &s.running_per_node(), &fair_row);
+                let fair_row = assignment.row(pos);
+                // A node the stats do not report holds its fair share.
+                let mut target = fair_row.to_vec();
+                for (t, &running) in target.iter_mut().zip(&s.running_per_node()) {
+                    *t = running as usize;
+                }
+                coop_alloc::strategies::contain(&mut target, fair_row);
                 self.handles[i].force_degraded();
-                ladder.push((i, ThreadCommand::PerNode(target)));
+                clamps.push((i, ThreadCommand::PerNode(target)));
             }
             // One more scatter: offenders that hang in the same tick cost
-            // one call deadline between them. A rung is climbed, and fresh
-            // evidence asked for, only where the command went through.
+            // one call deadline between them.
             let sent = applied.len();
-            self.send_commands(ladder, &mut applied);
+            self.send_commands(clamps, &mut applied);
             for (i, _) in &applied[sent..] {
-                let state = &mut self.runaway[*i];
                 self.telemetry.containments.inc();
                 self.telemetry.record_health_event(
                     tick,
                     self.handles[*i].runtime_name(),
-                    &format!("contained:{}", crate::contain::rung_name(state.rung)),
+                    "contained",
                 );
-                state.rung = (state.rung + 1).min(crate::contain::CONTAINMENT_RUNGS - 1);
-                state.sustained = 0;
             }
         }
         self.telemetry.stage_done(Stage::Command, &mut stage_start);
@@ -1244,13 +1238,14 @@ mod tests {
     }
 
     /// A runtime whose watchdog counter is test-controlled and which
-    /// reports 2 busy workers on each of tiny()'s 2 nodes. With a
+    /// reports `running[n]` busy workers on node `n`. With a
     /// `command_gate`, `command()` hangs until the gate's sender is dropped;
     /// while `dead` is set, every call fails.
     struct RunawayFake {
         name: String,
         dead: Arc<AtomicBool>,
         runaway: Arc<AtomicU64>,
+        running: Vec<usize>,
         commands: CommandLog,
         command_gate: Option<Mutex<std::sync::mpsc::Receiver<()>>>,
     }
@@ -1271,21 +1266,19 @@ mod tests {
                 tasks_spawned: 10,
                 tasks_ready: 0,
                 tasks_pending: 0,
-                running_workers: 4,
+                running_workers: self.running.iter().sum(),
                 blocked_workers: 0,
                 external_threads: 0,
-                per_node: vec![
-                    coop_runtime::NodeOccupancy {
-                        node: numa_topology::NodeId(0),
-                        running_workers: 2,
+                per_node: self
+                    .running
+                    .iter()
+                    .enumerate()
+                    .map(|(n, &running_workers)| coop_runtime::NodeOccupancy {
+                        node: numa_topology::NodeId(n),
+                        running_workers,
                         tasks_executed: 5,
-                    },
-                    coop_runtime::NodeOccupancy {
-                        node: numa_topology::NodeId(1),
-                        running_workers: 2,
-                        tasks_executed: 5,
-                    },
-                ],
+                    })
+                    .collect(),
                 user_counters: HashMap::new(),
                 uptime_us: 1_000,
                 tasks_preempted: 0,
@@ -1315,6 +1308,7 @@ mod tests {
             name: "hog".to_string(),
             dead: Arc::default(),
             runaway: Arc::clone(&runaway),
+            running: vec![2, 2],
             commands: Arc::clone(&cmds),
             command_gate: None,
         };
@@ -1329,10 +1323,9 @@ mod tests {
         agent.tick().unwrap();
         assert!(cmds.lock().is_empty());
 
-        // The watchdog counter climbs two ticks in a row: rung 0 fires.
-        // Fair share of tiny() (2 nodes x 2 cores) between 2 tenants is
-        // [1, 1]; the offender runs [2, 2], so the SMT rung halves it to
-        // [1, 1] (already at fair here).
+        // The watchdog counter climbs two ticks in a row: containment
+        // fires. Fair share of tiny() (2 nodes x 2 cores) between 2
+        // tenants is [1, 1]; the offender runs [2, 2] and is clamped to it.
         runaway.fetch_add(1, Ordering::SeqCst);
         agent.tick().unwrap();
         assert!(cmds.lock().is_empty(), "one climbing tick is not enough");
@@ -1367,7 +1360,7 @@ mod tests {
         assert!(hub
             .events()
             .iter()
-            .any(|e| e.cat == "health" && e.name == "contained:smt"));
+            .any(|e| e.cat == "health" && e.name == "contained"));
         let log = agent.log();
         let contained = log
             .decisions
@@ -1376,7 +1369,7 @@ mod tests {
             .expect("containment recorded as a decision");
         assert!(contained.provenance.is_none(), "containment is reactive");
 
-        // Quiet ticks reset the ladder (the wedged task returned): the
+        // Quiet ticks end containment (the wedged task returned): the
         // Degraded floor lifts and the next successful poll recovers.
         agent.tick().unwrap();
         agent.tick().unwrap();
@@ -1388,6 +1381,42 @@ mod tests {
                 .any(|(n, h)| n == "hog" && *h == Health::Healthy),
             "recovered after the runaways stopped: {:?}",
             agent.health()
+        );
+    }
+
+    /// Three tenants on the paper's 4 x 8 machine, the offender busy on
+    /// every core: the first sustained tick clamps it straight to its fair
+    /// row, freeing 21 of its 32 cores, and every later climbing tick sends
+    /// the same clamp again.
+    #[test]
+    fn an_offender_on_every_core_is_contained_in_one_step() {
+        let runaway = Arc::new(AtomicU64::new(0));
+        let cmds = CommandLog::default();
+        let mut agent = Agent::new(Box::new(Silent));
+        agent.set_supervision(fast_supervision());
+        agent.set_reclaim_machine(numa_topology::presets::paper_model_machine());
+        agent.manage(Box::new(RunawayFake {
+            name: "hog".to_string(),
+            dead: Arc::default(),
+            runaway: Arc::clone(&runaway),
+            running: vec![8; 4],
+            commands: Arc::clone(&cmds),
+            command_gate: None,
+        }));
+        for name in ["peer1", "peer2"] {
+            agent.manage(Box::new(Fake::new(name).0));
+        }
+        agent.tick().unwrap();
+        for _ in 0..4 {
+            runaway.fetch_add(1, Ordering::SeqCst);
+            agent.tick().unwrap();
+        }
+        // The first of three tenants' fair row: 8 cores per node leave a
+        // remainder of 2, rotated by node index.
+        assert_eq!(
+            *cmds.lock(),
+            vec![ThreadCommand::PerNode(vec![3, 2, 3, 3]); 3],
+            "contained at the 2nd, 3rd and 4th climbing tick"
         );
     }
 
@@ -1407,6 +1436,7 @@ mod tests {
             name: "hog".to_string(),
             dead: Arc::clone(&dead),
             runaway: Arc::clone(&runaway),
+            running: vec![2, 2],
             commands: CommandLog::default(),
             command_gate: None,
         }));
@@ -1417,7 +1447,7 @@ mod tests {
                 .counter_total("coop_agent_containments_total")
         };
 
-        // Two climbing ticks put the hog on the ladder, Degraded by force.
+        // Two climbing ticks contain the hog, Degraded by force.
         agent.tick().unwrap();
         for _ in 0..2 {
             runaway.fetch_add(1, Ordering::SeqCst);
@@ -1425,17 +1455,17 @@ mod tests {
         }
         assert_eq!(containments(), 1);
         assert_eq!(health_of_hog(&agent), Health::Degraded);
-        assert_eq!(agent.runaway[0].rung, 1);
+        assert_eq!(agent.runaway[0].sustained, SUSTAINED_RUNAWAY_TICKS);
 
         // It dies while contained: three failing polls evict it, and the
-        // eviction takes it off the ladder.
+        // eviction ends its containment.
         dead.store(true, Ordering::SeqCst);
         for _ in 0..4 {
             agent.tick().unwrap();
         }
         assert_eq!(agent.evicted(), vec!["hog".to_string()]);
         assert_eq!(health_of_hog(&agent), Health::Dead);
-        assert_eq!((agent.runaway[0].rung, agent.runaway[0].sustained), (0, 0));
+        assert_eq!(agent.runaway[0].sustained, 0);
 
         // Revived: recovery_successes = 2 probes climb to Healthy — not
         // held at Degraded by the floor — and the second re-admits it.
@@ -1455,9 +1485,9 @@ mod tests {
         assert_eq!(epochs.last().unwrap().reason, "readmitted");
 
         // Back in the live set with its watchdog counter where it was: no
-        // fresh evidence, so no rung and no further containment.
+        // fresh evidence, so no further containment.
         agent.tick().unwrap();
-        assert_eq!((agent.runaway[0].rung, agent.runaway[0].sustained), (0, 0));
+        assert_eq!(agent.runaway[0].sustained, 0);
         assert_eq!(containments(), 1);
         assert_eq!(health_of_hog(&agent), Health::Healthy);
     }
@@ -1486,6 +1516,7 @@ mod tests {
                     name: name.to_string(),
                     dead: Arc::default(),
                     runaway: Arc::clone(&runaway),
+                    running: vec![2, 2],
                     commands: Arc::clone(&commands),
                     command_gate: Some(Mutex::new(rx)),
                 }));
@@ -1493,8 +1524,8 @@ mod tests {
             })
             .collect();
 
-        // Two climbing ticks are the evidence; the second sends the ladder's
-        // first rung to both, and both hang in it.
+        // Two climbing ticks are the evidence; the second sends both their
+        // containment command, and both hang in it.
         agent.tick().unwrap();
         runaway.fetch_add(1, Ordering::SeqCst);
         agent.tick().unwrap();
@@ -1505,10 +1536,10 @@ mod tests {
         assert!(elapsed >= deadline, "the commands ran into their deadline");
         assert!(
             elapsed < 2 * deadline,
-            "two hung ladder commands must cost one deadline, not two: {elapsed:?}"
+            "two hung containment commands must cost one deadline, not two: {elapsed:?}"
         );
         // Neither went through: two errors in registry order, no decision,
-        // no containment counted — and so no rung climbed.
+        // no containment counted.
         let log = agent.log();
         assert_eq!(log.errors.len(), 2, "{:?}", log.errors);
         assert!(log.errors[0].contains("hog0") && log.errors[1].contains("hog1"));
@@ -1521,13 +1552,13 @@ mod tests {
         assert_eq!(containments(), 0);
 
         // Released, the hung commands land late and the runtimes work their
-        // way back; with fresh evidence each is sent the first rung again
-        // (it was never climbed), and this time it counts.
+        // way back; still climbing, each is sent its containment command
+        // again, and this time it counts.
         drop(release);
         let contained = |name: &str| {
             hub.events().iter().any(|e| {
                 e.cat == "health"
-                    && e.name == "contained:smt"
+                    && e.name == "contained"
                     && e.args
                         .iter()
                         .any(|(k, v)| k == "runtime" && *v == ArgValue::Str(name.into()))

@@ -31,11 +31,10 @@
 //!   per-call deadlines, bounded retry with backoff); sick runtimes are
 //!   quarantined, dead ones evicted and their cores reclaimed for the
 //!   survivors. [`ChaosHandle`] + [`FaultPlan`] inject deterministic
-//!   faults for testing (see `docs/robustness.md`).
-//! * [`contain`] — the runaway-containment ladder: a tenant whose
-//!   watchdog keeps marking tasks runaway is degraded and shrunk toward
-//!   its fair share, shedding SMT siblings and shared-L3 cores before
-//!   whole nodes.
+//!   faults for testing (see `docs/robustness.md`). A tenant whose
+//!   watchdog keeps marking tasks runaway is degraded and clamped to its
+//!   fair-share row ([`coop_alloc::strategies::contain`], the rule
+//!   `memsim`'s supervised runs apply too).
 //!
 //! The agent deliberately does cheap work per tick (the paper's §IV:
 //! an agent that is "only required to occasionally perform quick
@@ -47,7 +46,6 @@
 mod agent;
 mod chan;
 pub mod consensus;
-pub mod contain;
 pub mod fault;
 pub mod policies;
 pub mod proto;

@@ -127,6 +127,14 @@ impl Policy for ProducerConsumerThrottle {
     }
 }
 
+/// Threads every application keeps machine-wide under [`ModelGuided`]: the
+/// search satisfies this floor before it optimizes GFLOPS.
+const MIN_THREADS_PER_APP: usize = 1;
+
+/// Hill-climb proposals per warm-started [`ModelGuided`] re-solve whose
+/// start is not a certified strict local optimum.
+const WARM_ITERATIONS: usize = 1500;
+
 /// Model-guided repartitioning: knows each runtime's [`AppSpec`] (AI and
 /// data placement), runs a model search periodically, and pushes the
 /// resulting per-node allocations to every runtime.
@@ -151,12 +159,6 @@ pub struct ModelGuided {
     apps: Vec<AppSpec>,
     /// Re-run the search every this many ticks (1 = every tick).
     pub period: u64,
-    /// Require every application to keep at least this many threads
-    /// machine-wide (0 allows starving an application entirely).
-    pub min_threads_per_app: usize,
-    /// Hill-climb proposals per warm-started re-solve whose start is not a
-    /// certified strict local optimum.
-    pub warm_iterations: usize,
     last: Option<Solved>,
     cache: Option<Arc<ScoreCache>>,
     last_counters: SearchCounters,
@@ -183,8 +185,6 @@ impl ModelGuided {
             machine,
             apps,
             period: 10,
-            min_threads_per_app: 1,
-            warm_iterations: 1500,
             last: None,
             cache: None,
             last_counters: SearchCounters::default(),
@@ -238,7 +238,7 @@ impl ModelGuided {
         let objective = Objective::TotalGflops;
         let oracle = ModelOracle::new(&self.machine, apps, &objective)
             .ok()?
-            .with_min_threads(self.min_threads_per_app);
+            .with_min_threads(MIN_THREADS_PER_APP);
         let fingerprint = oracle.fingerprint();
         let cache = match self.cache.as_ref() {
             Some(c) if c.fingerprint() == fingerprint => Arc::clone(c),
@@ -251,7 +251,7 @@ impl ModelGuided {
         let mut oracle = oracle.with_cache(cache).ok()?;
         let result = match warm_from {
             Some(start) => HillClimb::new()
-                .with_iterations(self.warm_iterations)
+                .with_iterations(WARM_ITERATIONS)
                 .with_start(start)
                 .run_model(&self.machine, &mut oracle),
             None => GreedySearch::new().run_model(&self.machine, &mut oracle),

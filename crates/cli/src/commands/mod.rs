@@ -288,9 +288,8 @@ fn drift_cmd(x: &DriftArgs, format: OutputFormat) -> Result<String> {
 /// `--runaway app:tick` additionally arms fuel budgets and the wall-clock
 /// watchdog on every runtime and, starting at `tick`, injects spinning
 /// tasks (plus a fuel-hungry step task) into the chosen app. The watchdog
-/// marks the spinners runaway, the agent's containment ladder walks the
-/// offender back toward its fair share, and the ledger books the
-/// over-budget CPU against it.
+/// marks the spinners runaway, the agent clamps the offender to its
+/// fair-share row, and the ledger books the over-budget CPU against it.
 fn chaos_cmd(x: &ChaosArgs, format: OutputFormat) -> Result<String> {
     use coop_agent::{policies, Agent, ChaosHandle, FaultPlan, KillSwitch, SupervisionConfig};
     use coop_runtime::{Runtime, RuntimeConfig};
@@ -390,7 +389,7 @@ fn chaos_cmd(x: &ChaosArgs, format: OutputFormat) -> Result<String> {
                 spins_left -= 1;
                 // One fresh spinner per tick keeps the runaway counter
                 // climbing, which is what the agent's sustained-runaway
-                // detector keys on before it walks the containment ladder.
+                // detector keys on before it contains the offender.
                 let stop = Arc::clone(&spin_stop);
                 rts[app]
                     .task(&format!("runaway-spin-{tick}"))

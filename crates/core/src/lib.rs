@@ -10,7 +10,8 @@
 //!
 //! * [`strategies`] — the named allocations the paper discusses: fair
 //!   share, even per-node splits, one whole NUMA node per application, and
-//!   explicit uneven splits.
+//!   explicit uneven splits — plus [`strategies::contain`], the clamp to
+//!   the fair-share row both supervision loops apply to a runaway tenant.
 //! * [`Objective`] — what "best" means: total machine GFLOPS, the minimum
 //!   application GFLOPS (egalitarian), or a weighted sum.
 //! * [`enumerate`] — exhaustive enumeration of assignments for small
@@ -61,7 +62,6 @@ mod objective;
 pub mod pareto;
 pub mod rng;
 pub mod search;
-pub mod stability;
 pub mod strategies;
 
 pub use cache::{context_fingerprint, CacheStats, ScoreCache};
@@ -69,7 +69,6 @@ pub use error::AllocError;
 pub use objective::{score, Objective};
 pub use pareto::{pareto_frontier, ParetoPoint};
 pub use search::{ModelOracle, Portfolio, SearchCounters, SearchResult, SyncOracle};
-pub use stability::{switching_cost, ReallocPlan, ReallocPlanner};
 
 // Re-export the assignment type: it is the lingua franca between this
 // crate, the model, the agent, and the simulator.

@@ -1190,8 +1190,8 @@ impl HillClimb {
     }
 
     /// Starts the climb from a given assignment instead of the fair share
-    /// (used by the stability planner and the agent's warm start to climb
-    /// from the *current* allocation).
+    /// (used by the agent's and the supervised simulation's warm starts to
+    /// climb from the *current* allocation).
     pub fn with_start(mut self, start: ThreadAssignment) -> Self {
         self.start = Some(start);
         self

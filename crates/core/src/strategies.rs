@@ -6,7 +6,8 @@
 //! cores" (§II). §III adds per-node variants: even splits within every
 //! node, one whole NUMA node per application, and explicitly uneven
 //! per-node counts. Each strategy here produces a validated
-//! [`ThreadAssignment`].
+//! [`ThreadAssignment`]; [`contain`] clamps one row of an existing one to
+//! its fair share.
 
 use crate::{AllocError, Result};
 use numa_topology::{Machine, NodeId};
@@ -81,6 +82,18 @@ fn fill_fair(
     }
     a.validate(machine)?;
     Ok(a)
+}
+
+/// Containment of a misbehaving application: clamps its per-node `row` to
+/// its `fair` row, `row[n] = min(row[n], fair[n])`. It takes only what the
+/// application holds above its fair share, in one step, and raises no cell,
+/// so replacing one row of a feasible assignment with its contained row
+/// keeps every node within its cores. Cells of `row` past `fair.len()` are
+/// left alone.
+pub fn contain(row: &mut [usize], fair: &[usize]) {
+    for (held, &fair_n) in row.iter_mut().zip(fair) {
+        *held = (*held).min(fair_n);
+    }
 }
 
 /// Every application runs `counts[app]` threads on *every* node (the

@@ -136,6 +136,59 @@ fn fair_share_among_is_fair_share_over_the_survivors() {
     );
 }
 
+/// On random machines, live masks and held rows, `contain` against the
+/// survivors' fair row never raises a cell, never goes below
+/// `min(held, fair)` and is idempotent, and a feasible assignment with one
+/// live row contained stays feasible.
+#[test]
+fn contain_takes_only_the_surplus_above_the_fair_row() {
+    check(10, CASES, |g| {
+        let sizes = g.vec(1..9, |g| g.range(1..33usize));
+        let m = unequal_machine(&sizes);
+        let live = g.vec(1..12, |g| g.bool(0.7));
+        let live_apps: Vec<usize> = (0..live.len()).filter(|&app| live[app]).collect();
+        if live_apps.is_empty() {
+            return;
+        }
+        let fair = strategies::fair_share_among(&m, &live).unwrap();
+        // A feasible assignment: each node's cores dealt out at random,
+        // first rows first, so the early rows tend to over-hold.
+        let mut held = ThreadAssignment::zero(&m, live.len());
+        for (node, &cores) in sizes.iter().enumerate() {
+            let mut free = cores;
+            for app in 0..live.len() {
+                let t = g.range(0..=free);
+                held.set(app, NodeId(node), t);
+                free -= t;
+            }
+        }
+        let app = *g.pick(&live_apps);
+        let (was, fair_row) = (held.row(app), fair.row(app));
+        let mut row = was.to_vec();
+        strategies::contain(&mut row, fair_row);
+        for (n, ((&out, &held_n), &fair_n)) in row.iter().zip(was).zip(fair_row).enumerate() {
+            assert!(out <= held_n, "node {n} raised: {held_n} -> {out}");
+            assert!(
+                out >= held_n.min(fair_n),
+                "node {n} below min({held_n}, {fair_n}): {out}"
+            );
+        }
+        let mut again = row.clone();
+        strategies::contain(&mut again, fair_row);
+        assert_eq!(again, row, "contain is idempotent");
+        held.row_mut(app).copy_from_slice(&row);
+        assert!(
+            held.validate(&m).is_ok(),
+            "a contained row oversubscribed a node"
+        );
+    });
+    // Below its fair share on a node, the offender keeps what it holds: the
+    // clamp frees cores, it never hands any out.
+    let mut row = [0, 5, 2];
+    strategies::contain(&mut row, &[2, 2, 2]);
+    assert_eq!(row, [0, 2, 2]);
+}
+
 /// Proportional apportionment hands out every core and respects
 /// monotonicity in weights per node.
 #[test]

@@ -24,6 +24,7 @@ use crate::chaos::{segment_assignment, ChaosPlan};
 use crate::event::EventRun;
 use crate::{EngineKind, Result, Scenario, SimConfig, SimError, Simulation};
 use coop_alloc::search::{HillClimb, ModelOracle};
+use coop_alloc::strategies::{contain, fair_share_among};
 use coop_alloc::{Objective, ScoreCache};
 use coop_telemetry::{
     ArgValue, Counter, DriftConfig, DriftReport, ModelObservatory, Prediction, ProvenanceRecord,
@@ -54,11 +55,13 @@ pub enum Perturbation {
     /// elapsed yet); at its end the supervisor raises a `runaway` timeline
     /// instant, bumps `coop_runaway_tasks_total`, and snapshots any
     /// installed flight recorder. From the next tick on the app is
-    /// *contained*: its threads leave the effective assignment (the
-    /// watchdog migrated its queues and excluded the wedged worker),
-    /// survivors fair-share the machine, and every contained tick books
-    /// one preemption plus a tick of over-budget CPU against the
-    /// offender's tenant account.
+    /// *contained*: its row of the effective assignment is clamped to its
+    /// fair-share row among the live apps
+    /// ([`coop_alloc::strategies::contain`], the agent's rule), so it
+    /// keeps no more than its fair share on any node and no less than it
+    /// held up to that share; every other row is untouched. The detection
+    /// tick and every contained tick book one preemption plus a tick of
+    /// over-budget CPU against the offender's tenant account.
     RunawayTask {
         /// Simulated time at which the task wedges, seconds.
         at_s: f64,
@@ -404,17 +407,10 @@ pub fn run_supervised(
     let mut samples: Vec<TenantSample> = Vec::with_capacity(num_apps);
     // The effective assignment, as the one-entry schedule the simulator
     // takes: built again when the assignment changes (`reassigned`) or the
-    // `alloc_live` mask differs from the one it was `built_for`.
-    let mut alloc_live = vec![true; num_apps];
-    let mut built_for = alloc_live.clone();
+    // live or contained mask differs from the ones it was `built_for`.
+    let mut built_for = (live.clone(), runaway_detected.clone());
     let mut schedule = [(0.0, assignment.clone())];
     let mut reassigned = false;
-    // Containment without a chaos plan reclaims by default — that is the
-    // whole point of preempting the offender.
-    let reclaiming = ChaosPlan {
-        outages: Vec::new(),
-        reclaim: true,
-    };
     let watchdog_track = runaway_onsets
         .iter()
         .any(Option::is_some)
@@ -523,25 +519,30 @@ pub fn run_supervised(
             ts(start_s),
         );
 
-        // Contained runaways leave the effective assignment just like
-        // dead apps do: the watchdog excluded their workers and the
-        // survivors absorb the cores.
+        // Down apps leave the effective assignment; a contained runaway
+        // stays in it, clamped to its fair-share row among the live apps —
+        // the row the agent clamps a live offender to.
         let contained = runaway_detected.contains(&true);
-        for (i, slot) in alloc_live.iter_mut().enumerate() {
-            *slot = live[i] && !runaway_detected[i];
-        }
-        if reassigned || built_for != alloc_live {
-            schedule[0].1 = if alloc_live.contains(&false) {
-                let plan = config.chaos.as_ref().unwrap_or(&reclaiming);
-                segment_assignment(
-                    scenario,
-                    (!plan.reclaim).then_some(&assignment),
-                    &alloc_live,
-                )?
+        if reassigned || built_for.0 != live || built_for.1 != runaway_detected {
+            let effective = &mut schedule[0].1;
+            *effective = if live.contains(&false) {
+                let keep = config.chaos.as_ref().is_some_and(|plan| !plan.reclaim);
+                segment_assignment(scenario, keep.then_some(&assignment), &live)?
             } else {
                 assignment.clone()
             };
-            built_for.clone_from(&alloc_live);
+            if contained && live.contains(&true) {
+                let fair = fair_share_among(&scenario.machine, &live).map_err(|e| {
+                    SimError::Calibration {
+                        reason: format!("containing a runaway: {e}"),
+                    }
+                })?;
+                for app in (0..num_apps).filter(|&app| runaway_detected[app]) {
+                    contain(effective.row_mut(app), fair.row(app));
+                }
+            }
+            built_for.0.clone_from(&live);
+            built_for.1.clone_from(&runaway_detected);
             reassigned = false;
         }
 
@@ -609,7 +610,7 @@ pub fn run_supervised(
             start_s,
             provenance: id,
             // A contained runaway is as much a departure from the model's
-            // view as a degraded node: its threads left the assignment.
+            // view as a degraded node: its row is clamped to its fair row.
             perturbed: perturbed || contained,
             residuals,
             alarms,
@@ -1057,6 +1058,36 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// The run's score cache earns its keep on a NUMA-bad mix: there a
+    /// column probe cannot score a move, so the warm re-search revisits
+    /// assignments through the cache, and some tick records cache hits.
+    /// (On an all-local mix, as above, it is never asked.)
+    #[test]
+    fn reoptimizing_numa_bad_run_hits_the_score_cache() {
+        let mut scenario = base_scenario();
+        scenario.apps[3] = crate::SimApp::numa_bad("bad", 1.0 / 16.0, NodeId(0));
+        scenario.assignments[0].threads = coop_alloc::strategies::fair_share(&scenario.machine, 4)
+            .unwrap()
+            .to_matrix();
+        let mut config = quiet_config();
+        config.reoptimize = true;
+        let result = run_supervised(&scenario, &config, Arc::new(TelemetryHub::new())).unwrap();
+        let hits: Vec<f64> = result
+            .records()
+            .iter()
+            .map(|r| {
+                r.prediction
+                    .inputs
+                    .iter()
+                    .find(|(k, _)| &**k == "search/cache_hits")
+                    .map(|&(_, v)| v)
+                    .expect("search counters recorded")
+            })
+            .collect();
+        println!("cache hits per tick: {hits:?}");
+        assert!(hits.iter().any(|&h| h > 0.0));
+    }
+
     /// FNV-1a over everything a supervised run decides and measures: per
     /// tick the perturbed flag, the alarm count and every residual's
     /// predicted/measured/relative bits, then every provenance record's
@@ -1230,9 +1261,12 @@ mod tests {
     fn runaway_is_detected_contained_and_booked_against_the_offender() {
         use crate::scenario::NamedAssignment;
         use crate::SimApp;
-        use coop_telemetry::{FlightRecorder, TenantLedger};
+        use coop_alloc::strategies::fair_share;
+        use coop_telemetry::{FlightRecorder, LedgerSnapshot, TenantLedger};
         use numa_topology::presets::tiny;
 
+        // App b over-holds: three of tiny()'s four cores, both of node 1's.
+        let base = [vec![1, 0], vec![1, 2]];
         let scenario = Scenario {
             name: "runaway".into(),
             machine: tiny(),
@@ -1241,23 +1275,38 @@ mod tests {
                 SimApp::numa_local("b", 1.0 / 32.0),
             ],
             assignments: vec![NamedAssignment {
-                name: "even".into(),
-                threads: vec![vec![1, 1], vec![1, 1]],
+                name: "uneven".into(),
+                threads: base.to_vec(),
             }],
             duration_s: 0.1,
             effects: EffectModel::ideal(),
             seed: 7,
         };
-        // App b wedges at 0.03s: tick 3 runs wedged-undetected, the
-        // watchdog fires at its end, ticks 4..9 are contained.
-        let mut config = quiet_config();
-        config
-            .perturbations
-            .push(Perturbation::RunawayTask { at_s: 0.03, app: 1 });
+        // Ticks of 1/64 s, so every tick edge is exact. App b wedges inside
+        // tick 3: it runs wedged-undetected, the watchdog fires at its end,
+        // and ticks 4..9 are contained.
+        const PERIOD_US: u64 = 15_625;
+        let run = |ticks: u64, recorder: Option<&Arc<FlightRecorder>>| {
+            let config = SupervisorConfig {
+                decision_period_s: PERIOD_US as f64 / 1e6,
+                duration_s: (ticks * PERIOD_US) as f64 / 1e6,
+                perturbations: vec![Perturbation::RunawayTask {
+                    at_s: 3.5 * PERIOD_US as f64 / 1e6,
+                    app: 1,
+                }],
+                ..quiet_config()
+            };
+            let hub = Arc::new(TelemetryHub::new());
+            let ledger = Arc::new(TenantLedger::new());
+            assert!(hub.install_tenant_ledger(Arc::clone(&ledger)));
+            if let Some(recorder) = recorder {
+                assert!(hub.install_flight_recorder(Arc::clone(recorder)));
+            }
+            let result = run_supervised(&scenario, &config, Arc::clone(&hub)).unwrap();
+            assert_eq!(result.ticks.len() as u64, ticks);
+            (hub, result, ledger.snapshot())
+        };
 
-        let hub = Arc::new(TelemetryHub::new());
-        let ledger = Arc::new(TenantLedger::new());
-        assert!(hub.install_tenant_ledger(Arc::clone(&ledger)));
         let recorder = Arc::new(FlightRecorder::new(256));
         let dump_dir = std::env::temp_dir().join(format!(
             "coop-runaway-dump-{}-{:?}",
@@ -1265,10 +1314,7 @@ mod tests {
             std::thread::current().id()
         ));
         recorder.set_dump_dir(&dump_dir);
-        assert!(hub.install_flight_recorder(Arc::clone(&recorder)));
-
-        let result = run_supervised(&scenario, &config, Arc::clone(&hub)).unwrap();
-        assert_eq!(result.ticks.len(), 10);
+        let (hub, result, snap) = run(10, Some(&recorder));
 
         // Detected exactly once, on the shared timeline and the counter.
         assert_eq!(hub.registry().counter_total("coop_runaway_tasks_total"), 1);
@@ -1291,40 +1337,48 @@ mod tests {
             .collect();
         assert_eq!(dumps.len(), 1, "one runaway dump expected");
         let _ = std::fs::remove_dir_all(&dump_dir);
+        // Contained ticks depart from the model's view.
+        for t in &result.ticks {
+            assert_eq!(t.perturbed, t.tick >= 4, "tick {}", t.tick);
+        }
 
         // The over-budget CPU is booked against the offender, not the
-        // survivor: one preemption per tick from detection onward, plus a
-        // tick of over-budget CPU each (the wedge lands at tick boundary
-        // 0.03, so detection is at the end of tick 2 or 3).
-        let snap = ledger.snapshot();
+        // survivor: one preemption and a tick of over-budget CPU for the
+        // detection tick and each contained tick.
         let offender = snap.tenant("b").unwrap();
         let survivor = snap.tenant("a").unwrap();
-        assert!((7..=8).contains(&offender.preemptions), "{offender:?}");
-        assert!(offender.overbudget_cpu_us >= 7 * 9_000, "{offender:?}");
+        assert_eq!(offender.preemptions, 7, "{offender:?}");
+        assert_eq!(offender.overbudget_cpu_us, 7 * PERIOD_US, "{offender:?}");
         assert!(offender.preemption_rate > 0.0);
         assert_eq!(survivor.preemptions, 0);
         assert_eq!(survivor.overbudget_cpu_us, 0);
 
-        // Containment keeps the survivor whole: it absorbed the machine
-        // (entitlement 1.0) and its delivered share sits within 5% of
-        // that entitlement — the offender could not starve it.
-        let entitled = survivor.entitled_share.unwrap();
-        assert!(
-            (entitled - 1.0).abs() < 1e-9,
-            "survivor entitled {entitled}"
-        );
-        assert!(
-            survivor.delivered_share + 0.05 >= entitled,
-            "survivor delivered {} vs entitled {entitled}",
-            survivor.delivered_share
-        );
-        // The offender's wedge shows up as work stopping.
-        let peak = survivor
-            .share_history
-            .iter()
-            .map(|(_, s)| *s)
-            .fold(0.0f64, f64::max);
-        assert!((peak - 1.0).abs() < 1e-9, "survivor peak share {peak}");
+        // Tick by tick, from the CPU each tenant's account gains (its row
+        // times the tick): the offender runs its own row until it is
+        // contained and `contain(base row, fair row)` after, the survivor
+        // its own row throughout.
+        let fair = fair_share(&scenario.machine, 2).unwrap();
+        let mut contained = base[1].clone();
+        contain(&mut contained, fair.row(1));
+        assert_eq!(contained, [1, 1], "the offender keeps its fair share");
+        let cpu_us =
+            |snap: &LedgerSnapshot, tenant| snap.tenant(tenant).unwrap().cpu_us_per_node.clone();
+        let mut booked = [vec![0; 2], vec![0; 2]];
+        for tick in 0..10 {
+            let (_, _, snap) = run(tick + 1, None);
+            for (app, tenant) in ["a", "b"].into_iter().enumerate() {
+                let now = cpu_us(&snap, tenant);
+                let row = if app == 1 && tick >= 4 {
+                    &contained
+                } else {
+                    &base[app]
+                };
+                let gained: Vec<u64> = now.iter().zip(&booked[app]).map(|(n, b)| n - b).collect();
+                let expected: Vec<u64> = row.iter().map(|&t| t as u64 * PERIOD_US).collect();
+                assert_eq!(gained, expected, "tick {tick}, app {tenant}");
+                booked[app] = now;
+            }
+        }
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!
 //! A second test drives the runaway path end to end: fuel budgets and
 //! the wall-clock watchdog armed on every runtime, spinners wedged into
-//! one tenant until the agent's sustained-runaway detector walks the
-//! containment ladder — the offender is Degraded (not evicted), the
+//! one tenant until the agent's sustained-runaway detector clamps it to
+//! its fair-share row — the offender is Degraded (not evicted), the
 //! containment lands on the timeline, the ledger books the over-budget
 //! CPU against the offender alone, and a few quiet ticks later the
 //! offender is Healthy again.
@@ -229,8 +229,8 @@ fn runaway_is_contained_booked_and_forgiven() {
         agent.tick().unwrap();
     }
 
-    // Two climbing ticks is sustained: the ladder's first rung fired,
-    // the offender is Degraded — contained, not evicted.
+    // Two climbing ticks is sustained: the offender is clamped to its
+    // fair-share row and Degraded — contained, not evicted.
     assert!(
         hub.registry()
             .counter_total("coop_agent_containments_total")
@@ -244,7 +244,7 @@ fn runaway_is_contained_booked_and_forgiven() {
     assert!(hub
         .events()
         .iter()
-        .any(|e| e.cat == "health" && e.name.starts_with("contained:")));
+        .any(|e| e.cat == "health" && e.name == "contained"));
 
     // The spinners relent; their past-deadline CPU is booked when they
     // hand their workers back.
