@@ -1004,7 +1004,7 @@ mod tests {
             other => panic!("wrong command {other:?}"),
         }
         let cli = parse_args(&argv(
-            "trace stage --from /tmp/flight-dump.bin --machine dual-socket --iterations 4",
+            "trace stage --from /tmp/flight-dump.json --machine dual-socket --iterations 4",
         ))
         .unwrap();
         match cli.command {
@@ -1015,7 +1015,7 @@ mod tests {
                 iterations,
             }) => {
                 assert_eq!(query, "stage");
-                assert_eq!(from.as_deref(), Some("/tmp/flight-dump.bin"));
+                assert_eq!(from.as_deref(), Some("/tmp/flight-dump.json"));
                 assert_eq!(machine, "dual-socket");
                 assert_eq!(iterations, 4);
             }
@@ -1567,7 +1567,7 @@ mod scope_tests {
              --metrics m.prom --format prom",
             "observe --machine dual-socket --iterations 5 --trace-out t.json \
              --serve 127.0.0.1:0 --serve-max-requests 3 --dump d",
-            "trace stage --from flight.bin --machine tiny --iterations 4",
+            "trace stage --from flight.json --machine tiny --iterations 4",
             "drift --perturb 0:0.5:0.1 --decision-period 0.02 --duration 0.3 --ewma 0.4 \
              --cusum-k 0.1 --cusum-h 0.8 --reoptimize --engine event --format json",
             "chaos --runtimes 4 --ticks 20 --tick-interval 5 --kill-at 3 --revive-at 9 \

@@ -249,3 +249,58 @@ fn too_many_decision_ticks_exit_1_not_a_panic_or_an_abort() {
         );
     }
 }
+
+/// `trace --from` reads a flight dump: a real one and one cut short by a
+/// crash assemble (exit 0); garbage and the binary dumps of earlier
+/// versions are refused like any other failed run (exit 1), never with a
+/// panic (101) or an abort (134).
+#[test]
+fn trace_from_a_flight_dump_exits_0_and_from_garbage_exits_1() {
+    use coop_telemetry::{hop, hop_args, ArgValue, FlightRecorder, TelemetryHub, TRACE_CAT};
+    use std::sync::Arc;
+
+    let dir = std::env::temp_dir().join(format!("coop-cli-flight-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let hub = TelemetryHub::new();
+    let rec = Arc::new(FlightRecorder::new(64));
+    assert!(hub.install_flight_recorder(Arc::clone(&rec)));
+    let track = hub.register_track("runtime:traced");
+    for task in 0..3u64 {
+        for (k, name) in [hop::SPAWNED, hop::STARTED, hop::FINISHED]
+            .into_iter()
+            .enumerate()
+        {
+            let mut args = hop_args(task, 0);
+            if name == hop::SPAWNED {
+                args.push(("task_name".into(), ArgValue::Str(format!("stage{task}"))));
+            }
+            let ts = task * 10 + k as u64;
+            hub.record_instant_at(0, track, 0, TRACE_CAT, name, ts, args);
+        }
+    }
+    let real = dir.join("flight-real.json");
+    rec.dump_to(&real).unwrap();
+    let bytes = std::fs::read(&real).unwrap();
+    let mut old_binary = b"COOPFREC\x01\x00".to_vec();
+    old_binary.extend_from_slice(&[7; 48]);
+    for (file, contents, code) in [
+        ("real.json", bytes.clone(), 0),
+        ("truncated.json", bytes[..bytes.len() - 20].to_vec(), 0),
+        ("garbage.json", b"\x00\xffnot a dump]".to_vec(), 1),
+        ("old.bin", old_binary, 1),
+    ] {
+        let path = dir.join(file);
+        std::fs::write(&path, contents).unwrap();
+        let out = cli()
+            .args(["trace", "stage", "--from"])
+            .arg(&path)
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(code), "{file}: {out:?}");
+        if code == 0 {
+            let stdout = String::from_utf8(out.stdout).unwrap();
+            assert!(stdout.contains("\"stage0\""), "{file}: {stdout}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

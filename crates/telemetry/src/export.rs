@@ -1,92 +1,161 @@
-//! Exporters: merged Perfetto/Chrome trace JSON and the JSON summary.
+//! The one serialized form of a timeline event, a Chrome trace-event
+//! object: `push_trace_event` writes it and `FromJson for TimelineEvent`
+//! reads it back. The merged Perfetto export, the causal-trace export,
+//! flight-recorder dumps and `/trace/recent` all write it; the JSON summary
+//! lives here too.
 //!
-//! Both are hand-rolled (see [`crate::json`]) so this crate stays
-//! dependency-free; integration tests parse the output with [`crate::json::parse`]
-//! to keep the writers honest.
+//! The writers append straight to a `String` with [`crate::json`]'s
+//! primitives, so this crate stays dependency-free; integration tests parse
+//! the output with [`crate::json::parse`] to keep them honest.
 
-use crate::json::{push_f64, push_str_literal, Value};
+use crate::json::{self, push_f64, push_str_literal, Error, FromJson, Value};
 use crate::json_object;
-use crate::timeline::{ArgValue, EventKind, TelemetryHub, TimelineEvent};
+use crate::timeline::{ArgValue, EventKind, TelemetryHub, TimelineEvent, TrackId};
+use std::fmt::Write as _;
 
 fn push_arg_value(out: &mut String, v: &ArgValue) {
     match v {
-        ArgValue::U64(n) => out.push_str(&n.to_string()),
-        ArgValue::I64(n) => out.push_str(&n.to_string()),
+        ArgValue::U64(n) => {
+            let _ = write!(out, "{n}");
+        }
         ArgValue::F64(f) => push_f64(out, *f),
         ArgValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
         ArgValue::Str(s) => push_str_literal(out, s),
     }
 }
 
-fn push_args(out: &mut String, args: &[(String, ArgValue)]) {
-    out.push('{');
+/// Separates an item of a JSON list from the one before it: every list
+/// written here opens with `[`.
+pub(crate) fn push_separator(out: &mut String) {
+    if !out.ends_with('[') {
+        out.push(',');
+    }
+}
+
+/// What a trace-event object carries besides its name, process and
+/// thread: a timeline event's category, timestamp (µs) and kind (span `X`,
+/// instant `i`, counter `C`), or nothing for a record naming a process or
+/// a thread (`M`).
+pub(crate) enum Phase<'a> {
+    Event(&'a str, u64, &'a EventKind),
+    Metadata,
+}
+
+/// Appends one Chrome trace-event object: `name`, then the phase's `cat`,
+/// `ph` and timing, `pid`, `tid` when given, and `args` in order (a
+/// counter's sampled value first, as `value`: counter tracks plot every
+/// numeric argument). The only writer of `"ph"`.
+pub(crate) fn push_trace_event<K: AsRef<str>>(
+    out: &mut String,
+    name: &str,
+    phase: Phase<'_>,
+    pid: u64,
+    tid: Option<u64>,
+    args: &[(K, ArgValue)],
+) {
+    out.push_str("{\"name\":");
+    push_str_literal(out, name);
+    let mut counter = None;
+    match phase {
+        Phase::Event(cat, ts_us, kind) => {
+            out.push_str(",\"cat\":");
+            push_str_literal(out, cat);
+            let _ = match kind {
+                EventKind::Span { dur_us } => {
+                    write!(out, ",\"ph\":\"X\",\"ts\":{ts_us},\"dur\":{dur_us}")
+                }
+                EventKind::Instant => write!(out, ",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts_us}"),
+                EventKind::Counter { value } => {
+                    counter = Some(*value);
+                    write!(out, ",\"ph\":\"C\",\"ts\":{ts_us}")
+                }
+            };
+        }
+        Phase::Metadata => out.push_str(",\"ph\":\"M\""),
+    }
+    let _ = write!(out, ",\"pid\":{pid}");
+    if let Some(tid) = tid {
+        let _ = write!(out, ",\"tid\":{tid}");
+    }
+    out.push_str(",\"args\":{");
+    if let Some(value) = counter {
+        out.push_str("\"value\":");
+        push_f64(out, value);
+    }
     for (i, (k, v)) in args.iter().enumerate() {
-        if i > 0 {
+        if i > 0 || counter.is_some() {
             out.push(',');
         }
-        push_str_literal(out, k);
+        push_str_literal(out, k.as_ref());
         out.push(':');
         push_arg_value(out, v);
     }
-    out.push('}');
-}
-
-/// Perfetto/Chrome "process" ids start at 1 (0 renders oddly), so a
-/// track's pid is its id + 1.
-fn pid(track: u32) -> u32 {
-    track + 1
-}
-
-fn push_event(out: &mut String, ev: &TimelineEvent) {
-    out.push_str("{\"name\":");
-    push_str_literal(out, &ev.name);
-    out.push_str(",\"cat\":");
-    push_str_literal(out, &ev.cat);
-    match &ev.kind {
-        EventKind::Span { dur_us } => {
-            out.push_str(&format!(
-                ",\"ph\":\"X\",\"ts\":{},\"dur\":{}",
-                ev.ts_us, dur_us
-            ));
-        }
-        EventKind::Instant => {
-            out.push_str(&format!(",\"ph\":\"i\",\"s\":\"t\",\"ts\":{}", ev.ts_us));
-        }
-        EventKind::Counter { .. } => {
-            out.push_str(&format!(",\"ph\":\"C\",\"ts\":{}", ev.ts_us));
-        }
-    }
-    out.push_str(&format!(",\"pid\":{},\"tid\":{}", pid(ev.track.0), ev.lane));
-    out.push_str(",\"args\":");
-    match &ev.kind {
-        EventKind::Counter { value } => {
-            // Chrome counter tracks plot every numeric key in args; put
-            // the sampled value first under a stable key.
-            out.push_str("{\"value\":");
-            push_f64(out, *value);
-            for (k, v) in &ev.args {
-                out.push(',');
-                push_str_literal(out, k);
-                out.push(':');
-                push_arg_value(out, v);
-            }
-            out.push('}');
-        }
-        _ => push_args(out, &ev.args),
-    }
-    out.push('}');
-}
-
-fn push_metadata_event(out: &mut String, name: &str, pid_v: u32, tid: Option<u32>, label: &str) {
-    out.push_str("{\"name\":");
-    push_str_literal(out, name);
-    out.push_str(&format!(",\"ph\":\"M\",\"pid\":{}", pid_v));
-    if let Some(tid) = tid {
-        out.push_str(&format!(",\"tid\":{}", tid));
-    }
-    out.push_str(",\"args\":{\"name\":");
-    push_str_literal(out, label);
     out.push_str("}}");
+}
+
+/// Appends `ev` as its trace-event object. Perfetto/Chrome process ids
+/// start at 1 (0 renders oddly), so a track's pid is its id + 1; its lane
+/// is the thread.
+pub(crate) fn push_event(out: &mut String, ev: &TimelineEvent) {
+    let phase = Phase::Event(&ev.cat, ev.ts_us, &ev.kind);
+    let (pid, tid) = (u64::from(ev.track.0) + 1, Some(u64::from(ev.lane)));
+    push_trace_event(out, &ev.name, phase, pid, tid, &ev.args);
+}
+
+/// Appends a metadata record giving process `pid` (or its thread `tid`)
+/// the display name `label`.
+pub(crate) fn push_metadata(out: &mut String, name: &str, pid: u64, tid: Option<u64>, label: &str) {
+    let args = [("name", ArgValue::Str(label.to_string()))];
+    push_trace_event(out, name, Phase::Metadata, pid, tid, &args);
+}
+
+impl FromJson for ArgValue {
+    fn from_value(v: &Value) -> json::Result<Self> {
+        Ok(match v {
+            Value::Int(_) => ArgValue::U64(u64::from_value(v)?),
+            Value::Float(x) => ArgValue::F64(*x),
+            Value::Bool(b) => ArgValue::Bool(*b),
+            Value::Str(s) => ArgValue::Str(s.clone()),
+            _ => return Err(Error::new("expected a number, a boolean or a string")),
+        })
+    }
+}
+
+/// Reads back the object `push_event` writes; metadata records and any
+/// other phase are an error.
+impl FromJson for TimelineEvent {
+    fn from_value(v: &Value) -> json::Result<Self> {
+        let track = u32::try_from(v.field::<u64>("pid")?.wrapping_sub(1))
+            .map_err(|_| Error::new("field `pid`: expected 1 ..= 2^32"))?;
+        let mut args = v["args"]
+            .as_object()
+            .ok_or_else(|| Error::new("field `args`: expected an object"))?
+            .iter();
+        let kind = match v.field::<String>("ph")?.as_str() {
+            "X" => EventKind::Span {
+                dur_us: v.field("dur")?,
+            },
+            "i" => EventKind::Instant,
+            "C" => match args.next() {
+                Some((key, value)) if key == "value" => EventKind::Counter {
+                    value: f64::from_value(value)?,
+                },
+                _ => return Err(Error::new("a counter's first argument is not `value`")),
+            },
+            other => return Err(Error::new(format!("phase `{other}` is not an event"))),
+        };
+        Ok(TimelineEvent {
+            track: TrackId(track),
+            lane: v.field("tid")?,
+            cat: v.field("cat")?,
+            name: v.field("name")?,
+            ts_us: v.field("ts")?,
+            kind,
+            args: args
+                .map(|(key, value)| Ok((key.clone(), ArgValue::from_value(value)?)))
+                .collect::<json::Result<_>>()?,
+        })
+    }
 }
 
 impl TelemetryHub {
@@ -99,39 +168,25 @@ impl TelemetryHub {
         let tracks = self.track_table();
         let mut out = String::with_capacity(events.len() * 96 + 512);
         out.push_str("{\"traceEvents\":[");
-        let mut first = true;
         for (idx, (name, lanes)) in tracks.iter().enumerate() {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            push_metadata_event(&mut out, "process_name", pid(idx as u32), None, name);
+            let pid = idx as u64 + 1;
+            push_separator(&mut out);
+            push_metadata(&mut out, "process_name", pid, None, name);
             for (lane, lane_name) in lanes {
-                out.push(',');
-                push_metadata_event(
-                    &mut out,
-                    "thread_name",
-                    pid(idx as u32),
-                    Some(*lane),
-                    lane_name,
-                );
+                push_separator(&mut out);
+                let tid = Some(u64::from(*lane));
+                push_metadata(&mut out, "thread_name", pid, tid, lane_name);
             }
         }
         for ev in &events {
-            if !first {
-                out.push(',');
-            }
-            first = false;
+            push_separator(&mut out);
             push_event(&mut out, ev);
         }
-        out.push_str("],\"displayTimeUnit\":\"ms\",\"metadata\":{");
-        out.push_str(&format!(
-            "\"dropped\":{},\"events\":{},\"tracks\":{}",
-            self.dropped(),
-            events.len(),
-            tracks.len()
-        ));
-        out.push_str("}}");
+        let (dropped, count, tracks) = (self.dropped(), events.len(), tracks.len());
+        let _ = write!(
+            out,
+            "],\"displayTimeUnit\":\"ms\",\"metadata\":{{\"dropped\":{dropped},\"events\":{count},\"tracks\":{tracks}}}}}"
+        );
         out
     }
 

@@ -11,7 +11,7 @@
 //! straight to a `String` with [`push_str_literal`] / [`push_f64`], which
 //! the tree writer shares.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::ops::Index;
 
 /// Deepest array/object nesting [`parse`] accepts.
@@ -292,7 +292,7 @@ pub fn push_f64(out: &mut String, v: f64) {
     if v.is_finite() {
         // `{:?}` keeps enough precision to round-trip and always includes
         // a decimal point or exponent, which is still valid JSON.
-        out.push_str(&format!("{:?}", v));
+        let _ = write!(out, "{v:?}");
     } else {
         out.push('0');
     }

@@ -80,7 +80,7 @@ pub use observatory::{
 pub use provenance::{
     Prediction, ProvenanceLedger, ProvenanceRecord, Residual, SeriesKey, SeriesValue,
 };
-pub use recorder::{FlightRecorder, DEFAULT_FLIGHT_CAPACITY, FLIGHT_MAGIC, FLIGHT_VERSION};
+pub use recorder::{FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 pub use serve::{recent_events_json, serve, serve_with_limit, TelemetryServer, RECENT_TRACE_LIMIT};
 pub use slo::{SloEngine, SloObjective, SloSpec, SloStatus, WindowBurn, SLO_CAT};
 pub use timeline::{

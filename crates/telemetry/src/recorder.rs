@@ -1,47 +1,39 @@
 //! The black-box flight recorder: a fixed-size, drop-oldest ring of
-//! compactly encoded recent events that can be dumped to disk after the
-//! fact — so post-mortems don't depend on having tracing enabled (or the
-//! process surviving) ahead of time.
+//! recent events that can be dumped to disk after the fact — so
+//! post-mortems don't depend on having tracing enabled (or the process
+//! surviving) ahead of time.
 //!
 //! Once installed on a [`TelemetryHub`](crate::TelemetryHub) via
 //! [`TelemetryHub::install_flight_recorder`](crate::TelemetryHub::install_flight_recorder),
 //! every event flowing through `record()` — task spans, causal-trace
-//! hops, health transitions, drift alarms — is also encoded into the
+//! hops, health transitions, drift alarms — is also written into the
 //! recorder's ring. Dumps are triggered automatically by the supervision
 //! layer (a runtime marked Suspected/Dead) and the drift observatory (an
 //! alarm firing), or on demand via `coop observe --dump`.
 //!
-//! The on-disk format is a tiny length-prefixed binary: the magic header
-//! `COOPFREC` + a LE `u16` version, then one encoded record per event.
-//! [`FlightRecorder::decode`] reads it back into [`TimelineEvent`]s for
-//! inspection and tests.
+//! The ring holds each event as its Chrome trace-event object, the text
+//! the Perfetto export writes for it. A dump is Chrome's array trace
+//! format with one event per line: `[`, the events, `]`. That format lets
+//! the closing bracket be missing, so a dump cut short by a crash still
+//! opens in ui.perfetto.dev, and [`FlightRecorder::decode`] reads it back
+//! up to its last whole line.
 
-use crate::timeline::{ArgValue, EventKind, TimelineEvent, TrackId};
+use crate::export::push_event;
+use crate::json::{parse_bytes, FromJson};
+use crate::sync::Mutex;
+use crate::timeline::TimelineEvent;
 use std::collections::VecDeque;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
 
-/// File magic prefixing every flight-recorder dump.
-pub const FLIGHT_MAGIC: &[u8; 8] = b"COOPFREC";
-/// Current dump format version.
-pub const FLIGHT_VERSION: u16 = 1;
 /// Default ring capacity (events).
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 4096;
 
-fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-struct Ring {
-    records: VecDeque<Vec<u8>>,
-    capacity: usize,
-}
-
-/// Fixed-size drop-oldest ring of binary-encoded events.
+/// Fixed-size drop-oldest ring of events, each kept as its trace-event
+/// object.
 pub struct FlightRecorder {
-    ring: Mutex<Ring>,
+    ring: Mutex<VecDeque<String>>,
+    capacity: usize,
     dump_dir: Mutex<Option<PathBuf>>,
     dropped: AtomicU64,
     recorded: AtomicU64,
@@ -64,141 +56,6 @@ impl Default for FlightRecorder {
     fn default() -> Self {
         Self::new(DEFAULT_FLIGHT_CAPACITY)
     }
-}
-
-fn push_str(buf: &mut Vec<u8>, s: &str) {
-    let bytes = s.as_bytes();
-    let len = bytes.len().min(u16::MAX as usize);
-    buf.extend_from_slice(&(len as u16).to_le_bytes());
-    buf.extend_from_slice(&bytes[..len]);
-}
-
-fn read_u16(bytes: &[u8], pos: &mut usize) -> Result<u16, String> {
-    let end = pos.checked_add(2).filter(|&e| e <= bytes.len());
-    let end = end.ok_or("truncated u16")?;
-    let v = u16::from_le_bytes([bytes[*pos], bytes[*pos + 1]]);
-    *pos = end;
-    Ok(v)
-}
-
-fn read_u32(bytes: &[u8], pos: &mut usize) -> Result<u32, String> {
-    let end = pos.checked_add(4).filter(|&e| e <= bytes.len());
-    let end = end.ok_or("truncated u32")?;
-    let mut b = [0u8; 4];
-    b.copy_from_slice(&bytes[*pos..end]);
-    *pos = end;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64(bytes: &[u8], pos: &mut usize) -> Result<u64, String> {
-    let end = pos.checked_add(8).filter(|&e| e <= bytes.len());
-    let end = end.ok_or("truncated u64")?;
-    let mut b = [0u8; 8];
-    b.copy_from_slice(&bytes[*pos..end]);
-    *pos = end;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn read_u8(bytes: &[u8], pos: &mut usize) -> Result<u8, String> {
-    let v = *bytes.get(*pos).ok_or("truncated u8")?;
-    *pos += 1;
-    Ok(v)
-}
-
-fn read_str(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    let len = read_u16(bytes, pos)? as usize;
-    let end = pos.checked_add(len).filter(|&e| e <= bytes.len());
-    let end = end.ok_or("truncated string")?;
-    let s = String::from_utf8_lossy(&bytes[*pos..end]).into_owned();
-    *pos = end;
-    Ok(s)
-}
-
-/// Encode one event into the compact record format.
-fn encode_event(ev: &TimelineEvent) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64);
-    buf.extend_from_slice(&ev.ts_us.to_le_bytes());
-    buf.extend_from_slice(&ev.track.0.to_le_bytes());
-    buf.extend_from_slice(&ev.lane.to_le_bytes());
-    let (tag, payload): (u8, u64) = match &ev.kind {
-        EventKind::Span { dur_us } => (0, *dur_us),
-        EventKind::Instant => (1, 0),
-        EventKind::Counter { value } => (2, value.to_bits()),
-    };
-    buf.push(tag);
-    buf.extend_from_slice(&payload.to_le_bytes());
-    push_str(&mut buf, &ev.cat);
-    push_str(&mut buf, &ev.name);
-    let n_args = ev.args.len().min(u8::MAX as usize);
-    buf.push(n_args as u8);
-    for (k, v) in ev.args.iter().take(n_args) {
-        push_str(&mut buf, k);
-        match v {
-            ArgValue::U64(n) => {
-                buf.push(0);
-                buf.extend_from_slice(&n.to_le_bytes());
-            }
-            ArgValue::I64(n) => {
-                buf.push(1);
-                buf.extend_from_slice(&n.to_le_bytes());
-            }
-            ArgValue::F64(x) => {
-                buf.push(2);
-                buf.extend_from_slice(&x.to_bits().to_le_bytes());
-            }
-            ArgValue::Bool(b) => {
-                buf.push(3);
-                buf.extend_from_slice(&(*b as u64).to_le_bytes());
-            }
-            ArgValue::Str(s) => {
-                buf.push(4);
-                push_str(&mut buf, s);
-            }
-        }
-    }
-    buf
-}
-
-fn decode_record(bytes: &[u8], pos: &mut usize) -> Result<TimelineEvent, String> {
-    let ts_us = read_u64(bytes, pos)?;
-    let track = read_u32(bytes, pos)?;
-    let lane = read_u32(bytes, pos)?;
-    let tag = read_u8(bytes, pos)?;
-    let payload = read_u64(bytes, pos)?;
-    let kind = match tag {
-        0 => EventKind::Span { dur_us: payload },
-        1 => EventKind::Instant,
-        2 => EventKind::Counter {
-            value: f64::from_bits(payload),
-        },
-        other => return Err(format!("unknown event kind tag {other}")),
-    };
-    let cat = read_str(bytes, pos)?;
-    let name = read_str(bytes, pos)?;
-    let n_args = read_u8(bytes, pos)? as usize;
-    let mut args = Vec::with_capacity(n_args);
-    for _ in 0..n_args {
-        let key = read_str(bytes, pos)?;
-        let tag = read_u8(bytes, pos)?;
-        let value = match tag {
-            0 => ArgValue::U64(read_u64(bytes, pos)?),
-            1 => ArgValue::I64(read_u64(bytes, pos)? as i64),
-            2 => ArgValue::F64(f64::from_bits(read_u64(bytes, pos)?)),
-            3 => ArgValue::Bool(read_u64(bytes, pos)? != 0),
-            4 => ArgValue::Str(read_str(bytes, pos)?),
-            other => return Err(format!("unknown arg tag {other}")),
-        };
-        args.push((key, value));
-    }
-    Ok(TimelineEvent {
-        track: TrackId(track),
-        lane,
-        cat,
-        name,
-        ts_us,
-        kind,
-        args,
-    })
 }
 
 /// Turn an arbitrary trigger reason into a filesystem-safe name fragment.
@@ -225,10 +82,8 @@ impl FlightRecorder {
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         FlightRecorder {
-            ring: Mutex::new(Ring {
-                records: VecDeque::with_capacity(capacity.min(1024)),
-                capacity,
-            }),
+            ring: Mutex::new(VecDeque::with_capacity(capacity.min(1024))),
+            capacity,
             dump_dir: Mutex::new(None),
             dropped: AtomicU64::new(0),
             recorded: AtomicU64::new(0),
@@ -241,24 +96,25 @@ impl FlightRecorder {
     /// set, automatic triggers are no-ops (callers that only want
     /// explicit [`dump_to`](Self::dump_to) never touch the filesystem).
     pub fn set_dump_dir(&self, dir: impl Into<PathBuf>) {
-        *lock(&self.dump_dir) = Some(dir.into());
+        *self.dump_dir.lock() = Some(dir.into());
     }
 
     /// Append one event to the ring, evicting the oldest when full.
     pub fn log(&self, event: &TimelineEvent) {
-        let encoded = encode_event(event);
-        let mut ring = lock(&self.ring);
-        if ring.records.len() >= ring.capacity {
-            ring.records.pop_front();
+        let mut record = String::with_capacity(160);
+        push_event(&mut record, event);
+        let mut ring = self.ring.lock();
+        if ring.len() >= self.capacity {
+            ring.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
-        ring.records.push_back(encoded);
+        ring.push_back(record);
         self.recorded.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Events currently buffered.
     pub fn len(&self) -> usize {
-        lock(&self.ring).records.len()
+        self.ring.lock().len()
     }
 
     /// True when nothing has been buffered.
@@ -281,20 +137,19 @@ impl FlightRecorder {
         self.dumps.load(Ordering::Relaxed)
     }
 
-    /// Write the current ring contents to `path`. Returns the number of
-    /// events written. The ring is not cleared, so overlapping triggers
-    /// each capture the full recent window.
+    /// Write the current ring contents to `path`, one event per line
+    /// between a `[` line and a `]` line. Returns the number of events
+    /// written. The ring is not cleared, so overlapping triggers each
+    /// capture the full recent window.
     pub fn dump_to(&self, path: impl AsRef<Path>) -> std::io::Result<usize> {
-        let records: Vec<Vec<u8>> = lock(&self.ring).records.iter().cloned().collect();
-        let mut file = std::fs::File::create(path)?;
-        file.write_all(FLIGHT_MAGIC)?;
-        file.write_all(&FLIGHT_VERSION.to_le_bytes())?;
-        for rec in &records {
-            file.write_all(rec)?;
-        }
-        file.flush()?;
+        let (text, written) = {
+            let ring = self.ring.lock();
+            let records: Vec<&str> = ring.iter().map(String::as_str).collect();
+            (format!("[\n{}\n]\n", records.join(",\n")), records.len())
+        };
+        std::fs::write(path, text)?;
         self.dumps.fetch_add(1, Ordering::Relaxed);
-        Ok(records.len())
+        Ok(written)
     }
 
     /// Automatic-trigger entry point: write a dump named after `reason`
@@ -302,9 +157,9 @@ impl FlightRecorder {
     /// `None` when no directory is configured or the write failed (the
     /// recorder never panics the caller — it is post-mortem machinery).
     pub fn trigger_dump(&self, reason: &str) -> Option<PathBuf> {
-        let dir = lock(&self.dump_dir).clone()?;
+        let dir = self.dump_dir.lock().clone()?;
         let seq = self.dump_seq.fetch_add(1, Ordering::Relaxed);
-        let path = dir.join(format!("flight-{}-{}.bin", sanitize(reason), seq));
+        let path = dir.join(format!("flight-{}-{}.json", sanitize(reason), seq));
         if std::fs::create_dir_all(&dir).is_err() {
             return None;
         }
@@ -314,24 +169,33 @@ impl FlightRecorder {
         }
     }
 
-    /// Decode a dump back into events. Tolerates a truncated tail (a
-    /// crash mid-write loses at most the final partial record): decoded
-    /// events up to the truncation point are returned alongside the
-    /// error via `Ok` as long as the header was intact.
+    /// Decode a dump back into events, parsing each line. A dump cut short
+    /// (a crash mid-write loses at most its final partial line) decodes to
+    /// the events of its whole lines; anything else that is not one event
+    /// object per line between `[` and `]` (blank lines aside) is an `Err`.
     pub fn decode(bytes: &[u8]) -> Result<Vec<TimelineEvent>, String> {
-        if bytes.len() < FLIGHT_MAGIC.len() + 2 || &bytes[..FLIGHT_MAGIC.len()] != FLIGHT_MAGIC {
-            return Err("not a flight-recorder dump (bad magic)".to_string());
+        let mut lines = bytes.split(|&b| b == b'\n').map(<[u8]>::trim_ascii);
+        if lines.next() != Some(b"[") {
+            return Err("not a flight-recorder dump (no opening `[` line)".to_string());
         }
-        let mut pos = FLIGHT_MAGIC.len();
-        let version = read_u16(bytes, &mut pos)?;
-        if version != FLIGHT_VERSION {
-            return Err(format!("unsupported dump version {version}"));
-        }
+        let mut lines = lines.enumerate().peekable();
         let mut events = Vec::new();
-        while pos < bytes.len() {
-            match decode_record(bytes, &mut pos) {
-                Ok(ev) => events.push(ev),
-                Err(_) => break, // truncated tail: keep what decoded cleanly
+        while let Some((at, line)) = lines.next() {
+            if line == b"]" {
+                if lines.any(|(_, rest)| !rest.is_empty()) {
+                    return Err("data after the closing `]`".to_string());
+                }
+                break;
+            }
+            let item = line.strip_suffix(b",").unwrap_or(line);
+            if item.is_empty() {
+                continue;
+            }
+            match parse_bytes(item).and_then(|v| TimelineEvent::from_value(&v)) {
+                Ok(event) => events.push(event),
+                // The tail after the last newline: a cut-off write.
+                Err(_) if lines.peek().is_none() => break,
+                Err(e) => return Err(format!("line {}: {e}", at + 2)),
             }
         }
         Ok(events)
@@ -341,6 +205,7 @@ impl FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::timeline::{ArgValue, EventKind, TrackId};
 
     fn event(name: &str, ts_us: u64) -> TimelineEvent {
         TimelineEvent {
@@ -352,7 +217,7 @@ mod tests {
             kind: EventKind::Span { dur_us: 42 },
             args: vec![
                 ("task".to_string(), ArgValue::U64(7)),
-                ("node".to_string(), ArgValue::I64(-1)),
+                ("node".to_string(), ArgValue::U64(u64::MAX)),
                 ("load".to_string(), ArgValue::F64(0.5)),
                 ("hot".to_string(), ArgValue::Bool(true)),
                 (
@@ -380,10 +245,14 @@ mod tests {
             args: Vec::new(),
             ..event("drift_alarm", 300)
         });
-        let path = temp_path("roundtrip.bin");
+        let path = temp_path("roundtrip.json");
         let written = rec.dump_to(&path).unwrap();
         assert_eq!(written, 3);
         let bytes = std::fs::read(&path).unwrap();
+        // A whole dump is one JSON array of trace-event objects.
+        let doc = crate::json::parse_bytes(&bytes).unwrap();
+        assert_eq!(doc.as_array().unwrap().len(), 3);
+        assert_eq!(doc[1]["ph"], "C");
         let decoded = FlightRecorder::decode(&bytes).unwrap();
         assert_eq!(decoded.len(), 3);
         assert_eq!(decoded[0].name, "started");
@@ -405,7 +274,7 @@ mod tests {
         assert_eq!(rec.len(), 3);
         assert_eq!(rec.dropped(), 7);
         assert_eq!(rec.recorded(), 10);
-        let path = temp_path("overflow.bin");
+        let path = temp_path("overflow.json");
         rec.dump_to(&path).unwrap();
         let decoded = FlightRecorder::decode(&std::fs::read(&path).unwrap()).unwrap();
         let names: Vec<&str> = decoded.iter().map(|e| e.name.as_str()).collect();
@@ -437,7 +306,7 @@ mod tests {
         let rec = FlightRecorder::new(8);
         rec.log(&event("a", 1));
         rec.log(&event("b", 2));
-        let path = temp_path("trunc.bin");
+        let path = temp_path("trunc.json");
         rec.dump_to(&path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         // Chop mid-way through the second record.
@@ -445,7 +314,21 @@ mod tests {
         let decoded = FlightRecorder::decode(&bytes[..cut]).unwrap();
         assert_eq!(decoded.len(), 1);
         assert_eq!(decoded[0].name, "a");
+        // Without the closing bracket, every whole line still decodes.
+        assert_eq!(
+            FlightRecorder::decode(&bytes[..bytes.len() - 2])
+                .unwrap()
+                .len(),
+            2
+        );
+        // A damaged line that is not the tail is an error, not a skip.
+        let text = String::from_utf8(bytes)
+            .unwrap()
+            .replacen("\"a\"", "\"a\"}", 1);
+        assert!(FlightRecorder::decode(text.as_bytes()).is_err());
         assert!(FlightRecorder::decode(b"nonsense").is_err());
+        // The binary dumps of earlier versions are not dumps any more.
+        assert!(FlightRecorder::decode(b"COOPFREC\x01\x00\x05\x00\x00").is_err());
         let _ = std::fs::remove_file(&path);
     }
 }

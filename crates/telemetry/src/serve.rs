@@ -9,7 +9,7 @@
 //! |-----------------|------------------------------------------------|
 //! | `/metrics`      | Prometheus text exposition (the same exporter behind `--metrics` files) |
 //! | `/healthz`      | liveness JSON: uptime, event/drop counts       |
-//! | `/trace/recent` | the most recent timeline events as JSON        |
+//! | `/trace/recent` | the most recent timeline events, as the Perfetto export writes them |
 //! | `/summary`      | the compact [`summary_json`](crate::TelemetryHub::summary_json) report |
 //! | `/tenants`      | the installed [`TenantLedger`](crate::TenantLedger)'s canonical JSON (byte-identical to `coop top --format json`) |
 //! | `/slo`          | the installed [`SloEngine`](crate::SloEngine)'s burn-rate report |
@@ -19,15 +19,18 @@
 //! itself after answering a fixed number of requests, so `coop observe
 //! --serve addr --serve-max-requests N` terminates deterministically.
 
-use crate::json::{ToJson, Value};
+use crate::accounting::EMPTY_TENANTS_JSON;
+use crate::export::{push_event, push_separator};
 use crate::json_object;
-use crate::timeline::{ArgValue, EventKind, TelemetryHub, TimelineEvent};
+use crate::slo::EMPTY_SLO_JSON;
+use crate::timeline::TelemetryHub;
+use std::fmt::Write as _;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Default number of events `/trace/recent` returns.
 pub const RECENT_TRACE_LIMIT: usize = 256;
@@ -86,53 +89,19 @@ impl Drop for TelemetryServer {
     }
 }
 
-/// Serialize the newest `limit` events as a JSON array (oldest first).
+/// The newest `limit` events as their trace-event objects (oldest first),
+/// with the buffered and dropped totals.
 pub fn recent_events_json(hub: &TelemetryHub, limit: usize) -> String {
     let events = hub.events();
     let skip = events.len().saturating_sub(limit);
-    json_object! {
-        "events": events[skip..],
-        "total": events.len(),
-        "dropped": hub.dropped(),
+    let mut out = String::from("{\"events\":[");
+    for event in &events[skip..] {
+        push_separator(&mut out);
+        push_event(&mut out, event);
     }
-    .write()
-}
-
-impl ToJson for TimelineEvent {
-    fn to_value(&self) -> Value {
-        let mut doc = json_object! {
-            "track": self.track.0,
-            "lane": self.lane,
-            "ts_us": self.ts_us,
-            "cat": self.cat,
-            "name": self.name,
-        };
-        match &self.kind {
-            EventKind::Span { dur_us } => {
-                doc.insert("kind", "span".to_value());
-                doc.insert("dur_us", dur_us.to_value());
-            }
-            EventKind::Instant => doc.insert("kind", "instant".to_value()),
-            EventKind::Counter { value } => {
-                doc.insert("kind", "counter".to_value());
-                doc.insert("value", value.to_value());
-            }
-        }
-        doc.insert("args", Value::object(&self.args));
-        doc
-    }
-}
-
-impl ToJson for ArgValue {
-    fn to_value(&self) -> Value {
-        match self {
-            ArgValue::U64(n) => n.to_value(),
-            ArgValue::I64(n) => Value::Int(i128::from(*n)),
-            ArgValue::F64(x) => x.to_value(),
-            ArgValue::Bool(b) => b.to_value(),
-            ArgValue::Str(s) => s.to_value(),
-        }
-    }
+    let (total, dropped) = (events.len(), hub.dropped());
+    let _ = write!(out, "],\"total\":{total},\"dropped\":{dropped}}}");
+    out
 }
 
 fn healthz_json(hub: &TelemetryHub) -> String {
@@ -145,13 +114,35 @@ fn healthz_json(hub: &TelemetryHub) -> String {
     .write()
 }
 
-fn respond(stream: &mut TcpStream, status: &str, content_type: &str, body: &str) {
-    let resp = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    let _ = stream.write_all(resp.as_bytes());
-    let _ = stream.flush();
+/// How long one connection may take, from accept to the last byte of the
+/// answer. The accept loop serves one connection at a time, so a client
+/// that trickles its request or never reads the answer holds the others
+/// up this long and no longer.
+const CONNECTION_DEADLINE: Duration = Duration::from_secs(2);
+
+/// Time left before `deadline`; `None` once it has passed.
+fn time_left(deadline: Instant) -> Option<Duration> {
+    deadline
+        .checked_duration_since(Instant::now())
+        .filter(|left| !left.is_zero())
+}
+
+/// Writes `answer` until it is sent, the client goes away or the deadline
+/// passes.
+fn respond(stream: &mut TcpStream, deadline: Instant, answer: &[u8]) {
+    let mut rest = answer;
+    while !rest.is_empty() {
+        let Some(left) = time_left(deadline) else {
+            return;
+        };
+        if stream.set_write_timeout(Some(left)).is_err() {
+            return;
+        }
+        match stream.write(rest) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => rest = &rest[n..],
+        }
+    }
 }
 
 /// Cap on the bytes read from one request head: well past any GET line
@@ -159,14 +150,17 @@ fn respond(stream: &mut TcpStream, status: &str, content_type: &str, body: &str)
 /// that never sends the terminator.
 const MAX_REQUEST_BYTES: usize = 16 * 1024;
 
-/// Read until the HTTP header terminator (`\r\n\r\n`), end of stream, or
-/// [`MAX_REQUEST_BYTES`]. A single `read` is not enough: a client (or
-/// the kernel) may deliver the request line in several segments, and the
-/// old single-read parser answered such requests with nothing at all.
-fn read_request_head(stream: &mut TcpStream) -> Option<Vec<u8>> {
+/// Read until the HTTP header terminator (`\r\n\r\n`), end of stream,
+/// [`MAX_REQUEST_BYTES`] or the deadline. A single `read` is not enough: a
+/// client (or the kernel) may deliver the request line in several
+/// segments.
+fn read_request_head(stream: &mut TcpStream, deadline: Instant) -> Option<Vec<u8>> {
     let mut buf = Vec::with_capacity(512);
     let mut chunk = [0u8; 512];
-    loop {
+    while let Some(left) = time_left(deadline) {
+        if stream.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
         match stream.read(&mut chunk) {
             Ok(0) => break,
             Ok(n) => {
@@ -194,60 +188,58 @@ fn read_request_head(stream: &mut TcpStream) -> Option<Vec<u8>> {
     }
 }
 
-fn handle_request(hub: &TelemetryHub, stream: &mut TcpStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-    let Some(buf) = read_request_head(stream) else {
-        return;
-    };
-    let request = String::from_utf8_lossy(&buf);
+/// The whole HTTP answer to `request`.
+fn answer(hub: &TelemetryHub, request: &[u8]) -> String {
+    const JSON: &str = "application/json";
+    const TEXT: &str = "text/plain; charset=utf-8";
+    let request = String::from_utf8_lossy(request);
     let mut parts = request.split_whitespace();
     let method = parts.next().unwrap_or("");
     let path = parts.next().unwrap_or("");
     let path = path.split('?').next().unwrap_or(path);
-    if method != "GET" {
-        respond(
-            stream,
-            "405 Method Not Allowed",
-            "text/plain; charset=utf-8",
-            "GET only\n",
-        );
-        return;
-    }
-    match path {
-        "/metrics" => respond(
-            stream,
+    let (status, content_type, body) = match path {
+        _ if method != "GET" => ("405 Method Not Allowed", TEXT, "GET only\n".to_string()),
+        "/metrics" => (
             "200 OK",
             "text/plain; version=0.0.4; charset=utf-8",
-            &hub.registry().to_prometheus(),
+            hub.registry().to_prometheus(),
         ),
-        "/healthz" => respond(stream, "200 OK", "application/json", &healthz_json(hub)),
-        "/trace/recent" => respond(
-            stream,
-            "200 OK",
-            "application/json",
-            &recent_events_json(hub, RECENT_TRACE_LIMIT),
-        ),
-        "/summary" => respond(stream, "200 OK", "application/json", &hub.summary_json()),
+        "/healthz" => ("200 OK", JSON, healthz_json(hub)),
+        "/trace/recent" => ("200 OK", JSON, recent_events_json(hub, RECENT_TRACE_LIMIT)),
+        "/summary" => ("200 OK", JSON, hub.summary_json()),
         "/tenants" => {
-            let body = match hub.tenant_ledger() {
-                Some(ledger) => ledger.to_json(),
-                None => crate::accounting::EMPTY_TENANTS_JSON.to_string(),
-            };
-            respond(stream, "200 OK", "application/json", &body)
+            let ledger = hub.tenant_ledger();
+            (
+                "200 OK",
+                JSON,
+                ledger.map_or(EMPTY_TENANTS_JSON.into(), |l| l.to_json()),
+            )
         }
         "/slo" => {
-            let body = match hub.slo_engine() {
-                Some(engine) => engine.to_json(),
-                None => crate::slo::EMPTY_SLO_JSON.to_string(),
-            };
-            respond(stream, "200 OK", "application/json", &body)
+            let engine = hub.slo_engine();
+            (
+                "200 OK",
+                JSON,
+                engine.map_or(EMPTY_SLO_JSON.into(), |e| e.to_json()),
+            )
         }
-        _ => respond(
-            stream,
+        _ => (
             "404 Not Found",
-            "text/plain; charset=utf-8",
-            "routes: /metrics /healthz /trace/recent /summary /tenants /slo\n",
+            TEXT,
+            "routes: /metrics /healthz /trace/recent /summary /tenants /slo\n".to_string(),
         ),
+    };
+    format!(
+        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    )
+}
+
+/// Answers one connection within [`CONNECTION_DEADLINE`].
+fn handle_request(hub: &TelemetryHub, stream: &mut TcpStream) {
+    let deadline = Instant::now() + CONNECTION_DEADLINE;
+    if let Some(request) = read_request_head(stream, deadline) {
+        respond(stream, deadline, answer(hub, &request).as_bytes());
     }
 }
 
@@ -308,6 +300,7 @@ pub fn serve_with_limit(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::timeline::ArgValue;
 
     fn get(addr: SocketAddr, path: &str) -> (String, String) {
         let mut stream = TcpStream::connect(addr).expect("connect");
@@ -470,6 +463,49 @@ mod tests {
         assert!(
             resp.starts_with("HTTP/1.1 200 OK"),
             "short request must still be served: {resp}"
+        );
+        server.stop();
+    }
+
+    #[test]
+    fn a_trickling_client_holds_the_loop_for_one_deadline_at_most() {
+        let hub = seeded_hub();
+        let server = serve(Arc::clone(&hub), "127.0.0.1:0").expect("bind");
+        let addr = server.addr();
+        let stop = Arc::new(AtomicBool::new(false));
+        // One byte every 100 ms for up to 20 s, each well inside any
+        // per-read timeout: the request head never ends.
+        let trickler = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut stream = TcpStream::connect(addr).expect("connect");
+                for _ in 0..200 {
+                    if stop.load(Ordering::Relaxed) || stream.write_all(b"a").is_err() {
+                        break;
+                    }
+                    std::thread::sleep(Duration::from_millis(100));
+                }
+            })
+        };
+        // The trickler is accepted first.
+        std::thread::sleep(Duration::from_millis(200));
+        let asked = Instant::now();
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        stream
+            .write_all(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            .unwrap();
+        let mut resp = String::new();
+        let _ = stream.read_to_string(&mut resp);
+        let waited = asked.elapsed();
+        stop.store(true, Ordering::Relaxed);
+        trickler.join().unwrap();
+        assert!(resp.starts_with("HTTP/1.1 200 OK"), "{resp}");
+        assert!(
+            waited < Duration::from_secs(5),
+            "/healthz waited {waited:?} behind a trickling client"
         );
         server.stop();
     }

@@ -46,8 +46,6 @@ pub struct TrackId(pub u32);
 pub enum ArgValue {
     /// Unsigned integer.
     U64(u64),
-    /// Signed integer.
-    I64(i64),
     /// Floating point (non-finite values export as 0).
     F64(f64),
     /// Boolean.
@@ -91,7 +89,8 @@ pub struct TimelineEvent {
     pub ts_us: u64,
     /// Span / instant / counter payload.
     pub kind: EventKind,
-    /// Extra key/value arguments.
+    /// Extra key/value arguments. They become the members of one JSON
+    /// object, so keys are unique, and a counter's are not `value`.
     pub args: Vec<(String, ArgValue)>,
 }
 
@@ -436,7 +435,7 @@ impl TelemetryHub {
     }
 
     /// Install a [`FlightRecorder`]: from now on every recorded event is
-    /// also encoded into its ring. Install-once — a second call returns
+    /// also written into its ring. Install-once — a second call returns
     /// `false` and leaves the first recorder in place. When no recorder
     /// is installed the hot path pays a single relaxed atomic load.
     pub fn install_flight_recorder(&self, recorder: Arc<FlightRecorder>) -> bool {

@@ -27,9 +27,10 @@
 //! flagged [`TaskTrace::truncated`] and the surviving suffix is still
 //! ordered and timed.
 
-use crate::json::push_str_literal;
-use crate::timeline::{ArgValue, TelemetryHub, TimelineEvent, TrackId};
-use std::collections::BTreeMap;
+use crate::export::{push_metadata, push_separator, push_trace_event, Phase};
+use crate::timeline::{ArgValue, EventKind, TelemetryHub, TimelineEvent, TrackId};
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write as _;
 
 /// Timeline category shared by every causal-trace hop event.
 pub const TRACE_CAT: &str = "trace";
@@ -71,7 +72,6 @@ fn arg_u64(args: &[(String, ArgValue)], key: &str) -> Option<u64> {
         .find(|(k, _)| k == key)
         .and_then(|(_, v)| match v {
             ArgValue::U64(n) => Some(*n),
-            ArgValue::I64(n) => u64::try_from(*n).ok(),
             _ => None,
         })
 }
@@ -341,77 +341,42 @@ impl TraceAssembler {
     pub fn to_perfetto_json(&self) -> String {
         let mut out = String::with_capacity(self.tasks.len() * 256 + 128);
         out.push_str("{\"traceEvents\":[");
-        let mut first = true;
-        let mut named_pids: Vec<u64> = Vec::new();
+        let mut named_pids = BTreeSet::new();
         for t in self.tasks.values() {
             let pid = t.trace_id + 1;
-            if !named_pids.contains(&pid) {
-                named_pids.push(pid);
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                out.push_str(&format!(
-                    "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"args\":{{\"name\":"
-                ));
-                push_str_literal(&mut out, &format!("trace {}", t.trace_id));
-                out.push_str("}}");
+            if named_pids.insert(pid) {
+                push_separator(&mut out);
+                let label = format!("trace {}", t.trace_id);
+                push_metadata(&mut out, "process_name", pid, None, &label);
             }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{},\"args\":{{\"name\":",
-                t.task
-            ));
-            push_str_literal(
-                &mut out,
-                &format!("task {} {}", t.task, t.name.as_deref().unwrap_or("?")),
-            );
-            out.push_str("}}");
+            push_separator(&mut out);
+            let label = format!("task {} {}", t.task, t.name.as_deref().unwrap_or("?"));
+            push_metadata(&mut out, "thread_name", pid, Some(t.task), &label);
             for h in &t.hops {
-                out.push(',');
-                out.push_str("{\"name\":");
-                push_str_literal(&mut out, &h.kind);
-                out.push_str(&format!(
-                    ",\"cat\":\"trace\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{pid},\"tid\":{}",
-                    h.ts_us,
-                    h.wall_us.max(1),
-                    t.task
-                ));
-                out.push_str(",\"args\":{");
-                let mut first_arg = true;
-                let mut arg = |out: &mut String, k: &str, v: String| {
-                    if !first_arg {
-                        out.push(',');
-                    }
-                    first_arg = false;
-                    push_str_literal(out, k);
-                    out.push(':');
-                    out.push_str(&v);
+                let number = |key, n: Option<u64>| n.map(|n| (key, ArgValue::U64(n)));
+                let tier = h.tier.clone().map(|tier| ("tier", ArgValue::Str(tier)));
+                let args: Vec<_> = [
+                    number("node", h.node),
+                    number("from", h.from_node),
+                    tier,
+                    number("event", h.event),
+                ]
+                .into_iter()
+                .flatten()
+                .collect();
+                let span = EventKind::Span {
+                    dur_us: h.wall_us.max(1),
                 };
-                if let Some(n) = h.node {
-                    arg(&mut out, "node", n.to_string());
-                }
-                if let Some(f) = h.from_node {
-                    arg(&mut out, "from", f.to_string());
-                }
-                if let Some(tier) = &h.tier {
-                    let mut s = String::new();
-                    push_str_literal(&mut s, tier);
-                    arg(&mut out, "tier", s);
-                }
-                if let Some(e) = h.event {
-                    arg(&mut out, "event", e.to_string());
-                }
-                out.push_str("}}");
+                let phase = Phase::Event(TRACE_CAT, h.ts_us, &span);
+                push_separator(&mut out);
+                push_trace_event(&mut out, &h.kind, phase, pid, Some(t.task), &args);
             }
         }
-        out.push_str(&format!(
-            "],\"displayTimeUnit\":\"ms\",\"metadata\":{{\"assembled_tasks\":{}}}}}",
-            self.tasks.len()
-        ));
+        let tasks = self.tasks.len();
+        let _ = write!(
+            out,
+            "],\"displayTimeUnit\":\"ms\",\"metadata\":{{\"assembled_tasks\":{tasks}}}}}"
+        );
         out
     }
 }
@@ -427,7 +392,6 @@ pub fn hop_args(task: u64, trace_id: u64) -> Vec<(String, ArgValue)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::timeline::EventKind;
 
     fn hop_event(
         task: u64,

@@ -31,7 +31,7 @@ fn busy_hub() -> TelemetryHub {
         0,
         "agent",
         "decision",
-        vec![("tick".to_string(), ArgValue::I64(-1))],
+        vec![("tick".to_string(), ArgValue::U64(1))],
     );
     hub.record(
         1,

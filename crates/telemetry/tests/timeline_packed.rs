@@ -3,9 +3,9 @@
 //! is kept packed in another; everything else stays a full `TimelineEvent`.
 //! These tests pin that no reader can tell: the event read back, the
 //! rings' eviction order and counts, the flight recorder's log and the
-//! Chrome-trace export are what `record` gives for the full event. Public
-//! API and std only, so they also run where the crate's unit tests (which
-//! parse JSON) cannot be built.
+//! Chrome-trace export are what `record` gives for the full event, and a
+//! flight dump decodes back to exactly the events recorded, floats bit for
+//! bit.
 
 use coop_telemetry::{
     ArgValue, EventKind, FlightRecorder, Label, PackedArg, SeriesKey, TelemetryHub, TimelineEvent,
@@ -38,6 +38,25 @@ impl Span {
         );
     }
 
+    /// The full event the span stands for.
+    fn event(&self, track: TrackId) -> TimelineEvent {
+        let mut args = vec![("node".to_string(), ArgValue::U64(self.node))];
+        if self.panicked {
+            args.push(("panicked".to_string(), ArgValue::Bool(true)));
+        }
+        TimelineEvent {
+            track,
+            lane: self.lane,
+            cat: "task".to_string(),
+            name: self.name.clone(),
+            ts_us: self.ts_us,
+            kind: EventKind::Span {
+                dur_us: self.dur_us,
+            },
+            args,
+        }
+    }
+
     /// The span the way the runtime recorded it before the packed slot.
     fn full(&self, hub: &TelemetryHub, shard: usize, track: TrackId) {
         let mut args = vec![("node".to_string(), ArgValue::U64(self.node))];
@@ -57,6 +76,7 @@ impl Span {
     }
 }
 
+/// Field for field, floats bit for bit.
 fn assert_same(a: &TimelineEvent, b: &TimelineEvent, what: &str) {
     assert_eq!(a.track, b.track, "{what}: track");
     assert_eq!(a.lane, b.lane, "{what}: lane");
@@ -65,6 +85,27 @@ fn assert_same(a: &TimelineEvent, b: &TimelineEvent, what: &str) {
     assert_eq!(a.ts_us, b.ts_us, "{what}: ts_us");
     assert_eq!(a.kind, b.kind, "{what}: kind");
     assert_eq!(a.args, b.args, "{what}: args");
+    assert_eq!(float_bits(a), float_bits(b), "{what}: float bits");
+}
+
+/// The bits of an event's counter value and float arguments, in order.
+fn float_bits(e: &TimelineEvent) -> Vec<u64> {
+    let value = match e.kind {
+        EventKind::Counter { value } => Some(value),
+        _ => None,
+    };
+    let args = e.args.iter().filter_map(|(_, v)| match v {
+        ArgValue::F64(x) => Some(*x),
+        _ => None,
+    });
+    value.into_iter().chain(args).map(f64::to_bits).collect()
+}
+
+/// Dumps `rec` and decodes the dump.
+fn dump_and_decode(rec: &FlightRecorder, file: &str) -> Vec<TimelineEvent> {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(file);
+    rec.dump_to(&path).unwrap();
+    FlightRecorder::decode(&std::fs::read(&path).unwrap()).unwrap()
 }
 
 /// splitmix64: the cases below repeat exactly for a seed.
@@ -219,25 +260,17 @@ fn an_installed_flight_recorder_logs_every_task_span() {
         span.full(&full, i, track_f);
     }
     // The hub rings evicted most of them; the recorders saw them all, and
-    // encoded the same bytes whichever way the span went in.
+    // each dump decodes to exactly the spans recorded, whichever way they
+    // went in.
     assert_eq!(packed.event_count(), 8);
     assert_eq!(rec_p.recorded(), spans.len() as u64);
     assert_eq!(rec_f.recorded(), spans.len() as u64);
-    assert_eq!(rec_p.len(), rec_f.len());
-    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
-    let (path_p, path_f) = (dir.join("packed.flight"), dir.join("full.flight"));
-    rec_p.dump_to(&path_p).unwrap();
-    rec_f.dump_to(&path_f).unwrap();
-    let (bytes_p, bytes_f) = (
-        std::fs::read(&path_p).unwrap(),
-        std::fs::read(&path_f).unwrap(),
-    );
-    assert_eq!(bytes_p, bytes_f);
-    let decoded = FlightRecorder::decode(&bytes_p).unwrap();
-    assert_eq!(decoded.len(), spans.len());
-    for (event, span) in decoded.iter().zip(&spans) {
-        assert_eq!(event.name, span.name);
-        assert_eq!(event.cat, "task");
+    for (rec, file) in [(&rec_p, "packed.flight"), (&rec_f, "full.flight")] {
+        let decoded = dump_and_decode(rec, file);
+        assert_eq!(decoded.len(), spans.len());
+        for (event, span) in decoded.iter().zip(&spans) {
+            assert_same(event, &span.event(track_p), &format!("{file}: {span:?}"));
+        }
     }
 }
 
@@ -321,114 +354,107 @@ impl Op {
             Op::Span(span) => {
                 span.packed(packed, shard, TrackId(0));
                 span.full(full, shard, TrackId(0));
+                return;
             }
-            Op::Bandwidth(s) => {
-                packed.record_packed(
-                    shard,
-                    s.track,
-                    s.lane,
-                    "bandwidth",
-                    Arc::clone(&s.name),
-                    s.ts_us,
-                    EventKind::Counter { value: s.gbs },
-                    [
-                        ("t_s".into(), PackedArg::F64(s.mid_s)),
-                        ("utilization".into(), PackedArg::F64(s.utilization)),
-                    ],
-                );
-                // The reference: memsim's sample as the full event it was.
-                full.record(
-                    shard,
-                    TimelineEvent {
-                        track: s.track,
-                        lane: s.lane,
-                        cat: "bandwidth".to_string(),
-                        name: s.name.to_string(),
-                        ts_us: s.ts_us,
-                        kind: EventKind::Counter { value: s.gbs },
-                        args: vec![
-                            ("t_s".to_string(), ArgValue::F64(s.mid_s)),
-                            ("utilization".to_string(), ArgValue::F64(s.utilization)),
-                        ],
-                    },
-                );
-            }
-            Op::Decision(d) => {
-                packed.record_packed(
-                    shard,
-                    d.track,
-                    0,
-                    "provenance",
-                    "decision",
-                    d.ts_us,
-                    EventKind::Instant,
-                    [
-                        ("id".into(), PackedArg::U64(d.id)),
-                        ("tick".into(), PackedArg::U64(d.tick)),
-                        (
-                            "source".into(),
-                            PackedArg::Str(Arc::clone(&d.source).into()),
-                        ),
-                        (
-                            "command".into(),
-                            PackedArg::Str(Arc::clone(&d.command).into()),
-                        ),
-                    ],
-                );
-                // The reference: the observatory's instant as the full
-                // event `record_instant_at` stores.
-                full.record(
-                    shard,
-                    TimelineEvent {
-                        track: d.track,
-                        lane: 0,
-                        cat: "provenance".to_string(),
-                        name: "decision".to_string(),
-                        ts_us: d.ts_us,
-                        kind: EventKind::Instant,
-                        args: vec![
-                            ("id".to_string(), ArgValue::U64(d.id)),
-                            ("tick".to_string(), ArgValue::U64(d.tick)),
-                            ("source".to_string(), ArgValue::Str(d.source.to_string())),
-                            ("command".to_string(), ArgValue::Str(d.command.to_string())),
-                        ],
-                    },
-                );
-            }
-            Op::Marker { ts_us, ok } => {
-                packed.record_packed(
-                    shard,
-                    TrackId(1),
-                    2,
-                    "control",
-                    "marker",
-                    *ts_us,
-                    EventKind::Instant,
-                    [
-                        ("ok".into(), PackedArg::Bool(*ok)),
-                        ("note".into(), PackedArg::Str(Label::Static("a \"b\"\n"))),
-                    ],
-                );
-                full.record(
-                    shard,
-                    TimelineEvent {
-                        track: TrackId(1),
-                        lane: 2,
-                        cat: "control".to_string(),
-                        name: "marker".to_string(),
-                        ts_us: *ts_us,
-                        kind: EventKind::Instant,
-                        args: vec![
-                            ("ok".to_string(), ArgValue::Bool(*ok)),
-                            ("note".to_string(), ArgValue::Str("a \"b\"\n".to_string())),
-                        ],
-                    },
-                );
-            }
-            Op::Full(event) => {
-                packed.record(shard, event.clone());
-                full.record(shard, event.clone());
-            }
+            Op::Bandwidth(s) => packed.record_packed(
+                shard,
+                s.track,
+                s.lane,
+                "bandwidth",
+                Arc::clone(&s.name),
+                s.ts_us,
+                EventKind::Counter { value: s.gbs },
+                [
+                    ("t_s".into(), PackedArg::F64(s.mid_s)),
+                    ("utilization".into(), PackedArg::F64(s.utilization)),
+                ],
+            ),
+            Op::Decision(d) => packed.record_packed(
+                shard,
+                d.track,
+                0,
+                "provenance",
+                "decision",
+                d.ts_us,
+                EventKind::Instant,
+                [
+                    ("id".into(), PackedArg::U64(d.id)),
+                    ("tick".into(), PackedArg::U64(d.tick)),
+                    (
+                        "source".into(),
+                        PackedArg::Str(Arc::clone(&d.source).into()),
+                    ),
+                    (
+                        "command".into(),
+                        PackedArg::Str(Arc::clone(&d.command).into()),
+                    ),
+                ],
+            ),
+            Op::Marker { ts_us, ok } => packed.record_packed(
+                shard,
+                TrackId(1),
+                2,
+                "control",
+                "marker",
+                *ts_us,
+                EventKind::Instant,
+                [
+                    ("ok".into(), PackedArg::Bool(*ok)),
+                    ("note".into(), PackedArg::Str(Label::Static("a \"b\"\n"))),
+                ],
+            ),
+            Op::Full(event) => packed.record(shard, event.clone()),
+        }
+        full.record(shard, self.event());
+    }
+
+    /// The full event the operation records: the reference each packed
+    /// record must read back as.
+    fn event(&self) -> TimelineEvent {
+        match self {
+            Op::Span(span) => span.event(TrackId(0)),
+            // memsim's sample as the full event it was.
+            Op::Bandwidth(s) => TimelineEvent {
+                track: s.track,
+                lane: s.lane,
+                cat: "bandwidth".to_string(),
+                name: s.name.to_string(),
+                ts_us: s.ts_us,
+                kind: EventKind::Counter { value: s.gbs },
+                args: vec![
+                    ("t_s".to_string(), ArgValue::F64(s.mid_s)),
+                    ("utilization".to_string(), ArgValue::F64(s.utilization)),
+                ],
+            },
+            // The observatory's instant as the full event
+            // `record_instant_at` stores.
+            Op::Decision(d) => TimelineEvent {
+                track: d.track,
+                lane: 0,
+                cat: "provenance".to_string(),
+                name: "decision".to_string(),
+                ts_us: d.ts_us,
+                kind: EventKind::Instant,
+                args: vec![
+                    ("id".to_string(), ArgValue::U64(d.id)),
+                    ("tick".to_string(), ArgValue::U64(d.tick)),
+                    ("source".to_string(), ArgValue::Str(d.source.to_string())),
+                    ("command".to_string(), ArgValue::Str(d.command.to_string())),
+                ],
+            },
+            Op::Marker { ts_us, ok } => TimelineEvent {
+                track: TrackId(1),
+                lane: 2,
+                cat: "control".to_string(),
+                name: "marker".to_string(),
+                ts_us: *ts_us,
+                kind: EventKind::Instant,
+                args: vec![
+                    ("ok".to_string(), ArgValue::Bool(*ok)),
+                    ("note".to_string(), ArgValue::Str("a \"b\"\n".to_string())),
+                ],
+            },
+            Op::Full(event) => event.clone(),
         }
     }
 }
@@ -487,7 +513,10 @@ fn seeded_ops(seed: u64, len: usize) -> Vec<Op> {
                     name: format!("full{i}"),
                     ts_us,
                     kind: EventKind::Instant,
-                    args: vec![("tick".to_string(), ArgValue::I64(-(i as i64)))],
+                    args: vec![
+                        ("tick".to_string(), ArgValue::U64(u64::MAX - i as u64)),
+                        ("lag".to_string(), ArgValue::F64(-(i as f64) / 3.0)),
+                    ],
                 }),
             }
         })
@@ -538,19 +567,20 @@ fn packed_events_read_back_as_the_events_record_stores() {
         assert_eq!(packed.to_perfetto_json(), full.to_perfetto_json());
         assert_eq!(packed.summary_json(), full.summary_json());
 
-        // The recorders saw every event, encoded to the same bytes.
+        // The recorders saw every event, and each dump decodes to exactly
+        // the events recorded.
         assert_eq!(rec_p.recorded(), ops.len() as u64);
-        let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
-        let (path_p, path_f) = (
-            dir.join(format!("ops-packed-{seed}.flight")),
-            dir.join(format!("ops-full-{seed}.flight")),
-        );
-        rec_p.dump_to(&path_p).unwrap();
-        rec_f.dump_to(&path_f).unwrap();
-        let bytes = std::fs::read(&path_p).unwrap();
-        assert_eq!(bytes, std::fs::read(&path_f).unwrap(), "seed {seed}");
-        let decoded = FlightRecorder::decode(&bytes).unwrap();
-        assert_eq!(decoded.len(), ops.len());
+        for (rec, side) in [(&rec_p, "packed"), (&rec_f, "full")] {
+            let decoded = dump_and_decode(rec, &format!("ops-{side}-{seed}.flight"));
+            assert_eq!(decoded.len(), ops.len());
+            for (i, (event, op)) in decoded.iter().zip(&ops).enumerate() {
+                assert_same(
+                    event,
+                    &op.event(),
+                    &format!("seed {seed}, {side} dump, op {i}"),
+                );
+            }
+        }
     }
 }
 
