@@ -1641,7 +1641,7 @@ mod tests {
         assert_eq!(records.len(), 1);
         assert!(records[0].is_closed());
         assert!(
-            records[0].residuals.is_empty(),
+            records[0].residuals().is_empty(),
             "a regressed window must not produce residuals"
         );
         let hub = agent.hub();

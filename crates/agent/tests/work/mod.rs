@@ -1,0 +1,118 @@
+//! The real agent's tick whose allocator work `BENCH_work.json` records:
+//! eight in-memory runtimes under supervision, a tenant ledger installed,
+//! and a policy with no search due. The count covers every thread of the
+//! process, so what the eight couriers and the stand-in runtimes allocate
+//! to answer a poll is in it. The budget test and the recorder include
+//! this file next to the counting allocator.
+
+use super::counting::cost_of;
+use coop_agent::{Agent, Policy, RuntimeHandle, RuntimeStats, SupervisionConfig, ThreadCommand};
+use coop_runtime::NodeOccupancy;
+use coop_telemetry::{TelemetryHub, TenantLedger};
+use numa_topology::presets::tiny;
+use numa_topology::NodeId;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
+
+const RUNTIMES: usize = 8;
+
+/// An in-memory runtime on `tiny()`'s two nodes whose counters advance with
+/// every poll, as a working runtime's do.
+struct Stub {
+    name: String,
+    polls: AtomicU64,
+}
+
+impl RuntimeHandle for Stub {
+    fn name(&self) -> String {
+        self.name.clone()
+    }
+
+    fn stats(&self) -> coop_agent::Result<RuntimeStats> {
+        let n = self.polls.fetch_add(1, Ordering::Relaxed) + 1;
+        Ok(RuntimeStats {
+            name: self.name.clone(),
+            tasks_executed: 200 * n,
+            tasks_panicked: 0,
+            tasks_spawned: 200 * n,
+            tasks_ready: 0,
+            tasks_pending: 0,
+            running_workers: 2,
+            blocked_workers: 2,
+            external_threads: 0,
+            per_node: (0..2)
+                .map(|node| NodeOccupancy {
+                    node: NodeId(node),
+                    running_workers: 1,
+                    tasks_executed: 100 * n,
+                })
+                .collect(),
+            user_counters: HashMap::new(),
+            uptime_us: 1_000 * n,
+            tasks_preempted: 0,
+            tasks_runaway: 0,
+            overbudget_cpu_us: 0,
+        })
+    }
+
+    fn command(&self, _cmd: ThreadCommand) -> coop_agent::Result<()> {
+        Ok(())
+    }
+}
+
+/// No search due: nothing to command, or the same one thread per node to
+/// everybody every tick.
+struct Fixed {
+    commanding: bool,
+}
+
+impl Policy for Fixed {
+    fn tick(&mut self, stats: &[RuntimeStats], _tick: u64) -> Vec<Option<ThreadCommand>> {
+        let cmd = self.commanding.then(|| ThreadCommand::PerNode(vec![1, 1]));
+        vec![cmd; stats.len()]
+    }
+}
+
+/// Allocator calls of one agent's life of `ticks` ticks, set-up and
+/// tear-down included.
+fn allocations_of_run(ticks: u64, commanding: bool) -> u64 {
+    let ((), cost) = cost_of(|| {
+        let hub = Arc::new(TelemetryHub::new());
+        assert!(hub.install_tenant_ledger(Arc::new(TenantLedger::new())));
+        let mut agent = Agent::with_telemetry(Box::new(Fixed { commanding }), hub);
+        agent.set_supervision(SupervisionConfig::aggressive(Duration::from_secs(5)));
+        agent.set_reclaim_machine(tiny());
+        for i in 0..RUNTIMES {
+            agent.manage(Box::new(Stub {
+                name: format!("app{i}"),
+                polls: AtomicU64::new(0),
+            }));
+        }
+        for _ in 0..ticks {
+            agent.tick().expect("a tick never fails");
+        }
+        let log = agent.log();
+        assert_eq!(log.ticks, ticks);
+        assert!(log.errors.is_empty(), "{:?}", log.errors);
+        let decisions = if commanding { RUNTIMES as u64 } else { 0 };
+        assert_eq!(log.decisions.len() as u64, decisions * ticks);
+    });
+    cost.calls
+}
+
+/// The cell of a steady tick, quiet or commanding: its allocator calls,
+/// the difference between a 600-tick and a 300-tick run divided by 300, so
+/// that what a run sets up once (threads, series, the ledger's tenants)
+/// cancels, rounded to whole calls: on a loaded host the couriers' threads
+/// make a few calls a run more or fewer, as they are scheduled.
+pub fn agent_tick(commanding: bool) -> (String, f64) {
+    let short = allocations_of_run(300, commanding);
+    let long = allocations_of_run(600, commanding);
+    let kind = if commanding { "commanding" } else { "quiet" };
+    (
+        format!("agent.tick.{kind}.calls"),
+        ((long - short) as f64 / 300.0).round(),
+    )
+}

@@ -1,0 +1,134 @@
+//! `BENCH_work.json`: exact work counts of workload-shaped runs, which do
+//! not depend on the host, the build's code layout or the time of day.
+//!
+//! Each cell is what a run asked of the allocator, counted by the
+//! workspace's counting `#[global_allocator]` (memsim's
+//! `tests/counting/mod.rs`): a steady `ctl_paper` decision tick, fixed or
+//! re-optimizing, on both engines (calls and bytes); what a `ctl_paper` run
+//! pays besides its ticks; one `fleet_outages` run; one `fleet_diurnal` run
+//! per tenant; and a quiet and a commanding `Agent::tick` over eight
+//! runtimes. The runs are the budget tests' (memsim's and the agent's
+//! `tests/work/mod.rs`), which hold their measurements to these cells.
+//!
+//! The test measures every cell and compares them with the committed file.
+//! On any difference it rewrites the file — the cells, the rustc that
+//! measured them and the commit their tree was based on (`-dirty` when it
+//! had uncommitted changes) — and fails, so a change that moves a cell
+//! commits the new file with it. Run it with
+//! `cargo test -p coop-bench --test bench_work -- --nocapture`.
+
+#[path = "../../agent/tests/work/mod.rs"]
+mod agent_work;
+#[path = "../../memsim/tests/counting/mod.rs"]
+mod counting;
+#[path = "../../memsim/tests/fleets/mod.rs"]
+mod fleets;
+#[path = "../../memsim/tests/work/mod.rs"]
+mod memsim_work;
+
+use coop_telemetry::json::{self, Value};
+use memsim::EngineKind;
+use std::process::Command;
+
+/// The first line `program args` prints, or `"unknown"`.
+fn first_line_of(program: &str, args: &[&str]) -> String {
+    Command::new(program)
+        .args(args)
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .and_then(|text| text.lines().next().map(str::to_string))
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// Every cell, in file order.
+fn measure() -> Vec<(String, f64)> {
+    let mut cells = Vec::new();
+    for engine in [EngineKind::Event, EngineKind::Slice] {
+        for reoptimize in [true, false] {
+            cells.extend(memsim_work::ctl_paper_tick(reoptimize, engine));
+        }
+    }
+    cells.extend(memsim_work::ctl_paper_setup());
+    cells.push(memsim_work::fleet_outages_run());
+    cells.push(memsim_work::fleet_diurnal_run());
+    cells.push(agent_work::agent_tick(false));
+    cells.push(agent_work::agent_tick(true));
+    cells
+}
+
+/// A whole count as an integer, anything else as a float.
+fn cell_value(v: f64) -> Value {
+    if v.fract() == 0.0 {
+        Value::Int(v as i128)
+    } else {
+        Value::Float(v)
+    }
+}
+
+/// One test, so that no other thread of this binary allocates while a run
+/// is counted.
+#[test]
+fn bench_work_json_is_what_the_runs_do() {
+    let measured = Value::Object(
+        measure()
+            .into_iter()
+            .map(|(name, v)| (name, cell_value(v)))
+            .collect(),
+    );
+    let committed = std::fs::read_to_string(counting::BENCH_WORK)
+        .ok()
+        .and_then(|text| json::parse(&text).ok());
+    let committed_cells = committed
+        .as_ref()
+        .map_or(&Value::Null, |file| &file["cells"]);
+    if *committed_cells == measured {
+        return;
+    }
+
+    let mut changes = Vec::new();
+    for (name, now) in measured.as_object().expect("cells are an object") {
+        let was = &committed_cells[name.as_str()];
+        if was != now {
+            changes.push(format!("  {name}: {} -> {}", was.write(), now.write()));
+        }
+    }
+    for (name, _) in committed_cells.as_object().unwrap_or_default() {
+        if measured.get(name).is_none() {
+            changes.push(format!("  {name}: removed"));
+        }
+    }
+    let file = Value::Object(vec![
+        (
+            "about".into(),
+            Value::Str(
+                "Exact work counts of workload-shaped runs, written by \
+                 `cargo test -p coop-bench --test bench_work`; see that test."
+                    .into(),
+            ),
+        ),
+        (
+            "commit".into(),
+            Value::Str(first_line_of(
+                "git",
+                &["describe", "--always", "--dirty", "--abbrev=7"],
+            )),
+        ),
+        (
+            "rustc".into(),
+            Value::Str(first_line_of(
+                &std::env::var("RUSTC").unwrap_or_else(|_| "rustc".into()),
+                &["--version"],
+            )),
+        ),
+        ("cells".into(), measured),
+    ]);
+    std::fs::write(counting::BENCH_WORK, file.write_pretty() + "\n")
+        .expect("BENCH_work.json is writable");
+    panic!(
+        "BENCH_work.json did not match the runs; rewritten, commit it:\n{}",
+        changes.join("\n")
+    );
+}

@@ -1127,14 +1127,14 @@ where
 /// Where a local search starts: the given assignment, checked against the
 /// machine, or else the fair share.
 fn start_from(
-    start: &Option<ThreadAssignment>,
+    start: Option<ThreadAssignment>,
     machine: &Machine,
     num_apps: usize,
 ) -> Result<ThreadAssignment> {
     match start {
         Some(s) => {
             s.validate(machine)?;
-            Ok(s.clone())
+            Ok(s)
         }
         None => strategies::fair_share(machine, num_apps),
     }
@@ -1191,7 +1191,9 @@ impl HillClimb {
 
     /// Starts the climb from a given assignment instead of the fair share
     /// (used by the agent's and the supervised simulation's warm starts to
-    /// climb from the *current* allocation).
+    /// climb from the *current* allocation). The climb moves `start` into
+    /// its incumbent: a certified start comes back as the result's
+    /// assignment, not as a copy of it.
     pub fn with_start(mut self, start: ThreadAssignment) -> Self {
         self.start = Some(start);
         self
@@ -1199,7 +1201,7 @@ impl HillClimb {
 
     /// Runs the search with the analytic model as the oracle.
     pub fn run(
-        &self,
+        self,
         machine: &Machine,
         apps: &[AppSpec],
         objective: &Objective,
@@ -1233,7 +1235,7 @@ impl HillClimb {
     /// neighbourhood proposal is scored incrementally (delta solve on
     /// separable contexts) and accepted moves fold into the oracle's base.
     pub fn run_model(
-        &self,
+        self,
         machine: &Machine,
         oracle: &mut ModelOracle<'_>,
     ) -> Result<SearchResult> {
@@ -1242,7 +1244,7 @@ impl HillClimb {
 
     /// Runs the search with a caller-supplied oracle.
     pub fn run_with_oracle(
-        &self,
+        self,
         machine: &Machine,
         num_apps: usize,
         oracle: &mut Oracle<'_>,
@@ -1251,7 +1253,7 @@ impl HillClimb {
     }
 
     fn climb<S: Scorer + ?Sized>(
-        &self,
+        self,
         machine: &Machine,
         num_apps: usize,
         scorer: &mut S,
@@ -1260,12 +1262,13 @@ impl HillClimb {
             return Err(AllocError::NoApps);
         }
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut current = start_from(&self.start, machine, num_apps)?;
+        let warm = self.start.is_some();
+        let mut current = start_from(self.start, machine, num_apps)?;
         let mut current_score = scorer.set_base(&current)?;
         let mut evals = 1usize;
         // A warm start that is a certified strict local optimum is also the
         // result: no proposal below could be accepted.
-        let iterations = if self.start.is_some() && scorer.certify_base() {
+        let iterations = if warm && scorer.certify_base() {
             0
         } else {
             self.iterations
@@ -1560,7 +1563,10 @@ mod tests {
         let m = paper_model_machine();
         let apps = paper_apps();
         let climb = HillClimb::new().with_iterations(800).with_seed(9);
-        let fast = climb.run(&m, &apps, &Objective::TotalGflops).unwrap();
+        let fast = climb
+            .clone()
+            .run(&m, &apps, &Objective::TotalGflops)
+            .unwrap();
         let mut oracle =
             |a: &ThreadAssignment| -> Result<f64> { score(&m, &apps, a, &Objective::TotalGflops) };
         let slow = climb.run_with_oracle(&m, apps.len(), &mut oracle).unwrap();
@@ -1843,7 +1849,7 @@ mod certified_tests {
             let mut climb = HillClimb::new()
                 .with_iterations(150)
                 .with_seed(rng.gen_range(0..usize::MAX) as u64);
-            let mut incumbent = climb.run_model(&m, &mut oracle).unwrap();
+            let mut incumbent = climb.clone().run_model(&m, &mut oracle).unwrap();
             let cold = reference_climb(&m, &apps, &objective, min_threads, &climb).unwrap();
             assert_same(&incumbent, &cold, &format!("case {case} cold"));
             assert_eq!(incumbent.evaluations, cold.evaluations, "case {case} cold");
@@ -1881,7 +1887,7 @@ mod certified_tests {
             .with_iterations(600)
             .with_start(start.clone());
         // Every node is full, so the neighbourhood is the 4 x 4 removals.
-        let first = climb.run_model(&m, &mut oracle).unwrap();
+        let first = climb.clone().run_model(&m, &mut oracle).unwrap();
         assert_eq!(first.assignment, start);
         assert_eq!(first.evaluations, 1);
         assert_eq!(
@@ -1902,6 +1908,13 @@ mod certified_tests {
         let want = reference_climb(&m, &apps, &objective, 1, &climb).unwrap();
         assert_same(&first, &want, "first");
         assert_same(&second, &want, "second");
+        // The certified start is the result: moved in and back, not copied.
+        let at = second.assignment.row(0).as_ptr();
+        let third = HillClimb::new()
+            .with_start(second.assignment)
+            .run_model(&m, &mut oracle)
+            .unwrap();
+        assert_eq!(third.assignment.row(0).as_ptr(), at);
     }
 
     #[test]
@@ -1924,7 +1937,7 @@ mod certified_tests {
         assert!(!oracle.certify_base());
 
         let climb = HillClimb::new().with_iterations(300).with_start(start);
-        let got = climb.run_model(&m, &mut oracle).unwrap();
+        let got = climb.clone().run_model(&m, &mut oracle).unwrap();
         let want = reference_climb(&m, &apps, &objective, 0, &climb).unwrap();
         assert_same(&got, &want, "plateau");
         assert_eq!(got.evaluations, want.evaluations);
@@ -1992,7 +2005,7 @@ mod certified_tests {
         assert_eq!(oracle.take_counters().delta_solves, 0, "no probe is spent");
 
         let climb = HillClimb::new().with_iterations(50).with_start(start);
-        let got = climb.run_model(&m, &mut oracle).unwrap();
+        let got = climb.clone().run_model(&m, &mut oracle).unwrap();
         let want = reference_climb(&m, &apps, &objective, 2, &climb).unwrap();
         assert_same(&got, &want, "penalized");
         assert_eq!(got.evaluations, want.evaluations);
@@ -2023,7 +2036,10 @@ mod certified_tests {
             .with_start(start.clone());
         let mut nan_neighbours =
             |a: &ThreadAssignment| -> Result<f64> { Ok(if *a == start { 1.0 } else { f64::NAN }) };
-        let r = climb.run_with_oracle(&m, 1, &mut nan_neighbours).unwrap();
+        let r = climb
+            .clone()
+            .run_with_oracle(&m, 1, &mut nan_neighbours)
+            .unwrap();
         assert_eq!(r.assignment, start);
         let mut nan_base =
             |a: &ThreadAssignment| -> Result<f64> { Ok(if *a == start { f64::NAN } else { 2.0 }) };
@@ -2154,7 +2170,7 @@ impl SimulatedAnnealing {
             return Err(AllocError::NoApps);
         }
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut current = start_from(&self.start, machine, num_apps)?;
+        let mut current = start_from(self.start.clone(), machine, num_apps)?;
         let mut current_score = scorer.set_base(&current)?;
         let mut best = current.clone();
         let mut best_score = current_score;

@@ -530,10 +530,10 @@ pub(crate) fn expand_threads(
 pub(crate) struct RateScratch {
     /// Per-app: active at the evaluation instant.
     pub(crate) active: Vec<bool>,
-    /// Per-node: runnable-thread census.
-    runnable_per_node: Vec<usize>,
-    /// Per-app: active thread count (for sync overhead).
-    app_threads_total: Vec<usize>,
+    /// Per-node: runnable-thread census and capacity factors.
+    nodes: Vec<NodeCensus>,
+    /// Per-app: active-thread census and sync-overhead factor.
+    apps: Vec<AppCensus>,
     /// Per-thread: holds a core this quantum (discrete time-slicing).
     on_core: Vec<bool>,
     /// Per-thread: compute capacity, GFLOPS.
@@ -556,10 +556,10 @@ impl RateScratch {
     fn reset(&mut self, num_apps: usize, num_threads: usize, num_nodes: usize) {
         self.active.clear();
         self.active.resize(num_apps, false);
-        self.runnable_per_node.clear();
-        self.runnable_per_node.resize(num_nodes, 0);
-        self.app_threads_total.clear();
-        self.app_threads_total.resize(num_apps, 0);
+        self.nodes.clear();
+        self.nodes.resize(num_nodes, NodeCensus::default());
+        self.apps.clear();
+        self.apps.resize(num_apps, AppCensus::default());
         self.on_core.clear();
         self.on_core.resize(num_threads, true);
         self.cap.clear();
@@ -580,8 +580,8 @@ impl RateScratch {
         rr_offset: &mut [usize],
         tel: Option<&SimTelemetry>,
     ) {
-        for (node, &runnable) in self.runnable_per_node.iter().enumerate() {
-            let cores = machine.node(NodeId(node)).num_cores();
+        for (node, census) in self.nodes.iter().enumerate() {
+            let (cores, runnable) = (machine.node(NodeId(node)).num_cores(), census.runnable);
             if runnable > cores {
                 rr_offset[node] = (rr_offset[node] + cores) % runnable;
                 if let Some(tel) = tel {
@@ -590,6 +590,26 @@ impl RateScratch {
             }
         }
     }
+}
+
+/// One node at one evaluation instant.
+#[derive(Debug, Clone, Copy, Default)]
+struct NodeCensus {
+    /// Active threads homed on the node.
+    runnable: usize,
+    /// `peak * duty * switch` of a thread off and on a core: a thread's
+    /// duty is its node's, except under discrete time-slicing, where it is
+    /// 0 or 1 by the thread's core.
+    cap: [f64; 2],
+}
+
+/// One app at one evaluation instant.
+#[derive(Debug, Clone, Copy, Default)]
+struct AppCensus {
+    /// The app's active threads.
+    threads: usize,
+    /// Its sync-overhead factor, once its first active thread needed it.
+    sync: Option<f64>,
 }
 
 /// The per-target-node arbitration temporaries, reused across targets and
@@ -797,8 +817,8 @@ fn rates_prologue(
     // Per-node runnable census (for duty cycles and interference).
     for th in threads {
         if s.active[th.app] {
-            s.runnable_per_node[th.home.0] += 1;
-            s.app_threads_total[th.app] += 1;
+            s.nodes[th.home.0].runnable += 1;
+            s.apps[th.app].threads += 1;
         }
     }
 
@@ -827,19 +847,17 @@ fn rates_prologue(
         }
     }
 
-    // Per-thread compute capacity (GFLOPS).
-    for (i, th) in threads.iter().enumerate() {
-        if !s.active[th.app] {
-            continue;
-        }
-        let cores = machine.node(th.home).num_cores() as f64;
-        let runnable = s.runnable_per_node[th.home.0] as f64;
+    // Per-thread compute capacity (GFLOPS): `peak * duty * switch * sync *
+    // jitter`, evaluated left to right. Duty and switch depend on the
+    // thread's node alone (a time-sliced duty is 0 or 1 by the thread's
+    // core) and sync on its app, so those factors are taken once per node
+    // and (by its first active thread) once per app, in the product's own
+    // order; jitter is drawn per thread.
+    for (node, census) in s.nodes.iter_mut().enumerate() {
+        let cores = machine.node(NodeId(node)).num_cores() as f64;
+        let runnable = census.runnable as f64;
         let duty = if discrete {
-            if s.on_core[i] {
-                1.0
-            } else {
-                0.0
-            }
+            1.0
         } else {
             (cores / runnable).min(1.0)
         };
@@ -848,14 +866,24 @@ fn rates_prologue(
         } else {
             1.0
         };
-        let alpha = apps[th.app].sync_overhead;
-        let sync = 1.0 / (1.0 + alpha * (s.app_threads_total[th.app] as f64 - 1.0));
+        census.cap = [peak * 0.0 * switch, peak * duty * switch];
+    }
+    for (i, th) in threads.iter().enumerate() {
+        if !s.active[th.app] {
+            continue;
+        }
         let jitter = if effects.jitter > 0.0 {
             1.0 + effects.jitter * (rng.gen::<f64>() * 2.0 - 1.0)
         } else {
             1.0
         };
-        s.cap[i] = peak * duty * switch * sync * jitter;
+        let app = &mut s.apps[th.app];
+        let sync = *app.sync.get_or_insert_with(|| {
+            let alpha = apps[th.app].sync_overhead;
+            1.0 / (1.0 + alpha * (app.threads as f64 - 1.0))
+        });
+        let node_cap = s.nodes[th.home.0].cap[usize::from(s.on_core[i])];
+        s.cap[i] = node_cap * sync * jitter;
     }
 }
 
@@ -1933,7 +1961,7 @@ mod dense_reference {
     /// do not reach: mixed placements (spreads with zero fractions),
     /// inactive apps, apps with no threads, over-subscribed nodes, uneven
     /// node bandwidths and links.
-    fn random_fleet(rng: &mut StdRng) -> (Machine, Vec<SimApp>, Vec<Thread>) {
+    pub(super) fn random_fleet(rng: &mut StdRng) -> (Machine, Vec<SimApp>, Vec<Thread>) {
         let num_nodes = rng.gen_range(1..7usize);
         let mut links = LinkMatrix::uniform(num_nodes, 8.0);
         let mut builder = MachineBuilder::new().core_peak_gflops(10.0);
@@ -2144,5 +2172,143 @@ mod dense_reference {
             targets.iter().all(|&n| n > 100),
             "targets without / with remote entries: {targets:?}"
         );
+    }
+}
+
+/// The per-thread capacity loop [`rates_prologue`] ran before it took duty,
+/// switch and sync once per node and app, verbatim, over a census of its
+/// own (only the time-slicing window is the prologue's): the oracle for
+/// that change, which the dense oracle cannot be, as it shares the prologue.
+#[cfg(test)]
+mod capacity_reference {
+    use super::*;
+    use crate::EffectModel;
+
+    /// What the loop read: the active set, the per-node and per-app
+    /// census, and which threads hold a core.
+    struct Census<'a> {
+        active: Vec<bool>,
+        runnable_per_node: Vec<usize>,
+        app_threads_total: Vec<usize>,
+        on_core: &'a [bool],
+    }
+
+    #[allow(clippy::too_many_arguments)] // the prologue's bundle
+    fn reference_cap(
+        machine: &Machine,
+        effects: &EffectModel,
+        peak: f64,
+        apps: &[SimApp],
+        threads: &[Thread],
+        t: f64,
+        discrete: bool,
+        rng: &mut StdRng,
+        on_core: &[bool],
+    ) -> Vec<f64> {
+        let mut s = Census {
+            active: apps.iter().map(|app| app.activity.is_active(t)).collect(),
+            runnable_per_node: vec![0; machine.num_nodes()],
+            app_threads_total: vec![0; apps.len()],
+            on_core,
+        };
+        for th in threads {
+            if s.active[th.app] {
+                s.runnable_per_node[th.home.0] += 1;
+                s.app_threads_total[th.app] += 1;
+            }
+        }
+        let mut cap = vec![0.0; threads.len()];
+        // Per-thread compute capacity (GFLOPS).
+        for (i, th) in threads.iter().enumerate() {
+            if !s.active[th.app] {
+                continue;
+            }
+            let cores = machine.node(th.home).num_cores() as f64;
+            let runnable = s.runnable_per_node[th.home.0] as f64;
+            let duty = if discrete {
+                if s.on_core[i] {
+                    1.0
+                } else {
+                    0.0
+                }
+            } else {
+                (cores / runnable).min(1.0)
+            };
+            let switch = if runnable > cores {
+                1.0 - effects.oversub_switch_loss
+            } else {
+                1.0
+            };
+            let alpha = apps[th.app].sync_overhead;
+            let sync = 1.0 / (1.0 + alpha * (s.app_threads_total[th.app] as f64 - 1.0));
+            let jitter = if effects.jitter > 0.0 {
+                1.0 + effects.jitter * (rng.gen::<f64>() * 2.0 - 1.0)
+            } else {
+                1.0
+            };
+            cap[i] = peak * duty * switch * sync * jitter;
+        }
+        cap
+    }
+
+    /// Over random fleets — over-subscribed nodes, sync overhead, idle
+    /// apps — with jitter on and off, in continuous and discrete time, the
+    /// prologue's capacities equal the per-thread product bit for bit, and
+    /// it leaves the jitter stream where the per-thread loop does.
+    #[test]
+    fn capacity_factors_match_the_per_thread_product_bit_for_bit() {
+        let mut gen = StdRng::seed_from_u64(0x0ca9_f4c7);
+        // Fleets with an over-subscribed node, an active app with sync
+        // overhead, an idle app, a thread time-sliced off its core.
+        let mut seen = [0usize; 4];
+        for case in 0..480u64 {
+            let (machine, apps, threads) = super::dense_reference::random_fleet(&mut gen);
+            let discrete = case % 2 == 1;
+            let effects = EffectModel {
+                jitter: if case % 4 < 2 { 0.01 } else { 0.0 },
+                ..EffectModel::skylake_like()
+            };
+            let rr_offset: Vec<usize> = (0..machine.num_nodes())
+                .map(|_| gen.gen_range(0..8usize))
+                .collect();
+            let (peak, t) = (machine.core_peak_gflops(), 0.5);
+            let mut rng = StdRng::seed_from_u64(case);
+            let mut reference_rng = rng.clone();
+            let mut s = RateScratch::default();
+            rates_prologue(
+                &machine, &effects, peak, &apps, &threads, t, discrete, &mut rng, &rr_offset,
+                &mut s,
+            );
+            let cap = reference_cap(
+                &machine,
+                &effects,
+                peak,
+                &apps,
+                &threads,
+                t,
+                discrete,
+                &mut reference_rng,
+                &s.on_core,
+            );
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&s.cap), bits(&cap), "case {case}: cap");
+            // SplitMix64's output is a bijection of its state.
+            assert_eq!(rng.next_u64(), reference_rng.next_u64(), "case {case}: RNG");
+
+            let oversubscribed = machine
+                .nodes()
+                .zip(&s.nodes)
+                .any(|(node, census)| census.runnable > node.num_cores());
+            let synced = (0..apps.len()).any(|a| s.active[a] && apps[a].sync_overhead > 0.0);
+            let idle = s.active.contains(&false);
+            let sliced = threads
+                .iter()
+                .enumerate()
+                .any(|(i, th)| s.active[th.app] && !s.on_core[i]);
+            for (n, hit) in seen.iter_mut().zip([oversubscribed, synced, idle, sliced]) {
+                *n += usize::from(hit);
+            }
+        }
+        assert!(seen.iter().all(|&n| n > 50), "{seen:?}");
     }
 }

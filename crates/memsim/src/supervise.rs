@@ -291,7 +291,25 @@ impl SupervisedResult {
         self.observatory.report()
     }
 
-    /// The retained provenance records, oldest first.
+    /// The retained provenance records, oldest first. A run whose
+    /// prediction does not change opens every record on the same one, and
+    /// a record derives its residuals from it and what it measured:
+    ///
+    /// ```
+    /// use memsim::{run_supervised, SupervisorConfig, TelemetryHub};
+    /// use std::sync::Arc;
+    ///
+    /// let scenario = memsim::scenario::template();
+    /// let hub = Arc::new(TelemetryHub::new());
+    /// let run = run_supervised(&scenario, &SupervisorConfig::default(), hub)?;
+    /// let records = run.records();
+    /// assert!(Arc::ptr_eq(&records[0].prediction, &records[1].prediction));
+    /// for (record, tick) in records.iter().zip(&run.ticks) {
+    ///     assert_eq!(record.residuals().len(), record.prediction.series.len());
+    ///     assert_eq!(record.residuals().len(), tick.residuals.len());
+    /// }
+    /// # Ok::<(), memsim::SimError>(())
+    /// ```
     pub fn records(&self) -> Vec<ProvenanceRecord> {
         self.observatory.records()
     }
@@ -340,19 +358,21 @@ pub fn run_supervised(
 
     // The model predicts from the nominal machine: the prediction only
     // changes if the assignment does (under `reoptimize`) — the whole
-    // point is that the model does not know about perturbations. A tick's
-    // prediction is a clone of this template (the keys are shared); under
-    // `reoptimize` its last inputs are the tick's `search/*` counters.
-    let template_for = |assignment: &ThreadAssignment| -> Result<Prediction> {
+    // point is that the model does not know about perturbations. Every
+    // tick's record shares this template, built for `predicted`; under
+    // `reoptimize` its last inputs are the tick's `search/*` counters, and
+    // a tick whose counters differ from them writes a copy of its own.
+    let template_for = |assignment: &ThreadAssignment| -> Result<Arc<Prediction>> {
         let mut template = solve(&scenario.machine, &specs, assignment)?.to_prediction();
         template.assignment = format!("{} {:?}", named.name, assignment.to_matrix()).into();
         if config.reoptimize {
             let zeroed = SEARCH_INPUTS.map(|key| (key.into(), 0.0));
             template.inputs.extend(zeroed);
         }
-        Ok(template)
+        Ok(Arc::new(template))
     };
-    let mut prediction_template = template_for(&assignment)?;
+    let mut template = template_for(&assignment)?;
+    let mut predicted = assignment.clone();
 
     // Under `reoptimize`, one oracle (and thus one score cache, one
     // delta-solver base and its certificate) persists across every tick
@@ -401,8 +421,9 @@ pub fn run_supervised(
     // Hot-loop buffers hoisted out of the per-tick path: the simulator's
     // run state, the liveness masks, the one-entry schedule and the sample
     // buffer serve every tick, which allocates only what it leaves behind
-    // (its provenance record and its residuals; its timeline events are
-    // packed, their labels shared).
+    // (its measured series and its residuals: its provenance record shares
+    // the prediction template, and its timeline events are packed, their
+    // labels shared).
     let mut run = EventRun::default();
     let mut samples: Vec<TenantSample> = Vec::with_capacity(num_apps);
     // The effective assignment, as the one-entry schedule the simulator
@@ -479,25 +500,25 @@ pub fn run_supervised(
             }
         }
 
-        let mut prediction = prediction_template.clone();
         if let Some(oracle) = search_oracle.as_mut() {
             // Warm re-search from the current assignment on the nominal
             // machine (the model's view); a deterministic per-tick seed
-            // keeps runs reproducible.
+            // keeps runs reproducible. The climb takes the incumbent and
+            // hands back the one it ends on.
             let found = HillClimb::new()
                 .with_iterations(600)
                 .with_seed(0xc0de ^ tick)
-                .with_start(assignment.clone())
+                .with_start(assignment)
                 .run_model(&scenario.machine, oracle)
                 .map_err(|e| SimError::Calibration {
                     reason: format!("re-optimizing tick {tick}: {e}"),
                 })?;
             let counters = found.counters;
-            if found.assignment != assignment {
-                assignment = found.assignment;
+            assignment = found.assignment;
+            if assignment != predicted {
                 reassigned = true;
-                prediction_template = template_for(&assignment)?;
-                prediction = prediction_template.clone();
+                template = template_for(&assignment)?;
+                predicted.clone_from(&assignment);
             }
             let search_cost: [f64; SEARCH_INPUTS.len()] = [
                 counters.full_solves as f64,
@@ -505,9 +526,16 @@ pub fn run_supervised(
                 counters.cache_hits as f64,
                 1.0,
             ];
-            let first = prediction.inputs.len() - search_cost.len();
-            for (input, cost) in prediction.inputs[first..].iter_mut().zip(search_cost) {
-                input.1 = cost;
+            let first = template.inputs.len() - search_cost.len();
+            if template.inputs[first..]
+                .iter()
+                .zip(search_cost)
+                .any(|(input, cost)| input.1.to_bits() != cost.to_bits())
+            {
+                let inputs = &mut Arc::make_mut(&mut template).inputs[first..];
+                for (input, cost) in inputs.iter_mut().zip(search_cost) {
+                    input.1 = cost;
+                }
             }
         }
 
@@ -515,7 +543,7 @@ pub fn run_supervised(
             tick,
             Arc::clone(&source),
             Arc::clone(&command),
-            prediction,
+            Arc::clone(&template),
             ts(start_s),
         );
 
@@ -583,13 +611,11 @@ pub fn run_supervised(
             }
         }
 
-        let alarms_before = observatory.detector().total_alarms();
-        let residuals = observatory.close_decision_at(
+        let closed = observatory.close_decision_at(
             id,
             series_names.measured(scenario, &run),
             ts(start_s + period),
         );
-        let alarms = (observatory.detector().total_alarms() - alarms_before) as usize;
 
         book_tenant_tick(
             &hub,
@@ -612,8 +638,8 @@ pub fn run_supervised(
             // A contained runaway is as much a departure from the model's
             // view as a degraded node: its row is clamped to its fair row.
             perturbed: perturbed || contained,
-            residuals,
-            alarms,
+            residuals: closed.residuals,
+            alarms: closed.alarms,
         });
     }
 
@@ -859,7 +885,7 @@ mod tests {
         // Every record is closed with real residuals.
         for record in result.records() {
             assert!(record.is_closed());
-            assert!(!record.residuals.is_empty());
+            assert!(!record.residuals().is_empty());
         }
     }
 
@@ -907,7 +933,7 @@ mod tests {
         assert_eq!(result.total_alarms(), 0);
         for record in result.records() {
             assert!(record.is_closed());
-            assert!(!record.residuals.is_empty());
+            assert!(!record.residuals().is_empty());
         }
     }
 
@@ -1166,6 +1192,101 @@ mod tests {
         // second tick to the end of the run.
         assert_eq!(alarm_ticks, (201..500).step_by(2).collect::<Vec<u64>>());
         assert_eq!(run_digest(&result), 0x7f0d_e585_1dd0_09a5);
+    }
+
+    /// FNV-1a over what a supervised run exports: its provenance ledger as
+    /// JSON, every hub timestamp taken from the first record's open (the
+    /// hub's epoch is the wall clock), then its registry's Prometheus scrape.
+    fn export_digest(result: &SupervisedResult) -> u64 {
+        use coop_telemetry::json::{self, Value};
+        let observatory = &result.observatory;
+        let mut ledger = json::parse(&observatory.ledger().to_json()).unwrap();
+        let Value::Array(records) = &mut ledger else {
+            panic!("the ledger is an array")
+        };
+        let epoch = records[0]["opened_us"].as_u64().unwrap();
+        for record in records.iter_mut() {
+            for key in ["opened_us", "closed_us"] {
+                let us = record[key].as_u64().unwrap();
+                record.insert(key, Value::Int(i128::from(us - epoch)));
+            }
+        }
+        let scrape = observatory.hub().registry().to_prometheus();
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for b in ledger.write().bytes().chain(scrape.bytes()) {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    /// The run of `reoptimizing_template_run_is_unchanged_over_500_ticks`
+    /// exports the ledger and the scrape it did at commit 32350d6, where
+    /// both were captured by this same test.
+    #[test]
+    fn reoptimizing_template_run_exports_what_it_did() {
+        let mut scenario = template();
+        scenario.assignments.truncate(1);
+        scenario.effects = EffectModel {
+            jitter: 0.0,
+            ..EffectModel::skylake_like()
+        };
+        scenario.seed = 0x5eed;
+        let config = SupervisorConfig {
+            decision_period_s: 0.02,
+            duration_s: 10.0,
+            perturbations: vec![Perturbation::NodeBandwidth {
+                at_s: 4.0,
+                node: 2,
+                bandwidth_factor: 0.2,
+            }],
+            reoptimize: true,
+            engine: EngineKind::Event,
+            ..SupervisorConfig::default()
+        };
+        let result = run_supervised(&scenario, &config, Arc::new(TelemetryHub::new())).unwrap();
+        let digest = export_digest(&result);
+        println!("export digest {digest:#018x}");
+        assert_eq!(digest, 0x5d30_e786_79ab_adc6);
+    }
+
+    /// A re-optimizing Table III run, jitter on, on the quantum grid, with a
+    /// tenant ledger: `mem1` is down from 0.1 s to 0.5 s (its cores
+    /// reclaimed) and `comp` wedges at 0.31 s, so the run books outage
+    /// epochs and contained ticks. Its ledger and scrape are pinned as
+    /// captured at commit 32350d6 by this same test.
+    #[test]
+    fn runaway_outage_run_exports_what_it_did() {
+        use crate::chaos::{AppOutage, ChaosPlan};
+        use coop_telemetry::TenantLedger;
+
+        let mut scenario = template();
+        scenario.assignments.truncate(1);
+        scenario.effects = EffectModel::skylake_like();
+        scenario.seed = 0x5eed;
+        let config = SupervisorConfig {
+            decision_period_s: 0.02,
+            duration_s: 1.0,
+            perturbations: vec![Perturbation::RunawayTask { at_s: 0.31, app: 3 }],
+            reoptimize: true,
+            chaos: Some(ChaosPlan {
+                outages: vec![AppOutage {
+                    app: 0,
+                    down_at_s: 0.1,
+                    up_at_s: Some(0.5),
+                }],
+                reclaim: true,
+            }),
+            engine: EngineKind::Slice,
+            ..SupervisorConfig::default()
+        };
+        let hub = Arc::new(TelemetryHub::new());
+        assert!(hub.install_tenant_ledger(Arc::new(TenantLedger::new())));
+        let result = run_supervised(&scenario, &config, hub).unwrap();
+        assert_eq!(result.ticks.len(), 50);
+        assert!(result.ticks.iter().filter(|t| t.perturbed).count() > 10);
+        let digest = export_digest(&result);
+        println!("export digest {digest:#018x}");
+        assert_eq!(digest, 0x3021_b16e_feda_a83d);
     }
 
     #[test]

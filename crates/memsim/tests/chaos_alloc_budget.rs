@@ -1,10 +1,10 @@
 //! Allocation budgets of the two fleet-scale runs.
 //!
-//! The counting `#[global_allocator]` of `supervised_alloc_budget.rs`
-//! (`counting/mod.rs`) over the public API, on two fleets of one shape (one
-//! thread per tenant striped over the nodes, memory- and compute-bound
-//! tenants alternating, ideal effects, event cuts). The counts do not
-//! depend on the host.
+//! The counting `#[global_allocator]` (`counting/mod.rs`) over the public
+//! API, on two fleets of one shape (`work/mod.rs`: one thread per tenant
+//! striped over the nodes, memory- and compute-bound tenants alternating,
+//! ideal effects, event cuts). The counts do not depend on the host, and
+//! neither may exceed its committed `BENCH_work.json` cell.
 //!
 //! - An outage run of the `fleet_outages` shape: one `run_chaos_scenario_on`
 //!   of 256 tenants on 16 nodes of 18 cores, 16 waves that each take a
@@ -32,68 +32,18 @@
 
 mod counting;
 mod fleets;
-
-use fleets::{machine, outage_fleet, striped, tenant, waves, DURATION_S, WAVES};
-use memsim::{
-    run_chaos_scenario_on, ActivityPattern, EffectModel, EngineKind, SimApp, SimConfig, Simulation,
-};
-use roofline_numa::ThreadAssignment;
-
-/// The bursting fleet: 1 000 tenants on 64 nodes.
-const BURSTING_TENANTS: usize = 1000;
-const BURSTING_NODES: usize = 64;
-
-/// Tenants bursting at a 50 % duty over a quarter of the run, in 16 phase
-/// groups.
-fn bursting_tenants() -> Vec<SimApp> {
-    let period_s = DURATION_S / 4.0;
-    (0..BURSTING_TENANTS)
-        .map(|i| {
-            tenant(i).with_activity(ActivityPattern::Bursts {
-                period_s,
-                duty: 0.5,
-                phase_s: period_s * (i * 7 % 16) as f64 / 16.0,
-            })
-        })
-        .collect()
-}
+mod work;
 
 /// One test, so that no other thread of this binary allocates while a run
 /// is counted: the outage run, then the bursting run.
 #[test]
 fn an_outage_run_stays_within_its_allocation_budget() {
-    let (scenario, plan) = (outage_fleet(), waves());
-    let (out, calls) = counting::allocator_calls(|| {
-        run_chaos_scenario_on(&scenario, &plan, None, EngineKind::Event)
-    });
-    let out = out.expect("the outage run succeeds");
-    assert_eq!(out.segments.len(), 2 * WAVES + 1);
-    assert!(out.result.total_gflops() > 0.0);
-    println!("allocator calls of one 256 x 16 outage run: {calls}");
-    assert!(
-        calls <= 1088,
-        "an outage run of 33 segments made {calls} allocator calls (budget 1088)"
-    );
-
-    let sim = Simulation::new(
-        SimConfig::new(machine(BURSTING_TENANTS, BURSTING_NODES))
-            .with_effects(EffectModel::ideal())
-            .with_seed(42),
-    );
-    let apps = bursting_tenants();
-    let striped = ThreadAssignment::from_matrix(striped(BURSTING_TENANTS, BURSTING_NODES));
-    let schedule = [(0.0, striped)];
-    let (out, calls) = counting::allocator_calls(|| sim.run_logged(&apps, &schedule, DURATION_S));
-    let (result, log) = out.expect("the bursting run succeeds");
-    assert!(log.len() > 4 * BURSTING_TENANTS && result.total_gflops() > 0.0);
-    println!(
-        "allocator calls of one 1000 x 64 bursting run ({} events, {} segments): {calls}",
-        log.len(),
-        log.segments
-    );
-    let budget = 4 * BURSTING_TENANTS as u64;
-    assert!(
-        calls <= budget,
-        "a 1000-tenant bursting run made {calls} allocator calls (budget {budget}, 4 per tenant)"
-    );
+    for (name, measured) in [work::fleet_outages_run(), work::fleet_diurnal_run()] {
+        println!("{name}: {measured}");
+        let budget = counting::committed(&name);
+        assert!(
+            measured <= budget,
+            "{name}: {measured} allocator calls (committed {budget})"
+        );
+    }
 }

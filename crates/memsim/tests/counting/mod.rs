@@ -1,21 +1,29 @@
-//! The counting `#[global_allocator]` of the allocation-budget tests. An
-//! integration test is a crate of its own, so the libraries'
-//! `#![forbid(unsafe_code)]` stands; each budget file has one test, so that
-//! no other thread of its binary allocates while a run is counted.
+//! The one counting `#[global_allocator]` of the workspace's tests, and the
+//! committed cells of `BENCH_work.json` it is held to. The allocation
+//! budgets of `memsim` and `coop-agent` and the recorder that writes
+//! `BENCH_work.json` (`crates/bench/tests/bench_work.rs`) include this file;
+//! the other crates by `#[path]`. An integration test is a crate of its
+//! own, so the libraries' `#![forbid(unsafe_code)]` stands; each including
+//! file has one test, so that no other thread of its binary allocates while
+//! a run is counted.
+
+#![allow(dead_code)] // each test that includes this module uses a part of it
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 struct Counting;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static CALLS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
 // SAFETY: every call is forwarded unchanged to the system allocator, which
-// upholds the `GlobalAlloc` contract; the counter touches no memory the
+// upholds the `GlobalAlloc` contract; the counters touch no memory the
 // allocator hands out.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        CALLS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: `layout` is the caller's, passed through as is.
         unsafe { System.alloc(layout) }
     }
@@ -27,7 +35,8 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        CALLS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         // SAFETY: as for `dealloc`; `new_size` is the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -36,9 +45,36 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocator calls (allocations and reallocations) `run` makes.
-pub fn allocator_calls<T>(run: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+/// What a run asked of the allocator: allocator calls (allocations and
+/// reallocations) and the bytes they requested (a reallocation counts its
+/// new size).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Cost {
+    pub calls: u64,
+    pub bytes: u64,
+}
+
+/// `run`'s result and what it asked of the allocator.
+pub fn cost_of<T>(run: impl FnOnce() -> T) -> (T, Cost) {
+    let (calls, bytes) = (CALLS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed));
     let out = run();
-    (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
+    let cost = Cost {
+        calls: CALLS.load(Ordering::Relaxed) - calls,
+        bytes: BYTES.load(Ordering::Relaxed) - bytes,
+    };
+    (out, cost)
+}
+
+/// The path of `BENCH_work.json`, at the workspace root (every including
+/// crate sits at `crates/<name>`).
+pub const BENCH_WORK: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_work.json");
+
+/// The committed value of `BENCH_work.json`'s cell `name`: what a budget
+/// test holds its measurement to.
+pub fn committed(name: &str) -> f64 {
+    let text = std::fs::read_to_string(BENCH_WORK).expect("BENCH_work.json is committed");
+    let file = coop_telemetry::json::parse(&text).expect("BENCH_work.json parses");
+    file["cells"][name]
+        .as_f64()
+        .unwrap_or_else(|| panic!("BENCH_work.json has no cell {name}"))
 }

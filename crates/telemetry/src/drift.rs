@@ -134,28 +134,45 @@ struct SeriesState {
 
 #[derive(Debug, Default)]
 struct DetectorInner {
-    series: BTreeMap<SeriesKey, SeriesState>,
+    /// Per-series state, in the order the series were first seen.
+    states: Vec<SeriesState>,
+    /// Series key → its slot in `states`, in key order.
+    index: BTreeMap<SeriesKey, usize>,
+    /// The key and slot each residual position last had in a decision fed
+    /// to [`DriftDetector::observe_decision`]: a decision that names its
+    /// series with the same shared keys, in the same order, finds every
+    /// slot without a map lookup. A key's slot never changes, so an entry
+    /// stays right however long ago it was written.
+    positions: Vec<(SeriesKey, usize)>,
     alarm_log: Vec<DriftAlarm>,
     total_alarms: u64,
 }
 
 impl DetectorInner {
-    /// Feeds one residual into `series` — one map lookup; the state is
-    /// created under `key()` on first sight — publishing to `registry` when
-    /// one is given; returns an alarm if the CUSUM threshold was crossed on
-    /// this sample.
+    /// The slot of `series` — one map lookup; the state is created under
+    /// `key()` on first sight.
+    fn slot(&mut self, series: &str, key: impl FnOnce() -> SeriesKey) -> usize {
+        if let Some(&slot) = self.index.get(series) {
+            return slot;
+        }
+        let slot = self.states.len();
+        self.states.push(SeriesState::default());
+        self.index.insert(key(), slot);
+        slot
+    }
+
+    /// Feeds one residual into the state at `slot`, named `series`,
+    /// publishing to `registry` when one is given; returns an alarm if the
+    /// CUSUM threshold was crossed on this sample.
     fn update(
         &mut self,
         config: &DriftConfig,
+        slot: usize,
         series: &str,
-        key: impl FnOnce() -> SeriesKey,
         residual: f64,
         registry: Option<&MetricsRegistry>,
     ) -> Option<DriftAlarm> {
-        let state = match self.series.get_mut(series) {
-            Some(state) => state,
-            None => self.series.entry(key()).or_default(),
-        };
+        let state = &mut self.states[slot];
         if let Some(registry) = registry {
             state
                 .residual_gauge
@@ -258,23 +275,42 @@ impl DriftDetector {
         registry: Option<&MetricsRegistry>,
     ) -> Option<DriftAlarm> {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.update(&self.config, series, || series.into(), residual, registry)
+        let slot = inner.slot(series, || series.into());
+        inner.update(&self.config, slot, series, residual, registry)
     }
 
     /// Feed every residual of one closed decision, in order, under one
     /// lock — the same states, alarms and exports as one
     /// [`observe_exporting`](DriftDetector::observe_exporting) per residual.
-    /// Returns the alarms raised, in residual order.
+    /// A residual whose key is the very allocation the last decision had at
+    /// its position reuses that slot; any other key is looked up. Returns
+    /// the alarms raised, in residual order.
     pub fn observe_decision(
         &self,
         residuals: &[Residual],
         registry: Option<&MetricsRegistry>,
     ) -> Vec<DriftAlarm> {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let inner = &mut *inner;
+        // A position never seen before may well name a series never seen.
+        let unseen = residuals.len().saturating_sub(inner.positions.len());
+        inner.positions.reserve(unseen);
+        inner.states.reserve(unseen);
         let mut alarms = Vec::new();
-        for r in residuals {
-            let key = || r.series.clone();
-            alarms.extend(inner.update(&self.config, &r.series, key, r.relative, registry));
+        for (at, r) in residuals.iter().enumerate() {
+            let slot = match inner.positions.get(at) {
+                Some((key, slot)) if Arc::ptr_eq(key, &r.series) => *slot,
+                _ => {
+                    let slot = inner.slot(&r.series, || r.series.clone());
+                    let remembered = (r.series.clone(), slot);
+                    match inner.positions.get_mut(at) {
+                        Some(position) => *position = remembered,
+                        None => inner.positions.push(remembered),
+                    }
+                    slot
+                }
+            };
+            alarms.extend(inner.update(&self.config, slot, &r.series, r.relative, registry));
         }
         alarms
     }
@@ -295,8 +331,9 @@ impl DriftDetector {
     pub fn snapshot(&self) -> Vec<SeriesSnapshot> {
         let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner
-            .series
+            .index
             .iter()
+            .map(|(k, &slot)| (k, &inner.states[slot]))
             .map(|(k, s)| SeriesSnapshot {
                 series: k.to_string(),
                 samples: s.samples,

@@ -75,7 +75,8 @@ pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, HISTOGRAM_BUCKETS,
 };
 pub use observatory::{
-    DriftReport, ModelObservatory, ALARMS_METRIC, RESIDUAL_METRIC, RESIDUAL_PCT_METRIC,
+    ClosedDecision, DriftReport, ModelObservatory, ALARMS_METRIC, RESIDUAL_METRIC,
+    RESIDUAL_PCT_METRIC,
 };
 pub use provenance::{
     Prediction, ProvenanceLedger, ProvenanceRecord, Residual, SeriesKey, SeriesValue,

@@ -98,6 +98,29 @@ impl Histogram {
         self.sum.fetch_add(v, Ordering::Relaxed);
     }
 
+    /// Record every sample of `values`: the buckets, count and (wrapping)
+    /// sum one [`observe`](Histogram::observe) per value leaves, with one
+    /// atomic add per bucket touched.
+    pub fn observe_all(&self, values: impl IntoIterator<Item = u64>) {
+        let mut buckets = [0u64; HISTOGRAM_BUCKETS];
+        let (mut count, mut sum) = (0u64, 0u64);
+        for v in values {
+            buckets[bucket_index(v)] += 1;
+            count += 1;
+            sum = sum.wrapping_add(v);
+        }
+        if count == 0 {
+            return;
+        }
+        for (bucket, n) in self.buckets.iter().zip(buckets) {
+            if n > 0 {
+                bucket.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+        self.count.fetch_add(count, Ordering::Relaxed);
+        self.sum.fetch_add(sum, Ordering::Relaxed);
+    }
+
     /// Number of samples recorded.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)

@@ -96,7 +96,7 @@ impl ModelObservatory {
         tick: u64,
         source: impl Into<SeriesKey>,
         command: impl Into<SeriesKey>,
-        prediction: Prediction,
+        prediction: impl Into<Arc<Prediction>>,
     ) -> u64 {
         let now = self.hub.now_us();
         self.open_decision_at(tick, source, command, prediction, now)
@@ -105,13 +105,14 @@ impl ModelObservatory {
     /// Open a provenance record with an explicit hub-clock timestamp
     /// (simulators map simulated seconds onto the hub clock). The record
     /// and its `provenance/decision` instant share `source` and `command`:
-    /// a caller that keeps them as [`SeriesKey`]s copies neither.
+    /// a caller that keeps them as [`SeriesKey`]s, and its prediction in an
+    /// [`Arc`], copies none of them.
     pub fn open_decision_at(
         &self,
         tick: u64,
         source: impl Into<SeriesKey>,
         command: impl Into<SeriesKey>,
-        prediction: Prediction,
+        prediction: impl Into<Arc<Prediction>>,
         ts_us: u64,
     ) -> u64 {
         let (source, command) = (source.into(), command.into());
@@ -138,31 +139,36 @@ impl ModelObservatory {
 
     /// Back-fill a decision with its realized outcome at the current hub
     /// time; see [`ModelObservatory::close_decision_at`].
-    pub fn close_decision(&self, id: u64, measured: Vec<SeriesValue>) -> Vec<Residual> {
+    pub fn close_decision(&self, id: u64, measured: Vec<SeriesValue>) -> ClosedDecision {
         let now = self.hub.now_us();
         self.close_decision_at(id, measured, now)
     }
 
     /// Back-fill decision `id` with the realized outcome, run every
     /// residual through the drift detector, update the Prometheus
-    /// metrics, and put any alarms on the timeline. Returns the computed
-    /// residuals (empty if the id is unknown).
+    /// metrics, and put any alarms on the timeline. Returns the residuals
+    /// and the number of alarms they raised (nothing if the id is unknown).
     pub fn close_decision_at(
         &self,
         id: u64,
         measured: Vec<SeriesValue>,
         ts_us: u64,
-    ) -> Vec<Residual> {
+    ) -> ClosedDecision {
         let Some(residuals) = self.ledger.close(id, measured, ts_us) else {
-            return Vec::new();
+            return ClosedDecision::default();
         };
         let registry = self.hub.registry();
-        for residual in &residuals {
+        if !residuals.is_empty() {
             self.residual_pct
                 .get_or_init(|| registry.histogram(RESIDUAL_PCT_METRIC, &[]))
-                .observe((residual.relative.abs() * 100.0).round() as u64);
+                .observe_all(
+                    residuals
+                        .iter()
+                        .map(|r| (r.relative.abs() * 100.0).round() as u64),
+                );
         }
-        for alarm in self.detector.observe_decision(&residuals, Some(registry)) {
+        let alarms = self.detector.observe_decision(&residuals, Some(registry));
+        for alarm in &alarms {
             self.hub.record_instant_at(
                 0,
                 self.track,
@@ -188,7 +194,10 @@ impl ModelObservatory {
                 rec.trigger_dump(&format!("drift-{}", alarm.series));
             }
         }
-        residuals
+        ClosedDecision {
+            residuals,
+            alarms: alarms.len(),
+        }
     }
 
     /// Build the residual report from the current detector and ledger
@@ -206,6 +215,15 @@ impl ModelObservatory {
     pub fn records(&self) -> Vec<ProvenanceRecord> {
         self.ledger.records()
     }
+}
+
+/// What closing a decision produced.
+#[derive(Debug, Clone, Default)]
+pub struct ClosedDecision {
+    /// The decision's residuals ([`ProvenanceRecord::residuals`]).
+    pub residuals: Vec<Residual>,
+    /// Drift alarms the residuals raised.
+    pub alarms: usize,
 }
 
 /// The residual report surfaced by `coop drift`: per-series error
@@ -362,14 +380,14 @@ mod tests {
         // must eventually raise an alarm and export it everywhere.
         for tick in 0..8u64 {
             let id = obs.open_decision(tick, "test", "assign", prediction(10.0));
-            let residuals = obs.close_decision(
+            let closed = obs.close_decision(
                 id,
                 vec![
                     SeriesValue::new("app/a/bandwidth_gbs", 6.0),
                     SeriesValue::new("node/0/bandwidth_gbs", 12.0),
                 ],
             );
-            assert_eq!(residuals.len(), 2);
+            assert_eq!(closed.residuals.len(), 2);
         }
         assert!(obs.detector().total_alarms() > 0);
         let prom = hub.registry().to_prometheus();

@@ -5,9 +5,9 @@
 //! [`ProvenanceRecord`] carrying the model inputs and the model's
 //! predicted per-app / per-node series. When the decision's lifetime ends
 //! (the next tick, or the end of a simulation segment), the record is
-//! **back-filled** with the realized outcome and the per-series relative
-//! residuals are computed. The ledger is the raw material for the drift
-//! detector and the `coop drift` report: it can explain every
+//! **back-filled** with the realized outcome, and the per-series relative
+//! residuals follow from the two. The ledger is the raw material for the
+//! drift detector and the `coop drift` report: it can explain every
 //! reallocation the system made, in terms of what was expected and what
 //! was measured.
 
@@ -94,12 +94,12 @@ pub struct ProvenanceRecord {
     pub command: SeriesKey,
     /// Hub-clock microseconds at open.
     pub opened_us: u64,
-    /// The model's prediction at open time.
-    pub prediction: Prediction,
+    /// The model's prediction at open time, shared with the caller that
+    /// made it (a run whose prediction does not change hands every record
+    /// the same one).
+    pub prediction: Arc<Prediction>,
     /// Realized outcome series (empty until the record is closed).
     pub measured: Vec<SeriesValue>,
-    /// Per-series residuals (computed at close).
-    pub residuals: Vec<Residual>,
     /// Hub-clock microseconds at close, if closed.
     pub closed_us: Option<u64>,
 }
@@ -110,10 +110,44 @@ impl ProvenanceRecord {
         self.closed_us.is_some()
     }
 
-    /// The residual for `series`, if present.
-    pub fn residual_for(&self, series: &str) -> Option<&Residual> {
-        self.residuals.iter().find(|r| &*r.series == series)
+    /// The per-series residuals: one per predicted series that has a
+    /// matching measured key (the first one, when `measured` names a key
+    /// twice), in prediction order — what [`ProvenanceLedger::close`]
+    /// returned. Empty until the record is closed.
+    pub fn residuals(&self) -> Vec<Residual> {
+        join(&self.prediction.series, &self.measured)
     }
+
+    /// The residual for `series`, if present.
+    pub fn residual_for(&self, series: &str) -> Option<Residual> {
+        let predicted = self
+            .prediction
+            .series
+            .iter()
+            .find(|p| &*p.series == series)?;
+        residual(predicted, &self.measured)
+    }
+}
+
+/// The residual of `predicted` against the first measured entry of its key.
+fn residual(predicted: &SeriesValue, measured: &[SeriesValue]) -> Option<Residual> {
+    let m = measured.iter().find(|m| m.series == predicted.series)?;
+    Some(Residual {
+        series: predicted.series.clone(),
+        predicted: predicted.value,
+        measured: m.value,
+        relative: crate::drift::DriftDetector::relative_residual(predicted.value, m.value),
+    })
+}
+
+/// One residual per predicted series with a measured counterpart, in
+/// prediction order.
+fn join(predicted: &[SeriesValue], measured: &[SeriesValue]) -> Vec<Residual> {
+    // Sized for every predicted series: one allocation, not a doubling
+    // per few residuals.
+    let mut residuals = Vec::with_capacity(predicted.len());
+    residuals.extend(predicted.iter().filter_map(|p| residual(p, measured)));
+    residuals
 }
 
 #[derive(Debug, Default)]
@@ -149,16 +183,17 @@ impl ProvenanceLedger {
     }
 
     /// Open a record for a decision; returns its id. A caller that keeps
-    /// `source` or `command` as a [`SeriesKey`] shares it with the record.
+    /// `source` or `command` as a [`SeriesKey`], or the prediction in an
+    /// [`Arc`], shares it with the record.
     pub fn open(
         &self,
         tick: u64,
         source: impl Into<SeriesKey>,
         command: impl Into<SeriesKey>,
-        prediction: Prediction,
+        prediction: impl Into<Arc<Prediction>>,
         opened_us: u64,
     ) -> u64 {
-        let (source, command) = (source.into(), command.into());
+        let (source, command, prediction) = (source.into(), command.into(), prediction.into());
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner.last_id += 1;
         let id = inner.last_id;
@@ -173,16 +208,14 @@ impl ProvenanceLedger {
             opened_us,
             prediction,
             measured: Vec::new(),
-            residuals: Vec::new(),
             closed_us: None,
         });
         id
     }
 
-    /// Back-fill record `id` with the realized outcome, computing one
-    /// residual per predicted series that has a matching measured key (the
-    /// first one, when `measured` names a key twice). Returns the
-    /// residuals, which the record keeps too, or `None` if the id is
+    /// Back-fill record `id` with the realized outcome. Returns its
+    /// residuals ([`ProvenanceRecord::residuals`]; the record keeps what
+    /// they are derived from, not the residuals), or `None` if the id is
     /// unknown (e.g. already evicted) or already closed.
     pub fn close(
         &self,
@@ -196,20 +229,7 @@ impl ProvenanceLedger {
         let record = records
             .get_mut(at)
             .filter(|r| r.id == id && !r.is_closed())?;
-        // Sized for every predicted series: one allocation, not a doubling
-        // per few residuals.
-        let predicted = &record.prediction.series;
-        let mut residuals = Vec::with_capacity(predicted.len());
-        residuals.extend(predicted.iter().filter_map(|p| {
-            let m = measured.iter().find(|m| m.series == p.series)?;
-            Some(Residual {
-                series: p.series.clone(),
-                predicted: p.value,
-                measured: m.value,
-                relative: crate::drift::DriftDetector::relative_residual(p.value, m.value),
-            })
-        }));
-        record.residuals = residuals.clone();
+        let residuals = join(&record.prediction.series, &measured);
         record.measured = measured;
         record.closed_us = Some(closed_us);
         Some(residuals)
@@ -262,7 +282,7 @@ impl ToJson for ProvenanceRecord {
             "inputs": Value::object(&self.prediction.inputs),
             "predicted": self.prediction.series,
             "measured": self.measured,
-            "residuals": self.residuals,
+            "residuals": self.residuals(),
             "closed_us": self.closed_us,
         }
     }
@@ -304,7 +324,7 @@ mod tests {
         assert!(closed.is_closed());
         assert_eq!(ledger.open_count(), 0);
         assert_eq!(residuals.len(), 2);
-        assert_eq!(closed.residuals.len(), 2);
+        assert_eq!(closed.residuals().len(), 2);
         let r = closed.residual_for("app/a/bandwidth_gbs").unwrap();
         assert!((r.relative - (-0.2)).abs() < 1e-12);
         assert_eq!(

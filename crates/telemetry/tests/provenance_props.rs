@@ -1,18 +1,23 @@
-//! The by-index provenance ledger and the whole-decision drift entry equal
-//! the routines they replace, on seeded cases.
+//! The by-index provenance ledger and the whole-decision entries equal the
+//! routines they replace, on seeded cases.
 //!
 //! 1. `ProvenanceLedger::close` returns exactly the residuals of the
 //!    reference join — each predicted series paired with the *first* measured
 //!    entry of the same key, unmatched series skipped — whatever the two key
 //!    lists look like: shared or separately allocated keys, duplicates,
-//!    permutations, missing and extra entries.
+//!    permutations, missing and extra entries. The closed record derives the
+//!    same residuals from what it keeps.
 //! 2. `DriftDetector::observe_decision` leaves the detector and the registry
-//!    as one `observe_exporting` per residual does.
+//!    as one `observe_exporting` per residual does, over decision sequences
+//!    whose keys reorder, repeat, appear and vanish, and come back as
+//!    separately allocated keys of equal content.
+//! 3. `Histogram::observe_all` leaves the histogram as one `observe` per
+//!    value does, sums that wrap included.
 
 use coop_alloc::cases::{check, Gen};
 use coop_telemetry::{
-    DriftConfig, DriftDetector, MetricsRegistry, Prediction, ProvenanceLedger, Residual, SeriesKey,
-    SeriesValue,
+    DriftConfig, DriftDetector, Histogram, MetricsRegistry, Prediction, ProvenanceLedger, Residual,
+    SeriesKey, SeriesValue,
 };
 
 const CASES: usize = 400;
@@ -122,7 +127,22 @@ fn close_returns_the_reference_join() {
             assert_eq!(bits_of(&residuals), expected);
             let record = ledger.records().pop().expect("the record is retained");
             assert_eq!(record.id, id);
-            assert_eq!(bits_of(&record.residuals), expected);
+            assert_eq!(bits_of(&record.residuals()), expected);
+            // A series' residual is its first one.
+            for (series, _) in &expected {
+                let r = record.residual_for(series).expect("a joined series");
+                let first = expected.iter().find(|(s, _)| s == series).unwrap();
+                assert_eq!(
+                    [r.predicted, r.measured, r.relative].map(f64::to_bits),
+                    first.1
+                );
+            }
+            for key in pool
+                .iter()
+                .filter(|k| expected.iter().all(|(s, _)| **s != ***k))
+            {
+                assert!(record.residual_for(key).is_none(), "{key} joined nothing");
+            }
             assert_eq!(record.measured, measured);
             assert!(
                 ledger.close(id, measured, tick + 2).is_none(),
@@ -152,22 +172,46 @@ fn a_whole_decision_drifts_like_its_residuals_one_at_a_time() {
         };
         let (whole, whole_registry) = (DriftDetector::new(config.clone()), MetricsRegistry::new());
         let (single, single_registry) = (DriftDetector::new(config), MetricsRegistry::new());
+        let residual = |series: SeriesKey| Residual {
+            series,
+            predicted: 1.0,
+            measured: 1.0,
+            relative: 0.0,
+        };
         let mut residuals: Vec<Residual> = Vec::new();
         for _ in 0..g.size(1..24) {
             // Mostly the previous decision's keys again (what a supervised
-            // run feeds), sometimes another list; biased far enough from
-            // zero that alarms fire.
-            if g.bool(0.3) {
-                residuals = random_series(g, &pool)
-                    .into_iter()
-                    .map(|s| Residual {
-                        series: s.series,
-                        predicted: 1.0,
-                        measured: 1.0,
-                        relative: 0.0,
-                    })
-                    .collect();
+            // run feeds), else that list edited, or another list.
+            match g.range(0..8u8) {
+                0 => {
+                    residuals = random_series(g, &pool)
+                        .into_iter()
+                        .map(|s| residual(s.series))
+                        .collect();
+                }
+                // Two positions trade keys.
+                1 if !residuals.is_empty() => {
+                    let (a, b) = (g.range(0..residuals.len()), g.range(0..residuals.len()));
+                    residuals.swap(a, b);
+                }
+                // A series vanishes.
+                2 if !residuals.is_empty() => {
+                    residuals.remove(g.range(0..residuals.len()));
+                }
+                // A series appears, maybe one already in the list.
+                3 => {
+                    let key = g.pick(&pool).clone();
+                    let at = g.range(0..residuals.len() + 1);
+                    residuals.insert(at, residual(shared_or_fresh(g, &key)));
+                }
+                // Same content, another allocation.
+                4 if !residuals.is_empty() => {
+                    let at = g.range(0..residuals.len());
+                    residuals[at].series = SeriesKey::from(&*residuals[at].series);
+                }
+                _ => {}
             }
+            // Biased far enough from zero that alarms fire.
             for r in &mut residuals {
                 r.relative = g.range(-0.2..0.6);
             }
@@ -195,5 +239,27 @@ fn a_whole_decision_drifts_like_its_residuals_one_at_a_time() {
             whole_registry.to_prometheus(),
             single_registry.to_prometheus()
         );
+    });
+}
+
+#[test]
+fn a_whole_decision_observes_like_its_values_one_at_a_time() {
+    check(0x0b5e_a110, CASES, |g| {
+        let (whole, single) = (Histogram::default(), Histogram::default());
+        for _ in 0..g.size(1..6) {
+            // Small values, bucket edges, and values near `u64::MAX`, so
+            // that sums wrap.
+            let values = g.vec(0..16, |g| match g.range(0..3u8) {
+                0 => g.range(0..200u64),
+                1 => 1u64 << g.range(0..64u32),
+                _ => u64::MAX - g.range(0..1000u64),
+            });
+            whole.observe_all(values.iter().copied());
+            for &v in &values {
+                single.observe(v);
+            }
+        }
+        let (w, s) = (whole.snapshot(), single.snapshot());
+        assert_eq!((w.buckets, w.count, w.sum), (s.buckets, s.count, s.sum));
     });
 }
