@@ -6,9 +6,11 @@
 //! `tests/counting/mod.rs`): a steady `ctl_paper` decision tick, fixed or
 //! re-optimizing, on both engines (calls and bytes); what a `ctl_paper` run
 //! pays besides its ticks; one `fleet_outages` run; one `fleet_diurnal` run
-//! per tenant; and a quiet and a commanding `Agent::tick` over eight
-//! runtimes. The runs are the budget tests' (memsim's and the agent's
-//! `tests/work/mod.rs`), which hold their measurements to these cells.
+//! per tenant; a quiet and a commanding `Agent::tick` over eight
+//! runtimes; and a `live_squeeze` round's spawn (calls and bytes) and
+//! execution, per task. The runs are the budget tests' (memsim's, the
+//! agent's and the runtime's `tests/work/mod.rs`), which hold their
+//! measurements to these cells.
 //!
 //! The test measures every cell and compares them with the committed file.
 //! On any difference it rewrites the file — the cells, the rustc that
@@ -25,6 +27,8 @@ mod counting;
 mod fleets;
 #[path = "../../memsim/tests/work/mod.rs"]
 mod memsim_work;
+#[path = "../../runtime/tests/work/mod.rs"]
+mod runtime_work;
 
 use coop_telemetry::json::{self, Value};
 use memsim::EngineKind;
@@ -56,6 +60,7 @@ fn measure() -> Vec<(String, f64)> {
     cells.push(memsim_work::fleet_diurnal_run());
     cells.push(agent_work::agent_tick(false));
     cells.push(agent_work::agent_tick(true));
+    cells.extend(runtime_work::live_squeeze());
     cells
 }
 

@@ -23,7 +23,7 @@
 
 use crate::event::Event;
 use crate::runtime::{Runtime, Shared};
-use crate::worker;
+use crate::{sched, worker};
 use coop_telemetry::sync::Mutex;
 use numa_topology::{Binding, NodeId};
 use std::collections::HashMap;
@@ -161,8 +161,9 @@ impl Runtime {
             if shared.shutdown.load(Ordering::Acquire) {
                 return;
             }
-            match worker::find_task_public(shared, home) {
-                Some(task) => worker::execute_public(shared, task, home, None),
+            // Helpers own no deque: single-task steals, no batching.
+            match sched::find_task(shared, home, None) {
+                Some(task) => worker::execute(shared, task, home, None, None, None),
                 None => {
                     // Nothing ready: nap briefly and re-check the event.
                     std::thread::sleep(Duration::from_micros(50));

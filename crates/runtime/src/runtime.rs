@@ -3,15 +3,14 @@
 use crate::control::ControlHandle;
 use crate::datablock::{DataBlock, DbId};
 use crate::deque::Injector;
-use crate::event::{Event, EventId, EventKind};
+use crate::event::{Event, EventId, EventKind, PendingTask, Waiter};
 use crate::sched::{self, LocalQueues, ParkRegistry, SchedState, StealGrid};
 use crate::stats::{NodeOccupancy, RuntimeStats, StatsCollector};
-use crate::task::{Task, TaskBody, TaskBuilder, TaskId, TaskPriority};
+use crate::task::{Task, TaskBuilder, TaskId, TaskPriority};
 use crate::worker;
 use crate::{Result, RuntimeError};
 use coop_telemetry::sync::{Condvar, Mutex};
-use numa_topology::{Binding, BindingKind, CoreId, Machine, NodeId};
-use std::collections::HashMap;
+use numa_topology::{BindingKind, CoreId, Machine, NodeId};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -106,37 +105,6 @@ impl RuntimeConfig {
     }
 }
 
-/// One lock stripe of the dependency graph. Events are distributed over
-/// the stripes by id, so `satisfy`/`subscribe` traffic on unrelated
-/// events never serializes; a task with dependencies in several stripes
-/// is released correctly by its own atomic remaining-counter (see
-/// [`PendingTask`]), with at most one stripe lock held at a time.
-struct GraphShard {
-    /// Events homed in this shard (registered here, or adopted on first
-    /// subscription for externally created events). Entries are removed
-    /// when the event satisfies, so long-lived runtimes don't accumulate
-    /// graph state for completed work.
-    events: HashMap<u64, EventEntry>,
-}
-
-struct EventEntry {
-    #[allow(dead_code)] // kept so externally-dropped events stay alive
-    event: Event,
-    /// Tasks to release (one remaining-counter decrement each) when the
-    /// event satisfies.
-    subscribers: Vec<Arc<PendingTask>>,
-}
-
-/// A spawned task waiting on dependencies. Shared (via `Arc`) between
-/// every event entry it subscribed to; the releasing decrement that
-/// drops `remaining` to zero — and only that one — takes the task out
-/// and enqueues it, which makes cross-shard release safe without ever
-/// holding two shard locks.
-struct PendingTask {
-    task: Mutex<Option<Task>>,
-    remaining: AtomicUsize,
-}
-
 /// Per-worker watchdog slots ([`RuntimeConfig::with_watchdog`] only).
 ///
 /// Protocol: before running a task body the worker stores the start time
@@ -200,8 +168,6 @@ pub(crate) struct Shared {
     /// Scheduler substrate: deque stealers, parking registry, ready
     /// census, high-priority gate (see [`crate::sched`]).
     pub sched: SchedState,
-    /// Lock-striped dependency graph (power-of-two stripe count).
-    shards: Box<[Mutex<GraphShard>]>,
     /// Quiescence waiters sleep on this pair; see
     /// [`notify_quiesce`](Shared::notify_quiesce) for who wakes them.
     quiesce_mutex: Mutex<()>,
@@ -224,21 +190,7 @@ pub(crate) struct Shared {
     pub watchdog: Option<WatchdogState>,
 }
 
-/// Stripe count for the dependency graph: enough stripes that workers
-/// rarely collide (next power of two above the worker count), floored at
-/// 8 so small machines still spread main-thread and worker traffic, and
-/// capped at 64 — past that the HashMaps are so sparse that striping
-/// further only wastes cache.
-fn shard_count(workers: usize) -> usize {
-    workers.next_power_of_two().clamp(8, 64)
-}
-
 impl Shared {
-    fn shard(&self, event_id: u64) -> &Mutex<GraphShard> {
-        // Stripe count is a power of two, so the mask is exact.
-        &self.shards[(event_id as usize) & (self.shards.len() - 1)]
-    }
-
     /// The (global, per-node) injector pair for a priority tier.
     pub(crate) fn injectors(&self, tier: TaskPriority) -> (&Injector<Task>, &[Injector<Task>]) {
         match tier {
@@ -306,14 +258,6 @@ impl Shared {
         self.sched.parking.notify_one(None);
     }
 
-    /// Called by workers after each finished (or panicked) task body.
-    pub(crate) fn task_finished(&self, finish: Option<&Event>) {
-        if let Some(finish) = finish {
-            // A finish event is satisfied exactly once, by us.
-            let _ = self.satisfy_event(finish);
-        }
-    }
-
     /// Wakes quiescence waiters. Called at the publish points — wherever
     /// a finish counter [`pending_tasks`](Self::pending_tasks) reads has
     /// just changed (a worker's batched flush, a helper thread's direct
@@ -325,22 +269,25 @@ impl Shared {
         self.quiesce_cv.notify_all();
     }
 
-    /// Decrements `event`; on satisfaction, releases subscribed tasks.
+    /// Decrements `event`; on satisfaction, releases its waiting tasks.
+    /// Only the runtime that created an event may satisfy it.
     pub(crate) fn satisfy_event(&self, event: &Event) -> Result<()> {
+        let id = event.id().0;
+        if event.state.runtime != self.sched.runtime_id {
+            return Err(RuntimeError::UnknownEvent { event: id });
+        }
         match event.decrement() {
-            Err(()) => Err(RuntimeError::EventAlreadySatisfied {
-                event: event.id().0,
-            }),
+            Err(()) => Err(RuntimeError::EventAlreadySatisfied { event: id }),
             Ok(false) => Ok(()), // latch still counting down
             Ok(true) => {
-                // The event reads as satisfied from here on, and late
-                // subscribers re-check that under the shard lock — so
-                // removing the entry cannot strand anyone, and the
-                // subscriber list we take is complete.
-                let entry = self.shard(event.id().0).lock().events.remove(&event.id().0);
-                if let Some(entry) = entry {
-                    for pending in entry.subscribers {
-                        self.release_dependency(&pending, Some(event.id().0));
+                // The event reads as satisfied from here on, and
+                // `push_waiter` re-checks that under the list's lock — so
+                // the list taken here is complete.
+                let waiters = std::mem::take(&mut *event.state.waiters.lock());
+                for waiter in waiters {
+                    match waiter {
+                        Waiter::Task(task) => self.release(task, Some(id)),
+                        Waiter::Pending(pending) => self.release_dependency(&pending, Some(id)),
                     }
                 }
                 Ok(())
@@ -348,34 +295,33 @@ impl Shared {
         }
     }
 
-    /// Drops one remaining-dependency count; the decrement that reaches
-    /// zero enqueues the task. Called outside any shard lock. `event_id`
-    /// is the satisfying event, or `None` for the spawn-guard decrement.
-    fn release_dependency(&self, pending: &Arc<PendingTask>, event_id: Option<u64>) {
+    /// Enqueues a task whose dependencies are all satisfied. `event_id`
+    /// is the event whose satisfaction released it, or `None` when the
+    /// spawn itself found the last one satisfied.
+    fn release(&self, task: Task, event_id: Option<u64>) {
+        if let Some(tel) = self.telemetry.as_ref().filter(|t| t.tracing) {
+            tel.trace_deps_released(task.id.0, task.trace_id, event_id);
+        }
+        self.enqueue_ready(task);
+    }
+
+    /// Drops one remaining-dependency count of a task waiting on several
+    /// events; the decrement that reaches zero releases it. Called outside
+    /// any event lock.
+    fn release_dependency(&self, pending: &PendingTask, event_id: Option<u64>) {
         if pending.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
             let task = pending
                 .task
                 .lock()
                 .take()
                 .expect("exactly one releasing decrement takes the task");
-            if let Some(tel) = self.telemetry.as_ref().filter(|t| t.tracing) {
-                tel.trace_deps_released(task.id.0, task.trace_id, event_id);
-            }
-            self.enqueue_ready(task);
+            self.release(task, event_id);
         }
     }
 
     pub(crate) fn register_event(&self, kind: EventKind) -> Event {
         let id = EventId(self.next_event.fetch_add(1, Ordering::Relaxed));
-        let event = Event::new(id, kind);
-        self.shard(id.0).lock().events.insert(
-            id.0,
-            EventEntry {
-                event: event.clone(),
-                subscribers: Vec::new(),
-            },
-        );
-        event
+        Event::new(id, kind, self.sched.runtime_id)
     }
 
     pub(crate) fn create_datablock(&self, size: usize, node: NodeId) -> DataBlock {
@@ -383,23 +329,34 @@ impl Shared {
         DataBlock::new(id, size, node)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn spawn_task(
-        &self,
-        name: String,
-        body: TaskBody,
-        deps: Vec<Event>,
-        affinity: Option<NodeId>,
-        priority: TaskPriority,
-        want_finish: bool,
-        parent: Option<(TaskId, u64)>,
-        fuel: Option<u64>,
-    ) -> Result<(TaskId, Option<Event>)> {
+    pub(crate) fn spawn_task(&self, builder: TaskBuilder<'_>) -> Result<(TaskId, Option<Event>)> {
+        let TaskBuilder {
+            name,
+            body,
+            deps,
+            affinity,
+            priority,
+            want_finish_event,
+            parent,
+            fuel,
+            ..
+        } = builder;
+        let body = body.ok_or(RuntimeError::MissingBody)?;
         if self.shutdown.load(Ordering::Acquire) {
             return Err(RuntimeError::ShutDown);
         }
+        // Ids are per runtime, and a waiting task lives in its event: another
+        // runtime's event would release it into that runtime's queues.
+        if let Some(foreign) = deps
+            .iter()
+            .find(|d| d.state.runtime != self.sched.runtime_id)
+        {
+            return Err(RuntimeError::UnknownEvent {
+                event: foreign.id().0,
+            });
+        }
         let id = TaskId(self.next_task.fetch_add(1, Ordering::Relaxed));
-        let finish = want_finish.then(|| self.register_event(EventKind::Once));
+        let finish = want_finish_event.then(|| self.register_event(EventKind::Once));
         let fuel_budget = fuel.or(self.task_fuel);
         let task = Task {
             id,
@@ -415,48 +372,45 @@ impl Shared {
         };
         self.stats.record_spawned();
         if let Some(tel) = self.telemetry.as_ref().filter(|t| t.tracing) {
-            tel.trace_spawned(id.0, task.trace_id, parent.map(|(p, _)| p.0), &task.name);
+            tel.trace_spawned(
+                id.0,
+                task.trace_id,
+                parent.map(|(p, _)| p.0),
+                task.name.as_str(),
+            );
         }
 
-        // Fast path: no unsatisfied dependencies means no graph locks at
-        // all — the dominant case in fan-out-heavy graphs goes straight
-        // to the (usually local) queue.
-        if deps.iter().all(|d| d.is_satisfied()) {
+        // Fast path: no unsatisfied dependency means no lock at all — the
+        // dominant case in fan-out-heavy graphs goes straight to the
+        // (usually local) queue.
+        let mut unsatisfied = deps.iter().filter(|d| !d.is_satisfied());
+        let Some(first) = unsatisfied.next() else {
             self.enqueue_ready(task);
             return Ok((id, finish));
+        };
+        if unsatisfied.next().is_none() {
+            // One unsatisfied dependency: the task waits in its list as is.
+            if let Err(Waiter::Task(task)) = first.push_waiter(Waiter::Task(task)) {
+                self.release(task, None);
+            }
+            return Ok((id, finish));
         }
-
-        // Slow path: subscribe to each unsatisfied dependency under its
-        // own shard lock. `remaining` starts at 1 (a spawn guard) so a
-        // dependency satisfied concurrently mid-loop can never release
-        // the task before all subscriptions are in place.
+        // Several: each list holds the shared task. `remaining` starts at 1 (a
+        // spawn guard), so no dependency satisfied mid-loop can release the
+        // task before all its waiters are in place; a refused waiter's count
+        // is given back.
         let pending = Arc::new(PendingTask {
             task: Mutex::new(Some(task)),
             remaining: AtomicUsize::new(1),
         });
-        for dep in &deps {
-            if dep.is_satisfied() {
-                continue;
-            }
-            let mut shard = self.shard(dep.id().0).lock();
-            // Re-check under the lock: `satisfy_event` marks the event
-            // satisfied *before* draining subscribers under this same
-            // lock, so a subscription added while unsatisfied is always
-            // drained, and a satisfied event is never subscribed to.
-            if dep.is_satisfied() {
-                continue;
-            }
+        for dep in deps.iter().filter(|d| !d.is_satisfied()) {
             pending.remaining.fetch_add(1, Ordering::AcqRel);
-            shard
-                .events
-                .entry(dep.id().0)
-                .or_insert_with(|| EventEntry {
-                    // Externally created event: adopt it on first use.
-                    event: dep.clone(),
-                    subscribers: Vec::new(),
-                })
-                .subscribers
-                .push(Arc::clone(&pending));
+            if dep
+                .push_waiter(Waiter::Pending(Arc::clone(&pending)))
+                .is_err()
+            {
+                pending.remaining.fetch_sub(1, Ordering::AcqRel);
+            }
         }
         // Drop the spawn guard; if every dependency already satisfied
         // in the meantime, this is the releasing decrement.
@@ -551,27 +505,14 @@ impl Runtime {
         let machine = config.machine;
         let num_nodes = machine.num_nodes();
 
-        // One worker per core; binding per config.
+        // One worker per core. A binding is bookkeeping only (see
+        // DESIGN.md): a per-core worker records its core, nothing pins it.
         let mut worker_node = Vec::with_capacity(machine.total_cores());
         let mut worker_core = Vec::with_capacity(machine.total_cores());
-        let mut bindings: Vec<Binding> = Vec::with_capacity(machine.total_cores());
         for node in machine.nodes() {
             for core in node.cores() {
                 worker_node.push(node.id);
-                match config.binding {
-                    BindingKind::Core => {
-                        worker_core.push(Some(core));
-                        bindings.push(Binding::Core(core));
-                    }
-                    BindingKind::Node => {
-                        worker_core.push(None);
-                        bindings.push(Binding::Node(node.id));
-                    }
-                    BindingKind::Unbound => {
-                        worker_core.push(None);
-                        bindings.push(Binding::Unbound);
-                    }
-                }
+                worker_core.push((config.binding == BindingKind::Core).then_some(core));
             }
         }
         let workers = worker_node.len();
@@ -616,13 +557,6 @@ impl Runtime {
                 overbudget: Injector::new(),
                 overbudget_pending: AtomicUsize::new(0),
             },
-            shards: (0..shard_count(workers))
-                .map(|_| {
-                    Mutex::new(GraphShard {
-                        events: HashMap::new(),
-                    })
-                })
-                .collect(),
             quiesce_mutex: Mutex::new(()),
             quiesce_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -644,7 +578,6 @@ impl Runtime {
             let shared = Arc::clone(&shared);
             let node = worker_node[id];
             let core = worker_core[id];
-            let _binding = bindings[id]; // bookkeeping only; see DESIGN.md
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("{}-w{id}", shared.name))
@@ -695,24 +628,14 @@ impl Runtime {
     }
 
     /// Satisfies (or decrements, for latches) an event. Errors if the event
-    /// was already satisfied.
+    /// was already satisfied or another runtime created it.
     pub fn satisfy(&self, event: &Event) -> Result<()> {
         self.shared.satisfy_event(event)
     }
 
     /// Starts building a task.
     pub fn task(&self, name: &str) -> TaskBuilder<'_> {
-        TaskBuilder {
-            shared: &self.shared,
-            name: name.to_string(),
-            body: None,
-            deps: Vec::new(),
-            affinity: None,
-            priority: TaskPriority::Normal,
-            want_finish_event: false,
-            parent: None,
-            fuel: None,
-        }
+        TaskBuilder::new(&self.shared, name, None)
     }
 
     /// Allocates a data block of `size` bytes placed on `node`.
@@ -920,28 +843,18 @@ impl TaskContext<'_> {
     /// is a cooperative checkpoint).
     pub fn task(&self, name: &str) -> TaskBuilder<'_> {
         self.consume_fuel(1);
-        TaskBuilder {
-            shared: self.shared,
-            name: name.to_string(),
-            body: None,
-            deps: Vec::new(),
-            affinity: None,
-            priority: TaskPriority::Normal,
-            want_finish_event: false,
-            parent: Some((self.task_id, self.trace_id)),
-            fuel: None,
-        }
+        TaskBuilder::new(self.shared, name, Some((self.task_id, self.trace_id)))
     }
 
-    /// Satisfies an event, panicking on double satisfaction (a programming
-    /// error; the panic is contained by the runtime and reported through
-    /// [`Runtime::wait_quiescent`]). Use [`try_satisfy`](Self::try_satisfy)
-    /// to handle the error.
+    /// Satisfies an event, panicking on double satisfaction or on another
+    /// runtime's event (programming errors; the panic is contained by the
+    /// runtime and reported through [`Runtime::wait_quiescent`]). Use
+    /// [`try_satisfy`](Self::try_satisfy) to handle the error.
     pub fn satisfy(&self, event: &Event) {
         self.consume_fuel(1);
-        self.shared
-            .satisfy_event(event)
-            .expect("event satisfied more than once");
+        if let Err(e) = self.shared.satisfy_event(event) {
+            panic!("cannot satisfy the event: {e}");
+        }
     }
 
     /// Fallible event satisfaction. Costs one unit of fuel.

@@ -72,7 +72,7 @@ pub(crate) struct Task {
     /// own id for roots. Always assigned (a `u64` copy), but only
     /// *recorded* when task tracing is enabled.
     pub trace_id: u64,
-    pub name: String,
+    pub name: TaskName,
     pub body: TaskBody,
     /// NUMA node this task would like to run on (e.g. where its data
     /// block lives). Purely advisory.
@@ -92,13 +92,53 @@ pub(crate) struct Task {
     pub fuel: u64,
 }
 
-impl fmt::Debug for Task {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Task")
-            .field("id", &self.id)
-            .field("name", &self.name)
-            .field("affinity", &self.affinity)
-            .finish_non_exhaustive()
+/// Longest task name, in bytes of UTF-8, held inline; a longer one is boxed.
+const NAME_INLINE: usize = 22;
+
+/// A task's name: no allocation for the short kind labels names are.
+pub(crate) enum TaskName {
+    Inline(u8, [u8; NAME_INLINE]),
+    Boxed(Box<str>),
+}
+
+impl TaskName {
+    pub fn new(name: &str) -> Self {
+        let mut bytes = [0; NAME_INLINE];
+        let Some(inline) = bytes.get_mut(..name.len()) else {
+            return TaskName::Boxed(name.into());
+        };
+        inline.copy_from_slice(name.as_bytes());
+        TaskName::Inline(name.len() as u8, bytes)
+    }
+
+    pub fn as_str(&self) -> &str {
+        match self {
+            TaskName::Inline(len, bytes) => {
+                std::str::from_utf8(&bytes[..*len as usize]).expect("copied from a &str")
+            }
+            TaskName::Boxed(name) => name,
+        }
+    }
+}
+
+/// A builder's dependencies: the first inline, any others in a vector, so
+/// a task with one dependency allocates nothing for its list.
+#[derive(Default)]
+pub(crate) struct Deps {
+    first: Option<Event>,
+    rest: Vec<Event>,
+}
+
+impl Deps {
+    fn push(&mut self, event: Event) {
+        match self.first {
+            None => self.first = Some(event),
+            Some(_) => self.rest.push(event),
+        }
+    }
+
+    pub fn iter(&self) -> impl Iterator<Item = &Event> {
+        self.first.iter().chain(&self.rest)
     }
 }
 
@@ -122,9 +162,9 @@ impl fmt::Debug for Task {
 /// ```
 pub struct TaskBuilder<'rt> {
     pub(crate) shared: &'rt crate::runtime::Shared,
-    pub(crate) name: String,
+    pub(crate) name: TaskName,
     pub(crate) body: Option<TaskBody>,
-    pub(crate) deps: Vec<Event>,
+    pub(crate) deps: Deps,
     pub(crate) affinity: Option<NodeId>,
     pub(crate) priority: TaskPriority,
     pub(crate) want_finish_event: bool,
@@ -138,6 +178,24 @@ pub struct TaskBuilder<'rt> {
 }
 
 impl<'rt> TaskBuilder<'rt> {
+    pub(crate) fn new(
+        shared: &'rt crate::runtime::Shared,
+        name: &str,
+        parent: Option<(TaskId, u64)>,
+    ) -> Self {
+        TaskBuilder {
+            shared,
+            name: TaskName::new(name),
+            body: None,
+            deps: Deps::default(),
+            affinity: None,
+            priority: TaskPriority::Normal,
+            want_finish_event: false,
+            parent,
+            fuel: None,
+        }
+    }
+
     /// Sets the task body.
     pub fn body(mut self, f: impl FnOnce(&TaskContext<'_>) + Send + 'static) -> Self {
         self.body = Some(TaskBody::Once(Box::new(f)));
@@ -175,7 +233,9 @@ impl<'rt> TaskBuilder<'rt> {
 
     /// Adds dependencies on all given events.
     pub fn depends_on_all<'e>(mut self, events: impl IntoIterator<Item = &'e Event>) -> Self {
-        self.deps.extend(events.into_iter().cloned());
+        for event in events {
+            self.deps.push(event.clone());
+        }
         self
     }
 
@@ -216,17 +276,7 @@ impl<'rt> TaskBuilder<'rt> {
     }
 
     fn spawn_inner(self) -> crate::Result<(TaskId, Option<Event>)> {
-        let body = self.body.ok_or(crate::RuntimeError::MissingBody)?;
-        self.shared.spawn_task(
-            self.name,
-            body,
-            self.deps,
-            self.affinity,
-            self.priority,
-            self.want_finish_event,
-            self.parent,
-            self.fuel,
-        )
+        self.shared.spawn_task(self)
     }
 }
 

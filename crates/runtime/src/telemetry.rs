@@ -184,16 +184,28 @@ impl RuntimeTelemetry {
         }
     }
 
-    /// Record a `spawned` trace hop (lane 0; shard hint = task id so
-    /// concurrent spawners spread over the shards).
+    /// Records a hop of a task no worker holds: lane 0, shard hint = task
+    /// id, so concurrent spawners spread over the shards.
+    fn unheld_hop(&self, task: u64, name: &str, args: Vec<(String, ArgValue)>) {
+        self.hub
+            .record_instant(task as usize, self.track, 0, TRACE_CAT, name, args);
+    }
+
+    /// Records a hop on `worker`'s lane, in its shard.
+    fn worker_hop(&self, worker: Option<usize>, name: &str, args: Vec<(String, ArgValue)>) {
+        let lane = Self::lane(worker);
+        self.hub
+            .record_instant(lane as usize, self.track, lane, TRACE_CAT, name, args);
+    }
+
+    /// Record a `spawned` trace hop.
     pub fn trace_spawned(&self, task: u64, trace: u64, parent: Option<u64>, name: &str) {
         let mut args = hop_args(task, trace);
         if let Some(p) = parent {
             args.push(("parent".to_string(), ArgValue::U64(p)));
         }
         args.push(("task_name".to_string(), ArgValue::Str(name.to_string())));
-        self.hub
-            .record_instant(task as usize, self.track, 0, TRACE_CAT, hop::SPAWNED, args);
+        self.unheld_hop(task, hop::SPAWNED, args);
     }
 
     /// Record a `deps_released` trace hop for the releasing dependency.
@@ -202,14 +214,7 @@ impl RuntimeTelemetry {
         if let Some(e) = event {
             args.push(("event".to_string(), ArgValue::U64(e)));
         }
-        self.hub.record_instant(
-            task as usize,
-            self.track,
-            0,
-            TRACE_CAT,
-            hop::DEPS_RELEASED,
-            args,
-        );
+        self.unheld_hop(task, hop::DEPS_RELEASED, args);
     }
 
     /// Record an `enqueued` trace hop; `node` is the queue the task is
@@ -219,8 +224,7 @@ impl RuntimeTelemetry {
         if let Some(n) = node {
             args.push(("node".to_string(), ArgValue::U64(n)));
         }
-        self.hub
-            .record_instant(task as usize, self.track, 0, TRACE_CAT, hop::ENQUEUED, args);
+        self.unheld_hop(task, hop::ENQUEUED, args);
     }
 
     /// Record a `stolen` trace hop on the thief's lane.
@@ -233,28 +237,15 @@ impl RuntimeTelemetry {
         to: u64,
         tier: TaskPriority,
     ) {
+        let tier = match tier {
+            TaskPriority::High => "high",
+            TaskPriority::Normal => "normal",
+        };
         let mut args = hop_args(task, trace);
         args.push(("from".to_string(), ArgValue::U64(from)));
         args.push(("to".to_string(), ArgValue::U64(to)));
-        args.push((
-            "tier".to_string(),
-            ArgValue::Str(
-                match tier {
-                    TaskPriority::High => "high",
-                    TaskPriority::Normal => "normal",
-                }
-                .to_string(),
-            ),
-        ));
-        let shard = worker.map(|w| w + 1).unwrap_or(0);
-        self.hub.record_instant(
-            shard,
-            self.track,
-            Self::lane(worker),
-            TRACE_CAT,
-            hop::STOLEN,
-            args,
-        );
+        args.push(("tier".to_string(), ArgValue::Str(tier.to_string())));
+        self.worker_hop(worker, hop::STOLEN, args);
     }
 
     /// Record a `started` trace hop on the executing worker's lane.
@@ -264,15 +255,7 @@ impl RuntimeTelemetry {
         if let Some(w) = worker {
             args.push(("worker".to_string(), ArgValue::U64(w as u64)));
         }
-        let shard = worker.map(|w| w + 1).unwrap_or(0);
-        self.hub.record_instant(
-            shard,
-            self.track,
-            Self::lane(worker),
-            TRACE_CAT,
-            hop::STARTED,
-            args,
-        );
+        self.worker_hop(worker, hop::STARTED, args);
     }
 
     /// Record the terminal `finished`/`panicked` trace hop.
@@ -291,9 +274,7 @@ impl RuntimeTelemetry {
         } else {
             hop::FINISHED
         };
-        let shard = worker.map(|w| w + 1).unwrap_or(0);
-        self.hub
-            .record_instant(shard, self.track, Self::lane(worker), TRACE_CAT, name, args);
+        self.worker_hop(worker, name, args);
     }
 
     /// The labelled steal counter for a (tier, source) pair; `sibling`

@@ -27,7 +27,7 @@ use std::time::Instant;
 /// exits, or crosses [`STATS_FLUSH_EVERY`] — these are the worker's
 /// *publish points*, and between them the per-task path touches no shared
 /// cache line for accounting.
-struct LocalStats {
+pub(crate) struct LocalStats {
     node: NodeId,
     executed: u64,
     /// The worker's deques, whose `local_pops` cell is the other half of
@@ -164,19 +164,6 @@ pub(crate) fn worker_loop(
     stats.flush(&shared);
 }
 
-/// Pops a ready task for a helping external thread (see
-/// `Runtime::help_until`). External threads own no deque, so the pop
-/// runs with `local = None`: single-task steals, no batching.
-pub(crate) fn find_task_public(shared: &Shared, node: NodeId) -> Option<Task> {
-    sched::find_task(shared, node, None)
-}
-
-/// Executes a task on a helping external thread (helpers have no batch:
-/// every task they finish is counted, and waiters woken, at once).
-pub(crate) fn execute_public(shared: &Shared, task: Task, node: NodeId, core: Option<CoreId>) {
-    execute(shared, task, node, core, None, None)
-}
-
 /// What a task body left behind after one `execute` slice.
 enum BodyOutcome {
     /// The body ran to completion (or returned [`TaskStep::Done`]).
@@ -186,7 +173,10 @@ enum BodyOutcome {
     Preempted(Box<dyn FnMut(&TaskContext<'_>) -> TaskStep + Send + 'static>),
 }
 
-fn execute(
+/// Runs one slice of `task`. A helping external thread (`help_until`) has
+/// no `worker` and no `batch`: every task it finishes is counted, and
+/// waiters woken, at once.
+pub(crate) fn execute(
     shared: &Shared,
     task: Task,
     node: NodeId,
@@ -266,20 +256,13 @@ fn execute(
         Ok(BodyOutcome::Preempted(f)) => {
             shared.stats.record_preempted();
             if let Some(tel) = &shared.telemetry {
-                tel.record_preempted(worker, task.id.0, &task.name);
+                tel.record_preempted(worker, task.id.0, task.name.as_str());
             }
-            let fuel_budget = task.fuel_budget;
             shared.enqueue_overbudget(Task {
-                id: task.id,
-                trace_id: task.trace_id,
-                name: task.name,
                 body: TaskBody::Step(f),
-                affinity: task.affinity,
-                priority: task.priority,
-                finish: task.finish,
                 enqueued_at: None,
-                fuel_budget,
-                fuel: fuel_budget.unwrap_or(0),
+                fuel: task.fuel_budget.unwrap_or(0),
+                ..task
             });
             return;
         }
@@ -296,7 +279,7 @@ fn execute(
     }
     if let Some(tel) = &shared.telemetry {
         tel.record_task(
-            &task.name,
+            task.name.as_str(),
             worker,
             node,
             task.enqueued_at,
@@ -323,7 +306,10 @@ fn execute(
             } else {
                 "non-string panic payload".to_string()
             };
-            shared.panics.lock().push((task.name.clone(), message));
+            shared
+                .panics
+                .lock()
+                .push((task.name.as_str().to_string(), message));
             // A panic is counted at once, so it is a publish point: the
             // batch goes out first, or a waiter could see the last task
             // finished while this worker still holds counts for it.
@@ -334,7 +320,10 @@ fn execute(
             shared.notify_quiesce();
         }
     }
-    shared.task_finished(task.finish.as_ref());
+    if let Some(finish) = &task.finish {
+        // A finish event is satisfied exactly once, by us.
+        let _ = shared.satisfy_event(finish);
+    }
 }
 
 #[cfg(test)]

@@ -1,12 +1,13 @@
 //! Property tests on the seeded case runner: random task DAGs execute every task exactly once,
-//! respecting dependencies, under random thread-control churn.
+//! respecting dependencies, under random thread-control churn and under spawns racing the
+//! satisfactions they wait for.
 
 use coop_alloc::cases::{check, Gen};
-use coop_runtime::{Runtime, RuntimeConfig, ThreadCommand};
+use coop_runtime::{Event, EventKind, Runtime, RuntimeConfig, ThreadCommand};
 use numa_topology::presets::tiny;
 use numa_topology::NodeId;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 const CASES: usize = 24;
@@ -155,6 +156,99 @@ fn affinity_single_node_workload() {
         }
         rt.wait_quiescent_timeout(Duration::from_secs(20)).unwrap();
         assert_eq!(on_node.load(Ordering::SeqCst), 10);
+        rt.shutdown();
+    });
+}
+
+/// Spawner threads race satisfier threads on shared once and latch events.
+/// A task waits on 0–3 of them, so it goes straight to a queue, waits in
+/// one event's list as it is, or waits in several behind a shared counter
+/// — and any of its events may satisfy between the spawn's first look and
+/// its re-check under the event's lock. Every task runs exactly once,
+/// after all its dependencies, and nothing stays pending.
+#[test]
+fn spawns_racing_satisfactions_release_every_task_once() {
+    const SPAWNERS: usize = 2;
+    const SATISFIERS: usize = 2;
+    // The race window is a few instructions wide: without the re-check
+    // under the lock, 4 × CASES cases strand a task in most runs.
+    check(4, 4 * CASES, |g| {
+        let rt = Runtime::start(RuntimeConfig::new("race", tiny())).unwrap();
+        let events: Vec<Event> = (0..g.size(1..8))
+            .map(|_| match g.range(0..32u64) {
+                0 => rt.new_once_event(),
+                n => rt.new_latch_event(n + 1),
+            })
+            .collect();
+        // Every decrement each event needs, dealt to a satisfier thread.
+        let mut decrements = vec![Vec::new(); SATISFIERS];
+        for event in &events {
+            let count = match event.kind() {
+                EventKind::Once => 1,
+                EventKind::Latch { count } => count,
+            };
+            for _ in 0..count {
+                decrements[g.range(0..SATISFIERS)].push(event.clone());
+            }
+        }
+        let tasks: Vec<Vec<Vec<usize>>> = (0..SPAWNERS)
+            .map(|_| {
+                let n = g.size(1..200);
+                (0..n)
+                    .map(|_| g.vec(0..4, |g| g.range(0..events.len())))
+                    .collect()
+            })
+            .collect();
+        let total: usize = tasks.iter().map(Vec::len).sum();
+        let runs: Arc<Vec<AtomicU64>> = Arc::new((0..total).map(|_| AtomicU64::new(0)).collect());
+
+        let start = Barrier::new(SPAWNERS + SATISFIERS);
+        std::thread::scope(|s| {
+            let mut first = 0;
+            for spawner in &tasks {
+                let (rt, events, runs, start) = (&rt, &events, &runs, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for (k, deps) in spawner.iter().enumerate() {
+                        let i = first + k;
+                        let deps: Vec<Event> = deps.iter().map(|&d| events[d].clone()).collect();
+                        let runs = Arc::clone(runs);
+                        rt.task(&format!("t{i}"))
+                            .depends_on_all(&deps)
+                            .body({
+                                let deps = deps.clone();
+                                move |_| {
+                                    assert!(
+                                        deps.iter().all(Event::is_satisfied),
+                                        "task {i} ran before its dependencies"
+                                    );
+                                    runs[i].fetch_add(1, Ordering::SeqCst);
+                                }
+                            })
+                            .spawn()
+                            .unwrap();
+                    }
+                });
+                first += spawner.len();
+            }
+            for share in &decrements {
+                let (rt, start) = (&rt, &start);
+                s.spawn(move || {
+                    start.wait();
+                    // Yielding spreads the satisfactions over the spawns.
+                    for event in share {
+                        rt.satisfy(event).unwrap();
+                        std::thread::yield_now();
+                    }
+                });
+            }
+        });
+
+        rt.wait_quiescent_timeout(Duration::from_secs(20)).unwrap();
+        for (i, n) in runs.iter().enumerate() {
+            assert_eq!(n.load(Ordering::SeqCst), 1, "task {i} ran {n:?} times");
+        }
+        assert_eq!(rt.stats().tasks_pending, 0);
         rt.shutdown();
     });
 }

@@ -2,8 +2,8 @@
 //!
 //! One test, deliberately hostile: 8 workers on a 2-node machine chew
 //! through 100k tiny tasks with randomized dependencies on recent finish
-//! events (exercising both the satisfied-deps fast path and the sharded
-//! subscriber path), randomized affinity hints and priorities (exercising
+//! events (exercising both the satisfied-deps fast path and the events'
+//! waiter lists), randomized affinity hints and priorities (exercising
 //! node injectors and the high-tier gate), occasional panics (containment
 //! under load), occasional child spawns from task bodies (the TLS
 //! local-deque fast path), and a thread-control squeeze to 2 workers and
