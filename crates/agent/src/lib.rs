@@ -33,8 +33,9 @@
 //!   survivors. [`ChaosHandle`] + [`FaultPlan`] inject deterministic
 //!   faults for testing (see `docs/robustness.md`). A tenant whose
 //!   watchdog keeps marking tasks runaway is degraded and clamped to its
-//!   fair-share row ([`coop_alloc::strategies::contain`], the rule
-//!   `memsim`'s supervised runs apply too).
+//!   fair-share row. [`control`] holds these rules once, as the
+//!   [`Tenancy`] both supervision loops (this agent's and `memsim`'s
+//!   supervised runs) walk every tick.
 //!
 //! The agent deliberately does cheap work per tick (the paper's §IV:
 //! an agent that is "only required to occasionally perform quick
@@ -46,12 +47,14 @@
 mod agent;
 mod chan;
 pub mod consensus;
+pub mod control;
 pub mod fault;
 pub mod policies;
 pub mod proto;
 pub mod supervise;
 
 pub use agent::{Agent, AgentLog, Decision};
+pub use control::Tenancy;
 pub use coop_runtime::{RuntimeStats, ThreadCommand};
 pub use fault::{ChaosHandle, Fault, FaultPlan, FaultRule, KillSwitch};
 pub use supervise::{

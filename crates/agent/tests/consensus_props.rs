@@ -2,6 +2,7 @@
 //! runner.
 
 use coop_agent::consensus::{resolve, DemandProfile};
+use coop_agent::control::check_commands;
 use coop_alloc::cases::{check, Gen};
 use numa_topology::{MachineBuilder, NodeId};
 use roofline_numa::AppSpec;
@@ -32,7 +33,8 @@ fn arb_profiles(g: &mut Gen, nodes: usize) -> Vec<DemandProfile> {
         .collect()
 }
 
-/// The resolved allocation is always valid (no over-subscription) and
+/// The resolved allocation is always valid (no over-subscription, also as
+/// the commands `control::check_commands` holds an agent tick to) and
 /// deterministic.
 #[test]
 fn resolution_is_valid_and_deterministic() {
@@ -57,6 +59,11 @@ fn resolution_is_valid_and_deterministic() {
         let m = machine(nodes, cores);
         let a = resolve(&m, &profiles);
         assert!(a.validate(&m).is_ok());
+        // As commands, one row per participant: no node over its cores.
+        let live = vec![true; profiles.len()];
+        let rows = (0..profiles.len()).map(|i| (i, Some(a.row(i))));
+        let violations = check_commands(Some(&m), &live, &[], rows);
+        assert!(violations.is_empty(), "{violations:?}");
         assert_eq!(resolve(&m, &profiles), a.clone());
 
         // Pinned apps never get threads off their node.

@@ -1,6 +1,7 @@
 //! Property tests (seeded case runner) for agent policies, driven by synthetic stat
 //! streams (no live runtimes — policies are pure over their inputs).
 
+use coop_agent::control::{check_commands, row_of};
 use coop_agent::policies::ProducerConsumerThrottle;
 use coop_agent::{Policy, RuntimeStats, ThreadCommand};
 use coop_alloc::cases::check;
@@ -34,7 +35,7 @@ fn stats_pair(produced: u64, consumed: u64) -> Vec<RuntimeStats> {
 
 /// The throttle's target always stays within its configured bounds,
 /// moves by at most one per tick, and issues a command exactly when
-/// the target changes.
+/// the target changes, to one of the two runtimes it is shown.
 #[test]
 fn throttle_is_bounded_and_incremental() {
     check(1, CASES, |g| {
@@ -50,6 +51,12 @@ fn throttle_is_bounded_and_incremental() {
             // Counters are monotone in reality, but the policy must be
             // robust to arbitrary snapshots too.
             let cmds = p.tick(&stats_pair(produced_raw.max(consumed_raw), consumed_raw), 0);
+            let issued = cmds
+                .iter()
+                .enumerate()
+                .filter_map(|(i, cmd)| Some((i, row_of(cmd.as_ref()?))));
+            let violations = check_commands(None, &[true, true], &[], issued);
+            assert!(violations.is_empty(), "{violations:?}");
             let cur = p.current_target();
             assert!(
                 cur >= min_threads && cur <= max_threads,

@@ -4,7 +4,9 @@
 //! `tests/counting/mod.rs`) over the public API, on eight in-memory runtimes
 //! under supervision (`work/mod.rs`). A steady tick, quiet or commanding,
 //! may not make more allocator calls than its committed `BENCH_work.json`
-//! cell.
+//! cell, and neither may the tick in which one runtime is evicted and
+//! another contained (one command phase: the reclaim and containment
+//! commands go out in the same scatter).
 //!
 //! At commit 0eba4bc a tick looked `scheduler_locality(registry, name)` up
 //! for every tenant (36 allocations each: five keys of a name, a label
@@ -30,4 +32,11 @@ fn steady_state_tick_stays_within_its_allocation_budget() {
             "{name}: a tick over eight runtimes made {calls:.1} allocator calls (committed {budget})"
         );
     }
+    let (name, calls) = work::agent_chaos_tick();
+    println!("{name}: {calls:.1}");
+    let budget = counting::committed(&name);
+    assert!(
+        calls <= budget,
+        "{name}: the tick of an eviction and a containment made {calls:.1} allocator calls (committed {budget})"
+    );
 }

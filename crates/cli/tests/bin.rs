@@ -152,7 +152,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("top", 0xb8882ccabf771c32),
     ("top --outage 1:0.03:0.07", 0x4f474599a93c0f2e),
     ("top --format prom", 0x4886e45f0ae6b1d7),
-    ("top --outage 1:0.03:0.07 --format prom", 0xf697582fb72a57aa),
+    ("top --outage 1:0.03:0.07 --format prom", 0xe73eefd133b1c624),
     ("top --machine dual-socket --duration 0.1 --decision-period 0.02", 0xaff72fc37e4e374a),
 ];
 
