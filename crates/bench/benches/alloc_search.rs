@@ -81,13 +81,13 @@ fn strategy_report(machine: &Machine, apps: &[AppSpec], smoke: bool) -> Value {
             .expect("hill climb")
     });
     // The pre-delta baseline: every proposal pays a full solve through
-    // the boxed-closure oracle.
+    // a closure scorer.
     time("hill_climb_1000_legacy_oracle", &mut || {
         let mut oracle =
             |a: &roofline_numa::ThreadAssignment| coop_alloc::score(machine, apps, a, &objective);
         search::HillClimb::new()
             .with_iterations(1000)
-            .run_with_oracle(machine, apps.len(), &mut oracle)
+            .run_with(machine, apps.len(), &mut oracle)
             .expect("legacy-oracle hill climb")
     });
     Value::Array(rows)
@@ -125,7 +125,9 @@ fn exhaustive_report(machine: &Machine, smoke: bool) -> Value {
     let rescan = |threads: usize| {
         search::ExhaustiveSearch::new()
             .with_threads(threads)
-            .run_cached(machine, &apps, &objective, Some(&cache))
+            .run_with(machine, apps.len(), || {
+                search::ModelOracle::new(machine, &apps, &objective)?.with_cache(Arc::clone(&cache))
+            })
             .expect("cached exhaustive search")
     };
     let (_, cold) = time_median(1, || rescan(1));
@@ -147,8 +149,7 @@ fn exhaustive_report(machine: &Machine, smoke: bool) -> Value {
 }
 
 /// Measures the full-solve reduction that the delta+cache oracle buys a
-/// local search against the legacy boxed-closure oracle (one full solve
-/// per proposal).
+/// local search against a closure scorer (one full solve per proposal).
 fn local_search_report(
     machine: &Machine,
     apps: &[AppSpec],
@@ -163,12 +164,12 @@ fn local_search_report(
             search::SimulatedAnnealing::new()
                 .with_iterations(iterations)
                 .with_seed(7)
-                .run_with_oracle(machine, apps.len(), &mut oracle)
+                .run_with(machine, apps.len(), &mut oracle)
         } else {
             search::HillClimb::new()
                 .with_iterations(iterations)
                 .with_seed(7)
-                .run_with_oracle(machine, apps.len(), &mut oracle)
+                .run_with(machine, apps.len(), &mut oracle)
         }
         .expect("legacy-oracle local search")
     };
@@ -182,7 +183,7 @@ fn local_search_report(
             search::SimulatedAnnealing::new()
                 .with_iterations(iterations)
                 .with_seed(7)
-                .run_model(machine, &mut oracle)
+                .run_with(machine, apps.len(), &mut oracle)
         } else {
             search::HillClimb::new()
                 .with_iterations(iterations)

@@ -12,7 +12,8 @@
 //! distribution regimes.
 
 use crate::report::{Row, Table};
-use coop_alloc::{search::GreedySearch, strategies, ThreadAssignment};
+use coop_alloc::search::{GreedySearch, ModelOracle};
+use coop_alloc::{strategies, Objective};
 use distsim::{simulate, Cluster, Distribution, Synchronization, Workload};
 use memsim::{EffectModel, SimApp, SimConfig, Simulation};
 use numa_topology::presets::dual_socket;
@@ -60,15 +61,11 @@ fn local_speedup(variant: usize, duration_s: f64) -> f64 {
     let r_fair = sim.run(&sim_apps, &fair, duration_s).expect("sim runs");
 
     // Model-guided with a keep-alive floor (every app keeps >= 1 thread).
-    let mut oracle = |a: &ThreadAssignment| -> coop_alloc::Result<f64> {
-        let starved = (0..apps.len()).filter(|&i| a.app_total(i) == 0).count();
-        if starved > 0 {
-            return Ok(-(starved as f64) * 1e12);
-        }
-        coop_alloc::score(&machine, &apps, a, &coop_alloc::Objective::TotalGflops)
-    };
+    let mut oracle = ModelOracle::new(&machine, &apps, &Objective::TotalGflops)
+        .expect("the mix is valid")
+        .with_min_threads(1);
     let found = GreedySearch::new()
-        .run_with_oracle(&machine, apps.len(), &mut oracle)
+        .run_model(&machine, &mut oracle)
         .expect("search succeeds");
     let r_guided = sim
         .run(&sim_apps, &found.assignment, duration_s)

@@ -58,7 +58,7 @@ pub fn run(machine: &Machine, alpha: f64, duration_s: f64) -> SublinearResult {
     };
     let found = GreedySearch::new()
         .filling()
-        .run_with_oracle(machine, 2, &mut oracle)
+        .run_with(machine, 2, &mut oracle)
         .expect("search succeeds");
     let r_found = sim.run(&apps, &found.assignment, duration_s).expect("runs");
 

@@ -10,7 +10,9 @@
 //! runtimes, and one that evicts a runtime and contains another; and a
 //! `live_squeeze` round's spawn (calls and bytes) and execution, per task. The runs are the budget tests' (memsim's, the
 //! agent's and the runtime's `tests/work/mod.rs`), which hold their
-//! measurements to these cells.
+//! measurements to these cells. Beside them, the search layer's: the
+//! agent's cold search (evaluations and calls) and one sequential
+//! exhaustive scan (calls), run here.
 //!
 //! The test measures every cell and compares them with the committed file.
 //! On any difference it rewrites the file — the cells, the rustc that
@@ -30,9 +32,14 @@ mod memsim_work;
 #[path = "../../runtime/tests/work/mod.rs"]
 mod runtime_work;
 
+use coop_alloc::search::{ExhaustiveSearch, GreedySearch, ModelOracle};
+use coop_alloc::{Objective, ScoreCache};
 use coop_telemetry::json::{self, Value};
+use coop_workloads::apps::{model_mix, skylake_mix};
 use memsim::EngineKind;
+use numa_topology::presets::{paper_model_machine, paper_skylake_machine};
 use std::process::Command;
+use std::sync::Arc;
 
 /// The first line `program args` prints, or `"unknown"`.
 fn first_line_of(program: &str, args: &[&str]) -> String {
@@ -45,6 +52,35 @@ fn first_line_of(program: &str, args: &[&str]) -> String {
         .and_then(|out| String::from_utf8(out.stdout).ok())
         .and_then(|text| text.lines().next().map(str::to_string))
         .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// The search layer's cells: the evaluations and allocator calls of the
+/// agent's cold search — one `GreedySearch::run_model` on a fresh
+/// `ModelOracle` (thread floor 1, fresh score cache) over the Table III mix
+/// on the paper's Skylake — and the allocator calls of one sequential
+/// `ExhaustiveSearch::run` over the paper machine's uniform space.
+fn search() -> [(String, f64); 3] {
+    let objective = Objective::TotalGflops;
+    let (machine, specs) = (paper_skylake_machine(), skylake_mix());
+    let oracle = ModelOracle::new(&machine, &specs, &objective)
+        .expect("the Table III mix is valid")
+        .with_min_threads(1);
+    let cache = Arc::new(ScoreCache::new(oracle.fingerprint()));
+    let mut oracle = oracle
+        .with_cache(cache)
+        .expect("the cache was keyed from the oracle");
+    let (cold, cold_cost) =
+        counting::cost_of(|| GreedySearch::new().run_model(&machine, &mut oracle));
+    let cold = cold.expect("the cold search succeeds");
+    let (machine, specs) = (paper_model_machine(), model_mix());
+    let (scan, scan_cost) =
+        counting::cost_of(|| ExhaustiveSearch::new().run(&machine, &specs, &objective));
+    scan.expect("the uniform space is under the limit");
+    [
+        ("search.cold.evaluations".into(), cold.evaluations as f64),
+        ("search.cold.calls".into(), cold_cost.calls as f64),
+        ("search.exhaustive.calls".into(), scan_cost.calls as f64),
+    ]
 }
 
 /// Every cell, in file order.
@@ -62,6 +98,7 @@ fn measure() -> Vec<(String, f64)> {
     cells.push(agent_work::agent_tick(true));
     cells.push(agent_work::agent_chaos_tick());
     cells.extend(runtime_work::live_squeeze());
+    cells.extend(search());
     cells
 }
 

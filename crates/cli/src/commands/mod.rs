@@ -1018,8 +1018,17 @@ fn publish_solve_counters(
         .add(counters.delta_solves);
 }
 
+/// The most worker threads (and, for the stochastic methods, seeds) one
+/// `search` may start: each is an OS thread.
+const MAX_SEARCH_THREADS: usize = 256;
+
 fn search_cmd(x: &SearchArgs, format: OutputFormat) -> Result<String> {
     let (seed, threads) = (x.seed, x.threads);
+    if threads > MAX_SEARCH_THREADS {
+        return Err(CliError::failure(format!(
+            "--threads {threads} is more than the {MAX_SEARCH_THREADS} worker threads a search may start"
+        )));
+    }
     let m = resolve_machine(&x.machine)?;
     let specs = resolve_apps(&m, &x.apps)?;
     let objective = Objective::TotalGflops;
@@ -1043,33 +1052,15 @@ fn search_cmd(x: &SearchArgs, format: OutputFormat) -> Result<String> {
 
     let result = match x.method {
         SearchMethod::Greedy => search::GreedySearch::new().run_model(&m, &mut oracle),
-        SearchMethod::Exhaustive if min_threads == 0 => search::ExhaustiveSearch::new()
+        // One oracle per worker, each sharing the cache.
+        SearchMethod::Exhaustive => search::ExhaustiveSearch::new()
             .with_threads(threads)
             .truncating()
-            .run_cached(&m, &specs, &objective, Some(&cache)),
-        SearchMethod::Exhaustive => {
-            // keep-alive: penalty-aware thread-safe oracle sharing the same
-            // cache (penalized candidates are never cached).
-            let (m_ref, specs_ref, obj_ref, c) = (&m, &specs, &objective, &cache);
-            let sync_oracle = move |a: &ThreadAssignment| -> coop_alloc::Result<f64> {
-                let starved = (0..specs_ref.len())
-                    .filter(|&i| a.app_total(i) < min_threads)
-                    .count();
-                if starved > 0 {
-                    return Ok(-(starved as f64) * 1e12);
-                }
-                if let Some(s) = c.lookup(a) {
-                    return Ok(s);
-                }
-                let s = coop_alloc::score(m_ref, specs_ref, a, obj_ref)?;
-                c.insert(a, s);
-                Ok(s)
-            };
-            search::ExhaustiveSearch::new()
-                .with_threads(threads)
-                .truncating()
-                .run_with_sync_oracle(&m, specs.len(), &sync_oracle)
-        }
+            .run_with(&m, specs.len(), || {
+                search::ModelOracle::new(&m, &specs, &objective)?
+                    .with_min_threads(min_threads)
+                    .with_cache(Arc::clone(&cache))
+            }),
         SearchMethod::Hill => search::HillClimb::new().with_seed(seed).run_portfolio(
             &m,
             &specs,
@@ -1085,7 +1076,6 @@ fn search_cmd(x: &SearchArgs, format: OutputFormat) -> Result<String> {
 
     let report = solve(&m, &specs, &result.assignment)
         .map_err(|e| CliError::failure(format!("re-solve failed: {e}")))?;
-    let cache_stats = cache.stats();
     if let Some(path) = &x.metrics {
         let method = x.method.as_str();
         let hub = coop_telemetry::TelemetryHub::new();
@@ -1112,7 +1102,7 @@ fn search_cmd(x: &SearchArgs, format: OutputFormat) -> Result<String> {
             "evaluations": result.evaluations,
             "full_solves": result.counters.full_solves,
             "delta_solves": result.counters.delta_solves,
-            "cache_hits": result.counters.cache_hits.max(cache_stats.hits),
+            "cache_hits": result.counters.cache_hits,
             "truncated": result.truncated,
             "assignment": result.assignment.to_matrix(),
             "report": report,
@@ -1125,7 +1115,7 @@ fn search_cmd(x: &SearchArgs, format: OutputFormat) -> Result<String> {
         result.evaluations,
         result.counters.full_solves,
         result.counters.delta_solves,
-        result.counters.cache_hits.max(cache_stats.hits),
+        result.counters.cache_hits,
     );
     if result.truncated {
         out.push_str(

@@ -88,6 +88,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// 0.005, 0.035 → 0.034…96 and 0.045…05 → 0.045 (last digit of a printed
 /// float, four apps each), shown byte-equal likewise. `scenario.json` is
 /// `simulate --write-template`'s output in the working directory.
+/// The keep-alive exhaustive row was taken again when that scan came to run
+/// on the model oracle: its stdout with `0 full` → `28 full` solves (the
+/// 17 starved candidates are penalised without one), shown byte-equal.
 /// `hill`/`anneal` stay single-threaded here: two seeds racing one score
 /// cache move the printed hit counts by one under load. `help`, `chaos`,
 /// `observe`, `trace` and `top --format json` (wall-clock fields, live
@@ -103,7 +106,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("solve --machine paper-model --app mem1:local:0.5 --app mem2:local:0.5 --app mem3:local:0.5 --app comp:local:10 --counts 1,1,1,5 --format json", 0x1033b795c6b3b6a6),
     ("search --machine paper-model --app mem:local:0.5 --app comp:local:10 --method greedy --seed 7", 0xacbfe8a52b7875a9),
     ("search --machine paper-model --app mem:local:0.5 --app comp:local:10 --method exhaustive --seed 7", 0x5843238594943397),
-    ("search --machine paper-model --app mem:local:0.5 --app comp:local:10 --method exhaustive --keep-alive --threads 2", 0x34f43662ec2dfdab),
+    ("search --machine paper-model --app mem:local:0.5 --app comp:local:10 --method exhaustive --keep-alive --threads 2", 0xb84e55ff057eb2c3),
     ("search --machine paper-model --app mem:local:0.5 --app comp:local:10 --method hill --seed 7", 0xdd7e2e1ec5f04362),
     ("search --machine paper-model --app mem:local:0.5 --app comp:local:10 --method anneal --seed 7", 0xc54d15b1fa721436),
     ("search --machine paper-skylake --app mem:local:0.03125 --app bad:node0:0.0625 --method hill --seed 11 --keep-alive", 0x8f6beadde7710acd),
@@ -247,6 +250,25 @@ fn too_many_decision_ticks_exit_1_not_a_panic_or_an_abort() {
             stderr.contains("too many decision ticks"),
             "`{args}`: {stderr}"
         );
+    }
+}
+
+/// Each `search --threads` is an OS thread (and, for `hill` and `anneal`,
+/// a seed), so a count past the cap is refused like any other failed run —
+/// not a failed spawn's abort (134) or a panic (101).
+#[test]
+fn too_many_search_threads_exit_1_not_a_panic_or_an_abort() {
+    for method in ["hill", "anneal", "exhaustive", "greedy"] {
+        let args = format!(
+            "search --machine tiny --app a:local:0.5 --app b:local:4 --method {method} --threads 50000"
+        );
+        let out = cli()
+            .args(args.split_whitespace())
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(1), "`{args}`: {out:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains("--threads 50000"), "`{args}`: {stderr}");
     }
 }
 

@@ -148,22 +148,6 @@ impl ScoreCache {
         }
     }
 
-    /// Convenience lookup that builds the key from `assignment` via a
-    /// temporary buffer. Hot loops should use [`ScoreCache::key_of`] +
-    /// [`ScoreCache::lookup_key`] with a reused buffer instead.
-    pub fn lookup(&self, assignment: &ThreadAssignment) -> Option<f64> {
-        let mut buf = Vec::new();
-        Self::key_of(assignment, &mut buf);
-        self.lookup_key(&buf)
-    }
-
-    /// Convenience insert mirroring [`ScoreCache::lookup`].
-    pub fn insert(&self, assignment: &ThreadAssignment, score: f64) {
-        let mut buf = Vec::new();
-        Self::key_of(assignment, &mut buf);
-        self.insert_key(&buf, score)
-    }
-
     /// Snapshot of hit/miss/insert totals and current size.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
@@ -278,14 +262,21 @@ mod tests {
         ]
     }
 
+    /// The cache key of a `[1, 2]`-per-node assignment on the paper machine.
+    fn key() -> Vec<u32> {
+        let m = paper_model_machine();
+        let mut key = Vec::new();
+        ScoreCache::key_of(&ThreadAssignment::uniform_per_node(&m, &[1, 2]), &mut key);
+        key
+    }
+
     #[test]
     fn lookup_miss_then_hit() {
         let cache = ScoreCache::new(42);
-        let m = paper_model_machine();
-        let a = ThreadAssignment::uniform_per_node(&m, &[1, 2]);
-        assert_eq!(cache.lookup(&a), None);
-        cache.insert(&a, 123.5);
-        assert_eq!(cache.lookup(&a), Some(123.5));
+        let a = key();
+        assert_eq!(cache.lookup_key(&a), None);
+        cache.insert_key(&a, 123.5);
+        assert_eq!(cache.lookup_key(&a), Some(123.5));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.inserts), (1, 1, 1));
         assert_eq!(stats.entries, 1);
@@ -294,12 +285,11 @@ mod tests {
     #[test]
     fn duplicate_insert_counts_once() {
         let cache = ScoreCache::new(0);
-        let m = paper_model_machine();
-        let a = ThreadAssignment::uniform_per_node(&m, &[1, 2]);
-        cache.insert(&a, 1.0);
-        cache.insert(&a, 2.0);
+        let a = key();
+        cache.insert_key(&a, 1.0);
+        cache.insert_key(&a, 2.0);
         assert_eq!(cache.stats().inserts, 1);
-        assert_eq!(cache.lookup(&a), Some(1.0), "first insert wins");
+        assert_eq!(cache.lookup_key(&a), Some(1.0), "first insert wins");
     }
 
     #[test]
@@ -335,12 +325,11 @@ mod tests {
     fn metrics_attachment_replays_existing_totals() {
         let registry = MetricsRegistry::new();
         let cache = ScoreCache::new(7);
-        let m = paper_model_machine();
-        let a = ThreadAssignment::uniform_per_node(&m, &[1, 2]);
-        cache.lookup(&a); // miss before attachment
-        cache.insert(&a, 3.0);
+        let a = key();
+        cache.lookup_key(&a); // miss before attachment
+        cache.insert_key(&a, 3.0);
         cache.attach_metrics(&registry, "test");
-        cache.lookup(&a); // hit after attachment
+        cache.lookup_key(&a); // hit after attachment
         assert_eq!(registry.counter_total("coop_score_cache_hits_total"), 1);
         assert_eq!(registry.counter_total("coop_score_cache_misses_total"), 1);
         assert_eq!(registry.counter_total("coop_score_cache_inserts_total"), 1);

@@ -17,12 +17,15 @@
 //! * [`enumerate`] — exhaustive enumeration of assignments for small
 //!   configurations (with combinatorial counting so callers can bound the
 //!   work before starting).
-//! * [`search`] — optimizers that consult the `roofline-numa` model as an
-//!   oracle: exhaustive (uniform or full, optionally fanned out across
-//!   threads), greedy constructive, and seeded hill-climbing/annealing with
-//!   multi-start portfolios. The paper leaves the "how to choose" question
-//!   open as future work; these searches make the machinery concrete and
-//!   are compared in the `alloc_search` ablation bench.
+//! * [`search`] — optimizers over one oracle interface, [`Scorer`]:
+//!   exhaustive (uniform or full, optionally fanned out across threads),
+//!   greedy constructive, and seeded hill-climbing/annealing with
+//!   multi-start portfolios. Each has one generic entry, `run_with`, over
+//!   any scorer — [`ModelOracle`] for the `roofline-numa` model, or a
+//!   closure — and `run` for the plain model. The paper leaves the "how to
+//!   choose" question open as future work; these searches make the
+//!   machinery concrete and are compared in the `alloc_search` ablation
+//!   bench.
 //! * [`cache`] — a memoized score store shared across strategies and agent
 //!   ticks, keyed by the canonical assignment matrix and fingerprinted to
 //!   one solving context. See `docs/performance.md` for the cost model.
@@ -68,7 +71,7 @@ pub use cache::{context_fingerprint, CacheStats, ScoreCache};
 pub use error::AllocError;
 pub use objective::{score, Objective};
 pub use pareto::{pareto_frontier, ParetoPoint};
-pub use search::{ModelOracle, Portfolio, SearchCounters, SearchResult, SyncOracle};
+pub use search::{ModelOracle, Portfolio, Scorer, SearchCounters, SearchResult};
 
 // Re-export the assignment type: it is the lingua franca between this
 // crate, the model, the agent, and the simulator.

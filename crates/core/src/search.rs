@@ -2,10 +2,11 @@
 //!
 //! The paper stops at "the runtime systems would agree on core allocation"
 //! and leaves the choosing to future work; these optimizers make the step
-//! concrete. All of them treat the `roofline-numa` model as a black-box
-//! oracle via [`crate::score`], so swapping in a measured oracle
-//! (e.g. `memsim` runs) only requires a different scoring closure at the
-//! call site of each search's `run_with_oracle`.
+//! concrete. Every search consults one oracle interface, [`Scorer`], through
+//! one generic entry, `run_with`: [`ModelOracle`] scores with the
+//! `roofline-numa` model, and any `FnMut(&ThreadAssignment) -> Result<f64>`
+//! closure is a scorer too, so a measured oracle (e.g. `memsim` runs) is a
+//! different closure at the call site. `run` is the plain-model shorthand.
 //!
 //! * [`ExhaustiveSearch`] — optimal, over the uniform space or (bounded)
 //!   the full space. [`ExhaustiveSearch::with_threads`] fans the enumerated
@@ -90,31 +91,51 @@ pub struct SearchResult {
     /// hits; for local searches it counts the start plus the proposals that
     /// reached the oracle — 1 when a hill climb's warm start was certified.
     pub evaluations: usize,
-    /// How the scores were produced (zeroed for opaque custom oracles).
+    /// How the scores were produced (zero for a scorer that counts
+    /// nothing, such as a closure).
     pub counters: SearchCounters,
     /// `true` if an exhaustive search stopped at its candidate limit instead
     /// of covering the whole space (see [`ExhaustiveSearch::truncating`]).
     pub truncated: bool,
 }
 
-/// An objective oracle: maps an assignment to a value (higher is better).
-pub type Oracle<'a> = dyn FnMut(&ThreadAssignment) -> Result<f64> + 'a;
-
-/// A thread-safe objective oracle for parallel searches.
-///
-/// Any `Fn(&ThreadAssignment) -> Result<f64> + Sync` closure implements
-/// this automatically; stateful oracles implement it directly with interior
-/// synchronization.
-pub trait SyncOracle: Sync {
+/// What a search asks of whatever scores its candidates: the one oracle
+/// interface of this module. Only `score` is required; the defaults
+/// describe an opaque oracle, which scores every candidate from scratch,
+/// keeps no base and counts nothing — what every
+/// `FnMut(&ThreadAssignment) -> Result<f64>` closure is. [`ModelOracle`]
+/// overrides them all. Each search loop is written once over this trait
+/// and monomorphised per scorer, so the [`ModelOracle`] path has no
+/// dynamic dispatch. A parallel exhaustive scan builds one scorer per
+/// worker inside the worker ([`ExhaustiveSearch::run_with`]), so scorers
+/// need neither `Send` nor `Sync`.
+pub trait Scorer {
     /// Scores an assignment (higher is better).
-    fn score(&self, assignment: &ThreadAssignment) -> Result<f64>;
+    fn score(&mut self, assignment: &ThreadAssignment) -> Result<f64>;
+    /// Scores `base` and makes it the incumbent of later `score_move`s.
+    fn set_base(&mut self, base: &ThreadAssignment) -> Result<f64> {
+        self.score(base)
+    }
+    /// Scores a candidate differing from the incumbent on `touched` only.
+    fn score_move(&mut self, candidate: &ThreadAssignment, _touched: &[NodeId]) -> Result<f64> {
+        self.score(candidate)
+    }
+    /// Adopts a candidate just scored by `score_move` as the incumbent.
+    fn accept(&mut self, _candidate: &ThreadAssignment, _touched: &[NodeId]) -> Result<()> {
+        Ok(())
+    }
+    /// `true` only if no neighbour of the incumbent can be accepted.
+    fn certify_base(&mut self) -> bool {
+        false
+    }
+    /// Returns and resets the solver-work counters.
+    fn take_counters(&mut self) -> SearchCounters {
+        SearchCounters::default()
+    }
 }
 
-impl<F> SyncOracle for F
-where
-    F: Fn(&ThreadAssignment) -> Result<f64> + Sync,
-{
-    fn score(&self, assignment: &ThreadAssignment) -> Result<f64> {
+impl<F: FnMut(&ThreadAssignment) -> Result<f64>> Scorer for F {
+    fn score(&mut self, assignment: &ThreadAssignment) -> Result<f64> {
         self(assignment)
     }
 }
@@ -227,17 +248,6 @@ impl<'a> ModelOracle<'a> {
         self.apps.len()
     }
 
-    /// Solver-work counters accumulated since construction (or since the
-    /// last [`take_counters`](ModelOracle::take_counters)).
-    pub fn counters(&self) -> SearchCounters {
-        self.counters
-    }
-
-    /// Returns and resets the accumulated counters.
-    pub fn take_counters(&mut self) -> SearchCounters {
-        std::mem::take(&mut self.counters)
-    }
-
     /// The starvation penalty for `assignment`, if any.
     fn penalty(&self, assignment: &ThreadAssignment) -> Option<f64> {
         if self.min_threads == 0 {
@@ -252,10 +262,16 @@ impl<'a> ModelOracle<'a> {
             None
         }
     }
+}
 
+/// The model's scorer: a local search's [`set_base`](Scorer::set_base),
+/// [`score_move`](Scorer::score_move) and [`accept`](Scorer::accept) fold
+/// into the [`DeltaSolver`], and [`take_counters`](Scorer::take_counters)
+/// reports the solver work since construction or the last call.
+impl Scorer for ModelOracle<'_> {
     /// Scores an arbitrary assignment: penalty check, then cache, then a
     /// full solve (inserted into the cache on the way out).
-    pub fn score(&mut self, assignment: &ThreadAssignment) -> Result<f64> {
+    fn score(&mut self, assignment: &ThreadAssignment) -> Result<f64> {
         if let Some(p) = self.penalty(assignment) {
             return Ok(p);
         }
@@ -288,7 +304,7 @@ impl<'a> ModelOracle<'a> {
     /// Handed the assignment that already is the committed base, it solves
     /// nothing and returns the score it has: a supervisor that re-searches
     /// from an unchanged incumbent every tick pays for the base once.
-    pub fn set_base(&mut self, base: &ThreadAssignment) -> Result<f64> {
+    fn set_base(&mut self, base: &ThreadAssignment) -> Result<f64> {
         if let Some(known) = self.known_base {
             if self.delta.is_base(base) {
                 return Ok(known.score);
@@ -324,7 +340,7 @@ impl<'a> ModelOracle<'a> {
     /// or a lookup in the shared score cache, and the attempt would change
     /// what that cache is asked and holds (`docs/performance.md`,
     /// "Certified optima", has the numbers).
-    pub fn certify_base(&mut self) -> bool {
+    fn certify_base(&mut self) -> bool {
         let Some(KnownBase { score, strict }) = self.known_base else {
             return false;
         };
@@ -349,7 +365,7 @@ impl<'a> ModelOracle<'a> {
     /// only on the `touched` nodes. On separable contexts (all apps
     /// NUMA-local) this re-solves only the touched node columns; otherwise
     /// it consults the cache and falls back to a full solve.
-    pub fn score_move(&mut self, candidate: &ThreadAssignment, touched: &[NodeId]) -> Result<f64> {
+    fn score_move(&mut self, candidate: &ThreadAssignment, touched: &[NodeId]) -> Result<f64> {
         if let Some(p) = self.penalty(candidate) {
             return Ok(p);
         }
@@ -385,7 +401,7 @@ impl<'a> ModelOracle<'a> {
     /// `touched`) as the new incumbent base. On separable contexts this
     /// costs one column re-probe; otherwise it is free (every probe
     /// full-solves anyway).
-    pub fn accept(&mut self, candidate: &ThreadAssignment, touched: &[NodeId]) -> Result<()> {
+    fn accept(&mut self, candidate: &ThreadAssignment, touched: &[NodeId]) -> Result<()> {
         if self.delta.is_separable() {
             // The committed base is about to change: forget what was known
             // first, so a failed probe leaves nothing stale behind.
@@ -404,6 +420,10 @@ impl<'a> ModelOracle<'a> {
             });
         }
         Ok(())
+    }
+
+    fn take_counters(&mut self) -> SearchCounters {
+        std::mem::take(&mut self.counters)
     }
 }
 
@@ -564,24 +584,21 @@ fn replaces(best: &Option<(ThreadAssignment, f64)>, s: f64, cand: &ThreadAssignm
 }
 
 /// Scans ranks `start..end` of `space`, returning the canonical best.
-fn scan_range<F>(
+fn scan_range(
     space: &Space,
     machine: &Machine,
     num_apps: usize,
     start: u128,
     end: u128,
-    scorer: &mut F,
-) -> Result<Option<(ThreadAssignment, f64)>>
-where
-    F: FnMut(&ThreadAssignment) -> Result<f64>,
-{
+    scorer: &mut impl Scorer,
+) -> Result<Option<(ThreadAssignment, f64)>> {
     let num_nodes = machine.num_nodes();
     let mut candidate = ThreadAssignment::zero(machine, num_apps);
     let mut best: Option<(ThreadAssignment, f64)> = None;
     let mut i = start;
     while i < end {
         space.write(i, &mut candidate, num_nodes);
-        let s = scorer(&candidate)?;
+        let s = scorer.score(&candidate)?;
         if replaces(&best, s, &candidate) {
             match &mut best {
                 Some((ba, bs)) => {
@@ -596,123 +613,33 @@ where
     Ok(best)
 }
 
-/// What a search asks of whatever scores its candidates. Only `score` is
-/// required; the defaults describe an opaque oracle, which scores every
-/// candidate from scratch, keeps no base and counts nothing. Each search
-/// loop is written once over this trait and monomorphised per scorer: the
-/// [`ModelOracle`] path has no dynamic dispatch. Parallel workers build
-/// their own instance inside the spawned thread, so implementations need
-/// neither `Send` nor `Sync`.
-trait Scorer {
-    fn score(&mut self, assignment: &ThreadAssignment) -> Result<f64>;
-    /// Scores `base` and makes it the incumbent of later `score_move`s.
-    fn set_base(&mut self, base: &ThreadAssignment) -> Result<f64> {
-        self.score(base)
-    }
-    /// Scores a candidate differing from the incumbent on `touched` only.
-    fn score_move(&mut self, candidate: &ThreadAssignment, _touched: &[NodeId]) -> Result<f64> {
-        self.score(candidate)
-    }
-    /// Adopts a candidate just scored by `score_move` as the incumbent.
-    fn accept(&mut self, _candidate: &ThreadAssignment, _touched: &[NodeId]) -> Result<()> {
-        Ok(())
-    }
-    /// `true` only if no neighbour of the incumbent can be accepted.
-    fn certify_base(&mut self) -> bool {
-        false
-    }
-    fn take_counters(&mut self) -> SearchCounters {
-        SearchCounters::default()
-    }
-}
-
-impl Scorer for ModelOracle<'_> {
-    fn score(&mut self, assignment: &ThreadAssignment) -> Result<f64> {
-        ModelOracle::score(self, assignment)
-    }
-    fn set_base(&mut self, base: &ThreadAssignment) -> Result<f64> {
-        ModelOracle::set_base(self, base)
-    }
-    fn score_move(&mut self, candidate: &ThreadAssignment, touched: &[NodeId]) -> Result<f64> {
-        ModelOracle::score_move(self, candidate, touched)
-    }
-    fn accept(&mut self, candidate: &ThreadAssignment, touched: &[NodeId]) -> Result<()> {
-        ModelOracle::accept(self, candidate, touched)
-    }
-    fn certify_base(&mut self) -> bool {
-        ModelOracle::certify_base(self)
-    }
-    fn take_counters(&mut self) -> SearchCounters {
-        ModelOracle::take_counters(self)
-    }
-}
-
-impl Scorer for Oracle<'_> {
-    fn score(&mut self, assignment: &ThreadAssignment) -> Result<f64> {
-        self(assignment)
-    }
-}
-
-impl Scorer for &dyn SyncOracle {
-    fn score(&mut self, assignment: &ThreadAssignment) -> Result<f64> {
-        SyncOracle::score(*self, assignment)
-    }
-}
-
-/// Effective worker count: at least one, at most one per candidate.
-fn worker_count(threads: usize, n: u128) -> usize {
-    let cap = n.min(usize::MAX as u128).max(1) as usize;
-    threads.clamp(1, cap)
-}
-
-/// Fans `0..n` out over `workers` contiguous chunks on scoped OS threads.
-/// Chunk `w` covers `[n*w/workers, n*(w+1)/workers)`. Errors surface in
-/// worker-index order (deterministic); per-worker bests merge under the
-/// canonical [`replaces`] rule.
-fn run_par<S, F>(
-    space: &Space,
-    machine: &Machine,
-    num_apps: usize,
+/// The searches' one worker fan-out: splits `0..n` into at most `threads`
+/// contiguous chunks — chunk `w` of `k` covers `[n*w/k, n*(w+1)/k)` — and
+/// runs `work` on each, one scoped OS thread per chunk, or inline when
+/// there is one chunk. Results reach `merge` in chunk order and the first
+/// error in chunk order is returned, so the outcome does not depend on the
+/// thread count.
+fn fan_out<T: Send>(
     n: u128,
-    workers: usize,
-    make: &F,
-) -> Result<(Option<(ThreadAssignment, f64)>, SearchCounters)>
-where
-    S: Scorer,
-    F: Fn() -> Result<S> + Sync,
-{
-    type WorkerOut = Result<(Option<(ThreadAssignment, f64)>, SearchCounters)>;
-    let results: Vec<WorkerOut> = std::thread::scope(|sc| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let start = n * w as u128 / workers as u128;
-                let end = n * (w as u128 + 1) / workers as u128;
-                sc.spawn(move || -> WorkerOut {
-                    let mut scorer = make()?;
-                    let best = scan_range(space, machine, num_apps, start, end, &mut |a| {
-                        scorer.score(a)
-                    })?;
-                    Ok((best, scorer.take_counters()))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("search worker panicked"))
-            .collect()
-    });
-    let mut counters = SearchCounters::default();
-    let mut best: Option<(ThreadAssignment, f64)> = None;
-    for r in results {
-        let (wbest, wc) = r?;
-        counters.merge(wc);
-        if let Some((a, s)) = wbest {
-            if replaces(&best, s, &a) {
-                best = Some((a, s));
-            }
-        }
+    threads: usize,
+    work: impl Fn(u128, u128) -> Result<T> + Sync,
+    mut merge: impl FnMut(T),
+) -> Result<()> {
+    let workers = threads.clamp(1, n.clamp(1, usize::MAX as u128) as usize) as u128;
+    if workers == 1 {
+        merge(work(0, n)?);
+        return Ok(());
     }
-    Ok((best, counters))
+    let work = &work;
+    std::thread::scope(|sc| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| sc.spawn(move || work(n * w / workers, n * (w + 1) / workers)))
+            .collect();
+        for handle in handles {
+            merge(handle.join().expect("search worker panicked")?);
+        }
+        Ok(())
+    })
 }
 
 /// Exhaustive search over an enumerable space of assignments.
@@ -803,99 +730,50 @@ impl ExhaustiveSearch {
         apps: &[AppSpec],
         objective: &Objective,
     ) -> Result<SearchResult> {
-        self.run_cached(machine, apps, objective, None)
+        self.run_with(machine, apps.len(), || {
+            ModelOracle::new(machine, apps, objective)
+        })
     }
 
-    /// Like [`run`](ExhaustiveSearch::run), but memoizing scores in (and
-    /// reusing scores from) a shared cache. The cache fingerprint must match
-    /// the context ([`AllocError::CacheMismatch`] otherwise).
-    pub fn run_cached(
+    /// Runs the search over scorers that `make` builds, one per worker
+    /// (see [`with_threads`](ExhaustiveSearch::with_threads)); the
+    /// result's counters are the workers' summed.
+    pub fn run_with<S: Scorer>(
         &self,
         machine: &Machine,
-        apps: &[AppSpec],
-        objective: &Objective,
-        cache: Option<&Arc<ScoreCache>>,
+        num_apps: usize,
+        make: impl Fn() -> Result<S> + Sync,
     ) -> Result<SearchResult> {
-        if apps.is_empty() {
+        if num_apps == 0 {
             return Err(AllocError::NoApps);
         }
-        let num_apps = apps.len();
         let (n, truncated) = self.plan(machine, num_apps)?;
-        let make = || {
-            let oracle = ModelOracle::new(machine, apps, objective)?;
-            match cache {
-                Some(c) => oracle.with_cache(Arc::clone(c)),
-                None => Ok(oracle),
-            }
-        };
-        let workers = worker_count(self.threads, n);
-        let space = self.space(machine, num_apps);
-        let (best, counters) = if workers <= 1 {
-            let mut scorer = make()?;
-            let best = scan_range(&space, machine, num_apps, 0, n, &mut |a| scorer.score(a))?;
-            (best, ModelOracle::take_counters(&mut scorer))
-        } else {
-            run_par(&space, machine, num_apps, n, workers, &make)?
-        };
+        let space = Space::build(machine, num_apps, self.uniform_only);
+        let mut counters = SearchCounters::default();
+        let mut best: Option<(ThreadAssignment, f64)> = None;
+        fan_out(
+            n,
+            self.threads,
+            |start, end| {
+                let mut scorer = make()?;
+                let chunk_best = scan_range(&space, machine, num_apps, start, end, &mut scorer)?;
+                Ok((chunk_best, scorer.take_counters()))
+            },
+            |(worker_best, worker_counters)| {
+                counters.merge(worker_counters);
+                if let Some((a, s)) = worker_best {
+                    if replaces(&best, s, &a) {
+                        best = Some((a, s));
+                    }
+                }
+            },
+        )?;
         let (assignment, score) = best.expect("space contains at least the empty assignment");
         Ok(SearchResult {
             assignment,
             score,
             evaluations: n as usize,
             counters,
-            truncated,
-        })
-    }
-
-    fn space(&self, machine: &Machine, num_apps: usize) -> Space {
-        Space::build(machine, num_apps, self.uniform_only)
-    }
-
-    /// Runs the search with a caller-supplied (sequential) oracle.
-    pub fn run_with_oracle(
-        &self,
-        machine: &Machine,
-        num_apps: usize,
-        oracle: &mut Oracle<'_>,
-    ) -> Result<SearchResult> {
-        if num_apps == 0 {
-            return Err(AllocError::NoApps);
-        }
-        let (n, truncated) = self.plan(machine, num_apps)?;
-        let space = self.space(machine, num_apps);
-        let best = scan_range(&space, machine, num_apps, 0, n, &mut |a| oracle(a))?;
-        let (assignment, score) = best.expect("space contains at least the empty assignment");
-        Ok(SearchResult {
-            assignment,
-            score,
-            evaluations: n as usize,
-            counters: SearchCounters::default(),
-            truncated,
-        })
-    }
-
-    /// Runs the search with a caller-supplied thread-safe oracle, fanning
-    /// out across [`threads`](ExhaustiveSearch::with_threads) workers.
-    pub fn run_with_sync_oracle(
-        &self,
-        machine: &Machine,
-        num_apps: usize,
-        oracle: &dyn SyncOracle,
-    ) -> Result<SearchResult> {
-        if num_apps == 0 {
-            return Err(AllocError::NoApps);
-        }
-        let (n, truncated) = self.plan(machine, num_apps)?;
-        let space = self.space(machine, num_apps);
-        let workers = worker_count(self.threads, n);
-        let make = || Ok(oracle);
-        let (best, _) = run_par(&space, machine, num_apps, n, workers, &make)?;
-        let (assignment, score) = best.expect("space contains at least the empty assignment");
-        Ok(SearchResult {
-            assignment,
-            score,
-            evaluations: n as usize,
-            counters: SearchCounters::default(),
             truncated,
         })
     }
@@ -931,35 +809,24 @@ impl GreedySearch {
         apps: &[AppSpec],
         objective: &Objective,
     ) -> Result<SearchResult> {
-        let mut oracle = ModelOracle::new(machine, apps, objective)?;
-        self.run_model(machine, &mut oracle)
+        self.run_model(machine, &mut ModelOracle::new(machine, apps, objective)?)
     }
 
-    /// Runs the search against a configured [`ModelOracle`] (delta scoring,
-    /// caching, starvation penalty).
+    /// [`run_with`](GreedySearch::run_with) a configured [`ModelOracle`].
     pub fn run_model(
         &self,
         machine: &Machine,
         oracle: &mut ModelOracle<'_>,
     ) -> Result<SearchResult> {
-        self.construct(machine, oracle.num_apps(), oracle)
+        self.run_with(machine, oracle.num_apps(), oracle)
     }
 
-    /// Runs the search with a caller-supplied oracle.
-    pub fn run_with_oracle(
+    /// Runs the search over `scorer`.
+    pub fn run_with(
         &self,
         machine: &Machine,
         num_apps: usize,
-        oracle: &mut Oracle<'_>,
-    ) -> Result<SearchResult> {
-        self.construct(machine, num_apps, oracle)
-    }
-
-    fn construct<S: Scorer + ?Sized>(
-        &self,
-        machine: &Machine,
-        num_apps: usize,
-        scorer: &mut S,
+        scorer: &mut impl Scorer,
     ) -> Result<SearchResult> {
         if num_apps == 0 {
             return Err(AllocError::NoApps);
@@ -1074,70 +941,37 @@ where
             None => Ok(oracle),
         }
     };
-    // Surface a fingerprint mismatch before spawning anything.
+    // Surface a fingerprint mismatch before any search runs.
     make()?;
-
-    let workers = portfolio.threads.clamp(1, seeds.len());
-    let per_worker: Vec<Result<Vec<SearchResult>>> = std::thread::scope(|sc| {
-        let seeds = &seeds;
-        let run_one = &run_one;
-        let make = &make;
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let start = seeds.len() * w / workers;
-                let end = seeds.len() * (w + 1) / workers;
-                sc.spawn(move || -> Result<Vec<SearchResult>> {
-                    let mut out = Vec::with_capacity(end - start);
-                    for &seed in &seeds[start..end] {
-                        let mut oracle = make()?;
-                        out.push(run_one(seed, &mut oracle)?);
-                    }
-                    Ok(out)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("portfolio worker panicked"))
-            .collect()
-    });
 
     let mut merged: Option<SearchResult> = None;
     let mut evaluations = 0usize;
     let mut counters = SearchCounters::default();
-    for r in per_worker {
-        for res in r? {
-            evaluations += res.evaluations;
-            counters.merge(res.counters);
-            let replace = match &merged {
-                None => true,
-                Some(b) => res.score > b.score,
-            };
-            if replace {
-                merged = Some(res);
+    fan_out(
+        seeds.len() as u128,
+        portfolio.threads,
+        |start, end| {
+            let seeds = &seeds[start as usize..end as usize];
+            let mut out = Vec::with_capacity(seeds.len());
+            for &seed in seeds {
+                out.push(run_one(seed, &mut make()?)?);
             }
-        }
-    }
+            Ok(out)
+        },
+        |results| {
+            for res in results {
+                evaluations += res.evaluations;
+                counters.merge(res.counters);
+                if merged.as_ref().is_none_or(|b| res.score > b.score) {
+                    merged = Some(res);
+                }
+            }
+        },
+    )?;
     let mut best = merged.expect("portfolio raced at least one seed");
     best.evaluations = evaluations;
     best.counters = counters;
     Ok(best)
-}
-
-/// Where a local search starts: the given assignment, checked against the
-/// machine, or else the fair share.
-fn start_from(
-    start: Option<ThreadAssignment>,
-    machine: &Machine,
-    num_apps: usize,
-) -> Result<ThreadAssignment> {
-    match start {
-        Some(s) => {
-            s.validate(machine)?;
-            Ok(s)
-        }
-        None => strategies::fair_share(machine, num_apps),
-    }
 }
 
 /// Seeded stochastic hill-climbing over move/add/remove neighbourhoods.
@@ -1206,8 +1040,7 @@ impl HillClimb {
         apps: &[AppSpec],
         objective: &Objective,
     ) -> Result<SearchResult> {
-        let mut oracle = ModelOracle::new(machine, apps, objective)?;
-        self.run_model(machine, &mut oracle)
+        self.run_model(machine, &mut ModelOracle::new(machine, apps, objective)?)
     }
 
     /// Races this climb across `portfolio.seeds`, sharing `cache` among the
@@ -1231,39 +1064,36 @@ impl HillClimb {
         )
     }
 
-    /// Runs the search against a configured [`ModelOracle`]: every
-    /// neighbourhood proposal is scored incrementally (delta solve on
-    /// separable contexts) and accepted moves fold into the oracle's base.
+    /// [`run_with`](HillClimb::run_with) a configured [`ModelOracle`]:
+    /// every proposal is scored incrementally (delta solve on separable
+    /// contexts) and accepted moves fold into the oracle's base.
     pub fn run_model(
         self,
         machine: &Machine,
         oracle: &mut ModelOracle<'_>,
     ) -> Result<SearchResult> {
-        self.climb(machine, oracle.num_apps(), oracle)
+        self.run_with(machine, oracle.num_apps(), oracle)
     }
 
-    /// Runs the search with a caller-supplied oracle.
-    pub fn run_with_oracle(
+    /// Runs the search over `scorer`.
+    pub fn run_with(
         self,
         machine: &Machine,
         num_apps: usize,
-        oracle: &mut Oracle<'_>,
-    ) -> Result<SearchResult> {
-        self.climb(machine, num_apps, oracle)
-    }
-
-    fn climb<S: Scorer + ?Sized>(
-        self,
-        machine: &Machine,
-        num_apps: usize,
-        scorer: &mut S,
+        scorer: &mut impl Scorer,
     ) -> Result<SearchResult> {
         if num_apps == 0 {
             return Err(AllocError::NoApps);
         }
         let mut rng = StdRng::seed_from_u64(self.seed);
         let warm = self.start.is_some();
-        let mut current = start_from(self.start, machine, num_apps)?;
+        let mut current = match self.start {
+            Some(start) => {
+                start.validate(machine)?;
+                start
+            }
+            None => strategies::fair_share(machine, num_apps)?,
+        };
         let mut current_score = scorer.set_base(&current)?;
         let mut evals = 1usize;
         // A warm start that is a certified strict local optimum is also the
@@ -1350,15 +1180,16 @@ mod tests {
 
         // Constrain to "every app runs at least one thread per node" via a
         // custom oracle: the paper's (1,1,1,5) is optimal there.
-        let apps = paper_apps();
-        let mut oracle = |a: &ThreadAssignment| -> crate::Result<f64> {
-            if (0..apps.len()).any(|i| m.node_ids().any(|n| a.get(i, n) == 0)) {
-                return Ok(f64::NEG_INFINITY);
-            }
-            score(&m, &apps, a, &Objective::TotalGflops)
-        };
+        let (m, apps) = (&m, &paper_apps());
         let r = ExhaustiveSearch::new()
-            .run_with_oracle(&m, apps.len(), &mut oracle)
+            .run_with(m, apps.len(), || {
+                Ok(move |a: &ThreadAssignment| -> Result<f64> {
+                    if (0..apps.len()).any(|i| m.node_ids().any(|n| a.get(i, n) == 0)) {
+                        return Ok(f64::NEG_INFINITY);
+                    }
+                    score(m, apps, a, &Objective::TotalGflops)
+                })
+            })
             .unwrap();
         assert!((r.score - 254.0).abs() < 1e-9, "got {}", r.score);
         let counts: Vec<usize> = (0..4).map(|i| r.assignment.get(i, NodeId(0))).collect();
@@ -1435,13 +1266,14 @@ mod tests {
             .unwrap()
             .fingerprint();
         let cache = Arc::new(ScoreCache::new(fp));
+        let make = || ModelOracle::new(&m, &apps, &objective)?.with_cache(Arc::clone(&cache));
         let first = ExhaustiveSearch::new()
-            .run_cached(&m, &apps, &objective, Some(&cache))
+            .run_with(&m, apps.len(), make)
             .unwrap();
         assert_eq!(first.counters.full_solves, 495);
         assert_eq!(first.counters.cache_hits, 0);
         let second = ExhaustiveSearch::new()
-            .run_cached(&m, &apps, &objective, Some(&cache))
+            .run_with(&m, apps.len(), make)
             .unwrap();
         assert_eq!(second.counters.cache_hits, 495);
         assert_eq!(second.counters.full_solves, 0);
@@ -1454,8 +1286,9 @@ mod tests {
         let m = paper_model_machine();
         let apps = paper_apps();
         let cache = Arc::new(ScoreCache::new(0xbad));
-        let err =
-            ExhaustiveSearch::new().run_cached(&m, &apps, &Objective::TotalGflops, Some(&cache));
+        let err = ExhaustiveSearch::new().run_with(&m, apps.len(), || {
+            ModelOracle::new(&m, &apps, &Objective::TotalGflops)?.with_cache(Arc::clone(&cache))
+        });
         assert!(matches!(err, Err(AllocError::CacheMismatch { .. })));
     }
 
@@ -1555,24 +1388,81 @@ mod tests {
         assert!(h.counters.full_solves > 0);
     }
 
+    /// Every strategy over a [`ModelOracle`] — delta-scored where the
+    /// context is separable, with and without the starvation floor — equals
+    /// the same strategy over a closure that full-solves every candidate
+    /// and adds the same penalty: same assignment, score bits and
+    /// evaluation count. The exhaustive scan also agrees with itself at 1
+    /// and 8 workers.
     #[test]
-    fn hill_climb_model_path_matches_oracle_path() {
-        // The delta-scored model path must reproduce the plain-oracle path
-        // bit for bit: same RNG consumption, same oracle values, same
-        // accepted moves.
-        let m = paper_model_machine();
-        let apps = paper_apps();
-        let climb = HillClimb::new().with_iterations(800).with_seed(9);
-        let fast = climb
-            .clone()
-            .run(&m, &apps, &Objective::TotalGflops)
-            .unwrap();
-        let mut oracle =
-            |a: &ThreadAssignment| -> Result<f64> { score(&m, &apps, a, &Objective::TotalGflops) };
-        let slow = climb.run_with_oracle(&m, apps.len(), &mut oracle).unwrap();
-        assert_eq!(fast.assignment, slow.assignment);
-        assert_eq!(fast.score, slow.score);
-        assert_eq!(fast.evaluations, slow.evaluations);
+    fn model_and_closure_agree_on_every_strategy() {
+        let crossnode = paper_crossnode_machine();
+        let mut numa_bad = paper_apps();
+        numa_bad[3] = AppSpec::numa_bad("bad", 1.0, NodeId(3));
+        let objective = &Objective::TotalGflops;
+        for (m, apps) in [
+            (&paper_model_machine(), &paper_apps()),
+            (&crossnode, &numa_bad),
+        ] {
+            for min_threads in [0, 1] {
+                let model = || {
+                    ModelOracle::new(m, apps, objective).map(|o| o.with_min_threads(min_threads))
+                };
+                let closure = || {
+                    Ok(move |a: &ThreadAssignment| -> Result<f64> {
+                        let starved = (0..apps.len()).filter(|&i| a.app_total(i) < min_threads);
+                        match starved.count() {
+                            0 => score(m, apps, a, objective),
+                            n => Ok(-(n as f64) * 1e12),
+                        }
+                    })
+                };
+                let n = apps.len();
+                let greedy = GreedySearch::new();
+                let climb = HillClimb::new().with_iterations(800).with_seed(9);
+                let anneal = SimulatedAnnealing::new().with_iterations(600).with_seed(21);
+                let exhaustive = ExhaustiveSearch::new();
+                let runs = [
+                    (
+                        "greedy",
+                        greedy.run_model(m, &mut model().unwrap()),
+                        greedy.run_with(m, n, &mut closure().unwrap()),
+                    ),
+                    (
+                        "hill climb",
+                        climb.clone().run_model(m, &mut model().unwrap()),
+                        climb.run_with(m, n, &mut closure().unwrap()),
+                    ),
+                    (
+                        "annealing",
+                        anneal.run_with(m, n, &mut model().unwrap()),
+                        anneal.run_with(m, n, &mut closure().unwrap()),
+                    ),
+                    (
+                        "exhaustive",
+                        exhaustive.run_with(m, n, model),
+                        exhaustive.run_with(m, n, closure),
+                    ),
+                    (
+                        "exhaustive, 8 workers",
+                        exhaustive.clone().with_threads(8).run_with(m, n, model),
+                        exhaustive.clone().with_threads(8).run_with(m, n, closure),
+                    ),
+                ];
+                let serial = runs[3].1.as_ref().unwrap();
+                for (what, fast, slow) in &runs {
+                    let what = format!("{what}, {}, floor {min_threads}", m.name());
+                    let (fast, slow) = (fast.as_ref().unwrap(), slow.as_ref().unwrap());
+                    assert_eq!(fast.assignment, slow.assignment, "{what}");
+                    assert_eq!(fast.score.to_bits(), slow.score.to_bits(), "{what}");
+                    assert_eq!(fast.evaluations, slow.evaluations, "{what}");
+                    if what.starts_with("exhaustive") {
+                        assert_eq!(fast.assignment, serial.assignment, "{what}");
+                        assert_eq!(fast.score.to_bits(), serial.score.to_bits(), "{what}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1669,24 +1559,22 @@ mod tests {
         // An oracle that prefers fewer threads drives searches to empty.
         let m = tiny();
         let mut oracle = |a: &ThreadAssignment| -> Result<f64> { Ok(-(a.total() as f64)) };
-        let g = GreedySearch::new()
-            .run_with_oracle(&m, 2, &mut oracle)
-            .unwrap();
+        let g = GreedySearch::new().run_with(&m, 2, &mut oracle).unwrap();
         assert_eq!(g.assignment.total(), 0);
     }
 
     #[test]
-    fn sync_oracle_parallel_search_matches_sequential_custom() {
+    fn closure_exhaustive_scan_matches_across_thread_counts() {
         let m = tiny();
-        let oracle = |a: &ThreadAssignment| -> Result<f64> { Ok(a.total() as f64) };
+        let make = || Ok(|a: &ThreadAssignment| -> Result<f64> { Ok(a.total() as f64) });
         let seq = ExhaustiveSearch::new()
             .full_space()
-            .run_with_sync_oracle(&m, 2, &oracle)
+            .run_with(&m, 2, make)
             .unwrap();
         let par = ExhaustiveSearch::new()
             .full_space()
             .with_threads(4)
-            .run_with_sync_oracle(&m, 2, &oracle)
+            .run_with(&m, 2, make)
             .unwrap();
         assert_eq!(seq.assignment, par.assignment);
         assert_eq!(seq.score, par.score);
@@ -2036,14 +1924,11 @@ mod certified_tests {
             .with_start(start.clone());
         let mut nan_neighbours =
             |a: &ThreadAssignment| -> Result<f64> { Ok(if *a == start { 1.0 } else { f64::NAN }) };
-        let r = climb
-            .clone()
-            .run_with_oracle(&m, 1, &mut nan_neighbours)
-            .unwrap();
+        let r = climb.clone().run_with(&m, 1, &mut nan_neighbours).unwrap();
         assert_eq!(r.assignment, start);
         let mut nan_base =
             |a: &ThreadAssignment| -> Result<f64> { Ok(if *a == start { f64::NAN } else { 2.0 }) };
-        let r = climb.run_with_oracle(&m, 1, &mut nan_base).unwrap();
+        let r = climb.run_with(&m, 1, &mut nan_base).unwrap();
         assert_eq!(r.assignment, start);
         assert!(r.score.is_nan());
     }
@@ -2067,8 +1952,6 @@ pub struct SimulatedAnnealing {
     pub initial_temperature: f64,
     /// Multiplicative cooling factor per iteration (0 < c < 1).
     pub cooling: f64,
-    /// Starting assignment; defaults to the fair share.
-    pub start: Option<ThreadAssignment>,
 }
 
 impl Default for SimulatedAnnealing {
@@ -2078,7 +1961,6 @@ impl Default for SimulatedAnnealing {
             seed: 0xa17ea1,
             initial_temperature: 10.0,
             cooling: 0.999,
-            start: None,
         }
     }
 }
@@ -2101,13 +1983,6 @@ impl SimulatedAnnealing {
         self
     }
 
-    /// Overrides the temperature schedule.
-    pub fn with_schedule(mut self, initial_temperature: f64, cooling: f64) -> Self {
-        self.initial_temperature = initial_temperature;
-        self.cooling = cooling;
-        self
-    }
-
     /// Runs the search with the analytic model as the oracle.
     pub fn run(
         &self,
@@ -2115,8 +1990,11 @@ impl SimulatedAnnealing {
         apps: &[AppSpec],
         objective: &Objective,
     ) -> Result<SearchResult> {
-        let mut oracle = ModelOracle::new(machine, apps, objective)?;
-        self.run_model(machine, &mut oracle)
+        self.run_with(
+            machine,
+            apps.len(),
+            &mut ModelOracle::new(machine, apps, objective)?,
+        )
     }
 
     /// Races this annealer across `portfolio.seeds`, sharing `cache` among
@@ -2136,41 +2014,27 @@ impl SimulatedAnnealing {
             portfolio,
             self.seed,
             cache,
-            |seed, oracle| self.clone().with_seed(seed).run_model(machine, oracle),
+            |seed, oracle| {
+                let num_apps = oracle.num_apps();
+                self.clone()
+                    .with_seed(seed)
+                    .run_with(machine, num_apps, oracle)
+            },
         )
     }
 
-    /// Runs the search against a configured [`ModelOracle`] (delta scoring,
-    /// caching, starvation penalty).
-    pub fn run_model(
-        &self,
-        machine: &Machine,
-        oracle: &mut ModelOracle<'_>,
-    ) -> Result<SearchResult> {
-        self.anneal(machine, oracle.num_apps(), oracle)
-    }
-
-    /// Runs the search with a caller-supplied oracle.
-    pub fn run_with_oracle(
+    /// Runs the search over `scorer`, starting from the fair share.
+    pub fn run_with(
         &self,
         machine: &Machine,
         num_apps: usize,
-        oracle: &mut Oracle<'_>,
-    ) -> Result<SearchResult> {
-        self.anneal(machine, num_apps, oracle)
-    }
-
-    fn anneal<S: Scorer + ?Sized>(
-        &self,
-        machine: &Machine,
-        num_apps: usize,
-        scorer: &mut S,
+        scorer: &mut impl Scorer,
     ) -> Result<SearchResult> {
         if num_apps == 0 {
             return Err(AllocError::NoApps);
         }
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut current = start_from(self.start.clone(), machine, num_apps)?;
+        let mut current = strategies::fair_share(machine, num_apps)?;
         let mut current_score = scorer.set_base(&current)?;
         let mut best = current.clone();
         let mut best_score = current_score;
@@ -2282,7 +2146,7 @@ mod annealing_tests {
         let fast = sa.run(&m, &apps, &Objective::TotalGflops).unwrap();
         let mut oracle =
             |a: &ThreadAssignment| -> Result<f64> { score(&m, &apps, a, &Objective::TotalGflops) };
-        let slow = sa.run_with_oracle(&m, apps.len(), &mut oracle).unwrap();
+        let slow = sa.run_with(&m, apps.len(), &mut oracle).unwrap();
         assert_eq!(fast.assignment, slow.assignment);
         assert_eq!(fast.score, slow.score);
         assert_eq!(fast.evaluations, slow.evaluations);
@@ -2320,12 +2184,13 @@ mod annealing_tests {
     #[test]
     fn zero_temperature_degenerates_to_hill_climb_behaviour() {
         let m = paper_model_machine();
-        let sa = SimulatedAnnealing::new()
-            .with_iterations(1000)
-            .with_schedule(0.0, 0.5)
-            .with_seed(5)
-            .run(&m, &paper_apps(), &Objective::TotalGflops)
-            .unwrap();
+        let sa = SimulatedAnnealing {
+            initial_temperature: 0.0,
+            cooling: 0.5,
+            ..SimulatedAnnealing::new().with_iterations(1000).with_seed(5)
+        }
+        .run(&m, &paper_apps(), &Objective::TotalGflops)
+        .unwrap();
         // Monotone acceptance only: still valid and never below the start.
         let start = strategies::fair_share(&m, 4).unwrap();
         let s0 = score(&m, &paper_apps(), &start, &Objective::TotalGflops).unwrap();

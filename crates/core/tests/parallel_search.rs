@@ -81,14 +81,14 @@ fn equal_scores_break_ties_toward_the_lowest_canonical_assignment() {
     // A constant oracle makes every candidate tie; every thread count must
     // then agree on the first assignment in enumeration order.
     let m = small_machine();
-    let constant = |_: &ThreadAssignment| -> coop_alloc::Result<f64> { Ok(1.0) };
+    let constant = || Ok(|_: &ThreadAssignment| -> coop_alloc::Result<f64> { Ok(1.0) });
     let seq = search::ExhaustiveSearch::new()
-        .run_with_sync_oracle(&m, 2, &constant)
+        .run_with(&m, 2, constant)
         .unwrap();
     for threads in [2usize, 8] {
         let par = search::ExhaustiveSearch::new()
             .with_threads(threads)
-            .run_with_sync_oracle(&m, 2, &constant)
+            .run_with(&m, 2, constant)
             .unwrap();
         assert_eq!(seq.assignment, par.assignment, "{threads} threads");
     }
@@ -140,15 +140,16 @@ fn shared_cache_turns_a_repeat_scan_into_pure_hits() {
         .unwrap()
         .fingerprint();
     let cache = Arc::new(ScoreCache::new(fp));
+    let cached = || search::ModelOracle::new(&m, &apps, &objective)?.with_cache(Arc::clone(&cache));
     let first = search::ExhaustiveSearch::new()
-        .run_cached(&m, &apps, &objective, Some(&cache))
+        .run_with(&m, apps.len(), cached)
         .unwrap();
     let after_first = cache.stats();
     assert_eq!(after_first.inserts as usize, first.evaluations);
     assert_eq!(after_first.hits, 0);
     let second = search::ExhaustiveSearch::new()
         .with_threads(4)
-        .run_cached(&m, &apps, &objective, Some(&cache))
+        .run_with(&m, apps.len(), cached)
         .unwrap();
     let after_second = cache.stats();
     assert_eq!(after_second.inserts, after_first.inserts, "no re-inserts");
@@ -206,18 +207,18 @@ fn portfolio_results_do_not_depend_on_the_thread_count() {
 }
 
 #[test]
-fn parallel_sync_oracle_matches_the_sequential_closure_oracle() {
+fn parallel_closure_scan_matches_the_sequential_one() {
     let m = small_machine();
     let apps = paper_apps();
     let objective = Objective::TotalGflops;
-    let mut seq_oracle = |a: &ThreadAssignment| score(&m, &apps, a, &objective);
+    let (m, apps, objective) = (&m, &apps, &objective);
+    let closure = || Ok(move |a: &ThreadAssignment| score(m, apps, a, objective));
     let seq = search::ExhaustiveSearch::new()
-        .run_with_oracle(&m, apps.len(), &mut seq_oracle)
+        .run_with(m, apps.len(), closure)
         .unwrap();
-    let sync_oracle = |a: &ThreadAssignment| score(&m, &apps, a, &objective);
     let par = search::ExhaustiveSearch::new()
         .with_threads(8)
-        .run_with_sync_oracle(&m, apps.len(), &sync_oracle)
+        .run_with(m, apps.len(), closure)
         .unwrap();
     assert_eq!(seq.score.to_bits(), par.score.to_bits());
     assert_eq!(seq.assignment, par.assignment);

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use numa_coop::alloc::search::{ExhaustiveSearch, GreedySearch};
+use numa_coop::alloc::search::{ExhaustiveSearch, GreedySearch, ModelOracle};
 use numa_coop::prelude::*;
 use numa_coop::topology::presets::paper_model_machine;
 
@@ -61,15 +61,11 @@ fn main() {
         best.score, best.evaluations
     );
 
-    let mut oracle = |a: &ThreadAssignment| -> numa_coop::alloc::Result<f64> {
-        let starved = (0..apps.len()).filter(|&i| a.app_total(i) == 0).count();
-        if starved > 0 {
-            return Ok(-(starved as f64) * 1e12);
-        }
-        score(&machine, &apps, a, &Objective::TotalGflops)
-    };
+    let mut oracle = ModelOracle::new(&machine, &apps, &Objective::TotalGflops)
+        .unwrap()
+        .with_min_threads(1);
     let fair_best = GreedySearch::new()
-        .run_with_oracle(&machine, apps.len(), &mut oracle)
+        .run_model(&machine, &mut oracle)
         .unwrap();
     println!(
         "greedy optimum (every app kept alive): {:.1} GFLOPS",
