@@ -1331,10 +1331,10 @@ mod tests {
             agent.tick().unwrap();
         }
         // The first of three tenants' fair row: 8 cores per node leave a
-        // remainder of 2, rotated by node index.
+        // remainder of 2, handed out round the tenants across the nodes.
         assert_eq!(
             *cmds.lock(),
-            vec![ThreadCommand::PerNode(vec![3, 2, 3, 3]); 3],
+            vec![ThreadCommand::PerNode(vec![3, 3, 2, 3]); 3],
             "contained at the 2nd, 3rd and 4th climbing tick"
         );
     }

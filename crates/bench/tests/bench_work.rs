@@ -5,8 +5,8 @@
 //! workspace's counting `#[global_allocator]` (memsim's
 //! `tests/counting/mod.rs`): a steady `ctl_paper` decision tick, fixed or
 //! re-optimizing, on both engines (calls and bytes); what a `ctl_paper` run
-//! pays besides its ticks; one `fleet_outages` run; one `fleet_diurnal` run
-//! per tenant; a quiet and a commanding `Agent::tick` over eight
+//! pays besides its ticks; one `fleet_outages` run, and its segments; one
+//! `fleet_diurnal` run per tenant, and its segments and events; a quiet and a commanding `Agent::tick` over eight
 //! runtimes, and one that evicts a runtime and contains another; and a
 //! `live_squeeze` round's spawn (calls and bytes) and execution, per task. The runs are the budget tests' (memsim's, the
 //! agent's and the runtime's `tests/work/mod.rs`), which hold their
@@ -92,8 +92,8 @@ fn measure() -> Vec<(String, f64)> {
         }
     }
     cells.extend(memsim_work::ctl_paper_setup());
-    cells.push(memsim_work::fleet_outages_run());
-    cells.push(memsim_work::fleet_diurnal_run());
+    cells.extend(memsim_work::fleet_outages_run());
+    cells.extend(memsim_work::fleet_diurnal_run());
     cells.push(agent_work::agent_tick(false));
     cells.push(agent_work::agent_tick(true));
     cells.push(agent_work::agent_chaos_tick());

@@ -13,20 +13,23 @@ use crate::{AllocError, Result};
 use numa_topology::{Machine, NodeId};
 use roofline_numa::ThreadAssignment;
 
-/// Gives each application an equal share of every node's cores; any cores
-/// left over (when the core count is not divisible) are handed out one per
-/// application, starting at application `node % num_apps` and wrapping, so
-/// no application is favoured on every node.
+/// Gives each application an equal share of every node's cores; the cores
+/// left over on a node (when its core count is not divisible) are handed
+/// out one per application, continuing round the applications from where
+/// the previous node's left-overs stopped. The hand-out is one round-robin
+/// over the whole machine, so per-application totals differ by at most one
+/// and nobody gets nothing while the machine has a core per application —
+/// this is the floor §II's "fair share of the cores" promises.
 ///
 /// The split of a node is three numbers — the share everybody gets, how
-/// many applications get one more, and the first of those — worked out once
-/// per node. The rows are written only where they are non-zero: a base row
-/// is copied into every row when some node has a share to give everybody,
-/// then each node adds one to its `extra` rows starting at `first`. The
-/// writes cost O(nodes + Σ extra) over a zeroed matrix, so a fleet of more
-/// applications than a node has cores pays for its handed-out cores, not
-/// for its cells. (Carrying the start across nodes instead of restarting
-/// it at `node % num_apps` would change only where the increments begin.)
+/// many applications get one more, and the first of those (the previous
+/// node's first plus its extras, modulo the applications) — worked out
+/// once per node. The rows are written only where they are non-zero: a
+/// base row is copied into every row when some node has a share to give
+/// everybody, then each node adds one to its `extra` rows starting at
+/// `first`. The writes cost O(nodes + Σ extra) over a zeroed matrix, so a
+/// fleet of more applications than a node has cores pays for its handed-out
+/// cores, not for its cells.
 ///
 /// On the paper's 4x8 machine with 4 applications this is the (2,2,2,2)
 /// allocation of Table II.
@@ -57,12 +60,15 @@ fn fill_fair(
     if sharers == 0 {
         return Err(AllocError::NoApps);
     }
-    // (base, extra, first) per node.
+    // (base, extra, first) per node, the hand-out carried across nodes.
+    let mut offset = 0;
     let splits: Vec<(usize, usize, usize)> = machine
         .node_ids()
         .map(|node| {
             let cores = machine.node(node).num_cores();
-            (cores / sharers, cores % sharers, node.0 % sharers)
+            let (base, extra, first) = (cores / sharers, cores % sharers, offset);
+            offset = (offset + extra) % sharers;
+            (base, extra, first)
         })
         .collect();
     let mut a = ThreadAssignment::zero(machine, num_rows);

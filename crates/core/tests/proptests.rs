@@ -53,12 +53,14 @@ fn fair_share_uses_all_cores() {
     });
 }
 
-/// One cell of `fair_share` written as a formula: the remainder rotated by
-/// the node index, two `%` per cell. The strategy writes only the cells it
-/// fills; kept here as the oracle, it must return exactly this.
-fn fair_share_cell(cores: usize, num_apps: usize, node: usize, app: usize) -> usize {
-    let (base, extra) = (cores / num_apps, cores % num_apps);
-    base + usize::from((app + num_apps - node % num_apps) % num_apps < extra)
+/// One cell of `fair_share` written as a formula: node `node`'s remainder
+/// handed out from where the remainders of the nodes before it stopped.
+/// The strategy writes only the cells it fills; kept here as the oracle,
+/// it must return exactly this.
+fn fair_share_cell(sizes: &[usize], num_apps: usize, node: usize, app: usize) -> usize {
+    let first = sizes[..node].iter().map(|&c| c % num_apps).sum::<usize>() % num_apps;
+    let (base, extra) = (sizes[node] / num_apps, sizes[node] % num_apps);
+    base + usize::from((app + num_apps - first) % num_apps < extra)
 }
 
 /// On machines with nodes of unequal size and up to 300 applications
@@ -78,7 +80,7 @@ fn fair_share_is_the_per_cell_formula() {
             for app in 0..apps {
                 assert_eq!(
                     a.get(app, NodeId(node)),
-                    fair_share_cell(cores, apps, node, app),
+                    fair_share_cell(&sizes, apps, node, app),
                     "app {app} of {apps} on node {node} ({cores} cores)"
                 );
             }
@@ -93,6 +95,43 @@ fn fair_share_is_the_per_cell_formula() {
     assert_eq!(
         strategies::fair_share(&paper, 0),
         Err(coop_alloc::AllocError::NoApps)
+    );
+}
+
+/// `fair_share` is a floor: on random machines (equal nodes or not) and
+/// application counts, every node hands out exactly its cores, per-app
+/// totals differ by at most one when the nodes are equal, and no
+/// application gets nothing while the machine has a core for each.
+#[test]
+fn fair_share_gives_everybody_a_core_when_there_are_enough() {
+    check(11, CASES, |g| {
+        let equal = g.bool(0.5);
+        let nodes = g.range(1..17usize);
+        let sizes = if equal {
+            vec![g.range(1..65usize); nodes]
+        } else {
+            g.vec(nodes..nodes + 1, |g| g.range(1..65usize))
+        };
+        let total: usize = sizes.iter().sum();
+        let apps = g.range(1..=2 * total);
+        let a = strategies::fair_share(&unequal_machine(&sizes), apps).unwrap();
+        for (node, &cores) in sizes.iter().enumerate() {
+            assert_eq!(a.node_total(NodeId(node)), cores, "node {node}");
+        }
+        let totals: Vec<usize> = (0..apps).map(|app| a.app_total(app)).collect();
+        let (lo, hi) = (totals.iter().min().unwrap(), totals.iter().max().unwrap());
+        if equal {
+            assert!(hi - lo <= 1, "{apps} apps on {sizes:?}: totals {lo}..={hi}");
+        }
+        if total >= apps {
+            assert!(*lo > 0, "{apps} apps on {sizes:?}: an app got no core");
+        }
+    });
+    // Table II's even allocation is unchanged.
+    let paper = paper_model_machine();
+    assert_eq!(
+        strategies::fair_share(&paper, 4).unwrap(),
+        ThreadAssignment::uniform_per_node(&paper, &[2, 2, 2, 2])
     );
 }
 

@@ -503,7 +503,8 @@ pub(crate) fn dominant_node(assignment: &ThreadAssignment, app: usize) -> Option
     (best > 0).then_some(node as u64)
 }
 
-/// One [`Thread`] per assigned thread, app-major, replacing `threads`.
+/// One [`Thread`] per assigned thread, app-major, replacing `threads`: one
+/// test per cell, and one block write per non-zero cell.
 pub(crate) fn expand_threads(
     assignment: &ThreadAssignment,
     num_nodes: usize,
@@ -512,11 +513,12 @@ pub(crate) fn expand_threads(
     threads.clear();
     for app in 0..assignment.num_apps() {
         for (node, &count) in assignment.row(app)[..num_nodes].iter().enumerate() {
-            for _ in 0..count {
-                threads.push(Thread {
+            if count > 0 {
+                let th = Thread {
                     app,
                     home: NodeId(node),
-                });
+                };
+                threads.extend(std::iter::repeat_n(th, count));
             }
         }
     }
@@ -526,16 +528,21 @@ pub(crate) fn expand_threads(
 /// whole supervised session); [`compute_rates`] resizes and clears it every
 /// call, so nothing in the hot loop allocates once the high-water mark is
 /// reached.
+///
+/// "Per-thread" below means per *walked* thread: the active threads of the
+/// last arbitration, in thread order ([`RateScratch::walked`]).
 #[derive(Debug, Default)]
 pub(crate) struct RateScratch {
     /// Per-app: active at the evaluation instant.
     pub(crate) active: Vec<bool>,
+    /// Some app was idle, so `live` holds the active threads.
+    compacted: bool,
+    /// The active threads, in thread order, when some app is idle.
+    live: Vec<Thread>,
     /// Per-node: runnable-thread census and capacity factors.
     nodes: Vec<NodeCensus>,
     /// Per-app: active-thread census and sync-overhead factor.
     apps: Vec<AppCensus>,
-    /// Per-thread: holds a core this quantum (discrete time-slicing).
-    on_core: Vec<bool>,
     /// Per-thread: compute capacity, GFLOPS.
     pub(crate) cap: Vec<f64>,
     /// The non-zero memory demands, one column per target node.
@@ -549,26 +556,30 @@ pub(crate) struct RateScratch {
     col: Vec<f64>,
     /// Per-target-node temporaries.
     node_tmp: NodeScratch,
-    runnable_ids: Vec<usize>,
 }
 
 impl RateScratch {
-    fn reset(&mut self, num_apps: usize, num_threads: usize, num_nodes: usize) {
+    fn reset(&mut self, num_apps: usize, num_nodes: usize) {
         self.active.clear();
         self.active.resize(num_apps, false);
         self.nodes.clear();
         self.nodes.resize(num_nodes, NodeCensus::default());
         self.apps.clear();
         self.apps.resize(num_apps, AppCensus::default());
-        self.on_core.clear();
-        self.on_core.resize(num_threads, true);
-        self.cap.clear();
-        self.cap.resize(num_threads, 0.0);
-        self.granted.clear();
-        self.granted.resize(num_threads, 0.0);
         self.node_served.clear();
         self.node_served.resize(num_nodes, 0.0);
         self.node_tmp.reset(num_apps, num_nodes);
+    }
+
+    /// The threads the per-thread buffers index after an arbitration over
+    /// `threads`: its active threads, which are `threads` itself when every
+    /// app was active.
+    pub(crate) fn walked<'a>(&'a self, threads: &'a [Thread]) -> &'a [Thread] {
+        if self.compacted {
+            &self.live
+        } else {
+            threads
+        }
     }
 
     /// Ends a quantum of discrete time-slicing: every node the last
@@ -597,6 +608,13 @@ impl RateScratch {
 struct NodeCensus {
     /// Active threads homed on the node.
     runnable: usize,
+    /// The time-slicing window slot of the node's next runnable thread in
+    /// thread order: the `pos`-th sits in slot `(pos + runnable - offset %
+    /// runnable) % runnable`, for the node's round-robin offset.
+    slot: usize,
+    /// A thread in a slot below this holds a core: the node's cores when
+    /// it is time-sliced (discrete and over-subscribed), else every slot.
+    on_core_below: usize,
     /// `peak * duty * switch` of a thread off and on a core: a thread's
     /// duty is its node's, except under discrete time-slicing, where it is
     /// 0 or 1 by the thread's core.
@@ -717,7 +735,7 @@ fn for_each_demand(
     total: f64,
     mut emit: impl FnMut(usize, f64),
 ) {
-    // An idle thread (`cap == 0`) demands nothing.
+    // A thread time-sliced off its core (`cap == 0`) demands nothing.
     if total > 0.0 {
         match placement {
             DataPlacement::Local => emit(home.0, total),
@@ -765,6 +783,7 @@ pub(crate) fn compute_rates(
     rates_prologue(
         machine, effects, peak, apps, threads, t, discrete, rng, rr_offset, s,
     );
+    let threads = if s.compacted { &s.live[..] } else { threads };
 
     s.demand
         .build(apps, threads, &s.cap, &mut s.granted, num_nodes);
@@ -790,9 +809,17 @@ pub(crate) fn compute_rates(
 
 /// The prefix of [`compute_rates`] that couples the whole fleet: the
 /// active set, the per-node runnable census, discrete time-slicing, and
-/// every thread's compute capacity (the stage that draws from the jitter
-/// RNG). A function of its own because the dense oracle in the tests
-/// shares it.
+/// every active thread's compute capacity (the stage that draws from the
+/// jitter RNG). A function of its own because the dense oracle in the
+/// tests shares it.
+///
+/// When some app is idle, the census also collects the active threads into
+/// `s.live`, and every per-thread pass after it — capacities here, then
+/// demand columns, arbitration, the fold and the caller's integration —
+/// walks that list instead of `threads`. An idle thread's capacity is 0:
+/// every term it would feed those passes is an exact `+ 0.0` or a skipped
+/// branch, and it draws no jitter, so leaving it out changes no bit. With
+/// every app active the passes walk `threads` itself, copying nothing.
 #[allow(clippy::too_many_arguments)] // same bundle as compute_rates
 fn rates_prologue(
     machine: &Machine,
@@ -806,56 +833,62 @@ fn rates_prologue(
     rr_offset: &[usize],
     s: &mut RateScratch,
 ) {
-    let num_nodes = machine.num_nodes();
-    s.reset(apps.len(), threads.len(), num_nodes);
+    s.reset(apps.len(), machine.num_nodes());
+    let num_threads = threads.len();
 
     // Which apps are active at this instant?
+    let mut all_active = true;
     for (a, app) in apps.iter().enumerate() {
-        s.active[a] = app.activity.is_active(t);
+        let active = app.activity.is_active(t);
+        s.active[a] = active;
+        all_active &= active;
     }
 
     // Per-node runnable census (for duty cycles and interference).
-    for th in threads {
-        if s.active[th.app] {
+    s.compacted = !all_active;
+    if all_active {
+        for th in threads {
             s.nodes[th.home.0].runnable += 1;
             s.apps[th.app].threads += 1;
         }
-    }
-
-    // Discrete time-slicing: pick which runnable threads hold a core this
-    // quantum (a window per node, rotated by `RateScratch::rotate`).
-    if discrete {
-        #[allow(clippy::needless_range_loop)] // indexes three parallel structures
-        for node in 0..num_nodes {
-            let cores = machine.node(NodeId(node)).num_cores();
-            s.runnable_ids.clear();
-            s.runnable_ids.extend(
-                threads
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, th)| th.home.0 == node && s.active[th.app])
-                    .map(|(i, _)| i),
-            );
-            let runnable = &s.runnable_ids;
-            if runnable.len() > cores {
-                for (pos, &i) in runnable.iter().enumerate() {
-                    let slot =
-                        (pos + runnable.len() - rr_offset[node] % runnable.len()) % runnable.len();
-                    s.on_core[i] = slot < cores;
-                }
+    } else {
+        s.live.clear();
+        s.live.reserve(num_threads);
+        for th in threads {
+            if s.active[th.app] {
+                s.nodes[th.home.0].runnable += 1;
+                s.apps[th.app].threads += 1;
+                s.live.push(*th);
             }
         }
+    }
+    let threads = if s.compacted { &s.live[..] } else { threads };
+    // Reserving for the whole assignment keeps one allocation per buffer
+    // however the active count moves from segment to segment.
+    for per_thread in [&mut s.cap, &mut s.granted] {
+        per_thread.clear();
+        per_thread.reserve(num_threads);
+        per_thread.resize(threads.len(), 0.0);
     }
 
     // Per-thread compute capacity (GFLOPS): `peak * duty * switch * sync *
     // jitter`, evaluated left to right. Duty and switch depend on the
     // thread's node alone (a time-sliced duty is 0 or 1 by the thread's
     // core) and sync on its app, so those factors are taken once per node
-    // and (by its first active thread) once per app, in the product's own
-    // order; jitter is drawn per thread.
+    // and (by its first thread) once per app, in the product's own order;
+    // jitter is drawn per thread. Discrete time-slicing gives a core to the
+    // runnable threads in a window per node, rotated by
+    // `RateScratch::rotate`.
     for (node, census) in s.nodes.iter_mut().enumerate() {
-        let cores = machine.node(NodeId(node)).num_cores() as f64;
-        let runnable = census.runnable as f64;
+        let cores = machine.node(NodeId(node)).num_cores();
+        let runnable = census.runnable;
+        census.on_core_below = if discrete && runnable > cores {
+            census.slot = (runnable - rr_offset[node] % runnable) % runnable;
+            cores
+        } else {
+            usize::MAX
+        };
+        let (cores, runnable) = (cores as f64, runnable as f64);
         let duty = if discrete {
             1.0
         } else {
@@ -868,10 +901,7 @@ fn rates_prologue(
         };
         census.cap = [peak * 0.0 * switch, peak * duty * switch];
     }
-    for (i, th) in threads.iter().enumerate() {
-        if !s.active[th.app] {
-            continue;
-        }
+    for (th, cap) in threads.iter().zip(s.cap.iter_mut()) {
         let jitter = if effects.jitter > 0.0 {
             1.0 + effects.jitter * (rng.gen::<f64>() * 2.0 - 1.0)
         } else {
@@ -882,8 +912,13 @@ fn rates_prologue(
             let alpha = apps[th.app].sync_overhead;
             1.0 / (1.0 + alpha * (app.threads as f64 - 1.0))
         });
-        let node_cap = s.nodes[th.home.0].cap[usize::from(s.on_core[i])];
-        s.cap[i] = node_cap * sync * jitter;
+        let node = &mut s.nodes[th.home.0];
+        let on_core = node.slot < node.on_core_below;
+        node.slot += 1;
+        if node.slot == node.runnable {
+            node.slot = 0;
+        }
+        *cap = node.cap[usize::from(on_core)] * sync * jitter;
     }
 }
 
@@ -1755,16 +1790,31 @@ mod timeslice_tests {
 }
 
 /// The dense arbitration this crate ran before demand columns: a
-/// `threads × nodes` demand matrix, each target walking one
-/// stride-`num_nodes` column of it seven times. Kept as the oracle for
-/// [`DemandCols`]: everything [`compute_rates`] produces must equal it bit
-/// for bit, because every term the columns skip is an exact `+ 0.0` or was
-/// already gated on `d > 0` here.
+/// `threads × nodes` demand matrix over every assigned thread, idle or not,
+/// each target walking one stride-`num_nodes` column of it seven times.
+/// Kept as the oracle for [`DemandCols`] and for walking the active threads
+/// alone: everything [`compute_rates`] produces must equal it bit for bit,
+/// read through the active list, because every term the columns and the
+/// compaction skip is an exact `+ 0.0` or was already gated on `d > 0`
+/// here.
 #[cfg(test)]
 mod dense_reference {
     use super::*;
     use crate::{ActivityPattern, EffectModel};
     use numa_topology::{LinkMatrix, MachineBuilder};
+
+    /// The indices into `threads` of the threads whose app is active at
+    /// `t`: what [`compute_rates`]' per-thread buffers index, in order.
+    pub(super) fn active_ids(apps: &[SimApp], threads: &[Thread], t: f64) -> Vec<usize> {
+        (0..threads.len())
+            .filter(|&i| apps[threads[i].app].activity.is_active(t))
+            .collect()
+    }
+
+    /// `full`'s entries at `ids`.
+    pub(super) fn gather(full: &[f64], ids: &[usize]) -> Vec<f64> {
+        ids.iter().map(|&i| full[i]).collect()
+    }
 
     fn dense_demand_row(app: &SimApp, home: NodeId, cap: f64, row: &mut [f64]) {
         let num_nodes = row.len();
@@ -1899,20 +1949,23 @@ mod dense_reference {
         (served_total, remote_in)
     }
 
-    /// `(cap, granted, node_served, remote_in)` the dense way; `remote_in`
-    /// is the remote share of each node's served bandwidth, which only
-    /// this oracle still computes (the test wants fleets that have some).
+    /// `(cap, granted, node_served, remote_in)` the dense way, `cap` and
+    /// `granted` one per assigned thread; `remote_in` is the remote share
+    /// of each node's served bandwidth, which only this oracle still
+    /// computes (the test wants fleets that have some).
+    #[allow(clippy::too_many_arguments)] // the prologue's bundle
     fn dense_rates(
         machine: &Machine,
         effects: &EffectModel,
         apps: &[SimApp],
         threads: &[Thread],
         t: f64,
+        discrete: bool,
+        rr_offset: &[usize],
         rng: &mut StdRng,
     ) -> [Vec<f64>; 4] {
         let num_nodes = machine.num_nodes();
         let mut s = RateScratch::default();
-        let rr_offset = vec![0usize; num_nodes];
         rates_prologue(
             machine,
             effects,
@@ -1920,17 +1973,23 @@ mod dense_reference {
             apps,
             threads,
             t,
-            false,
+            discrete,
             rng,
-            &rr_offset,
+            rr_offset,
             &mut s,
         );
+        // The prologue's capacities are the active threads'; an idle
+        // thread's is 0.
+        let mut cap = vec![0.0f64; threads.len()];
+        for (&i, &c) in active_ids(apps, threads, t).iter().zip(&s.cap) {
+            cap[i] = c;
+        }
         let mut demand_to = vec![0.0f64; threads.len() * num_nodes];
         for (i, th) in threads.iter().enumerate() {
             dense_demand_row(
                 &apps[th.app],
                 th.home,
-                s.cap[i],
+                cap[i],
                 &mut demand_to[i * num_nodes..(i + 1) * num_nodes],
             );
         }
@@ -1954,7 +2013,7 @@ mod dense_reference {
                 }
             }
         }
-        [s.cap, granted, served, remote_in]
+        [cap, granted, served, remote_in]
     }
 
     /// A random fleet the benchmark's all-`Local`, fully subscribed shapes
@@ -2069,18 +2128,23 @@ mod dense_reference {
     }
 
     /// Holds [`compute_rates`] at instant `t` to [`dense_rates`] bit for
-    /// bit, twice through one scratch (the second call must not see the
-    /// first one's columns, stamps or grants). Returns the dense remote
-    /// inflow per node, and how many targets were arbitrated with no
-    /// remote entry and how many with some.
+    /// bit, read through the active list, twice through one scratch (the
+    /// second call must not see the first one's columns, stamps or grants);
+    /// the idle threads the compaction left out must have had neither
+    /// capacity nor grant. Returns the dense remote inflow per node, how
+    /// many targets were arbitrated with no remote entry and how many with
+    /// some, and whether the passes walked a compacted list.
+    #[allow(clippy::too_many_arguments)] // the prologue's bundle
     fn assert_matches_dense(
         machine: &Machine,
         effects: &EffectModel,
         apps: &[SimApp],
         threads: &[Thread],
         t: f64,
+        discrete: bool,
+        rr_offset: &[usize],
         seed: u64,
-    ) -> (Vec<f64>, [usize; 2]) {
+    ) -> (Vec<f64>, [usize; 2], bool) {
         // Jitter draws are part of what must match.
         let [cap, granted, served, remote_in] = dense_rates(
             machine,
@@ -2088,8 +2152,15 @@ mod dense_reference {
             apps,
             threads,
             t,
+            discrete,
+            rr_offset,
             &mut StdRng::seed_from_u64(seed),
         );
+        let active = active_ids(apps, threads, t);
+        for i in (0..threads.len()).filter(|i| active.binary_search(i).is_err()) {
+            assert_eq!((cap[i], granted[i]), (0.0, 0.0), "idle thread {i}");
+        }
+        let (cap, granted) = (gather(&cap, &active), gather(&granted, &active));
         let mut s = RateScratch::default();
         for _ in 0..2 {
             compute_rates(
@@ -2099,11 +2170,17 @@ mod dense_reference {
                 apps,
                 threads,
                 t,
-                false,
+                discrete,
                 &mut StdRng::seed_from_u64(seed),
-                &vec![0usize; machine.num_nodes()],
+                rr_offset,
                 &mut s,
             );
+            let walked = s.walked(threads);
+            assert_eq!(walked.len(), active.len(), "seed {seed}, t {t}: walked");
+            assert!(walked
+                .iter()
+                .zip(&active)
+                .all(|(th, &i)| (th.app, th.home) == (threads[i].app, threads[i].home)));
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&s.cap), bits(&cap), "seed {seed}, t {t}: cap");
             assert_eq!(
@@ -2117,15 +2194,16 @@ mod dense_reference {
                 "seed {seed}, t {t}: node_served"
             );
         }
+        let walked = s.walked(threads);
         let mut targets = [0usize; 2];
         for target in 0..machine.num_nodes() {
             let remote = s
                 .demand
                 .column(target)
-                .any(|(i, _)| threads[i].home.0 != target);
+                .any(|(i, _)| walked[i].home.0 != target);
             targets[usize::from(remote)] += 1;
         }
-        (remote_in, targets)
+        (remote_in, targets, s.compacted)
     }
 
     #[test]
@@ -2135,31 +2213,53 @@ mod dense_reference {
         // Arbitrated targets without and with remote entries: both
         // branches of the remote-first stage.
         let mut targets = [0usize; 2];
-        let effects = |case: u64| {
-            if case.is_multiple_of(2) {
-                EffectModel::skylake_like()
-            } else {
-                EffectModel::ideal()
-            }
+        // Arbitrations over every thread and over a compacted list, and
+        // compacted ones under discrete time-slicing with jitter on.
+        let mut walks = [0usize; 3];
+        let effects = |case: u64| match case % 4 {
+            0 => EffectModel::skylake_like(),
+            1 => EffectModel {
+                jitter: 0.01,
+                ..EffectModel::skylake_like()
+            },
+            _ => EffectModel::ideal(),
         };
         for case in 0..400u64 {
             let (machine, apps, threads) = random_fleet(&mut gen);
             for app in &apps {
                 app.spec.validate(&machine).unwrap();
             }
-            let (remote_in, seen) =
-                assert_matches_dense(&machine, &effects(case), &apps, &threads, 0.5, case);
+            // Every other case time-sliced, its windows rotated by a few.
+            let discrete = case % 2 == 1;
+            let rr_offset: Vec<usize> = (0..machine.num_nodes())
+                .map(|node| (case as usize + 3 * node) % 5)
+                .collect();
+            let effects = effects(case);
+            let (remote_in, seen, compacted) = assert_matches_dense(
+                &machine, &effects, &apps, &threads, 0.5, discrete, &rr_offset, case,
+            );
             remote_fleets += usize::from(remote_in.iter().any(|&r| r > 0.0));
             targets = [targets[0] + seen[0], targets[1] + seen[1]];
+            walks[usize::from(compacted)] += 1;
+            walks[2] += usize::from(compacted && discrete && effects.jitter > 0.0);
         }
         // The benchmark's all-local fleets, where no target has a remote
         // entry, at instants that catch different phase groups bursting.
         for (case, (nodes, cores)) in [(8, 12), (16, 16), (64, 16)].into_iter().enumerate() {
             let (machine, apps, threads) = bursting_fleet(nodes, cores, &mut gen);
+            let rr_offset = vec![0; nodes];
             for (k, t) in [0.03, 0.27, 0.5, 0.74, 0.98].into_iter().enumerate() {
                 let seed = 1000 + 10 * case as u64 + k as u64;
-                let (_, seen) =
-                    assert_matches_dense(&machine, &effects(seed), &apps, &threads, t, seed);
+                let (_, seen, _) = assert_matches_dense(
+                    &machine,
+                    &effects(seed),
+                    &apps,
+                    &threads,
+                    t,
+                    false,
+                    &rr_offset,
+                    seed,
+                );
                 assert_eq!(seen[1], 0, "{nodes} x {cores} at {t} s: all local");
                 targets[0] += seen[0];
             }
@@ -2172,27 +2272,34 @@ mod dense_reference {
             targets.iter().all(|&n| n > 100),
             "targets without / with remote entries: {targets:?}"
         );
+        assert!(
+            walks.iter().all(|&n| n > 20),
+            "all-active / compacted / compacted, sliced and jittered: {walks:?}"
+        );
     }
 }
 
 /// The per-thread capacity loop [`rates_prologue`] ran before it took duty,
-/// switch and sync once per node and app, verbatim, over a census of its
-/// own (only the time-slicing window is the prologue's): the oracle for
-/// that change, which the dense oracle cannot be, as it shares the prologue.
+/// switch and sync once per node and app, and before it walked the active
+/// threads alone, verbatim, over a census and a time-slicing window of its
+/// own: the oracle for those changes, which the dense oracle cannot be, as
+/// it shares the prologue.
 #[cfg(test)]
 mod capacity_reference {
+    use super::dense_reference::{active_ids, gather};
     use super::*;
     use crate::EffectModel;
 
     /// What the loop read: the active set, the per-node and per-app
     /// census, and which threads hold a core.
-    struct Census<'a> {
+    struct Census {
         active: Vec<bool>,
         runnable_per_node: Vec<usize>,
         app_threads_total: Vec<usize>,
-        on_core: &'a [bool],
+        on_core: Vec<bool>,
     }
 
+    /// One capacity per assigned thread, and which threads held a core.
     #[allow(clippy::too_many_arguments)] // the prologue's bundle
     fn reference_cap(
         machine: &Machine,
@@ -2203,18 +2310,39 @@ mod capacity_reference {
         t: f64,
         discrete: bool,
         rng: &mut StdRng,
-        on_core: &[bool],
-    ) -> Vec<f64> {
+        rr_offset: &[usize],
+    ) -> (Vec<f64>, Vec<bool>) {
         let mut s = Census {
             active: apps.iter().map(|app| app.activity.is_active(t)).collect(),
             runnable_per_node: vec![0; machine.num_nodes()],
             app_threads_total: vec![0; apps.len()],
-            on_core,
+            on_core: vec![true; threads.len()],
         };
         for th in threads {
             if s.active[th.app] {
                 s.runnable_per_node[th.home.0] += 1;
                 s.app_threads_total[th.app] += 1;
+            }
+        }
+        // Discrete time-slicing: pick which runnable threads hold a core
+        // this quantum (a window per node, rotated by `rr_offset`).
+        if discrete {
+            #[allow(clippy::needless_range_loop)] // indexes three parallel structures
+            for node in 0..machine.num_nodes() {
+                let cores = machine.node(NodeId(node)).num_cores();
+                let runnable: Vec<usize> = threads
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, th)| th.home.0 == node && s.active[th.app])
+                    .map(|(i, _)| i)
+                    .collect();
+                if runnable.len() > cores {
+                    for (pos, &i) in runnable.iter().enumerate() {
+                        let slot = (pos + runnable.len() - rr_offset[node] % runnable.len())
+                            % runnable.len();
+                        s.on_core[i] = slot < cores;
+                    }
+                }
             }
         }
         let mut cap = vec![0.0; threads.len()];
@@ -2248,19 +2376,21 @@ mod capacity_reference {
             };
             cap[i] = peak * duty * switch * sync * jitter;
         }
-        cap
+        (cap, s.on_core)
     }
 
     /// Over random fleets — over-subscribed nodes, sync overhead, idle
     /// apps — with jitter on and off, in continuous and discrete time, the
-    /// prologue's capacities equal the per-thread product bit for bit, and
-    /// it leaves the jitter stream where the per-thread loop does.
+    /// prologue's capacities are the per-thread product's of the active
+    /// threads bit for bit, and it leaves the jitter stream where the
+    /// per-thread loop does.
     #[test]
     fn capacity_factors_match_the_per_thread_product_bit_for_bit() {
         let mut gen = StdRng::seed_from_u64(0x0ca9_f4c7);
         // Fleets with an over-subscribed node, an active app with sync
-        // overhead, an idle app, a thread time-sliced off its core.
-        let mut seen = [0usize; 4];
+        // overhead, an idle app, a thread time-sliced off its core, and an
+        // idle app while a thread is time-sliced off.
+        let mut seen = [0usize; 5];
         for case in 0..480u64 {
             let (machine, apps, threads) = super::dense_reference::random_fleet(&mut gen);
             let discrete = case % 2 == 1;
@@ -2279,7 +2409,7 @@ mod capacity_reference {
                 &machine, &effects, peak, &apps, &threads, t, discrete, &mut rng, &rr_offset,
                 &mut s,
             );
-            let cap = reference_cap(
+            let (cap, on_core) = reference_cap(
                 &machine,
                 &effects,
                 peak,
@@ -2288,10 +2418,15 @@ mod capacity_reference {
                 t,
                 discrete,
                 &mut reference_rng,
-                &s.on_core,
+                &rr_offset,
             );
+            let active = active_ids(&apps, &threads, t);
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&s.cap), bits(&cap), "case {case}: cap");
+            assert_eq!(
+                bits(&s.cap),
+                bits(&gather(&cap, &active)),
+                "case {case}: cap"
+            );
             // SplitMix64's output is a bijection of its state.
             assert_eq!(rng.next_u64(), reference_rng.next_u64(), "case {case}: RNG");
 
@@ -2301,11 +2436,9 @@ mod capacity_reference {
                 .any(|(node, census)| census.runnable > node.num_cores());
             let synced = (0..apps.len()).any(|a| s.active[a] && apps[a].sync_overhead > 0.0);
             let idle = s.active.contains(&false);
-            let sliced = threads
-                .iter()
-                .enumerate()
-                .any(|(i, th)| s.active[th.app] && !s.on_core[i]);
-            for (n, hit) in seen.iter_mut().zip([oversubscribed, synced, idle, sliced]) {
+            let sliced = active.iter().any(|&i| !on_core[i]);
+            let hits = [oversubscribed, synced, idle, sliced, idle && sliced];
+            for (n, hit) in seen.iter_mut().zip(hits) {
                 *n += usize::from(hit);
             }
         }

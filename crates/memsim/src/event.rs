@@ -473,10 +473,12 @@ pub(crate) fn advance_time(
         // Integrate the constant-rate segment analytically. Slices, so the
         // stores below cannot be taken to rewrite a vector's pointer or
         // length inside `run` (one per cent of `fleet_diurnal`).
+        // The walk covers the arbitration's active threads alone: an idle
+        // one's capacity is 0 and would be skipped.
         let (cap, granted) = (&run.rates.cap[..], &run.rates.granted[..]);
         let (app_rate, window_gflop) = (&mut run.app_rate[..], &mut run.window_gflop[..]);
         app_rate.fill(0.0);
-        for (i, th) in run.threads.iter().enumerate() {
+        for (i, th) in run.rates.walked(&run.threads).iter().enumerate() {
             if cap[i] == 0.0 {
                 continue;
             }

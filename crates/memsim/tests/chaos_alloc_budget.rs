@@ -35,15 +35,19 @@ mod fleets;
 mod work;
 
 /// One test, so that no other thread of this binary allocates while a run
-/// is counted: the outage run, then the bursting run.
+/// is counted: the outage run, then the bursting run. Their segment and
+/// event counts are held to their cells too.
 #[test]
 fn an_outage_run_stays_within_its_allocation_budget() {
-    for (name, measured) in [work::fleet_outages_run(), work::fleet_diurnal_run()] {
+    let cells = work::fleet_outages_run()
+        .into_iter()
+        .chain(work::fleet_diurnal_run());
+    for (name, measured) in cells {
         println!("{name}: {measured}");
         let budget = counting::committed(&name);
         assert!(
             measured <= budget,
-            "{name}: {measured} allocator calls (committed {budget})"
+            "{name}: {measured} (committed {budget})"
         );
     }
 }

@@ -77,15 +77,21 @@ pub fn ctl_paper_setup() -> [(String, f64); 2] {
 }
 
 /// One `run_chaos_scenario_on` of the outage fleet: 256 tenants on 16
-/// nodes, 16 waves of 20, reclamation on — 33 segments. Its cell is the
-/// run's allocator calls.
-pub fn fleet_outages_run() -> (String, f64) {
+/// nodes, 16 waves of 20, reclamation on — 33 segments. Its cells are the
+/// run's allocator calls and its segments.
+pub fn fleet_outages_run() -> [(String, f64); 2] {
     let (scenario, plan) = (outage_fleet(), waves());
     let (out, cost) = cost_of(|| run_chaos_scenario_on(&scenario, &plan, None, EngineKind::Event));
     let out = out.expect("the outage run succeeds");
     assert_eq!(out.segments.len(), 2 * WAVES + 1);
     assert!(out.result.total_gflops() > 0.0);
-    ("fleet_outages.run.calls".into(), cost.calls as f64)
+    [
+        ("fleet_outages.run.calls".into(), cost.calls as f64),
+        (
+            "fleet_outages.run.segments".into(),
+            out.segments.len() as f64,
+        ),
+    ]
 }
 
 /// The bursting fleet: 1 000 tenants on 64 nodes.
@@ -94,8 +100,10 @@ const BURSTING_NODES: usize = 64;
 
 /// One `run_logged` of the bursting fleet: tenants bursting at a 50 % duty
 /// over a quarter of the run, in 16 phase groups — about 7 900 events in
-/// 64 segments. Its cell is the run's allocator calls per tenant.
-pub fn fleet_diurnal_run() -> (String, f64) {
+/// 64 segments. Its cells are the run's allocator calls per tenant, its
+/// segments and its events: what a segment costs is the claim, the cut
+/// count what it is multiplied by.
+pub fn fleet_diurnal_run() -> [(String, f64); 3] {
     let period_s = DURATION_S / 4.0;
     let apps: Vec<SimApp> = (0..BURSTING_TENANTS)
         .map(|i| {
@@ -122,8 +130,12 @@ pub fn fleet_diurnal_run() -> (String, f64) {
         log.segments,
         cost.calls
     );
-    (
-        "fleet_diurnal.run.calls_per_tenant".into(),
-        cost.calls as f64 / BURSTING_TENANTS as f64,
-    )
+    [
+        (
+            "fleet_diurnal.run.calls_per_tenant".into(),
+            cost.calls as f64 / BURSTING_TENANTS as f64,
+        ),
+        ("fleet_diurnal.run.segments".into(), log.segments as f64),
+        ("fleet_diurnal.run.events".into(), log.len() as f64),
+    ]
 }

@@ -271,6 +271,10 @@ mod tests {
         assert_eq!(report.produced, 12);
         assert_eq!(report.consumed, 12);
         assert!(report.throughput > 0.0);
+        // Workers publish completions in batches, after a task's finish
+        // event is satisfied: wait for them before counting.
+        producer.wait_quiescent().unwrap();
+        consumer.wait_quiescent().unwrap();
         assert_eq!(producer.stats().tasks_executed, 12 * 5);
         assert_eq!(consumer.stats().tasks_executed, 12 * 5);
         producer.shutdown();

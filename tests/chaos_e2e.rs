@@ -24,6 +24,7 @@ use numa_coop::agent::SupervisionConfig;
 use numa_coop::agent::{policies, Agent, ChaosHandle, FaultPlan, Health, KillSwitch};
 use numa_coop::prelude::*;
 use numa_coop::topology::presets::tiny;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -45,6 +46,16 @@ fn tick(agent: &mut Agent) {
     agent.tenancy().check(&agent.hub(), rows);
 }
 
+/// Raises its flag when dropped: the spinners a test wedges into a runtime
+/// watch the flag, and a runtime cannot be dropped while they spin.
+struct Release(Arc<AtomicBool>);
+
+impl Drop for Release {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
+    }
+}
+
 fn health_of(agent: &Agent, name: &str) -> Health {
     agent
         .health()
@@ -60,7 +71,7 @@ fn kill_evict_reclaim_revive_round_trip() {
     let hub = Arc::new(TelemetryHub::new());
 
     // Three cooperating runtimes on one hub; fair share over tiny()
-    // (2 nodes x 2 cores) gives them 1 / 2 / 1 threads respectively.
+    // (2 nodes x 2 cores) gives them 2 / 1 / 1 threads respectively.
     let runtimes: Vec<Arc<Runtime>> = (0..3)
         .map(|i| {
             Arc::new(
@@ -98,10 +109,10 @@ fn kill_evict_reclaim_revive_round_trip() {
     }
     assert!(runtimes[0]
         .control()
-        .wait_converged(CONVERGE, |total, _| total == 1));
+        .wait_converged(CONVERGE, |total, _| total == 2));
     assert!(runtimes[1]
         .control()
-        .wait_converged(CONVERGE, |total, _| total == 2));
+        .wait_converged(CONVERGE, |total, _| total == 1));
     assert!(runtimes[2]
         .control()
         .wait_converged(CONVERGE, |total, _| total == 1));
@@ -119,7 +130,7 @@ fn kill_evict_reclaim_revive_round_trip() {
     assert_eq!(agent.evicted(), vec!["app0".to_string()]);
 
     // Reclamation: the survivors split the whole machine — both rise to
-    // one thread per node (app2 grows 1 -> 2, combined 3 -> 4).
+    // one thread per node (each grows 1 -> 2, combined 2 -> 4).
     assert!(runtimes[1]
         .control()
         .wait_converged(CONVERGE, |total, per_node| total == 2 && per_node == [1, 1]));
@@ -143,10 +154,10 @@ fn kill_evict_reclaim_revive_round_trip() {
     assert_eq!(health_of(&agent, "app0"), Health::Healthy);
 
     // The re-admitted runtime gets its fair share back and the survivors
-    // shrink to theirs: 1 / 2 / 1 again, no node over its two cores.
+    // shrink to theirs: 2 / 1 / 1 again, no node over its two cores.
     let rows: Vec<Vec<usize>> = runtimes
         .iter()
-        .zip([1, 2, 1])
+        .zip([2, 1, 1])
         .map(|(rt, want)| {
             let mut row = Vec::new();
             let converged = rt.control().wait_converged(CONVERGE, |total, per_node| {
@@ -188,8 +199,6 @@ fn kill_evict_reclaim_revive_round_trip() {
 
 #[test]
 fn runaway_is_contained_booked_and_forgiven() {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
     let machine = tiny();
     let hub = Arc::new(TelemetryHub::new());
     let ledger = Arc::new(TenantLedger::new());
@@ -229,13 +238,17 @@ fn runaway_is_contained_booked_and_forgiven() {
         assert_eq!(h, Health::Healthy);
     }
 
-    // app1 goes rogue: one fresh spinner per tick keeps the runaway
-    // counter climbing (each wedges a worker until `stop` flips), and a
-    // fuel hog burns through its 4-unit budget so preemptions move too.
+    // app0, which holds a core on each node, goes rogue: one fresh
+    // spinner per tick keeps the runaway counter climbing (each wedges a
+    // worker until `stop` flips), and a fuel hog burns through its 4-unit
+    // budget so preemptions move too. `stop` flips when `release` drops,
+    // so a failed assertion unwinds past spinners that return, not into
+    // runtimes whose workers never do.
     let stop = Arc::new(AtomicBool::new(false));
+    let release = Release(Arc::clone(&stop));
     for round in 0..2 {
         let stop2 = Arc::clone(&stop);
-        runtimes[1]
+        runtimes[0]
             .task(&format!("spin-{round}"))
             .body(move |_| {
                 while !stop2.load(Ordering::Relaxed) {
@@ -246,7 +259,7 @@ fn runaway_is_contained_booked_and_forgiven() {
             .unwrap();
         if round == 0 {
             let mut steps = 0u32;
-            runtimes[1]
+            runtimes[0]
                 .task("hog")
                 .fuel(4)
                 .body_step(move |_| {
@@ -274,9 +287,9 @@ fn runaway_is_contained_booked_and_forgiven() {
             >= 1,
         "sustained runaways must trigger containment"
     );
-    assert_eq!(health_of(&agent, "app1"), Health::Degraded);
+    assert_eq!(health_of(&agent, "app0"), Health::Degraded);
     assert!(agent.evicted().is_empty());
-    assert_eq!(health_of(&agent, "app0"), Health::Healthy);
+    assert_eq!(health_of(&agent, "app1"), Health::Healthy);
     assert_eq!(health_of(&agent, "app2"), Health::Healthy);
     assert!(hub
         .events()
@@ -285,9 +298,9 @@ fn runaway_is_contained_booked_and_forgiven() {
 
     // The spinners relent; their past-deadline CPU is booked when they
     // hand their workers back.
-    stop.store(true, Ordering::Release);
-    runtimes[1].wait_quiescent().unwrap();
-    let stats = runtimes[1].stats().unwrap();
+    drop(release);
+    runtimes[0].wait_quiescent().unwrap();
+    let stats = runtimes[0].stats().unwrap();
     assert!(
         stats.tasks_runaway >= 2,
         "watchdog missed a spinner: {stats:?}"
@@ -307,7 +320,7 @@ fn runaway_is_contained_booked_and_forgiven() {
         std::thread::sleep(Duration::from_millis(20));
         tick(&mut agent);
     }
-    assert_eq!(health_of(&agent, "app1"), Health::Healthy);
+    assert_eq!(health_of(&agent, "app0"), Health::Healthy);
 
     let snap = ledger.snapshot();
     let account = |name: &str| {
@@ -317,7 +330,7 @@ fn runaway_is_contained_booked_and_forgiven() {
             .unwrap_or_else(|| panic!("{name} is accounted"))
             .clone()
     };
-    let offender = account("app1");
+    let offender = account("app0");
     assert!(
         offender.preemptions > 0,
         "ledger books preemptions: {offender:?}"
@@ -326,7 +339,7 @@ fn runaway_is_contained_booked_and_forgiven() {
         offender.overbudget_cpu_us > 0,
         "ledger books over-budget CPU: {offender:?}"
     );
-    for survivor in ["app0", "app2"] {
+    for survivor in ["app1", "app2"] {
         let t = account(survivor);
         assert_eq!(t.preemptions, 0, "{survivor} wrongly charged: {t:?}");
         assert_eq!(t.overbudget_cpu_us, 0, "{survivor} wrongly charged: {t:?}");
