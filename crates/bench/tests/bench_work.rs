@@ -6,7 +6,7 @@
 //! `tests/counting/mod.rs`): a steady `ctl_paper` decision tick, fixed or
 //! re-optimizing, on both engines (calls and bytes); what a `ctl_paper` run
 //! pays besides its ticks; one `fleet_outages` run, and its segments; one
-//! `fleet_diurnal` run per tenant, and its segments and events; a quiet and a commanding `Agent::tick` over eight
+//! `fleet_diurnal` run per tenant, and its segments, events and wake-ups; a quiet and a commanding `Agent::tick` over eight
 //! runtimes, and one that evicts a runtime and contains another; and a
 //! `live_squeeze` round's spawn (calls and bytes) and execution, per task. The runs are the budget tests' (memsim's, the
 //! agent's and the runtime's `tests/work/mod.rs`), which hold their

@@ -123,6 +123,26 @@ impl ActivityPattern {
         Ok(())
     }
 
+    /// The pattern bit for bit: its kind, then each field's
+    /// `f64::to_bits`. Equal bits answer [`is_active`] and [`next_edge`]
+    /// alike everywhere; `PartialEq` would also equate `0.0` with `-0.0`.
+    ///
+    /// [`is_active`]: ActivityPattern::is_active
+    /// [`next_edge`]: ActivityPattern::next_edge
+    pub(crate) fn bits(&self) -> [u64; 4] {
+        match *self {
+            ActivityPattern::AlwaysOn => [0; 4],
+            ActivityPattern::Bursts {
+                period_s,
+                duty,
+                phase_s,
+            } => [1, period_s.to_bits(), duty.to_bits(), phase_s.to_bits()],
+            ActivityPattern::Window { start_s, end_s } => {
+                [2, start_s.to_bits(), end_s.to_bits(), 0]
+            }
+        }
+    }
+
     /// `true` if the application computes during the quantum starting at
     /// `t` seconds.
     pub fn is_active(&self, t: f64) -> bool {

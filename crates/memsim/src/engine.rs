@@ -533,8 +533,6 @@ pub(crate) fn expand_threads(
 /// last arbitration, in thread order ([`RateScratch::walked`]).
 #[derive(Debug, Default)]
 pub(crate) struct RateScratch {
-    /// Per-app: active at the evaluation instant.
-    pub(crate) active: Vec<bool>,
     /// Some app was idle, so `live` holds the active threads.
     compacted: bool,
     /// The active threads, in thread order, when some app is idle.
@@ -560,8 +558,6 @@ pub(crate) struct RateScratch {
 
 impl RateScratch {
     fn reset(&mut self, num_apps: usize, num_nodes: usize) {
-        self.active.clear();
-        self.active.resize(num_apps, false);
         self.nodes.clear();
         self.nodes.resize(num_nodes, NodeCensus::default());
         self.apps.clear();
@@ -752,12 +748,13 @@ fn for_each_demand(
     }
 }
 
-/// One bandwidth arbitration at instant `t`: determine the active set,
-/// per-thread compute capacity (peak × duty × switch loss × sync overhead ×
-/// jitter), per-thread demand, then the two-phase per-node arbitration
-/// (remote-first with link caps and coherence overhead, then local baseline
-/// plus proportional remainder, with the saturation efficiency on streaming
-/// threads). Results land in `s.cap`, `s.granted` and `s.node_served`.
+/// One bandwidth arbitration, with app `a` computing iff `active[a]` (the
+/// caller classifies the segment): per-thread compute capacity (peak ×
+/// duty × switch loss × sync overhead × jitter), per-thread demand, then
+/// the two-phase per-node arbitration (remote-first with link caps and
+/// coherence overhead, then local baseline plus proportional remainder,
+/// with the saturation efficiency on streaming threads). Results land in
+/// `s.cap`, `s.granted` and `s.node_served`.
 ///
 /// This is the one copy of the physics, evaluated once per segment: a whole
 /// quantum, or a part of one when an off-grid edge splits it — which costs
@@ -772,8 +769,8 @@ pub(crate) fn compute_rates(
     effects: &crate::EffectModel,
     peak: f64,
     apps: &[SimApp],
+    active: &[bool],
     threads: &[Thread],
-    t: f64,
     discrete: bool,
     rng: &mut StdRng,
     rr_offset: &[usize],
@@ -781,7 +778,7 @@ pub(crate) fn compute_rates(
 ) {
     let num_nodes = machine.num_nodes();
     rates_prologue(
-        machine, effects, peak, apps, threads, t, discrete, rng, rr_offset, s,
+        machine, effects, peak, apps, active, threads, discrete, rng, rr_offset, s,
     );
     let threads = if s.compacted { &s.live[..] } else { threads };
 
@@ -808,9 +805,9 @@ pub(crate) fn compute_rates(
 }
 
 /// The prefix of [`compute_rates`] that couples the whole fleet: the
-/// active set, the per-node runnable census, discrete time-slicing, and
-/// every active thread's compute capacity (the stage that draws from the
-/// jitter RNG). A function of its own because the dense oracle in the
+/// per-node runnable census of the apps `active` marks, discrete
+/// time-slicing, and every active thread's compute capacity (the stage
+/// that draws from the jitter RNG). A function of its own because the dense oracle in the
 /// tests shares it.
 ///
 /// When some app is idle, the census also collects the active threads into
@@ -826,8 +823,8 @@ fn rates_prologue(
     effects: &crate::EffectModel,
     peak: f64,
     apps: &[SimApp],
+    active: &[bool],
     threads: &[Thread],
-    t: f64,
     discrete: bool,
     rng: &mut StdRng,
     rr_offset: &[usize],
@@ -836,17 +833,9 @@ fn rates_prologue(
     s.reset(apps.len(), machine.num_nodes());
     let num_threads = threads.len();
 
-    // Which apps are active at this instant?
-    let mut all_active = true;
-    for (a, app) in apps.iter().enumerate() {
-        let active = app.activity.is_active(t);
-        s.active[a] = active;
-        all_active &= active;
-    }
-
     // Per-node runnable census (for duty cycles and interference).
-    s.compacted = !all_active;
-    if all_active {
+    s.compacted = active.contains(&false);
+    if !s.compacted {
         for th in threads {
             s.nodes[th.home.0].runnable += 1;
             s.apps[th.app].threads += 1;
@@ -855,7 +844,7 @@ fn rates_prologue(
         s.live.clear();
         s.live.reserve(num_threads);
         for th in threads {
-            if s.active[th.app] {
+            if active[th.app] {
                 s.nodes[th.home.0].runnable += 1;
                 s.apps[th.app].threads += 1;
                 s.live.push(*th);
@@ -1811,6 +1800,11 @@ mod dense_reference {
             .collect()
     }
 
+    /// Per app: active at `t`, as its own pattern says.
+    pub(super) fn active_flags(apps: &[SimApp], t: f64) -> Vec<bool> {
+        apps.iter().map(|app| app.activity.is_active(t)).collect()
+    }
+
     /// `full`'s entries at `ids`.
     pub(super) fn gather(full: &[f64], ids: &[usize]) -> Vec<f64> {
         ids.iter().map(|&i| full[i]).collect()
@@ -1971,8 +1965,8 @@ mod dense_reference {
             effects,
             machine.core_peak_gflops(),
             apps,
+            &active_flags(apps, t),
             threads,
-            t,
             discrete,
             rng,
             rr_offset,
@@ -2168,8 +2162,8 @@ mod dense_reference {
                 effects,
                 machine.core_peak_gflops(),
                 apps,
+                &active_flags(apps, t),
                 threads,
-                t,
                 discrete,
                 &mut StdRng::seed_from_u64(seed),
                 rr_offset,
@@ -2286,7 +2280,7 @@ mod dense_reference {
 /// it shares the prologue.
 #[cfg(test)]
 mod capacity_reference {
-    use super::dense_reference::{active_ids, gather};
+    use super::dense_reference::{active_flags, active_ids, gather};
     use super::*;
     use crate::EffectModel;
 
@@ -2405,8 +2399,9 @@ mod capacity_reference {
             let mut rng = StdRng::seed_from_u64(case);
             let mut reference_rng = rng.clone();
             let mut s = RateScratch::default();
+            let flags = active_flags(&apps, t);
             rates_prologue(
-                &machine, &effects, peak, &apps, &threads, t, discrete, &mut rng, &rr_offset,
+                &machine, &effects, peak, &apps, &flags, &threads, discrete, &mut rng, &rr_offset,
                 &mut s,
             );
             let (cap, on_core) = reference_cap(
@@ -2434,8 +2429,8 @@ mod capacity_reference {
                 .nodes()
                 .zip(&s.nodes)
                 .any(|(node, census)| census.runnable > node.num_cores());
-            let synced = (0..apps.len()).any(|a| s.active[a] && apps[a].sync_overhead > 0.0);
-            let idle = s.active.contains(&false);
+            let synced = (0..apps.len()).any(|a| flags[a] && apps[a].sync_overhead > 0.0);
+            let idle = flags.contains(&false);
             let sliced = active.iter().any(|&i| !on_core[i]);
             let hits = [oversubscribed, synced, idle, sliced, idle && sliced];
             for (n, hit) in seen.iter_mut().zip(hits) {

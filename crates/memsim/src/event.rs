@@ -1,30 +1,37 @@
 //! The time-advance loop.
 //!
-//! The simulated fleet is decomposed into [`Component`]s — applications
-//! (activity edges) and the supervising agent (assignment edges) — and a
-//! global min-heap orders their wake-ups. Between consecutive events every
-//! rate in the system is constant, so bandwidth contention is arbitrated
-//! once per segment (`engine::compute_rates`) and work is integrated
-//! analytically as `rate × Δt`. The heap is one of two cut sources: under
-//! [`EngineKind::Slice`] a segment also ends at every multiple of the
-//! quantum (discrete round-robin time-slicing, a jitter draw per thread per
-//! quantum and windowed samples need that grid) and a run costs `duration /
-//! quantum` arbitrations; under [`EngineKind::Event`] cost scales with the
-//! number of events, which is what makes 5k-runtime × 256-node fleets
-//! tractable (see `docs/performance.md`). Either way a segment's activity
-//! is classified at its midpoint, never by component state, so an edge the
-//! heap missed costs the grid a quantum of rounding and the event cuts a
-//! whole segment: `tests/engine_agreement.rs` holds the two to 1e-9.
+//! The simulated fleet is decomposed into [`Component`]s — the supervising
+//! agent (assignment edges) and one per distinct activity pattern (the
+//! activity edges of every app whose pattern has the same bits) — and a
+//! global min-heap orders their wake-ups. Apps that burst in step share
+//! one heap entry, one `next_edge` per edge and one `is_active` per
+//! segment, which is copied to their per-app flags. Between consecutive
+//! events every rate in the system is constant, so bandwidth contention is
+//! arbitrated once per segment (`engine::compute_rates`) and work is
+//! integrated analytically as `rate × Δt`. The heap is one of two cut
+//! sources: under [`EngineKind::Slice`] a segment also ends at every
+//! multiple of the quantum (discrete round-robin time-slicing, a jitter
+//! draw per thread per quantum and windowed samples need that grid) and a
+//! run costs `duration / quantum` arbitrations; under [`EngineKind::Event`]
+//! cost scales with the number of events, which is what makes 5k-runtime ×
+//! 256-node fleets tractable (see `docs/performance.md`). Either way a
+//! segment's activity is classified at its midpoint, never by component
+//! state, so an edge the heap missed costs the grid a quantum of rounding
+//! and the event cuts a whole segment: `tests/engine_agreement.rs` holds
+//! the two to 1e-9.
 //!
 //! # Determinism
 //!
 //! The heap is keyed by `(time, tie, component)` where `tie` is a
-//! seeded hash of the component id. Same seed ⇒ same pop order ⇒ the
-//! same byte-identical [`EventLog`]. Event times are integer nanoseconds
-//! so ordering never depends on float rounding.
+//! seeded hash of the component id ([`EventHeap::tie`]). The log keeps one
+//! event per app edge: the apps of every group due at a tick are logged
+//! together and the tick's batch is sorted by `(tie, app id)`, the order a
+//! heap entry per app would pop them in. Same seed ⇒ the same
+//! byte-identical [`EventLog`]. Event times are integer nanoseconds so
+//! ordering never depends on float rounding.
 
 use crate::engine::{compute_rates, expand_threads, EpochTracer, RateScratch, Thread};
-use crate::{EngineKind, SimApp, Simulation};
+use crate::{ActivityPattern, EngineKind, SimApp, Simulation};
 use coop_alloc::rng::{splitmix64, StdRng};
 use coop_telemetry::json::{self, FromJson, ToJson, Value};
 use coop_telemetry::{json_struct, json_write};
@@ -86,10 +93,16 @@ impl EventHeap {
         self.seed = seed;
     }
 
+    /// The tie key of `component` under the heap's seed: equal-time
+    /// wake-ups pop in ascending `(tie, component)` order.
+    pub(crate) fn tie(&self, component: u32) -> u64 {
+        splitmix64(self.seed ^ component as u64)
+    }
+
     /// Schedules `component` to wake at `tick`.
     pub fn schedule(&mut self, tick: Tick, component: u32) {
-        let tie = splitmix64(self.seed ^ component as u64);
-        self.heap.push(Reverse((tick, tie, component)));
+        self.heap
+            .push(Reverse((tick, self.tie(component), component)));
     }
 
     /// Schedules a component's declared next tick, if it has one.
@@ -204,12 +217,18 @@ pub struct SimEvent {
 pub struct EventLog {
     /// The simulation seed (also seeds heap tie-breaking).
     pub seed: u64,
-    /// Processed events in pop order.
+    /// Processed events, one per agent or app edge, in `(tick, tie, id)`
+    /// order.
     pub events: Vec<SimEvent>,
     /// Number of constant-rate segments integrated (arbitrations
     /// performed): with the quantum grid as a cut source, at least
     /// `duration / quantum` of them.
     pub segments: u64,
+    /// Component wake-ups the heap delivered: the agent's, and one per
+    /// edge of each distinct activity pattern however many apps share it.
+    /// It takes part in equality but is not serialized, so it leaves
+    /// [`EventLog::to_bytes`] as it was.
+    pub wakeups: u64,
 }
 
 impl EventLog {
@@ -223,12 +242,9 @@ impl EventLog {
         self.events.is_empty()
     }
 
-    /// Number of processed events of `kind` (`"assignment"` / `"activity"`).
-    pub fn count_of(&self, kind: &str) -> usize {
-        self.events
-            .iter()
-            .filter(|e| e.kind.as_str() == kind)
-            .count()
+    /// Number of processed events of `kind`.
+    pub fn count_of(&self, kind: EventEdge) -> usize {
+        self.events.iter().filter(|e| e.kind == kind).count()
     }
 
     /// Canonical byte serialization (JSON) for determinism checks.
@@ -239,27 +255,27 @@ impl EventLog {
 
 /// Component id of the supervising agent (assignment edges).
 pub(crate) const AGENT_ID: u32 = 0;
-/// First application component id.
+/// First application component id: app `a` logs as `APP_ID0 + a`, and
+/// the group of apps `g` wakes as heap component `APP_ID0 + g`.
 pub(crate) const APP_ID0: u32 = 1;
 
-/// An application: wakes at its activity-pattern edges.
+/// An activity pattern: wakes at its edges.
 pub(crate) struct AppComponent {
-    activity: crate::ActivityPattern,
+    activity: ActivityPattern,
     next: Option<Tick>,
     end: Tick,
 }
 
 impl AppComponent {
-    pub(crate) fn new(app: &SimApp, end: Tick) -> Self {
+    fn new(activity: &ActivityPattern, end: Tick) -> Self {
         // `max(1)` guards against an edge so early it rounds onto tick 0,
         // which would stall the heap before time ever advances.
-        let next = app
-            .activity
+        let next = activity
             .next_edge(0.0)
             .map(|e| s_to_tick(e).max(1))
             .filter(|&t| t < end);
         AppComponent {
-            activity: app.activity.clone(),
+            activity: activity.clone(),
             next,
             end,
         }
@@ -280,6 +296,73 @@ impl Component for AppComponent {
             .next_edge(tick_to_s(now))
             .map(|e| s_to_tick(e).max(now + 1))
             .filter(|&t| t < self.end);
+    }
+}
+
+/// The apps whose activity patterns have equal bits
+/// ([`ActivityPattern::bits`]): one component wakes for all of them, and a
+/// segment asks it `is_active` once.
+struct AppGroup {
+    comp: AppComponent,
+    /// The group's apps are `AppGroups::members[first..last]`.
+    first: usize,
+    last: usize,
+    /// `is_active` at the current segment's midpoint, and so each member's
+    /// flag in `AppGroups::active`.
+    active: bool,
+}
+
+/// The run's apps, grouped by the bits of their activity patterns.
+#[derive(Default)]
+struct AppGroups {
+    /// One per distinct pattern, in the order of their bits.
+    groups: Vec<AppGroup>,
+    /// Every group's apps, group after group, each group's in app order.
+    members: Vec<u32>,
+    /// Per app: active at the current segment's midpoint, its group's flag.
+    active: Vec<bool>,
+}
+
+impl AppGroups {
+    /// Groups `apps` by the bits of their activity patterns, each group
+    /// starting a run that ends at `end`. Within the buffers' capacity,
+    /// as on a supervised session's every tick after the first, it
+    /// allocates nothing.
+    fn regroup(&mut self, apps: &[SimApp], end: Tick) {
+        let bits = |a: u32| apps[a as usize].activity.bits();
+        self.members.clear();
+        self.members.extend(0..apps.len() as u32);
+        self.members.sort_unstable_by_key(|&a| (bits(a), a));
+        let same_bits = |&a: &u32, &b: &u32| bits(a) == bits(b);
+        self.groups.clear();
+        self.groups
+            .reserve_exact(self.members.chunk_by(same_bits).count());
+        let mut first = 0;
+        for same in self.members.chunk_by(same_bits) {
+            let last = first + same.len();
+            self.groups.push(AppGroup {
+                comp: AppComponent::new(&apps[same[0] as usize].activity, end),
+                first,
+                last,
+                active: false,
+            });
+            first = last;
+        }
+        zeroed(&mut self.active, apps.len());
+    }
+
+    /// Sets every app's flag to its group's `is_active(t)`, asking each
+    /// pattern once and writing the apps of a group whose flag changed.
+    fn classify(&mut self, t: f64) {
+        for group in &mut self.groups {
+            let active = group.comp.activity.is_active(t);
+            if active != group.active {
+                group.active = active;
+                for &a in &self.members[group.first..group.last] {
+                    self.active[a as usize] = active;
+                }
+            }
+        }
     }
 }
 
@@ -323,7 +406,7 @@ impl Component for AgentComponent {
 #[derive(Default)]
 pub(crate) struct EventRun {
     agent: AgentComponent,
-    apps: Vec<AppComponent>,
+    apps: AppGroups,
     /// Per node: bandwidth its memory controller delivered so far, GB.
     delivered_gb: Vec<f64>,
     heap: EventHeap,
@@ -405,11 +488,9 @@ pub(crate) fn advance_time(
 
     let tel = sim.run_telemetry();
 
-    // Components: agent (id 0), apps (ids 1..=n).
+    // Components: agent (id 0), app groups (ids 1..=groups).
     run.agent.reset(schedule);
-    run.apps.clear();
-    run.apps
-        .extend(apps.iter().map(|a| AppComponent::new(a, end)));
+    run.apps.regroup(apps, end);
     zeroed(&mut run.rr_offset, num_nodes);
     zeroed(&mut run.delivered_gb, num_nodes);
     zeroed(&mut run.window_gb, num_nodes);
@@ -425,16 +506,16 @@ pub(crate) fn advance_time(
 
     run.heap.reset(sim.config.seed);
     run.heap.schedule_component(AGENT_ID, &run.agent);
-    for (a, comp) in run.apps.iter().enumerate() {
-        run.heap.schedule_component(APP_ID0 + a as u32, comp);
+    for (g, group) in run.apps.groups.iter().enumerate() {
+        run.heap.schedule_component(APP_ID0 + g as u32, &group.comp);
     }
     expand_threads(&schedule[applied_idx].1, num_nodes, &mut run.threads);
-    run.tracer.reset(apps.len());
-    if sim.tracing {
-        if let Some(tel) = &tel {
-            run.tracer
-                .on_assignment(tel, 0.0, applied_idx, &schedule[applied_idx].1, apps);
-        }
+    // The epoch tracer's rows exist only in a traced run.
+    let traced = tel.as_ref().filter(|_| sim.tracing);
+    if let Some(tel) = traced {
+        run.tracer.reset(apps.len());
+        run.tracer
+            .on_assignment(tel, 0.0, applied_idx, &schedule[applied_idx].1, apps);
     }
 
     let gflop_done = &mut run.gflop_done[..];
@@ -457,13 +538,21 @@ pub(crate) fn advance_time(
         // `tick_to_s(s_to_tick(e))` can land one float ulp before the edge
         // `e` itself, and evaluating `is_active` there would misclassify
         // the whole segment.
+        let mid = tick_to_s(now) + dt_s / 2.0;
+        run.apps.classify(mid);
+        debug_assert!(
+            apps.iter()
+                .zip(&run.apps.active)
+                .all(|(app, &active)| app.activity.is_active(mid) == active),
+            "an app's flag is not its own pattern's at {mid} s"
+        );
         compute_rates(
             machine,
             effects,
             peak,
             apps,
+            &run.apps.active,
             &run.threads,
-            tick_to_s(now) + dt_s / 2.0,
             discrete,
             &mut rng,
             &run.rr_offset,
@@ -537,41 +626,54 @@ pub(crate) fn advance_time(
         }
 
         // Drain and apply every event at `now` before re-arbitrating. The
-        // due component's next wake-up replaces its key at the top.
+        // due component's next wake-up replaces its key at the top. A
+        // group's edge is logged once per member, and the tick's batch is
+        // sorted into the order one heap entry per app would pop it in.
+        let batch = detail.as_ref().map_or(0, |(_, log)| log.events.len());
         while let Some(id) = run.heap.due(now) {
-            let kind = if id == AGENT_ID {
+            let members = if id == AGENT_ID {
                 run.agent.advance(now);
                 run.heap.reschedule_top(run.agent.next_tick());
-                EventEdge::Assignment
+                None
             } else {
-                let a = (id - APP_ID0) as usize;
-                run.apps[a].advance(now);
-                run.heap.reschedule_top(run.apps[a].next_tick());
-                EventEdge::Activity
+                let group = &mut run.apps.groups[(id - APP_ID0) as usize];
+                group.comp.advance(now);
+                run.heap.reschedule_top(group.comp.next_tick());
+                Some(&run.apps.members[group.first..group.last])
             };
             if let Some((_, log)) = &mut detail {
-                log.events.push(SimEvent {
+                log.wakeups += 1;
+                let event = |component, kind| SimEvent {
                     t_ns: now,
-                    component: id,
+                    component,
                     kind,
-                });
+                };
+                match members {
+                    None => log.events.push(event(AGENT_ID, EventEdge::Assignment)),
+                    Some(members) => log.events.extend(
+                        members
+                            .iter()
+                            .map(|&a| event(APP_ID0 + a, EventEdge::Activity)),
+                    ),
+                }
             }
+        }
+        if let Some((_, log)) = &mut detail {
+            log.events[batch..].sort_unstable_by_key(|e| (run.heap.tie(e.component), e.component));
         }
         if run.agent.idx != applied_idx {
             expand_threads(&schedule[run.agent.idx].1, num_nodes, &mut run.threads);
             if let Some(tel) = &tel {
                 tel.record_assignment_switch(tick_to_s(now), run.agent.idx);
             }
-            if sim.tracing {
-                if let Some(tel) = &tel {
-                    run.tracer.on_assignment(
-                        tel,
-                        tick_to_s(now),
-                        run.agent.idx,
-                        &schedule[run.agent.idx].1,
-                        apps,
-                    );
-                }
+            if let Some(tel) = traced {
+                run.tracer.on_assignment(
+                    tel,
+                    tick_to_s(now),
+                    run.agent.idx,
+                    &schedule[run.agent.idx].1,
+                    apps,
+                );
             }
             applied_idx = run.agent.idx;
         }
@@ -587,8 +689,10 @@ pub(crate) fn advance_time(
         run.node_utilization
             .push(gbs / machine.node(NodeId(n)).bandwidth_gbs);
     }
-    if let Some(tel) = &tel {
+    if let Some(tel) = traced {
         run.tracer.finish(tel, sim_time);
+    }
+    if let Some(tel) = &tel {
         tel.record_run_summary(&run.node_avg_gbs, &run.node_utilization);
     }
     Ok(())
@@ -597,6 +701,7 @@ pub(crate) fn advance_time(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coop_alloc::cases::Gen;
 
     #[test]
     fn heap_orders_by_time_then_tie() {
@@ -670,6 +775,226 @@ mod tests {
         assert_eq!(EventEdge::Assignment.as_str(), "assignment");
         let back = SimEvent::from_value(&json::parse(&json).unwrap()).unwrap();
         assert_eq!(back, e);
+    }
+
+    /// The events one heap entry per app gives: the agent and every app,
+    /// each app an `AppComponent` of its own, on one `EventHeap`, popped
+    /// until the run's end.
+    fn per_app_events(
+        apps: &[SimApp],
+        schedule: &[(f64, ThreadAssignment)],
+        end: Tick,
+        seed: u64,
+    ) -> Vec<SimEvent> {
+        let mut agent = AgentComponent::default();
+        agent.reset(schedule);
+        agent.advance(0);
+        let mut comps: Vec<AppComponent> = apps
+            .iter()
+            .map(|app| AppComponent::new(&app.activity, end))
+            .collect();
+        let mut heap = EventHeap::new(seed);
+        heap.schedule_component(AGENT_ID, &agent);
+        for (a, comp) in comps.iter().enumerate() {
+            heap.schedule_component(APP_ID0 + a as u32, comp);
+        }
+        let mut events = Vec::new();
+        while let Some((t_ns, component)) = heap.pop().filter(|&(t, _)| t < end) {
+            let kind = if component == AGENT_ID {
+                agent.advance(t_ns);
+                heap.schedule_component(component, &agent);
+                EventEdge::Assignment
+            } else {
+                let comp = &mut comps[(component - APP_ID0) as usize];
+                comp.advance(t_ns);
+                heap.schedule_component(component, comp);
+                EventEdge::Activity
+            };
+            events.push(SimEvent {
+                t_ns,
+                component,
+                kind,
+            });
+        }
+        events
+    }
+
+    /// A pattern on a grid of eighths of a second, so that different
+    /// patterns and the schedule share edges.
+    fn draw_pattern(g: &mut Gen) -> ActivityPattern {
+        let eighth = |g: &mut Gen| f64::from(g.range(0..9u32)) / 8.0;
+        match g.range(0..3u32) {
+            0 => ActivityPattern::AlwaysOn,
+            1 => {
+                let (a, b) = (eighth(g), eighth(g));
+                ActivityPattern::Window {
+                    start_s: a.min(b),
+                    end_s: a.max(b),
+                }
+            }
+            _ => ActivityPattern::Bursts {
+                period_s: *g.pick(&[0.125, 0.25, 0.5]),
+                duty: *g.pick(&[0.25, 0.5, 0.75]),
+                phase_s: if g.bool(0.3) { 0.0 } else { eighth(g) - 0.5 },
+            },
+        }
+    }
+
+    /// A pattern whose bits differ from `p`'s while it acts (nearly)
+    /// alike: `-0.0` for a `0.0` start or phase, else a field one ulp up,
+    /// and for `AlwaysOn` a window longer than the run.
+    fn twin(p: &ActivityPattern) -> ActivityPattern {
+        let nudge = |x: f64| {
+            if x == 0.0 {
+                -x
+            } else {
+                f64::from_bits(x.to_bits() + 1)
+            }
+        };
+        match *p {
+            ActivityPattern::AlwaysOn => ActivityPattern::Window {
+                start_s: 0.0,
+                end_s: 2.0,
+            },
+            // A later start could pass the end.
+            ActivityPattern::Window { start_s, end_s } if start_s == 0.0 => {
+                ActivityPattern::Window {
+                    start_s: -start_s,
+                    end_s,
+                }
+            }
+            ActivityPattern::Window { start_s, end_s } => ActivityPattern::Window {
+                start_s,
+                end_s: nudge(end_s),
+            },
+            ActivityPattern::Bursts {
+                period_s,
+                duty,
+                phase_s,
+            } => ActivityPattern::Bursts {
+                period_s,
+                duty,
+                phase_s: nudge(phase_s),
+            },
+        }
+    }
+
+    /// Over fleets that mix shared patterns, distinct ones and twins whose
+    /// bits differ (a phase one ulp apart, `0.0` and `-0.0`, `AlwaysOn`
+    /// beside a window that covers the run), the grouped loop logs what a
+    /// heap entry per app pops, in its order. One `EventRun` runs the
+    /// fleet twice, then the fleet with some patterns swapped for twins or
+    /// new ones, then the fleet again: the groups follow the patterns, not
+    /// the last run.
+    #[test]
+    fn grouped_edges_log_what_a_heap_entry_per_app_pops() {
+        let seen = std::cell::Cell::new([0usize; 3]);
+        coop_alloc::cases::check(0x6e0c_9a11, 64, |g| {
+            const NODES: usize = 2;
+            let machine = numa_topology::MachineBuilder::new()
+                .symmetric_nodes(NODES, 16)
+                .core_peak_gflops(12.8)
+                .node_bandwidth_gbs(80.0)
+                .uniform_link_gbs(12.0)
+                .build()
+                .unwrap();
+            let mut pool = g.vec(1..5, draw_pattern);
+            for p in pool.clone() {
+                if g.bool(0.6) {
+                    pool.push(twin(&p));
+                }
+            }
+            let num_apps = g.size(1..24);
+            let fleet: Vec<SimApp> = (0..num_apps)
+                .map(|a| {
+                    SimApp::numa_local(&format!("a{a}"), 0.25).with_activity(g.pick(&pool).clone())
+                })
+                .collect();
+            let mut changed = fleet.clone();
+            for app in &mut changed {
+                match g.range(0..10u32) {
+                    0..=2 => app.activity = twin(&app.activity),
+                    3 => app.activity = draw_pattern(g),
+                    _ => {}
+                }
+            }
+            let mut times = g.vec(0..3, |g| f64::from(g.range(1..8u32)) / 8.0);
+            times.sort_by(f64::total_cmp);
+            let schedule: Vec<(f64, ThreadAssignment)> = std::iter::once(0.0)
+                .chain(times)
+                .map(|t| {
+                    let shift = g.range(0..NODES);
+                    let rows = (0..num_apps)
+                        .map(|a| {
+                            let mut row = vec![0; NODES];
+                            row[(a + shift) % NODES] = 1;
+                            row
+                        })
+                        .collect();
+                    (t, ThreadAssignment::from_matrix(rows))
+                })
+                .collect();
+            let seed = g.range(0..u64::MAX);
+            let sim = Simulation::new(
+                crate::SimConfig::new(machine)
+                    .with_effects(crate::EffectModel::ideal())
+                    .with_seed(seed),
+            );
+
+            let end = s_to_tick(1.0);
+            let (_, log) = sim.run_logged(&fleet, &schedule, 1.0).unwrap();
+            assert_eq!(log.events, per_app_events(&fleet, &schedule, end, seed));
+            let mut run = EventRun::default();
+            for apps in [&fleet, &fleet, &changed, &fleet] {
+                let (mut samples, mut log) = (Samples::default(), EventLog::default());
+                advance_time(
+                    &sim,
+                    apps,
+                    &schedule,
+                    1.0,
+                    EngineKind::Event,
+                    &mut run,
+                    Some((&mut samples, &mut log)),
+                )
+                .unwrap();
+                assert_eq!(log.events, per_app_events(apps, &schedule, end, seed));
+                let mut distinct: Vec<[u64; 4]> = apps.iter().map(|a| a.activity.bits()).collect();
+                distinct.sort_unstable();
+                distinct.dedup();
+                assert_eq!(run.apps.groups.len(), distinct.len());
+                assert!(log.wakeups <= log.events.len() as u64);
+            }
+
+            // Which twins met in one fleet.
+            let has = |pred: &dyn Fn(&ActivityPattern, &ActivityPattern) -> bool| {
+                [&fleet, &changed].iter().any(|apps| {
+                    apps.iter()
+                        .any(|a| apps.iter().any(|b| pred(&a.activity, &b.activity)))
+                })
+            };
+            let phase = |p: &ActivityPattern| match *p {
+                ActivityPattern::Bursts { phase_s, .. } => Some(phase_s.to_bits()),
+                _ => None,
+            };
+            let hits = [
+                has(&|a, b| matches!((phase(a), phase(b)), (Some(x), Some(y)) if x == y + 1)),
+                has(&|a, b| a == b && a.bits() != b.bits()),
+                has(&|a, b| {
+                    matches!(a, ActivityPattern::AlwaysOn)
+                        && matches!(b, ActivityPattern::Window { .. })
+                }),
+            ];
+            let mut counts = seen.get();
+            for (n, hit) in counts.iter_mut().zip(hits) {
+                *n += usize::from(hit);
+            }
+            seen.set(counts);
+        });
+        let seen = seen.get();
+        assert!(
+            seen.iter().all(|&n| n >= 8),
+            "fleets with a one-ulp phase, a signed zero, AlwaysOn beside a window: {seen:?}"
+        );
     }
 
     #[test]

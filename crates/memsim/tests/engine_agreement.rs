@@ -14,7 +14,7 @@
 use coop_alloc::cases::check;
 use memsim::{
     run_chaos_scenario_on, run_supervised, ActivityPattern, ChaosPlan, EffectModel, EngineKind,
-    NamedAssignment, Perturbation, Scenario, SimApp, SimConfig, SimResult, Simulation,
+    EventEdge, NamedAssignment, Perturbation, Scenario, SimApp, SimConfig, SimResult, Simulation,
     SupervisorConfig, TelemetryHub,
 };
 use numa_topology::MachineBuilder;
@@ -75,8 +75,12 @@ fn window_and_switch_produce_exact_event_log() {
     let slice = sim.run_dynamic(&apps, &schedule, duration).unwrap();
     let (event, log) = sim.run_logged(&apps, &schedule, duration).unwrap();
 
-    assert_eq!(log.count_of("assignment"), 1, "one mid-run switch");
-    assert_eq!(log.count_of("activity"), 2, "window on + off edges");
+    assert_eq!(log.count_of(EventEdge::Assignment), 1, "one mid-run switch");
+    assert_eq!(
+        log.count_of(EventEdge::Activity),
+        2,
+        "window on + off edges"
+    );
     assert_eq!(log.len(), 3, "no other events exist in this scenario");
 
     assert!(
@@ -424,7 +428,7 @@ fn mixed_placements_replay_the_pinned_log_and_floats() {
     )
     .run_logged(&apps, &schedule, duration)
     .unwrap();
-    assert_eq!(log.count_of("assignment"), 2);
+    assert_eq!(log.count_of(EventEdge::Assignment), 2);
     assert!(
         result.node_avg_gbs.iter().all(|&g| g > 0.0) && result.apps[1].gflop_done > 0.0,
         "every controller serves traffic and the NUMA-bad app makes progress"

@@ -101,9 +101,10 @@ const BURSTING_NODES: usize = 64;
 /// One `run_logged` of the bursting fleet: tenants bursting at a 50 % duty
 /// over a quarter of the run, in 16 phase groups — about 7 900 events in
 /// 64 segments. Its cells are the run's allocator calls per tenant, its
-/// segments and its events: what a segment costs is the claim, the cut
-/// count what it is multiplied by.
-pub fn fleet_diurnal_run() -> [(String, f64); 3] {
+/// segments, its events and the heap's wake-ups: what a segment costs is
+/// the claim, the cut count what it is multiplied by, and a wake-up serves
+/// every tenant of a phase group.
+pub fn fleet_diurnal_run() -> [(String, f64); 4] {
     let period_s = DURATION_S / 4.0;
     let apps: Vec<SimApp> = (0..BURSTING_TENANTS)
         .map(|i| {
@@ -137,5 +138,6 @@ pub fn fleet_diurnal_run() -> [(String, f64); 3] {
         ),
         ("fleet_diurnal.run.segments".into(), log.segments as f64),
         ("fleet_diurnal.run.events".into(), log.len() as f64),
+        ("fleet_diurnal.run.wakeups".into(), log.wakeups as f64),
     ]
 }
