@@ -456,12 +456,6 @@ impl Agent {
         self.sched.push(None);
     }
 
-    /// Number of managed runtimes (evicted ones included — eviction is
-    /// reversible).
-    pub fn managed(&self) -> usize {
-        self.handles.len()
-    }
-
     /// Current health of every managed runtime, in registry order.
     pub fn health(&self) -> Vec<(String, Health)> {
         self.handles
@@ -495,13 +489,6 @@ impl Agent {
     /// The telemetry hub this agent records into.
     pub fn hub(&self) -> Arc<TelemetryHub> {
         Arc::clone(&self.telemetry.hub)
-    }
-
-    /// The model-drift observatory holding this agent's decision
-    /// provenance ledger and drift detector. Clone the `Arc` before
-    /// [`Agent::spawn`] to inspect drift while the agent runs.
-    pub fn observatory(&self) -> Arc<ModelObservatory> {
-        Arc::clone(&self.telemetry.observatory)
     }
 
     /// Executes a single tick: probe evicted runtimes for recovery, poll
@@ -1615,7 +1602,7 @@ mod tests {
         executed.store(40, Ordering::SeqCst); // the counter runs backwards
         agent.tick().unwrap(); // closes the decision
 
-        let records = agent.observatory().records();
+        let records = agent.telemetry.observatory.records();
         assert_eq!(records.len(), 1);
         assert!(records[0].is_closed());
         assert!(
@@ -1699,7 +1686,7 @@ mod tests {
         let id = log.decisions[0]
             .provenance
             .expect("model-driven decision must reference a provenance record");
-        let observatory = agent.observatory();
+        let observatory = Arc::clone(&agent.telemetry.observatory);
         let records = observatory.records();
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].id, id);
@@ -1733,7 +1720,7 @@ mod tests {
         let log = agent.log();
         assert_eq!(log.decisions.len(), 1);
         assert!(log.decisions[0].provenance.is_none());
-        assert!(agent.observatory().ledger().is_empty());
+        assert!(agent.telemetry.observatory.ledger().is_empty());
         rt.shutdown();
     }
 

@@ -182,7 +182,7 @@ impl ConsensusGroup {
     }
 
     /// Number of members.
-    pub fn members(&self) -> usize {
+    pub(crate) fn members(&self) -> usize {
         *self.members.lock()
     }
 }
@@ -196,17 +196,6 @@ pub struct Participant {
 }
 
 impl Participant {
-    /// This participant's stable index (its row in agreed assignments).
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    /// Updates this participant's demand profile for future rounds.
-    pub fn propose(&self, profile: DemandProfile) {
-        let mut st = self.group.state.lock();
-        st.profiles[self.index] = Some(profile);
-    }
-
     /// Arrives at the round barrier; when the last member arrives, the
     /// allocation is computed; every caller then applies its own row as a
     /// per-node command and returns the full agreed assignment.
@@ -401,7 +390,9 @@ mod tests {
         };
         let (r1, _) = round(&pa, &pb);
         assert_eq!(r1.app_total(0), 2);
-        pa.propose(DemandProfile::new(AppSpec::numa_local("a", 0.5), 3.0));
+        // A new profile for `a` takes effect at the next round.
+        pa.group.state.lock().profiles[pa.index] =
+            Some(DemandProfile::new(AppSpec::numa_local("a", 0.5), 3.0));
         let (r2, _) = round(&pa, &pb);
         assert!(
             r2.app_total(0) > r1.app_total(0),

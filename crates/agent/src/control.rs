@@ -70,12 +70,12 @@ impl<'m> Tenancy<'m> {
     }
 
     /// The machine reclaim and containment divide, if there is one.
-    pub fn machine(&self) -> Option<&Machine> {
+    pub(crate) fn machine(&self) -> Option<&Machine> {
         self.machine.as_deref()
     }
 
     /// Sets the machine reclaim and containment divide.
-    pub fn set_machine(&mut self, machine: Machine) {
+    pub(crate) fn set_machine(&mut self, machine: Machine) {
         self.machine = Some(Cow::Owned(machine));
         self.fair = None;
     }
@@ -98,7 +98,7 @@ impl<'m> Tenancy<'m> {
     }
 
     /// Whether tenant `i` is down.
-    pub fn is_down(&self, i: usize) -> bool {
+    pub(crate) fn is_down(&self, i: usize) -> bool {
         self.tenants[i].down
     }
 

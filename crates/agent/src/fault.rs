@@ -2,11 +2,10 @@
 //!
 //! A [`FaultPlan`] is a list of windowed, optionally probabilistic rules
 //! mapping call indices to [`Fault`]s. Wrap any [`RuntimeHandle`] in a
-//! [`ChaosHandle`] to apply the plan — the one injector:
-//! [`proto::connect_chaotic`](crate::proto::connect_chaotic) puts a
-//! `ChaosHandle` behind the endpoint. A [`KillSwitch`] flips a runtime between
-//! alive and (apparently) dead mid-run — the primitive behind the
-//! kill/revive e2e tests and the `coop chaos` subcommand.
+//! [`ChaosHandle`] to apply the plan — the one injector. A [`KillSwitch`]
+//! flips a runtime between alive and (apparently) dead mid-run — the
+//! primitive behind the kill/revive e2e tests and the `coop chaos`
+//! subcommand.
 //!
 //! All randomness is a pure function of `(seed, call_index)`, so a chaos
 //! run replays bit-identically: a failure found in CI reproduces locally.
@@ -103,19 +102,13 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// Sets the seed for probabilistic rules.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Adds a rule covering `range` (call indices) that always fires.
     pub fn inject(self, range: impl RangeBounds<u64>, fault: Fault) -> Self {
         self.inject_with_probability(range, 1.0, fault)
     }
 
     /// Adds a rule covering `range` that fires with `probability`.
-    pub fn inject_with_probability(
+    pub(crate) fn inject_with_probability(
         mut self,
         range: impl RangeBounds<u64>,
         probability: f64,
@@ -131,14 +124,9 @@ impl FaultPlan {
         self
     }
 
-    /// `true` when the plan has no rules.
-    pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
-    }
-
     /// The fault (if any) for call number `call` — deterministic in
     /// `(seed, call)`.
-    pub fn fault_for(&self, call: u64) -> Option<&Fault> {
+    pub(crate) fn fault_for(&self, call: u64) -> Option<&Fault> {
         for (i, rule) in self.rules.iter().enumerate() {
             if !rule.covers(call) {
                 continue;
@@ -262,7 +250,7 @@ impl KillSwitch {
     }
 
     /// Is the switch in the dead position?
-    pub fn is_dead(&self) -> bool {
+    pub(crate) fn is_dead(&self) -> bool {
         self.dead.load(Ordering::SeqCst)
     }
 }
@@ -296,7 +284,7 @@ impl ChaosHandle {
     }
 
     /// Calls made through this handle so far.
-    pub fn calls(&self) -> u64 {
+    pub(crate) fn calls(&self) -> u64 {
         self.calls.load(Ordering::SeqCst)
     }
 
@@ -436,17 +424,15 @@ mod tests {
 
     #[test]
     fn probabilistic_rules_are_deterministic_and_calibrated() {
-        let plan = FaultPlan::new()
-            .with_seed(42)
-            .inject_with_probability(0.., 0.3, Fault::Error);
+        let mut plan = FaultPlan::new().inject_with_probability(0.., 0.3, Fault::Error);
+        plan.seed = 42;
         let hits: Vec<bool> = (0..10_000).map(|c| plan.fault_for(c).is_some()).collect();
         let replay: Vec<bool> = (0..10_000).map(|c| plan.fault_for(c).is_some()).collect();
         assert_eq!(hits, replay, "same seed must replay identically");
         let rate = hits.iter().filter(|h| **h).count() as f64 / hits.len() as f64;
         assert!((rate - 0.3).abs() < 0.03, "observed rate {rate}");
-        let other = FaultPlan::new()
-            .with_seed(43)
-            .inject_with_probability(0.., 0.3, Fault::Error);
+        let mut other = FaultPlan::new().inject_with_probability(0.., 0.3, Fault::Error);
+        other.seed = 43;
         let differs =
             (0..10_000).any(|c| plan.fault_for(c).is_some() != other.fault_for(c).is_some());
         assert!(differs, "different seeds should differ somewhere");

@@ -22,9 +22,9 @@
 //!   ([`Agent::run_for`]) or on a background thread ([`Agent::spawn`]).
 //!   Model-driven policies expose their roofline solve via
 //!   [`Policy::prediction`]; the agent opens a provenance record per
-//!   applied decision in its [`coop_telemetry::ModelObservatory`]
-//!   ([`Agent::observatory`]) and back-fills it one tick later with the
-//!   measured throughput shares, feeding the model-drift detector.
+//!   applied decision in its [`coop_telemetry::ModelObservatory`] and
+//!   back-fills it one tick later with the measured throughput shares,
+//!   feeding the model-drift detector.
 //!
 //! * [`supervise`] / [`fault`] — fault tolerance: every managed handle is
 //!   wrapped in a [`SupervisedHandle`] (per-runtime health state machine,
@@ -42,7 +42,7 @@
 //! decisions" will not disturb the computation).
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 mod agent;
 mod chan;
@@ -105,7 +105,7 @@ impl AgentError {
     /// detector and are retried; application-level errors
     /// ([`AgentError::Command`], [`AgentError::Policy`]) prove the
     /// runtime is alive and are neither retried nor counted against it.
-    pub fn is_transport(&self) -> bool {
+    pub(crate) fn is_transport(&self) -> bool {
         matches!(
             self,
             AgentError::Disconnected { .. } | AgentError::Timeout { .. } | AgentError::Spawn { .. }

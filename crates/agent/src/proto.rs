@@ -26,11 +26,10 @@
 //! deadline is [`AgentError::Timeout`], a serving thread that is gone (or
 //! whose handle panicked) [`AgentError::Disconnected`], a reply of the
 //! wrong kind an application-level [`AgentError::Command`]. Faults are
-//! injected behind the loop by the one injector: [`connect_chaotic`] is
-//! [`connect`] over a [`ChaosHandle`].
+//! injected behind the loop by the one injector, a
+//! [`ChaosHandle`](crate::fault::ChaosHandle).
 
 use crate::chan::{self, Receiver, RecvTimeoutError, Sender, TryRecvError, TrySendError};
-use crate::fault::{ChaosHandle, FaultPlan};
 use crate::supervise::DetectorConfig;
 use crate::{AgentError, Result, RuntimeHandle};
 use coop_runtime::{Runtime, RuntimeStats, ThreadCommand};
@@ -233,16 +232,6 @@ pub fn connect(runtime: Arc<Runtime>) -> Result<(AgentSideEndpoint, RuntimeSideE
     connect_over(Box::new(runtime))
 }
 
-/// [`connect`] with `plan` applied on the runtime side, by a
-/// [`ChaosHandle`]: each request served counts as one call.
-/// [`Request::Close`] is never faulted, so shutdown always works.
-pub fn connect_chaotic(
-    runtime: Arc<Runtime>,
-    plan: FaultPlan,
-) -> Result<(AgentSideEndpoint, RuntimeSideEndpoint)> {
-    connect_over(Box::new(ChaosHandle::new(Box::new(runtime), plan)))
-}
-
 fn connect_over(inner: Box<dyn RuntimeHandle>) -> Result<(AgentSideEndpoint, RuntimeSideEndpoint)> {
     let name = inner.name();
     let deadline = DetectorConfig::default().call_deadline;
@@ -300,10 +289,19 @@ impl Drop for RuntimeSideEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::Fault;
+    use crate::fault::{ChaosHandle, Fault, FaultPlan};
     use crate::supervise::{stats_all, SupervisedHandle, SupervisionConfig};
     use coop_runtime::RuntimeConfig;
     use numa_topology::presets::tiny;
+
+    /// [`connect`] with `plan` applied on the runtime side: each request
+    /// served counts as one call, and `Request::Close` is never faulted.
+    fn connect_chaotic(
+        runtime: Arc<Runtime>,
+        plan: FaultPlan,
+    ) -> Result<(AgentSideEndpoint, RuntimeSideEndpoint)> {
+        connect_over(Box::new(ChaosHandle::new(Box::new(runtime), plan)))
+    }
 
     /// `endpoint` the way an agent holds it: under a supervised handle
     /// with `deadline` per call and no retries.

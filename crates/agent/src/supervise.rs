@@ -11,7 +11,7 @@
 //! ([`BackoffConfig`]).
 //!
 //! Liveness semantics: only *transport* failures — deadline timeouts,
-//! disconnects, spawn failures (see [`AgentError::is_transport`]) — feed
+//! disconnects, spawn failures (`AgentError::is_transport`) — feed
 //! the failure detector. An application-level rejection (the runtime
 //! answered, but said no) proves the runtime is alive, so it counts as a
 //! liveness success even though the call still returns an error, and it
@@ -79,7 +79,7 @@ pub const HEALTH_LANE: u32 = 1;
 /// Health of one managed runtime, as judged by the failure detector.
 ///
 /// The ordering is meaningful: each variant is strictly sicker than the
-/// previous one, and [`Health::as_gauge`] exports the same order as a
+/// previous one, and `Health::as_gauge` exports the same order as a
 /// Prometheus gauge value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Health {
@@ -98,7 +98,7 @@ pub enum Health {
 
 impl Health {
     /// Gauge encoding: 0 healthy, 1 degraded, 2 suspected, 3 dead.
-    pub fn as_gauge(self) -> f64 {
+    pub(crate) fn as_gauge(self) -> f64 {
         match self {
             Health::Healthy => 0.0,
             Health::Degraded => 1.0,
@@ -185,7 +185,7 @@ impl Default for BackoffConfig {
 impl BackoffConfig {
     /// The delay before retry number `retry` (0-based), jittered by the
     /// uniform sample `u ∈ [0, 1)`.
-    pub fn delay(&self, retry: u32, u: f64) -> Duration {
+    pub(crate) fn delay(&self, retry: u32, u: f64) -> Duration {
         let exp = self.multiplier.powi(retry.min(30) as i32);
         let nominal = self.base_delay.as_secs_f64() * exp;
         let capped = nominal.min(self.max_delay.as_secs_f64());
@@ -255,18 +255,13 @@ impl Default for HealthState {
 
 impl HealthState {
     /// Current health.
-    pub fn health(&self) -> Health {
+    pub(crate) fn health(&self) -> Health {
         self.health
-    }
-
-    /// Consecutive transport failures observed since the last success.
-    pub fn consecutive_failures(&self) -> u32 {
-        self.consecutive_failures
     }
 
     /// Feed one transport failure; returns `Some((from, to))` when the
     /// health changed.
-    pub fn on_failure(&mut self, d: &DetectorConfig) -> Option<(Health, Health)> {
+    pub(crate) fn on_failure(&mut self, d: &DetectorConfig) -> Option<(Health, Health)> {
         self.consecutive_successes = 0;
         self.consecutive_failures = self.consecutive_failures.saturating_add(1);
         let next = if self.consecutive_failures >= d.dead_after {
@@ -285,7 +280,7 @@ impl HealthState {
 
     /// Feed one success; returns `Some((from, to))` when the health
     /// changed.
-    pub fn on_success(&mut self, d: &DetectorConfig) -> Option<(Health, Health)> {
+    pub(crate) fn on_success(&mut self, d: &DetectorConfig) -> Option<(Health, Health)> {
         self.consecutive_failures = 0;
         self.consecutive_successes = self.consecutive_successes.saturating_add(1);
         let next = match self.health {
@@ -309,7 +304,7 @@ impl HealthState {
     /// answers calls while wedging workers is live, not well-behaved.
     /// Used by the agent when evidence *other* than transport failures
     /// (e.g. sustained runaway tasks) proves the runtime is misbehaving.
-    pub fn force_down_to(&mut self, floor: Health) -> Option<(Health, Health)> {
+    pub(crate) fn force_down_to(&mut self, floor: Health) -> Option<(Health, Health)> {
         self.forced_floor = floor.max(self.forced_floor);
         let next = floor.max(self.health);
         self.transition(next)
@@ -318,7 +313,7 @@ impl HealthState {
     /// Lifts the sticky floor set by [`force_down_to`](Self::force_down_to).
     /// The health itself recovers through the normal success path on the
     /// next call, not here.
-    pub fn clear_forced_floor(&mut self) {
+    pub(crate) fn clear_forced_floor(&mut self) {
         self.forced_floor = Health::Healthy;
     }
 
@@ -382,7 +377,7 @@ impl SupervisedHandle {
     /// is spawned lazily on the first call, so construction never fails;
     /// a failed spawn surfaces as [`AgentError::Spawn`] from the call that
     /// needed it.
-    pub fn new(mut inner: Box<dyn RuntimeHandle>, config: SupervisionConfig) -> Self {
+    pub(crate) fn new(mut inner: Box<dyn RuntimeHandle>, config: SupervisionConfig) -> Self {
         let name = inner.name();
         let courier = match inner.take_courier() {
             Some(mut adopted) => {
@@ -411,7 +406,7 @@ impl SupervisedHandle {
     /// (`coop_agent_runtime_health{runtime=..}`), retry and transition
     /// counters, and `health` timeline instants on `track`'s
     /// [`HEALTH_LANE`].
-    pub fn attach_telemetry(&self, hub: Arc<TelemetryHub>, track: TrackId) {
+    pub(crate) fn attach_telemetry(&self, hub: Arc<TelemetryHub>, track: TrackId) {
         let reg = hub.registry();
         let labels = [("runtime", self.name.as_str())];
         let telemetry = SupervisionTelemetry {
@@ -432,22 +427,14 @@ impl SupervisedHandle {
     }
 
     /// The runtime's current health.
-    pub fn health(&self) -> Health {
+    pub(crate) fn health(&self) -> Health {
         self.state.lock().health()
     }
 
     /// `true` when the runtime should be excluded from policy decisions
     /// ([`Health::Suspected`] or worse).
-    pub fn is_quarantined(&self) -> bool {
+    pub(crate) fn is_quarantined(&self) -> bool {
         self.health() >= Health::Suspected
-    }
-
-    /// One un-retried stats round-trip feeding the health state machine —
-    /// the probe the agent sends to quarantined/evicted runtimes. Returns
-    /// the health after the probe.
-    pub fn probe(&self) -> Health {
-        let _ = stats_all(&[self], false);
-        self.health()
     }
 
     /// Force this runtime's health down to [`Health::Degraded`] on
@@ -457,7 +444,7 @@ impl SupervisedHandle {
     /// operators see the transition (gauge, timeline instant) and the
     /// agent shrinks its allocation toward fair share. Health recovers
     /// through the normal success path once the evidence clears.
-    pub fn force_degraded(&self) {
+    pub(crate) fn force_degraded(&self) {
         let transition = self.state.lock().force_down_to(Health::Degraded);
         self.publish_transition(transition);
     }
@@ -465,7 +452,7 @@ impl SupervisedHandle {
     /// Lifts the sticky Degraded floor set by
     /// [`force_degraded`](Self::force_degraded); health recovers through
     /// the normal success path on the next call.
-    pub fn clear_forced_floor(&self) {
+    pub(crate) fn clear_forced_floor(&self) {
         self.state.lock().clear_forced_floor();
     }
 
@@ -1025,10 +1012,14 @@ mod tests {
         }
         assert_eq!(h.health(), Health::Dead);
         assert!(h.is_quarantined());
-        // Revive: two successful probes re-admit it.
+        // Revive: two successful un-retried probes re-admit it.
         dead.store(false, Ordering::SeqCst);
-        assert_eq!(h.probe(), Health::Dead);
-        assert_eq!(h.probe(), Health::Healthy);
+        let probe = || {
+            let _ = stats_all(&[&h], false);
+            h.health()
+        };
+        assert_eq!(probe(), Health::Dead);
+        assert_eq!(probe(), Health::Healthy);
         assert!(!h.is_quarantined());
     }
 

@@ -14,7 +14,7 @@ use distsim::{simulate, Cluster, Distribution, Synchronization, Workload};
 /// The heterogeneous local-speedup vector used by the experiment: mean
 /// 1.15, but uneven — exactly the "more aggressive strategies" regime the
 /// paper warns needs dynamic redistribution.
-pub fn speedup_vector(ranks: usize) -> Vec<f64> {
+pub(crate) fn speedup_vector(ranks: usize) -> Vec<f64> {
     (0..ranks)
         .map(|i| match i % 4 {
             0 => 1.40,

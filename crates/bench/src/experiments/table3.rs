@@ -55,7 +55,7 @@ pub struct Table3 {
 
 /// The "true" hardware the simulator runs: richer than the calibrated
 /// view, as real hardware is.
-pub fn true_machine() -> Machine {
+pub(crate) fn true_machine() -> Machine {
     MachineBuilder::new()
         .name("skylake-4x20-true")
         .symmetric_nodes(4, 20)
@@ -201,7 +201,7 @@ pub struct Table3Residuals {
 
 impl Table3Residuals {
     /// Mean absolute machine-wide relative residual.
-    pub fn mean_abs_residual(&self) -> f64 {
+    pub(crate) fn mean_abs_residual(&self) -> f64 {
         if self.ticks.is_empty() {
             return 0.0;
         }

@@ -23,7 +23,7 @@
 //! | `repro_all` | everything above, in order |
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 pub mod experiments;
 pub mod report;

@@ -2,7 +2,6 @@
 
 use coop_telemetry::json::{ToJson, Value};
 use coop_telemetry::json_write;
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// One paper-vs-measured comparison row.
@@ -18,7 +17,7 @@ pub struct Row {
 
 impl Row {
     /// Creates a row with a paper reference value.
-    pub fn with_paper(label: &str, paper: f64, measured: f64) -> Self {
+    pub(crate) fn with_paper(label: &str, paper: f64, measured: f64) -> Self {
         Row {
             label: label.to_string(),
             paper: Some(paper),
@@ -27,7 +26,7 @@ impl Row {
     }
 
     /// Creates a row without a paper reference.
-    pub fn new(label: &str, measured: f64) -> Self {
+    pub(crate) fn new(label: &str, measured: f64) -> Self {
         Row {
             label: label.to_string(),
             paper: None,
@@ -36,7 +35,7 @@ impl Row {
     }
 
     /// Relative deviation from the paper value, if any.
-    pub fn deviation(&self) -> Option<f64> {
+    pub(crate) fn deviation(&self) -> Option<f64> {
         self.paper.map(|p| (self.measured - p) / p)
     }
 }
@@ -54,7 +53,7 @@ pub struct Table {
 
 impl Table {
     /// Creates an empty table.
-    pub fn new(title: &str, unit: &str) -> Self {
+    pub(crate) fn new(title: &str, unit: &str) -> Self {
         Table {
             title: title.to_string(),
             unit: unit.to_string(),
@@ -63,7 +62,7 @@ impl Table {
     }
 
     /// Appends a row.
-    pub fn push(&mut self, row: Row) {
+    pub(crate) fn push(&mut self, row: Row) {
         self.rows.push(row);
     }
 
@@ -74,11 +73,6 @@ impl Table {
             .iter()
             .filter_map(|r| r.deviation())
             .fold(0.0, |m, d| m.max(d.abs()))
-    }
-
-    /// Serializes to pretty JSON (for `EXPERIMENTS.md` regeneration).
-    pub fn to_json(&self) -> String {
-        self.to_value().write_pretty()
     }
 }
 
@@ -152,15 +146,6 @@ impl std::fmt::Display for Table {
     }
 }
 
-/// Renders several tables with blank-line separators (used by `repro_all`).
-pub fn render_all(tables: &[Table]) -> String {
-    let mut out = String::new();
-    for t in tables {
-        let _ = writeln!(out, "{t}");
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,7 +175,7 @@ mod tests {
     fn json_roundtrips_structurally() {
         let mut t = Table::new("T", "u");
         t.push(Row::with_paper("a", 1.0, 2.0));
-        let json = t.to_json();
+        let json = t.to_value().write_pretty();
         assert!(json.contains("\"paper\": 1.0"));
         assert!(json.contains("\"measured\": 2.0"));
     }

@@ -36,7 +36,7 @@ pub enum OutputFormat {
 
 impl OutputFormat {
     /// Parses a `--format` value.
-    pub fn parse(s: &str) -> Result<OutputFormat> {
+    pub(crate) fn parse(s: &str) -> Result<OutputFormat> {
         match s {
             "text" => Ok(OutputFormat::Text),
             "json" => Ok(OutputFormat::Json),

@@ -27,7 +27,7 @@ const PRESETS: [Preset; 6] = [
 ];
 
 /// Resolves a `--machine` argument: preset name, `host`, or a JSON path.
-pub fn resolve_machine(name: &str) -> Result<Machine> {
+pub(crate) fn resolve_machine(name: &str) -> Result<Machine> {
     if let Some((_, preset)) = PRESETS.iter().find(|(n, _)| *n == name) {
         return Ok(preset());
     }
@@ -44,7 +44,7 @@ pub fn resolve_machine(name: &str) -> Result<Machine> {
 }
 
 /// Converts CLI app specs to model specs, validating against the machine.
-pub fn resolve_apps(machine: &Machine, args: &[AppArg]) -> Result<Vec<AppSpec>> {
+pub(crate) fn resolve_apps(machine: &Machine, args: &[AppArg]) -> Result<Vec<AppSpec>> {
     args.iter()
         .map(|a| {
             let placement = match a.placement {
@@ -92,7 +92,7 @@ fn health_doc(health: &[(String, coop_agent::Health)]) -> Value {
 }
 
 /// Executes a parsed command; returns stdout text.
-pub fn execute(cli: &Cli) -> Result<String> {
+pub(crate) fn execute(cli: &Cli) -> Result<String> {
     let format = cli.format;
     match &cli.command {
         Command::Help => Ok(crate::args::USAGE.to_string()),

@@ -23,7 +23,7 @@
 //! machine JSON file (see `coop-cli show`).
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 pub mod args;
 pub mod commands;
@@ -44,7 +44,7 @@ pub struct CliError {
 
 impl CliError {
     /// A usage error (exit code 2).
-    pub fn usage(message: impl Into<String>) -> Self {
+    pub(crate) fn usage(message: impl Into<String>) -> Self {
         CliError {
             message: message.into(),
             code: 2,
@@ -52,7 +52,7 @@ impl CliError {
     }
 
     /// A runtime failure (exit code 1).
-    pub fn failure(message: impl Into<String>) -> Self {
+    pub(crate) fn failure(message: impl Into<String>) -> Self {
         CliError {
             message: message.into(),
             code: 1,

@@ -326,3 +326,46 @@ fn trace_from_a_flight_dump_exits_0_and_from_garbage_exits_1() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A scenario file is input from outside the program: one that asks for
+/// more threads than a host can hold, or for more time steps than it can
+/// walk, is refused like any other failed run (exit 1) at once — never
+/// killed for its memory (137), aborted by a failed allocation (134),
+/// panicked (101) or left running.
+#[test]
+fn hostile_scenario_files_exit_1_not_a_kill_or_a_hang() {
+    let dir = std::env::temp_dir().join(format!("coop-cli-hostile-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut threads = memsim::scenario::template();
+    threads.effects.allow_oversubscription = true;
+    threads.assignments[0].threads[0][0] = 1_000_000_000;
+    let mut duration = memsim::scenario::template();
+    duration.duration_s = 1e12;
+    for (file, scenario) in [("threads.json", threads), ("duration.json", duration)] {
+        std::fs::write(dir.join(file), scenario.to_json()).unwrap();
+        let mut child = cli()
+            .args(["simulate", "--scenario", file])
+            .current_dir(&dir)
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        let status = loop {
+            if let Some(status) = child.try_wait().unwrap() {
+                break status;
+            }
+            if std::time::Instant::now() > deadline {
+                child.kill().ok();
+                child.wait().ok();
+                panic!("`simulate --scenario {file}` still running after 10 s");
+            }
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        };
+        let mut stderr = String::new();
+        std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr).unwrap();
+        assert_eq!(status.code(), Some(1), "{file}: {status:?} {stderr}");
+        assert!(stderr.contains("budget"), "{file}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

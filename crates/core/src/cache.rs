@@ -104,13 +104,13 @@ impl ScoreCache {
     /// Fills `buf` with the canonical cache key of `assignment` (its
     /// row-major counts). Reusing one buffer across lookups
     /// keeps the hot path allocation-free: only an insert boxes the key.
-    pub fn key_of(assignment: &ThreadAssignment, buf: &mut Vec<u32>) {
+    pub(crate) fn key_of(assignment: &ThreadAssignment, buf: &mut Vec<u32>) {
         buf.clear();
         buf.extend(assignment.as_slice().iter().map(|&c| c as u32));
     }
 
     /// Looks up a previously inserted score by key. Counts a hit or miss.
-    pub fn lookup_key(&self, key: &[u32]) -> Option<f64> {
+    pub(crate) fn lookup_key(&self, key: &[u32]) -> Option<f64> {
         let found = self
             .map
             .lock()
@@ -136,7 +136,7 @@ impl ScoreCache {
 
     /// Inserts a score for `key` if absent. Counts an insert only for new
     /// entries (concurrent workers may race to score the same assignment).
-    pub fn insert_key(&self, key: &[u32], score: f64) {
+    pub(crate) fn insert_key(&self, key: &[u32], score: f64) {
         let mut map = self.map.lock().expect("score cache poisoned");
         if !map.contains_key(key) {
             map.insert(key.to_vec().into_boxed_slice(), score);

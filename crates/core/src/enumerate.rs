@@ -106,7 +106,7 @@ pub fn uniform_assignments(
 /// Together with [`assignment_at`] this lets a parallel search jump straight
 /// to any rank of the enumeration without iterating from the start, so the
 /// space can be chunked across threads.
-pub fn per_node_compositions(machine: &Machine, num_apps: usize) -> Vec<Vec<Vec<usize>>> {
+pub(crate) fn per_node_compositions(machine: &Machine, num_apps: usize) -> Vec<Vec<Vec<usize>>> {
     machine
         .nodes()
         .map(|n| node_compositions(n.num_cores(), num_apps))
@@ -120,7 +120,7 @@ pub fn per_node_compositions(machine: &Machine, num_apps: usize) -> Vec<Vec<Vec<
 /// advances its final dimension first). `out` must already be shaped
 /// `[num_apps][num_nodes]`; `index` must be below the product of the
 /// per-node list lengths.
-pub fn assignment_at(per_node: &[Vec<Vec<usize>>], index: u128, out: &mut ThreadAssignment) {
+pub(crate) fn assignment_at(per_node: &[Vec<Vec<usize>>], index: u128, out: &mut ThreadAssignment) {
     let mut rank = index;
     for node in (0..per_node.len()).rev() {
         let len = per_node[node].len() as u128;

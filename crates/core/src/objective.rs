@@ -2,9 +2,7 @@
 
 use crate::{AllocError, Result};
 use numa_topology::Machine;
-use roofline_numa::{
-    solve_gflops, AppSpec, SolveOptions, SolveReport, SolveScratch, ThreadAssignment,
-};
+use roofline_numa::{solve_gflops, AppSpec, SolveOptions, SolveScratch, ThreadAssignment};
 
 /// What an allocation search optimizes.
 ///
@@ -27,43 +25,12 @@ pub enum Objective {
 }
 
 impl Objective {
-    /// Evaluates this objective over a solved report. Higher is better.
-    pub fn evaluate(&self, report: &SolveReport) -> Result<f64> {
-        match self {
-            Objective::TotalGflops => Ok(report.total_gflops()),
-            Objective::MinAppGflops => Ok(report
-                .apps
-                .iter()
-                .map(|a| a.gflops)
-                .fold(f64::INFINITY, f64::min)),
-            Objective::WeightedGflops(w) => {
-                if w.len() != report.apps.len() {
-                    return Err(AllocError::ParameterShape {
-                        what: "objective weights",
-                        expected: report.apps.len(),
-                        actual: w.len(),
-                    });
-                }
-                if w.iter().any(|&x| x < 0.0 || !x.is_finite()) || w.iter().all(|&x| x == 0.0) {
-                    return Err(AllocError::BadWeights);
-                }
-                Ok(report
-                    .apps
-                    .iter()
-                    .zip(w)
-                    .map(|(a, &wt)| wt * a.gflops)
-                    .sum())
-            }
-        }
-    }
-
     /// Evaluates this objective over a per-app GFLOPS slice (the
     /// allocation-free form produced by [`roofline_numa::solve_gflops`]).
-    ///
-    /// Arithmetic is ordered exactly as [`Objective::evaluate`] orders it
-    /// over a [`SolveReport`] — sums run in app order — so both paths return
-    /// bit-identical scores for the same solve.
-    pub fn evaluate_gflops(&self, app_gflops: &[f64]) -> Result<f64> {
+    /// Higher is better. Sums run in app order, so the score is
+    /// bit-identical to the same sum over a
+    /// [`SolveReport`](roofline_numa::SolveReport)'s apps.
+    pub(crate) fn evaluate_gflops(&self, app_gflops: &[f64]) -> Result<f64> {
         match self {
             Objective::TotalGflops => Ok(app_gflops.iter().sum()),
             Objective::MinAppGflops => Ok(app_gflops.iter().copied().fold(f64::INFINITY, f64::min)),
@@ -178,7 +145,17 @@ mod tests {
             Objective::MinAppGflops,
             Objective::WeightedGflops(vec![0.3, 0.7]),
         ] {
-            let via_report = obj.evaluate(&r).unwrap();
+            let via_report = match &obj {
+                Objective::TotalGflops => r.total_gflops(),
+                Objective::MinAppGflops => r
+                    .apps
+                    .iter()
+                    .map(|a| a.gflops)
+                    .fold(f64::INFINITY, f64::min),
+                Objective::WeightedGflops(w) => {
+                    r.apps.iter().zip(w).map(|(a, &wt)| wt * a.gflops).sum()
+                }
+            };
             let via_slice = obj.evaluate_gflops(&gflops).unwrap();
             assert_eq!(via_report, via_slice, "{obj:?} diverged between paths");
         }

@@ -244,7 +244,7 @@ impl<'a> ModelOracle<'a> {
     }
 
     /// Number of applications in the context.
-    pub fn num_apps(&self) -> usize {
+    pub(crate) fn num_apps(&self) -> usize {
         self.apps.len()
     }
 

@@ -114,16 +114,9 @@ pub fn uniform_per_node(machine: &Machine, counts: &[usize]) -> Result<ThreadAss
     Ok(a)
 }
 
-/// Application `i` gets all cores of node `i` ("give all cores in one NUMA
-/// node to each application", Figure 2c). Requires `num_apps <= num_nodes`.
-pub fn node_per_app(machine: &Machine, num_apps: usize) -> Result<ThreadAssignment> {
-    if num_apps == 0 {
-        return Err(AllocError::NoApps);
-    }
-    Ok(ThreadAssignment::node_per_app(machine, num_apps)?)
-}
-
-/// Like [`node_per_app`] but with an explicit application-to-node mapping,
+/// Like [`ThreadAssignment::node_per_app`] ("give all cores in one NUMA
+/// node to each application", Figure 2c) but with an explicit
+/// application-to-node mapping,
 /// so a NUMA-bad application can be put "on the right node" (§III.A):
 /// application `i` gets all cores of `nodes[i]`. Nodes must be distinct.
 pub fn node_per_app_mapped(machine: &Machine, nodes: &[NodeId]) -> Result<ThreadAssignment> {
@@ -182,28 +175,6 @@ pub fn proportional(machine: &Machine, weights: &[f64]) -> Result<ThreadAssignme
         for (app, &c) in counts.iter().enumerate() {
             a.set(app, node, c);
         }
-    }
-    a.validate(machine)?;
-    Ok(a)
-}
-
-/// The all-cores-to-one-application allocation: application `app` (of
-/// `num_apps`) gets every core of the machine; the rest get nothing. This
-/// is the end state of the paper's "library application" burst scenario.
-pub fn all_to_one(machine: &Machine, num_apps: usize, app: usize) -> Result<ThreadAssignment> {
-    if num_apps == 0 {
-        return Err(AllocError::NoApps);
-    }
-    if app >= num_apps {
-        return Err(AllocError::ParameterShape {
-            what: "all_to_one app index",
-            expected: num_apps,
-            actual: app,
-        });
-    }
-    let mut a = ThreadAssignment::zero(machine, num_apps);
-    for node in machine.node_ids() {
-        a.set(app, node, machine.node(node).num_cores());
     }
     a.validate(machine)?;
     Ok(a)
@@ -311,15 +282,6 @@ mod tests {
         assert_eq!(a.app_total(0), 32);
         assert!(proportional(&m, &[0.0, 0.0]).is_err());
         assert!(proportional(&m, &[-1.0, 1.0]).is_err());
-    }
-
-    #[test]
-    fn all_to_one_fills_machine() {
-        let m = paper_model_machine();
-        let a = all_to_one(&m, 3, 1).unwrap();
-        assert_eq!(a.app_total(1), 32);
-        assert_eq!(a.app_total(0), 0);
-        assert!(all_to_one(&m, 3, 3).is_err());
     }
 
     #[test]

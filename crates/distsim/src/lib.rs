@@ -41,7 +41,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 use coop_alloc::rng::StdRng;
 use coop_telemetry::json_struct;

@@ -4,7 +4,7 @@ use crate::event::s_to_tick;
 use coop_telemetry::json::{self, FromJson, ToJson, Value};
 use coop_telemetry::{json_object, json_struct};
 use numa_topology::NodeId;
-use roofline_numa::{AppSpec, DataPlacement};
+use roofline_numa::AppSpec;
 
 /// When an application is actively computing.
 ///
@@ -82,7 +82,7 @@ impl ActivityPattern {
     /// effective hang from a scenario file.
     ///
     /// [`next_edge`]: ActivityPattern::next_edge
-    pub fn validate(&self) -> crate::Result<()> {
+    pub(crate) fn validate(&self) -> crate::Result<()> {
         let bad = |reason| Err(crate::SimError::BadTime { reason });
         match *self {
             ActivityPattern::AlwaysOn => {}
@@ -145,7 +145,7 @@ impl ActivityPattern {
 
     /// `true` if the application computes during the quantum starting at
     /// `t` seconds.
-    pub fn is_active(&self, t: f64) -> bool {
+    pub(crate) fn is_active(&self, t: f64) -> bool {
         match *self {
             ActivityPattern::AlwaysOn => true,
             ActivityPattern::Bursts {
@@ -159,7 +159,6 @@ impl ActivityPattern {
             ActivityPattern::Window { start_s, end_s } => t >= start_s && t < end_s,
         }
     }
-
     /// The first instant at which [`is_active`] changes value whose
     /// [`Tick`](crate::event::Tick) is after `t`'s, or `None` if the pattern
     /// never changes again. This is what turns an activity pattern into
@@ -171,7 +170,7 @@ impl ActivityPattern {
     /// edge skips none and repeats none a nanosecond later.
     ///
     /// [`is_active`]: ActivityPattern::is_active
-    pub fn next_edge(&self, t: f64) -> Option<f64> {
+    pub(crate) fn next_edge(&self, t: f64) -> Option<f64> {
         let now = s_to_tick(t);
         let later = |edge: &f64| s_to_tick(*edge) > now;
         match *self {
@@ -263,17 +262,13 @@ impl SimApp {
     pub fn name(&self) -> &str {
         &self.spec.name
     }
-
-    /// Data placement.
-    pub fn placement(&self) -> &DataPlacement {
-        &self.spec.placement
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::tick_to_s;
+    use roofline_numa::DataPlacement;
 
     #[test]
     fn always_on() {
@@ -395,8 +390,8 @@ mod tests {
             });
         assert_eq!(a.name(), "x");
         assert_eq!(a.sync_overhead, 0.02);
-        assert_eq!(a.placement(), &DataPlacement::Local);
+        assert_eq!(a.spec.placement, DataPlacement::Local);
         let b = SimApp::numa_bad("y", 1.0, NodeId(2));
-        assert_eq!(b.placement(), &DataPlacement::SingleNode(NodeId(2)));
+        assert_eq!(b.spec.placement, DataPlacement::SingleNode(NodeId(2)));
     }
 }

@@ -39,7 +39,7 @@ pub struct AppOutage {
 
 impl AppOutage {
     /// `true` while the outage is active at time `t_s`.
-    pub fn is_down(&self, t_s: f64) -> bool {
+    pub(crate) fn is_down(&self, t_s: f64) -> bool {
         t_s >= self.down_at_s && self.up_at_s.is_none_or(|up| t_s < up)
     }
 }
@@ -85,7 +85,7 @@ impl ChaosPlan {
     }
 
     /// Validates outage targets and times against the scenario.
-    pub fn validate(&self, scenario: &Scenario) -> Result<()> {
+    pub(crate) fn validate(&self, scenario: &Scenario) -> Result<()> {
         for o in &self.outages {
             if o.app >= scenario.apps.len() {
                 return Err(SimError::Calibration {

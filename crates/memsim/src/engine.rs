@@ -11,14 +11,14 @@
 
 use crate::event::{advance_time, s_to_tick, EventRun, Samples};
 use crate::result::AppSeries;
-use crate::{EngineKind, EventLog, SimApp, SimConfig, SimError, SimResult};
+use crate::{ActivityPattern, EngineKind, EventLog, SimApp, SimConfig, SimError, SimResult};
 use coop_alloc::rng::StdRng;
 use coop_telemetry::{
     hop, hop_args, ArgValue, Counter, EventKind, Gauge, Histogram, PackedArg, SeriesKey,
     TelemetryHub, TimelineEvent, TrackId, TRACE_CAT,
 };
 use numa_topology::{Machine, NodeId};
-use roofline_numa::{DataPlacement, ThreadAssignment};
+use roofline_numa::{DataPlacement, ModelError, ThreadAssignment};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -116,11 +116,11 @@ impl SimSeries {
 /// One run's view of the hub: the simulator's [`SimSeries`] plus the run's
 /// time anchor. Simulated time is mapped onto the hub clock as
 /// `base_us + t * 1e6`, where `base_us` is the hub time when the run
-/// started (or an explicit anchor supplied via
-/// [`Simulation::with_time_base`]) — so memsim samples interleave correctly
-/// with runtime/agent events recorded during the same wall-clock window,
-/// and multi-run callers like the supervisor can keep every run on one
-/// consistent simulated clock instead of re-anchoring to the wall per run.
+/// started (or an explicit anchor, `Simulation::time_base_us`) — so memsim
+/// samples interleave correctly with runtime/agent events recorded during
+/// the same wall-clock window, and multi-run callers like the supervisor
+/// can keep every run on one consistent simulated clock instead of
+/// re-anchoring to the wall per run.
 pub(crate) struct SimTelemetry {
     hub: Arc<TelemetryHub>,
     series: Arc<SimSeries>,
@@ -314,22 +314,6 @@ impl Simulation {
         self
     }
 
-    /// Anchors simulated time onto the hub clock at an explicit base
-    /// (microseconds). Without this, every run anchors at the hub's
-    /// current wall time when it starts — fine for a single run, but a
-    /// caller that performs many back-to-back runs on one simulated clock
-    /// (the supervisor's decision ticks) must pass its own anchor so the
-    /// emitted timeline carries simulated time, not per-run wall time.
-    pub fn with_time_base(mut self, base_us: u64) -> Self {
-        self.time_base_us = Some(base_us);
-        self
-    }
-
-    /// The configured machine.
-    pub fn machine(&self) -> &numa_topology::Machine {
-        &self.config.machine
-    }
-
     /// Runs `apps` under a fixed `assignment` for `duration_s` seconds.
     pub fn run(
         &self,
@@ -356,21 +340,6 @@ impl Simulation {
     ) -> crate::Result<SimResult> {
         self.run_detailed(apps, schedule, duration_s, self.config.engine)
             .map(|(result, _log)| result)
-    }
-
-    /// [`run_dynamic`](Simulation::run_dynamic) for a caller that performs
-    /// many back-to-back runs and reads only each one's totals (the
-    /// supervisor's decision ticks): they are left in `run`, whose buffers
-    /// every run reuses, so a steady-state run allocates nothing.
-    pub(crate) fn run_totals(
-        &self,
-        apps: &[SimApp],
-        schedule: &[(f64, ThreadAssignment)],
-        duration_s: f64,
-        run: &mut EventRun,
-    ) -> crate::Result<()> {
-        let cuts = self.config.engine;
-        advance_time(self, apps, schedule, duration_s, cuts, run, None)
     }
 
     /// Runs with [`EngineKind::Event`]'s cuts regardless of the configured
@@ -437,7 +406,6 @@ impl Simulation {
         schedule: &[(f64, ThreadAssignment)],
         duration_s: f64,
     ) -> crate::Result<()> {
-        let machine = &self.config.machine;
         let dt = self.config.quantum_s;
         if duration_s <= 0.0 || !duration_s.is_finite() {
             return Err(SimError::BadTime {
@@ -450,15 +418,22 @@ impl Simulation {
                 reason: "quantum must be finite and at least 1 ns",
             });
         }
+        over_budget("quantum steps", duration_s / dt, MAX_STEPS)?;
         if schedule.is_empty() {
             return Err(SimError::BadTime {
                 reason: "schedule must contain at least one assignment",
             });
         }
-        for app in apps {
-            app.spec.validate(machine)?;
-            app.activity.validate()?;
-        }
+        check_apps(&self.config.machine, apps)?;
+        let edges: f64 = apps
+            .iter()
+            .map(|app| match app.activity {
+                ActivityPattern::AlwaysOn => 0.0,
+                ActivityPattern::Bursts { period_s, .. } => 2.0 * (duration_s / period_s + 1.0),
+                ActivityPattern::Window { .. } => 2.0,
+            })
+            .sum();
+        over_budget("activity edges", edges, MAX_EDGES)?;
         for (_, a) in schedule {
             self.validate_assignment(apps.len(), a)?;
         }
@@ -481,7 +456,8 @@ impl Simulation {
         }
         if self.config.effects.allow_oversubscription {
             assignment.check_shape(machine.num_nodes())?;
-            return Ok(());
+            let rows = (0..num_apps).map(|app| assignment.row(app));
+            return check_threads(rows, num_apps, machine.num_nodes());
         }
         assignment.validate(machine).map_err(|e| match e {
             roofline_numa::ModelError::OverSubscribed { node, .. } => {
@@ -490,6 +466,71 @@ impl Simulation {
             e => SimError::Model(e),
         })
     }
+}
+
+/// Most applications one run may hold.
+pub const MAX_APPS: usize = 100_000;
+/// Most threads one assignment may hold, in one cell and in total.
+pub const MAX_THREADS: usize = 1 << 20;
+/// Most quantum steps one run may span: `duration_s / quantum_s`.
+pub const MAX_STEPS: f64 = 1e6;
+/// Most activity edges the apps' patterns may imply over one run.
+pub const MAX_EDGES: f64 = 1e6;
+
+/// Every app against the machine, and their count against [`MAX_APPS`]:
+/// what a run checks and [`Scenario::validate`](crate::Scenario::validate)
+/// does as a file is read. With [`MAX_THREADS`] (per assignment), and
+/// [`MAX_STEPS`] and [`MAX_EDGES`] (per run, whose duration is what a run
+/// simulates), this is the run budget: each bound is at least ten times
+/// what any shipped scenario, test, CLI default or benchmark workload
+/// uses, and a run past one is refused before anything is allocated.
+pub(crate) fn check_apps(machine: &Machine, apps: &[SimApp]) -> crate::Result<()> {
+    over_budget("applications", apps.len() as f64, MAX_APPS as f64)?;
+    for app in apps {
+        app.spec.validate(machine)?;
+        app.activity.validate()?;
+    }
+    Ok(())
+}
+
+/// An assignment's rows against `num_apps` × `num_nodes` (the first row
+/// that does not span the machine is the error) and its thread count
+/// against [`MAX_THREADS`], in one walk of the matrix. Without
+/// over-subscription a run need not walk it: the machine's cores bound it.
+pub(crate) fn check_threads<'a>(
+    rows: impl ExactSizeIterator<Item = &'a [usize]>,
+    num_apps: usize,
+    num_nodes: usize,
+) -> crate::Result<()> {
+    if rows.len() != num_apps {
+        let assignment = rows.len();
+        return Err(ModelError::AppCountMismatch {
+            specs: num_apps,
+            assignment,
+        }
+        .into());
+    }
+    let mut total = 0usize;
+    for (app, row) in rows.enumerate() {
+        if row.len() != num_nodes {
+            let (expected, actual) = (num_nodes, row.len());
+            return Err(ModelError::AssignmentShape {
+                app,
+                expected,
+                actual,
+            }
+            .into());
+        }
+        total = row.iter().fold(total, |total, &n| total.saturating_add(n));
+    }
+    over_budget("threads", total as f64, MAX_THREADS as f64)
+}
+
+fn over_budget(what: &'static str, asked: f64, limit: f64) -> crate::Result<()> {
+    if asked > limit {
+        return Err(SimError::OverBudget(what, asked, limit));
+    }
+    Ok(())
 }
 
 /// The node holding the most of `app`'s threads under `assignment` (ties
@@ -1659,14 +1700,14 @@ mod tests {
         let all_b = ThreadAssignment::from_matrix(vec![vec![0, 0], vec![2, 2]]);
         for engine in [crate::EngineKind::Slice, crate::EngineKind::Event] {
             let hub = Arc::new(coop_telemetry::TelemetryHub::new());
-            let sim = Simulation::new(
+            let mut sim = Simulation::new(
                 SimConfig::new(machine.clone())
                     .with_effects(EffectModel::ideal())
                     .with_engine(engine),
             )
             .with_telemetry(Arc::clone(&hub))
-            .with_tracing()
-            .with_time_base(123_000);
+            .with_tracing();
+            sim.time_base_us = Some(123_000);
             sim.run_dynamic(&apps, &[(0.0, all_a.clone()), (0.05, all_b.clone())], 0.1)
                 .unwrap();
             let events = hub.events();

@@ -23,7 +23,7 @@
 //! # Determinism
 //!
 //! The heap is keyed by `(time, tie, component)` where `tie` is a
-//! seeded hash of the component id ([`EventHeap::tie`]). The log keeps one
+//! seeded hash of the component id (`EventHeap::tie`). The log keeps one
 //! event per app edge: the apps of every group due at a tick are logged
 //! together and the tick's batch is sorted by `(tie, app id)`, the order a
 //! heap entry per app would pop them in. Same seed ⇒ the same
@@ -45,12 +45,12 @@ use std::collections::BinaryHeap;
 pub type Tick = u64;
 
 /// Converts simulated seconds to an integer-nanosecond [`Tick`].
-pub fn s_to_tick(t_s: f64) -> Tick {
+pub(crate) fn s_to_tick(t_s: f64) -> Tick {
     (t_s * 1e9).round() as Tick
 }
 
 /// Converts a [`Tick`] back to simulated seconds.
-pub fn tick_to_s(t: Tick) -> f64 {
+pub(crate) fn tick_to_s(t: Tick) -> f64 {
     t as f64 / 1e9
 }
 
@@ -79,14 +79,6 @@ pub struct EventHeap {
 }
 
 impl EventHeap {
-    /// An empty heap breaking equal-time ties under `seed`.
-    pub fn new(seed: u64) -> Self {
-        EventHeap {
-            heap: BinaryHeap::new(),
-            seed,
-        }
-    }
-
     /// Empties the heap for a new run under `seed`, keeping its allocation.
     pub(crate) fn reset(&mut self, seed: u64) {
         self.heap.clear();
@@ -100,31 +92,26 @@ impl EventHeap {
     }
 
     /// Schedules `component` to wake at `tick`.
-    pub fn schedule(&mut self, tick: Tick, component: u32) {
+    pub(crate) fn schedule(&mut self, tick: Tick, component: u32) {
         self.heap
             .push(Reverse((tick, self.tie(component), component)));
     }
 
     /// Schedules a component's declared next tick, if it has one.
-    pub fn schedule_component(&mut self, id: u32, component: &impl Component) {
+    pub(crate) fn schedule_component(&mut self, id: u32, component: &impl Component) {
         if let Some(t) = component.next_tick() {
             self.schedule(t, id);
         }
     }
 
     /// The earliest pending tick.
-    pub fn peek_tick(&self) -> Option<Tick> {
+    pub(crate) fn peek_tick(&self) -> Option<Tick> {
         self.heap.peek().map(|Reverse((t, _, _))| *t)
-    }
-
-    /// Pops the earliest `(tick, component)` pair.
-    pub fn pop(&mut self) -> Option<(Tick, u32)> {
-        self.heap.pop().map(|Reverse((t, _, c))| (t, c))
     }
 
     /// The component of the earliest pending wake-up, if that wake-up is
     /// at `now`.
-    pub fn due(&self, now: Tick) -> Option<u32> {
+    pub(crate) fn due(&self, now: Tick) -> Option<u32> {
         match self.heap.peek() {
             Some(&Reverse((t, _, c))) if t == now => Some(c),
             _ => None,
@@ -134,9 +121,9 @@ impl EventHeap {
     /// Moves the earliest wake-up's component to `next` in place — one
     /// sift where a pop and a push are two — or pops it when `next` is
     /// `None`. A component has one pending key and keys are unique, so
-    /// every later pop is what [`pop`](EventHeap::pop) followed by
+    /// every later pop is what a pop followed by
     /// [`schedule`](EventHeap::schedule) would give.
-    pub fn reschedule_top(&mut self, next: Option<Tick>) {
+    pub(crate) fn reschedule_top(&mut self, next: Option<Tick>) {
         if let Some(mut top) = self.heap.peek_mut() {
             match next {
                 Some(t) => top.0 .0 = t,
@@ -145,16 +132,6 @@ impl EventHeap {
                 }
             }
         }
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// `true` when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -191,7 +168,7 @@ json_write!(EventLog: seed, events, segments);
 
 impl EventEdge {
     /// The stable lowercase name (`"assignment"` / `"activity"`).
-    pub fn as_str(&self) -> &'static str {
+    pub(crate) fn as_str(&self) -> &'static str {
         match self {
             EventEdge::Assignment => "assignment",
             EventEdge::Activity => "activity",
@@ -702,6 +679,24 @@ pub(crate) fn advance_time(
 mod tests {
     use super::*;
     use coop_alloc::cases::Gen;
+
+    impl EventHeap {
+        fn new(seed: u64) -> Self {
+            EventHeap {
+                heap: BinaryHeap::new(),
+                seed,
+            }
+        }
+
+        /// Pops the earliest `(tick, component)` pair.
+        fn pop(&mut self) -> Option<(Tick, u32)> {
+            self.heap.pop().map(|Reverse((t, _, c))| (t, c))
+        }
+
+        fn is_empty(&self) -> bool {
+            self.heap.is_empty()
+        }
+    }
 
     #[test]
     fn heap_orders_by_time_then_tie() {

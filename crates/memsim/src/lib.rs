@@ -58,7 +58,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 mod app;
 mod calibrate;
@@ -77,7 +77,7 @@ pub use chaos::{
     ChaosResult,
 };
 pub use config::{EffectModel, EngineKind, SimConfig};
-pub use engine::Simulation;
+pub use engine::{Simulation, MAX_APPS, MAX_EDGES, MAX_STEPS, MAX_THREADS};
 pub use event::{Component, EventEdge, EventHeap, EventLog, SimEvent};
 pub use result::{AppSeries, SimResult};
 pub use scenario::{
@@ -111,6 +111,9 @@ pub enum SimError {
         /// Explanation.
         reason: String,
     },
+    /// A run asks for more than its budget ([`MAX_THREADS`] and its
+    /// siblings) allows: what was counted, how many, and the bound.
+    OverBudget(&'static str, f64, f64),
 }
 
 impl std::fmt::Display for SimError {
@@ -125,6 +128,9 @@ impl std::fmt::Display for SimError {
                 )
             }
             SimError::Calibration { reason } => write!(f, "calibration failed: {reason}"),
+            SimError::OverBudget(what, n, max) => {
+                write!(f, "over the run budget: {n:e} {what} > {max:e}")
+            }
         }
     }
 }

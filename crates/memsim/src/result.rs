@@ -16,13 +16,6 @@ pub struct AppSeries {
     pub gflops_series: Vec<f64>,
 }
 
-impl AppSeries {
-    /// Average sustained GFLOPS over the whole run.
-    pub fn avg_gflops(&self, duration_s: f64) -> f64 {
-        self.gflop_done / duration_s
-    }
-}
-
 /// Complete result of a simulation run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimResult {
@@ -49,7 +42,7 @@ impl SimResult {
 
     /// Sustained GFLOPS of one application.
     pub fn app_gflops(&self, app: usize) -> f64 {
-        self.apps[app].avg_gflops(self.duration_s)
+        self.apps[app].gflop_done / self.duration_s
     }
 }
 
@@ -81,6 +74,6 @@ mod tests {
         };
         assert!((r.total_gflops() - 8.0).abs() < 1e-12);
         assert!((r.app_gflops(0) - 5.0).abs() < 1e-12);
-        assert!((r.apps[1].avg_gflops(2.0) - 3.0).abs() < 1e-12);
+        assert!((r.apps[1].gflop_done / 2.0 - 3.0).abs() < 1e-12);
     }
 }

@@ -7,6 +7,7 @@
 //! re-run identically anywhere. [`run_scenario`] executes every assignment
 //! and, for comparison, also scores each with the analytic model.
 
+use crate::engine::{check_apps, check_threads};
 use crate::{EffectModel, EngineKind, Result, SimApp, SimConfig, SimError, Simulation};
 use coop_telemetry::json::{self, FromJson, ToJson};
 use coop_telemetry::{json_struct, json_write};
@@ -85,43 +86,21 @@ impl Scenario {
         Ok(s)
     }
 
-    /// Validates apps and assignments against the machine.
+    /// Validates apps and assignments against the machine and the run
+    /// budget. Assignments are checked for shape and thread count only:
+    /// whether one over-subscribes, and whether the duration fits the
+    /// budget, is the run's to refuse (a supervised run simulates its own
+    /// duration, not the scenario's).
     pub fn validate(&self) -> Result<()> {
-        for app in &self.apps {
-            app.spec.validate(&self.machine)?;
-            app.activity.validate()?;
-        }
+        check_apps(&self.machine, &self.apps)?;
         if self.assignments.is_empty() {
             return Err(SimError::BadTime {
                 reason: "scenario needs at least one assignment",
             });
         }
-        // The shape is checked on the matrix as it is: the first row that
-        // does not span the machine is the error `check_shape` would report.
-        let num_nodes = self.machine.num_nodes();
         for a in &self.assignments {
-            if a.threads.len() != self.apps.len() {
-                return Err(SimError::Model(
-                    roofline_numa::ModelError::AppCountMismatch {
-                        specs: self.apps.len(),
-                        assignment: a.threads.len(),
-                    },
-                ));
-            }
-            if let Some((app, row)) = a
-                .threads
-                .iter()
-                .enumerate()
-                .find(|(_, row)| row.len() != num_nodes)
-            {
-                return Err(SimError::Model(
-                    roofline_numa::ModelError::AssignmentShape {
-                        app,
-                        expected: num_nodes,
-                        actual: row.len(),
-                    },
-                ));
-            }
+            let rows = a.threads.iter().map(Vec::as_slice);
+            check_threads(rows, self.apps.len(), self.machine.num_nodes())?;
         }
         Ok(())
     }

@@ -21,7 +21,7 @@
 //! Table III model-vs-measurement comparison.
 
 use crate::chaos::{segment_assignment, ChaosPlan};
-use crate::event::EventRun;
+use crate::event::{advance_time, EventRun};
 use crate::{EngineKind, Result, Scenario, SimConfig, SimError, Simulation};
 use coop_agent::Tenancy;
 use coop_alloc::search::{HillClimb, ModelOracle};
@@ -69,7 +69,7 @@ pub enum Perturbation {
 
 impl Perturbation {
     /// Simulated time at which this perturbation takes effect, seconds.
-    pub fn at_s(&self) -> f64 {
+    pub(crate) fn at_s(&self) -> f64 {
         match self {
             Perturbation::NodeBandwidth { at_s, .. } => *at_s,
             Perturbation::RunawayTask { at_s, .. } => *at_s,
@@ -137,7 +137,7 @@ const MAX_DECISION_TICKS: f64 = 1e6;
 impl SupervisorConfig {
     /// Validates periods, the tick count and perturbation targets against
     /// `machine`.
-    pub fn validate(&self, machine: &Machine) -> Result<()> {
+    pub(crate) fn validate(&self, machine: &Machine) -> Result<()> {
         if !(self.decision_period_s > 0.0 && self.decision_period_s.is_finite()) {
             return Err(SimError::BadTime {
                 reason: "decision period must be positive and finite",
@@ -223,7 +223,7 @@ impl SupervisorConfig {
 
     /// The nominal machine with every perturbation active at time `t_s`
     /// applied (latest-active-per-node wins).
-    pub fn machine_at(&self, nominal: &Machine, t_s: f64) -> Result<Machine> {
+    pub(crate) fn machine_at(&self, nominal: &Machine, t_s: f64) -> Result<Machine> {
         let mut factors: Vec<Option<(f64, f64)>> = vec![None; nominal.num_nodes()];
         for p in &self.perturbations {
             let Perturbation::NodeBandwidth {
@@ -474,7 +474,7 @@ pub fn run_supervised(
             command_period = f64::NAN;
         }
         if period != command_period {
-            command = format!("simulate {period:.4}s on {}", sim.machine().name()).into();
+            command = format!("simulate {period:.4}s on {}", sim.config.machine.name()).into();
             command_period = period;
         }
 
@@ -562,7 +562,10 @@ pub fn run_supervised(
 
         sim.config.seed = scenario.seed.wrapping_add(tick);
         sim.time_base_us = Some(ts(start_s));
-        sim.run_totals(&scenario.apps, &schedule, period, &mut run)?;
+        // Only the run's totals are read: they are left in `run`, whose
+        // buffers every tick reuses, so a steady-state tick allocates nothing.
+        let (apps, cuts) = (&scenario.apps, sim.config.engine);
+        advance_time(&sim, apps, &schedule, period, cuts, &mut run, None)?;
 
         // The watchdog flags a wedge that has set in by the tick's end, once
         // per wedged tick. A life's first flag raises the `runaway` instant,

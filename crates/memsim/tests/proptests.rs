@@ -1,5 +1,5 @@
 //! Property tests on the seeded case runner: the simulator agrees with the analytic model when
-//! effects are off, and effects only ever reduce throughput.
+//! effects are off, effects only ever reduce throughput, and a run past its budget is refused.
 
 use coop_alloc::cases::check;
 use memsim::{EffectModel, SimApp, SimConfig, Simulation};
@@ -145,5 +145,69 @@ fn served_bandwidth_conserved() {
             // Jitter can push instantaneous demand slightly over; allow 2%.
             assert!(gbs <= cap * 1.02, "node {n}: {gbs} > {cap}");
         }
+    });
+}
+
+/// The run budget: scenarios drawn within every bound are accepted, and
+/// the same scenario pushed one past any one bound is refused with
+/// `SimError::OverBudget` by the run, before a thread is laid out or a step
+/// taken, and a matrix or app list past one already as the file is read —
+/// never with a panic.
+#[test]
+fn scenario_budget_accepts_within_and_refuses_one_past() {
+    use memsim::{
+        scenario, ActivityPattern, SimError, MAX_APPS, MAX_EDGES, MAX_STEPS, MAX_THREADS,
+    };
+    check(2, CASES, |g| {
+        let mut s = scenario::template();
+        s.effects.allow_oversubscription = true;
+        let (apps, nodes) = (s.apps.len(), s.machine.num_nodes());
+        let cell = MAX_THREADS / (apps * nodes);
+        for row in &mut s.assignments[0].threads {
+            row.iter_mut().for_each(|n| *n = g.range(0..cell + 1));
+        }
+        // Steps at the template's 1 ms quantum, and bursts well inside the
+        // edge budget for that duration.
+        s.duration_s = 1e-3 * MAX_STEPS * g.range(1e-3..0.999);
+        let edges_per_app = MAX_EDGES / apps as f64 / 2.0 - 2.0;
+        s.apps[0].activity = ActivityPattern::Bursts {
+            period_s: s.duration_s / edges_per_app * g.range(1.0..4.0),
+            duty: 0.5,
+            phase_s: 0.0,
+        };
+        assert_eq!(s.validate(), Ok(()));
+
+        let past = g.range(0..4usize);
+        match past {
+            0 => {
+                let total: usize = s.assignments[0].threads.iter().flatten().sum();
+                s.assignments[0].threads[0][0] += MAX_THREADS + 1 - total;
+            }
+            1 => {
+                let app = s.apps[3].clone();
+                s.apps.resize(MAX_APPS + 1, app);
+            }
+            2 => s.duration_s = 1e-3 * (MAX_STEPS + 1.0),
+            _ => {
+                s.apps[0].activity = ActivityPattern::Bursts {
+                    period_s: s.duration_s / MAX_EDGES,
+                    duty: 0.5,
+                    phase_s: 0.0,
+                }
+            }
+        }
+        // The duration is the run's: a supervised run simulates its own.
+        match s.validate() {
+            Err(SimError::OverBudget(..)) => assert!(past < 2),
+            Ok(()) => assert!(past >= 2),
+            e => panic!("{e:?}"),
+        }
+        let assignment = ThreadAssignment::from_matrix(s.assignments[0].threads.clone());
+        let sim =
+            Simulation::new(SimConfig::new(s.machine.clone()).with_effects(s.effects.clone()));
+        assert!(matches!(
+            sim.run(&s.apps, &assignment, s.duration_s),
+            Err(SimError::OverBudget(..))
+        ));
     });
 }

@@ -81,7 +81,7 @@ impl DataPlacement {
     }
 
     /// Validates the placement against a machine.
-    pub fn validate(&self, machine: &Machine) -> Result<()> {
+    pub(crate) fn validate(&self, machine: &Machine) -> Result<()> {
         match self {
             DataPlacement::Local => Ok(()),
             DataPlacement::SingleNode(n) => {
@@ -158,7 +158,7 @@ impl AppSpec {
 
     /// Bandwidth one thread of this application attempts on a core with the
     /// given peak GFLOPS (assumption 3): `peak / AI` GB/s.
-    pub fn demand_per_thread_gbs(&self, core_peak_gflops: f64) -> f64 {
+    pub(crate) fn demand_per_thread_gbs(&self, core_peak_gflops: f64) -> f64 {
         core_peak_gflops / self.ai
     }
 

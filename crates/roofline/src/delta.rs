@@ -71,7 +71,7 @@ impl<'a> DeltaSolver<'a> {
     }
 
     /// Creates a solver with explicit options.
-    pub fn with_options(
+    pub(crate) fn with_options(
         machine: &'a Machine,
         apps: &'a [AppSpec],
         options: SolveOptions,
@@ -113,11 +113,6 @@ impl<'a> DeltaSolver<'a> {
     /// [`rebase`](DeltaSolver::rebase) or [`commit`](DeltaSolver::commit).
     pub fn has_base(&self) -> bool {
         self.has_base
-    }
-
-    /// Per-app GFLOPS totals of the committed base assignment.
-    pub fn totals(&self) -> &[f64] {
-        &self.totals
     }
 
     /// The committed base assignment (all zeros before the first
@@ -480,7 +475,7 @@ mod tests {
         let full = solve_gflops(&m, &apps, &cand, SolveOptions::default(), &mut scratch).unwrap();
         assert_eq!(probed, full);
         delta.commit(&cand);
-        assert_eq!(delta.totals(), full);
+        assert_eq!(delta.totals, full);
     }
 
     #[test]

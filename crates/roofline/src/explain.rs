@@ -175,25 +175,6 @@ pub fn explain(machine: &Machine, report: &SolveReport) -> Explanation {
     Explanation { groups, nodes }
 }
 
-impl Explanation {
-    /// Findings for one application, across its home nodes.
-    pub fn for_app(&self, app: usize) -> impl Iterator<Item = &GroupFinding> {
-        self.groups.iter().filter(move |g| g.app == app)
-    }
-
-    /// `true` if every group of `app` is classified `limiter`.
-    pub fn app_is(&self, app: usize, limiter: Limiter) -> bool {
-        let mut any = false;
-        for g in self.for_app(app) {
-            any = true;
-            if g.limiter != limiter {
-                return false;
-            }
-        }
-        any
-    }
-}
-
 impl fmt::Display for Explanation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "-- groups --")?;
@@ -232,6 +213,12 @@ mod tests {
     use crate::{solve, AppSpec, ThreadAssignment};
     use numa_topology::presets::{paper_crossnode_machine, paper_model_machine};
 
+    /// `true` if `app` has a group and every one is classified `limiter`.
+    fn app_is(e: &Explanation, app: usize, limiter: Limiter) -> bool {
+        let mut groups = e.groups.iter().filter(|g| g.app == app).peekable();
+        groups.peek().is_some() && groups.all(|g| g.limiter == limiter)
+    }
+
     #[test]
     fn table_1_narrative() {
         let m = paper_model_machine();
@@ -247,9 +234,9 @@ mod tests {
 
         // The memory-bound apps are bandwidth-starved (9 of 20 GB/s);
         // the compute-bound app runs at peak.
-        assert!(e.app_is(0, Limiter::BandwidthStarved));
-        assert!(e.app_is(3, Limiter::ComputeBound));
-        let mem = e.for_app(0).next().unwrap();
+        assert!(app_is(&e, 0, Limiter::BandwidthStarved));
+        assert!(app_is(&e, 3, Limiter::ComputeBound));
+        let mem = e.groups.iter().find(|g| g.app == 0).unwrap();
         assert!((mem.satisfaction - 0.45).abs() < 1e-9, "9/20 = 45%");
         // Every node's memory is saturated, no idle cores.
         for n in &e.nodes {
@@ -268,7 +255,7 @@ mod tests {
         a.set(0, numa_topology::NodeId(1), 8); // 80 GB/s demanded over a 10 GB/s link
         let r = solve(&m, &apps, &a).unwrap();
         let e = explain(&m, &r);
-        assert!(e.app_is(0, Limiter::LinkLimited), "{e}");
+        assert!(app_is(&e, 0, Limiter::LinkLimited), "{e}");
         // Node 0 serves only 10 of 60 GB/s: not saturated.
         assert!(!e.nodes[0].saturated);
         // Node 1 runs the threads but serves no local traffic.
@@ -290,7 +277,7 @@ mod tests {
         let a = ThreadAssignment::uniform_per_node(&m, &[1]);
         let r = solve(&m, &apps, &a).unwrap();
         let e = explain(&m, &r);
-        assert!(e.app_is(0, Limiter::ComputeBound));
+        assert!(app_is(&e, 0, Limiter::ComputeBound));
         // 7 of 8 cores idle on every node.
         for n in &e.nodes {
             assert_eq!(n.idle_cores, 7);

@@ -30,16 +30,6 @@ impl ThreadGrant {
     pub fn group_gflops(&self) -> f64 {
         self.count as f64 * self.gflops
     }
-
-    /// Total bandwidth of the whole group, GB/s.
-    pub fn group_gbs(&self) -> f64 {
-        self.count as f64 * self.granted_gbs
-    }
-
-    /// `true` if the group received its full demand.
-    pub fn is_satisfied(&self) -> bool {
-        self.granted_gbs >= self.demand_gbs - 1e-9
-    }
 }
 
 /// Per-application rollup.
@@ -77,7 +67,7 @@ pub struct NodeReport {
 
 impl NodeReport {
     /// Fraction of this node's memory bandwidth in use (0..=1).
-    pub fn utilization(&self) -> f64 {
+    pub(crate) fn utilization(&self) -> f64 {
         (self.served_remote_gbs + self.served_local_gbs) / self.capacity_gbs
     }
 }
@@ -120,17 +110,6 @@ impl SolveReport {
     /// The thread group of `app` homed on `node`, if it has any threads.
     pub fn group(&self, app: usize, node: NodeId) -> Option<&ThreadGrant> {
         self.groups.iter().find(|g| g.app == app && g.home == node)
-    }
-
-    /// Total bandwidth served *by* `node`'s memory (remote-first plus
-    /// local stage), GB/s — the model's prediction of what a bandwidth
-    /// counter on that node would measure.
-    pub fn node_bandwidth_gbs(&self, node: NodeId) -> f64 {
-        self.nodes
-            .iter()
-            .find(|n| n.node == node)
-            .map(|n| n.served_remote_gbs + n.served_local_gbs)
-            .unwrap_or(0.0)
     }
 
     /// Per-node served bandwidth in node order, GB/s.
@@ -192,8 +171,7 @@ mod tests {
             gflops: 4.5,
         };
         assert!((g.group_gflops() - 18.0).abs() < 1e-12);
-        assert!((g.group_gbs() - 36.0).abs() < 1e-12);
-        assert!(!g.is_satisfied());
+        assert!(g.granted_gbs < g.demand_gbs);
     }
 
     #[test]
@@ -240,7 +218,6 @@ mod tests {
             ],
             groups: Vec::new(),
         };
-        assert!((report.node_bandwidth_gbs(NodeId(0)) - 24.0).abs() < 1e-12);
         assert_eq!(report.node_bandwidths_gbs(), vec![24.0, 0.0]);
         let p = report.to_prediction();
         assert_eq!(p.value("app/memA/gflops"), Some(6.0));

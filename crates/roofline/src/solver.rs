@@ -87,7 +87,7 @@ impl SolveScratch {
     }
 
     /// Per-app GFLOPS totals from the most recent solve.
-    pub fn app_gflops(&self) -> &[f64] {
+    pub(crate) fn app_gflops(&self) -> &[f64] {
         &self.app_gflops
     }
 
@@ -432,7 +432,7 @@ mod tests {
         assert!((comp.demand_gbs - 1.0).abs() < 1e-9);
         assert!((comp.granted_gbs - 1.0).abs() < 1e-9);
         assert!((comp.gflops - 10.0).abs() < 1e-9);
-        assert!(comp.is_satisfied());
+        assert!(comp.granted_gbs >= comp.demand_gbs - 1e-9);
 
         // Rollups.
         assert!(
@@ -680,7 +680,7 @@ mod tests {
         let r = solve_with_options(&m, &apps, &a, opts).unwrap();
         // demand 20 GB/s < 32 GB/s baseline -> fully satisfied.
         let g = r.group(0, NodeId(0)).unwrap();
-        assert!(g.is_satisfied());
+        assert!(g.granted_gbs >= g.demand_gbs - 1e-9);
         assert!((g.gflops - 10.0).abs() < 1e-9);
         // Default per-core baseline gives the same grant here via remainder.
         let r2 = solve(&m, &apps, &a).unwrap();
@@ -723,7 +723,7 @@ mod tests {
         for n in 1..4 {
             let g = r.group(0, NodeId(n)).unwrap();
             assert!(
-                (g.group_gbs() - 8.0).abs() < 1e-9,
+                (g.count as f64 * g.granted_gbs - 8.0).abs() < 1e-9,
                 "10 * 24/30 per source node"
             );
         }

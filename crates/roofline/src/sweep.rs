@@ -1,20 +1,15 @@
-//! Parameter sweeps over the model — the "what if" tooling an agent or a
+//! A parameter sweep over the model — the "what if" tooling an agent or a
 //! person uses to understand a workload mix before committing cores.
 //!
-//! Three sweeps cover the questions the paper's §II–III raise:
-//!
-//! * [`thread_sweep`] — how does one application's GFLOPS (and the
-//!   machine total) change as *its* per-node thread count grows while the
-//!   other applications hold still? This is the "scaling is less than
-//!   linear" curve that justifies reallocating cores.
-//! * [`ai_sweep`] — where is the roofline knee for a given allocation?
-//! * [`bandwidth_sweep`] — how sensitive is an allocation to the node
-//!   bandwidth estimate (i.e. how wrong can calibration be before the
-//!   chosen allocation stops being the right one)?
+//! [`thread_sweep`] answers the question the paper's §II–III raise: how
+//! does one application's GFLOPS (and the machine total) change as *its*
+//! per-node thread count grows while the other applications hold still?
+//! This is the "scaling is less than linear" curve that justifies
+//! reallocating cores.
 
 use crate::{solve, AppSpec, Result, ThreadAssignment};
 use coop_telemetry::json_write;
-use numa_topology::{Machine, MachineBuilder, NodeId};
+use numa_topology::Machine;
 
 /// One point of a sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,63 +51,6 @@ pub fn thread_sweep(
         out.push(SweepPoint {
             x: own as f64,
             app_gflops: report.app_gflops(app),
-            total_gflops: report.total_gflops(),
-        });
-    }
-    Ok(out)
-}
-
-/// Sweeps a single application's arithmetic intensity over `ais` for a
-/// fixed allocation, reporting the classic roofline curve.
-pub fn ai_sweep(
-    machine: &Machine,
-    name: &str,
-    ais: &[f64],
-    threads_per_node: usize,
-) -> Result<Vec<SweepPoint>> {
-    let mut out = Vec::with_capacity(ais.len());
-    for &ai in ais {
-        let app = AppSpec::numa_local(name, ai);
-        let assignment = ThreadAssignment::uniform_per_node(machine, &[threads_per_node]);
-        let report = solve(machine, &[app], &assignment)?;
-        out.push(SweepPoint {
-            x: ai,
-            app_gflops: report.app_gflops(0),
-            total_gflops: report.total_gflops(),
-        });
-    }
-    Ok(out)
-}
-
-/// Re-solves a fixed scenario while scaling every node's bandwidth by the
-/// factors in `scales` (1.0 = the calibrated machine).
-pub fn bandwidth_sweep(
-    machine: &Machine,
-    apps: &[AppSpec],
-    assignment: &ThreadAssignment,
-    scales: &[f64],
-) -> Result<Vec<SweepPoint>> {
-    let mut out = Vec::with_capacity(scales.len());
-    for &k in scales {
-        let mut b = MachineBuilder::new()
-            .name(&format!("{}-bw{k}", machine.name()))
-            .core_peak_gflops(machine.core_peak_gflops());
-        for node in machine.nodes() {
-            b = b.add_node(node.num_cores(), node.bandwidth_gbs * k, node.memory_gib);
-        }
-        let dim = machine.num_nodes();
-        let rows: Vec<f64> = (0..dim)
-            .flat_map(|i| (0..dim).map(move |j| (i, j)))
-            .map(|(i, j)| machine.links().link(NodeId(i), NodeId(j)) * k)
-            .collect();
-        let scaled = b
-            .link_matrix(numa_topology::LinkMatrix::from_rows(dim, &rows).expect("same shape"))
-            .build()
-            .expect("scaled machine valid");
-        let report = solve(&scaled, apps, assignment)?;
-        out.push(SweepPoint {
-            x: k,
-            app_gflops: report.app_gflops(0),
             total_gflops: report.total_gflops(),
         });
     }
@@ -162,31 +100,5 @@ mod tests {
         let apps = vec![AppSpec::numa_local("a", 0.5), AppSpec::numa_local("b", 0.5)];
         let curve = thread_sweep(&m, &apps, 0, &[0, 6]).unwrap();
         assert_eq!(curve.len(), 3); // 0, 1, 2 spare cores per node
-    }
-
-    #[test]
-    fn ai_sweep_shows_the_roofline_knee() {
-        let m = paper_model_machine();
-        let ais = [0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0];
-        let curve = ai_sweep(&m, "x", &ais, 8).unwrap();
-        // Below the knee: bandwidth-bound, GFLOPS = 32 * AI per node.
-        assert!((curve[0].app_gflops - 4.0 * 32.0 * 0.125).abs() < 1e-9);
-        // Above the knee: compute-bound at 8 * 10 per node.
-        assert!((curve[6].app_gflops - 320.0).abs() < 1e-9);
-        // Monotone in AI.
-        for w in curve.windows(2) {
-            assert!(w[1].app_gflops >= w[0].app_gflops - 1e-9);
-        }
-    }
-
-    #[test]
-    fn bandwidth_sweep_scales_bandwidth_bound_results() {
-        let m = paper_model_machine();
-        let apps = vec![AppSpec::numa_local("mem", 0.5)];
-        let assignment = ThreadAssignment::uniform_per_node(&m, &[8]);
-        let curve = bandwidth_sweep(&m, &apps, &assignment, &[0.5, 1.0, 2.0]).unwrap();
-        // Fully bandwidth-bound: GFLOPS scales linearly with bandwidth.
-        assert!((curve[0].total_gflops * 2.0 - curve[1].total_gflops).abs() < 1e-9);
-        assert!((curve[1].total_gflops * 2.0 - curve[2].total_gflops).abs() < 1e-9);
     }
 }

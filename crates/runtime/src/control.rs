@@ -183,21 +183,6 @@ impl ControlHandle {
         }
     }
 
-    /// The current mode.
-    pub fn mode(&self) -> ControlMode {
-        self.inner.state.lock().mode.clone()
-    }
-
-    /// Number of workers currently running (not blocked).
-    pub fn running(&self) -> usize {
-        self.inner.state.lock().running_total
-    }
-
-    /// Number of workers currently running on each node.
-    pub fn running_per_node(&self) -> Vec<usize> {
-        self.inner.state.lock().running_per_node.clone()
-    }
-
     /// Blocks the calling thread until the number of running workers
     /// reaches `pred`'s satisfaction or the timeout elapses. Returns `true`
     /// if the predicate was met. Intended for tests and agents that need to
@@ -333,6 +318,20 @@ fn mode_label(mode: &ControlMode) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ControlHandle {
+        fn mode(&self) -> ControlMode {
+            self.inner.state.lock().mode.clone()
+        }
+
+        fn running(&self) -> usize {
+            self.inner.state.lock().running_total
+        }
+
+        fn running_per_node(&self) -> Vec<usize> {
+            self.inner.state.lock().running_per_node.clone()
+        }
+    }
 
     /// A handle over workers nobody runs: no telemetry, and a park
     /// registry whose parkers are dropped at once.

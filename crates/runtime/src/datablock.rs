@@ -22,13 +22,6 @@ use std::sync::Arc;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DbId(pub(crate) u64);
 
-impl DbId {
-    /// The raw id.
-    pub fn raw(self) -> u64 {
-        self.0
-    }
-}
-
 impl fmt::Debug for DbId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "db{}", self.0)
@@ -39,8 +32,6 @@ struct Inner {
     bytes: RwLock<Vec<u8>>,
     /// Current NUMA placement, as a raw node index (atomically migratable).
     node: AtomicUsize,
-    reads: AtomicU64,
-    writes: AtomicU64,
     migrations: AtomicU64,
 }
 
@@ -73,26 +64,14 @@ impl DataBlock {
             inner: Arc::new(Inner {
                 bytes: RwLock::new(vec![0u8; size]),
                 node: AtomicUsize::new(node.0),
-                reads: AtomicU64::new(0),
-                writes: AtomicU64::new(0),
                 migrations: AtomicU64::new(0),
             }),
         }
     }
 
-    /// This block's id.
-    pub fn id(&self) -> DbId {
-        self.id
-    }
-
     /// Size in bytes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inner.bytes.read().len()
-    }
-
-    /// `true` if the block has zero size.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// The NUMA node this block currently lives on.
@@ -110,26 +89,14 @@ impl DataBlock {
 
     /// Shared read access.
     pub fn read<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
-        self.inner.reads.fetch_add(1, Ordering::Relaxed);
         let guard = self.inner.bytes.read();
         f(&guard)
     }
 
     /// Exclusive write access.
     pub fn write<R>(&self, f: impl FnOnce(&mut [u8]) -> R) -> R {
-        self.inner.writes.fetch_add(1, Ordering::Relaxed);
         let mut guard = self.inner.bytes.write();
         f(&mut guard)
-    }
-
-    /// Number of `read` accesses so far.
-    pub fn read_count(&self) -> u64 {
-        self.inner.reads.load(Ordering::Relaxed)
-    }
-
-    /// Number of `write` accesses so far.
-    pub fn write_count(&self) -> u64 {
-        self.inner.writes.load(Ordering::Relaxed)
     }
 
     /// Number of migrations so far.
@@ -152,14 +119,11 @@ mod tests {
     fn create_read_write() {
         let db = DataBlock::new(DbId(1), 16, NodeId(0));
         assert_eq!(db.len(), 16);
-        assert!(!db.is_empty());
         db.write(|b| {
             b[3] = 7;
             b[15] = 9;
         });
         assert_eq!(db.read(|b| (b[3], b[15])), (7, 9));
-        assert_eq!(db.read_count(), 1);
-        assert_eq!(db.write_count(), 1);
     }
 
     #[test]
@@ -181,13 +145,13 @@ mod tests {
         let c = db.clone();
         db.write(|b| b[0] = 5);
         assert_eq!(c.read(|b| b[0]), 5);
-        assert_eq!(c.id(), DbId(3));
+        assert_eq!(c.id, DbId(3));
     }
 
     #[test]
     fn zero_size_block() {
         let db = DataBlock::new(DbId(4), 0, NodeId(0));
-        assert!(db.is_empty());
+        assert_eq!(db.len(), 0);
         db.read(|b| assert!(b.is_empty()));
     }
 
@@ -208,6 +172,5 @@ mod tests {
             }
         });
         assert_eq!(db.read(|b| b[0]), (400 % 256) as u8);
-        assert_eq!(db.write_count(), 400);
     }
 }

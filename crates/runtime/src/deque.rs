@@ -31,29 +31,29 @@ pub(crate) struct Worker<T>(Arc<Mutex<VecDeque<T>>>);
 pub(crate) struct Stealer<T>(Arc<Mutex<VecDeque<T>>>);
 
 impl<T> Worker<T> {
-    pub fn new_lifo() -> Self {
+    pub(crate) fn new_lifo() -> Self {
         Worker(Arc::new(Mutex::new(VecDeque::new())))
     }
 
-    pub fn stealer(&self) -> Stealer<T> {
+    pub(crate) fn stealer(&self) -> Stealer<T> {
         Stealer(Arc::clone(&self.0))
     }
 
-    pub fn push(&self, task: T) {
+    pub(crate) fn push(&self, task: T) {
         self.0.lock().push_back(task);
     }
 
-    pub fn pop(&self) -> Option<T> {
+    pub(crate) fn pop(&self) -> Option<T> {
         self.0.lock().pop_back()
     }
 }
 
 impl<T> Stealer<T> {
-    pub fn steal(&self) -> Option<T> {
+    pub(crate) fn steal(&self) -> Option<T> {
         self.0.lock().pop_front()
     }
 
-    pub fn steal_batch_and_pop(&self, dest: &Worker<T>) -> Option<T> {
+    pub(crate) fn steal_batch_and_pop(&self, dest: &Worker<T>) -> Option<T> {
         batch_and_pop(&self.0, dest)
     }
 }
@@ -62,19 +62,19 @@ impl<T> Stealer<T> {
 pub(crate) struct Injector<T>(Mutex<VecDeque<T>>);
 
 impl<T> Injector<T> {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Injector(Mutex::new(VecDeque::new()))
     }
 
-    pub fn push(&self, task: T) {
+    pub(crate) fn push(&self, task: T) {
         self.0.lock().push_back(task);
     }
 
-    pub fn steal(&self) -> Option<T> {
+    pub(crate) fn steal(&self) -> Option<T> {
         self.0.lock().pop_front()
     }
 
-    pub fn steal_batch_and_pop(&self, dest: &Worker<T>) -> Option<T> {
+    pub(crate) fn steal_batch_and_pop(&self, dest: &Worker<T>) -> Option<T> {
         batch_and_pop(&self.0, dest)
     }
 }

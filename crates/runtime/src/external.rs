@@ -2,146 +2,23 @@
 //!
 //! "We might get threads that are doing work, but are not controlled by
 //! the task-based runtime system" — I/O threads, a TBB-style main thread,
-//! or threads of a non-task-based component. The paper's §IV asks for two
-//! things: the coordination layer must *know about* such threads (they
-//! occupy cores and touch memory), and, where possible, they should be
-//! drafted into useful work the runtime controls (TBB's main thread runs
-//! tasks while it waits for a parallel algorithm).
-//!
-//! This module provides both:
-//!
-//! * [`Runtime::register_external`] — announce a non-worker thread, with a
-//!   role and an affinity suggestion; registered threads appear in
-//!   [`RuntimeStats`](crate::RuntimeStats) so an agent can account for
-//!   them when partitioning cores.
-//! * [`Runtime::help_until`] — the calling thread executes ready tasks
-//!   until an event satisfies (the "main thread might also be used by TBB
-//!   to run tasks" behaviour). The helper respects no thread-control gate:
-//!   it is the application's own thread, which is precisely why §IV calls
-//!   such threads hard to control — but the work it performs is ordinary
-//!   runtime work, with panics contained as usual.
+//! or threads of a non-task-based component. Where possible, the paper's
+//! §IV asks for such threads to be drafted into useful work the runtime
+//! controls (TBB's main thread runs tasks while it waits for a parallel
+//! algorithm): [`Runtime::help_until`] has the calling thread execute
+//! ready tasks until an event satisfies. The helper respects no
+//! thread-control gate: it is the application's own thread, which is
+//! precisely why §IV calls such threads hard to control — but the work it
+//! performs is ordinary runtime work, with panics contained as usual.
 
 use crate::event::Event;
-use crate::runtime::{Runtime, Shared};
+use crate::runtime::Runtime;
 use crate::{sched, worker};
-use coop_telemetry::sync::Mutex;
-use numa_topology::{Binding, NodeId};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use numa_topology::NodeId;
+use std::sync::atomic::Ordering;
 use std::time::Duration;
 
-/// What a registered non-worker thread does, per §IV's taxonomy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ExternalRole {
-    /// Mostly blocked in I/O calls — "not a big issue from the load
-    /// balancing point of view", but relevant to NUMA data placement.
-    Io,
-    /// Performs computation outside the runtime's control — the §IV case
-    /// that can break static-scheduling assumptions.
-    Compute,
-    /// A main/driver thread that submits work and occasionally helps.
-    Main,
-}
-
-/// Registry entry for one external thread.
-#[derive(Debug, Clone)]
-pub struct ExternalThreadInfo {
-    /// Name supplied at registration.
-    pub name: String,
-    /// Role.
-    pub role: ExternalRole,
-    /// Affinity suggestion the coordination layer should honour for it.
-    pub binding: Binding,
-}
-
-pub(crate) struct ExternalRegistry {
-    next_id: AtomicU64,
-    threads: Mutex<HashMap<u64, ExternalThreadInfo>>,
-}
-
-impl ExternalRegistry {
-    pub fn new() -> Self {
-        ExternalRegistry {
-            next_id: AtomicU64::new(0),
-            threads: Mutex::new(HashMap::new()),
-        }
-    }
-
-    fn register(&self, info: ExternalThreadInfo) -> u64 {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.threads.lock().insert(id, info);
-        id
-    }
-
-    fn deregister(&self, id: u64) {
-        self.threads.lock().remove(&id);
-    }
-
-    pub fn snapshot(&self) -> Vec<ExternalThreadInfo> {
-        self.threads.lock().values().cloned().collect()
-    }
-}
-
-/// RAII registration of a non-worker thread; deregisters on drop.
-pub struct ExternalThread {
-    shared: Arc<Shared>,
-    id: u64,
-}
-
-impl ExternalThread {
-    /// The registered info.
-    pub fn info(&self) -> ExternalThreadInfo {
-        self.shared
-            .external
-            .threads
-            .lock()
-            .get(&self.id)
-            .cloned()
-            .expect("registered until drop")
-    }
-
-    /// Updates the affinity suggestion (e.g. after the agent re-partitions
-    /// and wants this I/O thread near its data).
-    pub fn rebind(&self, binding: Binding) {
-        if let Some(info) = self.shared.external.threads.lock().get_mut(&self.id) {
-            info.binding = binding;
-        }
-    }
-}
-
-impl Drop for ExternalThread {
-    fn drop(&mut self) {
-        self.shared.external.deregister(self.id);
-    }
-}
-
 impl Runtime {
-    /// Registers the calling (or any) non-worker thread with the runtime
-    /// so the coordination layer can account for it (§IV). Returns an RAII
-    /// guard; the registration lasts until the guard drops.
-    pub fn register_external(
-        &self,
-        name: &str,
-        role: ExternalRole,
-        binding: Binding,
-    ) -> ExternalThread {
-        let id = self.shared.external.register(ExternalThreadInfo {
-            name: name.to_string(),
-            role,
-            binding,
-        });
-        ExternalThread {
-            shared: Arc::clone(&self.shared),
-            id,
-        }
-    }
-
-    /// Snapshot of currently registered external threads.
-    pub fn external_threads(&self) -> Vec<ExternalThreadInfo> {
-        self.shared.external.snapshot()
-    }
-
     /// Runs ready tasks **on the calling thread** until `event` is
     /// satisfied (then returns immediately) — the TBB main-thread pattern
     /// of §IV. The caller executes work exactly like a worker (panics
@@ -163,7 +40,7 @@ impl Runtime {
             }
             // Helpers own no deque: single-task steals, no batching.
             match sched::find_task(shared, home, None) {
-                Some(task) => worker::execute(shared, task, home, None, None, None),
+                Some(task) => worker::execute(shared, task, home, None, None),
                 None => {
                     // Nothing ready: nap briefly and re-check the event.
                     std::thread::sleep(Duration::from_micros(50));
@@ -179,33 +56,7 @@ mod tests {
     use crate::{RuntimeConfig, ThreadCommand};
     use numa_topology::presets::tiny;
     use std::sync::atomic::AtomicUsize;
-
-    #[test]
-    fn register_and_deregister() {
-        let rt = Runtime::start(RuntimeConfig::new("ext", tiny())).unwrap();
-        assert!(rt.external_threads().is_empty());
-        let guard = rt.register_external("io-0", ExternalRole::Io, Binding::Node(NodeId(1)));
-        assert_eq!(rt.external_threads().len(), 1);
-        assert_eq!(guard.info().name, "io-0");
-        assert_eq!(guard.info().role, ExternalRole::Io);
-        guard.rebind(Binding::Unbound);
-        assert_eq!(guard.info().binding, Binding::Unbound);
-        drop(guard);
-        assert!(rt.external_threads().is_empty());
-        rt.shutdown();
-    }
-
-    #[test]
-    fn multiple_registrations_coexist() {
-        let rt = Runtime::start(RuntimeConfig::new("ext2", tiny())).unwrap();
-        let _a = rt.register_external("main", ExternalRole::Main, Binding::Unbound);
-        let _b = rt.register_external("io", ExternalRole::Io, Binding::Node(NodeId(0)));
-        let _c = rt.register_external("legacy", ExternalRole::Compute, Binding::Unbound);
-        let roles: Vec<ExternalRole> = rt.external_threads().iter().map(|t| t.role).collect();
-        assert_eq!(roles.len(), 3);
-        assert!(roles.contains(&ExternalRole::Io));
-        rt.shutdown();
-    }
+    use std::sync::Arc;
 
     #[test]
     fn help_until_executes_tasks_on_caller() {

@@ -58,7 +58,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 mod control;
 mod datablock;
@@ -78,7 +78,6 @@ pub use control::{ControlHandle, ControlMode, ThreadCommand};
 pub use datablock::{DataBlock, DbId};
 pub use error::RuntimeError;
 pub use event::{Event, EventId, EventKind};
-pub use external::{ExternalRole, ExternalThread, ExternalThreadInfo};
 pub use runtime::{Runtime, RuntimeConfig, TaskContext};
 pub use sched::set_strict_parking;
 pub use stats::{NodeOccupancy, RuntimeStats};

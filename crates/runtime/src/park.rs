@@ -25,20 +25,20 @@ pub(crate) struct Parker(Arc<Token>);
 pub(crate) struct Unparker(Arc<Token>);
 
 impl Parker {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Parker(Arc::new(Token {
             notified: AtomicBool::new(false),
             thread: OnceLock::new(),
         }))
     }
 
-    pub fn unparker(&self) -> Unparker {
+    pub(crate) fn unparker(&self) -> Unparker {
         Unparker(Arc::clone(&self.0))
     }
 
     /// Blocks the calling thread until the token is set or `timeout`
     /// elapses. Always call from the same thread.
-    pub fn park_timeout(&self, timeout: Duration) {
+    pub(crate) fn park_timeout(&self, timeout: Duration) {
         let token = &*self.0;
         if token.thread.get().is_none() {
             let _ = token.thread.set(thread::current());
@@ -58,7 +58,7 @@ impl Parker {
 }
 
 impl Unparker {
-    pub fn unpark(&self) {
+    pub(crate) fn unpark(&self) {
         self.0.notified.store(true, Ordering::SeqCst);
         fence(Ordering::SeqCst);
         if let Some(thread) = self.0.thread.get() {

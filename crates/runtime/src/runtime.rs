@@ -10,7 +10,7 @@ use crate::task::{Task, TaskBuilder, TaskId, TaskPriority};
 use crate::worker;
 use crate::{Result, RuntimeError};
 use coop_telemetry::sync::{Condvar, Mutex};
-use numa_topology::{BindingKind, CoreId, Machine, NodeId};
+use numa_topology::{BindingKind, Machine, NodeId};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -60,12 +60,6 @@ impl RuntimeConfig {
             task_fuel: None,
             watchdog: None,
         }
-    }
-
-    /// Overrides the worker binding granularity.
-    pub fn with_binding(mut self, binding: BindingKind) -> Self {
-        self.binding = binding;
-        self
     }
 
     /// Attaches a shared telemetry hub: the runtime registers a timeline
@@ -178,8 +172,6 @@ pub(crate) struct Shared {
     next_db: AtomicU64,
     /// Contained task panics (name, message).
     pub panics: Mutex<Vec<(String, String)>>,
-    /// Registered non-worker threads (§IV).
-    pub external: crate::external::ExternalRegistry,
     /// Telemetry handles, when a hub is attached (see
     /// [`RuntimeConfig::with_telemetry`]).
     pub telemetry: Option<crate::telemetry::RuntimeTelemetry>,
@@ -535,7 +527,7 @@ impl Runtime {
         });
         let control = ControlHandle::new(
             worker_node.clone(),
-            worker_core.clone(),
+            worker_core,
             num_nodes,
             telemetry.clone(),
             Arc::clone(&parking),
@@ -564,7 +556,6 @@ impl Runtime {
             next_task: AtomicU64::new(0),
             next_db: AtomicU64::new(0),
             panics: Mutex::new(Vec::new()),
-            external: crate::external::ExternalRegistry::new(),
             telemetry,
             machine,
             task_fuel: config.task_fuel,
@@ -577,11 +568,10 @@ impl Runtime {
         for (id, (local, parker)) in locals.into_iter().zip(parkers).enumerate() {
             let shared = Arc::clone(&shared);
             let node = worker_node[id];
-            let core = worker_core[id];
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("{}-w{id}", shared.name))
-                    .spawn(move || worker::worker_loop(shared, id, node, core, local, parker))
+                    .spawn(move || worker::worker_loop(shared, id, node, local, parker))
                     .expect("spawning worker thread"),
             );
         }
@@ -738,7 +728,7 @@ impl Runtime {
             tasks_pending: tasks_spawned.saturating_sub(tasks_executed + tasks_panicked),
             running_workers: running,
             blocked_workers: blocked,
-            external_threads: self.shared.external.snapshot().len(),
+            external_threads: 0,
             per_node,
             user_counters: self.shared.stats.user.lock().clone(),
             uptime_us: self.shared.stats.uptime_us(),
@@ -790,7 +780,6 @@ pub struct TaskContext<'rt> {
     pub(crate) worker_node: NodeId,
     pub(crate) task_id: TaskId,
     pub(crate) trace_id: u64,
-    pub(crate) worker_core: Option<CoreId>,
     /// Whether this task carries a fuel budget; when `false`, every fuel
     /// checkpoint is a single branch and nothing else.
     pub(crate) fueled: bool,
@@ -804,37 +793,15 @@ impl TaskContext<'_> {
         self.worker_node
     }
 
-    /// The core the executing worker is bound to, if per-core binding is in
-    /// use.
-    pub fn core(&self) -> Option<CoreId> {
-        self.worker_core
-    }
-
-    /// This task's id.
-    pub fn task_id(&self) -> TaskId {
-        self.task_id
-    }
-
-    /// This task's causal-trace id (the root task of its spawn tree).
-    pub fn trace_id(&self) -> u64 {
-        self.trace_id
-    }
-
     /// Burns `units` of fuel (saturating at zero). A no-op for
     /// unbudgeted tasks. Called automatically at cooperative checkpoints
     /// (spawn, event satisfaction, data-block creation, yields); bodies
     /// doing long uninstrumented stretches may call it directly so their
     /// reported work tracks reality.
-    pub fn consume_fuel(&self, units: u64) {
+    pub(crate) fn consume_fuel(&self, units: u64) {
         if self.fueled {
             self.fuel.set(self.fuel.get().saturating_sub(units));
         }
-    }
-
-    /// Fuel remaining in this slice, or `None` for unbudgeted tasks. A
-    /// step body can poll this to yield *before* the tank runs dry.
-    pub fn fuel_remaining(&self) -> Option<u64> {
-        self.fueled.then(|| self.fuel.get())
     }
 
     /// Starts building a follow-up task. The new task inherits this
@@ -861,22 +828,6 @@ impl TaskContext<'_> {
     pub fn try_satisfy(&self, event: &Event) -> Result<()> {
         self.consume_fuel(1);
         self.shared.satisfy_event(event)
-    }
-
-    /// Creates a once event.
-    pub fn new_once_event(&self) -> Event {
-        self.shared.register_event(EventKind::Once)
-    }
-
-    /// Creates a latch event.
-    pub fn new_latch_event(&self, count: u64) -> Event {
-        self.shared.register_event(EventKind::Latch { count })
-    }
-
-    /// Allocates a data block. Costs one unit of fuel.
-    pub fn create_datablock(&self, size: usize, node: NodeId) -> DataBlock {
-        self.consume_fuel(1);
-        self.shared.create_datablock(size, node)
     }
 
     /// Increments a user counter.

@@ -123,7 +123,7 @@ pub(crate) struct LocalQueues {
 }
 
 impl LocalQueues {
-    pub fn new(runtime_id: u64, worker: usize, node: NodeId) -> Self {
+    pub(crate) fn new(runtime_id: u64, worker: usize, node: NodeId) -> Self {
         LocalQueues {
             runtime_id,
             worker,
@@ -142,7 +142,7 @@ impl LocalQueues {
     }
 
     /// Stealer handles for registration in the [`StealGrid`].
-    pub fn stealers(&self) -> WorkerStealers {
+    pub(crate) fn stealers(&self) -> WorkerStealers {
         WorkerStealers {
             node: self.node,
             high: self.high.stealer(),
@@ -250,7 +250,7 @@ pub(crate) struct StealGrid {
 }
 
 impl StealGrid {
-    pub fn new(stealers: Vec<WorkerStealers>, num_nodes: usize) -> Self {
+    pub(crate) fn new(stealers: Vec<WorkerStealers>, num_nodes: usize) -> Self {
         let mut node_workers = vec![Vec::new(); num_nodes];
         for (w, s) in stealers.iter().enumerate() {
             node_workers[s.node.0].push(w);
@@ -308,7 +308,7 @@ pub(crate) struct ParkRegistry {
 impl ParkRegistry {
     /// Creates the registry plus the per-worker [`Parker`]s (handed to
     /// the worker threads; index = worker id).
-    pub fn new(worker_node: Vec<NodeId>) -> (Self, Vec<Parker>) {
+    pub(crate) fn new(worker_node: Vec<NodeId>) -> (Self, Vec<Parker>) {
         let parkers: Vec<Parker> = worker_node.iter().map(|_| Parker::new()).collect();
         let unparkers = parkers.iter().map(|p| p.unparker()).collect();
         (
@@ -324,12 +324,12 @@ impl ParkRegistry {
     }
 
     /// Current event count.
-    pub fn seq(&self) -> u64 {
+    pub(crate) fn seq(&self) -> u64 {
         self.seq.load(Ordering::SeqCst)
     }
 
     /// Announces `worker` as idle (protocol step 2).
-    pub fn register(&self, worker: usize) {
+    pub(crate) fn register(&self, worker: usize) {
         let mut idle = self.idle.lock();
         idle.push(worker);
         self.idle_count.store(idle.len(), Ordering::SeqCst);
@@ -338,7 +338,7 @@ impl ParkRegistry {
     /// Withdraws `worker` from the idle list (after a park returns or an
     /// aborted park attempt). Idempotent: `notify_one` may have popped
     /// the entry already.
-    pub fn deregister(&self, worker: usize) {
+    pub(crate) fn deregister(&self, worker: usize) {
         let mut idle = self.idle.lock();
         if let Some(pos) = idle.iter().position(|&w| w == worker) {
             idle.swap_remove(pos);
@@ -349,7 +349,7 @@ impl ParkRegistry {
     /// Publishes one enqueue and wakes one idle worker, preferring one
     /// homed on `hint`'s node (the task's affinity, or the node whose
     /// deque just received it).
-    pub fn notify_one(&self, hint: Option<NodeId>) {
+    pub(crate) fn notify_one(&self, hint: Option<NodeId>) {
         self.seq.fetch_add(1, Ordering::SeqCst);
         if self.idle_count.load(Ordering::SeqCst) == 0 {
             return;
@@ -374,7 +374,7 @@ impl ParkRegistry {
 
     /// Unparks every worker (shutdown, thread-control mode changes):
     /// parked workers must re-evaluate the control gate promptly.
-    pub fn unpark_all(&self) {
+    pub(crate) fn unpark_all(&self) {
         self.seq.fetch_add(1, Ordering::SeqCst);
         for u in &self.unparkers {
             u.unpark();

@@ -43,7 +43,7 @@ pub struct RuntimeStats {
     pub running_workers: usize,
     /// Workers currently blocked by thread control.
     pub blocked_workers: usize,
-    /// Registered non-worker threads (§IV).
+    /// Non-worker threads: always 0, the runtime keeps no registry of them.
     pub external_threads: usize,
     /// Per-node occupancy.
     pub per_node: Vec<NodeOccupancy>,
@@ -69,26 +69,6 @@ impl RuntimeStats {
     /// Convenience: value of a user counter, or 0 if absent.
     pub fn user_counter(&self, name: &str) -> u64 {
         self.user_counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Lifetime-average task throughput, tasks per second (0 when the
-    /// snapshot carries no elapsed time).
-    pub fn tasks_per_second(&self) -> f64 {
-        if self.uptime_us == 0 {
-            return 0.0;
-        }
-        self.tasks_executed as f64 / (self.uptime_us as f64 / 1e6)
-    }
-
-    /// Task throughput between an older snapshot `prev` and this one,
-    /// tasks per second (0 when no time elapsed between them).
-    pub fn tasks_per_second_since(&self, prev: &RuntimeStats) -> f64 {
-        let dt_us = self.uptime_us.saturating_sub(prev.uptime_us);
-        if dt_us == 0 {
-            return 0.0;
-        }
-        let dn = self.tasks_executed.saturating_sub(prev.tasks_executed);
-        dn as f64 / (dt_us as f64 / 1e6)
     }
 
     /// Cumulative tasks executed per NUMA node, as a dense vector indexed
@@ -142,7 +122,7 @@ pub(crate) struct StatsCollector {
 }
 
 impl StatsCollector {
-    pub fn new(num_nodes: usize) -> Self {
+    pub(crate) fn new(num_nodes: usize) -> Self {
         StatsCollector {
             tasks_executed: AtomicU64::new(0),
             tasks_panicked: AtomicU64::new(0),
@@ -157,7 +137,7 @@ impl StatsCollector {
     }
 
     /// Microseconds elapsed since construction.
-    pub fn uptime_us(&self) -> u64 {
+    pub(crate) fn uptime_us(&self) -> u64 {
         self.epoch.elapsed().as_micros() as u64
     }
 
@@ -168,7 +148,7 @@ impl StatsCollector {
     // this: reading executed/panicked *before* spawned guarantees
     // `spawned >= executed + panicked`.
 
-    pub fn record_executed(&self, node: NodeId) {
+    pub(crate) fn record_executed(&self, node: NodeId) {
         self.tasks_executed.fetch_add(1, Ordering::Release);
         self.per_node_executed[node.0].fetch_add(1, Ordering::Relaxed);
     }
@@ -178,41 +158,41 @@ impl StatsCollector {
     /// exit, or every `STATS_FLUSH_EVERY` tasks). Same ordering contract
     /// as [`record_executed`](Self::record_executed) — the flush happens
     /// strictly after the counted tasks executed.
-    pub fn record_executed_batch(&self, node: NodeId, n: u64) {
+    pub(crate) fn record_executed_batch(&self, node: NodeId, n: u64) {
         self.tasks_executed.fetch_add(n, Ordering::Release);
         self.per_node_executed[node.0].fetch_add(n, Ordering::Relaxed);
     }
 
-    pub fn record_panicked(&self) {
+    pub(crate) fn record_panicked(&self) {
         self.tasks_panicked.fetch_add(1, Ordering::Release);
     }
 
-    pub fn record_spawned(&self) {
+    pub(crate) fn record_spawned(&self) {
         self.tasks_spawned.fetch_add(1, Ordering::Release);
     }
 
     /// One fuel-exhaustion preemption (task parked into the over-budget
     /// queue). Relaxed: preemption counts feed rate metrics only, no
     /// conservation law reads them against another counter.
-    pub fn record_preempted(&self) {
+    pub(crate) fn record_preempted(&self) {
         self.tasks_preempted.fetch_add(1, Ordering::Relaxed);
     }
 
     /// One watchdog deadline breach.
-    pub fn record_runaway(&self) {
+    pub(crate) fn record_runaway(&self) {
         self.tasks_runaway.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Books `us` microseconds of past-deadline CPU time.
-    pub fn add_overbudget_us(&self, us: u64) {
+    pub(crate) fn add_overbudget_us(&self, us: u64) {
         self.overbudget_cpu_us.fetch_add(us, Ordering::Relaxed);
     }
 
-    pub fn add_user(&self, name: &str, delta: u64) {
+    pub(crate) fn add_user(&self, name: &str, delta: u64) {
         *self.user.lock().entry(name.to_string()).or_insert(0) += delta;
     }
 
-    pub fn finished(&self) -> u64 {
+    pub(crate) fn finished(&self) -> u64 {
         self.tasks_executed.load(Ordering::Acquire) + self.tasks_panicked.load(Ordering::Acquire)
     }
 }
@@ -308,36 +288,5 @@ mod tests {
         };
         assert!(empty.per_node_tasks().is_empty());
         assert!(empty.running_per_node().is_empty());
-    }
-
-    #[test]
-    fn throughput_accessors() {
-        let mut prev = RuntimeStats {
-            name: "x".into(),
-            tasks_executed: 100,
-            tasks_panicked: 0,
-            tasks_spawned: 100,
-            tasks_ready: 0,
-            tasks_pending: 0,
-            running_workers: 0,
-            blocked_workers: 0,
-            external_threads: 0,
-            per_node: vec![],
-            user_counters: HashMap::new(),
-            uptime_us: 500_000,
-            tasks_preempted: 0,
-            tasks_runaway: 0,
-            overbudget_cpu_us: 0,
-        };
-        let mut now = prev.clone();
-        now.tasks_executed = 300;
-        now.uptime_us = 1_500_000;
-        assert!((now.tasks_per_second() - 200.0).abs() < 1e-9);
-        assert!((now.tasks_per_second_since(&prev) - 200.0).abs() < 1e-9);
-        // Degenerate windows report 0 instead of dividing by zero.
-        prev.uptime_us = 0;
-        prev.tasks_executed = 0;
-        assert_eq!(prev.tasks_per_second(), 0.0);
-        assert_eq!(now.tasks_per_second_since(&now.clone()), 0.0);
     }
 }

@@ -14,13 +14,6 @@ use std::fmt;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TaskId(pub(crate) u64);
 
-impl TaskId {
-    /// The raw id.
-    pub fn raw(self) -> u64 {
-        self.0
-    }
-}
-
 impl fmt::Debug for TaskId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "task{}", self.0)
@@ -102,7 +95,7 @@ pub(crate) enum TaskName {
 }
 
 impl TaskName {
-    pub fn new(name: &str) -> Self {
+    pub(crate) fn new(name: &str) -> Self {
         let mut bytes = [0; NAME_INLINE];
         let Some(inline) = bytes.get_mut(..name.len()) else {
             return TaskName::Boxed(name.into());
@@ -111,7 +104,7 @@ impl TaskName {
         TaskName::Inline(name.len() as u8, bytes)
     }
 
-    pub fn as_str(&self) -> &str {
+    pub(crate) fn as_str(&self) -> &str {
         match self {
             TaskName::Inline(len, bytes) => {
                 std::str::from_utf8(&bytes[..*len as usize]).expect("copied from a &str")
@@ -137,7 +130,7 @@ impl Deps {
         }
     }
 
-    pub fn iter(&self) -> impl Iterator<Item = &Event> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Event> {
         self.first.iter().chain(&self.rest)
     }
 }

@@ -91,7 +91,12 @@ pub(crate) struct RuntimeTelemetry {
 }
 
 impl RuntimeTelemetry {
-    pub fn new(hub: Arc<TelemetryHub>, name: &str, worker_node: &[NodeId], tracing: bool) -> Self {
+    pub(crate) fn new(
+        hub: Arc<TelemetryHub>,
+        name: &str,
+        worker_node: &[NodeId],
+        tracing: bool,
+    ) -> Self {
         let track = hub.register_track(&format!("runtime:{name}"));
         hub.set_lane_name(track, 0, "control");
         for (w, node) in worker_node.iter().enumerate() {
@@ -199,7 +204,7 @@ impl RuntimeTelemetry {
     }
 
     /// Record a `spawned` trace hop.
-    pub fn trace_spawned(&self, task: u64, trace: u64, parent: Option<u64>, name: &str) {
+    pub(crate) fn trace_spawned(&self, task: u64, trace: u64, parent: Option<u64>, name: &str) {
         let mut args = hop_args(task, trace);
         if let Some(p) = parent {
             args.push(("parent".to_string(), ArgValue::U64(p)));
@@ -209,7 +214,7 @@ impl RuntimeTelemetry {
     }
 
     /// Record a `deps_released` trace hop for the releasing dependency.
-    pub fn trace_deps_released(&self, task: u64, trace: u64, event: Option<u64>) {
+    pub(crate) fn trace_deps_released(&self, task: u64, trace: u64, event: Option<u64>) {
         let mut args = hop_args(task, trace);
         if let Some(e) = event {
             args.push(("event".to_string(), ArgValue::U64(e)));
@@ -219,7 +224,7 @@ impl RuntimeTelemetry {
 
     /// Record an `enqueued` trace hop; `node` is the queue the task is
     /// headed for (`None` = the global injector).
-    pub fn trace_enqueued(&self, task: u64, trace: u64, node: Option<u64>) {
+    pub(crate) fn trace_enqueued(&self, task: u64, trace: u64, node: Option<u64>) {
         let mut args = hop_args(task, trace);
         if let Some(n) = node {
             args.push(("node".to_string(), ArgValue::U64(n)));
@@ -228,7 +233,7 @@ impl RuntimeTelemetry {
     }
 
     /// Record a `stolen` trace hop on the thief's lane.
-    pub fn trace_stolen(
+    pub(crate) fn trace_stolen(
         &self,
         worker: Option<usize>,
         task: u64,
@@ -249,7 +254,7 @@ impl RuntimeTelemetry {
     }
 
     /// Record a `started` trace hop on the executing worker's lane.
-    pub fn trace_started(&self, worker: Option<usize>, task: u64, trace: u64, node: u64) {
+    pub(crate) fn trace_started(&self, worker: Option<usize>, task: u64, trace: u64, node: u64) {
         let mut args = hop_args(task, trace);
         args.push(("node".to_string(), ArgValue::U64(node)));
         if let Some(w) = worker {
@@ -259,7 +264,7 @@ impl RuntimeTelemetry {
     }
 
     /// Record the terminal `finished`/`panicked` trace hop.
-    pub fn trace_finished(
+    pub(crate) fn trace_finished(
         &self,
         worker: Option<usize>,
         task: u64,
@@ -279,7 +284,7 @@ impl RuntimeTelemetry {
 
     /// The labelled steal counter for a (tier, source) pair; `sibling`
     /// means the victim was a same-node worker's deque.
-    pub fn steal_counter(&self, tier: TaskPriority, sibling: bool) -> &Arc<Counter> {
+    pub(crate) fn steal_counter(&self, tier: TaskPriority, sibling: bool) -> &Arc<Counter> {
         match (tier, sibling) {
             (TaskPriority::High, true) => &self.steals_high_sibling,
             (TaskPriority::High, false) => &self.steals_high_remote,
@@ -296,7 +301,7 @@ impl RuntimeTelemetry {
 
     /// Record one executed task: histograms, the panic counter, and a
     /// timeline span (the completed-task counter rides the stats batch).
-    pub fn record_task(
+    pub(crate) fn record_task(
         &self,
         name: &str,
         worker: Option<usize>,
@@ -330,7 +335,7 @@ impl RuntimeTelemetry {
     /// Record one fuel-exhaustion preemption: counter plus a `preempted`
     /// instant on the worker's lane (no task span — the slice is neither
     /// finished nor panicked).
-    pub fn record_preempted(&self, worker: Option<usize>, task: u64, name: &str) {
+    pub(crate) fn record_preempted(&self, worker: Option<usize>, task: u64, name: &str) {
         self.preemptions_total.inc();
         let shard = worker.map(|w| w + 1).unwrap_or(0);
         self.hub.record_instant(
@@ -349,7 +354,7 @@ impl RuntimeTelemetry {
     /// Record a watchdog deadline breach: counter, a `runaway` timeline
     /// instant on the wedged worker's lane, and a flight-recorder dump
     /// (when one is installed on the hub) capturing the lead-up.
-    pub fn record_runaway(&self, worker: usize, task: u64) {
+    pub(crate) fn record_runaway(&self, worker: usize, task: u64) {
         self.runaway_total.inc();
         self.hub.record_instant(
             worker + 1,
@@ -369,7 +374,7 @@ impl RuntimeTelemetry {
 
     /// Record a runaway task finally returning: the worker is re-admitted
     /// and `over_us` microseconds of past-deadline CPU time are booked.
-    pub fn record_runaway_returned(&self, worker: usize, task: u64, over_us: u64) {
+    pub(crate) fn record_runaway_returned(&self, worker: usize, task: u64, over_us: u64) {
         self.hub.record_instant(
             worker + 1,
             self.track,
@@ -384,7 +389,7 @@ impl RuntimeTelemetry {
     }
 
     /// Record an applied thread-control command as an instant event.
-    pub fn record_command(&self, command: &str) {
+    pub(crate) fn record_command(&self, command: &str) {
         self.commands_total.inc();
         self.hub.record_instant(
             0,
@@ -401,7 +406,12 @@ impl RuntimeTelemetry {
 
     /// Record a completed block/unblock cycle of `worker` under blocking
     /// option `option` ("total_threads" | "block_cores" | "per_node").
-    pub fn record_block_span(&self, worker: usize, option: &'static str, blocked_at: Instant) {
+    pub(crate) fn record_block_span(
+        &self,
+        worker: usize,
+        option: &'static str,
+        blocked_at: Instant,
+    ) {
         let dur_us = blocked_at.elapsed().as_micros() as u64;
         let resolve = || {
             self.hub.registry().histogram(
@@ -428,7 +438,7 @@ impl RuntimeTelemetry {
     }
 
     /// Refresh occupancy gauges (called from `Runtime::stats`).
-    pub fn set_occupancy(&self, running: usize, blocked: usize) {
+    pub(crate) fn set_occupancy(&self, running: usize, blocked: usize) {
         let (running_workers, blocked_workers) = self.lazy.occupancy.get_or_init(|| {
             let reg = self.hub.registry();
             let labels = [("runtime", self.name.as_ref())];

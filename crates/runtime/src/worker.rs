@@ -15,7 +15,7 @@ use crate::park::Parker;
 use crate::runtime::{Shared, TaskContext};
 use crate::sched::{self, LocalQueues, PARK_BACKSTOP, STATS_FLUSH_EVERY};
 use crate::task::{Task, TaskBody, TaskStep};
-use numa_topology::{CoreId, NodeId};
+use numa_topology::NodeId;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::atomic::Ordering;
@@ -61,7 +61,6 @@ pub(crate) fn worker_loop(
     shared: Arc<Shared>,
     id: usize,
     node: NodeId,
-    core: Option<CoreId>,
     local: LocalQueues,
     parker: Parker,
 ) {
@@ -155,7 +154,7 @@ pub(crate) fn worker_loop(
                 }
             }
             woke_from_park = false;
-            execute(&shared, task, node, core, Some(id), Some(&mut stats));
+            execute(&shared, task, node, Some(id), Some(&mut stats));
             if stats.executed >= STATS_FLUSH_EVERY {
                 stats.flush(&shared);
             }
@@ -180,7 +179,6 @@ pub(crate) fn execute(
     shared: &Shared,
     task: Task,
     node: NodeId,
-    core: Option<CoreId>,
     worker: Option<usize>,
     batch: Option<&mut LocalStats>,
 ) {
@@ -189,7 +187,6 @@ pub(crate) fn execute(
         worker_node: node,
         task_id: task.id,
         trace_id: task.trace_id,
-        worker_core: core,
         fueled: task.fuel_budget.is_some(),
         fuel: std::cell::Cell::new(task.fuel),
     };
@@ -595,9 +592,11 @@ mod tests {
 
     #[test]
     fn block_cores_requires_core_binding() {
-        let r =
-            Runtime::start(RuntimeConfig::new("nodebound", tiny()).with_binding(BindingKind::Node))
-                .unwrap();
+        let r = Runtime::start(RuntimeConfig {
+            binding: BindingKind::Node,
+            ..RuntimeConfig::new("nodebound", tiny())
+        })
+        .unwrap();
         let err = r.control().apply(ThreadCommand::BlockCores(CpuSet::single(
             numa_topology::CoreId(0),
         )));
@@ -769,7 +768,7 @@ mod tests {
         let mut left = 50usize;
         r.task("free")
             .body_step(move |ctx| {
-                assert_eq!(ctx.fuel_remaining(), None);
+                assert!(!ctx.fueled);
                 if left == 0 {
                     return TaskStep::Done;
                 }

@@ -986,7 +986,10 @@ mod tests {
         let parsed = crate::json::parse(&json).expect("valid JSON");
         assert_eq!(parsed["tenants"][0]["tenant"], "alpha");
         assert_eq!(parsed["tenants"][0]["entitled_share"], 0.5);
-        assert!(parsed["tenants"][1]["entitled_share"].is_null());
+        assert!(matches!(
+            parsed["tenants"][1]["entitled_share"],
+            crate::json::Value::Null
+        ));
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub enum DriftDirection {
 
 impl DriftDirection {
     /// Short lowercase label (`"above"` / `"below"`).
-    pub fn as_str(&self) -> &'static str {
+    pub(crate) fn as_str(&self) -> &'static str {
         match self {
             DriftDirection::Above => "above",
             DriftDirection::Below => "below",
@@ -247,11 +247,6 @@ impl DriftDetector {
         }
     }
 
-    /// The detector's configuration.
-    pub fn config(&self) -> &DriftConfig {
-        &self.config
-    }
-
     /// Relative residual `(measured − predicted) / |predicted|`, with the
     /// denominator floored at `1e-9` so a zero prediction cannot produce
     /// a non-finite residual.
@@ -313,18 +308,6 @@ impl DriftDetector {
             alarms.extend(inner.update(&self.config, slot, &r.series, r.relative, registry));
         }
         alarms
-    }
-
-    /// Compute the relative residual for a predicted/measured pair, feed
-    /// it in, and return `(residual, alarm)`.
-    pub fn observe_pair(
-        &self,
-        series: &str,
-        predicted: f64,
-        measured: f64,
-    ) -> (f64, Option<DriftAlarm>) {
-        let residual = Self::relative_residual(predicted, measured);
-        (residual, self.observe(series, residual))
     }
 
     /// Snapshot of every series, sorted by key.

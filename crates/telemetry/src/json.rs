@@ -8,7 +8,7 @@
 //! [`ToJson`]; the ones something reads back also implement [`FromJson`]
 //! ([`json_write!`](crate::json_write) / [`json_struct!`](crate::json_struct)
 //! list the fields of a plain struct). The telemetry exporters append
-//! straight to a `String` with [`push_str_literal`] / [`push_f64`], which
+//! straight to a `String` with `push_str_literal` / `push_f64`, which
 //! the tree writer shares.
 
 use std::fmt::{self, Write as _};
@@ -89,13 +89,8 @@ impl Value {
         }
     }
 
-    /// Whether this is `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
-
     /// The boolean, if this is one.
-    pub fn as_bool(&self) -> Option<bool> {
+    pub(crate) fn as_bool(&self) -> Option<bool> {
         match self {
             Value::Bool(b) => Some(*b),
             _ => None,
@@ -268,7 +263,7 @@ macro_rules! int_eq {
 int_eq!(i32, u64, usize);
 
 /// Append `s` to `out` as a JSON string literal (including the quotes).
-pub fn push_str_literal(out: &mut String, s: &str) {
+pub(crate) fn push_str_literal(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -288,7 +283,7 @@ pub fn push_str_literal(out: &mut String, s: &str) {
 
 /// Append `v` to `out` as a JSON number. Non-finite values (which JSON
 /// cannot represent) are written as `0`.
-pub fn push_f64(out: &mut String, v: f64) {
+pub(crate) fn push_f64(out: &mut String, v: f64) {
     if v.is_finite() {
         // `{:?}` keeps enough precision to round-trip and always includes
         // a decimal point or exponent, which is still valid JSON.
@@ -756,7 +751,7 @@ mod tests {
         );
         assert!(v["a"][2] == -3 && v["a"][1].as_u64().is_none() && v["s"] == "xé😀");
         assert_eq!(v["a"][3].as_u64(), Some(u64::MAX));
-        assert!(v["missing"][7]["deeper"].is_null());
+        assert!(matches!(v["missing"][7]["deeper"], Value::Null));
     }
 
     #[test]

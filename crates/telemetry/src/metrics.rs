@@ -127,7 +127,7 @@ impl Histogram {
     }
 
     /// Sum of all recorded samples.
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
     }
 
@@ -173,7 +173,7 @@ impl HistogramSnapshot {
     /// position within the bucket. The last bucket is unbounded; samples
     /// landing there are attributed to `[2^30, 2^31]`, which keeps the
     /// estimate finite. Returns 0 for an empty histogram.
-    pub fn quantile(&self, q: f64) -> f64 {
+    pub(crate) fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
@@ -202,17 +202,17 @@ impl HistogramSnapshot {
     }
 
     /// Median estimate (see [`HistogramSnapshot::quantile`]).
-    pub fn p50(&self) -> f64 {
+    pub(crate) fn p50(&self) -> f64 {
         self.quantile(0.50)
     }
 
     /// 90th-percentile estimate (see [`HistogramSnapshot::quantile`]).
-    pub fn p90(&self) -> f64 {
+    pub(crate) fn p90(&self) -> f64 {
         self.quantile(0.90)
     }
 
     /// 99th-percentile estimate (see [`HistogramSnapshot::quantile`]).
-    pub fn p99(&self) -> f64 {
+    pub(crate) fn p99(&self) -> f64 {
         self.quantile(0.99)
     }
 }

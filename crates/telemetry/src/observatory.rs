@@ -247,7 +247,7 @@ impl DriftReport {
     }
 
     /// The series with the largest mean absolute residual.
-    pub fn worst_series(&self) -> Option<&SeriesSnapshot> {
+    pub(crate) fn worst_series(&self) -> Option<&SeriesSnapshot> {
         self.series.iter().max_by(|a, b| {
             a.mean_abs_residual
                 .partial_cmp(&b.mean_abs_residual)
@@ -257,7 +257,7 @@ impl DriftReport {
 
     /// The node-level series (`node/...`) with the largest mean absolute
     /// residual — "the worst node" of the report.
-    pub fn worst_node(&self) -> Option<&SeriesSnapshot> {
+    pub(crate) fn worst_node(&self) -> Option<&SeriesSnapshot> {
         self.series
             .iter()
             .filter(|s| s.series.starts_with("node/"))

@@ -242,7 +242,7 @@ impl ProvenanceLedger {
     }
 
     /// Number of retained records.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inner
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -256,7 +256,7 @@ impl ProvenanceLedger {
     }
 
     /// Number of retained records still awaiting back-fill.
-    pub fn open_count(&self) -> usize {
+    pub(crate) fn open_count(&self) -> usize {
         let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner.records.iter().filter(|r| !r.is_closed()).count()
     }

@@ -113,13 +113,8 @@ impl FlightRecorder {
     }
 
     /// Events currently buffered.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.ring.lock().len()
-    }
-
-    /// True when nothing has been buffered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Total events ever logged.
@@ -128,7 +123,7 @@ impl FlightRecorder {
     }
 
     /// Events evicted because the ring was full.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
 

@@ -14,7 +14,7 @@
 //! | `/tenants`      | the installed [`TenantLedger`](crate::TenantLedger)'s canonical JSON (byte-identical to `coop top --format json`) |
 //! | `/slo`          | the installed [`SloEngine`](crate::SloEngine)'s burn-rate report |
 //!
-//! Start it with [`serve`], stop it with [`TelemetryServer::stop`].
+//! Start it with [`serve`]; dropping the [`TelemetryServer`] stops it.
 //! `serve_with_limit` exists for smoke tests and CI: the server exits by
 //! itself after answering a fixed number of requests, so `coop observe
 //! --serve addr --serve-max-requests N` terminates deterministically.
@@ -59,16 +59,8 @@ impl TelemetryServer {
     }
 
     /// Requests answered so far.
-    pub fn served(&self) -> u64 {
+    pub(crate) fn served(&self) -> u64 {
         self.served.load(Ordering::Relaxed)
-    }
-
-    /// Ask the accept loop to exit; returns once the thread has joined.
-    pub fn stop(mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
     }
 
     /// Block until the server exits on its own (only happens when a
@@ -375,7 +367,7 @@ mod tests {
             assert!(body.contains(route), "404 body must list {route}: {body}");
         }
         assert!(server.served() >= 5);
-        server.stop();
+        drop(server);
     }
 
     #[test]
@@ -393,7 +385,7 @@ mod tests {
         let (head, body) = get(server.addr(), "/slo");
         assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
         assert_eq!(body, super::super::slo::EMPTY_SLO_JSON);
-        server.stop();
+        drop(server);
 
         // Installed: the routes serve the canonical renderings byte for
         // byte — the same strings `coop top` prints.
@@ -427,7 +419,7 @@ mod tests {
         let (head, body) = get(server.addr(), "/slo");
         assert!(head.starts_with("HTTP/1.1 200 OK"));
         assert_eq!(body, engine.to_json());
-        server.stop();
+        drop(server);
     }
 
     #[test]
@@ -464,7 +456,7 @@ mod tests {
             resp.starts_with("HTTP/1.1 200 OK"),
             "short request must still be served: {resp}"
         );
-        server.stop();
+        drop(server);
     }
 
     #[test]
@@ -507,7 +499,7 @@ mod tests {
             waited < Duration::from_secs(5),
             "/healthz waited {waited:?} behind a trickling client"
         );
-        server.stop();
+        drop(server);
     }
 
     #[test]

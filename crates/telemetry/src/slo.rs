@@ -1,8 +1,7 @@
 //! Declarative per-tenant SLOs evaluated as multi-window burn rates.
 //!
 //! An [`SloSpec`] states what a tenant is owed — a minimum delivered
-//! share, a p99 wakeup-latency ceiling, a locality floor — plus an
-//! **error budget**: the fraction of decision ticks that may violate the
+//! share — plus an **error budget**: the fraction of decision ticks that may violate the
 //! target over a budget window. The [`SloEngine`] re-evaluates every
 //! spec once per tick (the agent and the memsim supervisor drive any
 //! engine installed on the hub) and reports the standard SRE pair:
@@ -22,8 +21,9 @@
 //! recorder (reason `slo-<tenant>-<objective>`) so the events leading up
 //! to the miss survive for the post-mortem.
 //!
-//! Ticks with no data for a spec (an unknown tenant, an empty latency
-//! histogram) are skipped entirely — they neither violate nor heal.
+//! Ticks with no data for a spec (an unknown tenant, or one whose ledger
+//! has not booked a window yet) are skipped entirely — they neither
+//! violate nor heal.
 
 use crate::accounting::LedgerSnapshot;
 use crate::json::Value;
@@ -41,25 +41,13 @@ pub enum SloObjective {
     /// The tenant's delivered share of executed tasks must stay at or
     /// above the target.
     MinDeliveredShare,
-    /// The tenant's p99 park/wakeup latency (µs) must stay at or below
-    /// the target.
-    MaxWakeupP99Us,
-    /// The tenant's locality ratio must stay at or above the target.
-    MinLocalityRatio,
-    /// The tenant's fuel-exhaustion preemption rate (preemptions per
-    /// second over the last accepted ledger window) must stay at or
-    /// below the target.
-    MaxPreemptionRate,
 }
 
 impl SloObjective {
     /// Stable slug used in metric labels and JSON.
-    pub fn slug(&self) -> &'static str {
+    pub(crate) fn slug(&self) -> &'static str {
         match self {
             SloObjective::MinDeliveredShare => "delivered_share",
-            SloObjective::MaxWakeupP99Us => "wakeup_p99_us",
-            SloObjective::MinLocalityRatio => "locality",
-            SloObjective::MaxPreemptionRate => "preemption_rate",
         }
     }
 }
@@ -71,7 +59,7 @@ pub struct SloSpec {
     pub tenant: String,
     /// The constrained quantity.
     pub objective: SloObjective,
-    /// Target value (a share in `0..=1`, a latency in µs, …).
+    /// Target value (a share in `0..=1`).
     pub target: f64,
     /// Error budget: the fraction of ticks allowed to violate the
     /// target within the budget window (`0 < budget <= 1`).
@@ -97,27 +85,6 @@ impl SloSpec {
         Self::new(tenant, SloObjective::MinDeliveredShare, target)
     }
 
-    /// The tenant's p99 wakeup latency must stay `<= target` µs.
-    pub fn wakeup_p99(tenant: &str, target_us: f64) -> Self {
-        Self::new(tenant, SloObjective::MaxWakeupP99Us, target_us)
-    }
-
-    /// The tenant's locality ratio must stay `>= target`.
-    pub fn locality_floor(tenant: &str, target: f64) -> Self {
-        Self::new(tenant, SloObjective::MinLocalityRatio, target)
-    }
-
-    /// The tenant's preemption rate must stay `<= target` preemptions/s.
-    pub fn max_preemption_rate(tenant: &str, target_per_s: f64) -> Self {
-        Self::new(tenant, SloObjective::MaxPreemptionRate, target_per_s)
-    }
-
-    /// Override the error budget (clamped into `(0, 1]`).
-    pub fn with_budget(mut self, budget: f64) -> Self {
-        self.budget = budget.clamp(f64::EPSILON, 1.0);
-        self
-    }
-
     /// Override the burn-rate windows (empty input keeps the default).
     pub fn with_windows(mut self, windows: Vec<usize>) -> Self {
         if !windows.is_empty() {
@@ -130,15 +97,14 @@ impl SloSpec {
     }
 
     /// The budget window: the largest configured window.
-    pub fn budget_window(&self) -> usize {
+    pub(crate) fn budget_window(&self) -> usize {
         self.windows.iter().copied().max().unwrap_or(20)
     }
 
     /// `true` if `value` violates the target.
     fn violated_by(&self, value: f64) -> bool {
         match self.objective {
-            SloObjective::MinDeliveredShare | SloObjective::MinLocalityRatio => value < self.target,
-            SloObjective::MaxWakeupP99Us | SloObjective::MaxPreemptionRate => value > self.target,
+            SloObjective::MinDeliveredShare => value < self.target,
         }
     }
 }
@@ -276,15 +242,13 @@ impl SloEngine {
     }
 
     /// Evaluate every spec against the hub's current state: the tenant
-    /// ledger for shares and locality, the
-    /// `coop_sched_park_latency_us{runtime=…}` histogram for wakeup
-    /// p99s. Publishes the burn-rate gauges, timeline instants, and
+    /// ledger for shares. Publishes the burn-rate gauges, timeline instants, and
     /// triggers a flight dump on each budget-exhaustion edge.
     pub fn evaluate(&self, hub: &TelemetryHub, now_us: u64) {
         let ledger = hub.tenant_ledger().map(|l| l.snapshot());
         let mut inner = lock(self);
         for state in inner.iter_mut() {
-            let Some(value) = measure(&state.spec, hub, ledger.as_ref()) else {
+            let Some(value) = measure(&state.spec, ledger.as_ref()) else {
                 continue; // no data this tick: neither violates nor heals
             };
             let violated = state.spec.violated_by(value);
@@ -441,34 +405,15 @@ impl SloEngine {
 
 /// The measured value for `spec` this tick, or `None` when there is no
 /// data to judge.
-fn measure(spec: &SloSpec, hub: &TelemetryHub, ledger: Option<&LedgerSnapshot>) -> Option<f64> {
+fn measure(spec: &SloSpec, ledger: Option<&LedgerSnapshot>) -> Option<f64> {
     match spec.objective {
         // A tenant whose ledger has not booked a single window yet has no
-        // share/locality measurement — its first tick merely establishes
-        // counter baselines and must not count as a violation.
+        // share measurement — its first tick merely establishes counter
+        // baselines and must not count as a violation.
         SloObjective::MinDeliveredShare => ledger?
             .tenant(&spec.tenant)
             .filter(|t| t.windows_accepted > 0)
             .map(|t| t.delivered_share),
-        SloObjective::MinLocalityRatio => ledger?
-            .tenant(&spec.tenant)
-            .filter(|t| t.windows_accepted > 0)
-            .map(|t| t.locality_ratio),
-        SloObjective::MaxPreemptionRate => ledger?
-            .tenant(&spec.tenant)
-            .filter(|t| t.windows_accepted > 0)
-            .map(|t| t.preemption_rate),
-        SloObjective::MaxWakeupP99Us => {
-            let snap = hub
-                .registry()
-                .histogram("coop_sched_park_latency_us", &[("runtime", &spec.tenant)])
-                .snapshot();
-            if snap.count == 0 {
-                None
-            } else {
-                Some(snap.p99())
-            }
-        }
     }
 }
 
@@ -507,9 +452,7 @@ mod tests {
         recorder.set_dump_dir(&dir);
         assert!(hub.install_flight_recorder(Arc::clone(&recorder)));
 
-        let engine = SloEngine::new(vec![SloSpec::min_share("a", 0.4)
-            .with_budget(0.25)
-            .with_windows(vec![2, 8])]);
+        let engine = SloEngine::new(vec![SloSpec::min_share("a", 0.4).with_windows(vec![2, 8])]);
 
         // Healthy ticks: a delivers ~0.5 of the work. (First tick only
         // establishes baselines, so the spec sees no violation.)
@@ -583,62 +526,21 @@ mod tests {
     #[test]
     fn no_data_ticks_are_skipped() {
         let hub = Arc::new(TelemetryHub::new());
-        // No ledger installed: share/locality specs see no data; the
-        // latency spec sees an empty histogram.
-        let engine = SloEngine::new(vec![
-            SloSpec::min_share("ghost", 0.5),
-            SloSpec::wakeup_p99("ghost", 1000.0),
-            SloSpec::locality_floor("ghost", 0.9),
-        ]);
+        // No ledger installed: the spec sees no data.
+        let engine = SloEngine::new(vec![SloSpec::min_share("ghost", 0.5)]);
         engine.evaluate(&hub, 10);
+        // A ledger that has never heard of the tenant: still no data.
+        let ledger = Arc::new(TenantLedger::new());
+        assert!(hub.install_tenant_ledger(Arc::clone(&ledger)));
+        ledger.open_epoch(&hub, "a", "managed", 0);
+        ledger.tick(&hub, 20, &[sample("a", 100, 1_000)]);
+        ledger.tick(&hub, 30, &[sample("a", 200, 2_000)]);
+        engine.evaluate(&hub, 30);
         for s in engine.report() {
             assert_eq!(s.ticks, 0);
             assert_eq!(s.violations_total, 0);
             assert!((s.budget_remaining - 1.0).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn wakeup_p99_spec_reads_the_park_histogram() {
-        let hub = Arc::new(TelemetryHub::new());
-        let hist = hub
-            .registry()
-            .histogram("coop_sched_park_latency_us", &[("runtime", "rt")]);
-        for _ in 0..100 {
-            hist.observe(10_000);
-        }
-        let engine = SloEngine::new(vec![SloSpec::wakeup_p99("rt", 100.0)]);
-        engine.evaluate(&hub, 5);
-        let s = &engine.report()[0];
-        assert_eq!(s.ticks, 1);
-        assert_eq!(s.violations_total, 1, "p99 ~10ms violates a 100us ceiling");
-        assert!(s.last_value > 100.0);
-    }
-
-    #[test]
-    fn preemption_rate_spec_reads_the_ledger() {
-        let hub = Arc::new(TelemetryHub::new());
-        let ledger = Arc::new(TenantLedger::new());
-        assert!(hub.install_tenant_ledger(Arc::clone(&ledger)));
-        ledger.open_epoch(&hub, "hog", "managed", 0);
-
-        let engine = SloEngine::new(vec![SloSpec::max_preemption_rate("hog", 2.0)]);
-        // Tick 0 establishes the baseline; the spec sees windows_accepted
-        // == 1 but a zero rate — compliant.
-        ledger.tick(&hub, 10, &[sample("hog", 100, 1_000_000)]);
-        engine.evaluate(&hub, 10);
-        assert_eq!(engine.report()[0].violations_total, 0);
-
-        // A runaway window: 10 preemptions over 1 s breaches the 2/s
-        // ceiling.
-        let mut runaway = sample("hog", 200, 2_000_000);
-        runaway.preemptions = 10;
-        ledger.tick(&hub, 20, &[runaway]);
-        engine.evaluate(&hub, 20);
-        let s = &engine.report()[0];
-        assert_eq!(s.violations_total, 1);
-        assert!((s.last_value - 10.0).abs() < 1e-9);
-        assert_eq!(s.spec.objective.slug(), "preemption_rate");
     }
 
     #[test]

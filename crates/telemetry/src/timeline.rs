@@ -193,7 +193,7 @@ pub enum Label {
 
 impl Label {
     /// The label's text.
-    pub fn as_str(&self) -> &str {
+    pub(crate) fn as_str(&self) -> &str {
         match self {
             Label::Static(s) => s,
             Label::Shared(s) => s,
@@ -487,11 +487,6 @@ impl TelemetryHub {
     /// predates the epoch).
     pub fn timestamp_us(&self, at: Instant) -> u64 {
         at.saturating_duration_since(self.epoch).as_micros() as u64
-    }
-
-    /// Number of shards (useful for picking shard hints).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Register (or look up) a track by name and return its id.

@@ -287,14 +287,6 @@ impl TraceAssembler {
         self.tasks.is_empty()
     }
 
-    /// Look up one task by id (searches every track).
-    pub fn task(&self, id: u64) -> Option<&TaskTrace> {
-        self.tasks
-            .iter()
-            .find(|((_, t), _)| *t == id)
-            .map(|(_, v)| v)
-    }
-
     /// Tasks whose id or name matches `query`: an exact id (`"7"` or
     /// `"task7"`), or a case-sensitive name substring.
     pub fn find(&self, query: &str) -> Vec<&TaskTrace> {
@@ -392,6 +384,16 @@ pub fn hop_args(task: u64, trace_id: u64) -> Vec<(String, ArgValue)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TraceAssembler {
+        /// Look up one task by id (searches every track).
+        fn task(&self, id: u64) -> Option<&TaskTrace> {
+            self.tasks
+                .iter()
+                .find(|((_, t), _)| *t == id)
+                .map(|(_, v)| v)
+        }
+    }
 
     fn hop_event(
         task: u64,

@@ -48,21 +48,6 @@ impl Binding {
         })
     }
 
-    /// The NUMA node this binding confines the thread to, if it does.
-    ///
-    /// A core binding resolves to its owning node; an unbound thread has no
-    /// home node.
-    pub fn home_node(&self, machine: &Machine) -> Result<Option<NodeId>> {
-        Ok(match *self {
-            Binding::Unbound => None,
-            Binding::Node(n) => {
-                machine.try_node(n)?;
-                Some(n)
-            }
-            Binding::Core(c) => Some(machine.node_of_core(c)?),
-        })
-    }
-
     /// The discriminant of this binding.
     pub fn kind(&self) -> BindingKind {
         match self {
@@ -93,7 +78,6 @@ mod tests {
         let m = machine();
         let s = Binding::Unbound.cpuset(&m).unwrap();
         assert_eq!(s.count(), 8);
-        assert_eq!(Binding::Unbound.home_node(&m).unwrap(), None);
         assert_eq!(Binding::Unbound.kind(), BindingKind::Unbound);
     }
 
@@ -104,7 +88,6 @@ mod tests {
         let s = b.cpuset(&m).unwrap();
         assert_eq!(s.count(), 4);
         assert!(s.contains(CoreId(4)) && s.contains(CoreId(7)));
-        assert_eq!(b.home_node(&m).unwrap(), Some(NodeId(1)));
         assert_eq!(b.kind(), BindingKind::Node);
     }
 
@@ -115,7 +98,6 @@ mod tests {
         let s = b.cpuset(&m).unwrap();
         assert_eq!(s.count(), 1);
         assert!(s.contains(CoreId(5)));
-        assert_eq!(b.home_node(&m).unwrap(), Some(NodeId(1)));
         assert_eq!(b.kind(), BindingKind::Core);
     }
 
@@ -124,7 +106,7 @@ mod tests {
         let m = machine();
         assert!(Binding::Node(NodeId(2)).cpuset(&m).is_err());
         assert!(Binding::Core(CoreId(8)).cpuset(&m).is_err());
-        assert!(Binding::Node(NodeId(9)).home_node(&m).is_err());
-        assert!(Binding::Core(CoreId(99)).home_node(&m).is_err());
+        assert!(Binding::Node(NodeId(9)).cpuset(&m).is_err());
+        assert!(Binding::Core(CoreId(99)).cpuset(&m).is_err());
     }
 }

@@ -111,11 +111,6 @@ impl CpuSet {
         self.words.iter().all(|&w| w == 0)
     }
 
-    /// Removes all cores.
-    pub fn clear(&mut self) {
-        self.words.clear();
-    }
-
     /// Set union.
     pub fn union(&self, other: &CpuSet) -> CpuSet {
         let mut words = vec![0u64; self.words.len().max(other.words.len())];
@@ -160,16 +155,6 @@ impl CpuSet {
     /// `true` if the two sets share no core.
     pub fn is_disjoint(&self, other: &CpuSet) -> bool {
         self.intersection(other).is_empty()
-    }
-
-    /// The lowest core id in the set, if any.
-    pub fn first(&self) -> Option<CoreId> {
-        for (i, &w) in self.words.iter().enumerate() {
-            if w != 0 {
-                return Some(CoreId(i * BITS + w.trailing_zeros() as usize));
-            }
-        }
-        None
     }
 
     /// Iterates over the cores in ascending id order.
@@ -260,14 +245,14 @@ mod tests {
         assert!(!s.contains(CoreId(8)));
         let one = CpuSet::single(CoreId(9));
         assert_eq!(one.count(), 1);
-        assert_eq!(one.first(), Some(CoreId(9)));
+        assert!(one.contains(CoreId(9)));
     }
 
     #[test]
     fn empty_range_is_empty() {
         assert!(CpuSet::from_range(5, 5).is_empty());
         assert!(CpuSet::from_range(7, 3).is_empty());
-        assert_eq!(CpuSet::new().first(), None);
+        assert!(CpuSet::new().is_empty());
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub fn detect_host() -> Machine {
 }
 
 /// A single-node machine with `available_parallelism` cores.
-pub fn fallback_machine() -> Machine {
+pub(crate) fn fallback_machine() -> Machine {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -50,7 +50,7 @@ pub fn fallback_machine() -> Machine {
 
 /// Parses a sysfs-style node directory. Exposed for testing against
 /// fixture trees; use [`detect_host`] for the real host.
-pub fn detect_from_sysfs(node_dir: &Path) -> Result<Machine> {
+pub(crate) fn detect_from_sysfs(node_dir: &Path) -> Result<Machine> {
     // Which nodes exist? /sys/devices/system/node/online is a cpulist-style
     // string like "0-3" or "0,2".
     let online = fs::read_to_string(node_dir.join("online"))
@@ -123,7 +123,7 @@ pub fn detect_from_sysfs(node_dir: &Path) -> Result<Machine> {
 }
 
 /// Parses a Linux cpulist string ("0-3,8,10-11") into sorted ids.
-pub fn parse_cpulist(s: &str) -> Option<Vec<usize>> {
+pub(crate) fn parse_cpulist(s: &str) -> Option<Vec<usize>> {
     let mut out = Vec::new();
     if s.is_empty() {
         return Some(out);

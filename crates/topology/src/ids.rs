@@ -22,22 +22,6 @@ pub struct NodeId(pub usize);
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CoreId(pub usize);
 
-impl NodeId {
-    /// The raw index of this node.
-    #[inline]
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
-impl CoreId {
-    /// The raw global index of this core.
-    #[inline]
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
 /// Both ids are written as their bare index.
 macro_rules! id_json {
     ($($id:ident),*) => {$(
@@ -100,7 +84,7 @@ mod tests {
         let a = NodeId(1);
         let b = NodeId(2);
         assert!(a < b);
-        assert_eq!(a.index(), 1);
+        assert_eq!(a.0, 1);
         assert_eq!(NodeId::from(7), NodeId(7));
     }
 
@@ -109,7 +93,7 @@ mod tests {
         let a = CoreId(10);
         let b = CoreId(11);
         assert!(a < b);
-        assert_eq!(b.index(), 11);
+        assert_eq!(b.0, 11);
         assert_eq!(CoreId::from(3), CoreId(3));
     }
 

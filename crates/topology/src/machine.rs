@@ -101,7 +101,7 @@ impl LinkMatrix {
     }
 
     /// Dimension (number of nodes).
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.dim
     }
 
@@ -165,11 +165,6 @@ impl Machine {
         self.core_peak_gflops * self.total_cores as f64
     }
 
-    /// Aggregate local memory bandwidth of the whole machine, in GB/s.
-    pub fn total_bandwidth_gbs(&self) -> f64 {
-        self.nodes.iter().map(|n| n.bandwidth_gbs).sum()
-    }
-
     /// The node with the given id.
     ///
     /// # Panics
@@ -224,13 +219,6 @@ impl Machine {
         CpuSet::from_range(0, self.total_cores)
     }
 
-    /// `true` if every node has the same number of cores.
-    pub fn is_symmetric(&self) -> bool {
-        self.nodes
-            .windows(2)
-            .all(|w| w[0].num_cores == w[1].num_cores)
-    }
-
     /// Returns a copy of this machine with `node`'s local memory bandwidth
     /// replaced by `bandwidth_gbs` (everything else unchanged).
     ///
@@ -238,7 +226,7 @@ impl Machine {
     /// a machine whose controller degraded mid-run while the analytic model
     /// keeps predicting with the nominal description, and watch the
     /// prediction residuals drift.
-    pub fn with_node_bandwidth(&self, node: NodeId, bandwidth_gbs: f64) -> Result<Machine> {
+    pub(crate) fn with_node_bandwidth(&self, node: NodeId, bandwidth_gbs: f64) -> Result<Machine> {
         self.try_node(node)?;
         if bandwidth_gbs <= 0.0 || !bandwidth_gbs.is_finite() {
             return Err(TopologyError::NonPositiveQuantity {
@@ -375,12 +363,6 @@ impl MachineBuilder {
         self
     }
 
-    /// Sets the memory capacity used for every symmetric node, GiB.
-    pub fn node_memory_gib(mut self, gib: f64) -> Self {
-        self.node_memory_gib = gib;
-        self
-    }
-
     /// Uses the same bandwidth for every inter-node link.
     pub fn uniform_link_gbs(mut self, gbs: f64) -> Self {
         self.uniform_link_gbs = Some(gbs);
@@ -490,10 +472,10 @@ mod tests {
         let m = paper_machine();
         assert_eq!(m.num_nodes(), 4);
         assert_eq!(m.total_cores(), 32);
-        assert!(m.is_symmetric());
+        assert!(m.nodes().all(|n| n.num_cores() == 8));
         assert_eq!(m.name(), "paper");
         assert!((m.peak_machine_gflops() - 320.0).abs() < 1e-12);
-        assert!((m.total_bandwidth_gbs() - 128.0).abs() < 1e-12);
+        assert!((m.nodes().map(|n| n.bandwidth_gbs).sum::<f64>() - 128.0).abs() < 1e-12);
     }
 
     #[test]
@@ -527,7 +509,7 @@ mod tests {
             .unwrap();
         assert_eq!(m.num_nodes(), 2);
         assert_eq!(m.total_cores(), 16);
-        assert!(!m.is_symmetric());
+        assert_ne!(m.node(NodeId(0)).num_cores(), m.node(NodeId(1)).num_cores());
         assert_eq!(m.node(NodeId(1)).first_core, CoreId(4));
         assert_eq!(m.node_of_core(CoreId(4)).unwrap(), NodeId(1));
         assert!((m.node(NodeId(1)).bandwidth_gbs - 60.0).abs() < 1e-12);

@@ -59,21 +59,9 @@ pub fn skylake_bad_mix(bad_node: NodeId) -> Vec<AppSpec> {
     ]
 }
 
-/// Wraps model-level specs into simulator apps (always-on, perfect
-/// scaling). Use [`sim_apps_with_sync`] to add synchronization overhead.
-pub fn sim_apps(specs: &[AppSpec]) -> Vec<SimApp> {
-    specs
-        .iter()
-        .map(|s| SimApp {
-            spec: s.clone(),
-            activity: memsim::ActivityPattern::AlwaysOn,
-            sync_overhead: 0.0,
-        })
-        .collect()
-}
-
-/// Like [`sim_apps`], with a per-app synchronization-overhead coefficient
-/// (`alphas[i]` applies to `specs[i]`).
+/// Wraps model-level specs into always-on simulator apps, with a per-app
+/// synchronization-overhead coefficient (`alphas[i]` applies to
+/// `specs[i]`; 0 is perfect scaling).
 pub fn sim_apps_with_sync(specs: &[AppSpec], alphas: &[f64]) -> Vec<SimApp> {
     specs
         .iter()
@@ -111,7 +99,7 @@ mod tests {
     #[test]
     fn sim_wrappers_preserve_specs() {
         let specs = crossnode_mix(NodeId(3));
-        let sims = sim_apps(&specs);
+        let sims = sim_apps_with_sync(&specs, &[0.0; 4]);
         assert_eq!(sims.len(), 4);
         for (sim, spec) in sims.iter().zip(&specs) {
             assert_eq!(&sim.spec, spec);

@@ -21,7 +21,7 @@
 //!   search/solver stress tests and benches.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 pub mod apps;
 pub mod generator;
