@@ -181,8 +181,9 @@ impl RuntimeHandle for Arc<coop_runtime::Runtime> {
 
 /// A decision rule: maps the latest stats to per-runtime commands.
 ///
-/// `tick` returns one optional command per managed runtime (same order as
-/// the agent's registry); `None` means "no change for this runtime".
+/// `tick` returns one optional command per entry of `stats`, in its order;
+/// `None`, or a vector that ends before the entry (an empty one commands
+/// nobody), means "no change for this runtime".
 pub trait Policy: Send {
     /// Called once per agent tick.
     fn tick(&mut self, stats: &[RuntimeStats], tick_index: u64) -> Vec<Option<ThreadCommand>>;

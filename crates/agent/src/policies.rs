@@ -1,7 +1,7 @@
 //! Built-in agent policies.
 
 use crate::{Policy, RuntimeStats, ThreadCommand};
-use coop_alloc::search::{GreedySearch, HillClimb, ModelOracle};
+use coop_alloc::search::{GreedySearch, HillClimb, ModelOracle, SearchResult};
 use coop_alloc::{CacheStats, Objective, ScoreCache, SearchCounters};
 use numa_topology::Machine;
 use roofline_numa::{AppSpec, ThreadAssignment};
@@ -143,17 +143,16 @@ const WARM_ITERATIONS: usize = 1500;
 /// "threads per NUMA node" (option 3), chosen with a model that
 /// understands both bandwidth sharing and data placement.
 ///
-/// Search cost is amortized across ticks: a [`ScoreCache`] persists while
-/// the live set (and thus the solving-context fingerprint) is unchanged,
-/// and re-solves over an unchanged live set **warm-start** a hill climb
-/// from the previous assignment instead of rebuilding greedily from
-/// nothing — and when that assignment is a strict local optimum the climb
-/// certifies it (one probe per neighbour) and proposes nothing
-/// (`search/evaluations` = 1). The solver-work counters of the latest
-/// search are surfaced in the policy's
-/// [`Prediction`](coop_telemetry::Prediction) inputs (`search/full_solves`,
-/// `search/delta_solves`, `search/cache_hits`), so the provenance ledger
-/// records how much work each decision cost.
+/// A changed live set is solved cold (greedy); an unchanged one every
+/// `period` ticks by a hill climb **warm-started** from the previous
+/// assignment, on a [`ScoreCache`] kept while the live set holds. A strict
+/// local optimum is certified (one probe per neighbour), and a warm climb
+/// from a start the last one returned unchanged is skipped: its seed,
+/// iterations and context are fixed and cached scores exact, so it would
+/// return that start again. The latest search's cost ([`search_inputs`])
+/// goes into the policy's [`Prediction`](coop_telemetry::Prediction).
+///
+/// [`search_inputs`]: ModelGuided::search_inputs
 pub struct ModelGuided {
     machine: Machine,
     apps: Vec<AppSpec>,
@@ -164,6 +163,8 @@ pub struct ModelGuided {
     last_counters: SearchCounters,
     last_evaluations: usize,
     last_warm: bool,
+    /// The latest warm search returned its start unchanged.
+    settled: bool,
 }
 
 /// The most recent solve: the live set it covered (runtime names in
@@ -190,6 +191,7 @@ impl ModelGuided {
             last_counters: SearchCounters::default(),
             last_evaluations: 0,
             last_warm: false,
+            settled: false,
         }
     }
 
@@ -199,10 +201,24 @@ impl ModelGuided {
         self.last.as_ref().map(|s| &s.assignment)
     }
 
-    /// Solver-work counters of the most recent search (also exported as
-    /// `search/*` prediction inputs for the provenance ledger).
+    /// Solver-work counters of the most recent search (zero for a skipped
+    /// one).
     pub fn last_search_counters(&self) -> SearchCounters {
         self.last_counters
+    }
+
+    /// The most recent search's cost, as the `search/*` prediction inputs
+    /// the provenance ledger records: its solver work, its evaluations and
+    /// whether it started warm.
+    pub fn search_inputs(&self) -> [(&'static str, f64); 5] {
+        let c = self.last_counters;
+        [
+            ("search/full_solves", c.full_solves as f64),
+            ("search/delta_solves", c.delta_solves as f64),
+            ("search/cache_hits", c.cache_hits as f64),
+            ("search/evaluations", self.last_evaluations as f64),
+            ("search/warm_start", f64::from(u8::from(self.last_warm))),
+        ]
     }
 
     /// Hit/miss/insert statistics of the persistent score cache, if a
@@ -211,30 +227,17 @@ impl ModelGuided {
         self.cache.as_ref().map(|c| c.stats())
     }
 
-    /// Matches polled stats to specs by name; `None` if any polled
-    /// runtime has no spec (the policy cannot model it).
-    fn live_apps(&self, stats: &[RuntimeStats]) -> Option<Vec<AppSpec>> {
-        stats
-            .iter()
-            .map(|s| self.apps.iter().find(|a| a.name == s.name).cloned())
-            .collect()
-    }
-
     /// Runs the model search over the live set. The oracle penalizes
     /// assignments that starve any application below the thread floor, so
     /// the search satisfies every application first and only then
     /// optimizes GFLOPS.
     ///
-    /// `warm_from` (the previous solve over the *same* live set) turns the
+    /// `warm` (the previous solve over the *same* live set) turns the
     /// cold greedy construction into a hill climb seeded at the previous
     /// optimum. The persistent score cache is reused whenever the solving
     /// context (machine, live apps, objective, thread floor) fingerprints
     /// the same, and rebuilt otherwise.
-    fn search(
-        &mut self,
-        apps: &[AppSpec],
-        warm_from: Option<ThreadAssignment>,
-    ) -> Option<(ThreadAssignment, SearchCounters, usize)> {
+    fn search(&mut self, apps: &[AppSpec], warm: Option<ThreadAssignment>) -> Option<SearchResult> {
         let objective = Objective::TotalGflops;
         let oracle = ModelOracle::new(&self.machine, apps, &objective)
             .ok()?
@@ -249,15 +252,14 @@ impl ModelGuided {
             }
         };
         let mut oracle = oracle.with_cache(cache).ok()?;
-        let result = match warm_from {
+        match warm {
             Some(start) => HillClimb::new()
                 .with_iterations(WARM_ITERATIONS)
                 .with_start(start)
                 .run_model(&self.machine, &mut oracle),
             None => GreedySearch::new().run_model(&self.machine, &mut oracle),
         }
-        .ok()?;
-        Some((result.assignment, result.counters, result.evaluations))
+        .ok()
     }
 }
 
@@ -267,62 +269,59 @@ impl Policy for ModelGuided {
         let report = roofline_numa::solve(&self.machine, &last.apps, &last.assignment).ok()?;
         let mut prediction = report.to_prediction();
         prediction.assignment = format!("{:?}", last.assignment.to_matrix()).into();
-        // Provenance: how much solver work the deciding search cost, so
-        // the ledger can attribute cheap (warm, cached) re-solves vs
-        // expensive cold ones.
-        let c = self.last_counters;
-        prediction.inputs.extend([
-            ("search/full_solves".into(), c.full_solves as f64),
-            ("search/delta_solves".into(), c.delta_solves as f64),
-            ("search/cache_hits".into(), c.cache_hits as f64),
-            ("search/evaluations".into(), self.last_evaluations as f64),
-            (
-                "search/warm_start".into(),
-                if self.last_warm { 1.0 } else { 0.0 },
-            ),
-        ]);
+        let search = self.search_inputs().map(|(key, value)| (key.into(), value));
+        prediction.inputs.extend(search);
         Some(prediction)
     }
 
+    /// Silent (an empty vector) unless a search ran and changed the
+    /// assignment or the live set; a tick with nothing to search allocates
+    /// nothing.
     fn tick(&mut self, stats: &[RuntimeStats], tick: u64) -> Vec<Option<ThreadCommand>> {
-        let Some(live_apps) = self.live_apps(stats) else {
-            return vec![None; stats.len()];
-        };
-        if live_apps.is_empty() {
-            return Vec::new();
-        }
-        let names: Vec<String> = stats.iter().map(|s| s.name.clone()).collect();
+        let same_set = self.last.as_ref().is_some_and(|l| {
+            l.names.len() == stats.len() && l.names.iter().zip(stats).all(|(n, s)| *n == s.name)
+        });
         // A changed live set (eviction, re-admission) forces an immediate
         // re-solve even off-period: reclaimed cores should not idle for
         // up to `period` ticks.
-        let set_changed = self.last.as_ref().is_none_or(|l| l.names != names);
-        if !set_changed && !tick.is_multiple_of(self.period) {
-            return vec![None; stats.len()];
+        if same_set && (self.settled || !tick.is_multiple_of(self.period)) {
+            if tick.is_multiple_of(self.period) {
+                // The search it skips records no solver work.
+                (self.last_counters, self.last_evaluations) = (SearchCounters::default(), 0);
+            }
+            return Vec::new();
         }
+        // Specs by name; silent if a polled runtime has none (the policy
+        // cannot model it).
+        let live_apps: Option<Vec<AppSpec>> = (stats.iter())
+            .map(|s| self.apps.iter().find(|a| a.name == s.name).cloned())
+            .collect();
+        let Some(live_apps) = live_apps.filter(|apps| !apps.is_empty()) else {
+            return Vec::new();
+        };
         // Same live set: warm-start from the previous assignment. A
         // changed set means the previous matrix has the wrong shape (and
         // the wrong meaning), so solve cold.
-        let warm_from = if set_changed {
-            None
-        } else {
-            self.last.as_ref().map(|l| l.assignment.clone())
-        };
+        let warm_from = (self.last.as_ref())
+            .filter(|_| same_set)
+            .map(|l| l.assignment.clone());
         self.last_warm = warm_from.is_some();
-        let Some((assignment, counters, evaluations)) = self.search(&live_apps, warm_from) else {
-            return vec![None; stats.len()];
+        let Some(found) = self.search(&live_apps, warm_from) else {
+            return Vec::new();
         };
-        self.last_counters = counters;
-        self.last_evaluations = evaluations;
-        let changed = set_changed || self.last.as_ref().map(|l| &l.assignment) != Some(&assignment);
-        self.last = Some(Solved {
+        (self.last_counters, self.last_evaluations) = (found.counters, found.evaluations);
+        let assignment = found.assignment;
+        let changed = !same_set || self.last.as_ref().map(|l| &l.assignment) != Some(&assignment);
+        self.settled = !changed;
+        let names = stats.iter().map(|s| s.name.clone()).collect();
+        let last = self.last.insert(Solved {
             names,
             apps: live_apps,
             assignment,
         });
         if !changed {
-            return vec![None; stats.len()];
+            return Vec::new();
         }
-        let last = self.last.as_ref().expect("just set");
         (0..stats.len())
             .map(|app| Some(per_node_command(&last.assignment, app, &self.machine)))
             .collect()

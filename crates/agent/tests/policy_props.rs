@@ -2,10 +2,15 @@
 //! streams (no live runtimes — policies are pure over their inputs).
 
 use coop_agent::control::{check_commands, row_of};
-use coop_agent::policies::ProducerConsumerThrottle;
+use coop_agent::policies::{ModelGuided, ProducerConsumerThrottle};
 use coop_agent::{Policy, RuntimeStats, ThreadCommand};
 use coop_alloc::cases::check;
+use coop_alloc::search::{GreedySearch, HillClimb, ModelOracle};
+use coop_alloc::Objective;
+use numa_topology::{MachineBuilder, NodeId};
+use roofline_numa::{AppSpec, ThreadAssignment};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const CASES: usize = 256;
 
@@ -98,4 +103,95 @@ fn throttle_converges_under_steady_pressure() {
         }
         assert_eq!(p.current_target(), max_threads);
     });
+}
+
+/// A warm search `ModelGuided` skips — over the live set of its last one,
+/// from an incumbent that one returned unchanged — would have returned that
+/// incumbent. On random machines, local and NUMA-bad mixes and live-set
+/// sequences the policy holds, tick by tick, what its searches give run
+/// every time on a fresh oracle: the cold greedy on a new live set, and the
+/// 1 500-proposal climb from the incumbent every `period` ticks. So on
+/// every skipped tick that climb ends on the incumbent; the skip changes
+/// no decision and records no solver work.
+#[test]
+fn a_skipped_warm_search_would_return_its_incumbent() {
+    let (skipped, moved) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    check(3, 64, |g| {
+        let nodes = g.range(1..5usize);
+        let machine = (0..nodes)
+            .fold(MachineBuilder::new(), |b, _| {
+                b.add_node(g.range(2..33usize), g.range(8.0..64.0), 16.0)
+            })
+            .core_peak_gflops(g.range(2.0..16.0))
+            .uniform_link_gbs(g.range(4.0..32.0))
+            .build()
+            .unwrap();
+        let specs: Vec<AppSpec> = (0..g.range(1..6usize))
+            .map(|i| {
+                let (name, ai) = (format!("a{i}"), g.range(0.02..16.0));
+                if g.bool(0.4) {
+                    AppSpec::numa_bad(&name, ai, NodeId(g.range(0..nodes)))
+                } else {
+                    AppSpec::numa_local(&name, ai)
+                }
+            })
+            .collect();
+        let mut policy = ModelGuided::new(machine.clone(), specs.clone());
+        policy.period = g.range(1..4u64);
+        let mut live: Vec<usize> = (0..specs.len()).collect();
+        // The reference: the live set searched last, and its answer.
+        let mut reference: Option<(Vec<usize>, ThreadAssignment)> = None;
+        for tick in 0..g.range(10..40u64) {
+            if g.bool(0.1) {
+                live = (0..specs.len()).filter(|_| g.bool(0.7)).collect();
+            }
+            let stats: Vec<RuntimeStats> = (live.iter())
+                .map(|&i| RuntimeStats {
+                    name: specs[i].name.clone(),
+                    ..RuntimeStats::default()
+                })
+                .collect();
+            let commands = policy.tick(&stats, tick);
+            if live.is_empty() {
+                assert!(commands.is_empty());
+                continue;
+            }
+            let apps: Vec<AppSpec> = live.iter().map(|&i| specs[i].clone()).collect();
+            let objective = Objective::TotalGflops;
+            let mut oracle = ModelOracle::new(&machine, &apps, &objective)
+                .unwrap()
+                .with_min_threads(1);
+            let warm = reference.take().filter(|(searched, _)| *searched == live);
+            let due = tick.is_multiple_of(policy.period);
+            let found = match warm {
+                Some((_, incumbent)) if !due => incumbent,
+                Some((_, incumbent)) => {
+                    let climbed = HillClimb::new()
+                        .with_iterations(1500)
+                        .with_start(incumbent.clone())
+                        .run_model(&machine, &mut oracle)
+                        .unwrap()
+                        .assignment;
+                    if policy.search_inputs()[3].1 == 0.0 {
+                        skipped.fetch_add(1, Ordering::Relaxed);
+                        assert_eq!(climbed, incumbent, "tick {tick}, live {live:?}");
+                        assert_eq!(policy.last_search_counters(), Default::default());
+                    } else if climbed != incumbent {
+                        moved.fetch_add(1, Ordering::Relaxed);
+                    }
+                    climbed
+                }
+                None => {
+                    GreedySearch::new()
+                        .run_model(&machine, &mut oracle)
+                        .unwrap()
+                        .assignment
+                }
+            };
+            assert_eq!(policy.last_assignment(), Some(&found), "tick {tick}");
+            reference = Some((live.clone(), found));
+        }
+    });
+    println!("{skipped:?} skipped searches, {moved:?} climbs that moved");
+    assert!(skipped.into_inner() > 50 && moved.into_inner() > 0);
 }

@@ -6,7 +6,7 @@
 //! to answer a poll is in it. The budget test and the recorder include
 //! this file next to the counting allocator.
 
-use super::counting::cost_of;
+use super::counting::process_cost_of;
 use coop_agent::{Agent, Policy, RuntimeHandle, RuntimeStats, SupervisionConfig, ThreadCommand};
 use coop_runtime::NodeOccupancy;
 use coop_telemetry::{TelemetryHub, TenantLedger};
@@ -105,7 +105,7 @@ impl Policy for Fixed {
 /// Allocator calls of one agent's life of `ticks` ticks, set-up and
 /// tear-down included.
 fn allocations_of_run(ticks: u64, commanding: bool) -> u64 {
-    let ((), cost) = cost_of(|| {
+    let ((), cost) = process_cost_of(|| {
         let hub = Arc::new(TelemetryHub::new());
         assert!(hub.install_tenant_ledger(Arc::new(TenantLedger::new())));
         let mut agent = Agent::with_telemetry(Box::new(Fixed { commanding }), hub);
@@ -171,7 +171,7 @@ fn chaos_tick_calls() -> u64 {
         agent.tick().expect("a tick never fails");
     }
     runaway.fetch_add(1, Ordering::Relaxed);
-    let ((), cost) = cost_of(|| agent.tick().expect("a tick never fails"));
+    let ((), cost) = process_cost_of(|| agent.tick().expect("a tick never fails"));
     assert_eq!(agent.evicted(), ["app0"]);
     assert_eq!(
         hub.registry()

@@ -453,8 +453,8 @@ COMMANDS:
                                the simulator measures it (optionally on a
                                perturbed machine), and the drift detector
                                reports residuals and alarms; --reoptimize
-                               re-searches the allocation each tick (warm
-                               start + persistent score cache); --engine
+                               lets the agent's model-guided policy decide
+                               the allocation, as the agent does; --engine
                                picks the simulator core for each tick
   chaos   [--machine <M>] [--runtimes N] [--ticks N] [--tick-interval MS]
           [--kill-at T] [--revive-at T] [--deadline MS]

@@ -113,6 +113,12 @@ impl SimSeries {
     }
 }
 
+/// The hub shard a simulation records on. A run is one thread, and a
+/// supervised run records its provenance and drift instants on shard 0 from
+/// that same thread: its samples share the shard, so the run's events keep
+/// their recording order and grow one ring rather than two.
+const SHARD: usize = 0;
+
 /// One run's view of the hub: the simulator's [`SimSeries`] plus the run's
 /// time anchor. Simulated time is mapped onto the hub clock as
 /// `base_us + t * 1e6`, where `base_us` is the hub time when the run
@@ -133,14 +139,10 @@ impl SimTelemetry {
         self.base_us + (t_s * 1e6) as u64
     }
 
-    fn shard(&self) -> usize {
-        self.series.track.0 as usize
-    }
-
     pub(crate) fn record_assignment_switch(&self, t_s: f64, sched_idx: usize) {
         self.series.assignment_switches.inc();
         self.hub.record(
-            self.shard(),
+            SHARD,
             TimelineEvent {
                 track: self.series.track,
                 lane: 0,
@@ -162,17 +164,15 @@ impl SimTelemetry {
     ) {
         self.series.util_pct[node].observe((utilization * 100.0).round() as u64);
         self.hub.record_packed(
-            self.shard(),
+            SHARD,
             self.series.track,
             node as u32 + 1,
             "bandwidth",
             Arc::clone(&self.series.bandwidth_names[node]),
             self.ts_us(mid_s),
             EventKind::Counter { value: gbs },
-            [
-                ("t_s".into(), PackedArg::F64(mid_s)),
-                ("utilization".into(), PackedArg::F64(utilization)),
-            ],
+            &["t_s", "utilization"],
+            [PackedArg::F64(mid_s), PackedArg::F64(utilization)],
         );
     }
 
@@ -188,7 +188,7 @@ impl SimTelemetry {
         let mut args = hop_args(task, trace);
         args.extend(extra);
         self.hub.record(
-            self.shard(),
+            SHARD,
             TimelineEvent {
                 track: self.series.track,
                 lane: 0,

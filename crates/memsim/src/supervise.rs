@@ -1,12 +1,15 @@
 //! Supervised simulation: the model-drift observatory's predict-then-measure
 //! loop over the simulator.
 //!
-//! [`run_supervised`] slices one scenario assignment into decision ticks.
-//! Per tick it
+//! [`run_supervised`] runs a scenario's apps for a number of decision ticks
+//! on its first assignment's rows or, under
+//! [`reoptimize`](SupervisorConfig::reoptimize), on the rows the agent's
+//! [`ModelGuided`] policy commands, applied through the agent's tenancy
+//! step as [`coop_agent::Agent`] applies them. Per tick it
 //!
-//! 1. solves the analytic model on the scenario's *nominal* machine and
-//!    opens a provenance record with the predicted per-app and per-node
-//!    series ([`roofline_numa::SolveReport::to_prediction`]),
+//! 1. solves the analytic model on the scenario's *nominal* machine for
+//!    the rows in force and opens a provenance record with the predicted
+//!    per-app and per-node series ([`roofline_numa::SolveReport::to_prediction`]),
 //! 2. simulates the tick on the *current* machine — the nominal one with
 //!    every [`Perturbation`] whose `at_s` has passed applied — and
 //! 3. back-fills the record with the measured series, which runs the
@@ -23,9 +26,9 @@
 use crate::chaos::{segment_assignment, ChaosPlan};
 use crate::event::{advance_time, EventRun};
 use crate::{EngineKind, Result, Scenario, SimConfig, SimError, Simulation};
-use coop_agent::Tenancy;
-use coop_alloc::search::{HillClimb, ModelOracle};
-use coop_alloc::{Objective, ScoreCache};
+use coop_agent::control::row_of;
+use coop_agent::policies::ModelGuided;
+use coop_agent::{Policy, RuntimeStats, Tenancy};
 use coop_telemetry::{
     ArgValue, Counter, DriftConfig, DriftReport, ModelObservatory, Prediction, ProvenanceRecord,
     Residual, SeriesKey, SeriesValue, TelemetryHub, TenantSample,
@@ -88,14 +91,14 @@ pub struct SupervisorConfig {
     pub perturbations: Vec<Perturbation>,
     /// Drift-detector tuning shared by every series.
     pub drift: DriftConfig,
-    /// Re-run the allocation search each tick instead of replaying the
-    /// scenario's fixed assignment. The search warm-starts from the
-    /// current assignment and shares one score cache and delta-solver
-    /// context across the whole run: an incumbent is solved, and
-    /// certified a strict local optimum if it is one, once, and every
-    /// later tick that starts from it costs one matrix comparison.
-    /// Per-tick solver-work counters are recorded as `search/*` inputs on
-    /// each provenance record (all zero on such a tick).
+    /// Let the agent's [`ModelGuided`] policy, built on the scenario's
+    /// nominal machine and apps, decide the rows instead of replaying the
+    /// scenario's fixed assignment. Each tick it sees the live apps (by
+    /// name) and the tick index, as under [`coop_agent::Agent`]: it
+    /// searches cold when the live set changes and warm every `period`
+    /// ticks, and its per-node commands are applied as the agent applies
+    /// them. Each provenance record carries the policy's `search/*` inputs,
+    /// the cost of its latest search.
     pub reoptimize: bool,
     /// Emit synthetic causal spans from each tick's simulation (see
     /// [`Simulation::with_tracing`]): every (app, tick) pair becomes a
@@ -321,18 +324,9 @@ impl SupervisedResult {
     }
 }
 
-/// The solver-work inputs a re-optimizing run records on every provenance
-/// record, in this order, after the model's own inputs.
-const SEARCH_INPUTS: [&str; 4] = [
-    "search/full_solves",
-    "search/delta_solves",
-    "search/cache_hits",
-    "search/warm_start",
-];
-
-/// Runs the first assignment of `scenario` under model supervision,
-/// publishing provenance and drift events into `hub` (see the module docs
-/// for the per-tick loop).
+/// Runs `scenario` — its first assignment, or the policy's rows under
+/// `reoptimize` — under model supervision, publishing provenance and drift
+/// events into `hub` (see the module docs for the per-tick loop).
 pub fn run_supervised(
     scenario: &Scenario,
     config: &SupervisorConfig,
@@ -355,40 +349,23 @@ pub fn run_supervised(
     // The model predicts from the nominal machine — the whole point is that
     // it does not know about bandwidth perturbations — for the rows in
     // force: the live apps' rows, reclaimed and contained. Every tick's
-    // record shares this template, built again when those rows change;
-    // under `reoptimize` its last inputs are the tick's `search/*`
-    // counters, and a tick whose counters differ from them writes a copy of
-    // its own.
-    let template_for = |rows: &ThreadAssignment| -> Result<Arc<Prediction>> {
+    // record shares this template, built again when those rows or the
+    // policy's `search/*` inputs change.
+    type SearchInputs = Option<[(&'static str, f64); 5]>;
+    let template_for = |rows: &ThreadAssignment, search: SearchInputs| -> Result<Arc<Prediction>> {
         let mut template = solve(&scenario.machine, &specs, rows)?.to_prediction();
         template.assignment = format!("{} {:?}", named.name, rows.to_matrix()).into();
-        if config.reoptimize {
-            let zeroed = SEARCH_INPUTS.map(|key| (key.into(), 0.0));
-            template.inputs.extend(zeroed);
-        }
+        let search = search.into_iter().flatten();
+        template
+            .inputs
+            .extend(search.map(|(key, value)| (key.into(), value)));
         Ok(Arc::new(template))
     };
-    let mut template = template_for(&assignment)?;
-
-    // Under `reoptimize`, one oracle (and thus one score cache, one
-    // delta-solver base and its certificate) persists across every tick
-    // of the run.
-    let objective = Objective::TotalGflops;
-    let mut search_oracle = if config.reoptimize {
-        let oracle = ModelOracle::new(&scenario.machine, &specs, &objective)
-            .map_err(|e| SimError::Calibration {
-                reason: format!("building the search oracle: {e}"),
-            })?
-            .with_min_threads(1);
-        let cache = Arc::new(ScoreCache::new(oracle.fingerprint()));
-        Some(
-            oracle
-                .with_cache(cache)
-                .expect("a freshly keyed cache always matches its oracle"),
-        )
-    } else {
-        None
-    };
+    let mut template = template_for(&assignment, None)?;
+    let mut template_search: SearchInputs = None;
+    let mut policy = config
+        .reoptimize
+        .then(|| ModelGuided::new(scenario.machine.clone(), specs.clone()));
 
     // Map simulated seconds onto the hub clock exactly like the engine's
     // own telemetry does, so provenance/alarm events interleave with the
@@ -419,17 +396,28 @@ pub fn run_supervised(
         tenancy.admit(&hub, &app.spec.name, !up(i, 0.0), ts(0.0));
     }
     tenancy.set_live(0..num_apps);
+    // What the policy polls: the live apps' names, built again when the
+    // live set changes.
+    let live_stats = |live: &[bool]| -> Vec<RuntimeStats> {
+        let apps = scenario.apps.iter().zip(live).filter(|(_, &up)| up);
+        apps.map(|(app, _)| RuntimeStats {
+            name: app.spec.name.clone(),
+            ..RuntimeStats::default()
+        })
+        .collect()
+    };
+    let mut stats = live_stats(tenancy.live());
     let reclaims = config.chaos.as_ref().is_some_and(|plan| plan.reclaim);
     let mut books: Vec<TenantBook> = (0..num_apps).map(|_| TenantBook::default()).collect();
     let runaway_onsets = config.runaway_onsets(num_apps)?;
     // Hot-loop buffers: a steady tick allocates only what it leaves behind
     // (its measured series and residuals; its record shares the template,
-    // its timeline events are packed). `decided` is the searched assignment
-    // with the outages applied, the schedule's the rows in force: `decided`
-    // with the contained rows clamped in.
+    // its timeline events are packed). `assignment` holds each app's last
+    // commanded row, `decided` those rows with the outages applied, the
+    // schedule's the rows in force: `decided` with the contained rows
+    // clamped in.
     let mut run = EventRun::default();
     let mut samples: Vec<TenantSample> = Vec::with_capacity(num_apps);
-    let mut predicted = assignment.clone();
     let mut decided = assignment.clone();
     let mut schedule = [(0.0, assignment.clone())];
     let watchdog_track = runaway_onsets
@@ -486,51 +474,51 @@ pub fn run_supervised(
                 *book = TenantBook::default();
             }
         }
-        let mut rebuild = tenancy.set_live((0..num_apps).filter(|&i| up(i, start_s)));
+        let moved = tenancy.set_live((0..num_apps).filter(|&i| up(i, start_s)));
 
-        let mut search_cost = None;
-        if let Some(oracle) = search_oracle.as_mut() {
-            // Warm re-search from the current assignment on the nominal
-            // machine (the model's view); a deterministic per-tick seed
-            // keeps runs reproducible. The climb takes the incumbent and
-            // hands back the one it ends on.
-            let found = HillClimb::new()
-                .with_iterations(600)
-                .with_seed(0xc0de ^ tick)
-                .with_start(assignment)
-                .run_model(&scenario.machine, oracle)
-                .map_err(|e| SimError::Calibration {
-                    reason: format!("re-optimizing tick {tick}: {e}"),
-                })?;
-            let c = found.counters;
-            assignment = found.assignment;
-            if assignment != predicted {
-                rebuild = true;
-                predicted.clone_from(&assignment);
+        // The policy decides over the live apps, as the agent's does; its
+        // command for the k-th live app is that app's row.
+        let mut issued = false;
+        if let Some(policy) = policy.as_mut() {
+            if moved {
+                stats = live_stats(tenancy.live());
             }
-            let cost = [c.full_solves, c.delta_solves, c.cache_hits, 1];
-            search_cost = Some(cost.map(|n| n as f64));
+            let live = (0..num_apps).filter(|&i| tenancy.live()[i]);
+            for (i, cmd) in live.zip(policy.tick(&stats, tick)) {
+                if let Some(row) = cmd.as_ref().and_then(row_of) {
+                    assignment.row_mut(i).copy_from_slice(row);
+                    issued = true;
+                }
+            }
         }
 
         // While an app is down the survivors split the machine fairly when
-        // the plan reclaims, and keep their rows when it does not.
+        // the live set changed, the policy was silent and the plan
+        // reclaims, and keep their rows otherwise.
+        let rebuild = moved || issued;
         if rebuild {
-            decided = if !tenancy.live().contains(&false) {
-                assignment.clone()
-            } else if let Some(fair) = tenancy.fair().filter(|_| reclaims) {
+            let reclaim = reclaims && !issued && tenancy.live().contains(&false);
+            decided = if let Some(fair) = tenancy.fair().filter(|_| reclaim) {
                 fair.clone()
+            } else if !tenancy.live().contains(&false) {
+                assignment.clone()
             } else {
                 segment_assignment(scenario, Some(&assignment), tenancy.live())?
             };
         }
+        let search = policy.as_ref().map(ModelGuided::search_inputs);
         let runaway = books.iter().map(|book| book.runaway).enumerate();
-        if tenancy.contain(runaway, |i| decided.row(i).to_vec()) || rebuild {
+        if tenancy.contain(runaway, |i| decided.row(i).to_vec())
+            || rebuild
+            || search != template_search
+        {
             let effective = &mut schedule[0].1;
             effective.clone_from(&decided);
             for (i, row) in tenancy.caps() {
                 effective.row_mut(i).copy_from_slice(row);
             }
-            template = template_for(effective)?;
+            template = template_for(effective, search)?;
+            template_search = search;
         }
         let (effective, live) = (&schedule[0].1, tenancy.live());
         let rows = (0..num_apps).map(|i| (i, Some(effective.row(i))));
@@ -538,19 +526,6 @@ pub fn run_supervised(
             &hub,
             rows.filter(|(i, row)| live[*i] || row.is_some_and(|r| r.iter().any(|&t| t > 0))),
         );
-        if let Some(search_cost) = search_cost {
-            let first = template.inputs.len() - search_cost.len();
-            if template.inputs[first..]
-                .iter()
-                .zip(search_cost)
-                .any(|(input, cost)| input.1.to_bits() != cost.to_bits())
-            {
-                let inputs = &mut Arc::make_mut(&mut template).inputs[first..];
-                for (input, cost) in inputs.iter_mut().zip(search_cost) {
-                    input.1 = cost;
-                }
-            }
-        }
 
         let id = observatory.open_decision_at(
             tick,
@@ -971,44 +946,46 @@ mod tests {
         );
     }
 
+    /// A record carries the cost of the policy's latest search: the cold
+    /// greedy of tick 0, the warm climb of tick 10 that certifies the
+    /// greedy's answer (one full solve, its neighbours probed), then from
+    /// tick 20 on no solver work at all — a warm climb from a start the
+    /// last one returned unchanged would return it again, so it is skipped.
     #[test]
     fn reoptimizing_run_records_search_cost_in_provenance() {
         let mut config = quiet_config();
+        config.duration_s = 0.3;
         config.reoptimize = true;
         let hub = Arc::new(TelemetryHub::new());
         let result = run_supervised(&base_scenario(), &config, hub).unwrap();
-        assert_eq!(result.ticks.len(), 10);
+        assert_eq!(result.ticks.len(), 30);
         let records = result.records();
-        assert_eq!(records.len(), 10);
-        let solves_of = |r: &ProvenanceRecord, key: &str| -> f64 {
-            r.prediction
-                .inputs
-                .iter()
-                .find(|(k, _)| &**k == key)
-                .map(|&(_, v)| v)
-                .expect("search counters recorded")
+        assert_eq!(records.len(), 30);
+        let input = |r: &ProvenanceRecord, key: &str| -> f64 {
+            let mut inputs = r.prediction.inputs.iter();
+            let found = inputs.find(|(k, _)| &**k == key);
+            found.map(|&(_, v)| v).expect("search inputs recorded")
         };
         for (tick, record) in records.iter().enumerate() {
-            assert!(solves_of(record, "search/warm_start") == 1.0);
-            let work = [
-                solves_of(record, "search/full_solves"),
-                solves_of(record, "search/delta_solves"),
-                solves_of(record, "search/cache_hits"),
-            ];
-            if tick == 0 {
-                // The one tick that pays: the start is solved, then
-                // certified a strict local optimum by probing its
-                // neighbourhood (the machine is full: 16 removals).
-                assert_eq!(work[0], 1.0, "one full solve of the start");
-                assert!(work[1] > 0.0, "certification probes");
-            } else {
-                // Same incumbent, same oracle: the certificate stands and
-                // the search does no solver work at all.
-                assert_eq!(work, [0.0; 3], "tick {tick} re-did solver work");
+            let [full, delta, hits, evaluations, warm] = [
+                "search/full_solves",
+                "search/delta_solves",
+                "search/cache_hits",
+                "search/evaluations",
+                "search/warm_start",
+            ]
+            .map(|key| input(record, key));
+            match tick {
+                0..10 => assert!(warm == 0.0 && full >= 1.0 && evaluations > 1.0),
+                10..20 => assert_eq!([full, warm, evaluations], [1.0; 3], "tick {tick}"),
+                _ => assert_eq!([full, delta, hits, evaluations], [0.0; 4], "tick {tick}"),
+            }
+            if (10..20).contains(&tick) {
+                assert!(delta > 0.0, "certification probes");
             }
             assert_eq!(
                 record.prediction.assignment, records[0].prediction.assignment,
-                "tick {tick} left the certified incumbent"
+                "tick {tick} left the greedy's rows"
             );
         }
         // Determinism: the same config and scenario replays identically.
@@ -1026,9 +1003,9 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// The run's score cache earns its keep on a NUMA-bad mix: there a
-    /// column probe cannot score a move, so the warm re-search revisits
-    /// assignments through the cache, and some tick records cache hits.
+    /// The policy's score cache earns its keep on a NUMA-bad mix: there a
+    /// column probe cannot score a move, so the warm re-search of tick 10
+    /// revisits assignments through the cache, and records cache hits.
     /// (On an all-local mix, as above, it is never asked.)
     #[test]
     fn reoptimizing_numa_bad_run_hits_the_score_cache() {
@@ -1038,6 +1015,7 @@ mod tests {
             .unwrap()
             .to_matrix();
         let mut config = quiet_config();
+        config.duration_s = 0.2;
         config.reoptimize = true;
         let result = run_supervised(&scenario, &config, Arc::new(TelemetryHub::new())).unwrap();
         let hits: Vec<f64> = result
@@ -1053,7 +1031,7 @@ mod tests {
             })
             .collect();
         println!("cache hits per tick: {hits:?}");
-        assert!(hits.iter().any(|&h| h > 0.0));
+        assert!(hits[10..].iter().all(|&h| h > 0.0));
     }
 
     /// FNV-1a over everything a supervised run decides and measures: per
@@ -1084,13 +1062,15 @@ mod tests {
 
     /// The `ctl_paper` shape — Table III template, skylake-like effects,
     /// event engine, 500 ticks of 20 ms, one bandwidth perturbation,
-    /// re-optimizing every tick — must decide and measure what it did
-    /// before searches were certified and before the simulator, its series
-    /// and the series names were kept across ticks. The literals were
-    /// captured from commit dc41876 (the parent of this change) by this
-    /// same test. Jitter is off so that no value depends on which `rand`
-    /// is linked: the certified search draws nothing, the old one drew 600
-    /// proposals a tick and accepted none.
+    /// re-optimizing — must decide and measure what it did when the policy
+    /// began to decide it. The policy's cold greedy rows, which the model
+    /// scores at 23.2 GFLOPS as it does the template's (1,1,1,17), hold the
+    /// whole run, and the run measures and alarms bit for bit as a fixed
+    /// run of those rows did before (the digest was captured so, and by
+    /// this same test). The skylake-like effects deliver less than the
+    /// model predicts for rows that saturate a node's bandwidth, so the
+    /// detector alarms before the perturbation too. Jitter is off so that
+    /// no value depends on which `rand` is linked.
     #[test]
     fn reoptimizing_template_run_is_unchanged_over_500_ticks() {
         let mut scenario = template();
@@ -1129,11 +1109,12 @@ mod tests {
         let records = result.records();
         assert_eq!(records.len(), 500);
         assert!(records.iter().all(|r| &*r.prediction.assignment
-            == "uneven (1,1,1,17) [[1, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 1], [17, 17, 17, 17]]"));
-        // The perturbation lands at tick 200; node 2 then alarms every
-        // second tick to the end of the run.
-        assert_eq!(alarm_ticks, (201..500).step_by(2).collect::<Vec<u64>>());
-        assert_eq!(run_digest(&result), 0x7f0d_e585_1dd0_09a5);
+            == "uneven (1,1,1,17) [[8, 10, 10, 8], [1, 0, 0, 1], [1, 0, 0, 1], [10, 10, 10, 10]]"));
+        // The perturbation lands at tick 200; from then on every tick
+        // alarms.
+        assert_eq!(alarm_ticks.len(), 350);
+        assert!((200..500).all(|tick| alarm_ticks.contains(&tick)));
+        assert_eq!(run_digest(&result), 0x6a5f_8d11_7e34_8a7e);
     }
 
     /// FNV-1a over what a supervised run exports: its provenance ledger as
@@ -1162,8 +1143,10 @@ mod tests {
     }
 
     /// The run of `reoptimizing_template_run_is_unchanged_over_500_ticks`
-    /// exports the ledger and the scrape it did at commit 32350d6, where
-    /// both were captured by this same test.
+    /// exports the ledger and the scrape it did when the policy began to
+    /// decide it, captured by this same test: the scrape of a fixed run of
+    /// the policy's rows, and its ledger with the policy's `search/*`
+    /// inputs on every record.
     #[test]
     fn reoptimizing_template_run_exports_what_it_did() {
         let mut scenario = template();
@@ -1188,7 +1171,7 @@ mod tests {
         let result = run_supervised(&scenario, &config, Arc::new(TelemetryHub::new())).unwrap();
         let digest = export_digest(&result);
         println!("export digest {digest:#018x}");
-        assert_eq!(digest, 0x5d30_e786_79ab_adc6);
+        assert_eq!(digest, 0x9569_b7b4_d385_e86c);
     }
 
     /// A re-optimizing Table III run, jitter on, on the quantum grid, with a
@@ -1198,7 +1181,9 @@ mod tests {
     /// captured by this same test once the prediction followed the rows in
     /// force and containment began on the second climbing runaway tick, and
     /// again once `fair_share` carried its left-over cores across nodes
-    /// (the three survivors' reclaimed rows moved with it).
+    /// (the three survivors' reclaimed rows moved with it), and again once
+    /// the policy decided the rows: its cold greedy over the live set at
+    /// ticks 0, 5 and 25, `comp` contained from tick 17.
     #[test]
     fn runaway_outage_run_exports_what_it_did() {
         use crate::chaos::{AppOutage, ChaosPlan};
@@ -1231,7 +1216,7 @@ mod tests {
         assert!(result.ticks.iter().filter(|t| t.perturbed).count() > 10);
         let digest = export_digest(&result);
         println!("export digest {digest:#018x}");
-        assert_eq!(digest, 0x28f6_d5e4_40fd_77b9);
+        assert_eq!(digest, 0x204d_0a5d_a606_f596);
     }
 
     /// An outage's prediction is the model's for the rows in force: while

@@ -34,9 +34,9 @@ mod counting;
 mod fleets;
 mod work;
 
-/// One test, so that no other thread of this binary allocates while a run
-/// is counted: the outage run, then the bursting run. Their segment and
-/// event counts are held to their cells too.
+/// The outage run, then the bursting run, each counted on the test's own
+/// thread (`counting::cost_of`). Their segment and event counts are held to
+/// their cells too.
 #[test]
 fn an_outage_run_stays_within_its_allocation_budget() {
     let cells = work::fleet_outages_run()

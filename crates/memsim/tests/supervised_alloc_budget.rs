@@ -8,17 +8,19 @@
 //! exceed its committed `BENCH_work.json` cell. A tick makes 2 allocations,
 //! re-optimizing or not: the measured series and the residuals, which the
 //! tick keeps and the provenance record derives again from the measured
-//! series it keeps. The record shares the run's prediction template (a
-//! re-optimizing tick whose `search/*` counters differ from the template's
-//! writes a copy), and the warm re-search moves the incumbent in and back
-//! out. A tick made 7 (re-optimizing) and 5 while each cloned the template
-//! — its inputs and its series — kept its residuals twice, and the warm
-//! re-search cloned its start twice. Its timeline events allocate nothing:
-//! the four bandwidth samples and the provenance instant are packed, their
-//! labels literals or keys the run formatted once (41 and 38 while they
-//! were `String`s, 29 allocations a tick). Both ways of cutting time serve
-//! the tick from one resident run state, so the quantum grid's second
-//! sample window costs nothing either.
+//! series it keeps. The record shares the run's prediction template, built
+//! again only when the rows in force or the policy's `search/*` inputs
+//! change; a re-optimizing tick with no search due, or a skipped one, asks
+//! the policy for nothing it allocates. A tick made 7 (re-optimizing) and
+//! 5 while each cloned the template — its inputs and its series — kept its
+//! residuals twice, and the warm re-search cloned its start twice. Its
+//! timeline events allocate nothing: the four bandwidth samples, the
+//! provenance instant and any drift alarms are packed, their labels
+//! literals or keys the run formatted once (41 and 38 while they were
+//! `String`s, 29 allocations a tick; a drift alarm made 12, which the
+//! policy's rows, alarming on 1.4 series a tick, would have made 18.8 a
+//! tick). Both ways of cutting time serve the tick from one resident run
+//! state, so the quantum grid's second sample window costs nothing either.
 
 mod counting;
 mod fleets;
@@ -26,8 +28,8 @@ mod work;
 
 use memsim::EngineKind;
 
-/// One test, so that no other thread of this binary allocates while a run
-/// is counted.
+/// Each run is counted on the test's own thread (`counting::cost_of`), so
+/// what the harness's threads allocate meanwhile is not in it.
 #[test]
 fn steady_state_tick_stays_within_its_allocation_budget() {
     for engine in [EngineKind::Event, EngineKind::Slice] {

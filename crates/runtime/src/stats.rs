@@ -25,7 +25,7 @@ pub struct NodeOccupancy {
 }
 
 /// A point-in-time snapshot of a runtime's execution state.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RuntimeStats {
     /// Runtime (application) name.
     pub name: String,

@@ -6,7 +6,7 @@
 //! from the opened gate to quiescence by one worker. The budget test and
 //! the recorder include this file next to the counting allocator.
 
-use super::counting::cost_of;
+use super::counting::process_cost_of;
 use coop_runtime::{Event, Runtime, RuntimeConfig, TelemetryHub, ThreadCommand};
 use numa_topology::presets::tiny;
 use numa_topology::{CpuSet, NodeId};
@@ -95,11 +95,11 @@ pub fn live_squeeze() -> Vec<(String, f64)> {
             .apply(ThreadCommand::TotalThreads(0))
             .expect("a valid count");
         assert!(control.wait_converged(Duration::from_secs(10), |run, _| run == 0));
-        let (gate, spawn) = cost_of(|| spawn_gated(&rt, &ran));
+        let (gate, spawn) = process_cost_of(|| spawn_gated(&rt, &ran));
         // The gate opens before the worker starts, so no other thread
         // pushes while it steals, and it is the same worker every round:
         // its batches, and so its calls, are fixed.
-        let ((), execute) = cost_of(|| {
+        let ((), execute) = process_cost_of(|| {
             rt.satisfy(&gate).expect("the gate is the runtime's");
             control
                 .apply(first_worker_only(&rt))

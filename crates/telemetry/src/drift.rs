@@ -76,7 +76,7 @@ impl DriftDirection {
 #[derive(Debug, Clone)]
 pub struct DriftAlarm {
     /// Series the alarm fired on (e.g. `node/0/bandwidth_gbs`).
-    pub series: String,
+    pub series: SeriesKey,
     /// Per-series sample index (1-based) at which the alarm fired.
     pub sample: u64,
     /// The residual that tipped the sum over the threshold.
@@ -168,7 +168,7 @@ impl DetectorInner {
         &mut self,
         config: &DriftConfig,
         slot: usize,
-        series: &str,
+        series: &SeriesKey,
         residual: f64,
         registry: Option<&MetricsRegistry>,
     ) -> Option<DriftAlarm> {
@@ -214,7 +214,7 @@ impl DetectorInner {
                 .inc();
         }
         let alarm = DriftAlarm {
-            series: series.to_string(),
+            series: series.clone(),
             sample: state.samples,
             residual,
             ewma: state.ewma,
@@ -270,28 +270,29 @@ impl DriftDetector {
         registry: Option<&MetricsRegistry>,
     ) -> Option<DriftAlarm> {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let slot = inner.slot(series, || series.into());
-        inner.update(&self.config, slot, series, residual, registry)
+        let key = SeriesKey::from(series);
+        let slot = inner.slot(series, || key.clone());
+        inner.update(&self.config, slot, &key, residual, registry)
     }
 
     /// Feed every residual of one closed decision, in order, under one
     /// lock — the same states, alarms and exports as one
     /// [`observe_exporting`](DriftDetector::observe_exporting) per residual.
     /// A residual whose key is the very allocation the last decision had at
-    /// its position reuses that slot; any other key is looked up. Returns
-    /// the alarms raised, in residual order.
+    /// its position reuses that slot; any other key is looked up. Hands
+    /// each alarm raised to `on_alarm`, in residual order, under the lock.
     pub fn observe_decision(
         &self,
         residuals: &[Residual],
         registry: Option<&MetricsRegistry>,
-    ) -> Vec<DriftAlarm> {
+        mut on_alarm: impl FnMut(&DriftAlarm),
+    ) {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         let inner = &mut *inner;
         // A position never seen before may well name a series never seen.
         let unseen = residuals.len().saturating_sub(inner.positions.len());
         inner.positions.reserve(unseen);
         inner.states.reserve(unseen);
-        let mut alarms = Vec::new();
         for (at, r) in residuals.iter().enumerate() {
             let slot = match inner.positions.get(at) {
                 Some((key, slot)) if Arc::ptr_eq(key, &r.series) => *slot,
@@ -305,9 +306,10 @@ impl DriftDetector {
                     slot
                 }
             };
-            alarms.extend(inner.update(&self.config, slot, &r.series, r.relative, registry));
+            if let Some(alarm) = inner.update(&self.config, slot, &r.series, r.relative, registry) {
+                on_alarm(&alarm);
+            }
         }
-        alarms
     }
 
     /// Snapshot of every series, sorted by key.

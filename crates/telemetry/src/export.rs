@@ -250,6 +250,7 @@ mod tests {
             "node0_gbs",
             30,
             EventKind::Counter { value: 12.5 },
+            &[],
             [],
         );
         hub

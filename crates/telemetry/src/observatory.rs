@@ -20,7 +20,7 @@ use crate::metrics::Histogram;
 use crate::provenance::{
     Prediction, ProvenanceLedger, ProvenanceRecord, Residual, SeriesKey, SeriesValue,
 };
-use crate::timeline::{ArgValue, EventKind, PackedArg, TelemetryHub, TrackId};
+use crate::timeline::{EventKind, PackedArg, TelemetryHub, TrackId};
 use crate::{json_object, json_write};
 use std::sync::{Arc, OnceLock};
 
@@ -30,6 +30,15 @@ pub const RESIDUAL_METRIC: &str = "coop_model_residual";
 pub const RESIDUAL_PCT_METRIC: &str = "coop_model_residual_abs_pct";
 /// Counter of drift alarms per series.
 pub const ALARMS_METRIC: &str = "coop_model_drift_alarms";
+/// The arguments of a drift alarm's timeline instant.
+const ALARM_ARGS: [&str; 6] = [
+    "series",
+    "residual",
+    "ewma",
+    "cusum",
+    "direction",
+    "decision",
+];
 
 /// Provenance + drift detection bound to one [`TelemetryHub`].
 #[derive(Debug)]
@@ -127,11 +136,12 @@ impl ModelObservatory {
             "decision",
             ts_us,
             EventKind::Instant,
+            &["id", "tick", "source", "command"],
             [
-                ("id".into(), PackedArg::U64(id)),
-                ("tick".into(), PackedArg::U64(tick)),
-                ("source".into(), PackedArg::Str(source.into())),
-                ("command".into(), PackedArg::Str(command.into())),
+                PackedArg::U64(id),
+                PackedArg::U64(tick),
+                PackedArg::Str(source.into()),
+                PackedArg::Str(command.into()),
             ],
         );
         id
@@ -167,37 +177,35 @@ impl ModelObservatory {
                         .map(|r| (r.relative.abs() * 100.0).round() as u64),
                 );
         }
-        let alarms = self.detector.observe_decision(&residuals, Some(registry));
-        for alarm in &alarms {
-            self.hub.record_instant_at(
-                0,
-                self.track,
-                1,
-                "drift",
-                "drift_alarm",
-                ts_us,
-                vec![
-                    ("series".to_string(), ArgValue::Str(alarm.series.clone())),
-                    ("residual".to_string(), ArgValue::F64(alarm.residual)),
-                    ("ewma".to_string(), ArgValue::F64(alarm.ewma)),
-                    ("cusum".to_string(), ArgValue::F64(alarm.cusum)),
-                    (
-                        "direction".to_string(),
-                        ArgValue::Str(alarm.direction.as_str().to_string()),
-                    ),
-                    ("decision".to_string(), ArgValue::U64(id)),
-                ],
-            );
-            // Drift alarms auto-dump the flight recorder: the events
-            // leading up to a model mismatch are the evidence.
-            if let Some(rec) = self.hub.flight_recorder() {
-                rec.trigger_dump(&format!("drift-{}", alarm.series));
-            }
-        }
-        ClosedDecision {
-            residuals,
-            alarms: alarms.len(),
-        }
+        let mut alarms = 0;
+        self.detector
+            .observe_decision(&residuals, Some(registry), |alarm| {
+                alarms += 1;
+                self.hub.record_packed(
+                    0,
+                    self.track,
+                    1,
+                    "drift",
+                    "drift_alarm",
+                    ts_us,
+                    EventKind::Instant,
+                    &ALARM_ARGS,
+                    [
+                        PackedArg::Str(alarm.series.clone().into()),
+                        PackedArg::F64(alarm.residual),
+                        PackedArg::F64(alarm.ewma),
+                        PackedArg::F64(alarm.cusum),
+                        PackedArg::Str(alarm.direction.as_str().into()),
+                        PackedArg::U64(id),
+                    ],
+                );
+                // Drift alarms auto-dump the flight recorder: the events
+                // leading up to a model mismatch are the evidence.
+                if let Some(rec) = self.hub.flight_recorder() {
+                    rec.trigger_dump(&format!("drift-{}", alarm.series));
+                }
+            });
+        ClosedDecision { residuals, alarms }
     }
 
     /// Build the residual report from the current detector and ledger
@@ -360,6 +368,7 @@ json_write!(SeriesSnapshot: series, samples, last_residual, ewma, mean_abs_resid
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ArgValue;
 
     fn prediction(bw: f64) -> Prediction {
         Prediction {

@@ -14,9 +14,10 @@
 //! * the event a runtime emits per task — a `task` span carrying its node
 //!   — in 64 bytes ([`TelemetryHub::record_task_span`]);
 //! * an event whose labels are string literals or shared strings
-//!   ([`Label`]) and whose argument values are numbers, flags or such
-//!   labels ([`PackedArg`]) — a decision tick's bandwidth samples and its
-//!   provenance instant ([`TelemetryHub::record_packed`]).
+//!   ([`Label`]), whose argument keys are literals and whose argument
+//!   values are numbers, flags or such labels ([`PackedArg`]) — a decision
+//!   tick's bandwidth samples, its provenance instant and its drift alarms
+//!   ([`TelemetryHub::record_packed`]).
 //!
 //! Every other event, and a task span whose name is longer than
 //! [`TASK_NAME_INLINE`] bytes, is kept as the [`TimelineEvent`] it is.
@@ -238,13 +239,11 @@ impl PackedArg {
     }
 }
 
-/// Most arguments a packed event holds inline.
-const PACKED_ARGS: usize = 4;
+/// Most arguments a packed event holds.
+const PACKED_ARGS: usize = 6;
 
-/// An unused argument slot.
-const NO_ARG: (Label, PackedArg) = (Label::Static(""), PackedArg::Bool(false));
-
-/// An event with shared or literal labels: no heap pieces of its own.
+/// An event with shared or literal labels: no heap pieces of its own. Its
+/// argument keys are the literals `keys`, naming the first of `values`.
 struct PackedEvent {
     ts_us: u64,
     track: TrackId,
@@ -252,8 +251,8 @@ struct PackedEvent {
     kind: EventKind,
     cat: Label,
     name: Label,
-    n_args: u8,
-    args: [(Label, PackedArg); PACKED_ARGS],
+    keys: &'static [&'static str],
+    values: [PackedArg; PACKED_ARGS],
 }
 
 impl PackedEvent {
@@ -265,9 +264,8 @@ impl PackedEvent {
             name: self.name.as_str().to_string(),
             ts_us: self.ts_us,
             kind: self.kind.clone(),
-            args: self.args[..self.n_args as usize]
-                .iter()
-                .map(|(key, value)| (key.as_str().to_string(), value.expand()))
+            args: (self.keys.iter().zip(&self.values))
+                .map(|(key, value)| (key.to_string(), value.expand()))
                 .collect(),
         }
     }
@@ -640,11 +638,12 @@ impl TelemetryHub {
     }
 
     /// Record an event whose labels are literals or shared strings, with at
-    /// most four arguments (checked at compile time): exactly
-    /// `record(shard_hint, event)` for the event with these fields, each
-    /// label copied into a `String` and each [`PackedArg`] expanded to its
-    /// [`ArgValue`], but kept packed — no allocation. An installed flight
-    /// recorder is handed the expanded event, as for any other record.
+    /// most six arguments (checked at compile time), `keys[i]` naming
+    /// `values[i]`: exactly `record(shard_hint, event)` for the event with
+    /// these fields, each label and key copied into a `String` and each
+    /// [`PackedArg`] expanded to its [`ArgValue`], but kept packed — no
+    /// allocation. An installed flight recorder is handed the expanded
+    /// event, as for any other record.
     #[allow(clippy::too_many_arguments)]
     pub fn record_packed<const N: usize>(
         &self,
@@ -655,17 +654,18 @@ impl TelemetryHub {
         name: impl Into<Label>,
         ts_us: u64,
         kind: EventKind,
-        args: [(Label, PackedArg); N],
+        keys: &'static [&'static str; N],
+        values: [PackedArg; N],
     ) {
         const {
             assert!(
                 N <= PACKED_ARGS,
-                "a packed event holds at most four arguments"
+                "a packed event holds at most six arguments"
             )
         };
-        let mut slots = [NO_ARG; PACKED_ARGS];
-        for (slot, arg) in slots.iter_mut().zip(args) {
-            *slot = arg;
+        let mut slots = [const { PackedArg::Bool(false) }; PACKED_ARGS];
+        for (slot, value) in slots.iter_mut().zip(values) {
+            *slot = value;
         }
         let event = PackedEvent {
             ts_us,
@@ -674,8 +674,8 @@ impl TelemetryHub {
             kind,
             cat: cat.into(),
             name: name.into(),
-            n_args: N as u8,
-            args: slots,
+            keys,
+            values: slots,
         };
         if let Some(rec) = self.recorder.get() {
             rec.log(&event.to_event());

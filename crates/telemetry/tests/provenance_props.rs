@@ -215,7 +215,10 @@ fn a_whole_decision_drifts_like_its_residuals_one_at_a_time() {
             for r in &mut residuals {
                 r.relative = g.range(-0.2..0.6);
             }
-            let alarms = whole.observe_decision(&residuals, Some(&whole_registry));
+            let mut alarms = Vec::new();
+            whole.observe_decision(&residuals, Some(&whole_registry), |alarm| {
+                alarms.push(alarm.clone());
+            });
             let one_by_one: Vec<_> = residuals
                 .iter()
                 .filter_map(|r| {

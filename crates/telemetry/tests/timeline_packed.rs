@@ -338,7 +338,8 @@ enum Op {
     Span(Span),
     Bandwidth(Sample),
     Decision(Decision),
-    /// A packed instant with a flag and a literal string argument.
+    /// A packed instant with six arguments, as many as one holds: a flag,
+    /// a literal string, and four numbers as a drift alarm has.
     Marker {
         ts_us: u64,
         ok: bool,
@@ -364,10 +365,8 @@ impl Op {
                 Arc::clone(&s.name),
                 s.ts_us,
                 EventKind::Counter { value: s.gbs },
-                [
-                    ("t_s".into(), PackedArg::F64(s.mid_s)),
-                    ("utilization".into(), PackedArg::F64(s.utilization)),
-                ],
+                &["t_s", "utilization"],
+                [PackedArg::F64(s.mid_s), PackedArg::F64(s.utilization)],
             ),
             Op::Decision(d) => packed.record_packed(
                 shard,
@@ -377,17 +376,12 @@ impl Op {
                 "decision",
                 d.ts_us,
                 EventKind::Instant,
+                &["id", "tick", "source", "command"],
                 [
-                    ("id".into(), PackedArg::U64(d.id)),
-                    ("tick".into(), PackedArg::U64(d.tick)),
-                    (
-                        "source".into(),
-                        PackedArg::Str(Arc::clone(&d.source).into()),
-                    ),
-                    (
-                        "command".into(),
-                        PackedArg::Str(Arc::clone(&d.command).into()),
-                    ),
+                    PackedArg::U64(d.id),
+                    PackedArg::U64(d.tick),
+                    PackedArg::Str(Arc::clone(&d.source).into()),
+                    PackedArg::Str(Arc::clone(&d.command).into()),
                 ],
             ),
             Op::Marker { ts_us, ok } => packed.record_packed(
@@ -398,9 +392,14 @@ impl Op {
                 "marker",
                 *ts_us,
                 EventKind::Instant,
+                &["ok", "note", "residual", "ewma", "cusum", "decision"],
                 [
-                    ("ok".into(), PackedArg::Bool(*ok)),
-                    ("note".into(), PackedArg::Str(Label::Static("a \"b\"\n"))),
+                    PackedArg::Bool(*ok),
+                    PackedArg::Str(Label::Static("a \"b\"\n")),
+                    PackedArg::F64(*ts_us as f64 / 3.0),
+                    PackedArg::F64(-0.25),
+                    PackedArg::F64(1.5e300),
+                    PackedArg::U64(*ts_us),
                 ],
             ),
             Op::Full(event) => packed.record(shard, event.clone()),
@@ -452,6 +451,10 @@ impl Op {
                 args: vec![
                     ("ok".to_string(), ArgValue::Bool(*ok)),
                     ("note".to_string(), ArgValue::Str("a \"b\"\n".to_string())),
+                    ("residual".to_string(), ArgValue::F64(*ts_us as f64 / 3.0)),
+                    ("ewma".to_string(), ArgValue::F64(-0.25)),
+                    ("cusum".to_string(), ArgValue::F64(1.5e300)),
+                    ("decision".to_string(), ArgValue::U64(*ts_us)),
                 ],
             },
             Op::Full(event) => event.clone(),
@@ -461,7 +464,7 @@ impl Op {
 
 /// A seeded interleaving of every kind of record: task spans (packed and
 /// spilled), the supervised tick's bandwidth samples and provenance
-/// instants, packed instants with a flag and a literal, and full events.
+/// instants, packed instants with six arguments, and full events.
 /// Timestamps repeat in runs of three, so `events()` reads each shard's own
 /// order among equal times.
 fn seeded_ops(seed: u64, len: usize) -> Vec<Op> {

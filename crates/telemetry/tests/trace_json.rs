@@ -79,10 +79,8 @@ fn seeded_hub(seed: u64, recorder: Option<Arc<FlightRecorder>>) -> TelemetryHub 
                 Arc::clone(&series),
                 ts,
                 EventKind::Counter { value: float },
-                [
-                    ("t_s".into(), PackedArg::F64(i as f64 * 0.01)),
-                    ("saturated".into(), PackedArg::Bool(r & 1 == 0)),
-                ],
+                &["t_s", "saturated"],
+                [PackedArg::F64(i as f64 * 0.01), PackedArg::Bool(r & 1 == 0)],
             ),
             2 => hub.record_packed(
                 shard,
@@ -92,12 +90,10 @@ fn seeded_hub(seed: u64, recorder: Option<Arc<FlightRecorder>>) -> TelemetryHub 
                 "decision",
                 ts,
                 EventKind::Instant,
+                &["id", "command"],
                 [
-                    ("id".into(), PackedArg::U64(i + 1)),
-                    (
-                        "command".into(),
-                        PackedArg::Str(Arc::clone(&command).into()),
-                    ),
+                    PackedArg::U64(i + 1),
+                    PackedArg::Str(Arc::clone(&command).into()),
                 ],
             ),
             3 => hub.record(

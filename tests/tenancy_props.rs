@@ -18,11 +18,11 @@ use numa_coop::agent::{
     Agent, ChaosHandle, Fault, FaultPlan, Policy, RuntimeHandle, RuntimeStats, SupervisionConfig,
     ThreadCommand,
 };
-use numa_coop::alloc::cases::check;
+use numa_coop::alloc::cases::{check, Gen};
 use numa_coop::model::AppSpec;
 use numa_coop::runtime::NodeOccupancy;
 use numa_coop::sim::{
-    run_supervised, AppOutage, ChaosPlan, EngineKind, Perturbation, SupervisorConfig,
+    run_supervised, AppOutage, ChaosPlan, EngineKind, Perturbation, Scenario, SupervisorConfig,
 };
 use numa_coop::telemetry::{TelemetryHub, TenantLedger};
 use numa_coop::topology::presets::paper_model_machine;
@@ -203,41 +203,116 @@ fn agent_commands_keep_the_tenancy_invariants_under_seeded_faults() {
     assert!(evictions.into_inner() > 0 && containments.into_inner() > 0);
 }
 
+/// A `Table III` run of 20 ticks with seeded outages (reclaimed or not) and
+/// one seeded wedge, re-optimizing when asked.
+fn supervised_draw(g: &mut Gen, reoptimize: bool) -> (Scenario, SupervisorConfig) {
+    let mut scenario = numa_coop::sim::scenario::template();
+    scenario.assignments.truncate(1);
+    let apps = scenario.apps.len();
+    let duration_s = 0.4;
+    let outages = g.vec(0..4, |g| {
+        let down_at_s = g.range(0.0..duration_s);
+        AppOutage {
+            app: g.range(0..apps),
+            down_at_s,
+            up_at_s: g.bool(0.7).then(|| down_at_s + g.range(0.01..0.2)),
+        }
+    });
+    let config = SupervisorConfig {
+        decision_period_s: 0.02,
+        duration_s,
+        perturbations: vec![Perturbation::RunawayTask {
+            at_s: g.range(0.0..duration_s),
+            app: g.range(0..apps),
+        }],
+        reoptimize,
+        chaos: Some(ChaosPlan {
+            outages,
+            reclaim: g.bool(0.7),
+        }),
+        engine: EngineKind::Event,
+        ..SupervisorConfig::default()
+    };
+    (scenario, config)
+}
+
 #[test]
 fn supervised_rows_keep_the_tenancy_invariants_under_seeded_outages_and_wedges() {
     check(2, CASES, |g| {
-        let mut scenario = numa_coop::sim::scenario::template();
-        scenario.assignments.truncate(1);
-        let apps = scenario.apps.len();
-        let duration_s = 0.4;
-        let outages = g.vec(0..4, |g| {
-            let down_at_s = g.range(0.0..duration_s);
-            AppOutage {
-                app: g.range(0..apps),
-                down_at_s,
-                up_at_s: g.bool(0.7).then(|| down_at_s + g.range(0.01..0.2)),
-            }
-        });
-        let config = SupervisorConfig {
-            decision_period_s: 0.02,
-            duration_s,
-            perturbations: vec![Perturbation::RunawayTask {
-                at_s: g.range(0.0..duration_s),
-                app: g.range(0..apps),
-            }],
-            reoptimize: g.bool(0.5),
-            chaos: Some(ChaosPlan {
-                outages,
-                reclaim: g.bool(0.7),
-            }),
-            engine: EngineKind::Event,
-            ..SupervisorConfig::default()
-        };
+        let reoptimize = g.bool(0.5);
+        let (scenario, config) = supervised_draw(g, reoptimize);
         let hub = Arc::new(TelemetryHub::new());
         assert!(hub.install_tenant_ledger(Arc::new(TenantLedger::new())));
         let run = run_supervised(&scenario, &config, Arc::clone(&hub)).expect("a valid run");
         assert_eq!(run.ticks.len(), 20);
         assert_eq!(hub.registry().counter_total(INVARIANT_VIOLATIONS), 0);
+    });
+}
+
+/// A re-optimizing supervised run applies, on every tick, the rows a
+/// standalone `ModelGuided` on the scenario's machine and apps commands
+/// when shown the same live sets at the same ticks: the live apps' last
+/// commanded rows, the down apps' zero rows, and the wedged app's row no
+/// higher once its wedge has set in (containment only lowers a row).
+#[test]
+fn reoptimizing_supervised_rows_are_what_model_guided_commands() {
+    check(4, CASES, |g| {
+        let (scenario, config) = supervised_draw(g, true);
+        let hub = Arc::new(TelemetryHub::new());
+        let run = run_supervised(&scenario, &config, Arc::clone(&hub)).expect("a valid run");
+        assert_eq!(hub.registry().counter_total(INVARIANT_VIOLATIONS), 0);
+        let specs: Vec<AppSpec> = scenario.apps.iter().map(|a| a.spec.clone()).collect();
+        let mut policy = ModelGuided::new(scenario.machine.clone(), specs.clone());
+        let mut commanded = scenario.assignments[0].threads.clone();
+        let Perturbation::RunawayTask {
+            at_s: wedge_s,
+            app: wedged,
+        } = config.perturbations[0]
+        else {
+            unreachable!("the draw wedges one app")
+        };
+        let outages = &config.chaos.as_ref().expect("the draw has a plan").outages;
+        for (tick, record) in run.ticks.iter().zip(run.records()) {
+            let start_s = tick.start_s;
+            let down = |i: usize| {
+                let mut outages = outages.iter().filter(|o| o.app == i);
+                outages.any(|o| start_s >= o.down_at_s && o.up_at_s.is_none_or(|up| start_s < up))
+            };
+            let live: Vec<usize> = (0..specs.len()).filter(|&i| !down(i)).collect();
+            let stats: Vec<RuntimeStats> = (live.iter())
+                .map(|&i| RuntimeStats {
+                    name: specs[i].name.clone(),
+                    ..RuntimeStats::default()
+                })
+                .collect();
+            for (&i, cmd) in live.iter().zip(policy.tick(&stats, tick.tick)) {
+                if let Some(row) = cmd.as_ref().and_then(row_of) {
+                    commanded[i] = row.to_vec();
+                }
+            }
+            // The rows in force, as the record the tick opened names them.
+            let text = &*record.prediction.assignment;
+            let matrix = text[text.find('[').expect("a matrix")..].trim_matches(['[', ']']);
+            let rows: Vec<Vec<usize>> = (matrix.split("], ["))
+                .map(|row| row.split(", ").map(|n| n.parse().unwrap()).collect())
+                .collect();
+            for (i, row) in rows.iter().enumerate() {
+                let want = if down(i) {
+                    vec![0; row.len()]
+                } else {
+                    commanded[i].clone()
+                };
+                if i == wedged && wedge_s <= start_s + config.decision_period_s {
+                    assert!(
+                        row.iter().zip(&want).all(|(r, w)| r <= w),
+                        "tick {}",
+                        tick.tick
+                    );
+                } else {
+                    assert_eq!(row, &want, "tick {}, app {i}: {text}", tick.tick);
+                }
+            }
+        }
     });
 }
 
