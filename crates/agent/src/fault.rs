@@ -11,6 +11,7 @@
 //! run replays bit-identically: a failure found in CI reproduces locally.
 
 use crate::{AgentError, Result, RuntimeHandle, RuntimeStats, ThreadCommand};
+use coop_alloc::rng::{splitmix64, Standard};
 use coop_telemetry::sync::Mutex;
 use std::ops::{Bound, RangeBounds};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -135,14 +136,11 @@ impl FaultPlan {
                 return Some(&rule.fault);
             }
             // splitmix64 over (seed, rule index, call): stable per call.
-            let mut x = self
+            let key = self
                 .seed
-                .wrapping_add(0x9e3779b97f4a7c15u64.wrapping_mul(call.wrapping_add(1)))
+                .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(call))
                 .wrapping_add((i as u64) << 32);
-            x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-            x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-            x ^= x >> 31;
-            let u = (x >> 11) as f64 / (1u64 << 53) as f64;
+            let u = f64::sample(splitmix64(key));
             if u < rule.probability {
                 return Some(&rule.fault);
             }

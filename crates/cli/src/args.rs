@@ -421,7 +421,7 @@ COMMANDS:
                                its cores fair-shared among the survivors
                                unless --no-reclaim; --engine picks the
                                time-sliced or discrete-event simulator
-                               core (default slice; see docs/performance.md)
+                               core (default event; see docs/performance.md)
   observe [--machine <M>] [--iterations N] [--trace-out <PATH>] [--metrics <PATH>]
           [--serve <ADDR> [--serve-max-requests N]] [--dump <DIR>]
           [--format text|json|prom]
@@ -1325,15 +1325,15 @@ mod tests {
     }
 
     #[test]
-    fn engine_flag_parses_and_defaults_to_slice() {
+    fn engine_flag_parses_and_defaults_to_event() {
         let cli = parse_args(&argv("simulate --write-template")).unwrap();
         match cli.command {
-            Command::Simulate(SimulateArgs { engine, .. }) => assert_eq!(engine, EngineKind::Slice),
+            Command::Simulate(SimulateArgs { engine, .. }) => assert_eq!(engine, EngineKind::Event),
             other => panic!("wrong command {other:?}"),
         }
-        let cli = parse_args(&argv("simulate --write-template --engine event")).unwrap();
+        let cli = parse_args(&argv("simulate --write-template --engine slice")).unwrap();
         match cli.command {
-            Command::Simulate(SimulateArgs { engine, .. }) => assert_eq!(engine, EngineKind::Event),
+            Command::Simulate(SimulateArgs { engine, .. }) => assert_eq!(engine, EngineKind::Slice),
             other => panic!("wrong command {other:?}"),
         }
         // Case-insensitive, and shared by drift; `chaos` runs live runtimes

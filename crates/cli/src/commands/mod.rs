@@ -1961,14 +1961,14 @@ mod simulate_tests {
         assert_eq!(v["engine"], "event", "json:\n{json_out}");
         assert_eq!(v["rows"].as_array().unwrap().len(), 2);
 
-        // The default stays on the slice engine and says so.
+        // The default is the event engine and says so.
         let out = crate::run(&[
             "simulate".into(),
             "--scenario".into(),
             path.to_str().unwrap().to_string(),
         ])
         .unwrap();
-        assert!(out.contains("engine: slice"), "output:\n{out}");
+        assert!(out.contains("engine: event"), "output:\n{out}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -96,6 +96,11 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// `--reoptimize` at that commit's parent, run on `scenario.json` with the
 /// policy's cold greedy rows `[[8,10,10,8],[1,0,0,1],[1,0,0,1],[10,10,10,10]]`
 /// in place of (1,1,1,17).
+/// The 21 `simulate`/`drift` rows without `--engine` and the two
+/// `top --format prom` rows were taken again when the event heap became the
+/// default cut source: each is byte-equal to its parent's stdout with the
+/// event engine named (`--engine event`; `top` names it in its supervisor
+/// config) and jitter drawn per (seed, thread, segment), as the change draws.
 /// `hill`/`anneal` stay single-threaded here: two seeds racing one score
 /// cache move the printed hit counts by one under load. `help`, `chaos`,
 /// `observe`, `trace` and `top --format json` (wall-clock fields, live
@@ -122,12 +127,12 @@ const GOLDEN: &[(&str, u64)] = &[
     ("pareto --machine paper-model --app mem:local:0.5 --app comp:local:10", 0x8fdff9ca3ef09e08),
     ("pareto --machine tiny --app a:local:0.5 --app b:local:4 --json", 0xf4e988d625318038),
     ("simulate --write-template", 0x7af9043d61fd0e2c),
-    ("simulate --scenario scenario.json", 0x16d768a9efff4346),
-    ("simulate --scenario scenario.json --fault 3:0.02", 0xee3430a60cb7f3f9),
-    ("simulate --scenario scenario.json --format json", 0x2c9342db2d39fe70),
-    ("simulate --scenario scenario.json --fault 3:0.02 --format json", 0xec4c2b5334866522),
-    ("simulate --scenario scenario.json --format prom", 0x0ff1d10491fa1fbf),
-    ("simulate --scenario scenario.json --fault 3:0.02 --format prom", 0xa3fc182f9346c7a6),
+    ("simulate --scenario scenario.json", 0x53fd783e3d102c0c),
+    ("simulate --scenario scenario.json --fault 3:0.02", 0xf3dd92a57cc0548f),
+    ("simulate --scenario scenario.json --format json", 0x1d8139f5373df9e9),
+    ("simulate --scenario scenario.json --fault 3:0.02 --format json", 0x1ba934757b8a442d),
+    ("simulate --scenario scenario.json --format prom", 0xada7d27af1d5d217),
+    ("simulate --scenario scenario.json --fault 3:0.02 --format prom", 0x8e3b4491ab1d333e),
     ("simulate --scenario scenario.json --engine slice", 0x16d768a9efff4346),
     ("simulate --scenario scenario.json --fault 3:0.02 --engine slice", 0xee3430a60cb7f3f9),
     ("simulate --scenario scenario.json --engine slice --format json", 0x2c9342db2d39fe70),
@@ -140,27 +145,27 @@ const GOLDEN: &[(&str, u64)] = &[
     ("simulate --scenario scenario.json --fault 3:0.02 --engine event --format json", 0x1ba934757b8a442d),
     ("simulate --scenario scenario.json --engine event --format prom", 0xada7d27af1d5d217),
     ("simulate --scenario scenario.json --fault 3:0.02 --engine event --format prom", 0x8e3b4491ab1d333e),
-    ("simulate --scenario scenario.json --fault 3:0.02:0.06 --fault 0:0.01 --no-reclaim", 0x9a31311af49e726d),
-    ("simulate --scenario scenario.json --json", 0x2c9342db2d39fe70),
-    ("drift", 0x2ba3724b333946aa),
-    ("drift --reoptimize", 0x9d4283a14d0ba72a),
-    ("drift --perturb 0:0.2:0.1", 0xc6f33f4d25eef480),
-    ("drift --perturb 0:0.2:0.1 --reoptimize", 0x5ea22f290fbf72f9),
-    ("drift --format json", 0x7b3bfc59ac6b550f),
-    ("drift --reoptimize --format json", 0x1770cdf834773cf9),
-    ("drift --perturb 0:0.2:0.1 --format json", 0x4674639c26f60a00),
-    ("drift --perturb 0:0.2:0.1 --reoptimize --format json", 0x3d8a4a701523f6ac),
-    ("drift --format prom", 0xf464177453b3de68),
-    ("drift --reoptimize --format prom", 0xe4a8a7c829c544d0),
-    ("drift --perturb 0:0.2:0.1 --format prom", 0x50a1021320c2ba8f),
-    ("drift --perturb 0:0.2:0.1 --reoptimize --format prom", 0xd8ccd601c83b89b6),
+    ("simulate --scenario scenario.json --fault 3:0.02:0.06 --fault 0:0.01 --no-reclaim", 0x4b808619cc0e1a7f),
+    ("simulate --scenario scenario.json --json", 0x1d8139f5373df9e9),
+    ("drift", 0x6de4fea2248634a8),
+    ("drift --reoptimize", 0xfda10b88abbded4e),
+    ("drift --perturb 0:0.2:0.1", 0xb75000f650eb975e),
+    ("drift --perturb 0:0.2:0.1 --reoptimize", 0x699b4551e865fb17),
+    ("drift --format json", 0x0e51f01bac7144b9),
+    ("drift --reoptimize --format json", 0xb7545cacc7b998fb),
+    ("drift --perturb 0:0.2:0.1 --format json", 0x3b7c911e42e7a129),
+    ("drift --perturb 0:0.2:0.1 --reoptimize --format json", 0x2b8e7fc8a206fd83),
+    ("drift --format prom", 0xd1e0b94cf3308d50),
+    ("drift --reoptimize --format prom", 0x8b3a36e47f95b466),
+    ("drift --perturb 0:0.2:0.1 --format prom", 0x138bdce5b1df4cd2),
+    ("drift --perturb 0:0.2:0.1 --reoptimize --format prom", 0xb638635494d5d060),
     ("drift --scenario scenario.json --duration 0.1 --engine event", 0x48594d59d9d93aee),
     ("drift --duration 0.1 --engine event --json", 0x5518a25fde5d5c50),
-    ("drift --perturb 0:0.5:0.05 --perturb 1:0.8 --decision-period 0.02 --duration 0.3 --ewma 0.4 --cusum-k 0.1 --cusum-h 0.8", 0x2ca031fcda515d84),
+    ("drift --perturb 0:0.5:0.05 --perturb 1:0.8 --decision-period 0.02 --duration 0.3 --ewma 0.4 --cusum-k 0.1 --cusum-h 0.8", 0x51b9f3a0e4879e5a),
     ("top", 0xb8882ccabf771c32),
     ("top --outage 1:0.03:0.07", 0x4f474599a93c0f2e),
-    ("top --format prom", 0x4886e45f0ae6b1d7),
-    ("top --outage 1:0.03:0.07 --format prom", 0xe73eefd133b1c624),
+    ("top --format prom", 0xdde2e1857e41d215),
+    ("top --outage 1:0.03:0.07 --format prom", 0x8747305e51329a4e),
     ("top --machine dual-socket --duration 0.1 --decision-period 0.02", 0xaff72fc37e4e374a),
 ];
 

@@ -143,9 +143,9 @@ pub struct ChaosResult {
 }
 
 /// Runs the first assignment of `scenario` under `plan` on the default
-/// slice engine.
+/// engine.
 pub fn run_chaos_scenario(scenario: &Scenario, plan: &ChaosPlan) -> Result<ChaosResult> {
-    run_chaos_scenario_on(scenario, plan, None, EngineKind::Slice)
+    run_chaos_scenario_on(scenario, plan, None, EngineKind::default())
 }
 
 /// The general chaos runner: optional telemetry hub (the simulator

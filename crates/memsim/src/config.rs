@@ -8,8 +8,8 @@ use numa_topology::Machine;
 /// throughput; see the crate docs for what each one represents.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EffectModel {
-    /// Coefficient of variation of per-thread, per-quantum multiplicative
-    /// noise (0 = deterministic). Mean-preserving uniform noise.
+    /// Half-width of per-thread, per-segment multiplicative noise (0 = none):
+    /// mean-preserving, uniform, keyed by seed, thread and segment start.
     pub jitter: f64,
     /// Throughput efficiency of remote (cross-node) traffic relative to the
     /// nominal link bandwidth (1.0 = links reach their spec).
@@ -97,16 +97,16 @@ impl Default for EffectModel {
 /// integrated analytically. `Event` cuts nowhere else, so cost scales with
 /// the number of events. `Slice` also cuts at every multiple of the
 /// quantum, so cost scales with `duration / quantum` however eventful the
-/// scenario is — for what only a grid provides: discrete round-robin
-/// time-slicing, a jitter draw per thread per quantum, windowed samples.
-/// The two agree to float rounding on scenarios without those effects (see
-/// `docs/performance.md`, "Fleet simulation").
+/// scenario is — for what only a grid provides: a jitter draw per thread
+/// per quantum, windowed samples (discrete time-slicing brings the grid to
+/// either kind). The two agree to float rounding on scenarios without those
+/// effects (see `docs/performance.md`, "Fleet simulation").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineKind {
     /// The event heap and the quantum grid.
-    #[default]
     Slice,
     /// The event heap alone (a deterministic global heap of wake-ups).
+    #[default]
     Event,
 }
 
@@ -146,9 +146,9 @@ pub struct SimConfig {
     pub quantum_s: f64,
     /// Second-order effects.
     pub effects: EffectModel,
-    /// Seed for the jitter stream (simulations are deterministic per seed).
+    /// Seed of the jitter draws (simulations are deterministic per seed).
     pub seed: u64,
-    /// Where the loop cuts time (default [`EngineKind::Slice`]).
+    /// Where the loop cuts time (default [`EngineKind::Event`]).
     pub engine: EngineKind,
 }
 
@@ -237,7 +237,7 @@ mod tests {
 
     #[test]
     fn engine_kind_round_trips() {
-        assert_eq!(EngineKind::default(), EngineKind::Slice);
+        assert_eq!(EngineKind::default(), EngineKind::Event);
         for kind in [EngineKind::Slice, EngineKind::Event] {
             assert_eq!(EngineKind::parse(kind.as_str()), Some(kind));
             assert_eq!(EngineKind::parse(&kind.as_str().to_uppercase()), Some(kind));

@@ -9,10 +9,10 @@
 //! remainder — the same two-phase rule as the analytic model, but per-thread
 //! and with the effect model applied).
 
-use crate::event::{advance_time, s_to_tick, EventRun, Samples};
+use crate::event::{advance_time, s_to_tick, EventRun, Samples, Tick};
 use crate::result::AppSeries;
 use crate::{ActivityPattern, EngineKind, EventLog, SimApp, SimConfig, SimError, SimResult};
-use coop_alloc::rng::StdRng;
+use coop_alloc::rng::{splitmix64, Standard};
 use coop_telemetry::{
     hop, hop_args, ArgValue, Counter, EventKind, Gauge, Histogram, PackedArg, SeriesKey,
     TelemetryHub, TimelineEvent, TrackId, TRACE_CAT,
@@ -799,11 +799,11 @@ fn for_each_demand(
 ///
 /// This is the one copy of the physics, evaluated once per segment: a whole
 /// quantum, or a part of one when an off-grid edge splits it — which costs
-/// that one extra arbitration (and its jitter draws) and nothing else.
-/// `discrete` selects round-robin time-slicing under `rr_offset`, which
-/// only [`RateScratch::rotate`] moves (once per quantum); otherwise
-/// over-subscription is continuous fair shares, which the discrete mode
-/// matches in long-run throughput.
+/// that one extra arbitration (and its jitter draws, keyed by `segment`:
+/// the seed and start tick) and nothing else. `effects.discrete_timeslice`
+/// selects round-robin time-slicing under `rr_offset`, which only
+/// [`RateScratch::rotate`] moves (once per quantum); otherwise fair shares,
+/// which the discrete mode matches in long-run throughput.
 #[allow(clippy::too_many_arguments)] // one bundle of parallel state
 pub(crate) fn compute_rates(
     machine: &Machine,
@@ -812,14 +812,13 @@ pub(crate) fn compute_rates(
     apps: &[SimApp],
     active: &[bool],
     threads: &[Thread],
-    discrete: bool,
-    rng: &mut StdRng,
+    segment: (u64, Tick),
     rr_offset: &[usize],
     s: &mut RateScratch,
 ) {
     let num_nodes = machine.num_nodes();
     rates_prologue(
-        machine, effects, peak, apps, active, threads, discrete, rng, rr_offset, s,
+        machine, effects, peak, apps, active, threads, segment, rr_offset, s,
     );
     let threads = if s.compacted { &s.live[..] } else { threads };
 
@@ -848,8 +847,8 @@ pub(crate) fn compute_rates(
 /// The prefix of [`compute_rates`] that couples the whole fleet: the
 /// per-node runnable census of the apps `active` marks, discrete
 /// time-slicing, and every active thread's compute capacity (the stage
-/// that draws from the jitter RNG). A function of its own because the dense oracle in the
-/// tests shares it.
+/// that draws jitter). A function of its own because the dense oracle in
+/// the tests shares it.
 ///
 /// When some app is idle, the census also collects the active threads into
 /// `s.live`, and every per-thread pass after it — capacities here, then
@@ -866,8 +865,7 @@ fn rates_prologue(
     apps: &[SimApp],
     active: &[bool],
     threads: &[Thread],
-    discrete: bool,
-    rng: &mut StdRng,
+    segment: (u64, Tick),
     rr_offset: &[usize],
     s: &mut RateScratch,
 ) {
@@ -892,13 +890,13 @@ fn rates_prologue(
             }
         }
     }
-    let threads = if s.compacted { &s.live[..] } else { threads };
+    let walked = if s.compacted { &s.live[..] } else { threads };
     // Reserving for the whole assignment keeps one allocation per buffer
     // however the active count moves from segment to segment.
     for per_thread in [&mut s.cap, &mut s.granted] {
         per_thread.clear();
         per_thread.reserve(num_threads);
-        per_thread.resize(threads.len(), 0.0);
+        per_thread.resize(walked.len(), 0.0);
     }
 
     // Per-thread compute capacity (GFLOPS): `peak * duty * switch * sync *
@@ -906,20 +904,20 @@ fn rates_prologue(
     // thread's node alone (a time-sliced duty is 0 or 1 by the thread's
     // core) and sync on its app, so those factors are taken once per node
     // and (by its first thread) once per app, in the product's own order;
-    // jitter is drawn per thread. Discrete time-slicing gives a core to the
-    // runnable threads in a window per node, rotated by
-    // `RateScratch::rotate`.
+    // jitter, the last factor, is drawn per thread in a pass of its own.
+    // Discrete time-slicing gives a core to the runnable threads in a
+    // window per node, rotated by `RateScratch::rotate`.
     for (node, census) in s.nodes.iter_mut().enumerate() {
         let cores = machine.node(NodeId(node)).num_cores();
         let runnable = census.runnable;
-        census.on_core_below = if discrete && runnable > cores {
+        census.on_core_below = if effects.discrete_timeslice && runnable > cores {
             census.slot = (runnable - rr_offset[node] % runnable) % runnable;
             cores
         } else {
             usize::MAX
         };
         let (cores, runnable) = (cores as f64, runnable as f64);
-        let duty = if discrete {
+        let duty = if effects.discrete_timeslice {
             1.0
         } else {
             (cores / runnable).min(1.0)
@@ -931,12 +929,7 @@ fn rates_prologue(
         };
         census.cap = [peak * 0.0 * switch, peak * duty * switch];
     }
-    for (th, cap) in threads.iter().zip(s.cap.iter_mut()) {
-        let jitter = if effects.jitter > 0.0 {
-            1.0 + effects.jitter * (rng.gen::<f64>() * 2.0 - 1.0)
-        } else {
-            1.0
-        };
+    for (th, cap) in walked.iter().zip(s.cap.iter_mut()) {
         let app = &mut s.apps[th.app];
         let sync = *app.sync.get_or_insert_with(|| {
             let alpha = apps[th.app].sync_overhead;
@@ -948,7 +941,17 @@ fn rates_prologue(
         if node.slot == node.runnable {
             node.slot = 0;
         }
-        *cap = node.cap[usize::from(on_core)] * sync * jitter;
+        *cap = node.cap[usize::from(on_core)] * sync;
+    }
+    // Thread `i` of the assignment's expansion draws `1 + jitter·(2u − 1)`,
+    // `u` keyed by (seed, start tick, i), so a compacted walk draws alike.
+    if effects.jitter > 0.0 {
+        let key = splitmix64(splitmix64(segment.0).wrapping_add(segment.1));
+        let positions = threads.iter().enumerate().filter(|(_, th)| active[th.app]);
+        for (cap, (i, _)) in s.cap.iter_mut().zip(positions) {
+            let u = f64::sample(splitmix64(key.wrapping_add(i as u64)));
+            *cap *= 1.0 + effects.jitter * (u * 2.0 - 1.0);
+        }
     }
 }
 
@@ -1392,7 +1395,9 @@ mod tests {
     #[test]
     fn determinism_per_seed() {
         let machine = paper_model_machine();
-        let apps = vec![SimApp::numa_local("a", 0.5)];
+        // Compute-bound: jitter moves the total, not only its rounding (a
+        // bandwidth-bound app's total is the saturated nodes' bandwidth).
+        let apps = vec![SimApp::numa_local("a", 10.0)];
         let assignment = ThreadAssignment::uniform_per_node(&machine, &[4]);
         let mk = |seed| {
             Simulation::new(
@@ -1568,7 +1573,8 @@ mod tests {
         // Each sample carries its node's counter name — the bytes a
         // `format!` per sample used to produce — and the exposition is what
         // it was at commit 4aec231 less the two series of the sharded engine
-        // deleted since (FNV-1a of the text).
+        // deleted since, run on the event engine once that became the
+        // default (FNV-1a of the text).
         assert!(counters
             .iter()
             .all(|e| e.name == format!("node{}_bw_gbs", e.lane - 1)));
@@ -1581,7 +1587,7 @@ mod tests {
         let digest = exposition.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
             (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
         });
-        assert_eq!(digest, 0x6d90_2e6b_b2a0_7d83, "{exposition}");
+        assert_eq!(digest, 0x9f75_4b08_476b_7c7d, "{exposition}");
 
         // End-of-run gauges match the result's utilization report.
         for (n, &util) in r.node_utilization.iter().enumerate() {
@@ -1741,7 +1747,7 @@ mod tests {
 #[cfg(test)]
 mod timeslice_tests {
     use super::*;
-    use crate::EffectModel;
+    use crate::{EffectModel, EngineKind};
     use numa_topology::presets::{paper_model_machine, tiny};
 
     /// Discrete round-robin slicing matches the continuous-share model's
@@ -1777,7 +1783,8 @@ mod timeslice_tests {
         assert!((rd.app_gflops(0) - rd.app_gflops(1)).abs() / rd.app_gflops(0) < 0.02);
     }
 
-    /// Without over-subscription the discrete flag changes nothing.
+    /// Without over-subscription the discrete flag changes nothing (on one
+    /// grid: the flag alone is compared).
     #[test]
     fn discrete_is_identity_without_oversubscription() {
         let machine = tiny();
@@ -1786,13 +1793,57 @@ mod timeslice_tests {
         let base = EffectModel::ideal();
         let mut disc = base.clone();
         disc.discrete_timeslice = true;
-        let r1 = Simulation::new(SimConfig::new(machine.clone()).with_effects(base))
-            .run(&apps, &a, 0.02)
-            .unwrap();
-        let r2 = Simulation::new(SimConfig::new(machine.clone()).with_effects(disc))
-            .run(&apps, &a, 0.02)
-            .unwrap();
+        let sim = |effects| {
+            Simulation::new(
+                SimConfig::new(machine.clone())
+                    .with_effects(effects)
+                    .with_engine(EngineKind::Slice),
+            )
+        };
+        let r1 = sim(base).run(&apps, &a, 0.02).unwrap();
+        let r2 = sim(disc).run(&apps, &a, 0.02).unwrap();
         assert_eq!(r1, r2);
+    }
+
+    /// Round-robin time-slicing exists only on a quantum grid, so the flag
+    /// brings the grid with it under the default engine (`Event`): an
+    /// over-subscribed run rotates once per node per quantum, is the
+    /// `Slice` run bit for bit, and is not the continuous one.
+    #[test]
+    fn discrete_timeslice_rotates_under_the_event_default() {
+        use std::sync::Arc;
+
+        assert_eq!(EngineKind::default(), EngineKind::Event);
+        let machine = tiny();
+        let apps = vec![
+            crate::SimApp::numa_local("m", 0.25),
+            crate::SimApp::numa_local("n", 0.25),
+        ];
+        let oversub = roofline_numa::ThreadAssignment::from_matrix(vec![vec![2, 2], vec![2, 2]]);
+        let mut continuous = EffectModel::ideal();
+        continuous.allow_oversubscription = true;
+        let mut discrete = continuous.clone();
+        discrete.discrete_timeslice = true;
+        let config = |effects| SimConfig::new(machine.clone()).with_effects(effects);
+
+        let hub = Arc::new(coop_telemetry::TelemetryHub::new());
+        let event = Simulation::new(config(discrete.clone()))
+            .with_telemetry(Arc::clone(&hub))
+            .run(&apps, &oversub, 0.05)
+            .unwrap();
+        assert_eq!(
+            hub.registry().counter_total("memsim_sched_switches_total"),
+            2 * 50,
+            "one rotation per node per quantum"
+        );
+        let slice = Simulation::new(config(discrete).with_engine(EngineKind::Slice))
+            .run(&apps, &oversub, 0.05)
+            .unwrap();
+        assert_eq!(event, slice);
+        let fair = Simulation::new(config(continuous))
+            .run(&apps, &oversub, 0.05)
+            .unwrap();
+        assert_ne!(event, fair);
     }
 
     /// Discrete slicing is deterministic and conserves node bandwidth.
@@ -1831,6 +1882,7 @@ mod timeslice_tests {
 mod dense_reference {
     use super::*;
     use crate::{ActivityPattern, EffectModel};
+    use coop_alloc::rng::StdRng;
     use numa_topology::{LinkMatrix, MachineBuilder};
 
     /// The indices into `threads` of the threads whose app is active at
@@ -1995,9 +2047,8 @@ mod dense_reference {
         apps: &[SimApp],
         threads: &[Thread],
         t: f64,
-        discrete: bool,
         rr_offset: &[usize],
-        rng: &mut StdRng,
+        seed: u64,
     ) -> [Vec<f64>; 4] {
         let num_nodes = machine.num_nodes();
         let mut s = RateScratch::default();
@@ -2008,8 +2059,7 @@ mod dense_reference {
             apps,
             &active_flags(apps, t),
             threads,
-            discrete,
-            rng,
+            (seed, 0),
             rr_offset,
             &mut s,
         );
@@ -2176,21 +2226,12 @@ mod dense_reference {
         apps: &[SimApp],
         threads: &[Thread],
         t: f64,
-        discrete: bool,
         rr_offset: &[usize],
         seed: u64,
     ) -> (Vec<f64>, [usize; 2], bool) {
         // Jitter draws are part of what must match.
-        let [cap, granted, served, remote_in] = dense_rates(
-            machine,
-            effects,
-            apps,
-            threads,
-            t,
-            discrete,
-            rr_offset,
-            &mut StdRng::seed_from_u64(seed),
-        );
+        let [cap, granted, served, remote_in] =
+            dense_rates(machine, effects, apps, threads, t, rr_offset, seed);
         let active = active_ids(apps, threads, t);
         for i in (0..threads.len()).filter(|i| active.binary_search(i).is_err()) {
             assert_eq!((cap[i], granted[i]), (0.0, 0.0), "idle thread {i}");
@@ -2205,8 +2246,7 @@ mod dense_reference {
                 apps,
                 &active_flags(apps, t),
                 threads,
-                discrete,
-                &mut StdRng::seed_from_u64(seed),
+                (seed, 0),
                 rr_offset,
                 &mut s,
             );
@@ -2269,10 +2309,12 @@ mod dense_reference {
             let rr_offset: Vec<usize> = (0..machine.num_nodes())
                 .map(|node| (case as usize + 3 * node) % 5)
                 .collect();
-            let effects = effects(case);
-            let (remote_in, seen, compacted) = assert_matches_dense(
-                &machine, &effects, &apps, &threads, 0.5, discrete, &rr_offset, case,
-            );
+            let effects = EffectModel {
+                discrete_timeslice: discrete,
+                ..effects(case)
+            };
+            let (remote_in, seen, compacted) =
+                assert_matches_dense(&machine, &effects, &apps, &threads, 0.5, &rr_offset, case);
             remote_fleets += usize::from(remote_in.iter().any(|&r| r > 0.0));
             targets = [targets[0] + seen[0], targets[1] + seen[1]];
             walks[usize::from(compacted)] += 1;
@@ -2291,7 +2333,6 @@ mod dense_reference {
                     &apps,
                     &threads,
                     t,
-                    false,
                     &rr_offset,
                     seed,
                 );
@@ -2324,6 +2365,7 @@ mod capacity_reference {
     use super::dense_reference::{active_flags, active_ids, gather};
     use super::*;
     use crate::EffectModel;
+    use coop_alloc::rng::StdRng;
 
     /// What the loop read: the active set, the per-node and per-app
     /// census, and which threads hold a core.
@@ -2343,10 +2385,10 @@ mod capacity_reference {
         apps: &[SimApp],
         threads: &[Thread],
         t: f64,
-        discrete: bool,
-        rng: &mut StdRng,
+        (seed, now): (u64, Tick),
         rr_offset: &[usize],
     ) -> (Vec<f64>, Vec<bool>) {
+        let discrete = effects.discrete_timeslice;
         let mut s = Census {
             active: apps.iter().map(|app| app.activity.is_active(t)).collect(),
             runnable_per_node: vec![0; machine.num_nodes()],
@@ -2405,7 +2447,9 @@ mod capacity_reference {
             let alpha = apps[th.app].sync_overhead;
             let sync = 1.0 / (1.0 + alpha * (s.app_threads_total[th.app] as f64 - 1.0));
             let jitter = if effects.jitter > 0.0 {
-                1.0 + effects.jitter * (rng.gen::<f64>() * 2.0 - 1.0)
+                let segment = splitmix64(splitmix64(seed).wrapping_add(now));
+                let u = f64::sample(splitmix64(segment.wrapping_add(i as u64)));
+                1.0 + effects.jitter * (u * 2.0 - 1.0)
             } else {
                 1.0
             };
@@ -2417,8 +2461,7 @@ mod capacity_reference {
     /// Over random fleets — over-subscribed nodes, sync overhead, idle
     /// apps — with jitter on and off, in continuous and discrete time, the
     /// prologue's capacities are the per-thread product's of the active
-    /// threads bit for bit, and it leaves the jitter stream where the
-    /// per-thread loop does.
+    /// threads bit for bit.
     #[test]
     fn capacity_factors_match_the_per_thread_product_bit_for_bit() {
         let mut gen = StdRng::seed_from_u64(0x0ca9_f4c7);
@@ -2428,33 +2471,22 @@ mod capacity_reference {
         let mut seen = [0usize; 5];
         for case in 0..480u64 {
             let (machine, apps, threads) = super::dense_reference::random_fleet(&mut gen);
-            let discrete = case % 2 == 1;
             let effects = EffectModel {
                 jitter: if case % 4 < 2 { 0.01 } else { 0.0 },
+                discrete_timeslice: case % 2 == 1,
                 ..EffectModel::skylake_like()
             };
             let rr_offset: Vec<usize> = (0..machine.num_nodes())
                 .map(|_| gen.gen_range(0..8usize))
                 .collect();
-            let (peak, t) = (machine.core_peak_gflops(), 0.5);
-            let mut rng = StdRng::seed_from_u64(case);
-            let mut reference_rng = rng.clone();
+            let (peak, t, key) = (machine.core_peak_gflops(), 0.5, (case, case * 1_000_003));
             let mut s = RateScratch::default();
             let flags = active_flags(&apps, t);
             rates_prologue(
-                &machine, &effects, peak, &apps, &flags, &threads, discrete, &mut rng, &rr_offset,
-                &mut s,
+                &machine, &effects, peak, &apps, &flags, &threads, key, &rr_offset, &mut s,
             );
             let (cap, on_core) = reference_cap(
-                &machine,
-                &effects,
-                peak,
-                &apps,
-                &threads,
-                t,
-                discrete,
-                &mut reference_rng,
-                &rr_offset,
+                &machine, &effects, peak, &apps, &threads, t, key, &rr_offset,
             );
             let active = active_ids(&apps, &threads, t);
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -2463,8 +2495,6 @@ mod capacity_reference {
                 bits(&gather(&cap, &active)),
                 "case {case}: cap"
             );
-            // SplitMix64's output is a bijection of its state.
-            assert_eq!(rng.next_u64(), reference_rng.next_u64(), "case {case}: RNG");
 
             let oversubscribed = machine
                 .nodes()
@@ -2479,5 +2509,61 @@ mod capacity_reference {
             }
         }
         assert!(seen.iter().all(|&n| n > 50), "{seen:?}");
+    }
+
+    /// A segment arbitrated again — a cut taken twice, with other
+    /// arbitrations in between — draws the jitter it drew the first time,
+    /// and a segment that starts at another tick draws other numbers: a
+    /// draw is keyed by (seed, thread, segment start), not read off a
+    /// stream.
+    #[test]
+    fn re_arbitrating_a_segment_draws_the_same_jitter() {
+        let mut gen = StdRng::seed_from_u64(0x0de7_a11e);
+        let effects = EffectModel {
+            jitter: 0.01,
+            ..EffectModel::skylake_like()
+        };
+        let mut jittered = 0;
+        for case in 0..64u64 {
+            let (machine, apps, threads) = super::dense_reference::random_fleet(&mut gen);
+            let (peak, flags) = (machine.core_peak_gflops(), active_flags(&apps, 0.5));
+            let rr_offset = vec![0; machine.num_nodes()];
+            let mut s = RateScratch::default();
+            let cap_bits = |now: Tick, s: &mut RateScratch| {
+                rates_prologue(
+                    &machine,
+                    &effects,
+                    peak,
+                    &apps,
+                    &flags,
+                    &threads,
+                    (case, now),
+                    &rr_offset,
+                    s,
+                );
+                s.cap.iter().map(|c| c.to_bits()).collect::<Vec<_>>()
+            };
+            let first = cap_bits(1_000_000, &mut s);
+            let later = cap_bits(2_000_000, &mut s);
+            for now in [0, 1_000_001, 3_000_000] {
+                compute_rates(
+                    &machine,
+                    &effects,
+                    peak,
+                    &apps,
+                    &flags,
+                    &threads,
+                    (case, now),
+                    &rr_offset,
+                    &mut s,
+                );
+            }
+            assert_eq!(cap_bits(1_000_000, &mut s), first, "case {case}");
+            if first.iter().any(|&c| c != 0) {
+                assert_ne!(later, first, "case {case}: another segment, other draws");
+                jittered += 1;
+            }
+        }
+        assert!(jittered > 30, "{jittered} fleets with a running thread");
     }
 }

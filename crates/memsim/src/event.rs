@@ -9,16 +9,16 @@
 //! events every rate in the system is constant, so bandwidth contention is
 //! arbitrated once per segment (`engine::compute_rates`) and work is
 //! integrated analytically as `rate × Δt`. The heap is one of two cut
-//! sources: under [`EngineKind::Slice`] a segment also ends at every
-//! multiple of the quantum (discrete round-robin time-slicing, a jitter
-//! draw per thread per quantum and windowed samples need that grid) and a
-//! run costs `duration / quantum` arbitrations; under [`EngineKind::Event`]
-//! cost scales with the number of events, which is what makes 5k-runtime ×
-//! 256-node fleets tractable (see `docs/performance.md`). Either way a
-//! segment's activity is classified at its midpoint, never by component
-//! state, so an edge the heap missed costs the grid a quantum of rounding
-//! and the event cuts a whole segment: `tests/engine_agreement.rs` holds
-//! the two to 1e-9.
+//! sources: under [`EngineKind::Slice`] (or discrete time-slicing) a segment
+//! also ends at every multiple of the quantum (rotation, a jitter draw per
+//! thread per quantum and windowed samples need that grid) and a run costs
+//! `duration / quantum` arbitrations; under [`EngineKind::Event`], the
+//! default, cost scales with the number of events, which is what makes
+//! 5k-runtime × 256-node fleets tractable (see `docs/performance.md`).
+//! Either way a segment's activity is classified at its midpoint, never by
+//! component state, so an edge the heap missed costs the grid a quantum of
+//! rounding and the event cuts a whole segment: `tests/engine_agreement.rs`
+//! holds the two to 1e-9.
 //!
 //! # Determinism
 //!
@@ -32,7 +32,7 @@
 
 use crate::engine::{compute_rates, expand_threads, EpochTracer, RateScratch, Thread};
 use crate::{ActivityPattern, EngineKind, SimApp, Simulation};
-use coop_alloc::rng::{splitmix64, StdRng};
+use coop_alloc::rng::splitmix64;
 use coop_telemetry::json::{self, FromJson, ToJson, Value};
 use coop_telemetry::{json_struct, json_write};
 use numa_topology::NodeId;
@@ -450,18 +450,15 @@ pub(crate) fn advance_time(
     let effects = &sim.config.effects;
     let num_nodes = machine.num_nodes();
     let peak = machine.core_peak_gflops();
-    let quantum = (cuts == EngineKind::Slice).then(|| s_to_tick(sim.config.quantum_s));
+    // Discrete round-robin time-slicing exists only on a quantum grid.
+    let quantum = (cuts == EngineKind::Slice || effects.discrete_timeslice)
+        .then(|| s_to_tick(sim.config.quantum_s));
     let window = quantum.map(|q| q.saturating_mul(SAMPLE_EVERY));
     let end = match quantum {
         Some(q) => ((duration_s / sim.config.quantum_s).ceil() as Tick).saturating_mul(q),
         None => s_to_tick(duration_s),
     }
     .max(1);
-    // Round-robin rotation is a per-quantum notion: without the grid,
-    // over-subscription is continuous fair shares, which the discrete mode
-    // matches in long-run throughput.
-    let discrete = quantum.is_some() && effects.discrete_timeslice;
-    let mut rng = StdRng::seed_from_u64(sim.config.seed);
 
     let tel = sim.run_telemetry();
 
@@ -530,8 +527,7 @@ pub(crate) fn advance_time(
             apps,
             &run.apps.active,
             &run.threads,
-            discrete,
-            &mut rng,
+            (sim.config.seed, now),
             &run.rr_offset,
             &mut run.rates,
         );
@@ -568,7 +564,7 @@ pub(crate) fn advance_time(
         // segment, and its mean rate is the segment's own, which the
         // division would only round.
         let on_grid = |step: Option<Tick>| step.is_none_or(|step| now.is_multiple_of(step));
-        if discrete && on_grid(quantum) {
+        if effects.discrete_timeslice && on_grid(quantum) {
             run.rates.rotate(machine, &mut run.rr_offset, tel.as_ref());
         }
         if on_grid(window) || now == end {

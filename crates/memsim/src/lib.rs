@@ -8,10 +8,10 @@
 //! Where the analytic model (`roofline-numa`) computes a steady state from
 //! the paper's five arbitration assumptions, `memsim` *executes* workloads
 //! segment by segment — one loop ([`event`]), cut at the workload's own edges
-//! and, by default, at a grid of time quanta ([`EngineKind`]) — and layers on
+//! and, under [`EngineKind::Slice`], at a grid of time quanta — and layers on
 //! the second-order effects that make real hardware deviate from the model:
 //!
-//! * per-quantum multiplicative **jitter** (seeded, deterministic),
+//! * per-segment multiplicative **jitter** (keyed draws, deterministic),
 //! * **remote-access inefficiency** — latency-limited links do not reach
 //!   their nominal bandwidth,
 //! * **saturation contention** — memory controllers lose efficiency as

@@ -112,7 +112,7 @@ impl Scenario {
 /// that over-subscribe get `model_gflops = NaN`-free `0.0` with the
 /// simulated value still reported.
 pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioResult> {
-    run_scenario_on(scenario, None, EngineKind::Slice)
+    run_scenario_on(scenario, None, EngineKind::default())
 }
 
 /// The general scenario runner: an optional telemetry hub (every
@@ -288,7 +288,7 @@ mod tests {
 
     #[test]
     fn event_engine_runs_the_template_scenario() {
-        let slice = run_scenario(&template()).unwrap();
+        let slice = run_scenario_on(&template(), None, EngineKind::Slice).unwrap();
         let event = run_scenario_on(&template(), None, EngineKind::Event).unwrap();
         assert_eq!(slice.rows.len(), event.rows.len());
         for (s, e) in slice.rows.iter().zip(&event.rows) {

@@ -1,7 +1,7 @@
 //! Cross-engine agreement: the quantum grid and the event heap are two ways
 //! of cutting the same loop over the same physics, and activity is
 //! classified per segment at its midpoint, never from the heap's state. So
-//! with the ideal effect model (no per-quantum jitter) the two must agree on
+//! with the ideal effect model (no jitter) the two must agree on
 //! throughput to float rounding wherever the edges lie — an edge the heap
 //! skips costs the event cuts a whole segment and the grid at most a
 //! quantum, which is how the grid caught `next_edge` skipping burst ends —
@@ -417,7 +417,8 @@ fn float_digest(result: &SimResult) -> (u64, usize) {
 /// `next_edge` stopped repeating an edge 1 ns later: the log is 685ff2c's
 /// less its two twins (11 000 001 and 15 000 001 ns; 15 segments then, 13
 /// now), and the floats are what 6c06162's event loop gives with that fix
-/// alone (the twins drew jitter).
+/// alone (the twins drew jitter), taken again with jitter drawn per (seed,
+/// thread, segment) alone.
 #[test]
 fn mixed_placements_replay_the_pinned_log_and_floats() {
     let (m, apps, schedule, duration) = mixed_placements();
@@ -440,7 +441,7 @@ fn mixed_placements_replay_the_pinned_log_and_floats() {
     );
     let (digest, floats) = float_digest(&result);
     assert_eq!(
-        digest, 0x140a_b217_f027_35a2,
+        digest, 0xba66_21ae_0aa0_0674,
         "the {floats} floats of the result"
     );
 }
@@ -450,7 +451,8 @@ fn mixed_placements_replay_the_pinned_log_and_floats() {
 /// sample is a window's banked work over its length (`banked / window_s`)
 /// rather than one segment's rate. Every float of the result is pinned by
 /// an FNV-1a digest taken at commit cbda849, when each window still
-/// appended to two vectors per app.
+/// appended to two vectors per app, and again with jitter drawn per (seed,
+/// thread, segment) alone.
 #[test]
 fn mixed_placements_replay_the_pinned_floats_on_the_grid() {
     let (m, apps, schedule, duration) = mixed_placements();
@@ -467,7 +469,7 @@ fn mixed_placements_replay_the_pinned_floats_on_the_grid() {
     );
     let (digest, floats) = float_digest(&result);
     assert_eq!(
-        digest, 0xddb6_5706_3a65_121b,
+        digest, 0xe8c7_29f2_f1fd_e7de,
         "the {floats} floats of the result"
     );
 }

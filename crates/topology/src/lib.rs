@@ -18,7 +18,7 @@
 //!   ordered system.
 //! * [`CpuSet`] — an affinity mask over the machine's cores with the usual
 //!   set algebra, mirroring `cpu_set_t`.
-//! * [`Binding`] — the three binding granularities the paper's runtime
+//! * [`BindingKind`] — the three binding granularities the paper's runtime
 //!   supports for worker threads: a specific core, any core of a NUMA node,
 //!   or unbound.
 //! * [`presets`] — ready-made machines, including the exact configurations
@@ -63,7 +63,7 @@ mod ids;
 mod machine;
 pub mod presets;
 
-pub use affinity::{Binding, BindingKind};
+pub use affinity::BindingKind;
 pub use cpuset::CpuSet;
 pub use error::TopologyError;
 pub use ids::{CoreId, NodeId};

@@ -64,7 +64,7 @@ pub mod prelude {
     pub use coop_runtime::{Runtime, RuntimeConfig, RuntimeStats};
     pub use coop_telemetry::{SloEngine, SloSpec, TelemetryHub, TenantLedger};
     pub use memsim::{EffectModel, SimApp, SimConfig, Simulation};
-    pub use numa_topology::{Binding, CoreId, CpuSet, Machine, MachineBuilder, NodeId};
+    pub use numa_topology::{CoreId, CpuSet, Machine, MachineBuilder, NodeId};
     pub use roofline_numa::{solve, AppSpec, DataPlacement, SolveReport};
 }
 
