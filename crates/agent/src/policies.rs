@@ -2,9 +2,9 @@
 
 use crate::{Policy, RuntimeStats, ThreadCommand};
 use coop_alloc::search::{GreedySearch, HillClimb, ModelOracle, SearchResult};
-use coop_alloc::{CacheStats, Objective, ScoreCache, SearchCounters};
+use coop_alloc::{CacheStats, ColumnTable, Objective, ScoreCache, SearchCounters};
 use numa_topology::Machine;
-use roofline_numa::{AppSpec, ThreadAssignment};
+use roofline_numa::{AppSpec, DataPlacement, ThreadAssignment};
 use std::sync::Arc;
 
 /// Converts one application's row of a [`ThreadAssignment`] into the
@@ -128,7 +128,9 @@ impl Policy for ProducerConsumerThrottle {
 }
 
 /// Threads every application keeps machine-wide under [`ModelGuided`]: the
-/// search satisfies this floor before it optimizes GFLOPS.
+/// search satisfies this floor before it optimizes GFLOPS. The exact path
+/// ([`ColumnTable`]) serves every application it decides, which is this
+/// floor.
 const MIN_THREADS_PER_APP: usize = 1;
 
 /// Hill-climb proposals per warm-started [`ModelGuided`] re-solve whose
@@ -143,16 +145,38 @@ const WARM_ITERATIONS: usize = 1500;
 /// "threads per NUMA node" (option 3), chosen with a model that
 /// understands both bandwidth sharing and data placement.
 ///
-/// A changed live set is solved cold (greedy); an unchanged one every
-/// `period` ticks by a hill climb **warm-started** from the previous
-/// assignment, on a [`ScoreCache`] kept while the live set holds. A strict
-/// local optimum is certified (one probe per neighbour), and a warm climb
-/// from a start the last one returned unchanged is skipped: its seed,
-/// iterations and context are fixed and cached scores exact, so it would
-/// return that start again. The latest search's cost ([`search_inputs`])
-/// goes into the policy's [`Prediction`](coop_telemetry::Prediction).
+/// **Exact path.** When every live application is
+/// [`DataPlacement::Local`], the model (objective [`Objective::TotalGflops`])
+/// is a sum of per-node terms and the policy decides exactly, from a
+/// [`ColumnTable`] built once over the NUMA-local applications among the
+/// `apps` it was given: a live set of them is a subset of that table's,
+/// so an eviction or a re-admission only merges the table again, and a
+/// warm tick on an unchanged set is settled without a search (its answer
+/// is already the optimum). [`new`](ModelGuided::new) builds the table;
+/// it is not built when those applications are past the table's limits
+/// ([`separable::MAX_APPS`], [`separable::MAX_COLUMNS`]), and a live set
+/// with more applications than cores is not decided exactly either.
+///
+/// **Fallback.** Otherwise (a coupled mix, or past the limits) a changed
+/// live set is solved cold (greedy); an unchanged one every `period` ticks
+/// by a hill climb **warm-started** from the previous assignment, on a
+/// [`ScoreCache`] kept while the live set holds. A strict local optimum is
+/// certified (one probe per neighbour), and a warm climb from a start the
+/// last one returned unchanged is skipped: its seed, iterations and context
+/// are fixed and cached scores exact, so it would return that start again.
+///
+/// The latest search's cost ([`search_inputs`]) goes into the policy's
+/// [`Prediction`](coop_telemetry::Prediction). For an exact decision,
+/// `search/evaluations` counts the columns the table scored on the first
+/// one and is 0 on every later one (the table is reused), the solve
+/// counters are 0 (columns are scored in closed form, not by the solver),
+/// and `search/warm_start` is 0: an exact decision is only ever made for a
+/// changed live set.
 ///
 /// [`search_inputs`]: ModelGuided::search_inputs
+/// [`DataPlacement::Local`]: roofline_numa::DataPlacement::Local
+/// [`separable::MAX_APPS`]: coop_alloc::separable::MAX_APPS
+/// [`separable::MAX_COLUMNS`]: coop_alloc::separable::MAX_COLUMNS
 pub struct ModelGuided {
     machine: Machine,
     apps: Vec<AppSpec>,
@@ -160,11 +184,28 @@ pub struct ModelGuided {
     pub period: u64,
     last: Option<Solved>,
     cache: Option<Arc<ScoreCache>>,
+    /// The exact path's table, built in [`new`](ModelGuided::new); `None`
+    /// when no application is NUMA-local or they are past its limits.
+    exact: Option<Exact>,
+    /// The columns the table scored are not yet in any `search_inputs()`.
+    columns_unreported: bool,
     last_counters: SearchCounters,
     last_evaluations: usize,
     last_warm: bool,
-    /// The latest warm search returned its start unchanged.
+    /// The latest decision cannot change while the live set holds: an
+    /// exact one, or a warm search that returned its start unchanged.
     settled: bool,
+}
+
+/// The exact path's table and which of the policy's `apps` it covers.
+struct Exact {
+    table: ColumnTable,
+    /// Positions in `apps` of the table's applications, ascending.
+    covers: Vec<usize>,
+}
+
+fn is_local(app: &AppSpec) -> bool {
+    matches!(app.placement, DataPlacement::Local)
 }
 
 /// The most recent solve: the live set it covered (runtime names in
@@ -182,12 +223,18 @@ impl ModelGuided {
     /// quarantined or evicted runtime shrinks the solve to the live set
     /// (its cores flow to the survivors) instead of stalling it.
     pub fn new(machine: Machine, apps: Vec<AppSpec>) -> Self {
+        let covers: Vec<usize> = (0..apps.len()).filter(|&i| is_local(&apps[i])).collect();
+        let local: Vec<AppSpec> = covers.iter().map(|&i| apps[i].clone()).collect();
+        let exact = ColumnTable::build(&machine, &local, &Objective::TotalGflops)
+            .map(|table| Exact { table, covers });
         ModelGuided {
             machine,
             apps,
             period: 10,
             last: None,
             cache: None,
+            columns_unreported: exact.is_some(),
+            exact,
             last_counters: SearchCounters::default(),
             last_evaluations: 0,
             last_warm: false,
@@ -202,7 +249,7 @@ impl ModelGuided {
     }
 
     /// Solver-work counters of the most recent search (zero for a skipped
-    /// one).
+    /// one, and for an exact decision).
     pub fn last_search_counters(&self) -> SearchCounters {
         self.last_counters
     }
@@ -222,9 +269,25 @@ impl ModelGuided {
     }
 
     /// Hit/miss/insert statistics of the persistent score cache, if a
-    /// search has run.
+    /// fallback search has run.
     pub fn cache_stats(&self) -> Option<CacheStats> {
         self.cache.as_ref().map(|c| c.stats())
+    }
+
+    /// The exact decision over the live applications (positions in
+    /// `apps`, in stats order), if the exact path takes them.
+    /// `evaluations` is the columns the table scored on the first exact
+    /// decision, 0 on every later one.
+    fn decide_exactly(&mut self, live: &[usize]) -> Option<SearchResult> {
+        let exact = self.exact.as_ref()?;
+        let rows: Option<Vec<usize>> = (live.iter())
+            .map(|i| exact.covers.binary_search(i).ok())
+            .collect();
+        let mut found = exact.table.decide(&rows?)?;
+        if std::mem::take(&mut self.columns_unreported) {
+            found.evaluations = exact.table.columns();
+        }
+        Some(found)
     }
 
     /// Runs the model search over the live set. The oracle penalizes
@@ -293,12 +356,13 @@ impl Policy for ModelGuided {
         }
         // Specs by name; silent if a polled runtime has none (the policy
         // cannot model it).
-        let live_apps: Option<Vec<AppSpec>> = (stats.iter())
-            .map(|s| self.apps.iter().find(|a| a.name == s.name).cloned())
+        let live: Option<Vec<usize>> = (stats.iter())
+            .map(|s| self.apps.iter().position(|a| a.name == s.name))
             .collect();
-        let Some(live_apps) = live_apps.filter(|apps| !apps.is_empty()) else {
+        let Some(live) = live.filter(|live| !live.is_empty()) else {
             return Vec::new();
         };
+        let live_apps: Vec<AppSpec> = live.iter().map(|&i| self.apps[i].clone()).collect();
         // Same live set: warm-start from the previous assignment. A
         // changed set means the previous matrix has the wrong shape (and
         // the wrong meaning), so solve cold.
@@ -306,13 +370,15 @@ impl Policy for ModelGuided {
             .filter(|_| same_set)
             .map(|l| l.assignment.clone());
         self.last_warm = warm_from.is_some();
-        let Some(found) = self.search(&live_apps, warm_from) else {
+        let exact = self.decide_exactly(&live);
+        let settled = exact.is_some();
+        let Some(found) = exact.or_else(|| self.search(&live_apps, warm_from)) else {
             return Vec::new();
         };
         (self.last_counters, self.last_evaluations) = (found.counters, found.evaluations);
         let assignment = found.assignment;
         let changed = !same_set || self.last.as_ref().map(|l| &l.assignment) != Some(&assignment);
-        self.settled = !changed;
+        self.settled = settled || !changed;
         let names = stats.iter().map(|s| s.name.clone()).collect();
         let last = self.last.insert(Solved {
             names,
@@ -553,10 +619,81 @@ mod tests {
     }
 
     #[test]
-    fn model_guided_warm_starts_and_keeps_the_cache_across_ticks() {
+    fn model_guided_decides_local_mixes_exactly_and_reuses_its_table() {
         let m = paper_model_machine();
         let apps = vec![
             AppSpec::numa_local("mem1", 0.5),
+            AppSpec::numa_local("mem2", 0.5),
+            AppSpec::numa_local("comp", 10.0),
+        ];
+        let mut p = ModelGuided::new(m.clone(), apps.clone());
+        p.period = 1;
+        let all: Vec<RuntimeStats> = apps.iter().map(|a| fake_stats(&a.name, &[], 0)).collect();
+        let cmds = p.tick(&all, 0);
+        assert!(cmds.iter().all(|c| c.is_some()));
+        let exact = ColumnTable::search(&m, &apps, &Objective::TotalGflops).unwrap();
+        assert_eq!(p.last_assignment(), Some(&exact.assignment));
+        let inputs = p.search_inputs();
+        assert_eq!(inputs[3].1, exact.evaluations as f64, "the columns scored");
+        assert_eq!(p.last_search_counters(), SearchCounters::default());
+        assert!(p.cache_stats().is_none(), "no fallback search ran");
+
+        // On-period, same set: settled, no search.
+        assert!(p.tick(&all, 1).is_empty());
+        assert_eq!(p.search_inputs()[3].1, 0.0);
+
+        // An eviction re-merges the table: no column scored again, and the
+        // survivors' decision is their own exact one.
+        let survivors = [all[0].clone(), all[2].clone()];
+        assert!(p.tick(&survivors, 2).iter().all(|c| c.is_some()));
+        assert_eq!(p.search_inputs()[3].1, 0.0, "the table was reused");
+        let live = [apps[0].clone(), apps[2].clone()];
+        let own = ColumnTable::search(&m, &live, &Objective::TotalGflops).unwrap();
+        assert_eq!(p.last_assignment(), Some(&own.assignment));
+    }
+
+    #[test]
+    fn model_guided_past_the_exact_limits_commands_the_greedy_then_the_climb() {
+        // One NUMA-local application more than a table covers: no table,
+        // and the policy commands what the greedy, then the warm climb
+        // from it, give.
+        let m = paper_model_machine();
+        let apps: Vec<AppSpec> = (0..=coop_alloc::separable::MAX_APPS)
+            .map(|i| AppSpec::numa_local(&format!("a{i}"), 0.25 * (i + 1) as f64))
+            .collect();
+        let mut p = ModelGuided::new(m.clone(), apps.clone());
+        p.period = 1;
+        assert!(p.exact.is_none(), "past MAX_APPS: no table built");
+        let stats: Vec<RuntimeStats> = apps.iter().map(|a| fake_stats(&a.name, &[], 0)).collect();
+        let oracle = || {
+            ModelOracle::new(&m, &apps, &Objective::TotalGflops)
+                .unwrap()
+                .with_min_threads(MIN_THREADS_PER_APP)
+        };
+
+        assert!(p.tick(&stats, 0).iter().all(|c| c.is_some()));
+        let greedy = GreedySearch::new().run_model(&m, &mut oracle()).unwrap();
+        assert_eq!(p.last_assignment(), Some(&greedy.assignment));
+        assert!(p.search_inputs()[3].1 > 0.0 && p.cache_stats().is_some());
+
+        p.tick(&stats, 1);
+        let climbed = HillClimb::new()
+            .with_iterations(WARM_ITERATIONS)
+            .with_start(greedy.assignment)
+            .run_model(&m, &mut oracle())
+            .unwrap();
+        assert_eq!(p.last_assignment(), Some(&climbed.assignment));
+        assert_eq!(p.search_inputs()[4].1, 1.0, "a warm climb");
+        assert!(p.exact.is_none());
+    }
+
+    #[test]
+    fn model_guided_warm_starts_and_keeps_the_cache_across_ticks() {
+        // One NUMA-bad application couples the nodes: the greedy and the
+        // warm climb decide.
+        let m = paper_model_machine();
+        let apps = vec![
+            AppSpec::numa_bad("mem1", 0.5, numa_topology::NodeId(0)),
             AppSpec::numa_local("comp", 10.0),
         ];
         let mut p = ModelGuided::new(m, apps);

@@ -6,9 +6,9 @@ use coop_agent::policies::{ModelGuided, ProducerConsumerThrottle};
 use coop_agent::{Policy, RuntimeStats, ThreadCommand};
 use coop_alloc::cases::check;
 use coop_alloc::search::{GreedySearch, HillClimb, ModelOracle};
-use coop_alloc::Objective;
+use coop_alloc::{ColumnTable, Objective};
 use numa_topology::{MachineBuilder, NodeId};
-use roofline_numa::{AppSpec, ThreadAssignment};
+use roofline_numa::{AppSpec, DataPlacement, ThreadAssignment};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -106,16 +106,22 @@ fn throttle_converges_under_steady_pressure() {
 }
 
 /// A warm search `ModelGuided` skips — over the live set of its last one,
-/// from an incumbent that one returned unchanged — would have returned that
-/// incumbent. On random machines, local and NUMA-bad mixes and live-set
-/// sequences the policy holds, tick by tick, what its searches give run
-/// every time on a fresh oracle: the cold greedy on a new live set, and the
-/// 1 500-proposal climb from the incumbent every `period` ticks. So on
-/// every skipped tick that climb ends on the incumbent; the skip changes
-/// no decision and records no solver work.
+/// from an incumbent that one returned unchanged or decided exactly — would
+/// have returned that incumbent. On random machines, local and NUMA-bad
+/// mixes and live-set sequences the policy holds, tick by tick, what its
+/// searches give run every time from scratch: on a new live set the exact
+/// decision (`ColumnTable::search` over that set alone) when every live
+/// application is NUMA-local and the policy's one table over its local
+/// applications is within the limits, else the cold greedy; then, for a
+/// coupled set, the 1 500-proposal climb from the incumbent every `period`
+/// ticks. So on every skipped tick that climb ends on the incumbent, an
+/// exact decision is never searched again while its set holds, and a skip
+/// changes no decision and records no solver work.
 #[test]
 fn a_skipped_warm_search_would_return_its_incumbent() {
-    let (skipped, moved) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    // Climb skips (each checked against a real climb), climbs that moved,
+    // exact decisions, and due ticks an exact decision settled.
+    let [skipped, moved, exact, settled] = [(); 4].map(|_| AtomicUsize::new(0));
     check(3, 64, |g| {
         let nodes = g.range(1..5usize);
         let machine = (0..nodes)
@@ -136,11 +142,16 @@ fn a_skipped_warm_search_would_return_its_incumbent() {
                 }
             })
             .collect();
+        let objective = Objective::TotalGflops;
+        let is_local = |a: &AppSpec| matches!(a.placement, DataPlacement::Local);
+        let local: Vec<AppSpec> = specs.iter().filter(|a| is_local(a)).cloned().collect();
+        let tabled = ColumnTable::build(&machine, &local, &objective).is_some();
         let mut policy = ModelGuided::new(machine.clone(), specs.clone());
         policy.period = g.range(1..4u64);
         let mut live: Vec<usize> = (0..specs.len()).collect();
-        // The reference: the live set searched last, and its answer.
-        let mut reference: Option<(Vec<usize>, ThreadAssignment)> = None;
+        // The reference: the live set searched last, its answer, and
+        // whether that answer was exact.
+        let mut reference: Option<(Vec<usize>, ThreadAssignment, bool)> = None;
         for tick in 0..g.range(10..40u64) {
             if g.bool(0.1) {
                 live = (0..specs.len()).filter(|_| g.bool(0.7)).collect();
@@ -157,15 +168,24 @@ fn a_skipped_warm_search_would_return_its_incumbent() {
                 continue;
             }
             let apps: Vec<AppSpec> = live.iter().map(|&i| specs[i].clone()).collect();
-            let objective = Objective::TotalGflops;
             let mut oracle = ModelOracle::new(&machine, &apps, &objective)
                 .unwrap()
                 .with_min_threads(1);
-            let warm = reference.take().filter(|(searched, _)| *searched == live);
+            let warm = reference
+                .take()
+                .filter(|(searched, _, _)| *searched == live);
             let due = tick.is_multiple_of(policy.period);
-            let found = match warm {
-                Some((_, incumbent)) if !due => incumbent,
-                Some((_, incumbent)) => {
+            let (found, decided) = match warm {
+                Some((_, incumbent, true)) => {
+                    if due {
+                        settled.fetch_add(1, Ordering::Relaxed);
+                        assert_eq!(policy.search_inputs()[3].1, 0.0, "tick {tick}");
+                        assert_eq!(policy.last_search_counters(), Default::default());
+                    }
+                    (incumbent, true)
+                }
+                Some((_, incumbent, false)) if !due => (incumbent, false),
+                Some((_, incumbent, false)) => {
                     let climbed = HillClimb::new()
                         .with_iterations(1500)
                         .with_start(incumbent.clone())
@@ -179,19 +199,32 @@ fn a_skipped_warm_search_would_return_its_incumbent() {
                     } else if climbed != incumbent {
                         moved.fetch_add(1, Ordering::Relaxed);
                     }
-                    climbed
+                    (climbed, false)
                 }
                 None => {
-                    GreedySearch::new()
-                        .run_model(&machine, &mut oracle)
-                        .unwrap()
-                        .assignment
+                    let best = (tabled && apps.iter().all(is_local))
+                        .then(|| ColumnTable::search(&machine, &apps, &objective))
+                        .flatten();
+                    match best {
+                        Some(best) => {
+                            exact.fetch_add(1, Ordering::Relaxed);
+                            (best.assignment, true)
+                        }
+                        None => {
+                            let greedy = GreedySearch::new().run_model(&machine, &mut oracle);
+                            (greedy.unwrap().assignment, false)
+                        }
+                    }
                 }
             };
             assert_eq!(policy.last_assignment(), Some(&found), "tick {tick}");
-            reference = Some((live.clone(), found));
+            reference = Some((live.clone(), found, decided));
         }
     });
-    println!("{skipped:?} skipped searches, {moved:?} climbs that moved");
+    println!(
+        "{skipped:?} skipped climbs, {moved:?} climbs that moved, \
+         {exact:?} exact decisions, {settled:?} due ticks settled by one"
+    );
     assert!(skipped.into_inner() > 50 && moved.into_inner() > 0);
+    assert!(exact.into_inner() > 0 && settled.into_inner() > 0);
 }

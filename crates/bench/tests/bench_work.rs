@@ -11,8 +11,9 @@
 //! `live_squeeze` round's spawn (calls and bytes) and execution, per task. The runs are the budget tests' (memsim's, the
 //! agent's and the runtime's `tests/work/mod.rs`), which hold their
 //! measurements to these cells. Beside them, the search layer's: the
-//! agent's cold search (evaluations and calls) and one sequential
-//! exhaustive scan (calls), run here.
+//! agent's cold search (evaluations and calls), one sequential exhaustive
+//! scan (calls), and the agent's exact decision, cold (columns and calls)
+//! and reusing its table (calls), run here.
 //!
 //! The test measures every cell and compares them with the committed file.
 //! On any difference it rewrites the file — the cells, the rustc that
@@ -33,11 +34,12 @@ mod memsim_work;
 mod runtime_work;
 
 use coop_alloc::search::{ExhaustiveSearch, GreedySearch, ModelOracle};
-use coop_alloc::{Objective, ScoreCache};
+use coop_alloc::{ColumnTable, Objective, ScoreCache};
 use coop_telemetry::json::{self, Value};
 use coop_workloads::apps::{model_mix, skylake_mix};
 use memsim::EngineKind;
 use numa_topology::presets::{paper_model_machine, paper_skylake_machine};
+use roofline_numa::AppSpec;
 use std::process::Command;
 use std::sync::Arc;
 
@@ -55,11 +57,16 @@ fn first_line_of(program: &str, args: &[&str]) -> String {
 }
 
 /// The search layer's cells: the evaluations and allocator calls of the
-/// agent's cold search — one `GreedySearch::run_model` on a fresh
-/// `ModelOracle` (thread floor 1, fresh score cache) over the Table III mix
-/// on the paper's Skylake — and the allocator calls of one sequential
-/// `ExhaustiveSearch::run` over the paper machine's uniform space.
-fn search() -> [(String, f64); 3] {
+/// agent's cold search on a coupled mix — one `GreedySearch::run_model` on
+/// a fresh `ModelOracle` (thread floor 1, fresh score cache) over the
+/// Table III mix on the paper's Skylake — and the allocator calls of one
+/// sequential `ExhaustiveSearch::run` over the paper machine's uniform
+/// space; then the agent's exact decision on `ctl_chaos`'s shape (eight
+/// NUMA-local applications, AI 1/32 to 32, on the paper machine's 4 × 8):
+/// the columns and allocator calls of a cold one, which builds its table,
+/// and the allocator calls of a live-set change (one application evicted)
+/// that reuses it.
+fn search() -> [(String, f64); 6] {
     let objective = Objective::TotalGflops;
     let (machine, specs) = (paper_skylake_machine(), skylake_mix());
     let oracle = ModelOracle::new(&machine, &specs, &objective)
@@ -76,10 +83,31 @@ fn search() -> [(String, f64); 3] {
     let (scan, scan_cost) =
         counting::cost_of(|| ExhaustiveSearch::new().run(&machine, &specs, &objective));
     scan.expect("the uniform space is under the limit");
+    let chaos: Vec<AppSpec> = (0..8)
+        .map(|i| {
+            AppSpec::numa_local(
+                &format!("app{i}"),
+                2f64.powf(f64::from(i) * 10.0 / 7.0 - 5.0),
+            )
+        })
+        .collect();
+    let (exact, exact_cost) =
+        counting::cost_of(|| ColumnTable::search(&machine, &chaos, &objective));
+    let exact = exact.expect("eight local applications fit the exact path");
+    let table = ColumnTable::build(&machine, &chaos, &objective).expect("and build its table");
+    let survivors: Vec<usize> = (1..8).collect();
+    let (reused, reuse_cost) = counting::cost_of(|| table.decide(&survivors));
+    reused.expect("the survivors are decided from the same table");
     [
         ("search.cold.evaluations".into(), cold.evaluations as f64),
         ("search.cold.calls".into(), cold_cost.calls as f64),
         ("search.exhaustive.calls".into(), scan_cost.calls as f64),
+        ("search.separable.columns".into(), exact.evaluations as f64),
+        ("search.separable.calls".into(), exact_cost.calls as f64),
+        (
+            "search.separable.reuse_calls".into(),
+            reuse_cost.calls as f64,
+        ),
     ]
 }
 

@@ -95,6 +95,10 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// policy came to decide them: each is byte-equal to the same row without
 /// `--reoptimize` at that commit's parent, run on `scenario.json` with the
 /// policy's cold greedy rows `[[8,10,10,8],[1,0,0,1],[1,0,0,1],[10,10,10,10]]`
+/// in place of (1,1,1,17). They were taken again when the policy came to
+/// decide NUMA-local mixes exactly: each is byte-equal to the same row
+/// without `--reoptimize` at that commit's parent, run on `scenario.json`
+/// with the exact decision's rows `[[0,0,0,1],[0,0,0,1],[0,0,0,1],[20,20,20,17]]`
 /// in place of (1,1,1,17).
 /// The 21 `simulate`/`drift` rows without `--engine` and the two
 /// `top --format prom` rows were taken again when the event heap became the
@@ -148,17 +152,17 @@ const GOLDEN: &[(&str, u64)] = &[
     ("simulate --scenario scenario.json --fault 3:0.02:0.06 --fault 0:0.01 --no-reclaim", 0x4b808619cc0e1a7f),
     ("simulate --scenario scenario.json --json", 0x1d8139f5373df9e9),
     ("drift", 0x6de4fea2248634a8),
-    ("drift --reoptimize", 0xfda10b88abbded4e),
+    ("drift --reoptimize", 0xb2e9dd269b281790),
     ("drift --perturb 0:0.2:0.1", 0xb75000f650eb975e),
-    ("drift --perturb 0:0.2:0.1 --reoptimize", 0x699b4551e865fb17),
+    ("drift --perturb 0:0.2:0.1 --reoptimize", 0xb4b61c78069536cf),
     ("drift --format json", 0x0e51f01bac7144b9),
-    ("drift --reoptimize --format json", 0xb7545cacc7b998fb),
+    ("drift --reoptimize --format json", 0x4ed9ba2507eb4ce3),
     ("drift --perturb 0:0.2:0.1 --format json", 0x3b7c911e42e7a129),
-    ("drift --perturb 0:0.2:0.1 --reoptimize --format json", 0x2b8e7fc8a206fd83),
+    ("drift --perturb 0:0.2:0.1 --reoptimize --format json", 0x4ed9ba2507eb4ce3),
     ("drift --format prom", 0xd1e0b94cf3308d50),
-    ("drift --reoptimize --format prom", 0x8b3a36e47f95b466),
+    ("drift --reoptimize --format prom", 0x28af8df613431bf1),
     ("drift --perturb 0:0.2:0.1 --format prom", 0x138bdce5b1df4cd2),
-    ("drift --perturb 0:0.2:0.1 --reoptimize --format prom", 0xb638635494d5d060),
+    ("drift --perturb 0:0.2:0.1 --reoptimize --format prom", 0x45170ac9d0f34746),
     ("drift --scenario scenario.json --duration 0.1 --engine event", 0x48594d59d9d93aee),
     ("drift --duration 0.1 --engine event --json", 0x5518a25fde5d5c50),
     ("drift --perturb 0:0.5:0.05 --perturb 1:0.8 --decision-period 0.02 --duration 0.3 --ewma 0.4 --cusum-k 0.1 --cusum-h 0.8", 0x51b9f3a0e4879e5a),

@@ -41,7 +41,7 @@ pub fn node_compositions(total: usize, parts: usize) -> Vec<Vec<usize>> {
 }
 
 /// `C(n, k)` as a `u128`, saturating.
-fn binom(n: u128, k: u128) -> u128 {
+pub(crate) fn binom(n: u128, k: u128) -> u128 {
     let k = k.min(n - k.min(n));
     let mut acc: u128 = 1;
     for i in 0..k {

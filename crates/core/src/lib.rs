@@ -26,6 +26,9 @@
 //!   choose" question open as future work; these searches make the
 //!   machinery concrete and are compared in the `alloc_search` ablation
 //!   bench.
+//! * [`separable`] — the exact decision for NUMA-local mixes under a sum
+//!   objective: per-node column tables built once ([`ColumnTable`]), then a
+//!   DP over nodes whose state is the set of applications served so far.
 //! * [`cache`] — a memoized score store shared across strategies and agent
 //!   ticks, keyed by the canonical assignment matrix and fingerprinted to
 //!   one solving context. See `docs/performance.md` for the cost model.
@@ -65,6 +68,7 @@ mod objective;
 pub mod pareto;
 pub mod rng;
 pub mod search;
+pub mod separable;
 pub mod strategies;
 
 pub use cache::{context_fingerprint, CacheStats, ScoreCache};
@@ -72,6 +76,7 @@ pub use error::AllocError;
 pub use objective::{score, Objective};
 pub use pareto::{pareto_frontier, ParetoPoint};
 pub use search::{ModelOracle, Portfolio, Scorer, SearchCounters, SearchResult};
+pub use separable::ColumnTable;
 
 // Re-export the assignment type: it is the lingua franca between this
 // crate, the model, the agent, and the simulator.

@@ -22,6 +22,14 @@
 //! * [`SimulatedAnnealing`] — like the hill climb, but accepts worsening
 //!   moves with a temperature-controlled probability, escaping the local
 //!   optima that trap greedy/hill-climb on placement-sensitive mixes.
+//! * [`ColumnTable`](crate::ColumnTable) (module [`separable`](crate::separable)) —
+//!   exact, not a [`Scorer`] search: when every application is NUMA-local
+//!   and the objective a sum, per-node column tables built once and a DP
+//!   over served-application sets give the optimum with every application
+//!   kept at one thread or more. It returns `None` for a coupled mix, a
+//!   non-sum objective or past its limits (10 applications, 2^17 columns per
+//!   node shape), and the caller falls back to the searches above; the
+//!   agent's `ModelGuided` does (greedy cold, warm hill climb).
 //!
 //! The local searches also offer a multi-start **portfolio** mode
 //! ([`HillClimb::run_portfolio`], [`SimulatedAnnealing::run_portfolio`])

@@ -394,3 +394,135 @@ fn enumeration_counts_are_exact() {
         assert_eq!(n_uni, actual_uni as u128);
     });
 }
+
+/// A random NUMA-local mix on a random small machine whose full space is
+/// small enough to scan: 2–5 nodes of 1–4 cores, each node its own
+/// bandwidth, 1–4 applications.
+fn small_local_case(g: &mut coop_alloc::cases::Gen) -> (numa_topology::Machine, Vec<AppSpec>) {
+    loop {
+        let nodes = g.range(2..6usize);
+        let machine = (0..nodes)
+            .fold(MachineBuilder::new(), |b, _| {
+                b.add_node(g.range(1..5usize), g.range(4.0..64.0), 16.0)
+            })
+            .core_peak_gflops(g.range(1.0..16.0))
+            .uniform_link_gbs(10.0)
+            .build()
+            .unwrap();
+        let apps: Vec<AppSpec> = (0..g.range(1..5usize))
+            .map(|i| AppSpec::numa_local(&format!("a{i}"), g.range(0.02..32.0)))
+            .collect();
+        if enumerate::count_assignments(&machine, apps.len()) <= 20_000 {
+            return (machine, apps);
+        }
+    }
+}
+
+/// The exact decision is the optimum: on random small machines with
+/// asymmetric core counts and bandwidths and NUMA-local mixes, every
+/// application keeping at least one thread, the DP's assignment rescored by
+/// `ModelOracle` is within 1e-9 relative of `ExhaustiveSearch::full_space`'s
+/// best and never above it, under `TotalGflops` and `WeightedGflops`; it
+/// declines exactly when there are more applications than cores. A live
+/// subset decided from the full set's table is the subset's own decision.
+#[test]
+fn separable_decision_is_the_full_space_optimum() {
+    use coop_alloc::search::{ExhaustiveSearch, ModelOracle};
+    use coop_alloc::ColumnTable;
+    check(12, 64, |g| {
+        let (m, apps) = small_local_case(g);
+        let objective = if g.bool(0.5) {
+            Objective::TotalGflops
+        } else {
+            Objective::WeightedGflops(apps.iter().map(|_| g.range(0.1..4.0)).collect())
+        };
+        let oracle = || ModelOracle::new(&m, &apps, &objective).map(|o| o.with_min_threads(1));
+        let Some(found) = ColumnTable::search(&m, &apps, &objective) else {
+            assert!(
+                apps.len() > m.total_cores(),
+                "declined a feasible local mix"
+            );
+            return;
+        };
+        let best = ExhaustiveSearch::new()
+            .full_space()
+            .run_with(&m, apps.len(), oracle)
+            .unwrap();
+        let rescored = oracle().unwrap().score(&found.assignment).unwrap();
+        assert!(
+            rescored <= best.score,
+            "{rescored} above the optimum {}",
+            best.score
+        );
+        assert!(
+            best.score - rescored <= 1e-9 * best.score.abs(),
+            "{rescored} vs the optimum {} ({:?} vs {:?})",
+            best.score,
+            found.assignment,
+            best.assignment
+        );
+        assert!((found.score - rescored).abs() <= 1e-9 * rescored.abs());
+
+        let table = ColumnTable::build(&m, &apps, &objective).unwrap();
+        let live: Vec<usize> = (0..apps.len()).filter(|_| g.bool(0.6)).collect();
+        let subset: Vec<AppSpec> = live.iter().map(|&a| apps[a].clone()).collect();
+        let sub_objective = match &objective {
+            Objective::WeightedGflops(w) => {
+                Objective::WeightedGflops(live.iter().map(|&a| w[a]).collect())
+            }
+            other => other.clone(),
+        };
+        let own = ColumnTable::search(&m, &subset, &sub_objective);
+        let reused = table.decide(&live);
+        assert_eq!(
+            reused.as_ref().map(|r| (&r.assignment, r.score.to_bits())),
+            own.as_ref().map(|r| (&r.assignment, r.score.to_bits())),
+            "live {live:?}"
+        );
+    });
+}
+
+/// Outside its exact path the DP returns nothing, so the caller searches
+/// otherwise: a mix with one non-local application, more than `MAX_APPS`
+/// applications, more than `MAX_COLUMNS` columns on a node shape, a non-sum
+/// objective, or a live set it cannot decide.
+#[test]
+fn separable_decision_declines_coupled_and_oversized_mixes() {
+    use coop_alloc::separable::{MAX_APPS, MAX_COLUMNS};
+    use coop_alloc::ColumnTable;
+    use roofline_numa::DataPlacement;
+    check(13, CASES, |g| {
+        let (m, mut apps) = small_local_case(g);
+        let total = Objective::TotalGflops;
+        assert!(ColumnTable::build(&m, &apps, &Objective::MinAppGflops).is_none());
+        let table = ColumnTable::build(&m, &apps, &total).unwrap();
+        assert!(table.decide(&[]).is_none());
+        assert!(table.decide(&[apps.len()]).is_none());
+        if apps.len() > 1 {
+            assert!(table.decide(&[0, 0]).is_none());
+        }
+        let nodes = m.num_nodes();
+        let coupled = g.range(0..apps.len());
+        apps[coupled].placement = if g.bool(0.5) {
+            DataPlacement::SingleNode(NodeId(g.range(0..nodes)))
+        } else {
+            DataPlacement::Spread(vec![1.0 / nodes as f64; nodes])
+        };
+        assert!(ColumnTable::build(&m, &apps, &total).is_none());
+    });
+    let total = Objective::TotalGflops;
+    let many: Vec<AppSpec> = (0..=MAX_APPS)
+        .map(|i| AppSpec::numa_local(&format!("a{i}"), 0.5 + i as f64))
+        .collect();
+    assert!(ColumnTable::build(&machine(2, 1), &many, &total).is_none());
+    assert!(ColumnTable::build(&machine(2, 1), &many[..MAX_APPS], &total).is_some());
+    // A node of `c` cores has C(c + 7, 7) full columns of 8 applications:
+    // the weak compositions of at most `c` over 7.
+    let cores = (1..)
+        .find(|&c| enumerate::count_uniform_assignments(&machine(1, c), 7) > MAX_COLUMNS)
+        .unwrap();
+    let wide = unequal_machine(&[2, cores]);
+    assert!(ColumnTable::build(&wide, &many[..8], &total).is_none());
+    let narrow = unequal_machine(&[2, cores - 1]);
+    assert!(ColumnTable::build(&narrow, &many[..8], &total).is_some());
+}

@@ -77,7 +77,8 @@ pub use delta::DeltaSolver;
 pub use error::ModelError;
 pub use report::{AppReport, NodeReport, SolveReport, ThreadGrant};
 pub use solver::{
-    solve, solve_gflops, solve_with_options, BaselinePolicy, SolveOptions, SolveScratch,
+    solve, solve_gflops, solve_with_options, BaselinePolicy, LocalColumn, SolveOptions,
+    SolveScratch,
 };
 
 /// Result alias used throughout this crate.

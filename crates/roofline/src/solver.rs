@@ -309,6 +309,71 @@ pub(crate) fn arbitrate(
     Ok(())
 }
 
+/// One node's local stage in closed form, for scoring many thread columns
+/// of NUMA-local applications on one node shape.
+///
+/// With no remote demand (every application [`DataPlacement::Local`]), a
+/// node's arbitration depends only on its own column of thread counts
+/// `t`. Each thread of app `a` first gets `u_a = min(demand_a, baseline)`
+/// and keeps an unmet need `n_a`; the remainder `C − U` is split over
+/// `N`, so the node delivers `A + r·B` GFLOPS with `r = min(1, (C − U)/N)`,
+/// where `U = Σ t_a·u_a`, `N = Σ t_a·n_a`, and `A`, `B` are the same two
+/// sums weighted by AI. All four are linear in `t`, so a caller walking
+/// columns can keep them as running sums ([`terms`](LocalColumn::terms))
+/// and close each column in O(1) ([`gflops`](LocalColumn::gflops)). `U`
+/// and `N` accumulate exactly as the solver's local stage does; the
+/// delivered GFLOPS equal the solver's node GFLOPS up to rounding.
+///
+/// [`DataPlacement::Local`]: crate::DataPlacement::Local
+#[derive(Debug, Clone, PartialEq)]
+pub struct LocalColumn {
+    capacity: f64,
+    /// Per app, per thread: `[u, n, ai·u, ai·n]`.
+    terms: Vec<[f64; 4]>,
+}
+
+impl LocalColumn {
+    /// The local stage of `node` for `apps` under the paper's per-core
+    /// baseline. `None` if an application is not NUMA-local (its remote
+    /// traffic couples nodes) or fails validation.
+    pub fn new(machine: &Machine, node: NodeId, apps: &[AppSpec]) -> Option<LocalColumn> {
+        let spec = machine.node(node);
+        let peak = machine.core_peak_gflops();
+        let capacity = spec.bandwidth_gbs.max(0.0);
+        let baseline = capacity / spec.num_cores() as f64;
+        let terms = apps
+            .iter()
+            .map(|app| {
+                let local = matches!(app.placement, crate::DataPlacement::Local);
+                (local && app.validate(machine).is_ok()).then(|| {
+                    let demand = app.demand_per_thread_gbs(peak);
+                    let grant = demand.min(baseline);
+                    let need = (demand - grant).max(0.0);
+                    [grant, need, app.ai * grant, app.ai * need]
+                })
+            })
+            .collect::<Option<_>>()?;
+        Some(LocalColumn { capacity, terms })
+    }
+
+    /// App `app`'s per-thread contribution to the four sums `[U, N, A, B]`.
+    #[inline]
+    pub fn terms(&self, app: usize) -> [f64; 4] {
+        self.terms[app]
+    }
+
+    /// The node's GFLOPS from the four sums `[U, N, A, B]`.
+    #[inline]
+    pub fn gflops(&self, [used, need, a, b]: [f64; 4]) -> f64 {
+        let rest = (self.capacity - used).max(0.0);
+        // Both arms computed, so the choice compiles to a select: columns
+        // come in no order that a branch predictor could follow.
+        let ratio = (rest / need).min(1.0);
+        let ratio = if need > EPS && rest > EPS { ratio } else { 0.0 };
+        a + ratio * b
+    }
+}
+
 /// Allocation-free solve for search hot loops: arbitrates into the caller's
 /// [`SolveScratch`] and returns the per-app GFLOPS slice. Produces exactly
 /// the values `solve_with_options` would report as `AppReport::gflops`,

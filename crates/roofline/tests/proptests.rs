@@ -3,7 +3,7 @@
 
 use coop_alloc::cases::{check, Gen};
 use numa_topology::{MachineBuilder, NodeId};
-use roofline_numa::{solve, AppSpec, DataPlacement, ThreadAssignment};
+use roofline_numa::{solve, AppSpec, DataPlacement, LocalColumn, ThreadAssignment};
 
 const CASES: usize = 256;
 
@@ -260,5 +260,61 @@ fn local_apps_ignore_links() {
         let m2 = mk(link_b);
         let r2 = solve(&m2, &apps, &a1).unwrap();
         assert!((r1.total_gflops() - r2.total_gflops()).abs() < 1e-9);
+    });
+}
+
+/// `LocalColumn`'s closed form is the solver's local stage: on random
+/// asymmetric machines (core counts and bandwidths per node) with
+/// NUMA-local mixes, each node's column score — the four sums of `terms`
+/// over the column, closed by `gflops` — equals `solve`'s node GFLOPS within
+/// 1e-12 relative. A non-local application has no closed form.
+#[test]
+fn local_column_score_is_the_solvers_node_gflops() {
+    check(11, CASES, |g| {
+        let nodes = g.range(1..5usize);
+        let machine = (0..nodes)
+            .fold(MachineBuilder::new(), |b, _| {
+                b.add_node(g.range(1..13usize), g.range(1.0..200.0), 16.0)
+            })
+            .core_peak_gflops(g.range(0.1..50.0))
+            .uniform_link_gbs(g.range(0.0..50.0))
+            .build()
+            .unwrap();
+        let apps: Vec<AppSpec> = (0..g.range(1..6usize))
+            .map(|i| AppSpec::numa_local(&format!("a{i}"), g.range(0.01..64.0)))
+            .collect();
+        let counts: Vec<Vec<usize>> = (machine.nodes())
+            .map(|n| {
+                let mut left = n.num_cores();
+                (apps.iter())
+                    .map(|_| {
+                        let t = g.range(0..=left);
+                        left -= t;
+                        t
+                    })
+                    .collect()
+            })
+            .collect();
+        let rows = (0..apps.len())
+            .map(|a| counts.iter().map(|column| column[a]).collect())
+            .collect();
+        let report = solve(&machine, &apps, &ThreadAssignment::from_matrix(rows)).unwrap();
+        for (n, column) in counts.iter().enumerate() {
+            let local = LocalColumn::new(&machine, NodeId(n), &apps).unwrap();
+            let mut sums = [0.0; 4];
+            for (a, &t) in column.iter().enumerate() {
+                for (sum, term) in sums.iter_mut().zip(local.terms(a)) {
+                    *sum += t as f64 * term;
+                }
+            }
+            let (score, want) = (local.gflops(sums), report.nodes[n].gflops);
+            assert!(
+                (score - want).abs() <= 1e-12 * want.abs(),
+                "node {n}, column {column:?}: {score} vs {want}"
+            );
+        }
+        let mut coupled = apps.clone();
+        coupled[0].placement = DataPlacement::SingleNode(NodeId(g.range(0..nodes)));
+        assert_eq!(LocalColumn::new(&machine, NodeId(0), &coupled), None);
     });
 }
