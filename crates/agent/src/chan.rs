@@ -1,5 +1,5 @@
 //! The agent's one blocking channel: a bounded queue under a mutex and two
-//! condition variables, carrying every runtime's requests and replies
+//! condition variables, carrying an endpoint's requests and replies
 //! between its courier and its serving thread ([`crate::proto`]).
 //!
 //! It exists for how it waits. A supervised call hands its request to a

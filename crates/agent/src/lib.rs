@@ -90,7 +90,8 @@ pub enum AgentError {
         /// The deadline that elapsed.
         deadline: std::time::Duration,
     },
-    /// A runtime's serving thread (courier, endpoint) could not be spawned.
+    /// A support thread (an endpoint's serving thread, the agent's first
+    /// runner) could not be spawned.
     Spawn {
         /// Managed runtime's name.
         runtime: String,
@@ -155,8 +156,8 @@ pub trait RuntimeHandle: Send {
     fn command(&self, cmd: ThreadCommand) -> Result<()>;
     /// Gives up the channel this handle talks over, if it is one
     /// ([`proto::AgentSideEndpoint`]): a [`SupervisedHandle`] then calls
-    /// over it instead of putting a thread of its own in front of the
-    /// handle. `None`, the default, for a handle that calls in place.
+    /// over it instead of having the agent's runners call the handle in
+    /// place. `None`, the default, for a handle that is called in place.
     fn take_courier(&mut self) -> Option<proto::Courier> {
         None
     }

@@ -18,9 +18,10 @@
 //! (see `DESIGN.md`). The [`AgentSideEndpoint`] holds the courier and
 //! gives it up when the agent manages it ([`RuntimeHandle::take_courier`]):
 //! a supervised call goes agent → `<name>-endpoint` → runtime, one thread
-//! and two wake-ups. Any other handle gets a detached `<name>-courier`
-//! thread from its [`SupervisedHandle`](crate::SupervisedHandle), running
-//! the same loop.
+//! and two wake-ups. A handle that is not such a channel has no serving
+//! thread of its own: the agent's runners call it in place
+//! ([`supervise`](crate::supervise)), answering each request with the same
+//! function the serving loop uses.
 //!
 //! Failure semantics mirror a real IPC transport: no answer by the
 //! deadline is [`AgentError::Timeout`], a serving thread that is gone (or
@@ -83,6 +84,16 @@ fn wrong_reply(runtime: &str, asked: &str) -> AgentError {
     }
 }
 
+/// What `inner` answers to `request`: the call it names, or `None` for
+/// [`Request::Close`], which names none.
+pub(crate) fn answer(inner: &dyn RuntimeHandle, request: Request) -> Option<Result<Reply>> {
+    match request {
+        Request::GetStats => Some(inner.stats().map(Reply::Stats)),
+        Request::Apply(cmd) => Some(inner.command(cmd).map(|()| Reply::Done)),
+        Request::Close => None,
+    }
+}
+
 /// The one serving loop: answers each request with the call it names on
 /// `inner`, under the request's sequence number, until [`Request::Close`]
 /// or until either channel disconnects (dropping `inner`). A panic in
@@ -93,10 +104,8 @@ fn serve(
     replies: Sender<(u64, Result<Reply>)>,
 ) {
     while let Ok((seq, request)) = requests.recv() {
-        let reply = match request {
-            Request::GetStats => inner.stats().map(Reply::Stats),
-            Request::Apply(cmd) => inner.command(cmd).map(|()| Reply::Done),
-            Request::Close => break,
+        let Some(reply) = answer(&*inner, request) else {
+            break;
         };
         if replies.send((seq, reply)).is_err() {
             break;
@@ -105,8 +114,8 @@ fn serve(
 }
 
 /// The agent's end of one runtime's channel pair (see the module docs).
-/// Opaque: made by [`connect`] or a [`SupervisedHandle`](crate::SupervisedHandle),
-/// it changes hands through [`RuntimeHandle::take_courier`].
+/// Opaque: made by [`connect`], it changes hands through
+/// [`RuntimeHandle::take_courier`].
 pub struct Courier {
     name: String,
     /// How long a call may take, from its post.
@@ -121,11 +130,10 @@ pub struct Courier {
 }
 
 impl Courier {
-    /// Spawns [`serve`] over `inner` on a thread called `<name>-<role>` and
-    /// returns the agent's end with that thread's handle, or
+    /// Spawns [`serve`] over `inner` on a thread called `<name>-endpoint`
+    /// and returns the agent's end with that thread's handle, or
     /// [`AgentError::Spawn`].
-    pub(crate) fn spawn(
-        role: &str,
+    fn spawn(
         inner: Box<dyn RuntimeHandle>,
         call_deadline: Duration,
     ) -> Result<(Courier, JoinHandle<()>)> {
@@ -134,7 +142,7 @@ impl Courier {
         let (req, requests) = chan::bounded(1);
         let (replies, resp) = chan::bounded(1);
         let thread = std::thread::Builder::new()
-            .name(format!("{name}-{role}"))
+            .name(format!("{name}-endpoint"))
             .spawn(move || serve(inner, requests, replies))
             .map_err(|e| AgentError::Spawn {
                 runtime: name.clone(),
@@ -235,7 +243,7 @@ pub fn connect(runtime: Arc<Runtime>) -> Result<(AgentSideEndpoint, RuntimeSideE
 fn connect_over(inner: Box<dyn RuntimeHandle>) -> Result<(AgentSideEndpoint, RuntimeSideEndpoint)> {
     let name = inner.name();
     let deadline = DetectorConfig::default().call_deadline;
-    let (courier, thread) = Courier::spawn("endpoint", inner, deadline)?;
+    let (courier, thread) = Courier::spawn(inner, deadline)?;
     let runtime_side = RuntimeSideEndpoint {
         req: courier.req.clone(),
         thread: Some(thread),

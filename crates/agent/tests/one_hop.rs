@@ -1,8 +1,9 @@
-//! The agent reaches a runtime through one serving thread, whoever owns
-//! it: a `proto::connect` endpoint brings its own (`<name>-endpoint`) and
-//! the agent adopts it; any other handle gets a `<name>-courier`. Never
-//! both. Counted from the kernel's list of this process's threads, which is
-//! why this file holds a single test.
+//! The agent reaches a runtime through at most one thread: a
+//! `proto::connect` endpoint brings its own (`<name>-endpoint`) and the
+//! agent adopts it; every other handle is called in place by the agent's
+//! one `coop-runner`, however many there are. No handle gets a thread of
+//! its own in front of it. Counted from the kernel's list of this
+//! process's threads, which is why this file holds a single test.
 #![cfg(target_os = "linux")]
 
 use coop_agent::policies::FairShare;
@@ -27,7 +28,12 @@ fn threads_named(suffix: &str) -> Vec<String> {
 #[test]
 fn a_managed_runtime_is_one_thread_away() {
     let start = |name: &str| Arc::new(Runtime::start(RuntimeConfig::new(name, tiny())).unwrap());
-    let (a, b, c) = (start("hop-a"), start("hop-b"), start("hop-c"));
+    let (a, b, c, d) = (
+        start("hop-a"),
+        start("hop-b"),
+        start("hop-c"),
+        start("hop-d"),
+    );
     let (ep_a, _pump_a) = proto::connect(Arc::clone(&a)).unwrap();
     let (ep_b, _pump_b) = proto::connect(Arc::clone(&b)).unwrap();
 
@@ -35,20 +41,25 @@ fn a_managed_runtime_is_one_thread_away() {
     agent.manage(Box::new(ep_a));
     agent.manage(Box::new(ep_b));
     agent.manage(Box::new(Arc::clone(&c)));
+    agent.manage(Box::new(Arc::clone(&d)));
     for _ in 0..3 {
         agent.tick().unwrap();
     }
     let log = agent.log();
     assert!(log.errors.is_empty(), "{:?}", log.errors);
-    assert_eq!(log.decisions.len(), 3, "every runtime was reached");
+    assert_eq!(log.decisions.len(), 4, "every runtime was reached");
 
     let endpoints = threads_named("-endpoint");
-    let couriers = threads_named("-courier");
-    println!("serving threads: {endpoints:?} {couriers:?}");
+    let runners = threads_named("coop-runner");
+    println!("serving threads: {endpoints:?} {runners:?}");
     assert_eq!(endpoints, ["hop-a-endpoint", "hop-b-endpoint"]);
-    assert_eq!(couriers, ["hop-c-courier"], "an adopted endpoint has none");
+    assert_eq!(runners, ["coop-runner"], "one runner serves both in place");
+    assert!(
+        threads_named("-courier").is_empty(),
+        "no handle has its own"
+    );
 
-    for rt in [a, b, c] {
+    for rt in [a, b, c, d] {
         rt.shutdown();
     }
 }

@@ -6,7 +6,9 @@
 //! may not make more allocator calls than its committed `BENCH_work.json`
 //! cell, and neither may the tick in which one runtime is evicted and
 //! another contained (one command phase: the reclaim and containment
-//! commands go out in the same scatter).
+//! commands go out in the same scatter), nor a whole 240-tick life with a
+//! kill and a revive, which may not start more threads than its cell
+//! either (one runner serves the eight in place).
 //!
 //! At commit 0eba4bc a tick looked `scheduler_locality(registry, name)` up
 //! for every tenant (36 allocations each: five keys of a name, a label
@@ -39,4 +41,12 @@ fn steady_state_tick_stays_within_its_allocation_budget() {
         calls <= budget,
         "{name}: the tick of an eviction and a containment made {calls:.1} allocator calls (committed {budget})"
     );
+    for (name, measured) in work::agent_episode() {
+        println!("{name}: {measured:.1}");
+        let budget = counting::committed(&name);
+        assert!(
+            measured <= budget,
+            "{name}: an agent's life measured {measured:.1} (committed {budget})"
+        );
+    }
 }

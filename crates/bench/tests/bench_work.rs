@@ -7,7 +7,9 @@
 //! re-optimizing, on both engines (calls and bytes); what a `ctl_paper` run
 //! pays besides its ticks; one `fleet_outages` run, and its segments; one
 //! `fleet_diurnal` run per tenant, and its segments, events and wake-ups; a quiet and a commanding `Agent::tick` over eight
-//! runtimes, and one that evicts a runtime and contains another; and a
+//! runtimes, and one that evicts a runtime and contains another, and the
+//! allocator calls and threads of an agent's 240-tick life with a kill and
+//! a revive; and a
 //! `live_squeeze` round's spawn (calls and bytes) and execution, per task. The runs are the budget tests' (memsim's, the
 //! agent's and the runtime's `tests/work/mod.rs`), which hold their
 //! measurements to these cells. Beside them, the search layer's: the
@@ -125,6 +127,7 @@ fn measure() -> Vec<(String, f64)> {
     cells.push(agent_work::agent_tick(false));
     cells.push(agent_work::agent_tick(true));
     cells.push(agent_work::agent_chaos_tick());
+    cells.extend(agent_work::agent_episode());
     cells.extend(runtime_work::live_squeeze());
     cells.extend(search());
     cells

@@ -9,7 +9,7 @@
 //! test harness's own threads allocate when they please, and a
 //! process-wide count took those in (four calls more on the outage run in
 //! about one run in seven, and in most runs with another core busy). A run
-//! whose work spans threads it starts — the agent's couriers, a runtime's
+//! whose work spans threads it starts — the agent's runner, a runtime's
 //! workers — is counted process-wide ([`process_cost_of`]), after a set-up
 //! that leaves the harness waiting.
 

@@ -75,6 +75,11 @@ impl Condvar {
         self.0.notify_all();
     }
 
+    /// Wakes one waiter, if there is one.
+    pub fn notify_one(&self) {
+        self.0.notify_one();
+    }
+
     /// Releases the lock, waits for a notification and re-acquires it.
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
         let inner = guard
