@@ -6,11 +6,14 @@
 //! `tests/counting/mod.rs`): a steady `ctl_paper` decision tick, fixed or
 //! re-optimizing, on both engines (calls and bytes); what a `ctl_paper` run
 //! pays besides its ticks; one `fleet_outages` run, and its segments; one
-//! `fleet_diurnal` run per tenant, and its segments, events and wake-ups; a quiet and a commanding `Agent::tick` over eight
-//! runtimes, and one that evicts a runtime and contains another, and the
-//! allocator calls and threads of an agent's 240-tick life with a kill and
-//! a revive; and a
-//! `live_squeeze` round's spawn (calls and bytes) and execution, per task. The runs are the budget tests' (memsim's, the
+//! `fleet_diurnal` run per tenant, and its segments, events and wake-ups;
+//! what each fleet run pays besides its segments (calls and bytes); a
+//! quiet and a commanding `Agent::tick` over eight runtimes, and one that
+//! evicts a runtime and contains another, and the allocator calls and
+//! threads of an agent's 240-tick life with a kill and a revive; a
+//! `live_squeeze` round's spawn (calls and bytes) and execution, per task,
+//! and the calls, bytes and threads of its set-up (two runtimes, an agent,
+//! two endpoints). The runs are the budget tests' (memsim's, the
 //! agent's and the runtime's `tests/work/mod.rs`), which hold their
 //! measurements to these cells. Beside them, the search layer's: the
 //! agent's cold search (evaluations and calls), one sequential exhaustive
@@ -123,12 +126,15 @@ fn measure() -> Vec<(String, f64)> {
     }
     cells.extend(memsim_work::ctl_paper_setup());
     cells.extend(memsim_work::fleet_outages_run());
+    cells.extend(memsim_work::fleet_outages_setup());
     cells.extend(memsim_work::fleet_diurnal_run());
+    cells.extend(memsim_work::fleet_diurnal_setup());
     cells.push(agent_work::agent_tick(false));
     cells.push(agent_work::agent_tick(true));
     cells.push(agent_work::agent_chaos_tick());
     cells.extend(agent_work::agent_episode());
     cells.extend(runtime_work::live_squeeze());
+    cells.extend(runtime_work::live_squeeze_setup());
     cells.extend(search());
     cells
 }

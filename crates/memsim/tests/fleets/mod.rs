@@ -62,7 +62,12 @@ pub fn outage_fleet() -> Scenario {
 /// Wave `w` is down for 3 % of the run, starting a sixteenth of 90 % of the
 /// run after wave `w - 1` did: no two overlap. Reclamation on.
 pub fn waves() -> ChaosPlan {
-    let outages = (0..WAVES)
+    waves_of(WAVES)
+}
+
+/// The first `n` of those waves, at the same times: `2 * n + 1` segments.
+pub fn waves_of(n: usize) -> ChaosPlan {
+    let outages = (0..n)
         .flat_map(|wave| {
             let down_at_s = DURATION_S * (0.05 + 0.9 * wave as f64 / WAVES as f64);
             let lo = wave * 37 % (TENANTS - BLOCK + 1);

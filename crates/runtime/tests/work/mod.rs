@@ -3,10 +3,16 @@
 //! by a latch the next waits on, beside a 128-task chain of finish events,
 //! every root waiting on one gate) spawned into a runtime with a hub
 //! attached, first with every worker held at `TotalThreads(0)`, then run
-//! from the opened gate to quiescence by one worker. The budget test and
+//! from the opened gate to quiescence by one worker; and the benchmark's
+//! set-up: two runtimes, an agent and two endpoints. The budget test and
 //! the recorder include this file next to the counting allocator.
 
-use super::counting::process_cost_of;
+#![allow(dead_code)] // the budget test uses the round, the recorder both
+
+use super::counting::{cost_of, process_cost_of, Cost};
+use coop_agent::policies::FairShare;
+use coop_agent::proto;
+use coop_agent::Agent;
 use coop_runtime::{Event, Runtime, RuntimeConfig, TelemetryHub, ThreadCommand};
 use numa_topology::presets::tiny;
 use numa_topology::{CpuSet, NodeId};
@@ -130,5 +136,97 @@ pub fn live_squeeze() -> Vec<(String, f64)> {
             "live_squeeze.execute.calls_per_task".into(),
             per_task(execute.calls),
         ),
+    ]
+}
+
+/// The names of this process's threads (Linux only).
+fn thread_names() -> Vec<String> {
+    std::fs::read_dir("/proc/self/task")
+        .expect("/proc/self/task lists the threads")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|comm| comm.trim_end().to_string())
+        .collect()
+}
+
+/// This process's threads that a `live_squeeze` set-up starts: the
+/// workers, watchdogs and endpoints of its `squeeze-*` runtimes, and any
+/// agent runner or courier. Counted by name, as the agent's episode counts
+/// its serving threads, so that threads of anything else starting or
+/// ending meanwhile are not — once every thread has named itself: a new
+/// thread wears its spawner's name until it runs, so this waits until no
+/// thread but the caller wears the caller's.
+fn setup_threads() -> u64 {
+    let own = std::fs::read_to_string("/proc/thread-self/comm").expect("the caller's name");
+    let own = own.trim_end();
+    for _ in 0..10_000 {
+        if thread_names().iter().filter(|name| *name == own).count() == 1 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    thread_names()
+        .iter()
+        .filter(|name| {
+            name.starts_with("squeeze-") || *name == "coop-runner" || name.ends_with("-courier")
+        })
+        .count() as u64
+}
+
+/// One `live_squeeze` set-up: two runtimes with a hub on `tiny()` (the
+/// benchmark sizes its machine by the host, a cell may not), an agent with
+/// a `FairShare` policy and each runtime behind a `proto::connect`
+/// endpoint, counted until every worker runs; then its threads by name,
+/// then its tear-down, waited out.
+fn one_setup() -> (Cost, u64) {
+    let machine = tiny();
+    let ((runtimes, pumps, agent), cost) = cost_of(|| {
+        let hub = Arc::new(TelemetryHub::new());
+        let start = |name: &str| {
+            let config = RuntimeConfig::new(name, machine.clone()).with_telemetry(Arc::clone(&hub));
+            Arc::new(Runtime::start(config).expect("runtime starts"))
+        };
+        let runtimes = [start("squeeze-a"), start("squeeze-b")];
+        let mut agent =
+            Agent::with_telemetry(Box::new(FairShare::new(machine.clone())), Arc::clone(&hub));
+        agent.set_reclaim_machine(machine.clone());
+        let mut pumps = Vec::new();
+        for rt in &runtimes {
+            let (agent_side, runtime_side) =
+                proto::connect(Arc::clone(rt)).expect("endpoint pump starts");
+            agent.manage(Box::new(agent_side));
+            pumps.push(runtime_side);
+        }
+        for rt in &runtimes {
+            let all = machine.total_cores();
+            let control = rt.control();
+            assert!(control.wait_converged(Duration::from_secs(10), |run, _| run == all));
+        }
+        (runtimes, pumps, agent)
+    });
+    let threads = setup_threads();
+    drop((agent, pumps));
+    for rt in &runtimes {
+        rt.shutdown();
+    }
+    drop(runtimes);
+    for _ in 0..1000 {
+        if setup_threads() == 0 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    (cost, threads)
+}
+
+/// The `live_squeeze` set-up cells: its allocator calls and bytes on the
+/// calling thread (the threads it starts allocate as they are scheduled),
+/// and the threads it starts.
+pub fn live_squeeze_setup() -> [(String, f64); 3] {
+    assert_eq!(setup_threads(), 0, "no other squeeze runtime runs");
+    let (cost, threads) = one_setup();
+    [
+        ("live_squeeze.setup.calls".into(), cost.calls as f64),
+        ("live_squeeze.setup.bytes".into(), cost.bytes as f64),
+        ("live_squeeze.setup.threads".into(), threads as f64),
     ]
 }
