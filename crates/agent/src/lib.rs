@@ -45,7 +45,6 @@
 #![warn(missing_docs, unreachable_pub)]
 
 mod agent;
-mod chan;
 pub mod consensus;
 pub mod control;
 pub mod fault;

@@ -3,8 +3,8 @@
 //! The paper's agent is a *separate process* exchanging stats and command
 //! messages with each runtime (Figure 1). Here the same messages — a
 //! [`Request`] out, a [`Reply`] back, each under the call's sequence
-//! number — cross the crate's own blocking channel (`chan.rs`, one slot
-//! each way) between two parties, whoever the runtime is. The **serving
+//! number — cross a pair of `std::sync::mpsc` channels (one slot each
+//! way) between two parties, whoever the runtime is. The **serving
 //! thread** owns the runtime side (a [`RuntimeHandle`]) and runs the one
 //! serving loop, `serve`. The **[`Courier`]** is the agent's end: `post`
 //! hands over a request and returns at once with the call's deadline,
@@ -30,11 +30,13 @@
 //! injected behind the loop by the one injector, a
 //! [`ChaosHandle`](crate::fault::ChaosHandle).
 
-use crate::chan::{self, Receiver, RecvTimeoutError, Sender, TryRecvError, TrySendError};
 use crate::supervise::DetectorConfig;
 use crate::{AgentError, Result, RuntimeHandle};
 use coop_runtime::{Runtime, RuntimeStats, ThreadCommand};
 use coop_telemetry::sync::Mutex;
+use std::sync::mpsc::{
+    sync_channel, Receiver, RecvTimeoutError, SyncSender, TryRecvError, TrySendError,
+};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -101,7 +103,7 @@ pub(crate) fn answer(inner: &dyn RuntimeHandle, request: Request) -> Option<Resu
 fn serve(
     inner: Box<dyn RuntimeHandle>,
     requests: Receiver<(u64, Request)>,
-    replies: Sender<(u64, Result<Reply>)>,
+    replies: SyncSender<(u64, Result<Reply>)>,
 ) {
     while let Ok((seq, request)) = requests.recv() {
         let Some(reply) = answer(&*inner, request) else {
@@ -120,7 +122,7 @@ pub struct Courier {
     name: String,
     /// How long a call may take, from its post.
     pub(crate) call_deadline: Duration,
-    req: Sender<(u64, Request)>,
+    req: SyncSender<(u64, Request)>,
     resp: Receiver<(u64, Result<Reply>)>,
     next_seq: u64,
     /// Sequence number of a posted call whose reply has not been
@@ -139,8 +141,8 @@ impl Courier {
     ) -> Result<(Courier, JoinHandle<()>)> {
         let name = inner.name();
         // One request at a time, and so never more than one unread reply.
-        let (req, requests) = chan::bounded(1);
-        let (replies, resp) = chan::bounded(1);
+        let (req, requests) = sync_channel(1);
+        let (replies, resp) = sync_channel(1);
         let thread = std::thread::Builder::new()
             .name(format!("{name}-endpoint"))
             .spawn(move || serve(inner, requests, replies))
@@ -178,8 +180,8 @@ impl Courier {
         let seq = self.next_seq;
         match self.req.try_send((seq, request)) {
             Ok(()) => {}
-            Err(TrySendError::Full) => return Err(self.timed_out()),
-            Err(TrySendError::Disconnected) => return Err(self.disconnected()),
+            Err(TrySendError::Full(_)) => return Err(self.timed_out()),
+            Err(TrySendError::Disconnected(_)) => return Err(self.disconnected()),
         }
         self.next_seq += 1;
         self.in_flight = Some(seq);
@@ -190,7 +192,10 @@ impl Courier {
     /// A call that misses it stays in flight (see [`post`](Self::post)).
     pub(crate) fn await_reply(&mut self, seq: u64, deadline: Instant) -> Result<Reply> {
         loop {
-            match self.resp.recv_deadline(Some(deadline)) {
+            match self
+                .resp
+                .recv_timeout(deadline.saturating_duration_since(Instant::now()))
+            {
                 // Stale reply from a call that already timed out: discard.
                 Ok((got, _)) if got < seq => continue,
                 Ok((_, reply)) => {
@@ -228,7 +233,7 @@ pub struct AgentSideEndpoint {
 
 /// Runtime-side handle of the serving thread; stops and joins it on drop.
 pub struct RuntimeSideEndpoint {
-    req: Sender<(u64, Request)>,
+    req: SyncSender<(u64, Request)>,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -420,6 +425,45 @@ mod tests {
     }
 
     #[test]
+    fn an_endpoint_whose_handle_panics_reads_disconnected() {
+        struct Panicky;
+        impl RuntimeHandle for Panicky {
+            fn name(&self) -> String {
+                "boom".into()
+            }
+            fn stats(&self) -> Result<RuntimeStats> {
+                panic!("runtime glue exploded");
+            }
+            fn command(&self, _cmd: ThreadCommand) -> Result<()> {
+                Ok(())
+            }
+        }
+        // The serving thread's unwinding drops its ends of both channels,
+        // which wakes the waiting call long before its deadline.
+        let (bare, pump) = connect_over(Box::new(Panicky)).unwrap();
+        let deadline = DetectorConfig::default().call_deadline;
+        let started = Instant::now();
+        let err = bare.stats().unwrap_err();
+        assert!(matches!(err, AgentError::Disconnected { .. }), "{err}");
+        let err = bare.command(ThreadCommand::TotalThreads(1)).unwrap_err();
+        assert!(matches!(err, AgentError::Disconnected { .. }), "{err}");
+        assert!(started.elapsed() < deadline / 2, "{:?}", started.elapsed());
+        // Stopping a serving thread that is already gone returns.
+        drop(pump);
+
+        let (agent_side, pump) = connect_over(Box::new(Panicky)).unwrap();
+        let deadline = Duration::from_secs(10);
+        let handle = supervised(agent_side, deadline);
+        let started = Instant::now();
+        let err = handle.stats().unwrap_err();
+        assert!(matches!(err, AgentError::Disconnected { .. }), "{err}");
+        let err = handle.command(ThreadCommand::TotalThreads(1)).unwrap_err();
+        assert!(matches!(err, AgentError::Disconnected { .. }), "{err}");
+        assert!(started.elapsed() < deadline / 2, "{:?}", started.elapsed());
+        drop(pump);
+    }
+
+    #[test]
     fn disconnect_fault_kills_the_pump() {
         let rt = Arc::new(Runtime::start(RuntimeConfig::new("dc", tiny())).unwrap());
         let plan = FaultPlan::new().inject(1.., Fault::Disconnect);
@@ -457,8 +501,8 @@ mod tests {
         // A runtime side that answers every request with the other reply.
         let rt = Arc::new(Runtime::start(RuntimeConfig::new("contrary", tiny())).unwrap());
         let stats = Runtime::stats(&rt);
-        let (req, requests) = chan::bounded::<(u64, Request)>(1);
-        let (replies, resp) = chan::bounded(1);
+        let (req, requests) = sync_channel::<(u64, Request)>(1);
+        let (replies, resp) = sync_channel(1);
         let contrary = std::thread::spawn(move || {
             while let Ok((seq, request)) = requests.recv() {
                 let reply = match request {

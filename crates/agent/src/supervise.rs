@@ -23,7 +23,7 @@
 //! is a channel already (a [`proto::connect`] endpoint) hands its
 //! [`Courier`] over when it is wrapped, and each call crosses to that
 //! endpoint's own `<name>-endpoint` thread (messages, sequence numbers and
-//! the serving loop are described in [`proto`], the waiting in `chan.rs`).
+//! the serving loop are described in [`proto`]).
 //! Any other handle sits in a **slot** and is called *in place* by the
 //! agent's **runners**: threads named `coop-runner`, one of them spawned by
 //! the agent's first in-place call, shared by every handle the agent

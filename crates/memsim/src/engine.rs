@@ -567,8 +567,8 @@ pub(crate) struct NodeBlocks {
     /// The slots, and homes, of the threads whose placement demands
     /// memory of another node than their own, in ascending `pos`.
     remote: Vec<(usize, NodeId)>,
-    /// The assignment's non-zero cells, app-major: `(app, node, threads)`.
-    cells: Vec<(usize, usize, usize)>,
+    /// The assignment's non-zero cells, app-major: `(app, node)`.
+    cells: Vec<(u32, u32)>,
 }
 
 impl NodeBlocks {
@@ -590,7 +590,7 @@ impl NodeBlocks {
             let mut threads = 0;
             for (node, &count) in assignment.row(app)[..num_nodes].iter().enumerate() {
                 if count > 0 {
-                    self.cells.push((app, node, count));
+                    self.cells.push((app as u32, node as u32));
                     self.start[node + 1] += count;
                     threads += count;
                 }
@@ -608,7 +608,8 @@ impl NodeBlocks {
         self.threads.resize(next, Thread { app: 0, pos: 0 });
         self.remote.clear();
         let mut pos = 0;
-        for &(app, node, count) in &self.cells {
+        for (app, node) in self.cells.iter().map(|&(a, n)| (a as usize, n as usize)) {
+            let count = assignment.row(app)[node];
             let first = self.start[node + 1];
             self.start[node + 1] = first + count;
             let slots = first..first + count;
@@ -616,9 +617,8 @@ impl NodeBlocks {
                 *slot = Thread { app, pos };
             }
             pos += count;
-            let home = NodeId(node);
-            if demands_off_home(&apps[app].spec.placement, home) {
-                self.remote.extend(slots.map(|slot| (slot, home)));
+            if demands_off_home(&apps[app].spec.placement, NodeId(node)) {
+                self.remote.extend(slots.map(|slot| (slot, NodeId(node))));
             }
         }
     }
