@@ -25,7 +25,9 @@
 //! measured them and the commit their tree was based on (`-dirty` when it
 //! had uncommitted changes) — and fails, so a change that moves a cell
 //! commits the new file with it. Run it with
-//! `cargo test -p coop-bench --test bench_work -- --nocapture`.
+//! `cargo test --workspace --test bench_work -- --nocapture`: built for
+//! the whole workspace, as the tier-1 `cargo test` is, so both read the
+//! same cells.
 
 #[path = "../../agent/tests/work/mod.rs"]
 mod agent_work;
@@ -185,7 +187,7 @@ fn bench_work_json_is_what_the_runs_do() {
             "about".into(),
             Value::Str(
                 "Exact work counts of workload-shaped runs, written by \
-                 `cargo test -p coop-bench --test bench_work`; see that test."
+                 `cargo test --workspace --test bench_work`; see that test."
                     .into(),
             ),
         ),

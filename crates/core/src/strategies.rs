@@ -6,8 +6,9 @@
 //! cores" (§II). §III adds per-node variants: even splits within every
 //! node, one whole NUMA node per application, and explicitly uneven
 //! per-node counts. Each strategy here produces a validated
-//! [`ThreadAssignment`]; [`contain`] clamps one row of an existing one to
-//! its fair share.
+//! [`ThreadAssignment`]; [`fair_split`] gives the fair share as its
+//! non-zero cells, for a caller that never reads the matrix, and
+//! [`contain`] clamps one row of an existing assignment to its fair share.
 
 use crate::{AllocError, Result};
 use numa_topology::{Machine, NodeId};
@@ -21,15 +22,9 @@ use roofline_numa::ThreadAssignment;
 /// and nobody gets nothing while the machine has a core per application —
 /// this is the floor §II's "fair share of the cores" promises.
 ///
-/// The split of a node is three numbers — the share everybody gets, how
-/// many applications get one more, and the first of those (the previous
-/// node's first plus its extras, modulo the applications) — worked out
-/// once per node. The rows are written only where they are non-zero: a
-/// base row is copied into every row when some node has a share to give
-/// everybody, then each node adds one to its `extra` rows starting at
-/// `first`. The writes cost O(nodes + Σ extra) over a zeroed matrix, so a
-/// fleet of more applications than a node has cores pays for its handed-out
-/// cores, not for its cells.
+/// The matrix is written from [`fair_split`]'s cells, over a zeroed
+/// assignment: a fleet of more applications than a node has cores pays
+/// for its handed-out cores, not for its cells.
 ///
 /// On the paper's 4x8 machine with 4 applications this is the (2,2,2,2)
 /// allocation of Table II.
@@ -57,37 +52,89 @@ fn fill_fair(
     sharers: usize,
     row: impl Fn(usize) -> usize,
 ) -> Result<ThreadAssignment> {
+    let mut a = ThreadAssignment::zero(machine, num_rows);
+    fair_split(machine, sharers, |pos, node, count| {
+        a.set(row(pos), node, count)
+    })?;
+    debug_assert!(a.validate(machine).is_ok(), "the split is every core once");
+    Ok(a)
+}
+
+/// [`fair_share`]'s split of `machine` among `sharers` applications as its
+/// non-zero cells: `cell(pos, node, count)` for each node on which the
+/// `pos`-th sharer gets `count > 0` cores, in ascending `(pos, node)` — the
+/// order of the matrix's rows. No sharer is [`AllocError::NoApps`].
+///
+/// A node's split is two numbers: the share everybody gets, `cores /
+/// sharers`, and where its `cores % sharers` left-over cores end on the
+/// machine's hand-out, whose `k`-th left-over core goes to sharer `k mod
+/// sharers`. So a sharer takes one left-over core a round of the hand-out,
+/// and the node it takes it from only moves forward from one sharer to the
+/// next: one cursor a round finds it. The cost is O(sharers × nodes with a
+/// share + left-over cores + rounds × nodes), never sharers × nodes when no
+/// node has cores enough to share out.
+pub fn fair_split(
+    machine: &Machine,
+    sharers: usize,
+    mut cell: impl FnMut(usize, NodeId, usize),
+) -> Result<()> {
     if sharers == 0 {
         return Err(AllocError::NoApps);
     }
-    // (base, extra, first) per node, the hand-out carried across nodes.
-    let mut offset = 0;
-    let splits: Vec<(usize, usize, usize)> = machine
+    // Per node: its share, the end of its left-over cores on the hand-out
+    // and the next node with a share; and in entry `j`, the cursor of round
+    // `j` — there are fewer rounds than nodes, as every node leaves fewer
+    // than `sharers` cores over.
+    let mut handed = 0;
+    let mut splits: Vec<(usize, usize, usize, usize)> = machine
         .node_ids()
         .map(|node| {
             let cores = machine.node(node).num_cores();
-            let (base, extra, first) = (cores / sharers, cores % sharers, offset);
-            offset = (offset + extra) % sharers;
-            (base, extra, first)
+            handed += cores % sharers;
+            (cores / sharers, handed, 0, 0)
         })
         .collect();
-    let mut a = ThreadAssignment::zero(machine, num_rows);
-    if splits.iter().any(|&(base, _, _)| base > 0) {
-        for pos in 0..sharers {
-            for (slot, &(base, _, _)) in a.row_mut(row(pos)).iter_mut().zip(&splits) {
-                *slot = base;
+    let num_nodes = splits.len();
+    let mut first_shared = num_nodes;
+    for (node, split) in splits.iter_mut().enumerate().rev() {
+        split.2 = first_shared;
+        if split.0 > 0 {
+            first_shared = node;
+        }
+    }
+    for pos in 0..sharers {
+        // The sharer's next left-over core on the hand-out, and its round.
+        let (mut k, mut round) = (pos, 0);
+        let mut shared = first_shared;
+        loop {
+            let extra = if k < handed {
+                let mut node = splits[round].3;
+                while splits[node].1 <= k {
+                    node += 1;
+                }
+                splits[round].3 = node;
+                node
+            } else {
+                num_nodes
+            };
+            let node = shared.min(extra);
+            if node == num_nodes {
+                break;
+            }
+            cell(
+                pos,
+                NodeId(node),
+                splits[node].0 + usize::from(node == extra),
+            );
+            if node == extra {
+                (k, round) = (k + sharers, round + 1);
+            }
+            if node == shared {
+                shared = splits[node].2;
             }
         }
     }
-    for (node, &(base, extra, first)) in splits.iter().enumerate() {
-        // The `extra` sharers from `first` on, going round.
-        let wrapped = (first + extra).saturating_sub(sharers);
-        for pos in (first..first + extra - wrapped).chain(0..wrapped) {
-            a.set(row(pos), NodeId(node), base + 1);
-        }
-    }
-    a.validate(machine)?;
-    Ok(a)
+    Ok(())
 }
 
 /// Containment of a misbehaving application: clamps its per-node `row` to

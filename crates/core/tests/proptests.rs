@@ -175,6 +175,70 @@ fn fair_share_among_is_fair_share_over_the_survivors() {
     );
 }
 
+/// On unequal machines of up to 16 nodes of up to 64 cores and up to 300
+/// applications, under live masks that are all dead, all live, a single
+/// survivor or random, `fair_split` over the survivors — each position read
+/// as its survivor — gives exactly the non-zero cells of `fair_share_among`
+/// and of the per-cell formula, in row order. The cases include nodes with
+/// a share for everybody and left-over windows that wrap round the
+/// survivors.
+#[test]
+fn fair_split_is_the_non_zero_cells_of_fair_share() {
+    let (shared, wrapped) = (std::cell::Cell::new(0), std::cell::Cell::new(0));
+    check(14, CASES, |g| {
+        let sizes = g.vec(1..17, |g| g.range(1..65usize));
+        let m = unequal_machine(&sizes);
+        let apps = g.range(1..=300usize);
+        let live: Vec<bool> = match g.range(0..4usize) {
+            0 => vec![false; apps],
+            1 => vec![true; apps],
+            2 => {
+                let survivor = g.range(0..apps);
+                (0..apps).map(|app| app == survivor).collect()
+            }
+            _ => {
+                let odds = g.range(0.0..1.0);
+                (0..apps).map(|_| g.range(0.0..1.0) < odds).collect()
+            }
+        };
+        let survivors: Vec<usize> = (0..apps).filter(|&app| live[app]).collect();
+        let sharers = survivors.len();
+        let mut cells = Vec::new();
+        let split = strategies::fair_split(&m, sharers, |pos, node, count| {
+            cells.push((survivors[pos], node.0, count))
+        });
+        let among = strategies::fair_share_among(&m, &live);
+        if sharers == 0 {
+            assert_eq!(split, Err(coop_alloc::AllocError::NoApps));
+            assert_eq!(among, Err(coop_alloc::AllocError::NoApps));
+            return;
+        }
+        split.unwrap();
+        let among = among.unwrap();
+        let nodes = 0..sizes.len();
+        let non_zero = |&(_, _, count): &(usize, usize, usize)| count > 0;
+        let dense: Vec<_> = (0..apps)
+            .flat_map(|app| nodes.clone().map(move |node| (app, node)))
+            .map(|(app, node)| (app, node, among.get(app, NodeId(node))))
+            .filter(non_zero)
+            .collect();
+        assert_eq!(cells, dense, "{sharers} of {apps} on {sizes:?}");
+        let formula: Vec<_> = (survivors.iter().enumerate())
+            .flat_map(|(pos, &app)| nodes.clone().map(move |node| (pos, app, node)))
+            .map(|(pos, app, node)| (app, node, fair_share_cell(&sizes, sharers, node, pos)))
+            .filter(non_zero)
+            .collect();
+        assert_eq!(cells, formula, "{sharers} of {apps} on {sizes:?}");
+        shared.set(shared.get() + usize::from(sizes.iter().any(|&c| c >= sharers)));
+        let mut first = 0;
+        for &cores in &sizes {
+            wrapped.set(wrapped.get() + usize::from(first + cores % sharers > sharers));
+            first = (first + cores % sharers) % sharers;
+        }
+    });
+    assert!(shared.get() > 0 && wrapped.get() > 0);
+}
+
 /// On random machines, live masks and held rows, `contain` against the
 /// survivors' fair row never raises a cell, never goes below
 /// `min(held, fair)` and is idempotent, and a feasible assignment with one

@@ -30,13 +30,12 @@
 //! byte-identical [`EventLog`]. Event times are integer nanoseconds so
 //! ordering never depends on float rounding.
 
-use crate::engine::{compute_rates, EpochTracer, NodeBlocks, RateScratch};
+use crate::engine::{compute_rates, Entries, EpochTracer, NodeBlocks, RateScratch, SparseSchedule};
 use crate::{ActivityPattern, EngineKind, SimApp, Simulation};
 use coop_alloc::rng::splitmix64;
 use coop_telemetry::json::{self, FromJson, ToJson, Value};
 use coop_telemetry::{json_struct, json_write};
 use numa_topology::NodeId;
-use roofline_numa::ThreadAssignment;
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
@@ -354,10 +353,10 @@ pub(crate) struct AgentComponent {
 
 impl AgentComponent {
     /// Back to the start of `schedule`, keeping the allocation.
-    pub(crate) fn reset(&mut self, schedule: &[(f64, ThreadAssignment)]) {
+    pub(crate) fn reset(&mut self, schedule: &SparseSchedule) {
         self.times.clear();
         self.times
-            .extend(schedule.iter().map(|(t, _)| s_to_tick(*t)));
+            .extend((0..schedule.len()).map(|entry| s_to_tick(schedule.start_s(entry))));
         self.idx = 0;
         self.fired = 0;
     }
@@ -387,6 +386,8 @@ pub(crate) struct EventRun {
     /// Per node: bandwidth its memory controller delivered so far, GB.
     delivered_gb: Vec<f64>,
     heap: EventHeap,
+    /// A dense schedule's cells, converted at the start of each run.
+    schedule: SparseSchedule,
     blocks: NodeBlocks,
     tracer: EpochTracer,
     rr_offset: Vec<usize>,
@@ -433,22 +434,32 @@ const SAMPLE_EVERY: u64 = 10;
 
 /// The time-advance loop. `cuts` names its cut sources: the event heap
 /// alone, or the heap and the quantum grid (the run then lasts
-/// `⌈duration / quantum⌉` quanta). The run's totals land in `run`; the
-/// per-app [`Samples`] and the processed [`EventLog`] are recorded only for
-/// a caller that passes them (both empty) as `detail`.
+/// `⌈duration / quantum⌉` quanta). A dense schedule is converted into
+/// `run`'s cells once the run's parameters have passed, so every entry is
+/// read as its non-zero cells. The run's totals land in `run`; the per-app
+/// [`Samples`] and the processed [`EventLog`] are recorded only for a
+/// caller that passes them (both empty) as `detail`.
 pub(crate) fn advance_time(
     sim: &Simulation,
     apps: &[SimApp],
-    schedule: &[(f64, ThreadAssignment)],
+    schedule: Entries,
     duration_s: f64,
     cuts: EngineKind,
     run: &mut EventRun,
     mut detail: Option<(&mut Samples, &mut EventLog)>,
 ) -> crate::Result<()> {
-    sim.validate_run(apps, schedule, duration_s)?;
+    sim.validate_run(apps, schedule.len(), duration_s)?;
     let machine = &sim.config.machine;
     let effects = &sim.config.effects;
     let num_nodes = machine.num_nodes();
+    let schedule = match schedule {
+        Entries::Dense(dense) => {
+            run.schedule.set_dense(dense, apps.len(), num_nodes);
+            &run.schedule
+        }
+        Entries::Sparse(schedule) => schedule,
+    };
+    sim.check_schedule(apps.len(), schedule)?;
     let peak = machine.core_peak_gflops();
     // Discrete round-robin time-slicing exists only on a quantum grid.
     let quantum = (cuts == EngineKind::Slice || effects.discrete_timeslice)
@@ -483,13 +494,14 @@ pub(crate) fn advance_time(
     for (g, group) in run.apps.groups.iter().enumerate() {
         run.heap.schedule_component(APP_ID0 + g as u32, &group.comp);
     }
-    run.blocks.expand(&schedule[applied_idx].1, apps, num_nodes);
+    run.blocks
+        .expand(schedule.entry(applied_idx), apps, num_nodes);
     // The epoch tracer's rows exist only in a traced run.
     let traced = tel.as_ref().filter(|_| sim.tracing);
     if let Some(tel) = traced {
         run.tracer.reset(apps.len());
         run.tracer
-            .on_assignment(tel, 0.0, applied_idx, &schedule[applied_idx].1, apps);
+            .on_assignment(tel, 0.0, applied_idx, schedule.entry(applied_idx), apps);
     }
 
     let gflop_done = &mut run.gflop_done[..];
@@ -638,7 +650,7 @@ pub(crate) fn advance_time(
         }
         if run.agent.idx != applied_idx {
             run.blocks
-                .expand(&schedule[run.agent.idx].1, apps, num_nodes);
+                .expand(schedule.entry(run.agent.idx), apps, num_nodes);
             if let Some(tel) = &tel {
                 tel.record_assignment_switch(tick_to_s(now), run.agent.idx);
             }
@@ -647,7 +659,7 @@ pub(crate) fn advance_time(
                     tel,
                     tick_to_s(now),
                     run.agent.idx,
-                    &schedule[run.agent.idx].1,
+                    schedule.entry(run.agent.idx),
                     apps,
                 );
             }
@@ -678,6 +690,7 @@ pub(crate) fn advance_time(
 mod tests {
     use super::*;
     use coop_alloc::cases::Gen;
+    use roofline_numa::ThreadAssignment;
 
     impl EventHeap {
         fn new(seed: u64) -> Self {
@@ -780,8 +793,10 @@ mod tests {
         end: Tick,
         seed: u64,
     ) -> Vec<SimEvent> {
+        let mut cells = SparseSchedule::default();
+        cells.set_dense(schedule, apps.len(), schedule[0].1.num_nodes());
         let mut agent = AgentComponent::default();
-        agent.reset(schedule);
+        agent.reset(&cells);
         agent.advance(0);
         let mut comps: Vec<AppComponent> = apps
             .iter()
@@ -944,7 +959,7 @@ mod tests {
                 advance_time(
                     &sim,
                     apps,
-                    &schedule,
+                    Entries::Dense(&schedule),
                     1.0,
                     EngineKind::Event,
                     &mut run,

@@ -23,7 +23,8 @@
 //! CUSUM alarm fires — the continuous analogue of the paper's one-shot
 //! Table III model-vs-measurement comparison.
 
-use crate::chaos::{segment_assignment, ChaosPlan};
+use crate::chaos::ChaosPlan;
+use crate::engine::Entries;
 use crate::event::{advance_time, EventRun};
 use crate::{EngineKind, Result, Scenario, SimConfig, SimError, Simulation};
 use coop_agent::control::row_of;
@@ -503,7 +504,13 @@ pub fn run_supervised(
             } else if !tenancy.live().contains(&false) {
                 assignment.clone()
             } else {
-                segment_assignment(scenario, Some(&assignment), tenancy.live())?
+                let mut survivors = assignment.clone();
+                for (i, &live) in tenancy.live().iter().enumerate() {
+                    if !live {
+                        survivors.row_mut(i).fill(0);
+                    }
+                }
+                survivors
             };
         }
         let search = policy.as_ref().map(ModelGuided::search_inputs);
@@ -540,7 +547,8 @@ pub fn run_supervised(
         // Only the run's totals are read: they are left in `run`, whose
         // buffers every tick reuses, so a steady-state tick allocates nothing.
         let (apps, cuts) = (&scenario.apps, sim.config.engine);
-        advance_time(&sim, apps, &schedule, period, cuts, &mut run, None)?;
+        let entries = Entries::Dense(&schedule);
+        advance_time(&sim, apps, entries, period, cuts, &mut run, None)?;
 
         // The watchdog flags a wedge that has set in by the tick's end, once
         // per wedged tick. A life's first flag raises the `runaway` instant,

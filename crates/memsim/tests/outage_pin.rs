@@ -6,9 +6,11 @@
 //! began carrying its hand-out of left-over cores across nodes: every
 //! survivor of a reclaim now holds a thread, and the 288 cores go to
 //! other tenants (reclaim off runs the striped rows alone and kept its
-//! pins). And `Scenario::validate`'s shape errors, one per way a
-//! matrix can be misshapen, as they were reported when the check cloned
-//! the matrix into a `ThreadAssignment`.
+//! pins). The run now writes each segment as its survivors' cells; the
+//! hash reads the matrices `ChaosResult::schedule` writes out of them.
+//! And `Scenario::validate`'s shape errors, one per way a matrix can be
+//! misshapen, as they were reported when the check cloned the matrix into
+//! a `ThreadAssignment`.
 
 mod fleets;
 
@@ -45,9 +47,10 @@ fn the_outage_run_is_pinned_bit_for_bit() {
         let plan = fleets::waves().with_reclaim(reclaim);
         let out = run_chaos_scenario_on(&scenario, &plan, None, EngineKind::Event).unwrap();
         assert_eq!(out.segments.len(), 2 * fleets::WAVES + 1);
-        assert_eq!(out.schedule.len(), out.segments.len());
+        let schedule = out.schedule(&scenario);
+        assert_eq!(schedule.len(), out.segments.len());
         let total = out.result.total_gflops();
-        let got = schedule_hash(&out.schedule);
+        let got = schedule_hash(&schedule);
         println!(
             "reclaim {reclaim}: total {total} ({:#x}), schedule hash {got:#x}",
             total.to_bits()
