@@ -7,7 +7,7 @@ use crate::supervise::{
 use crate::{Policy, Result, RuntimeHandle, RuntimeStats, ThreadCommand};
 use coop_telemetry::sync::Mutex;
 use coop_telemetry::{
-    ArgValue, Counter, Histogram, MetricsRegistry, ModelObservatory, Prediction, SeriesValue,
+    ArgValue, Counter, Histogram, ModelObservatory, Prediction, SchedLocality, SeriesValue,
     TelemetryHub, TenantSample, TrackId,
 };
 use numa_topology::Machine;
@@ -225,46 +225,6 @@ impl AgentTelemetry {
     }
 }
 
-/// One runtime's scheduler locality counters — the five `coop_sched_*`
-/// series [`coop_telemetry::scheduler_locality`] looks up by name — kept
-/// per managed handle so that a tick reads five atomics per tenant
-/// instead of building five registry keys.
-struct SchedCounters {
-    local_pops: Arc<Counter>,
-    /// `coop_sched_steals_total{source=sibling|remote}`, each for the
-    /// `high` and the `normal` tier.
-    sibling: [Arc<Counter>; 2],
-    remote: [Arc<Counter>; 2],
-}
-
-impl SchedCounters {
-    fn resolve(registry: &MetricsRegistry, runtime: &str) -> Self {
-        let steals = |source| {
-            ["high", "normal"].map(|tier| {
-                registry.counter(
-                    "coop_sched_steals_total",
-                    &[("runtime", runtime), ("tier", tier), ("source", source)],
-                )
-            })
-        };
-        SchedCounters {
-            local_pops: registry.counter("coop_sched_local_pops_total", &[("runtime", runtime)]),
-            sibling: steals("sibling"),
-            remote: steals("remote"),
-        }
-    }
-
-    /// `(local, remote)` as [`coop_telemetry::scheduler_locality`] sums
-    /// them: same-node sibling steals count as local.
-    fn locality(&self) -> (u64, u64) {
-        let sum = |tiers: &[Arc<Counter>; 2]| tiers.iter().map(|c| c.get()).sum::<u64>();
-        (
-            self.local_pops.get() + sum(&self.sibling),
-            sum(&self.remote),
-        )
-    }
-}
-
 /// The periodic arbitration loop of Figure 1, hardened against partial
 /// failure: every managed handle is wrapped in a [`SupervisedHandle`]
 /// (deadline, retry, health state machine), a tick polls *all* runtimes
@@ -304,7 +264,7 @@ pub struct Agent {
     /// Parallel to `handles`: the runtime's scheduler counters, resolved
     /// on the first tick that samples it for the tenant ledger — the
     /// occasion a lookup by name would have created the series.
-    sched: Vec<Option<SchedCounters>>,
+    sched: Vec<Option<SchedLocality>>,
     supervision: SupervisionConfig,
     /// The threads that call the handles that are not channels, in place.
     runners: Arc<Runners>,
@@ -716,8 +676,8 @@ impl Agent {
                 .zip(&live_idx)
                 .map(|(s, &i)| {
                     let (local_pops, remote_steals) = self.sched[i]
-                        .get_or_insert_with(|| SchedCounters::resolve(hub.registry(), &s.name))
-                        .locality();
+                        .get_or_insert_with(|| SchedLocality::resolve(hub.registry(), &s.name))
+                        .read();
                     TenantSample {
                         per_node_tasks: s.per_node_tasks(),
                         running_per_node: s.running_per_node(),
@@ -1539,32 +1499,6 @@ mod tests {
         assert_eq!(errors.len(), 2, "{errors:?}");
         assert!(errors[0].contains("calm") && errors[1].contains("hog"));
         drop(release);
-    }
-
-    #[test]
-    fn kept_sched_counters_read_what_scheduler_locality_reads() {
-        let registry = MetricsRegistry::new();
-        let kept = SchedCounters::resolve(&registry, "rt");
-        assert_eq!(kept.locality(), (0, 0));
-        // A scheduler bumps the same series by name.
-        let steals = |tier, source| {
-            registry.counter(
-                "coop_sched_steals_total",
-                &[("runtime", "rt"), ("tier", tier), ("source", source)],
-            )
-        };
-        registry
-            .counter("coop_sched_local_pops_total", &[("runtime", "rt")])
-            .add(100);
-        steals("high", "sibling").add(7);
-        steals("normal", "sibling").add(3);
-        steals("high", "remote").add(2);
-        steals("normal", "remote").add(5);
-        assert_eq!(kept.locality(), (110, 7));
-        assert_eq!(
-            kept.locality(),
-            coop_telemetry::scheduler_locality(&registry, "rt")
-        );
     }
 
     #[test]

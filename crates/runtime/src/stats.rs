@@ -75,23 +75,17 @@ impl RuntimeStats {
     /// by node id (nodes the runtime has no workers on read 0). This is
     /// the shape the telemetry tenant ledger books.
     pub fn per_node_tasks(&self) -> Vec<u64> {
-        let len = self
-            .per_node
-            .iter()
-            .map(|o| o.node.0 + 1)
-            .max()
-            .unwrap_or(0);
-        let mut out = vec![0u64; len];
-        for occ in &self.per_node {
-            out[occ.node.0] = occ.tasks_executed;
-        }
-        out
+        self.dense_by_node(|occ| occ.tasks_executed)
     }
 
     /// Workers currently running per NUMA node, as a dense vector indexed
     /// by node id. Paired with [`per_node_tasks`](Self::per_node_tasks)
     /// when feeding accounting samples.
     pub fn running_per_node(&self) -> Vec<u64> {
+        self.dense_by_node(|occ| occ.running_workers as u64)
+    }
+
+    fn dense_by_node(&self, field: impl Fn(&NodeOccupancy) -> u64) -> Vec<u64> {
         let len = self
             .per_node
             .iter()
@@ -100,7 +94,7 @@ impl RuntimeStats {
             .unwrap_or(0);
         let mut out = vec![0u64; len];
         for occ in &self.per_node {
-            out[occ.node.0] = occ.running_workers as u64;
+            out[occ.node.0] = field(occ);
         }
         out
     }

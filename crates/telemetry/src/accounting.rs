@@ -75,27 +75,54 @@ pub fn jain_index(values: &[f64]) -> f64 {
 /// The scheduler's locality counters for one runtime, read from the
 /// shared registry: `(local, remote)` where `local` counts own-deque /
 /// injector pops plus same-node sibling steals and `remote` counts
-/// cross-node steals (both priority tiers).
+/// cross-node steals (both priority tiers). A one-shot
+/// [`SchedLocality`]: it creates the five series if they are missing.
 pub fn scheduler_locality(registry: &MetricsRegistry, runtime: &str) -> (u64, u64) {
-    let mut local = registry
-        .counter("coop_sched_local_pops_total", &[("runtime", runtime)])
-        .get();
-    let mut remote = 0u64;
-    for tier in ["high", "normal"] {
-        local += registry
-            .counter(
-                "coop_sched_steals_total",
-                &[("runtime", runtime), ("tier", tier), ("source", "sibling")],
-            )
-            .get();
-        remote += registry
-            .counter(
-                "coop_sched_steals_total",
-                &[("runtime", runtime), ("tier", tier), ("source", "remote")],
-            )
-            .get();
+    SchedLocality::resolve(registry, runtime).read()
+}
+
+/// One runtime's scheduler locality series, resolved once so that every
+/// later [`read`](Self::read) loads five atomics instead of building five
+/// registry keys. The five are `coop_sched_local_pops_total{runtime}` and
+/// `coop_sched_steals_total{runtime, tier, source}` for `tier` `high` and
+/// `normal` and `source` `sibling` (same node) and `remote` (another
+/// node).
+#[derive(Debug)]
+pub struct SchedLocality {
+    local_pops: Arc<Counter>,
+    /// Indexed by tier: `high`, `normal`.
+    sibling: [Arc<Counter>; 2],
+    remote: [Arc<Counter>; 2],
+}
+
+impl SchedLocality {
+    /// Resolve `runtime`'s five series in `registry`, creating the ones a
+    /// scheduler has not registered yet.
+    pub fn resolve(registry: &MetricsRegistry, runtime: &str) -> Self {
+        let steals = |source| {
+            ["high", "normal"].map(|tier| {
+                registry.counter(
+                    "coop_sched_steals_total",
+                    &[("runtime", runtime), ("tier", tier), ("source", source)],
+                )
+            })
+        };
+        SchedLocality {
+            local_pops: registry.counter("coop_sched_local_pops_total", &[("runtime", runtime)]),
+            sibling: steals("sibling"),
+            remote: steals("remote"),
+        }
     }
-    (local, remote)
+
+    /// `(local, remote)` as [`scheduler_locality`] describes them:
+    /// same-node sibling steals count as local.
+    pub fn read(&self) -> (u64, u64) {
+        let sum = |tiers: &[Arc<Counter>; 2]| tiers.iter().map(|c| c.get()).sum::<u64>();
+        (
+            self.local_pops.get() + sum(&self.sibling),
+            sum(&self.remote),
+        )
+    }
 }
 
 /// One tenant's *cumulative* counters at a sampling instant. All fields
@@ -159,7 +186,7 @@ pub struct Epoch {
 }
 
 /// A point-in-time copy of one tenant's account.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TenantAccount {
     /// Tenant name.
     pub tenant: String,
@@ -228,22 +255,10 @@ impl LedgerSnapshot {
 
 #[derive(Debug)]
 struct TenantState {
-    name: String,
-    live: bool,
+    /// The account [`TenantLedger::snapshot`] publishes; its
+    /// `locality_ratio` is refreshed at the end of every tick.
+    account: TenantAccount,
     baseline: Option<TenantSample>,
-    entitled_share: Option<f64>,
-    delivered_share: f64,
-    tasks_total: u64,
-    cpu_us_per_node: Vec<u64>,
-    local_pops: u64,
-    remote_steals: u64,
-    preemptions: u64,
-    overbudget_cpu_us: u64,
-    preemption_rate: f64,
-    windows_accepted: u64,
-    windows_discarded: u64,
-    epochs: Vec<Epoch>,
-    share_history: Vec<(u64, f64)>,
     series: TenantSeries,
 }
 
@@ -268,32 +283,13 @@ struct TenantSeries {
 impl TenantState {
     fn new(name: &str) -> Self {
         TenantState {
-            name: name.to_string(),
-            live: false,
+            account: TenantAccount {
+                tenant: name.to_string(),
+                locality_ratio: 1.0,
+                ..TenantAccount::default()
+            },
             baseline: None,
-            entitled_share: None,
-            delivered_share: 0.0,
-            tasks_total: 0,
-            cpu_us_per_node: Vec::new(),
-            local_pops: 0,
-            remote_steals: 0,
-            preemptions: 0,
-            overbudget_cpu_us: 0,
-            preemption_rate: 0.0,
-            windows_accepted: 0,
-            windows_discarded: 0,
-            epochs: Vec::new(),
-            share_history: Vec::new(),
             series: TenantSeries::default(),
-        }
-    }
-
-    fn locality_ratio(&self) -> f64 {
-        let total = self.local_pops + self.remote_steals;
-        if total == 0 {
-            1.0
-        } else {
-            self.local_pops as f64 / total as f64
         }
     }
 }
@@ -329,11 +325,17 @@ fn lock(ledger: &TenantLedger) -> MutexGuard<'_, LedgerInner> {
 }
 
 fn state_mut<'a>(inner: &'a mut LedgerInner, tenant: &str) -> &'a mut TenantState {
-    if let Some(idx) = inner.tenants.iter().position(|t| t.name == tenant) {
+    if let Some(idx) = inner
+        .tenants
+        .iter()
+        .position(|t| t.account.tenant == tenant)
+    {
         return &mut inner.tenants[idx];
     }
     // Keep the vector sorted by name so every export is deterministic.
-    let idx = inner.tenants.partition_point(|t| t.name.as_str() < tenant);
+    let idx = inner
+        .tenants
+        .partition_point(|t| t.account.tenant.as_str() < tenant);
     inner.tenants.insert(idx, TenantState::new(tenant));
     &mut inner.tenants[idx]
 }
@@ -352,11 +354,11 @@ impl TenantLedger {
         {
             let mut inner = lock(self);
             let state = state_mut(&mut inner, tenant);
-            if state.live {
+            if state.account.live {
                 return;
             }
-            state.live = true;
-            state.epochs.push(Epoch {
+            state.account.live = true;
+            state.account.epochs.push(Epoch {
                 opened_us: now_us,
                 closed_us: None,
                 reason: reason.to_string(),
@@ -374,14 +376,19 @@ impl TenantLedger {
     pub fn close_epoch(&self, hub: &TelemetryHub, tenant: &str, reason: &str, now_us: u64) {
         {
             let mut inner = lock(self);
-            let Some(state) = inner.tenants.iter_mut().find(|t| t.name == tenant) else {
+            let Some(account) = inner
+                .tenants
+                .iter_mut()
+                .map(|t| &mut t.account)
+                .find(|a| a.tenant == tenant)
+            else {
                 return;
             };
-            if !state.live {
+            if !account.live {
                 return;
             }
-            state.live = false;
-            if let Some(epoch) = state.epochs.last_mut() {
+            account.live = false;
+            if let Some(epoch) = account.epochs.last_mut() {
                 if epoch.closed_us.is_none() {
                     epoch.closed_us = Some(now_us);
                 }
@@ -412,7 +419,7 @@ impl TenantLedger {
     /// `coop_tenant_entitled_share` on the next [`tick`](Self::tick).
     pub fn set_entitlement(&self, tenant: &str, share: f64) {
         let mut inner = lock(self);
-        state_mut(&mut inner, tenant).entitled_share = Some(share.clamp(0.0, 1.0));
+        state_mut(&mut inner, tenant).account.entitled_share = Some(share.clamp(0.0, 1.0));
     }
 
     /// Book one measurement window from cumulative counter samples.
@@ -451,8 +458,9 @@ impl TenantLedger {
             // ledger totals stay reconcilable with the cumulative
             // scheduler counters.
             let baseline = state.baseline.take().unwrap_or_default();
+            let account = &mut state.account;
             if sample.regressed_from(&baseline) {
-                state.windows_discarded += 1;
+                account.windows_discarded += 1;
                 state.baseline = Some(sample.clone());
                 state
                     .series
@@ -474,12 +482,12 @@ impl TenantLedger {
             let remote_delta = sample.remote_steals - baseline.remote_steals;
             let preempt_delta = sample.preemptions - baseline.preemptions;
             let overbudget_delta = sample.overbudget_cpu_us - baseline.overbudget_cpu_us;
-            state.tasks_total += tasks_delta;
-            state.local_pops += local_delta;
-            state.remote_steals += remote_delta;
-            state.preemptions += preempt_delta;
-            state.overbudget_cpu_us += overbudget_delta;
-            state.preemption_rate = if window_us > 0 {
+            account.tasks_total += tasks_delta;
+            account.local_pops += local_delta;
+            account.remote_steals += remote_delta;
+            account.preemptions += preempt_delta;
+            account.overbudget_cpu_us += overbudget_delta;
+            account.preemption_rate = if window_us > 0 {
                 preempt_delta as f64 / (window_us as f64 / 1e6)
             } else {
                 0.0
@@ -512,8 +520,8 @@ impl TenantLedger {
                 .per_node_tasks
                 .len()
                 .max(sample.running_per_node.len());
-            if state.cpu_us_per_node.len() < nodes {
-                state.cpu_us_per_node.resize(nodes, 0);
+            if account.cpu_us_per_node.len() < nodes {
+                account.cpu_us_per_node.resize(nodes, 0);
             }
             if state.series.cpu_us.len() < nodes {
                 state.series.cpu_us.resize(nodes, None);
@@ -521,7 +529,7 @@ impl TenantLedger {
             for node in 0..nodes {
                 let running = sample.running_per_node.get(node).copied().unwrap_or(0);
                 let cpu_us = window_us * running;
-                state.cpu_us_per_node[node] += cpu_us;
+                account.cpu_us_per_node[node] += cpu_us;
                 if cpu_us > 0 {
                     state.series.cpu_us[node]
                         .get_or_insert_with(|| {
@@ -533,7 +541,7 @@ impl TenantLedger {
                         .add(cpu_us);
                 }
             }
-            state.windows_accepted += 1;
+            account.windows_accepted += 1;
             state.baseline = Some(sample.clone());
 
             state
@@ -551,50 +559,58 @@ impl TenantLedger {
         // share (the PR-3 rule: no data, not zero data); tenants that
         // were not sampled delivered nothing.
         let total: u64 = weights.iter().filter_map(|(_, w)| *w).sum();
-        for state in inner.tenants.iter_mut() {
-            match weights.iter().find(|(name, _)| *name == state.name) {
+        for account in inner.tenants.iter_mut().map(|t| &mut t.account) {
+            match weights.iter().find(|(name, _)| *name == account.tenant) {
                 Some((_, Some(delta))) => {
-                    state.delivered_share = if total > 0 {
+                    account.delivered_share = if total > 0 {
                         *delta as f64 / total as f64
                     } else {
                         0.0
                     };
                 }
                 Some((_, None)) => {} // discarded: keep the last share
-                None => state.delivered_share = 0.0,
+                None => account.delivered_share = 0.0,
             }
-            state.share_history.push((now_us, state.delivered_share));
-            if state.share_history.len() > SHARE_HISTORY_LIMIT {
-                let excess = state.share_history.len() - SHARE_HISTORY_LIMIT;
-                state.share_history.drain(..excess);
+            account
+                .share_history
+                .push((now_us, account.delivered_share));
+            if account.share_history.len() > SHARE_HISTORY_LIMIT {
+                let excess = account.share_history.len() - SHARE_HISTORY_LIMIT;
+                account.share_history.drain(..excess);
             }
         }
 
         let live_shares: Vec<f64> = inner
             .tenants
             .iter()
-            .filter(|t| t.live)
-            .map(|t| t.delivered_share)
+            .filter(|t| t.account.live)
+            .map(|t| t.account.delivered_share)
             .collect();
         inner.jain = jain_index(&live_shares);
 
         for state in inner.tenants.iter_mut() {
-            let locality_ratio = state.locality_ratio();
-            let labels = [("tenant", state.name.as_str())];
+            let account = &mut state.account;
+            let pops = account.local_pops + account.remote_steals;
+            account.locality_ratio = if pops == 0 {
+                1.0
+            } else {
+                account.local_pops as f64 / pops as f64
+            };
+            let labels = [("tenant", account.tenant.as_str())];
             let series = &mut state.series;
             series
                 .delivered_share
                 .get_or_insert_with(|| registry.gauge("coop_tenant_delivered_share", &labels))
-                .set(state.delivered_share);
+                .set(account.delivered_share);
             series
                 .locality_ratio
                 .get_or_insert_with(|| registry.gauge("coop_tenant_locality_ratio", &labels))
-                .set(locality_ratio);
+                .set(account.locality_ratio);
             series
                 .preemption_rate
                 .get_or_insert_with(|| registry.gauge("coop_tenant_preemption_rate", &labels))
-                .set(state.preemption_rate);
-            if let Some(entitled) = state.entitled_share {
+                .set(account.preemption_rate);
+            if let Some(entitled) = account.entitled_share {
                 series
                     .entitled_share
                     .get_or_insert_with(|| registry.gauge("coop_tenant_entitled_share", &labels))
@@ -614,28 +630,7 @@ impl TenantLedger {
         LedgerSnapshot {
             updated_us: inner.updated_us,
             jain: inner.jain,
-            tenants: inner
-                .tenants
-                .iter()
-                .map(|t| TenantAccount {
-                    tenant: t.name.clone(),
-                    live: t.live,
-                    entitled_share: t.entitled_share,
-                    delivered_share: t.delivered_share,
-                    locality_ratio: t.locality_ratio(),
-                    tasks_total: t.tasks_total,
-                    cpu_us_per_node: t.cpu_us_per_node.clone(),
-                    local_pops: t.local_pops,
-                    remote_steals: t.remote_steals,
-                    preemptions: t.preemptions,
-                    overbudget_cpu_us: t.overbudget_cpu_us,
-                    preemption_rate: t.preemption_rate,
-                    windows_accepted: t.windows_accepted,
-                    windows_discarded: t.windows_discarded,
-                    epochs: t.epochs.clone(),
-                    share_history: t.share_history.clone(),
-                })
-                .collect(),
+            tenants: inner.tenants.iter().map(|t| t.account.clone()).collect(),
         }
     }
 
@@ -1011,5 +1006,28 @@ mod tests {
             )
             .add(2);
         assert_eq!(scheduler_locality(&registry, "a"), (13, 2));
+    }
+
+    #[test]
+    fn kept_sched_locality_reads_what_scheduler_locality_reads() {
+        let registry = MetricsRegistry::new();
+        let kept = SchedLocality::resolve(&registry, "rt");
+        assert_eq!(kept.read(), (0, 0));
+        // A scheduler bumps the same series by name.
+        let steals = |tier, source| {
+            registry.counter(
+                "coop_sched_steals_total",
+                &[("runtime", "rt"), ("tier", tier), ("source", source)],
+            )
+        };
+        registry
+            .counter("coop_sched_local_pops_total", &[("runtime", "rt")])
+            .add(100);
+        steals("high", "sibling").add(7);
+        steals("normal", "sibling").add(3);
+        steals("high", "remote").add(2);
+        steals("normal", "remote").add(5);
+        assert_eq!(kept.read(), (110, 7));
+        assert_eq!(kept.read(), scheduler_locality(&registry, "rt"));
     }
 }

@@ -67,8 +67,8 @@ mod timeline;
 mod trace;
 
 pub use accounting::{
-    jain_index, scheduler_locality, Epoch, LedgerSnapshot, TenantAccount, TenantLedger,
-    TenantSample, SHARE_HISTORY_LIMIT, TENANT_CAT,
+    jain_index, scheduler_locality, Epoch, LedgerSnapshot, SchedLocality, TenantAccount,
+    TenantLedger, TenantSample, SHARE_HISTORY_LIMIT, TENANT_CAT,
 };
 pub use drift::{DriftAlarm, DriftConfig, DriftDetector, DriftDirection, SeriesSnapshot};
 pub use metrics::{

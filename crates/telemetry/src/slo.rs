@@ -152,39 +152,24 @@ pub struct SloStatus {
 
 #[derive(Debug)]
 struct SpecState {
-    spec: SloSpec,
+    /// The standing [`SloEngine::report`] publishes, less its `windows`,
+    /// which [`status`](Self::status) computes from `ring`.
+    status: SloStatus,
+    /// Violation flags of the last budget-window ticks with data.
     ring: VecDeque<bool>,
-    ticks: u64,
-    violations_total: u64,
-    last_value: f64,
-    burn_rate: f64,
-    burn_rate_peak: f64,
-    budget_remaining: f64,
-    exhausted: bool,
-    was_exhausted: bool,
-    dumps: u64,
 }
 
 impl SpecState {
     fn status(&self) -> SloStatus {
         SloStatus {
-            spec: self.spec.clone(),
-            ticks: self.ticks,
-            violations_total: self.violations_total,
-            last_value: self.last_value,
-            burn_rate: self.burn_rate,
-            burn_rate_peak: self.burn_rate_peak,
-            budget_remaining: self.budget_remaining,
-            exhausted: self.exhausted,
-            was_exhausted: self.was_exhausted,
             windows: self.window_burns(),
-            dumps: self.dumps,
+            ..self.status.clone()
         }
     }
 
     fn window_burns(&self) -> Vec<WindowBurn> {
-        self.spec
-            .windows
+        let spec = &self.status.spec;
+        spec.windows
             .iter()
             .map(|&w| {
                 let observed = w.min(self.ring.len()).max(1);
@@ -192,7 +177,7 @@ impl SpecState {
                 WindowBurn {
                     ticks: w,
                     violations,
-                    burn_rate: violations as f64 / (observed as f64 * self.spec.budget),
+                    burn_rate: violations as f64 / (observed as f64 * spec.budget),
                 }
             })
             .collect()
@@ -225,16 +210,19 @@ impl SloEngine {
                     .into_iter()
                     .map(|spec| SpecState {
                         ring: VecDeque::with_capacity(spec.budget_window()),
-                        spec,
-                        ticks: 0,
-                        violations_total: 0,
-                        last_value: 0.0,
-                        burn_rate: 0.0,
-                        burn_rate_peak: 0.0,
-                        budget_remaining: 1.0,
-                        exhausted: false,
-                        was_exhausted: false,
-                        dumps: 0,
+                        status: SloStatus {
+                            spec,
+                            ticks: 0,
+                            violations_total: 0,
+                            last_value: 0.0,
+                            burn_rate: 0.0,
+                            burn_rate_peak: 0.0,
+                            budget_remaining: 1.0,
+                            exhausted: false,
+                            was_exhausted: false,
+                            windows: Vec::new(),
+                            dumps: 0,
+                        },
                     })
                     .collect(),
             ),
@@ -248,34 +236,35 @@ impl SloEngine {
         let ledger = hub.tenant_ledger().map(|l| l.snapshot());
         let mut inner = lock(self);
         for state in inner.iter_mut() {
-            let Some(value) = measure(&state.spec, ledger.as_ref()) else {
+            let Some(value) = measure(&state.status.spec, ledger.as_ref()) else {
                 continue; // no data this tick: neither violates nor heals
             };
-            let violated = state.spec.violated_by(value);
-            state.ticks += 1;
-            state.last_value = value;
-            let cap = state.spec.budget_window();
+            let violated = state.status.spec.violated_by(value);
+            let cap = state.status.spec.budget_window();
             if state.ring.len() >= cap {
                 state.ring.pop_front();
             }
             state.ring.push_back(violated);
 
             let burns = state.window_burns();
-            state.burn_rate = burns.iter().map(|b| b.burn_rate).fold(0.0, f64::max);
-            state.burn_rate_peak = state.burn_rate_peak.max(state.burn_rate);
+            let status = &mut state.status;
+            status.ticks += 1;
+            status.last_value = value;
+            status.burn_rate = burns.iter().map(|b| b.burn_rate).fold(0.0, f64::max);
+            status.burn_rate_peak = status.burn_rate_peak.max(status.burn_rate);
             let in_budget_window = state.ring.iter().filter(|&&v| v).count() as f64;
-            state.budget_remaining = 1.0 - in_budget_window / (state.spec.budget * cap as f64);
+            status.budget_remaining = 1.0 - in_budget_window / (status.spec.budget * cap as f64);
 
             let labels = [
-                ("tenant", state.spec.tenant.as_str()),
-                ("slo", state.spec.objective.slug()),
+                ("tenant", status.spec.tenant.as_str()),
+                ("slo", status.spec.objective.slug()),
             ];
             hub.registry()
                 .gauge("coop_slo_burn_rate", &labels)
-                .set(state.burn_rate);
+                .set(status.burn_rate);
             hub.registry()
                 .gauge("coop_slo_budget_remaining", &labels)
-                .set(state.budget_remaining);
+                .set(status.budget_remaining);
 
             let track = hub.register_track("slo");
             let args = |value: f64, spec: &SloSpec| {
@@ -290,7 +279,7 @@ impl SloEngine {
                 ]
             };
             if violated {
-                state.violations_total += 1;
+                status.violations_total += 1;
                 hub.record_instant_at(
                     0,
                     track,
@@ -298,12 +287,12 @@ impl SloEngine {
                     SLO_CAT,
                     "violation",
                     now_us,
-                    args(value, &state.spec),
+                    args(value, &status.spec),
                 );
             }
-            if state.budget_remaining <= 0.0 && !state.exhausted {
-                state.exhausted = true;
-                state.was_exhausted = true;
+            if status.budget_remaining <= 0.0 && !status.exhausted {
+                status.exhausted = true;
+                status.was_exhausted = true;
                 hub.record_instant_at(
                     0,
                     track,
@@ -311,17 +300,20 @@ impl SloEngine {
                     SLO_CAT,
                     "budget_exhausted",
                     now_us,
-                    args(value, &state.spec),
+                    args(value, &status.spec),
                 );
                 if let Some(recorder) = hub.flight_recorder() {
-                    let reason =
-                        format!("slo-{}-{}", state.spec.tenant, state.spec.objective.slug());
+                    let reason = format!(
+                        "slo-{}-{}",
+                        status.spec.tenant,
+                        status.spec.objective.slug()
+                    );
                     if recorder.trigger_dump(&reason).is_some() {
-                        state.dumps += 1;
+                        status.dumps += 1;
                     }
                 }
-            } else if state.budget_remaining > 0.0 && state.exhausted {
-                state.exhausted = false;
+            } else if status.budget_remaining > 0.0 && status.exhausted {
+                status.exhausted = false;
                 hub.record_instant_at(
                     0,
                     track,
@@ -329,7 +321,7 @@ impl SloEngine {
                     SLO_CAT,
                     "budget_restored",
                     now_us,
-                    args(value, &state.spec),
+                    args(value, &status.spec),
                 );
             }
         }

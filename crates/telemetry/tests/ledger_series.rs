@@ -6,7 +6,8 @@
 //! be built.
 
 use coop_telemetry::{
-    ModelObservatory, Prediction, SeriesValue, TelemetryHub, TenantLedger, TenantSample,
+    ModelObservatory, Prediction, SeriesValue, SloEngine, SloSpec, TelemetryHub, TenantLedger,
+    TenantSample,
 };
 use std::sync::Arc;
 
@@ -102,6 +103,37 @@ fn kept_series_export_what_a_lookup_per_tick_exported() {
     let ledger = TenantLedger::new();
     three_ticks(&ledger, &hub);
     assert_eq!(hub.registry().to_prometheus(), EXPORTED);
+}
+
+#[test]
+fn tenants_and_slo_documents_serve_what_they_served() {
+    // The `/tenants` and `/slo` bodies after `three_ticks`: "a" runs at a
+    // full share and never violates, "b" delivered 0.2 and exhausts its
+    // four-tick budget on the first violation, "c" has no data.
+    const TENANTS: &str = concat!(
+        r#"{"updated_us":30,"jain":0.6923076923076923,"tenants":["#,
+        r#"{"tenant":"a","live":true,"entitled_share":0.5,"delivered_share":1.0,"locality_ratio":0.9,"tasks_total":450,"cpu_us_per_node":[3000,3000,2000],"local_pops":405,"remote_steals":45,"preemptions":0,"overbudget_cpu_us":0,"preemption_rate":0.0,"windows_accepted":3,"windows_discarded":0,"epochs":[{"opened_us":0,"closed_us":null,"reason":"managed"}]},"#,
+        r#"{"tenant":"b","live":true,"entitled_share":null,"delivered_share":0.2,"locality_ratio":0.9,"tasks_total":100,"cpu_us_per_node":[2000,0],"local_pops":90,"remote_steals":10,"preemptions":3,"overbudget_cpu_us":1500,"preemption_rate":1000.0,"windows_accepted":2,"windows_discarded":1,"epochs":[{"opened_us":0,"closed_us":null,"reason":"managed"}]}]}"#,
+    );
+    const SLO: &str = concat!(
+        r#"{"slos":["#,
+        r#"{"tenant":"a","objective":"delivered_share","target":0.5,"budget":0.25,"ticks":2,"violations":0,"last_value":1.0,"burn_rate":0.0,"burn_rate_peak":0.0,"budget_remaining":1.0,"exhausted":false,"was_exhausted":false,"dumps":0,"windows":[{"ticks":5,"violations":0,"burn_rate":0.0},{"ticks":20,"violations":0,"burn_rate":0.0}]},"#,
+        r#"{"tenant":"b","objective":"delivered_share","target":0.5,"budget":0.25,"ticks":2,"violations":2,"last_value":0.2,"burn_rate":4.0,"burn_rate_peak":4.0,"budget_remaining":-1.0,"exhausted":true,"was_exhausted":true,"dumps":0,"windows":[{"ticks":2,"violations":2,"burn_rate":4.0},{"ticks":4,"violations":2,"burn_rate":4.0}]},"#,
+        r#"{"tenant":"c","objective":"delivered_share","target":0.5,"budget":0.25,"ticks":0,"violations":0,"last_value":0.0,"burn_rate":0.0,"burn_rate_peak":0.0,"budget_remaining":1.0,"exhausted":false,"was_exhausted":false,"dumps":0,"windows":[{"ticks":5,"violations":0,"burn_rate":0.0},{"ticks":20,"violations":0,"burn_rate":0.0}]}]}"#,
+    );
+    let hub = TelemetryHub::new();
+    let ledger = Arc::new(TenantLedger::new());
+    assert!(hub.install_tenant_ledger(Arc::clone(&ledger)));
+    three_ticks(&ledger, &hub);
+    let engine = SloEngine::new(vec![
+        SloSpec::min_share("a", 0.5),
+        SloSpec::min_share("b", 0.5).with_windows(vec![2, 4]),
+        SloSpec::min_share("c", 0.5),
+    ]);
+    engine.evaluate(&hub, 30);
+    engine.evaluate(&hub, 40);
+    assert_eq!(ledger.to_json(), TENANTS);
+    assert_eq!(engine.to_json(), SLO);
 }
 
 #[test]
