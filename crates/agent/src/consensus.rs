@@ -11,17 +11,17 @@
 //!    application characterisation plus a demand weight),
 //! 2. a *round* closes when every participant has called
 //!    [`Participant::agree`] (a barrier),
-//! 3. each participant independently evaluates the same pure resolution
-//!    function ([`resolve`]) over the identical set of profiles — so all
-//!    participants compute byte-identical allocations without any
-//!    leader — and applies *its own row* through its runtime's
-//!    [`coop_runtime::ControlHandle`].
+//! 3. the last participant to arrive is the round's leader: it evaluates
+//!    the pure resolution function ([`resolve`]) over the round's profiles
+//!    for everyone, and each participant applies *its own row* of that
+//!    allocation through its runtime's [`coop_runtime::ControlHandle`].
 //!
 //! The resolution function is model-guided: proportional apportionment by
 //! demand weight, refined so NUMA-bad applications are packed onto their
 //! data's node first (the §III.A placement lesson).
 
 use crate::{AgentError, Result};
+use coop_alloc::strategies::largest_remainder;
 use coop_runtime::{ControlHandle, ThreadCommand};
 use coop_telemetry::sync::{Condvar, Mutex};
 use numa_topology::Machine;
@@ -34,8 +34,8 @@ use std::time::Duration;
 pub struct DemandProfile {
     /// The application's model characterisation (AI + data placement).
     pub spec: AppSpec,
-    /// Relative demand weight (e.g. desired share of the machine). Must be
-    /// positive and finite.
+    /// Relative demand weight (e.g. desired share of the machine). One that
+    /// is not positive and finite counts as 0.
     pub weight: f64,
 }
 
@@ -52,15 +52,23 @@ impl DemandProfile {
 /// (NUMA-bad) applications first receive cores on their data's node,
 /// proportionally to weight; the remaining capacity on every node is
 /// apportioned to all applications by weight (largest remainder, ties by
-/// index). The function is pure: identical inputs yield identical outputs
-/// on every participant.
+/// index). A weight that is not positive and finite counts as 0, and a
+/// node whose eligible weights sum to 0 is left empty. The function is
+/// pure: identical inputs yield identical outputs on every participant.
 pub fn resolve(machine: &Machine, profiles: &[DemandProfile]) -> ThreadAssignment {
     let n = profiles.len();
     let mut assignment = ThreadAssignment::zero(machine, n);
     if n == 0 {
         return assignment;
     }
-    let total_weight: f64 = profiles.iter().map(|p| p.weight.max(0.0)).sum();
+    let weight = |p: &DemandProfile| {
+        if p.weight > 0.0 && p.weight.is_finite() {
+            p.weight
+        } else {
+            0.0
+        }
+    };
+    let total_weight: f64 = profiles.iter().map(weight).sum();
     if total_weight <= 0.0 {
         return assignment;
     }
@@ -73,7 +81,7 @@ pub fn resolve(machine: &Machine, profiles: &[DemandProfile]) -> ThreadAssignmen
     for (i, p) in profiles.iter().enumerate() {
         if let DataPlacement::SingleNode(node) = p.spec.placement {
             let node_cores = machine.node(node).num_cores();
-            let want = ((p.weight / total_weight) * machine.total_cores() as f64).round() as usize;
+            let want = ((weight(p) / total_weight) * machine.total_cores() as f64).round() as usize;
             let take = want.min(free[node.0]).min(node_cores);
             assignment.set(i, node, take);
             free[node.0] -= take;
@@ -93,30 +101,8 @@ pub fn resolve(machine: &Machine, profiles: &[DemandProfile]) -> ThreadAssignmen
                 _ => true,
             })
             .collect();
-        if eligible.is_empty() {
-            continue;
-        }
-        let w_total: f64 = eligible.iter().map(|&i| profiles[i].weight).sum();
-        let quotas: Vec<f64> = eligible
-            .iter()
-            .map(|&i| profiles[i].weight / w_total * cores as f64)
-            .collect();
-        let mut counts: Vec<usize> = quotas.iter().map(|q| q.floor() as usize).collect();
-        let mut assigned: usize = counts.iter().sum();
-        let mut order: Vec<usize> = (0..eligible.len()).collect();
-        order.sort_by(|&a, &b| {
-            let ra = quotas[a] - counts[a] as f64;
-            let rb = quotas[b] - counts[b] as f64;
-            rb.partial_cmp(&ra)
-                .unwrap()
-                .then(eligible[a].cmp(&eligible[b]))
-        });
-        let mut it = order.iter().cycle();
-        while assigned < cores {
-            let &k = it.next().expect("cycle");
-            counts[k] += 1;
-            assigned += 1;
-        }
+        let weights: Vec<f64> = eligible.iter().map(|&i| profiles[i].weight).collect();
+        let counts = largest_remainder(cores, &weights);
         for (k, &i) in eligible.iter().enumerate() {
             assignment.set(i, node, assignment.get(i, node) + counts[k]);
         }
@@ -312,6 +298,24 @@ mod tests {
         for node in m.node_ids() {
             if node != NodeId(2) {
                 assert_eq!(a.node_total(node), 8);
+            }
+        }
+    }
+
+    /// Zero, NaN and negative weights count as 0: a node whose eligible
+    /// weights sum to 0 stays empty, and no row holds more than its node.
+    #[test]
+    fn resolve_counts_bad_weights_as_zero() {
+        let m = paper_model_machine();
+        let local = |w| DemandProfile::new(AppSpec::numa_local("l", 0.5), w);
+        let pinned = DemandProfile::new(AppSpec::numa_bad("p", 1.0, NodeId(0)), 1.0);
+        let zeros = resolve(&m, &[pinned, local(0.0), local(0.0)]);
+        assert_eq!(zeros.get(0, NodeId(0)), 8);
+        assert_eq!(zeros.total(), 8);
+        for bad in [f64::NAN, -1.0] {
+            let a = resolve(&m, &[local(bad), local(2.0)]);
+            for node in m.node_ids() {
+                assert_eq!((a.get(0, node), a.get(1, node)), (0, 8), "weight {bad}");
             }
         }
     }

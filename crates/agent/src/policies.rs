@@ -153,11 +153,11 @@ const WARM_ITERATIONS: usize = 1500;
 /// so an eviction or a re-admission only merges the table again, and a
 /// warm tick on an unchanged set is settled without a search (its answer
 /// is already the optimum). [`new`](ModelGuided::new) builds the table;
-/// it is not built when those applications are past the table's limits
-/// ([`separable::MAX_APPS`], [`separable::MAX_COLUMNS`]), and a live set
-/// with more applications than cores is not decided exactly either.
+/// it is not built for more than [`separable::MAX_APPS`] of them, and a
+/// live set with more applications than cores is not decided exactly
+/// either.
 ///
-/// **Fallback.** Otherwise (a coupled mix, or past the limits) a changed
+/// **Fallback.** Otherwise (a coupled mix, or past `MAX_APPS`) a changed
 /// live set is solved cold (greedy); an unchanged one every `period` ticks
 /// by a hill climb **warm-started** from the previous assignment, on a
 /// [`ScoreCache`] kept while the live set holds. A strict local optimum is
@@ -167,7 +167,7 @@ const WARM_ITERATIONS: usize = 1500;
 ///
 /// The latest search's cost ([`search_inputs`]) goes into the policy's
 /// [`Prediction`](coop_telemetry::Prediction). For an exact decision,
-/// `search/evaluations` counts the columns the table scored on the first
+/// `search/evaluations` counts the columns the table kept on the first
 /// one and is 0 on every later one (the table is reused), the solve
 /// counters are 0 (columns are scored in closed form, not by the solver),
 /// and `search/warm_start` is 0: an exact decision is only ever made for a
@@ -176,7 +176,6 @@ const WARM_ITERATIONS: usize = 1500;
 /// [`search_inputs`]: ModelGuided::search_inputs
 /// [`DataPlacement::Local`]: roofline_numa::DataPlacement::Local
 /// [`separable::MAX_APPS`]: coop_alloc::separable::MAX_APPS
-/// [`separable::MAX_COLUMNS`]: coop_alloc::separable::MAX_COLUMNS
 pub struct ModelGuided {
     machine: Machine,
     apps: Vec<AppSpec>,
@@ -185,9 +184,9 @@ pub struct ModelGuided {
     last: Option<Solved>,
     cache: Option<Arc<ScoreCache>>,
     /// The exact path's table, built in [`new`](ModelGuided::new); `None`
-    /// when no application is NUMA-local or they are past its limits.
+    /// when no application is NUMA-local or more than `MAX_APPS` are.
     exact: Option<Exact>,
-    /// The columns the table scored are not yet in any `search_inputs()`.
+    /// The columns the table kept are not yet in any `search_inputs()`.
     columns_unreported: bool,
     last_counters: SearchCounters,
     last_evaluations: usize,
@@ -276,7 +275,7 @@ impl ModelGuided {
 
     /// The exact decision over the live applications (positions in
     /// `apps`, in stats order), if the exact path takes them.
-    /// `evaluations` is the columns the table scored on the first exact
+    /// `evaluations` is the columns the table kept on the first exact
     /// decision, 0 on every later one.
     fn decide_exactly(&mut self, live: &[usize]) -> Option<SearchResult> {
         let exact = self.exact.as_ref()?;
@@ -634,7 +633,7 @@ mod tests {
         let exact = ColumnTable::search(&m, &apps, &Objective::TotalGflops).unwrap();
         assert_eq!(p.last_assignment(), Some(&exact.assignment));
         let inputs = p.search_inputs();
-        assert_eq!(inputs[3].1, exact.evaluations as f64, "the columns scored");
+        assert_eq!(inputs[3].1, exact.evaluations as f64, "the columns kept");
         assert_eq!(p.last_search_counters(), SearchCounters::default());
         assert!(p.cache_stats().is_none(), "no fallback search ran");
 
@@ -650,6 +649,46 @@ mod tests {
         let live = [apps[0].clone(), apps[2].clone()];
         let own = ColumnTable::search(&m, &live, &Objective::TotalGflops).unwrap();
         assert_eq!(p.last_assignment(), Some(&own.assignment));
+    }
+
+    #[test]
+    fn model_guided_decides_seven_to_ten_local_apps_on_skylake_exactly() {
+        // Seven local applications have C(26, 6) = 230 230 full columns on
+        // a 20-core node; the table keeps one per served mask. Its decision
+        // is never below the greedy and the warm climb from it, which
+        // decide a mix the table declines.
+        use coop_alloc::{cases, Scorer};
+        let m = numa_topology::presets::paper_skylake_machine();
+        cases::check(26, 24, |g| {
+            let apps: Vec<AppSpec> = (0..g.range(7..11usize))
+                .map(|i| AppSpec::numa_local(&format!("a{i}"), g.range(0.002..0.2)))
+                .collect();
+            let mut p = ModelGuided::new(m.clone(), apps.clone());
+            let stats: Vec<RuntimeStats> =
+                apps.iter().map(|a| fake_stats(&a.name, &[], 0)).collect();
+            assert!(p.tick(&stats, 0).iter().all(|c| c.is_some()));
+            let inputs = p.search_inputs();
+            let masks = (1 << apps.len()) - 1;
+            assert_eq!(inputs[3].1, f64::from(masks), "one shape, every mask kept");
+            assert_eq!(p.last_search_counters(), SearchCounters::default());
+            let oracle = || {
+                ModelOracle::new(&m, &apps, &Objective::TotalGflops)
+                    .unwrap()
+                    .with_min_threads(MIN_THREADS_PER_APP)
+            };
+            let greedy = GreedySearch::new().run_model(&m, &mut oracle()).unwrap();
+            let climbed = HillClimb::new()
+                .with_iterations(WARM_ITERATIONS)
+                .with_start(greedy.assignment)
+                .run_model(&m, &mut oracle())
+                .unwrap();
+            let exact = oracle().score(p.last_assignment().unwrap()).unwrap();
+            assert!(
+                exact >= climbed.score - 1e-9 * climbed.score.abs(),
+                "{exact} below the fallback's {}",
+                climbed.score
+            );
+        });
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //!   choose" question open as future work; these searches make the
 //!   machinery concrete and are compared in the `alloc_search` ablation
 //!   bench.
-//! * [`separable`] — the exact decision for NUMA-local mixes under a sum
-//!   objective: per-node column tables built once ([`ColumnTable`]), then a
+//! * [`separable`] — the exact decision for NUMA-local mixes under total
+//!   GFLOPS: per-node column tables built once ([`ColumnTable`]), then a
 //!   DP over nodes whose state is the set of applications served so far.
 //! * [`cache`] — a memoized score store shared across strategies and agent
 //!   ticks, keyed by the canonical assignment matrix and fingerprinted to

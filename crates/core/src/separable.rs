@@ -3,21 +3,35 @@
 //! The paper arbitrates bandwidth per node (§III.A). When every application
 //! keeps its data NUMA-local ([`DataPlacement::Local`]), the solver's
 //! remote-first stage serves nothing, so a node's GFLOPS depend only on its
-//! own column of thread counts, and a sum objective
-//! ([`Objective::TotalGflops`], [`Objective::WeightedGflops`]) is a sum of
+//! own column of thread counts, and [`Objective::TotalGflops`] is a sum of
 //! per-node terms. With every application keeping at least one thread
 //! machine-wide, the optimum is a DP over nodes whose state is the set of
 //! applications served so far.
 //!
-//! [`ColumnTable::build`] scores every full column — a composition of the
-//! node's `cores` threads over the applications — once per distinct node
-//! shape (core count and bandwidth), with [`LocalColumn`]'s closed form kept
-//! as running sums, and keeps the best column per served-application mask.
+//! [`ColumnTable::build`] keeps one column per distinct node shape (core
+//! count and bandwidth) and served-application mask S, in closed form. The
+//! *vertex* (one thread to each application of S, every other core to the
+//! one of lowest per-thread demand `u + n`, the last of equals) is the
+//! mask's best. In [`LocalColumn`]'s form `A + r·B`, `r = min(1, (C −
+//! U)/N)`, a thread delivers `ai·(u + r·n)`: with `u + n = peak/ai` and `u
+//! = min(u + n, C/cores)` that is the peak for `n = 0`, else `peak·(r + (1
+//! − r)·u/(u + n))`, so a thread of lower demand never delivers less.
+//! Moving a thread of another served application to the lowest-demand one
+//! raises neither `U` nor `N`, so `r` does not fall and no thread delivers
+//! less.
 //! Full columns suffice: a thread more of the served application with the
-//! highest (weighted) AI never lowers a node's score — unsaturated it adds
-//! a core's peak, saturated it moves bandwidth to the application that
-//! turns it into the most GFLOPS — so every mask has a full column among its
-//! best.
+//! highest AI never lowers a node's score — unsaturated it adds a core's
+//! peak, saturated it moves bandwidth to the application that turns it
+//! into the most GFLOPS. Weighted, an interior column can beat the vertex
+//! (`[0, 0, 17, 12]` against `[0, 0, 28, 1]` on a 29-core node), so the
+//! table takes [`Objective::TotalGflops`] only.
+//!
+//! Columns tie where a node has bandwidth to spare (unsaturated, every
+//! full column delivers cores × peak), and the table keeps the
+//! lexicographically smallest tie: in index order each application of S
+//! takes the fewest threads from which the vertex of those after it still
+//! ties, and the last takes the rest. A column's score folds `count ·
+//! terms` in app order, skipping zero counts.
 //!
 //! The build then merges the tables of each consecutive node pair once, for
 //! every mask. [`ColumnTable::decide`] answers any live subset of the applications
@@ -29,10 +43,10 @@
 //! tables; each further node pair adds a merge at every submask of the live
 //! set.
 //!
-//! It declines (`None`) a coupled mix (any non-local application), a
-//! non-sum objective, anything past [`MAX_APPS`] or [`MAX_COLUMNS`], and a
-//! live set with more applications than the machine has cores; the caller
-//! then searches otherwise.
+//! It declines (`None`) a coupled mix (any non-local application), any
+//! objective but [`Objective::TotalGflops`], more than [`MAX_APPS`]
+//! applications, and a live set with more applications than the machine
+//! has cores; the caller then searches otherwise.
 //!
 //! Determinism: a candidate replaces the incumbent only if it scores higher
 //! by more than 1e-12 relative; within that it is a tie, and the
@@ -43,7 +57,7 @@
 //! [`DataPlacement::Local`]: roofline_numa::DataPlacement::Local
 
 use crate::search::{SearchCounters, SearchResult};
-use crate::{enumerate, Objective};
+use crate::Objective;
 use numa_topology::{Machine, NodeId};
 use roofline_numa::{AppSpec, LocalColumn, ThreadAssignment};
 use std::cmp::Ordering;
@@ -51,10 +65,6 @@ use std::cmp::Ordering;
 /// Most applications a table covers: it keeps `2^MAX_APPS` masks per node
 /// shape and per merged pair.
 pub const MAX_APPS: usize = 10;
-
-/// Most columns a table scores per distinct node shape: `C(cores + k − 1,
-/// k − 1)` full columns of `k` applications.
-pub const MAX_COLUMNS: u128 = 1 << 17;
 
 /// Relative margin by which a candidate must beat the incumbent to replace
 /// it; closer scores are ties, resolved by the lexicographic order.
@@ -93,6 +103,58 @@ impl Table {
             score: vec![f64::NEG_INFINITY; 1 << apps],
             cells: vec![0; (width * apps) << apps],
         }
+    }
+
+    /// One node shape's kept column per served mask (module docs); each
+    /// column is written in place, each candidate scored as the fold of
+    /// its counts.
+    fn columns(column: &LocalColumn, cores: usize, apps: usize) -> Table {
+        let mut table = Table::empty(apps, 1);
+        let served = |mask: usize| (0..apps).filter(move |a| mask >> a & 1 == 1);
+        // One thread to each app of `mask`, the rest of `left` cores to its
+        // app of lowest demand, the last of equals.
+        let vertex = |cells: &mut [u32], mask: usize, left: usize| {
+            let demand = |a: usize| column.terms(a)[0] + column.terms(a)[1];
+            let low = served(mask).reduce(|low, a| if demand(a) <= demand(low) { a } else { low });
+            served(mask).for_each(|a| cells[a] = 1);
+            cells[low.expect("a served app")] += (left - mask.count_ones() as usize) as u32;
+        };
+        let score = |cells: &[u32]| {
+            let counted = (0..apps).filter(|&a| cells[a] > 0);
+            column.gflops(counted.fold([0.0; 4], |sums, a| {
+                let (x, terms) = (f64::from(cells[a]), column.terms(a));
+                [0, 1, 2, 3].map(|c| sums[c] + x * terms[c])
+            }))
+        };
+        for mask in 1usize..1 << apps {
+            if mask.count_ones() as usize > cores {
+                continue;
+            }
+            let cells = &mut table.cells[mask * apps..(mask + 1) * apps];
+            vertex(cells, mask, cores);
+            let best = score(cells);
+            let (mut kept, mut rest, mut left) = (best, mask, cores);
+            while rest & (rest - 1) != 0 {
+                let app = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                // `app` takes the fewest threads from which the vertex of the
+                // apps after it still ties `best`: its count now ties, and
+                // one thread is the fewest it may take.
+                if cells[app] > 1 {
+                    for t in 1..=cells[app] {
+                        cells[app] = t;
+                        vertex(cells, rest, left - t as usize);
+                        kept = score(cells);
+                        if best - kept <= margin(best) {
+                            break;
+                        }
+                    }
+                }
+                left -= cells[app] as usize;
+            }
+            table.score[mask] = kept;
+        }
+        table
     }
 
     /// App `app`'s kept counts for `mask`, one per covered node.
@@ -189,70 +251,6 @@ pub struct ColumnTable {
     scored: usize,
 }
 
-/// Walks every full column of one shape in lexicographic order: an
-/// odometer over the counts of all applications but the last, which takes
-/// the cores left, keeping the four running sums of [`LocalColumn`] per
-/// prefix.
-struct Walk<'a> {
-    column: &'a LocalColumn,
-    terms: Vec<[f64; 4]>,
-    counts: Vec<u32>,
-    table: Table,
-    scored: usize,
-}
-
-impl Walk<'_> {
-    fn run(&mut self, cores: usize) {
-        let last = self.terms.len() - 1;
-        // `prefix[i]`: the sums over applications `0..i`.
-        let mut prefix = vec![[0.0; 4]; last + 1];
-        let (mut used, mut mask) = (0, 0);
-        loop {
-            let t = cores - used;
-            let x = t as f64;
-            let sums = [0, 1, 2, 3].map(|c| prefix[last][c] + x * self.terms[last][c]);
-            let served = if t > 0 { mask | 1 << last } else { mask };
-            self.scored += 1;
-            let (score, top) = (self.column.gflops(sums), self.table.score[served]);
-            if score - top > margin(top) {
-                self.keep(served, score, t as u32);
-            }
-            // The next prefix: one more thread of the last prefix application
-            // while a core is free, else carry into the application before
-            // the rightmost non-zero count.
-            let bump = if used < cores {
-                last.checked_sub(1)
-            } else {
-                let nonzero = (0..last).rev().find(|&i| self.counts[i] > 0);
-                nonzero.and_then(|j| {
-                    used -= self.counts[j] as usize;
-                    self.counts[j] = 0;
-                    mask &= !(1 << j);
-                    j.checked_sub(1)
-                })
-            };
-            let Some(i) = bump else { return };
-            self.counts[i] += 1;
-            used += 1;
-            mask |= 1 << i;
-            let x = f64::from(self.counts[i]);
-            let sums = [0, 1, 2, 3].map(|c| prefix[i][c] + x * self.terms[i][c]);
-            prefix[i + 1..].fill(sums);
-        }
-    }
-
-    /// Keeps the current column, `t` threads of the last application, as
-    /// the best for `mask`.
-    #[inline(never)]
-    fn keep(&mut self, mask: usize, score: f64, t: u32) {
-        let apps = self.terms.len();
-        self.table.score[mask] = score;
-        let cells = &mut self.table.cells[mask * apps..(mask + 1) * apps];
-        cells.copy_from_slice(&self.counts);
-        cells[apps - 1] = t;
-    }
-}
-
 /// The submasks of `mask`, from `mask` itself down to 0.
 fn submasks(mask: usize) -> impl Iterator<Item = usize> {
     // The next submask is `(sub - 1) & mask`; `sub` is 0 once 0 was yielded.
@@ -266,22 +264,14 @@ fn submasks(mask: usize) -> impl Iterator<Item = usize> {
 }
 
 impl ColumnTable {
-    /// Scores the columns of every distinct node shape and merges each
+    /// Keeps the columns of every distinct node shape and merges each
     /// consecutive node pair. `None` outside the exact path: see the
     /// [module docs](self).
     pub fn build(machine: &Machine, apps: &[AppSpec], objective: &Objective) -> Option<Self> {
         let k = apps.len();
-        if k == 0 || k > MAX_APPS {
+        if k == 0 || k > MAX_APPS || *objective != Objective::TotalGflops {
             return None;
         }
-        let weights = match objective {
-            Objective::TotalGflops => None,
-            Objective::WeightedGflops(w) => {
-                objective.evaluate_gflops(&vec![0.0; k]).ok()?;
-                Some(w)
-            }
-            Objective::MinAppGflops => return None,
-        };
         let mut shapes: Vec<(usize, u64, NodeId)> = Vec::new();
         let node_shape: Vec<usize> = (machine.nodes())
             .map(|n| {
@@ -292,12 +282,6 @@ impl ColumnTable {
                 })
             })
             .collect();
-        let fits = |&(cores, _, _): &(usize, u64, NodeId)| {
-            enumerate::binom((cores + k - 1) as u128, k as u128 - 1) <= MAX_COLUMNS
-        };
-        if !shapes.iter().all(fits) {
-            return None;
-        }
         let mut table = ColumnTable {
             apps: k,
             tables: Vec::new(),
@@ -305,24 +289,9 @@ impl ColumnTable {
             scored: 0,
         };
         for &(cores, _, node) in &shapes {
-            let column = LocalColumn::new(machine, node, apps)?;
-            let terms = (0..k)
-                .map(|a| {
-                    let [u, n, au, an] = column.terms(a);
-                    let w = weights.map_or(1.0, |w| w[a]);
-                    [u, n, w * au, w * an]
-                })
-                .collect();
-            let mut walk = Walk {
-                column: &column,
-                terms,
-                counts: vec![0; k],
-                table: Table::empty(k, 1),
-                scored: 0,
-            };
-            walk.run(cores);
-            table.scored += walk.scored;
-            table.tables.push(walk.table);
+            let shape = Table::columns(&LocalColumn::new(machine, node, apps)?, cores, k);
+            table.scored += shape.score.iter().filter(|s| s.is_finite()).count();
+            table.tables.push(shape);
         }
         let mut merged: Vec<(usize, usize)> = Vec::new();
         for pair in node_shape.chunks(2) {
@@ -346,7 +315,7 @@ impl ColumnTable {
     }
 
     /// The exact best over all of `apps`, building its table: `evaluations`
-    /// counts the columns scored.
+    /// counts the columns kept.
     pub fn search(
         machine: &Machine,
         apps: &[AppSpec],
@@ -359,7 +328,7 @@ impl ColumnTable {
         Some(found)
     }
 
-    /// Columns scored building the table.
+    /// Columns kept building the table: one per node shape and served mask.
     pub fn columns(&self) -> usize {
         self.scored
     }
@@ -403,5 +372,123 @@ impl ColumnTable {
             counters: SearchCounters::default(),
             truncated: false,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cases::check;
+    use crate::enumerate::binom;
+    use numa_topology::MachineBuilder;
+
+    /// Walks every full column of one shape in lexicographic order: an
+    /// odometer over the counts of all applications but the last, which takes
+    /// the cores left, keeping the four running sums of [`LocalColumn`] per
+    /// prefix. The enumeration the closed form replaced, kept as its
+    /// reference.
+    struct Walk<'a> {
+        column: &'a LocalColumn,
+        terms: Vec<[f64; 4]>,
+        counts: Vec<u32>,
+        table: Table,
+    }
+
+    impl Walk<'_> {
+        fn run(&mut self, cores: usize) {
+            let last = self.terms.len() - 1;
+            // `prefix[i]`: the sums over applications `0..i`.
+            let mut prefix = vec![[0.0; 4]; last + 1];
+            let (mut used, mut mask) = (0, 0);
+            loop {
+                let t = cores - used;
+                let x = t as f64;
+                let sums = [0, 1, 2, 3].map(|c| prefix[last][c] + x * self.terms[last][c]);
+                let served = if t > 0 { mask | 1 << last } else { mask };
+                let (score, top) = (self.column.gflops(sums), self.table.score[served]);
+                if score - top > margin(top) {
+                    self.keep(served, score, t as u32);
+                }
+                // The next prefix: one more thread of the last prefix application
+                // while a core is free, else carry into the application before
+                // the rightmost non-zero count.
+                let bump = if used < cores {
+                    last.checked_sub(1)
+                } else {
+                    let nonzero = (0..last).rev().find(|&i| self.counts[i] > 0);
+                    nonzero.and_then(|j| {
+                        used -= self.counts[j] as usize;
+                        self.counts[j] = 0;
+                        mask &= !(1 << j);
+                        j.checked_sub(1)
+                    })
+                };
+                let Some(i) = bump else { return };
+                self.counts[i] += 1;
+                used += 1;
+                mask |= 1 << i;
+                let x = f64::from(self.counts[i]);
+                let sums = [0, 1, 2, 3].map(|c| prefix[i][c] + x * self.terms[i][c]);
+                prefix[i + 1..].fill(sums);
+            }
+        }
+
+        /// Keeps the current column, `t` threads of the last application, as
+        /// the best for `mask`.
+        fn keep(&mut self, mask: usize, score: f64, t: u32) {
+            let apps = self.terms.len();
+            self.table.score[mask] = score;
+            let cells = &mut self.table.cells[mask * apps..(mask + 1) * apps];
+            cells.copy_from_slice(&self.counts);
+            cells[apps - 1] = t;
+        }
+    }
+
+    /// On one node of 1–48 cores, 5–155 GB/s and a core peak of 0.1–50
+    /// GFLOPS, with 1–8 NUMA-local applications (some of equal AI) and at
+    /// most 2^17 full columns, every kept column and its score bits are
+    /// the walk's.
+    #[test]
+    fn kept_columns_are_the_enumerations() {
+        check(59, 256, |g| {
+            let apps: Vec<AppSpec> = g.vec(1..9, |g| {
+                let ai = if g.bool(0.3) {
+                    *g.pick(&[0.25, 0.5, 1.0, 4.0])
+                } else {
+                    g.range(0.02..32.0)
+                };
+                AppSpec::numa_local("a", ai)
+            });
+            let k = apps.len();
+            let cores = loop {
+                let cores = g.range(1..49usize);
+                if binom((cores + k - 1) as u128, k as u128 - 1) <= 1 << 17 {
+                    break cores;
+                }
+            };
+            let machine = (MachineBuilder::new())
+                .add_node(cores, g.range(5.0..155.0), 16.0)
+                .core_peak_gflops(g.range(0.1..50.0))
+                .uniform_link_gbs(10.0)
+                .build()
+                .unwrap();
+            let column = LocalColumn::new(&machine, NodeId(0), &apps).unwrap();
+            let mut walk = Walk {
+                column: &column,
+                terms: (0..k).map(|a| column.terms(a)).collect(),
+                counts: vec![0; k],
+                table: Table::empty(k, 1),
+            };
+            walk.run(cores);
+            let kept = Table::columns(&column, cores, k);
+            for mask in 0..1 << k {
+                let at = mask * k..(mask + 1) * k;
+                assert_eq!(
+                    (kept.score[mask].to_bits(), &kept.cells[at.clone()]),
+                    (walk.table.score[mask].to_bits(), &walk.table.cells[at]),
+                    "mask {mask:b} on {cores} cores"
+                );
+            }
+        });
     }
 }

@@ -199,32 +199,42 @@ pub fn proportional(machine: &Machine, weights: &[f64]) -> Result<ThreadAssignme
     if weights.iter().any(|&w| w < 0.0 || !w.is_finite()) || weights.iter().all(|&w| w == 0.0) {
         return Err(AllocError::BadWeights);
     }
-    let total_w: f64 = weights.iter().sum();
     let mut a = ThreadAssignment::zero(machine, weights.len());
     for node in machine.node_ids() {
-        let cores = machine.node(node).num_cores();
-        // Largest-remainder (Hamilton) apportionment.
-        let quotas: Vec<f64> = weights.iter().map(|w| w / total_w * cores as f64).collect();
-        let mut counts: Vec<usize> = quotas.iter().map(|q| q.floor() as usize).collect();
-        let mut assigned: usize = counts.iter().sum();
-        let mut order: Vec<usize> = (0..weights.len()).collect();
-        order.sort_by(|&i, &j| {
-            let ri = quotas[i] - counts[i] as f64;
-            let rj = quotas[j] - counts[j] as f64;
-            rj.partial_cmp(&ri).unwrap().then(i.cmp(&j))
-        });
-        let mut it = order.iter().cycle();
-        while assigned < cores {
-            let &i = it.next().expect("cycle is infinite");
-            counts[i] += 1;
-            assigned += 1;
-        }
+        let counts = largest_remainder(machine.node(node).num_cores(), weights);
         for (app, &c) in counts.iter().enumerate() {
             a.set(app, node, c);
         }
     }
     a.validate(machine)?;
     Ok(a)
+}
+
+/// Splits `cores` proportionally to `weights` by largest remainder
+/// (Hamilton): each entry takes its quota's floor, then the cores left go
+/// one each in order of largest fractional part, ties to the lower index.
+/// A weight that is not positive and finite counts as 0; if none is
+/// positive, every count is 0.
+pub fn largest_remainder(cores: usize, weights: &[f64]) -> Vec<usize> {
+    let weight = |&w: &f64| if w > 0.0 && w.is_finite() { w } else { 0.0 };
+    let total: f64 = weights.iter().map(weight).sum();
+    if total <= 0.0 {
+        return vec![0; weights.len()];
+    }
+    let quotas: Vec<f64> = weights
+        .iter()
+        .map(|w| weight(w) / total * cores as f64)
+        .collect();
+    let mut counts: Vec<usize> = quotas.iter().map(|q| q.floor() as usize).collect();
+    let left = cores.saturating_sub(counts.iter().sum());
+    let remainder = |i: usize| quotas[i] - counts[i] as f64;
+    // A stable sort: equal remainders keep index order.
+    let mut order: Vec<usize> = (0..weights.len()).collect();
+    order.sort_by(|&i, &j| remainder(j).total_cmp(&remainder(i)));
+    for &i in order.iter().cycle().take(left) {
+        counts[i] += 1;
+    }
+    counts
 }
 
 #[cfg(test)]

@@ -956,8 +956,8 @@ mod tests {
 
     /// A record carries the cost of the policy's latest search. The
     /// template's apps are all NUMA-local, so tick 0 decides exactly: its
-    /// records carry the columns the table scored and no solver work (the
-    /// columns are scored in closed form), and from the first on-period
+    /// records carry the columns the table kept and no solver work (the
+    /// columns are kept in closed form), and from the first on-period
     /// tick on nothing at all — an exact decision is settled while the live
     /// set holds, so no warm climb runs.
     #[test]
@@ -975,8 +975,8 @@ mod tests {
             let found = inputs.find(|(k, _)| &**k == key);
             found.map(|&(_, v)| v).expect("search inputs recorded")
         };
-        // 4 apps on 20 cores: C(23, 3) full columns of one node shape.
-        let columns = 1_771.0;
+        // 4 apps on 20 cores: one column per served mask of one node shape.
+        let columns = 15.0;
         for (tick, record) in records.iter().enumerate() {
             let [full, delta, hits, evaluations, warm] = [
                 "search/full_solves",
@@ -1166,7 +1166,8 @@ mod tests {
     /// exports the ledger and the scrape it did when the policy began to
     /// decide it exactly, captured by this same test: the scrape of a fixed
     /// run of the policy's rows, and its ledger with the policy's `search/*`
-    /// inputs on every record.
+    /// inputs on every record. Retaken once the table kept one column per
+    /// served mask: only `search/evaluations` moved, 1 771 → 15.
     #[test]
     fn reoptimizing_template_run_exports_what_it_did() {
         let mut scenario = template();
@@ -1191,7 +1192,7 @@ mod tests {
         let result = run_supervised(&scenario, &config, Arc::new(TelemetryHub::new())).unwrap();
         let digest = export_digest(&result);
         println!("export digest {digest:#018x}");
-        assert_eq!(digest, 0x55db_821e_25b1_c2b7);
+        assert_eq!(digest, 0xc26f_cf61_aae9_eb43);
     }
 
     /// A re-optimizing Table III run, jitter on, on the quantum grid, with a
@@ -1205,7 +1206,8 @@ mod tests {
     /// the policy decided the rows: its cold greedy over the live set at
     /// ticks 0, 5 and 25, `comp` contained from tick 17; and again once
     /// jitter was drawn per (seed, thread, segment), and again once the
-    /// policy decided those live sets exactly.
+    /// policy decided those live sets exactly, and again once the table
+    /// kept one column per served mask (only `search/evaluations` moved).
     #[test]
     fn runaway_outage_run_exports_what_it_did() {
         use crate::chaos::{AppOutage, ChaosPlan};
@@ -1238,7 +1240,7 @@ mod tests {
         assert!(result.ticks.iter().filter(|t| t.perturbed).count() > 10);
         let digest = export_digest(&result);
         println!("export digest {digest:#018x}");
-        assert_eq!(digest, 0xec71_532a_9429_c0d2);
+        assert_eq!(digest, 0x6136_f2cf_d394_9cf4);
     }
 
     /// An outage's prediction is the model's for the rows in force: while
