@@ -108,8 +108,7 @@ fn main() {
     println!("{header}");
 
     let mut prev = 0.0f64;
-    for i in 0..r.apps[0].times_s.len() {
-        let time = r.apps[0].times_s[i];
+    for (i, &time) in r.times_s.iter().enumerate() {
         let mut row = format!(
             "{:.4},{:.2},{:.2}",
             time, r.apps[0].gflops_series[i], r.apps[1].gflops_series[i]

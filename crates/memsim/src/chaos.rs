@@ -8,14 +8,18 @@
 //! time and optionally revives at another), and [`run_chaos_scenario`]
 //! compiles plan + scenario into a time-varying schedule — one entry per
 //! segment, written as its non-zero cells, which is how the simulation
-//! loop reads a schedule — and runs it:
+//! loop reads a schedule — and runs it. The runner sorts the plan's down
+//! and up edges into one list and sweeps it once: a segment starts at 0 and
+//! at each later edge before the end, and each app counts the outages in
+//! force on it, live while there are none, however many overlap:
 //!
 //! * while an application is down it has no cells (it executes nothing),
 //! * with [`ChaosPlan::reclaim`] enabled, every segment re-partitions the
 //!   machine fairly among the *live* applications, so survivors absorb the
 //!   freed cores: the segment's cells are the survivors' cells of the
 //!   agent's fair-share fallback (`fair_share_among` over the live mask),
-//!   written straight from `coop_alloc::strategies::fair_split`,
+//!   one `coop_alloc::strategies::fair_split` per survivor count, whose
+//!   `k`-th sharer is the segment's `k`-th survivor,
 //! * without reclamation the survivors keep their original threads — the
 //!   base rows' cells, taken once, of the live applications — and the dead
 //!   application's cores simply idle.
@@ -117,22 +121,6 @@ impl ChaosPlan {
         }
         Ok(())
     }
-
-    /// The schedule boundary times: 0 plus every down/up edge inside the
-    /// run, ascending and deduplicated.
-    fn edges(&self, duration_s: f64) -> Vec<f64> {
-        let mut edges = vec![0.0];
-        for o in &self.outages {
-            edges.push(o.down_at_s);
-            if let Some(up) = o.up_at_s {
-                edges.push(up);
-            }
-        }
-        edges.retain(|&t| t < duration_s);
-        edges.sort_by(|a, b| a.partial_cmp(b).expect("finite edge times"));
-        edges.dedup();
-        edges
-    }
 }
 
 /// The outcome of a chaos run.
@@ -181,29 +169,56 @@ pub fn run_chaos_scenario_on(
     let rows = scenario.assignments[0].threads.iter().map(Vec::as_slice);
     let base: Option<Vec<Cell>> = (!plan.reclaim).then(|| non_zero(rows).collect());
 
+    // The outage flips as `(instant, app, ±1)`: the downs in plan order,
+    // then the ups. A plan in time order is two sorted runs, which the
+    // stable sort merges.
+    let mut flips = Vec::with_capacity(2 * plan.outages.len());
+    flips.extend(plan.outages.iter().map(|o| (o.down_at_s, o.app, 1)));
+    let up = |o: &AppOutage| Some((o.up_at_s?, o.app, -1));
+    flips.extend(plan.outages.iter().filter_map(up));
+    flips.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let mut flips = flips.into_iter().peekable();
+    // Per app, the outages in force: it is live while there are none.
+    let mut down = vec![0i32; num_apps];
+    // Per survivor count met, the fair split of the machine among that many
+    // as `[position among the survivors, node, count]` cells.
+    let mut splits: Vec<(usize, Vec<[u32; 3]>)> = Vec::new();
+
     let mut schedule = SparseSchedule::default();
     let mut survivors = Vec::with_capacity(num_apps);
     let mut segments = Vec::new();
-    for t in plan.edges(scenario.duration_s) {
-        let live = plan.live_at(num_apps, t);
+    let mut t = 0.0;
+    while t < scenario.duration_s {
+        while let Some((_, app, step)) = flips.next_if(|f| f.0 <= t) {
+            down[app] += step;
+        }
+        let live: Vec<bool> = down.iter().map(|&d| d == 0).collect();
         if let Some(base) = &base {
             let live_cells = base.iter().filter(|c| live[c.app as usize]);
             schedule.cells.extend(live_cells);
         } else if live.contains(&true) {
             survivors.clear();
-            survivors.extend((0..num_apps).filter(|&app| live[app]));
+            survivors.extend((0..num_apps as u32).filter(|&app| live[app as usize]));
             let sharers = survivors.len();
-            coop_alloc::strategies::fair_split(machine, sharers, |pos, node, count| {
-                let (app, node) = (survivors[pos] as u32, node.0 as u32);
-                schedule.cells.push(Cell { app, node, count });
-            })
-            .map_err(|e| SimError::Calibration {
-                reason: format!("fair-share reclamation failed: {e}"),
-            })?;
+            if !splits.iter().any(|s| s.0 == sharers) {
+                let mut split = Vec::with_capacity(machine.total_cores());
+                coop_alloc::strategies::fair_split(machine, sharers, |pos, node, count| {
+                    split.push([pos, node.0, count].map(|x| x as u32))
+                })
+                .expect("a survivor shares the machine");
+                splits.push((sharers, split));
+            }
+            let (_, split) = splits.iter().find(|s| s.0 == sharers).expect("split above");
+            let cell = |&[pos, node, count]: &[u32; 3]| {
+                let (app, count) = (survivors[pos as usize], count as usize);
+                Cell { app, node, count }
+            };
+            schedule.cells.extend(split.iter().map(cell));
         }
         // Everything down leaves the segment empty: a valid (if sad) one.
         schedule.end_entry(t);
         segments.push((t, live));
+        t = flips.peek().map_or(f64::INFINITY, |f| f.0);
     }
 
     let mut sim = Simulation::new(

@@ -377,7 +377,7 @@ impl Simulation {
         let detail = Some((&mut samples, &mut log));
         advance_time(self, apps, schedule, duration_s, cuts, &mut run, detail)?;
         // Each series is built once, at its exact length, from its column
-        // of the sample rows.
+        // of the sample rows; the sample times are the result's, once.
         let series = apps
             .iter()
             .zip(&run.gflop_done)
@@ -385,7 +385,6 @@ impl Simulation {
             .map(|(a, (app, &gflop_done))| AppSeries {
                 name: app.name().to_string(),
                 gflop_done,
-                times_s: samples.times_s.clone(),
                 gflops_series: samples
                     .gflops
                     .chunks_exact(apps.len())
@@ -397,6 +396,7 @@ impl Simulation {
             SimResult {
                 machine: self.config.machine.name().to_string(),
                 duration_s: run.duration_s,
+                times_s: samples.times_s,
                 apps: series,
                 node_avg_gbs: run.node_avg_gbs,
                 node_utilization: run.node_utilization,
@@ -1786,10 +1786,7 @@ mod tests {
             .iter()
             .filter(|e| e.cat == "bandwidth" && matches!(e.kind, EventKind::Counter { .. }))
             .collect();
-        assert_eq!(
-            counters.len(),
-            machine.num_nodes() * r.apps[0].times_s.len()
-        );
+        assert_eq!(counters.len(), machine.num_nodes() * r.times_s.len());
         assert!(counters.windows(2).all(|w| w[0].ts_us <= w[1].ts_us));
         // Each sample carries its node's counter name — the bytes a
         // `format!` per sample used to produce — and the exposition is what
@@ -1957,11 +1954,10 @@ mod tests {
         let apps = vec![SimApp::numa_local("a", 1.0)];
         let assignment = ThreadAssignment::uniform_per_node(&machine, &[1]);
         let r = sim.run(&apps, &assignment, 0.05).unwrap();
-        let s = &r.apps[0];
-        assert!(!s.times_s.is_empty());
-        assert_eq!(s.times_s.len(), s.gflops_series.len());
-        assert!(s.times_s.windows(2).all(|w| w[0] < w[1]));
-        assert!(*s.times_s.last().unwrap() <= 0.05 + 1e-9);
+        assert!(!r.times_s.is_empty());
+        assert_eq!(r.times_s.len(), r.apps[0].gflops_series.len());
+        assert!(r.times_s.windows(2).all(|w| w[0] < w[1]));
+        assert!(*r.times_s.last().unwrap() <= 0.05 + 1e-9);
     }
 }
 

@@ -16,22 +16,26 @@
 //!   groups — about 7 900 events in 64 segments.
 //!
 //! Where the calls go. Since an assignment became one allocation, almost
-//! all of them are the result's: three per tenant, its name, its sample
-//! times and its sample rates, each built once at its exact length (768 of
-//! the outage run's 920). The rest grows with the run, not the fleet: a
-//! sample window appends one time and one flat row of per-tenant rates,
-//! and those two vectors, the event log and the run's one flat buffer of
-//! schedule cells grow by doubling. Each of the outage run's 33 segments
-//! adds its live flags and the per-node split table of `fair_split`, whose
-//! cells go straight to that buffer. The outage run made 986 calls while
-//! each segment was a `fair_share_among` matrix (the survivors' row
-//! indices, the split table and the 256 × 16 assignment itself); 1 505
-//! while `Scenario::validate` cloned the 256-row matrix to check its
-//! shape, the runner cloned it again as the survivors' `base` with
-//! reclamation on, and each segment copied a `shared` fair share into a
-//! zeroed matrix of its own; 3 541 while each sample window pushed onto two
-//! vectors per tenant, all of them growing by doubling (the bursting run:
-//! 11 074).
+//! all of them are the result's: two per tenant, its name and its sample
+//! rates, each built once at its exact length (512 of the outage run's
+//! 622); the sample times are the result's, held once. The rest grows with
+//! the run, not the fleet: a sample window appends one time and one flat
+//! row of per-tenant rates, and those two vectors, the event log and the
+//! run's one flat buffer of schedule cells grow by doubling. The outage run
+//! sorts its down and up edges into one list once and keeps a split table
+//! of `fair_split` per survivor count, not per segment (two: 256 and 236
+//! sharers), whose cells, each named by its survivor, go straight to that
+//! buffer; each of its 33 segments adds only its live flags. The outage
+//! run made 920 calls while every tenant's
+//! series held its own copy of the sample times and each segment split the
+//! machine afresh; 986 while each segment was a `fair_share_among` matrix
+//! (the survivors' row indices, the split table and the 256 × 16 assignment
+//! itself); 1 505 while `Scenario::validate` cloned the 256-row matrix to
+//! check its shape, the runner cloned it again as the survivors' `base`
+//! with reclamation on, and each segment copied a `shared` fair share into
+//! a zeroed matrix of its own; 3 541 while each sample window pushed onto
+//! two vectors per tenant, all of them growing by doubling (the bursting
+//! run: 11 074).
 
 mod counting;
 mod fleets;

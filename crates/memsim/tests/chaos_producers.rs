@@ -23,7 +23,7 @@ use std::sync::Arc;
 /// Every float of a result, as bits, with its shape.
 fn bits(r: &SimResult) -> Vec<u64> {
     let series = r.apps.iter().flat_map(|a| {
-        let floats = a.times_s.iter().chain(&a.gflops_series);
+        let floats = r.times_s.iter().chain(&a.gflops_series);
         std::iter::once(a.gflop_done).chain(floats.copied())
     });
     let floats = [r.duration_s, r.total_gflops()].into_iter().chain(series);
@@ -94,16 +94,30 @@ fn scenario(g: &mut Gen) -> Scenario {
 }
 
 /// One to five outages, some never revived, some at t = 0 or sharing an
-/// edge.
+/// edge, then one of four shapes the draw forces on one app: two
+/// overlapping outages, an outage that never revives, one from t = 0, and
+/// two whose edges fall at and after the end of the run.
 fn plan(g: &mut Gen, num_apps: usize) -> ChaosPlan {
     let edge = |g: &mut Gen| f64::from(g.range(0..10u32)) * 0.005;
-    let outages = g.vec(1..6, |g| {
+    let mut outages = g.vec(1..6, |g| {
         let down_at_s = edge(g);
         AppOutage {
             app: g.range(0..num_apps),
             down_at_s,
             up_at_s: g.bool(0.7).then(|| down_at_s + 0.005 + edge(g)),
         }
+    });
+    let app = g.range(0..num_apps);
+    let outage = |down_at_s, up_at_s| AppOutage {
+        app,
+        down_at_s,
+        up_at_s,
+    };
+    outages.extend(match g.range(0..4u32) {
+        0 => vec![outage(0.01, Some(0.03)), outage(0.02, Some(0.04))],
+        1 => vec![outage(0.015, None)],
+        2 => vec![outage(0.0, Some(0.02))],
+        _ => vec![outage(0.03, Some(0.05)), outage(0.05, Some(0.06))],
     });
     ChaosPlan {
         outages,
@@ -170,6 +184,40 @@ fn a_chaos_run_is_its_materialised_schedule_run_dense() {
                     let what = format!("reclaim {reclaim}, {engine}");
                     assert_eq!(bits(&out.result), bits(&dense), "{what}");
                 }
+            }
+        }
+    });
+}
+
+/// The runner sweeps the plan's edges once; its oracle reads the whole
+/// plan at each segment's start. The segments start at 0 and at every
+/// distinct down/up time before the end, ascending, and each segment's
+/// live flags are `ChaosPlan::live_at` its start.
+#[test]
+fn the_outage_sweep_is_its_plan_read_at_every_segment() {
+    check(55, 64, |g| {
+        let scenario = scenario(g);
+        let num_apps = scenario.apps.len();
+        let plan = plan(g, num_apps);
+        let mut edges = vec![0.0];
+        for o in &plan.outages {
+            edges.push(o.down_at_s);
+            edges.extend(o.up_at_s);
+        }
+        edges.retain(|&t| t < scenario.duration_s);
+        edges.sort_by(f64::total_cmp);
+        edges.dedup();
+        for reclaim in [true, false] {
+            let plan = plan.clone().with_reclaim(reclaim);
+            let out = run_chaos_scenario_on(&scenario, &plan, None, EngineKind::Event).unwrap();
+            let starts: Vec<f64> = out.segments.iter().map(|&(t, _)| t).collect();
+            assert_eq!(starts, edges, "{plan:?}");
+            for (start_s, live) in &out.segments {
+                assert_eq!(
+                    *live,
+                    plan.live_at(num_apps, *start_s),
+                    "at {start_s}: {plan:?}"
+                );
             }
         }
     });

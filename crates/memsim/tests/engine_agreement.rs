@@ -393,13 +393,13 @@ fn mixed_placements() -> (
 }
 
 /// The FNV-1a digest of every float of `result` — duration, then per app
-/// its work, sample times and sample rates, then per node its average
-/// bandwidth and utilization — and how many floats that is.
+/// its work, the run's sample times and its sample rates, then per node its
+/// average bandwidth and utilization — and how many floats that is.
 fn float_digest(result: &SimResult) -> (u64, usize) {
     let mut floats = vec![result.duration_s];
     for app in &result.apps {
         floats.push(app.gflop_done);
-        floats.extend(&app.times_s);
+        floats.extend(&result.times_s);
         floats.extend(&app.gflops_series);
     }
     floats.extend(&result.node_avg_gbs);
@@ -464,7 +464,7 @@ fn mixed_placements_replay_the_pinned_floats_on_the_grid() {
     .run_dynamic(&apps, &schedule, duration)
     .unwrap();
     assert!(
-        result.apps.iter().all(|a| a.times_s.len() == 2),
+        result.times_s.len() == 2 && result.apps.iter().all(|a| a.gflops_series.len() == 2),
         "two sample windows: ten quanta, then six"
     );
     let (digest, floats) = float_digest(&result);
