@@ -43,9 +43,10 @@ mod runtime_work;
 use coop_alloc::search::{ExhaustiveSearch, GreedySearch, ModelOracle};
 use coop_alloc::{ColumnTable, Objective, ScoreCache};
 use coop_telemetry::json::{self, Value};
-use coop_workloads::apps::{model_mix, skylake_mix};
+use coop_workloads::apps::{model_mix, skylake_bad_mix};
 use memsim::EngineKind;
 use numa_topology::presets::{paper_model_machine, paper_skylake_machine};
+use numa_topology::NodeId;
 use roofline_numa::AppSpec;
 use std::process::Command;
 use std::sync::Arc;
@@ -66,7 +67,9 @@ fn first_line_of(program: &str, args: &[&str]) -> String {
 /// The search layer's cells: the evaluations and allocator calls of the
 /// agent's cold search on a coupled mix — one `GreedySearch::run_model` on
 /// a fresh `ModelOracle` (thread floor 1, fresh score cache) over the
-/// Table III mix on the paper's Skylake — and the allocator calls of one
+/// Table III NUMA-bad mix (its bad application's data on node 0) on the
+/// paper's Skylake, a mix whose nodes the remote traffic couples, so no
+/// exact decision takes it — and the allocator calls of one
 /// sequential `ExhaustiveSearch::run` over the paper machine's uniform
 /// space; then the agent's exact decision on `ctl_chaos`'s shape (eight
 /// NUMA-local applications, AI 1/32 to 32, on the paper machine's 4 × 8):
@@ -75,9 +78,9 @@ fn first_line_of(program: &str, args: &[&str]) -> String {
 /// that reuses it.
 fn search() -> [(String, f64); 6] {
     let objective = Objective::TotalGflops;
-    let (machine, specs) = (paper_skylake_machine(), skylake_mix());
+    let (machine, specs) = (paper_skylake_machine(), skylake_bad_mix(NodeId(0)));
     let oracle = ModelOracle::new(&machine, &specs, &objective)
-        .expect("the Table III mix is valid")
+        .expect("the Table III NUMA-bad mix is valid")
         .with_min_threads(1);
     let cache = Arc::new(ScoreCache::new(oracle.fingerprint()));
     let mut oracle = oracle
