@@ -133,8 +133,8 @@ impl Policy for ProducerConsumerThrottle {
 /// floor.
 const MIN_THREADS_PER_APP: usize = 1;
 
-/// Hill-climb proposals per warm-started [`ModelGuided`] re-solve whose
-/// start is not a certified strict local optimum.
+/// Hill-climb proposals per warm-started [`ModelGuided`] re-solve; every
+/// feasible one is scored.
 const WARM_ITERATIONS: usize = 1500;
 
 /// Model-guided repartitioning: knows each runtime's [`AppSpec`] (AI and
@@ -160,10 +160,10 @@ const WARM_ITERATIONS: usize = 1500;
 /// **Fallback.** Otherwise (a coupled mix, or past `MAX_APPS`) a changed
 /// live set is solved cold (greedy); an unchanged one every `period` ticks
 /// by a hill climb **warm-started** from the previous assignment, on a
-/// [`ScoreCache`] kept while the live set holds. A strict local optimum is
-/// certified (one probe per neighbour), and a warm climb from a start the
-/// last one returned unchanged is skipped: its seed, iterations and context
-/// are fixed and cached scores exact, so it would return that start again.
+/// [`ScoreCache`] kept while the live set holds. A warm climb from a start
+/// the last one returned unchanged is skipped — the only thing that skips
+/// one: its seed, iterations and context are fixed and cached scores exact,
+/// so it would return that start again.
 ///
 /// The latest search's cost ([`search_inputs`]) goes into the policy's
 /// [`Prediction`](coop_telemetry::Prediction). For an exact decision,
@@ -256,11 +256,10 @@ impl ModelGuided {
     /// The most recent search's cost, as the `search/*` prediction inputs
     /// the provenance ledger records: its solver work, its evaluations and
     /// whether it started warm.
-    pub fn search_inputs(&self) -> [(&'static str, f64); 5] {
+    pub fn search_inputs(&self) -> [(&'static str, f64); 4] {
         let c = self.last_counters;
         [
             ("search/full_solves", c.full_solves as f64),
-            ("search/delta_solves", c.delta_solves as f64),
             ("search/cache_hits", c.cache_hits as f64),
             ("search/evaluations", self.last_evaluations as f64),
             ("search/warm_start", f64::from(u8::from(self.last_warm))),
@@ -633,19 +632,19 @@ mod tests {
         let exact = ColumnTable::search(&m, &apps, &Objective::TotalGflops).unwrap();
         assert_eq!(p.last_assignment(), Some(&exact.assignment));
         let inputs = p.search_inputs();
-        assert_eq!(inputs[3].1, exact.evaluations as f64, "the columns kept");
+        assert_eq!(inputs[2].1, exact.evaluations as f64, "the columns kept");
         assert_eq!(p.last_search_counters(), SearchCounters::default());
         assert!(p.cache_stats().is_none(), "no fallback search ran");
 
         // On-period, same set: settled, no search.
         assert!(p.tick(&all, 1).is_empty());
-        assert_eq!(p.search_inputs()[3].1, 0.0);
+        assert_eq!(p.search_inputs()[2].1, 0.0);
 
         // An eviction re-merges the table: no column scored again, and the
         // survivors' decision is their own exact one.
         let survivors = [all[0].clone(), all[2].clone()];
         assert!(p.tick(&survivors, 2).iter().all(|c| c.is_some()));
-        assert_eq!(p.search_inputs()[3].1, 0.0, "the table was reused");
+        assert_eq!(p.search_inputs()[2].1, 0.0, "the table was reused");
         let live = [apps[0].clone(), apps[2].clone()];
         let own = ColumnTable::search(&m, &live, &Objective::TotalGflops).unwrap();
         assert_eq!(p.last_assignment(), Some(&own.assignment));
@@ -669,7 +668,7 @@ mod tests {
             assert!(p.tick(&stats, 0).iter().all(|c| c.is_some()));
             let inputs = p.search_inputs();
             let masks = (1 << apps.len()) - 1;
-            assert_eq!(inputs[3].1, f64::from(masks), "one shape, every mask kept");
+            assert_eq!(inputs[2].1, f64::from(masks), "one shape, every mask kept");
             assert_eq!(p.last_search_counters(), SearchCounters::default());
             let oracle = || {
                 ModelOracle::new(&m, &apps, &Objective::TotalGflops)
@@ -713,7 +712,7 @@ mod tests {
         assert!(p.tick(&stats, 0).iter().all(|c| c.is_some()));
         let greedy = GreedySearch::new().run_model(&m, &mut oracle()).unwrap();
         assert_eq!(p.last_assignment(), Some(&greedy.assignment));
-        assert!(p.search_inputs()[3].1 > 0.0 && p.cache_stats().is_some());
+        assert!(p.search_inputs()[2].1 > 0.0 && p.cache_stats().is_some());
 
         p.tick(&stats, 1);
         let climbed = HillClimb::new()
@@ -722,7 +721,7 @@ mod tests {
             .run_model(&m, &mut oracle())
             .unwrap();
         assert_eq!(p.last_assignment(), Some(&climbed.assignment));
-        assert_eq!(p.search_inputs()[4].1, 1.0, "a warm climb");
+        assert_eq!(p.search_inputs()[3].1, 1.0, "a warm climb");
         assert!(p.exact.is_none());
     }
 
@@ -758,7 +757,7 @@ mod tests {
             .any(|(k, v)| &**k == "search/warm_start" && *v == 1.0));
         let warm = p.last_search_counters();
         assert!(
-            warm.full_solves + warm.delta_solves + warm.cache_hits > 0,
+            warm.full_solves + warm.cache_hits > 0,
             "warm re-solve still consults the model"
         );
         let cache_after = p.cache_stats().unwrap();

@@ -179,7 +179,7 @@ fn a_skipped_warm_search_would_return_its_incumbent() {
                 Some((_, incumbent, true)) => {
                     if due {
                         settled.fetch_add(1, Ordering::Relaxed);
-                        assert_eq!(policy.search_inputs()[3].1, 0.0, "tick {tick}");
+                        assert_eq!(policy.search_inputs()[2].1, 0.0, "tick {tick}");
                         assert_eq!(policy.last_search_counters(), Default::default());
                     }
                     (incumbent, true)
@@ -192,7 +192,7 @@ fn a_skipped_warm_search_would_return_its_incumbent() {
                         .run_model(&machine, &mut oracle)
                         .unwrap()
                         .assignment;
-                    if policy.search_inputs()[3].1 == 0.0 {
+                    if policy.search_inputs()[2].1 == 0.0 {
                         skipped.fetch_add(1, Ordering::Relaxed);
                         assert_eq!(climbed, incumbent, "tick {tick}, live {live:?}");
                         assert_eq!(policy.last_search_counters(), Default::default());

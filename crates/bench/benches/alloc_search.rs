@@ -2,7 +2,7 @@
 //! vs greedy vs hill-climbing on the paper's machine, now with the
 //! parallel/memoized machinery of docs/performance.md. Everything is timed
 //! with `Instant`, median of N: per-strategy cost, the parallel fan-out and
-//! the delta+cache oracle against their sequential/full-solve baselines.
+//! the cached oracle against their sequential/uncached baselines.
 //! The figures go to `BENCH_alloc_search.json` (override the path via the
 //! `BENCH_ALLOC_SEARCH_JSON` environment variable), also under
 //! `cargo bench -- --test`, with shrunk problem sizes, so CI can archive it
@@ -80,16 +80,6 @@ fn strategy_report(machine: &Machine, apps: &[AppSpec], smoke: bool) -> Value {
             .run(machine, apps, &objective)
             .expect("hill climb")
     });
-    // The pre-delta baseline: every proposal pays a full solve through
-    // a closure scorer.
-    time("hill_climb_1000_legacy_oracle", &mut || {
-        let mut oracle =
-            |a: &roofline_numa::ThreadAssignment| coop_alloc::score(machine, apps, a, &objective);
-        search::HillClimb::new()
-            .with_iterations(1000)
-            .run_with(machine, apps.len(), &mut oracle)
-            .expect("legacy-oracle hill climb")
-    });
     Value::Array(rows)
 }
 
@@ -148,8 +138,8 @@ fn exhaustive_report(machine: &Machine, smoke: bool) -> Value {
     }
 }
 
-/// Measures the full-solve reduction that the delta+cache oracle buys a
-/// local search against a closure scorer (one full solve per proposal).
+/// Measures the full-solve reduction that the score cache buys a local
+/// search against a closure scorer (one full solve per proposal).
 fn local_search_report(
     machine: &Machine,
     apps: &[AppSpec],
@@ -193,7 +183,7 @@ fn local_search_report(
         .expect("model-oracle local search")
     });
     // The legacy path answers every evaluation with a full solve; the
-    // model oracle answers them with deltas and cache hits.
+    // model oracle answers repeated ones from its cache.
     let baseline_full = legacy.evaluations as u64;
     let reduction = baseline_full as f64 / model.counters.full_solves.max(1) as f64;
     json_object! {
@@ -201,7 +191,6 @@ fn local_search_report(
         "seconds": model_s,
         "baseline_full_solves": baseline_full,
         "full_solves": model.counters.full_solves,
-        "delta_solves": model.counters.delta_solves,
         "cache_hits": model.counters.cache_hits,
         "full_solve_reduction": reduction,
         "legacy_gflops": legacy.score,

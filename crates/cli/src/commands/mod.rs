@@ -653,7 +653,6 @@ fn observe_cmd(x: &ObserveArgs, format: OutputFormat) -> Result<String> {
                 },
                 "search": json_object! {
                     "full_solves": search_counters.full_solves,
-                    "delta_solves": search_counters.delta_solves,
                     "cache_hits": search_counters.cache_hits,
                 },
                 "flight_dump": done.dump_path.as_ref().map(|p| p.display().to_string()),
@@ -680,8 +679,8 @@ fn observe_cmd(x: &ObserveArgs, format: OutputFormat) -> Result<String> {
             ));
         }
         out.push_str(&format!(
-            "search: {} full / {} delta solves, {} cache hits (counters in metrics output)\n",
-            search_counters.full_solves, search_counters.delta_solves, search_counters.cache_hits
+            "search: {} full solves, {} cache hits (counters in metrics output)\n",
+            search_counters.full_solves, search_counters.cache_hits
         ));
         out.push_str(&format!(
             "telemetry: {} timeline events ({} dropped)\n",
@@ -997,7 +996,7 @@ fn solve_cmd(x: &SolveArgs, format: OutputFormat) -> Result<String> {
     Ok(out)
 }
 
-/// The search's full/delta solve counts as `coop_search_*_solves_total{method}`.
+/// The search's full-solve count as `coop_search_full_solves_total{method}`.
 fn publish_solve_counters(
     reg: &coop_telemetry::MetricsRegistry,
     method: &str,
@@ -1007,15 +1006,8 @@ fn publish_solve_counters(
         "coop_search_full_solves_total",
         "Full model solves performed by the allocation search",
     );
-    reg.set_help(
-        "coop_search_delta_solves_total",
-        "Incremental (delta) model solves performed by the allocation search",
-    );
-    let labels = &[("method", method)];
-    reg.counter("coop_search_full_solves_total", labels)
+    reg.counter("coop_search_full_solves_total", &[("method", method)])
         .add(counters.full_solves);
-    reg.counter("coop_search_delta_solves_total", labels)
-        .add(counters.delta_solves);
 }
 
 /// The most worker threads (and, for the stochastic methods, seeds) one
@@ -1101,7 +1093,6 @@ fn search_cmd(x: &SearchArgs, format: OutputFormat) -> Result<String> {
             "score_gflops": report.total_gflops(),
             "evaluations": result.evaluations,
             "full_solves": result.counters.full_solves,
-            "delta_solves": result.counters.delta_solves,
             "cache_hits": result.counters.cache_hits,
             "truncated": result.truncated,
             "assignment": result.assignment.to_matrix(),
@@ -1110,11 +1101,10 @@ fn search_cmd(x: &SearchArgs, format: OutputFormat) -> Result<String> {
     }
 
     let mut out = format!(
-        "best allocation: {:.2} GFLOPS ({} model evaluations; {} full / {} delta solves, {} cache hits)\n",
+        "best allocation: {:.2} GFLOPS ({} model evaluations; {} full solves, {} cache hits)\n",
         report.total_gflops(),
         result.evaluations,
         result.counters.full_solves,
-        result.counters.delta_solves,
         result.counters.cache_hits,
     );
     if result.truncated {

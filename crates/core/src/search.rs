@@ -37,15 +37,13 @@
 //! best result (earliest seed wins ties, so the outcome is independent of
 //! thread count).
 //!
-//! Scoring cost is attacked on four fronts (see `docs/performance.md`):
-//! [`ModelOracle`] reuses solver scratch space so the hot loop allocates
-//! nothing, re-scores local moves incrementally via
-//! [`roofline_numa::DeltaSolver`], can memoize full scores in a shared
-//! [`ScoreCache`], and certifies a warm start that is a strict local
-//! optimum ([`ModelOracle::certify_base`]) so that a re-search from an
-//! unchanged incumbent proposes nothing. [`SearchCounters`] reports how
-//! much real solver work a search performed versus how many candidates it
-//! evaluated.
+//! What is left to the searches above is the coupled mix — a NUMA-bad
+//! application's remote traffic ties the nodes together — and the local mix
+//! past `separable::MAX_APPS`. [`ModelOracle`] scores every candidate with one full
+//! model solve, on solver scratch it reuses so the hot loop allocates
+//! nothing, and can memoize scores in a shared [`ScoreCache`] (see
+//! `docs/performance.md`). [`SearchCounters`] reports how much real solver
+//! work a search performed versus how many candidates it evaluated.
 //!
 //! The `alloc_search` bench compares cost and quality.
 
@@ -53,9 +51,7 @@ use crate::cache::ScoreCache;
 use crate::rng::StdRng;
 use crate::{enumerate, strategies, AllocError, Objective, Result};
 use numa_topology::{Machine, NodeId};
-use roofline_numa::{
-    solve_gflops, AppSpec, DeltaSolver, SolveOptions, SolveScratch, ThreadAssignment,
-};
+use roofline_numa::{solve_gflops, AppSpec, SolveOptions, SolveScratch, ThreadAssignment};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -63,16 +59,15 @@ use std::sync::Arc;
 /// Breakdown of the real solver work behind a search's evaluations.
 ///
 /// `evaluations` in [`SearchResult`] counts *candidates scored*; these
-/// counters say how each score was produced. Their sum can be below the
+/// counters say how each score was produced. Their sum is below the
 /// evaluation count when some candidates were answered without any solve at
-/// all (e.g. the starvation penalty in [`ModelOracle::with_min_threads`]),
-/// and above it by the probes that certified, or failed to certify, a warm
-/// start ([`ModelOracle::certify_base`]): those are not proposals.
+/// all (the starvation penalty in [`ModelOracle::with_min_threads`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SearchCounters {
     /// Candidates scored by a full model solve.
     pub full_solves: u64,
-    /// Candidates scored by an incremental (per-node-column) delta solve.
+    /// Always 0: [`ModelOracle`] scores no candidate incrementally. The
+    /// field stays while the benchmark harness reads it.
     pub delta_solves: u64,
     /// Candidates answered from a [`ScoreCache`].
     pub cache_hits: u64,
@@ -97,7 +92,7 @@ pub struct SearchResult {
     /// How many candidate assignments were scored. For exhaustive searches
     /// this is the enumerated space size regardless of thread count or cache
     /// hits; for local searches it counts the start plus the proposals that
-    /// reached the oracle — 1 when a hill climb's warm start was certified.
+    /// reached the oracle.
     pub evaluations: usize,
     /// How the scores were produced (zero for a scorer that counts
     /// nothing, such as a closure).
@@ -109,32 +104,20 @@ pub struct SearchResult {
 
 /// What a search asks of whatever scores its candidates: the one oracle
 /// interface of this module. Only `score` is required; the defaults
-/// describe an opaque oracle, which scores every candidate from scratch,
-/// keeps no base and counts nothing — what every
-/// `FnMut(&ThreadAssignment) -> Result<f64>` closure is. [`ModelOracle`]
-/// overrides them all. Each search loop is written once over this trait
-/// and monomorphised per scorer, so the [`ModelOracle`] path has no
-/// dynamic dispatch. A parallel exhaustive scan builds one scorer per
-/// worker inside the worker ([`ExhaustiveSearch::run_with`]), so scorers
-/// need neither `Send` nor `Sync`.
+/// describe an opaque oracle, which scores a start like any candidate and
+/// counts nothing — what every `FnMut(&ThreadAssignment) -> Result<f64>`
+/// closure is. [`ModelOracle`] overrides them both. Each search loop is
+/// written once over this trait and monomorphised per scorer, so the
+/// [`ModelOracle`] path has no dynamic dispatch. A parallel exhaustive scan
+/// builds one scorer per worker inside the worker
+/// ([`ExhaustiveSearch::run_with`]), so scorers need neither `Send` nor
+/// `Sync`.
 pub trait Scorer {
     /// Scores an assignment (higher is better).
     fn score(&mut self, assignment: &ThreadAssignment) -> Result<f64>;
-    /// Scores `base` and makes it the incumbent of later `score_move`s.
+    /// Scores a search's start, before any proposal.
     fn set_base(&mut self, base: &ThreadAssignment) -> Result<f64> {
         self.score(base)
-    }
-    /// Scores a candidate differing from the incumbent on `touched` only.
-    fn score_move(&mut self, candidate: &ThreadAssignment, _touched: &[NodeId]) -> Result<f64> {
-        self.score(candidate)
-    }
-    /// Adopts a candidate just scored by `score_move` as the incumbent.
-    fn accept(&mut self, _candidate: &ThreadAssignment, _touched: &[NodeId]) -> Result<()> {
-        Ok(())
-    }
-    /// `true` only if no neighbour of the incumbent can be accepted.
-    fn certify_base(&mut self) -> bool {
-        false
     }
     /// Returns and resets the solver-work counters.
     fn take_counters(&mut self) -> SearchCounters {
@@ -148,16 +131,14 @@ impl<F: FnMut(&ThreadAssignment) -> Result<f64>> Scorer for F {
     }
 }
 
-/// The analytic-model oracle, packaged with everything that makes repeated
-/// scoring cheap: reusable solver scratch (no per-candidate allocation), an
-/// incremental [`DeltaSolver`] for local moves, an optional shared
-/// [`ScoreCache`], and an optional starvation penalty for cooperating
+/// The analytic-model oracle: one full model solve per candidate, on
+/// reusable solver scratch (no per-candidate allocation), with an optional
+/// shared [`ScoreCache`] and an optional starvation penalty for cooperating
 /// applications that must keep a minimum thread count.
 ///
-/// Local searches drive it through [`set_base`](ModelOracle::set_base) /
-/// [`score_move`](ModelOracle::score_move) /
-/// [`accept`](ModelOracle::accept); exhaustive searches call
-/// [`score`](ModelOracle::score) per candidate.
+/// Searches score their candidates with [`score`](ModelOracle::score); a
+/// greedy, climb or annealing run scores its start with
+/// [`set_base`](ModelOracle::set_base).
 #[derive(Debug)]
 pub struct ModelOracle<'a> {
     machine: &'a Machine,
@@ -166,23 +147,9 @@ pub struct ModelOracle<'a> {
     min_threads: usize,
     context_fp: u64,
     cache: Option<Arc<ScoreCache>>,
-    delta: DeltaSolver<'a>,
     scratch: SolveScratch,
     key_buf: Vec<u32>,
     counters: SearchCounters,
-    /// What is known about the delta solver's committed base; `None` until
-    /// [`set_base`](ModelOracle::set_base) has run, and whenever the base
-    /// or the thread floor may have changed since.
-    known_base: Option<KnownBase>,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct KnownBase {
-    /// The base's score, penalty included.
-    score: f64,
-    /// The remembered answer of
-    /// [`certify_base`](ModelOracle::certify_base), once asked.
-    strict: Option<bool>,
 }
 
 impl<'a> ModelOracle<'a> {
@@ -192,7 +159,9 @@ impl<'a> ModelOracle<'a> {
         apps: &'a [AppSpec],
         objective: &'a Objective,
     ) -> Result<Self> {
-        let delta = DeltaSolver::new(machine, apps)?;
+        for app in apps {
+            app.validate(machine)?;
+        }
         Ok(ModelOracle {
             machine,
             apps,
@@ -200,11 +169,9 @@ impl<'a> ModelOracle<'a> {
             min_threads: 0,
             context_fp: crate::cache::context_fingerprint(machine, apps, objective),
             cache: None,
-            delta,
             scratch: SolveScratch::new(),
             key_buf: Vec::new(),
             counters: SearchCounters::default(),
-            known_base: None,
         })
     }
 
@@ -218,9 +185,6 @@ impl<'a> ModelOracle<'a> {
     /// [`with_cache`](ModelOracle::with_cache).
     pub fn with_min_threads(mut self, min_threads: usize) -> Self {
         self.min_threads = min_threads;
-        // The floor is part of every score: what was known about the base
-        // under the old floor no longer holds.
-        self.known_base = None;
         self
     }
 
@@ -270,12 +234,23 @@ impl<'a> ModelOracle<'a> {
             None
         }
     }
+
+    /// One full model solve of `assignment`, counted: its per-app GFLOPS.
+    fn solve(&mut self, assignment: &ThreadAssignment) -> Result<&[f64]> {
+        let gflops = solve_gflops(
+            self.machine,
+            self.apps,
+            assignment,
+            SolveOptions::default(),
+            &mut self.scratch,
+        )?;
+        self.counters.full_solves += 1;
+        Ok(gflops)
+    }
 }
 
-/// The model's scorer: a local search's [`set_base`](Scorer::set_base),
-/// [`score_move`](Scorer::score_move) and [`accept`](Scorer::accept) fold
-/// into the [`DeltaSolver`], and [`take_counters`](Scorer::take_counters)
-/// reports the solver work since construction or the last call.
+/// The model's scorer; [`take_counters`](Scorer::take_counters) reports the
+/// solver work since construction or the last call.
 impl Scorer for ModelOracle<'_> {
     /// Scores an arbitrary assignment: penalty check, then cache, then a
     /// full solve (inserted into the cache on the way out).
@@ -290,144 +265,25 @@ impl Scorer for ModelOracle<'_> {
                 return Ok(s);
             }
         }
-        let gflops = solve_gflops(
-            self.machine,
-            self.apps,
-            assignment,
-            SolveOptions::default(),
-            &mut self.scratch,
-        )?;
-        self.counters.full_solves += 1;
-        let s = self.objective.evaluate_gflops(gflops)?;
+        let objective = self.objective;
+        let s = objective.evaluate_gflops(self.solve(assignment)?)?;
         if let Some(cache) = &self.cache {
             cache.insert_key(&self.key_buf, s);
         }
         Ok(s)
     }
 
-    /// Full-solves `base` and makes it the incumbent for subsequent
-    /// [`score_move`](ModelOracle::score_move) probes. Returns its score
-    /// (penalty included, matching [`score`](ModelOracle::score)).
-    ///
-    /// Handed the assignment that already is the committed base, it solves
-    /// nothing and returns the score it has: a supervisor that re-searches
-    /// from an unchanged incumbent every tick pays for the base once.
+    /// Scores a search's start with a full solve — which also checks that
+    /// it fits the machine — and then the penalty, if it starves an
+    /// application. The score cache is neither asked nor fed: what it
+    /// holds and counts is the proposals' alone.
     fn set_base(&mut self, base: &ThreadAssignment) -> Result<f64> {
-        if let Some(known) = self.known_base {
-            if self.delta.is_base(base) {
-                return Ok(known.score);
-            }
+        let (objective, penalty) = (self.objective, self.penalty(base));
+        let gflops = self.solve(base)?;
+        match penalty {
+            Some(p) => Ok(p),
+            None => objective.evaluate_gflops(gflops),
         }
-        self.known_base = None;
-        let penalty = self.penalty(base);
-        let totals = self.delta.rebase(base)?;
-        self.counters.full_solves += 1;
-        let score = match penalty {
-            Some(p) => p,
-            None => self.objective.evaluate_gflops(totals)?,
-        };
-        self.known_base = Some(KnownBase {
-            score,
-            strict: None,
-        });
-        Ok(score)
-    }
-
-    /// `true` if the committed base is a **strict local optimum**: no
-    /// feasible move/add/remove neighbour scores `>=` the base, which is
-    /// [`HillClimb`]'s own acceptance test — so a climb from the base can
-    /// accept nothing and returns it, whatever its seed and iteration
-    /// count. The neighbourhood (at most `apps × (nodes² + nodes)`
-    /// candidates) is probed through
-    /// [`score_move`](ModelOracle::score_move) up to the first neighbour
-    /// the climb would accept, and the answer is remembered until the base
-    /// changes.
-    ///
-    /// Never certifies a base that scores the starvation penalty. Nor a
-    /// context with a non-local application: a probe there is a full solve
-    /// or a lookup in the shared score cache, and the attempt would change
-    /// what that cache is asked and holds (`docs/performance.md`,
-    /// "Certified optima", has the numbers).
-    fn certify_base(&mut self) -> bool {
-        let Some(KnownBase { score, strict }) = self.known_base else {
-            return false;
-        };
-        if let Some(known) = strict {
-            return known;
-        }
-        let verdict = self.delta.is_separable() && self.penalty(self.delta.base()).is_none() && {
-            let machine = self.machine;
-            let mut candidate = self.delta.base().clone();
-            strict_local_optimum(machine, &mut candidate, score, &mut |c, touched| {
-                self.score_move(c, touched)
-            })
-        };
-        self.known_base = Some(KnownBase {
-            score,
-            strict: Some(verdict),
-        });
-        verdict
-    }
-
-    /// Scores a local move: `candidate` must differ from the incumbent base
-    /// only on the `touched` nodes. On separable contexts (all apps
-    /// NUMA-local) this re-solves only the touched node columns; otherwise
-    /// it consults the cache and falls back to a full solve.
-    fn score_move(&mut self, candidate: &ThreadAssignment, touched: &[NodeId]) -> Result<f64> {
-        if let Some(p) = self.penalty(candidate) {
-            return Ok(p);
-        }
-        if self.delta.is_separable() {
-            // A column probe is cheaper than hashing the whole assignment,
-            // so the cache is deliberately skipped on this path.
-            let incremental = self.delta.has_base();
-            let totals = self.delta.probe(candidate, touched)?;
-            if incremental {
-                self.counters.delta_solves += 1;
-            } else {
-                self.counters.full_solves += 1;
-            }
-            return self.objective.evaluate_gflops(totals);
-        }
-        if let Some(cache) = &self.cache {
-            ScoreCache::key_of(candidate, &mut self.key_buf);
-            if let Some(s) = cache.lookup_key(&self.key_buf) {
-                self.counters.cache_hits += 1;
-                return Ok(s);
-            }
-        }
-        let totals = self.delta.probe(candidate, touched)?;
-        self.counters.full_solves += 1;
-        let s = self.objective.evaluate_gflops(totals)?;
-        if let Some(cache) = &self.cache {
-            cache.insert_key(&self.key_buf, s);
-        }
-        Ok(s)
-    }
-
-    /// Adopts `candidate` (which must differ from the base only on
-    /// `touched`) as the new incumbent base. On separable contexts this
-    /// costs one column re-probe; otherwise it is free (every probe
-    /// full-solves anyway).
-    fn accept(&mut self, candidate: &ThreadAssignment, touched: &[NodeId]) -> Result<()> {
-        if self.delta.is_separable() {
-            // The committed base is about to change: forget what was known
-            // first, so a failed probe leaves nothing stale behind.
-            self.known_base = None;
-            let penalty = self.penalty(candidate);
-            let totals = self.delta.probe(candidate, touched)?;
-            self.counters.delta_solves += 1;
-            let score = match penalty {
-                Some(p) => p,
-                None => self.objective.evaluate_gflops(totals)?,
-            };
-            self.delta.commit(candidate);
-            self.known_base = Some(KnownBase {
-                score,
-                strict: None,
-            });
-        }
-        Ok(())
     }
 
     fn take_counters(&mut self) -> SearchCounters {
@@ -438,9 +294,8 @@ impl Scorer for ModelOracle<'_> {
 /// One step of the local-search neighbourhood: a thread of `app` leaves
 /// `from` and/or arrives on `to`. Both set is a move between nodes, `to`
 /// alone an added thread, `from` alone a removed one. [`HillClimb`] and
-/// [`SimulatedAnnealing`] draw their proposals from it and
-/// [`ModelOracle::certify_base`] enumerates it, so "neighbour" has one
-/// definition.
+/// [`SimulatedAnnealing`] draw their proposals from it, so "neighbour" has
+/// one definition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Move {
     app: usize,
@@ -465,14 +320,6 @@ impl Move {
             _ => (node(), None),
         };
         Move { app, from, to }
-    }
-
-    /// Every move of the neighbourhood, feasible or not, in a fixed order.
-    fn all(num_apps: usize, nodes: usize) -> impl Iterator<Item = Move> {
-        let ends = move || std::iter::once(None).chain((0..nodes).map(|n| Some(NodeId(n))));
-        (0..num_apps).flat_map(move |app| {
-            ends().flat_map(move |from| ends().map(move |to| Move { app, from, to }))
-        })
     }
 
     /// `true` if applying the move to `a` takes a thread that exists and
@@ -503,42 +350,6 @@ impl Move {
         }
         .apply(a);
     }
-
-    /// The nodes whose thread counts the move changes, `from` first.
-    fn touched(&self) -> ([NodeId; 2], usize) {
-        match (self.from, self.to) {
-            (Some(from), Some(to)) => ([from, to], 2),
-            (Some(n), None) | (None, Some(n)) => ([n; 2], 1),
-            (None, None) => ([NodeId(0); 2], 0),
-        }
-    }
-}
-
-/// The test behind [`ModelOracle::certify_base`], over any move scorer:
-/// `true` if no feasible neighbour of `base` passes the hill climb's
-/// acceptance test `s >= base_score` (a NaN score, or a NaN base, accepts
-/// nothing — as in the climb). A neighbour whose probe fails counts as
-/// acceptable: the certificate is then withheld and the climb runs, and
-/// fails, exactly as it would have. `base` is restored before returning.
-fn strict_local_optimum(
-    machine: &Machine,
-    base: &mut ThreadAssignment,
-    base_score: f64,
-    probe: &mut dyn FnMut(&ThreadAssignment, &[NodeId]) -> Result<f64>,
-) -> bool {
-    for mv in Move::all(base.num_apps(), machine.num_nodes()) {
-        if !mv.feasible(base, machine) {
-            continue;
-        }
-        let (touched, len) = mv.touched();
-        mv.apply(base);
-        let scored = probe(base, &touched[..len]);
-        mv.undo(base);
-        if scored.map_or(true, |s| s >= base_score) {
-            return false;
-        }
-    }
-    true
 }
 
 /// The enumerated candidate space in indexable form, so workers can jump to
@@ -853,7 +664,7 @@ impl GreedySearch {
                 for app in 0..num_apps {
                     candidate.copy_from(&current);
                     candidate.set(app, node, candidate.get(app, node) + 1);
-                    let s = scorer.score_move(&candidate, &[node])?;
+                    let s = scorer.score(&candidate)?;
                     evals += 1;
                     if best_move.is_none_or(|(_, _, bs)| s > bs) {
                         best_move = Some((app, node, s));
@@ -863,7 +674,6 @@ impl GreedySearch {
             match best_move {
                 Some((app, node, s)) if s > current_score || self.fill_machine => {
                     current.set(app, node, current.get(app, node) + 1);
-                    scorer.accept(&current, &[node])?;
                     current_score = s;
                 }
                 _ => break,
@@ -987,12 +797,9 @@ where
 /// Starts from [`strategies::fair_share`] and, for `iterations` rounds,
 /// proposes a random mutation (move one thread of a random application to a
 /// different node, add a thread on a node with spare capacity, or remove
-/// one) and keeps it if the objective does not decrease.
-///
-/// Against a [`ModelOracle`], a climb given a start
-/// ([`with_start`](HillClimb::with_start)) first asks whether that start is
-/// a strict local optimum ([`ModelOracle::certify_base`]); if so it is the
-/// answer, and no proposal is drawn.
+/// one) and keeps it if the objective does not decrease. Every proposal
+/// is scored, so a climb costs `iterations` proposals less the infeasible
+/// ones, wherever it starts.
 #[derive(Debug, Clone)]
 pub struct HillClimb {
     /// Number of proposals.
@@ -1034,8 +841,7 @@ impl HillClimb {
     /// Starts the climb from a given assignment instead of the fair share
     /// (used by the agent's and the supervised simulation's warm starts to
     /// climb from the *current* allocation). The climb moves `start` into
-    /// its incumbent: a certified start comes back as the result's
-    /// assignment, not as a copy of it.
+    /// its incumbent; it does not copy it.
     pub fn with_start(mut self, start: ThreadAssignment) -> Self {
         self.start = Some(start);
         self
@@ -1072,9 +878,7 @@ impl HillClimb {
         )
     }
 
-    /// [`run_with`](HillClimb::run_with) a configured [`ModelOracle`]:
-    /// every proposal is scored incrementally (delta solve on separable
-    /// contexts) and accepted moves fold into the oracle's base.
+    /// [`run_with`](HillClimb::run_with) a configured [`ModelOracle`].
     pub fn run_model(
         self,
         machine: &Machine,
@@ -1094,7 +898,6 @@ impl HillClimb {
             return Err(AllocError::NoApps);
         }
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let warm = self.start.is_some();
         let mut current = match self.start {
             Some(start) => {
                 start.validate(machine)?;
@@ -1104,26 +907,17 @@ impl HillClimb {
         };
         let mut current_score = scorer.set_base(&current)?;
         let mut evals = 1usize;
-        // A warm start that is a certified strict local optimum is also the
-        // result: no proposal below could be accepted.
-        let iterations = if warm && scorer.certify_base() {
-            0
-        } else {
-            self.iterations
-        };
         let nodes = machine.num_nodes();
 
-        for _ in 0..iterations {
+        for _ in 0..self.iterations {
             let mv = Move::draw(&mut rng, num_apps, nodes);
             if !mv.feasible(&current, machine) {
                 continue;
             }
-            let (touched, len) = mv.touched();
             mv.apply(&mut current);
-            let s = scorer.score_move(&current, &touched[..len])?;
+            let s = scorer.score(&current)?;
             evals += 1;
             if s >= current_score {
-                scorer.accept(&current, &touched[..len])?;
                 current_score = s;
             } else {
                 mv.undo(&mut current);
@@ -1253,15 +1047,13 @@ impl SimulatedAnnealing {
             if !mv.feasible(&current, machine) {
                 continue;
             }
-            let (touched, len) = mv.touched();
             mv.apply(&mut current);
-            let s = scorer.score_move(&current, &touched[..len])?;
+            let s = scorer.score(&current)?;
             evals += 1;
             let delta = s - current_score;
             let accept = delta >= 0.0
                 || (temperature > 1e-12 && rng.gen::<f64>() < (delta / temperature).exp());
             if accept {
-                scorer.accept(&current, &touched[..len])?;
                 current_score = s;
                 if s > best_score {
                     best.copy_from(&current);
@@ -1284,7 +1076,7 @@ impl SimulatedAnnealing {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::score;
+    use crate::{score, CacheStats};
     use numa_topology::presets::{paper_crossnode_machine, paper_model_machine, tiny};
 
     fn paper_apps() -> Vec<AppSpec> {
@@ -1452,10 +1244,9 @@ mod tests {
         // compute-bound app): each compute thread adds a full 10 GFLOPS.
         assert!((g.score - 320.0).abs() < 1e-9, "greedy found {}", g.score);
         assert!(g.assignment.validate(&m).is_ok());
-        // The paper apps are all NUMA-local, so after the initial full solve
-        // every neighbourhood probe is answered incrementally.
-        assert_eq!(g.counters.full_solves, 1);
-        assert!(g.counters.delta_solves > 0);
+        // With no cache, the start and every probe are one full solve each.
+        assert_eq!(g.counters.delta_solves, 0);
+        assert_eq!(g.counters.full_solves, g.evaluations as u64);
     }
 
     #[test]
@@ -1538,8 +1329,8 @@ mod tests {
         assert!(h.counters.full_solves > 0);
     }
 
-    /// Every strategy over a [`ModelOracle`] — delta-scored where the
-    /// context is separable, with and without the starvation floor — equals
+    /// Every strategy over a [`ModelOracle`] — on a local and a coupled
+    /// context, with and without the starvation floor — equals
     /// the same strategy over a closure that full-solves every candidate
     /// and adds the same penalty: same assignment, score bits and
     /// evaluation count. The exhaustive scan also agrees with itself at 1
@@ -1613,6 +1404,97 @@ mod tests {
                 }
             }
         }
+    }
+
+    fn machine(nodes: usize, cores: usize) -> Machine {
+        numa_topology::MachineBuilder::new()
+            .name("random")
+            .symmetric_nodes(nodes, cores)
+            .core_peak_gflops(1.0)
+            .node_bandwidth_gbs(8.0)
+            .uniform_link_gbs(2.0)
+            .build()
+            .expect("a small symmetric machine is valid")
+    }
+
+    /// A climb over a [`ModelOracle`] kept for a whole case, with its score
+    /// cache — a cold climb, then six warm re-searches, each from the last
+    /// one's result — equals the same climbs over a closure that
+    /// full-solves every candidate and adds the same penalty: same
+    /// assignment, score bits and evaluation count, on random local and
+    /// NUMA-bad contexts at thread floors 0 and 1.
+    #[test]
+    fn model_climb_equals_the_closure_climb_on_random_contexts() {
+        let objective = &Objective::TotalGflops;
+        let mut rng = StdRng::seed_from_u64(0xce27_1f1e);
+        for case in 0..400 {
+            let m = &machine(rng.gen_range(1..5usize), rng.gen_range(2..9usize));
+            let min_threads = rng.gen_range(0..2usize);
+            let apps: &Vec<AppSpec> = &(0..rng.gen_range(1..5usize))
+                .map(|i| {
+                    // AI in {1/32, 1/16, ..., 32}: memory- and compute-bound.
+                    let ai = 2f64.powi(i32::from(rng.gen_range(0..11u8)) - 5);
+                    if rng.gen_range(0..4u8) == 0 {
+                        let node = NodeId(rng.gen_range(0..m.num_nodes()));
+                        AppSpec::numa_bad(&format!("bad{i}"), ai, node)
+                    } else {
+                        AppSpec::numa_local(&format!("app{i}"), ai)
+                    }
+                })
+                .collect();
+            let oracle = ModelOracle::new(m, apps, objective)
+                .unwrap()
+                .with_min_threads(min_threads);
+            let cache = Arc::new(ScoreCache::new(oracle.fingerprint()));
+            let mut oracle = oracle.with_cache(cache).unwrap();
+            let mut closure = |a: &ThreadAssignment| -> Result<f64> {
+                let starved = (0..apps.len()).filter(|&i| a.app_total(i) < min_threads);
+                match starved.count() {
+                    0 => score(m, apps, a, objective),
+                    n => Ok(-(n as f64) * 1e12),
+                }
+            };
+
+            let mut climb = HillClimb::new()
+                .with_iterations(150)
+                .with_seed(rng.gen_range(0..usize::MAX) as u64);
+            for warm in 0..7u64 {
+                let what = format!("case {case}, climb {warm}");
+                let want = climb.clone().run_with(m, apps.len(), &mut closure).unwrap();
+                let got = climb.run_model(m, &mut oracle).unwrap();
+                assert_eq!(got.assignment, want.assignment, "{what}");
+                assert_eq!(got.score.to_bits(), want.score.to_bits(), "{what}");
+                assert_eq!(got.evaluations, want.evaluations, "{what}");
+                climb = HillClimb::new()
+                    .with_iterations(100)
+                    .with_seed(0xc0de ^ warm)
+                    .with_start(got.assignment);
+            }
+        }
+    }
+
+    /// A search's start is scored apart from the cache: `set_base` neither
+    /// looks it up nor inserts it, however often it is asked, so the
+    /// cache's counters are the proposals' alone.
+    #[test]
+    fn a_search_start_never_touches_the_cache() {
+        let m = paper_model_machine();
+        let apps = paper_apps();
+        let objective = Objective::TotalGflops;
+        let oracle = ModelOracle::new(&m, &apps, &objective).unwrap();
+        let cache = Arc::new(ScoreCache::new(oracle.fingerprint()));
+        let mut oracle = oracle.with_cache(Arc::clone(&cache)).unwrap();
+        let start = ThreadAssignment::uniform_per_node(&m, &[1, 1, 1, 5]);
+        let want = score(&m, &apps, &start, &objective).unwrap();
+        for _ in 0..2 {
+            assert_eq!(oracle.set_base(&start).unwrap().to_bits(), want.to_bits());
+        }
+        assert_eq!(cache.stats(), CacheStats::default());
+        assert_eq!(oracle.take_counters().full_solves, 2);
+        let climb = HillClimb::new().with_iterations(0).with_start(start);
+        let r = climb.run_model(&m, &mut oracle).unwrap();
+        assert_eq!((r.evaluations, r.counters.full_solves), (1, 1));
+        assert_eq!(cache.stats(), CacheStats::default());
     }
 
     #[test]
@@ -1729,358 +1611,6 @@ mod tests {
         assert_eq!(seq.assignment, par.assignment);
         assert_eq!(seq.score, par.score);
         assert_eq!(seq.evaluations, 36);
-    }
-}
-
-/// The certificate must never change what a climb returns. The oracle here
-/// is `HillClimb::run_model` as it was before certification existed: a
-/// fresh oracle per search (a full solve of the start, no remembered base,
-/// no certificate) and the proposal loop spelled out, not drawn from
-/// [`Move`].
-#[cfg(test)]
-mod certified_tests {
-    use super::*;
-    use numa_topology::presets::paper_skylake_machine;
-    use numa_topology::MachineBuilder;
-
-    fn reference_climb(
-        machine: &Machine,
-        apps: &[AppSpec],
-        objective: &Objective,
-        min_threads: usize,
-        climb: &HillClimb,
-    ) -> Result<SearchResult> {
-        let mut oracle = ModelOracle::new(machine, apps, objective)?.with_min_threads(min_threads);
-        let num_apps = apps.len();
-        let mut rng = StdRng::seed_from_u64(climb.seed);
-        let mut current = match &climb.start {
-            Some(s) => {
-                s.validate(machine)?;
-                s.clone()
-            }
-            None => strategies::fair_share(machine, num_apps)?,
-        };
-        let mut current_score = oracle.set_base(&current)?;
-        let mut evals = 1usize;
-        let nodes = machine.num_nodes();
-        let mut candidate = current.clone();
-
-        for _ in 0..climb.iterations {
-            candidate.copy_from(&current);
-            let app = rng.gen_range(0..num_apps);
-            let mut touched = [NodeId(0); 2];
-            let touched_len: usize;
-            match rng.gen_range(0..3u8) {
-                0 => {
-                    let from = NodeId(rng.gen_range(0..nodes));
-                    let to = NodeId(rng.gen_range(0..nodes));
-                    if from == to
-                        || candidate.get(app, from) == 0
-                        || candidate.node_total(to) >= machine.node(to).num_cores()
-                    {
-                        continue;
-                    }
-                    candidate.set(app, from, candidate.get(app, from) - 1);
-                    candidate.set(app, to, candidate.get(app, to) + 1);
-                    touched = [from, to];
-                    touched_len = 2;
-                }
-                1 => {
-                    let node = NodeId(rng.gen_range(0..nodes));
-                    if candidate.node_total(node) >= machine.node(node).num_cores() {
-                        continue;
-                    }
-                    candidate.set(app, node, candidate.get(app, node) + 1);
-                    touched[0] = node;
-                    touched_len = 1;
-                }
-                _ => {
-                    let node = NodeId(rng.gen_range(0..nodes));
-                    if candidate.get(app, node) == 0 {
-                        continue;
-                    }
-                    candidate.set(app, node, candidate.get(app, node) - 1);
-                    touched[0] = node;
-                    touched_len = 1;
-                }
-            }
-            let s = oracle.score_move(&candidate, &touched[..touched_len])?;
-            evals += 1;
-            if s >= current_score {
-                oracle.accept(&candidate, &touched[..touched_len])?;
-                current.copy_from(&candidate);
-                current_score = s;
-            }
-        }
-        Ok(SearchResult {
-            assignment: current,
-            score: current_score,
-            evaluations: evals,
-            counters: oracle.take_counters(),
-            truncated: false,
-        })
-    }
-
-    fn machine(nodes: usize, cores: usize) -> Machine {
-        MachineBuilder::new()
-            .name("certified")
-            .symmetric_nodes(nodes, cores)
-            .core_peak_gflops(1.0)
-            .node_bandwidth_gbs(8.0)
-            .uniform_link_gbs(2.0)
-            .build()
-            .expect("a small symmetric machine is valid")
-    }
-
-    /// The Table III mix, uneven (1,1,1,17) per node: the machine is full.
-    fn table_3() -> (Machine, Vec<AppSpec>, ThreadAssignment) {
-        let m = paper_skylake_machine();
-        let apps = vec![
-            AppSpec::numa_local("mem1", 1.0 / 32.0),
-            AppSpec::numa_local("mem2", 1.0 / 32.0),
-            AppSpec::numa_local("mem3", 1.0 / 32.0),
-            AppSpec::numa_local("comp", 1.0),
-        ];
-        let start = ThreadAssignment::uniform_per_node(&m, &[1, 1, 1, 17]);
-        (m, apps, start)
-    }
-
-    fn assert_same(got: &SearchResult, want: &SearchResult, what: &str) {
-        assert_eq!(got.assignment, want.assignment, "{what}: assignment");
-        assert_eq!(
-            got.score.to_bits(),
-            want.score.to_bits(),
-            "{what}: score {} vs {}",
-            got.score,
-            want.score
-        );
-    }
-
-    #[test]
-    fn certified_climb_equals_the_uncertified_climb_on_random_contexts() {
-        let objective = Objective::TotalGflops;
-        let mut rng = StdRng::seed_from_u64(0xce27_1f1e);
-        let (mut certified, mut climbed) = (0usize, 0usize);
-        for case in 0..400 {
-            let m = machine(rng.gen_range(1..5usize), rng.gen_range(2..9usize));
-            let min_threads = rng.gen_range(0..2usize);
-            let apps: Vec<AppSpec> = (0..rng.gen_range(1..5usize))
-                .map(|i| {
-                    // AI in {1/32, 1/16, ..., 32}: memory- and compute-bound.
-                    let ai = 2f64.powi(i32::from(rng.gen_range(0..11u8)) - 5);
-                    if rng.gen_range(0..4u8) == 0 {
-                        let node = NodeId(rng.gen_range(0..m.num_nodes()));
-                        AppSpec::numa_bad(&format!("bad{i}"), ai, node)
-                    } else {
-                        AppSpec::numa_local(&format!("app{i}"), ai)
-                    }
-                })
-                .collect();
-            // One oracle (and score cache) for the whole case, as the
-            // supervised loop keeps it; the reference starts afresh.
-            let oracle = ModelOracle::new(&m, &apps, &objective)
-                .unwrap()
-                .with_min_threads(min_threads);
-            let cache = Arc::new(ScoreCache::new(oracle.fingerprint()));
-            let mut oracle = oracle.with_cache(cache).unwrap();
-
-            let mut climb = HillClimb::new()
-                .with_iterations(150)
-                .with_seed(rng.gen_range(0..usize::MAX) as u64);
-            let mut incumbent = climb.clone().run_model(&m, &mut oracle).unwrap();
-            let cold = reference_climb(&m, &apps, &objective, min_threads, &climb).unwrap();
-            assert_same(&incumbent, &cold, &format!("case {case} cold"));
-            assert_eq!(incumbent.evaluations, cold.evaluations, "case {case} cold");
-
-            for warm in 0..6u64 {
-                climb = HillClimb::new()
-                    .with_iterations(100)
-                    .with_seed(0xc0de ^ warm)
-                    .with_start(incumbent.assignment.clone());
-                let want = reference_climb(&m, &apps, &objective, min_threads, &climb).unwrap();
-                let got = climb.run_model(&m, &mut oracle).unwrap();
-                assert_same(&got, &want, &format!("case {case} warm {warm}"));
-                if got.evaluations == 1 && want.evaluations > 1 {
-                    certified += 1;
-                } else {
-                    assert_eq!(got.evaluations, want.evaluations, "case {case} warm {warm}");
-                    climbed += 1;
-                }
-                incumbent = got;
-            }
-        }
-        // Both outcomes must be exercised: strict optima that exit early,
-        // and plateaus or improvable starts that go on to climb.
-        assert!(certified > 200 && climbed > 200, "{certified} / {climbed}");
-    }
-
-    #[test]
-    fn table_3_is_certified_with_16_probes_and_then_costs_nothing() {
-        let (m, apps, start) = table_3();
-        let objective = Objective::TotalGflops;
-        let mut oracle = ModelOracle::new(&m, &apps, &objective)
-            .unwrap()
-            .with_min_threads(1);
-        let climb = HillClimb::new()
-            .with_iterations(600)
-            .with_start(start.clone());
-        // Every node is full, so the neighbourhood is the 4 x 4 removals.
-        let first = climb.clone().run_model(&m, &mut oracle).unwrap();
-        assert_eq!(first.assignment, start);
-        assert_eq!(first.evaluations, 1);
-        assert_eq!(
-            first.counters,
-            SearchCounters {
-                full_solves: 1,
-                delta_solves: 16,
-                cache_hits: 0
-            }
-        );
-        let second = climb
-            .clone()
-            .with_seed(7)
-            .run_model(&m, &mut oracle)
-            .unwrap();
-        assert_eq!(second.counters, SearchCounters::default());
-        assert_eq!(second.evaluations, 1);
-        let want = reference_climb(&m, &apps, &objective, 1, &climb).unwrap();
-        assert_same(&first, &want, "first");
-        assert_same(&second, &want, "second");
-        // The certified start is the result: moved in and back, not copied.
-        let at = second.assignment.row(0).as_ptr();
-        let third = HillClimb::new()
-            .with_start(second.assignment)
-            .run_model(&m, &mut oracle)
-            .unwrap();
-        assert_eq!(third.assignment.row(0).as_ptr(), at);
-    }
-
-    #[test]
-    fn certified_never_on_a_plateau() {
-        // A compute-bound thread delivers the core's peak on either node:
-        // moving one is an equal score, which `>=` accepts.
-        let m = machine(2, 4);
-        let apps = vec![AppSpec::numa_local("comp", 32.0)];
-        let start = ThreadAssignment::from_matrix(vec![vec![3, 1]]);
-        let objective = Objective::TotalGflops;
-        let mut oracle = ModelOracle::new(&m, &apps, &objective).unwrap();
-        let base = oracle.set_base(&start).unwrap();
-        let mut shifted = start.clone();
-        shifted.set(0, NodeId(0), 2);
-        shifted.set(0, NodeId(1), 2);
-        let tie = oracle
-            .score_move(&shifted, &[NodeId(0), NodeId(1)])
-            .unwrap();
-        assert_eq!(tie.to_bits(), base.to_bits(), "the shift is an exact tie");
-        assert!(!oracle.certify_base());
-
-        let climb = HillClimb::new().with_iterations(300).with_start(start);
-        let got = climb.clone().run_model(&m, &mut oracle).unwrap();
-        let want = reference_climb(&m, &apps, &objective, 0, &climb).unwrap();
-        assert_same(&got, &want, "plateau");
-        assert_eq!(got.evaluations, want.evaluations);
-        assert_ne!(got.assignment, *climb.start.as_ref().unwrap());
-    }
-
-    #[test]
-    fn certified_verdict_is_dropped_when_the_base_changes() {
-        let (m, apps, start) = table_3();
-        let objective = Objective::TotalGflops;
-        let mut oracle = ModelOracle::new(&m, &apps, &objective)
-            .unwrap()
-            .with_min_threads(1);
-        oracle.set_base(&start).unwrap();
-        assert!(oracle.certify_base());
-        assert_eq!(oracle.take_counters().delta_solves, 16);
-        // Remembered: asking again, or re-basing on the same matrix, is free.
-        assert!(oracle.certify_base());
-        oracle.set_base(&start.clone()).unwrap();
-        assert!(oracle.certify_base());
-        assert_eq!(oracle.take_counters(), SearchCounters::default());
-
-        // `accept` moves the base: one comp thread fewer on node 2, and
-        // putting it back is an improvement.
-        let mut fewer = start.clone();
-        fewer.set(3, NodeId(2), 16);
-        oracle.accept(&fewer, &[NodeId(2)]).unwrap();
-        assert!(!oracle.certify_base());
-        assert!(oracle.take_counters().delta_solves > 1);
-
-        // `set_base` with another matrix solves it and certifies anew.
-        oracle.set_base(&start).unwrap();
-        assert!(oracle.certify_base());
-        assert_eq!(
-            oracle.take_counters(),
-            SearchCounters {
-                full_solves: 1,
-                delta_solves: 16,
-                cache_hits: 0
-            }
-        );
-
-        // A new thread floor re-scores everything: the same matrix is
-        // solved again, and under a floor of 5 the base is penalized.
-        let mut oracle = oracle.with_min_threads(5);
-        assert!(oracle.set_base(&start).unwrap() < 0.0);
-        assert_eq!(oracle.take_counters().full_solves, 1);
-        assert!(!oracle.certify_base());
-    }
-
-    #[test]
-    fn certified_never_when_the_base_is_penalized() {
-        // One node, full; `a` is below the floor of 2 and can never reach
-        // it. Every neighbour (remove one of `b`'s) starves two apps and is
-        // strictly worse, yet a penalized base is not an optimum to stop at.
-        let m = machine(1, 2);
-        let apps = vec![AppSpec::numa_local("a", 1.0), AppSpec::numa_local("b", 1.0)];
-        let start = ThreadAssignment::from_matrix(vec![vec![0], vec![2]]);
-        let objective = Objective::TotalGflops;
-        let mut oracle = ModelOracle::new(&m, &apps, &objective)
-            .unwrap()
-            .with_min_threads(2);
-        assert_eq!(oracle.set_base(&start).unwrap(), -1e12);
-        assert!(!oracle.certify_base());
-        assert_eq!(oracle.take_counters().delta_solves, 0, "no probe is spent");
-
-        let climb = HillClimb::new().with_iterations(50).with_start(start);
-        let got = climb.clone().run_model(&m, &mut oracle).unwrap();
-        let want = reference_climb(&m, &apps, &objective, 2, &climb).unwrap();
-        assert_same(&got, &want, "penalized");
-        assert_eq!(got.evaluations, want.evaluations);
-    }
-
-    #[test]
-    fn certified_treats_nan_and_failed_probes_as_the_climb_does() {
-        let m = machine(2, 2);
-        let mut base = ThreadAssignment::from_matrix(vec![vec![1, 1]]);
-        let start = base.clone();
-        let mut strict = |base_score: f64, neighbour: &dyn Fn() -> Result<f64>| {
-            let verdict = strict_local_optimum(&m, &mut base, base_score, &mut |_, _| neighbour());
-            assert_eq!(base, start, "the base is restored");
-            verdict
-        };
-        // `s >= base` is false for a NaN `s` and for a NaN base: neither is
-        // ever accepted, so neither stands in the certificate's way.
-        assert!(strict(1.0, &|| Ok(f64::NAN)));
-        assert!(strict(f64::NAN, &|| Ok(2.0)));
-        assert!(strict(1.0, &|| Ok(0.5)));
-        // A tie is accepted; a probe that fails is left for the climb.
-        assert!(!strict(1.0, &|| Ok(1.0)));
-        assert!(!strict(1.0, &|| Err(AllocError::NoApps)));
-
-        // The climb itself, over the same scorers.
-        let climb = HillClimb::new()
-            .with_iterations(40)
-            .with_start(start.clone());
-        let mut nan_neighbours =
-            |a: &ThreadAssignment| -> Result<f64> { Ok(if *a == start { 1.0 } else { f64::NAN }) };
-        let r = climb.clone().run_with(&m, 1, &mut nan_neighbours).unwrap();
-        assert_eq!(r.assignment, start);
-        let mut nan_base =
-            |a: &ThreadAssignment| -> Result<f64> { Ok(if *a == start { f64::NAN } else { 2.0 }) };
-        let r = climb.run_with(&m, 1, &mut nan_base).unwrap();
-        assert_eq!(r.assignment, start);
-        assert!(r.score.is_nan());
     }
 }
 

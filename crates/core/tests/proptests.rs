@@ -385,65 +385,6 @@ fn hill_climb_never_regresses() {
     });
 }
 
-/// A delta-scored local move agrees with a from-scratch solve of the
-/// moved-to assignment, for random separable (all-local) contexts.
-#[test]
-fn delta_move_scores_match_full_solves() {
-    check(6, CASES, |g| {
-        let cores = g.range(2..7usize);
-        let ais = g.vec(2..4, |g| g.range(0.05..32.0));
-        let seed = g.range(0..1000u64);
-        let m = machine(2, cores);
-        let apps: Vec<AppSpec> = ais
-            .iter()
-            .enumerate()
-            .map(|(i, &ai)| AppSpec::numa_local(&format!("a{i}"), ai))
-            .collect();
-        let objective = Objective::TotalGflops;
-        let mut oracle = search::ModelOracle::new(&m, &apps, &objective).unwrap();
-        let base = strategies::fair_share(&m, apps.len()).unwrap();
-        oracle.set_base(&base).unwrap();
-
-        let nodes: Vec<_> = m.node_ids().collect();
-        let node = nodes[(seed as usize / 7) % nodes.len()];
-        // Fair share fills every node, so some app has a thread to give up.
-        let app = (0..apps.len())
-            .map(|i| (i + seed as usize) % apps.len())
-            .find(|&i| base.get(i, node) > 0)
-            .unwrap();
-        let mut candidate = base.clone();
-        candidate.set(app, node, base.get(app, node) - 1);
-
-        let delta = oracle.score_move(&candidate, &[node]).unwrap();
-        let full = score(&m, &apps, &candidate, &objective).unwrap();
-        assert!(
-            (delta - full).abs() <= 1e-9 * full.abs().max(1.0),
-            "delta {delta} vs full {full}"
-        );
-        assert!(oracle.take_counters().delta_solves >= 1);
-
-        // After accepting, a move touching two node columns at once must
-        // also match a from-scratch solve.
-        let other = nodes[((seed as usize / 7) + 1) % nodes.len()];
-        let app2 = (0..apps.len())
-            .map(|i| (i + seed as usize / 3) % apps.len())
-            .find(|&i| candidate.get(i, other) > 0)
-            .unwrap();
-        let mut second = candidate.clone();
-        second.set(app2, other, candidate.get(app2, other) - 1);
-        if candidate.get(app, node) > 0 {
-            second.set(app, node, candidate.get(app, node) - 1);
-        }
-        oracle.accept(&candidate, &[node]).unwrap();
-        let delta2 = oracle.score_move(&second, &[node, other]).unwrap();
-        let full2 = score(&m, &apps, &second, &objective).unwrap();
-        assert!(
-            (delta2 - full2).abs() <= 1e-9 * full2.abs().max(1.0),
-            "two-column delta {delta2} vs full {full2}"
-        );
-    });
-}
-
 /// Enumeration counts match the actual number of yielded items.
 #[test]
 fn enumeration_counts_are_exact() {

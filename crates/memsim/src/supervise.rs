@@ -352,7 +352,7 @@ pub fn run_supervised(
     // force: the live apps' rows, reclaimed and contained. Every tick's
     // record shares this template, built again when those rows or the
     // policy's `search/*` inputs change.
-    type SearchInputs = Option<[(&'static str, f64); 5]>;
+    type SearchInputs = Option<[(&'static str, f64); 4]>;
     let template_for = |rows: &ThreadAssignment, search: SearchInputs| -> Result<Arc<Prediction>> {
         let mut template = solve(&scenario.machine, &specs, rows)?.to_prediction();
         template.assignment = format!("{} {:?}", named.name, rows.to_matrix()).into();
@@ -978,9 +978,8 @@ mod tests {
         // 4 apps on 20 cores: one column per served mask of one node shape.
         let columns = 15.0;
         for (tick, record) in records.iter().enumerate() {
-            let [full, delta, hits, evaluations, warm] = [
+            let [full, hits, evaluations, warm] = [
                 "search/full_solves",
-                "search/delta_solves",
                 "search/cache_hits",
                 "search/evaluations",
                 "search/warm_start",
@@ -988,8 +987,8 @@ mod tests {
             .map(|key| input(record, key));
             let want = if tick < 10 { columns } else { 0.0 };
             assert_eq!(
-                [full, delta, hits, evaluations, warm],
-                [0.0, 0.0, 0.0, want, 0.0],
+                [full, hits, evaluations, warm],
+                [0.0, 0.0, want, 0.0],
                 "tick {tick}"
             );
             assert_eq!(
@@ -1012,10 +1011,10 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// The policy's score cache earns its keep on a NUMA-bad mix: there a
-    /// column probe cannot score a move, so the warm re-search of tick 10
-    /// revisits assignments through the cache, and records cache hits.
-    /// (On an all-local mix, as above, it is never asked.)
+    /// The policy's score cache earns its keep on a NUMA-bad mix, which no
+    /// exact decision takes: the warm re-search of tick 10 revisits
+    /// assignments through the cache, and records cache hits. (On an
+    /// all-local mix, as above, no search runs and it is never asked.)
     #[test]
     fn reoptimizing_numa_bad_run_hits_the_score_cache() {
         let mut scenario = base_scenario();
@@ -1167,7 +1166,9 @@ mod tests {
     /// decide it exactly, captured by this same test: the scrape of a fixed
     /// run of the policy's rows, and its ledger with the policy's `search/*`
     /// inputs on every record. Retaken once the table kept one column per
-    /// served mask: only `search/evaluations` moved, 1 771 → 15.
+    /// served mask: only `search/evaluations` moved, 1 771 → 15; and once
+    /// the search stopped counting delta solves: the parent's export with
+    /// every record's `search/delta_solves` input removed.
     #[test]
     fn reoptimizing_template_run_exports_what_it_did() {
         let mut scenario = template();
@@ -1192,7 +1193,7 @@ mod tests {
         let result = run_supervised(&scenario, &config, Arc::new(TelemetryHub::new())).unwrap();
         let digest = export_digest(&result);
         println!("export digest {digest:#018x}");
-        assert_eq!(digest, 0xc26f_cf61_aae9_eb43);
+        assert_eq!(digest, 0x69ee_d62e_2702_324f);
     }
 
     /// A re-optimizing Table III run, jitter on, on the quantum grid, with a
@@ -1207,7 +1208,9 @@ mod tests {
     /// ticks 0, 5 and 25, `comp` contained from tick 17; and again once
     /// jitter was drawn per (seed, thread, segment), and again once the
     /// policy decided those live sets exactly, and again once the table
-    /// kept one column per served mask (only `search/evaluations` moved).
+    /// kept one column per served mask (only `search/evaluations` moved),
+    /// and again once the search stopped counting delta solves (only every
+    /// record's `search/delta_solves` input went).
     #[test]
     fn runaway_outage_run_exports_what_it_did() {
         use crate::chaos::{AppOutage, ChaosPlan};
@@ -1240,7 +1243,7 @@ mod tests {
         assert!(result.ticks.iter().filter(|t| t.perturbed).count() > 10);
         let digest = export_digest(&result);
         println!("export digest {digest:#018x}");
-        assert_eq!(digest, 0x6136_f2cf_d394_9cf4);
+        assert_eq!(digest, 0xdb8e_3781_89a9_f3b0);
     }
 
     /// An outage's prediction is the model's for the rows in force: while

@@ -3,7 +3,10 @@
 
 use coop_alloc::cases::{check, Gen};
 use numa_topology::{MachineBuilder, NodeId};
-use roofline_numa::{solve, AppSpec, DataPlacement, LocalColumn, ThreadAssignment};
+use roofline_numa::{
+    solve, solve_gflops, AppSpec, DataPlacement, DeltaSolver, LocalColumn, SolveOptions,
+    SolveScratch, ThreadAssignment,
+};
 
 const CASES: usize = 256;
 
@@ -316,5 +319,63 @@ fn local_column_score_is_the_solvers_node_gflops() {
         let mut coupled = apps.clone();
         coupled[0].placement = DataPlacement::SingleNode(NodeId(g.range(0..nodes)));
         assert_eq!(LocalColumn::new(&machine, NodeId(0), &coupled), None);
+    });
+}
+
+/// A delta-scored local move — one node column, then, after committing it,
+/// two at once — is bit-identical to a from-scratch solve of the moved-to
+/// assignment, for random separable (all-local) contexts.
+#[test]
+fn delta_move_scores_match_full_solves() {
+    check(6, CASES, |g| {
+        let cores = g.range(2..7usize);
+        let ais = g.vec(2..4, |g| g.range(0.05..32.0));
+        let seed = g.range(0..1000u64) as usize;
+        let m = MachineBuilder::new()
+            .symmetric_nodes(2, cores)
+            .core_peak_gflops(10.0)
+            .node_bandwidth_gbs(32.0)
+            .uniform_link_gbs(10.0)
+            .build()
+            .unwrap();
+        let apps: Vec<AppSpec> = (ais.iter().enumerate())
+            .map(|(i, &ai)| AppSpec::numa_local(&format!("a{i}"), ai))
+            .collect();
+        let mut scratch = SolveScratch::new();
+        let mut full = |a: &ThreadAssignment| {
+            solve_gflops(&m, &apps, a, SolveOptions::default(), &mut scratch)
+                .unwrap()
+                .to_vec()
+        };
+        let mut delta = DeltaSolver::new(&m, &apps).unwrap();
+        assert!(delta.is_separable());
+        let base = coop_alloc::strategies::fair_share(&m, apps.len()).unwrap();
+        assert_eq!(delta.rebase(&base).unwrap(), full(&base));
+
+        let nodes: Vec<_> = m.node_ids().collect();
+        let node = nodes[(seed / 7) % nodes.len()];
+        // Fair share fills every node, so some app has a thread to give up.
+        let app = (0..apps.len())
+            .map(|i| (i + seed) % apps.len())
+            .find(|&i| base.get(i, node) > 0)
+            .unwrap();
+        let mut candidate = base.clone();
+        candidate.set(app, node, base.get(app, node) - 1);
+        assert_eq!(delta.probe(&candidate, &[node]).unwrap(), full(&candidate));
+
+        // After committing, a move touching two node columns at once.
+        let other = nodes[(seed / 7 + 1) % nodes.len()];
+        let app2 = (0..apps.len())
+            .map(|i| (i + seed / 3) % apps.len())
+            .find(|&i| candidate.get(i, other) > 0)
+            .unwrap();
+        let mut second = candidate.clone();
+        second.set(app2, other, candidate.get(app2, other) - 1);
+        if candidate.get(app, node) > 0 {
+            second.set(app, node, candidate.get(app, node) - 1);
+        }
+        delta.commit(&candidate);
+        let probed = delta.probe(&second, &[node, other]).unwrap();
+        assert_eq!(probed, full(&second), "two-column probe");
     });
 }
